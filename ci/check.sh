@@ -4,14 +4,15 @@
 # Usage: ci/check.sh [--fast]
 #
 #   (no flag)  full CI: hermeticity, format, lints, conformance, release
-#              build, workspace tests, bench smoke + perf gates, metrics
-#              smoke — what the release CI job runs.
+#              build, workspace tests, results/ freshness, bench smoke +
+#              perf gates, metrics smoke — what the release CI job runs.
 #   --fast     inner-loop subset: format, lints, conformance, and the debug
 #              workspace test suite (lock sanitizer armed). No release
 #              build, no benches; finishes in under two minutes warm.
 #
 # The whole suite is offline by design: every dependency is a path dep into
-# this repository (enforced by tests/hermetic.rs), so `--offline` both proves
+# this repository (enforced by hotc-lint's hermetic-deps rule, which tier-1
+# runs through tests/lint_clean.rs), so `--offline` both proves
 # the hermeticity claim and keeps the script runnable on an air-gapped box.
 set -euo pipefail
 
@@ -47,6 +48,24 @@ echo
 echo "==> cargo run --offline -q -p hotc-lint -- --json > lint-report.json"
 cargo run --offline -q -p hotc-lint -- --json > lint-report.json
 
+# 3b. One replay loop: production code runs `run_trace_core` in
+#     crates/bench/src/driver.rs and nothing else. (a) Only simclock itself
+#     and the `reference` oracle modules may put events on a
+#     `simclock::Simulation`; (b) the reference driver may be named only by
+#     `reference` modules, benches and tests.
+echo
+echo "==> one-replay-loop guard"
+if grep -rnE 'Simulation|schedule_(at|in)\b' crates/*/src src examples --include='*.rs' \
+    | grep -vE '^crates/simclock/|/reference\.rs:'; then
+    echo "event scheduling outside crates/simclock and the reference modules (see above)" >&2
+    exit 1
+fi
+if grep -rnE '(hotc_bench|crate)::reference|reference::run_workload' crates src examples --include='*.rs' \
+    | grep -vE '/reference\.rs:|/benches/|/tests/|:[0-9]+:[[:space:]]*//'; then
+    echo "the reference driver is named outside reference modules, benches and tests (see above)" >&2
+    exit 1
+fi
+
 # 4. Workspace test suite. Debug profile arms the lock-order sanitizer and
 #    the zero-lock warm-path assertions (request_path_scope). In --fast
 #    mode this is the last step.
@@ -81,6 +100,13 @@ fi
 run cargo build --workspace --release --offline
 run cargo test -q --offline
 
+# 6b. The committed figures are what the code produces: regenerate all of
+#     them and compare byte for byte with results/.
+FIGS_OUT="$(mktemp -d)"
+trap 'rm -rf "$FIGS_OUT"' EXIT
+run sh -c "./target/release/repro all --out '$FIGS_OUT' >/dev/null"
+run diff -r "$FIGS_OUT" results
+
 # 7. Perf smoke: every bench suite in --smoke mode, accumulating one
 #    JSON-Lines record per suite into BENCH_ci.json (the CI perf artifact),
 #    then the perf-gate checker evaluates ci/gates.json against it —
@@ -96,7 +122,7 @@ run cargo run --offline -q -p hotc-bench --bin gate -- "$BENCH_OUT_DIR/BENCH_ci.
 # 8. Telemetry smoke: run the demo scenario with --metrics-out and assert the
 #    snapshot is well-formed with nonzero cold-start stage counts.
 METRICS_OUT="$(mktemp)"
-trap 'rm -f "$METRICS_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$METRICS_OUT"' EXIT
 run sh -c "./target/release/hotc-sim --demo | ./target/release/hotc-sim - --metrics-out '$METRICS_OUT' >/dev/null"
 echo
 echo "==> metrics snapshot smoke ($METRICS_OUT):"
@@ -123,7 +149,7 @@ echo "metrics snapshot OK"
 #    day through the CLI's pull-based trace path (never materialized) and
 #    assert every request was served. Takes about a minute in release.
 REPLAY_OUT="$(mktemp)"
-trap 'rm -f "$METRICS_OUT" "$REPLAY_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$METRICS_OUT" "$REPLAY_OUT"' EXIT
 run sh -c "./target/release/hotc-sim scenarios/synth_1m.hotc > '$REPLAY_OUT'"
 # The summary table's first column is the request count.
 grep -Eq '(^|[^0-9])1000000([^0-9]|$)' "$REPLAY_OUT" \
@@ -136,7 +162,7 @@ echo "streaming replay smoke OK"
 #     parallel_equivalence test suite; this asserts the shipped binary's
 #     flag path end to end at scale.)
 PAR_OUT="$(mktemp)"
-trap 'rm -f "$METRICS_OUT" "$REPLAY_OUT" "$PAR_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$METRICS_OUT" "$REPLAY_OUT" "$PAR_OUT"' EXIT
 run sh -c "./target/release/hotc-sim scenarios/synth_1m.hotc --replay-threads 4 > '$PAR_OUT'"
 grep -Eq '(^|[^0-9])1000000([^0-9]|$)' "$PAR_OUT" \
     || { echo "parallel synth_1m replay did not serve 1000000 requests" >&2; exit 1; }

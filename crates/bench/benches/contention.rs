@@ -1,6 +1,7 @@
 //! Lock-contention benchmark: real OS threads sharing one HotC gateway,
 //! measuring control-plane throughput as parallelism grows. The global-lock
-//! gateway is driven at 1–8 threads (the legacy comparison); the sharded
+//! baseline — a fixture local to this bench, one mutex around the
+//! single-threaded gateway — is driven at 1–8 threads; the sharded
 //! gateway is driven across [`hotc_bench::CONTENTION_THREADS`] (1–32), the
 //! curve the CI perf gate checks. The virtual execution happens outside any
 //! lock, so this isolates the pool bookkeeping — the scalability question
@@ -14,11 +15,26 @@
 
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::{AppProfile, Gateway};
-use hotc::{ConcurrentGateway, FunctionHandle, HotC, ShardedGateway};
+use hotc::{FunctionHandle, HotC, ShardedGateway};
 use hotc_bench::{Harness, CONTENTION_THREADS};
 use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
 use std::sync::Arc;
+use stdshim::sync::Mutex;
+
+/// The global-lock baseline the `shared_gateway/*` records measure: one mutex
+/// around the single-threaded gateway, taken for `begin` and again for
+/// `finish` but not held across the request's virtual execution. All pool,
+/// engine, stats and tracker bookkeeping serializes on that one lock.
+type GlobalLockGateway = Mutex<Gateway<HotC>>;
+
+fn handle_locked(gw: &GlobalLockGateway, function: &str, timeline: &mut ThreadTimeline) {
+    let inflight = gw.lock().begin(function, timeline.now()).expect("request");
+    // Execution happens outside the lock: other threads' requests overlap.
+    timeline.wait_until(inflight.t4_func_end);
+    let trace = gw.lock().finish(inflight).expect("request");
+    timeline.wait_until(trace.t6_gateway_out);
+}
 
 /// A deployment-shaped configuration: serverless functions routinely carry a
 /// dozen environment variables (endpoints, credentials, tuning), and every
@@ -46,42 +62,34 @@ fn function_config(app: &AppProfile, i: usize) -> containersim::ContainerConfig 
     config
 }
 
-fn shared_gateway(functions: usize) -> Arc<ConcurrentGateway<HotC>> {
-    let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let mut gw = Gateway::new(engine, HotC::with_defaults());
-    for i in 0..functions {
+/// `functions` deployment-shaped specs, `fn-0`…, one runtime key each.
+fn specs(functions: usize) -> impl Iterator<Item = faas::FunctionSpec> {
+    (0..functions).map(|i| {
         let app = AppProfile::qr_code(LanguageRuntime::Go);
         let config = function_config(&app, i);
-        gw.register(
-            faas::FunctionSpec::from_app(app)
-                .named(format!("fn-{i}"))
-                .with_config(config),
-        );
-    }
-    let shared = Arc::new(ConcurrentGateway::new(gw));
+        faas::FunctionSpec::from_app(app)
+            .named(format!("fn-{i}"))
+            .with_config(config)
+    })
+}
+
+fn shared_gateway(functions: usize) -> Arc<GlobalLockGateway> {
+    let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+    let mut gw = Gateway::new(engine, HotC::with_defaults());
+    specs(functions).for_each(|spec| gw.register(spec));
+    let shared = Arc::new(Mutex::labeled(gw, "gateway/global"));
     // Prime one runtime per function so the benchmark measures reuse.
     let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
     for i in 0..functions {
-        shared
-            .handle(&format!("fn-{i}"), &mut timeline)
-            .expect("prime");
+        handle_locked(&shared, &format!("fn-{i}"), &mut timeline);
     }
     shared
 }
 
 fn sharded_gateway_setup(functions: usize) -> Arc<ShardedGateway> {
     let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let gw = ShardedGateway::with_defaults(engine);
-    for i in 0..functions {
-        let app = AppProfile::qr_code(LanguageRuntime::Go);
-        let config = function_config(&app, i);
-        gw.register(
-            faas::FunctionSpec::from_app(app)
-                .named(format!("fn-{i}"))
-                .with_config(config),
-        );
-    }
-    let shared = Arc::new(gw);
+    let shared = Arc::new(ShardedGateway::with_defaults(engine));
+    specs(functions).for_each(|spec| shared.register(spec));
     // Prime one runtime per function so the benchmark measures reuse.
     let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
     for i in 0..functions {
@@ -105,7 +113,7 @@ fn bench_contention(h: &mut Harness) {
                         let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
                         let function = format!("fn-{t}");
                         for _ in 0..requests_per_thread {
-                            gw.handle(&function, &mut timeline).expect("request");
+                            handle_locked(&gw, &function, &mut timeline);
                             timeline.advance(SimDuration::from_millis(200));
                         }
                     });

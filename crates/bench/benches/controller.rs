@@ -90,9 +90,9 @@ fn bench_tick(h: &mut Harness, types: usize) {
                 pool.release(&engine, acq.container, end).unwrap();
             }
             let report = if full {
-                ctl.step_sharded_full(&pool, &engine, now).unwrap()
+                ctl.step_full(&pool, &engine, now).unwrap()
             } else {
-                ctl.step_sharded(&pool, &engine, now).unwrap()
+                ctl.step(&pool, &engine, now).unwrap()
             };
             black_box(report.demand.len())
         });

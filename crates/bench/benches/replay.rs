@@ -4,9 +4,11 @@
 //! Two claims are gated (`ci/gates.json`, suite `replay`):
 //!
 //! 1. Pulling arrivals one at a time through [`hotc_bench::run_trace`] costs
-//!    about the same as replaying a pre-built `Vec<Arrival>` through
-//!    [`hotc_bench::run_workload`] — the ratio gate pins streaming within
-//!    1.5x of materialized on an identical 20k-request trace.
+//!    about the same as replaying a pre-built `Vec<Arrival>` through the
+//!    closure-scheduled [`hotc_bench::reference::run_workload`] — the ratio
+//!    gate pins streaming within 1.5x of materialized on an identical
+//!    20k-request trace. (The baseline is the reference driver on purpose:
+//!    `hotc_bench::run_workload` is the streaming loop itself.)
 //! 2. A 1e6-request / 10k-key synthesized day replays end to end at a gated
 //!    minimum rate, and the process peak RSS stays under a gated ceiling —
 //!    the replay path's memory is O(keys + in-flight), not O(requests).
@@ -18,7 +20,8 @@ use containersim::{ContainerEngine, HardwareProfile, NetworkMode};
 use faas::gateway::Gateway;
 use faas::{AppProfile, FunctionSpec};
 use hotc::{HotC, HotCConfig, PoolLimits};
-use hotc_bench::{run_partitioned, run_trace, run_trace_partition, run_workload, Harness};
+use hotc_bench::reference::run_workload;
+use hotc_bench::{run_partitioned, run_trace, run_trace_partition, Harness};
 use simclock::SimDuration;
 use std::sync::Arc;
 use workloads::trace::{PartitionTrace, Trace};
@@ -94,7 +97,7 @@ fn replay_streaming(requests: u64, keys: usize) -> (u64, usize) {
 }
 
 /// Materializes the same trace into a `Vec<Arrival>` first, then replays it
-/// through the eager driver — the pre-streaming baseline.
+/// through the reference driver — the pre-streaming baseline.
 fn replay_materialized(requests: u64, keys: usize) -> u64 {
     let (gw, names) = gateway(keys);
     let mut trace = synth_trace(&spec(requests, keys));

@@ -1,18 +1,25 @@
-//! Discrete-event workload driver.
+//! Discrete-event workload driver: the one replay loop.
 //!
-//! Feeds a time-ordered [`Arrival`] sequence through a gateway. Requests
-//! overlap naturally: each arrival `begin`s immediately and its `finish` is
-//! scheduled at the request's `t4`, so simultaneous requests occupy separate
-//! containers — exactly how the parallel/burst experiments must behave.
-//! Provider maintenance (`tick`) runs at a fixed interval, *before* arrivals
-//! that share the same instant (the controller acts at round boundaries).
+//! Feeds a time-ordered [`Arrival`] stream through a [`ReplayTarget`] — a
+//! single [`Gateway`] or a [`Cluster`] of them. Requests overlap naturally:
+//! each arrival `begin`s immediately and its `finish` fires at the request's
+//! `t4`, so simultaneous requests occupy separate containers — exactly how
+//! the parallel/burst experiments must behave. Provider maintenance (`tick`)
+//! runs at a fixed interval, *before* arrivals that share the same instant
+//! (the controller acts at round boundaries).
+//!
+//! [`run_trace`], [`run_trace_partition`], [`run_trace_on`] and the
+//! collecting [`run_workload`] are thin adapters over one private event loop;
+//! the closure-scheduled driver it was derived from survives only as the
+//! independent oracle in [`crate::reference`] (DESIGN.md §2, §10.2).
 
-use faas::gateway::Gateway;
+use faas::gateway::{Gateway, GatewayError};
 use faas::{InFlight, RequestTrace, RuntimeProvider};
-use simclock::{SimDuration, SimTime, Simulation};
+use hotc_cluster::{Cluster, ClusterError, ClusterInFlight};
+use simclock::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use workloads::trace::{PartitionTrace, Trace};
+use workloads::trace::{PartitionTrace, Trace, VecTrace};
 use workloads::Arrival;
 
 /// Result of driving a workload to completion.
@@ -79,15 +86,10 @@ impl<P: RuntimeProvider> RunOutcome<P> {
     }
 }
 
-struct DriverState<P: RuntimeProvider> {
-    gateway: Gateway<P>,
-    traces: Vec<(usize, RequestTrace)>,
-    live_samples: Vec<(SimTime, usize)>,
-}
-
-/// Drives `workload` through `gateway`. `route` maps an arrival's
-/// `config_id` to the function name to invoke; `tick_interval` is the
-/// provider maintenance cadence.
+/// Drives `workload` through `gateway`, collecting one trace per arrival:
+/// [`run_trace`] over the slice, each finished trace placed at its arrival's
+/// sequence number. `route` maps an arrival's `config_id` to the function
+/// name to invoke; `tick_interval` is the provider maintenance cadence.
 pub fn run_workload<P>(
     gateway: Gateway<P>,
     workload: &[Arrival],
@@ -101,58 +103,100 @@ where
         workloads::is_time_ordered(workload),
         "workload must be time-ordered"
     );
-    assert!(!tick_interval.is_zero(), "tick interval must be positive");
-
-    let mut sim = Simulation::new(DriverState {
+    let mut traces: Vec<Option<RequestTrace>> = vec![None; workload.len()];
+    let out = run_trace(
         gateway,
-        traces: Vec::new(),
-        live_samples: Vec::new(),
-    });
-
-    // Provider maintenance ticks, scheduled FIRST so that at equal
-    // timestamps the tick precedes the arrivals (FIFO tie-break).
-    let horizon = workload
-        .last()
-        .map(|a| a.at + tick_interval * 2)
-        .unwrap_or(SimTime::ZERO);
-    let mut t = SimTime::ZERO;
-    while t <= horizon {
-        sim.schedule_at(t, move |s, st: &mut DriverState<P>| {
-            st.gateway.tick(s.now()).expect("tick must not fail");
-            let live = st.gateway.engine().live_count();
-            st.gateway
-                .metrics()
-                .sample_series("pool/live", s.now(), live as f64);
-            st.live_samples.push((s.now(), live));
-        });
-        t += tick_interval;
-    }
-
-    for (idx, arrival) in workload.iter().enumerate() {
-        let function = route(arrival.config_id);
-        sim.schedule_at(arrival.at, move |s, st: &mut DriverState<P>| {
-            let inflight = st
-                .gateway
-                .begin(&function, s.now())
-                .expect("request must begin");
-            s.schedule_at(inflight.t4_func_end, move |_, st: &mut DriverState<P>| {
-                let trace = st.gateway.finish(inflight).expect("request must finish");
-                st.traces.push((idx, trace));
-            });
-        });
-    }
-
-    sim.run();
-    let finished_at = sim.now();
-    let mut state = sim.into_state();
-    state.traces.sort_by_key(|&(idx, _)| idx);
-    let traces = state.traces.into_iter().map(|(_, t)| t).collect();
+        &mut VecTrace::new(workload.to_vec()),
+        route,
+        tick_interval,
+        |seq, trace| traces[seq as usize] = Some(*trace),
+    );
     RunOutcome {
-        gateway: state.gateway,
-        traces,
-        finished_at,
-        live_samples: state.live_samples,
+        gateway: out.gateway,
+        traces: traces
+            .into_iter()
+            .map(|t| t.expect("every arrival finishes"))
+            .collect(),
+        finished_at: out.finished_at,
+        live_samples: out.live_samples,
     }
+}
+
+/// What the replay loop drives: a single [`Gateway`] or a [`Cluster`].
+pub trait ReplayTarget {
+    /// The in-flight handle `begin` returns and `finish` consumes.
+    type Ticket;
+    /// What a finished request reports to the `on_finish` callback.
+    type Finished;
+    /// The target's error type; the loop treats any error as fatal.
+    type Error: std::fmt::Debug;
+    /// Starts a request that arrived at `now`.
+    fn begin(&mut self, function: &str, now: SimTime) -> Result<Self::Ticket, Self::Error>;
+    /// When the ticket's function process stops — its finish event.
+    fn finish_at(ticket: &Self::Ticket) -> SimTime;
+    /// Completes a request at its finish instant.
+    fn finish(&mut self, ticket: Self::Ticket) -> Result<Self::Finished, Self::Error>;
+    /// Runs maintenance and returns the live-container count after it.
+    fn tick(&mut self, now: SimTime) -> Result<usize, Self::Error>;
+}
+
+impl<P: RuntimeProvider> ReplayTarget for Gateway<P> {
+    type Ticket = InFlight;
+    type Finished = RequestTrace;
+    type Error = GatewayError;
+
+    fn begin(&mut self, function: &str, now: SimTime) -> Result<InFlight, GatewayError> {
+        Gateway::begin(self, function, now)
+    }
+    fn finish_at(ticket: &InFlight) -> SimTime {
+        ticket.t4_func_end
+    }
+    fn finish(&mut self, ticket: InFlight) -> Result<RequestTrace, GatewayError> {
+        Gateway::finish(self, ticket)
+    }
+    fn tick(&mut self, now: SimTime) -> Result<usize, GatewayError> {
+        Gateway::tick(self, now)?;
+        let live = self.engine().live_count();
+        self.metrics().sample_series("pool/live", now, live as f64);
+        Ok(live)
+    }
+}
+
+/// Reports the serving node with each trace, like [`Cluster::handle`]; the
+/// nodes keep registries of their own, so `tick` samples no `pool/live`.
+impl ReplayTarget for Cluster {
+    type Ticket = ClusterInFlight;
+    type Finished = (usize, RequestTrace);
+    type Error = ClusterError;
+
+    fn begin(&mut self, function: &str, now: SimTime) -> Result<ClusterInFlight, ClusterError> {
+        Cluster::begin(self, function, now)
+    }
+    fn finish_at(ticket: &ClusterInFlight) -> SimTime {
+        ticket.inner.t4_func_end
+    }
+    fn finish(&mut self, ticket: ClusterInFlight) -> Result<Self::Finished, ClusterError> {
+        let node = ticket.node;
+        Ok((node, Cluster::finish(self, ticket)?))
+    }
+    fn tick(&mut self, now: SimTime) -> Result<usize, ClusterError> {
+        Cluster::tick(self, now)?;
+        Ok(self.stats().live_containers)
+    }
+}
+
+/// What a replay measured, apart from the target it ran on.
+pub struct ReplaySummary {
+    /// Total arrivals replayed.
+    pub requests: u64,
+    /// Virtual time at which the last event completed.
+    pub finished_at: SimTime,
+    /// Live-container count sampled at every tick.
+    pub live_samples: Vec<(SimTime, usize)>,
+    /// High-water mark of concurrently in-flight requests.
+    pub max_inflight: usize,
+    /// Error the trace source surfaced; `None` for a clean end-of-stream.
+    pub trace_error: Option<String>,
 }
 
 /// Result of streaming a [`Trace`] to completion. Unlike [`RunOutcome`],
@@ -176,96 +220,71 @@ pub struct TraceOutcome<P: RuntimeProvider> {
     pub trace_error: Option<String>,
 }
 
-/// A pending finish event, ordered by `(t4, arrival seq)` — the same order
-/// the materialized driver's FIFO event queue produces, since each finish is
-/// scheduled the moment its arrival begins.
-struct FinishAt {
-    at: SimTime,
-    seq: u64,
-    inflight: InFlight,
+impl<P: RuntimeProvider> TraceOutcome<P> {
+    fn new(gateway: Gateway<P>, summary: ReplaySummary) -> Self {
+        TraceOutcome {
+            gateway,
+            requests: summary.requests,
+            finished_at: summary.finished_at,
+            live_samples: summary.live_samples,
+            max_inflight: summary.max_inflight,
+            trace_error: summary.trace_error,
+        }
+    }
 }
 
-impl PartialEq for FinishAt {
+/// A pending finish event, ordered by `(t4, arrival seq)` — the same order
+/// the reference driver's FIFO event queue produces, since each finish is
+/// scheduled the moment its arrival begins.
+struct FinishAt<K> {
+    at: SimTime,
+    seq: u64,
+    ticket: K,
+}
+
+impl<K> PartialEq for FinishAt<K> {
     fn eq(&self, other: &Self) -> bool {
         (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl Eq for FinishAt {}
-impl PartialOrd for FinishAt {
+impl<K> Eq for FinishAt<K> {}
+impl<K> PartialOrd for FinishAt<K> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for FinishAt {
+impl<K> Ord for FinishAt<K> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
-/// What the streaming event loop needs from an arrival source beyond
-/// [`Trace`]: the *reported* sequence number of each arrival (a parallel
-/// worker reports the arrival's global index in the underlying stream, so
-/// finish tie-breaking and per-request callbacks match the sequential
-/// driver), and the tick-horizon basis once the source is exhausted (a
-/// worker that owns few — or zero — arrivals must still tick to the global
-/// horizon, or merged `pool/live` series would diverge).
-trait ReplaySource {
-    /// Instant of the next arrival, without consuming it.
-    fn peek_at(&mut self) -> Option<SimTime>;
-    /// Pulls the next arrival together with its reported sequence number.
-    fn next(&mut self) -> Option<(Arrival, u64)>;
-    /// Timestamp of the underlying stream's last arrival, `None` if the
-    /// stream was empty. Only meaningful once `peek_at` returns `None`,
-    /// which is the only time the loop asks.
-    fn horizon_basis(&self) -> Option<SimTime>;
-    /// First error the source hit, if any.
-    fn take_error(&mut self) -> Option<String>;
-}
-
-/// The sequential source: a plain trace with a local pull-index counter.
-struct PlainSource<'a> {
-    trace: &'a mut dyn Trace,
-    seq: u64,
-    last_at: Option<SimTime>,
-}
-
-impl ReplaySource for PlainSource<'_> {
-    fn peek_at(&mut self) -> Option<SimTime> {
-        self.trace.peek().map(|a| a.at)
+/// What the event loop needs from an arrival source beyond [`Trace`]. A
+/// plain trace reports what the loop itself counted; a parallel worker's
+/// [`PartitionTrace`] overrides both with facts about the underlying stream.
+trait ReplaySource: Trace {
+    /// Pulls the next arrival with its *reported* sequence number: the
+    /// loop's own pull count, or the arrival's global index in the underlying
+    /// stream (finish tie-breaks and callbacks then match the sequential run).
+    fn next_seq(&mut self, pulled: u64) -> Option<(Arrival, u64)> {
+        self.next_arrival().map(|a| (a, pulled))
     }
-    fn next(&mut self) -> Option<(Arrival, u64)> {
-        let a = self.trace.next_arrival()?;
-        let s = self.seq;
-        self.seq += 1;
-        self.last_at = Some(a.at);
-        Some((a, s))
-    }
-    fn horizon_basis(&self) -> Option<SimTime> {
-        self.last_at
-    }
-    fn take_error(&mut self) -> Option<String> {
-        self.trace.take_error()
+    /// Tick-horizon basis, asked once `peek` returns `None`: the last pulled
+    /// arrival's instant, or the underlying stream's — a worker owning few or
+    /// no arrivals must still tick to the global horizon. `None` if empty.
+    fn horizon_basis(&self, last_pulled: Option<SimTime>) -> Option<SimTime> {
+        last_pulled
     }
 }
 
-/// One parallel worker's source: a [`PartitionTrace`] reporting global
-/// arrival indices and the global horizon basis.
-struct PartSource<'a, T: Trace> {
-    part: &'a mut PartitionTrace<T>,
-}
+impl ReplaySource for dyn Trace + '_ {}
 
-impl<T: Trace> ReplaySource for PartSource<'_, T> {
-    fn peek_at(&mut self) -> Option<SimTime> {
-        self.part.peek().map(|a| a.at)
+impl<T: Trace> ReplaySource for PartitionTrace<T> {
+    fn next_seq(&mut self, _pulled: u64) -> Option<(Arrival, u64)> {
+        self.next_indexed()
     }
-    fn next(&mut self) -> Option<(Arrival, u64)> {
-        self.part.next_indexed()
-    }
-    fn horizon_basis(&self) -> Option<SimTime> {
-        self.part.horizon_basis()
-    }
-    fn take_error(&mut self) -> Option<String> {
-        self.part.take_error()
+    fn horizon_basis(&self, _last_pulled: Option<SimTime>) -> Option<SimTime> {
+        PartitionTrace::horizon_basis(self)
     }
 }
 
@@ -273,14 +292,15 @@ impl<T: Trace> ReplaySource for PartSource<'_, T> {
 /// pulled lazily, so resident memory is O(inflight + sources), independent of
 /// request count.
 ///
-/// Event semantics are *identical* to [`run_workload`] (verified by
-/// equivalence tests): ticks run at every `tick_interval` from t=0 through
+/// Event semantics are *identical* to the closure-scheduled reference
+/// driver's (verified by the equivalence tests in [`crate::reference`]):
+/// ticks run at every `tick_interval` from t=0 through
 /// `last_arrival + 2×tick`, and at equal instants the order is
 /// tick < arrival < finish, with arrivals in trace order and finishes in
 /// `(t4, arrival seq)` order. `on_finish(seq, trace)` fires once per request
 /// at its finish event, where `seq` is the arrival's 0-based pull index.
 pub fn run_trace<P>(
-    gateway: Gateway<P>,
+    mut gateway: Gateway<P>,
     trace: &mut dyn Trace,
     route: impl Fn(usize) -> String,
     tick_interval: SimDuration,
@@ -289,12 +309,20 @@ pub fn run_trace<P>(
 where
     P: RuntimeProvider + 'static,
 {
-    let mut source = PlainSource {
-        trace,
-        seq: 0,
-        last_at: None,
-    };
-    run_trace_core(gateway, &mut source, route, tick_interval, on_finish)
+    let summary = run_trace_on(&mut gateway, trace, route, tick_interval, on_finish);
+    TraceOutcome::new(gateway, summary)
+}
+
+/// [`run_trace`] over any borrowed [`ReplayTarget`] — how the cluster
+/// experiments drive a [`Cluster`] through the same loop.
+pub fn run_trace_on<T: ReplayTarget>(
+    target: &mut T,
+    trace: &mut dyn Trace,
+    route: impl Fn(usize) -> String,
+    tick_interval: SimDuration,
+    on_finish: impl FnMut(u64, &T::Finished),
+) -> ReplaySummary {
+    run_trace_core(target, trace, route, tick_interval, on_finish)
 }
 
 /// Streams one worker's partition of a trace through that worker's own
@@ -311,7 +339,7 @@ where
 /// and the merged series lines up point-for-point with the sequential one.
 /// `TraceOutcome::requests` counts only this worker's arrivals.
 pub fn run_trace_partition<P, T>(
-    gateway: Gateway<P>,
+    mut gateway: Gateway<P>,
     part: &mut PartitionTrace<T>,
     route: impl Fn(usize) -> String,
     tick_interval: SimDuration,
@@ -321,8 +349,8 @@ where
     P: RuntimeProvider + 'static,
     T: Trace,
 {
-    let mut source = PartSource { part };
-    run_trace_core(gateway, &mut source, route, tick_interval, on_finish)
+    let summary = run_trace_core(&mut gateway, part, route, tick_interval, on_finish);
+    TraceOutcome::new(gateway, summary)
 }
 
 /// Runs `worker(w)` for `w in 0..threads` on scoped OS threads and returns
@@ -354,22 +382,21 @@ where
     })
 }
 
-fn run_trace_core<P, S>(
-    gateway: Gateway<P>,
+fn run_trace_core<T, S>(
+    target: &mut T,
     source: &mut S,
     route: impl Fn(usize) -> String,
     tick_interval: SimDuration,
-    mut on_finish: impl FnMut(u64, &RequestTrace),
-) -> TraceOutcome<P>
+    mut on_finish: impl FnMut(u64, &T::Finished),
+) -> ReplaySummary
 where
-    P: RuntimeProvider + 'static,
-    S: ReplaySource,
+    T: ReplayTarget,
+    S: ReplaySource + ?Sized,
 {
     assert!(!tick_interval.is_zero(), "tick interval must be positive");
 
-    let mut gateway = gateway;
     let mut live_samples = Vec::new();
-    let mut pending: BinaryHeap<Reverse<FinishAt>> = BinaryHeap::new();
+    let mut pending: BinaryHeap<Reverse<FinishAt<T::Ticket>>> = BinaryHeap::new();
     let mut next_tick = SimTime::ZERO;
     let mut ticks_done = false;
     let mut last_arrival_at: Option<SimTime> = None;
@@ -378,11 +405,11 @@ where
     let mut finished_at = SimTime::ZERO;
 
     // Event classes at equal instants: tick (0) < arrival (1) < finish (2),
-    // mirroring the materialized driver's schedule order (ticks first, then
+    // mirroring the reference driver's schedule order (ticks first, then
     // arrivals, finishes scheduled at run time).
     loop {
         let tick_at = if ticks_done { None } else { Some(next_tick) };
-        let arrival_at = source.peek_at();
+        let arrival_at = source.peek().map(|a| a.at);
         let finish_at = pending.peek().map(|Reverse(f)| f.at);
 
         let candidates = [
@@ -396,21 +423,17 @@ where
 
         match class {
             0 => {
-                gateway.tick(now).expect("tick must not fail");
-                let live = gateway.engine().live_count();
-                gateway
-                    .metrics()
-                    .sample_series("pool/live", now, live as f64);
+                let live = target.tick(now).expect("tick must not fail");
                 live_samples.push((now, live));
                 next_tick += tick_interval;
                 if arrival_at.is_none() {
                     // Stream exhausted: the horizon is now known, exactly as
-                    // the materialized driver computed it up front. (While
+                    // the reference driver computes it up front. (While
                     // arrivals remain, every tick fired so far is <= the
                     // final horizon by construction.) An empty underlying
                     // stream has no basis: the single t=0 tick is the run.
                     let horizon = source
-                        .horizon_basis()
+                        .horizon_basis(last_arrival_at)
                         .map(|last| last + tick_interval * 2)
                         .unwrap_or(SimTime::ZERO);
                     if next_tick > horizon {
@@ -419,33 +442,32 @@ where
                 }
             }
             1 => {
-                let (arrival, seq) = source.next().expect("peeked arrival must exist");
+                let (arrival, seq) = source.next_seq(count).expect("peeked arrival must exist");
                 assert!(
                     last_arrival_at.is_none_or(|t| arrival.at >= t),
                     "trace must be time-ordered"
                 );
                 last_arrival_at = Some(arrival.at);
                 let function = route(arrival.config_id);
-                let inflight = gateway.begin(&function, now).expect("request must begin");
+                let ticket = target.begin(&function, now).expect("request must begin");
                 pending.push(Reverse(FinishAt {
-                    at: inflight.t4_func_end,
+                    at: T::finish_at(&ticket),
                     seq,
-                    inflight,
+                    ticket,
                 }));
                 max_inflight = max_inflight.max(pending.len());
                 count += 1;
             }
             _ => {
                 let Reverse(f) = pending.pop().expect("peeked finish must exist");
-                let trace_rec = gateway.finish(f.inflight).expect("request must finish");
-                on_finish(f.seq, &trace_rec);
+                let finished = target.finish(f.ticket).expect("request must finish");
+                on_finish(f.seq, &finished);
             }
         }
         finished_at = now;
     }
 
-    TraceOutcome {
-        gateway,
+    ReplaySummary {
         requests: count,
         finished_at,
         live_samples,
@@ -455,7 +477,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use containersim::{ContainerEngine, HardwareProfile};
     use faas::policy::{ColdStartAlways, FixedKeepAlive};
@@ -463,22 +485,25 @@ mod tests {
     use hotc::HotC;
     use workloads::patterns;
 
-    fn gateway<P: RuntimeProvider>(provider: P) -> Gateway<P> {
+    type Finishes = Vec<(u64, RequestTrace)>;
+    pub(crate) const TICK: SimDuration = SimDuration::from_secs(30);
+
+    pub(crate) fn gateway<P: RuntimeProvider>(provider: P) -> Gateway<P> {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
         let mut gw = Gateway::new(engine, provider);
         gw.register_app(AppProfile::random_number());
         gw
     }
 
+    /// `w` through the collecting driver on the 30 s tick.
+    fn collect<P: RuntimeProvider + 'static>(provider: P, w: &[Arrival]) -> RunOutcome<P> {
+        run_workload(gateway(provider), w, |_| "random-number".to_string(), TICK)
+    }
+
     #[test]
     fn serial_workload_all_traced() {
         let w = patterns::serial(SimDuration::from_secs(30), 10, 0);
-        let out = run_workload(
-            gateway(FixedKeepAlive::aws_default()),
-            &w,
-            |_| "random-number".to_string(),
-            SimDuration::from_secs(30),
-        );
+        let out = collect(FixedKeepAlive::aws_default(), &w);
         assert_eq!(out.traces.len(), 10);
         assert!(out.traces[0].cold);
         assert!(out.traces[1..].iter().all(|t| !t.cold));
@@ -490,30 +515,18 @@ mod tests {
 
     #[test]
     fn overlapping_arrivals_occupy_separate_containers() {
-        let w = patterns::parallel_clients(1, 1, SimDuration::from_secs(30));
-        // Build a burst of 8 simultaneous arrivals manually.
-        let burst = patterns::burst(8, 1, &[], 1, SimDuration::from_secs(30), 0);
+        // A burst of 8 simultaneous arrivals.
+        let burst = patterns::burst(8, 1, &[], 1, TICK, 0);
         assert_eq!(burst.len(), 8);
-        let out = run_workload(
-            gateway(ColdStartAlways::new()),
-            &burst,
-            |_| "random-number".to_string(),
-            SimDuration::from_secs(30),
-        );
+        let out = collect(ColdStartAlways::new(), &burst);
         assert_eq!(out.traces.len(), 8);
         assert!(out.traces.iter().all(|t| t.cold));
-        drop(w);
     }
 
     #[test]
     fn hotc_run_reuses_and_ticks() {
         let w = patterns::serial(SimDuration::from_secs(30), 20, 0);
-        let out = run_workload(
-            gateway(HotC::with_defaults()),
-            &w,
-            |_| "random-number".to_string(),
-            SimDuration::from_secs(30),
-        );
+        let out = collect(HotC::with_defaults(), &w);
         assert!(out.cold_fraction() <= 0.1);
         assert!(out.mean_latency() < SimDuration::from_millis(120));
         assert!(out.finished_at >= SimTime::from_secs(19 * 30));
@@ -522,12 +535,7 @@ mod tests {
     #[test]
     fn driver_populates_metrics_snapshot() {
         let w = patterns::serial(SimDuration::from_secs(30), 10, 0);
-        let out = run_workload(
-            gateway(FixedKeepAlive::aws_default()),
-            &w,
-            |_| "random-number".to_string(),
-            SimDuration::from_secs(30),
-        );
+        let out = collect(FixedKeepAlive::aws_default(), &w);
         let snap = out.metrics_snapshot();
         assert_eq!(snap.counter("gateway/requests"), Some(10));
         assert_eq!(snap.counter("gateway/cold_starts"), Some(1));
@@ -543,75 +551,10 @@ mod tests {
         assert_eq!(snap.scope_total_ns("all"), trace_total);
     }
 
-    /// Streaming and materialized drivers must be *event-identical*: same
-    /// finish traces in the same order, same tick samples, same final
-    /// telemetry bytes.
-    fn assert_run_equivalent<P, F>(make_provider: F, workload: Vec<Arrival>)
-    where
-        P: RuntimeProvider + 'static,
-        F: Fn() -> P,
-    {
-        let route = |_| "random-number".to_string();
-        let tick = SimDuration::from_secs(30);
-        let materialized = run_workload(gateway(make_provider()), &workload, route, tick);
-
-        let mut collected: Vec<(u64, RequestTrace)> = Vec::new();
-        let mut source = workloads::trace::VecTrace::new(workload);
-        let streamed = run_trace(
-            gateway(make_provider()),
-            &mut source,
-            route,
-            tick,
-            |seq, t| collected.push((seq, *t)),
-        );
-
-        assert_eq!(streamed.requests as usize, materialized.traces.len());
-        assert_eq!(streamed.finished_at, materialized.finished_at);
-        assert_eq!(streamed.live_samples, materialized.live_samples);
-        assert!(streamed.trace_error.is_none());
-        collected.sort_by_key(|&(seq, _)| seq);
-        for (i, (seq, t)) in collected.iter().enumerate() {
-            assert_eq!(*seq as usize, i);
-            assert_eq!(t, &materialized.traces[i], "trace {i} diverged");
-        }
-        // Byte-identical telemetry: every stage histogram, counter, and the
-        // pool/live series saw the same events in the same order.
-        assert_eq!(
-            format!("{:?}", streamed.gateway.metrics().snapshot()),
-            format!("{:?}", materialized.metrics_snapshot())
-        );
-    }
-
-    #[test]
-    fn streaming_replay_is_event_identical_to_materialized() {
-        // Overlapping bursts exercise the finish heap; serial exercises the
-        // tick/arrival interleave; empty exercises the horizon edge.
-        assert_run_equivalent(
-            HotC::with_defaults,
-            patterns::burst(8, 10, &[1, 3], 6, SimDuration::from_secs(30), 0),
-        );
-        assert_run_equivalent(
-            HotC::with_defaults,
-            patterns::serial(SimDuration::from_secs(30), 20, 0),
-        );
-        assert_run_equivalent(FixedKeepAlive::aws_default, Vec::new());
-        assert_run_equivalent(
-            ColdStartAlways::new,
-            patterns::burst(8, 1, &[], 1, SimDuration::from_secs(30), 0),
-        );
-    }
-
     #[test]
     fn run_trace_reports_inflight_high_water_mark() {
-        let burst = patterns::burst(8, 1, &[], 1, SimDuration::from_secs(30), 0);
-        let mut source = workloads::trace::VecTrace::new(burst);
-        let out = run_trace(
-            gateway(ColdStartAlways::new()),
-            &mut source,
-            |_| "random-number".to_string(),
-            SimDuration::from_secs(30),
-            |_, _| {},
-        );
+        let burst = patterns::burst(8, 1, &[], 1, TICK, 0);
+        let (out, _) = sequential(ColdStartAlways::new(), &burst);
         // All 8 arrive at t=0 and overlap.
         assert_eq!(out.max_inflight, 8);
         assert_eq!(out.requests, 8);
@@ -635,45 +578,51 @@ mod tests {
             .is_some_and(|e| e.contains("non-decreasing")));
     }
 
+    /// Sequential streaming run of `w`, with its finishes in callback order.
+    pub(crate) fn sequential<P>(provider: P, w: &[Arrival]) -> (TraceOutcome<P>, Finishes)
+    where
+        P: RuntimeProvider + 'static,
+    {
+        let mut finishes = Finishes::new();
+        let mut source = VecTrace::new(w.to_vec());
+        let route = |_| "random-number".to_string();
+        let out = run_trace(gateway(provider), &mut source, route, TICK, |s, t| {
+            finishes.push((s, *t))
+        });
+        (out, finishes)
+    }
+
+    /// `w` replayed by one worker per distinct entry of `assign`.
+    fn partitioned<P>(
+        make: fn() -> P,
+        w: &[Arrival],
+        assign: &[usize],
+    ) -> Vec<(TraceOutcome<P>, Finishes)>
+    where
+        P: RuntimeProvider + Send + 'static,
+    {
+        let workers = assign.iter().max().map_or(1, |m| m + 1);
+        let assign = std::sync::Arc::new(assign.to_vec());
+        run_partitioned(workers, |worker| {
+            let source = VecTrace::new(w.to_vec());
+            let mut part = PartitionTrace::new(source, std::sync::Arc::clone(&assign), worker);
+            let mut finishes = Finishes::new();
+            let route = |_| "random-number".to_string();
+            let out = run_trace_partition(gateway(make()), &mut part, route, TICK, |s, t| {
+                finishes.push((s, *t))
+            });
+            (out, finishes)
+        })
+    }
+
     /// The 1-thread degenerate parallel run goes through `PartitionTrace` +
     /// `run_trace_partition` + `run_partitioned` and must be
     /// indistinguishable from the sequential streaming driver.
     #[test]
     fn single_worker_partition_equals_sequential() {
-        let w = patterns::burst(8, 10, &[1, 3], 6, SimDuration::from_secs(30), 0);
-        let tick = SimDuration::from_secs(30);
-        let route = |_| "random-number".to_string();
-
-        let mut seq_finishes: Vec<(u64, RequestTrace)> = Vec::new();
-        let mut source = workloads::trace::VecTrace::new(w.clone());
-        let sequential = run_trace(
-            gateway(HotC::with_defaults()),
-            &mut source,
-            route,
-            tick,
-            |s, t| {
-                seq_finishes.push((s, *t));
-            },
-        );
-
-        let assign = std::sync::Arc::new(vec![0usize]);
-        let mut results = run_partitioned(1, |worker| {
-            let mut part = PartitionTrace::new(
-                workloads::trace::VecTrace::new(w.clone()),
-                std::sync::Arc::clone(&assign),
-                worker,
-            );
-            let mut finishes: Vec<(u64, RequestTrace)> = Vec::new();
-            let out = run_trace_partition(
-                gateway(HotC::with_defaults()),
-                &mut part,
-                route,
-                tick,
-                |s, t| finishes.push((s, *t)),
-            );
-            (out, finishes)
-        });
-        let (out, finishes) = results.remove(0);
+        let w = patterns::burst(8, 10, &[1, 3], 6, TICK, 0);
+        let (sequential, seq_finishes) = sequential(HotC::with_defaults(), &w);
+        let (out, finishes) = partitioned(HotC::with_defaults, &w, &[0]).remove(0);
 
         assert_eq!(out.requests, sequential.requests);
         assert_eq!(out.finished_at, sequential.finished_at);
@@ -699,36 +648,8 @@ mod tests {
                 config_id: (i % 2) as usize,
             })
             .collect();
-        let tick = SimDuration::from_secs(30);
-        let route = |_| "random-number".to_string();
-
-        let mut seq_finishes: Vec<(u64, RequestTrace)> = Vec::new();
-        let mut source = workloads::trace::VecTrace::new(w.clone());
-        let sequential = run_trace(
-            gateway(ColdStartAlways::new()),
-            &mut source,
-            route,
-            tick,
-            |s, t| seq_finishes.push((s, *t)),
-        );
-
-        let assign = std::sync::Arc::new(vec![0usize, 1]);
-        let results = run_partitioned(2, |worker| {
-            let mut part = PartitionTrace::new(
-                workloads::trace::VecTrace::new(w.clone()),
-                std::sync::Arc::clone(&assign),
-                worker,
-            );
-            let mut finishes: Vec<(u64, RequestTrace)> = Vec::new();
-            let out = run_trace_partition(
-                gateway(ColdStartAlways::new()),
-                &mut part,
-                route,
-                tick,
-                |s, t| finishes.push((s, *t)),
-            );
-            (out, finishes)
-        });
+        let (sequential, mut seq_finishes) = sequential(ColdStartAlways::new(), &w);
+        let results = partitioned(ColdStartAlways::new, &w, &[0, 1]);
 
         assert_eq!(results.iter().map(|(o, _)| o.requests).sum::<u64>(), 20);
         let mut merged: Vec<(u64, RequestTrace)> = results
@@ -808,11 +729,6 @@ mod tests {
                 config_id: 0,
             },
         ];
-        let _ = run_workload(
-            gateway(ColdStartAlways::new()),
-            &w,
-            |_| "random-number".to_string(),
-            SimDuration::from_secs(30),
-        );
+        let _ = collect(ColdStartAlways::new(), &w);
     }
 }

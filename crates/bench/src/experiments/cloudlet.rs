@@ -7,13 +7,15 @@
 //! policy estimates completion (cold-start cost + node execution speed) and
 //! pays a server cold start instead when that is cheaper.
 
+use crate::driver::run_trace_on;
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::gateway::Gateway;
 use faas::{AppProfile, FunctionSpec};
 use hotc::HotC;
 use hotc_cluster::{Cluster, SchedulePolicy};
 use metrics_lite::{LatencyRecorder, Table};
-use simclock::{SimDuration, SimRng, SimTime, Simulation};
+use simclock::{SimDuration, SimRng, SimTime};
+use workloads::trace::VecTrace;
 use workloads::Arrival;
 
 /// One policy's outcome on the cloudlet.
@@ -87,55 +89,29 @@ fn workload(seed: u64, span: SimDuration) -> Vec<Arrival> {
 }
 
 fn eval(policy: SchedulePolicy, arrivals: &[Arrival]) -> CloudletEval {
-    struct St {
-        cluster: Cluster,
-        light: LatencyRecorder,
-        heavy: LatencyRecorder,
-        heavy_on_server: usize,
-        heavy_total: usize,
-    }
-    let mut sim = Simulation::new(St {
-        cluster: build(policy),
-        light: LatencyRecorder::new(),
-        heavy: LatencyRecorder::new(),
-        heavy_on_server: 0,
-        heavy_total: 0,
-    });
-    let horizon = arrivals.last().map(|a| a.at).unwrap_or(SimTime::ZERO);
-    let mut t = SimTime::ZERO;
-    while t <= horizon + SimDuration::from_secs(60) {
-        sim.schedule_at(t, move |s, st: &mut St| {
-            st.cluster.tick(s.now()).expect("tick");
-        });
-        t += SimDuration::from_secs(30);
-    }
-    for a in arrivals {
-        let heavy = a.config_id == 1;
-        let function = if heavy { "v3-app" } else { "qr-code" };
-        sim.schedule_at(a.at, move |s, st: &mut St| {
-            let ticket = st.cluster.begin(function, s.now()).expect("begin");
-            let node = ticket.node;
-            s.schedule_at(ticket.inner.t4_func_end, move |_, st: &mut St| {
-                let trace = st.cluster.finish(ticket).expect("finish");
-                if heavy {
-                    st.heavy.record(trace.total());
-                    st.heavy_total += 1;
-                    if node == 0 {
-                        st.heavy_on_server += 1;
-                    }
-                } else {
-                    st.light.record(trace.total());
-                }
-            });
-        });
-    }
-    sim.run();
-    let st = sim.into_state();
+    let mut cluster = build(policy);
+    let mut light = LatencyRecorder::new();
+    let mut heavy = LatencyRecorder::new();
+    let mut heavy_on_server = 0usize;
+    run_trace_on(
+        &mut cluster,
+        &mut VecTrace::new(arrivals.to_vec()),
+        |config_id| if config_id == 1 { "v3-app" } else { "qr-code" }.to_string(),
+        SimDuration::from_secs(30),
+        |seq, &(node, trace)| {
+            if arrivals[seq as usize].config_id == 1 {
+                heavy.record(trace.total());
+                heavy_on_server += usize::from(node == 0);
+            } else {
+                light.record(trace.total());
+            }
+        },
+    );
     CloudletEval {
         policy: policy.name(),
-        light_mean_ms: st.light.mean().as_millis_f64(),
-        heavy_mean_s: st.heavy.mean().as_secs_f64(),
-        heavy_on_server: st.heavy_on_server as f64 / st.heavy_total.max(1) as f64,
+        light_mean_ms: light.mean().as_millis_f64(),
+        heavy_mean_s: heavy.mean().as_secs_f64(),
+        heavy_on_server: heavy_on_server as f64 / heavy.count().max(1) as f64,
     }
 }
 

@@ -6,14 +6,16 @@
 //! under each scheduling policy and compare cold starts, latency, resource
 //! footprint, and load balance.
 
+use crate::driver::run_trace_on;
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::gateway::Gateway;
 use faas::{AppProfile, FunctionSpec};
 use hotc::HotC;
 use hotc_cluster::{Cluster, SchedulePolicy};
 use metrics_lite::{LatencyRecorder, Table};
-use simclock::{SimDuration, SimTime};
+use simclock::SimDuration;
 use workloads::patterns;
+use workloads::trace::VecTrace;
 
 /// One policy's outcome.
 pub struct PolicyEval {
@@ -72,56 +74,40 @@ fn build_cluster(policy: SchedulePolicy, nodes: usize, functions: usize) -> Clus
     cluster
 }
 
-/// Drives a Zipf-skewed Poisson workload through one policy's cluster via a
-/// discrete-event simulation (overlapping requests).
+/// Replays `workload` through `cluster` on the shared event loop (30 s
+/// ticks), returning the latency recorder and the cold-start count.
+fn replay(cluster: &mut Cluster, workload: &[workloads::Arrival]) -> (LatencyRecorder, usize) {
+    let mut recorder = LatencyRecorder::new();
+    let mut cold = 0;
+    run_trace_on(
+        cluster,
+        &mut VecTrace::new(workload.to_vec()),
+        |config_id| format!("fn-{config_id}"),
+        SimDuration::from_secs(30),
+        |_, (_, trace)| {
+            recorder.record(trace.total());
+            cold += usize::from(trace.cold);
+        },
+    );
+    (recorder, cold)
+}
+
+/// Drives a Zipf-skewed Poisson workload through one policy's cluster.
 fn eval(
     policy: SchedulePolicy,
     nodes: usize,
     functions: usize,
     workload: &[workloads::Arrival],
 ) -> PolicyEval {
-    use simclock::Simulation;
-    struct St {
-        cluster: Cluster,
-        recorder: LatencyRecorder,
-        cold: usize,
-    }
-    let mut sim = Simulation::new(St {
-        cluster: build_cluster(policy, nodes, functions),
-        recorder: LatencyRecorder::new(),
-        cold: 0,
-    });
-
-    let horizon = workload.last().map(|a| a.at).unwrap_or(SimTime::ZERO);
-    let mut t = SimTime::ZERO;
-    while t <= horizon + SimDuration::from_secs(60) {
-        sim.schedule_at(t, move |s, st: &mut St| {
-            st.cluster.tick(s.now()).expect("tick");
-        });
-        t += SimDuration::from_secs(30);
-    }
-    for a in workload {
-        let function = format!("fn-{}", a.config_id);
-        sim.schedule_at(a.at, move |s, st: &mut St| {
-            let ticket = st.cluster.begin(&function, s.now()).expect("begin");
-            s.schedule_at(ticket.inner.t4_func_end, move |_, st: &mut St| {
-                let trace = st.cluster.finish(ticket).expect("finish");
-                st.recorder.record(trace.total());
-                if trace.cold {
-                    st.cold += 1;
-                }
-            });
-        });
-    }
-    sim.run();
-    let st = sim.into_state();
+    let mut cluster = build_cluster(policy, nodes, functions);
+    let (recorder, cold) = replay(&mut cluster, workload);
     PolicyEval {
         policy,
-        mean_ms: st.recorder.mean().as_millis_f64(),
-        p99_ms: st.recorder.percentile(0.99).as_millis_f64(),
-        cold_fraction: st.cold as f64 / st.recorder.count() as f64,
-        live_containers: st.cluster.stats().live_containers,
-        imbalance: st.cluster.request_imbalance(),
+        mean_ms: recorder.mean().as_millis_f64(),
+        p99_ms: recorder.percentile(0.99).as_millis_f64(),
+        cold_fraction: cold as f64 / recorder.count() as f64,
+        live_containers: cluster.stats().live_containers,
+        imbalance: cluster.request_imbalance(),
     }
 }
 
@@ -148,46 +134,13 @@ pub fn staleness_sweep(
     staleness_s
         .iter()
         .map(|&stale| {
-            use simclock::Simulation;
-            struct St {
-                cluster: Cluster,
-                recorder: LatencyRecorder,
-                cold: usize,
-            }
             let mut cluster = build_cluster(SchedulePolicy::ReuseAffinity, nodes, functions);
             cluster.set_warm_view_staleness(SimDuration::from_secs(stale));
-            let mut sim = Simulation::new(St {
-                cluster,
-                recorder: LatencyRecorder::new(),
-                cold: 0,
-            });
-            let horizon = workload.last().map(|a| a.at).unwrap_or(SimTime::ZERO);
-            let mut t = SimTime::ZERO;
-            while t <= horizon + SimDuration::from_secs(60) {
-                sim.schedule_at(t, move |s, st: &mut St| {
-                    st.cluster.tick(s.now()).expect("tick");
-                });
-                t += SimDuration::from_secs(30);
-            }
-            for a in &workload {
-                let function = format!("fn-{}", a.config_id);
-                sim.schedule_at(a.at, move |s, st: &mut St| {
-                    let ticket = st.cluster.begin(&function, s.now()).expect("begin");
-                    s.schedule_at(ticket.inner.t4_func_end, move |_, st: &mut St| {
-                        let trace = st.cluster.finish(ticket).expect("finish");
-                        st.recorder.record(trace.total());
-                        if trace.cold {
-                            st.cold += 1;
-                        }
-                    });
-                });
-            }
-            sim.run();
-            let st = sim.into_state();
+            let (recorder, cold) = replay(&mut cluster, &workload);
             StalenessRow {
                 staleness_s: stale,
-                cold_fraction: st.cold as f64 / st.recorder.count() as f64,
-                mean_ms: st.recorder.mean().as_millis_f64(),
+                cold_fraction: cold as f64 / recorder.count() as f64,
+                mean_ms: recorder.mean().as_millis_f64(),
             }
         })
         .collect()

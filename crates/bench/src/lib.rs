@@ -6,16 +6,21 @@
 //! prints them (`repro all`, `repro fig12`, …); the workspace integration
 //! tests assert the paper-shape properties on the same structs.
 //!
-//! [`driver`] holds the discrete-event workload driver shared by the
-//! experiments: it feeds an arrival sequence through a [`faas::Gateway`]
-//! with overlapping requests and periodic provider ticks.
+//! [`driver`] holds the one discrete-event replay loop shared by the
+//! experiments, the CLI and the cluster runs: it feeds an arrival stream
+//! through a [`faas::Gateway`] or a [`hotc_cluster::Cluster`] with
+//! overlapping requests and periodic provider ticks. [`reference`] keeps the
+//! closure-scheduled driver that loop replaced, as its test-and-bench-only
+//! oracle.
 
 pub mod driver;
 pub mod experiments;
 pub mod harness;
+pub mod reference;
 
 pub use driver::{
-    run_partitioned, run_trace, run_trace_partition, run_workload, RunOutcome, TraceOutcome,
+    run_partitioned, run_trace, run_trace_on, run_trace_partition, run_workload, ReplaySummary,
+    ReplayTarget, RunOutcome, TraceOutcome,
 };
 pub use harness::{BenchResult, Harness};
 

@@ -8,7 +8,7 @@ use faas::{
     RequestTrace, RuntimeProvider,
 };
 use hotc::{HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimeKey};
-use hotc_bench::{run_partitioned, run_trace, run_trace_partition, run_workload};
+use hotc_bench::{run_partitioned, run_trace, run_trace_partition};
 use metrics_lite::{LatencyHistogram, MetricsRegistry, MetricsSnapshot, Table};
 use simclock::SimDuration;
 use std::collections::HashMap;
@@ -18,7 +18,9 @@ use workloads::trace::{
     self as wtrace, ConfigModulo, OpenDcTrace, PartitionTrace, SynthShape, SynthSpec, Trace,
 };
 use workloads::youtube::{youtube_trace, YoutubeTraceParams};
-use workloads::Arrival;
+
+pub mod reference;
+pub use reference::run_scenario_materialized;
 
 /// Per-request latency detail is kept exactly (for the verbose series and
 /// exact percentiles) up to this many requests; past it the aggregator
@@ -595,32 +597,6 @@ impl ProviderOp for StreamOp<'_> {
     }
 }
 
-struct MaterializedOp<'a> {
-    scenario: &'a Scenario,
-    workload: &'a [Arrival],
-}
-
-impl ProviderOp for MaterializedOp<'_> {
-    type Out = Result<ScenarioReport, String>;
-    fn run<P>(self, make: &(dyn Fn() -> P + Sync)) -> Self::Out
-    where
-        P: RuntimeProvider + Send + 'static,
-    {
-        let (gateway, names) = build_gateway(make(), self.scenario)?;
-        let out = run_workload(
-            gateway,
-            self.workload,
-            move |config_id| names[config_id % names.len()].clone(),
-            self.scenario.tick,
-        );
-        let mut agg = ReportAggregator::new();
-        for (i, t) in out.traces.iter().enumerate() {
-            agg.observe(i as u64, t);
-        }
-        Ok(finish_report(agg, &out.gateway))
-    }
-}
-
 /// Assigns each slot to a worker such that slots whose runtimes can be
 /// reused for one another (same [`RuntimeKey`] under the provider's matching
 /// policy) always land on the same worker — the partition unit is the
@@ -760,30 +736,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
     }
     let trace = trace.as_mut();
     dispatch_provider(&scenario.provider, 1, StreamOp { scenario, trace })
-}
-
-/// Reference implementation of [`run_scenario`] that materializes the whole
-/// arrival vector and replays it through the eager driver.
-///
-/// Kept for the streaming ≡ materialized equivalence property test and the
-/// replay-overhead benchmark; real runs use [`run_scenario`].
-pub fn run_scenario_materialized(scenario: &Scenario) -> Result<ScenarioReport, String> {
-    let mut trace = build_trace(&scenario.workload, replica_slots(scenario), scenario.seed)?;
-    let workload = workloads::drain(trace.as_mut());
-    if let Some(e) = trace.take_error() {
-        return Err(format!("trace source error: {e}"));
-    }
-    if workload.is_empty() {
-        return Err("workload generated no arrivals".to_string());
-    }
-    dispatch_provider(
-        &scenario.provider,
-        1,
-        MaterializedOp {
-            scenario,
-            workload: &workload,
-        },
-    )
 }
 
 /// Runs a scenario across `threads` replay workers, partitioned by runtime

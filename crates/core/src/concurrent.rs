@@ -1,22 +1,19 @@
-//! Thread-safe gateway frontends for the parallel-request experiments.
+//! The thread-safe gateway frontend for the parallel-request experiments.
 //!
 //! Fig. 12(b) drives the backend from ten client threads at once; the
-//! contention benchmarks push further. Two frontends:
+//! contention benchmarks push further. The workspace has exactly two
+//! gateways: the single-threaded [`faas::Gateway`] (every experiment, the
+//! CLI, the cluster nodes and the replay driver) and [`ShardedGateway`]
+//! here. The runtime pool is a [`ShardedPool`] (per-shard locks), request
+//! counters are atomics ([`faas::SharedStats`]), the function table is behind
+//! a read-mostly [`stdshim::sync::RwLock`], and only the simulated container
+//! daemon itself remains a single mutex. Warm requests for runtime types on
+//! different shards share **no** lock except the engine's short
+//! `begin_exec`/`end_exec` critical sections, and container creation happens
+//! outside every shard lock, so cold starts on different keys overlap.
 //!
-//! * [`ConcurrentGateway`] — the global-lock baseline: wraps a
-//!   [`faas::Gateway`] in one [`stdshim::sync::Mutex`] and splits each
-//!   request into `begin`/`finish` phases so the lock is **not** held across
-//!   a request's virtual execution. All pool, engine, stats, and tracker
-//!   bookkeeping still serializes on that one lock.
-//! * [`ShardedGateway`] — the scalable frontend: the runtime pool is a
-//!   [`ShardedPool`] (per-shard locks), request counters are atomics
-//!   ([`faas::SharedStats`]), the function table is behind a read-mostly
-//!   [`stdshim::sync::RwLock`], and only the simulated container daemon
-//!   itself remains a single mutex. Warm requests for runtime types on
-//!   different shards share **no** lock except the engine's short
-//!   `begin_exec`/`end_exec` critical sections, and container creation
-//!   happens outside every shard lock, so cold starts on different keys
-//!   overlap.
+//! The global-lock baseline it is measured against is a fixture local to
+//! `benches/contention.rs`, not a type of this crate.
 //!
 //! Virtual time is per-thread ([`simclock::shared::ThreadTimeline`]): each
 //! worker advances its own timeline by its requests' latencies, and an
@@ -28,10 +25,10 @@ use crate::limits::PoolLimits;
 use crate::middleware::HotCConfig;
 use crate::shard::{EngineRef, ShardedPool};
 use containersim::{ContainerEngine, ContainerId};
-use faas::gateway::{Gateway, GatewayError, InFlight};
+use faas::gateway::{GatewayError, InFlight};
 use faas::pipeline::{GATEWAY_HOP, WATCHDOG_HOP};
 use faas::AppTracker;
-use faas::{AppProfile, FunctionSpec, GatewayStats, RequestTrace, RuntimeProvider, SharedStats};
+use faas::{AppProfile, FunctionSpec, GatewayStats, RequestTrace, SharedStats};
 use metrics_lite::{Counter, MetricsRegistry, StageSet};
 use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
@@ -39,57 +36,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stdshim::sync::{Mutex, RwLock};
-
-/// A `Sync` gateway shared by client threads (single global lock).
-pub struct ConcurrentGateway<P: RuntimeProvider> {
-    inner: Mutex<Gateway<P>>,
-}
-
-impl<P: RuntimeProvider> ConcurrentGateway<P> {
-    /// Wraps a gateway for concurrent use.
-    pub fn new(gateway: Gateway<P>) -> Self {
-        ConcurrentGateway {
-            inner: Mutex::labeled(gateway, "gateway/global"),
-        }
-    }
-
-    /// Serves one request on the calling thread's timeline: locks for the
-    /// begin bookkeeping, releases the lock while the function "executes"
-    /// (timeline advance), then locks again to finish.
-    pub fn handle(
-        &self,
-        function: &str,
-        timeline: &mut ThreadTimeline,
-    ) -> Result<RequestTrace, GatewayError> {
-        let inflight = {
-            let mut gw = self.inner.lock();
-            gw.begin(function, timeline.now())?
-        };
-        // Execution happens outside the lock: other threads' requests overlap.
-        timeline.wait_until(inflight.t4_func_end);
-        let trace = {
-            let mut gw = self.inner.lock();
-            gw.finish(inflight)?
-        };
-        timeline.wait_until(trace.t6_gateway_out);
-        Ok(trace)
-    }
-
-    /// Runs provider maintenance at the given instant.
-    pub fn tick(&self, now: SimTime) -> Result<(), GatewayError> {
-        self.inner.lock().tick(now)
-    }
-
-    /// Runs a closure with the locked gateway (setup, inspection).
-    pub fn with<R>(&self, f: impl FnOnce(&mut Gateway<P>) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-
-    /// Unwraps the inner gateway.
-    pub fn into_inner(self) -> Gateway<P> {
-        self.inner.into_inner()
-    }
-}
 
 /// A registered function with its runtime key interned once, at registration
 /// time — request paths hand out `Arc`s instead of deep-cloning the spec and
@@ -316,11 +262,6 @@ impl ShardedGateway {
         &self.pool
     }
 
-    /// The configured limits.
-    pub fn limits(&self) -> PoolLimits {
-        self.limits
-    }
-
     /// Cumulative background (off-request-path) cost: cleanup, pre-warm,
     /// retire, eviction.
     pub fn background_cost(&self) -> SimDuration {
@@ -331,6 +272,17 @@ impl ShardedGateway {
     fn add_background(&self, cost: SimDuration) {
         self.background_nanos
             .fetch_add(cost.as_nanos(), Ordering::Relaxed);
+    }
+
+    /// Evicts down to the limits — after a cold start and on every tick —
+    /// booking the teardown cost and counting into `pool/evictions`.
+    fn enforce_limits(&self, now: SimTime) -> Result<(), GatewayError> {
+        let (cost, evicted) = self.limits.enforce(&self.pool, &self.engine, now)?;
+        self.add_background(cost);
+        if evicted > 0 {
+            self.metrics.counter("pool/evictions").add(evicted as u64);
+        }
+        Ok(())
     }
 
     /// Number of containers with a tracked last-app entry.
@@ -408,8 +360,7 @@ impl ShardedGateway {
         drop(warm_scope);
         if acq.cold {
             // A cold start may have pushed the pool over its limits.
-            let cost = self.limits.enforce_sharded(&self.pool, &self.engine, t2)?;
-            self.add_background(cost);
+            self.enforce_limits(t2)?;
         }
         let work = entry.spec.app.work_for(needs_app_init);
         // Function initiation: watchdog shim + obtaining the runtime.
@@ -542,10 +493,10 @@ impl ShardedGateway {
     /// gauges and time series into the metrics registry.
     pub fn tick(&self, now: SimTime) -> Result<(), GatewayError> {
         if !self.disable_prediction {
-            let report =
-                self.controller
-                    .lock()
-                    .maybe_step_sharded(&self.pool, &self.engine, now)?;
+            let report = self
+                .controller
+                .lock()
+                .maybe_step(&self.pool, &self.engine, now)?;
             if let Some(report) = report {
                 self.metrics
                     .counter("controller/prewarmed")
@@ -568,13 +519,7 @@ impl ShardedGateway {
                 );
             }
         }
-        let (cost, evicted) = self
-            .limits
-            .enforce_sharded_counted(&self.pool, &self.engine, now)?;
-        self.add_background(cost);
-        if evicted > 0 {
-            self.metrics.counter("pool/evictions").add(evicted as u64);
-        }
+        self.enforce_limits(now)?;
         let sizes = self.pool.shard_sizes();
         let (avail, in_use) = sizes
             .iter()
@@ -614,15 +559,15 @@ mod tests {
     use super::*;
     use crate::middleware::HotC;
     use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
-    use faas::AppProfile;
+    use faas::gateway::Gateway;
+    use faas::RuntimeProvider;
     use metrics_lite::LatencyRecorder;
     use simclock::SimDuration;
     use std::sync::Arc;
 
-    fn concurrent_gateway() -> Arc<ConcurrentGateway<HotC>> {
-        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut gw = Gateway::new(engine, HotC::with_defaults());
-        for (i, lang) in [
+    /// The four qr-code functions both frontends register.
+    fn qr_specs() -> Vec<FunctionSpec> {
+        [
             LanguageRuntime::Python,
             LanguageRuntime::Go,
             LanguageRuntime::NodeJs,
@@ -630,42 +575,46 @@ mod tests {
         ]
         .iter()
         .enumerate()
-        {
-            gw.register(
-                faas::FunctionSpec::from_app(AppProfile::qr_code(*lang)).named(format!("qr-{i}")),
-            );
-        }
-        Arc::new(ConcurrentGateway::new(gw))
+        .map(|(i, lang)| {
+            FunctionSpec::from_app(AppProfile::qr_code(*lang)).named(format!("qr-{i}"))
+        })
+        .collect()
     }
 
-    fn sharded_gateway() -> Arc<ShardedGateway> {
+    /// The single-threaded gateway over the same engine, functions and
+    /// configuration — the semantic reference for the sharded frontend.
+    fn exclusive_gateway(config: HotCConfig) -> Gateway<HotC> {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let gw = ShardedGateway::with_defaults(engine);
-        for (i, lang) in [
-            LanguageRuntime::Python,
-            LanguageRuntime::Go,
-            LanguageRuntime::NodeJs,
-            LanguageRuntime::Java,
-        ]
-        .iter()
-        .enumerate()
-        {
-            gw.register(
-                faas::FunctionSpec::from_app(AppProfile::qr_code(*lang)).named(format!("qr-{i}")),
-            );
+        let mut gw = Gateway::new(engine, HotC::new(config));
+        for spec in qr_specs() {
+            gw.register(spec);
+        }
+        gw
+    }
+
+    fn sharded_gateway_with(config: HotCConfig) -> Arc<ShardedGateway> {
+        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let gw = ShardedGateway::new(engine, config);
+        for spec in qr_specs() {
+            gw.register(spec);
         }
         Arc::new(gw)
     }
 
-    #[test]
-    fn ten_threads_each_own_runtime() {
-        let gw = concurrent_gateway();
-        let threads = 4usize;
-        let per_thread = 25usize;
-        let recorders: Vec<LatencyRecorder> = std::thread::scope(|s| {
+    fn sharded_gateway() -> Arc<ShardedGateway> {
+        sharded_gateway_with(HotCConfig::default())
+    }
+
+    /// `threads` workers, each serving `per_thread` requests a second apart
+    /// from its own function `qr-{t}`; returns each worker's latencies.
+    fn each_thread_own_function(
+        gw: &Arc<ShardedGateway>,
+        threads: usize,
+        per_thread: usize,
+    ) -> Vec<LatencyRecorder> {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
-                    let gw = Arc::clone(&gw);
                     s.spawn(move || {
                         let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
                         let mut rec = LatencyRecorder::new();
@@ -680,72 +629,7 @@ mod tests {
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        let stats = gw.with(|g| g.stats());
-        assert_eq!(stats.requests as usize, threads * per_thread);
-        // Each thread's own config cold-starts at most a few times; the rest
-        // reuse (threads interleave, so a thread may occasionally race its
-        // own release and open a second container).
-        assert!(
-            stats.cold_starts as usize <= threads * 3,
-            "cold starts: {}",
-            stats.cold_starts
-        );
-        // Warm latencies dominate: median well under the cold latency.
-        for rec in &recorders {
-            assert!(rec.median().as_millis() < 100, "median {:?}", rec.median());
-        }
-    }
-
-    #[test]
-    fn shared_config_threads_reuse_each_others_containers() {
-        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut gw = Gateway::new(engine, HotC::with_defaults());
-        gw.register_app(AppProfile::random_number());
-        let gw = Arc::new(ConcurrentGateway::new(gw));
-
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let gw = Arc::clone(&gw);
-                s.spawn(move || {
-                    let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-                    for _ in 0..20 {
-                        gw.handle("random-number", &mut timeline).unwrap();
-                        timeline.advance(SimDuration::from_millis(200));
-                    }
-                });
-            }
-        });
-
-        let (requests, cold, live) = gw.with(|g| {
-            (
-                g.stats().requests,
-                g.stats().cold_starts,
-                g.engine().live_count(),
-            )
-        });
-        assert_eq!(requests, 80);
-        // One shared config: the pool converges to at most a handful of
-        // containers (bounded by peak overlap), nowhere near 80.
-        assert!(cold <= 8, "cold={cold}");
-        assert!(live <= 8, "live={live}");
-    }
-
-    #[test]
-    fn deterministic_when_single_threaded() {
-        // The concurrent wrapper adds no nondeterminism absent real races.
-        let run = || {
-            let gw = concurrent_gateway();
-            let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-            let mut latencies = Vec::new();
-            for _ in 0..10 {
-                let t = gw.handle("qr-0", &mut timeline).unwrap();
-                latencies.push(t.total());
-            }
-            latencies
-        };
-        assert_eq!(run(), run());
+        })
     }
 
     #[test]
@@ -753,25 +637,7 @@ mod tests {
         let gw = sharded_gateway();
         let threads = 4usize;
         let per_thread = 25usize;
-        let recorders: Vec<LatencyRecorder> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let gw = Arc::clone(&gw);
-                    s.spawn(move || {
-                        let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-                        let mut rec = LatencyRecorder::new();
-                        let function = format!("qr-{t}");
-                        for _ in 0..per_thread {
-                            let trace = gw.handle(&function, &mut timeline).unwrap();
-                            rec.record(trace.total());
-                            timeline.advance(SimDuration::from_secs(1));
-                        }
-                        rec
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let recorders = each_thread_own_function(&gw, threads, per_thread);
 
         let stats = gw.stats();
         assert_eq!(stats.requests as usize, threads * per_thread);
@@ -819,7 +685,7 @@ mod tests {
 
     #[test]
     fn sharded_matches_global_lock_single_threaded() {
-        // Same traffic through both frontends yields identical traces: the
+        // Same traffic through both gateways yields identical traces: the
         // sharding changes synchronization, not semantics.
         let sharded = {
             let gw = sharded_gateway();
@@ -828,14 +694,44 @@ mod tests {
                 .map(|_| gw.handle("qr-0", &mut timeline).unwrap().total())
                 .collect::<Vec<_>>()
         };
-        let global = {
-            let gw = concurrent_gateway();
-            let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+        let exclusive = {
+            let mut gw = exclusive_gateway(HotCConfig::default());
+            let mut now = SimTime::ZERO;
             (0..10)
-                .map(|_| gw.handle("qr-0", &mut timeline).unwrap().total())
+                .map(|_| {
+                    let trace = gw.handle("qr-0", now).unwrap();
+                    now = trace.t6_gateway_out;
+                    trace.total()
+                })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(sharded, global);
+        assert_eq!(sharded, exclusive);
+    }
+
+    /// Regression: cold-path limit enforcement went uncounted, so
+    /// `pool/evictions` only saw tick-time evictions. Identical serial traffic
+    /// over four runtime types under a two-container cap must tally the same,
+    /// non-zero number on both gateways.
+    #[test]
+    fn cold_path_evictions_are_counted_like_the_exclusive_gateway() {
+        let config = || HotCConfig {
+            limits: PoolLimits::new(2, 0.99),
+            ..Default::default()
+        };
+        let sharded = sharded_gateway_with(config());
+        let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+        let mut exclusive = exclusive_gateway(config());
+        let mut now = SimTime::ZERO;
+        for i in 0..12 {
+            let function = format!("qr-{}", i % 4);
+            let a = sharded.handle(&function, &mut timeline).unwrap();
+            let b = exclusive.handle(&function, now).unwrap();
+            now = b.t6_gateway_out;
+            assert_eq!(a, b, "request {i} diverged");
+        }
+        let counted = sharded.metrics().snapshot().counter("pool/evictions");
+        assert_eq!(counted, Some(exclusive.provider().forced_evictions()));
+        assert_eq!(counted, Some(10));
     }
 
     /// The always-on registry sees every request from every worker thread:
@@ -848,25 +744,7 @@ mod tests {
         let gw = sharded_gateway();
         let threads = 4usize;
         let per_thread = 25usize;
-        let totals: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let gw = Arc::clone(&gw);
-                    s.spawn(move || {
-                        let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-                        let mut sum = 0u64;
-                        let function = format!("qr-{t}");
-                        for _ in 0..per_thread {
-                            let trace = gw.handle(&function, &mut timeline).unwrap();
-                            sum += trace.total().as_nanos();
-                            timeline.advance(SimDuration::from_secs(1));
-                        }
-                        sum
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let recorders = each_thread_own_function(&gw, threads, per_thread);
         gw.tick(SimTime::from_secs(60)).unwrap();
 
         let snap = gw.metrics().snapshot();
@@ -879,7 +757,11 @@ mod tests {
         assert_eq!(snap.stage_count("all", metrics_lite::Stage::Exec), n);
         // Exact reconciliation: stage sums == Σ trace.total() over all
         // requests, across scopes.
-        let expected: u64 = totals.iter().sum();
+        let expected: u64 = recorders
+            .iter()
+            .flat_map(|r| r.samples())
+            .map(|d| d.as_nanos())
+            .sum();
         assert_eq!(snap.scope_total_ns("all"), expected);
         let per_scope: u64 = (0..threads)
             .map(|t| snap.scope_total_ns(&format!("fn/qr-{t}")))

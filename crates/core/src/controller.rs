@@ -9,7 +9,7 @@
 //! predicted decline ("avoid … unnecessary resource consumption").
 //!
 //! The controller walks the sharded pool one shard at a time
-//! ([`AdaptiveController::step_sharded`]), so a control step never stalls
+//! ([`AdaptiveController::step`]), so a control step never stalls
 //! the whole pool: requests on other shards proceed while one shard's
 //! snapshot is taken. By default each step takes the pool's **dirty-set**
 //! snapshot — only keys touched since the last interval (or still holding
@@ -18,7 +18,7 @@
 //! construction; when such a key resurfaces, the controller backfills the
 //! missed intervals as zero observations (one per skipped tick), so every
 //! predictor sees exactly the demand series a full sweep would have fed it.
-//! [`AdaptiveController::step_sharded_full`] keeps the O(all types)
+//! [`AdaptiveController::step_full`] keeps the O(all types)
 //! reference path; a property test asserts the two produce identical
 //! prewarm/retire/GC actions on the same trace.
 //!
@@ -28,9 +28,8 @@
 //! distinct configurations.
 
 use crate::key::KeyId;
-use crate::pool::ContainerPool;
-use crate::shard::{EngineRef, ExclusiveEngine, ShardedPool};
-use containersim::{ContainerEngine, EngineError};
+use crate::shard::{EngineRef, ShardedPool};
+use containersim::EngineError;
 use predictor::{EsMarkov, InitialValue, Predictor};
 use simclock::{SimDuration, SimTime};
 
@@ -174,27 +173,6 @@ impl AdaptiveController {
     /// returning the step's report when one ran.
     pub fn maybe_step(
         &mut self,
-        pool: &mut ContainerPool,
-        engine: &mut ContainerEngine,
-        now: SimTime,
-    ) -> Result<Option<StepReport>, EngineError> {
-        self.maybe_step_sharded(pool.sharded(), &ExclusiveEngine::new(engine), now)
-    }
-
-    /// Runs one control step unconditionally: snapshot demand, update the
-    /// predictors, and resize the pool toward the predictions.
-    pub fn step(
-        &mut self,
-        pool: &mut ContainerPool,
-        engine: &mut ContainerEngine,
-        now: SimTime,
-    ) -> Result<StepReport, EngineError> {
-        self.step_sharded(pool.sharded(), &ExclusiveEngine::new(engine), now)
-    }
-
-    /// Sharded variant of [`Self::maybe_step`].
-    pub fn maybe_step_sharded(
-        &mut self,
         pool: &ShardedPool,
         engine: &impl EngineRef,
         now: SimTime,
@@ -206,15 +184,16 @@ impl AdaptiveController {
         if !due {
             return Ok(None);
         }
-        self.step_sharded(pool, engine, now).map(Some)
+        self.step(pool, engine, now).map(Some)
     }
 
-    /// One O(active types) control step over the sharded pool, one shard at
-    /// a time: take each shard's dirty-set demand snapshot (which also
-    /// garbage-collects long-empty slots via the idle sweep), update
-    /// predictors, and resize toward the predictions. Only one shard's lock
-    /// is held at any moment, and never together with the engine lock.
-    pub fn step_sharded(
+    /// One O(active types) control step, unconditionally, over the sharded
+    /// pool one shard at a time: take each shard's dirty-set demand snapshot
+    /// (which also garbage-collects long-empty slots via the idle sweep),
+    /// update predictors, and resize toward the predictions. Only one
+    /// shard's lock is held at any moment, and never together with the
+    /// engine lock.
+    pub fn step(
         &mut self,
         pool: &ShardedPool,
         engine: &impl EngineRef,
@@ -225,10 +204,10 @@ impl AdaptiveController {
 
     /// The O(all types) reference step: full-sweep snapshots that visit
     /// every tracked slot. Produces the same pool-resize actions as
-    /// [`Self::step_sharded`] on the same trace (property-tested below);
-    /// kept for validation and as the comparison baseline in the
-    /// `controller_tick` benches.
-    pub fn step_sharded_full(
+    /// [`Self::step`] on the same trace (property-tested below). No
+    /// production path calls it: it is the oracle for that property and the
+    /// `controller_tick` benches' baseline (`full_sweep_1000types` gate).
+    pub fn step_full(
         &mut self,
         pool: &ShardedPool,
         engine: &impl EngineRef,
@@ -354,8 +333,21 @@ impl AdaptiveController {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
+    use crate::pool::ContainerPool;
+    use crate::shard::ExclusiveEngine;
     use containersim::engine::ExecWork;
-    use containersim::{ContainerConfig, HardwareProfile, ImageId};
+    use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
+
+    /// One dirty-set step over the exclusive façade, as `HotC::tick` runs it.
+    fn step(
+        ctl: &mut AdaptiveController,
+        pool: &ContainerPool,
+        engine: &mut ContainerEngine,
+        now: SimTime,
+    ) -> StepReport {
+        ctl.step(pool.sharded(), &ExclusiveEngine::new(engine), now)
+            .unwrap()
+    }
 
     fn setup() -> (ContainerEngine, ContainerPool, AdaptiveController) {
         (
@@ -410,7 +402,7 @@ mod tests {
         for t in 0..12 {
             let now = SimTime::from_secs(t * 30);
             drive_demand(&mut pool, &mut e, 5, now);
-            ctl.step(&mut pool, &mut e, now).unwrap();
+            step(&mut ctl, &pool, &mut e, now);
         }
         let key = pool.key_of(&cfg());
         let live = pool.num_avail(&key) + pool.num_in_use(&key);
@@ -427,7 +419,7 @@ mod tests {
         for t in 0..8 {
             let now = SimTime::from_secs(t * 30);
             drive_demand(&mut pool, &mut e, 10, now);
-            ctl.step(&mut pool, &mut e, now).unwrap();
+            step(&mut ctl, &pool, &mut e, now);
         }
         let key = pool.key_of(&cfg());
         let high = pool.num_avail(&key);
@@ -435,7 +427,7 @@ mod tests {
         // …then it vanishes.
         for t in 8..20 {
             let now = SimTime::from_secs(t * 30);
-            ctl.step(&mut pool, &mut e, now).unwrap();
+            step(&mut ctl, &pool, &mut e, now);
         }
         let low = pool.num_avail(&key);
         assert!(low <= 2, "pool should shrink after demand drop, got {low}");
@@ -450,7 +442,7 @@ mod tests {
         for (r, n) in [2usize, 4, 6, 8, 10, 12].into_iter().enumerate() {
             let now = SimTime::from_secs(r as u64 * 30);
             drive_demand(&mut pool, &mut e, n, now);
-            ctl.step(&mut pool, &mut e, now).unwrap();
+            step(&mut ctl, &pool, &mut e, now);
         }
         let key = pool.key_of(&cfg());
         assert_eq!(pool.num_avail(&key), 12, "full last wave stays warm");
@@ -466,7 +458,7 @@ mod tests {
         for r in 0..8u64 {
             let now = SimTime::from_secs(r * 30);
             drive_demand(&mut pool, &mut e, 10, now);
-            ctl.step(&mut pool, &mut e, now).unwrap();
+            step(&mut ctl, &pool, &mut e, now);
         }
         let key = pool.key_of(&cfg());
         // 50 % headroom over a steady demand of 10 ⇒ ~15 warm runtimes.
@@ -476,20 +468,20 @@ mod tests {
 
     #[test]
     fn maybe_step_respects_interval() {
-        let (mut e, mut pool, mut ctl) = setup();
-        assert!(ctl
-            .maybe_step(&mut pool, &mut e, SimTime::ZERO)
+        let (mut e, pool, mut ctl) = setup();
+        let mut due = |secs| {
+            ctl.maybe_step(
+                pool.sharded(),
+                &ExclusiveEngine::new(&mut e),
+                SimTime::from_secs(secs),
+            )
             .unwrap()
-            .is_some());
+            .is_some()
+        };
+        assert!(due(0));
         // 10 s later: not due (interval 30 s).
-        assert!(ctl
-            .maybe_step(&mut pool, &mut e, SimTime::from_secs(10))
-            .unwrap()
-            .is_none());
-        assert!(ctl
-            .maybe_step(&mut pool, &mut e, SimTime::from_secs(30))
-            .unwrap()
-            .is_some());
+        assert!(!due(10));
+        assert!(due(30));
     }
 
     /// The step report tallies what the controller actually did, so the
@@ -504,7 +496,7 @@ mod tests {
         });
         pool.set_gc_intervals(1);
         drive_demand(&mut pool, &mut e, 4, SimTime::ZERO);
-        let report = ctl.step(&mut pool, &mut e, SimTime::ZERO).unwrap();
+        let report = step(&mut ctl, &pool, &mut e, SimTime::ZERO);
         assert_eq!(report.demand.len(), 1);
         assert_eq!(report.actual_total(), 4);
         assert!(report.predicted_total() > 0.0);
@@ -519,7 +511,7 @@ mod tests {
             .unwrap()
             .is_some()
         {}
-        let report = ctl.step(&mut pool, &mut e, SimTime::from_secs(30)).unwrap();
+        let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(30));
         assert_eq!(report.gc_keys, 1, "report: {report:?}");
     }
 
@@ -527,7 +519,7 @@ mod tests {
     fn predictions_are_exposed() {
         let (mut e, mut pool, mut ctl) = setup();
         drive_demand(&mut pool, &mut e, 3, SimTime::ZERO);
-        ctl.step(&mut pool, &mut e, SimTime::ZERO).unwrap();
+        step(&mut ctl, &pool, &mut e, SimTime::ZERO);
         let id = pool.sharded().id_of(&pool.key_of(&cfg())).unwrap();
         assert!(ctl.last_predictions().iter().any(|&(k, _)| k == id));
     }
@@ -542,7 +534,7 @@ mod tests {
         pool.set_gc_intervals(2);
         let key = pool.key_of(&cfg());
         drive_demand(&mut pool, &mut e, 2, SimTime::ZERO);
-        ctl.step(&mut pool, &mut e, SimTime::ZERO).unwrap();
+        step(&mut ctl, &pool, &mut e, SimTime::ZERO);
         assert_eq!(ctl.predictor_count(), 1);
         // Empty the slot behind the controller's back (eviction under
         // memory pressure would do the same).
@@ -555,8 +547,7 @@ mod tests {
         // Two zero-demand steps on the empty slot reach the GC threshold;
         // the no-resurrect rule keeps the controller from pre-warming it.
         for t in 1..=3u64 {
-            ctl.step(&mut pool, &mut e, SimTime::from_secs(t * 30))
-                .unwrap();
+            step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
         }
         assert_eq!(pool.total_live(), 0, "dead key must not be resurrected");
         assert!(pool.keys().is_empty());
@@ -609,9 +600,9 @@ mod tests {
                     }
                 }
                 let rf = cf
-                    .step_sharded_full(pf.sharded(), &ExclusiveEngine::new(&mut ef), now)
+                    .step_full(pf.sharded(), &ExclusiveEngine::new(&mut ef), now)
                     .unwrap();
-                let rd = cd.step(&mut pd, &mut ed, now).unwrap();
+                let rd = step(&mut cd, &pd, &mut ed, now);
                 assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
                 assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
                 assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");

@@ -34,10 +34,16 @@
 //!   runtime keys are hashed onto N independently locked shards so warm
 //!   paths for different runtime types never contend, and container
 //!   creation happens outside every shard lock.
-//! * [`concurrent`] — thread-safe frontends for the parallel-request
-//!   experiments and contention benchmarks: the global-lock
-//!   [`concurrent::ConcurrentGateway`] baseline and the scalable
-//!   [`concurrent::ShardedGateway`].
+//! * [`concurrent`] — [`concurrent::ShardedGateway`], the thread-safe
+//!   frontend for the parallel-request experiments and contention
+//!   benchmarks. Together with the single-threaded [`faas::Gateway`] it is
+//!   one of the workspace's two gateways; the global-lock baseline it is
+//!   measured against is a fixture local to `benches/contention.rs`.
+//!
+//! One spelling per pool-control operation: [`PoolLimits`] and
+//! [`AdaptiveController`] entry points all take `(&ShardedPool, &impl
+//! EngineRef, now)`; [`HotC`] passes `pool.sharded()` and an
+//! [`ExclusiveEngine`], the sharded gateway its pool and engine mutex.
 //!
 //! ## Quickstart
 //!
@@ -65,7 +71,7 @@ pub mod middleware;
 pub mod pool;
 pub mod shard;
 
-pub use concurrent::{ConcurrentGateway, FunctionHandle, ShardedGateway};
+pub use concurrent::{FunctionHandle, ShardedGateway};
 pub use controller::{AdaptiveController, ControllerConfig};
 pub use key::{KeyId, KeyInterner, KeyPolicy, RuntimeKey};
 pub use limits::PoolLimits;

@@ -6,9 +6,8 @@
 //! used_mem and used_swap in the kernel. If there exist too many containers
 //! or fewer resources, the oldest live container is forcibly terminated."
 
-use crate::pool::ContainerPool;
-use crate::shard::{EngineRef, ExclusiveEngine, ShardedPool};
-use containersim::{ContainerEngine, EngineError};
+use crate::shard::{EngineRef, ShardedPool};
+use containersim::EngineError;
 use simclock::{SimDuration, SimTime};
 
 /// Pool resource limits.
@@ -44,58 +43,19 @@ impl PoolLimits {
         }
     }
 
-    /// Whether the pool/host currently violates a limit.
-    pub fn violated(&self, pool: &ContainerPool, engine: &ContainerEngine) -> bool {
-        pool.total_live() > self.max_live || engine.host().memory_pressure() > self.mem_threshold
-    }
-
-    /// Evicts oldest-first until limits hold (or no available container
-    /// remains to evict — in-flight containers are never killed). Returns
-    /// the accumulated teardown cost.
-    pub fn enforce(
-        &self,
-        pool: &mut ContainerPool,
-        engine: &mut ContainerEngine,
-        now: SimTime,
-    ) -> Result<SimDuration, EngineError> {
-        self.enforce_sharded(pool.sharded(), &ExclusiveEngine::new(engine), now)
-    }
-
-    /// [`Self::enforce`], also reporting how many containers were evicted —
-    /// see [`Self::enforce_sharded_counted`].
-    pub fn enforce_counted(
-        &self,
-        pool: &mut ContainerPool,
-        engine: &mut ContainerEngine,
-        now: SimTime,
-    ) -> Result<(SimDuration, usize), EngineError> {
-        self.enforce_sharded_counted(pool.sharded(), &ExclusiveEngine::new(engine), now)
-    }
-
-    /// Sharded variant of [`Self::violated`]. Reads the pool's live count
-    /// (one shard lock at a time) and the host memory pressure (engine lock)
-    /// sequentially — the two locks are never nested.
-    pub fn violated_sharded(&self, pool: &ShardedPool, engine: &impl EngineRef) -> bool {
+    /// Whether the pool/host currently violates a limit. Reads the pool's
+    /// live count (one shard lock at a time) and the host memory pressure
+    /// (engine lock) sequentially — the two locks are never nested.
+    pub fn violated(&self, pool: &ShardedPool, engine: &impl EngineRef) -> bool {
         pool.total_live() > self.max_live
             || engine.with_engine(|e| e.host().memory_pressure()) > self.mem_threshold
     }
 
-    /// Sharded variant of [`Self::enforce`]: two-phase oldest-first eviction
-    /// until limits hold or no available container remains.
-    pub fn enforce_sharded(
-        &self,
-        pool: &ShardedPool,
-        engine: &impl EngineRef,
-        now: SimTime,
-    ) -> Result<SimDuration, EngineError> {
-        self.enforce_sharded_counted(pool, engine, now)
-            .map(|(cost, _)| cost)
-    }
-
-    /// [`Self::enforce_sharded`], also reporting how many containers were
-    /// evicted — the telemetry layer counts forced evictions separately from
-    /// controller-driven retires.
-    pub fn enforce_sharded_counted(
+    /// Two-phase oldest-first eviction until limits hold (or no available
+    /// container remains to evict — in-flight containers are never killed).
+    /// Returns the accumulated teardown cost and the number evicted, which
+    /// telemetry counts separately from controller-driven retires.
+    pub fn enforce(
         &self,
         pool: &ShardedPool,
         engine: &impl EngineRef,
@@ -103,7 +63,7 @@ impl PoolLimits {
     ) -> Result<(SimDuration, usize), EngineError> {
         let mut cost = SimDuration::ZERO;
         let mut evicted = 0;
-        while self.violated_sharded(pool, engine) {
+        while self.violated(pool, engine) {
             match pool.evict_oldest(engine, now)? {
                 Some(c) => {
                     cost += c;
@@ -132,7 +92,9 @@ impl stdshim::ToJson for PoolLimits {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
-    use containersim::{ContainerConfig, HardwareProfile, ImageId};
+    use crate::pool::ContainerPool;
+    use crate::shard::ExclusiveEngine;
+    use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 
     fn setup() -> (ContainerEngine, ContainerPool) {
         (
@@ -143,6 +105,18 @@ mod tests {
 
     fn cfg() -> ContainerConfig {
         ContainerConfig::bridge(ImageId::parse("alpine:3.12"))
+    }
+
+    fn violated(limits: &PoolLimits, pool: &ContainerPool, e: &mut ContainerEngine) -> bool {
+        limits.violated(pool.sharded(), &ExclusiveEngine::new(e))
+    }
+
+    fn enforce(limits: &PoolLimits, pool: &ContainerPool, e: &mut ContainerEngine, secs: u64) {
+        let engine = ExclusiveEngine::new(e);
+        let (cost, evicted) = limits
+            .enforce(pool.sharded(), &engine, SimTime::from_secs(secs))
+            .unwrap();
+        assert_eq!(cost.is_zero(), evicted == 0);
     }
 
     #[test]
@@ -159,13 +133,10 @@ mod tests {
         for i in 0..6 {
             pool.prewarm(&mut e, &cfg(), SimTime::from_secs(i)).unwrap();
         }
-        assert!(limits.violated(&pool, &e));
-        let cost = limits
-            .enforce(&mut pool, &mut e, SimTime::from_secs(10))
-            .unwrap();
-        assert!(!cost.is_zero());
+        assert!(violated(&limits, &pool, &mut e));
+        enforce(&limits, &pool, &mut e, 10);
         assert_eq!(pool.total_live(), 3);
-        assert!(!limits.violated(&pool, &e));
+        assert!(!violated(&limits, &pool, &mut e));
         // The newest three survive (oldest evicted first).
         let survivors = e.live_ids_oldest_first();
         assert_eq!(survivors.len(), 3,);
@@ -179,10 +150,8 @@ mod tests {
         // Two busy containers (never released): cannot be evicted.
         pool.acquire(&mut e, &cfg(), SimTime::ZERO).unwrap();
         pool.acquire(&mut e, &cfg(), SimTime::ZERO).unwrap();
-        assert!(limits.violated(&pool, &e));
-        limits
-            .enforce(&mut pool, &mut e, SimTime::from_secs(1))
-            .unwrap();
+        assert!(violated(&limits, &pool, &mut e));
+        enforce(&limits, &pool, &mut e, 1);
         // Still violated, but enforce terminated rather than spinning.
         assert_eq!(pool.total_live(), 2);
     }
@@ -198,9 +167,7 @@ mod tests {
             pool.prewarm(&mut e, &jvm, SimTime::from_secs(i)).unwrap();
         }
         assert!(e.host().memory_pressure() > 0.5);
-        limits
-            .enforce(&mut pool, &mut e, SimTime::from_secs(20))
-            .unwrap();
+        enforce(&limits, &pool, &mut e, 20);
         assert!(e.host().memory_pressure() <= 0.5);
         assert!(pool.total_live() < 12);
     }

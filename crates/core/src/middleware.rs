@@ -11,6 +11,7 @@ use crate::controller::{AdaptiveController, ControllerConfig};
 use crate::key::KeyPolicy;
 use crate::limits::PoolLimits;
 use crate::pool::ContainerPool;
+use crate::shard::ExclusiveEngine;
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use faas::{Acquisition, RuntimeProvider};
 use simclock::{SimDuration, SimTime};
@@ -82,9 +83,18 @@ impl HotC {
         &self.controller
     }
 
-    /// The configured limits.
-    pub fn limits(&self) -> PoolLimits {
-        self.limits
+    /// Evicts down to the limits, booking the teardown cost and the count.
+    fn enforce_limits(
+        &mut self,
+        engine: &mut ContainerEngine,
+        now: SimTime,
+    ) -> Result<(), EngineError> {
+        let (cost, evicted) =
+            self.limits
+                .enforce(self.pool.sharded(), &ExclusiveEngine::new(engine), now)?;
+        self.background += cost;
+        self.forced_evictions += evicted as u64;
+        Ok(())
     }
 }
 
@@ -98,9 +108,7 @@ impl RuntimeProvider for HotC {
         let acq = self.pool.acquire(engine, config, now)?;
         if acq.cold {
             // A cold start may have pushed the pool over its limits.
-            let (cost, evicted) = self.limits.enforce_counted(&mut self.pool, engine, now)?;
-            self.background += cost;
-            self.forced_evictions += evicted as u64;
+            self.enforce_limits(engine, now)?;
         }
         Ok(acq)
     }
@@ -117,12 +125,10 @@ impl RuntimeProvider for HotC {
 
     fn tick(&mut self, engine: &mut ContainerEngine, now: SimTime) -> Result<(), EngineError> {
         if !self.disable_prediction {
-            self.controller.maybe_step(&mut self.pool, engine, now)?;
+            self.controller
+                .maybe_step(self.pool.sharded(), &ExclusiveEngine::new(engine), now)?;
         }
-        let (cost, evicted) = self.limits.enforce_counted(&mut self.pool, engine, now)?;
-        self.background += cost;
-        self.forced_evictions += evicted as u64;
-        Ok(())
+        self.enforce_limits(engine, now)
     }
 
     fn name(&self) -> &'static str {

@@ -516,8 +516,8 @@ pub fn check_rust_file(rel: &str, src: &str) -> Vec<Violation> {
     out
 }
 
-/// Keys inside a dependency entry's inline table that make it non-hermetic
-/// (same set as `tests/hermetic.rs`, which remains as the tier-1 guard).
+/// Keys inside a dependency entry's inline table that make it non-hermetic.
+/// (`tests/lint_clean.rs` runs this rule, with every other one, in tier-1.)
 const FORBIDDEN_SOURCE_KEYS: [&str; 4] = ["git", "registry", "registry-index", "version"];
 
 /// Registry crates that were replaced with in-repo code and must not return

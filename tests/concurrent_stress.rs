@@ -1,24 +1,24 @@
-//! Concurrency stress: many OS threads hammering the shared HotC gateway
-//! (std scoped threads), checking pool consistency afterwards.
+//! Concurrency stress: many OS threads hammering the lock-free
+//! [`ShardedGateway`] (std scoped threads), checking pool consistency
+//! afterwards.
 
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
-use faas::{AppProfile, Gateway};
-use hotc::{ConcurrentGateway, HotC, HotCConfig, PoolLimits};
+use faas::AppProfile;
+use hotc::{HotCConfig, PoolLimits, ShardedGateway};
 use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn shared_gateway(functions: usize, limits: Option<PoolLimits>) -> Arc<ConcurrentGateway<HotC>> {
+fn shared_gateway(functions: usize, limits: Option<PoolLimits>) -> Arc<ShardedGateway> {
     let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let provider = match limits {
-        Some(limits) => HotC::new(HotCConfig {
-            limits,
+    let gw = ShardedGateway::new(
+        engine,
+        HotCConfig {
+            limits: limits.unwrap_or_default(),
             ..Default::default()
-        }),
-        None => HotC::with_defaults(),
-    };
-    let mut gw = Gateway::new(engine, provider);
+        },
+    );
     let langs = [
         LanguageRuntime::Python,
         LanguageRuntime::Go,
@@ -36,7 +36,12 @@ fn shared_gateway(functions: usize, limits: Option<PoolLimits>) -> Arc<Concurren
                 .with_config(config),
         );
     }
-    Arc::new(ConcurrentGateway::new(gw))
+    Arc::new(gw)
+}
+
+/// Live containers according to the engine.
+fn engine_live(gw: &ShardedGateway) -> usize {
+    gw.with_engine(|e| e.live_count())
 }
 
 #[test]
@@ -68,23 +73,19 @@ fn stress_many_threads_many_functions() {
     });
 
     assert_eq!(errors.load(Ordering::Relaxed), 0);
-    gw.with(|g| {
-        assert_eq!(g.stats().requests as usize, threads * per_thread);
-        // Pool and engine agree after the storm.
-        assert_eq!(g.provider().pool().total_live(), g.engine().live_count());
-        assert_eq!(
-            g.provider().pool().total_available(),
-            g.engine().live_count()
-        );
-        // Reuse dominates: cold starts bounded by functions × peak overlap,
-        // not by request count.
-        assert!(
-            (g.stats().cold_starts as usize) < threads * functions,
-            "cold={}",
-            g.stats().cold_starts
-        );
-        assert_eq!(g.engine().volumes().len(), g.engine().live_count());
-    });
+    let stats = gw.stats();
+    assert_eq!(stats.requests as usize, threads * per_thread);
+    // Pool and engine agree after the storm.
+    assert_eq!(gw.pool().total_live(), engine_live(&gw));
+    assert_eq!(gw.pool().total_available(), engine_live(&gw));
+    // Reuse dominates: cold starts bounded by functions × peak overlap,
+    // not by request count.
+    assert!(
+        (stats.cold_starts as usize) < threads * functions,
+        "cold={}",
+        stats.cold_starts
+    );
+    gw.with_engine(|e| assert_eq!(e.volumes().len(), e.live_count()));
 }
 
 #[test]
@@ -113,13 +114,11 @@ fn stress_with_concurrent_ticks_and_limits() {
         });
     });
 
-    gw.with(|g| {
-        assert_eq!(g.stats().requests, 240);
-        assert_eq!(g.provider().pool().total_live(), g.engine().live_count());
-    });
+    assert_eq!(gw.stats().requests, 240);
+    assert_eq!(gw.pool().total_live(), engine_live(&gw));
     // Final maintenance enforces the cap.
     gw.tick(SimTime::from_secs(10_000)).expect("final tick");
-    gw.with(|g| assert!(g.engine().live_count() <= 6));
+    assert!(engine_live(&gw) <= 6);
 }
 
 #[test]
@@ -137,13 +136,8 @@ fn contended_single_function_converges_to_small_pool() {
             });
         }
     });
-    gw.with(|g| {
-        assert_eq!(g.stats().requests, 240);
-        // One runtime type: the pool is bounded by peak thread overlap.
-        assert!(
-            g.engine().live_count() <= 16,
-            "live={}",
-            g.engine().live_count()
-        );
-    });
+    assert_eq!(gw.stats().requests, 240);
+    // One runtime type: the pool is bounded by peak thread overlap.
+    let live = engine_live(&gw);
+    assert!(live <= 16, "live={live}");
 }
