@@ -52,7 +52,11 @@ cargo run --offline -q -p hotc-lint -- --json > lint-report.json
 #     crates/bench/src/driver.rs and nothing else. (a) Only simclock itself
 #     and the `reference` oracle modules may put events on a
 #     `simclock::Simulation`; (b) the reference driver may be named only by
-#     `reference` modules, benches and tests.
+#     `reference` modules, benches and tests; (c) arrivals are produced only
+#     by the cursors in crates/workloads/src/trace.rs — the Vec<Arrival>
+#     generator modules collect them and build none of their own; (d) the
+#     retired twins (pool façade, parallel runner entry, free-standing
+#     histogram) stay retired.
 echo
 echo "==> one-replay-loop guard"
 if grep -rnE 'Simulation|schedule_(at|in)\b' crates/*/src src examples --include='*.rs' \
@@ -63,6 +67,17 @@ fi
 if grep -rnE '(hotc_bench|crate)::reference|reference::run_workload' crates src examples --include='*.rs' \
     | grep -vE '/reference\.rs:|/benches/|/tests/|:[0-9]+:[[:space:]]*//'; then
     echo "the reference driver is named outside reference modules, benches and tests (see above)" >&2
+    exit 1
+fi
+for module in patterns azure youtube; do
+    if sed '/#\[cfg(test)\]/,$d' "crates/workloads/src/$module.rs" \
+        | grep -nE 'Arrival[[:space:]]*\{'; then
+        echo "crates/workloads/src/$module.rs builds an Arrival outside trace.rs (see above)" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'ContainerPool|run_scenario_parallel|SharedHistogram' crates src tests examples; then
+    echo "a retired duplicate is back (see above)" >&2
     exit 1
 fi
 

@@ -4,7 +4,7 @@
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-use hotc::{ContainerPool, KeyPolicy, RuntimeKey};
+use hotc::{ExclusiveEngine, KeyPolicy, RuntimeKey, ShardedPool};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
 use std::hint::black_box;
@@ -36,7 +36,7 @@ fn bench_key_canonicalization(h: &mut Harness) {
     // The steady-state replacement for the formatting above: a re-intern of
     // a known configuration hashes the key-relevant fields and returns the
     // u32 id — no string is built, nothing is allocated.
-    let pool = hotc::ShardedPool::new(KeyPolicy::Exact);
+    let pool = ShardedPool::new(KeyPolicy::Exact);
     let id = pool.intern_config(config);
     h.bench("key/intern_hit", || {
         assert_eq!(id, pool.intern_config(black_box(config)));
@@ -47,29 +47,34 @@ fn bench_acquire_release_reuse(h: &mut Harness) {
     // Steady-state: the container exists and is available; measure the pure
     // bookkeeping of Algorithm 1 + Algorithm 2 (reuse path).
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let mut pool = ContainerPool::new(KeyPolicy::Exact);
+    let pool = ShardedPool::new(KeyPolicy::Exact);
     let config = &configs(1)[0];
-    pool.prewarm(&mut engine, config, SimTime::ZERO).unwrap();
+    pool.prewarm(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO)
+        .unwrap();
     let work = ExecWork::light(SimDuration::from_millis(1));
 
     let mut now = SimTime::ZERO;
     h.bench("acquire_exec_release_reuse", || {
         now += SimDuration::from_millis(10);
-        let acq = pool.acquire(&mut engine, config, now).unwrap();
+        let acq = pool
+            .acquire(&ExclusiveEngine::new(&mut engine), config, now)
+            .unwrap();
         assert!(!acq.cold);
         let out = engine.begin_exec(acq.container, work, now).unwrap();
         engine.end_exec(acq.container, now + out.latency).unwrap();
-        pool.release(&mut engine, acq.container, now).unwrap();
+        pool.release(&ExclusiveEngine::new(&mut engine), acq.container, now)
+            .unwrap();
     });
 }
 
 fn bench_acquire_many_types(h: &mut Harness) {
     // 100 distinct runtime types warm in the pool: lookup cost at scale.
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let mut pool = ContainerPool::new(KeyPolicy::Exact);
+    let pool = ShardedPool::new(KeyPolicy::Exact);
     let configs = configs(100);
     for config in &configs {
-        pool.prewarm(&mut engine, config, SimTime::ZERO).unwrap();
+        pool.prewarm(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO)
+            .unwrap();
     }
     let work = ExecWork::light(SimDuration::from_millis(1));
     let mut i = 0usize;
@@ -77,10 +82,13 @@ fn bench_acquire_many_types(h: &mut Harness) {
     h.bench("reuse_among_100_types", || {
         i = (i + 7) % configs.len();
         now += SimDuration::from_millis(10);
-        let acq = pool.acquire(&mut engine, &configs[i], now).unwrap();
+        let acq = pool
+            .acquire(&ExclusiveEngine::new(&mut engine), &configs[i], now)
+            .unwrap();
         let out = engine.begin_exec(acq.container, work, now).unwrap();
         engine.end_exec(acq.container, now + out.latency).unwrap();
-        pool.release(&mut engine, acq.container, now).unwrap();
+        pool.release(&ExclusiveEngine::new(&mut engine), acq.container, now)
+            .unwrap();
     });
 }
 
@@ -91,15 +99,19 @@ fn bench_cold_create_and_remove(h: &mut Harness) {
         "cold_create_then_evict",
         || {
             let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-            (engine, ContainerPool::new(KeyPolicy::Exact))
+            (engine, ShardedPool::new(KeyPolicy::Exact))
         },
-        |(mut engine, mut pool)| {
+        |(mut engine, pool)| {
             for i in 0..8u64 {
-                pool.prewarm(&mut engine, &config, SimTime::from_secs(i))
-                    .unwrap();
+                pool.prewarm(
+                    &ExclusiveEngine::new(&mut engine),
+                    &config,
+                    SimTime::from_secs(i),
+                )
+                .unwrap();
             }
             while pool
-                .evict_oldest(&mut engine, SimTime::from_secs(100))
+                .evict_oldest(&ExclusiveEngine::new(&mut engine), SimTime::from_secs(100))
                 .unwrap()
                 .is_some()
             {}

@@ -19,7 +19,6 @@ pub mod runner;
 pub mod scenario;
 
 pub use runner::{
-    build_trace, run_scenario, run_scenario_materialized, run_scenario_parallel, ScenarioReport,
-    LATENCY_DETAIL_CAP,
+    build_trace, run_scenario, run_scenario_materialized, ScenarioReport, LATENCY_DETAIL_CAP,
 };
 pub use scenario::{ParseError, Scenario};

@@ -66,15 +66,14 @@ fn main() {
         })
     };
 
-    let scenario = Scenario::parse(&text).unwrap_or_else(|e| {
+    let mut scenario = Scenario::parse(&text).unwrap_or_else(|e| {
         eprintln!("scenario parse error: {e}");
         std::process::exit(1);
     });
-    let report = match replay_threads.or(scenario.replay_threads) {
-        Some(threads) if threads > 1 => hotc_cli::run_scenario_parallel(&scenario, threads),
-        _ => hotc_cli::run_scenario(&scenario),
+    if replay_threads.is_some() {
+        scenario.replay_threads = replay_threads;
     }
-    .unwrap_or_else(|e| {
+    let report = hotc_cli::run_scenario(&scenario).unwrap_or_else(|e| {
         eprintln!("scenario error: {e}");
         std::process::exit(1);
     });

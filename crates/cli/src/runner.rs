@@ -1,15 +1,15 @@
 //! Builds and runs a parsed [`Scenario`], producing a [`ScenarioReport`].
 
 use crate::scenario::{FunctionDecl, ProviderSpec, Scenario, WorkloadSpec};
-use containersim::{ContainerConfig, ContainerEngine, LanguageRuntime};
+use containersim::{ContainerConfig, ContainerEngine};
 use faas::gateway::Gateway;
 use faas::{
     AppProfile, ColdStartAlways, FixedKeepAlive, FunctionSpec, HybridKeepAlive, PeriodicWarmup,
     RequestTrace, RuntimeProvider,
 };
 use hotc::{HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimeKey};
-use hotc_bench::{run_partitioned, run_trace, run_trace_partition};
-use metrics_lite::{LatencyHistogram, MetricsRegistry, MetricsSnapshot, Table};
+use hotc_bench::{run_partitioned, run_trace_partition};
+use metrics_lite::{LatencyHistogram, MetricsSnapshot, Table};
 use simclock::SimDuration;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,11 +52,11 @@ pub struct ScenarioReport {
     /// Full telemetry snapshot taken at the end of the run (counters,
     /// stage histograms, pool series) — exported by `--metrics-out`.
     pub metrics: metrics_lite::MetricsSnapshot,
-    /// Set by the parallel driver when per-worker pool-limit enforcement
-    /// actually evicted containers — the one case where a partitioned replay
-    /// approximates (rather than reproduces) the sequential run. Always
-    /// `false` for sequential runs and for parallel runs whose pool never
-    /// hit its limits.
+    /// Set when the run had more than one replay worker and per-worker
+    /// pool-limit enforcement actually evicted containers — the one case
+    /// where a partitioned replay approximates (rather than reproduces) the
+    /// one-worker run. Always `false` for one worker and for runs whose pool
+    /// never hit its limits.
     pub limits_coupled: bool,
 }
 
@@ -418,19 +418,6 @@ impl ReportAggregator {
     }
 }
 
-/// Completes a single-gateway run: reads end-of-run state off the gateway
-/// and folds it into the report.
-fn finish_report<P: RuntimeProvider>(
-    agg: ReportAggregator,
-    gateway: &Gateway<P>,
-) -> ScenarioReport {
-    agg.finish(
-        gateway.engine().live_count(),
-        gateway.provider().background_cost(),
-        gateway.metrics().snapshot(),
-    )
-}
-
 /// One registered function slot: the route name, the app profile behind it,
 /// and the fully resolved container configuration. Slot index == the
 /// `config_id % slots` routing index used by every driver.
@@ -474,10 +461,10 @@ fn slot_specs(scenario: &Scenario) -> Result<Vec<SlotSpec>, String> {
     Ok(slots)
 }
 
-/// Builds a gateway registering `slots` — all of them, or (for a parallel
+/// Builds a gateway registering `slots` — all of them, or (for a replay
 /// worker) only the subset `assign` maps to worker `w`. Fault injection is
 /// seeded identically either way; crash draws decompose per-config, so a
-/// worker owning a subset of slots sees exactly the draws the sequential run
+/// worker owning a subset of slots sees exactly the draws a one-worker run
 /// dealt those configs.
 fn build_gateway_slots<P: RuntimeProvider>(
     provider: P,
@@ -505,22 +492,13 @@ fn build_gateway_slots<P: RuntimeProvider>(
     gateway
 }
 
-fn build_gateway<P: RuntimeProvider>(
-    provider: P,
-    scenario: &Scenario,
-) -> Result<(Gateway<P>, Vec<String>), String> {
-    let slots = slot_specs(scenario)?;
-    let names = slots.iter().map(|s| s.name.clone()).collect();
-    Ok((build_gateway_slots(provider, scenario, &slots, None), names))
-}
-
 /// A driver body, generic over the provider the scenario selected.
 ///
-/// The three drivers (streaming, materialized, parallel) differ in how they
-/// feed arrivals through the gateway but share everything else: the
-/// provider dispatch below, the gateway construction, and the
-/// [`ReportAggregator`]. `make` builds one provider instance; the parallel
-/// driver calls it once per worker, the sequential drivers exactly once.
+/// The two drivers (the key-partitioned replay and its materialized
+/// [`reference`]) differ in how they feed arrivals through the gateway but
+/// share everything else: the provider dispatch below, the gateway
+/// construction, and the [`ReportAggregator`]. `make` builds one provider
+/// instance; the replay calls it once per worker, the reference exactly once.
 trait ProviderOp {
     type Out;
     fn run<P>(self, make: &(dyn Fn() -> P + Sync)) -> Self::Out
@@ -540,7 +518,7 @@ fn split_limits(threads: usize) -> PoolLimits {
     )
 }
 
-/// The single provider dispatch shared by all drivers: matches the scenario's
+/// The single provider dispatch shared by both drivers: matches the scenario's
 /// provider spec once and hands `op` a constructor for it.
 fn dispatch_provider<O: ProviderOp>(spec: &ProviderSpec, threads: usize, op: O) -> O::Out {
     match spec {
@@ -567,33 +545,6 @@ fn dispatch_provider<O: ProviderOp>(spec: &ProviderSpec, threads: usize, op: O) 
             op.run(&move || PeriodicWarmup::new(period))
         }
         ProviderSpec::HybridKeepAlive => op.run(&HybridKeepAlive::new),
-    }
-}
-
-struct StreamOp<'a> {
-    scenario: &'a Scenario,
-    trace: &'a mut dyn Trace,
-}
-
-impl ProviderOp for StreamOp<'_> {
-    type Out = Result<ScenarioReport, String>;
-    fn run<P>(self, make: &(dyn Fn() -> P + Sync)) -> Self::Out
-    where
-        P: RuntimeProvider + Send + 'static,
-    {
-        let (gateway, names) = build_gateway(make(), self.scenario)?;
-        let mut agg = ReportAggregator::new();
-        let out = run_trace(
-            gateway,
-            self.trace,
-            move |config_id| names[config_id % names.len()].clone(),
-            self.scenario.tick,
-            |seq, t| agg.observe(seq, t),
-        );
-        if let Some(e) = out.trace_error {
-            return Err(format!("trace source error: {e}"));
-        }
-        Ok(finish_report(agg, &out.gateway))
     }
 }
 
@@ -627,12 +578,12 @@ fn provider_policy(spec: &ProviderSpec) -> KeyPolicy {
     }
 }
 
-struct ParallelOp<'a> {
+struct ReplayOp<'a> {
     scenario: &'a Scenario,
     threads: usize,
 }
 
-impl ProviderOp for ParallelOp<'_> {
+impl ProviderOp for ReplayOp<'_> {
     type Out = Result<ScenarioReport, String>;
     fn run<P>(self, make: &(dyn Fn() -> P + Sync)) -> Self::Out
     where
@@ -653,7 +604,15 @@ impl ProviderOp for ParallelOp<'_> {
             // Workload generation is deterministic: every worker rebuilds
             // the full stream and filters it down to its own slots, keeping
             // the global arrival indices for tie-breaking and the series.
-            let trace = build_trace(&scenario.workload, slots.len(), scenario.seed)?;
+            let mut trace = build_trace(&scenario.workload, slots.len(), scenario.seed)?;
+            // An empty *stream* is an error (every worker sees the same one,
+            // before it builds a gateway); an empty partition is not.
+            if trace.peek().is_none() {
+                return Err(match trace.take_error() {
+                    Some(e) => format!("trace source error: {e}"),
+                    None => "workload generated no arrivals".to_string(),
+                });
+            }
             let mut part = PartitionTrace::new(trace, Arc::clone(&assign), w);
             let gateway = build_gateway_slots(make(), scenario, slots, Some((&assign, w)));
             let names = Arc::clone(&names);
@@ -671,129 +630,53 @@ impl ProviderOp for ParallelOp<'_> {
             Ok((out, agg))
         });
 
-        // Deterministic reduction, in worker-index order.
-        let mut outcomes = Vec::with_capacity(threads);
-        let mut agg = ReportAggregator::new();
-        for result in results {
+        // Deterministic reduction, in worker-index order, into worker 0's
+        // aggregator and registry — so a one-worker run copies nothing.
+        let mut workers = results.into_iter();
+        let (base, mut agg) = workers.next().ok_or("replay ran no workers")??;
+        // `metrics()` mirrors a gateway's internal tallies into its
+        // registry: call it once per worker, and for worker 0 before
+        // anything is absorbed into its registry — a second call would
+        // overwrite the merged counters with worker 0's own tally.
+        let metrics = base.gateway.metrics();
+        let mut live_at_end = base.gateway.engine().live_count();
+        let mut background = base.gateway.provider().background_cost();
+        let mut evicted = base.gateway.provider().forced_evictions() > 0;
+        for result in workers {
             let (out, worker_agg) = result?;
             agg.merge(worker_agg);
-            outcomes.push(out);
+            live_at_end += out.gateway.engine().live_count();
+            background += out.gateway.provider().background_cost();
+            evicted |= out.gateway.provider().forced_evictions() > 0;
+            // Telemetry merges at the registry level (raw counters,
+            // histogram stripes, series); unions and summaries are
+            // synthesized from the merged raw state at snapshot time.
+            metrics.absorb(out.gateway.metrics());
         }
-        let live_at_end: usize = outcomes
-            .iter()
-            .map(|o| o.gateway.engine().live_count())
-            .sum();
-        let background: SimDuration = outcomes
-            .iter()
-            .map(|o| o.gateway.provider().background_cost())
-            .sum();
-        let coupled = threads > 1
-            && outcomes
-                .iter()
-                .any(|o| o.gateway.provider().forced_evictions() > 0);
-        // Merge telemetry at the registry level (raw counters, histogram
-        // stripes, series) and snapshot once — unions and summaries are
-        // synthesized from the merged raw state, exactly as a sequential
-        // snapshot would. `metrics()` mirrors each gateway's internal
-        // tallies into its registry, so call it once per worker and never
-        // again after absorbing.
-        let merged = MetricsRegistry::new();
-        for out in &outcomes {
-            merged.absorb(out.gateway.metrics());
-        }
-        let mut report = agg.finish(live_at_end, background, merged.snapshot());
-        report.limits_coupled = coupled;
+        let mut report = agg.finish(live_at_end, background, metrics.snapshot());
+        report.limits_coupled = threads > 1 && evicted;
         Ok(report)
     }
 }
 
-fn replica_slots(scenario: &Scenario) -> usize {
-    scenario.functions.iter().map(|f| f.replicas).sum::<usize>()
-}
-
-/// Validates that the workload produces at least one arrival (and surfaces
-/// source errors) before any gateway is built.
-fn probe_workload(scenario: &Scenario) -> Result<(), String> {
-    let mut trace = build_trace(&scenario.workload, replica_slots(scenario), scenario.seed)?;
-    if trace.peek().is_none() {
-        if let Some(e) = trace.take_error() {
-            return Err(format!("trace source error: {e}"));
-        }
-        return Err("workload generated no arrivals".to_string());
-    }
-    Ok(())
-}
-
 /// Runs a scenario end to end, streaming arrivals from the workload source —
 /// the replay path never materializes the full arrival vector.
-pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
-    let mut trace = build_trace(&scenario.workload, replica_slots(scenario), scenario.seed)?;
-    if trace.peek().is_none() {
-        if let Some(e) = trace.take_error() {
-            return Err(format!("trace source error: {e}"));
-        }
-        return Err("workload generated no arrivals".to_string());
-    }
-    let trace = trace.as_mut();
-    dispatch_provider(&scenario.provider, 1, StreamOp { scenario, trace })
-}
-
-/// Runs a scenario across `threads` replay workers, partitioned by runtime
-/// key, and merges the per-worker results into one report that is
-/// byte-identical (rendered text and metrics JSON) to [`run_scenario`]'s.
 ///
-/// `threads == 1` routes through the same partitioned code path with a
-/// single worker owning every slot. See `DESIGN.md` §12 for the protocol
-/// and the one approximation (global pool limits, surfaced via
-/// [`ScenarioReport::limits_coupled`]).
-pub fn run_scenario_parallel(
-    scenario: &Scenario,
-    threads: usize,
-) -> Result<ScenarioReport, String> {
-    let threads = threads.max(1);
-    probe_workload(scenario)?;
-    dispatch_provider(
-        &scenario.provider,
-        threads,
-        ParallelOp { scenario, threads },
-    )
-}
-
-/// Convenience: language runtime names accepted by the scenario format (for
-/// error messages and docs).
-pub fn supported_languages() -> &'static [&'static str] {
-    &["python", "go", "java", "nodejs", "ruby", "native"]
-}
-
-/// Convenience: app names accepted by the scenario format.
-pub fn supported_apps() -> &'static [&'static str] {
-    &[
-        "random-number",
-        "qr-code",
-        "s3-download",
-        "v3-app",
-        "tf-api-app",
-        "cassandra",
-    ]
-}
-
-/// Maps a language name to its runtime (used by docs/tests).
-pub fn language_by_name(name: &str) -> Option<LanguageRuntime> {
-    Some(match name {
-        "python" => LanguageRuntime::Python,
-        "go" => LanguageRuntime::Go,
-        "java" => LanguageRuntime::Java,
-        "nodejs" | "node" => LanguageRuntime::NodeJs,
-        "ruby" => LanguageRuntime::Ruby,
-        "native" => LanguageRuntime::Native,
-        _ => return None,
-    })
+/// The replay is key-partitioned across `scenario.replay_threads` workers
+/// (default one, which runs inline and owns every slot); the merged report is
+/// byte-identical (rendered text and metrics JSON) at every worker count. See
+/// `DESIGN.md` §12 for the protocol and the one approximation (global pool
+/// limits, surfaced via [`ScenarioReport::limits_coupled`]).
+pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
+    let threads = scenario.replay_threads.unwrap_or(1).max(1);
+    dispatch_provider(&scenario.provider, threads, ReplayOp { scenario, threads })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::DEMO_SCENARIO;
+    use metrics_lite::MetricsRegistry;
 
     #[test]
     fn demo_scenario_runs() {
@@ -855,6 +738,37 @@ duration = 120s
         let report = run_scenario(&scenario).unwrap();
         assert!(report.requests > 100);
         assert!(report.cold_fraction < 0.2);
+    }
+
+    /// Regression: `replay_threads` in the scenario is honoured by the
+    /// library entry point, not only by the binary. 640 distinct keys under
+    /// HotC's 500-container cap make limit enforcement fire at any worker
+    /// count; only a partitioned run flags the approximation.
+    #[test]
+    fn run_scenario_reads_replay_threads() {
+        let text = "\
+provider = hotc
+seed = 9
+tick = 30s
+
+[function svc]
+app = random-number
+replicas = 640
+
+[workload]
+pattern = parallel
+threads = 640
+per_thread = 2
+interval = 30s
+";
+        let mut scenario = Scenario::parse(text).unwrap();
+        assert_eq!(scenario.replay_threads, None);
+        let one = run_scenario(&scenario).unwrap();
+        assert!(!one.limits_coupled);
+        scenario.replay_threads = Some(2);
+        let two = run_scenario(&scenario).unwrap();
+        assert!(two.limits_coupled, "two workers must split the pool cap");
+        assert_eq!(two.requests, one.requests);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! test (`tests/streaming_equivalence.rs`); real runs never come through here.
 
 use super::{
-    build_gateway, build_trace, dispatch_provider, finish_report, replica_slots, ProviderOp,
-    ReportAggregator, ScenarioReport,
+    build_gateway_slots, build_trace, dispatch_provider, slot_specs, ProviderOp, ReportAggregator,
+    ScenarioReport,
 };
 use crate::scenario::Scenario;
 use faas::RuntimeProvider;
@@ -23,7 +23,9 @@ impl ProviderOp for MaterializedOp<'_> {
     where
         P: RuntimeProvider + Send + 'static,
     {
-        let (gateway, names) = build_gateway(make(), self.scenario)?;
+        let slots = slot_specs(self.scenario)?;
+        let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
+        let gateway = build_gateway_slots(make(), self.scenario, &slots, None);
         let out = run_workload(
             gateway,
             self.workload,
@@ -34,7 +36,11 @@ impl ProviderOp for MaterializedOp<'_> {
         for (i, t) in out.traces.iter().enumerate() {
             agg.observe(i as u64, t);
         }
-        Ok(finish_report(agg, &out.gateway))
+        Ok(agg.finish(
+            out.gateway.engine().live_count(),
+            out.gateway.provider().background_cost(),
+            out.gateway.metrics().snapshot(),
+        ))
     }
 }
 
@@ -42,7 +48,8 @@ impl ProviderOp for MaterializedOp<'_> {
 /// materializes the whole arrival vector and replays it through the
 /// closure-scheduled reference driver.
 pub fn run_scenario_materialized(scenario: &Scenario) -> Result<ScenarioReport, String> {
-    let mut trace = build_trace(&scenario.workload, replica_slots(scenario), scenario.seed)?;
+    let slots = scenario.functions.iter().map(|f| f.replicas).sum();
+    let mut trace = build_trace(&scenario.workload, slots, scenario.seed)?;
     let workload = workloads::drain(trace.as_mut());
     if let Some(e) = trace.take_error() {
         return Err(format!("trace source error: {e}"));

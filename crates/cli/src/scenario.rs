@@ -294,8 +294,8 @@ pub struct Scenario {
     pub tick: SimDuration,
     /// Execution crash probability (fault injection), 0.0 = off.
     pub crash_rate: f64,
-    /// Replay worker threads; `None` = sequential replay. Overridable from
-    /// the command line with `--replay-threads N`.
+    /// Replay worker threads, read by [`crate::run_scenario`]; `None` = one
+    /// worker. Overridable from the command line with `--replay-threads N`.
     pub replay_threads: Option<usize>,
     /// Declared functions, in declaration order.
     pub functions: Vec<FunctionDecl>,

@@ -2,17 +2,17 @@
 //! identical to the sequential one (tentpole acceptance of the parallel
 //! driver).
 //!
-//! For every `WorkloadSpec` variant and every provider, `run_scenario`
-//! (sequential streaming) and `run_scenario_parallel` at 1, 2, and 8 workers
+//! For every `WorkloadSpec` variant and every provider, `run_scenario` with
+//! no `replay_threads` (one worker) and with `replay_threads` 1, 2, and 8
 //! must produce byte-identical rendered reports and byte-identical metrics
-//! JSON. One worker routes through the same partitioned code path (spawn-free
+//! JSON. One worker runs the same partitioned code path inline (spawn-free
 //! degenerate case); eight workers exceed the key-group count of the small
 //! fixtures, so some workers own zero slots and still tick to the global
 //! horizon.
 
 use containersim::{HardwareProfile, LanguageRuntime, NetworkMode};
 use hotc_cli::scenario::{FunctionDecl, ProviderSpec, WorkloadSpec};
-use hotc_cli::{run_scenario, run_scenario_parallel, Scenario};
+use hotc_cli::{run_scenario, Scenario};
 use simclock::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -156,7 +156,11 @@ fn assert_parallel_equivalent(sc: &Scenario, label: &str) {
     let seq_render = sequential.render(true);
     let seq_json = sequential.metrics.to_json().to_pretty_string();
     for &threads in THREAD_COUNTS {
-        let parallel = run_scenario_parallel(sc, threads)
+        let threaded = Scenario {
+            replay_threads: Some(threads),
+            ..sc.clone()
+        };
+        let parallel = run_scenario(&threaded)
             .unwrap_or_else(|e| panic!("{label} x{threads}: parallel run failed: {e}"));
         assert!(
             !parallel.limits_coupled,

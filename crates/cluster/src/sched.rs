@@ -228,7 +228,7 @@ impl Cluster {
         if staleness.is_zero() {
             // Entering oracle mode: restore believed == live right away.
             for i in 0..self.nodes.len() {
-                let pool = self.nodes[i].gateway.provider().pool().sharded();
+                let pool = self.nodes[i].gateway.provider().pool();
                 self.warm.resync_node(i, pool, &self.interner);
             }
         }
@@ -299,7 +299,7 @@ impl Cluster {
         }
         self.last_sync = Some(now);
         for i in 0..self.nodes.len() {
-            let pool = self.nodes[i].gateway.provider().pool().sharded();
+            let pool = self.nodes[i].gateway.provider().pool();
             self.warm.resync_node(i, pool, &self.interner);
         }
     }
@@ -383,7 +383,7 @@ impl Cluster {
             .gateway
             .begin_with(&self.specs[f as usize].spec, now)?;
         let entry = &self.specs[f as usize];
-        let pool = self.nodes[node].gateway.provider().pool().sharded();
+        let pool = self.nodes[node].gateway.provider().pool();
         self.warm
             .ensure_mapping(entry.key, node, pool, &entry.spec.config);
         if self.staleness.is_zero() {
@@ -421,7 +421,7 @@ impl Cluster {
         if self.staleness.is_zero() {
             if let Some(f) = f {
                 let key = self.specs[f as usize].key;
-                let pool = self.nodes[node].gateway.provider().pool().sharded();
+                let pool = self.nodes[node].gateway.provider().pool();
                 self.warm.touch_true(key, node, pool);
             }
         }
@@ -450,7 +450,7 @@ impl Cluster {
         }
         if self.staleness.is_zero() {
             for i in 0..self.nodes.len() {
-                let pool = self.nodes[i].gateway.provider().pool().sharded();
+                let pool = self.nodes[i].gateway.provider().pool();
                 if pool.mutation_epoch() != self.warm.node_epoch(i) {
                     self.warm.resync_node(i, pool, &self.interner);
                 }

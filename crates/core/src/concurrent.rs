@@ -23,7 +23,7 @@
 use crate::controller::AdaptiveController;
 use crate::limits::PoolLimits;
 use crate::middleware::HotCConfig;
-use crate::shard::{EngineRef, ShardedPool};
+use crate::shard::{EngineRef, ShardedPool, DEFAULT_SHARDS};
 use containersim::{ContainerEngine, ContainerId};
 use faas::gateway::{GatewayError, InFlight};
 use faas::pipeline::{GATEWAY_HOP, WATCHDOG_HOP};
@@ -162,9 +162,9 @@ impl ShardedGateway {
             engine: Mutex::labeled(engine, "core/engine"),
             functions: RwLock::labeled(HashMap::new(), "gateway/functions"),
             stats: SharedStats::new(),
-            tracker: ShardedTracker::new(config.shards),
+            tracker: ShardedTracker::new(DEFAULT_SHARDS),
             app_tokens: Mutex::labeled(Vec::new(), "gateway/app-tokens"),
-            pool: ShardedPool::with_shards(config.key_policy, config.shards),
+            pool: ShardedPool::new(config.key_policy),
             controller: Mutex::labeled(
                 AdaptiveController::new(config.controller),
                 "gateway/controller",

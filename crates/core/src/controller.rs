@@ -333,26 +333,24 @@ impl AdaptiveController {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
-    use crate::pool::ContainerPool;
     use crate::shard::ExclusiveEngine;
     use containersim::engine::ExecWork;
     use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 
-    /// One dirty-set step over the exclusive façade, as `HotC::tick` runs it.
+    /// One dirty-set step over an exclusive engine borrow, as `HotC::tick` runs it.
     fn step(
         ctl: &mut AdaptiveController,
-        pool: &ContainerPool,
+        pool: &ShardedPool,
         engine: &mut ContainerEngine,
         now: SimTime,
     ) -> StepReport {
-        ctl.step(pool.sharded(), &ExclusiveEngine::new(engine), now)
-            .unwrap()
+        ctl.step(pool, &ExclusiveEngine::new(engine), now).unwrap()
     }
 
-    fn setup() -> (ContainerEngine, ContainerPool, AdaptiveController) {
+    fn setup() -> (ContainerEngine, ShardedPool, AdaptiveController) {
         (
             ContainerEngine::with_local_images(HardwareProfile::server()),
-            ContainerPool::new(KeyPolicy::Exact),
+            ShardedPool::new(KeyPolicy::Exact),
             AdaptiveController::paper_default(),
         )
     }
@@ -363,14 +361,17 @@ mod tests {
 
     /// Simulates `n` concurrent requests for `config` in one interval.
     fn drive_config_demand(
-        pool: &mut ContainerPool,
+        pool: &ShardedPool,
         engine: &mut ContainerEngine,
         config: &ContainerConfig,
         n: usize,
         now: SimTime,
     ) {
         let acqs: Vec<_> = (0..n)
-            .map(|_| pool.acquire(engine, config, now).unwrap())
+            .map(|_| {
+                pool.acquire(&ExclusiveEngine::new(engine), config, now)
+                    .unwrap()
+            })
             .collect();
         for a in acqs {
             let out = engine
@@ -381,27 +382,26 @@ mod tests {
                 )
                 .unwrap();
             engine.end_exec(a.container, now + out.latency).unwrap();
-            pool.release(engine, a.container, now + out.latency)
-                .unwrap();
+            pool.release(
+                &ExclusiveEngine::new(engine),
+                a.container,
+                now + out.latency,
+            )
+            .unwrap();
         }
     }
 
     /// Simulates `n` concurrent requests in one interval.
-    fn drive_demand(
-        pool: &mut ContainerPool,
-        engine: &mut ContainerEngine,
-        n: usize,
-        now: SimTime,
-    ) {
+    fn drive_demand(pool: &ShardedPool, engine: &mut ContainerEngine, n: usize, now: SimTime) {
         drive_config_demand(pool, engine, &cfg(), n, now);
     }
 
     #[test]
     fn steady_demand_sizes_pool_to_match() {
-        let (mut e, mut pool, mut ctl) = setup();
+        let (mut e, pool, mut ctl) = setup();
         for t in 0..12 {
             let now = SimTime::from_secs(t * 30);
-            drive_demand(&mut pool, &mut e, 5, now);
+            drive_demand(&pool, &mut e, 5, now);
             step(&mut ctl, &pool, &mut e, now);
         }
         let key = pool.key_of(&cfg());
@@ -414,11 +414,11 @@ mod tests {
 
     #[test]
     fn demand_drop_retires_containers() {
-        let (mut e, mut pool, mut ctl) = setup();
+        let (mut e, pool, mut ctl) = setup();
         // High demand for a while…
         for t in 0..8 {
             let now = SimTime::from_secs(t * 30);
-            drive_demand(&mut pool, &mut e, 10, now);
+            drive_demand(&pool, &mut e, 10, now);
             step(&mut ctl, &pool, &mut e, now);
         }
         let key = pool.key_of(&cfg());
@@ -435,13 +435,13 @@ mod tests {
 
     #[test]
     fn growth_retains_full_capacity() {
-        let (mut e, mut pool, mut ctl) = setup();
+        let (mut e, pool, mut ctl) = setup();
         // Ramp 2, 4, 6, … — the scale-down floor (last observed demand)
         // keeps every container from the latest wave warm even while the
         // lagging smoother under-predicts.
         for (r, n) in [2usize, 4, 6, 8, 10, 12].into_iter().enumerate() {
             let now = SimTime::from_secs(r as u64 * 30);
-            drive_demand(&mut pool, &mut e, n, now);
+            drive_demand(&pool, &mut e, n, now);
             step(&mut ctl, &pool, &mut e, now);
         }
         let key = pool.key_of(&cfg());
@@ -450,14 +450,14 @@ mod tests {
 
     #[test]
     fn headroom_prewarms_extra_capacity() {
-        let (mut e, mut pool, _) = setup();
+        let (mut e, pool, _) = setup();
         let mut ctl = AdaptiveController::new(ControllerConfig {
             headroom: 0.5,
             ..Default::default()
         });
         for r in 0..8u64 {
             let now = SimTime::from_secs(r * 30);
-            drive_demand(&mut pool, &mut e, 10, now);
+            drive_demand(&pool, &mut e, 10, now);
             step(&mut ctl, &pool, &mut e, now);
         }
         let key = pool.key_of(&cfg());
@@ -471,7 +471,7 @@ mod tests {
         let (mut e, pool, mut ctl) = setup();
         let mut due = |secs| {
             ctl.maybe_step(
-                pool.sharded(),
+                &pool,
                 &ExclusiveEngine::new(&mut e),
                 SimTime::from_secs(secs),
             )
@@ -495,7 +495,7 @@ mod tests {
             ..Default::default()
         });
         pool.set_gc_intervals(1);
-        drive_demand(&mut pool, &mut e, 4, SimTime::ZERO);
+        drive_demand(&pool, &mut e, 4, SimTime::ZERO);
         let report = step(&mut ctl, &pool, &mut e, SimTime::ZERO);
         assert_eq!(report.demand.len(), 1);
         assert_eq!(report.actual_total(), 4);
@@ -507,7 +507,7 @@ mod tests {
         // Drain the pool, then let the empty slot hit the GC threshold.
         let key = pool.key_of(&cfg());
         while pool
-            .retire_one(&mut e, &key, SimTime::from_secs(1))
+            .retire_one(&ExclusiveEngine::new(&mut e), &key, SimTime::from_secs(1))
             .unwrap()
             .is_some()
         {}
@@ -517,10 +517,10 @@ mod tests {
 
     #[test]
     fn predictions_are_exposed() {
-        let (mut e, mut pool, mut ctl) = setup();
-        drive_demand(&mut pool, &mut e, 3, SimTime::ZERO);
+        let (mut e, pool, mut ctl) = setup();
+        drive_demand(&pool, &mut e, 3, SimTime::ZERO);
         step(&mut ctl, &pool, &mut e, SimTime::ZERO);
-        let id = pool.sharded().id_of(&pool.key_of(&cfg())).unwrap();
+        let id = pool.id_of(&pool.key_of(&cfg())).unwrap();
         assert!(ctl.last_predictions().iter().any(|&(k, _)| k == id));
     }
 
@@ -533,13 +533,13 @@ mod tests {
         let (mut e, mut pool, mut ctl) = setup();
         pool.set_gc_intervals(2);
         let key = pool.key_of(&cfg());
-        drive_demand(&mut pool, &mut e, 2, SimTime::ZERO);
+        drive_demand(&pool, &mut e, 2, SimTime::ZERO);
         step(&mut ctl, &pool, &mut e, SimTime::ZERO);
         assert_eq!(ctl.predictor_count(), 1);
         // Empty the slot behind the controller's back (eviction under
         // memory pressure would do the same).
         while pool
-            .retire_one(&mut e, &key, SimTime::from_secs(1))
+            .retire_one(&ExclusiveEngine::new(&mut e), &key, SimTime::from_secs(1))
             .unwrap()
             .is_some()
         {}
@@ -586,21 +586,23 @@ mod tests {
                     let c = &configs[ci];
                     match op {
                         0 => {
-                            drive_config_demand(&mut pf, &mut ef, c, n, now);
-                            drive_config_demand(&mut pd, &mut ed, c, n, now);
+                            drive_config_demand(&pf, &mut ef, c, n, now);
+                            drive_config_demand(&pd, &mut ed, c, n, now);
                         }
                         1 => {
-                            pf.prewarm(&mut ef, c, now).unwrap();
-                            pd.prewarm(&mut ed, c, now).unwrap();
+                            pf.prewarm(&ExclusiveEngine::new(&mut ef), c, now).unwrap();
+                            pd.prewarm(&ExclusiveEngine::new(&mut ed), c, now).unwrap();
                         }
                         _ => {
-                            pf.retire_one(&mut ef, &pf.key_of(c), now).unwrap();
-                            pd.retire_one(&mut ed, &pd.key_of(c), now).unwrap();
+                            pf.retire_one(&ExclusiveEngine::new(&mut ef), &pf.key_of(c), now)
+                                .unwrap();
+                            pd.retire_one(&ExclusiveEngine::new(&mut ed), &pd.key_of(c), now)
+                                .unwrap();
                         }
                     }
                 }
                 let rf = cf
-                    .step_full(pf.sharded(), &ExclusiveEngine::new(&mut ef), now)
+                    .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
                     .unwrap();
                 let rd = step(&mut cd, &pd, &mut ed, now);
                 assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");

@@ -14,10 +14,15 @@
 //!   with identical parameter configurations are the same type of runtime".
 //!   The future-work fuzzy matching (reuse on a parameter subset, applying
 //!   the differences at acquire time) ships as [`key::KeyPolicy::Fuzzy`].
-//! * [`pool`] — **Container runtime pool** (Fig. 7 + Algorithms 1–2): a
-//!   key-value store from runtime key to available/in-use container lists,
-//!   with the `num_avail` bookkeeping, used-container cleanup (wipe + fresh
-//!   volume), and oldest-first forced termination.
+//! * [`shard`] — **Container runtime pool** (Fig. 7 + Algorithms 1–2),
+//!   [`shard::ShardedPool`]: a key-value store from runtime key to
+//!   available/in-use containers, with the `num_avail` bookkeeping,
+//!   used-container cleanup (wipe + fresh volume), and oldest-first forced
+//!   termination. It is the one pool type: runtime keys are spread over N
+//!   independently locked shards so warm paths for different runtime types
+//!   never contend, and container creation happens outside every shard lock.
+//!   Single-threaded callers reach it through an [`ExclusiveEngine`] borrow,
+//!   concurrent ones through their engine mutex.
 //! * [`controller`] — **Adaptive live container management** (Algorithm 3):
 //!   per-key demand history at a fixed control interval, predicted with the
 //!   combined exponential-smoothing + Markov model, pre-warming and retiring
@@ -30,10 +35,6 @@
 //!   the [`faas::RuntimeProvider`] trait so the unmodified gateway can run
 //!   with HotC ("does not involve disruptive changes to the existing
 //!   architecture").
-//! * [`shard`] — the sharded concurrent pool ([`shard::ShardedPool`]):
-//!   runtime keys are hashed onto N independently locked shards so warm
-//!   paths for different runtime types never contend, and container
-//!   creation happens outside every shard lock.
 //! * [`concurrent`] — [`concurrent::ShardedGateway`], the thread-safe
 //!   frontend for the parallel-request experiments and contention
 //!   benchmarks. Together with the single-threaded [`faas::Gateway`] it is
@@ -42,8 +43,19 @@
 //!
 //! One spelling per pool-control operation: [`PoolLimits`] and
 //! [`AdaptiveController`] entry points all take `(&ShardedPool, &impl
-//! EngineRef, now)`; [`HotC`] passes `pool.sharded()` and an
-//! [`ExclusiveEngine`], the sharded gateway its pool and engine mutex.
+//! EngineRef, now)`; [`HotC`] passes its pool and an [`ExclusiveEngine`],
+//! the sharded gateway its pool and engine mutex.
+//!
+//! ## Algorithms 1 and 2 on the pool
+//!
+//! States follow Fig. 7: *Not-Existing (-1)*, *Existing-Not-Available (0)*
+//! (running a request), *Existing-Available (1)* (idle in the pool, clean,
+//! ready for reuse). Algorithm 1 (`acquire`) reuses the first available
+//! container of the requested type or cold-starts one; Algorithm 2
+//! (`release`) cleans the used container (wipe volume + remount) and returns
+//! it to the pool, incrementing `num_avail[key]`. The example on
+//! [`ShardedPool`] walks one container through cold start, clean-up and
+//! reuse.
 //!
 //! ## Quickstart
 //!
@@ -68,7 +80,6 @@ pub mod controller;
 pub mod key;
 pub mod limits;
 pub mod middleware;
-pub mod pool;
 pub mod shard;
 
 pub use concurrent::{FunctionHandle, ShardedGateway};
@@ -76,5 +87,4 @@ pub use controller::{AdaptiveController, ControllerConfig};
 pub use key::{KeyId, KeyInterner, KeyPolicy, RuntimeKey};
 pub use limits::PoolLimits;
 pub use middleware::{HotC, HotCConfig};
-pub use pool::ContainerPool;
 pub use shard::{EngineRef, ExclusiveEngine, ShardSnapshot, ShardedPool, DEFAULT_SHARDS};

@@ -92,14 +92,13 @@ impl stdshim::ToJson for PoolLimits {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
-    use crate::pool::ContainerPool;
     use crate::shard::ExclusiveEngine;
     use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 
-    fn setup() -> (ContainerEngine, ContainerPool) {
+    fn setup() -> (ContainerEngine, ShardedPool) {
         (
             ContainerEngine::with_local_images(HardwareProfile::server()),
-            ContainerPool::new(KeyPolicy::Exact),
+            ShardedPool::new(KeyPolicy::Exact),
         )
     }
 
@@ -107,14 +106,14 @@ mod tests {
         ContainerConfig::bridge(ImageId::parse("alpine:3.12"))
     }
 
-    fn violated(limits: &PoolLimits, pool: &ContainerPool, e: &mut ContainerEngine) -> bool {
-        limits.violated(pool.sharded(), &ExclusiveEngine::new(e))
+    fn violated(limits: &PoolLimits, pool: &ShardedPool, e: &mut ContainerEngine) -> bool {
+        limits.violated(pool, &ExclusiveEngine::new(e))
     }
 
-    fn enforce(limits: &PoolLimits, pool: &ContainerPool, e: &mut ContainerEngine, secs: u64) {
+    fn enforce(limits: &PoolLimits, pool: &ShardedPool, e: &mut ContainerEngine, secs: u64) {
         let engine = ExclusiveEngine::new(e);
         let (cost, evicted) = limits
-            .enforce(pool.sharded(), &engine, SimTime::from_secs(secs))
+            .enforce(pool, &engine, SimTime::from_secs(secs))
             .unwrap();
         assert_eq!(cost.is_zero(), evicted == 0);
     }
@@ -128,10 +127,11 @@ mod tests {
 
     #[test]
     fn enforce_trims_to_max_live() {
-        let (mut e, mut pool) = setup();
+        let (mut e, pool) = setup();
         let limits = PoolLimits::new(3, 0.99);
         for i in 0..6 {
-            pool.prewarm(&mut e, &cfg(), SimTime::from_secs(i)).unwrap();
+            pool.prewarm(&ExclusiveEngine::new(&mut e), &cfg(), SimTime::from_secs(i))
+                .unwrap();
         }
         assert!(violated(&limits, &pool, &mut e));
         enforce(&limits, &pool, &mut e, 10);
@@ -145,11 +145,13 @@ mod tests {
 
     #[test]
     fn enforce_stops_when_only_busy_remain() {
-        let (mut e, mut pool) = setup();
+        let (mut e, pool) = setup();
         let limits = PoolLimits::new(1, 0.99);
         // Two busy containers (never released): cannot be evicted.
-        pool.acquire(&mut e, &cfg(), SimTime::ZERO).unwrap();
-        pool.acquire(&mut e, &cfg(), SimTime::ZERO).unwrap();
+        pool.acquire(&ExclusiveEngine::new(&mut e), &cfg(), SimTime::ZERO)
+            .unwrap();
+        pool.acquire(&ExclusiveEngine::new(&mut e), &cfg(), SimTime::ZERO)
+            .unwrap();
         assert!(violated(&limits, &pool, &mut e));
         enforce(&limits, &pool, &mut e, 1);
         // Still violated, but enforce terminated rather than spinning.
@@ -160,11 +162,12 @@ mod tests {
     fn memory_pressure_triggers_eviction() {
         // A tiny edge host: Pi with 1 GB. JVM containers at ~49 MB idle each.
         let mut e = ContainerEngine::with_local_images(HardwareProfile::raspberry_pi3());
-        let mut pool = ContainerPool::new(KeyPolicy::Exact);
+        let pool = ShardedPool::new(KeyPolicy::Exact);
         let jvm = ContainerConfig::bridge(ImageId::parse("openjdk:8-jre"));
         let limits = PoolLimits::new(500, 0.5);
         for i in 0..12 {
-            pool.prewarm(&mut e, &jvm, SimTime::from_secs(i)).unwrap();
+            pool.prewarm(&ExclusiveEngine::new(&mut e), &jvm, SimTime::from_secs(i))
+                .unwrap();
         }
         assert!(e.host().memory_pressure() > 0.5);
         enforce(&limits, &pool, &mut e, 20);

@@ -10,14 +10,13 @@
 use crate::controller::{AdaptiveController, ControllerConfig};
 use crate::key::KeyPolicy;
 use crate::limits::PoolLimits;
-use crate::pool::ContainerPool;
-use crate::shard::ExclusiveEngine;
+use crate::shard::{ExclusiveEngine, ShardedPool};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use faas::{Acquisition, RuntimeProvider};
 use simclock::{SimDuration, SimTime};
 
 /// Top-level HotC configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HotCConfig {
     /// Runtime-key matching policy.
     pub key_policy: KeyPolicy,
@@ -28,25 +27,11 @@ pub struct HotCConfig {
     /// Disable the predictor entirely (pure reactive reuse) — the ablation
     /// comparing "pool only" against "pool + adaptive control".
     pub disable_prediction: bool,
-    /// Number of pool shards (concurrent frontends; 1 = a single lock).
-    pub shards: usize,
-}
-
-impl Default for HotCConfig {
-    fn default() -> Self {
-        HotCConfig {
-            key_policy: KeyPolicy::default(),
-            limits: PoolLimits::default(),
-            controller: ControllerConfig::default(),
-            disable_prediction: false,
-            shards: crate::shard::DEFAULT_SHARDS,
-        }
-    }
 }
 
 /// The HotC runtime manager.
 pub struct HotC {
-    pool: ContainerPool,
+    pool: ShardedPool,
     controller: AdaptiveController,
     limits: PoolLimits,
     disable_prediction: bool,
@@ -58,7 +43,7 @@ impl HotC {
     /// Builds HotC from a configuration.
     pub fn new(config: HotCConfig) -> Self {
         HotC {
-            pool: ContainerPool::with_shards(config.key_policy, config.shards),
+            pool: ShardedPool::new(config.key_policy),
             controller: AdaptiveController::new(config.controller),
             limits: config.limits,
             disable_prediction: config.disable_prediction,
@@ -74,7 +59,7 @@ impl HotC {
     }
 
     /// Pool inspection.
-    pub fn pool(&self) -> &ContainerPool {
+    pub fn pool(&self) -> &ShardedPool {
         &self.pool
     }
 
@@ -91,7 +76,7 @@ impl HotC {
     ) -> Result<(), EngineError> {
         let (cost, evicted) =
             self.limits
-                .enforce(self.pool.sharded(), &ExclusiveEngine::new(engine), now)?;
+                .enforce(&self.pool, &ExclusiveEngine::new(engine), now)?;
         self.background += cost;
         self.forced_evictions += evicted as u64;
         Ok(())
@@ -105,7 +90,9 @@ impl RuntimeProvider for HotC {
         config: &ContainerConfig,
         now: SimTime,
     ) -> Result<Acquisition, EngineError> {
-        let acq = self.pool.acquire(engine, config, now)?;
+        let acq = self
+            .pool
+            .acquire(&ExclusiveEngine::new(engine), config, now)?;
         if acq.cold {
             // A cold start may have pushed the pool over its limits.
             self.enforce_limits(engine, now)?;
@@ -119,14 +106,16 @@ impl RuntimeProvider for HotC {
         container: ContainerId,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        self.background += self.pool.release(engine, container, now)?;
+        self.background += self
+            .pool
+            .release(&ExclusiveEngine::new(engine), container, now)?;
         Ok(())
     }
 
     fn tick(&mut self, engine: &mut ContainerEngine, now: SimTime) -> Result<(), EngineError> {
         if !self.disable_prediction {
             self.controller
-                .maybe_step(self.pool.sharded(), &ExclusiveEngine::new(engine), now)?;
+                .maybe_step(&self.pool, &ExclusiveEngine::new(engine), now)?;
         }
         self.enforce_limits(engine, now)
     }

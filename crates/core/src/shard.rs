@@ -93,8 +93,8 @@ impl EngineRef for Mutex<ContainerEngine> {
     }
 }
 
-/// [`EngineRef`] over an exclusive borrow, for single-threaded callers
-/// (`ContainerPool`, the HotC provider) that already own `&mut` access.
+/// [`EngineRef`] over an exclusive borrow, for single-threaded callers (the
+/// HotC provider) that already own `&mut` access.
 pub struct ExclusiveEngine<'a> {
     inner: std::cell::RefCell<&'a mut ContainerEngine>,
 }
@@ -483,6 +483,34 @@ enum SlowClaim {
 /// the per-shard mutexes serialize occupancy changes of keys that hash to
 /// the same shard. Engine work happens outside any shard lock via
 /// [`EngineRef`].
+///
+/// ```
+/// use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
+/// use hotc::{ExclusiveEngine, KeyPolicy, ShardedPool};
+/// use simclock::SimTime;
+///
+/// let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+/// let pool = ShardedPool::new(KeyPolicy::Exact);
+/// let config = ContainerConfig::bridge(ImageId::parse("python:3.8-alpine"));
+///
+/// // Algorithm 1: first acquire cold-starts, …
+/// let first = pool
+///     .acquire(&ExclusiveEngine::new(&mut engine), &config, SimTime::ZERO)
+///     .unwrap();
+/// assert!(first.cold);
+/// # let out = engine.begin_exec(first.container,
+/// #     containersim::engine::ExecWork::light(simclock::SimDuration::from_millis(1)),
+/// #     SimTime::ZERO).unwrap();
+/// # engine.end_exec(first.container, SimTime::ZERO + out.latency).unwrap();
+/// // … Algorithm 2 cleans and re-pools, and the next acquire reuses.
+/// pool.release(&ExclusiveEngine::new(&mut engine), first.container, SimTime::from_secs(1))
+///     .unwrap();
+/// let second = pool
+///     .acquire(&ExclusiveEngine::new(&mut engine), &config, SimTime::from_secs(2))
+///     .unwrap();
+/// assert!(!second.cold);
+/// assert_eq!(second.container, first.container);
+/// ```
 #[derive(Debug)]
 pub struct ShardedPool {
     policy: KeyPolicy,
@@ -677,32 +705,25 @@ impl ShardedPool {
     /// Algorithm 1: obtain a runtime for `config`. Reuses the first
     /// available container of the same type if one exists, otherwise starts
     /// a new container — with the creation outside the shard lock, so cold
-    /// starts of different types overlap.
+    /// starts of different types overlap. The reuse cost is zero, or the
+    /// fuzzy reconfiguration cost when configs differ under a fuzzy key. A
+    /// failed cold start records nothing: no phantom slot is left behind.
     pub fn acquire(
         &self,
         engine: &impl EngineRef,
         config: &ContainerConfig,
         now: SimTime,
     ) -> Result<Acquisition, EngineError> {
-        self.acquire_detailed(engine, config, now).map(Into::into)
-    }
-
-    /// [`Self::acquire`] with the extra pool-side detail ([`PoolAcquisition`])
-    /// the concurrent frontend uses to avoid engine round trips.
-    pub fn acquire_detailed(
-        &self,
-        engine: &impl EngineRef,
-        config: &ContainerConfig,
-        now: SimTime,
-    ) -> Result<PoolAcquisition, EngineError> {
         let id = self.interner.intern(config);
-        self.acquire_id(engine, id, config, now)
+        self.acquire_id(engine, id, config, now).map(Into::into)
     }
 
-    /// [`Self::acquire_detailed`] with a pre-interned key id: callers that
-    /// serve the same function repeatedly (the sharded gateway) intern the
-    /// key once at registration instead of even fingerprinting the
-    /// configuration per request. `id` must be `self.intern_config(config)`.
+    /// [`Self::acquire`] with a pre-interned key id and the extra pool-side
+    /// detail ([`PoolAcquisition`]) the concurrent frontend uses to avoid
+    /// engine round trips: callers that serve the same function repeatedly
+    /// (the sharded gateway) intern the key once at registration instead of
+    /// even fingerprinting the configuration per request. `id` must be
+    /// `self.intern_config(config)`.
     ///
     /// A warm hit takes **zero locks**: an `avail`-bit CAS claims the slot,
     /// the packed entry yields the container. Only a miss (no warm
@@ -1177,19 +1198,6 @@ impl ShardedPool {
         }
     }
 
-    /// [`Self::prewarm_key_id`] by canonical key (compatibility path).
-    pub fn prewarm_key(
-        &self,
-        engine: &impl EngineRef,
-        key: &RuntimeKey,
-        now: SimTime,
-    ) -> Result<Option<SimDuration>, EngineError> {
-        match self.id_of(key) {
-            Some(id) => self.prewarm_key_id(engine, id, now),
-            None => Ok(None),
-        }
-    }
-
     /// Retires one available container of the given type (adaptive
     /// controller's scale-down action). Returns the teardown cost, or `None`
     /// if none was available.
@@ -1337,32 +1345,20 @@ impl ShardedPool {
             .map_or(0, Slot::avail_now)
     }
 
-    /// In-use containers of the given type (including releases in transit
-    /// through their engine critical section).
-    pub fn num_in_use_id(&self, id: KeyId) -> usize {
-        self.shard(id)
-            .lock()
-            .slots
-            .get(&id)
-            .map_or(0, |s| s.ks.in_use_total.load(Ordering::Relaxed))
-    }
-
-    /// `(available, in_use)` for a key id in one lock acquisition — the
-    /// controller's per-key sizing read.
-    pub fn live_of_id(&self, id: KeyId) -> (usize, usize) {
-        self.shard(id).lock().slots.get(&id).map_or((0, 0), |s| {
-            (s.avail_now(), s.ks.in_use_total.load(Ordering::Relaxed))
-        })
-    }
-
     /// [`Self::num_avail_id`] by canonical key (compatibility path).
     pub fn num_avail(&self, key: &RuntimeKey) -> usize {
         self.id_of(key).map_or(0, |id| self.num_avail_id(id))
     }
 
-    /// [`Self::num_in_use_id`] by canonical key (compatibility path).
+    /// In-use containers of the given type (including releases in transit
+    /// through their engine critical section).
     pub fn num_in_use(&self, key: &RuntimeKey) -> usize {
-        self.id_of(key).map_or(0, |id| self.num_in_use_id(id))
+        let Some(id) = self.id_of(key) else { return 0 };
+        self.shard(id)
+            .lock()
+            .slots
+            .get(&id)
+            .map_or(0, |s| s.ks.in_use_total.load(Ordering::Relaxed))
     }
 
     /// Total live containers tracked by the pool (available + in use).
@@ -1787,14 +1783,33 @@ pub mod model_api {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::FUZZY_RECONFIG_COST;
+    use containersim::container::ExecOptions;
     use containersim::engine::ExecWork;
-    use containersim::{HardwareProfile, ImageId};
+    use containersim::{ContainerState, HardwareProfile, ImageId, ImageRegistry};
+
+    fn plain_engine() -> ContainerEngine {
+        ContainerEngine::with_local_images(HardwareProfile::server())
+    }
 
     fn engine() -> Mutex<ContainerEngine> {
-        Mutex::labeled(
-            ContainerEngine::with_local_images(HardwareProfile::server()),
-            "core/engine",
-        )
+        Mutex::labeled(plain_engine(), "core/engine")
+    }
+
+    /// `HotC`'s calling convention: a fresh exclusive engine borrow per pool
+    /// call, the engine free for direct use in between.
+    fn ex(engine: &mut ContainerEngine) -> ExclusiveEngine<'_> {
+        ExclusiveEngine::new(engine)
+    }
+
+    /// Runs one light execution on an acquired container.
+    fn exec(e: &impl EngineRef, container: ContainerId, now: SimTime) {
+        e.with_engine(|e| {
+            let out = e
+                .begin_exec(container, ExecWork::light(SimDuration::from_millis(1)), now)
+                .unwrap();
+            e.end_exec(container, now + out.latency).unwrap();
+        });
     }
 
     fn cfg(image: &str) -> ContainerConfig {
@@ -1813,29 +1828,27 @@ mod tests {
         }
     }
 
+    /// Algorithm 1 then 2 then 1: cold start, clean + re-pool, reuse.
+    fn round_trip(pool: &ShardedPool, e: &impl EngineRef) {
+        let c = cfg("alpine:3.12");
+        let a = pool.acquire(e, &c, SimTime::ZERO).unwrap();
+        assert!(a.cold, "first request cold-starts");
+        exec(e, a.container, SimTime::ZERO);
+        pool.release(e, a.container, SimTime::from_secs(1)).unwrap();
+        assert_eq!(pool.num_avail(&pool.key_of(&c)), 1);
+        let b = pool.acquire(e, &c, SimTime::from_secs(2)).unwrap();
+        assert!(!b.cold, "second request reuses");
+        assert_eq!(b.container, a.container);
+        assert!(b.cost.is_zero());
+    }
+
     #[test]
     fn acquire_release_round_trip_through_shards() {
-        let e = engine();
-        let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
-        let c = cfg("alpine:3.12");
-        let a = pool.acquire(&e, &c, SimTime::ZERO).unwrap();
-        assert!(a.cold);
-        e.with_engine(|e| {
-            let out = e
-                .begin_exec(
-                    a.container,
-                    ExecWork::light(SimDuration::from_millis(1)),
-                    SimTime::ZERO,
-                )
-                .unwrap();
-            e.end_exec(a.container, SimTime::ZERO + out.latency)
-                .unwrap();
-        });
-        pool.release(&e, a.container, SimTime::from_secs(1))
-            .unwrap();
-        let b = pool.acquire(&e, &c, SimTime::from_secs(2)).unwrap();
-        assert!(!b.cold);
-        assert_eq!(b.container, a.container);
+        round_trip(&ShardedPool::with_shards(KeyPolicy::Exact, 4), &engine());
+        round_trip(
+            &ShardedPool::new(KeyPolicy::Exact),
+            &ex(&mut plain_engine()),
+        );
     }
 
     #[test]
@@ -1844,7 +1857,7 @@ mod tests {
         let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
         let c = cfg("alpine:3.12");
         let id = pool.intern_config(&c);
-        let a = pool.acquire_detailed(&e, &c, SimTime::ZERO).unwrap();
+        let a = pool.acquire_id(&e, id, &c, SimTime::ZERO).unwrap();
         assert!(a.slot.is_some(), "cold start should land in the bitmap");
         e.with_engine(|e| {
             let out = e
@@ -1859,9 +1872,7 @@ mod tests {
         });
         pool.release(&e, a.container, SimTime::from_secs(1))
             .unwrap();
-        let b = pool
-            .acquire_detailed(&e, &c, SimTime::from_secs(2))
-            .unwrap();
+        let b = pool.acquire_id(&e, id, &c, SimTime::from_secs(2)).unwrap();
         assert!(!b.cold);
         assert!(!b.first_exec, "reused container has executed before");
         assert_eq!(b.slot, a.slot, "container keeps its slot across reuse");
@@ -1870,30 +1881,32 @@ mod tests {
         assert_eq!(pool.note_app(id, b.slot.unwrap(), 7), Some(7));
     }
 
+    /// Regression (double release): the second release of the same
+    /// container must fail instead of double-pooling the id.
+    fn double_release(pool: &ShardedPool, e: &impl EngineRef) {
+        let c = cfg("alpine:3.12");
+        let a = pool.acquire(e, &c, SimTime::ZERO).unwrap();
+        exec(e, a.container, SimTime::ZERO);
+        pool.release(e, a.container, SimTime::from_secs(1)).unwrap();
+        let err = pool
+            .release(e, a.container, SimTime::from_secs(2))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::InvalidState { .. }));
+        assert_eq!(pool.total_available(), 1, "exactly one pooled copy");
+        assert_eq!(pool.total_live(), 1);
+        // The pooled copy still round-trips.
+        let again = pool.acquire(e, &c, SimTime::from_secs(3)).unwrap();
+        assert!(!again.cold);
+        assert_eq!(again.container, a.container);
+    }
+
     #[test]
     fn double_release_is_rejected_not_double_pooled() {
-        let e = engine();
-        let pool = ShardedPool::with_shards(KeyPolicy::Exact, 2);
-        let c = cfg("alpine:3.12");
-        let a = pool.acquire(&e, &c, SimTime::ZERO).unwrap();
-        e.with_engine(|e| {
-            let out = e
-                .begin_exec(
-                    a.container,
-                    ExecWork::light(SimDuration::from_millis(1)),
-                    SimTime::ZERO,
-                )
-                .unwrap();
-            e.end_exec(a.container, SimTime::ZERO + out.latency)
-                .unwrap();
-        });
-        pool.release(&e, a.container, SimTime::from_secs(1))
-            .unwrap();
-        assert!(pool
-            .release(&e, a.container, SimTime::from_secs(2))
-            .is_err());
-        assert_eq!(pool.total_available(), 1, "no double-pooling");
-        assert_eq!(pool.total_live(), 1);
+        double_release(&ShardedPool::with_shards(KeyPolicy::Exact, 2), &engine());
+        double_release(
+            &ShardedPool::new(KeyPolicy::Exact),
+            &ex(&mut plain_engine()),
+        );
     }
 
     #[test]
@@ -2008,5 +2021,406 @@ mod tests {
             containersim::ContainerState::Removed
         );
         assert_eq!(pool.total_available(), 2);
+    }
+
+    // Algorithms 1-2 and the pool's bookkeeping contract, driven the way
+    // `HotC` drives the pool (exclusive engine, default shard count).
+
+    fn run_request(
+        pool: &ShardedPool,
+        engine: &mut ContainerEngine,
+        config: &ContainerConfig,
+        now: SimTime,
+    ) -> Acquisition {
+        let acq = pool.acquire(&ex(engine), config, now).unwrap();
+        let out = engine
+            .begin_exec(
+                acq.container,
+                ExecWork::light(SimDuration::from_millis(10)),
+                now,
+            )
+            .unwrap();
+        engine.end_exec(acq.container, now + out.latency).unwrap();
+        pool.release(&ex(engine), acq.container, now + out.latency)
+            .unwrap();
+        acq
+    }
+
+    #[test]
+    fn num_avail_bookkeeping_matches_algorithms() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let c = cfg("alpine:3.12");
+        let key = pool.key_of(&c);
+
+        let acq = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
+        assert_eq!(pool.num_avail(&key), 0);
+        assert_eq!(pool.num_in_use(&key), 1);
+
+        let out = e
+            .begin_exec(
+                acq.container,
+                ExecWork::light(SimDuration::from_millis(5)),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        e.end_exec(acq.container, SimTime::ZERO + out.latency)
+            .unwrap();
+        pool.release(&ex(&mut e), acq.container, SimTime::from_secs(1))
+            .unwrap();
+        assert_eq!(pool.num_avail(&key), 1);
+        assert_eq!(pool.num_in_use(&key), 0);
+    }
+
+    #[test]
+    fn occupied_containers_trigger_new_start() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let c = cfg("alpine:3.12");
+        // Acquire twice without releasing: both cold, two containers.
+        let a1 = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
+        let a2 = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
+        assert!(a1.cold && a2.cold);
+        assert_ne!(a1.container, a2.container);
+        assert_eq!(pool.total_live(), 2);
+    }
+
+    #[test]
+    fn different_types_never_share() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        run_request(&pool, &mut e, &cfg("python:3.8-alpine"), SimTime::ZERO);
+        let b = run_request(&pool, &mut e, &cfg("golang:1.13"), SimTime::from_secs(1));
+        assert!(b.cold, "different image must not reuse python runtime");
+    }
+
+    #[test]
+    fn exact_policy_rejects_env_mismatch_fuzzy_accepts() {
+        let base = cfg("python:3.8-alpine");
+        let with_env = base
+            .clone()
+            .with_exec(ExecOptions::default().with_env("MODE", "fast"));
+
+        // Exact: env difference ⇒ cold.
+        let mut e = plain_engine();
+        let exact = ShardedPool::new(KeyPolicy::Exact);
+        run_request(&exact, &mut e, &base, SimTime::ZERO);
+        let a = run_request(&exact, &mut e, &with_env, SimTime::from_secs(1));
+        assert!(a.cold);
+
+        // Fuzzy: same image+network ⇒ reuse with a reconfig cost.
+        let mut e2 = plain_engine();
+        let fuzzy = ShardedPool::new(KeyPolicy::Fuzzy);
+        run_request(&fuzzy, &mut e2, &base, SimTime::ZERO);
+        let b = fuzzy
+            .acquire(&ex(&mut e2), &with_env, SimTime::from_secs(1))
+            .unwrap();
+        assert!(!b.cold);
+        assert_eq!(b.cost, FUZZY_RECONFIG_COST);
+    }
+
+    #[test]
+    fn prewarm_makes_next_request_warm() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let c = cfg("openjdk:8-jre");
+        let cost = pool.prewarm(&ex(&mut e), &c, SimTime::ZERO).unwrap();
+        assert!(!cost.is_zero());
+        let acq = pool
+            .acquire(&ex(&mut e), &c, SimTime::from_secs(1))
+            .unwrap();
+        assert!(!acq.cold, "prewarmed container serves the request");
+    }
+
+    #[test]
+    fn retire_and_evict() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let c = cfg("alpine:3.12");
+        let key = pool.key_of(&c);
+        for i in 0..3 {
+            pool.prewarm(&ex(&mut e), &c, SimTime::from_secs(i))
+                .unwrap();
+        }
+        assert_eq!(pool.num_avail(&key), 3);
+
+        let retired = pool
+            .retire_one(&ex(&mut e), &key, SimTime::from_secs(10))
+            .unwrap();
+        assert!(retired.is_some());
+        assert_eq!(pool.num_avail(&key), 2);
+        assert_eq!(e.live_count(), 2);
+
+        // Eviction removes the *oldest* (created at t=1 after the retire
+        // popped the t=0 one from the FIFO front).
+        let ids = e.live_ids_oldest_first();
+        pool.evict_oldest(&ex(&mut e), SimTime::from_secs(11))
+            .unwrap();
+        assert_eq!(e.state(ids[0]), ContainerState::Removed);
+        assert_eq!(pool.num_avail(&key), 1);
+    }
+
+    #[test]
+    fn evict_on_empty_pool_is_none() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        assert!(pool
+            .evict_oldest(&ex(&mut e), SimTime::ZERO)
+            .unwrap()
+            .is_none());
+        let key = pool.key_of(&cfg("alpine:3.12"));
+        assert!(pool
+            .retire_one(&ex(&mut e), &key, SimTime::ZERO)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn pool_codes_match_fig7() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let c = cfg("alpine:3.12");
+
+        let acq = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
+        // In use ⇒ Existing-Not-Available (0).
+        assert_eq!(pool.pool_code(&e, acq.container), 0);
+
+        let out = e
+            .begin_exec(
+                acq.container,
+                ExecWork::light(SimDuration::from_millis(5)),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        e.end_exec(acq.container, SimTime::ZERO + out.latency)
+            .unwrap();
+        pool.release(&ex(&mut e), acq.container, SimTime::from_secs(1))
+            .unwrap();
+        // Available ⇒ 1.
+        assert_eq!(pool.pool_code(&e, acq.container), 1);
+
+        let key = pool.key_of(&c);
+        pool.retire_one(&ex(&mut e), &key, SimTime::from_secs(2))
+            .unwrap();
+        // Gone ⇒ -1.
+        assert_eq!(pool.pool_code(&e, acq.container), -1);
+    }
+
+    #[test]
+    fn demand_snapshot_reports_watermark_and_resets() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let c = cfg("alpine:3.12");
+        // Three concurrent acquisitions.
+        let acqs: Vec<_> = (0..3)
+            .map(|_| pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap())
+            .collect();
+        for acq in &acqs {
+            let out = e
+                .begin_exec(
+                    acq.container,
+                    ExecWork::light(SimDuration::from_millis(5)),
+                    SimTime::ZERO,
+                )
+                .unwrap();
+            e.end_exec(acq.container, SimTime::ZERO + out.latency)
+                .unwrap();
+            pool.release(&ex(&mut e), acq.container, SimTime::from_secs(1))
+                .unwrap();
+        }
+        let snap = pool.take_demand_snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap[0].1, 3, "watermark saw 3 concurrent");
+        // After reset with nothing in use, next snapshot reports 0.
+        let snap2 = pool.take_demand_snapshot();
+        assert_eq!(snap2[0].1, 0);
+    }
+
+    /// Regression (phantom slots): a failed cold start must not record a
+    /// slot — before the fix, `acquire` inserted the slot before calling
+    /// `create_container`, so an unknown image left an empty slot that
+    /// `take_demand_snapshot` reported forever.
+    #[test]
+    fn failed_cold_start_leaves_no_phantom_slot() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let err = pool
+            .acquire(&ex(&mut e), &cfg("no-such-image:1.0"), SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, EngineError::UnknownImage(_)));
+        assert!(
+            pool.keys().is_empty(),
+            "failed create must not leave a slot"
+        );
+        assert!(pool.take_demand_snapshot().is_empty());
+    }
+
+    /// Same, for an image the registry knows but whose pull fails validation
+    /// — any create error path must leave the pool untouched.
+    #[test]
+    fn failed_cold_start_never_pollutes_existing_slot_set() {
+        let registry = ImageRegistry::with_default_catalogue();
+        let mut e = ContainerEngine::new(registry, HardwareProfile::server());
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        run_request(&pool, &mut e, &cfg("alpine:3.12"), SimTime::ZERO);
+        let before = pool.keys();
+        let _ = pool
+            .acquire(&ex(&mut e), &cfg("ghost:0.0"), SimTime::from_secs(1))
+            .unwrap_err();
+        assert_eq!(pool.keys(), before);
+    }
+
+    /// Regression (release without acquire): before the fix a release of a
+    /// container the pool never handed out `saturating_sub`'d `in_use` and
+    /// pushed the id into `available` — the same container could then serve
+    /// two requests at once. Now it's an error and the pool is unchanged.
+    #[test]
+    fn release_of_unacquired_container_is_rejected() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        // A container created behind the pool's back.
+        let (stray, _) = e
+            .create_container(cfg("alpine:3.12"), SimTime::ZERO)
+            .unwrap();
+        let err = pool
+            .release(&ex(&mut e), stray, SimTime::from_secs(1))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::InvalidState { id, .. } if id == stray));
+        let key = pool.key_of(&cfg("alpine:3.12"));
+        assert_eq!(pool.num_avail(&key), 0, "stray id must not be pooled");
+        assert_eq!(pool.num_in_use(&key), 0);
+        assert_eq!(e.state(stray), ContainerState::Idle, "engine untouched");
+    }
+
+    /// A failed cleanup (release while still Running) must leave the
+    /// container claimable, not stranded outside the bookkeeping.
+    #[test]
+    fn failed_cleanup_keeps_container_in_use() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let c = cfg("alpine:3.12");
+        let acq = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
+        e.begin_exec(
+            acq.container,
+            ExecWork::light(SimDuration::from_millis(5)),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        // Still Running: the engine rejects the cleanup.
+        let err = pool
+            .release(&ex(&mut e), acq.container, SimTime::from_secs(1))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::InvalidState { .. }));
+        let key = pool.key_of(&c);
+        assert_eq!(pool.num_in_use(&key), 1, "claim handed back on failure");
+        // Finish properly and the release succeeds.
+        e.end_exec(acq.container, SimTime::from_secs(2)).unwrap();
+        pool.release(&ex(&mut e), acq.container, SimTime::from_secs(3))
+            .unwrap();
+        assert_eq!(pool.num_avail(&key), 1);
+    }
+
+    /// Regression (unbounded slot maps): a slot whose containers have all
+    /// been retired is garbage-collected after the configured number of
+    /// consecutive zero-demand snapshots, so `keys()` and the controller's
+    /// predictor maps stop growing across distinct configs.
+    #[test]
+    fn empty_slots_are_garbage_collected() {
+        let mut e = plain_engine();
+        let mut pool = ShardedPool::new(KeyPolicy::Exact);
+        pool.set_gc_intervals(2);
+        let c = cfg("alpine:3.12");
+        let key = pool.key_of(&c);
+        run_request(&pool, &mut e, &c, SimTime::ZERO);
+        pool.retire_one(&ex(&mut e), &key, SimTime::from_secs(1))
+            .unwrap();
+        assert_eq!(pool.total_live(), 0);
+
+        // First zero-demand snapshot still reports the key (it served
+        // traffic this interval)…
+        let snap = pool.take_demand_snapshot();
+        assert_eq!(snap.len(), 1);
+        // …the next two empty intervals reach the threshold and GC it.
+        assert_eq!(pool.take_demand_snapshot().len(), 1);
+        assert!(pool.take_demand_snapshot().is_empty());
+        assert!(pool.keys().is_empty());
+
+        // A slot with an idle container is never GC'd.
+        pool.prewarm(&ex(&mut e), &c, SimTime::from_secs(100))
+            .unwrap();
+        for _ in 0..5 {
+            assert_eq!(pool.take_demand_snapshot().len(), 1);
+        }
+    }
+
+    /// GC'd keys come back transparently: the next request for the config
+    /// cold-starts and re-creates the slot.
+    #[test]
+    fn gc_then_reacquire_recreates_slot() {
+        let mut e = plain_engine();
+        let mut pool = ShardedPool::new(KeyPolicy::Exact);
+        pool.set_gc_intervals(1);
+        let c = cfg("golang:1.13");
+        run_request(&pool, &mut e, &c, SimTime::ZERO);
+        let key = pool.key_of(&c);
+        pool.retire_one(&ex(&mut e), &key, SimTime::from_secs(1))
+            .unwrap();
+        pool.take_demand_snapshot(); // served-traffic interval
+        pool.take_demand_snapshot(); // zero interval ⇒ GC
+        assert!(pool.keys().is_empty());
+        let acq = pool
+            .acquire(&ex(&mut e), &c, SimTime::from_secs(2))
+            .unwrap();
+        assert!(acq.cold);
+        assert_eq!(pool.keys(), vec![key]);
+    }
+
+    /// Pool invariant: total_live equals the engine's live count under
+    /// any interleaving of acquire/release/prewarm/retire/evict, and all
+    /// available containers are Idle in the engine.
+    #[test]
+    fn prop_pool_engine_consistency() {
+        testkit::check(64, |g| {
+            let ops = g.vec(1..60, |g| g.u8_in(0..5));
+            let mut e = plain_engine();
+            let pool = ShardedPool::new(KeyPolicy::Exact);
+            let configs = [cfg("alpine:3.12"), cfg("python:3.8-alpine")];
+            let mut busy: Vec<ContainerId> = Vec::new();
+            for (i, &op) in ops.iter().enumerate() {
+                let now = SimTime::from_secs(i as u64);
+                let c = &configs[i % 2];
+                match op {
+                    0 => {
+                        let acq = pool.acquire(&ex(&mut e), c, now).unwrap();
+                        let out = e
+                            .begin_exec(
+                                acq.container,
+                                ExecWork::light(SimDuration::from_millis(1)),
+                                now,
+                            )
+                            .unwrap();
+                        e.end_exec(acq.container, now + out.latency).unwrap();
+                        busy.push(acq.container);
+                    }
+                    1 => {
+                        if let Some(id) = busy.pop() {
+                            pool.release(&ex(&mut e), id, now).unwrap();
+                        }
+                    }
+                    2 => {
+                        pool.prewarm(&ex(&mut e), c, now).unwrap();
+                    }
+                    3 => {
+                        let key = pool.key_of(c);
+                        pool.retire_one(&ex(&mut e), &key, now).unwrap();
+                    }
+                    _ => {
+                        pool.evict_oldest(&ex(&mut e), now).unwrap();
+                    }
+                }
+                assert_eq!(pool.total_live(), e.live_count());
+                assert_eq!(pool.total_available() + busy.len(), e.live_count());
+            }
+        });
     }
 }

@@ -20,7 +20,7 @@ pub mod timeseries;
 pub use cdf::Cdf;
 pub use histogram::LatencyHistogram;
 pub use latency::LatencyRecorder;
-pub use registry::{Counter, Gauge, MetricsRegistry, SharedHistogram, StageSet};
+pub use registry::{Counter, Gauge, MetricsRegistry, StageSet};
 pub use snapshot::{HistogramSummary, MetricsSnapshot};
 pub use stage::{Stage, StageSample, N_STAGES};
 pub use stats::StreamingStats;

@@ -1,11 +1,13 @@
 //! Always-on metrics registry with a cheap concurrent recording path.
 //!
 //! The registry is the process-wide (or gateway-wide) home for named
-//! [`Counter`]s, [`Gauge`]s, latency [`SharedHistogram`]s, per-scope
-//! [`StageSet`]s, and sampled [`TimeSeries`]. Recording is designed for the
-//! `ShardedGateway` worker threads: counters and gauges are single relaxed
-//! atomics; histograms and stage sets are striped by thread so concurrent
-//! recorders land on different locks. Hot-path callers obtain their `Arc`
+//! [`Counter`]s, [`Gauge`]s, per-scope [`StageSet`]s, and sampled
+//! [`TimeSeries`]. Recording is designed for the `ShardedGateway` worker
+//! threads: counters and gauges are single relaxed atomics; stage sets are
+//! striped by thread so concurrent recorders land on different locks. Named
+//! latency histograms are not recorded into: they are declared as unions
+//! ([`MetricsRegistry::histogram_union`]) and synthesized from the stage
+//! sets' totals at snapshot time. Hot-path callers obtain their `Arc`
 //! handles once (get-or-create by name) and record through the handle —
 //! no per-request name lookup or allocation.
 //!
@@ -22,7 +24,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use stdshim::{Mutex, RwLock};
 
-/// Lock stripes per histogram/stage-set. Worker threads hash onto stripes,
+/// Lock stripes per stage set. Worker threads hash onto stripes,
 /// so up to this many threads record without contending. Sized to the
 /// widest contention point the bench suite drives (32 gateway threads);
 /// stripes are lazily allocated, so idle width costs one pointer each.
@@ -93,56 +95,9 @@ impl Gauge {
     }
 }
 
-/// A latency histogram recordable from many threads: [`N_STRIPES`] lazily
-/// allocated [`LatencyHistogram`] stripes, merged on read.
-#[derive(Debug, Default)]
-pub struct SharedHistogram {
-    stripes: [Stripe<LatencyHistogram>; N_STRIPES],
-}
-
-impl SharedHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample into the calling thread's stripe.
-    pub fn record(&self, latency: SimDuration) {
-        let _scope = stdshim::request_path_scope();
-        let stripe = self.stripes[thread_stripe()]
-            .0
-            .get_or_init(|| Mutex::labeled(LatencyHistogram::new(), "metrics/stripe"));
-        stripe.lock().record(latency);
-    }
-
-    /// Merges all stripes into one histogram.
-    pub fn merged(&self) -> LatencyHistogram {
-        let mut out = LatencyHistogram::new();
-        for stripe in &self.stripes {
-            if let Some(m) = stripe.0.get() {
-                out.merge(&m.lock());
-            }
-        }
-        out
-    }
-
-    /// Folds every sample recorded in `other` into this histogram (into
-    /// stripe 0). A reduction-time operation for merging per-worker
-    /// registries, not a hot path; `other` is read out fully before this
-    /// histogram's stripe lock is taken, so no two stripe locks are ever
-    /// held at once.
-    pub fn absorb(&self, other: &SharedHistogram) {
-        let merged = other.merged();
-        let stripe = self.stripes[0]
-            .0
-            .get_or_init(|| Mutex::labeled(LatencyHistogram::new(), "metrics/stripe"));
-        stripe.lock().merge(&merged);
-    }
-}
-
 /// Per-scope stage histograms: one [`LatencyHistogram`] per [`Stage`] plus
-/// one for the sample totals (the e2e distribution), striped like
-/// [`SharedHistogram`]. Recording a [`StageSample`] takes one stripe lock
+/// one for the sample totals (the e2e distribution), in [`N_STRIPES`] lazily
+/// allocated stripes merged on read. Recording a [`StageSample`] takes one stripe lock
 /// for all stages of the request — including its total, so a gateway gets
 /// the e2e histogram for free instead of locking a second structure.
 #[derive(Debug, Default)]
@@ -244,7 +199,6 @@ impl StageSet {
 pub struct MetricsRegistry {
     counters: RwLock<HashMap<String, Arc<Counter>>>,
     gauges: RwLock<HashMap<String, Arc<Gauge>>>,
-    histograms: RwLock<HashMap<String, Arc<SharedHistogram>>>,
     stages: RwLock<HashMap<String, Arc<StageSet>>>,
     series: Mutex<HashMap<String, TimeSeries>>,
     /// `(union scope, member prefix)`: at snapshot time the union scope's
@@ -270,7 +224,6 @@ impl Default for MetricsRegistry {
         MetricsRegistry {
             counters: RwLock::labeled(HashMap::new(), "metrics/counters"),
             gauges: RwLock::labeled(HashMap::new(), "metrics/gauges"),
-            histograms: RwLock::labeled(HashMap::new(), "metrics/histograms"),
             stages: RwLock::labeled(HashMap::new(), "metrics/stages"),
             series: Mutex::labeled(HashMap::new(), "metrics/series"),
             stage_unions: Mutex::labeled(Vec::new(), "metrics/stage-unions"),
@@ -337,11 +290,6 @@ impl MetricsRegistry {
         get_or_create(&self.gauges, name)
     }
 
-    /// Get-or-create a latency histogram.
-    pub fn histogram(&self, name: &str) -> Arc<SharedHistogram> {
-        get_or_create(&self.histograms, name)
-    }
-
     /// Get-or-create a per-scope stage set (scopes are conventionally
     /// `"all"`, `"fn/<function>"`, or `"key/<runtime-key>"`).
     pub fn stage_set(&self, scope: &str) -> Arc<StageSet> {
@@ -381,7 +329,7 @@ impl MetricsRegistry {
     }
 
     /// Folds every metric recorded in `other` into this registry: counters
-    /// add, gauges sum, histograms and stage sets merge sample-for-sample,
+    /// add, gauges sum, stage sets merge sample-for-sample,
     /// time series merge by timestamp (values at equal instants sum), and
     /// union declarations carry over (deduplicated, like re-declaring them).
     ///
@@ -396,15 +344,6 @@ impl MetricsRegistry {
     pub fn absorb(&self, other: &MetricsRegistry) {
         let counters = other.counters_snapshot();
         let gauges = other.gauges_snapshot();
-        let histograms: Vec<(String, Arc<SharedHistogram>)> = {
-            let map = other.histograms.read();
-            let mut v: Vec<_> = map
-                .iter()
-                .map(|(k, h)| (k.clone(), Arc::clone(h)))
-                .collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
         let stages: Vec<(String, Arc<StageSet>)> = {
             let map = other.stages.read();
             let mut v: Vec<_> = map
@@ -430,9 +369,6 @@ impl MetricsRegistry {
         for (name, v) in gauges {
             let g = self.gauge(&name);
             g.set(g.get() + v);
-        }
-        for (name, h) in histograms {
-            self.histogram(&name).absorb(&h);
         }
         for (scope, set) in stages {
             self.stage_set(&scope).absorb(&set);
@@ -502,24 +438,15 @@ impl MetricsRegistry {
     }
 
     pub(crate) fn histograms_snapshot(&self) -> Vec<(String, LatencyHistogram)> {
-        let mut out: HashMap<String, LatencyHistogram> = self
-            .histograms
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.merged()))
-            .collect();
         let stages = self.stages.read();
+        let mut out: HashMap<String, LatencyHistogram> = HashMap::new();
         for (name, prefix) in self.histogram_unions.lock().iter() {
-            let mut merged = LatencyHistogram::new();
+            let merged = out.entry(name.clone()).or_default();
             for (scope, set) in stages.iter() {
                 if scope.starts_with(prefix.as_str()) {
                     merged.merge(&set.merged_total());
                 }
             }
-            if let Some(existing) = out.get(name) {
-                merged.merge(existing);
-            }
-            out.insert(name.clone(), merged);
         }
         let mut out: Vec<_> = out.into_iter().collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -591,25 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_histogram_merges_stripes() {
-        let h = SharedHistogram::new();
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let h = &h;
-                s.spawn(move || {
-                    for i in 0..100u64 {
-                        h.record(SimDuration::from_micros(t * 100 + i + 1));
-                    }
-                });
-            }
-        });
-        let merged = h.merged();
-        assert_eq!(merged.count(), 400);
-        assert_eq!(merged.min(), SimDuration::from_micros(1));
-        assert_eq!(merged.max(), SimDuration::from_micros(400));
-    }
-
-    #[test]
     fn stage_set_skips_zero_stages() {
         let set = StageSet::new();
         let mut sample = StageSample::new();
@@ -619,45 +527,10 @@ mod tests {
         assert_eq!(set.merged(Stage::ImagePull).count(), 0);
     }
 
-    /// Property: recording a value set concurrently through the striped
-    /// histogram yields exactly the same distribution as recording it
-    /// single-threaded into one histogram — striping must not lose, double,
-    /// or distort samples.
-    #[test]
-    fn prop_striped_recording_equals_single_threaded() {
-        testkit::check(16, |g| {
-            let vals = g.vec(1..400, |g| g.u64_in(1..100_000_000));
-            let threads = 1 + (g.u64_in(1..8) as usize);
-
-            let mut reference = LatencyHistogram::new();
-            for &v in &vals {
-                reference.record(SimDuration::from_nanos(v));
-            }
-
-            let shared = SharedHistogram::new();
-            std::thread::scope(|s| {
-                for chunk in vals.chunks(vals.len().div_ceil(threads)) {
-                    let shared = &shared;
-                    s.spawn(move || {
-                        for &v in chunk {
-                            shared.record(SimDuration::from_nanos(v));
-                        }
-                    });
-                }
-            });
-            let merged = shared.merged();
-            assert_eq!(merged.count(), reference.count());
-            assert_eq!(merged.sum_ns(), reference.sum_ns());
-            assert_eq!(merged.min(), reference.min());
-            assert_eq!(merged.max(), reference.max());
-            for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
-                assert_eq!(merged.quantile(q), reference.quantile(q), "q={q}");
-            }
-        });
-    }
-
-    /// Same property for stage sets: per-stage merged histograms equal
-    /// single-threaded recording of the same samples.
+    /// Property: recording samples concurrently through the striped stage
+    /// set yields per-stage merged histograms equal to single-threaded
+    /// recording of the same samples — striping must not lose, double, or
+    /// distort samples.
     #[test]
     fn prop_stage_set_striping_preserves_samples() {
         testkit::check(16, |g| {
@@ -767,8 +640,6 @@ mod tests {
             let scope = format!("fn/{w}");
             reg.stage_set(&scope).record(&s);
             reg.stage_union_member("key/k", &scope);
-            reg.histogram("lat")
-                .record(SimDuration::from_micros(7 * (w as u64 + 1)));
             reg.sample_series("pool/live", SimTime::from_secs(30), w as f64);
             reg.sample_series("pool/live", SimTime::from_secs(60), 1.0);
 
@@ -777,9 +648,6 @@ mod tests {
             g.set(g.get() + 0.5);
             combined.stage_set(&scope).record(&s);
             combined.stage_union_member("key/k", &scope);
-            combined
-                .histogram("lat")
-                .record(SimDuration::from_micros(7 * (w as u64 + 1)));
         }
         combined.sample_series("pool/live", SimTime::from_secs(30), 0.0 + 1.0 + 2.0);
         combined.sample_series("pool/live", SimTime::from_secs(60), 3.0);

@@ -241,7 +241,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("a/requests").add(7);
         reg.gauge("pool/size").set(3.0);
-        reg.histogram("e2e").record(SimDuration::from_millis(10));
+        reg.histogram_union("e2e", "fn/");
         let mut s = StageSample::new();
         s.set(Stage::Exec, SimDuration::from_millis(4));
         s.set(Stage::RuntimeInit, SimDuration::from_millis(6));

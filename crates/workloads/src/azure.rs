@@ -14,7 +14,7 @@
 //!   minutes — each invocation is a keep-alive stress test.
 
 use crate::Arrival;
-use simclock::{SimDuration, SimRng, SimTime};
+use simclock::SimDuration;
 
 /// Invocation class of a synthesized function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,57 +77,12 @@ impl Default for AzureWorkloadParams {
 }
 
 /// Synthesizes the population and its arrivals. Returns the time-ordered
-/// arrivals plus the per-function mix (for reporting).
+/// arrivals plus the per-function mix (for reporting): the collected form of
+/// [`crate::trace::azure_trace`], ordered by `(at, config_id)` with
+/// per-function emission order breaking the remaining ties.
 pub fn azure_workload(params: &AzureWorkloadParams) -> (Vec<Arrival>, Vec<FunctionMix>) {
-    assert!(params.functions > 0, "need at least one function");
-    let mut rng = SimRng::seeded(params.seed);
-    let hot_count = ((params.functions as f64 * params.hot_fraction).round() as usize).max(1);
-    let periodic_count = (params.functions as f64 * params.periodic_fraction).round() as usize;
-
-    let mut mixes = Vec::with_capacity(params.functions);
-    let mut arrivals = Vec::new();
-    let horizon = params.duration.as_secs_f64();
-
-    for config_id in 0..params.functions {
-        let class = if config_id < hot_count {
-            FunctionClass::Hot
-        } else if config_id < hot_count + periodic_count {
-            FunctionClass::Periodic
-        } else {
-            FunctionClass::Rare
-        };
-        let mut frng = rng.fork();
-        let mean_gap_s = match class {
-            FunctionClass::Hot => 2.0 + frng.unit() * 8.0, // 2–10 s
-            FunctionClass::Periodic => 60.0 * (1.0 + frng.unit() * 9.0), // 1–10 min timers
-            FunctionClass::Rare => 60.0 * (20.0 + frng.unit() * 40.0), // 20–60 min
-        };
-        mixes.push(FunctionMix {
-            config_id,
-            class,
-            mean_gap: SimDuration::from_secs_f64(mean_gap_s),
-        });
-
-        let mut t = frng.unit() * mean_gap_s; // desynchronized starts
-        while t < horizon {
-            arrivals.push(Arrival {
-                at: SimTime::ZERO + SimDuration::from_secs_f64(t),
-                config_id,
-            });
-            t += match class {
-                // Timers tick with ±5 % jitter; Poisson classes draw gaps.
-                FunctionClass::Periodic => mean_gap_s * frng.jitter(0.05),
-                _ => frng.exponential(mean_gap_s),
-            };
-        }
-    }
-    // Total order (at, config_id): sorting by `at` alone left equal-timestamp
-    // ordering to stable-sort incidentals (generation order), which the
-    // streaming merge in `trace` could not reproduce. The explicit key makes
-    // ties deterministic and merge-reproducible; within one (at, config_id)
-    // pair, stable sort preserves per-function emission order (seq).
-    arrivals.sort_by_key(|a| (a.at, a.config_id));
-    (arrivals, mixes)
+    let (mut trace, mixes) = crate::trace::azure_trace(params);
+    (crate::trace::drain(&mut trace), mixes)
 }
 
 #[cfg(test)]

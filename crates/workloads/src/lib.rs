@@ -13,13 +13,20 @@
 //! * [`youtube`] — a synthetic day-long trace reproducing the three named
 //!   features of Fig. 11 (burst 20→300 at T710, afternoon decline
 //!   T800–T1200, evening rise T1200–T1400),
+//! * [`azure`] — an Azure-Functions-style hot/periodic/rare population,
+//! * [`trace`] — the pull-based [`Trace`] sources every arrival comes from:
+//!   one streaming cursor per shape above, file readers, a seeded
+//!   synthesizer, and the k-way merge,
 //! * [`dockerfiles`] — a Zipf-weighted sampler over the base-image/config
 //!   catalogue for the Fig. 2 popularity and configuration shares.
 //!
-//! A workload is a time-ordered [`Vec<Arrival>`]; each [`Arrival`] names the
-//! *runtime configuration id* it needs (HotC maps ids to full
-//! `ContainerConfig`s), so generators stay decoupled from the container
-//! engine.
+//! There is one generator per arrival shape, in [`trace`]. Replay drivers
+//! pull from it in constant memory; the `Vec<Arrival>` functions in
+//! [`patterns`], [`youtube`] and [`azure`] are that same cursor collected by
+//! [`drain`], for experiments that want the whole time-ordered workload in
+//! hand. Each [`Arrival`] names the *runtime configuration id* it needs (HotC
+//! maps ids to full `ContainerConfig`s), so generators stay decoupled from
+//! the container engine.
 
 pub mod azure;
 pub mod dockerfiles;

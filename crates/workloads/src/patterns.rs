@@ -3,9 +3,13 @@
 //! All generators are deterministic given their parameters (Poisson takes an
 //! explicit seed). Times follow the paper's setups: 30-second rounds for the
 //! serial/ramp experiments, per-round request counts as described per figure.
+//!
+//! Each function here is the collected form of its streaming cursor in
+//! [`crate::trace`] — the cursor is the only place the shape is produced.
 
+use crate::trace::{self, drain};
 use crate::Arrival;
-use simclock::{SimDuration, SimRng, SimTime};
+use simclock::{SimDuration, SimTime};
 
 /// Start instant of round `index` on an `interval`-spaced schedule, checked:
 /// `interval * index` silently *saturates* under the `Mul` operator, which at
@@ -39,12 +43,7 @@ pub enum Direction {
 /// Fig. 12(a): a single-threaded client sending the same request every
 /// `interval` — `count` requests of one configuration.
 pub fn serial(interval: SimDuration, count: usize, config_id: usize) -> Vec<Arrival> {
-    (0..count)
-        .map(|i| Arrival {
-            at: round_start(interval, i as u64),
-            config_id,
-        })
-        .collect()
+    drain(&mut trace::serial_trace(interval, count, config_id))
 }
 
 /// Fig. 12(b): `threads` concurrent clients, each with its *own* runtime
@@ -52,16 +51,7 @@ pub fn serial(interval: SimDuration, count: usize, config_id: usize) -> Vec<Arri
 /// requests every `interval`. Arrivals at the same instant are emitted in
 /// thread order.
 pub fn parallel_clients(threads: usize, per_thread: usize, interval: SimDuration) -> Vec<Arrival> {
-    let mut out = Vec::with_capacity(threads * per_thread);
-    for round in 0..per_thread {
-        for thread in 0..threads {
-            out.push(Arrival {
-                at: round_start(interval, round as u64),
-                config_id: thread,
-            });
-        }
-    }
-    out
+    drain(&mut trace::parallel_trace(threads, per_thread, interval))
 }
 
 /// Fig. 13: linear ramp. Increasing: round `r` (0-based) sends
@@ -75,37 +65,31 @@ pub fn linear_ramp(
     round_interval: SimDuration,
     config_id: usize,
 ) -> Vec<Arrival> {
-    let mut out = Vec::new();
-    for r in 0..rounds {
-        let n = match direction {
-            Direction::Increasing => start + step * r,
-            Direction::Decreasing => start + step * (rounds - 1 - r),
-        };
-        let at = round_start(round_interval, r as u64);
-        out.extend((0..n).map(|_| Arrival { at, config_id }));
-    }
-    out
+    drain(&mut trace::linear_ramp_trace(
+        direction,
+        start,
+        step,
+        rounds,
+        round_interval,
+        config_id,
+    ))
 }
 
 /// Fig. 14(a): exponential ramp — round `i` sends `2^i` requests
-/// (increasing) or `2^(rounds-1-i)` (decreasing).
+/// (increasing) or `2^(rounds-1-i)` (decreasing), capped at 2^20 per round
+/// to bound memory.
 pub fn exponential_ramp(
     direction: Direction,
     rounds: u32,
     round_interval: SimDuration,
     config_id: usize,
 ) -> Vec<Arrival> {
-    let mut out = Vec::new();
-    for r in 0..rounds {
-        let exp = match direction {
-            Direction::Increasing => r,
-            Direction::Decreasing => rounds - 1 - r,
-        };
-        let n = 1usize << exp.min(20); // cap at 2^20 to bound memory
-        let at = round_start(round_interval, r as u64);
-        out.extend((0..n).map(|_| Arrival { at, config_id }));
-    }
-    out
+    drain(&mut trace::exponential_ramp_trace(
+        direction,
+        rounds,
+        round_interval,
+        config_id,
+    ))
 }
 
 /// Fig. 14(b): burst flow. Every round sends `base` requests (the paper's 8)
@@ -119,17 +103,14 @@ pub fn burst(
     round_interval: SimDuration,
     config_id: usize,
 ) -> Vec<Arrival> {
-    let mut out = Vec::new();
-    for r in 0..rounds {
-        let n = if burst_rounds.contains(&r) {
-            base * burst_factor
-        } else {
-            base
-        };
-        let at = round_start(round_interval, r as u64);
-        out.extend((0..n).map(|_| Arrival { at, config_id }));
-    }
-    out
+    drain(&mut trace::burst_trace(
+        base,
+        burst_factor,
+        burst_rounds.to_vec(),
+        rounds,
+        round_interval,
+        config_id,
+    ))
 }
 
 /// A Poisson arrival process at `rate_per_sec` over `duration`, with config
@@ -142,23 +123,13 @@ pub fn poisson(
     zipf_exponent: f64,
     seed: u64,
 ) -> Vec<Arrival> {
-    assert!(rate_per_sec > 0.0, "rate must be positive");
-    assert!(config_kinds >= 1, "need at least one config kind");
-    let mut rng = SimRng::seeded(seed);
-    let mut out = Vec::new();
-    let mut t = 0.0f64;
-    let horizon = duration.as_secs_f64();
-    loop {
-        t += rng.exponential(1.0 / rate_per_sec);
-        if t >= horizon {
-            break;
-        }
-        out.push(Arrival {
-            at: SimTime::ZERO + SimDuration::from_secs_f64(t),
-            config_id: rng.zipf(config_kinds, zipf_exponent),
-        });
-    }
-    out
+    drain(&mut trace::poisson_trace(
+        rate_per_sec,
+        duration,
+        config_kinds,
+        zipf_exponent,
+        seed,
+    ))
 }
 
 #[cfg(test)]

@@ -1,20 +1,21 @@
-//! Streaming trace frontend: pull-based arrival sources (ROADMAP item 3).
+//! Streaming trace frontend: pull-based arrival sources (ROADMAP item 3),
+//! and the only place in this crate an arrival is produced.
 //!
-//! Every other module in this crate materializes a full `Vec<Arrival>`,
-//! which caps replay at what fits in memory. [`Trace`] is the lazy
-//! alternative: a pull-based source of time-ordered [`Arrival`]s with
+//! [`Trace`] is a pull-based source of time-ordered [`Arrival`]s with
 //! one-arrival lookahead (`peek`), modeled on the dslab-faas trace trait and
 //! faas-sim's arrival-profile expansion. The CLI runner and the bench
 //! replay driver consume `&mut dyn Trace` and never hold more than O(sources)
-//! arrivals in flight, so a 1e8-request replay runs in constant memory.
+//! arrivals in flight, so a 1e8-request replay runs in constant memory. The
+//! `Vec<Arrival>` functions in [`crate::patterns`], [`crate::azure`] and
+//! [`crate::youtube`] are [`drain`] over the cursors here.
 //!
 //! Producers:
 //!
-//! * **adapters** over the existing generators ([`serial_trace`],
-//!   [`parallel_trace`], [`linear_ramp_trace`], [`exponential_ramp_trace`],
-//!   [`burst_trace`], [`poisson_trace`], [`youtube_arrivals_trace`],
-//!   [`azure_trace`]) — each emits the *byte-identical* arrival sequence of
-//!   its materializing counterpart, verified by tests;
+//! * the **shape cursors** ([`serial_trace`], [`parallel_trace`],
+//!   [`linear_ramp_trace`], [`exponential_ramp_trace`], [`burst_trace`],
+//!   [`poisson_trace`], [`youtube_arrivals_trace`], [`azure_trace`]) — their
+//!   sequences are pinned by fingerprints recorded from the materializers
+//!   they replaced;
 //! * **file readers** for Azure-Functions-style per-minute invocation counts
 //!   ([`azure_csv_trace`]) and OpenDC-style invocation rows ([`OpenDcTrace`]);
 //! * a seeded **synthesizer** ([`synth_trace`], [`multi_tenant_trace`]) that
@@ -25,7 +26,7 @@
 //! [`MergeTrace`], a k-way merge over the total order `(at, config_id,
 //! source)`; within one source, emission order (`seq`) breaks the remaining
 //! ties. Equal-timestamp ordering is therefore *defined*, not an accident of
-//! a stable sort — the bug this module fixes in `azure.rs`/`youtube.rs`.
+//! a stable sort.
 
 use crate::azure::{AzureWorkloadParams, FunctionClass, FunctionMix};
 use crate::patterns::{round_start, Direction};
@@ -58,8 +59,8 @@ pub trait Trace {
     }
 }
 
-/// Materializes the remainder of a trace. Test/report helper — the replay
-/// drivers deliberately never call this.
+/// Materializes the remainder of a trace: how the `Vec<Arrival>` generators
+/// are built. The replay drivers deliberately never call this.
 pub fn drain(trace: &mut dyn Trace) -> Vec<Arrival> {
     let (lo, _) = trace.remaining_hint();
     let mut out = Vec::with_capacity(lo.min(1 << 20) as usize);
@@ -102,9 +103,8 @@ impl Trace for VecTrace {
 }
 
 // ---------------------------------------------------------------------------
-// Generator adapters: lazy counterparts of the `patterns`/`youtube`/`azure`
-// materializers. Each wraps a private cursor type in `GenTrace`, which adds
-// the one-arrival `peek` buffer the trait requires.
+// Shape cursors: one private cursor type per arrival shape, wrapped in
+// `GenTrace`, which adds the one-arrival `peek` buffer the trait requires.
 // ---------------------------------------------------------------------------
 
 trait ArrivalGen {
@@ -170,8 +170,8 @@ impl ArrivalGen for SerialGen {
     }
 }
 
-/// Lazy [`crate::patterns::serial`]: `count` arrivals of one config every
-/// `interval`.
+/// `count` arrivals of one config every `interval`
+/// ([`crate::patterns::serial`] collects it).
 pub fn serial_trace(interval: SimDuration, count: usize, config_id: usize) -> impl Trace {
     GenTrace::new(SerialGen {
         interval,
@@ -212,8 +212,9 @@ impl ArrivalGen for ParallelGen {
     }
 }
 
-/// Lazy [`crate::patterns::parallel_clients`]: equal-instant arrivals are
-/// emitted in thread (= config) order, matching the materializer and the
+/// `threads` clients with their own config each, `per_thread` rounds
+/// ([`crate::patterns::parallel_clients`] collects it): equal-instant
+/// arrivals are emitted in thread (= config) order, matching the
 /// `(at, config_id, seq)` total order.
 pub fn parallel_trace(threads: usize, per_thread: usize, interval: SimDuration) -> impl Trace {
     GenTrace::new(ParallelGen {
@@ -304,7 +305,8 @@ impl ArrivalGen for RoundsGen {
     }
 }
 
-/// Lazy [`crate::patterns::linear_ramp`].
+/// Linear ramp of per-round counts ([`crate::patterns::linear_ramp`]
+/// collects it).
 pub fn linear_ramp_trace(
     direction: Direction,
     start: usize,
@@ -327,7 +329,8 @@ pub fn linear_ramp_trace(
     })
 }
 
-/// Lazy [`crate::patterns::exponential_ramp`].
+/// Doubling/halving per-round counts, capped at 2^20 a round
+/// ([`crate::patterns::exponential_ramp`] collects it).
 pub fn exponential_ramp_trace(
     direction: Direction,
     rounds: u32,
@@ -344,7 +347,8 @@ pub fn exponential_ramp_trace(
     })
 }
 
-/// Lazy [`crate::patterns::burst`].
+/// Constant rounds with multiplied burst rounds ([`crate::patterns::burst`]
+/// collects it).
 pub fn burst_trace(
     base: usize,
     burst_factor: usize,
@@ -382,8 +386,7 @@ impl ArrivalGen for PoissonGen {
         if self.done {
             return None;
         }
-        // Identical draw order to `patterns::poisson`: one exponential gap,
-        // then one Zipf config draw, per arrival.
+        // One exponential gap, then one Zipf config draw, per arrival.
         self.t += self.rng.exponential(1.0 / self.rate_per_sec);
         if self.t >= self.horizon {
             self.done = true;
@@ -399,7 +402,8 @@ impl ArrivalGen for PoissonGen {
     }
 }
 
-/// Lazy [`crate::patterns::poisson`]: same seed ⇒ byte-identical arrivals.
+/// Poisson process with Zipf-sampled configs ([`crate::patterns::poisson`]
+/// collects it): same seed ⇒ byte-identical arrivals.
 pub fn poisson_trace(
     rate_per_sec: f64,
     duration: SimDuration,
@@ -440,7 +444,8 @@ impl ArrivalGen for YoutubeGen {
             }
             // One index at a time — the only buffering the youtube shape
             // needs, because offsets within an index are sorted post-draw.
-            // Draw order matches `youtube::expand_to_arrivals` exactly.
+            // Offsets are plain u64s and all share one config id, so
+            // `sort_unstable` is already the (at, config_id, seq) order.
             let rate = self.rates[self.idx];
             let n = self.rng.poisson(rate);
             let start = round_start(self.index_width, self.idx as u64);
@@ -460,8 +465,10 @@ impl ArrivalGen for YoutubeGen {
     }
 }
 
-/// Lazy [`crate::youtube::expand_to_arrivals`] over a rate series: buffers a
-/// single index (≈ the per-minute arrival count), not the whole day.
+/// Poisson expansion of a rate series, index `i` covering
+/// `[i·width, (i+1)·width)` ([`crate::youtube::expand_to_arrivals`] collects
+/// it): buffers a single index (≈ the per-minute arrival count), not the
+/// whole day.
 pub fn youtube_arrivals_trace(
     rates: Vec<f64>,
     index_width: SimDuration,
@@ -732,7 +739,7 @@ impl<T: Trace + ?Sized> Trace for Box<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Azure population adapter: per-function lazy sources + merge.
+// Azure population: per-function lazy sources + merge.
 // ---------------------------------------------------------------------------
 
 struct AzureFnGen {
@@ -751,6 +758,7 @@ impl ArrivalGen for AzureFnGen {
         }
         let at = SimTime::ZERO + SimDuration::from_secs_f64(self.t);
         self.t += match self.class {
+            // Timers tick with ±5 % jitter; Poisson classes draw gaps.
             FunctionClass::Periodic => self.mean_gap_s * self.frng.jitter(0.05),
             _ => self.frng.exponential(self.mean_gap_s),
         };
@@ -764,10 +772,9 @@ impl ArrivalGen for AzureFnGen {
     }
 }
 
-/// Lazy [`crate::azure::azure_workload`]: one forked-RNG source per function,
-/// merged under `(at, config_id, source)`. Emits the byte-identical arrival
-/// sequence of the materializer (whose stable sort by `(at, config_id)`
-/// this order reproduces), without the O(requests) buffer.
+/// The synthesized Azure population ([`crate::azure::azure_workload`]
+/// collects it): one forked-RNG source per function, merged under
+/// `(at, config_id, source)`, without an O(requests) buffer.
 pub fn azure_trace(params: &AzureWorkloadParams) -> (MergeTrace, Vec<FunctionMix>) {
     assert!(params.functions > 0, "need at least one function");
     let mut rng = SimRng::seeded(params.seed);
@@ -785,20 +792,18 @@ pub fn azure_trace(params: &AzureWorkloadParams) -> (MergeTrace, Vec<FunctionMix
         } else {
             FunctionClass::Rare
         };
-        // Same fork + draw order as the materializer, so per-function
-        // streams are bit-equal.
         let mut frng = rng.fork();
         let mean_gap_s = match class {
-            FunctionClass::Hot => 2.0 + frng.unit() * 8.0,
-            FunctionClass::Periodic => 60.0 * (1.0 + frng.unit() * 9.0),
-            FunctionClass::Rare => 60.0 * (20.0 + frng.unit() * 40.0),
+            FunctionClass::Hot => 2.0 + frng.unit() * 8.0, // 2–10 s
+            FunctionClass::Periodic => 60.0 * (1.0 + frng.unit() * 9.0), // 1–10 min timers
+            FunctionClass::Rare => 60.0 * (20.0 + frng.unit() * 40.0), // 20–60 min
         };
         mixes.push(FunctionMix {
             config_id,
             class,
             mean_gap: SimDuration::from_secs_f64(mean_gap_s),
         });
-        let t = frng.unit() * mean_gap_s;
+        let t = frng.unit() * mean_gap_s; // desynchronized starts
         sources.push(Box::new(GenTrace::new(AzureFnGen {
             config_id,
             class,
@@ -1347,74 +1352,103 @@ impl<R: BufRead> Trace for OpenDcTrace<R> {
 mod tests {
     use super::*;
     use crate::patterns;
-    use crate::youtube;
     use crate::{is_time_ordered, youtube_trace, YoutubeTraceParams};
 
     const ROUND: SimDuration = SimDuration::from_secs(30);
 
-    fn assert_streams_eq(mut t: impl Trace, expected: &[Arrival]) {
-        for (i, want) in expected.iter().enumerate() {
-            assert_eq!(t.peek(), Some(*want), "peek diverged at arrival {i}");
-            assert_eq!(t.next_arrival(), Some(*want), "diverged at arrival {i}");
+    /// Order-sensitive 64-bit FNV-1a over a word sequence.
+    fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+        words
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Length plus the hash of every `(at, config_id)` in order.
+    fn fingerprint(arrivals: &[Arrival]) -> (usize, u64) {
+        let words = arrivals
+            .iter()
+            .flat_map(|a| [a.at.as_nanos(), a.config_id as u64]);
+        (arrivals.len(), fnv1a(words))
+    }
+
+    /// Walks the cursor through peek/next to its fused end and fingerprints
+    /// what it emitted.
+    fn stream_fingerprint(mut t: impl Trace) -> (usize, u64) {
+        let mut out = Vec::new();
+        while let Some(head) = t.peek() {
+            assert_eq!(t.next_arrival(), Some(head), "peek/next disagree");
+            out.push(head);
         }
-        assert_eq!(t.peek(), None);
         assert_eq!(t.next_arrival(), None);
         assert_eq!(t.next_arrival(), None, "trace must stay fused after end");
+        fingerprint(&out)
     }
 
+    // The literals below were recorded at the last commit that still had a
+    // separate materializing implementation of each shape (PR 13, 40145df),
+    // from those materializers: a cursor that drifts from the sequence every
+    // committed figure was generated with fails here.
     #[test]
-    fn pattern_adapters_match_materializers() {
-        assert_streams_eq(serial_trace(ROUND, 7, 3), &patterns::serial(ROUND, 7, 3));
-        assert_streams_eq(
-            parallel_trace(5, 4, ROUND),
-            &patterns::parallel_clients(5, 4, ROUND),
+    fn pattern_cursors_match_recorded_fingerprints() {
+        use Direction::{Decreasing, Increasing};
+        assert_eq!(
+            stream_fingerprint(serial_trace(ROUND, 7, 3)),
+            (7, 0x2a5d_0c6b_6d14_b8d4)
         );
-        for dir in [Direction::Increasing, Direction::Decreasing] {
-            assert_streams_eq(
-                linear_ramp_trace(dir, 2, 2, 4, ROUND, 1),
-                &patterns::linear_ramp(dir, 2, 2, 4, ROUND, 1),
+        assert_eq!(
+            stream_fingerprint(parallel_trace(5, 4, ROUND)),
+            (20, 0x9406_ea62_0f66_1d1d)
+        );
+        for (dir, linear, exponential) in [
+            (Increasing, 0x8560_f045_e543_11b5, 0x5d70_6834_ec9e_b1d4),
+            (Decreasing, 0xf74b_5159_bbc5_5abd, 0xb3b7_57f6_85c5_a1d9),
+        ] {
+            assert_eq!(
+                stream_fingerprint(linear_ramp_trace(dir, 2, 2, 4, ROUND, 1)),
+                (20, linear)
             );
-            assert_streams_eq(
-                exponential_ramp_trace(dir, 5, ROUND, 1),
-                &patterns::exponential_ramp(dir, 5, ROUND, 1),
+            assert_eq!(
+                stream_fingerprint(exponential_ramp_trace(dir, 5, ROUND, 1)),
+                (31, exponential)
             );
         }
-        assert_streams_eq(
-            burst_trace(8, 10, vec![3, 7], 10, ROUND, 2),
-            &patterns::burst(8, 10, &[3, 7], 10, ROUND, 2),
+        assert_eq!(
+            stream_fingerprint(burst_trace(8, 10, vec![3, 7], 10, ROUND, 2)),
+            (224, 0x2d24_67ad_7eee_4cb5)
         );
-        assert_streams_eq(
-            poisson_trace(5.0, SimDuration::from_secs(120), 4, 1.1, 42),
-            &patterns::poisson(5.0, SimDuration::from_secs(120), 4, 1.1, 42),
+        assert_eq!(
+            stream_fingerprint(poisson_trace(5.0, SimDuration::from_secs(120), 4, 1.1, 42)),
+            (645, 0xd4d5_418a_d60c_4761)
         );
     }
 
     #[test]
-    fn youtube_adapter_matches_materializer() {
+    fn youtube_cursor_matches_recorded_fingerprint() {
         let rates = youtube_trace(&YoutubeTraceParams {
             length: 60,
             ..Default::default()
         });
-        let expected = youtube::expand_to_arrivals(&rates, SimDuration::from_secs(60), 9, 77);
-        assert_streams_eq(
-            youtube_arrivals_trace(rates, SimDuration::from_secs(60), 9, 77),
-            &expected,
+        assert_eq!(
+            stream_fingerprint(youtube_arrivals_trace(
+                rates,
+                SimDuration::from_secs(60),
+                9,
+                77
+            )),
+            (5790, 0xfdb0_7060_0585_677f)
         );
     }
 
     #[test]
-    fn azure_adapter_matches_materializer() {
-        let params = AzureWorkloadParams::default();
-        let (expected, expected_mixes) = crate::azure_workload(&params);
-        let (trace, mixes) = azure_trace(&params);
-        assert_eq!(mixes.len(), expected_mixes.len());
-        for (a, b) in mixes.iter().zip(&expected_mixes) {
-            assert_eq!(
-                (a.config_id, a.class, a.mean_gap),
-                (b.config_id, b.class, b.mean_gap)
-            );
-        }
-        assert_streams_eq(trace, &expected);
+    fn azure_cursor_matches_recorded_fingerprint() {
+        let (trace, mixes) = azure_trace(&AzureWorkloadParams::default());
+        assert_eq!(stream_fingerprint(trace), (3450, 0x3f37_5b7c_5586_a4cc));
+        let mix_words = mixes
+            .iter()
+            .flat_map(|m| [m.config_id as u64, m.class as u64, m.mean_gap.as_nanos()]);
+        assert_eq!((mixes.len(), fnv1a(mix_words)), (20, 0x1890_a0ba_8dc0_4bd1));
     }
 
     #[test]

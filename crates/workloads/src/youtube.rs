@@ -13,7 +13,7 @@
 //! plus multiplicative noise, and can expand the rates into Poisson arrivals.
 
 use crate::Arrival;
-use simclock::{SimDuration, SimRng, SimTime};
+use simclock::{SimDuration, SimRng};
 
 /// Parameters of the synthetic trace.
 #[derive(Debug, Clone)]
@@ -119,37 +119,27 @@ pub fn youtube_trace(params: &YoutubeTraceParams) -> Vec<f64> {
 }
 
 /// Expands a rate series into Poisson arrivals: index `i` covers virtual
-/// window `[i·width, (i+1)·width)` with `rates[i]` expected requests.
+/// window `[i·width, (i+1)·width)` with `rates[i]` expected requests. The
+/// collected form of [`crate::trace::youtube_arrivals_trace`].
 pub fn expand_to_arrivals(
     rates: &[f64],
     index_width: SimDuration,
     config_id: usize,
     seed: u64,
 ) -> Vec<Arrival> {
-    let mut rng = SimRng::seeded(seed);
-    let mut out = Vec::new();
-    for (i, &rate) in rates.iter().enumerate() {
-        let n = rng.poisson(rate);
-        let start = SimTime::ZERO + index_width * i as u64;
-        let mut offsets: Vec<u64> = (0..n)
-            .map(|_| rng.uniform_u64(0, index_width.as_nanos().max(1)))
-            .collect();
-        // Offsets are plain u64s, so `sort_unstable` is already a total
-        // order here; equal offsets are indistinguishable and all map to the
-        // same config_id, satisfying the (at, config_id, seq) merge order.
-        offsets.sort_unstable();
-        out.extend(offsets.into_iter().map(|off| Arrival {
-            at: start + SimDuration::from_nanos(off),
-            config_id,
-        }));
-    }
-    out
+    crate::trace::drain(&mut crate::trace::youtube_arrivals_trace(
+        rates.to_vec(),
+        index_width,
+        config_id,
+        seed,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::is_time_ordered;
+    use simclock::SimTime;
 
     #[test]
     fn trace_has_the_three_features() {
@@ -207,6 +197,14 @@ mod tests {
         assert!(arr
             .iter()
             .all(|a| a.at < SimTime::ZERO + SimDuration::from_secs(60) * 20));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the simulation timeline")]
+    fn index_schedule_past_the_timeline_panics_loudly() {
+        // Index 2 would start at 2 * 2^63 ns: the saturating `width * i` used
+        // to pile it (and every later index) onto u64::MAX instead of failing.
+        let _ = expand_to_arrivals(&[4.0; 4], SimDuration::from_nanos(1 << 63), 0, 7);
     }
 
     #[test]
