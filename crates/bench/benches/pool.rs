@@ -120,11 +120,40 @@ fn bench_cold_create_and_remove(h: &mut Harness) {
     );
 }
 
+fn bench_evict_at_cap(h: &mut Harness) {
+    // The paper's guardrail at its own size: 500 live containers over 500
+    // runtime types on the default shards, every one available. Each
+    // iteration admits one container and evicts the oldest, so the pool
+    // stays at the cap — the per-cold-start cost of limit enforcement.
+    let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let configs = configs(500);
+    let mut now = SimTime::ZERO;
+    for config in &configs {
+        now += SimDuration::from_millis(10);
+        pool.prewarm(&ExclusiveEngine::new(&mut engine), config, now)
+            .unwrap();
+    }
+    let mut i = 0usize;
+    h.bench("evict_at_cap_500", || {
+        i = (i + 7) % configs.len();
+        now += SimDuration::from_millis(10);
+        pool.prewarm(&ExclusiveEngine::new(&mut engine), &configs[i], now)
+            .unwrap();
+        let evicted = pool
+            .evict_oldest(&ExclusiveEngine::new(&mut engine), now)
+            .unwrap();
+        assert!(evicted.is_some());
+    });
+    assert_eq!(pool.total_live(), 500);
+}
+
 fn main() {
     let mut h = Harness::new("pool");
     bench_key_canonicalization(&mut h);
     bench_acquire_release_reuse(&mut h);
     bench_acquire_many_types(&mut h);
     bench_cold_create_and_remove(&mut h);
+    bench_evict_at_cap(&mut h);
     h.finish();
 }

@@ -648,7 +648,10 @@ impl ContainerEngine {
     }
 
     /// Ids of all live containers, oldest-created first (the eviction order
-    /// HotC uses: "the oldest live container is forcibly terminated").
+    /// HotC uses: "the oldest live container is forcibly terminated"). A
+    /// collect-and-sort of the whole container map: this is the eviction
+    /// *oracle* that tests and the benchmark's probe compare against, not a
+    /// production path — the pool keeps its own age index.
     pub fn live_ids_oldest_first(&self) -> Vec<ContainerId> {
         let mut ids: Vec<_> = self
             // lint:allow(map-iteration, sorted by (created_at, id) below, so hash order cannot reach the result)

@@ -24,7 +24,7 @@ use crate::controller::AdaptiveController;
 use crate::limits::PoolLimits;
 use crate::middleware::HotCConfig;
 use crate::shard::{EngineRef, ShardedPool, DEFAULT_SHARDS};
-use containersim::{ContainerEngine, ContainerId};
+use containersim::{ContainerEngine, ContainerId, ContainerState};
 use faas::gateway::{GatewayError, InFlight};
 use faas::pipeline::{GATEWAY_HOP, WATCHDOG_HOP};
 use faas::AppTracker;
@@ -32,7 +32,7 @@ use faas::{AppProfile, FunctionSpec, GatewayStats, RequestTrace, SharedStats};
 use metrics_lite::{Counter, MetricsRegistry, StageSet};
 use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stdshim::sync::{Mutex, RwLock};
@@ -97,9 +97,16 @@ impl ShardedTracker {
         self.shards.iter().map(|s| s.lock().tracked()).sum()
     }
 
-    fn prune_to(&self, live: &HashSet<ContainerId>) {
+    fn tracked_ids(&self) -> Vec<ContainerId> {
+        self.shards
+            .iter()
+            .flat_map(|shard| shard.lock().tracked_ids())
+            .collect()
+    }
+
+    fn forget(&self, gone: &[ContainerId]) {
         for shard in self.shards.iter() {
-            shard.lock().prune_to(live);
+            shard.lock().forget(gone);
         }
     }
 }
@@ -539,17 +546,18 @@ impl ShardedGateway {
     }
 
     /// Drops last-app entries for containers that no longer exist. Cheap
-    /// guard first; on a real prune the live-id set is snapshotted under the
-    /// engine lock and applied under the tracker lock — the two locks are
-    /// never held together.
+    /// guard first; on a real prune the tracked ids are read under the
+    /// tracker locks, probed for liveness under the engine lock, and the
+    /// dead ones dropped under the tracker locks again — O(tracked), and the
+    /// two kinds of lock are never held together.
     fn prune_tracker(&self) {
         let tracked = self.tracker.tracked();
         let live = self.engine.with_engine(|e| e.live_count());
         if tracked > live {
-            let live_ids: HashSet<ContainerId> = self
-                .engine
-                .with_engine(|e| e.live_ids_oldest_first().into_iter().collect());
-            self.tracker.prune_to(&live_ids);
+            let mut gone = self.tracker.tracked_ids();
+            self.engine
+                .with_engine(|e| gone.retain(|&id| e.state(id) == ContainerState::Removed));
+            self.tracker.forget(&gone);
         }
     }
 }

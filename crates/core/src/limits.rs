@@ -53,6 +53,9 @@ impl PoolLimits {
 
     /// Two-phase oldest-first eviction until limits hold (or no available
     /// container remains to evict — in-flight containers are never killed).
+    /// Each round reads the shards' age indexes
+    /// ([`ShardedPool::evict_oldest`]), so a cold start under the cap pays
+    /// O(shards + in-flight) for its eviction, not a scan of the pool.
     /// Returns the accumulated teardown cost and the number evicted, which
     /// telemetry counts separately from controller-driven retires.
     pub fn enforce(

@@ -25,11 +25,18 @@
 //!   container's packed entry and reverse-index mapping are stored *before*
 //!   its bitmap bit is set, and the bit-set is a release store — a claimer's
 //!   acquire-CAS therefore always observes a fully published slot.
-//! * global eviction is a **two-phase scan**: collect available candidates
-//!   shard by shard, pick the oldest via the engine, then re-lock the owning
-//!   shard, re-verify the entry, and claim the victim's `avail` bit
-//!   (retrying if a racing acquire took it first) — no operation ever takes
-//!   all shard locks at once.
+//! * global eviction is **two-phase over a per-shard age index**: every
+//!   shard keeps its pooled containers (available *and* in use) ordered by
+//!   `(created_at, id)`, updated under the shard lock at the six places that
+//!   change the shard's live count (cold publish, prewarm, crashed-release
+//!   disposal on the bitmap and overflow paths, retire, evict). Phase one
+//!   asks each shard, one lock at a time, for its oldest entry that is
+//!   available right now and keeps the minimum; phase two re-locks the
+//!   owning shard, re-verifies the entry, and claims the victim's `avail`
+//!   bit, resuming the walk past it if a racing acquire took it first — no
+//!   operation ever takes all shard locks at once. The index covers *live*
+//!   containers, not *available* ones, so the lock-free warm claim and
+//!   hand-back never touch it.
 //!
 //! The pool's bookkeeping invariants (enforced by the property tests):
 //!
@@ -50,7 +57,8 @@ use crate::key::{needs_reconfig, KeyId, KeyInterner, KeyPolicy, RuntimeKey, FUZZ
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
 use faas::Acquisition;
 use simclock::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 use std::sync::Arc;
 use stdshim::atomic::{Ordering, ShimAtomicU64 as AtomicU64, ShimAtomicUsize as AtomicUsize};
 use stdshim::sync::{LazySlotTable, Mutex, SlotBitmap};
@@ -373,9 +381,97 @@ struct ShardState {
     /// releases do not change occupancy, so they never touch it. The
     /// full-sweep snapshot cross-checks it in debug builds.
     live: usize,
+    /// The shard's pooled containers (available *and* in use) ordered by
+    /// `(created_at, id)` — the eviction order. Inserted and removed at the
+    /// same points that change `live`, so `ages.len() == live` under the
+    /// lock; warm claims and hand-backs change availability, not
+    /// membership, and never touch it. The value locates the container: its
+    /// key and its bitmap slot (`None` = the key's overflow lists), both
+    /// fixed for the container's whole pool tenure.
+    ages: BTreeMap<(SimTime, ContainerId), (KeyId, Option<usize>)>,
+    /// `created_at` per pooled container, for the removal sites that hold
+    /// only the id (the engine has already forgotten a disposed container).
+    born: FastMap<ContainerId, SimTime>,
 }
 
 impl ShardState {
+    /// Counts a just-published container into the shard (`live` and the
+    /// age index move together). `created_at` is the `now` its
+    /// `create_container` call was given.
+    fn admit(
+        &mut self,
+        container: ContainerId,
+        created_at: SimTime,
+        key: KeyId,
+        at: Option<usize>,
+    ) {
+        self.live += 1;
+        self.ages.insert((created_at, container), (key, at));
+        self.born.insert(container, created_at);
+    }
+
+    /// Drops a container that just left the pool (disposed, retired or
+    /// evicted) from `live` and the age index.
+    fn forget(&mut self, container: ContainerId) {
+        self.live -= 1;
+        let created_at = self.born.remove(&container);
+        debug_assert!(created_at.is_some(), "pooled container has no age entry");
+        if let Some(created_at) = created_at {
+            self.ages.remove(&(created_at, container));
+        }
+    }
+
+    /// The oldest *available* container strictly younger than `after`, with
+    /// its location. Walks the age index in order, skipping in-use entries
+    /// (at most the shard's in-flight count of them).
+    fn oldest_available(&self, after: Option<(SimTime, ContainerId)>) -> Option<EvictCandidate> {
+        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.ages
+            .range((from, Bound::Unbounded))
+            .find(|&(&(_, container), &(key, at))| {
+                self.slots.get(&key).is_some_and(|slot| match at {
+                    Some(i) => slot.ks.avail.is_set(i),
+                    None => slot.overflow_avail.iter().any(|&(c, _)| c == container),
+                })
+            })
+            .map(|(&age, &(key, at))| EvictCandidate { age, key, at })
+    }
+
+    /// Debug cross-check of the age index against the slot bookkeeping it
+    /// shadows: exactly `live` entries, each one resolving to a container
+    /// its key's slot array or overflow lists name (overflow releases in
+    /// transit are counted, not named).
+    fn assert_ages_consistent(&self) {
+        assert_eq!(self.ages.len(), self.live, "age index size != live");
+        assert_eq!(self.born.len(), self.live, "age side map size != live");
+        let mut in_transit = 0;
+        for (&(created_at, container), &(key, at)) in &self.ages {
+            assert_eq!(self.born.get(&container), Some(&created_at));
+            // lint:allow(unwrap, debug cross-check; a missing slot is the broken invariant it reports)
+            let slot = self.slots.get(&key).expect("indexed key has no slot");
+            match at {
+                Some(i) => assert_eq!(
+                    entry_container(slot.ks.entries[i].load(Ordering::Relaxed)),
+                    Some(container),
+                    "indexed slot names another container"
+                ),
+                None => {
+                    let named = slot.overflow_avail.iter().any(|&(c, _)| c == container)
+                        || slot.overflow_in_use.contains(&container);
+                    in_transit += usize::from(!named);
+                }
+            }
+        }
+        assert_eq!(
+            in_transit,
+            self.slots
+                .values()
+                .map(|s| s.overflow_transit)
+                .sum::<usize>(),
+            "indexed overflow containers the lists do not name"
+        );
+    }
+
     /// Flags `id` as touched this control interval (O(1) when already
     /// active) and cancels any pending cold-GC countdown.
     fn mark_active(&mut self, id: KeyId) {
@@ -469,6 +565,16 @@ struct ClaimedSlot<'a> {
     id: KeyId,
     ks: &'a KeySlots,
     slot: usize,
+}
+
+/// An eviction candidate: one shard's oldest available container, as its
+/// age-index entry — `(created_at, id)`, the key, and the bitmap slot
+/// (`None` = on the key's `overflow_avail` list).
+#[derive(Debug, Clone, Copy)]
+struct EvictCandidate {
+    age: (SimTime, ContainerId),
+    key: KeyId,
+    at: Option<usize>,
 }
 
 /// How a slow-path release claimed its container under the shard lock.
@@ -808,7 +914,7 @@ impl ShardedPool {
                 .entry(id)
                 .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
             let slot_idx = self.publish_in_use(slot, id, container);
-            guard.live += 1;
+            guard.admit(container, now, id, slot_idx);
             guard.mark_active(id);
             slot_idx
         };
@@ -865,8 +971,15 @@ impl ShardedPool {
     }
 
     /// Publishes a just-created container into the available state
-    /// (prewarm). Shard lock held; publish-before-bit-set as above.
-    fn publish_avail(&self, slot: &mut Slot, id: KeyId, container: ContainerId, execed: bool) {
+    /// (prewarm). Shard lock held; publish-before-bit-set as above. Returns
+    /// the bitmap slot, `None` for an overflow container.
+    fn publish_avail(
+        &self,
+        slot: &mut Slot,
+        id: KeyId,
+        container: ContainerId,
+        execed: bool,
+    ) -> Option<usize> {
         let ks = &slot.ks;
         if let Some(i) = ks.free.claim() {
             // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
@@ -876,8 +989,10 @@ impl ShardedPool {
             self.rindex_set(container, id, i);
             let fresh = ks.avail.release(i);
             debug_assert!(fresh, "published slot's avail bit was already set");
+            Some(i)
         } else {
             slot.overflow_avail.push_back((container, execed));
+            None
         }
     }
 
@@ -970,7 +1085,7 @@ impl ShardedPool {
             claim.ks.dispose_idle(claim.slot);
             claim.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
             self.rindex_clear(container);
-            guard.live -= 1;
+            guard.forget(container);
         }
         // A disposal is a touch: the controller must re-examine this key.
         guard.mark_active(claim.id);
@@ -1067,7 +1182,7 @@ impl ShardedPool {
                 }
                 Ok(_) => {
                     slot.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
-                    guard.live -= 1;
+                    guard.forget(container);
                 }
                 Err(_) => {
                     // The engine rejected the hand-back; restore the claim
@@ -1171,8 +1286,8 @@ impl ShardedPool {
             .slots
             .entry(id)
             .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
-        self.publish_avail(slot, id, container, false);
-        guard.live += 1;
+        let slot_idx = self.publish_avail(slot, id, container, false);
+        guard.admit(container, now, id, slot_idx);
         guard.mark_active(id);
         Ok(breakdown.total())
     }
@@ -1224,7 +1339,7 @@ impl ShardedPool {
             });
             if let Some(container) = popped {
                 self.rindex_clear(container);
-                guard.live -= 1;
+                guard.forget(container);
                 guard.mark_active(id);
             }
             popped
@@ -1253,12 +1368,13 @@ impl ShardedPool {
     /// Forcibly terminates the *oldest* available live container across all
     /// types (§IV-B's response to too many containers / memory pressure).
     ///
-    /// Two-phase: (1) scan shard by shard (one lock at a time) collecting
-    /// available candidates, pick the globally oldest via the engine;
-    /// (2) re-lock the owning shard, re-verify the slot entry still names
-    /// the candidate, and claim its `avail` bit — if a racing acquire took
-    /// it in between, rescan. Returns the teardown cost, or `None` if the
-    /// pool holds no available container.
+    /// Two-phase: (1) ask each shard in turn (one lock at a time) for the
+    /// oldest available entry of its age index and keep the minimum across
+    /// the shard heads; (2) re-lock the owning shard, re-verify the slot
+    /// entry still names the candidate, and claim its `avail` bit. If a
+    /// racing acquire took it in between, the walk resumes just past the
+    /// lost candidate. Returns the teardown cost, or `None` if the pool
+    /// holds no available container.
     pub fn evict_oldest(
         &self,
         engine: &impl EngineRef,
@@ -1267,36 +1383,18 @@ impl ShardedPool {
         self.bump_epoch();
         // Bounded retries: each retry means a racing acquire claimed our
         // candidate, which is progress for the system as a whole.
+        let mut after = None;
         for _ in 0..8 {
-            let mut candidates: Vec<(KeyId, ContainerId, Option<usize>)> = Vec::new();
-            for shard in self.shards.iter() {
-                let state = shard.lock();
-                for (&key, slot) in &state.slots {
-                    slot.ks.avail.for_each_set(|i| {
-                        if let Some(c) = entry_container(slot.ks.entries[i].load(Ordering::Relaxed))
-                        {
-                            candidates.push((key, c, Some(i)));
-                        }
-                    });
-                    for &(c, _) in &slot.overflow_avail {
-                        candidates.push((key, c, None));
-                    }
-                }
-            }
-            if candidates.is_empty() {
+            // Oldest first, ids as a deterministic tie-break.
+            let oldest = self
+                .shards
+                .iter()
+                .filter_map(|shard| shard.lock().oldest_available(after))
+                .min_by_key(|candidate| candidate.age);
+            let Some(EvictCandidate { age, key, at }) = oldest else {
                 return Ok(None);
-            }
-            // Oldest first, ids as a deterministic tie-break. A candidate
-            // retired by a racing thread simply drops out (no created_at).
-            let oldest = engine.with_engine(|e| {
-                candidates
-                    .into_iter()
-                    .filter_map(|(key, c, at)| e.created_at(c).map(|t| (t, c, key, at)))
-                    .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
-            });
-            let Some((_, container, key, at)) = oldest else {
-                continue;
             };
+            let container = age.1;
             let claimed = {
                 let mut guard = self.shard(key).lock();
                 let claimed = guard.slots.get_mut(&key).is_some_and(|slot| match at {
@@ -1320,7 +1418,7 @@ impl ShardedPool {
                     }
                 });
                 if claimed {
-                    guard.live -= 1;
+                    guard.forget(container);
                     // An eviction is a touch: the controller must re-examine
                     // this key at the next interval.
                     guard.mark_active(key);
@@ -1332,6 +1430,7 @@ impl ShardedPool {
                     .with_engine(|e| e.stop_and_remove(container, now))
                     .map(Some);
             }
+            after = Some(age);
         }
         Ok(None)
     }
@@ -1504,6 +1603,10 @@ impl ShardedPool {
             // discards stale queue entries; it keeps the queue bounded when
             // full sweeps and dirty snapshots interleave.
             drain_due_cold(slots, cold, &mut retired, seq, gc_after);
+            // … and, the same way, the age index against the slots it shadows.
+            if cfg!(debug_assertions) {
+                guard.assert_ages_consistent();
+            }
         }
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
@@ -1653,8 +1756,8 @@ fn drain_due_cold(
 ///
 /// The lock-free operations (`claim_warm`, `hand_back`,
 /// `try_claim_release`) call the real `KeySlots` methods unmodified. The
-/// lock-holding operations (`publish_avail`, `retire_avail`, `evict_at`)
-/// replay the exact store sequences of [`ShardedPool::publish_avail`],
+/// lock-holding operations (`publish_avail`, `retire_avail`,
+/// `evict_candidate`, `evict_at`) replay the exact load/store sequences of [`ShardedPool::publish_avail`],
 /// [`ShardedPool::retire_one_id`], and [`ShardedPool::evict_oldest`]'s
 /// claim phase, minus the shard lock and reverse index — in the model the
 /// lock's happens-before hand-off is reproduced by running every
@@ -1738,6 +1841,14 @@ pub mod model_api {
             debug_assert!(container.is_some(), "avail bit over an empty slot");
             self.ks.dispose_idle(i);
             container
+        }
+
+        /// Phase one of [`super::ShardedPool::evict_oldest`] for one age-index
+        /// entry: the candidate test reads the slot's `avail` bit (the
+        /// container's identity comes from the index, i.e. from the caller).
+        /// Advisory against lock-free claimers — phase two decides.
+        pub fn evict_candidate(&self, i: usize) -> bool {
+            self.ks.avail.is_set(i)
         }
 
         /// The claim phase of [`super::ShardedPool::evict_oldest`]: re-verify
@@ -2421,6 +2532,96 @@ mod tests {
                 assert_eq!(pool.total_live(), e.live_count());
                 assert_eq!(pool.total_available() + busy.len(), e.live_count());
             }
+        });
+    }
+
+    /// Lockstep against the public-API eviction oracle — the first id of
+    /// `live_ids_oldest_first()` the pool reports Existing-Available — under
+    /// random acquire / release / crashed release / prewarm / retire / evict
+    /// sequences. Key 0 starts past its slot array, so overflow containers
+    /// are candidates; creation times are drawn from four instants, so
+    /// `created_at` ties are common (the id breaks them) and `now` is not
+    /// monotone across creations (age order ≠ id order, as `ShardedGateway`
+    /// threads produce). Every full-sweep snapshot re-runs the age-index
+    /// cross-check.
+    #[test]
+    fn prop_evict_oldest_matches_the_engine_oracle() {
+        fn oracle(pool: &ShardedPool, e: &ContainerEngine) -> Option<ContainerId> {
+            e.live_ids_oldest_first()
+                .into_iter()
+                .find(|&c| pool.pool_code(e, c) == 1)
+        }
+        fn evict_in_lockstep(pool: &ShardedPool, e: &mut ContainerEngine, now: SimTime) -> bool {
+            let expected = oracle(pool, e);
+            let live = e.live_count();
+            let evicted = pool.evict_oldest(&ex(e), now).unwrap().is_some();
+            assert_eq!(evicted, expected.is_some(), "None iff nothing is available");
+            if let Some(victim) = expected {
+                assert_eq!(e.state(victim), ContainerState::Removed, "evicted another");
+                assert_eq!(e.live_count(), live - 1, "evicted more than one");
+            }
+            for shard in 0..pool.num_shards() {
+                pool.take_shard_snapshot(shard);
+            }
+            evicted
+        }
+        testkit::check(48, |g| {
+            let mut e = plain_engine();
+            let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
+            let configs: Vec<ContainerConfig> = (0..5)
+                .map(|k| {
+                    let mut c = cfg("alpine:3.12");
+                    c.exec.env.insert("K".into(), k.to_string());
+                    c
+                })
+                .collect();
+            let instant = |g: &mut testkit::Gen| SimTime::from_secs(g.u64_in(0..4));
+            // Executes on an in-use container, crashing it or not, and
+            // releases it: back to the pool, or disposed.
+            let finish = |e: &mut ContainerEngine, id: ContainerId, crash: bool, now: SimTime| {
+                e.set_fault_injection(if crash { 1.0 } else { 0.0 }, 7);
+                exec(&ex(e), id, now);
+                pool.release(&ex(e), id, now).unwrap();
+                assert_eq!(e.state(id) == ContainerState::Removed, crash);
+            };
+            let mut busy: Vec<ContainerId> = Vec::new();
+            for _ in 0..SLOTS_PER_KEY + 3 {
+                let acq = pool.acquire(&ex(&mut e), &configs[0], instant(g)).unwrap();
+                busy.push(acq.container);
+            }
+            // Most go straight back, so bitmap *and* overflow containers of
+            // key 0 are available, and a few of each stay in use.
+            let (back, kept): (Vec<_>, Vec<_>) = busy.into_iter().partition(|_| g.u8_in(0..4) > 0);
+            let mut busy = kept;
+            for id in back {
+                finish(&mut e, id, false, instant(g));
+            }
+            for _ in 0..g.usize_in(1..120) {
+                let now = instant(g);
+                let c = g.pick(&configs);
+                match g.u8_in(0..9) {
+                    0..=2 => busy.push(pool.acquire(&ex(&mut e), c, now).unwrap().container),
+                    3 | 4 if !busy.is_empty() => {
+                        let id = busy.swap_remove(g.usize_in(0..busy.len()));
+                        // One release in three is of a crashed container.
+                        finish(&mut e, id, g.u8_in(0..3) == 0, now);
+                    }
+                    5 => {
+                        pool.prewarm(&ex(&mut e), c, now).unwrap();
+                    }
+                    6 => {
+                        pool.retire_one(&ex(&mut e), &pool.key_of(c), now).unwrap();
+                    }
+                    _ => {
+                        evict_in_lockstep(&pool, &mut e, now);
+                    }
+                }
+                assert_eq!(pool.total_live(), e.live_count());
+            }
+            // Drain: whatever is available leaves in exactly the oracle's
+            // order, and what remains is exactly what is still in use.
+            while evict_in_lockstep(&pool, &mut e, SimTime::from_secs(9)) {}
+            assert_eq!(pool.total_live(), busy.len());
         });
     }
 }

@@ -208,6 +208,135 @@ fn one_key_hammered_from_32_threads_survives_controller_ticks() {
 }
 
 #[test]
+fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
+    // Limit enforcement on its own thread, in a loop, against 32 workers
+    // spread over 16 keys under a cap well below what they hold and pool.
+    // Each worker's clock jumps around 50 instants, so creation times tie
+    // and age order differs from id order. The evictor's candidate test
+    // (avail bit under the shard lock, then the phase-two claim) races every
+    // lock-free warm claim and hand-back: it must never take a container a
+    // worker holds, and the age index it walks must stay exact.
+    //
+    // Every worker first cold-starts three containers and waits at a barrier,
+    // so 96 are live before the first release whatever the scheduler does,
+    // and the evictor enforces once more after the workers are done: the cap
+    // is certain to bite.
+    use hotc::PoolLimits;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let threads = 32usize;
+    let ops = 200usize;
+    let keys = 16usize;
+    let pool = ShardedPool::with_shards(KeyPolicy::Exact, 8);
+    let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
+    let owned = Mutex::new(HashSet::new());
+    let stop = AtomicBool::new(false);
+    let all_holding = Barrier::new(threads);
+    let cap = 24usize;
+    let limits = PoolLimits::new(cap, 0.99);
+
+    std::thread::scope(|s| {
+        let evictor = {
+            let (pool, engine, stop) = (&pool, &engine, &stop);
+            s.spawn(move || {
+                let mut evicted = 0usize;
+                loop {
+                    let last_pass = stop.load(Ordering::Acquire);
+                    let (_, n) = limits
+                        .enforce(pool, engine, SimTime::from_secs(1))
+                        .expect("enforce");
+                    evicted += n;
+                    if last_pass {
+                        return evicted;
+                    }
+                    std::thread::yield_now();
+                }
+            })
+        };
+
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (pool, engine, owned, all_holding) = (&pool, &engine, &owned, &all_holding);
+                s.spawn(move || {
+                    let mut g = Gen::from_seed(0xA6E ^ (t as u64).wrapping_mul(0x9E37_79B9));
+                    let mut held: Vec<ContainerId> = Vec::new();
+                    for op in 0..ops {
+                        if op == 3 {
+                            all_holding.wait();
+                        }
+                        let now = SimTime::from_millis(g.u64_in(0..50));
+                        if held.len() < 3 && (op < 3 || g.u8_in(0..3) != 0) {
+                            let cfg = config_for_key(g.usize_in(0..keys));
+                            let acq = pool.acquire(engine, &cfg, now).expect("acquire");
+                            let fresh = owned.lock().insert(acq.container);
+                            assert!(fresh, "container {:?} handed out twice", acq.container);
+                            held.push(acq.container);
+                        } else if !held.is_empty() {
+                            let c = held.swap_remove(g.usize_in(0..held.len()));
+                            assert!(
+                                engine.lock().config(c).is_some(),
+                                "container {c:?} was evicted while in use"
+                            );
+                            assert!(owned.lock().remove(&c), "released unowned container");
+                            pool.release(engine, c, now).expect("release");
+                        }
+                    }
+                    for c in held {
+                        assert!(engine.lock().config(c).is_some(), "evicted while in use");
+                        assert!(owned.lock().remove(&c));
+                        pool.release(engine, c, SimTime::from_secs(3600))
+                            .expect("final release");
+                    }
+                })
+            })
+            .collect();
+
+        for w in workers {
+            w.join().expect("worker panicked");
+        }
+        stop.store(true, Ordering::Release);
+        let evicted = evictor.join().expect("evictor panicked");
+        assert!(evicted >= threads * 3 - cap, "the cap never bit");
+    });
+
+    // Quiescence: the shard counters agree with the engine, and the full
+    // sweep's debug cross-check finds the age index holding exactly the live
+    // containers, each where the slot bookkeeping says it is.
+    assert!(owned.lock().is_empty());
+    let live = engine.lock().live_count();
+    assert!(live <= cap, "the last enforcement pass left {live} live");
+    assert_eq!(pool.total_live(), live, "pool live diverged from engine");
+    assert_eq!(pool.total_available(), live, "in-use containers leaked");
+    for shard in 0..pool.num_shards() {
+        pool.take_shard_snapshot(shard);
+    }
+    // Draining removes what is left in exactly the oracle's order: oldest
+    // `(created_at, id)` first, across shards.
+    let order = engine.lock().live_ids_oldest_first();
+    for victim in order {
+        assert_eq!(
+            pool.pool_code(&engine.lock(), victim),
+            1,
+            "all are available"
+        );
+        assert!(pool
+            .evict_oldest(&engine, SimTime::from_secs(3601))
+            .expect("evict")
+            .is_some());
+        assert!(
+            engine.lock().config(victim).is_none(),
+            "eviction skipped the oldest container {victim:?}"
+        );
+    }
+    assert_eq!(pool.total_live(), 0);
+    assert!(pool
+        .evict_oldest(&engine, SimTime::from_secs(3602))
+        .expect("evict")
+        .is_none());
+}
+
+#[test]
 fn interning_is_stable_under_concurrency() {
     // 8 threads race to intern the same 6 configurations (plus their own
     // re-interns, warm acquires, and releases). Every thread must observe

@@ -191,10 +191,19 @@ impl AppTracker {
         self.last_app.retain(|&id, _| engine.config(id).is_some());
     }
 
-    /// Drops entries for containers outside the given live set — for callers
-    /// that snapshot the engine's live ids rather than holding the engine.
-    pub fn prune_to(&mut self, live: &std::collections::HashSet<ContainerId>) {
-        self.last_app.retain(|id, _| live.contains(id));
+    /// The tracked container ids, in no particular order — for callers that
+    /// cannot hold the engine while they hold the tracker: they probe each
+    /// id's liveness separately, then [`forget`](Self::forget) the dead ones.
+    pub fn tracked_ids(&self) -> Vec<ContainerId> {
+        // lint:allow(map-iteration, ids feed a per-id liveness probe and a keyed removal; order cannot reach a result)
+        self.last_app.keys().copied().collect()
+    }
+
+    /// Drops the entries of the given containers.
+    pub fn forget(&mut self, gone: &[ContainerId]) {
+        for id in gone {
+            self.last_app.remove(id);
+        }
     }
 
     /// Number of containers currently tracked.

@@ -151,6 +151,63 @@ fn warm_acquire_vs_evict_is_exclusive() {
 }
 
 #[test]
+fn evict_candidate_test_vs_warm_acquire_and_hand_back() {
+    // Eviction's two phases against a full warm round trip on the same
+    // slot: the age index names the slot, phase one reads its avail bit,
+    // phase two re-verifies the entry and claims the bit — while an acquirer
+    // claims the slot, owns it, and hands it back. The bit read is advisory
+    // (it may go stale either way before phase two); ownership must not be:
+    // the owner finds its container intact for as long as it holds it, and
+    // at the end the container is either evicted or warm, never both or
+    // neither. The tree is small enough to demand exhaustion, not just the
+    // absence of a violation within the budget.
+    let report = checker().try_check(|| {
+        let s = Arc::new(ModelSlots::new(1));
+        let i = s.publish_avail(C1, false).expect("free slot");
+        let s2 = Arc::clone(&s);
+        let t = spawn(move || {
+            let Some((j, c, _)) = s2.claim_warm() else {
+                return false;
+            };
+            assert_eq!((j, c), (i, C1), "claimed entry must be fully published");
+            // The release claim re-reads the entry: a disposal while this
+            // thread owned the slot would have zeroed it.
+            assert!(
+                s2.try_claim_release(j, c),
+                "container disposed under its owner"
+            );
+            s2.hand_back(j, c);
+            true
+        });
+        let evicted = s.evict_candidate(i) && s.evict_at(i, C1);
+        let acquired = t.join();
+        assert_eq!(s.in_use_count(), 0, "all claims released");
+        assert!(
+            evicted ^ s.avail_contains(C1),
+            "container is {}",
+            if evicted {
+                "evicted and still warm"
+            } else {
+                "lost"
+            }
+        );
+        if evicted {
+            assert_eq!(s.free_count(), 1, "evicted slot disposed back to free");
+        } else {
+            assert!(acquired, "nobody held the slot yet eviction gave up on it");
+        }
+    });
+    if let Some(v) = &report.violation {
+        panic!("{}", v.render());
+    }
+    assert!(
+        report.complete,
+        "schedule tree not exhausted within budget ({} schedules)",
+        report.schedules
+    );
+}
+
+#[test]
 fn cold_publish_vs_racing_claims_upholds_publish_before_bit_set() {
     // The tentpole invariant: a claimer that wins an avail bit must see the
     // complete entry (container id and execed flag) that was stored before
