@@ -5,7 +5,8 @@
 #
 #   (no flag)  full CI: hermeticity, format, lints, conformance, release
 #              build, workspace tests, results/ freshness, bench smoke +
-#              perf gates, metrics smoke — what the release CI job runs.
+#              perf gates, benchmark/ smoke, metrics smoke — what the
+#              release CI job runs.
 #   --fast     inner-loop subset: format, lints, conformance, and the debug
 #              workspace test suite (lock sanitizer armed). No release
 #              build, no benches; finishes in under two minutes warm.
@@ -134,10 +135,27 @@ rm -f "$BENCH_OUT_DIR/BENCH_ci.json"
 run cargo bench --offline -p hotc-bench --benches -- --smoke
 run cargo run --offline -q -p hotc-bench --bin gate -- "$BENCH_OUT_DIR/BENCH_ci.json" ci/gates.json
 
+# 7b. The benchmark package (its own workspace, path deps into crates/)
+#     still builds against this tree and every workload still reproduces
+#     `run_scenario`'s snapshot: its own tests, then all five workloads in
+#     all three passes at 1/10 size. API drift in crates/ otherwise shows
+#     up only when the merge pipeline runs BENCHMARK.json. Reads benchmark/,
+#     writes only the ignored benchmark/target and benchmark/out.
+run sh -c '(cd benchmark && cargo test --release --offline)'
+BENCHMARK_OUT="$(mktemp)"
+trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT"' EXIT
+if ! run sh -c "benchmark/run.sh --smoke --seconds 0 > '$BENCHMARK_OUT'" \
+    || grep -q '"correct":false' "$BENCHMARK_OUT"; then
+    echo "benchmark smoke: non-zero exit or a workload failed its correctness checks:" >&2
+    grep -E '^FAILED|"correct":false' "$BENCHMARK_OUT" | cut -c1-200 >&2
+    exit 1
+fi
+echo "benchmark smoke OK"
+
 # 8. Telemetry smoke: run the demo scenario with --metrics-out and assert the
 #    snapshot is well-formed with nonzero cold-start stage counts.
 METRICS_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$METRICS_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$METRICS_OUT"' EXIT
 run sh -c "./target/release/hotc-sim --demo | ./target/release/hotc-sim - --metrics-out '$METRICS_OUT' >/dev/null"
 echo
 echo "==> metrics snapshot smoke ($METRICS_OUT):"
@@ -164,7 +182,7 @@ echo "metrics snapshot OK"
 #    day through the CLI's pull-based trace path (never materialized) and
 #    assert every request was served. Takes about a minute in release.
 REPLAY_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$METRICS_OUT" "$REPLAY_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$METRICS_OUT" "$REPLAY_OUT"' EXIT
 run sh -c "./target/release/hotc-sim scenarios/synth_1m.hotc > '$REPLAY_OUT'"
 # The summary table's first column is the request count.
 grep -Eq '(^|[^0-9])1000000([^0-9]|$)' "$REPLAY_OUT" \
@@ -177,7 +195,7 @@ echo "streaming replay smoke OK"
 #     parallel_equivalence test suite; this asserts the shipped binary's
 #     flag path end to end at scale.)
 PAR_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$METRICS_OUT" "$REPLAY_OUT" "$PAR_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$METRICS_OUT" "$REPLAY_OUT" "$PAR_OUT"' EXIT
 run sh -c "./target/release/hotc-sim scenarios/synth_1m.hotc --replay-threads 4 > '$PAR_OUT'"
 grep -Eq '(^|[^0-9])1000000([^0-9]|$)' "$PAR_OUT" \
     || { echo "parallel synth_1m replay did not serve 1000000 requests" >&2; exit 1; }

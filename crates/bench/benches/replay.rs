@@ -11,7 +11,15 @@
 //!    `hotc_bench::run_workload` is the streaming loop itself.)
 //! 2. A 1e6-request / 10k-key synthesized day replays end to end at a gated
 //!    minimum rate, and the process peak RSS stays under a gated ceiling —
-//!    the replay path's memory is O(keys + in-flight), not O(requests).
+//!    the replay path's memory is O(keys + in-flight), not O(requests). The
+//!    same day over 100k keys (= 100k registered functions) is the
+//!    population-scale point: what a function costs the simulator when
+//!    there are as many of them as in the Azure-style traces.
+//!
+//! Each `*_peak_rss_kb` record is `VmHWM` read right after its point, with
+//! the kernel's high-water mark reset right before it, so it is that point's
+//! own peak (plus whatever freed memory the allocator still holds from the
+//! points before it) rather than the process-lifetime maximum.
 //!
 //! These runs are seconds-to-a-minute long, so each is timed exactly once
 //! with [`Harness::bench_once`] instead of the calibrated sampling loop.
@@ -167,6 +175,13 @@ fn vm_hwm_kb() -> Option<f64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// Resets `VmHWM` to the current resident set (`5` → `clear_refs`, Linux
+/// ≥ 4.0). Where the write is refused the mark simply keeps accumulating,
+/// and a reading is the peak of every point so far — still an upper bound.
+fn reset_vm_hwm() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 fn main() {
     let mut h = Harness::new("replay");
 
@@ -187,6 +202,7 @@ fn main() {
 
     // Scale point: a synthesized day of 1e6 requests over 10k runtime keys,
     // streamed — never materialized.
+    reset_vm_hwm();
     let (n, max_inflight) =
         h.bench_once("stream_1m_10k_keys", || replay_streaming(1_000_000, 10_000));
     assert_eq!(n, 1_000_000);
@@ -202,6 +218,7 @@ fn main() {
     // The `replay_parallel` gate group pins the speedup ratio against the
     // sequential scale point above (guarded by `min_parallelism`, so 1-core
     // runners skip it visibly instead of failing it).
+    reset_vm_hwm();
     let n = h.bench_once("stream_1m_10k_keys_par8", || {
         replay_parallel(1_000_000, 10_000, 8)
     });
@@ -211,6 +228,19 @@ fn main() {
     }
     if let Some(kb) = vm_hwm_kb() {
         h.record_derived("replay_1m_par8_peak_rss_kb", kb);
+    }
+
+    // Population scale point: the same day spread over 100k keys, every one
+    // a registered function with its own runtime key. Memory here is per
+    // key — function table, pool slots, controller history, telemetry —
+    // not per request.
+    reset_vm_hwm();
+    let (n, _) = h.bench_once("stream_1m_100k_keys", || {
+        replay_streaming(1_000_000, 100_000)
+    });
+    assert_eq!(n, 1_000_000);
+    if let Some(kb) = vm_hwm_kb() {
+        h.record_derived("replay_100k_keys_peak_rss_kb", kb);
     }
 
     // Frontend-only emission rate at the 1e6 / 1e7 / 1e8 scale points —

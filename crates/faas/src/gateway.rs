@@ -27,7 +27,7 @@ use crate::apps::AppProfile;
 use crate::pipeline::{RequestTrace, GATEWAY_HOP, WATCHDOG_HOP};
 use crate::RuntimeProvider;
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
-use metrics_lite::{MetricsRegistry, Stage, StageSample};
+use metrics_lite::{MetricsRegistry, Stage, StageSample, StageSet};
 use simclock::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -340,6 +340,11 @@ pub struct Gateway<P: RuntimeProvider> {
     stats: SharedStats,
     tracker: AppTracker,
     metrics: Arc<MetricsRegistry>,
+    /// `fn/<name>` stage-set handles by function name, filled on a
+    /// function's first `finish` (not at registration: a function that is
+    /// never invoked must not appear in the snapshot, and `begin_with`
+    /// callers' functions are not in `functions` at all).
+    fn_stages: HashMap<String, Arc<StageSet>>,
 }
 
 impl<P: RuntimeProvider> Gateway<P> {
@@ -367,6 +372,7 @@ impl<P: RuntimeProvider> Gateway<P> {
             stats: SharedStats::new(),
             tracker: AppTracker::new(),
             metrics,
+            fn_stages: HashMap::new(),
         }
     }
 
@@ -517,10 +523,19 @@ impl<P: RuntimeProvider> Gateway<P> {
         self.prune_tracker();
         let trace = inflight.complete();
         // One stage-set record per request: `all`, `gateway/e2e`, and the
-        // counters are derived from the `fn/` scopes at snapshot time.
-        self.metrics
-            .stage_set(&format!("fn/{}", inflight.function))
-            .record(&inflight.stage_sample());
+        // counters are derived from the `fn/` scopes at snapshot time. The
+        // scope name is formatted and looked up in the registry once per
+        // function, not once per request.
+        let stages = match self.fn_stages.get(&inflight.function) {
+            Some(stages) => stages,
+            None => {
+                let stages = self.metrics.stage_set(&format!("fn/{}", inflight.function));
+                self.fn_stages
+                    .entry(inflight.function.clone())
+                    .or_insert(stages)
+            }
+        };
+        stages.record(&inflight.stage_sample());
         Ok(trace)
     }
 
@@ -676,6 +691,35 @@ mod tests {
             snap.scope_total_ns("all"),
             (cold_trace.total() + warm_trace.total()).as_nanos()
         );
+    }
+
+    /// The per-function stage-set handle is created by a function's first
+    /// `finish`: a registered function that is never invoked stays out of
+    /// the snapshot, and a `begin_with` caller's function (held by a cluster
+    /// scheduler, never registered on this node) gets its scope all the same.
+    #[test]
+    fn stage_scopes_appear_on_first_finish_only() {
+        let mut gw = gateway(FixedKeepAlive::aws_default());
+        gw.register(FunctionSpec::from_app(AppProfile::random_number()).named("idle"));
+        let placed = FunctionSpec::from_app(AppProfile::random_number()).named("placed");
+        assert!(gw
+            .metrics()
+            .snapshot()
+            .stages
+            .iter()
+            .all(|(s, _)| s == "all"));
+
+        for at in [0, 10] {
+            gw.handle("random-number", SimTime::from_secs(at)).unwrap();
+            let inflight = gw.begin_with(&placed, SimTime::from_secs(at + 1)).unwrap();
+            gw.finish(inflight).unwrap();
+        }
+        let snap = gw.metrics().snapshot();
+        let scopes: Vec<&str> = snap.stages.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(scopes, ["all", "fn/placed", "fn/random-number"]);
+        assert_eq!(snap.stage_count("fn/placed", Stage::Exec), 2);
+        assert_eq!(snap.stage_count("fn/random-number", Stage::Exec), 2);
+        assert_eq!(snap.stage_count("all", Stage::Exec), 4);
     }
 
     /// Property: over random traffic (mixed apps, random gaps — cold, warm,

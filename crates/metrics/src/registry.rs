@@ -11,9 +11,14 @@
 //! handles once (get-or-create by name) and record through the handle —
 //! no per-request name lookup or allocation.
 //!
-//! Stripes materialize lazily: a scope touched by one thread allocates one
-//! stripe's histograms, not all of them, which keeps a registry with
-//! hundreds of per-function/per-key scopes small.
+//! Stripes materialize lazily: a [`StageSet`] is an array of
+//! `OnceLock<Box<_>>` slots (two words each, 512 B for all 32), and a scope
+//! touched by one thread allocates exactly one stripe — a cache-line-aligned
+//! box holding the lock and the scope's histogram headers (≈1 KB), whose
+//! counts in turn cost what was recorded into them (see
+//! [`crate::histogram`]). A function's first request therefore allocates
+//! ≈2 KB of telemetry, so a registry with 100 000 per-function scopes is a
+//! few hundred MB rather than 15 GB.
 
 use crate::histogram::LatencyHistogram;
 use crate::stage::{Stage, StageSample, N_STAGES};
@@ -27,7 +32,8 @@ use stdshim::{Mutex, RwLock};
 /// Lock stripes per stage set. Worker threads hash onto stripes,
 /// so up to this many threads record without contending. Sized to the
 /// widest contention point the bench suite drives (32 gateway threads);
-/// stripes are lazily allocated, so idle width costs one pointer each.
+/// stripes are lazily allocated, so idle width costs one `OnceLock<Box<_>>`
+/// (two words) each.
 const N_STRIPES: usize = 32;
 
 /// Monotone per-thread stripe assignment: the first time a thread records,
@@ -40,13 +46,27 @@ fn thread_stripe() -> usize {
     STRIPE.with(|s| *s) % N_STRIPES
 }
 
-/// One lazily created stripe, padded to its own cache-line pair. Without the
-/// alignment, adjacent stripes' lock words (and the histogram headers mutated
-/// on every record) share cache lines, and concurrent recorders on *distinct*
-/// stripes still ping-pong those lines between cores (false sharing).
+/// One stripe: the lock and the per-stage histograms (plus the totals slot)
+/// it guards, boxed on first use and aligned to its own cache-line pair.
+/// Without the alignment, two stripes' lock words (and the histogram headers
+/// mutated on every record) can share a cache line, and concurrent recorders
+/// on *distinct* stripes still ping-pong that line between cores (false
+/// sharing). The alignment sits on the boxed payload, not on the slot that
+/// points to it: slots are written once and then only read, so packing them
+/// costs nothing, while aligning them would make every stage set 4 KB wide
+/// no matter how many threads ever record into it.
 #[repr(align(128))]
-#[derive(Debug, Default)]
-struct Stripe<T>(OnceLock<Mutex<T>>);
+#[derive(Debug)]
+struct Stripe(Mutex<[LatencyHistogram; N_STAGES + 1]>);
+
+impl Stripe {
+    fn boxed() -> Box<Stripe> {
+        Box::new(Stripe(Mutex::labeled(
+            std::array::from_fn(|_| LatencyHistogram::new()),
+            "metrics/stripe",
+        )))
+    }
+}
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -102,7 +122,7 @@ impl Gauge {
 /// the e2e histogram for free instead of locking a second structure.
 #[derive(Debug, Default)]
 pub struct StageSet {
-    stripes: [Stripe<Box<[LatencyHistogram; N_STAGES + 1]>>; N_STRIPES],
+    stripes: [OnceLock<Box<Stripe>>; N_STRIPES],
 }
 
 impl StageSet {
@@ -116,13 +136,8 @@ impl StageSet {
     /// sample total into the totals slot.
     pub fn record(&self, sample: &StageSample) {
         let _scope = stdshim::request_path_scope();
-        let stripe = self.stripes[thread_stripe()].0.get_or_init(|| {
-            Mutex::labeled(
-                Box::new(std::array::from_fn(|_| LatencyHistogram::new())),
-                "metrics/stripe",
-            )
-        });
-        let mut hists = stripe.lock();
+        let stripe = self.stripes[thread_stripe()].get_or_init(Stripe::boxed);
+        let mut hists = stripe.0.lock();
         let mut total = 0u64;
         for (i, &ns) in sample.nanos().iter().enumerate() {
             if ns > 0 {
@@ -146,8 +161,8 @@ impl StageSet {
     fn merged_index(&self, index: usize) -> LatencyHistogram {
         let mut out = LatencyHistogram::new();
         for stripe in &self.stripes {
-            if let Some(m) = stripe.0.get() {
-                out.merge(&m.lock()[index]);
+            if let Some(stripe) = stripe.get() {
+                out.merge(&stripe.0.lock()[index]);
             }
         }
         out
@@ -163,13 +178,8 @@ impl StageSet {
     /// is read out fully before this set's stripe lock is taken.
     pub fn absorb(&self, other: &StageSet) {
         let merged: Vec<LatencyHistogram> = (0..=N_STAGES).map(|i| other.merged_index(i)).collect();
-        let stripe = self.stripes[0].0.get_or_init(|| {
-            Mutex::labeled(
-                Box::new(std::array::from_fn(|_| LatencyHistogram::new())),
-                "metrics/stripe",
-            )
-        });
-        let mut hists = stripe.lock();
+        let stripe = self.stripes[0].get_or_init(Stripe::boxed);
+        let mut hists = stripe.0.lock();
         for (slot, m) in hists.iter_mut().zip(merged.iter()) {
             slot.merge(m);
         }
@@ -396,11 +406,18 @@ impl MetricsRegistry {
     /// rather than panicking the series' ordering invariant.
     pub fn sample_series(&self, name: &str, at: SimTime, value: f64) {
         let mut series = self.series.lock();
-        let ts = series.entry(name.to_string()).or_default();
-        match ts.points().last() {
-            Some(&(last, _)) if at < last => {}
-            _ => ts.push(at, value),
+        // Look up by `&str` first: `entry` needs an owned key, which would
+        // be one `String` per tick per series for a key that already exists.
+        if let Some(ts) = series.get_mut(name) {
+            match ts.points().last() {
+                Some(&(last, _)) if at < last => {}
+                _ => ts.push(at, value),
+            }
+            return;
         }
+        let mut ts = TimeSeries::new();
+        ts.push(at, value);
+        series.insert(name.to_string(), ts);
     }
 
     /// Snapshot of every named time series.
@@ -660,6 +677,57 @@ mod tests {
             target.snapshot().to_json().to_pretty_string(),
             combined.snapshot().to_json().to_pretty_string()
         );
+    }
+
+    /// `absorb` across histogram representations: a worker whose stage
+    /// histograms have promoted to dense folding into a target that is still
+    /// sparse, and the reverse, both reproduce single-registry recording
+    /// byte for byte.
+    #[test]
+    fn absorb_across_sparse_and_dense_equals_single_registry_recording() {
+        let sample = |exec: SimDuration| {
+            let mut s = StageSample::new();
+            s.set(Stage::GatewayHop, SimDuration::from_micros(400));
+            s.set(Stage::Exec, exec);
+            s
+        };
+        // 200 exec times over 7 octaves promote; three repeated ones do not.
+        let wide: Vec<StageSample> = (1..=200)
+            .map(|k| sample(SimDuration::from_micros(50 * k)))
+            .collect();
+        let narrow: Vec<StageSample> = (0..30)
+            .map(|k| sample(SimDuration::from_millis(1 + k % 3)))
+            .collect();
+
+        for (in_target, in_worker) in [(&narrow, &wide), (&wide, &narrow)] {
+            let (combined, target, worker) = (
+                MetricsRegistry::new(),
+                MetricsRegistry::new(),
+                MetricsRegistry::new(),
+            );
+            for reg in [&combined, &target, &worker] {
+                reg.stage_union("all", "fn/");
+                reg.histogram_union("gateway/e2e", "fn/");
+            }
+            for (reg, samples) in [(&target, in_target), (&worker, in_worker)] {
+                for s in samples {
+                    reg.stage_set("fn/f").record(s);
+                    combined.stage_set("fn/f").record(s);
+                }
+                let promoted = reg.stage_set("fn/f").merged(Stage::Exec).is_dense();
+                assert_eq!(promoted, samples.len() == wide.len());
+            }
+            target.absorb(&worker);
+            assert!(target.stage_set("fn/f").merged(Stage::Exec).is_dense());
+            assert!(!target
+                .stage_set("fn/f")
+                .merged(Stage::GatewayHop)
+                .is_dense());
+            assert_eq!(
+                target.snapshot().to_json().to_pretty_string(),
+                combined.snapshot().to_json().to_pretty_string()
+            );
+        }
     }
 
     #[test]

@@ -58,14 +58,19 @@ impl JsonValue {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_close, colon) = match indent {
-            Some(w) => (
-                "\n",
-                " ".repeat(w * (depth + 1)),
-                " ".repeat(w * depth),
-                ": ",
-            ),
-            None => ("", String::new(), String::new(), ":"),
+        // Line break + indentation for `depth`, written straight into `out`:
+        // scalars (most nodes of a metrics snapshot) never pay for padding.
+        let newline = |out: &mut String, depth: usize| {
+            const SPACES: &str = "                                ";
+            if let Some(w) = indent {
+                out.push('\n');
+                let mut left = w * depth;
+                while left > 0 {
+                    let n = left.min(SPACES.len());
+                    out.push_str(&SPACES[..n]);
+                    left -= n;
+                }
+            }
         };
         match self {
             JsonValue::Null => out.push_str("null"),
@@ -93,12 +98,10 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad);
+                    newline(out, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad_close);
+                newline(out, depth);
                 out.push(']');
             }
             JsonValue::Object(fields) => {
@@ -111,14 +114,12 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad);
+                    newline(out, depth + 1);
                     write_escaped(out, key);
-                    out.push_str(colon);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
                     value.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad_close);
+                newline(out, depth);
                 out.push('}');
             }
         }
@@ -627,6 +628,69 @@ mod tests {
     fn pretty_print_indents() {
         let v = JsonValue::object([("xs", vec![1u8].to_json())]);
         assert_eq!(v.to_pretty_string(), "{\n  \"xs\": [\n    1\n  ]\n}\n");
+    }
+
+    /// Golden text for the serializer: the literal bytes of a depth-4 tree
+    /// with empty and non-empty containers at inner levels, pretty and
+    /// compact. `--metrics-out` files are compared byte for byte across
+    /// commits, so the indentation rules are pinned here, not just "parses
+    /// back".
+    #[test]
+    fn golden_pretty_and_compact_text() {
+        let v = JsonValue::object([
+            ("counters", JsonValue::object([("a/b", 7u64.to_json())])),
+            ("empty_obj", JsonValue::Object(vec![])),
+            ("empty_arr", JsonValue::Array(vec![])),
+            (
+                "series",
+                JsonValue::object([(
+                    "pool/live",
+                    JsonValue::Array(vec![
+                        JsonValue::Array(vec![JsonValue::Float(30.0), JsonValue::Float(2.5)]),
+                        JsonValue::Array(vec![]),
+                        JsonValue::Array(vec![JsonValue::Object(vec![]), JsonValue::Null]),
+                    ]),
+                )]),
+            ),
+            ("flag", true.to_json()),
+        ]);
+        let pretty = r#"{
+  "counters": {
+    "a/b": 7
+  },
+  "empty_obj": {},
+  "empty_arr": [],
+  "series": {
+    "pool/live": [
+      [
+        30.0,
+        2.5
+      ],
+      [],
+      [
+        {},
+        null
+      ]
+    ]
+  },
+  "flag": true
+}
+"#;
+        assert_eq!(v.to_pretty_string(), pretty);
+        assert_eq!(
+            v.to_string(),
+            r#"{"counters":{"a/b":7},"empty_obj":{},"empty_arr":[],"series":{"pool/live":[[30.0,2.5],[],[{},null]]},"flag":true}"#
+        );
+        // Indentation wider than the serializer's padding chunk.
+        let mut deep = JsonValue::Array(vec![JsonValue::Int(1)]);
+        for _ in 0..19 {
+            deep = JsonValue::Array(vec![deep]);
+        }
+        let text = deep.to_pretty_string();
+        let widest = text.lines().map(|l| l.len()).max().unwrap();
+        assert_eq!(widest, 2 * 20 + 1, "innermost scalar sits at depth 20");
+        assert!(text.lines().any(|l| l == format!("{}1", " ".repeat(40))));
+        assert_eq!(JsonValue::parse(&text).unwrap(), deep);
     }
 
     #[test]
