@@ -57,7 +57,10 @@ cargo run --offline -q -p hotc-lint -- --json > lint-report.json
 #     by the cursors in crates/workloads/src/trace.rs — the Vec<Arrival>
 #     generator modules collect them and build none of their own; (d) the
 #     retired twins (pool façade, parallel runner entry, free-standing
-#     histogram) stay retired.
+#     histogram, gateway-side last-app trackers, the shared clock, the retry
+#     driver) stay retired; (e) the Fig. 6 sequence — acquire→enforce,
+#     release→book, tick→step+enforce — is written in middleware.rs only:
+#     the sharded gateway drives `HotC` and names none of its parts.
 echo
 echo "==> one-replay-loop guard"
 if grep -rnE 'Simulation|schedule_(at|in)\b' crates/*/src src examples --include='*.rs' \
@@ -77,8 +80,13 @@ for module in patterns azure youtube; do
         exit 1
     fi
 done
-if grep -rnE 'ContainerPool|run_scenario_parallel|SharedHistogram' crates src tests examples; then
+if grep -rnE 'ContainerPool|run_scenario_parallel|SharedHistogram|AppTracker|ShardedTracker|note_app|SharedClock|handle_with_retries' crates src tests examples; then
     echo "a retired duplicate is back (see above)" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/concurrent.rs \
+    | grep -nE '\.enforce\(|maybe_step|acquire_id|try_finish_release'; then
+    echo "crates/core/src/concurrent.rs spells part of the Fig. 6 sequence itself (see above)" >&2
     exit 1
 fi
 

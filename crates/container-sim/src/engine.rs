@@ -154,6 +154,8 @@ struct ContainerRecord {
     created_at: SimTime,
     last_used: SimTime,
     exec_count: u64,
+    // The app whose code was last loaded into this runtime (`load_app`).
+    last_app: Option<&'static str>,
     // In-flight execution footprint, released at end_exec.
     running_work: Option<ExecWork>,
     // Whether the in-flight execution will crash (fault injection).
@@ -378,11 +380,27 @@ impl ContainerEngine {
                 created_at: now,
                 last_used: now,
                 exec_count: 0,
+                last_app: None,
                 running_work: None,
                 crashing: false,
             },
         );
         Ok((id, breakdown))
+    }
+
+    /// Loads `app`'s code into a container ("we load user code into that
+    /// candidate container") and reports whether the app-level
+    /// initialization is due: the runtime has never executed, or a different
+    /// app ran in it last (pooled runtimes are shared by every app of the
+    /// same runtime type). The record lives and dies with the container.
+    pub fn load_app(&mut self, id: ContainerId, app: &'static str) -> Result<bool, EngineError> {
+        let rec = self
+            .containers
+            .get_mut(&id)
+            .ok_or(EngineError::UnknownContainer(id))?;
+        let init_due = rec.exec_count == 0 || rec.last_app != Some(app);
+        rec.last_app = Some(app);
+        Ok(init_due)
     }
 
     /// Begins an execution in an idle container. Returns the virtual latency
@@ -915,6 +933,39 @@ mod tests {
             (1.8..2.8).contains(&ratio),
             "java cold/hot ratio {ratio}, expected ≈2×"
         );
+    }
+
+    #[test]
+    fn load_app_detects_switches_and_dies_with_the_container() {
+        let mut e = engine();
+        let (id, _) = e
+            .create_container(cfg("alpine:3.12"), SimTime::ZERO)
+            .unwrap();
+        let work = ExecWork::light(SimDuration::from_millis(1));
+        assert_eq!(e.load_app(id, "alpha"), Ok(true), "fresh runtime");
+        // Loaded but never executed (a prewarmed runtime): init still due.
+        assert_eq!(e.load_app(id, "alpha"), Ok(true), "never executed");
+        e.exec(id, work, SimTime::ZERO).unwrap();
+        assert_eq!(e.load_app(id, "alpha"), Ok(false), "same app");
+        assert_eq!(e.load_app(id, "beta"), Ok(true), "app switch");
+        assert_eq!(e.load_app(id, "beta"), Ok(false), "switch was recorded");
+
+        let ghost = ContainerId(404);
+        assert_eq!(
+            e.load_app(ghost, "alpha"),
+            Err(EngineError::UnknownContainer(ghost))
+        );
+        // The record is the container's: removal leaves nothing behind, and
+        // the next container starts fresh.
+        e.stop_and_remove(id, SimTime::from_secs(1)).unwrap();
+        assert_eq!(
+            e.load_app(id, "beta"),
+            Err(EngineError::UnknownContainer(id))
+        );
+        let (next, _) = e
+            .create_container(cfg("alpine:3.12"), SimTime::from_secs(2))
+            .unwrap();
+        assert_eq!(e.load_app(next, "beta"), Ok(true));
     }
 
     #[test]

@@ -402,11 +402,6 @@ impl LocalImageStore {
         registry.iter().map(|spec| self.pull(spec, hw)).sum()
     }
 
-    /// Number of distinct cached layers.
-    pub fn cached_layer_count(&self) -> usize {
-        self.cached_layers.len()
-    }
-
     /// Evicts an image's metadata (layers stay, as Docker does on `rmi` with
     /// shared layers referenced elsewhere — simplified: layers always stay).
     pub fn evict_image(&mut self, id: &ImageId) {

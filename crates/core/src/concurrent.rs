@@ -4,12 +4,16 @@
 //! contention benchmarks push further. The workspace has exactly two
 //! gateways: the single-threaded [`faas::Gateway`] (every experiment, the
 //! CLI, the cluster nodes and the replay driver) and [`ShardedGateway`]
-//! here. The runtime pool is a [`ShardedPool`] (per-shard locks), request
-//! counters are atomics ([`faas::SharedStats`]), the function table is behind
-//! a read-mostly [`stdshim::sync::RwLock`], and only the simulated container
-//! daemon itself remains a single mutex. Warm requests for runtime types on
-//! different shards share **no** lock except the engine's short
-//! `begin_exec`/`end_exec` critical sections, and container creation happens
+//! here. Runtime management is the same [`HotC`] the single-threaded gateway
+//! drives — this frontend owns no pool, controller or limits of its own and
+//! spells no part of the Fig. 6 sequence; it hands `HotC`'s `&self` entry
+//! points its engine mutex where `faas::Gateway` hands them an exclusive
+//! borrow. What is its own: request counters on atomics
+//! ([`faas::SharedStats`]), the function table behind a read-mostly
+//! [`stdshim::sync::RwLock`], and the single mutex that stands in for the
+//! container daemon. Warm requests for runtime types on different shards
+//! share **no** lock except the engine's short critical sections (load-app +
+//! `begin_exec`, `end_exec` + cleanup), and container creation happens
 //! outside every shard lock, so cold starts on different keys overlap.
 //!
 //! The global-lock baseline it is measured against is a fixture local to
@@ -20,20 +24,16 @@
 //! experiment's elapsed time is the max across timelines (parallel-work
 //! semantics).
 
-use crate::controller::AdaptiveController;
-use crate::limits::PoolLimits;
-use crate::middleware::HotCConfig;
-use crate::shard::{EngineRef, ShardedPool, DEFAULT_SHARDS};
-use containersim::{ContainerEngine, ContainerId, ContainerState};
+use crate::middleware::{HotC, HotCConfig};
+use crate::shard::{EngineRef, ShardedPool};
+use containersim::ContainerEngine;
 use faas::gateway::{GatewayError, InFlight};
 use faas::pipeline::{GATEWAY_HOP, WATCHDOG_HOP};
-use faas::AppTracker;
-use faas::{AppProfile, FunctionSpec, GatewayStats, RequestTrace, SharedStats};
+use faas::{AppProfile, FunctionSpec, GatewayStats, RequestTrace, RuntimeProvider, SharedStats};
 use metrics_lite::{Counter, MetricsRegistry, StageSet};
 use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stdshim::sync::{Mutex, RwLock};
 
@@ -50,11 +50,6 @@ struct FunctionEntry {
     spec: FunctionSpec,
     key_id: crate::key::KeyId,
     stage_fn: Arc<StageSet>,
-    /// The function's application, as a dense nonzero token from the
-    /// gateway's registration-time app registry. The warm path compares this
-    /// `u64` against the pool slot's atomic last-app word instead of taking
-    /// a tracker lock to compare name strings.
-    app_token: u64,
 }
 
 /// A pre-resolved function handle: pins the registration-time
@@ -66,77 +61,20 @@ pub struct FunctionHandle {
     entry: Arc<FunctionEntry>,
 }
 
-/// Last-app tracking sharded by container id, so the per-request app-switch
-/// check does not reserialize the warm path on one tracker mutex.
-struct ShardedTracker {
-    shards: Box<[Mutex<AppTracker>]>,
-}
-
-impl ShardedTracker {
-    fn new(shards: usize) -> Self {
-        ShardedTracker {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::labeled(AppTracker::new(), "gateway/tracker"))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, container: ContainerId) -> &Mutex<AppTracker> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        std::hash::Hash::hash(&container, &mut hasher);
-        &self.shards[(std::hash::Hasher::finish(&hasher) % self.shards.len() as u64) as usize]
-    }
-
-    fn needs_app_init(&self, container: ContainerId, app: &'static str, first_exec: bool) -> bool {
-        self.shard(container)
-            .lock()
-            .needs_app_init(container, app, first_exec)
-    }
-
-    fn tracked(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().tracked()).sum()
-    }
-
-    fn tracked_ids(&self) -> Vec<ContainerId> {
-        self.shards
-            .iter()
-            .flat_map(|shard| shard.lock().tracked_ids())
-            .collect()
-    }
-
-    fn forget(&self, gone: &[ContainerId]) {
-        for shard in self.shards.iter() {
-            shard.lock().forget(gone);
-        }
-    }
-}
-
-/// The sharded HotC gateway: per-shard pool locks, atomic stats, a
-/// read-mostly function table with registration-time runtime keys, sharded
-/// last-app tracking, and a single engine mutex standing in for the
-/// container daemon.
+/// The sharded HotC gateway: [`HotC`] (per-shard pool locks, tick-only
+/// controller mutex) driven through a single engine mutex standing in for
+/// the container daemon, with atomic stats and a read-mostly function table
+/// carrying registration-time runtime keys.
 ///
 /// Lock order (see DESIGN.md): a thread holds at most one of
-/// {function table, tracker shard, pool shard, engine} at a time on the request
-/// path; the controller mutex (tick only) may span shard/engine acquisitions
+/// {function table, pool shard, engine} at a time on the request path;
+/// `HotC`'s controller mutex (tick only) may span shard/engine acquisitions
 /// but is never taken while holding any other lock.
 pub struct ShardedGateway {
     engine: Mutex<ContainerEngine>,
+    hotc: HotC,
     functions: RwLock<HashMap<String, Arc<FunctionEntry>>>,
     stats: SharedStats,
-    /// Last-app fallback for overflow containers (no bitmap slot). Bitmap
-    /// containers — the steady state — use the pool's atomic last-app words.
-    tracker: ShardedTracker,
-    /// Registration-time app-name → token registry (see
-    /// [`FunctionEntry::app_token`]). Locked only while registering.
-    app_tokens: Mutex<Vec<&'static str>>,
-    pool: ShardedPool,
-    controller: Mutex<AdaptiveController>,
-    limits: PoolLimits,
-    disable_prediction: bool,
-    /// Cumulative background cost in virtual nanoseconds (atomic: bumped on
-    /// every release, so a mutex here would reserialize the warm path).
-    background_nanos: AtomicU64,
     metrics: Arc<MetricsRegistry>,
     /// Read-time telemetry handles (the request path records only into the
     /// per-function/per-key stage sets; counters, `all`, and the e2e
@@ -167,18 +105,9 @@ impl ShardedGateway {
         let cold_counter = metrics.counter("gateway/cold_starts");
         ShardedGateway {
             engine: Mutex::labeled(engine, "core/engine"),
+            hotc: HotC::new(config),
             functions: RwLock::labeled(HashMap::new(), "gateway/functions"),
             stats: SharedStats::new(),
-            tracker: ShardedTracker::new(DEFAULT_SHARDS),
-            app_tokens: Mutex::labeled(Vec::new(), "gateway/app-tokens"),
-            pool: ShardedPool::new(config.key_policy),
-            controller: Mutex::labeled(
-                AdaptiveController::new(config.controller),
-                "gateway/controller",
-            ),
-            limits: config.limits,
-            disable_prediction: config.disable_prediction,
-            background_nanos: AtomicU64::new(0),
             metrics,
             requests_counter,
             cold_counter,
@@ -191,8 +120,8 @@ impl ShardedGateway {
     }
 
     /// The gateway's metrics registry. Mirrors the request/cold-start tally
-    /// into the registry's counters so a subsequent snapshot is current
-    /// (`tick` refreshes them too).
+    /// and `HotC`'s forced-eviction count into the registry's counters so a
+    /// subsequent snapshot is current (`tick` refreshes them too).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         self.sync_counters();
         &self.metrics
@@ -205,41 +134,31 @@ impl ShardedGateway {
         let stats = self.stats.snapshot();
         self.requests_counter.store(stats.requests);
         self.cold_counter.store(stats.cold_starts);
+        // Present in the snapshot only once the limits have evicted.
+        let evicted = self.hotc.forced_evictions();
+        if evicted > 0 {
+            self.metrics.counter("pool/evictions").store(evicted);
+        }
     }
 
     /// Registers (or replaces) a function. The runtime key is interned and
     /// the per-function/per-key stage-set handles are derived here, once, so
     /// the per-request path never formats, hashes, or looks up a key string.
     pub fn register(&self, spec: FunctionSpec) {
-        let key_id = self.pool.intern_config(&spec.config);
-        let key = self.pool.key_of(&spec.config);
+        let key_id = self.pool().intern_config(&spec.config);
+        let key = self.pool().key_of(&spec.config);
         let fn_scope = format!("fn/{}", spec.name);
         let stage_fn = self.metrics.stage_set(&fn_scope);
         self.metrics
             .stage_union_member(&format!("key/{key}"), &fn_scope);
-        let app_token = self.app_token(spec.app.name);
         self.functions.write().insert(
             spec.name.clone(),
             Arc::new(FunctionEntry {
                 spec,
                 key_id,
                 stage_fn,
-                app_token,
             }),
         );
-    }
-
-    /// The dense nonzero token for an app name, registering it on first use.
-    /// Registration-time only; tokens are stable for the gateway's lifetime.
-    fn app_token(&self, app: &'static str) -> u64 {
-        let mut tokens = self.app_tokens.lock();
-        match tokens.iter().position(|&a| a == app) {
-            Some(at) => at as u64 + 1,
-            None => {
-                tokens.push(app);
-                tokens.len() as u64
-            }
-        }
     }
 
     /// Resolves a function to a reusable [`FunctionHandle`], or `None` if it
@@ -266,35 +185,13 @@ impl ShardedGateway {
 
     /// The sharded runtime pool.
     pub fn pool(&self) -> &ShardedPool {
-        &self.pool
+        self.hotc.pool()
     }
 
     /// Cumulative background (off-request-path) cost: cleanup, pre-warm,
     /// retire, eviction.
     pub fn background_cost(&self) -> SimDuration {
-        SimDuration::from_nanos(self.background_nanos.load(Ordering::Relaxed))
-            + self.controller.lock().background_cost()
-    }
-
-    fn add_background(&self, cost: SimDuration) {
-        self.background_nanos
-            .fetch_add(cost.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// Evicts down to the limits — after a cold start and on every tick —
-    /// booking the teardown cost and counting into `pool/evictions`.
-    fn enforce_limits(&self, now: SimTime) -> Result<(), GatewayError> {
-        let (cost, evicted) = self.limits.enforce(&self.pool, &self.engine, now)?;
-        self.add_background(cost);
-        if evicted > 0 {
-            self.metrics.counter("pool/evictions").add(evicted as u64);
-        }
-        Ok(())
-    }
-
-    /// Number of containers with a tracked last-app entry.
-    pub fn tracked_containers(&self) -> usize {
-        self.tracker.tracked()
+        self.hotc.background_cost()
     }
 
     /// Runs a closure with the locked engine (setup, inspection).
@@ -332,49 +229,34 @@ impl ShardedGateway {
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
         // DESIGN.md §5: the request path holds at most one of {function
-        // table, pool shard, engine} at a time — and the warm acquire +
-        // app-switch check below hold none at all.
+        // table, pool shard, engine} at a time — and the warm acquire below
+        // holds none at all.
         let _scope = stdshim::request_path_scope();
         let t1 = now;
         let t2 = t1 + GATEWAY_HOP;
-        // `acquire_id` reports `first_exec` from pool bookkeeping and reuses
-        // the registration-time interned id, so a warm hit is a bitmap CAS —
-        // no shard lock, no engine lock, no key hashing. The app-switch
-        // check then swaps the slot's atomic last-app word; only overflow
-        // containers (beyond the per-key slot array) fall back to the
-        // tracker mutex.
+        // The acquire reuses the registration-time interned id, so a warm
+        // hit is a bitmap CAS — no shard lock, no engine lock, no key
+        // hashing.
         let warm_scope = stdshim::request_path_scope();
         let acq = self
-            .pool
-            .acquire_id(&self.engine, entry.key_id, &entry.spec.config, t2)?;
-        let first_exec = acq.first_exec;
-        // App init is due on a fresh runtime AND when the pooled runtime
-        // last ran a different app (fuzzy keys / shared runtime types).
-        let needs_app_init = acq
-            .slot
-            .and_then(|slot| self.pool.note_app(entry.key_id, slot, entry.app_token))
-            .map_or_else(
-                || {
-                    self.tracker
-                        .needs_app_init(acq.container, entry.spec.app.name, first_exec)
-                },
-                |prev| first_exec || prev != entry.app_token,
-            );
+            .hotc
+            .acquire_on(&self.engine, entry.key_id, &entry.spec.config, t2)?;
         debug_assert!(
             !acq.lock_free || warm_scope.locks_taken() == 0,
             "warm gateway hit took a lock before begin_exec"
         );
         drop(warm_scope);
-        if acq.cold {
-            // A cold start may have pushed the pool over its limits.
-            self.enforce_limits(t2)?;
-        }
-        let work = entry.spec.app.work_for(needs_app_init);
         // Function initiation: watchdog shim + obtaining the runtime.
         let t3 = t2 + WATCHDOG_HOP + acq.cost;
-        let outcome = self
-            .engine
-            .with_engine(|e| e.begin_exec(acq.container, work, t3))?;
+        // One engine critical section loads the app and starts it. App init
+        // is due on a fresh runtime AND when the pooled runtime last ran a
+        // different app (fuzzy keys / shared runtime types); the container's
+        // own record knows which.
+        let app = &entry.spec.app;
+        let outcome = self.engine.with_engine(|e| {
+            let needs_app_init = e.load_app(acq.container, app.name)?;
+            e.begin_exec(acq.container, app.work_for(needs_app_init), t3)
+        })?;
         let t4 = t3 + outcome.latency;
         Ok(InFlight {
             function: entry.spec.name.clone(),
@@ -384,7 +266,7 @@ impl ShardedGateway {
             t2,
             t3,
             cold: acq.cold,
-            first_exec,
+            first_exec: outcome.first_exec,
             crashed: outcome.crashed,
             breakdown: acq.breakdown,
             reconfig: acq.reconfig,
@@ -394,8 +276,8 @@ impl ShardedGateway {
     }
 
     /// Completes an in-flight request at its `t4`: end the execution, return
-    /// the container to the pool (a crashed one is disposed of), bump the
-    /// atomic counters, and prune app-tracking entries that just went stale.
+    /// the container to the pool (a crashed one is disposed of), and bump the
+    /// atomic counters.
     pub fn finish(&self, inflight: InFlight) -> Result<RequestTrace, GatewayError> {
         let entry = self.functions.read().get(&inflight.function).cloned();
         self.finish_entry(entry.as_ref(), inflight)
@@ -422,39 +304,17 @@ impl ShardedGateway {
         // section (the container resolves through the pool's lock-free
         // reverse index).
         let _scope = stdshim::request_path_scope();
-        let t4 = inflight.t4_func_end;
-        // Fast path: the registration-time entry already carries the
-        // interned key id, so the end-exec + cleanup pair runs in one engine
-        // critical section instead of three, with no key re-derivation.
-        let finished = match &entry {
-            Some(entry) => self.pool.try_finish_release(
-                &self.engine,
-                entry.key_id,
-                inflight.container,
-                t4,
-                inflight.crashed,
-            )?,
-            None => None,
-        };
-        let cost = match finished {
-            Some(cost) => cost,
-            None => {
-                // The function was re-registered (or deregistered) with a
-                // different configuration mid-flight: end the execution and
-                // let the pool derive the key from the engine's config.
-                self.engine
-                    .with_engine(|e| e.end_exec(inflight.container, t4))?;
-                self.pool.release(&self.engine, inflight.container, t4)?
-            }
-        };
-        self.add_background(cost);
+        // The registration-time entry already carries the interned key id,
+        // so the end-exec + cleanup pair runs in one engine critical section
+        // with no key re-derivation.
+        self.hotc.finish_release_on(
+            &self.engine,
+            entry.map(|entry| entry.key_id),
+            inflight.container,
+            inflight.t4_func_end,
+            inflight.crashed,
+        )?;
         self.stats.record(inflight.cold);
-        if inflight.crashed {
-            // The crashed container was just disposed of, so its tracker
-            // entry is stale right now; containers disposed of by eviction
-            // are pruned by the next `tick`.
-            self.prune_tracker();
-        }
         let trace = inflight.complete();
         // Always-on stage telemetry: ONE cache-padded stripe lock per
         // request, through the registration-time handle (no name lookup).
@@ -495,39 +355,32 @@ impl ShardedGateway {
         Ok(trace)
     }
 
-    /// Periodic maintenance: one adaptive-controller step (per shard), limit
-    /// enforcement, tracker pruning — plus sampling the controller/pool
-    /// gauges and time series into the metrics registry.
+    /// Periodic maintenance: `HotC`'s tick (controller step, limit
+    /// enforcement), mirrored — together with the pool gauges and time
+    /// series — into the metrics registry.
     pub fn tick(&self, now: SimTime) -> Result<(), GatewayError> {
-        if !self.disable_prediction {
-            let report = self
-                .controller
-                .lock()
-                .maybe_step(&self.pool, &self.engine, now)?;
-            if let Some(report) = report {
-                self.metrics
-                    .counter("controller/prewarmed")
-                    .add(report.prewarmed as u64);
-                self.metrics
-                    .counter("controller/retired")
-                    .add(report.retired as u64);
-                self.metrics
-                    .counter("controller/gc_keys")
-                    .add(report.gc_keys as u64);
-                self.metrics.sample_series(
-                    "controller/predicted_demand",
-                    now,
-                    report.predicted_total(),
-                );
-                self.metrics.sample_series(
-                    "controller/actual_demand",
-                    now,
-                    report.actual_total() as f64,
-                );
-            }
+        if let Some(report) = self.hotc.tick_on(&self.engine, now)? {
+            self.metrics
+                .counter("controller/prewarmed")
+                .add(report.prewarmed as u64);
+            self.metrics
+                .counter("controller/retired")
+                .add(report.retired as u64);
+            self.metrics
+                .counter("controller/gc_keys")
+                .add(report.gc_keys as u64);
+            self.metrics.sample_series(
+                "controller/predicted_demand",
+                now,
+                report.predicted_total(),
+            );
+            self.metrics.sample_series(
+                "controller/actual_demand",
+                now,
+                report.actual_total() as f64,
+            );
         }
-        self.enforce_limits(now)?;
-        let sizes = self.pool.shard_sizes();
+        let sizes = self.pool().shard_sizes();
         let (avail, in_use) = sizes
             .iter()
             .fold((0usize, 0usize), |(a, u), &(sa, su)| (a + sa, u + su));
@@ -541,34 +394,18 @@ impl ShardedGateway {
         self.metrics
             .sample_series("pool/live", now, (avail + in_use) as f64);
         self.sync_counters();
-        self.prune_tracker();
         Ok(())
-    }
-
-    /// Drops last-app entries for containers that no longer exist. Cheap
-    /// guard first; on a real prune the tracked ids are read under the
-    /// tracker locks, probed for liveness under the engine lock, and the
-    /// dead ones dropped under the tracker locks again — O(tracked), and the
-    /// two kinds of lock are never held together.
-    fn prune_tracker(&self) {
-        let tracked = self.tracker.tracked();
-        let live = self.engine.with_engine(|e| e.live_count());
-        if tracked > live {
-            let mut gone = self.tracker.tracked_ids();
-            self.engine
-                .with_engine(|e| gone.retain(|&id| e.state(id) == ContainerState::Removed));
-            self.tracker.forget(&gone);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::middleware::HotC;
-    use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
+    use crate::limits::PoolLimits;
+    use crate::shard::ExclusiveEngine;
+    use containersim::engine::ExecWork;
+    use containersim::{ContainerEngine, HardwareProfile, ImageId, LanguageRuntime};
     use faas::gateway::Gateway;
-    use faas::RuntimeProvider;
     use metrics_lite::LatencyRecorder;
     use simclock::SimDuration;
     use std::sync::Arc;
@@ -687,8 +524,6 @@ mod tests {
         let live = gw.with_engine(|e| e.live_count());
         assert!(live <= 8, "live={live}");
         assert_eq!(gw.pool().total_live(), live);
-        // No request in flight ⇒ every tracked container is live.
-        assert!(gw.tracked_containers() <= live);
     }
 
     #[test]
@@ -789,6 +624,72 @@ mod tests {
             .series
             .iter()
             .any(|(name, ts)| name == "pool/live" && ts.len() == 1));
+    }
+
+    /// Two apps on one runtime key, served serially from one prewarmed
+    /// runtime: app init is paid on the runtime's first use although it was
+    /// never cold for a request, re-paid on every app switch and not on a
+    /// repeat — and the two frontends agree request for request.
+    #[test]
+    fn app_switches_repay_init_identically_on_both_gateways() {
+        let alpha = AppProfile {
+            name: "alpha",
+            image: ImageId::parse("python:3.8-alpine"),
+            app_init: SimDuration::from_millis(500),
+            work: ExecWork::light(SimDuration::from_millis(50)),
+        };
+        let mut beta = alpha.clone();
+        beta.name = "beta";
+        let specs = [FunctionSpec::from_app(alpha), FunctionSpec::from_app(beta)];
+        let config = &specs[0].config;
+        assert_eq!(config, &specs[1].config, "one runtime type");
+
+        let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let hotc = HotC::with_defaults();
+        hotc.pool()
+            .prewarm(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO)
+            .unwrap();
+        let mut exclusive = Gateway::new(engine, hotc);
+        let sharded = ShardedGateway::with_defaults(ContainerEngine::with_local_images(
+            HardwareProfile::server(),
+        ));
+        sharded
+            .with_engine(|e| {
+                let pool = sharded.pool();
+                pool.prewarm(&ExclusiveEngine::new(e), config, SimTime::ZERO)
+            })
+            .unwrap();
+        for spec in &specs {
+            exclusive.register(spec.clone());
+            sharded.register(spec.clone());
+        }
+
+        let mut timeline = ThreadTimeline::starting_at(SimTime::from_secs(1));
+        let mut now = timeline.now();
+        let script = [
+            ("alpha", true), // prewarmed: never executed, nothing loaded
+            ("alpha", false),
+            ("beta", true),
+            ("beta", false),
+            ("alpha", true),
+            ("beta", true),
+        ];
+        for (i, (function, init_due)) in script.into_iter().enumerate() {
+            let a = sharded.handle(function, &mut timeline).unwrap();
+            let b = exclusive.handle(function, now).unwrap();
+            now = b.t6_gateway_out;
+            assert_eq!(a, b, "request {i} diverged");
+            assert!(!a.cold, "request {i}: the prewarmed runtime serves it");
+            assert_eq!(a.first_exec, i == 0, "request {i}");
+            assert_eq!(
+                a.execution() > SimDuration::from_millis(500),
+                init_due,
+                "request {i} ({function}): {:?}",
+                a.execution()
+            );
+        }
+        assert_eq!(exclusive.engine().live_count(), 1);
+        assert_eq!(sharded.with_engine(|e| e.live_count()), 1);
     }
 
     #[test]

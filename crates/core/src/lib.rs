@@ -21,8 +21,6 @@
 //!   termination. It is the one pool type: runtime keys are spread over N
 //!   independently locked shards so warm paths for different runtime types
 //!   never contend, and container creation happens outside every shard lock.
-//!   Single-threaded callers reach it through an [`ExclusiveEngine`] borrow,
-//!   concurrent ones through their engine mutex.
 //! * [`controller`] — **Adaptive live container management** (Algorithm 3):
 //!   per-key demand history at a fixed control interval, predicted with the
 //!   combined exponential-smoothing + Markov model, pre-warming and retiring
@@ -31,20 +29,25 @@
 //!   containers and a host memory-pressure threshold of 80 %
 //!   (`used_mem + used_swap`), enforced by evicting the oldest live
 //!   container.
-//! * [`middleware`] — [`middleware::HotC`], tying the above together behind
-//!   the [`faas::RuntimeProvider`] trait so the unmodified gateway can run
-//!   with HotC ("does not involve disruptive changes to the existing
-//!   architecture").
+//! * [`middleware`] — [`middleware::HotC`], the Fig. 6 middleware: the one
+//!   place that ties the above together (acquire → enforce on a cold start,
+//!   release → book the cleanup, tick → controller step + enforce). Its
+//!   entry points take `&self` and an [`EngineRef`]; behind the
+//!   [`faas::RuntimeProvider`] trait the unmodified gateway runs with HotC
+//!   ("does not involve disruptive changes to the existing architecture").
 //! * [`concurrent`] — [`concurrent::ShardedGateway`], the thread-safe
 //!   frontend for the parallel-request experiments and contention
 //!   benchmarks. Together with the single-threaded [`faas::Gateway`] it is
-//!   one of the workspace's two gateways; the global-lock baseline it is
-//!   measured against is a fixture local to `benches/contention.rs`.
+//!   one of the workspace's two gateways, and it drives the same [`HotC`];
+//!   the global-lock baseline it is measured against is a fixture local to
+//!   `benches/contention.rs`.
 //!
-//! One spelling per pool-control operation: [`PoolLimits`] and
-//! [`AdaptiveController`] entry points all take `(&ShardedPool, &impl
-//! EngineRef, now)`; [`HotC`] passes its pool and an [`ExclusiveEngine`],
-//! the sharded gateway its pool and engine mutex.
+//! One spelling per pool-control operation: [`PoolLimits`],
+//! [`AdaptiveController`] and [`HotC`] entry points all take an `&impl
+//! EngineRef` — an [`ExclusiveEngine`] borrow from the single-threaded
+//! gateway, the engine mutex from the sharded one. Which app last ran in a
+//! pooled runtime is not pool or gateway state: the container's engine
+//! record remembers it ([`containersim::ContainerEngine::load_app`]).
 //!
 //! ## Algorithms 1 and 2 on the pool
 //!

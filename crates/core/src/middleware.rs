@@ -1,19 +1,30 @@
-//! The HotC middleware: pool + adaptive controller + limits behind the
-//! gateway's [`faas::RuntimeProvider`] interface (Fig. 6).
+//! The HotC middleware: pool + adaptive controller + limits (Fig. 6).
 //!
 //! "When new requests arrive, HotC always attempts to execute the user code
 //! in an existing and free container. If it cannot find an available
 //! container, HotC just starts a new one as usual. After the container
 //! finishes execution, it returns the results back to the client side and
 //! then HotC will clean up the container and prepare for the next request."
+//!
+//! There is one [`HotC`], and the Fig. 6 sequence — acquire then enforce the
+//! limits on a cold start, release then book the cleanup, tick = controller
+//! step then enforce — is written here only. Its entry points take `&self`
+//! and an [`EngineRef`], exactly as the pool's do: the single-threaded
+//! [`faas::Gateway`] reaches them through [`faas::RuntimeProvider`] and an
+//! [`ExclusiveEngine`] borrow, [`crate::ShardedGateway`] through its engine
+//! mutex. The warm request path takes no lock here: the controller sits
+//! behind a mutex that only `tick_on` (and the background-cost read) takes,
+//! and the tallies are relaxed atomics.
 
-use crate::controller::{AdaptiveController, ControllerConfig};
-use crate::key::KeyPolicy;
+use crate::controller::{AdaptiveController, ControllerConfig, StepReport};
+use crate::key::{KeyId, KeyPolicy};
 use crate::limits::PoolLimits;
-use crate::shard::{ExclusiveEngine, ShardedPool};
+use crate::shard::{EngineRef, ExclusiveEngine, PoolAcquisition, ShardedPool};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use faas::{Acquisition, RuntimeProvider};
 use simclock::{SimDuration, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
+use stdshim::sync::Mutex;
 
 /// Top-level HotC configuration.
 #[derive(Debug, Clone, Default)]
@@ -32,11 +43,17 @@ pub struct HotCConfig {
 /// The HotC runtime manager.
 pub struct HotC {
     pool: ShardedPool,
-    controller: AdaptiveController,
+    /// Taken by `tick_on` and the background-cost read only: a control step
+    /// may span shard and engine acquisitions, but this lock is never taken
+    /// while holding any other (DESIGN.md §5).
+    controller: Mutex<AdaptiveController>,
     limits: PoolLimits,
     disable_prediction: bool,
-    background: SimDuration,
-    forced_evictions: u64,
+    /// Cumulative cleanup/eviction cost in virtual nanoseconds. Bumped on
+    /// every release, so it is a statistic on a relaxed atomic rather than
+    /// state behind a lock that would reserialize the warm path.
+    background_nanos: AtomicU64,
+    forced_evictions: AtomicU64,
 }
 
 impl HotC {
@@ -44,11 +61,14 @@ impl HotC {
     pub fn new(config: HotCConfig) -> Self {
         HotC {
             pool: ShardedPool::new(config.key_policy),
-            controller: AdaptiveController::new(config.controller),
+            controller: Mutex::labeled(
+                AdaptiveController::new(config.controller),
+                "hotc/controller",
+            ),
             limits: config.limits,
             disable_prediction: config.disable_prediction,
-            background: SimDuration::ZERO,
-            forced_evictions: 0,
+            background_nanos: AtomicU64::new(0),
+            forced_evictions: AtomicU64::new(0),
         }
     }
 
@@ -63,23 +83,95 @@ impl HotC {
         &self.pool
     }
 
-    /// Controller inspection (predictions, background cost).
-    pub fn controller(&self) -> &AdaptiveController {
-        &self.controller
+    fn add_background(&self, cost: SimDuration) {
+        self.background_nanos
+            .fetch_add(cost.as_nanos(), Ordering::Relaxed);
     }
 
     /// Evicts down to the limits, booking the teardown cost and the count.
-    fn enforce_limits(
-        &mut self,
-        engine: &mut ContainerEngine,
+    fn enforce_limits(&self, engine: &impl EngineRef, now: SimTime) -> Result<(), EngineError> {
+        let (cost, evicted) = self.limits.enforce(&self.pool, engine, now)?;
+        self.add_background(cost);
+        self.forced_evictions
+            .fetch_add(evicted as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Algorithm 1 under the limits: obtains a runtime for `config` (whose
+    /// interned key is `key_id`), evicting down to the limits when that took
+    /// a cold start. A warm hit takes no lock.
+    pub fn acquire_on(
+        &self,
+        engine: &impl EngineRef,
+        key_id: KeyId,
+        config: &ContainerConfig,
+        now: SimTime,
+    ) -> Result<PoolAcquisition, EngineError> {
+        let acq = self.pool.acquire_id(engine, key_id, config, now)?;
+        if acq.cold {
+            // A cold start may have pushed the pool over its limits.
+            self.enforce_limits(engine, now)?;
+        }
+        Ok(acq)
+    }
+
+    /// Algorithm 2 for a container that is still executing: ends the
+    /// execution and cleans (or, if `crashed`, disposes of) the container in
+    /// one engine critical section, through the key the request began with.
+    /// `None` — or a key the container is not pooled under, because the
+    /// function was re-registered with another configuration mid-flight —
+    /// ends the execution and lets the pool derive the key from the
+    /// engine's record of the container.
+    pub fn finish_release_on(
+        &self,
+        engine: &impl EngineRef,
+        key_id: Option<KeyId>,
+        container: ContainerId,
+        now: SimTime,
+        crashed: bool,
+    ) -> Result<(), EngineError> {
+        let finished = match key_id {
+            Some(id) => self
+                .pool
+                .try_finish_release(engine, id, container, now, crashed)?,
+            None => None,
+        };
+        match finished {
+            Some(cost) => self.add_background(cost),
+            None => {
+                engine.with_engine(|e| e.end_exec(container, now))?;
+                self.release_on(engine, container, now)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Algorithm 2: cleans a container whose execution has ended and returns
+    /// it to the pool (a crashed one is disposed of), booking the cost.
+    pub fn release_on(
+        &self,
+        engine: &impl EngineRef,
+        container: ContainerId,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        let (cost, evicted) =
-            self.limits
-                .enforce(&self.pool, &ExclusiveEngine::new(engine), now)?;
-        self.background += cost;
-        self.forced_evictions += evicted as u64;
+        self.add_background(self.pool.release(engine, container, now)?);
         Ok(())
+    }
+
+    /// Periodic maintenance: one adaptive-controller step if its interval
+    /// has elapsed (returning that step's report), then limit enforcement.
+    pub fn tick_on(
+        &self,
+        engine: &impl EngineRef,
+        now: SimTime,
+    ) -> Result<Option<StepReport>, EngineError> {
+        let report = if self.disable_prediction {
+            None
+        } else {
+            self.controller.lock().maybe_step(&self.pool, engine, now)?
+        };
+        self.enforce_limits(engine, now)?;
+        Ok(report)
     }
 }
 
@@ -90,14 +182,9 @@ impl RuntimeProvider for HotC {
         config: &ContainerConfig,
         now: SimTime,
     ) -> Result<Acquisition, EngineError> {
-        let acq = self
-            .pool
-            .acquire(&ExclusiveEngine::new(engine), config, now)?;
-        if acq.cold {
-            // A cold start may have pushed the pool over its limits.
-            self.enforce_limits(engine, now)?;
-        }
-        Ok(acq)
+        let key_id = self.pool.intern_config(config);
+        self.acquire_on(&ExclusiveEngine::new(engine), key_id, config, now)
+            .map(Into::into)
     }
 
     fn release(
@@ -106,18 +193,11 @@ impl RuntimeProvider for HotC {
         container: ContainerId,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        self.background += self
-            .pool
-            .release(&ExclusiveEngine::new(engine), container, now)?;
-        Ok(())
+        self.release_on(&ExclusiveEngine::new(engine), container, now)
     }
 
     fn tick(&mut self, engine: &mut ContainerEngine, now: SimTime) -> Result<(), EngineError> {
-        if !self.disable_prediction {
-            self.controller
-                .maybe_step(&self.pool, &ExclusiveEngine::new(engine), now)?;
-        }
-        self.enforce_limits(engine, now)
+        self.tick_on(&ExclusiveEngine::new(engine), now).map(drop)
     }
 
     fn name(&self) -> &'static str {
@@ -125,11 +205,12 @@ impl RuntimeProvider for HotC {
     }
 
     fn background_cost(&self) -> SimDuration {
-        self.background + self.controller.background_cost()
+        SimDuration::from_nanos(self.background_nanos.load(Ordering::Relaxed))
+            + self.controller.lock().background_cost()
     }
 
     fn forced_evictions(&self) -> u64 {
-        self.forced_evictions
+        self.forced_evictions.load(Ordering::Relaxed)
     }
 }
 

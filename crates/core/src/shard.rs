@@ -159,9 +159,6 @@ struct KeySlots {
     /// Set = handed out (Existing-Not-Available). The bit is the ownership
     /// token: a release must claim it, so double releases are rejected.
     in_use: SlotBitmap,
-    /// Last application token executed per slot (0 = unknown/fresh); the
-    /// gateway's lock-free replacement for its per-container app tracker.
-    last_app: Box<[AtomicU64]>,
     /// In-use containers of this key, bitmap + overflow, including releases
     /// still in transit through their engine critical section. Decremented
     /// only once the container is available again (or disposed), so the
@@ -192,7 +189,6 @@ impl KeySlots {
             free: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-free"),
             avail: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-avail"),
             in_use: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-inuse"),
-            last_app: (0..SLOTS_PER_KEY).map(|_| AtomicU64::new(0)).collect(),
             in_use_total: AtomicUsize::new(0),
             watermark: AtomicUsize::new(0),
         }
@@ -277,8 +273,6 @@ impl KeySlots {
     fn dispose_idle(&self, i: usize) {
         // lint:allow(atomic-ordering, caller owns every bit of this slot; unreachable until free.release)
         self.entries[i].store(0, Ordering::Relaxed);
-        // lint:allow(atomic-ordering, same: slot unreachable until the free.release below)
-        self.last_app[i].store(0, Ordering::Relaxed);
         let fresh = self.free.release(i);
         debug_assert!(fresh, "disposed slot was already free");
     }
@@ -518,8 +512,9 @@ pub struct ShardSnapshot {
     pub retired: Vec<KeyId>,
 }
 
-/// An acquisition with the pool-side detail the sharded gateway needs to
-/// keep the warm path off the engine lock.
+/// An acquisition with the pool-side detail behind it: whether the runtime
+/// has executed before (the payload of the slot's packed entry) and whether
+/// any lock was taken on the way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolAcquisition {
     /// The container to run in.
@@ -536,10 +531,6 @@ pub struct PoolAcquisition {
     pub breakdown: Option<CostBreakdown>,
     /// Reconfiguration cost of a fuzzy-matched reuse (zero otherwise).
     pub reconfig: SimDuration,
-    /// The bitmap slot index the container occupies, when it is tracked by
-    /// the key's lock-free slot array (`None` for overflow containers). The
-    /// gateway keys its lock-free last-app check on this.
-    pub slot: Option<usize>,
     /// True when the acquisition completed without a single lock — a warm
     /// bitmap hit under an exact policy (fuzzy reuse checks the engine's
     /// config, locked-retry hits hold the shard lock). Callers assert a
@@ -824,12 +815,11 @@ impl ShardedPool {
         self.acquire_id(engine, id, config, now).map(Into::into)
     }
 
-    /// [`Self::acquire`] with a pre-interned key id and the extra pool-side
-    /// detail ([`PoolAcquisition`]) the concurrent frontend uses to avoid
-    /// engine round trips: callers that serve the same function repeatedly
-    /// (the sharded gateway) intern the key once at registration instead of
-    /// even fingerprinting the configuration per request. `id` must be
-    /// `self.intern_config(config)`.
+    /// [`Self::acquire`] with a pre-interned key id, returning the pool-side
+    /// detail ([`PoolAcquisition`]) with it: callers that serve the same
+    /// function repeatedly (the sharded gateway, through `HotC`) intern the
+    /// key once at registration instead of even fingerprinting the
+    /// configuration per request. `id` must be `self.intern_config(config)`.
     ///
     /// A warm hit takes **zero locks**: an `avail`-bit CAS claims the slot,
     /// the packed entry yields the container. Only a miss (no warm
@@ -848,7 +838,7 @@ impl ShardedPool {
         let _scope = stdshim::request_path_scope();
         self.bump_epoch();
         if let Some(ks) = self.key_slots.get(id.index()) {
-            if let Some((i, container, execed)) = ks.claim_warm() {
+            if let Some((_, container, execed)) = ks.claim_warm() {
                 let lock_free = self.policy != KeyPolicy::Fuzzy;
                 let cost = self.fuzzy_reuse_cost(engine, container, config);
                 // Exact keys never consult the engine on reuse, so the whole
@@ -864,7 +854,6 @@ impl ShardedPool {
                     first_exec: !execed,
                     breakdown: None,
                     reconfig: cost,
-                    slot: Some(i),
                     lock_free,
                 });
             }
@@ -880,16 +869,16 @@ impl ShardedPool {
                 // Retry the bitmap under the lock — a racing release may
                 // have refilled it after the lock-free claim missed — then
                 // fall back to the overflow list.
-                if let Some((i, container, execed)) = slot.ks.claim_warm() {
-                    return Some((Some(i), container, execed));
+                if let Some((_, container, execed)) = slot.ks.claim_warm() {
+                    return Some((container, execed));
                 }
                 let (container, execed) = slot.overflow_avail.pop_front()?;
                 slot.ks.note_acquire();
                 slot.overflow_in_use.push(container);
-                Some((None, container, execed))
+                Some((container, execed))
             })
         };
-        if let Some((slot_idx, container, execed)) = warm {
+        if let Some((container, execed)) = warm {
             let cost = self.fuzzy_reuse_cost(engine, container, config);
             return Ok(PoolAcquisition {
                 container,
@@ -898,7 +887,6 @@ impl ShardedPool {
                 first_exec: !execed,
                 breakdown: None,
                 reconfig: cost,
-                slot: slot_idx,
                 lock_free: false,
             });
         }
@@ -907,7 +895,7 @@ impl ShardedPool {
         // create leaves no phantom slot behind for the controller to track.
         let (container, breakdown) =
             engine.with_engine(|e| e.create_container(config.clone(), now))?;
-        let slot_idx = {
+        {
             let mut guard = shard.lock();
             let slot = guard
                 .slots
@@ -916,8 +904,7 @@ impl ShardedPool {
             let slot_idx = self.publish_in_use(slot, id, container);
             guard.admit(container, now, id, slot_idx);
             guard.mark_active(id);
-            slot_idx
-        };
+        }
         Ok(PoolAcquisition {
             container,
             cost: breakdown.total(),
@@ -925,7 +912,6 @@ impl ShardedPool {
             first_exec: true,
             breakdown: Some(breakdown),
             reconfig: SimDuration::ZERO,
-            slot: slot_idx,
             lock_free: false,
         })
     }
@@ -956,8 +942,6 @@ impl ShardedPool {
         if let Some(i) = ks.free.claim() {
             // lint:allow(atomic-ordering, entry store is ordered by the in_use.release bit-set below)
             ks.entries[i].store(pack_entry(container, false), Ordering::Relaxed);
-            // lint:allow(atomic-ordering, advisory recency token; ordered by the bit-set below)
-            ks.last_app[i].store(0, Ordering::Relaxed);
             self.rindex_set(container, id, i);
             let fresh = ks.in_use.release(i);
             debug_assert!(fresh, "published slot's in_use bit was already set");
@@ -984,8 +968,6 @@ impl ShardedPool {
         if let Some(i) = ks.free.claim() {
             // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
             ks.entries[i].store(pack_entry(container, execed), Ordering::Relaxed);
-            // lint:allow(atomic-ordering, advisory recency token; ordered by the bit-set below)
-            ks.last_app[i].store(0, Ordering::Relaxed);
             self.rindex_set(container, id, i);
             let fresh = ks.avail.release(i);
             debug_assert!(fresh, "published slot's avail bit was already set");
@@ -1253,19 +1235,6 @@ impl ShardedPool {
                     .map(Some)
             }
         }
-    }
-
-    /// Records the application token last executed in a bitmap slot,
-    /// returning the previous token (0 = fresh or unknown). The caller must
-    /// own the slot via a live acquisition. `None` when the key is beyond
-    /// the lock-free table — the gateway falls back to its hash tracker.
-    pub fn note_app(&self, id: KeyId, slot: usize, token: u64) -> Option<u64> {
-        if slot >= SLOTS_PER_KEY {
-            return None;
-        }
-        let ks = self.key_slots.get(id.index())?;
-        // lint:allow(atomic-ordering, advisory recency token; readers tolerate staleness)
-        Some(ks.last_app[slot].swap(token, Ordering::Relaxed))
     }
 
     /// Pre-warms one container of the given configuration (adaptive
@@ -1805,14 +1774,12 @@ pub mod model_api {
         }
 
         /// The store sequence of [`super::ShardedPool::publish_avail`]'s
-        /// bitmap arm: free-claim, entry store, last-app store, then the
-        /// `avail` release bit-set (publish-before-bit-set).
+        /// bitmap arm: free-claim, entry store, then the `avail` release
+        /// bit-set (publish-before-bit-set).
         pub fn publish_avail(&self, container: ContainerId, execed: bool) -> Option<usize> {
             let i = self.ks.free.claim()?;
             // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
             self.ks.entries[i].store(pack_entry(container, execed), Ordering::Relaxed);
-            // lint:allow(atomic-ordering, advisory recency token; ordered by the bit-set below)
-            self.ks.last_app[i].store(0, Ordering::Relaxed);
             let fresh = self.ks.avail.release(i);
             debug_assert!(fresh, "published slot's avail bit was already set");
             Some(i)
@@ -1825,8 +1792,6 @@ pub mod model_api {
             let i = self.ks.free.claim()?;
             // lint:allow(atomic-ordering, deliberately weak publish; the mutation harness must catch it)
             self.ks.entries[i].store(pack_entry(container, execed), Ordering::Relaxed);
-            // lint:allow(atomic-ordering, advisory recency token only)
-            self.ks.last_app[i].store(0, Ordering::Relaxed);
             let fresh = self.ks.avail.release_relaxed(i);
             debug_assert!(fresh, "published slot's avail bit was already set");
             Some(i)
@@ -1963,13 +1928,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_hit_reports_its_bitmap_slot_and_reuses_it() {
+    fn warm_hit_reuses_the_container_lock_free() {
         let e = engine();
         let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
         let c = cfg("alpine:3.12");
         let id = pool.intern_config(&c);
         let a = pool.acquire_id(&e, id, &c, SimTime::ZERO).unwrap();
-        assert!(a.slot.is_some(), "cold start should land in the bitmap");
+        assert!(a.cold && a.first_exec && !a.lock_free);
         e.with_engine(|e| {
             let out = e
                 .begin_exec(
@@ -1986,10 +1951,8 @@ mod tests {
         let b = pool.acquire_id(&e, id, &c, SimTime::from_secs(2)).unwrap();
         assert!(!b.cold);
         assert!(!b.first_exec, "reused container has executed before");
-        assert_eq!(b.slot, a.slot, "container keeps its slot across reuse");
-        // The app-token slot survives the round trip too.
-        assert_eq!(pool.note_app(id, b.slot.unwrap(), 7), Some(0));
-        assert_eq!(pool.note_app(id, b.slot.unwrap(), 7), Some(7));
+        assert_eq!(b.container, a.container);
+        assert!(b.lock_free, "an exact-key bitmap hit takes no lock");
     }
 
     /// Regression (double release): the second release of the same

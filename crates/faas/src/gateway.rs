@@ -6,15 +6,13 @@
 //! driver code runs the cold-start baseline, the keep-alive baselines, and
 //! HotC.
 //!
-//! The gateway's state is split into independently-lockable pieces so a
-//! concurrent frontend can give each its own synchronization instead of one
-//! lock over everything:
-//! * [`Registry`] — the function table (read-mostly);
-//! * [`SharedStats`] — request counters on atomics (lock-free);
-//! * [`AppTracker`] — which app last ran in each container (small mutex).
-//!
-//! [`Gateway`] composes the three with exclusive engine access for
-//! single-threaded drivers.
+//! [`Gateway`] owns its engine, provider and function table outright
+//! (single-threaded drivers); the pieces a concurrent frontend shares with it
+//! are [`SharedStats`] (request counters on atomics) and [`InFlight`] (the
+//! pipeline arithmetic). Which app last ran in a container is not gateway
+//! state at all: the container's own engine record remembers it
+//! ([`ContainerEngine::load_app`]), so it is dropped with the container and
+//! nothing here needs pruning.
 //!
 //! Two driving styles:
 //! * [`Gateway::handle`] — begin+finish in one call, for workloads whose
@@ -70,44 +68,6 @@ impl FunctionSpec {
     }
 }
 
-/// The function table: name → deployed spec.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    functions: BTreeMap<String, FunctionSpec>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Registers (or replaces) a function.
-    pub fn insert(&mut self, spec: FunctionSpec) {
-        self.functions.insert(spec.name.clone(), spec);
-    }
-
-    /// Looks up one function's spec.
-    pub fn get(&self, name: &str) -> Option<&FunctionSpec> {
-        self.functions.get(name)
-    }
-
-    /// All deployed functions, name-ordered.
-    pub fn iter(&self) -> impl Iterator<Item = &FunctionSpec> {
-        self.functions.values()
-    }
-
-    /// Number of deployed functions.
-    pub fn len(&self) -> usize {
-        self.functions.len()
-    }
-
-    /// Whether no function is deployed.
-    pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
-    }
-}
-
 /// Aggregate request counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewayStats {
@@ -150,65 +110,6 @@ impl SharedStats {
             requests: v & 0xFFFF_FFFF,
             cold_starts: v >> 32,
         }
-    }
-}
-
-/// Which app last executed in each container: HotC pools *runtimes*, so a
-/// reused container serving a different app must re-pay that app's
-/// initialization ("we load user code into that candidate container").
-///
-/// Entries are pruned when the provider disposes of containers
-/// ([`AppTracker::prune`]) — without that, every container ever created
-/// stays tracked forever and a long-running gateway leaks memory.
-#[derive(Debug, Default)]
-pub struct AppTracker {
-    last_app: HashMap<ContainerId, &'static str>,
-}
-
-impl AppTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        AppTracker::default()
-    }
-
-    /// Whether dispatching `app` to `container` must pay app initialization
-    /// (fresh runtime, or the runtime last ran a different app), recording
-    /// the dispatch.
-    pub fn needs_app_init(
-        &mut self,
-        container: ContainerId,
-        app: &'static str,
-        first_exec: bool,
-    ) -> bool {
-        let needs = first_exec || self.last_app.get(&container) != Some(&app);
-        self.last_app.insert(container, app);
-        needs
-    }
-
-    /// Drops entries for containers the engine no longer knows (retired,
-    /// evicted, or crashed-and-removed).
-    pub fn prune(&mut self, engine: &ContainerEngine) {
-        self.last_app.retain(|&id, _| engine.config(id).is_some());
-    }
-
-    /// The tracked container ids, in no particular order — for callers that
-    /// cannot hold the engine while they hold the tracker: they probe each
-    /// id's liveness separately, then [`forget`](Self::forget) the dead ones.
-    pub fn tracked_ids(&self) -> Vec<ContainerId> {
-        // lint:allow(map-iteration, ids feed a per-id liveness probe and a keyed removal; order cannot reach a result)
-        self.last_app.keys().copied().collect()
-    }
-
-    /// Drops the entries of the given containers.
-    pub fn forget(&mut self, gone: &[ContainerId]) {
-        for id in gone {
-            self.last_app.remove(id);
-        }
-    }
-
-    /// Number of containers currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.last_app.len()
     }
 }
 
@@ -336,9 +237,9 @@ impl InFlight {
 pub struct Gateway<P: RuntimeProvider> {
     engine: ContainerEngine,
     provider: P,
-    functions: Registry,
+    /// The function table: name → deployed spec.
+    functions: BTreeMap<String, FunctionSpec>,
     stats: SharedStats,
-    tracker: AppTracker,
     metrics: Arc<MetricsRegistry>,
     /// `fn/<name>` stage-set handles by function name, filled on a
     /// function's first `finish` (not at registration: a function that is
@@ -368,9 +269,8 @@ impl<P: RuntimeProvider> Gateway<P> {
         Gateway {
             engine,
             provider,
-            functions: Registry::new(),
+            functions: BTreeMap::new(),
             stats: SharedStats::new(),
-            tracker: AppTracker::new(),
             metrics,
             fn_stages: HashMap::new(),
         }
@@ -391,7 +291,7 @@ impl<P: RuntimeProvider> Gateway<P> {
 
     /// Registers (or replaces) a function.
     pub fn register(&mut self, spec: FunctionSpec) {
-        self.functions.insert(spec);
+        self.functions.insert(spec.name.clone(), spec);
     }
 
     /// Convenience: registers an app under its own name with its default
@@ -400,9 +300,9 @@ impl<P: RuntimeProvider> Gateway<P> {
         self.register(FunctionSpec::from_app(app));
     }
 
-    /// The function registry.
+    /// All deployed functions, name-ordered.
     pub fn functions(&self) -> impl Iterator<Item = &FunctionSpec> {
-        self.functions.iter()
+        self.functions.values()
     }
 
     /// Looks up one function's spec.
@@ -413,11 +313,6 @@ impl<P: RuntimeProvider> Gateway<P> {
     /// The underlying engine (resource inspection).
     pub fn engine(&self) -> &ContainerEngine {
         &self.engine
-    }
-
-    /// Mutable engine access (experiment setup).
-    pub fn engine_mut(&mut self) -> &mut ContainerEngine {
-        &mut self.engine
     }
 
     /// The runtime provider.
@@ -435,26 +330,10 @@ impl<P: RuntimeProvider> Gateway<P> {
         self.stats.snapshot()
     }
 
-    /// Number of containers with a tracked last-app entry (bounded by the
-    /// engine's live count thanks to pruning).
-    pub fn tracked_containers(&self) -> usize {
-        self.tracker.tracked()
-    }
-
     /// Runs provider maintenance (keep-alive expiry, HotC pool control).
     pub fn tick(&mut self, now: SimTime) -> Result<(), GatewayError> {
         self.provider.tick(&mut self.engine, now)?;
-        self.prune_tracker();
         Ok(())
-    }
-
-    /// Drops last-app entries for containers the provider disposed of —
-    /// otherwise the map grows monotonically over a long run. Cheap guard:
-    /// only scan when the map has outgrown the live set.
-    fn prune_tracker(&mut self) {
-        if self.tracker.tracked() > self.engine.live_count() {
-            self.tracker.prune(&self.engine);
-        }
     }
 
     /// Starts serving a request that arrived at the gateway at `now`.
@@ -481,12 +360,9 @@ impl<P: RuntimeProvider> Gateway<P> {
         let t1 = now;
         let t2 = t1 + GATEWAY_HOP;
         let acq = self.provider.acquire(&mut self.engine, &spec.config, t2)?;
-        let first_exec = self.engine.exec_count(acq.container) == Some(0);
         // App init is due on a fresh runtime AND when the pooled runtime
         // last ran a different app (fuzzy keys / shared runtime types).
-        let needs_app_init = self
-            .tracker
-            .needs_app_init(acq.container, spec.app.name, first_exec);
+        let needs_app_init = self.engine.load_app(acq.container, spec.app.name)?;
         let work = spec.app.work_for(needs_app_init);
         // Function initiation: watchdog shim + obtaining the runtime.
         let t3 = t2 + WATCHDOG_HOP + acq.cost;
@@ -500,7 +376,7 @@ impl<P: RuntimeProvider> Gateway<P> {
             t2,
             t3,
             cold: acq.cold,
-            first_exec,
+            first_exec: outcome.first_exec,
             crashed: outcome.crashed,
             breakdown: acq.breakdown,
             reconfig: acq.reconfig,
@@ -518,9 +394,6 @@ impl<P: RuntimeProvider> Gateway<P> {
         self.provider
             .release(&mut self.engine, inflight.container, t4)?;
         self.stats.record(inflight.cold);
-        // The provider may have disposed of the container (crash) or evicted
-        // others (limits): drop stale last-app entries.
-        self.prune_tracker();
         let trace = inflight.complete();
         // One stage-set record per request: `all`, `gateway/e2e`, and the
         // counters are derived from the `fn/` scopes at snapshot time. The
@@ -543,32 +416,6 @@ impl<P: RuntimeProvider> Gateway<P> {
     pub fn handle(&mut self, function: &str, now: SimTime) -> Result<RequestTrace, GatewayError> {
         let inflight = self.begin(function, now)?;
         self.finish(inflight)
-    }
-
-    /// Serves a request with platform-side retries: if the function process
-    /// crashes, the gateway immediately re-dispatches (on a fresh runtime —
-    /// the crashed one was disposed of) up to `max_retries` more times, as
-    /// managed FaaS platforms do. Returns the traces of every attempt, last
-    /// one first-class: `attempts.last()` is the final outcome.
-    pub fn handle_with_retries(
-        &mut self,
-        function: &str,
-        now: SimTime,
-        max_retries: usize,
-    ) -> Result<Vec<RequestTrace>, GatewayError> {
-        let mut attempts = Vec::with_capacity(1 + max_retries);
-        let mut at = now;
-        loop {
-            let trace = self.handle(function, at)?;
-            let failed = trace.failed;
-            let done_at = trace.t6_gateway_out;
-            attempts.push(trace);
-            if !failed || attempts.len() > max_retries {
-                return Ok(attempts);
-            }
-            // Re-dispatch as soon as the error response is seen.
-            at = done_at;
-        }
     }
 }
 
@@ -773,44 +620,6 @@ mod tests {
         gw.tick(SimTime::from_secs(300)).unwrap();
         assert_eq!(gw.engine().live_count(), 0, "expired container reclaimed");
     }
-
-    /// Regression (last-app leak): entries for containers the provider has
-    /// disposed of must be dropped — before the fix, `last_app` kept every
-    /// container ever created, growing without bound in long runs.
-    #[test]
-    fn disposed_containers_are_dropped_from_app_tracking() {
-        let mut gw = gateway(FixedKeepAlive::new(SimDuration::from_secs(60)));
-        gw.handle("random-number", SimTime::ZERO).unwrap();
-        assert_eq!(gw.tracked_containers(), 1);
-        // Keep-alive expiry disposes of the container on tick.
-        gw.tick(SimTime::from_secs(300)).unwrap();
-        assert_eq!(gw.engine().live_count(), 0);
-        assert_eq!(
-            gw.tracked_containers(),
-            0,
-            "tracking must not outlive the container"
-        );
-    }
-
-    /// Same leak via the crash path: a crashed container is disposed of by
-    /// the provider inside `finish`, and its entry goes with it.
-    #[test]
-    fn tracking_stays_bounded_across_crash_heavy_traffic() {
-        let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        engine.set_fault_injection(1.0, 7); // every execution crashes
-        let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
-        gw.register_app(AppProfile::random_number());
-        for i in 0..30u64 {
-            let trace = gw.handle("random-number", SimTime::from_secs(i)).unwrap();
-            assert!(trace.failed);
-        }
-        assert!(
-            gw.tracked_containers() <= gw.engine().live_count(),
-            "tracked {} > live {}",
-            gw.tracked_containers(),
-            gw.engine().live_count()
-        );
-    }
 }
 
 #[cfg(test)]
@@ -884,87 +693,17 @@ mod component_tests {
 
     #[test]
     fn registry_replaces_by_name() {
-        let mut reg = Registry::new();
-        reg.insert(FunctionSpec::from_app(AppProfile::random_number()));
-        assert_eq!(reg.len(), 1);
-        let replacement = FunctionSpec::from_app(AppProfile::random_number());
-        reg.insert(replacement.clone());
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.get("random-number"), Some(&replacement));
-        assert!(reg.get("nope").is_none());
-    }
-
-    #[test]
-    fn app_tracker_detects_app_switches_and_prunes() {
-        let mut e = ContainerEngine::with_local_images(HardwareProfile::server());
-        let (id, _) = e
-            .create_container(
-                ContainerConfig::bridge(containersim::ImageId::parse("alpine:3.12")),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let mut tracker = AppTracker::new();
-        assert!(tracker.needs_app_init(id, "alpha", true), "fresh runtime");
-        assert!(!tracker.needs_app_init(id, "alpha", false), "same app");
-        assert!(tracker.needs_app_init(id, "beta", false), "app switch");
-        assert_eq!(tracker.tracked(), 1);
-
-        e.stop_and_remove(id, SimTime::from_secs(1)).unwrap();
-        tracker.prune(&e);
-        assert_eq!(tracker.tracked(), 0);
-    }
-}
-
-#[cfg(test)]
-mod retry_tests {
-    use super::*;
-    use crate::policy::FixedKeepAlive;
-    use containersim::HardwareProfile;
-
-    #[test]
-    fn retries_until_success() {
-        let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        // Seed chosen so the first attempts crash and a later one succeeds.
-        engine.set_fault_injection(0.7, 3);
-        let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
-        gw.register_app(AppProfile::random_number());
-
-        let attempts = gw
-            .handle_with_retries("random-number", SimTime::ZERO, 10)
-            .unwrap();
-        assert!(!attempts.is_empty());
-        let last = attempts.last().unwrap();
-        assert!(!last.failed, "should eventually succeed");
-        assert!(attempts[..attempts.len() - 1].iter().all(|t| t.failed));
-        // Attempts are sequential in time.
-        for w in attempts.windows(2) {
-            assert!(w[1].t1_gateway_in >= w[0].t6_gateway_out);
-        }
-    }
-
-    #[test]
-    fn gives_up_after_budget() {
-        let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        engine.set_fault_injection(1.0, 1); // always crash
-        let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
-        gw.register_app(AppProfile::random_number());
-
-        let attempts = gw
-            .handle_with_retries("random-number", SimTime::ZERO, 2)
-            .unwrap();
-        assert_eq!(attempts.len(), 3, "1 try + 2 retries");
-        assert!(attempts.iter().all(|t| t.failed));
-    }
-
-    #[test]
-    fn no_failure_means_single_attempt() {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
-        gw.register_app(AppProfile::random_number());
-        let attempts = gw
-            .handle_with_retries("random-number", SimTime::ZERO, 5)
-            .unwrap();
-        assert_eq!(attempts.len(), 1);
+        let mut gw = Gateway::new(engine, crate::policy::ColdStartAlways::new());
+        gw.register(FunctionSpec::from_app(AppProfile::random_number()));
+        assert_eq!(gw.functions().count(), 1);
+        let replacement = FunctionSpec::from_app(AppProfile::random_number()).with_config(
+            ContainerConfig::bridge(containersim::ImageId::parse("alpine:3.12")),
+        );
+        gw.register(replacement.clone());
+        assert_eq!(gw.functions().count(), 1);
+        assert_eq!(gw.function("random-number"), Some(&replacement));
+        assert!(gw.function("nope").is_none());
     }
 }
 

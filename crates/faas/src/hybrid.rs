@@ -13,6 +13,7 @@
 //! it adapts per type, but unlike HotC it never *pre-warms* and sizes purely
 //! from idle-gap history rather than concurrent demand.
 
+use crate::policy::WarmShelf;
 use crate::{Acquisition, RuntimeProvider};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use simclock::{SimDuration, SimTime};
@@ -92,12 +93,6 @@ impl TypeHistory {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct WarmEntry {
-    container: ContainerId,
-    idle_since: SimTime,
-}
-
 /// Per-type adaptive keep-alive provider.
 ///
 /// ```
@@ -121,7 +116,7 @@ struct WarmEntry {
 #[derive(Debug)]
 pub struct HybridKeepAlive {
     config: HybridConfig,
-    warm: HashMap<ContainerConfig, Vec<WarmEntry>>,
+    shelf: WarmShelf,
     history: HashMap<ContainerConfig, TypeHistory>,
     background: SimDuration,
 }
@@ -136,7 +131,7 @@ impl HybridKeepAlive {
     pub fn with_config(config: HybridConfig) -> Self {
         HybridKeepAlive {
             config,
-            warm: HashMap::new(),
+            shelf: WarmShelf::default(),
             history: HashMap::new(),
             background: SimDuration::ZERO,
         }
@@ -152,7 +147,7 @@ impl HybridKeepAlive {
 
     /// Number of currently warm containers.
     pub fn warm_count(&self) -> usize {
-        self.warm.values().map(Vec::len).sum()
+        self.shelf.len()
     }
 }
 
@@ -176,10 +171,8 @@ impl RuntimeProvider for HybridKeepAlive {
         if let Some(idle_since) = history.idle_since.take() {
             history.record_gap(now.duration_since(idle_since));
         }
-        if let Some(entries) = self.warm.get_mut(config) {
-            if let Some(entry) = entries.pop() {
-                return Ok(Acquisition::warm(entry.container));
-            }
+        if let Some(container) = self.shelf.take(config) {
+            return Ok(Acquisition::warm(container));
         }
         let (container, cost) = engine.create_container(config.clone(), now)?;
         Ok(Acquisition::cold(container, cost))
@@ -191,46 +184,21 @@ impl RuntimeProvider for HybridKeepAlive {
         container: ContainerId,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        if engine.state(container) == containersim::ContainerState::Stopped {
-            self.background += engine.stop_and_remove(container, now)?;
-            return Ok(());
+        let (cost, shelved) = self.shelf.shelve(engine, container, now)?;
+        self.background += cost;
+        if let Some(config) = shelved {
+            self.history.entry(config.clone()).or_default().idle_since = Some(now);
         }
-        self.background += engine.cleanup(container, now)?;
-        // `cleanup` succeeded, so the container is live and configured.
-        let config = engine
-            .config(container)
-            .ok_or(EngineError::UnknownContainer(container))?
-            .clone();
-        self.history.entry(config.clone()).or_default().idle_since = Some(now);
-        self.warm.entry(config).or_default().push(WarmEntry {
-            container,
-            idle_since: now,
-        });
         Ok(())
     }
 
     fn tick(&mut self, engine: &mut ContainerEngine, now: SimTime) -> Result<(), EngineError> {
-        let cfg = self.config;
-        let mut expired: Vec<ContainerId> = Vec::new();
-        for (config, entries) in self.warm.iter_mut() {
-            let ttl = self
-                .history
+        let (cfg, history) = (self.config, &self.history);
+        self.background += self.shelf.expire(engine, now, |config| {
+            history
                 .get(config)
-                .map(|h| h.learned_ttl(&cfg))
-                .unwrap_or(cfg.default_ttl);
-            entries.retain(|e| {
-                if now.duration_since(e.idle_since) > ttl {
-                    expired.push(e.container);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.warm.retain(|_, v| !v.is_empty());
-        for id in expired {
-            self.background += engine.stop_and_remove(id, now)?;
-        }
+                .map_or(cfg.default_ttl, |h| h.learned_ttl(&cfg))
+        })?;
         Ok(())
     }
 

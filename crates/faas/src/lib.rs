@@ -35,9 +35,7 @@ pub mod pipeline;
 pub mod policy;
 
 pub use apps::AppProfile;
-pub use gateway::{
-    AppTracker, FunctionSpec, Gateway, GatewayStats, InFlight, Registry, SharedStats,
-};
+pub use gateway::{FunctionSpec, Gateway, GatewayStats, InFlight, SharedStats};
 pub use hybrid::{HybridConfig, HybridKeepAlive};
 pub use pipeline::RequestTrace;
 pub use policy::{ColdStartAlways, FixedKeepAlive, PeriodicWarmup};
@@ -82,17 +80,6 @@ impl Acquisition {
             cold: false,
             breakdown: None,
             reconfig: SimDuration::ZERO,
-        }
-    }
-
-    /// A fuzzy-matched reuse that paid `reconfig` to apply config deltas.
-    pub fn warm_reconfigured(container: ContainerId, reconfig: SimDuration) -> Self {
-        Acquisition {
-            container,
-            cost: reconfig,
-            cold: false,
-            breakdown: None,
-            reconfig,
         }
     }
 }

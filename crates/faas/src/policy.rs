@@ -10,7 +10,9 @@
 //!   work; never expires, wastes resources on idle runtimes.
 //!
 //! All policies implement [`RuntimeProvider`], so the gateway and the
-//! experiment drivers treat them interchangeably with HotC.
+//! experiment drivers treat them interchangeably with HotC. The keep-alive
+//! ones (these two and [`crate::HybridKeepAlive`]) keep their idle
+//! containers on one private `WarmShelf`.
 
 use crate::{Acquisition, RuntimeProvider};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
@@ -71,11 +73,87 @@ struct WarmEntry {
     idle_since: SimTime,
 }
 
+/// The warm shelf the three keep-alive baselines share: idle containers by
+/// exact configuration, reused most-recent-first. What differs between the
+/// baselines — TTL choice, ping accounting, gap history — stays with them.
+#[derive(Debug, Default)]
+pub(crate) struct WarmShelf {
+    warm: HashMap<ContainerConfig, Vec<WarmEntry>>,
+}
+
+impl WarmShelf {
+    /// Takes the most recently shelved container of `config`, if any.
+    pub(crate) fn take(&mut self, config: &ContainerConfig) -> Option<ContainerId> {
+        self.warm.get_mut(config)?.pop().map(|e| e.container)
+    }
+
+    /// Takes a used container back, off the request path: a crashed one
+    /// cannot be kept warm and is disposed of; any other is cleaned and
+    /// shelved under its configuration. Returns the cost, and the
+    /// configuration when the container was shelved.
+    pub(crate) fn shelve<'e>(
+        &mut self,
+        engine: &'e mut ContainerEngine,
+        container: ContainerId,
+        now: SimTime,
+    ) -> Result<(SimDuration, Option<&'e ContainerConfig>), EngineError> {
+        if engine.state(container) == containersim::ContainerState::Stopped {
+            return Ok((engine.stop_and_remove(container, now)?, None));
+        }
+        let cost = engine.cleanup(container, now)?;
+        // `cleanup` succeeded, so the container is live and configured.
+        let config = engine
+            .config(container)
+            .ok_or(EngineError::UnknownContainer(container))?;
+        self.warm
+            .entry(config.clone())
+            .or_default()
+            .push(WarmEntry {
+                container,
+                idle_since: now,
+            });
+        Ok((cost, Some(config)))
+    }
+
+    /// Disposes of every shelved container that has idled past its
+    /// configuration's TTL. Returns the teardown cost.
+    pub(crate) fn expire(
+        &mut self,
+        engine: &mut ContainerEngine,
+        now: SimTime,
+        mut ttl_of: impl FnMut(&ContainerConfig) -> SimDuration,
+    ) -> Result<SimDuration, EngineError> {
+        let mut expired: Vec<ContainerId> = Vec::new();
+        for (config, entries) in self.warm.iter_mut() {
+            let ttl = ttl_of(config);
+            entries.retain(|e| {
+                if now.duration_since(e.idle_since) > ttl {
+                    expired.push(e.container);
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        self.warm.retain(|_, v| !v.is_empty());
+        let mut cost = SimDuration::ZERO;
+        for id in expired {
+            cost += engine.stop_and_remove(id, now)?;
+        }
+        Ok(cost)
+    }
+
+    /// Number of shelved containers (across all configurations).
+    pub(crate) fn len(&self) -> usize {
+        self.warm.values().map(Vec::len).sum()
+    }
+}
+
 /// Keep containers warm for a fixed TTL after use (AWS-style).
 #[derive(Debug)]
 pub struct FixedKeepAlive {
     ttl: SimDuration,
-    warm: HashMap<ContainerConfig, Vec<WarmEntry>>,
+    shelf: WarmShelf,
     background: SimDuration,
 }
 
@@ -84,7 +162,7 @@ impl FixedKeepAlive {
     pub fn new(ttl: SimDuration) -> Self {
         FixedKeepAlive {
             ttl,
-            warm: HashMap::new(),
+            shelf: WarmShelf::default(),
             background: SimDuration::ZERO,
         }
     }
@@ -96,7 +174,7 @@ impl FixedKeepAlive {
 
     /// Number of currently warm containers (across all configs).
     pub fn warm_count(&self) -> usize {
-        self.warm.values().map(Vec::len).sum()
+        self.shelf.len()
     }
 }
 
@@ -109,13 +187,8 @@ impl RuntimeProvider for FixedKeepAlive {
     ) -> Result<Acquisition, EngineError> {
         // Expire-then-reuse so a stale container never serves a request.
         self.tick(engine, now)?;
-        if let Some(entries) = self.warm.get_mut(config) {
-            if let Some(entry) = entries.pop() {
-                if entries.is_empty() {
-                    self.warm.remove(config);
-                }
-                return Ok(Acquisition::warm(entry.container));
-            }
+        if let Some(container) = self.shelf.take(config) {
+            return Ok(Acquisition::warm(container));
         }
         let (container, cost) = engine.create_container(config.clone(), now)?;
         Ok(Acquisition::cold(container, cost))
@@ -127,42 +200,13 @@ impl RuntimeProvider for FixedKeepAlive {
         container: ContainerId,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        // A crashed container cannot be kept warm: dispose of it.
-        if engine.state(container) == containersim::ContainerState::Stopped {
-            self.background += engine.stop_and_remove(container, now)?;
-            return Ok(());
-        }
-        // Clean the used container off the request path, then shelve it.
-        self.background += engine.cleanup(container, now)?;
-        // `cleanup` succeeded, so the container is live and configured.
-        let config = engine
-            .config(container)
-            .ok_or(EngineError::UnknownContainer(container))?
-            .clone();
-        self.warm.entry(config).or_default().push(WarmEntry {
-            container,
-            idle_since: now,
-        });
+        self.background += self.shelf.shelve(engine, container, now)?.0;
         Ok(())
     }
 
     fn tick(&mut self, engine: &mut ContainerEngine, now: SimTime) -> Result<(), EngineError> {
         let ttl = self.ttl;
-        let mut expired: Vec<ContainerId> = Vec::new();
-        for entries in self.warm.values_mut() {
-            entries.retain(|e| {
-                if now.duration_since(e.idle_since) > ttl {
-                    expired.push(e.container);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.warm.retain(|_, v| !v.is_empty());
-        for id in expired {
-            self.background += engine.stop_and_remove(id, now)?;
-        }
+        self.background += self.shelf.expire(engine, now, |_| ttl)?;
         Ok(())
     }
 
@@ -182,7 +226,7 @@ impl RuntimeProvider for FixedKeepAlive {
 pub struct PeriodicWarmup {
     period: SimDuration,
     ping_cost: SimDuration,
-    warm: HashMap<ContainerConfig, Vec<WarmEntry>>,
+    shelf: WarmShelf,
     last_warmup: SimTime,
     background: SimDuration,
 }
@@ -193,7 +237,7 @@ impl PeriodicWarmup {
         PeriodicWarmup {
             period,
             ping_cost: SimDuration::from_millis(5),
-            warm: HashMap::new(),
+            shelf: WarmShelf::default(),
             last_warmup: SimTime::ZERO,
             background: SimDuration::ZERO,
         }
@@ -201,7 +245,7 @@ impl PeriodicWarmup {
 
     /// Number of currently warm containers.
     pub fn warm_count(&self) -> usize {
-        self.warm.values().map(Vec::len).sum()
+        self.shelf.len()
     }
 }
 
@@ -213,10 +257,8 @@ impl RuntimeProvider for PeriodicWarmup {
         now: SimTime,
     ) -> Result<Acquisition, EngineError> {
         self.tick(engine, now)?;
-        if let Some(entries) = self.warm.get_mut(config) {
-            if let Some(entry) = entries.pop() {
-                return Ok(Acquisition::warm(entry.container));
-            }
+        if let Some(container) = self.shelf.take(config) {
+            return Ok(Acquisition::warm(container));
         }
         let (container, cost) = engine.create_container(config.clone(), now)?;
         Ok(Acquisition::cold(container, cost))
@@ -228,20 +270,7 @@ impl RuntimeProvider for PeriodicWarmup {
         container: ContainerId,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        if engine.state(container) == containersim::ContainerState::Stopped {
-            self.background += engine.stop_and_remove(container, now)?;
-            return Ok(());
-        }
-        self.background += engine.cleanup(container, now)?;
-        // `cleanup` succeeded, so the container is live and configured.
-        let config = engine
-            .config(container)
-            .ok_or(EngineError::UnknownContainer(container))?
-            .clone();
-        self.warm.entry(config).or_default().push(WarmEntry {
-            container,
-            idle_since: now,
-        });
+        self.background += self.shelf.shelve(engine, container, now)?.0;
         Ok(())
     }
 

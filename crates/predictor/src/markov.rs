@@ -279,19 +279,6 @@ impl MarkovChain {
     pub fn has_outgoing(&self, state: usize) -> bool {
         self.counts_row(state).iter().sum::<u64>() > 0
     }
-
-    /// Like [`Self::expected_next`], but returns `None` when the current
-    /// state has never been *exited* — i.e. there is no observed evidence of
-    /// where the chain goes from here. The combined predictor treats that as
-    /// "no correction" instead of assuming the state persists, which avoids
-    /// overshooting on first-time regime shifts.
-    pub fn expected_next_observed(&self) -> Option<f64> {
-        let cur = self.last_state?;
-        if !self.has_outgoing(cur) {
-            return None;
-        }
-        self.expected_next()
-    }
 }
 
 impl Predictor for MarkovChain {

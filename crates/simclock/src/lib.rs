@@ -13,8 +13,8 @@
 //! * [`Simulation`] — a single-threaded event-driven simulation driver,
 //! * [`SimRng`] — a seeded random source with the distributions the
 //!   workload generators need (uniform, exponential, Poisson, Zipf, normal),
-//! * [`SharedClock`] — a thread-safe virtual clock used by the concurrent
-//!   (scoped-thread) experiment drivers.
+//! * [`shared::ThreadTimeline`] — a per-thread virtual timeline for the
+//!   concurrent (scoped-thread) experiment drivers.
 //!
 //! # Example
 //!
@@ -40,6 +40,5 @@ pub mod time;
 
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use shared::SharedClock;
 pub use sim::{Scheduler, Simulation};
 pub use time::{SimDuration, SimTime};

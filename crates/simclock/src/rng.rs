@@ -63,12 +63,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of the 64-bit word, which has the
-    /// better-mixed bits).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fills `dest` with random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {
@@ -145,11 +139,6 @@ impl SimRng {
         let u2 = self.unit();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         mean + std_dev * z
-    }
-
-    /// Log-normally distributed sample: useful for skewed service times.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s`.

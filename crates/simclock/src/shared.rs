@@ -1,72 +1,14 @@
-//! Thread-safe virtual clock for concurrent experiment drivers.
+//! Per-thread virtual time for concurrent experiment drivers.
 //!
 //! The parallel-request experiments (Fig. 12(b) and the contention benches)
 //! exercise the real HotC pool from many OS threads. Those drivers do not use
-//! the single-threaded [`crate::Simulation`]; instead each worker advances a
-//! [`SharedClock`] with the virtual cost of each operation it performs.
-//!
-//! The clock supports two advancement styles:
-//!
-//! * [`SharedClock::advance`] — global advancement (serialized work, e.g. a
-//!   shared lock's critical section), and
-//! * per-thread offsets via [`ThreadTimeline`] — parallel work whose virtual
-//!   duration overlaps; the clock's notion of "now" for an experiment is then
-//!   the maximum across timelines, mirroring wall-clock semantics of parallel
-//!   execution.
+//! the single-threaded [`crate::Simulation`]; instead each worker owns a
+//! [`ThreadTimeline`] and advances it by the virtual cost of each operation
+//! it performs. Parallel work overlaps in virtual time, so an experiment's
+//! notion of "now" is the maximum across timelines, mirroring wall-clock
+//! semantics of parallel execution.
 
 use crate::time::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonic, thread-safe virtual clock.
-#[derive(Debug, Default)]
-pub struct SharedClock {
-    nanos: AtomicU64,
-}
-
-impl SharedClock {
-    /// Creates a clock at t=0.
-    pub fn new() -> Self {
-        SharedClock {
-            nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a clock at a given start instant.
-    pub fn starting_at(t: SimTime) -> Self {
-        SharedClock {
-            nanos: AtomicU64::new(t.as_nanos()),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.nanos.load(Ordering::Acquire))
-    }
-
-    /// Advances the clock by `d`, returning the new time. Atomic: concurrent
-    /// advances accumulate (their virtual work is serialized).
-    pub fn advance(&self, d: SimDuration) -> SimTime {
-        let prev = self.nanos.fetch_add(d.as_nanos(), Ordering::AcqRel);
-        SimTime::from_nanos(prev.saturating_add(d.as_nanos()))
-    }
-
-    /// Moves the clock forward to at least `t` (no-op if already past).
-    /// Returns the clock value after the operation.
-    pub fn advance_to(&self, t: SimTime) -> SimTime {
-        let target = t.as_nanos();
-        let mut cur = self.nanos.load(Ordering::Acquire);
-        while cur < target {
-            match self
-                .nanos
-                .compare_exchange_weak(cur, target, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return t,
-                Err(actual) => cur = actual,
-            }
-        }
-        SimTime::from_nanos(cur)
-    }
-}
 
 /// A per-thread virtual timeline layered over a shared experiment start time.
 ///
@@ -117,52 +59,6 @@ impl ThreadTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn advance_accumulates() {
-        let clock = SharedClock::new();
-        clock.advance(SimDuration::from_millis(5));
-        let now = clock.advance(SimDuration::from_millis(7));
-        assert_eq!(now.as_millis(), 12);
-        assert_eq!(clock.now().as_millis(), 12);
-    }
-
-    #[test]
-    fn advance_to_is_monotonic() {
-        let clock = SharedClock::new();
-        clock.advance_to(SimTime::from_secs(10));
-        assert_eq!(clock.now().as_secs(), 10);
-        // Going "back" is a no-op.
-        clock.advance_to(SimTime::from_secs(5));
-        assert_eq!(clock.now().as_secs(), 10);
-    }
-
-    #[test]
-    fn concurrent_advances_all_count() {
-        let clock = Arc::new(SharedClock::new());
-        let threads = 8;
-        let per_thread = 1_000;
-        crossbeam_scope(threads, |_| {
-            for _ in 0..per_thread {
-                clock.advance(SimDuration::from_nanos(3));
-            }
-        });
-        assert_eq!(
-            clock.now().as_nanos(),
-            threads as u64 * per_thread as u64 * 3
-        );
-    }
-
-    // Minimal scoped-thread helper so this crate does not depend on crossbeam.
-    fn crossbeam_scope(n: usize, f: impl Fn(usize) + Sync) {
-        std::thread::scope(|s| {
-            for i in 0..n {
-                let f = &f;
-                s.spawn(move || f(i));
-            }
-        });
-    }
 
     #[test]
     fn timelines_model_parallel_work() {

@@ -80,11 +80,6 @@ impl<S> Simulation<S> {
         &self.state
     }
 
-    /// Mutable access to the simulation state (between runs).
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.state
-    }
-
     /// Consumes the simulation, returning its state.
     pub fn into_state(self) -> S {
         self.state

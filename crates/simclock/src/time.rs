@@ -133,11 +133,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a span from a float number of milliseconds, clamped.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
