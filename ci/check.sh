@@ -58,7 +58,8 @@ cargo run --offline -q -p hotc-lint -- --json > lint-report.json
 #     generator modules collect them and build none of their own; (d) the
 #     retired twins (pool façade, parallel runner entry, free-standing
 #     histogram, gateway-side last-app trackers, the shared clock, the retry
-#     driver) stay retired; (e) the Fig. 6 sequence — acquire→enforce,
+#     driver, the pool's second storage past the slot array and its fixed
+#     table shapes) stay retired; (e) the Fig. 6 sequence — acquire→enforce,
 #     release→book, tick→step+enforce — is written in middleware.rs only:
 #     the sharded gateway drives `HotC` and names none of its parts.
 echo
@@ -80,7 +81,7 @@ for module in patterns azure youtube; do
         exit 1
     fi
 done
-if grep -rnE 'ContainerPool|run_scenario_parallel|SharedHistogram|AppTracker|ShardedTracker|note_app|SharedClock|handle_with_retries' crates src tests examples; then
+if grep -rnE 'ContainerPool|run_scenario_parallel|SharedHistogram|AppTracker|ShardedTracker|note_app|SharedClock|handle_with_retries|overflow_avail|overflow_in_use|overflow_transit|settle_overflow|SlowClaim|claim_slow|claim_in_use_scan|release_slow|KEY_TABLE_CHUNKS|RINDEX_CHUNKS' crates src tests examples; then
     echo "a retired duplicate is back (see above)" >&2
     exit 1
 fi

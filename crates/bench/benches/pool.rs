@@ -43,18 +43,24 @@ fn bench_key_canonicalization(h: &mut Harness) {
     });
 }
 
-fn bench_acquire_release_reuse(h: &mut Harness) {
+fn bench_acquire_release_reuse(h: &mut Harness, name: &str, held: usize) {
     // Steady-state: the container exists and is available; measure the pure
-    // bookkeeping of Algorithm 1 + Algorithm 2 (reuse path).
+    // bookkeeping of Algorithm 1 + Algorithm 2 (reuse path). `held` further
+    // containers of the key stay in use throughout, so past 128 the one free
+    // runtime sits in a grown chunk of the key's slot array.
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
     let pool = ShardedPool::new(KeyPolicy::Exact);
     let config = &configs(1)[0];
+    for _ in 0..held {
+        let acq = pool.acquire(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO);
+        assert!(acq.unwrap().cold);
+    }
     pool.prewarm(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO)
         .unwrap();
     let work = ExecWork::light(SimDuration::from_millis(1));
 
     let mut now = SimTime::ZERO;
-    h.bench("acquire_exec_release_reuse", || {
+    h.bench(name, || {
         now += SimDuration::from_millis(10);
         let acq = pool
             .acquire(&ExclusiveEngine::new(&mut engine), config, now)
@@ -151,7 +157,8 @@ fn bench_evict_at_cap(h: &mut Harness) {
 fn main() {
     let mut h = Harness::new("pool");
     bench_key_canonicalization(&mut h);
-    bench_acquire_release_reuse(&mut h);
+    bench_acquire_release_reuse(&mut h, "acquire_exec_release_reuse", 0);
+    bench_acquire_release_reuse(&mut h, "reuse_with_200_held", 200);
     bench_acquire_many_types(&mut h);
     bench_cold_create_and_remove(&mut h);
     bench_evict_at_cap(&mut h);

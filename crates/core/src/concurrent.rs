@@ -304,12 +304,11 @@ impl ShardedGateway {
         // section (the container resolves through the pool's lock-free
         // reverse index).
         let _scope = stdshim::request_path_scope();
-        // The registration-time entry already carries the interned key id,
-        // so the end-exec + cleanup pair runs in one engine critical section
-        // with no key re-derivation.
+        // The pool's reverse index knows the key the container was acquired
+        // under, so the end-exec + cleanup pair runs in one engine critical
+        // section with no key re-derivation.
         self.hotc.finish_release_on(
             &self.engine,
-            entry.map(|entry| entry.key_id),
             inflight.container,
             inflight.t4_func_end,
             inflight.crashed,
@@ -690,6 +689,63 @@ mod tests {
         }
         assert_eq!(exclusive.engine().live_count(), 1);
         assert_eq!(sharded.with_engine(|e| e.live_count()), 1);
+    }
+
+    /// After a request of `qr-0` (Python) finished while the frontend believed
+    /// its key to be Go's: the runtime is back in the pool of the key it was
+    /// acquired under, ready for reuse, and nothing else is pooled or in use.
+    fn assert_returned_to_the_python_pool(pool: &ShardedPool, live: usize) {
+        let specs = qr_specs();
+        let (python, go) = (pool.key_of(&specs[0].config), pool.key_of(&specs[1].config));
+        assert_eq!((pool.total_live(), live), (1, 1), "(pool, engine) live");
+        assert_eq!((pool.num_avail(&python), pool.num_in_use(&python)), (1, 0));
+        assert_eq!((pool.num_avail(&go), pool.num_in_use(&go)), (0, 0));
+        assert_eq!(pool.keys(), vec![python], "pooled under another key");
+    }
+
+    /// The function is re-registered with another configuration mid-flight
+    /// (both gateways), or the request is finished through a handle pinning
+    /// another function and key (sharded): the pool, not the frontend, knows
+    /// which key a container belongs to. The old configuration's next request
+    /// reuses the runtime warm; the new configuration cold-starts.
+    #[test]
+    fn a_finished_container_returns_to_the_key_it_was_acquired_under() {
+        let go_as_qr0 = || qr_specs()[1].clone().named("qr-0");
+        let python_again = || qr_specs()[0].clone().named("qr-old");
+
+        for stale_handle in [false, true] {
+            let gw = sharded_gateway();
+            let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+            let inflight = gw.begin("qr-0", timeline.now()).unwrap();
+            let container = inflight.container;
+            timeline.wait_until(inflight.t4_func_end);
+            if stale_handle {
+                let go = gw.function_handle("qr-1").unwrap();
+                gw.finish_handle(&go, inflight).unwrap();
+            } else {
+                gw.register(go_as_qr0());
+                gw.finish(inflight).unwrap();
+            }
+            let live = gw.with_engine(|e| e.live_count());
+            assert_returned_to_the_python_pool(gw.pool(), live);
+            gw.register(go_as_qr0());
+            gw.register(python_again());
+            assert!(gw.handle("qr-0", &mut timeline).unwrap().cold);
+            let warm = gw.begin("qr-old", timeline.now()).unwrap();
+            assert!(!warm.cold && warm.container == container);
+        }
+
+        let mut gw = exclusive_gateway(HotCConfig::default());
+        let inflight = gw.begin("qr-0", SimTime::ZERO).unwrap();
+        let (container, t4) = (inflight.container, inflight.t4_func_end);
+        gw.register(go_as_qr0());
+        gw.finish(inflight).unwrap();
+        let live = gw.engine().live_count();
+        assert_returned_to_the_python_pool(gw.provider().pool(), live);
+        gw.register(python_again());
+        assert!(gw.handle("qr-0", t4).unwrap().cold);
+        let warm = gw.begin("qr-old", t4 + SimDuration::from_secs(1)).unwrap();
+        assert!(!warm.cold && warm.container == container);
     }
 
     #[test]

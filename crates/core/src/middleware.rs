@@ -117,32 +117,19 @@ impl HotC {
 
     /// Algorithm 2 for a container that is still executing: ends the
     /// execution and cleans (or, if `crashed`, disposes of) the container in
-    /// one engine critical section, through the key the request began with.
-    /// `None` — or a key the container is not pooled under, because the
-    /// function was re-registered with another configuration mid-flight —
-    /// ends the execution and lets the pool derive the key from the
-    /// engine's record of the container.
+    /// one engine critical section, returning it to the pool of the key it
+    /// was acquired under — whatever the function is registered as by now.
     pub fn finish_release_on(
         &self,
         engine: &impl EngineRef,
-        key_id: Option<KeyId>,
         container: ContainerId,
         now: SimTime,
         crashed: bool,
     ) -> Result<(), EngineError> {
-        let finished = match key_id {
-            Some(id) => self
-                .pool
-                .try_finish_release(engine, id, container, now, crashed)?,
-            None => None,
-        };
-        match finished {
-            Some(cost) => self.add_background(cost),
-            None => {
-                engine.with_engine(|e| e.end_exec(container, now))?;
-                self.release_on(engine, container, now)?;
-            }
-        }
+        let cost = self
+            .pool
+            .try_finish_release(engine, container, now, crashed);
+        self.add_background(cost?);
         Ok(())
     }
 
@@ -323,6 +310,34 @@ mod tests {
         assert!(a.cold && !b.cold);
         // With prediction disabled the idle container is kept (no retire).
         assert_eq!(gw.engine().live_count(), 1);
+    }
+
+    /// A container the pool never handed out — here one created behind its
+    /// back and still executing — is rejected by both release entry points
+    /// before the engine is touched: the execution is not ended, nothing is
+    /// cleaned, nothing is pooled or booked.
+    #[test]
+    fn releasing_a_container_the_pool_never_handed_out_leaves_the_engine_untouched() {
+        let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let hotc = HotC::with_defaults();
+        let app = AppProfile::random_number();
+        let (stray, _) = engine
+            .create_container(app.default_config(), SimTime::ZERO)
+            .unwrap();
+        engine
+            .begin_exec(stray, app.work_for(true), SimTime::ZERO)
+            .unwrap();
+        let now = SimTime::from_secs(1);
+        let e = ExclusiveEngine::new(&mut engine);
+        for result in [
+            hotc.finish_release_on(&e, stray, now, false),
+            hotc.release_on(&e, stray, now),
+        ] {
+            assert!(matches!(result, Err(EngineError::InvalidState { id, .. }) if id == stray));
+        }
+        assert_eq!(engine.state(stray), containersim::ContainerState::Running);
+        assert_eq!(hotc.pool().total_live(), 0);
+        assert_eq!(hotc.background_cost(), SimDuration::ZERO);
     }
 
     #[test]

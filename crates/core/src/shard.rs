@@ -5,9 +5,12 @@
 //! eviction. [`ShardedPool`] interns each configuration into a dense
 //! [`KeyId`] and places it on one of N shards round-robin — but the warm
 //! hit itself no longer touches the shard lock at all. Each key owns a
-//! fixed-capacity slot array indexed by two [`stdshim::sync::SlotBitmap`]
-//! free-lists (`avail` and `in_use`), so a warm acquire is a claim-bit CAS
-//! plus a container-handle load, and a warm release is the mirror image.
+//! slot array — a chain of fixed [`SLOTS_PER_KEY`]-slot chunks that grows
+//! by one chunk whenever every slot is occupied — indexed by two
+//! [`stdshim::sync::SlotBitmap`] free-lists per chunk (`avail` and
+//! `in_use`), so a warm acquire is a claim-bit CAS plus a container-handle
+//! load, and a warm release is the mirror image. Every container of a key
+//! lives in that array under that one protocol, whatever the population.
 //!
 //! Lock discipline (see DESIGN.md §5):
 //!
@@ -18,18 +21,21 @@
 //!   a lock depth of zero on this path in debug builds.
 //! * **miss / cold start / evict / controller / GC: shard lock.** The shard
 //!   `Mutex` serializes slot-array *occupancy* changes (which slot index
-//!   holds which container) and the overflow lists; engine calls (container
-//!   creation, cleanup, teardown) always happen outside it, one lock at a
-//!   time, so cold starts on different keys overlap.
+//!   holds which container, and the appending of a chunk); engine calls
+//!   (container creation, cleanup, teardown) always happen outside it, one
+//!   lock at a time, so cold starts on different keys overlap.
 //! * **publish-before-bit-set.** A newly cold-started or pre-warmed
 //!   container's packed entry and reverse-index mapping are stored *before*
 //!   its bitmap bit is set, and the bit-set is a release store — a claimer's
-//!   acquire-CAS therefore always observes a fully published slot.
+//!   acquire-CAS therefore always observes a fully published slot. A chunk
+//!   is appended (a `OnceLock` publication) before any slot index in it is
+//!   handed out, so whoever learns such an index — from the reverse index's
+//!   release-store or from a set bit — also sees the chunk.
 //! * global eviction is **two-phase over a per-shard age index**: every
 //!   shard keeps its pooled containers (available *and* in use) ordered by
-//!   `(created_at, id)`, updated under the shard lock at the six places that
+//!   `(created_at, id)`, updated under the shard lock at the five places that
 //!   change the shard's live count (cold publish, prewarm, crashed-release
-//!   disposal on the bitmap and overflow paths, retire, evict). Phase one
+//!   disposal, retire, evict). Phase one
 //!   asks each shard, one lock at a time, for its oldest entry that is
 //!   available right now and keeps the minimum; phase two re-locks the
 //!   owning shard, re-verifies the entry, and claims the victim's `avail`
@@ -44,10 +50,10 @@
 //! * a slot index is in `avail` or `in_use`, never both; a container is
 //!   owned by at most one request at a time (the `in_use` bit is the
 //!   ownership token a release must claim);
-//! * the `free` bitmap (slot-array occupancy) and the overflow lists are
-//!   mutated only under the shard lock, so a key's live population is exact
-//!   whenever the lock is held — the controller's GC decisions can never
-//!   race a half-finished warm operation into stranding a container;
+//! * the `free` bitmaps (slot-array occupancy) are mutated only under the
+//!   shard lock, so a key's live population is exact whenever the lock is
+//!   held — the controller's GC decisions can never race a half-finished
+//!   warm operation into stranding a container;
 //! * a slot exists only while a container of its type exists or existed
 //!   within the last [`ShardedPool::gc_intervals`] demand snapshots — failed
 //!   creates never materialize slots, and long-dead slots are garbage
@@ -60,7 +66,9 @@ use simclock::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
-use stdshim::atomic::{Ordering, ShimAtomicU64 as AtomicU64, ShimAtomicUsize as AtomicUsize};
+use stdshim::atomic::{
+    Ordering, ShimAtomicU64 as AtomicU64, ShimAtomicUsize as AtomicUsize, ShimOnceLock as OnceLock,
+};
 use stdshim::sync::{LazySlotTable, Mutex, SlotBitmap};
 use stdshim::FastMap;
 
@@ -72,19 +80,9 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// slot is garbage collected.
 pub const DEFAULT_GC_INTERVALS: u32 = 3;
 
-/// Lock-free slot-array capacity per key. Containers beyond this population
-/// (or keys beyond the lock-free key table) spill into the shard-locked
-/// overflow lists, trading the CAS fast path for unbounded capacity.
+/// Slots per chunk of a key's slot array. A key starts with one chunk and
+/// appends another whenever all its slots are occupied.
 const SLOTS_PER_KEY: usize = 128;
-
-/// Lock-free key table shape: `KEY_TABLE_CHUNKS × KEY_TABLE_CHUNK` dense key
-/// ids are reachable without a lock.
-const KEY_TABLE_CHUNKS: usize = 512;
-const KEY_TABLE_CHUNK: usize = 64;
-
-/// Container reverse-index shape (container id → packed key/slot).
-const RINDEX_CHUNKS: usize = 4096;
-const RINDEX_CHUNK: usize = 4096;
 
 /// Scoped access to the container engine. The pool never holds a shard lock
 /// across an engine call, so the engine guard's scope is chosen per call:
@@ -137,8 +135,8 @@ fn entry_container(entry: u64) -> Option<ContainerId> {
     }
 }
 
-/// One key's lock-free slot array: the warm-path state ([Fig. 7]'s value
-/// list, flattened into atomics).
+/// One fixed run of [`SLOTS_PER_KEY`] slots of a key's slot array, and the
+/// link to the run after it.
 ///
 /// Index lifecycle: `free` (unoccupied, mutated **only** under the shard
 /// lock) → publish stores the packed entry + reverse-index mapping, then
@@ -147,22 +145,64 @@ fn entry_container(entry: u64) -> Option<ContainerId> {
 /// container; only lock-holding paths (publish, dispose) rewrite it, so
 /// lock-free claimers can re-verify entries without ABA hazards.
 #[derive(Debug)]
-struct KeySlots {
-    /// Packed `(container, execed)` per slot index; 0 = empty.
+struct SlotChunk {
+    /// Packed `(container, execed)` per slot; 0 = empty.
     entries: Box<[AtomicU64]>,
-    /// Set = slot index unoccupied. Claimed at publish, released at dispose,
-    /// both under the shard lock — `SLOTS_PER_KEY - free.count()` is the
-    /// key's exact bitmap population whenever the lock is held.
+    /// Set = slot unoccupied. Claimed at publish, released at dispose, both
+    /// under the shard lock — `SLOTS_PER_KEY - free.count()` is the chunk's
+    /// exact population whenever the lock is held.
     free: SlotBitmap,
     /// Set = warm container ready to claim (Existing-Available).
     avail: SlotBitmap,
     /// Set = handed out (Existing-Not-Available). The bit is the ownership
     /// token: a release must claim it, so double releases are rejected.
     in_use: SlotBitmap,
-    /// In-use containers of this key, bitmap + overflow, including releases
-    /// still in transit through their engine critical section. Decremented
-    /// only once the container is available again (or disposed), so the
-    /// demand watermark never under-reports a mid-release container.
+    /// The next chunk, appended under the shard lock once every slot up to
+    /// here is occupied, and never freed: a key that once burst keeps its
+    /// chain. Set before any slot index of the new chunk exists anywhere.
+    next: OnceLock<Box<SlotChunk>>,
+}
+
+impl SlotChunk {
+    /// An empty chunk with its first `free` slots unoccupied and the rest
+    /// unusable. The pool frees all [`SLOTS_PER_KEY`]; the model API frees a
+    /// small prefix instead — under the checker each bit release is a
+    /// schedule point paid on every re-executed schedule.
+    fn new(free: usize) -> SlotChunk {
+        let chunk = SlotChunk {
+            entries: (0..SLOTS_PER_KEY).map(|_| AtomicU64::new(0)).collect(),
+            free: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-free"),
+            avail: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-avail"),
+            in_use: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-inuse"),
+            next: OnceLock::new(),
+        };
+        for i in 0..free {
+            chunk.free.release(i);
+        }
+        chunk
+    }
+
+    /// Empties a slot whose bits are already claimed by the caller. Shard
+    /// lock required: this mutates `free` (occupancy).
+    fn dispose_idle(&self, bit: usize) {
+        // lint:allow(atomic-ordering, caller owns every bit of this slot; unreachable until free.release)
+        self.entries[bit].store(0, Ordering::Relaxed);
+        let fresh = self.free.release(bit);
+        debug_assert!(fresh, "disposed slot was already free");
+    }
+}
+
+/// One key's lock-free slot array: the warm-path state ([Fig. 7]'s value
+/// list, flattened into atomics). Slot index `i` is bit `i % SLOTS_PER_KEY`
+/// of chunk `i / SLOTS_PER_KEY`; every walk goes lowest index first, so a
+/// key that never holds more than one chunk's worth never leaves `head`.
+#[derive(Debug)]
+struct KeySlots {
+    head: SlotChunk,
+    /// In-use containers of this key, including releases still in transit
+    /// through their engine critical section. Decremented only once the
+    /// container is available again (or disposed), so the demand watermark
+    /// never under-reports a mid-release container.
     in_use_total: AtomicUsize,
     /// Peak `in_use_total` since the last demand snapshot — the
     /// `history[k][t]` series the adaptive controller feeds the predictor.
@@ -170,33 +210,60 @@ struct KeySlots {
 }
 
 impl KeySlots {
-    fn new() -> KeySlots {
-        let ks = KeySlots::new_unfreed();
-        for i in 0..SLOTS_PER_KEY {
-            ks.free.release(i);
-        }
-        ks
-    }
-
-    /// Every bitmap clear, *including* `free`: no slot is claimable until
-    /// the caller releases free bits. Split from [`new`](Self::new) so the
-    /// model API can free a small prefix instead of all
-    /// [`SLOTS_PER_KEY`] — under the checker each bit release is a schedule
-    /// point paid on every re-executed schedule.
-    fn new_unfreed() -> KeySlots {
+    /// A slot array whose first chunk has `free` usable slots (see
+    /// [`SlotChunk::new`]).
+    fn new(free: usize) -> KeySlots {
         KeySlots {
-            entries: (0..SLOTS_PER_KEY).map(|_| AtomicU64::new(0)).collect(),
-            free: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-free"),
-            avail: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-avail"),
-            in_use: SlotBitmap::labeled(SLOTS_PER_KEY, "pool/slot-inuse"),
+            head: SlotChunk::new(free),
             in_use_total: AtomicUsize::new(0),
             watermark: AtomicUsize::new(0),
         }
     }
 
-    /// Occupied bitmap slots. Exact under the shard lock (see `free`).
+    /// Every chunk appended so far, in slot-index order (counting paths).
+    fn chunks(&self) -> impl Iterator<Item = &SlotChunk> {
+        std::iter::successors(Some(&self.head), |chunk| {
+            chunk.next.get().map(|next| &**next)
+        })
+    }
+
+    /// Slot index `i`'s chunk and its bit there; indices below
+    /// [`SLOTS_PER_KEY`] load nothing. An index exists only after its chunk
+    /// was appended, and whoever holds one learned it through a
+    /// release-store made after the append (reverse index, bitmap bit, shard
+    /// lock), so the walk cannot fall off the chain.
+    fn at(&self, i: usize) -> (&SlotChunk, usize) {
+        let mut chunk = &self.head;
+        for _ in 0..i / SLOTS_PER_KEY {
+            let next = chunk.next.get();
+            // lint:allow(unwrap, a slot index beyond the chain is a broken publication order, not an input)
+            chunk = next.expect("slot index beyond the key's chunk chain");
+        }
+        (chunk, i % SLOTS_PER_KEY)
+    }
+
+    /// Occupied slots. Exact under the shard lock (see [`SlotChunk::free`]).
     fn occupied(&self) -> usize {
-        SLOTS_PER_KEY - self.free.count()
+        self.chunks()
+            .map(|chunk| SLOTS_PER_KEY - chunk.free.count())
+            .sum()
+    }
+
+    /// Available containers right now (advisory outside the shard lock).
+    fn avail_count(&self) -> usize {
+        self.chunks().map(|chunk| chunk.avail.count()).sum()
+    }
+
+    /// Whether slot `i` holds an available container right now.
+    fn is_avail(&self, i: usize) -> bool {
+        let (chunk, bit) = self.at(i);
+        chunk.avail.is_set(bit)
+    }
+
+    /// The container slot `i`'s entry names, if the slot is occupied.
+    fn container_at(&self, i: usize) -> Option<ContainerId> {
+        let (chunk, bit) = self.at(i);
+        entry_container(chunk.entries[bit].load(Ordering::Relaxed))
     }
 
     /// Counts an acquisition into the demand bookkeeping.
@@ -205,16 +272,54 @@ impl KeySlots {
         self.watermark.fetch_max(now, Ordering::Relaxed);
     }
 
+    /// CAS-claims the lowest set bit of one of the per-chunk bitmaps,
+    /// looking at a further chunk only when the ones before it have none:
+    /// the slot index, its chunk and its bit there.
+    fn claim_lowest(
+        &self,
+        bitmap: impl Fn(&SlotChunk) -> &SlotBitmap,
+    ) -> Option<(usize, &SlotChunk, usize)> {
+        let (mut chunk, mut base) = (&self.head, 0);
+        loop {
+            if let Some(bit) = bitmap(chunk).claim() {
+                return Some((base + bit, chunk, bit));
+            }
+            chunk = chunk.next.get()?;
+            base += SLOTS_PER_KEY;
+        }
+    }
+
+    /// Appends `chunk` behind the last one. Shard lock required (one
+    /// appender at a time), and called only when every slot is occupied.
+    fn append(&self, chunk: SlotChunk) {
+        let mut last = &self.head;
+        while let Some(next) = last.next.get() {
+            last = next;
+        }
+        last.next.get_or_init(|| Box::new(chunk));
+    }
+
+    /// Claims the lowest unoccupied slot, appending a chunk when every slot
+    /// is occupied. Shard lock required: this mutates `free`.
+    fn claim_free(&self) -> (usize, &SlotChunk, usize) {
+        loop {
+            if let Some(claimed) = self.claim_lowest(|chunk| &chunk.free) {
+                return claimed;
+            }
+            self.append(SlotChunk::new(SLOTS_PER_KEY));
+        }
+    }
+
     /// Lock-free warm claim: CAS an `avail` bit, load the published entry,
     /// take the `in_use` ownership token. Returns the slot index, container,
     /// and whether it has executed before.
     fn claim_warm(&self) -> Option<(usize, ContainerId, bool)> {
-        let i = self.avail.claim()?;
+        let (i, chunk, bit) = self.claim_lowest(|chunk| &chunk.avail)?;
         // The claim's acquire CAS synchronizes with the publisher's release
         // bit-set, so the entry (stored before the bit) is fully visible.
-        let entry = self.entries[i].load(Ordering::Relaxed);
+        let entry = chunk.entries[bit].load(Ordering::Relaxed);
         debug_assert_ne!(entry, 0, "claimed an avail bit over an empty slot");
-        let fresh = self.in_use.release(i);
+        let fresh = chunk.in_use.release(bit);
         debug_assert!(fresh, "slot was avail and in_use at once");
         self.note_acquire();
         Some((i, ContainerId(entry >> 1), entry & 1 == 1))
@@ -223,93 +328,78 @@ impl KeySlots {
     /// Lock-free release claim: verify the entry names `container`, take the
     /// `in_use` ownership token, then re-verify. Entries only change while a
     /// slot is unoccupied or under the shard lock, so a double release (bit
-    /// already claimed) or a stale reverse-index mapping fails here and
-    /// falls back to the locked slow path.
+    /// already claimed) or a stale reverse-index mapping fails here.
     fn try_claim_release(&self, i: usize, container: ContainerId) -> bool {
-        if entry_container(self.entries[i].load(Ordering::Acquire)) != Some(container) {
+        let (chunk, bit) = self.at(i);
+        if entry_container(chunk.entries[bit].load(Ordering::Acquire)) != Some(container) {
             return false;
         }
-        if !self.in_use.claim_at(i) {
+        if !chunk.in_use.claim_at(bit) {
             return false;
         }
-        if entry_container(self.entries[i].load(Ordering::Relaxed)) != Some(container) {
-            let fresh = self.in_use.release(i);
+        if entry_container(chunk.entries[bit].load(Ordering::Relaxed)) != Some(container) {
+            let fresh = chunk.in_use.release(bit);
             debug_assert!(fresh, "restored claim found the in_use bit set");
             return false;
         }
         true
     }
 
-    /// Scans the in-use bitmap for `container` and claims it. Called under
-    /// the shard lock (slow-path release when the reverse index missed), but
-    /// the claim itself still races lock-free releasers, so a lost CAS means
-    /// the container was already released.
-    fn claim_in_use_scan(&self, container: ContainerId) -> Option<usize> {
-        let mut found = None;
-        self.in_use.for_each_set(|i| {
-            if found.is_none()
-                && entry_container(self.entries[i].load(Ordering::Acquire)) == Some(container)
-            {
-                found = Some(i);
-            }
-        });
-        let i = found?;
-        self.in_use.claim_at(i).then_some(i)
+    /// Returns an engine-rejected release's ownership token (see
+    /// [`Self::try_claim_release`]).
+    fn restore_claim(&self, i: usize) {
+        let (chunk, bit) = self.at(i);
+        let fresh = chunk.in_use.release(bit);
+        debug_assert!(fresh, "restored claim found the in_use bit set");
     }
 
     /// Returns a claimed slot's container to the warm pool. Lock-free: the
     /// entry store (now flagged as executed) happens before the `avail`
     /// release-store, upholding publish-before-bit-set.
     fn hand_back(&self, i: usize, container: ContainerId) {
+        let (chunk, bit) = self.at(i);
         // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
-        self.entries[i].store(pack_entry(container, true), Ordering::Relaxed);
-        let fresh = self.avail.release(i);
+        chunk.entries[bit].store(pack_entry(container, true), Ordering::Relaxed);
+        let fresh = chunk.avail.release(bit);
         debug_assert!(fresh, "hand-back found the avail bit already set");
         self.in_use_total.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Empties a slot index whose bits are already claimed by the caller.
-    /// Shard lock required: this mutates `free` (occupancy).
-    fn dispose_idle(&self, i: usize) {
-        // lint:allow(atomic-ordering, caller owns every bit of this slot; unreachable until free.release)
-        self.entries[i].store(0, Ordering::Relaxed);
-        let fresh = self.free.release(i);
-        debug_assert!(fresh, "disposed slot was already free");
+    /// Retires any available container (controller scale-down): the
+    /// avail-bit claim is atomic against racing lock-free acquires — whoever
+    /// wins the CAS owns the slot. Shard lock required (disposes).
+    fn retire_avail(&self) -> Option<ContainerId> {
+        let (_, chunk, bit) = self.claim_lowest(|chunk| &chunk.avail)?;
+        let container = entry_container(chunk.entries[bit].load(Ordering::Relaxed));
+        debug_assert!(container.is_some(), "avail bit over an empty slot");
+        chunk.dispose_idle(bit);
+        container
     }
 
-    /// True if `container` sits available in this key's bitmap (diagnostic
-    /// scan for keys outside the lock-free reverse index).
-    fn avail_contains(&self, container: ContainerId) -> bool {
-        let mut found = false;
-        self.avail.for_each_set(|i| {
-            if entry_container(self.entries[i].load(Ordering::Acquire)) == Some(container) {
-                found = true;
-            }
-        });
-        found
+    /// Eviction's claim phase: entries are frozen while occupied, so the
+    /// candidate is still at slot `i` ⇔ the entry still names it; the bit
+    /// claim then races only lock-free acquirers, and a racing acquire
+    /// winning it fails the eviction. Shard lock required (disposes).
+    fn evict_at(&self, i: usize, container: ContainerId) -> bool {
+        let (chunk, bit) = self.at(i);
+        let entry = chunk.entries[bit].load(Ordering::Relaxed);
+        let claimed = entry_container(entry) == Some(container) && chunk.avail.claim_at(bit);
+        if claimed {
+            chunk.dispose_idle(bit);
+        }
+        claimed
     }
 }
 
 /// One runtime type's containers, plus the bookkeeping the adaptive
-/// controller feeds on. The warm-path state lives in the shared [`KeySlots`];
-/// this struct holds the shard-locked remainder: overflow lists, controller
-/// flags, and a representative configuration.
+/// controller feeds on. The containers live in the shared [`KeySlots`]; this
+/// struct holds the shard-locked remainder: controller flags and a
+/// representative configuration.
 #[derive(Debug)]
 struct Slot {
     /// The key's lock-free slot array, shared with the pool-level key table
     /// so warm paths reach it without this `Slot` (or its lock).
     ks: Arc<KeySlots>,
-    /// Available containers beyond the bitmap capacity, FIFO. The flag
-    /// records whether the container has ever executed (false for
-    /// pre-warmed) so acquires report `first_exec` without an engine call.
-    overflow_avail: VecDeque<(ContainerId, bool)>,
-    /// In-use overflow containers, by id — membership makes a `release`
-    /// legal, exactly like an `in_use` bitmap bit.
-    overflow_in_use: Vec<ContainerId>,
-    /// Overflow releases in transit through their engine critical section:
-    /// claimed off `overflow_in_use` but not yet handed back or disposed.
-    /// Keeps the live population exact for the GC decision.
-    overflow_transit: usize,
     /// Whether this key is on the shard's active list (touched since the
     /// last snapshot, or still holding containers). The flag keeps the list
     /// duplicate-free without a per-touch hash probe.
@@ -327,27 +417,10 @@ impl Slot {
     fn new(config: ContainerConfig, ks: Arc<KeySlots>) -> Self {
         Slot {
             ks,
-            overflow_avail: VecDeque::new(),
-            overflow_in_use: Vec::new(),
-            overflow_transit: 0,
             active: false,
             cold_since: None,
             config,
         }
-    }
-
-    /// Exact live population (bitmap + overflow, including releases in
-    /// transit). Only meaningful under the shard lock.
-    fn live_now(&self) -> usize {
-        self.ks.occupied()
-            + self.overflow_avail.len()
-            + self.overflow_in_use.len()
-            + self.overflow_transit
-    }
-
-    /// Available containers right now (bitmap + overflow).
-    fn avail_now(&self) -> usize {
-        self.ks.avail.count() + self.overflow_avail.len()
     }
 }
 
@@ -380,9 +453,9 @@ struct ShardState {
     /// same points that change `live`, so `ages.len() == live` under the
     /// lock; warm claims and hand-backs change availability, not
     /// membership, and never touch it. The value locates the container: its
-    /// key and its bitmap slot (`None` = the key's overflow lists), both
-    /// fixed for the container's whole pool tenure.
-    ages: BTreeMap<(SimTime, ContainerId), (KeyId, Option<usize>)>,
+    /// key and its slot index, both fixed for the container's whole pool
+    /// tenure.
+    ages: BTreeMap<(SimTime, ContainerId), (KeyId, usize)>,
     /// `created_at` per pooled container, for the removal sites that hold
     /// only the id (the engine has already forgotten a disposed container).
     born: FastMap<ContainerId, SimTime>,
@@ -392,13 +465,7 @@ impl ShardState {
     /// Counts a just-published container into the shard (`live` and the
     /// age index move together). `created_at` is the `now` its
     /// `create_container` call was given.
-    fn admit(
-        &mut self,
-        container: ContainerId,
-        created_at: SimTime,
-        key: KeyId,
-        at: Option<usize>,
-    ) {
+    fn admit(&mut self, container: ContainerId, created_at: SimTime, key: KeyId, at: usize) {
         self.live += 1;
         self.ages.insert((created_at, container), (key, at));
         self.born.insert(container, created_at);
@@ -422,48 +489,30 @@ impl ShardState {
         let from = after.map_or(Bound::Unbounded, Bound::Excluded);
         self.ages
             .range((from, Bound::Unbounded))
-            .find(|&(&(_, container), &(key, at))| {
-                self.slots.get(&key).is_some_and(|slot| match at {
-                    Some(i) => slot.ks.avail.is_set(i),
-                    None => slot.overflow_avail.iter().any(|&(c, _)| c == container),
-                })
+            .find(|&(_, &(key, at))| {
+                self.slots
+                    .get(&key)
+                    .is_some_and(|slot| slot.ks.is_avail(at))
             })
             .map(|(&age, &(key, at))| EvictCandidate { age, key, at })
     }
 
     /// Debug cross-check of the age index against the slot bookkeeping it
-    /// shadows: exactly `live` entries, each one resolving to a container
-    /// its key's slot array or overflow lists name (overflow releases in
-    /// transit are counted, not named).
+    /// shadows: exactly `live` entries, each one resolving to the container
+    /// its key's slot array names at that index.
     fn assert_ages_consistent(&self) {
         assert_eq!(self.ages.len(), self.live, "age index size != live");
         assert_eq!(self.born.len(), self.live, "age side map size != live");
-        let mut in_transit = 0;
         for (&(created_at, container), &(key, at)) in &self.ages {
             assert_eq!(self.born.get(&container), Some(&created_at));
             // lint:allow(unwrap, debug cross-check; a missing slot is the broken invariant it reports)
             let slot = self.slots.get(&key).expect("indexed key has no slot");
-            match at {
-                Some(i) => assert_eq!(
-                    entry_container(slot.ks.entries[i].load(Ordering::Relaxed)),
-                    Some(container),
-                    "indexed slot names another container"
-                ),
-                None => {
-                    let named = slot.overflow_avail.iter().any(|&(c, _)| c == container)
-                        || slot.overflow_in_use.contains(&container);
-                    in_transit += usize::from(!named);
-                }
-            }
+            assert_eq!(
+                slot.ks.container_at(at),
+                Some(container),
+                "indexed slot names another container"
+            );
         }
-        assert_eq!(
-            in_transit,
-            self.slots
-                .values()
-                .map(|s| s.overflow_transit)
-                .sum::<usize>(),
-            "indexed overflow containers the lists do not name"
-        );
     }
 
     /// Flags `id` as touched this control interval (O(1) when already
@@ -550,7 +599,7 @@ impl From<PoolAcquisition> for Acquisition {
     }
 }
 
-/// A claimed bitmap slot: the caller holds the slot's ownership token (its
+/// A claimed slot: the caller holds the slot's ownership token (its
 /// `in_use` bit is cleared) and must hand it back or dispose of it.
 struct ClaimedSlot<'a> {
     id: KeyId,
@@ -559,19 +608,12 @@ struct ClaimedSlot<'a> {
 }
 
 /// An eviction candidate: one shard's oldest available container, as its
-/// age-index entry — `(created_at, id)`, the key, and the bitmap slot
-/// (`None` = on the key's `overflow_avail` list).
+/// age-index entry — `(created_at, id)`, the key, and the slot index.
 #[derive(Debug, Clone, Copy)]
 struct EvictCandidate {
     age: (SimTime, ContainerId),
     key: KeyId,
-    at: Option<usize>,
-}
-
-/// How a slow-path release claimed its container under the shard lock.
-enum SlowClaim {
-    Bitmap(Arc<KeySlots>, usize),
-    Overflow,
+    at: usize,
 }
 
 /// The sharded HotC container pool (Algorithms 1–2 per shard).
@@ -620,12 +662,12 @@ pub struct ShardedPool {
     /// are created once (first cold start / prewarm of the key) and persist
     /// across slot GC — their counters are provably zero while the key is
     /// untracked, and a revived key reuses the same array.
-    key_slots: LazySlotTable<Arc<KeySlots>>,
+    key_slots: LazySlotTable<OnceLock<Arc<KeySlots>>>,
     /// Lock-free reverse index: container id → packed `(key, slot)` (see
-    /// [`pack_rindex`]), 0 = untracked. Written at publish and cleared at
+    /// [`pack_rindex`]), 0 = not pooled. Written at publish and cleared at
     /// dispose, both under the owning shard's lock; read lock-free by
-    /// `release`, which gets its key and slot without touching the engine
-    /// or the interner.
+    /// `release`, which gets the container's true key and slot without
+    /// touching the engine or the interner. It names every pooled container.
     rindex: LazySlotTable<AtomicU64>,
     gc_intervals: u32,
     /// Bumped by every operation that may change warm availability
@@ -658,8 +700,8 @@ impl ShardedPool {
                 .map(|_| Mutex::labeled(ShardState::default(), "pool/shard"))
                 .collect(),
             interner: KeyInterner::new(policy),
-            key_slots: LazySlotTable::new(KEY_TABLE_CHUNKS, KEY_TABLE_CHUNK),
-            rindex: LazySlotTable::new(RINDEX_CHUNKS, RINDEX_CHUNK),
+            key_slots: LazySlotTable::default(),
+            rindex: LazySlotTable::default(),
             gc_intervals: DEFAULT_GC_INTERVALS,
             mutation_epoch: AtomicU64::new(0),
         }
@@ -687,7 +729,7 @@ impl ShardedPool {
         for shard in self.shards.iter() {
             let state = shard.lock();
             for (&id, slot) in &state.slots {
-                let avail = slot.avail_now();
+                let avail = slot.ks.avail_count();
                 if avail > 0 {
                     f(id, avail);
                 }
@@ -749,21 +791,18 @@ impl ShardedPool {
     }
 
     /// The key's slot array, creating the key-table entry on first use.
-    /// Keys beyond the table's capacity get a private array reachable only
-    /// through their `Slot` — every touch of it holds the shard lock.
     fn slots_for(&self, id: KeyId) -> Arc<KeySlots> {
-        match self
-            .key_slots
-            .get_or_init(id.index(), || Arc::new(KeySlots::new()))
-        {
-            Some(ks) => Arc::clone(ks),
-            None => Arc::new(KeySlots::new()),
-        }
+        let cell = self.key_slots.get_or_init(id.index());
+        Arc::clone(cell.get_or_init(|| Arc::new(KeySlots::new(SLOTS_PER_KEY))))
     }
 
-    /// Resolves a container through the lock-free reverse index. `None` for
-    /// untracked containers, overflow containers, and keys beyond the
-    /// lock-free key table — all of which the locked slow paths handle.
+    /// The key's slot array, lock-free, if the key was ever pooled.
+    fn key_slots(&self, key_index: usize) -> Option<&KeySlots> {
+        Some(&**self.key_slots.get(key_index)?.get()?)
+    }
+
+    /// Resolves a container through the lock-free reverse index. `None` iff
+    /// the pool does not hold the container.
     fn rindex_lookup(&self, container: ContainerId) -> Option<ClaimedSlot<'_>> {
         let packed = self
             .rindex
@@ -774,7 +813,7 @@ impl ShardedPool {
         }
         let key_index = (packed >> 32) as usize - 1;
         let slot = (packed & u64::from(u32::MAX)) as usize - 1;
-        let ks = &**self.key_slots.get(key_index)?;
+        let ks = self.key_slots(key_index)?;
         Some(ClaimedSlot {
             id: KeyId::from_index(key_index as u32),
             ks,
@@ -784,12 +823,9 @@ impl ShardedPool {
 
     /// Publishes a container's reverse-index mapping (shard lock held).
     fn rindex_set(&self, container: ContainerId, id: KeyId, slot: usize) {
-        if let Some(cell) = self
-            .rindex
-            .get_or_init(container.0 as usize, || AtomicU64::new(0))
-        {
-            cell.store(pack_rindex(id, slot), Ordering::Release);
-        }
+        self.rindex
+            .get_or_init(container.0 as usize)
+            .store(pack_rindex(id, slot), Ordering::Release);
     }
 
     /// Clears a container's reverse-index mapping (shard lock held).
@@ -837,49 +873,26 @@ impl ShardedPool {
         // sanitizer enforces both in debug builds.
         let _scope = stdshim::request_path_scope();
         self.bump_epoch();
-        if let Some(ks) = self.key_slots.get(id.index()) {
-            if let Some((_, container, execed)) = ks.claim_warm() {
-                let lock_free = self.policy != KeyPolicy::Fuzzy;
-                let cost = self.fuzzy_reuse_cost(engine, container, config);
-                // Exact keys never consult the engine on reuse, so the whole
-                // warm hit must have run without a single lock.
-                debug_assert!(
-                    !lock_free || _scope.locks_taken() == 0,
-                    "warm hit took a lock"
-                );
-                return Ok(PoolAcquisition {
-                    container,
-                    cost,
-                    cold: false,
-                    first_exec: !execed,
-                    breakdown: None,
-                    reconfig: cost,
-                    lock_free,
-                });
-            }
-        }
-        // The id↔config contract is verified off the lock-free path only:
-        // the check interns, and the interner's read lock would break the
-        // warm hit's zero-lock guarantee in debug builds.
-        debug_assert_eq!(id, self.intern_config(config));
-        let shard = self.shard(id);
-        let warm = {
-            let mut guard = shard.lock();
-            guard.slots.get_mut(&id).and_then(|slot| {
-                // Retry the bitmap under the lock — a racing release may
-                // have refilled it after the lock-free claim missed — then
-                // fall back to the overflow list.
-                if let Some((_, container, execed)) = slot.ks.claim_warm() {
-                    return Some((container, execed));
-                }
-                let (container, execed) = slot.overflow_avail.pop_front()?;
-                slot.ks.note_acquire();
-                slot.overflow_in_use.push(container);
-                Some((container, execed))
-            })
-        };
-        if let Some((container, execed)) = warm {
+        let lock_free_hit = self.key_slots(id.index()).and_then(KeySlots::claim_warm);
+        let warm = lock_free_hit.or_else(|| {
+            // The id↔config contract is verified off the lock-free path only:
+            // the check interns, and the interner's read lock would break the
+            // warm hit's zero-lock guarantee in debug builds.
+            debug_assert_eq!(id, self.intern_config(config));
+            // Retry under the lock: a racing release may have refilled the
+            // array after the lock-free claim missed.
+            let guard = self.shard(id).lock();
+            guard.slots.get(&id).and_then(|slot| slot.ks.claim_warm())
+        });
+        if let Some((_, container, execed)) = warm {
+            // Exact keys never consult the engine on reuse, so a hit on the
+            // first attempt must have run without a single lock.
+            let lock_free = lock_free_hit.is_some() && self.policy != KeyPolicy::Fuzzy;
             let cost = self.fuzzy_reuse_cost(engine, container, config);
+            debug_assert!(
+                !lock_free || _scope.locks_taken() == 0,
+                "warm hit took a lock"
+            );
             return Ok(PoolAcquisition {
                 container,
                 cost,
@@ -887,7 +900,7 @@ impl ShardedPool {
                 first_exec: !execed,
                 breakdown: None,
                 reconfig: cost,
-                lock_free: false,
+                lock_free,
             });
         }
         // Not existing, or existing but not available: start a new one. The
@@ -896,12 +909,12 @@ impl ShardedPool {
         let (container, breakdown) =
             engine.with_engine(|e| e.create_container(config.clone(), now))?;
         {
-            let mut guard = shard.lock();
+            let mut guard = self.shard(id).lock();
             let slot = guard
                 .slots
                 .entry(id)
                 .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
-            let slot_idx = self.publish_in_use(slot, id, container);
+            let slot_idx = self.publish_in_use(&slot.ks, id, container);
             guard.admit(container, now, id, slot_idx);
             guard.mark_active(id);
         }
@@ -937,88 +950,99 @@ impl ShardedPool {
     /// Publishes a just-created container straight into the in-use state
     /// (cold-start acquire). Shard lock held; the entry and reverse-index
     /// stores precede the `in_use` bit-set.
-    fn publish_in_use(&self, slot: &mut Slot, id: KeyId, container: ContainerId) -> Option<usize> {
-        let ks = &slot.ks;
-        if let Some(i) = ks.free.claim() {
-            // lint:allow(atomic-ordering, entry store is ordered by the in_use.release bit-set below)
-            ks.entries[i].store(pack_entry(container, false), Ordering::Relaxed);
-            self.rindex_set(container, id, i);
-            let fresh = ks.in_use.release(i);
-            debug_assert!(fresh, "published slot's in_use bit was already set");
-            ks.note_acquire();
-            Some(i)
-        } else {
-            ks.note_acquire();
-            slot.overflow_in_use.push(container);
-            None
-        }
+    fn publish_in_use(&self, ks: &KeySlots, id: KeyId, container: ContainerId) -> usize {
+        let (i, chunk, bit) = ks.claim_free();
+        // lint:allow(atomic-ordering, entry store is ordered by the in_use.release bit-set below)
+        chunk.entries[bit].store(pack_entry(container, false), Ordering::Relaxed);
+        self.rindex_set(container, id, i);
+        let fresh = chunk.in_use.release(bit);
+        debug_assert!(fresh, "published slot's in_use bit was already set");
+        ks.note_acquire();
+        i
     }
 
     /// Publishes a just-created container into the available state
     /// (prewarm). Shard lock held; publish-before-bit-set as above. Returns
-    /// the bitmap slot, `None` for an overflow container.
+    /// the slot index.
     fn publish_avail(
         &self,
-        slot: &mut Slot,
+        ks: &KeySlots,
         id: KeyId,
         container: ContainerId,
         execed: bool,
-    ) -> Option<usize> {
-        let ks = &slot.ks;
-        if let Some(i) = ks.free.claim() {
-            // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
-            ks.entries[i].store(pack_entry(container, execed), Ordering::Relaxed);
-            self.rindex_set(container, id, i);
-            let fresh = ks.avail.release(i);
-            debug_assert!(fresh, "published slot's avail bit was already set");
-            Some(i)
-        } else {
-            slot.overflow_avail.push_back((container, execed));
-            None
-        }
+    ) -> usize {
+        let (i, chunk, bit) = ks.claim_free();
+        // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
+        chunk.entries[bit].store(pack_entry(container, execed), Ordering::Relaxed);
+        self.rindex_set(container, id, i);
+        let fresh = chunk.avail.release(bit);
+        debug_assert!(fresh, "published slot's avail bit was already set");
+        i
     }
 
     /// Algorithm 2: clean the used container and add it back to the pool.
     /// A crashed (Stopped) container cannot be reused: it is disposed of
     /// instead. Releasing a container that was never acquired from this pool
     /// — or releasing the same container twice — is an
-    /// [`EngineError::InvalidState`]: the duplicate must not be pooled, or
-    /// one container could serve two requests at once.
+    /// [`EngineError::InvalidState`] that leaves the engine untouched: the
+    /// duplicate must not be pooled, or one container could serve two
+    /// requests at once.
     ///
     /// The warm path takes **zero pool locks**: the reverse index resolves
     /// the container to its key and slot, the `in_use` bit-claim proves
     /// ownership, and the hand-back is an entry store plus an `avail`
-    /// release-store. Only crashed containers, overflow containers, and
-    /// reverse-index misses fall to the shard lock.
+    /// release-store. Only the disposal of a crashed container takes the
+    /// shard lock.
     pub fn release(
         &self,
         engine: &impl EngineRef,
         container: ContainerId,
         now: SimTime,
     ) -> Result<SimDuration, EngineError> {
-        // DESIGN.md §5: engine and shard locks are taken one at a time.
-        let _scope = stdshim::request_path_scope();
-        self.bump_epoch();
-        if let Some(claim) = self.rindex_lookup(container) {
-            if claim.ks.try_claim_release(claim.slot, container) {
-                return self.finish_claimed_release(engine, claim, container, now, None);
-            }
-        }
-        self.release_slow(engine, container, now)
+        self.release_claimed(engine, container, now, None)
     }
 
-    /// Ends a claimed bitmap container's pool tenure: one engine critical
-    /// section (optionally ending the execution first), then hand-back
-    /// (lock-free) or disposal (shard lock). The caller holds the slot's
-    /// ownership token; an engine rejection restores it.
-    fn finish_claimed_release(
+    /// The concurrent frontend's combined end-of-request path:
+    /// [`Self::release`] for a container that is still executing — the
+    /// execution is ended and the container cleaned (or, if `crashed`,
+    /// disposed of) in a **single** engine critical section. The reverse
+    /// index knows the container's *true* key, so a function re-registered
+    /// with a different configuration mid-flight changes nothing here.
+    pub fn try_finish_release(
         &self,
         engine: &impl EngineRef,
-        claim: ClaimedSlot<'_>,
+        container: ContainerId,
+        now: SimTime,
+        crashed: bool,
+    ) -> Result<SimDuration, EngineError> {
+        self.release_claimed(engine, container, now, Some(crashed))
+    }
+
+    /// Ends a container's pool tenure: claim it through the reverse index
+    /// (lock-free), one engine critical section (optionally ending the
+    /// execution first), then hand-back (lock-free) or disposal (shard
+    /// lock) — disjoint regions, never nested. An engine rejection restores
+    /// the ownership token.
+    fn release_claimed(
+        &self,
+        engine: &impl EngineRef,
         container: ContainerId,
         now: SimTime,
         end_exec_then_crashed: Option<bool>,
     ) -> Result<SimDuration, EngineError> {
+        // DESIGN.md §5: engine and shard locks are taken one at a time.
+        let _scope = stdshim::request_path_scope();
+        self.bump_epoch();
+        let claim = self
+            .rindex_lookup(container)
+            .filter(|claim| claim.ks.try_claim_release(claim.slot, container));
+        let Some(claim) = claim else {
+            return Err(EngineError::InvalidState {
+                id: container,
+                state: engine.with_engine(|e| e.state(container)),
+                needed: "a container acquired from this pool",
+            });
+        };
         let outcome = engine.with_engine(|e| {
             let crashed = match end_exec_then_crashed {
                 Some(crashed) => {
@@ -1048,15 +1072,14 @@ impl ShardedPool {
                 // still Running): return the ownership token so bookkeeping
                 // stays honest. The key still holds the container, so it is
                 // necessarily on the active list already.
-                let fresh = claim.ks.in_use.release(claim.slot);
-                debug_assert!(fresh, "restored claim found the in_use bit set");
+                claim.ks.restore_claim(claim.slot);
                 Err(err)
             }
         }
     }
 
-    /// Disposes of a claimed bitmap container (crashed release, or evicted
-    /// under the lock). Takes the shard lock: occupancy changes here.
+    /// Disposes of a claimed container (crashed release). Takes the shard
+    /// lock: occupancy changes here.
     fn dispose_claimed(&self, claim: ClaimedSlot<'_>, container: ContainerId) {
         let mut guard = self.shard(claim.id).lock();
         debug_assert!(
@@ -1064,177 +1087,14 @@ impl ShardedPool {
             "claimed container's key has no slot"
         );
         if guard.slots.contains_key(&claim.id) {
-            claim.ks.dispose_idle(claim.slot);
+            let (chunk, bit) = claim.ks.at(claim.slot);
+            chunk.dispose_idle(bit);
             claim.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
             self.rindex_clear(container);
             guard.forget(container);
         }
         // A disposal is a touch: the controller must re-examine this key.
         guard.mark_active(claim.id);
-    }
-
-    /// The locked release path: overflow containers, reverse-index misses
-    /// (keys beyond the lock-free table), and failed fast-path claims
-    /// (double releases, which must error here).
-    fn release_slow(
-        &self,
-        engine: &impl EngineRef,
-        container: ContainerId,
-        now: SimTime,
-    ) -> Result<SimDuration, EngineError> {
-        let (config, state_now, crashed) = engine.with_engine(|e| {
-            let config = e
-                .config(container)
-                .cloned()
-                .ok_or(EngineError::UnknownContainer(container))?;
-            let state = e.state(container);
-            Ok::<_, EngineError>((
-                config,
-                state,
-                state == containersim::ContainerState::Stopped,
-            ))
-        })?;
-        // The container came from an acquire, so its config is already
-        // interned — this is the fingerprint fast path, no string work.
-        let id = self.interner.intern(&config);
-        let claimed = self.claim_slow(id, container);
-        let Some(claimed) = claimed else {
-            return Err(EngineError::InvalidState {
-                id: container,
-                state: state_now,
-                needed: "a container acquired from this pool",
-            });
-        };
-        match claimed {
-            SlowClaim::Bitmap(ks, slot) => self.finish_claimed_release(
-                engine,
-                ClaimedSlot { id, ks: &ks, slot },
-                container,
-                now,
-                None,
-            ),
-            SlowClaim::Overflow => {
-                let result = engine.with_engine(|e| {
-                    if crashed {
-                        e.stop_and_remove(container, now)
-                    } else {
-                        e.cleanup(container, now)
-                    }
-                });
-                self.settle_overflow(id, container, crashed, result)
-            }
-        }
-    }
-
-    /// Claims `container` from `id`'s in-use bookkeeping under the shard
-    /// lock: the overflow list first, then the in-use bitmap (keys beyond
-    /// the reverse index). `None` means the pool never handed it out — or
-    /// it was already released.
-    fn claim_slow(&self, id: KeyId, container: ContainerId) -> Option<SlowClaim> {
-        let mut guard = self.shard(id).lock();
-        guard.slots.get_mut(&id).and_then(|slot| {
-            if let Some(at) = slot.overflow_in_use.iter().position(|&c| c == container) {
-                slot.overflow_in_use.swap_remove(at);
-                slot.overflow_transit += 1;
-                Some(SlowClaim::Overflow)
-            } else {
-                slot.ks
-                    .claim_in_use_scan(container)
-                    .map(|i| SlowClaim::Bitmap(Arc::clone(&slot.ks), i))
-            }
-        })
-    }
-
-    /// Settles an overflow release after its engine critical section:
-    /// hand back, dispose, or restore on engine rejection.
-    fn settle_overflow(
-        &self,
-        id: KeyId,
-        container: ContainerId,
-        crashed: bool,
-        result: Result<SimDuration, EngineError>,
-    ) -> Result<SimDuration, EngineError> {
-        let mut guard = self.shard(id).lock();
-        if let Some(slot) = guard.slots.get_mut(&id) {
-            slot.overflow_transit -= 1;
-            match &result {
-                Ok(_) if !crashed => {
-                    slot.overflow_avail.push_back((container, true));
-                    slot.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
-                }
-                Ok(_) => {
-                    slot.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
-                    guard.forget(container);
-                }
-                Err(_) => {
-                    // The engine rejected the hand-back; restore the claim
-                    // so bookkeeping stays honest.
-                    slot.overflow_in_use.push(container);
-                }
-            }
-        }
-        // A release (even of a crashed container) is a touch: the
-        // controller must see this key's interval even if demand fell
-        // to zero, so retire/GC decisions keep firing.
-        guard.mark_active(id);
-        result
-    }
-
-    /// The concurrent frontend's combined end-of-request path: claims the
-    /// container, then ends the execution and cleans (or, if `crashed`,
-    /// disposes of) the container in a **single** engine critical section.
-    /// Bitmap containers resolve lock-free through the reverse index — which
-    /// also knows the container's *true* key when the function was
-    /// re-registered with a different configuration mid-flight. Returns
-    /// `Ok(None)` without touching the engine when the container is unknown
-    /// to both the reverse index and `id`'s locked bookkeeping, so the
-    /// caller can fall back to the engine-derived [`Self::release`].
-    pub fn try_finish_release(
-        &self,
-        engine: &impl EngineRef,
-        id: KeyId,
-        container: ContainerId,
-        now: SimTime,
-        crashed: bool,
-    ) -> Result<Option<SimDuration>, EngineError> {
-        // DESIGN.md §5: claim, engine critical section, and hand-back are
-        // disjoint regions — lock-free, engine-locked, lock-free (or shard-
-        // locked on disposal) — never nested.
-        let _scope = stdshim::request_path_scope();
-        self.bump_epoch();
-        if let Some(claim) = self.rindex_lookup(container) {
-            if claim.ks.try_claim_release(claim.slot, container) {
-                return self
-                    .finish_claimed_release(engine, claim, container, now, Some(crashed))
-                    .map(Some);
-            }
-        }
-        let Some(claimed) = self.claim_slow(id, container) else {
-            return Ok(None);
-        };
-        match claimed {
-            SlowClaim::Bitmap(ks, slot) => self
-                .finish_claimed_release(
-                    engine,
-                    ClaimedSlot { id, ks: &ks, slot },
-                    container,
-                    now,
-                    Some(crashed),
-                )
-                .map(Some),
-            SlowClaim::Overflow => {
-                let result = engine.with_engine(|e| {
-                    e.end_exec(container, now)?;
-                    if crashed {
-                        e.stop_and_remove(container, now)
-                    } else {
-                        e.cleanup(container, now)
-                    }
-                });
-                self.settle_overflow(id, container, crashed, result)
-                    .map(Some)
-            }
-        }
     }
 
     /// Pre-warms one container of the given configuration (adaptive
@@ -1255,7 +1115,7 @@ impl ShardedPool {
             .slots
             .entry(id)
             .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
-        let slot_idx = self.publish_avail(slot, id, container, false);
+        let slot_idx = self.publish_avail(&slot.ks, id, container, false);
         guard.admit(container, now, id, slot_idx);
         guard.mark_active(id);
         Ok(breakdown.total())
@@ -1294,18 +1154,7 @@ impl ShardedPool {
         self.bump_epoch();
         let popped = {
             let mut guard = self.shard(id).lock();
-            let popped = guard.slots.get_mut(&id).and_then(|slot| {
-                // The avail-bit claim is atomic against racing lock-free
-                // acquires: whoever wins the CAS owns the slot.
-                if let Some(i) = slot.ks.avail.claim() {
-                    let container = entry_container(slot.ks.entries[i].load(Ordering::Relaxed));
-                    debug_assert!(container.is_some(), "avail bit over an empty slot");
-                    slot.ks.dispose_idle(i);
-                    container
-                } else {
-                    slot.overflow_avail.pop_front().map(|(c, _)| c)
-                }
-            });
+            let popped = guard.slots.get(&id).and_then(|slot| slot.ks.retire_avail());
             if let Some(container) = popped {
                 self.rindex_clear(container);
                 guard.forget(container);
@@ -1366,27 +1215,12 @@ impl ShardedPool {
             let container = age.1;
             let claimed = {
                 let mut guard = self.shard(key).lock();
-                let claimed = guard.slots.get_mut(&key).is_some_and(|slot| match at {
-                    Some(i) => {
-                        // Entries are frozen while occupied, so candidate
-                        // still present ⇔ entry still names it; the bit
-                        // claim then races only lock-free acquirers.
-                        let entry = slot.ks.entries[i].load(Ordering::Relaxed);
-                        if entry_container(entry) == Some(container) && slot.ks.avail.claim_at(i) {
-                            slot.ks.dispose_idle(i);
-                            self.rindex_clear(container);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    None => {
-                        let before = slot.overflow_avail.len();
-                        slot.overflow_avail.retain(|&(c, _)| c != container);
-                        slot.overflow_avail.len() != before
-                    }
-                });
+                let claimed = guard
+                    .slots
+                    .get(&key)
+                    .is_some_and(|slot| slot.ks.evict_at(at, container));
                 if claimed {
+                    self.rindex_clear(container);
                     guard.forget(container);
                     // An eviction is a touch: the controller must re-examine
                     // this key at the next interval.
@@ -1410,7 +1244,7 @@ impl ShardedPool {
             .lock()
             .slots
             .get(&id)
-            .map_or(0, Slot::avail_now)
+            .map_or(0, |s| s.ks.avail_count())
     }
 
     /// [`Self::num_avail_id`] by canonical key (compatibility path).
@@ -1446,7 +1280,7 @@ impl ShardedPool {
                 let state = shard.lock();
                 state.slots.values().fold((0, 0), |(a, u), s| {
                     (
-                        a + s.avail_now(),
+                        a + s.ks.avail_count(),
                         u + s.ks.in_use_total.load(Ordering::Relaxed),
                     )
                 })
@@ -1460,7 +1294,11 @@ impl ShardedPool {
             .iter()
             .map(|shard| {
                 let state = shard.lock();
-                state.slots.values().map(Slot::avail_now).sum::<usize>()
+                state
+                    .slots
+                    .values()
+                    .map(|s| s.ks.avail_count())
+                    .sum::<usize>()
             })
             .sum()
     }
@@ -1468,19 +1306,12 @@ impl ShardedPool {
     /// The Fig. 7 pool-view code for a container: 1 Existing-Available, 0
     /// Existing-Not-Available, -1 Not-Existing.
     pub fn pool_code(&self, engine: &ContainerEngine, container: ContainerId) -> i8 {
-        // Reverse-index hit: the avail bit answers directly.
-        let pooled = match self.rindex_lookup(container) {
-            Some(claim) => claim.ks.avail.is_set(claim.slot),
-            // Otherwise: overflow containers and beyond-table keys, scanned
-            // under the shard locks (diagnostic path only).
-            None => self.shards.iter().any(|shard| {
-                shard.lock().slots.values().any(|s| {
-                    s.overflow_avail.iter().any(|&(c, _)| c == container)
-                        || s.ks.avail_contains(container)
-                })
-            }),
-        };
-        if pooled {
+        // The reverse index names every pooled container; its slot's avail
+        // bit answers directly.
+        let available = self
+            .rindex_lookup(container)
+            .is_some_and(|claim| claim.ks.is_avail(claim.slot));
+        if available {
             1
         } else if engine.config(container).is_some() {
             0
@@ -1495,10 +1326,10 @@ impl ShardedPool {
     /// [`Self::gc_intervals`] consecutive zero-demand snapshots. Keys with
     /// live containers are always reported, including zero-demand intervals.
     ///
-    /// GC fires only when the key's live population — bitmap occupancy plus
-    /// overflow lists plus releases in transit, all exact under the shard
-    /// lock — is zero, so a warm operation caught between its CAS and its
-    /// bookkeeping can never have its container stranded by a GC.
+    /// GC fires only when the key's live population — its slot array's
+    /// occupancy, exact under the shard lock — is zero, so a warm operation
+    /// caught between its CAS and its bookkeeping can never have its
+    /// container stranded by a GC.
     ///
     /// This is the O(tracked keys) reference path; the controller's default
     /// is [`Self::take_shard_snapshot_dirty`], which visits only the active
@@ -1521,14 +1352,14 @@ impl ShardedPool {
             } = &mut *guard;
             slots.retain(|&id, slot| {
                 let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
-                let avail = slot.avail_now();
+                let avail = slot.ks.avail_count();
                 let demand = slot
                     .ks
                     .watermark
                     // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the shard lock)
                     .swap(in_use, Ordering::Relaxed)
                     .max(in_use);
-                if demand == 0 && slot.live_now() == 0 {
+                if demand == 0 && slot.ks.occupied() == 0 {
                     let since = match slot.cold_since {
                         Some(since) => since,
                         None => {
@@ -1563,7 +1394,7 @@ impl ShardedPool {
             // shard's live counter against the ground truth it summarises.
             debug_assert_eq!(
                 *live,
-                slots.values().map(Slot::live_now).sum::<usize>(),
+                slots.values().map(|s| s.ks.occupied()).sum::<usize>(),
                 "shard live counter diverged from slot contents"
             );
             // Heal the active list: GC'd and newly-cold keys drop out.
@@ -1615,14 +1446,14 @@ impl ShardedPool {
                     continue;
                 };
                 let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
-                let avail = slot.avail_now();
+                let avail = slot.ks.avail_count();
                 let demand = slot
                     .ks
                     .watermark
                     // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the shard lock)
                     .swap(in_use, Ordering::Relaxed)
                     .max(in_use);
-                if demand == 0 && slot.live_now() == 0 {
+                if demand == 0 && slot.ks.occupied() == 0 {
                     // Final zero-demand report; the slot then waits on the
                     // cold queue for GC (or a re-touch).
                     slot.active = false;
@@ -1654,21 +1485,6 @@ impl ShardedPool {
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
         ShardSnapshot { demands, retired }
-    }
-
-    /// Takes the demand snapshot across every shard (full sweep, GC
-    /// included), merged and sorted — the single-threaded controller path.
-    pub fn take_demand_snapshot(&self) -> Vec<(RuntimeKey, usize)> {
-        let mut ids = Vec::new();
-        for shard in 0..self.num_shards() {
-            ids.extend(self.take_shard_snapshot(shard).demands);
-        }
-        let mut out: Vec<(RuntimeKey, usize)> = ids
-            .into_iter()
-            .filter_map(|d| Some((self.resolve_key(d.id)?, d.demand)))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// The keys the pool currently tracks, sorted.
@@ -1724,38 +1540,41 @@ fn drain_due_cold(
 /// protocol suite runs against; see DESIGN.md §7.3).
 ///
 /// The lock-free operations (`claim_warm`, `hand_back`,
-/// `try_claim_release`) call the real `KeySlots` methods unmodified. The
-/// lock-holding operations (`publish_avail`, `retire_avail`,
-/// `evict_candidate`, `evict_at`) replay the exact load/store sequences of [`ShardedPool::publish_avail`],
-/// [`ShardedPool::retire_one_id`], and [`ShardedPool::evict_oldest`]'s
-/// claim phase, minus the shard lock and reverse index — in the model the
-/// lock's happens-before hand-off is reproduced by running every
-/// lock-holding op either before spawning the racers (spawn copies the
-/// parent's vector clock) or as the only lock-holder in the schedule, which
-/// is precisely the mutual exclusion the real lock provides.
+/// `try_claim_release`) and the `KeySlots` halves of the lock-holding ones
+/// (`retire_avail`, `evict_at`, `grow`) call the real `KeySlots` methods
+/// unmodified. The publishing operations (`publish_avail`,
+/// `publish_in_use`) replay the exact load/store sequences of
+/// [`ShardedPool::publish_avail`] and [`ShardedPool::publish_in_use`] — the
+/// latter with one reverse-index cell standing in for the pool's table —
+/// minus the shard lock: in the model the lock's happens-before hand-off is
+/// reproduced by running every lock-holding op either before spawning the
+/// racers (spawn copies the parent's vector clock) or as the only
+/// lock-holder in the schedule, which is precisely the mutual exclusion the
+/// real lock provides.
 #[cfg(hotc_model)]
 pub mod model_api {
-    use super::{entry_container, pack_entry, KeySlots, Ordering, SLOTS_PER_KEY};
+    use super::{entry_container, pack_entry, AtomicU64, KeyId, KeySlots, Ordering, SlotChunk};
     use containersim::ContainerId;
 
     /// One key's slot-array protocol surface for model tests.
     #[derive(Debug)]
     pub struct ModelSlots {
         ks: KeySlots,
+        /// The reverse-index cell of the one container the growth tests
+        /// publish and release (`pack_rindex` of key 0, or 0 = not pooled).
+        rindex: AtomicU64,
     }
 
     impl ModelSlots {
         /// A fresh slot group with only the first `prefree` free-bitmap
-        /// slots released. The real constructor frees all
-        /// [`SLOTS_PER_KEY`]; model tests keep `prefree` small so each
-        /// re-executed schedule pays a handful of setup ops instead of 128.
+        /// slots released. The pool frees all of a chunk's slots; model
+        /// tests keep `prefree` small so each re-executed schedule pays a
+        /// handful of setup ops instead of 128.
         pub fn new(prefree: usize) -> ModelSlots {
-            assert!(prefree <= SLOTS_PER_KEY);
-            let ks = KeySlots::new_unfreed();
-            for i in 0..prefree {
-                ks.free.release(i);
+            ModelSlots {
+                ks: KeySlots::new(prefree),
+                rindex: AtomicU64::new(0),
             }
-            ModelSlots { ks }
         }
 
         /// Real lock-free warm claim ([`KeySlots::claim_warm`]).
@@ -1773,39 +1592,75 @@ pub mod model_api {
             self.ks.try_claim_release(i, container)
         }
 
-        /// The store sequence of [`super::ShardedPool::publish_avail`]'s
-        /// bitmap arm: free-claim, entry store, then the `avail` release
-        /// bit-set (publish-before-bit-set).
+        /// The store sequence of [`super::ShardedPool::publish_avail`]:
+        /// free-claim, entry store, then the `avail` release bit-set
+        /// (publish-before-bit-set). `None` when no slot is free: the model
+        /// grows explicitly ([`Self::grow`]), not inside the free-claim.
         pub fn publish_avail(&self, container: ContainerId, execed: bool) -> Option<usize> {
-            let i = self.ks.free.claim()?;
-            // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
-            self.ks.entries[i].store(pack_entry(container, execed), Ordering::Relaxed);
-            let fresh = self.ks.avail.release(i);
-            debug_assert!(fresh, "published slot's avail bit was already set");
-            Some(i)
+            self.publish(container, execed, false)
         }
 
         /// [`Self::publish_avail`] with the final bit-set deliberately
         /// weakened to `Relaxed` — the mutation the harness must catch
         /// (`hotc-model/tests/mutation.rs`). Never a production sequence.
         pub fn publish_avail_weak(&self, container: ContainerId, execed: bool) -> Option<usize> {
-            let i = self.ks.free.claim()?;
-            // lint:allow(atomic-ordering, deliberately weak publish; the mutation harness must catch it)
-            self.ks.entries[i].store(pack_entry(container, execed), Ordering::Relaxed);
-            let fresh = self.ks.avail.release_relaxed(i);
+            self.publish(container, execed, true)
+        }
+
+        fn publish(&self, container: ContainerId, execed: bool, weak: bool) -> Option<usize> {
+            let (i, chunk, bit) = self.ks.claim_lowest(|chunk| &chunk.free)?;
+            // lint:allow(atomic-ordering, entry store is ordered by the avail bit-set below)
+            chunk.entries[bit].store(pack_entry(container, execed), Ordering::Relaxed);
+            let fresh = if weak {
+                chunk.avail.release_relaxed(bit)
+            } else {
+                chunk.avail.release(bit)
+            };
             debug_assert!(fresh, "published slot's avail bit was already set");
             Some(i)
         }
 
-        /// The slot-array arm of [`super::ShardedPool::retire_one_id`]:
-        /// claim any `avail` bit (atomic against racing lock-free
-        /// acquires), read the entry, dispose the slot.
+        /// The growth step of [`KeySlots::claim_free`] (the real
+        /// [`KeySlots::append`]) with only the first `prefree` slots of the
+        /// new chunk free.
+        pub fn grow(&self, prefree: usize) {
+            self.ks.append(SlotChunk::new(prefree));
+        }
+
+        /// The store sequence of [`super::ShardedPool::publish_in_use`]
+        /// (cold start): free-claim, entry store, the reverse-index
+        /// release-store, then the `in_use` release bit-set. `weak` relaxes
+        /// the reverse-index store — the mutation of the publication a
+        /// releaser's walk to a grown chunk relies on.
+        pub fn publish_in_use(&self, container: ContainerId, weak: bool) -> Option<usize> {
+            let (i, chunk, bit) = self.ks.claim_lowest(|chunk| &chunk.free)?;
+            // lint:allow(atomic-ordering, entry store is ordered by the in_use.release bit-set below)
+            chunk.entries[bit].store(pack_entry(container, false), Ordering::Relaxed);
+            let packed = super::pack_rindex(KeyId::from_index(0), i);
+            if weak {
+                // lint:allow(atomic-ordering, deliberately weak reverse-index publish; the mutation harness must catch it)
+                self.rindex.store(packed, Ordering::Relaxed);
+            } else {
+                self.rindex.store(packed, Ordering::Release);
+            }
+            let fresh = chunk.in_use.release(bit);
+            debug_assert!(fresh, "published slot's in_use bit was already set");
+            self.ks.note_acquire();
+            Some(i)
+        }
+
+        /// The lock-free half of [`super::ShardedPool::release`]: resolve
+        /// the container through the reverse-index cell (`None` = not
+        /// pooled yet), then the real release claim on the slot it names.
+        pub fn release_via_rindex(&self, container: ContainerId) -> Option<(usize, bool)> {
+            let packed = self.rindex.load(Ordering::Acquire);
+            let slot = (packed & u64::from(u32::MAX)).checked_sub(1)? as usize;
+            Some((slot, self.ks.try_claim_release(slot, container)))
+        }
+
+        /// Real controller retire ([`KeySlots::retire_avail`]).
         pub fn retire_avail(&self) -> Option<ContainerId> {
-            let i = self.ks.avail.claim()?;
-            let container = entry_container(self.ks.entries[i].load(Ordering::Relaxed));
-            debug_assert!(container.is_some(), "avail bit over an empty slot");
-            self.ks.dispose_idle(i);
-            container
+            self.ks.retire_avail()
         }
 
         /// Phase one of [`super::ShardedPool::evict_oldest`] for one age-index
@@ -1813,40 +1668,39 @@ pub mod model_api {
         /// container's identity comes from the index, i.e. from the caller).
         /// Advisory against lock-free claimers — phase two decides.
         pub fn evict_candidate(&self, i: usize) -> bool {
-            self.ks.avail.is_set(i)
+            self.ks.is_avail(i)
         }
 
-        /// The claim phase of [`super::ShardedPool::evict_oldest`]: re-verify
-        /// the entry still names `container`, then take its `avail` bit;
-        /// a racing acquire winning the bit fails the eviction.
+        /// Real eviction claim phase ([`KeySlots::evict_at`]).
         pub fn evict_at(&self, i: usize, container: ContainerId) -> bool {
-            let entry = self.ks.entries[i].load(Ordering::Relaxed);
-            if entry_container(entry) == Some(container) && self.ks.avail.claim_at(i) {
-                self.ks.dispose_idle(i);
-                true
-            } else {
-                false
-            }
+            self.ks.evict_at(i, container)
         }
 
         /// Advisory `avail` population ([`super::SlotBitmap::count`]).
         pub fn avail_count(&self) -> usize {
-            self.ks.avail.count()
+            self.ks.avail_count()
         }
 
         /// Advisory `in_use` population.
         pub fn in_use_count(&self) -> usize {
-            self.ks.in_use.count()
+            self.ks.chunks().map(|chunk| chunk.in_use.count()).sum()
         }
 
         /// Advisory free population.
         pub fn free_count(&self) -> usize {
-            self.ks.free.count()
+            self.ks.chunks().map(|chunk| chunk.free.count()).sum()
         }
 
-        /// Whether `container` sits available ([`KeySlots::avail_contains`]).
+        /// Whether `container` sits available (scan of the `avail` bits).
         pub fn avail_contains(&self, container: ContainerId) -> bool {
-            self.ks.avail_contains(container)
+            let mut found = false;
+            for chunk in self.ks.chunks() {
+                chunk.avail.for_each_set(|i| {
+                    found |= entry_container(chunk.entries[i].load(Ordering::Acquire))
+                        == Some(container);
+                });
+            }
+            found
         }
 
         /// The key's in-use demand counter.
@@ -1890,6 +1744,17 @@ mod tests {
 
     fn cfg(image: &str) -> ContainerConfig {
         ContainerConfig::bridge(ImageId::parse(image))
+    }
+
+    /// Every shard's full-sweep snapshot (GC included) as `(key, demand)`,
+    /// sorted — what the controller sees over one interval.
+    fn demand_snapshot(pool: &ShardedPool) -> Vec<(RuntimeKey, usize)> {
+        let mut out: Vec<_> = (0..pool.num_shards())
+            .flat_map(|shard| pool.take_shard_snapshot(shard).demands)
+            .filter_map(|d| Some((pool.resolve_key(d.id)?, d.demand)))
+            .collect();
+        out.sort();
+        out
     }
 
     #[test]
@@ -1953,6 +1818,57 @@ mod tests {
         assert!(!b.first_exec, "reused container has executed before");
         assert_eq!(b.container, a.container);
         assert!(b.lock_free, "an exact-key bitmap hit takes no lock");
+    }
+
+    /// One storage, one protocol, at any population: 300 containers of one
+    /// key fill three chunks, and with some held and some available in every
+    /// chunk a warm acquire is still lock-free and a release takes no lock.
+    #[test]
+    fn a_key_past_its_first_chunk_stays_on_the_lock_free_path() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let c = cfg("alpine:3.12");
+        let id = pool.intern_config(&c);
+        let release = |e: &mut ContainerEngine, container| {
+            let scope = stdshim::request_path_scope();
+            pool.release(&ex(e), container, SimTime::from_secs(1))
+                .unwrap();
+            assert_eq!(
+                scope.locks_taken(),
+                0,
+                "release of {container:?} took a lock"
+            );
+        };
+        let mut held: Vec<ContainerId> = (0..300)
+            .map(|_| {
+                pool.acquire(&ex(&mut e), &c, SimTime::ZERO)
+                    .unwrap()
+                    .container
+            })
+            .collect();
+        let freed: Vec<ContainerId> = held.iter().copied().step_by(2).collect();
+        held.retain(|container| !freed.contains(container));
+        for &container in &freed {
+            release(&mut e, container);
+        }
+        assert_eq!((pool.num_avail_id(id), pool.total_live()), (150, 300));
+        for _ in 0..freed.len() {
+            let acq = pool
+                .acquire_id(&ex(&mut e), id, &c, SimTime::from_secs(2))
+                .unwrap();
+            assert!(
+                !acq.cold && acq.lock_free,
+                "warm hit left the slot protocol"
+            );
+            assert!(freed.contains(&acq.container) && !held.contains(&acq.container));
+            held.push(acq.container);
+        }
+        for container in held {
+            release(&mut e, container);
+        }
+        assert_eq!(pool.num_in_use(&pool.key_of(&c)), 0);
+        assert_eq!((pool.num_avail_id(id), pool.total_live()), (300, 300));
+        assert_eq!(e.live_count(), 300);
     }
 
     /// Regression (double release): the second release of the same
@@ -2302,18 +2218,18 @@ mod tests {
             pool.release(&ex(&mut e), acq.container, SimTime::from_secs(1))
                 .unwrap();
         }
-        let snap = pool.take_demand_snapshot();
+        let snap = demand_snapshot(&pool);
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].1, 3, "watermark saw 3 concurrent");
         // After reset with nothing in use, next snapshot reports 0.
-        let snap2 = pool.take_demand_snapshot();
+        let snap2 = demand_snapshot(&pool);
         assert_eq!(snap2[0].1, 0);
     }
 
     /// Regression (phantom slots): a failed cold start must not record a
     /// slot — before the fix, `acquire` inserted the slot before calling
     /// `create_container`, so an unknown image left an empty slot that
-    /// `take_demand_snapshot` reported forever.
+    /// the demand snapshot reported forever.
     #[test]
     fn failed_cold_start_leaves_no_phantom_slot() {
         let mut e = plain_engine();
@@ -2326,7 +2242,7 @@ mod tests {
             pool.keys().is_empty(),
             "failed create must not leave a slot"
         );
-        assert!(pool.take_demand_snapshot().is_empty());
+        assert!(demand_snapshot(&pool).is_empty());
     }
 
     /// Same, for an image the registry knows but whose pull fails validation
@@ -2412,18 +2328,18 @@ mod tests {
 
         // First zero-demand snapshot still reports the key (it served
         // traffic this interval)…
-        let snap = pool.take_demand_snapshot();
+        let snap = demand_snapshot(&pool);
         assert_eq!(snap.len(), 1);
         // …the next two empty intervals reach the threshold and GC it.
-        assert_eq!(pool.take_demand_snapshot().len(), 1);
-        assert!(pool.take_demand_snapshot().is_empty());
+        assert_eq!(demand_snapshot(&pool).len(), 1);
+        assert!(demand_snapshot(&pool).is_empty());
         assert!(pool.keys().is_empty());
 
         // A slot with an idle container is never GC'd.
         pool.prewarm(&ex(&mut e), &c, SimTime::from_secs(100))
             .unwrap();
         for _ in 0..5 {
-            assert_eq!(pool.take_demand_snapshot().len(), 1);
+            assert_eq!(demand_snapshot(&pool).len(), 1);
         }
     }
 
@@ -2439,8 +2355,8 @@ mod tests {
         let key = pool.key_of(&c);
         pool.retire_one(&ex(&mut e), &key, SimTime::from_secs(1))
             .unwrap();
-        pool.take_demand_snapshot(); // served-traffic interval
-        pool.take_demand_snapshot(); // zero interval ⇒ GC
+        demand_snapshot(&pool); // served-traffic interval
+        demand_snapshot(&pool); // zero interval ⇒ GC
         assert!(pool.keys().is_empty());
         let acq = pool
             .acquire(&ex(&mut e), &c, SimTime::from_secs(2))
@@ -2501,12 +2417,12 @@ mod tests {
     /// Lockstep against the public-API eviction oracle — the first id of
     /// `live_ids_oldest_first()` the pool reports Existing-Available — under
     /// random acquire / release / crashed release / prewarm / retire / evict
-    /// sequences. Key 0 starts past its slot array, so overflow containers
-    /// are candidates; creation times are drawn from four instants, so
-    /// `created_at` ties are common (the id breaks them) and `now` is not
-    /// monotone across creations (age order ≠ id order, as `ShardedGateway`
-    /// threads produce). Every full-sweep snapshot re-runs the age-index
-    /// cross-check.
+    /// sequences. Key 0 starts past its first chunk, so containers of a
+    /// grown chunk are candidates; creation times are drawn from four
+    /// instants, so `created_at` ties are common (the id breaks them) and
+    /// `now` is not monotone across creations (age order ≠ id order, as
+    /// `ShardedGateway` threads produce). Every full-sweep snapshot re-runs
+    /// the age-index cross-check.
     #[test]
     fn prop_evict_oldest_matches_the_engine_oracle() {
         fn oracle(pool: &ShardedPool, e: &ContainerEngine) -> Option<ContainerId> {

@@ -337,6 +337,113 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
 }
 
 #[test]
+fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
+    // One key, more live containers than one 128-slot chunk holds, while
+    // everything races: 32 workers first cold-start and hold five containers
+    // each (160 in use behind the barrier — the slot array must have grown),
+    // then acquire and release at random, holding about four apiece, so the
+    // second chunk's slots keep changing hands; the ticking controller of
+    // the 32-thread test (dirty snapshots, evict) and the cap-enforcing
+    // evictor of the age-index test both run throughout. A container of the
+    // grown chunk goes through the same claim, hand-back, retire and evict
+    // sequences as one of the first.
+    use hotc::PoolLimits;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let (threads, ops, hold) = (32usize, 200usize, 5usize);
+    let pool = ShardedPool::with_shards(KeyPolicy::Exact, 8);
+    let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
+    let owned = Mutex::new(HashSet::new());
+    let stop = AtomicBool::new(false);
+    let all_holding = Barrier::new(threads);
+    let cfg = config_for_key(0);
+    // Past one chunk: enforcement trims toward a population that spans two.
+    let limits = PoolLimits::new(144, 0.99);
+
+    std::thread::scope(|s| {
+        let (pool, engine, owned, stop) = (&pool, &engine, &owned, &stop);
+        let (all_holding, cfg) = (&all_holding, &cfg);
+        let controller = s.spawn(move || {
+            let mut tick = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                for shard in 0..pool.num_shards() {
+                    pool.take_shard_snapshot_dirty(shard);
+                }
+                pool.evict_oldest(engine, SimTime::from_millis(tick))
+                    .expect("evict");
+                tick += 1;
+                std::thread::yield_now();
+            }
+        });
+        let evictor = s.spawn(move || {
+            while !stop.load(Ordering::Acquire) {
+                limits
+                    .enforce(pool, engine, SimTime::from_secs(1))
+                    .expect("enforce");
+                std::thread::yield_now();
+            }
+        });
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut g = Gen::from_seed(0xC4A1 ^ (t as u64).wrapping_mul(0x9E37_79B9));
+                    let mut held: Vec<ContainerId> = Vec::new();
+                    for op in 0..ops {
+                        if op == hold {
+                            if all_holding.wait().is_leader() {
+                                let in_use = pool.num_in_use(&pool.key_of(cfg));
+                                assert_eq!(in_use, threads * hold, "not every worker holds five");
+                            }
+                            all_holding.wait();
+                        }
+                        let now = SimTime::from_millis(g.u64_in(0..50));
+                        if held.len() < hold && (op < hold || g.u8_in(0..3) != 0) {
+                            let acq = pool.acquire(engine, cfg, now).expect("acquire");
+                            assert!(op >= hold || acq.cold, "nothing was released yet");
+                            let fresh = owned.lock().insert(acq.container);
+                            assert!(fresh, "container {:?} handed out twice", acq.container);
+                            held.push(acq.container);
+                        } else if !held.is_empty() {
+                            let c = held.swap_remove(g.usize_in(0..held.len()));
+                            assert!(
+                                engine.lock().config(c).is_some(),
+                                "container {c:?} was evicted while in use"
+                            );
+                            assert!(owned.lock().remove(&c), "released unowned container");
+                            pool.release(engine, c, now).expect("release");
+                        }
+                    }
+                    for c in held {
+                        assert!(owned.lock().remove(&c));
+                        pool.release(engine, c, SimTime::from_secs(3600))
+                            .expect("final release");
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("worker panicked");
+        }
+        stop.store(true, Ordering::Release);
+        controller.join().expect("controller panicked");
+        evictor.join().expect("evictor panicked");
+    });
+
+    // Quiescence: nothing owned, nothing in use, pool and engine agree, and
+    // the full sweep's debug cross-check finds the age index naming every
+    // live container at the slot — of whichever chunk — that holds it.
+    assert!(owned.lock().is_empty());
+    let live = engine.lock().live_count();
+    assert_eq!(pool.total_live(), live, "pool live diverged from engine");
+    assert_eq!(pool.total_available(), live, "in-use containers leaked");
+    assert_eq!(pool.num_in_use(&pool.key_of(&cfg)), 0);
+    for shard in 0..pool.num_shards() {
+        pool.take_shard_snapshot(shard);
+    }
+}
+
+#[test]
 fn interning_is_stable_under_concurrency() {
     // 8 threads race to intern the same 6 configurations (plus their own
     // re-interns, warm acquires, and releases). Every thread must observe

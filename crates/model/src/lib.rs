@@ -15,7 +15,8 @@
 //!   under the checker. Requires the instrumented build:
 //!   `RUSTFLAGS='--cfg hotc_model' cargo test -p hotc-model`.
 //! * `tests/mutation.rs` — the teeth-proof: weakens the cold-publish
-//!   release store to `Relaxed` and asserts the checker produces a
+//!   release store (and, separately, the reverse-index store of a publish
+//!   into a grown chunk) to `Relaxed` and asserts the checker produces a
 //!   replayable violating schedule. Instrumented build only.
 //!
 //! Budget knob: `HOTC_MODEL_BUDGET` caps explored schedules per check

@@ -70,3 +70,48 @@ fn release_publish_survives_the_same_race() {
     );
     assert!(report.complete, "tree exhausted within budget");
 }
+
+/// The growth shape: a publisher appends a chunk and cold-publishes into it
+/// while a releaser resolves the container through the reverse index. The
+/// releaser's only edge to the chunk append is the reverse-index cell.
+fn growth_race(weak: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let s = Arc::new(ModelSlots::new(0));
+        let s2 = Arc::clone(&s);
+        let publisher = spawn(move || {
+            s2.grow(1);
+            assert_eq!(s2.publish_in_use(C1, weak), Some(128));
+        });
+        let s3 = Arc::clone(&s);
+        let releaser = spawn(move || {
+            s3.release_via_rindex(C1);
+        });
+        publisher.join();
+        releaser.join();
+    }
+}
+
+#[test]
+fn relaxed_reverse_index_publish_into_a_grown_chunk_is_caught() {
+    // With the reverse-index store weakened to `Relaxed`, a releaser may
+    // read slot 128 out of the cell yet not see the chunk that holds it:
+    // the chain walk falls off the end.
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(growth_race(true));
+    let v = report
+        .violation
+        .expect("weakened reverse-index publish must strand some releaser");
+    assert!(
+        v.message.contains("beyond the key's chunk chain"),
+        "violation names the missing chunk: {}",
+        v.message
+    );
+    assert!(!v.schedule.is_empty(), "schedule is replayable");
+    // Control arm: identical shape, real ordering — exhausted clean.
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(growth_race(false));
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert!(report.complete, "tree exhausted within budget");
+}

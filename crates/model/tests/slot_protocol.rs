@@ -275,3 +275,48 @@ fn protocol_suite_exhausts_within_bound() {
     );
     assert!(report.schedules > 10, "race actually explored");
 }
+
+#[test]
+fn chunk_growth_vs_warm_claim_and_reverse_index_release() {
+    // The growth step under all three parties. Every slot of the head chunk
+    // is occupied, so the lock-holder (this thread — the only one in the
+    // schedule) appends a chunk and publishes into it: C1 cold-started
+    // (entry, reverse-index release-store, `in_use` bit) and C2 prewarmed
+    // (entry, `avail` bit). A claimer walks the chain; a releaser resolves
+    // C1 through the reverse index with no other edge to the publisher.
+    // Whoever learns a slot of the new chunk — from a set bit or from the
+    // reverse index — must find the chunk appended and the entry published:
+    // claim_warm's empty-entry assert and the chain walk's expect are armed.
+    // The release's hand-back runs after the joins, as it runs after the
+    // acquire returned in production (the demand counter relies on that).
+    checker().check(|| {
+        let s = Arc::new(ModelSlots::new(0));
+        let s2 = Arc::clone(&s);
+        let claimer = spawn(move || s2.claim_warm());
+        let s3 = Arc::clone(&s);
+        let releaser = spawn(move || s3.release_via_rindex(C1));
+        assert_eq!(s.publish_in_use(C1, false), None, "head chunk is full");
+        s.grow(2);
+        assert_eq!(s.publish_in_use(C1, false), Some(128), "first grown slot");
+        assert_eq!(s.publish_avail(C2, false), Some(129));
+        let claimed = claimer.join();
+        // Unmapped yet, or mapped to slot 128 — where the claim may still
+        // lose to the not-yet-set `in_use` bit.
+        let released = releaser.join().is_some_and(|(i, won)| {
+            assert_eq!(i, 128, "reverse index named another slot");
+            won
+        });
+        if released {
+            s.hand_back(128, C1);
+        }
+        if let Some(got) = claimed {
+            assert_eq!(got, (129, C2, false), "claimed a torn entry");
+        }
+        assert_eq!(s.avail_contains(C1), released, "C1 lost or doubly owned");
+        assert_eq!(s.avail_contains(C2), claimed.is_none(), "C2 lost");
+        let in_use = usize::from(!released) + usize::from(claimed.is_some());
+        assert_eq!(s.in_use_count(), in_use);
+        assert_eq!(s.in_use_total(), in_use);
+        assert_eq!(s.free_count(), 0, "both grown slots stay occupied");
+    });
+}

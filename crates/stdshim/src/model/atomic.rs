@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Model-checked drop-in for [`std::sync::atomic::AtomicU64`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ModelAtomicU64 {
     inner: AtomicU64,
 }

@@ -11,10 +11,11 @@
 //!   backing storage *before* setting the bit is visible to the claimer
 //!   after a successful claim — the publish-before-bit-set invariant the
 //!   pool relies on.
-//! * [`LazySlotTable`] — a two-level `OnceLock` table giving wait-free
-//!   reads of densely indexed entries (per-key slot groups, per-container
-//!   reverse index) without locking, growing one chunk at a time on first
-//!   touch.
+//! * [`LazySlotTable`] — a two-level table giving wait-free reads of
+//!   densely indexed cells (per-key slot groups, per-container reverse
+//!   index) without locking. It has no capacity to run out of: chunk `k` is
+//!   `64 << k` cells, allocated on first touch, so nothing is paid for
+//!   indices never used and no caller needs a fallback for "table full".
 //!
 //! Like the lock wrappers in [`crate::sync`], a `SlotBitmap` carries a
 //! `&'static str` class label (convention: `"subsystem/role"`). The bitmap
@@ -67,16 +68,6 @@ impl SlotBitmap {
             capacity,
             class,
         }
-    }
-
-    /// Number of slots this bitmap indexes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The diagnostic class label given at construction.
-    pub fn class(&self) -> &'static str {
-        self.class
     }
 
     #[inline]
@@ -160,21 +151,6 @@ impl SlotBitmap {
             .sum()
     }
 
-    /// Atomically claims *every* set bit word-by-word, returning the claimed
-    /// indices in ascending order. Equivalent to looping
-    /// [`claim`](Self::claim) to exhaustion, but one `swap` per word.
-    pub fn drain(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (w, word) in self.words.iter().enumerate() {
-            let mut got = word.swap(0, Ordering::Acquire);
-            while got != 0 {
-                out.push(w * 64 + got.trailing_zeros() as usize);
-                got &= got - 1;
-            }
-        }
-        out
-    }
-
     /// Calls `f` for each set bit in an `Acquire` snapshot taken word by
     /// word (bits may change concurrently; indices are ascending).
     pub fn for_each_set(&self, mut f: impl FnMut(usize)) {
@@ -188,63 +164,72 @@ impl SlotBitmap {
     }
 }
 
-/// A two-level lazily populated table with wait-free reads.
+/// A two-level lazily allocated table of `T::default()` cells with
+/// wait-free reads and no capacity.
 ///
-/// Conceptually `Vec<OnceLock<T>>` with a fixed maximum capacity, but the
-/// backbone is a boxed slice of chunk `OnceLock`s so that:
+/// Conceptually a `Vec<T>` that never moves and never ends: an inline
+/// backbone of chunk `OnceLock`s where chunk `k` holds `64 << k` cells, so
+/// that:
 ///
-/// * [`get`](Self::get) is two atomic loads and never blocks or allocates —
-///   safe on the zero-lock warm path;
-/// * memory grows one chunk (`chunk_size` entries) at a time on first
-///   [`get_or_init`](Self::get_or_init) into that chunk;
-/// * entries, once initialized, live at a stable address for the table's
-///   lifetime (readers hold `&T` across concurrent inits elsewhere).
+/// * [`get`](Self::get) is two atomic loads (the chunk pointer, then
+///   whatever the caller loads from the cell) and never blocks or
+///   allocates — safe on the zero-lock warm path;
+/// * nothing is allocated before the first [`get_or_init`](Self::get_or_init),
+///   and the chunks then hold at most twice the cells the highest touched
+///   index needs (plus the first 64);
+/// * there is no "table full" for a caller to handle — the chunks cover
+///   every index whose cell could be backed by memory at all;
+/// * cells live at a stable address for the table's lifetime (readers hold
+///   `&T` across concurrent first touches elsewhere).
 ///
-/// Indices at or beyond `capacity()` return `None`; callers fall back to
-/// their locked slow path. Entries are never deinitialized — the value for
-/// a dense id is expected to be reusable across that id's lifetimes (the
-/// pool stores per-key slot groups that survive GC emptied, not freed).
+/// A cell is never reset by the table — the value for a dense id is expected
+/// to be reusable across that id's lifetimes (the pool stores per-key slot
+/// groups that survive GC emptied, not freed), and "unset" is whatever
+/// `T::default()` means to the caller (an empty `OnceLock`, a zero word).
 #[derive(Debug)]
 pub struct LazySlotTable<T> {
-    chunks: Box<[OnceLock<Chunk<T>>]>,
-    chunk_size: usize,
+    chunks: [OnceLock<Box<[T]>>; (usize::BITS - FIRST_BITS + 1) as usize],
 }
 
-/// One lazily allocated run of `chunk_size` entry cells.
-type Chunk<T> = Box<[OnceLock<T>]>;
+/// `log2` of the first chunk's cell count (64).
+const FIRST_BITS: u32 = 6;
 
-impl<T> LazySlotTable<T> {
-    /// Creates a table of `chunk_count × chunk_size` addressable entries;
-    /// no chunk is allocated until first touched.
-    pub fn new(chunk_count: usize, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "LazySlotTable chunk_size must be non-zero");
+impl<T> Default for LazySlotTable<T> {
+    /// An empty table: nothing allocated.
+    fn default() -> Self {
         LazySlotTable {
-            chunks: (0..chunk_count).map(|_| OnceLock::new()).collect(),
-            chunk_size,
+            chunks: std::array::from_fn(|_| OnceLock::new()),
         }
     }
+}
 
-    /// Total addressable entries (initialized or not).
-    pub fn capacity(&self) -> usize {
-        self.chunks.len() * self.chunk_size
+impl<T: Default> LazySlotTable<T> {
+    /// The chunk holding `index` and the offset within it: chunks double, so
+    /// chunk `k` starts at `64 * (2^k - 1)`.
+    #[inline]
+    fn locate(index: usize) -> (usize, usize) {
+        let k = ((index >> FIRST_BITS) + 1).ilog2();
+        (k as usize, index - (((1usize << k) - 1) << FIRST_BITS))
     }
 
-    /// Wait-free read of entry `index`: `None` if out of range or not yet
-    /// initialized.
+    /// Wait-free read of cell `index`: `None` if its chunk was never touched.
     #[inline]
     pub fn get(&self, index: usize) -> Option<&T> {
-        let chunk = self.chunks.get(index / self.chunk_size)?.get()?;
-        chunk[index % self.chunk_size].get()
+        let (k, offset) = Self::locate(index);
+        Some(&self.chunks[k].get()?[offset])
     }
 
-    /// Returns entry `index`, initializing it (and its chunk) via `init` if
-    /// absent. `None` only when `index` is out of range — the caller's cue
-    /// to use its locked fallback. May block briefly if another thread is
-    /// initializing the same entry or chunk (cold paths only).
-    pub fn get_or_init(&self, index: usize, init: impl FnOnce() -> T) -> Option<&T> {
-        let slot = self.chunks.get(index / self.chunk_size)?;
-        let chunk = slot.get_or_init(|| (0..self.chunk_size).map(|_| OnceLock::new()).collect());
-        Some(chunk[index % self.chunk_size].get_or_init(init))
+    /// Returns cell `index`, allocating its chunk of default cells if
+    /// absent. May block briefly if another thread is allocating the same
+    /// chunk (cold paths only).
+    pub fn get_or_init(&self, index: usize) -> &T {
+        let (k, offset) = Self::locate(index);
+        let chunk = self.chunks[k].get_or_init(|| {
+            (0..(1usize << FIRST_BITS) << k)
+                .map(|_| T::default())
+                .collect()
+        });
+        &chunk[offset]
     }
 }
 
@@ -292,7 +277,6 @@ mod tests {
         assert!(!b.claim_at(64), "second targeted claim finds bit clear");
         assert!(b.is_set(63));
         assert!(b.is_set(65));
-        assert_eq!(b.drain(), vec![63, 65, 129]);
     }
 
     #[test]
@@ -328,19 +312,6 @@ mod tests {
     fn out_of_range_release_panics_with_class() {
         let b = SlotBitmap::labeled(10, "test/bitmap");
         b.release(10);
-    }
-
-    #[test]
-    fn drain_empties_and_reports() {
-        let b = SlotBitmap::labeled(200, "test/bitmap");
-        assert_eq!(b.drain(), Vec::<usize>::new());
-        for i in (0..200).step_by(7) {
-            assert!(b.release(i));
-        }
-        let drained = b.drain();
-        assert_eq!(drained, (0..200).step_by(7).collect::<Vec<_>>());
-        assert_eq!(b.count(), 0);
-        assert_eq!(b.claim(), None);
     }
 
     #[test]
@@ -387,23 +358,54 @@ mod tests {
 
     #[test]
     fn lazy_table_get_or_init_is_stable() {
-        let t: LazySlotTable<String> = LazySlotTable::new(4, 8);
-        assert_eq!(t.capacity(), 32);
-        assert_eq!(t.get(5), None);
-        let v = t.get_or_init(5, || "five".to_string()).expect("in range");
+        let t: LazySlotTable<OnceLock<String>> = LazySlotTable::default();
+        assert!(
+            t.get(5).is_none(),
+            "nothing is allocated before first touch"
+        );
+        let v = t.get_or_init(5).get_or_init(|| "five".to_string());
         assert_eq!(v, "five");
-        // Second init is ignored; the first value wins.
-        let again = t.get_or_init(5, || "other".to_string()).expect("in range");
+        // The cell is stable: a second touch finds the first value.
+        let again = t.get_or_init(5).get_or_init(|| "other".to_string());
         assert_eq!(again, "five");
-        assert_eq!(t.get(5).map(String::as_str), Some("five"));
-        // Out of range → None, never a panic: callers fall back to locks.
-        assert_eq!(t.get(32), None);
-        assert!(t.get_or_init(32, String::new).is_none());
+        let read = t.get(5).and_then(|c| c.get());
+        assert_eq!(read.map(String::as_str), Some("five"));
+        // A sibling in the touched chunk is default; other chunks are absent.
+        assert!(t.get(6).is_some_and(|c| c.get().is_none()));
+        assert!(t.get(64).is_none());
+    }
+
+    #[test]
+    fn lazy_table_chunks_double_and_never_run_out() {
+        // Chunk k covers [64 * (2^k - 1), 64 * (2^(k+1) - 1)).
+        type Table = LazySlotTable<AtomicU64>;
+        for (index, want) in [
+            (0, (0, 0)),
+            (63, (0, 63)),
+            (64, (1, 0)),
+            (191, (1, 127)),
+            (192, (2, 0)),
+        ] {
+            assert_eq!(Table::locate(index), want, "index {index}");
+        }
+        let t = Table::default();
+        assert_eq!(Table::locate(usize::MAX).0, t.chunks.len() - 1);
+        // Every index is its own cell, across chunk boundaries.
+        for index in 0..500 {
+            t.get_or_init(index)
+                .store(index as u64 + 1, Ordering::Relaxed);
+        }
+        for index in 0..500 {
+            let cell = t.get(index).expect("touched");
+            assert_eq!(cell.load(Ordering::Relaxed), index as u64 + 1);
+        }
+        // A far index is addressable, and a read of it allocates nothing.
+        assert!(t.get(1 << 40).is_none());
     }
 
     #[test]
     fn lazy_table_concurrent_first_touch_initializes_once() {
-        let t: Arc<LazySlotTable<usize>> = Arc::new(LazySlotTable::new(2, 64));
+        let t: Arc<LazySlotTable<OnceLock<usize>>> = Arc::new(LazySlotTable::default());
         let inits = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -411,12 +413,10 @@ mod tests {
                 let inits = Arc::clone(&inits);
                 s.spawn(move || {
                     for i in 0..128 {
-                        let v = t
-                            .get_or_init(i, || {
-                                inits.fetch_add(1, Ordering::Relaxed);
-                                i * 10
-                            })
-                            .expect("in range");
+                        let v = t.get_or_init(i).get_or_init(|| {
+                            inits.fetch_add(1, Ordering::Relaxed);
+                            i * 10
+                        });
                         assert_eq!(*v, i * 10);
                     }
                 });
