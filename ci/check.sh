@@ -43,8 +43,9 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 # 3. Repo-specific conformance analyzer: determinism and concurrency rules
 #    clippy cannot express (wall-clock, raw locks, hash-order iteration,
 #    unwrap on the request path, atomic-ordering conformance, hermetic
-#    manifests). Deny by default; escapes need `// lint:allow(rule, reason)`.
-#    The JSON report is the CI artifact; a dirty report exits nonzero here.
+#    manifests, `pub` items no other package names). Deny by default;
+#    escapes need `// lint:allow(rule, reason)`. The JSON report is the CI
+#    artifact; a dirty report exits nonzero here.
 echo
 echo "==> cargo run --offline -q -p hotc-lint -- --json > lint-report.json"
 cargo run --offline -q -p hotc-lint -- --json > lint-report.json
@@ -59,7 +60,11 @@ cargo run --offline -q -p hotc-lint -- --json > lint-report.json
 #     retired twins (pool façade, parallel runner entry, free-standing
 #     histogram, gateway-side last-app trackers, the shared clock, the retry
 #     driver, the pool's second storage past the slot array and its fixed
-#     table shapes) stay retired; (e) the Fig. 6 sequence — acquire→enforce,
+#     table shapes) stay retired — a list that stops growing here: what
+#     PR 20 deleted has no entry, because step 3's `dead-pub` rule plus
+#     rustc's `dead_code` under step 2's `-D warnings` fail on any `pub` item
+#     nothing outside its crate names and any crate-private one nothing
+#     uses, whatever it is called; (e) the Fig. 6 sequence — acquire→enforce,
 #     release→book, tick→step+enforce — is written in middleware.rs only:
 #     the sharded gateway drives `HotC` and names none of its parts.
 echo

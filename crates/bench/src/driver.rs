@@ -66,15 +66,9 @@ impl<P: RuntimeProvider> RunOutcome<P> {
         self.traces.iter().filter(|t| t.failed).count() as f64 / self.traces.len() as f64
     }
 
-    /// Telemetry snapshot of the run: per-stage decomposition, counters,
-    /// and the `pool/live` series sampled at every tick.
-    pub fn metrics_snapshot(&self) -> metrics_lite::MetricsSnapshot {
-        self.gateway.metrics().snapshot()
-    }
-
     /// Mean live containers across the tick samples — a resource-footprint
     /// proxy ("container-hours") for comparing keep-warm policies.
-    pub fn mean_live_containers(&self) -> f64 {
+    pub(crate) fn mean_live_containers(&self) -> f64 {
         if self.live_samples.is_empty() {
             return 0.0;
         }
@@ -123,7 +117,7 @@ where
 }
 
 /// What the replay loop drives: a single [`Gateway`] or a [`Cluster`].
-pub trait ReplayTarget {
+pub(crate) trait ReplayTarget {
     /// The in-flight handle `begin` returns and `finish` consumes.
     type Ticket;
     /// What a finished request reports to the `on_finish` callback.
@@ -186,7 +180,7 @@ impl ReplayTarget for Cluster {
 }
 
 /// What a replay measured, apart from the target it ran on.
-pub struct ReplaySummary {
+pub(crate) struct ReplaySummary {
     /// Total arrivals replayed.
     pub requests: u64,
     /// Virtual time at which the last event completed.
@@ -315,7 +309,7 @@ where
 
 /// [`run_trace`] over any borrowed [`ReplayTarget`] — how the cluster
 /// experiments drive a [`Cluster`] through the same loop.
-pub fn run_trace_on<T: ReplayTarget>(
+pub(crate) fn run_trace_on<T: ReplayTarget>(
     target: &mut T,
     trace: &mut dyn Trace,
     route: impl Fn(usize) -> String,
@@ -536,7 +530,7 @@ pub(crate) mod tests {
     fn driver_populates_metrics_snapshot() {
         let w = patterns::serial(SimDuration::from_secs(30), 10, 0);
         let out = collect(FixedKeepAlive::aws_default(), &w);
-        let snap = out.metrics_snapshot();
+        let snap = out.gateway.metrics().snapshot();
         assert_eq!(snap.counter("gateway/requests"), Some(10));
         assert_eq!(snap.counter("gateway/cold_starts"), Some(1));
         assert_eq!(snap.stage_count("all", metrics_lite::Stage::Exec), 10);
@@ -688,9 +682,6 @@ pub(crate) mod tests {
                     self.0 += 1;
                 }
                 out
-            }
-            fn remaining_hint(&self) -> (u64, Option<u64>) {
-                (0, None)
             }
         }
         impl Backwards {

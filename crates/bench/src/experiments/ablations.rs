@@ -201,7 +201,7 @@ pub fn retire_fraction(fractions: &[f64]) -> Vec<RetireRow> {
 }
 
 /// One row of the α sweep (end-to-end).
-pub struct AlphaRow {
+pub(crate) struct AlphaRow {
     /// The smoothing coefficient.
     pub alpha: f64,
     /// Mean latency (ms).
@@ -211,7 +211,7 @@ pub struct AlphaRow {
 }
 
 /// Ablation 4: α's end-to-end effect on an alternating (high/low) workload.
-pub fn alpha_sweep(alphas: &[f64]) -> Vec<AlphaRow> {
+pub(crate) fn alpha_sweep(alphas: &[f64]) -> Vec<AlphaRow> {
     let round = SimDuration::from_secs(30);
     // Demand alternates 2 ↔ 14 every round for 24 rounds.
     let mut workload = Vec::new();

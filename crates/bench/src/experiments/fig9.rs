@@ -18,7 +18,7 @@ use simclock::{SimDuration, SimTime};
 use workloads::Arrival;
 
 /// The language variants the clients randomly pick from.
-pub const VARIANTS: [LanguageRuntime; 4] = [
+pub(crate) const VARIANTS: [LanguageRuntime; 4] = [
     LanguageRuntime::Python,
     LanguageRuntime::Go,
     LanguageRuntime::NodeJs,

@@ -25,12 +25,12 @@ use faas::{AppProfile, RuntimeProvider};
 
 /// A gateway over a server-profile engine with pre-pulled images and the
 /// given provider, with `apps` registered under their own names.
-pub fn server_gateway<P: RuntimeProvider>(provider: P, apps: &[AppProfile]) -> Gateway<P> {
+pub(crate) fn server_gateway<P: RuntimeProvider>(provider: P, apps: &[AppProfile]) -> Gateway<P> {
     gateway_on(HardwareProfile::server(), provider, apps)
 }
 
 /// Same on an arbitrary hardware profile.
-pub fn gateway_on<P: RuntimeProvider>(
+pub(crate) fn gateway_on<P: RuntimeProvider>(
     hw: HardwareProfile,
     provider: P,
     apps: &[AppProfile],

@@ -36,7 +36,7 @@ const MIN_SAMPLES: usize = 10;
 
 /// One registered routine's measurements, in per-iteration nanoseconds.
 #[derive(Debug, Clone)]
-pub struct BenchResult {
+pub(crate) struct BenchResult {
     /// Routine name, e.g. `pool/acquire_exec_release_reuse`.
     pub name: String,
     /// Mean per-iteration time over all samples.

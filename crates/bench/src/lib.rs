@@ -15,14 +15,13 @@
 
 pub mod driver;
 pub mod experiments;
-pub mod harness;
+mod harness;
 pub mod reference;
 
 pub use driver::{
-    run_partitioned, run_trace, run_trace_on, run_trace_partition, run_workload, ReplaySummary,
-    ReplayTarget, RunOutcome, TraceOutcome,
+    run_partitioned, run_trace, run_trace_partition, run_workload, RunOutcome, TraceOutcome,
 };
-pub use harness::{BenchResult, Harness};
+pub use harness::Harness;
 
 /// Thread counts the contention bench drives through the sharded gateway.
 ///

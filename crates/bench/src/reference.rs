@@ -130,7 +130,7 @@ mod tests {
         // pool/live series saw the same events in the same order.
         assert_eq!(
             format!("{:?}", streamed.gateway.metrics().snapshot()),
-            format!("{:?}", materialized.metrics_snapshot())
+            format!("{:?}", materialized.gateway.metrics().snapshot())
         );
     }
 

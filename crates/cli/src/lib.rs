@@ -15,10 +15,8 @@
 //! hotc-sim --demo | hotc-sim -      # ... and run it from stdin
 //! ```
 
-pub mod runner;
+mod runner;
 pub mod scenario;
 
-pub use runner::{
-    build_trace, run_scenario, run_scenario_materialized, ScenarioReport, LATENCY_DETAIL_CAP,
-};
+pub use runner::{build_trace, run_scenario, run_scenario_materialized, ScenarioReport};
 pub use scenario::{ParseError, Scenario};

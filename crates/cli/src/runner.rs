@@ -1,7 +1,7 @@
 //! Builds and runs a parsed [`Scenario`], producing a [`ScenarioReport`].
 
 use crate::scenario::{FunctionDecl, ProviderSpec, Scenario, WorkloadSpec};
-use containersim::{ContainerConfig, ContainerEngine};
+use containersim::ContainerEngine;
 use faas::gateway::Gateway;
 use faas::{
     AppProfile, ColdStartAlways, FixedKeepAlive, FunctionSpec, HybridKeepAlive, PeriodicWarmup,
@@ -26,7 +26,7 @@ pub use reference::run_scenario_materialized;
 /// exact percentiles) up to this many requests; past it the aggregator
 /// switches to a constant-footprint histogram so a 1e8-request replay does
 /// not hold 1e8 samples.
-pub const LATENCY_DETAIL_CAP: usize = 1 << 20;
+pub(crate) const LATENCY_DETAIL_CAP: usize = 1 << 20;
 
 /// The outcome of a scenario run.
 #[derive(Debug)]
@@ -418,18 +418,11 @@ impl ReportAggregator {
     }
 }
 
-/// One registered function slot: the route name, the app profile behind it,
-/// and the fully resolved container configuration. Slot index == the
-/// `config_id % slots` routing index used by every driver.
-struct SlotSpec {
-    name: String,
-    app: AppProfile,
-    config: ContainerConfig,
-}
-
 /// Expands the scenario's function declarations (× replicas) into the flat
-/// slot list all gateways are registered from.
-fn slot_specs(scenario: &Scenario) -> Result<Vec<SlotSpec>, String> {
+/// slot list all gateways are registered from: route name, app profile and
+/// fully resolved container configuration. Slot index == the
+/// `config_id % slots` routing index used by every driver.
+fn slot_specs(scenario: &Scenario) -> Result<Vec<FunctionSpec>, String> {
     let mut slots = Vec::new();
     for decl in &scenario.functions {
         let app = build_app(decl)?;
@@ -451,7 +444,7 @@ fn slot_specs(scenario: &Scenario) -> Result<Vec<SlotSpec>, String> {
                     .env
                     .insert("HOTC_REPLICA".to_string(), i.to_string());
             }
-            slots.push(SlotSpec {
+            slots.push(FunctionSpec {
                 name,
                 app: app.clone(),
                 config,
@@ -469,7 +462,7 @@ fn slot_specs(scenario: &Scenario) -> Result<Vec<SlotSpec>, String> {
 fn build_gateway_slots<P: RuntimeProvider>(
     provider: P,
     scenario: &Scenario,
-    slots: &[SlotSpec],
+    slots: &[FunctionSpec],
     only_worker: Option<(&[usize], usize)>,
 ) -> Gateway<P> {
     let mut engine = ContainerEngine::with_local_images(scenario.hardware.clone());
@@ -483,11 +476,7 @@ fn build_gateway_slots<P: RuntimeProvider>(
                 continue;
             }
         }
-        gateway.register(
-            FunctionSpec::from_app(slot.app.clone())
-                .named(slot.name.clone())
-                .with_config(slot.config.clone()),
-        );
+        gateway.register(slot.clone());
     }
     gateway
 }
@@ -553,7 +542,12 @@ fn dispatch_provider<O: ProviderOp>(spec: &ProviderSpec, threads: usize, op: O) 
 /// policy) always land on the same worker — the partition unit is the
 /// reuse-closure, so no warm container is ever visible from two workers.
 /// Key groups are dealt round-robin in first-appearance order.
-fn partition_slots(slots: &[SlotSpec], policy: KeyPolicy, threads: usize) -> Vec<usize> {
+fn partition_slots(slots: &[FunctionSpec], policy: KeyPolicy, threads: usize) -> Vec<usize> {
+    // One worker owns every slot; formatting each slot's runtime key to
+    // learn that is a dozen allocations per function for nothing.
+    if threads <= 1 {
+        return vec![0; slots.len()];
+    }
     let mut group_of: HashMap<RuntimeKey, usize> = HashMap::new();
     let mut next = 0usize;
     slots
@@ -561,7 +555,7 @@ fn partition_slots(slots: &[SlotSpec], policy: KeyPolicy, threads: usize) -> Vec
         .map(|slot| {
             let key = RuntimeKey::from_config(&slot.config, policy);
             *group_of.entry(key).or_insert_with(|| {
-                let w = next % threads.max(1);
+                let w = next % threads;
                 next += 1;
                 w
             })

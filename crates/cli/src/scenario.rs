@@ -304,7 +304,7 @@ pub struct Scenario {
 }
 
 /// Parses a duration literal like `30s`, `15m`, `250ms`, `10us`, `5ns`.
-pub fn parse_duration(s: &str, line: usize) -> Result<SimDuration, ParseError> {
+pub(crate) fn parse_duration(s: &str, line: usize) -> Result<SimDuration, ParseError> {
     let s = s.trim();
     let split = s
         .find(|c: char| !c.is_ascii_digit() && c != '.')

@@ -50,8 +50,8 @@
 
 pub mod load;
 pub mod reference;
-pub mod sched;
-pub mod warm_index;
+mod sched;
+mod warm_index;
 
 pub use reference::{RefInFlight, ReferenceCluster};
 pub use sched::{

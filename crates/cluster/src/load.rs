@@ -12,50 +12,40 @@ use simclock::SimRng;
 
 /// In-flight request counts per node, with the running total.
 #[derive(Debug, Clone)]
-pub struct LoadIndex {
+pub(crate) struct LoadIndex {
     loads: Vec<u32>,
     total: u64,
 }
 
 impl LoadIndex {
     /// An all-idle index over `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         LoadIndex {
             loads: vec![0; nodes],
             total: 0,
         }
     }
 
-    /// Number of nodes tracked.
-    pub fn len(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Whether the index tracks no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.loads.is_empty()
-    }
-
     /// Current in-flight count of one node.
-    pub fn load(&self, node: usize) -> u32 {
+    pub(crate) fn load(&self, node: usize) -> u32 {
         self.loads[node]
     }
 
     /// Records a placement on `node`.
-    pub fn inc(&mut self, node: usize) {
+    pub(crate) fn inc(&mut self, node: usize) {
         self.loads[node] += 1;
         self.total += 1;
     }
 
     /// Records a completion on `node`.
-    pub fn dec(&mut self, node: usize) {
+    pub(crate) fn dec(&mut self, node: usize) {
         debug_assert!(self.loads[node] > 0, "completion without a placement");
         self.loads[node] = self.loads[node].saturating_sub(1);
         self.total = self.total.saturating_sub(1);
     }
 
     /// Mean in-flight load across all nodes (0.0 for an empty index).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.loads.is_empty() {
             return 0.0;
         }
@@ -67,7 +57,7 @@ impl LoadIndex {
     /// an independent implementation fed the same seed makes the same
     /// sequence of decisions — the property test's reference scheduler
     /// depends on this. Must not be called on an empty index.
-    pub fn pick_p2c(&self, rng: &mut SimRng) -> usize {
+    pub(crate) fn pick_p2c(&self, rng: &mut SimRng) -> usize {
         let a = rng.index(self.loads.len());
         let b = rng.index(self.loads.len());
         if self.loads[b] < self.loads[a] {

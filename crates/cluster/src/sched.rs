@@ -183,7 +183,7 @@ impl Cluster {
     /// Spill threshold for reuse affinity: if the warm node's in-flight load
     /// exceeds `mean × OVERLOAD_FACTOR + 1`, the request goes to a
     /// power-of-two-choices pick instead.
-    pub const OVERLOAD_FACTOR: f64 = 2.0;
+    pub(crate) const OVERLOAD_FACTOR: f64 = 2.0;
 
     /// Builds a cluster from named per-node gateways.
     pub fn new(policy: SchedulePolicy, gateways: Vec<(String, Gateway<HotC>)>) -> Self {
@@ -276,7 +276,8 @@ impl Cluster {
     /// scheduler sees it — through the staleness model, not the live pool.
     /// Every warm-reading policy (reuse affinity *and* cost-aware) consults
     /// exactly this view.
-    pub fn believed_warm(&self, function: &str, node: usize) -> usize {
+    #[cfg(test)]
+    fn believed_warm(&self, function: &str, node: usize) -> usize {
         self.functions
             .get(function)
             .map(|&f| self.warm.believed(self.specs[f as usize].key, node) as usize)

@@ -54,7 +54,7 @@ struct NodeView {
 
 /// The indexed warm-placement store. See the module docs for the protocol.
 #[derive(Debug, Default)]
-pub struct WarmIndex {
+pub(crate) struct WarmIndex {
     /// `rows[cluster key index]` = hosts believed warm for that key, as
     /// `(node, believed available count)` with count > 0.
     rows: Vec<Vec<(u32, u32)>>,
@@ -63,19 +63,19 @@ pub struct WarmIndex {
 
 impl WarmIndex {
     /// An empty index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WarmIndex::default()
     }
 
     /// Grows the per-key row table to cover `keys` interned cluster keys.
-    pub fn ensure_rows(&mut self, keys: usize) {
+    pub(crate) fn ensure_rows(&mut self, keys: usize) {
         if self.rows.len() < keys {
             self.rows.resize_with(keys, Vec::new);
         }
     }
 
     /// Grows the per-node table to cover `nodes` nodes.
-    pub fn ensure_nodes(&mut self, nodes: usize) {
+    pub(crate) fn ensure_nodes(&mut self, nodes: usize) {
         if self.nodes.len() < nodes {
             self.nodes.resize_with(nodes, NodeView::default);
         }
@@ -84,7 +84,7 @@ impl WarmIndex {
     /// Records the translation between cluster key `k` and `node`'s
     /// pool-local id for the same configuration. Interns into the node's
     /// pool only on first sight of (k, node); repeats are one map probe.
-    pub fn ensure_mapping(
+    pub(crate) fn ensure_mapping(
         &mut self,
         k: KeyId,
         node: usize,
@@ -102,7 +102,7 @@ impl WarmIndex {
     }
 
     /// Believed warm-available count for (`k`, `node`). O(warm hosts of k).
-    pub fn believed(&self, k: KeyId, node: usize) -> u32 {
+    pub(crate) fn believed(&self, k: KeyId, node: usize) -> u32 {
         self.rows
             .get(k.index())
             .and_then(|row| row.iter().find(|e| e.0 == node as u32))
@@ -112,7 +112,7 @@ impl WarmIndex {
 
     /// Optimistically consumes one believed-warm slot on `node` — the
     /// placement debit. No-op if the index already believes zero.
-    pub fn debit(&mut self, k: KeyId, node: usize) {
+    pub(crate) fn debit(&mut self, k: KeyId, node: usize) {
         let Some(row) = self.rows.get_mut(k.index()) else {
             return;
         };
@@ -129,7 +129,7 @@ impl WarmIndex {
 
     /// Replaces the believed count for (`k`, `node`) with the node pool's
     /// live count — a point touch. Requires the mapping to exist.
-    pub fn touch_true(&mut self, k: KeyId, node: usize, pool: &ShardedPool) {
+    pub(crate) fn touch_true(&mut self, k: KeyId, node: usize, pool: &ShardedPool) {
         let ck = k.index() as u32;
         let count = match self.nodes[node].c2l.get(&ck) {
             Some(&local) => pool.num_avail_id(local) as u32,
@@ -159,7 +159,7 @@ impl WarmIndex {
     /// never registered stay invisible, since it could not route to them
     /// anyway. Assumes node pools share the cluster interner's
     /// [`hotc::KeyPolicy`].
-    pub fn resync_node(&mut self, node: usize, pool: &ShardedPool, interner: &KeyInterner) {
+    pub(crate) fn resync_node(&mut self, node: usize, pool: &ShardedPool, interner: &KeyInterner) {
         let WarmIndex { rows, nodes } = self;
         let view = &mut nodes[node];
         // Read the epoch before scanning: a mutation racing the scan then
@@ -195,7 +195,7 @@ impl WarmIndex {
 
     /// The node pool's `mutation_epoch` as of the last [`Self::resync_node`].
     /// An equal live epoch means a resync would find nothing new.
-    pub fn node_epoch(&self, node: usize) -> u64 {
+    pub(crate) fn node_epoch(&self, node: usize) -> u64 {
         self.nodes[node].epoch
     }
 
@@ -203,7 +203,7 @@ impl WarmIndex {
     /// index) over the key's row. Scans only believed-warm hosts; the
     /// (load, node) order is total, so the result is independent of row
     /// order — a naive all-nodes scan picks the same host.
-    pub fn best_warm(&self, k: KeyId, load: &LoadIndex) -> Option<usize> {
+    pub(crate) fn best_warm(&self, k: KeyId, load: &LoadIndex) -> Option<usize> {
         self.rows
             .get(k.index())?
             .iter()

@@ -66,18 +66,6 @@ impl ExecOptions {
         self.env.insert(key.into(), value.into());
         self
     }
-
-    /// Sets a memory limit (builder style).
-    pub fn with_mem_limit(mut self, bytes: u64) -> Self {
-        self.mem_limit_bytes = bytes;
-        self
-    }
-
-    /// Sets a CPU limit in milli-cores (builder style).
-    pub fn with_cpu_millis(mut self, millis: u32) -> Self {
-        self.cpu_millis = millis;
-        self
-    }
 }
 
 /// The complete parameter configuration of a container runtime — the unit of
@@ -150,7 +138,7 @@ pub enum ContainerState {
 
 impl ContainerState {
     /// Whether the transition `self → next` is legal.
-    pub fn can_transition_to(self, next: ContainerState) -> bool {
+    pub(crate) fn can_transition_to(self, next: ContainerState) -> bool {
         use ContainerState::*;
         matches!(
             (self, next),
@@ -264,12 +252,7 @@ mod tests {
 
     #[test]
     fn exec_builder_sets_fields() {
-        let e = ExecOptions::default()
-            .with_cpu_millis(500)
-            .with_mem_limit(1 << 30)
-            .with_env("K", "V");
-        assert_eq!(e.cpu_millis, 500);
-        assert_eq!(e.mem_limit_bytes, 1 << 30);
+        let e = ExecOptions::default().with_env("K", "V");
         assert_eq!(e.env.get("K").map(String::as_str), Some("V"));
     }
 }

@@ -19,27 +19,27 @@ use simclock::SimDuration;
 /// resource allocation and container runtime setup"; total cold overhead for
 /// a bridge-mode container lands around 700 ms (Fig. 9(a) latencies are close
 /// to a second against a 60 ms hot path).
-pub const RESOURCE_ALLOC: SimDuration = SimDuration::from_millis(420);
+pub(crate) const RESOURCE_ALLOC: SimDuration = SimDuration::from_millis(420);
 
 /// Cost of loading user code/function artifacts into a started container
 /// (code download from the local store + handler wiring).
-pub const CODE_LOAD: SimDuration = SimDuration::from_millis(60);
+pub(crate) const CODE_LOAD: SimDuration = SimDuration::from_millis(60);
 
 /// Cost of creating and bind-mounting one volume.
-pub const VOLUME_MOUNT: SimDuration = SimDuration::from_millis(8);
+pub(crate) const VOLUME_MOUNT: SimDuration = SimDuration::from_millis(8);
 
 /// Cost of wiping all files in a used volume (HotC Algorithm 2, step 1).
 /// Scales with the number of files; this is the per-file component.
-pub const VOLUME_WIPE_PER_FILE: SimDuration = SimDuration::from_micros(12);
+pub(crate) const VOLUME_WIPE_PER_FILE: SimDuration = SimDuration::from_micros(12);
 
 /// Fixed cost of the wipe+remount cycle (Algorithm 2, step 2).
-pub const VOLUME_REMOUNT: SimDuration = SimDuration::from_millis(10);
+pub(crate) const VOLUME_REMOUNT: SimDuration = SimDuration::from_millis(10);
 
 /// Cost of stopping a container (SIGTERM, cgroup teardown of the app).
-pub const CONTAINER_STOP: SimDuration = SimDuration::from_millis(35);
+pub(crate) const CONTAINER_STOP: SimDuration = SimDuration::from_millis(35);
 
 /// Cost of removing a container entirely (rootfs + metadata delete).
-pub const CONTAINER_REMOVE: SimDuration = SimDuration::from_millis(45);
+pub(crate) const CONTAINER_REMOVE: SimDuration = SimDuration::from_millis(45);
 
 /// Network setup baseline: the `none` mode (loopback only) on a single host.
 ///
@@ -47,45 +47,45 @@ pub const CONTAINER_REMOVE: SimDuration = SimDuration::from_millis(45);
 /// network setup (None) while the container mode networking is only half of
 /// it"; multi-host overlay "takes up to 23× longer startup time" than host
 /// mode.
-pub const NET_NONE: SimDuration = SimDuration::from_millis(30);
+pub(crate) const NET_NONE: SimDuration = SimDuration::from_millis(30);
 /// Bridge mode: veth pair + bridge attach + iptables NAT rules.
-pub const NET_BRIDGE: SimDuration = SimDuration::from_millis(32);
+pub(crate) const NET_BRIDGE: SimDuration = SimDuration::from_millis(32);
 /// Host mode: no namespace, trivial setup.
-pub const NET_HOST: SimDuration = SimDuration::from_millis(29);
+pub(crate) const NET_HOST: SimDuration = SimDuration::from_millis(29);
 /// Container mode: join an existing container's namespace — "cheaper startup
 /// connecting to a proxy container instead of booting a new one" (≈ ½ none).
-pub const NET_CONTAINER: SimDuration = SimDuration::from_millis(15);
+pub(crate) const NET_CONTAINER: SimDuration = SimDuration::from_millis(15);
 /// Multi-host overlay (VXLAN + key-value registration): up to 23× host mode.
-pub const NET_OVERLAY: SimDuration = SimDuration::from_millis(667);
+pub(crate) const NET_OVERLAY: SimDuration = SimDuration::from_millis(667);
 /// Multi-host routing (BGP-style route programming): between host and overlay.
-pub const NET_ROUTING: SimDuration = SimDuration::from_millis(435);
+pub(crate) const NET_ROUTING: SimDuration = SimDuration::from_millis(435);
 
 /// Registry pull bandwidth (bytes of compressed layer per virtual second) on
 /// the server's gigabit link. Pull cost only applies when an image layer is
 /// not in the local store; the paper stores images locally, so the default
 /// experiments never pay it — it exists for the image-distribution ablation.
-pub const PULL_BYTES_PER_SEC: u64 = 110 * 1024 * 1024;
+pub(crate) const PULL_BYTES_PER_SEC: u64 = 110 * 1024 * 1024;
 
 /// Layer decompression throughput (bytes of compressed layer per second).
-pub const UNPACK_BYTES_PER_SEC: u64 = 180 * 1024 * 1024;
+pub(crate) const UNPACK_BYTES_PER_SEC: u64 = 180 * 1024 * 1024;
 
 /// Idle memory footprint of one live (paused/idle) container.
 ///
 /// Calibration: Fig. 15(a) — "the memory usage increased by 0.7 MB for each
 /// individual live container"; §IV-B — an idle alpine container "only takes
 /// hundreds of KB".
-pub const LIVE_CONTAINER_MEM_BYTES: u64 = 700 * 1024;
+pub(crate) const LIVE_CONTAINER_MEM_BYTES: u64 = 700 * 1024;
 
 /// Idle CPU overhead of one live container, as a fraction of one core.
 ///
 /// Calibration: Fig. 15(a) — "CPU usage increased by less than 1 % (ten live
 /// containers)" ⇒ <0.1 % per container.
-pub const LIVE_CONTAINER_CPU_FRACTION: f64 = 0.0008;
+pub(crate) const LIVE_CONTAINER_CPU_FRACTION: f64 = 0.0008;
 
 /// TLB/page-cache warmup penalty applied to the *first* execution in a fresh
 /// container, as a multiplicative factor on app compute time. §IV-A: reusing
 /// a runtime "can also offer hot cache and less TLB flushing".
-pub const COLD_CACHE_PENALTY: f64 = 1.03;
+pub(crate) const COLD_CACHE_PENALTY: f64 = 1.03;
 
 #[cfg(test)]
 mod tests {

@@ -152,7 +152,6 @@ struct ContainerRecord {
     runtime: LanguageRuntime,
     idle_mem: u64,
     created_at: SimTime,
-    last_used: SimTime,
     exec_count: u64,
     // The app whose code was last loaded into this runtime (`load_app`).
     last_app: Option<&'static str>,
@@ -378,7 +377,6 @@ impl ContainerEngine {
                 runtime: spec.runtime,
                 idle_mem,
                 created_at: now,
-                last_used: now,
                 exec_count: 0,
                 last_app: None,
                 running_work: None,
@@ -405,12 +403,15 @@ impl ContainerEngine {
 
     /// Begins an execution in an idle container. Returns the virtual latency
     /// of the execution; the caller must call [`Self::end_exec`] after
-    /// advancing its clock by that amount.
+    /// advancing its clock by that amount. (The engine keeps no last-used
+    /// time — keep-alive policies track idleness themselves — so the clock
+    /// argument of this, [`Self::end_exec`] and [`Self::cleanup`] is unread;
+    /// it stays because every caller, `benchmark/` included, passes one.)
     pub fn begin_exec(
         &mut self,
         id: ContainerId,
         work: ExecWork,
-        now: SimTime,
+        _now: SimTime,
     ) -> Result<ExecOutcome, EngineError> {
         let hw = self.host.hardware().clone();
         let rec = self
@@ -426,7 +427,6 @@ impl ContainerEngine {
         }
         debug_assert!(rec.state.can_transition_to(ContainerState::Running));
         rec.state = ContainerState::Running;
-        rec.last_used = now;
         rec.running_work = Some(work);
 
         let first_exec = rec.exec_count == 0;
@@ -485,7 +485,7 @@ impl ContainerEngine {
     /// app's host footprint, records its volume writes, and returns the
     /// container to `Idle` (dirty — it still needs [`Self::cleanup`] before
     /// reuse).
-    pub fn end_exec(&mut self, id: ContainerId, now: SimTime) -> Result<(), EngineError> {
+    pub fn end_exec(&mut self, id: ContainerId, _now: SimTime) -> Result<(), EngineError> {
         let rec = self
             .containers
             .get_mut(&id)
@@ -506,7 +506,6 @@ impl ContainerEngine {
         } else {
             ContainerState::Idle
         };
-        rec.last_used = now;
         let volume = rec.volume;
         self.host.app_finished(work.mem_bytes, work.cpu_cores);
         if crashed {
@@ -538,7 +537,7 @@ impl ContainerEngine {
 
     /// Algorithm 2's container cleanup: wipe the used volume and remount a
     /// fresh one so the runtime can be reused. Returns the cleanup cost.
-    pub fn cleanup(&mut self, id: ContainerId, now: SimTime) -> Result<SimDuration, EngineError> {
+    pub fn cleanup(&mut self, id: ContainerId, _now: SimTime) -> Result<SimDuration, EngineError> {
         let hw = self.host.hardware().clone();
         let rec = self
             .containers
@@ -551,7 +550,6 @@ impl ContainerEngine {
                 needed: "Idle",
             });
         }
-        rec.last_used = now;
         let volume = rec.volume;
         let cost = self
             .volumes
@@ -648,16 +646,6 @@ impl ContainerEngine {
     /// Creation timestamp of a live container.
     pub fn created_at(&self, id: ContainerId) -> Option<SimTime> {
         self.containers.get(&id).map(|r| r.created_at)
-    }
-
-    /// Last-used timestamp of a live container.
-    pub fn last_used(&self, id: ContainerId) -> Option<SimTime> {
-        self.containers.get(&id).map(|r| r.last_used)
-    }
-
-    /// Number of executions the container has served.
-    pub fn exec_count(&self, id: ContainerId) -> Option<u64> {
-        self.containers.get(&id).map(|r| r.exec_count)
     }
 
     /// Number of live (not removed) containers.
@@ -766,7 +754,6 @@ mod tests {
         assert!(!second.first_exec);
         // JVM JIT warm-up: first exec substantially slower than second.
         assert!(first.latency > second.latency.mul_f64(1.4));
-        assert_eq!(e.exec_count(id), Some(2));
     }
 
     #[test]
@@ -840,10 +827,10 @@ mod tests {
             bytes_written: 1 << 20,
         };
         e.exec(id, work, SimTime::ZERO).unwrap();
-        assert_eq!(e.volumes().total_bytes(), 1 << 20);
+        assert_eq!(e.volumes().get(VolumeId(0)).map(|v| v.bytes), Some(1 << 20));
         let cost = e.cleanup(id, SimTime::from_secs(1)).unwrap();
         assert!(!cost.is_zero());
-        assert_eq!(e.volumes().total_bytes(), 0);
+        assert_eq!(e.volumes().get(VolumeId(0)).map(|v| v.bytes), Some(0));
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl HardwareProfile {
     }
 
     /// Scales a container control-plane duration.
-    pub fn control(&self, base: SimDuration) -> SimDuration {
+    pub(crate) fn control(&self, base: SimDuration) -> SimDuration {
         base.mul_f64(self.control_factor)
     }
 

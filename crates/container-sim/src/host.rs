@@ -61,14 +61,14 @@ impl HostResources {
 
     /// Registers a live container's idle footprint (container overhead plus
     /// its idle runtime memory).
-    pub fn add_live_container(&mut self, runtime_idle_mem: u64) {
+    pub(crate) fn add_live_container(&mut self, runtime_idle_mem: u64) {
         self.live_containers += 1;
         self.container_mem += costmodel::LIVE_CONTAINER_MEM_BYTES + runtime_idle_mem;
         self.rebalance_swap();
     }
 
     /// Removes a live container's idle footprint.
-    pub fn remove_live_container(&mut self, runtime_idle_mem: u64) {
+    pub(crate) fn remove_live_container(&mut self, runtime_idle_mem: u64) {
         debug_assert!(self.live_containers > 0, "container count underflow");
         self.live_containers = self.live_containers.saturating_sub(1);
         self.container_mem = self
@@ -78,7 +78,7 @@ impl HostResources {
     }
 
     /// Charges a running application's footprint (call on exec start).
-    pub fn app_started(&mut self, mem_bytes: u64, cpu_cores: f64) {
+    pub(crate) fn app_started(&mut self, mem_bytes: u64, cpu_cores: f64) {
         self.app_mem += mem_bytes;
         self.app_cpu += cpu_cores / self.hw.cores as f64;
         self.rebalance_swap();
@@ -86,7 +86,7 @@ impl HostResources {
 
     /// Releases a running application's footprint (call on exec end). "The
     /// OS will automatically recycle the unused resources quickly" (§V-E).
-    pub fn app_finished(&mut self, mem_bytes: u64, cpu_cores: f64) {
+    pub(crate) fn app_finished(&mut self, mem_bytes: u64, cpu_cores: f64) {
         self.app_mem = self.app_mem.saturating_sub(mem_bytes);
         self.app_cpu = (self.app_cpu - cpu_cores / self.hw.cores as f64).max(0.0);
         self.rebalance_swap();
@@ -110,11 +110,6 @@ impl HostResources {
         self.demand().min(self.hw.mem_bytes)
     }
 
-    /// Used swap in bytes.
-    pub fn used_swap(&self) -> u64 {
-        self.used_swap
-    }
-
     /// Memory pressure as a fraction: (used_mem + used_swap) / physical.
     /// This is the quantity HotC compares against its 80 % threshold.
     pub fn memory_pressure(&self) -> f64 {
@@ -123,7 +118,7 @@ impl HostResources {
 
     /// Current CPU utilization (baseline + idle container overhead + apps),
     /// as a fraction of all cores, capped at 1.0.
-    pub fn cpu_usage(&self) -> f64 {
+    pub(crate) fn cpu_usage(&self) -> f64 {
         (self.base_cpu
             + self.live_containers as f64 * costmodel::LIVE_CONTAINER_CPU_FRACTION
             + self.app_cpu)
@@ -136,7 +131,7 @@ impl HostResources {
     }
 
     /// CPU cores currently consumed by running applications.
-    pub fn app_cores_in_use(&self) -> f64 {
+    pub(crate) fn app_cores_in_use(&self) -> f64 {
         self.app_cpu * self.hw.cores as f64
     }
 
@@ -205,10 +200,10 @@ mod tests {
         let mut h = HostResources::new(HardwareProfile::raspberry_pi3());
         // Pi has 1 GB; demand 1.2 GB of app memory.
         h.app_started(1_200 * 1024 * 1024, 1.0);
-        assert!(h.used_swap() > 0);
+        assert!(h.sample().used_swap > 0);
         assert!(h.memory_pressure() > 1.0);
         h.app_finished(1_200 * 1024 * 1024, 1.0);
-        assert_eq!(h.used_swap(), 0);
+        assert_eq!(h.sample().used_swap, 0);
     }
 
     #[test]

@@ -84,12 +84,7 @@ pub struct ImageSpec {
     pub os_family: String,
 }
 
-impl ImageSpec {
-    /// Total compressed size across layers.
-    pub fn total_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.compressed_bytes).sum()
-    }
-}
+impl ImageSpec {}
 
 /// The remote registry: the source of truth for image specs.
 #[derive(Debug, Clone, Default)]
@@ -317,7 +312,7 @@ impl PullStrategy {
 
 /// Cost of one image pull, split into its two phases.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PullCost {
+pub(crate) struct PullCost {
     /// Transferring missing layer bytes (bandwidth-bound).
     pub download: SimDuration,
     /// Decompressing/unpacking them (CPU/disk-bound).
@@ -326,7 +321,7 @@ pub struct PullCost {
 
 /// Per-host cache of unpacked layers and image metadata.
 #[derive(Debug, Clone, Default)]
-pub struct LocalImageStore {
+pub(crate) struct LocalImageStore {
     cached_layers: BTreeSet<String>,
     cached_images: BTreeSet<ImageId>,
     strategy: PullStrategy,
@@ -334,18 +329,18 @@ pub struct LocalImageStore {
 
 impl LocalImageStore {
     /// An empty local store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Whether the image (all layers + metadata) is fully cached.
-    pub fn has_image(&self, id: &ImageId) -> bool {
+    pub(crate) fn has_image(&self, id: &ImageId) -> bool {
         self.cached_images.contains(id)
     }
 
     /// Bytes that would need to be transferred to pull `spec` right now
     /// (uncached layers only — layer sharing in action).
-    pub fn missing_bytes(&self, spec: &ImageSpec) -> u64 {
+    pub(crate) fn missing_bytes(&self, spec: &ImageSpec) -> u64 {
         spec.layers
             .iter()
             .filter(|l| !self.cached_layers.contains(&l.digest))
@@ -354,19 +349,14 @@ impl LocalImageStore {
     }
 
     /// Sets the distribution strategy for future pulls.
-    pub fn set_strategy(&mut self, strategy: PullStrategy) {
+    pub(crate) fn set_strategy(&mut self, strategy: PullStrategy) {
         self.strategy = strategy;
-    }
-
-    /// The active pull strategy.
-    pub fn strategy(&self) -> PullStrategy {
-        self.strategy
     }
 
     /// Pulls an image: returns the virtual *critical-path* cost (download at
     /// the strategy's effective bandwidth + decompress) and marks its layers
     /// cached. Pulling a cached image is free.
-    pub fn pull(&mut self, spec: &ImageSpec, hw: &HardwareProfile) -> SimDuration {
+    pub(crate) fn pull(&mut self, spec: &ImageSpec, hw: &HardwareProfile) -> SimDuration {
         let cost = self.pull_split(spec, hw);
         cost.download + cost.unpack
     }
@@ -374,7 +364,7 @@ impl LocalImageStore {
     /// Like [`Self::pull`], but reports the download (bandwidth-bound) and
     /// unpack (decompression-bound) phases separately, for per-stage
     /// telemetry.
-    pub fn pull_split(&mut self, spec: &ImageSpec, hw: &HardwareProfile) -> PullCost {
+    pub(crate) fn pull_split(&mut self, spec: &ImageSpec, hw: &HardwareProfile) -> PullCost {
         if self.has_image(&spec.id) {
             return PullCost::default();
         }
@@ -398,14 +388,12 @@ impl LocalImageStore {
 
     /// Pre-pulls every image in a registry (the paper's "images were stored
     /// locally" setup). Returns total virtual cost.
-    pub fn prefetch_all(&mut self, registry: &ImageRegistry, hw: &HardwareProfile) -> SimDuration {
+    pub(crate) fn prefetch_all(
+        &mut self,
+        registry: &ImageRegistry,
+        hw: &HardwareProfile,
+    ) -> SimDuration {
         registry.iter().map(|spec| self.pull(spec, hw)).sum()
-    }
-
-    /// Evicts an image's metadata (layers stay, as Docker does on `rmi` with
-    /// shared layers referenced elsewhere — simplified: layers always stay).
-    pub fn evict_image(&mut self, id: &ImageId) {
-        self.cached_images.remove(id);
     }
 }
 
@@ -484,7 +472,8 @@ mod tests {
         let mut s2 = LocalImageStore::new();
         let big = s1.pull(tf, &hw);
         let small = s2.pull(alp, &hw);
-        let byte_ratio = tf.total_bytes() as f64 / alp.total_bytes() as f64;
+        let fresh = LocalImageStore::new();
+        let byte_ratio = fresh.missing_bytes(tf) as f64 / fresh.missing_bytes(alp) as f64;
         let cost_ratio = big.as_secs_f64() / small.as_secs_f64();
         assert!((cost_ratio / byte_ratio - 1.0).abs() < 0.05);
     }
@@ -551,18 +540,5 @@ mod tests {
             (t(many) - t(cap)).abs() < 1e-9,
             "past 8 peers the NIC saturates"
         );
-    }
-
-    #[test]
-    fn evict_image_forces_repull_metadata() {
-        let r = reg();
-        let hw = HardwareProfile::server();
-        let mut store = LocalImageStore::new();
-        let spec = r.get(&ImageId::parse("redis:5.0")).unwrap();
-        store.pull(spec, &hw);
-        store.evict_image(&spec.id);
-        assert!(!store.has_image(&spec.id));
-        // Layers are still cached, so the re-pull transfers nothing.
-        assert_eq!(store.missing_bytes(spec), 0);
     }
 }

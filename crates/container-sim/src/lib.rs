@@ -34,20 +34,20 @@
 //! ratios cited inline, so calibration is auditable in one place.
 
 pub mod container;
-pub mod costmodel;
+mod costmodel;
 pub mod engine;
 pub mod hardware;
 pub mod host;
 pub mod image;
 pub mod network;
-pub mod runtime;
-pub mod volume;
+mod runtime;
+mod volume;
 
 pub use container::{ContainerConfig, ContainerId, ContainerState, ExecOptions, IpcMode, UtsMode};
 pub use engine::{ContainerEngine, CostBreakdown, EngineError, ExecOutcome};
 pub use hardware::HardwareProfile;
 pub use host::HostResources;
-pub use image::{ImageId, ImageRegistry, ImageSpec, LocalImageStore, PullCost, PullStrategy};
+pub use image::{ImageId, ImageRegistry, ImageSpec, PullStrategy};
 pub use network::{NetworkConfig, NetworkMode, NetworkScope};
 pub use runtime::LanguageRuntime;
 pub use volume::{VolumeId, VolumeStore};

@@ -56,7 +56,7 @@ impl NetworkMode {
     }
 
     /// Base setup cost on the reference server, before hardware scaling.
-    pub fn base_setup_cost(self) -> SimDuration {
+    pub(crate) fn base_setup_cost(self) -> SimDuration {
         match self {
             NetworkMode::None => costmodel::NET_NONE,
             NetworkMode::Bridge => costmodel::NET_BRIDGE,
@@ -74,7 +74,7 @@ impl NetworkMode {
 
     /// Per-request forwarding overhead added by this mode (paths through
     /// NAT/overlay encapsulation are slower than host networking).
-    pub fn per_request_overhead(self) -> SimDuration {
+    pub(crate) fn per_request_overhead(self) -> SimDuration {
         match self {
             NetworkMode::None => SimDuration::ZERO,
             NetworkMode::Host => SimDuration::from_micros(30),

@@ -39,7 +39,7 @@ impl LanguageRuntime {
 
     /// One-time runtime initialization when a container boots cold
     /// (interpreter/VM start, standard library load). Reference-server values.
-    pub fn cold_init(self) -> SimDuration {
+    pub(crate) fn cold_init(self) -> SimDuration {
         match self {
             LanguageRuntime::Python => SimDuration::from_millis(300),
             LanguageRuntime::Go => SimDuration::from_millis(45),
@@ -53,7 +53,7 @@ impl LanguageRuntime {
     /// Multiplicative penalty on the *first* execution in a fresh runtime
     /// (JIT compilation, bytecode verification, lazy imports). Subsequent
     /// executions in the same runtime run at 1.0×.
-    pub fn first_exec_penalty(self) -> f64 {
+    pub(crate) fn first_exec_penalty(self) -> f64 {
         match self {
             LanguageRuntime::Python => 1.08,
             LanguageRuntime::Go => 1.02,
@@ -66,7 +66,7 @@ impl LanguageRuntime {
 
     /// Resident memory of the idle runtime inside a live container, beyond
     /// the container's own overhead.
-    pub fn idle_mem_bytes(self) -> u64 {
+    pub(crate) fn idle_mem_bytes(self) -> u64 {
         match self {
             LanguageRuntime::Python => 9 * 1024 * 1024,
             LanguageRuntime::Go => 2 * 1024 * 1024,

@@ -70,7 +70,7 @@ impl VolumeStore {
     }
 
     /// Creates and mounts a fresh volume; returns its id and the mount cost.
-    pub fn create_mounted(&mut self, hw: &HardwareProfile) -> (VolumeId, SimDuration) {
+    pub(crate) fn create_mounted(&mut self, hw: &HardwareProfile) -> (VolumeId, SimDuration) {
         let id = VolumeId(self.next_id);
         self.next_id += 1;
         self.volumes.insert(
@@ -94,7 +94,7 @@ impl VolumeStore {
 
     /// Algorithm 2's cleanup: wipes all files in the volume and remounts it
     /// fresh. Returns the virtual cost (per-file wipe + fixed remount).
-    pub fn wipe_and_remount(
+    pub(crate) fn wipe_and_remount(
         &mut self,
         id: VolumeId,
         hw: &HardwareProfile,
@@ -108,7 +108,7 @@ impl VolumeStore {
     }
 
     /// Unmounts a volume (container stopping) without deleting it.
-    pub fn unmount(&mut self, id: VolumeId) -> Result<(), VolumeError> {
+    pub(crate) fn unmount(&mut self, id: VolumeId) -> Result<(), VolumeError> {
         let vol = self.volumes.get_mut(&id).ok_or(VolumeError::NotFound(id))?;
         vol.mounted = false;
         Ok(())
@@ -116,7 +116,7 @@ impl VolumeStore {
 
     /// Deletes an unmounted volume ("the corresponding volumes are deleted
     /// once the containers stop execution").
-    pub fn delete(&mut self, id: VolumeId) -> Result<(), VolumeError> {
+    pub(crate) fn delete(&mut self, id: VolumeId) -> Result<(), VolumeError> {
         match self.volumes.get(&id) {
             None => Err(VolumeError::NotFound(id)),
             Some(v) if v.mounted => Err(VolumeError::StillMounted(id)),
@@ -141,11 +141,6 @@ impl VolumeStore {
     /// Whether no volumes exist.
     pub fn is_empty(&self) -> bool {
         self.volumes.is_empty()
-    }
-
-    /// Total bytes across all volumes.
-    pub fn total_bytes(&self) -> u64 {
-        self.volumes.values().map(|v| v.bytes).sum()
     }
 }
 

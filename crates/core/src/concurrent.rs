@@ -215,7 +215,7 @@ impl ShardedGateway {
     /// [`Self::begin`] through a pre-resolved [`FunctionHandle`]: no
     /// function-table lock, so a warm hit performs **zero** lock
     /// acquisitions before the engine's `begin_exec` critical section.
-    pub fn begin_handle(
+    pub(crate) fn begin_handle(
         &self,
         handle: &FunctionHandle,
         now: SimTime,
@@ -286,7 +286,7 @@ impl ShardedGateway {
     /// [`Self::finish`] through a pre-resolved [`FunctionHandle`]: no
     /// function-table lock. The handle must be the one the request began
     /// with.
-    pub fn finish_handle(
+    pub(crate) fn finish_handle(
         &self,
         handle: &FunctionHandle,
         inflight: InFlight,

@@ -33,22 +33,20 @@ use containersim::EngineError;
 use predictor::{EsMarkov, InitialValue, Predictor};
 use simclock::{SimDuration, SimTime};
 
-/// Controller tuning.
+/// Control interval: how often demand is sampled and the pool resized.
+const INTERVAL: SimDuration = SimDuration::from_secs(30);
+/// Seeding strategy for short series (paper: mean of first five).
+const INIT: InitialValue = InitialValue::MeanOfFirst5;
+/// Number of Markov demand regions.
+const REGIONS: usize = 6;
+/// Demand history window per key.
+const WINDOW: usize = 256;
+
+/// Controller tuning: the two knobs the ablations sweep.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Control interval (how often demand is sampled and the pool resized).
-    pub interval: SimDuration,
     /// Exponential smoothing coefficient (paper: 0.8).
     pub alpha: f64,
-    /// Seeding strategy for short series (paper: mean of first five).
-    pub init: InitialValue,
-    /// Number of Markov demand regions.
-    pub regions: usize,
-    /// Demand history window per key.
-    pub window: usize,
-    /// Fractional headroom added on top of the prediction (0.0 = exactly the
-    /// prediction; 0.25 = provision 25 % extra).
-    pub headroom: f64,
     /// Maximum fraction of the *excess* (current − target) retired per
     /// control step. Scale-up is immediate (cold starts hurt now); scale-down
     /// is deliberately gradual so capacity survives between recurring bursts
@@ -60,12 +58,7 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            interval: SimDuration::from_secs(30),
             alpha: 0.8,
-            init: InitialValue::MeanOfFirst5,
-            regions: 6,
-            window: 256,
-            headroom: 0.0,
             max_retire_fraction: 0.1,
         }
     }
@@ -89,12 +82,12 @@ pub struct StepReport {
 
 impl StepReport {
     /// Total predicted demand across keys.
-    pub fn predicted_total(&self) -> f64 {
+    pub(crate) fn predicted_total(&self) -> f64 {
         self.demand.iter().map(|&(_, p, _)| p).sum()
     }
 
     /// Total actual demand across keys.
-    pub fn actual_total(&self) -> usize {
+    pub(crate) fn actual_total(&self) -> usize {
         self.demand.iter().map(|&(_, _, d)| d).sum()
     }
 }
@@ -120,7 +113,6 @@ pub struct AdaptiveController {
     /// observed so skipped (zero-demand) intervals can be backfilled.
     ticks: u64,
     last_step: Option<SimTime>,
-    last_predictions: Vec<(KeyId, f64)>,
     /// Cumulative background cost of pre-warm/retire actions.
     background: SimDuration,
 }
@@ -128,17 +120,12 @@ pub struct AdaptiveController {
 impl AdaptiveController {
     /// Creates a controller.
     pub fn new(config: ControllerConfig) -> Self {
-        assert!(
-            !config.interval.is_zero(),
-            "control interval must be positive"
-        );
         AdaptiveController {
             config,
             predictors: Vec::new(),
             live_predictors: 0,
             ticks: 0,
             last_step: None,
-            last_predictions: Vec::new(),
             background: SimDuration::ZERO,
         }
     }
@@ -148,19 +135,9 @@ impl AdaptiveController {
         Self::new(ControllerConfig::default())
     }
 
-    /// The active tuning.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
-    }
-
-    /// Most recent per-key predictions (diagnostics / Fig. 10), for the keys
-    /// the last step visited, sorted by key id.
-    pub fn last_predictions(&self) -> &[(KeyId, f64)] {
-        &self.last_predictions
-    }
-
     /// Number of keys with a live predictor (bounded by the pool's slot GC).
-    pub fn predictor_count(&self) -> usize {
+    #[cfg(test)]
+    fn predictor_count(&self) -> usize {
         self.live_predictors
     }
 
@@ -171,7 +148,7 @@ impl AdaptiveController {
 
     /// Runs a control step if the interval has elapsed since the last one,
     /// returning the step's report when one ran.
-    pub fn maybe_step(
+    pub(crate) fn maybe_step(
         &mut self,
         pool: &ShardedPool,
         engine: &impl EngineRef,
@@ -179,7 +156,7 @@ impl AdaptiveController {
     ) -> Result<Option<StepReport>, EngineError> {
         let due = match self.last_step {
             None => true,
-            Some(last) => now.duration_since(last) >= self.config.interval,
+            Some(last) => now.duration_since(last) >= INTERVAL,
         };
         if !due {
             return Ok(None);
@@ -226,7 +203,6 @@ impl AdaptiveController {
         self.last_step = Some(now);
         self.ticks += 1;
         let tick = self.ticks;
-        self.last_predictions.clear();
         let mut report = StepReport::default();
         for shard in 0..pool.num_shards() {
             let snapshot = if full {
@@ -245,7 +221,6 @@ impl AdaptiveController {
             report.gc_keys += snapshot.retired.len();
             for sample in snapshot.demands {
                 let (id, demand) = (sample.id, sample.demand);
-                let cfg = &self.config;
                 if self.predictors.len() <= id.index() {
                     self.predictors.resize_with(id.index() + 1, || None);
                 }
@@ -255,12 +230,7 @@ impl AdaptiveController {
                     None => {
                         self.live_predictors += 1;
                         slot.insert(Box::new(KeyedPredictor {
-                            model: EsMarkov::with_params(
-                                cfg.alpha,
-                                cfg.init,
-                                cfg.regions,
-                                cfg.window,
-                            ),
+                            model: EsMarkov::with_params(self.config.alpha, INIT, REGIONS, WINDOW),
                             last_tick: tick - 1,
                         }))
                     }
@@ -274,8 +244,7 @@ impl AdaptiveController {
                 }
                 entry.last_tick = tick;
                 entry.model.observe(demand as f64);
-                let predicted = entry.model.predict() * (1.0 + self.config.headroom);
-                self.last_predictions.push((id, predicted));
+                let predicted = entry.model.predict();
                 report.demand.push((id, predicted, demand));
 
                 // Scale-down floor: never size below what the *last* interval
@@ -324,7 +293,6 @@ impl AdaptiveController {
             }
         }
         report.demand.sort_unstable_by_key(|&(id, _, _)| id);
-        self.last_predictions.sort_unstable_by_key(|&(id, _)| id);
         Ok(report)
     }
 }
@@ -449,24 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn headroom_prewarms_extra_capacity() {
-        let (mut e, pool, _) = setup();
-        let mut ctl = AdaptiveController::new(ControllerConfig {
-            headroom: 0.5,
-            ..Default::default()
-        });
-        for r in 0..8u64 {
-            let now = SimTime::from_secs(r * 30);
-            drive_demand(&pool, &mut e, 10, now);
-            step(&mut ctl, &pool, &mut e, now);
-        }
-        let key = pool.key_of(&cfg());
-        // 50 % headroom over a steady demand of 10 ⇒ ~15 warm runtimes.
-        assert!(pool.num_avail(&key) >= 13, "avail={}", pool.num_avail(&key));
-        assert!(ctl.background_cost() > SimDuration::ZERO);
-    }
-
-    #[test]
     fn maybe_step_respects_interval() {
         let (mut e, pool, mut ctl) = setup();
         let mut due = |secs| {
@@ -489,39 +439,30 @@ mod tests {
     /// predicted-vs-actual demand without re-deriving them.
     #[test]
     fn step_report_tallies_actions() {
-        let (mut e, mut pool, _) = setup();
-        let mut ctl = AdaptiveController::new(ControllerConfig {
-            headroom: 0.5,
-            ..Default::default()
-        });
+        let (mut e, mut pool, mut ctl) = setup();
         pool.set_gc_intervals(1);
         drive_demand(&pool, &mut e, 4, SimTime::ZERO);
+        // Demand grew to four, but limit eviction took two of them back
+        // before the step: the scale-down floor (what the interval needed)
+        // is above what is left, so the step pre-warms the difference.
+        for _ in 0..2 {
+            pool.evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::ZERO)
+                .unwrap();
+        }
         let report = step(&mut ctl, &pool, &mut e, SimTime::ZERO);
         assert_eq!(report.demand.len(), 1);
         assert_eq!(report.actual_total(), 4);
         assert!(report.predicted_total() > 0.0);
-        // Headroom over the observed demand forces pre-warms; four released
-        // containers already exist, so the target of ceil(pred*1.5) adds more.
-        assert!(report.prewarmed > 0, "report: {report:?}");
+        assert_eq!(report.prewarmed, 2, "report: {report:?}");
         assert_eq!(report.gc_keys, 0);
         // Drain the pool, then let the empty slot hit the GC threshold.
-        let key = pool.key_of(&cfg());
         while pool
-            .retire_one(&ExclusiveEngine::new(&mut e), &key, SimTime::from_secs(1))
+            .evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::from_secs(1))
             .unwrap()
             .is_some()
         {}
         let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(30));
         assert_eq!(report.gc_keys, 1, "report: {report:?}");
-    }
-
-    #[test]
-    fn predictions_are_exposed() {
-        let (mut e, pool, mut ctl) = setup();
-        drive_demand(&pool, &mut e, 3, SimTime::ZERO);
-        step(&mut ctl, &pool, &mut e, SimTime::ZERO);
-        let id = pool.id_of(&pool.key_of(&cfg())).unwrap();
-        assert!(ctl.last_predictions().iter().any(|&(k, _)| k == id));
     }
 
     /// Regression (unbounded predictor maps): when the pool GCs a dead
@@ -532,14 +473,13 @@ mod tests {
     fn gc_drops_predictors_for_dead_keys() {
         let (mut e, mut pool, mut ctl) = setup();
         pool.set_gc_intervals(2);
-        let key = pool.key_of(&cfg());
         drive_demand(&pool, &mut e, 2, SimTime::ZERO);
         step(&mut ctl, &pool, &mut e, SimTime::ZERO);
         assert_eq!(ctl.predictor_count(), 1);
-        // Empty the slot behind the controller's back (eviction under
-        // memory pressure would do the same).
+        // Empty the slot behind the controller's back, as eviction under
+        // memory pressure does.
         while pool
-            .retire_one(&ExclusiveEngine::new(&mut e), &key, SimTime::from_secs(1))
+            .evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::from_secs(1))
             .unwrap()
             .is_some()
         {}
@@ -594,10 +534,11 @@ mod tests {
                             pd.prewarm(&ExclusiveEngine::new(&mut ed), c, now).unwrap();
                         }
                         _ => {
-                            pf.retire_one(&ExclusiveEngine::new(&mut ef), &pf.key_of(c), now)
-                                .unwrap();
-                            pd.retire_one(&ExclusiveEngine::new(&mut ed), &pd.key_of(c), now)
-                                .unwrap();
+                            for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
+                                if let Some(id) = p.id_of(&p.key_of(c)) {
+                                    p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
+                                }
+                            }
                         }
                     }
                 }
@@ -615,15 +556,6 @@ mod tests {
                 assert_eq!(pf.num_in_use(&key), pd.num_in_use(&key));
             }
             assert_eq!(cf.predictor_count(), cd.predictor_count());
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "control interval must be positive")]
-    fn zero_interval_rejected() {
-        let _ = AdaptiveController::new(ControllerConfig {
-            interval: SimDuration::ZERO,
-            ..Default::default()
         });
     }
 }

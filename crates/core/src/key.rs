@@ -41,7 +41,7 @@ pub enum KeyPolicy {
 
 /// Cost of applying configuration deltas (env, limits, hostname) to a reused
 /// container under [`KeyPolicy::Fuzzy`]. Far below a cold start.
-pub const FUZZY_RECONFIG_COST: SimDuration = SimDuration::from_millis(18);
+pub(crate) const FUZZY_RECONFIG_COST: SimDuration = SimDuration::from_millis(18);
 
 /// A canonical, formatted runtime key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -276,7 +276,7 @@ impl KeyInterner {
     }
 
     /// The canonical key string for an id issued by this interner.
-    pub fn resolve(&self, id: KeyId) -> Option<RuntimeKey> {
+    pub(crate) fn resolve(&self, id: KeyId) -> Option<RuntimeKey> {
         self.state
             .read()
             .entries
@@ -299,7 +299,7 @@ impl KeyInterner {
 /// request needing `wanted` requires applying configuration deltas (only
 /// possible under [`KeyPolicy::Fuzzy`], where keys can match while configs
 /// differ).
-pub fn needs_reconfig(existing: &ContainerConfig, wanted: &ContainerConfig) -> bool {
+pub(crate) fn needs_reconfig(existing: &ContainerConfig, wanted: &ContainerConfig) -> bool {
     existing != wanted
 }
 

@@ -78,11 +78,11 @@
 //! assert!(warm.total() < cold.total() / 5);
 //! ```
 
-pub mod concurrent;
+mod concurrent;
 pub mod controller;
 pub mod key;
 pub mod limits;
-pub mod middleware;
+mod middleware;
 pub mod shard;
 
 pub use concurrent::{FunctionHandle, ShardedGateway};
@@ -90,4 +90,4 @@ pub use controller::{AdaptiveController, ControllerConfig};
 pub use key::{KeyId, KeyInterner, KeyPolicy, RuntimeKey};
 pub use limits::PoolLimits;
 pub use middleware::{HotC, HotCConfig};
-pub use shard::{EngineRef, ExclusiveEngine, ShardSnapshot, ShardedPool, DEFAULT_SHARDS};
+pub use shard::{EngineRef, ExclusiveEngine, ShardSnapshot, ShardedPool};

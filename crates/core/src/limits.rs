@@ -46,7 +46,7 @@ impl PoolLimits {
     /// Whether the pool/host currently violates a limit. Reads the pool's
     /// live count (one shard lock at a time) and the host memory pressure
     /// (engine lock) sequentially — the two locks are never nested.
-    pub fn violated(&self, pool: &ShardedPool, engine: &impl EngineRef) -> bool {
+    pub(crate) fn violated(&self, pool: &ShardedPool, engine: &impl EngineRef) -> bool {
         pool.total_live() > self.max_live
             || engine.with_engine(|e| e.host().memory_pressure()) > self.mem_threshold
     }

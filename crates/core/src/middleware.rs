@@ -100,7 +100,7 @@ impl HotC {
     /// Algorithm 1 under the limits: obtains a runtime for `config` (whose
     /// interned key is `key_id`), evicting down to the limits when that took
     /// a cold start. A warm hit takes no lock.
-    pub fn acquire_on(
+    pub(crate) fn acquire_on(
         &self,
         engine: &impl EngineRef,
         key_id: KeyId,
@@ -119,7 +119,7 @@ impl HotC {
     /// execution and cleans (or, if `crashed`, disposes of) the container in
     /// one engine critical section, returning it to the pool of the key it
     /// was acquired under — whatever the function is registered as by now.
-    pub fn finish_release_on(
+    pub(crate) fn finish_release_on(
         &self,
         engine: &impl EngineRef,
         container: ContainerId,
@@ -135,7 +135,7 @@ impl HotC {
 
     /// Algorithm 2: cleans a container whose execution has ended and returns
     /// it to the pool (a crashed one is disposed of), booking the cost.
-    pub fn release_on(
+    pub(crate) fn release_on(
         &self,
         engine: &impl EngineRef,
         container: ContainerId,
@@ -147,7 +147,7 @@ impl HotC {
 
     /// Periodic maintenance: one adaptive-controller step if its interval
     /// has elapsed (returning that step's report), then limit enforcement.
-    pub fn tick_on(
+    pub(crate) fn tick_on(
         &self,
         engine: &impl EngineRef,
         now: SimTime,

@@ -55,7 +55,7 @@
 //!   held — the controller's GC decisions can never race a half-finished
 //!   warm operation into stranding a container;
 //! * a slot exists only while a container of its type exists or existed
-//!   within the last [`ShardedPool::gc_intervals`] demand snapshots — failed
+//!   within the last [`ShardedPool::set_gc_intervals`] demand snapshots — failed
 //!   creates never materialize slots, and long-dead slots are garbage
 //!   collected together with their controller state.
 
@@ -74,11 +74,11 @@ use stdshim::FastMap;
 
 /// Default shard count — enough to spread a handful of worker threads'
 /// runtime types without measurable cost for single-threaded use.
-pub const DEFAULT_SHARDS: usize = 8;
+pub(crate) const DEFAULT_SHARDS: usize = 8;
 
 /// Default number of consecutive zero-demand snapshots after which an empty
 /// slot is garbage collected.
-pub const DEFAULT_GC_INTERVALS: u32 = 3;
+pub(crate) const DEFAULT_GC_INTERVALS: u32 = 3;
 
 /// Slots per chunk of a key's slot array. A key starts with one chunk and
 /// appends another whenever all its slots are occupied.
@@ -565,7 +565,7 @@ pub struct ShardSnapshot {
 /// has executed before (the payload of the slot's packed entry) and whether
 /// any lock was taken on the way.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoolAcquisition {
+pub(crate) struct PoolAcquisition {
     /// The container to run in.
     pub container: ContainerId,
     /// Virtual time spent obtaining it.
@@ -747,11 +747,6 @@ impl ShardedPool {
         self.shards.len()
     }
 
-    /// Consecutive zero-demand snapshots before an empty slot is GC'd.
-    pub fn gc_intervals(&self) -> u32 {
-        self.gc_intervals
-    }
-
     /// Overrides the empty-slot GC threshold (setup only).
     pub fn set_gc_intervals(&mut self, intervals: u32) {
         self.gc_intervals = intervals.max(1);
@@ -782,7 +777,7 @@ impl ShardedPool {
 
     /// The shard a key lives on. Ids are dense, so round-robin by index
     /// gives a perfect spread without hashing.
-    pub fn shard_of(&self, id: KeyId) -> usize {
+    pub(crate) fn shard_of(&self, id: KeyId) -> usize {
         id.index() % self.shards.len()
     }
 
@@ -861,7 +856,7 @@ impl ShardedPool {
     /// the packed entry yields the container. Only a miss (no warm
     /// container) falls to the shard lock, and only a cold start touches
     /// the engine.
-    pub fn acquire_id(
+    pub(crate) fn acquire_id(
         &self,
         engine: &impl EngineRef,
         id: KeyId,
@@ -1008,7 +1003,7 @@ impl ShardedPool {
     /// disposed of) in a **single** engine critical section. The reverse
     /// index knows the container's *true* key, so a function re-registered
     /// with a different configuration mid-flight changes nothing here.
-    pub fn try_finish_release(
+    pub(crate) fn try_finish_release(
         &self,
         engine: &impl EngineRef,
         container: ContainerId,
@@ -1124,7 +1119,7 @@ impl ShardedPool {
     /// Pre-warms one container for a key the pool already tracks, using the
     /// slot's representative configuration. Returns `Ok(None)` if the key is
     /// unknown (e.g. its slot was GC'd since the snapshot).
-    pub fn prewarm_key_id(
+    pub(crate) fn prewarm_key_id(
         &self,
         engine: &impl EngineRef,
         id: KeyId,
@@ -1166,19 +1161,6 @@ impl ShardedPool {
             Some(container) => engine
                 .with_engine(|e| e.stop_and_remove(container, now))
                 .map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// [`Self::retire_one_id`] by canonical key (compatibility path).
-    pub fn retire_one(
-        &self,
-        engine: &impl EngineRef,
-        key: &RuntimeKey,
-        now: SimTime,
-    ) -> Result<Option<SimDuration>, EngineError> {
-        match self.id_of(key) {
-            Some(id) => self.retire_one_id(engine, id, now),
             None => Ok(None),
         }
     }
@@ -1323,7 +1305,7 @@ impl ShardedPool {
     /// Takes one shard's **full-sweep** demand snapshot (`history[k][t]`):
     /// visits every slot, resets watermarks for the next control interval,
     /// and garbage-collects slots that have been empty for
-    /// [`Self::gc_intervals`] consecutive zero-demand snapshots. Keys with
+    /// [`Self::set_gc_intervals`] consecutive zero-demand snapshots. Keys with
     /// live containers are always reported, including zero-demand intervals.
     ///
     /// GC fires only when the key's live population — its slot array's
@@ -1416,7 +1398,7 @@ impl ShardedPool {
     /// Takes one shard's **dirty-set** demand snapshot: visits only the keys
     /// touched since the last snapshot or still holding containers, plus the
     /// cold queue's due GC deadlines (the "idle sweep" that guarantees
-    /// zero-demand GC fires within [`Self::gc_intervals`] snapshots of a key
+    /// zero-demand GC fires within [`Self::set_gc_intervals`] snapshots of a key
     /// going cold — identical timing to the full sweep).
     ///
     /// Work is O(active keys + due GCs), independent of how many keys the
@@ -1674,11 +1656,6 @@ pub mod model_api {
         /// Real eviction claim phase ([`KeySlots::evict_at`]).
         pub fn evict_at(&self, i: usize, container: ContainerId) -> bool {
             self.ks.evict_at(i, container)
-        }
-
-        /// Advisory `avail` population ([`super::SlotBitmap::count`]).
-        pub fn avail_count(&self) -> usize {
-            self.ks.avail_count()
         }
 
         /// Advisory `in_use` population.
@@ -1968,10 +1945,10 @@ mod tests {
             let c = cfg("alpine:3.12");
             full.prewarm(&ef, &c, SimTime::ZERO).unwrap();
             dirty.prewarm(&ed, &c, SimTime::ZERO).unwrap();
-            full.retire_one(&ef, &full.key_of(&c), SimTime::ZERO)
+            full.retire_one_id(&ef, full.intern_config(&c), SimTime::ZERO)
                 .unwrap();
             dirty
-                .retire_one(&ed, &dirty.key_of(&c), SimTime::ZERO)
+                .retire_one_id(&ed, dirty.intern_config(&c), SimTime::ZERO)
                 .unwrap();
             // The slot is empty; both modes must GC it at the same snapshot.
             for step in 1..=gc + 1 {
@@ -2135,7 +2112,7 @@ mod tests {
         assert_eq!(pool.num_avail(&key), 3);
 
         let retired = pool
-            .retire_one(&ex(&mut e), &key, SimTime::from_secs(10))
+            .retire_one_id(&ex(&mut e), pool.intern_config(&c), SimTime::from_secs(10))
             .unwrap();
         assert!(retired.is_some());
         assert_eq!(pool.num_avail(&key), 2);
@@ -2156,11 +2133,6 @@ mod tests {
         let pool = ShardedPool::new(KeyPolicy::Exact);
         assert!(pool
             .evict_oldest(&ex(&mut e), SimTime::ZERO)
-            .unwrap()
-            .is_none());
-        let key = pool.key_of(&cfg("alpine:3.12"));
-        assert!(pool
-            .retire_one(&ex(&mut e), &key, SimTime::ZERO)
             .unwrap()
             .is_none());
     }
@@ -2189,8 +2161,7 @@ mod tests {
         // Available ⇒ 1.
         assert_eq!(pool.pool_code(&e, acq.container), 1);
 
-        let key = pool.key_of(&c);
-        pool.retire_one(&ex(&mut e), &key, SimTime::from_secs(2))
+        pool.retire_one_id(&ex(&mut e), pool.intern_config(&c), SimTime::from_secs(2))
             .unwrap();
         // Gone ⇒ -1.
         assert_eq!(pool.pool_code(&e, acq.container), -1);
@@ -2320,9 +2291,8 @@ mod tests {
         let mut pool = ShardedPool::new(KeyPolicy::Exact);
         pool.set_gc_intervals(2);
         let c = cfg("alpine:3.12");
-        let key = pool.key_of(&c);
         run_request(&pool, &mut e, &c, SimTime::ZERO);
-        pool.retire_one(&ex(&mut e), &key, SimTime::from_secs(1))
+        pool.retire_one_id(&ex(&mut e), pool.intern_config(&c), SimTime::from_secs(1))
             .unwrap();
         assert_eq!(pool.total_live(), 0);
 
@@ -2353,7 +2323,7 @@ mod tests {
         let c = cfg("golang:1.13");
         run_request(&pool, &mut e, &c, SimTime::ZERO);
         let key = pool.key_of(&c);
-        pool.retire_one(&ex(&mut e), &key, SimTime::from_secs(1))
+        pool.retire_one_id(&ex(&mut e), pool.intern_config(&c), SimTime::from_secs(1))
             .unwrap();
         demand_snapshot(&pool); // served-traffic interval
         demand_snapshot(&pool); // zero interval ⇒ GC
@@ -2401,8 +2371,9 @@ mod tests {
                         pool.prewarm(&ex(&mut e), c, now).unwrap();
                     }
                     3 => {
-                        let key = pool.key_of(c);
-                        pool.retire_one(&ex(&mut e), &key, now).unwrap();
+                        if let Some(id) = pool.id_of(&pool.key_of(c)) {
+                            pool.retire_one_id(&ex(&mut e), id, now).unwrap();
+                        }
                     }
                     _ => {
                         pool.evict_oldest(&ex(&mut e), now).unwrap();
@@ -2489,7 +2460,9 @@ mod tests {
                         pool.prewarm(&ex(&mut e), c, now).unwrap();
                     }
                     6 => {
-                        pool.retire_one(&ex(&mut e), &pool.key_of(c), now).unwrap();
+                        if let Some(id) = pool.id_of(&pool.key_of(c)) {
+                            pool.retire_one_id(&ex(&mut e), id, now).unwrap();
+                        }
                     }
                     _ => {
                         evict_in_lockstep(&pool, &mut e, now);

@@ -343,9 +343,8 @@ impl<P: RuntimeProvider> Gateway<P> {
         let spec = self
             .functions
             .get(function)
-            .ok_or_else(|| GatewayError::UnknownFunction(function.to_string()))?
-            .clone();
-        self.begin_with(&spec, now)
+            .ok_or_else(|| GatewayError::UnknownFunction(function.to_string()))?;
+        Self::begin_on(&mut self.engine, &mut self.provider, spec, now)
     }
 
     /// [`Self::begin`] with a caller-held spec, bypassing this gateway's
@@ -357,16 +356,28 @@ impl<P: RuntimeProvider> Gateway<P> {
         spec: &FunctionSpec,
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
+        Self::begin_on(&mut self.engine, &mut self.provider, spec, now)
+    }
+
+    /// The one body of [`Self::begin`] and [`Self::begin_with`], over the
+    /// engine and provider only so a registered spec can be borrowed from
+    /// `functions` for the call instead of cloned per request.
+    fn begin_on(
+        engine: &mut ContainerEngine,
+        provider: &mut P,
+        spec: &FunctionSpec,
+        now: SimTime,
+    ) -> Result<InFlight, GatewayError> {
         let t1 = now;
         let t2 = t1 + GATEWAY_HOP;
-        let acq = self.provider.acquire(&mut self.engine, &spec.config, t2)?;
+        let acq = provider.acquire(engine, &spec.config, t2)?;
         // App init is due on a fresh runtime AND when the pooled runtime
         // last ran a different app (fuzzy keys / shared runtime types).
-        let needs_app_init = self.engine.load_app(acq.container, spec.app.name)?;
+        let needs_app_init = engine.load_app(acq.container, spec.app.name)?;
         let work = spec.app.work_for(needs_app_init);
         // Function initiation: watchdog shim + obtaining the runtime.
         let t3 = t2 + WATCHDOG_HOP + acq.cost;
-        let outcome = self.engine.begin_exec(acq.container, work, t3)?;
+        let outcome = engine.begin_exec(acq.container, work, t3)?;
         let t4 = t3 + outcome.latency;
         Ok(InFlight {
             function: spec.name.clone(),
@@ -610,6 +621,34 @@ mod tests {
         let inflight = gw2.begin("random-number", SimTime::from_secs(3)).unwrap();
         let t2 = gw2.finish(inflight).unwrap();
         assert_eq!(t1, t2);
+    }
+
+    /// A registered spec and the same spec handed in on a twin gateway take
+    /// one path: identical traces cold and warm, identical `fn/` scopes.
+    #[test]
+    fn begin_and_begin_with_agree() {
+        let mut registered = gateway(FixedKeepAlive::aws_default());
+        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let mut handed = Gateway::new(engine, FixedKeepAlive::aws_default());
+        let spec = FunctionSpec::from_app(AppProfile::random_number());
+        for at in [0, 10] {
+            let now = SimTime::from_secs(at);
+            let a = registered.begin("random-number", now).unwrap();
+            let b = handed.begin_with(&spec, now).unwrap();
+            let (a, b) = (registered.finish(a).unwrap(), handed.finish(b).unwrap());
+            assert_eq!(a, b);
+            assert_eq!(a.cold, at == 0);
+        }
+        let (a, b) = (registered.metrics().snapshot(), handed.metrics().snapshot());
+        let scopes = |s: &metrics_lite::MetricsSnapshot| -> Vec<String> {
+            s.stages.iter().map(|(scope, _)| scope.clone()).collect()
+        };
+        assert_eq!(scopes(&a), ["all", "fn/random-number"]);
+        assert_eq!(scopes(&a), scopes(&b));
+        for (stage, count) in [(Stage::RuntimeInit, 1), (Stage::Exec, 2)] {
+            assert_eq!(a.stage_count("fn/random-number", stage), count);
+            assert_eq!(b.stage_count("fn/random-number", stage), count);
+        }
     }
 
     #[test]

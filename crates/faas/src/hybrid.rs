@@ -110,8 +110,10 @@ impl TypeHistory {
 ///     let trace = gateway.handle("random-number", now).unwrap();
 ///     now = trace.t4_func_end + SimDuration::from_secs(30);
 /// }
-/// let config = gateway.function("random-number").unwrap().config.clone();
-/// assert!(gateway.provider().ttl_for(&config) < SimDuration::from_mins(2));
+/// // Two idle minutes later the container is gone: ten minutes was only the
+/// // default until the type had a history.
+/// gateway.tick(now + SimDuration::from_mins(2)).unwrap();
+/// assert_eq!(gateway.provider().warm_count(), 0);
 /// ```
 #[derive(Debug)]
 pub struct HybridKeepAlive {
@@ -138,7 +140,8 @@ impl HybridKeepAlive {
     }
 
     /// The TTL currently in force for a configuration (learned or default).
-    pub fn ttl_for(&self, config: &ContainerConfig) -> SimDuration {
+    #[cfg(test)]
+    fn ttl_for(&self, config: &ContainerConfig) -> SimDuration {
         self.history
             .get(config)
             .map(|h| h.learned_ttl(&self.config))

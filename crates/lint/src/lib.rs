@@ -3,14 +3,16 @@
 //! The binary (`cargo run -p hotc-lint`) is a thin wrapper over
 //! [`lint_workspace`]; the fixture corpus under `tests/fixtures/` drives
 //! [`rules::check_rust_file`] / [`rules::check_manifest`] directly against
-//! files with known expected violations. Deny by default: any violation
-//! exits 1; the only escape is a reasoned `// lint:allow(rule, reason)` on
-//! or directly above the offending line.
+//! files with known expected violations, and [`lint_workspace`] against the
+//! miniature trees of the cross-file `dead-pub` rule. Deny by default: any
+//! violation exits 1; the only escape is a reasoned
+//! `// lint:allow(rule, reason)` on or directly above the offending line.
 
 #![warn(missing_docs)]
 
+mod dead_pub;
 pub mod rules;
-pub mod scan;
+mod scan;
 
 use rules::Violation;
 use std::path::{Path, PathBuf};
@@ -56,7 +58,7 @@ impl ToJson for Outcome {
 /// Recursively collects `.rs` and `Cargo.toml` files, skipping build output,
 /// VCS/tooling directories, and lint fixture corpora (`tests/fixtures/`
 /// holds files with *deliberate* violations driven by their own test).
-pub fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+pub(crate) fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("dir entry in {}: {e}", dir.display()))?;
@@ -98,7 +100,7 @@ pub fn lint_workspace(root: &Path) -> Result<Outcome, String> {
     files.sort();
 
     let mut violations = Vec::new();
-    let mut scanned = 0usize;
+    let mut sources = Vec::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -106,15 +108,18 @@ pub fn lint_workspace(root: &Path) -> Result<Outcome, String> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = std::fs::read_to_string(path).map_err(|e| format!("read {rel}: {e}"))?;
-        scanned += 1;
         if rel.ends_with("Cargo.toml") {
             violations.extend(rules::check_manifest(&rel, &src));
         } else {
-            violations.extend(rules::check_rust_file(&rel, &src));
+            let scanned = scan::scan(&src);
+            violations.extend(rules::check_scanned(&rel, &scanned));
+            sources.push((rel, scanned));
         }
     }
+    violations.extend(dead_pub::check(&sources));
+    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(Outcome {
         violations,
-        scanned,
+        scanned: files.len(),
     })
 }

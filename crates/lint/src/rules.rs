@@ -26,6 +26,9 @@
 //! | `unchecked-cas`   | discarding a `compare_exchange[_weak]` /             |
 //! |                   | `fetch_update` result (bare statement or `let _ =`)  |
 //! | `hermetic-deps`   | non-path dependencies in any `Cargo.toml`            |
+//! | `dead-pub`        | a `pub` item of `crates/*/src` that no other package |
+//! |                   | and none of its own tests/benches/bins/doc-tests     |
+//! |                   | names (the one cross-file rule: [`crate::dead_pub`]) |
 
 use crate::scan::{scan, Scanned};
 
@@ -43,7 +46,7 @@ pub struct Violation {
 }
 
 impl Violation {
-    fn new(file: &str, line: usize, rule: &'static str, msg: String) -> Self {
+    pub(crate) fn new(file: &str, line: usize, rule: &'static str, msg: String) -> Self {
         Violation {
             file: file.to_string(),
             line,
@@ -122,7 +125,7 @@ fn parse_allows(text: &str) -> (Vec<String>, Vec<String>) {
 /// The allow rules that cover line `idx` (0-based): escapes in the line's
 /// own comment or on a comment-only line directly above. Parsed from the
 /// comments view, so `lint:allow` inside a string literal is inert.
-fn allows_for(scanned: &Scanned, idx: usize) -> Vec<String> {
+pub(crate) fn allows_for(scanned: &Scanned, idx: usize) -> Vec<String> {
     let mut rules = parse_allows(&scanned.comments[idx]).0;
     if idx > 0 && scanned.raw[idx - 1].trim().starts_with("//") {
         rules.extend(parse_allows(&scanned.comments[idx - 1]).0);
@@ -313,16 +316,20 @@ const ITERATION_ACCESSORS: [&str; 7] = [
     ".drain(",
 ];
 
-/// Runs every source rule over one `.rs` file.
+/// Runs every single-file source rule over one `.rs` file.
 pub fn check_rust_file(rel: &str, src: &str) -> Vec<Violation> {
-    let scanned = scan(src);
+    check_scanned(rel, &scan(src))
+}
+
+/// [`check_rust_file`] over an already scanned file.
+pub(crate) fn check_scanned(rel: &str, scanned: &Scanned) -> Vec<Violation> {
     let mut out = Vec::new();
     let scaffolding = is_test_scaffolding(rel);
     let bench_crate = rel.starts_with("crates/bench/");
     let stdshim_crate = rel.starts_with("crates/stdshim/");
     let deterministic = DETERMINISTIC_CRATES.iter().any(|c| rel.starts_with(c));
     let map_idents = if deterministic {
-        hash_container_idents(&scanned)
+        hash_container_idents(scanned)
     } else {
         Vec::new()
     };
@@ -463,7 +470,7 @@ pub fn check_rust_file(rel: &str, src: &str) -> Vec<Violation> {
         if !scaffolding && !in_test {
             for op in CAS_OPS {
                 if let Some(at) = code.find(op) {
-                    if unchecked_cas(&scanned, idx, op, at) {
+                    if unchecked_cas(scanned, idx, op, at) {
                         candidates.push((
                             "unchecked-cas",
                             format!(
@@ -499,7 +506,7 @@ pub fn check_rust_file(rel: &str, src: &str) -> Vec<Violation> {
         }
 
         if !candidates.is_empty() {
-            let allowed = allows_for(&scanned, idx);
+            let allowed = allows_for(scanned, idx);
             for (rule, msg) in candidates {
                 if !allowed.iter().any(|a| a == rule) {
                     out.push(Violation::new(rel, line_no, rule, msg));

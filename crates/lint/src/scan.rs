@@ -24,7 +24,7 @@ pub struct Scanned {
 }
 
 /// Scans a file into masked lines plus test-region flags.
-pub fn scan(src: &str) -> Scanned {
+pub(crate) fn scan(src: &str) -> Scanned {
     let (masked, comment_text) = mask_source(src);
     let raw: Vec<String> = src.lines().map(str::to_string).collect();
     let code: Vec<String> = masked.lines().map(str::to_string).collect();
@@ -61,7 +61,7 @@ fn is_ident_byte(b: u8) -> bool {
 /// Blanks comments and literal contents from the code view and everything
 /// but comment text from the comments view; both preserve length and
 /// newlines. Returns `(code, comments)`.
-pub fn mask_source(src: &str) -> (String, String) {
+pub(crate) fn mask_source(src: &str) -> (String, String) {
     let b = src.as_bytes();
     let mut out = b.to_vec();
     let mut com: Vec<u8> = b
@@ -215,7 +215,7 @@ pub fn mask_source(src: &str) -> (String, String) {
 /// attribute and closes when depth returns to its pre-item level. An
 /// attribute followed by `;` before any `{` gates a single statement-like
 /// item and is closed there.
-pub fn test_regions(code: &[String]) -> Vec<bool> {
+pub(crate) fn test_regions(code: &[String]) -> Vec<bool> {
     let mut out = vec![false; code.len()];
     let mut depth: i64 = 0;
     let mut pending = false;

@@ -3,15 +3,18 @@
 //! header comment, and the findings must match its `.expect` manifest
 //! (`line:rule` per line, order-insensitive) exactly — positive cases prove
 //! each rule fires, negative cases prove it stays quiet on the idiomatic
-//! form. The workspace scan skips `tests/fixtures/` ([`hotc_lint::collect_files`]),
-//! so the deliberate violations here never fail the real lint run.
+//! form. A fixture *directory* is a miniature workspace for the cross-file
+//! `dead-pub` rule: it is linted whole and its manifest lines read
+//! `file:line:rule`. The workspace scan skips `tests/fixtures/`, so the
+//! deliberate violations here never fail the real lint run.
 
+use hotc_lint::lint_workspace;
 use hotc_lint::rules::{check_manifest, check_rust_file};
 use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Every rule in the set; the corpus must exercise each at least once.
-const ALL_RULES: [&str; 10] = [
+const ALL_RULES: [&str; 11] = [
     "wall-clock",
     "raw-lock",
     "map-iteration",
@@ -22,6 +25,7 @@ const ALL_RULES: [&str; 10] = [
     "unchecked-cas",
     "allow-syntax",
     "hermetic-deps",
+    "dead-pub",
 ];
 
 fn fixture_dir() -> std::path::PathBuf {
@@ -67,26 +71,36 @@ fn fixture_corpus_matches_expected_violations() {
             .to_string_lossy()
             .to_string();
         let is_rust = name.ends_with(".rs");
-        if !is_rust && !name.ends_with(".toml") {
+        if !is_rust && !name.ends_with(".toml") && !path.is_dir() {
             continue;
         }
-        let src = std::fs::read_to_string(&path).expect("readable fixture");
         let manifest_path = path.with_extension("expect");
         let manifest = std::fs::read_to_string(&manifest_path)
             .unwrap_or_else(|e| panic!("fixture {name} lacks its .expect manifest: {e}"));
-        let rel = declared_path(&name, &src);
-        let violations = if is_rust {
-            check_rust_file(&rel, &src)
+        let (violations, mut got): (_, Vec<String>) = if path.is_dir() {
+            let violations = lint_workspace(&path).expect("readable tree").violations;
+            let got = violations
+                .iter()
+                .map(|v| format!("{}:{}:{}", v.file, v.line, v.rule))
+                .collect();
+            (violations, got)
         } else {
-            check_manifest(&rel, &src)
+            let src = std::fs::read_to_string(&path).expect("readable fixture");
+            let rel = declared_path(&name, &src);
+            let violations = if is_rust {
+                check_rust_file(&rel, &src)
+            } else {
+                check_manifest(&rel, &src)
+            };
+            let got = violations
+                .iter()
+                .map(|v| {
+                    assert_eq!(v.file, rel, "{name}: finding reports the declared path");
+                    format!("{}:{}", v.line, v.rule)
+                })
+                .collect();
+            (violations, got)
         };
-        let mut got: Vec<String> = violations
-            .iter()
-            .map(|v| {
-                assert_eq!(v.file, rel, "{name}: finding reports the declared path");
-                format!("{}:{}", v.line, v.rule)
-            })
-            .collect();
         got.sort();
         assert_eq!(
             got,

@@ -43,18 +43,6 @@ impl Cdf {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Evenly spaced `(value, probability)` points for plotting: the CDF
-    /// evaluated at `n` quantiles.
-    pub fn curve(&self, n: usize) -> Vec<(SimDuration, f64)> {
-        assert!(n >= 2, "need at least two curve points");
-        (0..n)
-            .map(|i| {
-                let q = i as f64 / (n - 1) as f64;
-                (self.quantile(q.max(1e-9)), q)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -95,19 +83,6 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn empty_rejected() {
         let _ = Cdf::from_samples(&[]);
-    }
-
-    #[test]
-    fn curve_is_monotone() {
-        let samples: Vec<_> = (1..=50).map(|i| ms(i * i)).collect();
-        let cdf = Cdf::from_samples(&samples);
-        let curve = cdf.curve(11);
-        assert_eq!(curve.len(), 11);
-        for w in curve.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert!((curve.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 
     /// eval is monotone non-decreasing.

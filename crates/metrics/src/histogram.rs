@@ -178,7 +178,7 @@ impl LatencyHistogram {
 
     /// Exact sum of all samples in nanoseconds (tracked outside the
     /// buckets), for reconciling aggregates against e2e totals.
-    pub fn sum_ns(&self) -> u128 {
+    pub(crate) fn sum_ns(&self) -> u128 {
         self.sum_ns
     }
 

@@ -7,15 +7,15 @@
 //! Everything here is deterministic and allocation-conscious: recorders are
 //! used on the hot path of the contention benchmarks.
 
-pub mod cdf;
-pub mod histogram;
+mod cdf;
+mod histogram;
 pub mod latency;
 pub mod registry;
 pub mod snapshot;
-pub mod stage;
+mod stage;
 pub mod stats;
 pub mod table;
-pub mod timeseries;
+mod timeseries;
 
 pub use cdf::Cdf;
 pub use histogram::LatencyHistogram;

@@ -73,11 +73,6 @@ impl Stripe {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -154,7 +149,7 @@ impl StageSet {
     }
 
     /// Merged histogram of the recorded sample totals (one per sample).
-    pub fn merged_total(&self) -> LatencyHistogram {
+    pub(crate) fn merged_total(&self) -> LatencyHistogram {
         self.merged_index(N_STAGES)
     }
 
@@ -169,7 +164,7 @@ impl StageSet {
     }
 
     /// Merged histograms for all stages, in [`Stage::ALL`] order.
-    pub fn merged_all(&self) -> Vec<(Stage, LatencyHistogram)> {
+    pub(crate) fn merged_all(&self) -> Vec<(Stage, LatencyHistogram)> {
         Stage::ALL.iter().map(|&s| (s, self.merged(s))).collect()
     }
 
@@ -194,7 +189,7 @@ impl StageSet {
 ///
 /// let reg = MetricsRegistry::new();
 /// let requests = reg.counter("gateway/requests");
-/// requests.incr();
+/// requests.add(1);
 ///
 /// let mut sample = StageSample::new();
 /// sample.set(Stage::Exec, SimDuration::from_millis(5));
@@ -421,7 +416,7 @@ impl MetricsRegistry {
     }
 
     /// Snapshot of every named time series.
-    pub fn series_snapshot(&self) -> Vec<(String, TimeSeries)> {
+    pub(crate) fn series_snapshot(&self) -> Vec<(String, TimeSeries)> {
         let mut out: Vec<_> = self
             .series
             .lock()
@@ -525,7 +520,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let a = reg.counter("x");
         let b = reg.counter("x");
-        a.incr();
+        a.add(1);
         b.add(2);
         assert_eq!(reg.counter("x").get(), 3);
         assert_eq!(reg.counter("y").get(), 0);

@@ -108,7 +108,7 @@ impl MetricsSnapshot {
     }
 
     /// One stage's summary within a scope, if the scope exists.
-    pub fn stage(&self, scope: &str, stage: Stage) -> Option<HistogramSummary> {
+    pub(crate) fn stage(&self, scope: &str, stage: Stage) -> Option<HistogramSummary> {
         let (_, stages) = self.stages.iter().find(|(s, _)| s == scope)?;
         stages.iter().find(|&&(s, _)| s == stage).map(|&(_, h)| h)
     }
@@ -119,7 +119,7 @@ impl MetricsSnapshot {
     }
 
     /// Exact nanosecond sum of one stage in a scope (0 when absent).
-    pub fn stage_sum_ns(&self, scope: &str, stage: Stage) -> u64 {
+    pub(crate) fn stage_sum_ns(&self, scope: &str, stage: Stage) -> u64 {
         self.stage(scope, stage).map_or(0, |h| h.sum_ns)
     }
 
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn snapshot_serializes_to_json() {
         let reg = MetricsRegistry::new();
-        reg.counter("gateway/requests").incr();
+        reg.counter("gateway/requests").add(1);
         let mut s = StageSample::new();
         s.set(Stage::Exec, SimDuration::from_millis(1));
         reg.stage_set("all").record(&s);

@@ -58,7 +58,7 @@ impl StreamingStats {
     }
 
     /// Population variance (0 for fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {

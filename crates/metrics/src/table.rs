@@ -34,12 +34,6 @@ impl Table {
         self
     }
 
-    /// Convenience for string-literal rows.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -110,19 +104,6 @@ pub fn render_series(title: &str, labels: &[String], values: &[f64], max_width: 
     out
 }
 
-/// Formats a float with engineering-friendly precision for table cells.
-pub fn fmt_f64(v: f64) -> String {
-    if v == 0.0 {
-        "0".to_string()
-    } else if v.abs() >= 100.0 {
-        format!("{v:.1}")
-    } else if v.abs() >= 1.0 {
-        format!("{v:.2}")
-    } else {
-        format!("{v:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,8 +111,8 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new("demo", &["name", "value"]);
-        t.row_strs(&["short", "1"]);
-        t.row_strs(&["a-much-longer-name", "22"]);
+        t.row(&["short", "1"].map(String::from));
+        t.row(&["a-much-longer-name", "22"].map(String::from));
         let s = t.render();
         assert!(s.contains("== demo =="));
         assert!(s.contains("name"));
@@ -147,7 +128,7 @@ mod tests {
     #[should_panic(expected = "row arity mismatch")]
     fn arity_mismatch_panics() {
         let mut t = Table::new("bad", &["a", "b"]);
-        t.row_strs(&["only-one"]);
+        t.row(&["only-one".to_string()]);
     }
 
     #[test]
@@ -169,13 +150,5 @@ mod tests {
         assert!(s.contains("empty series"));
         let z = render_series("z", &["a".to_string()], &[0.0], 10);
         assert!(z.contains("a"));
-    }
-
-    #[test]
-    fn fmt_f64_picks_precision() {
-        assert_eq!(fmt_f64(0.0), "0");
-        assert_eq!(fmt_f64(1234.5), "1234.5");
-        assert_eq!(fmt_f64(2.34567), "2.35");
-        assert_eq!(fmt_f64(0.01234), "0.0123");
     }
 }

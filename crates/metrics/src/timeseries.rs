@@ -1,6 +1,6 @@
 //! Timestamped value series for resource timelines and demand histories.
 
-use simclock::{SimDuration, SimTime};
+use simclock::SimTime;
 
 /// A time-ordered series of `(SimTime, f64)` samples.
 #[derive(Debug, Clone, Default)]
@@ -48,81 +48,12 @@ impl TimeSeries {
         self.points.iter().map(|&(_, v)| v).collect()
     }
 
-    /// Last value at or before `t` (step interpolation), if any sample
-    /// precedes `t`.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        let idx = self.points.partition_point(|&(at, _)| at <= t);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.points[idx - 1].1)
-        }
-    }
-
-    /// Bins the series into fixed windows of `width`, averaging the samples
-    /// in each bin. Empty bins repeat the previous bin's value (step-hold),
-    /// starting from 0. Returns one value per bin covering `[start, end)`;
-    /// when the range is not an exact multiple of `width` the final bin is a
-    /// partial window (shorter than `width`) so no sample is dropped.
-    pub fn bin_average(&self, start: SimTime, end: SimTime, width: SimDuration) -> Vec<f64> {
-        assert!(!width.is_zero(), "bin width must be positive");
-        assert!(end > start, "empty binning range");
-        let span = end.duration_since(start);
-        let whole = span.div_duration(width) as usize;
-        let nbins = if span.as_nanos().is_multiple_of(width.as_nanos()) {
-            whole
-        } else {
-            whole + 1
-        };
-        let mut sums = vec![0.0; nbins];
-        let mut counts = vec![0u32; nbins];
-        for &(at, v) in &self.points {
-            if at < start || at >= end {
-                continue;
-            }
-            let bin = at.duration_since(start).div_duration(width) as usize;
-            if bin < nbins {
-                sums[bin] += v;
-                counts[bin] += 1;
-            }
-        }
-        let mut out = Vec::with_capacity(nbins);
-        let mut last = 0.0;
-        for i in 0..nbins {
-            if counts[i] > 0 {
-                last = sums[i] / counts[i] as f64;
-            }
-            out.push(last);
-        }
-        out
-    }
-
     /// Peak value (None when empty).
     pub fn max(&self) -> Option<f64> {
         self.points
             .iter()
             .map(|&(_, v)| v)
             .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Time-weighted average over the sampled span (step-hold between
-    /// samples). None for fewer than 2 samples.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for w in self.points.windows(2) {
-            let dt = w[1].0.duration_since(w[0].0).as_secs_f64();
-            weighted += w[0].1 * dt;
-            total += dt;
-        }
-        if total == 0.0 {
-            None
-        } else {
-            Some(weighted / total)
-        }
     }
 }
 
@@ -140,10 +71,7 @@ mod tests {
         ts.push(t(1), 10.0);
         ts.push(t(3), 30.0);
         assert_eq!(ts.len(), 2);
-        assert_eq!(ts.value_at(t(0)), None);
-        assert_eq!(ts.value_at(t(1)), Some(10.0));
-        assert_eq!(ts.value_at(t(2)), Some(10.0));
-        assert_eq!(ts.value_at(t(5)), Some(30.0));
+        assert_eq!(ts.points(), [(t(1), 10.0), (t(3), 30.0)]);
     }
 
     #[test]
@@ -155,48 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn bin_average_basic() {
-        let mut ts = TimeSeries::new();
-        ts.push(t(0), 2.0);
-        ts.push(t(1), 4.0); // bin 0 (width 2s): mean 3
-        ts.push(t(2), 10.0); // bin 1: 10
-                             // bin 2 empty: holds 10
-        ts.push(t(7), 8.0); // bin 3: 8
-        let bins = ts.bin_average(t(0), t(8), SimDuration::from_secs(2));
-        assert_eq!(bins, vec![3.0, 10.0, 10.0, 8.0]);
-    }
-
-    #[test]
-    fn bin_average_includes_trailing_partial_window() {
-        // [0s, 5s) at width 2s covers [0,2), [2,4), [4,5): three bins, the
-        // last one partial. The pre-fix code truncated nbins to 2 and
-        // silently dropped the t=4 sample despite the doc's [start, end)
-        // coverage promise.
-        let mut ts = TimeSeries::new();
-        ts.push(t(0), 2.0);
-        ts.push(t(4), 9.0);
-        let bins = ts.bin_average(t(0), t(5), SimDuration::from_secs(2));
-        assert_eq!(bins, vec![2.0, 2.0, 9.0]);
-    }
-
-    #[test]
-    fn bin_average_all_empty_is_zero() {
-        let ts = TimeSeries::new();
-        let bins = ts.bin_average(t(0), t(4), SimDuration::from_secs(1));
-        assert_eq!(bins, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_duration() {
-        let mut ts = TimeSeries::new();
-        ts.push(t(0), 10.0); // holds for 9s
-        ts.push(t(9), 0.0); // final point: no weight after
-        ts.push(t(10), 0.0);
-        let m = ts.time_weighted_mean().unwrap();
-        assert!((m - 9.0).abs() < 1e-12, "m={m}");
-    }
-
-    #[test]
     fn max_and_values() {
         let mut ts = TimeSeries::new();
         ts.push(t(0), 1.0);
@@ -205,57 +91,5 @@ mod tests {
         assert_eq!(ts.max(), Some(5.0));
         assert_eq!(ts.values(), vec![1.0, 5.0, 3.0]);
         assert!(TimeSeries::new().max().is_none());
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-
-    /// Binning conserves sample mass: the average of bin values weighted
-    /// by their sample counts equals the overall sample mean.
-    #[test]
-    fn prop_bin_average_bounded() {
-        testkit::check(64, |g| {
-            let points = g.vec(1..80, |g| (g.u64_in(0..100), g.f64_in(-50.0..50.0)));
-            let mut sorted = points.clone();
-            sorted.sort_by_key(|&(t, _)| t);
-            let mut ts = TimeSeries::new();
-            for &(t, v) in &sorted {
-                ts.push(SimTime::from_secs(t), v);
-            }
-            let bins = ts.bin_average(
-                SimTime::ZERO,
-                SimTime::from_secs(100),
-                SimDuration::from_secs(10),
-            );
-            assert_eq!(bins.len(), 10);
-            let lo = sorted.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
-            let hi = sorted
-                .iter()
-                .map(|&(_, v)| v)
-                .fold(f64::NEG_INFINITY, f64::max);
-            // Every bin value is within the sample range (or the 0.0 default
-            // before the first sample lands).
-            for &b in &bins {
-                assert!(b == 0.0 || (b >= lo - 1e-9 && b <= hi + 1e-9));
-            }
-        });
-    }
-
-    /// value_at is consistent with the raw points (step interpolation).
-    #[test]
-    fn prop_value_at_steps() {
-        testkit::check(64, |g| {
-            let values = g.vec(1..40, |g| g.f64_in(-10.0..10.0));
-            let probe = g.u64_in(0..200);
-            let mut ts = TimeSeries::new();
-            for (i, &v) in values.iter().enumerate() {
-                ts.push(SimTime::from_secs(i as u64 * 2), v);
-            }
-            let got = ts.value_at(SimTime::from_secs(probe));
-            let expect_idx = (probe / 2).min(values.len() as u64 - 1) as usize;
-            assert_eq!(got, Some(values[expect_idx]));
-        });
     }
 }

@@ -84,39 +84,6 @@ impl Predictor for MovingAverage {
     }
 }
 
-/// Always predicts a fixed value: static over-provisioning, the degenerate
-/// policy behind "keep N containers warm no matter what".
-#[derive(Debug, Clone)]
-pub struct FixedValue {
-    value: f64,
-    observations: usize,
-}
-
-impl FixedValue {
-    /// Creates the constant predictor.
-    pub fn new(value: f64) -> Self {
-        FixedValue {
-            value,
-            observations: 0,
-        }
-    }
-}
-
-impl Predictor for FixedValue {
-    fn observe(&mut self, _value: f64) {
-        self.observations += 1;
-    }
-    fn predict(&self) -> f64 {
-        self.value
-    }
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-    fn observations(&self) -> usize {
-        self.observations
-    }
-}
-
 /// Histogram predictor in the spirit of the Azure hybrid-histogram policy the
 /// paper cites as \[27\]: predicts a high percentile of the observed demand
 /// distribution, trading extra warm capacity for fewer cold starts.
@@ -201,16 +168,6 @@ impl ToJson for MovingAverage {
     }
 }
 
-impl ToJson for FixedValue {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("model", self.name().to_json()),
-            ("value", self.value.to_json()),
-            ("observations", self.observations().to_json()),
-        ])
-    }
-}
-
 impl ToJson for HistogramPredictor {
     fn to_json(&self) -> JsonValue {
         JsonValue::object([
@@ -257,15 +214,6 @@ mod tests {
     #[should_panic(expected = "window must be at least 1")]
     fn moving_average_zero_window_rejected() {
         let _ = MovingAverage::new(0);
-    }
-
-    #[test]
-    fn fixed_never_moves() {
-        let mut p = FixedValue::new(12.0);
-        for x in [0.0, 100.0, -5.0] {
-            p.observe(x);
-        }
-        assert_eq!(p.predict(), 12.0);
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl EsMarkov {
         Self::new(0.8)
     }
 
-    /// The underlying smoother (for the Fig. 10 strategy comparison).
-    pub fn smoother(&self) -> &ExponentialSmoothing {
-        &self.es
-    }
-
     /// The demand-region chain (for diagnostics).
     pub fn chain(&self) -> &MarkovChain {
         &self.chain

@@ -1,34 +1,5 @@
 //! Prediction-error metrics used in the Fig. 10 comparisons.
 
-/// Mean absolute error between predictions and actuals.
-///
-/// # Panics
-/// Panics if the slices differ in length or are empty.
-pub fn mae(predictions: &[f64], actuals: &[f64]) -> f64 {
-    check(predictions, actuals);
-    predictions
-        .iter()
-        .zip(actuals)
-        .map(|(p, a)| (p - a).abs())
-        .sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Root mean squared error.
-///
-/// # Panics
-/// Panics if the slices differ in length or are empty.
-pub fn rmse(predictions: &[f64], actuals: &[f64]) -> f64 {
-    check(predictions, actuals);
-    (predictions
-        .iter()
-        .zip(actuals)
-        .map(|(p, a)| (p - a).powi(2))
-        .sum::<f64>()
-        / predictions.len() as f64)
-        .sqrt()
-}
-
 /// Mean absolute percentage error, with denominators clamped to ≥ 1 so a
 /// zero-demand interval doesn't blow the metric up (demand is a count).
 ///
@@ -42,20 +13,6 @@ pub fn mape(predictions: &[f64], actuals: &[f64]) -> f64 {
         .map(|(p, a)| (p - a).abs() / a.abs().max(1.0))
         .sum::<f64>()
         / predictions.len() as f64
-}
-
-/// The worst single-step relative error (the "29 % → 10 %" quantity of
-/// Fig. 10(a) is a per-step relative error).
-///
-/// # Panics
-/// Panics if the slices differ in length or are empty.
-pub fn max_relative_error(predictions: &[f64], actuals: &[f64]) -> f64 {
-    check(predictions, actuals);
-    predictions
-        .iter()
-        .zip(actuals)
-        .map(|(p, a)| (p - a).abs() / a.abs().max(1.0))
-        .fold(0.0, f64::max)
 }
 
 fn check(predictions: &[f64], actuals: &[f64]) {
@@ -74,20 +31,14 @@ mod tests {
     #[test]
     fn perfect_prediction_zero_error() {
         let s = [3.0, 5.0, 8.0];
-        assert_eq!(mae(&s, &s), 0.0);
-        assert_eq!(rmse(&s, &s), 0.0);
         assert_eq!(mape(&s, &s), 0.0);
-        assert_eq!(max_relative_error(&s, &s), 0.0);
     }
 
     #[test]
     fn known_values() {
         let p = [2.0, 4.0];
         let a = [4.0, 8.0];
-        assert!((mae(&p, &a) - 3.0).abs() < 1e-12);
-        assert!((rmse(&p, &a) - (10.0f64).sqrt()).abs() < 1e-12);
         assert!((mape(&p, &a) - 0.5).abs() < 1e-12);
-        assert!((max_relative_error(&p, &a) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -100,38 +51,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        let _ = mae(&[1.0], &[1.0, 2.0]);
+        let _ = mape(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "empty series")]
     fn empty_series_panics() {
-        let _ = rmse(&[], &[]);
-    }
-
-    /// RMSE ≥ MAE always (Jensen's inequality).
-    #[test]
-    fn prop_rmse_dominates_mae() {
-        testkit::check(64, |g| {
-            let pairs = g.vec(1..50, |g| {
-                (g.f64_in(-100.0..100.0), g.f64_in(-100.0..100.0))
-            });
-            let p: Vec<f64> = pairs.iter().map(|x| x.0).collect();
-            let a: Vec<f64> = pairs.iter().map(|x| x.1).collect();
-            assert!(rmse(&p, &a) + 1e-9 >= mae(&p, &a));
-        });
-    }
-
-    /// max_relative_error bounds mape.
-    #[test]
-    fn prop_max_bounds_mean() {
-        testkit::check(64, |g| {
-            let pairs = g.vec(1..50, |g| {
-                (g.f64_in(-100.0..100.0), g.f64_in(-100.0..100.0))
-            });
-            let p: Vec<f64> = pairs.iter().map(|x| x.0).collect();
-            let a: Vec<f64> = pairs.iter().map(|x| x.1).collect();
-            assert!(max_relative_error(&p, &a) + 1e-9 >= mape(&p, &a));
-        });
+        let _ = mape(&[], &[]);
     }
 }

@@ -53,7 +53,7 @@ impl Holt {
     }
 
     /// The current trend estimate (change per step).
-    pub fn trend(&self) -> f64 {
+    pub(crate) fn trend(&self) -> f64 {
         self.trend
     }
 }

@@ -28,13 +28,13 @@
 pub mod baseline;
 pub mod combined;
 pub mod error;
-pub mod holt;
-pub mod markov;
-pub mod smoothing;
+mod holt;
+mod markov;
+mod smoothing;
 
-pub use baseline::{FixedValue, HistogramPredictor, LastValue, MovingAverage};
+pub use baseline::{HistogramPredictor, LastValue, MovingAverage};
 pub use combined::EsMarkov;
-pub use error::{mae, mape, max_relative_error, rmse};
+pub use error::mape;
 pub use holt::Holt;
 pub use markov::{MarkovChain, RegionPartition};
 pub use smoothing::{ExponentialSmoothing, InitialValue};

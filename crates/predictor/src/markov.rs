@@ -56,7 +56,7 @@ impl RegionPartition {
     }
 
     /// The `(R_{i1}, R_{i2})` bounds of region `i`.
-    pub fn bounds(&self, i: usize) -> (f64, f64) {
+    pub(crate) fn bounds(&self, i: usize) -> (f64, f64) {
         let width = (self.hi - self.lo) / self.n as f64;
         (self.lo + width * i as f64, self.lo + width * (i + 1) as f64)
     }
@@ -126,7 +126,7 @@ impl MarkovChain {
     /// replacing the chain with `MarkovChain::fit` over the concatenation,
     /// minus the allocations — the sliding-window predictor re-partitions
     /// this way every time its value range drifts.
-    pub fn refit(&mut self, head: &[f64], tail: &[f64], regions: usize) {
+    pub(crate) fn refit(&mut self, head: &[f64], tail: &[f64], regions: usize) {
         let values = || head.iter().chain(tail).copied();
         let lo = values().fold(f64::INFINITY, f64::min);
         let hi = values().fold(f64::NEG_INFINITY, f64::max);
@@ -160,7 +160,7 @@ impl MarkovChain {
     /// with [`Predictor::observe`] this keeps the counts equal to a batch
     /// [`MarkovChain::fit`] over a sliding window, without refitting —
     /// evicting the window head removes exactly its one outgoing edge.
-    pub fn forget_oldest(&mut self, from: usize, to: usize) {
+    pub(crate) fn forget_oldest(&mut self, from: usize, to: usize) {
         let cell = &mut self.counts[from * self.partition.len() + to];
         debug_assert!(
             *cell > 0,
@@ -172,7 +172,8 @@ impl MarkovChain {
     }
 
     /// The raw 1-step transition counts `T_ij`, row-major (`n×n` flat).
-    pub fn transition_counts(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn transition_counts(&self) -> &[u64] {
         &self.counts
     }
 
@@ -188,14 +189,14 @@ impl MarkovChain {
     }
 
     /// The current state (region of the latest observation).
-    pub fn current_state(&self) -> Option<usize> {
+    pub(crate) fn current_state(&self) -> Option<usize> {
         self.last_state
     }
 
     /// Row `i` of the 1-step transition matrix `P_ij = T_ij / T_i`. Rows with
     /// no outgoing observations fall back to "stay in place" (identity row),
     /// which is the least-surprising prior for a demand series.
-    pub fn transition_row(&self, i: usize) -> Vec<f64> {
+    pub(crate) fn transition_row(&self, i: usize) -> Vec<f64> {
         let row = self.counts_row(i);
         let total: u64 = row.iter().sum();
         if total == 0 {
@@ -207,7 +208,7 @@ impl MarkovChain {
     }
 
     /// The full 1-step transition matrix.
-    pub fn transition_matrix(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn transition_matrix(&self) -> Vec<Vec<f64>> {
         (0..self.partition.len())
             .map(|i| self.transition_row(i))
             .collect()
@@ -247,7 +248,7 @@ impl MarkovChain {
     /// Most probable next state from the current one (ties break toward the
     /// lower region, matching a conservative resource allocation). Works on
     /// the raw counts directly — no row normalization, no allocation.
-    pub fn predict_state(&self) -> Option<usize> {
+    pub(crate) fn predict_state(&self) -> Option<usize> {
         let cur = self.last_state?;
         let row = self.counts_row(cur);
         let mut best = cur; // identity fallback for rows never exited
@@ -261,22 +262,9 @@ impl MarkovChain {
         Some(best)
     }
 
-    /// Expected next value under the transition distribution (smoother than
-    /// the argmax midpoint; used by the combined predictor).
-    pub fn expected_next(&self) -> Option<f64> {
-        let cur = self.last_state?;
-        let row = self.transition_row(cur);
-        Some(
-            row.iter()
-                .enumerate()
-                .map(|(j, &p)| p * self.partition.midpoint(j))
-                .sum(),
-        )
-    }
-
     /// Whether the chain has ever been observed *leaving* `state` (i.e. the
     /// transition row has real evidence rather than the identity fallback).
-    pub fn has_outgoing(&self, state: usize) -> bool {
+    pub(crate) fn has_outgoing(&self, state: usize) -> bool {
         self.counts_row(state).iter().sum::<u64>() > 0
     }
 }
@@ -443,21 +431,10 @@ mod tests {
     }
 
     #[test]
-    fn expected_next_is_probability_weighted() {
-        // From state with deterministic self-loop, expected = midpoint.
-        let series = vec![5.0; 20];
-        let chain = MarkovChain::fit(&series, 4);
-        let cur = chain.current_state().unwrap();
-        let expected = chain.expected_next().unwrap();
-        assert!((expected - chain.partition().midpoint(cur)).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_chain_predicts_zero() {
         let chain = MarkovChain::new(RegionPartition::new(0.0, 1.0, 3));
         assert_eq!(chain.predict(), 0.0);
         assert_eq!(chain.predict_state(), None);
-        assert_eq!(chain.expected_next(), None);
     }
 
     /// Every k-step matrix row remains a probability distribution.

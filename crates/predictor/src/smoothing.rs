@@ -70,11 +70,6 @@ impl ExponentialSmoothing {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
-
-    /// Current smoothed value, if seeded.
-    pub fn smoothed(&self) -> Option<f64> {
-        self.smoothed
-    }
 }
 
 impl Predictor for ExponentialSmoothing {

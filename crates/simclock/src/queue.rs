@@ -80,11 +80,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -125,17 +120,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

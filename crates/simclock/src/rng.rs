@@ -63,14 +63,6 @@ impl SimRng {
         result
     }
 
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
-
     /// Uniform `f64` in `[0, 1)`: the top 53 bits scaled into the unit
     /// interval, so every representable output is equally likely.
     pub fn unit(&mut self) -> f64 {
@@ -134,7 +126,7 @@ impl SimRng {
     }
 
     /// Normally distributed sample via Box–Muller.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         let u1 = self.unit().max(f64::MIN_POSITIVE);
         let u2 = self.unit();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -165,14 +157,6 @@ impl SimRng {
     pub fn jitter(&mut self, spread: f64) -> f64 {
         let spread = spread.clamp(0.0, 1.0);
         1.0 + (self.unit() * 2.0 - 1.0) * spread
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 
     /// Picks a reference to a uniformly random element.
@@ -251,15 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SimRng::seeded(15);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        // 13 random bytes being all zero has probability 2^-104.
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
     fn exponential_mean_close() {
         let mut rng = SimRng::seeded(3);
         let n = 20_000;
@@ -324,16 +299,6 @@ mod tests {
             let j = rng.jitter(0.05);
             assert!((0.95..=1.05).contains(&j), "jitter={j}");
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seeded(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

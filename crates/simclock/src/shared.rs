@@ -14,7 +14,7 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Each worker thread owns one timeline; parallel virtual work advances only
 /// that timeline. The experiment's elapsed virtual time is the max over all
-/// timelines (see [`ThreadTimeline::merge_max`]).
+/// timelines.
 #[derive(Debug, Clone)]
 pub struct ThreadTimeline {
     now: SimTime,
@@ -44,16 +44,6 @@ impl ThreadTimeline {
             self.now = t;
         }
     }
-
-    /// Returns the later of the two timelines' instants — the join point of
-    /// parallel work.
-    pub fn merge_max(timelines: &[ThreadTimeline]) -> SimTime {
-        timelines
-            .iter()
-            .map(|t| t.now)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +58,7 @@ mod tests {
         a.advance(SimDuration::from_secs(3));
         b.advance(SimDuration::from_secs(5));
         // Parallel work completes when the slowest thread does.
-        assert_eq!(ThreadTimeline::merge_max(&[a, b]), SimTime::from_secs(6));
+        assert_eq!(a.now().max(b.now()), SimTime::from_secs(6));
     }
 
     #[test]
@@ -78,10 +68,5 @@ mod tests {
         assert_eq!(t.now(), SimTime::from_secs(10));
         t.wait_until(SimTime::from_secs(15));
         assert_eq!(t.now(), SimTime::from_secs(15));
-    }
-
-    #[test]
-    fn merge_max_empty_is_zero() {
-        assert_eq!(ThreadTimeline::merge_max(&[]), SimTime::ZERO);
     }
 }

@@ -51,7 +51,6 @@ pub struct Simulation<S> {
     queue: EventQueue<Event<S>>,
     now: SimTime,
     state: S,
-    executed: u64,
 }
 
 impl<S> Simulation<S> {
@@ -61,18 +60,12 @@ impl<S> Simulation<S> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             state,
-            executed: 0,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
     }
 
     /// Immutable access to the simulation state.
@@ -118,34 +111,12 @@ impl<S> Simulation<S> {
         for (t, e) in scheduler.pending {
             self.queue.push(t, e);
         }
-        self.executed += 1;
         true
     }
 
     /// Runs until no events remain.
     pub fn run(&mut self) {
         while self.step() {}
-    }
-
-    /// Runs until the queue drains or the clock passes `deadline`; events
-    /// scheduled after the deadline remain queued.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(next) = self.queue.peek_time() {
-            if next > deadline {
-                break;
-            }
-            self.step();
-        }
-        // Advance the clock to the deadline even if the queue drained early,
-        // so repeated run_until calls observe monotonic time.
-        if self.now < deadline {
-            self.now = deadline;
-        }
-    }
-
-    /// Number of queued (not yet executed) events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -165,7 +136,6 @@ mod tests {
         sim.run();
         assert_eq!(*sim.state(), vec![10, 20]);
         assert_eq!(sim.now().as_millis(), 20);
-        assert_eq!(sim.executed(), 2);
     }
 
     #[test]
@@ -195,27 +165,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(*sim.state(), vec![10, 10]);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulation::new(0u32);
-        for i in 1..=10 {
-            sim.schedule_at(SimTime::from_secs(i), |_, n| *n += 1);
-        }
-        sim.run_until(SimTime::from_secs(5));
-        assert_eq!(*sim.state(), 5);
-        assert_eq!(sim.pending(), 5);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-        sim.run();
-        assert_eq!(*sim.state(), 10);
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_idle() {
-        let mut sim = Simulation::new(());
-        sim.run_until(SimTime::from_secs(30));
-        assert_eq!(sim.now(), SimTime::from_secs(30));
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since the epoch (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds since the epoch (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -72,11 +67,6 @@ impl SimTime {
     /// The span from `earlier` to `self`, or zero if `earlier` is later.
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating add of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 
     /// Checked add of a duration: `None` when the instant would pass
@@ -136,11 +126,6 @@ impl SimDuration {
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Milliseconds (truncating).

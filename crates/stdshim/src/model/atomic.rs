@@ -122,12 +122,14 @@ impl ModelAtomicU64 {
     }
 
     /// See [`AtomicU64::fetch_and`].
+    // lint:allow(dead-pub, sync_slots.rs calls it through the ShimAtomicU64 alias under --cfg hotc_model only)
     pub fn fetch_and(&self, value: u64, o: Ordering) -> u64 {
         self.rmw(RmwKind::And(value), o)
             .unwrap_or_else(|| self.inner.fetch_and(value, o))
     }
 
     /// See [`AtomicU64::fetch_or`].
+    // lint:allow(dead-pub, sync_slots.rs calls it through the ShimAtomicU64 alias under --cfg hotc_model only)
     pub fn fetch_or(&self, value: u64, o: Ordering) -> u64 {
         self.rmw(RmwKind::Or(value), o)
             .unwrap_or_else(|| self.inner.fetch_or(value, o))
@@ -182,6 +184,7 @@ impl ModelAtomicU64 {
     /// spuriously (a strict subset of the real op's behaviours — code
     /// correct under the model could still loop more on real hardware, but
     /// never the reverse).
+    // lint:allow(dead-pub, sync_slots.rs calls it through the ShimAtomicU64 alias under --cfg hotc_model only)
     pub fn compare_exchange_weak(
         &self,
         current: u64,

@@ -43,7 +43,7 @@ impl VClock {
 
     /// Whether the event `(tid, tick)` happens-before (or is) this clock's
     /// current point — i.e. this clock has observed it.
-    pub fn observed(&self, tid: usize, tick: u32) -> bool {
+    pub(crate) fn observed(&self, tid: usize, tick: u32) -> bool {
         self.get(tid) >= tick
     }
 }

@@ -30,20 +30,20 @@ use super::clock::VClock;
 use std::sync::atomic::Ordering;
 
 /// Whether `o` has acquire semantics on its load half.
-pub fn acquire_class(o: Ordering) -> bool {
+pub(crate) fn acquire_class(o: Ordering) -> bool {
     // lint:allow(atomic-seqcst, classifying the caller's ordering, not performing a fence)
     matches!(o, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
 }
 
 /// Whether `o` has release semantics on its store half.
-pub fn release_class(o: Ordering) -> bool {
+pub(crate) fn release_class(o: Ordering) -> bool {
     // lint:allow(atomic-seqcst, classifying the caller's ordering, not performing a fence)
     matches!(o, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
 }
 
 /// One store in a location's modification order.
 #[derive(Debug, Clone)]
-pub struct Store {
+pub(crate) struct Store {
     /// Stored value.
     pub value: u64,
     /// Writing virtual thread.
@@ -58,7 +58,7 @@ pub struct Store {
 
 /// One atomic location: label plus full modification order.
 #[derive(Debug)]
-pub struct Location {
+pub(crate) struct Location {
     /// Diagnostic name used in traces (`L0`, `L1`, … in first-touch order).
     pub label: String,
     /// Modification order; index 0 is the initial value (a pseudo-store by
@@ -69,7 +69,7 @@ pub struct Location {
 /// All locations touched during one execution, plus per-thread coherence
 /// floors.
 #[derive(Debug, Default)]
-pub struct Memory {
+pub(crate) struct Memory {
     locs: Vec<Location>,
     /// `seen[tid][loc]` — lowest modification-order index `tid` may still
     /// read at `loc` (grown on demand).
@@ -78,7 +78,7 @@ pub struct Memory {
 
 impl Memory {
     /// Registers a new location holding `initial`; returns its index.
-    pub fn register(&mut self, initial: u64) -> usize {
+    pub(crate) fn register(&mut self, initial: u64) -> usize {
         let idx = self.locs.len();
         self.locs.push(Location {
             label: format!("L{idx}"),
@@ -93,12 +93,12 @@ impl Memory {
     }
 
     /// The location's diagnostic label.
-    pub fn label(&self, loc: usize) -> &str {
+    pub(crate) fn label(&self, loc: usize) -> &str {
         &self.locs[loc].label
     }
 
     /// Newest store index and value.
-    pub fn latest(&self, loc: usize) -> (usize, u64) {
+    pub(crate) fn latest(&self, loc: usize) -> (usize, u64) {
         let stores = &self.locs[loc].stores;
         (stores.len() - 1, stores[stores.len() - 1].value)
     }
@@ -121,7 +121,7 @@ impl Memory {
     /// Store indices thread `tid` (with clock `vc`) may legally read at
     /// `loc`, newest first — so choice 0 is always the strongest (x86-like)
     /// behaviour and stale reads are the explored alternatives.
-    pub fn candidates(&mut self, tid: usize, loc: usize, vc: &VClock) -> Vec<usize> {
+    pub(crate) fn candidates(&mut self, tid: usize, loc: usize, vc: &VClock) -> Vec<usize> {
         let mut lo = self.floor(tid, loc);
         let stores = &self.locs[loc].stores;
         for (j, s) in stores.iter().enumerate().skip(lo + 1).rev() {
@@ -136,7 +136,7 @@ impl Memory {
     /// Reads store `idx` at `loc`: updates the coherence floor and, for an
     /// acquire-class load of a release-sequence store, joins its message
     /// clock. Returns the value.
-    pub fn read(
+    pub(crate) fn read(
         &mut self,
         tid: usize,
         loc: usize,
@@ -157,7 +157,7 @@ impl Memory {
     /// Appends a plain store (not an RMW). `vc` must already be ticked for
     /// this event. A release-class store starts a new release sequence; a
     /// relaxed one carries no message clock (and breaks any prior sequence).
-    pub fn write(&mut self, tid: usize, loc: usize, value: u64, o: Ordering, vc: &VClock) {
+    pub(crate) fn write(&mut self, tid: usize, loc: usize, value: u64, o: Ordering, vc: &VClock) {
         let msg = release_class(o).then(|| vc.clone());
         let idx = self.locs[loc].stores.len();
         self.locs[loc].stores.push(Store {
@@ -174,7 +174,14 @@ impl Memory {
     /// release sequence (a relaxed RMW forwards the previous message clock;
     /// a release-class RMW additionally merges its own clock in). `vc` must
     /// already be ticked. Returns the value read.
-    pub fn rmw(&mut self, tid: usize, loc: usize, new: u64, o: Ordering, vc: &mut VClock) -> u64 {
+    pub(crate) fn rmw(
+        &mut self,
+        tid: usize,
+        loc: usize,
+        new: u64,
+        o: Ordering,
+        vc: &mut VClock,
+    ) -> u64 {
         let (idx, old) = self.latest(loc);
         let prev_msg = self.locs[loc].stores[idx].msg.clone();
         if acquire_class(o) {

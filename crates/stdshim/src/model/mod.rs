@@ -37,5 +37,4 @@ mod thread;
 pub use atomic::{ModelAtomicU64, ModelAtomicUsize, ModelOnceLock};
 pub use clock::VClock;
 pub use explore::{Checker, Report, Violation};
-pub use rt::{NodeKind, NodeRec};
 pub use thread::{spawn, JoinHandle};

@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// The read-modify-write flavours the facade needs.
 #[derive(Debug, Clone, Copy)]
-pub enum RmwKind {
+pub(crate) enum RmwKind {
     /// `fetch_add`
     Add(u64),
     /// `fetch_sub` (wrapping, like the hardware op)
@@ -146,7 +146,7 @@ pub(super) enum OpResult {
 
 /// What kind of nondeterministic choice a schedule-tree node records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     /// Which thread runs next.
     Thread,
     /// Which visible store a load reads.
@@ -156,7 +156,7 @@ pub enum NodeKind {
 /// One node of the DFS schedule tree: `n` options, currently exploring
 /// option `cur`.
 #[derive(Debug, Clone, Copy)]
-pub struct NodeRec {
+pub(crate) struct NodeRec {
     /// Number of options at this choice point.
     pub n: usize,
     /// Option being explored in the current execution.

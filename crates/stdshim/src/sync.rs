@@ -33,9 +33,9 @@
 //!   for the dynamic extent of the returned guard: acquiring a second lock
 //!   on top of one taken after scope entry panics with both sites.
 //!
-//! Non-guarantees: `try_lock`/`try_read`/`try_write` successes are tracked
-//! on the held stack (they *hold* the lock) but record no ordering edges — a
-//! try-acquire cannot block, so it cannot complete a deadlock by itself.
+//! Non-guarantees: a `try_lock` success is tracked on the held stack (it
+//! *holds* the lock) but records no ordering edges — a try-acquire cannot
+//! block, so it cannot complete a deadlock by itself.
 //! The sanitizer observes orders actually executed; it proves the absence of
 //! lock-order cycles only over code paths the test suite exercises.
 //!
@@ -307,36 +307,6 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
-    /// Attempts shared read access without blocking.
-    #[track_caller]
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let inner = match self.inner.try_read() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return None,
-        };
-        Some(RwLockReadGuard {
-            #[cfg(debug_assertions)]
-            _tracked: sanitizer::track(self.addr(), self.class),
-            inner,
-        })
-    }
-
-    /// Attempts exclusive write access without blocking.
-    #[track_caller]
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        let inner = match self.inner.try_write() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return None,
-        };
-        Some(RwLockWriteGuard {
-            #[cfg(debug_assertions)]
-            _tracked: sanitizer::track(self.addr(), self.class),
-            inner,
-        })
-    }
-
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner
@@ -355,7 +325,7 @@ impl<T> From<T> for RwLock<T> {
 /// global class-level order graph with cycle detection, re-entry detection,
 /// and the [`request_path_scope`] at-most-one-lock assertion.
 #[cfg(debug_assertions)]
-pub mod sanitizer {
+pub(crate) mod sanitizer {
     use std::cell::RefCell;
     use std::collections::HashMap;
     use std::panic::Location;
@@ -570,7 +540,7 @@ pub mod sanitizer {
     impl Drop for Tracked {
         fn drop(&mut self) {
             // Guards may drop in any order: remove the *last* entry with our
-            // address (same-address re-entry via try_read pushes two).
+            // address.
             // try_with: thread-local storage may already be gone during
             // thread teardown; bookkeeping for a dying thread is moot.
             let _ = HELD.try_with(|h| {
@@ -689,16 +659,6 @@ mod tests {
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
         assert_eq!(l.into_inner(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn rwlock_try_write_blocked_by_reader() {
-        let l = RwLock::new(0);
-        let guard = l.read();
-        assert!(l.try_write().is_none());
-        assert!(l.try_read().is_some());
-        drop(guard);
-        assert!(l.try_write().is_some());
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl ConfigCategory {
 
 /// One surveyed project's base-image choice.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProjectConfig {
+pub(crate) struct ProjectConfig {
     /// Base image name, e.g. `ubuntu`.
     pub image: &'static str,
     /// Its configuration category.
@@ -46,7 +46,7 @@ pub struct ProjectConfig {
 
 /// The base-image catalogue in popularity order (rank 0 most popular),
 /// mirroring the well-known head of Docker Hub usage.
-pub const CATALOGUE: [ProjectConfig; 14] = [
+pub(crate) const CATALOGUE: [ProjectConfig; 14] = [
     ProjectConfig {
         image: "ubuntu",
         category: ConfigCategory::Os,

@@ -35,7 +35,7 @@ pub mod trace;
 pub mod youtube;
 
 pub use azure::{azure_workload, AzureWorkloadParams, FunctionClass};
-pub use dockerfiles::{DockerfileSurvey, ProjectConfig};
+pub use dockerfiles::DockerfileSurvey;
 pub use patterns::{
     burst, exponential_ramp, linear_ramp, parallel_clients, poisson, serial, Direction,
 };

@@ -33,7 +33,7 @@ use crate::patterns::{round_start, Direction};
 use crate::Arrival;
 use simclock::{SimDuration, SimRng, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::io::BufRead;
 
 /// A pull-based source of time-ordered arrivals.
@@ -49,10 +49,6 @@ pub trait Trace {
     fn peek(&mut self) -> Option<Arrival>;
     /// Pulls the next arrival.
     fn next_arrival(&mut self) -> Option<Arrival>;
-    /// `(lower, Some(upper))` bounds on arrivals left, like
-    /// `Iterator::size_hint`. Exact for counted sources, `(0, None)` for
-    /// unbounded/streamed ones.
-    fn remaining_hint(&self) -> (u64, Option<u64>);
     /// First error the source hit, if any (the source is fused after it).
     fn take_error(&mut self) -> Option<String> {
         None
@@ -62,8 +58,7 @@ pub trait Trace {
 /// Materializes the remainder of a trace: how the `Vec<Arrival>` generators
 /// are built. The replay drivers deliberately never call this.
 pub fn drain(trace: &mut dyn Trace) -> Vec<Arrival> {
-    let (lo, _) = trace.remaining_hint();
-    let mut out = Vec::with_capacity(lo.min(1 << 20) as usize);
+    let mut out = Vec::new();
     while let Some(a) = trace.next_arrival() {
         out.push(a);
     }
@@ -96,120 +91,46 @@ impl Trace for VecTrace {
         }
         out
     }
-    fn remaining_hint(&self) -> (u64, Option<u64>) {
-        let left = (self.items.len() - self.pos) as u64;
-        (left, Some(left))
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Shape cursors: one private cursor type per arrival shape, wrapped in
-// `GenTrace`, which adds the one-arrival `peek` buffer the trait requires.
+// Shape cursors: one iterator per arrival shape, wrapped in `GenTrace`, which
+// adds the one-arrival `peek` buffer the trait requires. A cursor is never
+// polled again after its first `None`.
 // ---------------------------------------------------------------------------
 
-trait ArrivalGen {
-    fn produce(&mut self) -> Option<Arrival>;
-    fn remaining(&self) -> (u64, Option<u64>);
-}
-
-struct GenTrace<G> {
+struct GenTrace<I> {
     head: Option<Arrival>,
-    gen: G,
+    gen: I,
 }
 
-impl<G: ArrivalGen> GenTrace<G> {
-    fn new(mut gen: G) -> GenTrace<G> {
-        let head = gen.produce();
+impl<I: Iterator<Item = Arrival>> GenTrace<I> {
+    fn new(mut gen: I) -> GenTrace<I> {
+        let head = gen.next();
         GenTrace { head, gen }
     }
 }
 
-impl<G: ArrivalGen> Trace for GenTrace<G> {
+impl<I: Iterator<Item = Arrival>> Trace for GenTrace<I> {
     fn peek(&mut self) -> Option<Arrival> {
         self.head
     }
     fn next_arrival(&mut self) -> Option<Arrival> {
         let out = self.head.take();
         if out.is_some() {
-            self.head = self.gen.produce();
+            self.head = self.gen.next();
         }
         out
-    }
-    fn remaining_hint(&self) -> (u64, Option<u64>) {
-        let (lo, hi) = self.gen.remaining();
-        let buffered = self.head.is_some() as u64;
-        (
-            lo.saturating_add(buffered),
-            hi.map(|h| h.saturating_add(buffered)),
-        )
-    }
-}
-
-struct SerialGen {
-    interval: SimDuration,
-    count: u64,
-    next: u64,
-    config_id: usize,
-}
-
-impl ArrivalGen for SerialGen {
-    fn produce(&mut self) -> Option<Arrival> {
-        if self.next >= self.count {
-            return None;
-        }
-        let at = round_start(self.interval, self.next);
-        self.next += 1;
-        Some(Arrival {
-            at,
-            config_id: self.config_id,
-        })
-    }
-    fn remaining(&self) -> (u64, Option<u64>) {
-        let left = self.count - self.next;
-        (left, Some(left))
     }
 }
 
 /// `count` arrivals of one config every `interval`
 /// ([`crate::patterns::serial`] collects it).
 pub fn serial_trace(interval: SimDuration, count: usize, config_id: usize) -> impl Trace {
-    GenTrace::new(SerialGen {
-        interval,
-        count: count as u64,
-        next: 0,
+    GenTrace::new((0..count as u64).map(move |i| Arrival {
+        at: round_start(interval, i),
         config_id,
-    })
-}
-
-struct ParallelGen {
-    threads: usize,
-    per_thread: u64,
-    interval: SimDuration,
-    round: u64,
-    thread: usize,
-}
-
-impl ArrivalGen for ParallelGen {
-    fn produce(&mut self) -> Option<Arrival> {
-        if self.round >= self.per_thread || self.threads == 0 {
-            return None;
-        }
-        let out = Arrival {
-            at: round_start(self.interval, self.round),
-            config_id: self.thread,
-        };
-        self.thread += 1;
-        if self.thread == self.threads {
-            self.thread = 0;
-            self.round += 1;
-        }
-        Some(out)
-    }
-    fn remaining(&self) -> (u64, Option<u64>) {
-        let rounds_left = self.per_thread - self.round;
-        let left = rounds_left * self.threads as u64 - self.thread as u64;
-        (left, Some(left))
-    }
+    }))
 }
 
 /// `threads` clients with their own config each, `per_thread` rounds
@@ -217,13 +138,12 @@ impl ArrivalGen for ParallelGen {
 /// arrivals are emitted in thread (= config) order, matching the
 /// `(at, config_id, seq)` total order.
 pub fn parallel_trace(threads: usize, per_thread: usize, interval: SimDuration) -> impl Trace {
-    GenTrace::new(ParallelGen {
-        threads,
-        per_thread: per_thread as u64,
-        interval,
-        round: 0,
-        thread: 0,
-    })
+    GenTrace::new((0..per_thread as u64).flat_map(move |round| {
+        (0..threads).map(move |config_id| Arrival {
+            at: round_start(interval, round),
+            config_id,
+        })
+    }))
 }
 
 enum RoundCounts {
@@ -275,34 +195,20 @@ impl RoundCounts {
     }
 }
 
-struct RoundsGen {
+/// `counts.count(r, rounds)` arrivals at the start of each round `r`.
+fn rounds_trace(
     counts: RoundCounts,
     rounds: u64,
     round_interval: SimDuration,
     config_id: usize,
-    r: u64,
-    emitted_in_round: u64,
-}
-
-impl ArrivalGen for RoundsGen {
-    fn produce(&mut self) -> Option<Arrival> {
-        while self.r < self.rounds {
-            let n = self.counts.count(self.r, self.rounds);
-            if self.emitted_in_round < n {
-                self.emitted_in_round += 1;
-                return Some(Arrival {
-                    at: round_start(self.round_interval, self.r),
-                    config_id: self.config_id,
-                });
-            }
-            self.r += 1;
-            self.emitted_in_round = 0;
-        }
-        None
-    }
-    fn remaining(&self) -> (u64, Option<u64>) {
-        (0, None)
-    }
+) -> impl Trace {
+    GenTrace::new((0..rounds).flat_map(move |r| {
+        let arrival = Arrival {
+            at: round_start(round_interval, r),
+            config_id,
+        };
+        std::iter::repeat_n(arrival, counts.count(r, rounds) as usize)
+    }))
 }
 
 /// Linear ramp of per-round counts ([`crate::patterns::linear_ramp`]
@@ -315,18 +221,12 @@ pub fn linear_ramp_trace(
     round_interval: SimDuration,
     config_id: usize,
 ) -> impl Trace {
-    GenTrace::new(RoundsGen {
-        counts: RoundCounts::Linear {
-            direction,
-            start: start as u64,
-            step: step as u64,
-        },
-        rounds: rounds as u64,
-        round_interval,
-        config_id,
-        r: 0,
-        emitted_in_round: 0,
-    })
+    let counts = RoundCounts::Linear {
+        direction,
+        start: start as u64,
+        step: step as u64,
+    };
+    rounds_trace(counts, rounds as u64, round_interval, config_id)
 }
 
 /// Doubling/halving per-round counts, capped at 2^20 a round
@@ -337,14 +237,8 @@ pub fn exponential_ramp_trace(
     round_interval: SimDuration,
     config_id: usize,
 ) -> impl Trace {
-    GenTrace::new(RoundsGen {
-        counts: RoundCounts::Exponential { direction },
-        rounds: rounds as u64,
-        round_interval,
-        config_id,
-        r: 0,
-        emitted_in_round: 0,
-    })
+    let counts = RoundCounts::Exponential { direction };
+    rounds_trace(counts, rounds as u64, round_interval, config_id)
 }
 
 /// Constant rounds with multiplied burst rounds ([`crate::patterns::burst`]
@@ -357,49 +251,12 @@ pub fn burst_trace(
     round_interval: SimDuration,
     config_id: usize,
 ) -> impl Trace {
-    GenTrace::new(RoundsGen {
-        counts: RoundCounts::Burst {
-            base: base as u64,
-            factor: burst_factor as u64,
-            burst_rounds,
-        },
-        rounds: rounds as u64,
-        round_interval,
-        config_id,
-        r: 0,
-        emitted_in_round: 0,
-    })
-}
-
-struct PoissonGen {
-    rng: SimRng,
-    rate_per_sec: f64,
-    t: f64,
-    horizon: f64,
-    config_kinds: usize,
-    zipf_exponent: f64,
-    done: bool,
-}
-
-impl ArrivalGen for PoissonGen {
-    fn produce(&mut self) -> Option<Arrival> {
-        if self.done {
-            return None;
-        }
-        // One exponential gap, then one Zipf config draw, per arrival.
-        self.t += self.rng.exponential(1.0 / self.rate_per_sec);
-        if self.t >= self.horizon {
-            self.done = true;
-            return None;
-        }
-        Some(Arrival {
-            at: SimTime::ZERO + SimDuration::from_secs_f64(self.t),
-            config_id: self.rng.zipf(self.config_kinds, self.zipf_exponent),
-        })
-    }
-    fn remaining(&self) -> (u64, Option<u64>) {
-        (0, None)
-    }
+    let counts = RoundCounts::Burst {
+        base: base as u64,
+        factor: burst_factor as u64,
+        burst_rounds,
+    };
+    rounds_trace(counts, rounds as u64, round_interval, config_id)
 }
 
 /// Poisson process with Zipf-sampled configs ([`crate::patterns::poisson`]
@@ -413,56 +270,17 @@ pub fn poisson_trace(
 ) -> impl Trace {
     assert!(rate_per_sec > 0.0, "rate must be positive");
     assert!(config_kinds >= 1, "need at least one config kind");
-    GenTrace::new(PoissonGen {
-        rng: SimRng::seeded(seed),
-        rate_per_sec,
-        t: 0.0,
-        horizon: duration.as_secs_f64(),
-        config_kinds,
-        zipf_exponent,
-        done: false,
-    })
-}
-
-struct YoutubeGen {
-    rates: Vec<f64>,
-    index_width: SimDuration,
-    config_id: usize,
-    rng: SimRng,
-    idx: usize,
-    buf: VecDeque<Arrival>,
-}
-
-impl ArrivalGen for YoutubeGen {
-    fn produce(&mut self) -> Option<Arrival> {
-        loop {
-            if let Some(a) = self.buf.pop_front() {
-                return Some(a);
-            }
-            if self.idx >= self.rates.len() {
-                return None;
-            }
-            // One index at a time — the only buffering the youtube shape
-            // needs, because offsets within an index are sorted post-draw.
-            // Offsets are plain u64s and all share one config id, so
-            // `sort_unstable` is already the (at, config_id, seq) order.
-            let rate = self.rates[self.idx];
-            let n = self.rng.poisson(rate);
-            let start = round_start(self.index_width, self.idx as u64);
-            let mut offsets: Vec<u64> = (0..n)
-                .map(|_| self.rng.uniform_u64(0, self.index_width.as_nanos().max(1)))
-                .collect();
-            offsets.sort_unstable();
-            self.buf.extend(offsets.into_iter().map(|off| Arrival {
-                at: start + SimDuration::from_nanos(off),
-                config_id: self.config_id,
-            }));
-            self.idx += 1;
-        }
-    }
-    fn remaining(&self) -> (u64, Option<u64>) {
-        (self.buf.len() as u64, None)
-    }
+    let mut rng = SimRng::seeded(seed);
+    let horizon = duration.as_secs_f64();
+    let mut t = 0.0;
+    GenTrace::new(std::iter::from_fn(move || {
+        // One exponential gap, then one Zipf config draw, per arrival.
+        t += rng.exponential(1.0 / rate_per_sec);
+        (t < horizon).then(|| Arrival {
+            at: SimTime::ZERO + SimDuration::from_secs_f64(t),
+            config_id: rng.zipf(config_kinds, zipf_exponent),
+        })
+    }))
 }
 
 /// Poisson expansion of a rate series, index `i` covering
@@ -475,14 +293,23 @@ pub fn youtube_arrivals_trace(
     config_id: usize,
     seed: u64,
 ) -> impl Trace {
-    GenTrace::new(YoutubeGen {
-        rates,
-        index_width,
-        config_id,
-        rng: SimRng::seeded(seed),
-        idx: 0,
-        buf: VecDeque::new(),
-    })
+    let mut rng = SimRng::seeded(seed);
+    GenTrace::new(rates.into_iter().enumerate().flat_map(move |(idx, rate)| {
+        // One index at a time — the only buffering the youtube shape needs,
+        // because offsets within an index are sorted post-draw. Offsets are
+        // plain u64s and all share one config id, so `sort_unstable` is
+        // already the (at, config_id, seq) order.
+        let n = rng.poisson(rate);
+        let start = round_start(index_width, idx as u64);
+        let mut offsets: Vec<u64> = (0..n)
+            .map(|_| rng.uniform_u64(0, index_width.as_nanos().max(1)))
+            .collect();
+        offsets.sort_unstable();
+        offsets.into_iter().map(move |off| Arrival {
+            at: start + SimDuration::from_nanos(off),
+            config_id,
+        })
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -558,20 +385,6 @@ impl Trace for MergeTrace {
         Some(out)
     }
 
-    fn remaining_hint(&self) -> (u64, Option<u64>) {
-        let mut lo = 0u64;
-        let mut hi = Some(0u64);
-        for s in &self.sources {
-            let (slo, shi) = s.remaining_hint();
-            lo = lo.saturating_add(slo);
-            hi = match (hi, shi) {
-                (Some(a), Some(b)) => Some(a.saturating_add(b)),
-                _ => None,
-            };
-        }
-        (lo, hi)
-    }
-
     fn take_error(&mut self) -> Option<String> {
         if let Some(e) = self.error.take() {
             return Some(e);
@@ -614,9 +427,6 @@ impl<T: Trace> Trace for ConfigModulo<T> {
     }
     fn next_arrival(&mut self) -> Option<Arrival> {
         self.inner.next_arrival().map(|a| self.map(a))
-    }
-    fn remaining_hint(&self) -> (u64, Option<u64>) {
-        self.inner.remaining_hint()
     }
     fn take_error(&mut self) -> Option<String> {
         self.inner.take_error()
@@ -710,12 +520,6 @@ impl<T: Trace> Trace for PartitionTrace<T> {
     fn next_arrival(&mut self) -> Option<Arrival> {
         self.next_indexed().map(|(a, _)| a)
     }
-    fn remaining_hint(&self) -> (u64, Option<u64>) {
-        // Ownership of unread arrivals is unknown until they are pulled.
-        let buffered = self.head.is_some() as u64;
-        let (_, hi) = self.inner.remaining_hint();
-        (buffered, hi.map(|h| h.saturating_add(buffered)))
-    }
     fn take_error(&mut self) -> Option<String> {
         self.inner.take_error()
     }
@@ -730,9 +534,6 @@ impl<T: Trace + ?Sized> Trace for Box<T> {
     fn next_arrival(&mut self) -> Option<Arrival> {
         (**self).next_arrival()
     }
-    fn remaining_hint(&self) -> (u64, Option<u64>) {
-        (**self).remaining_hint()
-    }
     fn take_error(&mut self) -> Option<String> {
         (**self).take_error()
     }
@@ -741,36 +542,6 @@ impl<T: Trace + ?Sized> Trace for Box<T> {
 // ---------------------------------------------------------------------------
 // Azure population: per-function lazy sources + merge.
 // ---------------------------------------------------------------------------
-
-struct AzureFnGen {
-    config_id: usize,
-    class: FunctionClass,
-    mean_gap_s: f64,
-    frng: SimRng,
-    t: f64,
-    horizon: f64,
-}
-
-impl ArrivalGen for AzureFnGen {
-    fn produce(&mut self) -> Option<Arrival> {
-        if self.t >= self.horizon {
-            return None;
-        }
-        let at = SimTime::ZERO + SimDuration::from_secs_f64(self.t);
-        self.t += match self.class {
-            // Timers tick with ±5 % jitter; Poisson classes draw gaps.
-            FunctionClass::Periodic => self.mean_gap_s * self.frng.jitter(0.05),
-            _ => self.frng.exponential(self.mean_gap_s),
-        };
-        Some(Arrival {
-            at,
-            config_id: self.config_id,
-        })
-    }
-    fn remaining(&self) -> (u64, Option<u64>) {
-        (0, None)
-    }
-}
 
 /// The synthesized Azure population ([`crate::azure::azure_workload`]
 /// collects it): one forked-RNG source per function, merged under
@@ -803,15 +574,19 @@ pub fn azure_trace(params: &AzureWorkloadParams) -> (MergeTrace, Vec<FunctionMix
             class,
             mean_gap: SimDuration::from_secs_f64(mean_gap_s),
         });
-        let t = frng.unit() * mean_gap_s; // desynchronized starts
-        sources.push(Box::new(GenTrace::new(AzureFnGen {
-            config_id,
-            class,
-            mean_gap_s,
-            frng,
-            t,
-            horizon,
-        })));
+        let mut t = frng.unit() * mean_gap_s; // desynchronized starts
+        sources.push(Box::new(GenTrace::new(std::iter::from_fn(move || {
+            if t >= horizon {
+                return None;
+            }
+            let at = SimTime::ZERO + SimDuration::from_secs_f64(t);
+            t += match class {
+                // Timers tick with ±5 % jitter; Poisson classes draw gaps.
+                FunctionClass::Periodic => mean_gap_s * frng.jitter(0.05),
+                _ => frng.exponential(mean_gap_s),
+            };
+            Some(Arrival { at, config_id })
+        }))));
     }
     (MergeTrace::new(sources), mixes)
 }
@@ -993,8 +768,6 @@ struct SynthGen {
     waves: Option<(usize, usize)>, // (waves, window) for DeployWaves
     bin: usize,
     j: u64,
-    emitted: u64,
-    requests: u64,
 }
 
 impl SynthGen {
@@ -1004,8 +777,9 @@ impl SynthGen {
     }
 }
 
-impl ArrivalGen for SynthGen {
-    fn produce(&mut self) -> Option<Arrival> {
+impl Iterator for SynthGen {
+    type Item = Arrival;
+    fn next(&mut self) -> Option<Arrival> {
         while self.bin < self.bins.len() {
             let n = self.bins[self.bin];
             if self.j < n {
@@ -1025,7 +799,6 @@ impl ArrivalGen for SynthGen {
                     None => self.sampler.sample(&mut self.rng),
                 };
                 self.j += 1;
-                self.emitted += 1;
                 return Some(Arrival {
                     at: SimTime::from_nanos(start + off),
                     config_id: self.key_offset + key,
@@ -1035,10 +808,6 @@ impl ArrivalGen for SynthGen {
             self.j = 0;
         }
         None
-    }
-    fn remaining(&self) -> (u64, Option<u64>) {
-        let left = self.requests - self.emitted;
-        (left, Some(left))
     }
 }
 
@@ -1072,17 +841,7 @@ pub fn synth_trace(spec: &SynthSpec) -> impl Trace {
         waves,
         bin: 0,
         j: 0,
-        emitted: 0,
-        requests: bins_total(&weights, spec.requests),
     })
-}
-
-fn bins_total(weights: &[f64], requests: u64) -> u64 {
-    if weights.iter().sum::<f64>() <= 0.0 {
-        0
-    } else {
-        requests
-    }
 }
 
 /// Multi-tenant interference: `tenants` synthesized tenants, each with a
@@ -1113,39 +872,6 @@ pub fn multi_tenant_trace(tenants: usize, per_tenant: &SynthSpec) -> MergeTrace 
 // ---------------------------------------------------------------------------
 // Trace file readers.
 // ---------------------------------------------------------------------------
-
-struct CountsGen {
-    counts: Vec<u64>,
-    interval: SimDuration,
-    config_id: usize,
-    idx: usize,
-    j: u64,
-}
-
-impl ArrivalGen for CountsGen {
-    fn produce(&mut self) -> Option<Arrival> {
-        while self.idx < self.counts.len() {
-            let n = self.counts[self.idx];
-            if self.j < n {
-                let start = round_start(self.interval, self.idx as u64);
-                // Even spacing within the interval: the j-th of n arrivals
-                // lands at j/n of the window. Deterministic, no RNG.
-                let off = ((self.interval.as_nanos() as u128 * self.j as u128) / n as u128) as u64;
-                self.j += 1;
-                return Some(Arrival {
-                    at: start + SimDuration::from_nanos(off),
-                    config_id: self.config_id,
-                });
-            }
-            self.idx += 1;
-            self.j = 0;
-        }
-        None
-    }
-    fn remaining(&self) -> (u64, Option<u64>) {
-        (0, None)
-    }
-}
 
 /// Azure-Functions-style invocation-count reader (the Shahrad et al. dataset
 /// shape): one row per function, `name,count,count,...` with one count per
@@ -1201,13 +927,21 @@ pub fn azure_csv_trace(
         first_data_line = false;
         let config_id = names.len();
         names.push(name);
-        sources.push(Box::new(GenTrace::new(CountsGen {
-            counts,
-            interval,
-            config_id,
-            idx: 0,
-            j: 0,
-        })));
+        let windows = counts.into_iter().enumerate();
+        sources.push(Box::new(GenTrace::new(windows.flat_map(
+            move |(idx, n)| {
+                let start = round_start(interval, idx as u64);
+                // Even spacing within the interval: the j-th of n arrivals
+                // lands at j/n of the window. Deterministic, no RNG.
+                (0..n).map(move |j| {
+                    let off = ((interval.as_nanos() as u128 * j as u128) / n as u128) as u64;
+                    Arrival {
+                        at: start + SimDuration::from_nanos(off),
+                        config_id,
+                    }
+                })
+            },
+        ))));
     }
     if sources.is_empty() {
         return Err("trace file contains no function rows".to_string());
@@ -1225,7 +959,6 @@ pub struct OpenDcTrace<R: BufRead> {
     lines: std::io::Lines<R>,
     head: Option<Arrival>,
     ids: BTreeMap<String, usize>,
-    names: Vec<String>,
     line_no: usize,
     last_at: SimTime,
     seen_data: bool,
@@ -1239,7 +972,6 @@ impl<R: BufRead> OpenDcTrace<R> {
             lines: reader.lines(),
             head: None,
             ids: BTreeMap::new(),
-            names: Vec::new(),
             line_no: 0,
             last_at: SimTime::ZERO,
             seen_data: false,
@@ -1247,11 +979,6 @@ impl<R: BufRead> OpenDcTrace<R> {
         };
         t.head = t.read_row();
         t
-    }
-
-    /// Function names discovered so far, indexed by config id.
-    pub fn function_names(&self) -> &[String] {
-        &self.names
     }
 
     fn fail(&mut self, msg: String) -> Option<Arrival> {
@@ -1315,12 +1042,11 @@ impl<R: BufRead> OpenDcTrace<R> {
             }
             self.last_at = at;
             self.seen_data = true;
-            let next_id = self.names.len();
+            let next_id = self.ids.len();
             let config_id = match self.ids.get(name) {
                 Some(&id) => id,
                 None => {
                     self.ids.insert(name.to_string(), next_id);
-                    self.names.push(name.to_string());
                     next_id
                 }
             };
@@ -1339,9 +1065,6 @@ impl<R: BufRead> Trace for OpenDcTrace<R> {
             self.head = self.read_row();
         }
         out
-    }
-    fn remaining_hint(&self) -> (u64, Option<u64>) {
-        (self.head.is_some() as u64, None)
     }
     fn take_error(&mut self) -> Option<String> {
         self.error.take()
@@ -1520,9 +1243,6 @@ mod tests {
                 }
                 out
             }
-            fn remaining_hint(&self) -> (u64, Option<u64>) {
-                (0, None)
-            }
         }
         impl Backwards {
             fn items(&self) -> Vec<Arrival> {
@@ -1585,11 +1305,6 @@ mod tests {
         assert!(is_time_ordered(&a));
         assert!(a.iter().all(|x| x.config_id < 500));
         assert!(a.iter().all(|x| x.at < SimTime::ZERO + spec.duration));
-        // remaining_hint is exact for the synthesizer.
-        let mut t = synth_trace(&spec);
-        assert_eq!(t.remaining_hint(), (12_345, Some(12_345)));
-        let _ = t.next_arrival();
-        assert_eq!(t.remaining_hint(), (12_344, Some(12_344)));
     }
 
     #[test]
@@ -1797,7 +1512,6 @@ mod tests {
         let mut t = OpenDcTrace::new(csv.as_bytes());
         let out = drain(&mut t);
         assert!(t.take_error().is_none());
-        assert_eq!(t.function_names(), ["alpha", "beta", "gamma"]);
         let expect = vec![
             Arrival {
                 at: SimTime::from_millis(0),
@@ -1848,9 +1562,7 @@ mod tests {
     fn vec_trace_and_drain_round_trip() {
         let w = patterns::serial(ROUND, 4, 0);
         let mut t = VecTrace::new(w.clone());
-        assert_eq!(t.remaining_hint(), (4, Some(4)));
         assert_eq!(drain(&mut t), w);
-        assert_eq!(t.remaining_hint(), (0, Some(0)));
     }
 
     fn partition_fixture() -> Vec<Arrival> {
