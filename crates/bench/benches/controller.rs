@@ -57,9 +57,7 @@ fn fleet(types: usize) -> (Mutex<ContainerEngine>, ShardedPool, Vec<ContainerCon
     }
     // One marking sweep moves the drained slots onto the cold queue and off
     // the active list, so the timed loop starts from steady state.
-    for shard in 0..pool.num_shards() {
-        pool.take_shard_snapshot(shard);
-    }
+    pool.take_shard_snapshot();
     let hot = all.into_iter().take(HOT).collect();
     (engine, pool, hot)
 }

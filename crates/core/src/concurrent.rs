@@ -11,10 +11,10 @@
 //! borrow. What is its own: request counters on atomics
 //! ([`faas::SharedStats`]), the function table behind a read-mostly
 //! [`stdshim::sync::RwLock`], and the single mutex that stands in for the
-//! container daemon. Warm requests for runtime types on different shards
-//! share **no** lock except the engine's short critical sections (load-app +
-//! `begin_exec`, `end_exec` + cleanup), and container creation happens
-//! outside every shard lock, so cold starts on different keys overlap.
+//! container daemon. Warm requests share **no** lock except the engine's
+//! short critical sections (load-app + `begin_exec`, `end_exec` + cleanup);
+//! a cold start adds the pool lock, taken after its container was created
+//! and never together with the engine's.
 //!
 //! The global-lock baseline it is measured against is a fixture local to
 //! `benches/contention.rs`, not a type of this crate.
@@ -61,14 +61,14 @@ pub struct FunctionHandle {
     entry: Arc<FunctionEntry>,
 }
 
-/// The sharded HotC gateway: [`HotC`] (per-shard pool locks, tick-only
+/// The concurrent HotC gateway: [`HotC`] (one pool lock, tick-only
 /// controller mutex) driven through a single engine mutex standing in for
 /// the container daemon, with atomic stats and a read-mostly function table
 /// carrying registration-time runtime keys.
 ///
 /// Lock order (see DESIGN.md): a thread holds at most one of
-/// {function table, pool shard, engine} at a time on the request path;
-/// `HotC`'s controller mutex (tick only) may span shard/engine acquisitions
+/// {function table, pool state, engine} at a time on the request path;
+/// `HotC`'s controller mutex (tick only) may span pool/engine acquisitions
 /// but is never taken while holding any other lock.
 pub struct ShardedGateway {
     engine: Mutex<ContainerEngine>,
@@ -183,7 +183,7 @@ impl ShardedGateway {
         self.stats.snapshot()
     }
 
-    /// The sharded runtime pool.
+    /// The runtime pool.
     pub fn pool(&self) -> &ShardedPool {
         self.hotc.pool()
     }
@@ -200,8 +200,8 @@ impl ShardedGateway {
     }
 
     /// Starts serving a request that arrived at `now`. Each piece of shared
-    /// state is locked by itself, in a fixed order, and never across the
-    /// container-creation path of another key's shard.
+    /// state is locked by itself, in a fixed order, and never across a
+    /// container creation.
     pub fn begin(&self, function: &str, now: SimTime) -> Result<InFlight, GatewayError> {
         let entry = self
             .functions
@@ -229,13 +229,13 @@ impl ShardedGateway {
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
         // DESIGN.md §5: the request path holds at most one of {function
-        // table, pool shard, engine} at a time — and the warm acquire below
+        // table, pool state, engine} at a time — and the warm acquire below
         // holds none at all.
         let _scope = stdshim::request_path_scope();
         let t1 = now;
         let t2 = t1 + GATEWAY_HOP;
         // The acquire reuses the registration-time interned id, so a warm
-        // hit is a bitmap CAS — no shard lock, no engine lock, no key
+        // hit is a bitmap CAS — no pool lock, no engine lock, no key
         // hashing.
         let warm_scope = stdshim::request_path_scope();
         let acq = self
@@ -379,15 +379,7 @@ impl ShardedGateway {
                 report.actual_total() as f64,
             );
         }
-        let sizes = self.pool().shard_sizes();
-        let (avail, in_use) = sizes
-            .iter()
-            .fold((0usize, 0usize), |(a, u), &(sa, su)| (a + sa, u + su));
-        for (i, &(sa, su)) in sizes.iter().enumerate() {
-            self.metrics
-                .gauge(&format!("pool/shard{i}/live"))
-                .set((sa + su) as f64);
-        }
+        let (avail, in_use) = self.pool().sizes();
         self.metrics.gauge("pool/available").set(avail as f64);
         self.metrics.gauge("pool/in_use").set(in_use as f64);
         self.metrics
@@ -618,7 +610,6 @@ mod tests {
         assert_eq!(key_scopes, threads);
         // The tick sampled pool gauges and the live series.
         assert!(snap.gauge("pool/available").is_some());
-        assert!(snap.gauge("pool/shard0/live").is_some());
         assert!(snap
             .series
             .iter()

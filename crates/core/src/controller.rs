@@ -8,13 +8,14 @@
 //! ("prepare the runtime in advance") and retiring idle ones ahead of
 //! predicted decline ("avoid … unnecessary resource consumption").
 //!
-//! The controller walks the sharded pool one shard at a time
-//! ([`AdaptiveController::step`]), so a control step never stalls
-//! the whole pool: requests on other shards proceed while one shard's
-//! snapshot is taken. By default each step takes the pool's **dirty-set**
-//! snapshot — only keys touched since the last interval (or still holding
-//! containers) are visited, so a step costs O(active types) rather than
-//! O(registered types). Keys the dirty snapshot skipped saw zero demand by
+//! A control step ([`AdaptiveController::step`]) takes one demand snapshot
+//! under the pool lock, releases it, and then sizes the snapshot's keys in
+//! `KeyId` order — so the container ids of same-step pre-warms, and with
+//! them eviction's tie-breaks, are a function of the model alone. Warm
+//! requests proceed lock-free throughout. By default the step takes the
+//! pool's **dirty-set** snapshot — only keys touched since the last interval
+//! (or still holding containers) are visited, so a step costs O(active
+//! types) rather than O(registered types). Keys the dirty snapshot skipped saw zero demand by
 //! construction; when such a key resurfaces, the controller backfills the
 //! missed intervals as zero observations (one per skipped tick), so every
 //! predictor sees exactly the demand series a full sweep would have fed it.
@@ -28,7 +29,7 @@
 //! distinct configurations.
 
 use crate::key::KeyId;
-use crate::shard::{EngineRef, ShardedPool};
+use crate::shard::{EngineRef, ShardSnapshot, ShardedPool};
 use containersim::EngineError;
 use predictor::{EsMarkov, InitialValue, Predictor};
 use simclock::{SimDuration, SimTime};
@@ -164,22 +165,21 @@ impl AdaptiveController {
         self.step(pool, engine, now).map(Some)
     }
 
-    /// One O(active types) control step, unconditionally, over the sharded
-    /// pool one shard at a time: take each shard's dirty-set demand snapshot
-    /// (which also garbage-collects long-empty slots via the idle sweep),
-    /// update predictors, and resize toward the predictions. Only one
-    /// shard's lock is held at any moment, and never together with the
-    /// engine lock.
+    /// One O(active types) control step, unconditionally: take the pool's
+    /// dirty-set demand snapshot (which also garbage-collects long-empty
+    /// slots via the idle sweep), update predictors, and resize toward the
+    /// predictions. The pool lock is held for the snapshot only, and never
+    /// together with the engine lock.
     pub fn step(
         &mut self,
         pool: &ShardedPool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.step_shards(pool, engine, now, false)
+        self.apply(pool, engine, now, pool.take_shard_snapshot_dirty())
     }
 
-    /// The O(all types) reference step: full-sweep snapshots that visit
+    /// The O(all types) reference step: a full-sweep snapshot that visits
     /// every tracked slot. Produces the same pool-resize actions as
     /// [`Self::step`] on the same trace (property-tested below). No
     /// production path calls it: it is the oracle for that property and the
@@ -190,109 +190,105 @@ impl AdaptiveController {
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.step_shards(pool, engine, now, true)
+        self.apply(pool, engine, now, pool.take_shard_snapshot())
     }
 
-    fn step_shards(
+    /// Feeds one snapshot to the predictors and resizes its keys, in the
+    /// snapshot's order (ascending `KeyId`).
+    fn apply(
         &mut self,
         pool: &ShardedPool,
         engine: &impl EngineRef,
         now: SimTime,
-        full: bool,
+        snapshot: ShardSnapshot,
     ) -> Result<StepReport, EngineError> {
         self.last_step = Some(now);
         self.ticks += 1;
         let tick = self.ticks;
-        let mut report = StepReport::default();
-        for shard in 0..pool.num_shards() {
-            let snapshot = if full {
-                pool.take_shard_snapshot(shard)
-            } else {
-                pool.take_shard_snapshot_dirty(shard)
-            };
-            for id in &snapshot.retired {
-                // The pool dropped the slot: drop its predictor with it.
-                if let Some(slot) = self.predictors.get_mut(id.index()) {
-                    if slot.take().is_some() {
-                        self.live_predictors -= 1;
-                    }
+        let mut report = StepReport {
+            gc_keys: snapshot.retired.len(),
+            demand: Vec::with_capacity(snapshot.demands.len()),
+            ..StepReport::default()
+        };
+        for id in &snapshot.retired {
+            // The pool dropped the slot: drop its predictor with it.
+            if let Some(slot) = self.predictors.get_mut(id.index()) {
+                if slot.take().is_some() {
+                    self.live_predictors -= 1;
                 }
             }
-            report.gc_keys += snapshot.retired.len();
-            for sample in snapshot.demands {
-                let (id, demand) = (sample.id, sample.demand);
-                if self.predictors.len() <= id.index() {
-                    self.predictors.resize_with(id.index() + 1, || None);
+        }
+        for sample in snapshot.demands {
+            let (id, demand) = (sample.id, sample.demand);
+            if self.predictors.len() <= id.index() {
+                self.predictors.resize_with(id.index() + 1, || None);
+            }
+            let slot = &mut self.predictors[id.index()];
+            let entry = match slot {
+                Some(entry) => entry,
+                None => {
+                    self.live_predictors += 1;
+                    slot.insert(Box::new(KeyedPredictor {
+                        model: EsMarkov::with_params(self.config.alpha, INIT, REGIONS, WINDOW),
+                        last_tick: tick - 1,
+                    }))
                 }
-                let slot = &mut self.predictors[id.index()];
-                let entry = match slot {
-                    Some(entry) => entry,
-                    None => {
-                        self.live_predictors += 1;
-                        slot.insert(Box::new(KeyedPredictor {
-                            model: EsMarkov::with_params(self.config.alpha, INIT, REGIONS, WINDOW),
-                            last_tick: tick - 1,
-                        }))
-                    }
-                };
-                // A key absent from a dirty snapshot saw zero demand by
-                // construction (any touch keeps it on the active list):
-                // feed the skipped intervals now so the predictor's series
-                // is identical to what a full sweep would have produced.
-                for _ in entry.last_tick + 1..tick {
-                    entry.model.observe(0.0);
-                }
-                entry.last_tick = tick;
-                entry.model.observe(demand as f64);
-                let predicted = entry.model.predict();
-                report.demand.push((id, predicted, demand));
+            };
+            // A key absent from a dirty snapshot saw zero demand by
+            // construction (any touch keeps it on the active list):
+            // feed the skipped intervals now so the predictor's series
+            // is identical to what a full sweep would have produced.
+            for _ in entry.last_tick + 1..tick {
+                entry.model.observe(0.0);
+            }
+            entry.last_tick = tick;
+            entry.model.observe(demand as f64);
+            let predicted = entry.model.predict();
+            report.demand.push((id, predicted, demand));
 
-                // Scale-down floor: never size below what the *last* interval
-                // actually needed — on a growing workload the smoother lags
-                // and would otherwise retire runtimes the next wave is about
-                // to use (the Fig. 14(a) "at least half reuse" property).
-                let target = (predicted.ceil().max(0.0) as usize).max(demand);
-                // The snapshot read the live population under the shard lock
-                // it already held — no per-key re-lock.
-                let current = sample.live();
-                // No-resurrect rule: a key with no demand and no containers
-                // is on its way to being GC'd — pre-warming it would keep a
-                // dead key alive forever on the ceil()-ed tail of a decaying
-                // prediction.
-                if current == 0 && demand == 0 {
-                    continue;
-                }
-                if target > current {
-                    // Prepare runtimes in advance of predicted demand.
-                    for _ in 0..(target - current) {
-                        match pool.prewarm_key_id(engine, id, now)? {
-                            Some(cost) => {
-                                self.background += cost;
-                                report.prewarmed += 1;
-                            }
-                            None => break, // slot GC'd since the snapshot
+            // Scale-down floor: never size below what the *last* interval
+            // actually needed — on a growing workload the smoother lags
+            // and would otherwise retire runtimes the next wave is about
+            // to use (the Fig. 14(a) "at least half reuse" property).
+            let target = (predicted.ceil().max(0.0) as usize).max(demand);
+            // The snapshot read the live population under the pool lock
+            // it already held — no per-key re-lock.
+            let current = sample.live();
+            // No-resurrect rule: a key with no demand and no containers
+            // is on its way to being GC'd — pre-warming it would keep a
+            // dead key alive forever on the ceil()-ed tail of a decaying
+            // prediction.
+            if current == 0 && demand == 0 {
+                continue;
+            }
+            if target > current {
+                // Prepare runtimes in advance of predicted demand.
+                for _ in 0..(target - current) {
+                    match pool.prewarm_key_id(engine, id, now)? {
+                        Some(cost) => {
+                            self.background += cost;
+                            report.prewarmed += 1;
                         }
+                        None => break, // slot GC'd since the snapshot
                     }
-                } else {
-                    // Shed idle runtimes beyond predicted demand — gradually,
-                    // so recurring bursts find warm capacity left over.
-                    let excess = current - target;
-                    let retire = ((excess as f64 * self.config.max_retire_fraction).ceil()
-                        as usize)
-                        .min(excess);
-                    for _ in 0..retire {
-                        match pool.retire_one_id(engine, id, now)? {
-                            Some(c) => {
-                                self.background += c;
-                                report.retired += 1;
-                            }
-                            None => break, // the rest are in use
+                }
+            } else {
+                // Shed idle runtimes beyond predicted demand — gradually,
+                // so recurring bursts find warm capacity left over.
+                let excess = current - target;
+                let retire =
+                    ((excess as f64 * self.config.max_retire_fraction).ceil() as usize).min(excess);
+                for _ in 0..retire {
+                    match pool.retire_one_id(engine, id, now)? {
+                        Some(c) => {
+                            self.background += c;
+                            report.retired += 1;
                         }
+                        None => break, // the rest are in use
                     }
                 }
             }
         }
-        report.demand.sort_unstable_by_key(|&(id, _, _)| id);
         Ok(report)
     }
 }
@@ -492,6 +488,42 @@ mod tests {
         assert_eq!(pool.total_live(), 0, "dead key must not be resurrected");
         assert!(pool.keys().is_empty());
         assert_eq!(ctl.predictor_count(), 0, "predictor GC'd with the slot");
+    }
+
+    /// Keys that all need a pre-warm in one control step get their new
+    /// containers in `KeyId` order: ids ascend with the key, so the
+    /// `(created_at, id)` eviction order among them is a function of the
+    /// model, not of how the pool stores its keys.
+    #[test]
+    fn same_step_prewarms_receive_ids_in_key_order() {
+        let (mut e, pool, mut ctl) = setup();
+        let configs: Vec<ContainerConfig> = (0..10)
+            .map(|k| {
+                let mut c = cfg();
+                c.exec.env.insert("K".into(), k.to_string());
+                c
+            })
+            .collect();
+        // Every key needed two runtimes this interval and has one left.
+        for c in &configs {
+            drive_config_demand(&pool, &mut e, c, 2, SimTime::ZERO);
+            pool.retire_one_id(
+                &ExclusiveEngine::new(&mut e),
+                pool.intern_config(c),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        let at = SimTime::from_secs(30);
+        assert_eq!(step(&mut ctl, &pool, &mut e, at).prewarmed, configs.len());
+        let prewarmed_keys: Vec<KeyId> = e
+            .live_ids_oldest_first()
+            .into_iter()
+            .filter(|&c| e.created_at(c) == Some(at))
+            .map(|c| pool.intern_config(e.config(c).unwrap()))
+            .collect();
+        let in_key_order: Vec<KeyId> = configs.iter().map(|c| pool.intern_config(c)).collect();
+        assert_eq!(prewarmed_keys, in_key_order);
     }
 
     /// The tentpole equivalence: on any shared trace, the dirty-set step

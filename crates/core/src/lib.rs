@@ -18,9 +18,9 @@
 //!   [`shard::ShardedPool`]: a key-value store from runtime key to
 //!   available/in-use containers, with the `num_avail` bookkeeping,
 //!   used-container cleanup (wipe + fresh volume), and oldest-first forced
-//!   termination. It is the one pool type: runtime keys are spread over N
-//!   independently locked shards so warm paths for different runtime types
-//!   never contend, and container creation happens outside every shard lock.
+//!   termination. It is the one pool type: warm acquires and releases are
+//!   lock-free per runtime key, one mutex serializes every occupancy change,
+//!   and container creation happens outside it.
 //! * [`controller`] — **Adaptive live container management** (Algorithm 3):
 //!   per-key demand history at a fixed control interval, predicted with the
 //!   combined exponential-smoothing + Markov model, pre-warming and retiring
@@ -45,7 +45,7 @@
 //! One spelling per pool-control operation: [`PoolLimits`],
 //! [`AdaptiveController`] and [`HotC`] entry points all take an `&impl
 //! EngineRef` — an [`ExclusiveEngine`] borrow from the single-threaded
-//! gateway, the engine mutex from the sharded one. Which app last ran in a
+//! gateway, the engine mutex from the concurrent one. Which app last ran in a
 //! pooled runtime is not pool or gateway state: the container's engine
 //! record remembers it ([`containersim::ContainerEngine::load_app`]).
 //!

@@ -44,18 +44,18 @@ impl PoolLimits {
     }
 
     /// Whether the pool/host currently violates a limit. Reads the pool's
-    /// live count (one shard lock at a time) and the host memory pressure
-    /// (engine lock) sequentially — the two locks are never nested.
+    /// live count (pool lock) and the host memory pressure (engine lock)
+    /// sequentially — the two locks are never nested.
     pub(crate) fn violated(&self, pool: &ShardedPool, engine: &impl EngineRef) -> bool {
         pool.total_live() > self.max_live
             || engine.with_engine(|e| e.host().memory_pressure()) > self.mem_threshold
     }
 
-    /// Two-phase oldest-first eviction until limits hold (or no available
-    /// container remains to evict — in-flight containers are never killed).
-    /// Each round reads the shards' age indexes
-    /// ([`ShardedPool::evict_oldest`]), so a cold start under the cap pays
-    /// O(shards + in-flight) for its eviction, not a scan of the pool.
+    /// Oldest-first eviction until limits hold (or no available container
+    /// remains to evict — in-flight containers are never killed). Each round
+    /// walks the pool's age index ([`ShardedPool::evict_oldest`]), so a cold
+    /// start under the cap pays O(in-flight) for its eviction, not a scan of
+    /// the pool.
     /// Returns the accumulated teardown cost and the number evicted, which
     /// telemetry counts separately from controller-driven retires.
     pub fn enforce(

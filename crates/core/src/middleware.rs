@@ -44,7 +44,7 @@ pub struct HotCConfig {
 pub struct HotC {
     pool: ShardedPool,
     /// Taken by `tick_on` and the background-cost read only: a control step
-    /// may span shard and engine acquisitions, but this lock is never taken
+    /// may span pool and engine acquisitions, but this lock is never taken
     /// while holding any other (DESIGN.md §5).
     controller: Mutex<AdaptiveController>,
     limits: PoolLimits,

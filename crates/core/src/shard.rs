@@ -1,16 +1,16 @@
-//! The sharded concurrent runtime pool (§IV-B at production scale).
+//! The concurrent runtime pool (§IV-B, Fig. 7).
 //!
-//! The paper's key-value pool shards naturally along the runtime key: a
-//! key's slot never interacts with another key's slot except during global
-//! eviction. [`ShardedPool`] interns each configuration into a dense
-//! [`KeyId`] and places it on one of N shards round-robin — but the warm
-//! hit itself no longer touches the shard lock at all. Each key owns a
-//! slot array — a chain of fixed [`SLOTS_PER_KEY`]-slot chunks that grows
-//! by one chunk whenever every slot is occupied — indexed by two
-//! [`stdshim::sync::SlotBitmap`] free-lists per chunk (`avail` and
-//! `in_use`), so a warm acquire is a claim-bit CAS plus a container-handle
-//! load, and a warm release is the mirror image. Every container of a key
-//! lives in that array under that one protocol, whatever the population.
+//! The paper's pool is one key-value store in front of one container daemon.
+//! [`ShardedPool`] interns each configuration into a dense [`KeyId`] and
+//! keeps every key's containers in that key's slot array — a chain of fixed
+//! [`SLOTS_PER_KEY`]-slot chunks that grows by one chunk whenever every slot
+//! is occupied — indexed by two [`stdshim::sync::SlotBitmap`] free-lists per
+//! chunk (`avail` and `in_use`), so a warm acquire is a claim-bit CAS plus a
+//! container-handle load, and a warm release is the mirror image. Every
+//! container of a key lives in that array under that one protocol, whatever
+//! the population. What the bitmaps cannot say — which keys are tracked,
+//! which slot index holds which container, how old each container is — sits
+//! behind the one pool-state mutex.
 //!
 //! Lock discipline (see DESIGN.md §5):
 //!
@@ -19,11 +19,11 @@
 //!   container through a lock-free reverse index and claims its `in_use`
 //!   bit. Under `KeyPolicy::Exact` the request-path sanitizer scope asserts
 //!   a lock depth of zero on this path in debug builds.
-//! * **miss / cold start / evict / controller / GC: shard lock.** The shard
-//!   `Mutex` serializes slot-array *occupancy* changes (which slot index
-//!   holds which container, and the appending of a chunk); engine calls
-//!   (container creation, cleanup, teardown) always happen outside it, one
-//!   lock at a time, so cold starts on different keys overlap.
+//! * **miss / cold start / evict / controller / GC: the pool lock.** The
+//!   state `Mutex` serializes slot-array *occupancy* changes (which slot
+//!   index holds which container, and the appending of a chunk); engine
+//!   calls (container creation, cleanup, teardown) always happen outside it,
+//!   one lock at a time.
 //! * **publish-before-bit-set.** A newly cold-started or pre-warmed
 //!   container's packed entry and reverse-index mapping are stored *before*
 //!   its bitmap bit is set, and the bit-set is a release store — a claimer's
@@ -31,18 +31,15 @@
 //!   is appended (a `OnceLock` publication) before any slot index in it is
 //!   handed out, so whoever learns such an index — from the reverse index's
 //!   release-store or from a set bit — also sees the chunk.
-//! * global eviction is **two-phase over a per-shard age index**: every
-//!   shard keeps its pooled containers (available *and* in use) ordered by
-//!   `(created_at, id)`, updated under the shard lock at the five places that
-//!   change the shard's live count (cold publish, prewarm, crashed-release
-//!   disposal, retire, evict). Phase one
-//!   asks each shard, one lock at a time, for its oldest entry that is
-//!   available right now and keeps the minimum; phase two re-locks the
-//!   owning shard, re-verifies the entry, and claims the victim's `avail`
-//!   bit, resuming the walk past it if a racing acquire took it first — no
-//!   operation ever takes all shard locks at once. The index covers *live*
-//!   containers, not *available* ones, so the lock-free warm claim and
-//!   hand-back never touch it.
+//! * global eviction walks **one age index**: the pool keeps its containers
+//!   (available *and* in use) ordered by `(created_at, id)`, updated under
+//!   the lock at the five places that change the live count (cold publish,
+//!   prewarm, crashed-release disposal, retire, evict). An eviction walks it
+//!   in order inside one critical section and claims the first entry whose
+//!   `avail` bit it wins; an entry a racing lock-free acquire holds (or
+//!   takes first) is passed over. The index covers *live* containers, not
+//!   *available* ones, so the lock-free warm claim and hand-back never touch
+//!   it.
 //!
 //! The pool's bookkeeping invariants (enforced by the property tests):
 //!
@@ -51,7 +48,7 @@
 //!   owned by at most one request at a time (the `in_use` bit is the
 //!   ownership token a release must claim);
 //! * the `free` bitmaps (slot-array occupancy) are mutated only under the
-//!   shard lock, so a key's live population is exact whenever the lock is
+//!   pool lock, so a key's live population is exact whenever the lock is
 //!   held — the controller's GC decisions can never race a half-finished
 //!   warm operation into stranding a container;
 //! * a slot exists only while a container of its type exists or existed
@@ -64,17 +61,12 @@ use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown,
 use faas::Acquisition;
 use simclock::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
 use std::sync::Arc;
 use stdshim::atomic::{
     Ordering, ShimAtomicU64 as AtomicU64, ShimAtomicUsize as AtomicUsize, ShimOnceLock as OnceLock,
 };
 use stdshim::sync::{LazySlotTable, Mutex, SlotBitmap};
 use stdshim::FastMap;
-
-/// Default shard count — enough to spread a handful of worker threads'
-/// runtime types without measurable cost for single-threaded use.
-pub(crate) const DEFAULT_SHARDS: usize = 8;
 
 /// Default number of consecutive zero-demand snapshots after which an empty
 /// slot is garbage collected.
@@ -84,7 +76,7 @@ pub(crate) const DEFAULT_GC_INTERVALS: u32 = 3;
 /// appends another whenever all its slots are occupied.
 const SLOTS_PER_KEY: usize = 128;
 
-/// Scoped access to the container engine. The pool never holds a shard lock
+/// Scoped access to the container engine. The pool never holds its lock
 /// across an engine call, so the engine guard's scope is chosen per call:
 /// concurrent frontends implement this over a `Mutex<ContainerEngine>`,
 /// single-threaded callers wrap their exclusive `&mut` in [`ExclusiveEngine`].
@@ -149,7 +141,7 @@ struct SlotChunk {
     /// Packed `(container, execed)` per slot; 0 = empty.
     entries: Box<[AtomicU64]>,
     /// Set = slot unoccupied. Claimed at publish, released at dispose, both
-    /// under the shard lock — `SLOTS_PER_KEY - free.count()` is the chunk's
+    /// under the pool lock — `SLOTS_PER_KEY - free.count()` is the chunk's
     /// exact population whenever the lock is held.
     free: SlotBitmap,
     /// Set = warm container ready to claim (Existing-Available).
@@ -157,7 +149,7 @@ struct SlotChunk {
     /// Set = handed out (Existing-Not-Available). The bit is the ownership
     /// token: a release must claim it, so double releases are rejected.
     in_use: SlotBitmap,
-    /// The next chunk, appended under the shard lock once every slot up to
+    /// The next chunk, appended under the pool lock once every slot up to
     /// here is occupied, and never freed: a key that once burst keeps its
     /// chain. Set before any slot index of the new chunk exists anywhere.
     next: OnceLock<Box<SlotChunk>>,
@@ -242,14 +234,14 @@ impl KeySlots {
         (chunk, i % SLOTS_PER_KEY)
     }
 
-    /// Occupied slots. Exact under the shard lock (see [`SlotChunk::free`]).
+    /// Occupied slots. Exact under the pool lock (see [`SlotChunk::free`]).
     fn occupied(&self) -> usize {
         self.chunks()
             .map(|chunk| SLOTS_PER_KEY - chunk.free.count())
             .sum()
     }
 
-    /// Available containers right now (advisory outside the shard lock).
+    /// Available containers right now (advisory outside the pool lock).
     fn avail_count(&self) -> usize {
         self.chunks().map(|chunk| chunk.avail.count()).sum()
     }
@@ -289,7 +281,7 @@ impl KeySlots {
         }
     }
 
-    /// Appends `chunk` behind the last one. Shard lock required (one
+    /// Appends `chunk` behind the last one. Pool lock required (one
     /// appender at a time), and called only when every slot is occupied.
     fn append(&self, chunk: SlotChunk) {
         let mut last = &self.head;
@@ -300,7 +292,7 @@ impl KeySlots {
     }
 
     /// Claims the lowest unoccupied slot, appending a chunk when every slot
-    /// is occupied. Shard lock required: this mutates `free`.
+    /// is occupied. Pool lock required: this mutates `free`.
     fn claim_free(&self) -> (usize, &SlotChunk, usize) {
         loop {
             if let Some(claimed) = self.claim_lowest(|chunk| &chunk.free) {
@@ -327,7 +319,7 @@ impl KeySlots {
 
     /// Lock-free release claim: verify the entry names `container`, take the
     /// `in_use` ownership token, then re-verify. Entries only change while a
-    /// slot is unoccupied or under the shard lock, so a double release (bit
+    /// slot is unoccupied or under the pool lock, so a double release (bit
     /// already claimed) or a stale reverse-index mapping fails here.
     fn try_claim_release(&self, i: usize, container: ContainerId) -> bool {
         let (chunk, bit) = self.at(i);
@@ -367,7 +359,7 @@ impl KeySlots {
 
     /// Retires any available container (controller scale-down): the
     /// avail-bit claim is atomic against racing lock-free acquires — whoever
-    /// wins the CAS owns the slot. Shard lock required (disposes).
+    /// wins the CAS owns the slot. Pool lock required (disposes).
     fn retire_avail(&self) -> Option<ContainerId> {
         let (_, chunk, bit) = self.claim_lowest(|chunk| &chunk.avail)?;
         let container = entry_container(chunk.entries[bit].load(Ordering::Relaxed));
@@ -379,7 +371,7 @@ impl KeySlots {
     /// Eviction's claim phase: entries are frozen while occupied, so the
     /// candidate is still at slot `i` ⇔ the entry still names it; the bit
     /// claim then races only lock-free acquirers, and a racing acquire
-    /// winning it fails the eviction. Shard lock required (disposes).
+    /// winning it fails the eviction. Pool lock required (disposes).
     fn evict_at(&self, i: usize, container: ContainerId) -> bool {
         let (chunk, bit) = self.at(i);
         let entry = chunk.entries[bit].load(Ordering::Relaxed);
@@ -393,14 +385,14 @@ impl KeySlots {
 
 /// One runtime type's containers, plus the bookkeeping the adaptive
 /// controller feeds on. The containers live in the shared [`KeySlots`]; this
-/// struct holds the shard-locked remainder: controller flags and a
-/// representative configuration.
+/// struct holds the locked remainder: controller flags and a representative
+/// configuration.
 #[derive(Debug)]
 struct Slot {
     /// The key's lock-free slot array, shared with the pool-level key table
     /// so warm paths reach it without this `Slot` (or its lock).
     ks: Arc<KeySlots>,
-    /// Whether this key is on the shard's active list (touched since the
+    /// Whether this key is on the pool's active list (touched since the
     /// last snapshot, or still holding containers). The flag keeps the list
     /// duplicate-free without a per-touch hash probe.
     active: bool,
@@ -424,8 +416,11 @@ impl Slot {
     }
 }
 
+/// Everything the pool keeps behind its one lock: which keys are tracked,
+/// which of them the next control snapshot must visit, and the age order of
+/// the containers they hold.
 #[derive(Debug, Default)]
-struct ShardState {
+struct PoolState {
     /// Keyed by interned id with [`FastMap`] — the id is an internal dense
     /// integer, so the default hasher's DoS resistance buys nothing on this
     /// per-request lookup.
@@ -440,15 +435,15 @@ struct ShardState {
     /// exactly the entries whose deadline arrived. Entries are lazily
     /// invalidated by re-touches (the slot's `cold_since` moves on).
     cold: VecDeque<(KeyId, u64)>,
-    /// Snapshot sequence number (one per demand snapshot of this shard).
+    /// Snapshot sequence number (one per demand snapshot).
     seq: u64,
-    /// Containers currently tracked by this shard (available + in use),
+    /// Containers currently tracked by the pool (available + in use),
     /// maintained under the lock at every occupancy change so
-    /// [`ShardedPool::total_live`] is O(shards). Warm hits and warm
+    /// [`ShardedPool::total_live`] is O(1). Warm hits and warm
     /// releases do not change occupancy, so they never touch it. The
     /// full-sweep snapshot cross-checks it in debug builds.
     live: usize,
-    /// The shard's pooled containers (available *and* in use) ordered by
+    /// The pooled containers (available *and* in use) ordered by
     /// `(created_at, id)` — the eviction order. Inserted and removed at the
     /// same points that change `live`, so `ages.len() == live` under the
     /// lock; warm claims and hand-backs change availability, not
@@ -461,8 +456,8 @@ struct ShardState {
     born: FastMap<ContainerId, SimTime>,
 }
 
-impl ShardState {
-    /// Counts a just-published container into the shard (`live` and the
+impl PoolState {
+    /// Counts a just-published container into the pool (`live` and the
     /// age index move together). `created_at` is the `now` its
     /// `create_container` call was given.
     fn admit(&mut self, container: ContainerId, created_at: SimTime, key: KeyId, at: usize) {
@@ -480,21 +475,6 @@ impl ShardState {
         if let Some(created_at) = created_at {
             self.ages.remove(&(created_at, container));
         }
-    }
-
-    /// The oldest *available* container strictly younger than `after`, with
-    /// its location. Walks the age index in order, skipping in-use entries
-    /// (at most the shard's in-flight count of them).
-    fn oldest_available(&self, after: Option<(SimTime, ContainerId)>) -> Option<EvictCandidate> {
-        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
-        self.ages
-            .range((from, Bound::Unbounded))
-            .find(|&(_, &(key, at))| {
-                self.slots
-                    .get(&key)
-                    .is_some_and(|slot| slot.ks.is_avail(at))
-            })
-            .map(|(&age, &(key, at))| EvictCandidate { age, key, at })
     }
 
     /// Debug cross-check of the age index against the slot bookkeeping it
@@ -529,8 +509,8 @@ impl ShardState {
 }
 
 /// One key's demand sample within a [`ShardSnapshot`]. Carries the slot's
-/// live population as seen while the shard lock was already held, so the
-/// controller can size the key without re-locking the shard per key.
+/// live population as seen while the pool lock was already held, so the
+/// controller can size the key without re-locking the pool per key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyDemand {
     /// The runtime key.
@@ -550,9 +530,9 @@ impl KeyDemand {
     }
 }
 
-/// One shard's demand snapshot: per-key demand for the controller, plus the
-/// keys whose empty slots were garbage collected in this snapshot (the
-/// controller drops their predictors).
+/// One control interval's demand snapshot: per-key demand for the
+/// controller, plus the keys whose empty slots were garbage collected in
+/// this snapshot (the controller drops their predictors).
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     /// `history[k][t]` entries for the interval, sorted by key id.
@@ -582,7 +562,7 @@ pub(crate) struct PoolAcquisition {
     pub reconfig: SimDuration,
     /// True when the acquisition completed without a single lock — a warm
     /// bitmap hit under an exact policy (fuzzy reuse checks the engine's
-    /// config, locked-retry hits hold the shard lock). Callers assert a
+    /// config, locked-retry hits hold the pool lock). Callers assert a
     /// sanitizer lock depth of zero against this in debug builds.
     pub lock_free: bool,
 }
@@ -607,21 +587,11 @@ struct ClaimedSlot<'a> {
     slot: usize,
 }
 
-/// An eviction candidate: one shard's oldest available container, as its
-/// age-index entry — `(created_at, id)`, the key, and the slot index.
-#[derive(Debug, Clone, Copy)]
-struct EvictCandidate {
-    age: (SimTime, ContainerId),
-    key: KeyId,
-    at: usize,
-}
-
-/// The sharded HotC container pool (Algorithms 1–2 per shard).
+/// The HotC container pool (Algorithms 1–2).
 ///
 /// All methods take `&self`; warm hits are lock-free (bitmap CAS), while
-/// the per-shard mutexes serialize occupancy changes of keys that hash to
-/// the same shard. Engine work happens outside any shard lock via
-/// [`EngineRef`].
+/// one mutex serializes occupancy changes. Engine work happens outside that
+/// lock via [`EngineRef`].
 ///
 /// ```
 /// use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
@@ -653,8 +623,8 @@ struct EvictCandidate {
 #[derive(Debug)]
 pub struct ShardedPool {
     policy: KeyPolicy,
-    shards: Box<[Mutex<ShardState>]>,
-    /// Interns configurations into dense [`KeyId`]s; the shard maps, the
+    state: Mutex<PoolState>,
+    /// Interns configurations into dense [`KeyId`]s; the slot map, the
     /// controller, and the gateway all key on the id, so the canonical key
     /// string is formatted once per distinct configuration.
     interner: KeyInterner,
@@ -665,7 +635,7 @@ pub struct ShardedPool {
     key_slots: LazySlotTable<OnceLock<Arc<KeySlots>>>,
     /// Lock-free reverse index: container id → packed `(key, slot)` (see
     /// [`pack_rindex`]), 0 = not pooled. Written at publish and cleared at
-    /// dispose, both under the owning shard's lock; read lock-free by
+    /// dispose, both under the pool lock; read lock-free by
     /// `release`, which gets the container's true key and slot without
     /// touching the engine or the interner. It names every pooled container.
     rindex: LazySlotTable<AtomicU64>,
@@ -686,19 +656,11 @@ fn pack_rindex(id: KeyId, slot: usize) -> u64 {
 }
 
 impl ShardedPool {
-    /// Creates a pool with [`DEFAULT_SHARDS`] shards.
+    /// Creates an empty pool.
     pub fn new(policy: KeyPolicy) -> Self {
-        Self::with_shards(policy, DEFAULT_SHARDS)
-    }
-
-    /// Creates a pool with an explicit shard count (at least 1).
-    pub fn with_shards(policy: KeyPolicy, shards: usize) -> Self {
-        let shards = shards.max(1);
         ShardedPool {
             policy,
-            shards: (0..shards)
-                .map(|_| Mutex::labeled(ShardState::default(), "pool/shard"))
-                .collect(),
+            state: Mutex::labeled(PoolState::default(), "pool/shard"),
             interner: KeyInterner::new(policy),
             key_slots: LazySlotTable::default(),
             rindex: LazySlotTable::default(),
@@ -721,18 +683,15 @@ impl ShardedPool {
     }
 
     /// Visits every key with at least one available (warm) container,
-    /// yielding `(id, available_count)`. Takes the shard locks one at a
-    /// time; O(tracked keys). Counts are per-shard-consistent snapshots —
+    /// yielding `(id, available_count)` under the pool lock; O(tracked
+    /// keys). Lock-free warm traffic can move a count while it is read —
     /// exact when the caller serializes pool mutations (the single-threaded
     /// cluster scheduler does).
     pub fn for_each_warm(&self, mut f: impl FnMut(KeyId, usize)) {
-        for shard in self.shards.iter() {
-            let state = shard.lock();
-            for (&id, slot) in &state.slots {
-                let avail = slot.ks.avail_count();
-                if avail > 0 {
-                    f(id, avail);
-                }
+        for (&id, slot) in &self.state.lock().slots {
+            let avail = slot.ks.avail_count();
+            if avail > 0 {
+                f(id, avail);
             }
         }
     }
@@ -740,11 +699,6 @@ impl ShardedPool {
     /// The key policy in force.
     pub fn policy(&self) -> KeyPolicy {
         self.policy
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Overrides the empty-slot GC threshold (setup only).
@@ -773,16 +727,6 @@ impl ShardedPool {
     /// The canonical key string behind an id issued by this pool.
     pub fn resolve_key(&self, id: KeyId) -> Option<RuntimeKey> {
         self.interner.resolve(id)
-    }
-
-    /// The shard a key lives on. Ids are dense, so round-robin by index
-    /// gives a perfect spread without hashing.
-    pub(crate) fn shard_of(&self, id: KeyId) -> usize {
-        id.index() % self.shards.len()
-    }
-
-    fn shard(&self, id: KeyId) -> &Mutex<ShardState> {
-        &self.shards[self.shard_of(id)]
     }
 
     /// The key's slot array, creating the key-table entry on first use.
@@ -816,14 +760,14 @@ impl ShardedPool {
         })
     }
 
-    /// Publishes a container's reverse-index mapping (shard lock held).
+    /// Publishes a container's reverse-index mapping (pool lock held).
     fn rindex_set(&self, container: ContainerId, id: KeyId, slot: usize) {
         self.rindex
             .get_or_init(container.0 as usize)
             .store(pack_rindex(id, slot), Ordering::Release);
     }
 
-    /// Clears a container's reverse-index mapping (shard lock held).
+    /// Clears a container's reverse-index mapping (pool lock held).
     fn rindex_clear(&self, container: ContainerId) {
         if let Some(cell) = self.rindex.get(container.0 as usize) {
             cell.store(0, Ordering::Release);
@@ -832,10 +776,10 @@ impl ShardedPool {
 
     /// Algorithm 1: obtain a runtime for `config`. Reuses the first
     /// available container of the same type if one exists, otherwise starts
-    /// a new container — with the creation outside the shard lock, so cold
-    /// starts of different types overlap. The reuse cost is zero, or the
-    /// fuzzy reconfiguration cost when configs differ under a fuzzy key. A
-    /// failed cold start records nothing: no phantom slot is left behind.
+    /// a new container — with the creation outside the pool lock. The reuse
+    /// cost is zero, or the fuzzy reconfiguration cost when configs differ
+    /// under a fuzzy key. A failed cold start records nothing: no phantom
+    /// slot is left behind.
     pub fn acquire(
         &self,
         engine: &impl EngineRef,
@@ -848,13 +792,13 @@ impl ShardedPool {
 
     /// [`Self::acquire`] with a pre-interned key id, returning the pool-side
     /// detail ([`PoolAcquisition`]) with it: callers that serve the same
-    /// function repeatedly (the sharded gateway, through `HotC`) intern the
+    /// function repeatedly (the concurrent gateway, through `HotC`) intern the
     /// key once at registration instead of even fingerprinting the
     /// configuration per request. `id` must be `self.intern_config(config)`.
     ///
     /// A warm hit takes **zero locks**: an `avail`-bit CAS claims the slot,
     /// the packed entry yields the container. Only a miss (no warm
-    /// container) falls to the shard lock, and only a cold start touches
+    /// container) falls to the pool lock, and only a cold start touches
     /// the engine.
     pub(crate) fn acquire_id(
         &self,
@@ -864,7 +808,7 @@ impl ShardedPool {
         now: SimTime,
     ) -> Result<PoolAcquisition, EngineError> {
         // DESIGN.md §5: warm hits are lock-free; every other transition
-        // takes its locks (shard, engine) strictly one at a time. The
+        // takes its locks (pool, engine) strictly one at a time. The
         // sanitizer enforces both in debug builds.
         let _scope = stdshim::request_path_scope();
         self.bump_epoch();
@@ -876,7 +820,7 @@ impl ShardedPool {
             debug_assert_eq!(id, self.intern_config(config));
             // Retry under the lock: a racing release may have refilled the
             // array after the lock-free claim missed.
-            let guard = self.shard(id).lock();
+            let guard = self.state.lock();
             guard.slots.get(&id).and_then(|slot| slot.ks.claim_warm())
         });
         if let Some((_, container, execed)) = warm {
@@ -904,7 +848,7 @@ impl ShardedPool {
         let (container, breakdown) =
             engine.with_engine(|e| e.create_container(config.clone(), now))?;
         {
-            let mut guard = self.shard(id).lock();
+            let mut guard = self.state.lock();
             let slot = guard
                 .slots
                 .entry(id)
@@ -943,7 +887,7 @@ impl ShardedPool {
     }
 
     /// Publishes a just-created container straight into the in-use state
-    /// (cold-start acquire). Shard lock held; the entry and reverse-index
+    /// (cold-start acquire). Pool lock held; the entry and reverse-index
     /// stores precede the `in_use` bit-set.
     fn publish_in_use(&self, ks: &KeySlots, id: KeyId, container: ContainerId) -> usize {
         let (i, chunk, bit) = ks.claim_free();
@@ -957,7 +901,7 @@ impl ShardedPool {
     }
 
     /// Publishes a just-created container into the available state
-    /// (prewarm). Shard lock held; publish-before-bit-set as above. Returns
+    /// (prewarm). Pool lock held; publish-before-bit-set as above. Returns
     /// the slot index.
     fn publish_avail(
         &self,
@@ -987,7 +931,7 @@ impl ShardedPool {
     /// the container to its key and slot, the `in_use` bit-claim proves
     /// ownership, and the hand-back is an entry store plus an `avail`
     /// release-store. Only the disposal of a crashed container takes the
-    /// shard lock.
+    /// pool lock.
     pub fn release(
         &self,
         engine: &impl EngineRef,
@@ -1015,7 +959,7 @@ impl ShardedPool {
 
     /// Ends a container's pool tenure: claim it through the reverse index
     /// (lock-free), one engine critical section (optionally ending the
-    /// execution first), then hand-back (lock-free) or disposal (shard
+    /// execution first), then hand-back (lock-free) or disposal (pool
     /// lock) — disjoint regions, never nested. An engine rejection restores
     /// the ownership token.
     fn release_claimed(
@@ -1025,7 +969,7 @@ impl ShardedPool {
         now: SimTime,
         end_exec_then_crashed: Option<bool>,
     ) -> Result<SimDuration, EngineError> {
-        // DESIGN.md §5: engine and shard locks are taken one at a time.
+        // DESIGN.md §5: engine and pool locks are taken one at a time.
         let _scope = stdshim::request_path_scope();
         self.bump_epoch();
         let claim = self
@@ -1073,10 +1017,10 @@ impl ShardedPool {
         }
     }
 
-    /// Disposes of a claimed container (crashed release). Takes the shard
+    /// Disposes of a claimed container (crashed release). Takes the pool
     /// lock: occupancy changes here.
     fn dispose_claimed(&self, claim: ClaimedSlot<'_>, container: ContainerId) {
-        let mut guard = self.shard(claim.id).lock();
+        let mut guard = self.state.lock();
         debug_assert!(
             guard.slots.contains_key(&claim.id),
             "claimed container's key has no slot"
@@ -1105,7 +1049,7 @@ impl ShardedPool {
         self.bump_epoch();
         let (container, breakdown) =
             engine.with_engine(|e| e.create_container(config.clone(), now))?;
-        let mut guard = self.shard(id).lock();
+        let mut guard = self.state.lock();
         let slot = guard
             .slots
             .entry(id)
@@ -1125,12 +1069,7 @@ impl ShardedPool {
         id: KeyId,
         now: SimTime,
     ) -> Result<Option<SimDuration>, EngineError> {
-        let config = self
-            .shard(id)
-            .lock()
-            .slots
-            .get(&id)
-            .map(|s| s.config.clone());
+        let config = self.state.lock().slots.get(&id).map(|s| s.config.clone());
         match config {
             Some(config) => self.prewarm(engine, &config, now).map(Some),
             None => Ok(None),
@@ -1148,7 +1087,7 @@ impl ShardedPool {
     ) -> Result<Option<SimDuration>, EngineError> {
         self.bump_epoch();
         let popped = {
-            let mut guard = self.shard(id).lock();
+            let mut guard = self.state.lock();
             let popped = guard.slots.get(&id).and_then(|slot| slot.ks.retire_avail());
             if let Some(container) = popped {
                 self.rindex_clear(container);
@@ -1168,65 +1107,45 @@ impl ShardedPool {
     /// Forcibly terminates the *oldest* available live container across all
     /// types (§IV-B's response to too many containers / memory pressure).
     ///
-    /// Two-phase: (1) ask each shard in turn (one lock at a time) for the
-    /// oldest available entry of its age index and keep the minimum across
-    /// the shard heads; (2) re-lock the owning shard, re-verify the slot
-    /// entry still names the candidate, and claim its `avail` bit. If a
-    /// racing acquire took it in between, the walk resumes just past the
-    /// lost candidate. Returns the teardown cost, or `None` if the pool
-    /// holds no available container.
+    /// One in-order walk of the age index inside one critical section —
+    /// oldest `(created_at, id)` first — claiming the first entry whose
+    /// `avail` bit it wins: in-use entries, and entries a racing lock-free
+    /// acquire takes between the test and the claim, are passed over.
+    /// Returns the teardown cost, or `None` if the pool holds no available
+    /// container.
     pub fn evict_oldest(
         &self,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<Option<SimDuration>, EngineError> {
         self.bump_epoch();
-        // Bounded retries: each retry means a racing acquire claimed our
-        // candidate, which is progress for the system as a whole.
-        let mut after = None;
-        for _ in 0..8 {
-            // Oldest first, ids as a deterministic tie-break.
-            let oldest = self
-                .shards
-                .iter()
-                .filter_map(|shard| shard.lock().oldest_available(after))
-                .min_by_key(|candidate| candidate.age);
-            let Some(EvictCandidate { age, key, at }) = oldest else {
-                return Ok(None);
-            };
-            let container = age.1;
-            let claimed = {
-                let mut guard = self.shard(key).lock();
-                let claimed = guard
-                    .slots
-                    .get(&key)
-                    .is_some_and(|slot| slot.ks.evict_at(at, container));
-                if claimed {
-                    self.rindex_clear(container);
-                    guard.forget(container);
-                    // An eviction is a touch: the controller must re-examine
-                    // this key at the next interval.
-                    guard.mark_active(key);
-                }
-                claimed
-            };
-            if claimed {
-                return engine
-                    .with_engine(|e| e.stop_and_remove(container, now))
-                    .map(Some);
-            }
-            after = Some(age);
+        let evicted = {
+            let mut guard = self.state.lock();
+            let claimed = guard.ages.iter().find_map(|(&(_, container), &(key, at))| {
+                let ks = &guard.slots.get(&key)?.ks;
+                (ks.is_avail(at) && ks.evict_at(at, container)).then_some((container, key))
+            });
+            claimed.map(|(container, key)| {
+                self.rindex_clear(container);
+                guard.forget(container);
+                // An eviction is a touch: the controller must re-examine
+                // this key at the next interval.
+                guard.mark_active(key);
+                container
+            })
+        };
+        match evicted {
+            Some(container) => engine
+                .with_engine(|e| e.stop_and_remove(container, now))
+                .map(Some),
+            None => Ok(None),
         }
-        Ok(None)
     }
 
     /// `num_avail[key]`: available containers of the given type.
     pub fn num_avail_id(&self, id: KeyId) -> usize {
-        self.shard(id)
-            .lock()
-            .slots
-            .get(&id)
-            .map_or(0, |s| s.ks.avail_count())
+        let state = self.state.lock();
+        state.slots.get(&id).map_or(0, |s| s.ks.avail_count())
     }
 
     /// [`Self::num_avail_id`] by canonical key (compatibility path).
@@ -1238,51 +1157,35 @@ impl ShardedPool {
     /// through their engine critical section).
     pub fn num_in_use(&self, key: &RuntimeKey) -> usize {
         let Some(id) = self.id_of(key) else { return 0 };
-        self.shard(id)
-            .lock()
+        let state = self.state.lock();
+        state
             .slots
             .get(&id)
             .map_or(0, |s| s.ks.in_use_total.load(Ordering::Relaxed))
     }
 
     /// Total live containers tracked by the pool (available + in use).
-    /// Reads the per-shard counters — O(shards), not O(tracked keys), so
-    /// the limit check the controller runs every tick stays independent of
-    /// fleet size.
+    /// Reads one counter — O(1), not O(tracked keys), so the limit check
+    /// the controller runs every tick stays independent of fleet size.
     pub fn total_live(&self) -> usize {
-        self.shards.iter().map(|shard| shard.lock().live).sum()
+        self.state.lock().live
     }
 
-    /// Per-shard `(available, in_use)` container counts, indexed by shard —
-    /// the telemetry layer exports these as per-shard pool-size gauges.
-    pub fn shard_sizes(&self) -> Vec<(usize, usize)> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let state = shard.lock();
-                state.slots.values().fold((0, 0), |(a, u), s| {
-                    (
-                        a + s.ks.avail_count(),
-                        u + s.ks.in_use_total.load(Ordering::Relaxed),
-                    )
-                })
-            })
-            .collect()
+    /// The pool's `(available, in_use)` container counts — the telemetry
+    /// layer exports these as the pool-size gauges.
+    pub fn sizes(&self) -> (usize, usize) {
+        let state = self.state.lock();
+        state.slots.values().fold((0, 0), |(a, u), s| {
+            (
+                a + s.ks.avail_count(),
+                u + s.ks.in_use_total.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Total available containers across all types.
     pub fn total_available(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let state = shard.lock();
-                state
-                    .slots
-                    .values()
-                    .map(|s| s.ks.avail_count())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.sizes().0
     }
 
     /// The Fig. 7 pool-view code for a container: 1 Existing-Available, 0
@@ -1302,14 +1205,14 @@ impl ShardedPool {
         }
     }
 
-    /// Takes one shard's **full-sweep** demand snapshot (`history[k][t]`):
+    /// Takes the **full-sweep** demand snapshot (`history[k][t]`):
     /// visits every slot, resets watermarks for the next control interval,
     /// and garbage-collects slots that have been empty for
     /// [`Self::set_gc_intervals`] consecutive zero-demand snapshots. Keys with
     /// live containers are always reported, including zero-demand intervals.
     ///
     /// GC fires only when the key's live population — its slot array's
-    /// occupancy, exact under the shard lock — is zero, so a warm operation
+    /// occupancy, exact under the pool lock — is zero, so a warm operation
     /// caught between its CAS and its bookkeeping can never have its
     /// container stranded by a GC.
     ///
@@ -1317,15 +1220,15 @@ impl ShardedPool {
     /// is [`Self::take_shard_snapshot_dirty`], which visits only the active
     /// list and produces the same GC timing (asserted by a property test in
     /// `controller.rs`).
-    pub fn take_shard_snapshot(&self, shard: usize) -> ShardSnapshot {
+    pub fn take_shard_snapshot(&self) -> ShardSnapshot {
         let mut demands = Vec::new();
         let mut retired = Vec::new();
         let gc_after = u64::from(self.gc_intervals);
         {
-            let mut guard = self.shards[shard].lock();
+            let mut guard = self.state.lock();
             guard.seq += 1;
             let seq = guard.seq;
-            let ShardState {
+            let PoolState {
                 slots,
                 active,
                 cold,
@@ -1338,7 +1241,7 @@ impl ShardedPool {
                 let demand = slot
                     .ks
                     .watermark
-                    // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the shard lock)
+                    // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the pool lock)
                     .swap(in_use, Ordering::Relaxed)
                     .max(in_use);
                 if demand == 0 && slot.ks.occupied() == 0 {
@@ -1373,11 +1276,11 @@ impl ShardedPool {
                 true
             });
             // The full sweep visits every slot anyway: cross-check the
-            // shard's live counter against the ground truth it summarises.
+            // live counter against the ground truth it summarises.
             debug_assert_eq!(
                 *live,
                 slots.values().map(|s| s.ks.occupied()).sum::<usize>(),
-                "shard live counter diverged from slot contents"
+                "pool live counter diverged from slot contents"
             );
             // Heal the active list: GC'd and newly-cold keys drop out.
             active.retain(|id| slots.get(id).is_some_and(|s| s.active));
@@ -1395,75 +1298,75 @@ impl ShardedPool {
         ShardSnapshot { demands, retired }
     }
 
-    /// Takes one shard's **dirty-set** demand snapshot: visits only the keys
+    /// Takes the **dirty-set** demand snapshot: visits only the keys
     /// touched since the last snapshot or still holding containers, plus the
     /// cold queue's due GC deadlines (the "idle sweep" that guarantees
     /// zero-demand GC fires within [`Self::set_gc_intervals`] snapshots of a key
     /// going cold — identical timing to the full sweep).
     ///
     /// Work is O(active keys + due GCs), independent of how many keys the
-    /// shard tracks. Cold keys are reported once (their final zero-demand
+    /// pool tracks. Cold keys are reported once (their final zero-demand
     /// interval) and then skipped until GC'd or re-touched; the controller
     /// backfills the skipped zero observations from the snapshot sequence
     /// gap, so predictor state matches the full sweep exactly. Lock-free
     /// warm hits keep the dirty set honest for free: a key serving warm
     /// traffic holds containers, and any key holding containers is already
     /// on the active list.
-    pub fn take_shard_snapshot_dirty(&self, shard: usize) -> ShardSnapshot {
-        let mut demands = Vec::new();
+    pub fn take_shard_snapshot_dirty(&self) -> ShardSnapshot {
         let mut retired = Vec::new();
         let gc_after = u64::from(self.gc_intervals);
-        {
-            let mut guard = self.shards[shard].lock();
-            guard.seq += 1;
-            let seq = guard.seq;
-            let ShardState {
-                slots,
-                active,
-                cold,
-                ..
-            } = &mut *guard;
-            for id in std::mem::take(active) {
-                let Some(slot) = slots.get_mut(&id) else {
-                    continue;
-                };
-                let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
-                let avail = slot.ks.avail_count();
-                let demand = slot
-                    .ks
-                    .watermark
-                    // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the shard lock)
-                    .swap(in_use, Ordering::Relaxed)
-                    .max(in_use);
-                if demand == 0 && slot.ks.occupied() == 0 {
-                    // Final zero-demand report; the slot then waits on the
-                    // cold queue for GC (or a re-touch).
-                    slot.active = false;
-                    slot.cold_since = Some(seq);
-                    if gc_after <= 1 {
-                        // The full sweep GCs a just-cold slot in this same
-                        // snapshot without reporting it; match that.
-                        slots.remove(&id);
-                        retired.push(id);
-                        continue;
-                    }
-                    cold.push_back((id, seq));
-                } else {
-                    // Keys holding containers stay on the active list: the
-                    // controller sizes them every interval, exactly like
-                    // the full sweep.
-                    slot.active = true;
-                    active.push(id);
+        let mut guard = self.state.lock();
+        guard.seq += 1;
+        let seq = guard.seq;
+        let PoolState {
+            slots,
+            active,
+            cold,
+            ..
+        } = &mut *guard;
+        // One report per active key, and the list is compacted in place:
+        // neither vector is grown by doubling once per tick.
+        let mut demands = Vec::with_capacity(active.len());
+        active.retain(|&id| {
+            let Some(slot) = slots.get_mut(&id) else {
+                return false;
+            };
+            let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
+            let avail = slot.ks.avail_count();
+            let demand = slot
+                .ks
+                .watermark
+                // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the pool lock)
+                .swap(in_use, Ordering::Relaxed)
+                .max(in_use);
+            // Keys holding containers stay on the active list: the
+            // controller sizes them every interval, exactly like the full
+            // sweep.
+            let stays = demand != 0 || slot.ks.occupied() != 0;
+            slot.active = stays;
+            if !stays {
+                // Final zero-demand report; the slot then waits on the cold
+                // queue for GC (or a re-touch).
+                slot.cold_since = Some(seq);
+                if gc_after <= 1 {
+                    // The full sweep GCs a just-cold slot in this same
+                    // snapshot without reporting it; match that.
+                    slots.remove(&id);
+                    retired.push(id);
+                    return false;
                 }
-                demands.push(KeyDemand {
-                    id,
-                    demand,
-                    avail,
-                    in_use,
-                });
+                cold.push_back((id, seq));
             }
-            drain_due_cold(slots, cold, &mut retired, seq, gc_after);
-        }
+            demands.push(KeyDemand {
+                id,
+                demand,
+                avail,
+                in_use,
+            });
+            stays
+        });
+        drain_due_cold(slots, cold, &mut retired, seq, gc_after);
+        drop(guard);
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
         ShardSnapshot { demands, retired }
@@ -1471,11 +1374,7 @@ impl ShardedPool {
 
     /// The keys the pool currently tracks, sorted.
     pub fn keys(&self) -> Vec<RuntimeKey> {
-        let ids: Vec<KeyId> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.lock().slots.keys().copied().collect::<Vec<_>>())
-            .collect();
+        let ids: Vec<KeyId> = self.state.lock().slots.keys().copied().collect();
         let mut keys: Vec<RuntimeKey> = ids
             .into_iter()
             .filter_map(|id| self.resolve_key(id))
@@ -1528,7 +1427,7 @@ fn drain_due_cold(
 /// `publish_in_use`) replay the exact load/store sequences of
 /// [`ShardedPool::publish_avail`] and [`ShardedPool::publish_in_use`] — the
 /// latter with one reverse-index cell standing in for the pool's table —
-/// minus the shard lock: in the model the lock's happens-before hand-off is
+/// minus the pool lock: in the model the lock's happens-before hand-off is
 /// reproduced by running every lock-holding op either before spawning the
 /// racers (spawn copies the parent's vector clock) or as the only
 /// lock-holder in the schedule, which is precisely the mutual exclusion the
@@ -1723,27 +1622,17 @@ mod tests {
         ContainerConfig::bridge(ImageId::parse(image))
     }
 
-    /// Every shard's full-sweep snapshot (GC included) as `(key, demand)`,
-    /// sorted — what the controller sees over one interval.
+    /// The full-sweep snapshot (GC included) as `(key, demand)`, sorted —
+    /// what the controller sees over one interval.
     fn demand_snapshot(pool: &ShardedPool) -> Vec<(RuntimeKey, usize)> {
-        let mut out: Vec<_> = (0..pool.num_shards())
-            .flat_map(|shard| pool.take_shard_snapshot(shard).demands)
+        let mut out: Vec<_> = pool
+            .take_shard_snapshot()
+            .demands
+            .into_iter()
             .filter_map(|d| Some((pool.resolve_key(d.id)?, d.demand)))
             .collect();
         out.sort();
         out
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
-        for image in ["alpine:3.12", "python:3.8-alpine", "golang:1.13"] {
-            let id = pool.intern_config(&cfg(image));
-            let s = pool.shard_of(id);
-            assert!(s < 4);
-            assert_eq!(s, pool.shard_of(id), "placement must be stable");
-            assert_eq!(id, pool.intern_config(&cfg(image)), "ids must be stable");
-        }
     }
 
     /// Algorithm 1 then 2 then 1: cold start, clean + re-pool, reuse.
@@ -1761,8 +1650,8 @@ mod tests {
     }
 
     #[test]
-    fn acquire_release_round_trip_through_shards() {
-        round_trip(&ShardedPool::with_shards(KeyPolicy::Exact, 4), &engine());
+    fn acquire_release_round_trip_through_either_engine_ref() {
+        round_trip(&ShardedPool::new(KeyPolicy::Exact), &engine());
         round_trip(
             &ShardedPool::new(KeyPolicy::Exact),
             &ex(&mut plain_engine()),
@@ -1772,7 +1661,7 @@ mod tests {
     #[test]
     fn warm_hit_reuses_the_container_lock_free() {
         let e = engine();
-        let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
+        let pool = ShardedPool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         let id = pool.intern_config(&c);
         let a = pool.acquire_id(&e, id, &c, SimTime::ZERO).unwrap();
@@ -1869,7 +1758,7 @@ mod tests {
 
     #[test]
     fn double_release_is_rejected_not_double_pooled() {
-        double_release(&ShardedPool::with_shards(KeyPolicy::Exact, 2), &engine());
+        double_release(&ShardedPool::new(KeyPolicy::Exact), &engine());
         double_release(
             &ShardedPool::new(KeyPolicy::Exact),
             &ex(&mut plain_engine()),
@@ -1877,24 +1766,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_warm_acquires_on_distinct_keys_do_not_serialize_on_one_lock() {
-        // Smoke-level check that distinct keys land on distinct shards often
-        // enough that 8 keys use >1 shard.
-        let pool = ShardedPool::with_shards(KeyPolicy::Exact, 8);
-        let shards: std::collections::HashSet<usize> = (0..8)
-            .map(|i| {
-                let mut c = cfg("alpine:3.12");
-                c.exec.env.insert("K".into(), i.to_string());
-                pool.shard_of(pool.intern_config(&c))
-            })
-            .collect();
-        assert!(shards.len() > 1, "8 keys should spread across shards");
-    }
-
-    #[test]
     fn dirty_snapshot_skips_cold_keys_but_gcs_them_on_schedule() {
         let e = engine();
-        let mut pool = ShardedPool::with_shards(KeyPolicy::Exact, 1);
+        let mut pool = ShardedPool::new(KeyPolicy::Exact);
         pool.set_gc_intervals(2);
         let a = cfg("alpine:3.12");
         let b = cfg("python:3.8-alpine");
@@ -1906,7 +1780,7 @@ mod tests {
         let visited = |s: &ShardSnapshot| -> Vec<(KeyId, usize)> {
             s.demands.iter().map(|d| (d.id, d.demand)).collect()
         };
-        let s1 = pool.take_shard_snapshot_dirty(0);
+        let s1 = pool.take_shard_snapshot_dirty();
         assert_eq!(visited(&s1), vec![(ida, 0), (idb, 0)]);
         // The snapshot carries each slot's live population (one prewarmed
         // container apiece), so the controller needs no second lookup.
@@ -1914,12 +1788,12 @@ mod tests {
         // Drain A to empty; the retire is a touch, so the next snapshot
         // reports its final zero-demand interval and starts the countdown.
         pool.retire_one_id(&e, ida, SimTime::from_secs(1)).unwrap();
-        let s2 = pool.take_shard_snapshot_dirty(0);
+        let s2 = pool.take_shard_snapshot_dirty();
         assert_eq!(visited(&s2), vec![(ida, 0), (idb, 0)]);
         assert!(s2.retired.is_empty());
         // Cold now: skipped from the demand scan, GC'd by the idle sweep
         // exactly gc_intervals snapshots after going cold.
-        let s3 = pool.take_shard_snapshot_dirty(0);
+        let s3 = pool.take_shard_snapshot_dirty();
         assert_eq!(visited(&s3), vec![(idb, 0)]);
         assert_eq!(s3.retired, vec![ida]);
         assert_eq!(pool.keys(), vec![pool.key_of(&b)]);
@@ -1927,9 +1801,9 @@ mod tests {
         pool.prewarm(&e, &a, SimTime::from_secs(2)).unwrap();
         pool.retire_one_id(&e, pool.intern_config(&a), SimTime::from_secs(3))
             .unwrap();
-        let _ = pool.take_shard_snapshot_dirty(0); // goes cold again
+        let _ = pool.take_shard_snapshot_dirty(); // goes cold again
         pool.prewarm(&e, &a, SimTime::from_secs(4)).unwrap(); // re-touched
-        let s5 = pool.take_shard_snapshot_dirty(0);
+        let s5 = pool.take_shard_snapshot_dirty();
         assert!(s5.retired.is_empty(), "re-touched key must not be GC'd");
         assert!(s5.demands.iter().any(|d| d.id == pool.intern_config(&a)));
     }
@@ -1938,8 +1812,8 @@ mod tests {
     fn full_and_dirty_snapshots_agree_on_gc_timing() {
         for gc in [1u32, 2, 3] {
             let (ef, ed) = (engine(), engine());
-            let mut full = ShardedPool::with_shards(KeyPolicy::Exact, 1);
-            let mut dirty = ShardedPool::with_shards(KeyPolicy::Exact, 1);
+            let mut full = ShardedPool::new(KeyPolicy::Exact);
+            let mut dirty = ShardedPool::new(KeyPolicy::Exact);
             full.set_gc_intervals(gc);
             dirty.set_gc_intervals(gc);
             let c = cfg("alpine:3.12");
@@ -1952,8 +1826,8 @@ mod tests {
                 .unwrap();
             // The slot is empty; both modes must GC it at the same snapshot.
             for step in 1..=gc + 1 {
-                let f = full.take_shard_snapshot(0);
-                let d = dirty.take_shard_snapshot_dirty(0);
+                let f = full.take_shard_snapshot();
+                let d = dirty.take_shard_snapshot_dirty();
                 assert_eq!(
                     f.retired, d.retired,
                     "gc={gc} step={step}: retire timing diverged"
@@ -1967,31 +1841,43 @@ mod tests {
         }
     }
 
+    /// Among containers created at the same instant the lower id is the
+    /// older one, so keys pre-warmed in `KeyId` order at one instant (what a
+    /// control step does) are evicted in `KeyId` order — after anything
+    /// created earlier, whichever key holds it.
     #[test]
-    fn evict_oldest_scans_across_shards() {
-        let e = engine();
-        let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
-        // Three types, staggered creation: the oldest must go first even
-        // though the types live on different shards.
-        let configs = [
-            cfg("alpine:3.12"),
-            cfg("python:3.8-alpine"),
-            cfg("golang:1.13"),
-        ];
-        for (i, c) in configs.iter().enumerate() {
-            pool.prewarm(&e, c, SimTime::from_secs(i as u64)).unwrap();
+    fn evict_oldest_breaks_created_at_ties_by_lowest_key_first() {
+        let mut e = plain_engine();
+        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let configs: Vec<ContainerConfig> = (0..10)
+            .map(|k| {
+                cfg("alpine:3.12").with_exec(ExecOptions::default().with_env("K", k.to_string()))
+            })
+            .collect();
+        let ids: Vec<KeyId> = configs.iter().map(|c| pool.intern_config(c)).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "interning order");
+        pool.prewarm(&ex(&mut e), &configs[9], SimTime::ZERO)
+            .unwrap();
+        for c in &configs {
+            pool.prewarm(&ex(&mut e), c, SimTime::from_secs(1)).unwrap();
         }
-        let oldest = e.with_engine(|e| e.live_ids_oldest_first()[0]);
-        pool.evict_oldest(&e, SimTime::from_secs(10)).unwrap();
-        assert_eq!(
-            e.with_engine(|e| e.state(oldest)),
-            containersim::ContainerState::Removed
-        );
-        assert_eq!(pool.total_available(), 2);
+        let mut order = vec![ids[9]];
+        order.extend(&ids);
+        for victim in order {
+            let before: Vec<usize> = ids.iter().map(|&id| pool.num_avail_id(id)).collect();
+            pool.evict_oldest(&ex(&mut e), SimTime::from_secs(2))
+                .unwrap();
+            let lost: Vec<KeyId> = (0..ids.len())
+                .filter(|&k| pool.num_avail_id(ids[k]) < before[k])
+                .map(|k| ids[k])
+                .collect();
+            assert_eq!(lost, [victim]);
+        }
+        assert_eq!(pool.total_live(), 0);
     }
 
     // Algorithms 1-2 and the pool's bookkeeping contract, driven the way
-    // `HotC` drives the pool (exclusive engine, default shard count).
+    // `HotC` drives the pool (exclusive engine).
 
     fn run_request(
         pool: &ShardedPool,
@@ -2410,14 +2296,12 @@ mod tests {
                 assert_eq!(e.state(victim), ContainerState::Removed, "evicted another");
                 assert_eq!(e.live_count(), live - 1, "evicted more than one");
             }
-            for shard in 0..pool.num_shards() {
-                pool.take_shard_snapshot(shard);
-            }
+            pool.take_shard_snapshot();
             evicted
         }
         testkit::check(48, |g| {
             let mut e = plain_engine();
-            let pool = ShardedPool::with_shards(KeyPolicy::Exact, 4);
+            let pool = ShardedPool::new(KeyPolicy::Exact);
             let configs: Vec<ContainerConfig> = (0..5)
                 .map(|k| {
                     let mut c = cfg("alpine:3.12");

@@ -1,8 +1,8 @@
-//! Multi-threaded property tests for the sharded pool.
+//! Multi-threaded property tests for the runtime pool.
 //!
 //! Random interleavings of acquire / release / prewarm / retire / evict from
-//! several real threads, checking the two invariants that the sharded
-//! rewrite must preserve under contention:
+//! several real threads, checking the two invariants the lock-free warm
+//! path must preserve under contention:
 //!
 //! 1. **Exclusive ownership** — no container is ever handed to two requests
 //!    at once. Every successful acquire inserts the id into a shared owned
@@ -86,11 +86,10 @@ fn random_interleavings_preserve_ownership_and_bookkeeping() {
         let threads = 4usize;
         let ops = g.usize_in(40..120);
         let keys = g.usize_in(1..6);
-        let shards = *g.pick(&[1usize, 2, 8]);
         let policy = *g.pick(&[KeyPolicy::Exact, KeyPolicy::Fuzzy]);
         let seeds: Vec<u64> = (0..threads).map(|_| g.next_u64()).collect();
 
-        let pool = ShardedPool::with_shards(policy, shards);
+        let pool = ShardedPool::new(policy);
         let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
         let owned = Arc::new(Mutex::new(HashSet::new()));
 
@@ -124,12 +123,12 @@ fn one_key_hammered_from_32_threads_survives_controller_ticks() {
     // swap the demand watermark and can GC the key) and evicts idle
     // containers (which claims available bits out from under the warm
     // path). Exclusive ownership must hold bit-for-bit, and at quiescence
-    // the per-shard live counters must reconcile with the engine.
+    // the pool's live counter must reconcile with the engine.
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let threads = 32usize;
     let ops = 200usize;
-    let pool = ShardedPool::with_shards(KeyPolicy::Exact, 8);
+    let pool = ShardedPool::new(KeyPolicy::Exact);
     let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
     let owned = Mutex::new(HashSet::new());
     let stop = AtomicBool::new(false);
@@ -140,9 +139,7 @@ fn one_key_hammered_from_32_threads_survives_controller_ticks() {
             s.spawn(move || {
                 let mut tick = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    for shard in 0..pool.num_shards() {
-                        pool.take_shard_snapshot_dirty(shard);
-                    }
+                    pool.take_shard_snapshot_dirty();
                     pool.evict_oldest(engine, SimTime::from_millis(tick))
                         .expect("evict");
                     tick += 1;
@@ -190,18 +187,17 @@ fn one_key_hammered_from_32_threads_survives_controller_ticks() {
         controller.join().expect("controller panicked");
     });
 
-    // Quiescence: nothing owned, nothing in use, and the pool's shard-level
-    // bookkeeping agrees with the engine's ground truth.
+    // Quiescence: nothing owned, nothing in use, and the pool's bookkeeping
+    // agrees with the engine's ground truth.
     assert!(owned.lock().is_empty());
     let live = engine.lock().live_count();
     assert_eq!(pool.total_live(), live, "pool live diverged from engine");
     assert_eq!(pool.total_available(), live, "in-use containers leaked");
-    let (avail_sum, in_use_sum) = pool
-        .shard_sizes()
-        .into_iter()
-        .fold((0, 0), |(a, u), (sa, su)| (a + sa, u + su));
-    assert_eq!(in_use_sum, 0, "a shard still reports in-use containers");
-    assert_eq!(avail_sum, live, "shard avail counters diverged from engine");
+    assert_eq!(
+        pool.sizes(),
+        (live, 0),
+        "(avail, in use) diverged from engine"
+    );
     for key in pool.keys() {
         assert_eq!(pool.num_in_use(&key), 0);
     }
@@ -213,7 +209,7 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
     // spread over 16 keys under a cap well below what they hold and pool.
     // Each worker's clock jumps around 50 instants, so creation times tie
     // and age order differs from id order. The evictor's candidate test
-    // (avail bit under the shard lock, then the phase-two claim) races every
+    // (avail bit under the pool lock, then the claim) races every
     // lock-free warm claim and hand-back: it must never take a container a
     // worker holds, and the age index it walks must stay exact.
     //
@@ -228,7 +224,7 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
     let threads = 32usize;
     let ops = 200usize;
     let keys = 16usize;
-    let pool = ShardedPool::with_shards(KeyPolicy::Exact, 8);
+    let pool = ShardedPool::new(KeyPolicy::Exact);
     let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
     let owned = Mutex::new(HashSet::new());
     let stop = AtomicBool::new(false);
@@ -300,7 +296,7 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
         assert!(evicted >= threads * 3 - cap, "the cap never bit");
     });
 
-    // Quiescence: the shard counters agree with the engine, and the full
+    // Quiescence: the pool's counters agree with the engine, and the full
     // sweep's debug cross-check finds the age index holding exactly the live
     // containers, each where the slot bookkeeping says it is.
     assert!(owned.lock().is_empty());
@@ -308,11 +304,9 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
     assert!(live <= cap, "the last enforcement pass left {live} live");
     assert_eq!(pool.total_live(), live, "pool live diverged from engine");
     assert_eq!(pool.total_available(), live, "in-use containers leaked");
-    for shard in 0..pool.num_shards() {
-        pool.take_shard_snapshot(shard);
-    }
+    pool.take_shard_snapshot();
     // Draining removes what is left in exactly the oracle's order: oldest
-    // `(created_at, id)` first, across shards.
+    // `(created_at, id)` first, across keys.
     let order = engine.lock().live_ids_oldest_first();
     for victim in order {
         assert_eq!(
@@ -352,7 +346,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
     use std::sync::Barrier;
 
     let (threads, ops, hold) = (32usize, 200usize, 5usize);
-    let pool = ShardedPool::with_shards(KeyPolicy::Exact, 8);
+    let pool = ShardedPool::new(KeyPolicy::Exact);
     let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
     let owned = Mutex::new(HashSet::new());
     let stop = AtomicBool::new(false);
@@ -367,9 +361,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
         let controller = s.spawn(move || {
             let mut tick = 0u64;
             while !stop.load(Ordering::Acquire) {
-                for shard in 0..pool.num_shards() {
-                    pool.take_shard_snapshot_dirty(shard);
-                }
+                pool.take_shard_snapshot_dirty();
                 pool.evict_oldest(engine, SimTime::from_millis(tick))
                     .expect("evict");
                 tick += 1;
@@ -438,9 +430,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
     assert_eq!(pool.total_live(), live, "pool live diverged from engine");
     assert_eq!(pool.total_available(), live, "in-use containers leaked");
     assert_eq!(pool.num_in_use(&pool.key_of(&cfg)), 0);
-    for shard in 0..pool.num_shards() {
-        pool.take_shard_snapshot(shard);
-    }
+    pool.take_shard_snapshot();
 }
 
 #[test]
@@ -450,10 +440,10 @@ fn interning_is_stable_under_concurrency() {
     // the same config → KeyId mapping, distinct configs must get distinct
     // ids, and the ids must agree with the canonical-key lookup — the
     // double-checked insert in the interner must never hand out two ids for
-    // one key, or two shards would track the same runtime type.
+    // one key, or two slots would track the same runtime type.
     for policy in [KeyPolicy::Exact, KeyPolicy::Fuzzy] {
         let keys = 6usize;
-        let pool = ShardedPool::with_shards(policy, 8);
+        let pool = ShardedPool::new(policy);
         let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
         let maps: Mutex<Vec<Vec<hotc::KeyId>>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
@@ -502,8 +492,9 @@ fn interning_is_stable_under_concurrency() {
 #[test]
 fn cold_starts_on_distinct_keys_make_distinct_containers() {
     // 8 threads, 8 disjoint keys, no warm pool: every acquire is a cold
-    // start through a different shard, and all 8 ids must be distinct.
-    let pool = ShardedPool::with_shards(KeyPolicy::Exact, 8);
+    // start publishing under the one pool lock, and all 8 ids must be
+    // distinct.
+    let pool = ShardedPool::new(KeyPolicy::Exact);
     let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
     let ids = Mutex::new(Vec::new());
     std::thread::scope(|s| {
