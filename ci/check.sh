@@ -66,7 +66,7 @@ cargo run --offline -q -p hotc-lint -- --json > lint-report.json
 #     nothing outside its crate names and any crate-private one nothing
 #     uses, whatever it is called; (e) the Fig. 6 sequence — acquire→enforce,
 #     release→book, tick→step+enforce — is written in middleware.rs only:
-#     the sharded gateway drives `HotC` and names none of its parts.
+#     the concurrent gateway drives `HotC` and names none of its parts.
 echo
 echo "==> one-replay-loop guard"
 if grep -rnE 'Simulation|schedule_(at|in)\b' crates/*/src src examples --include='*.rs' \

@@ -1,7 +1,7 @@
 //! Lock-contention benchmark: real OS threads sharing one HotC gateway,
 //! measuring control-plane throughput as parallelism grows. The global-lock
 //! baseline — a fixture local to this bench, one mutex around the
-//! single-threaded gateway — is driven at 1–8 threads; the sharded
+//! single-threaded gateway — is driven at 1–8 threads; the concurrent
 //! gateway is driven across [`hotc_bench::CONTENTION_THREADS`] (1–32), the
 //! curve the CI perf gate checks. The virtual execution happens outside any
 //! lock, so this isolates the pool bookkeeping — the scalability question
@@ -15,7 +15,7 @@
 
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::{AppProfile, Gateway};
-use hotc::{FunctionHandle, HotC, ShardedGateway};
+use hotc::{ConcurrentGateway, FunctionHandle, HotC};
 use hotc_bench::{Harness, CONTENTION_THREADS};
 use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
@@ -39,7 +39,8 @@ fn handle_locked(gw: &GlobalLockGateway, function: &str, timeline: &mut ThreadTi
 /// A deployment-shaped configuration: serverless functions routinely carry a
 /// dozen environment variables (endpoints, credentials, tuning), and every
 /// one of them is part of the runtime key the pool must derive per request.
-/// Under the global lock that derivation serializes; sharded, it parallelizes.
+/// Under the global lock that derivation serializes; the concurrent gateway
+/// interns the key once, at registration.
 fn function_config(app: &AppProfile, i: usize) -> containersim::ContainerConfig {
     let mut config = app.default_config();
     config.exec.env.insert("SHARD".into(), i.to_string());
@@ -86,9 +87,9 @@ fn shared_gateway(functions: usize) -> Arc<GlobalLockGateway> {
     shared
 }
 
-fn sharded_gateway_setup(functions: usize) -> Arc<ShardedGateway> {
+fn concurrent_gateway_setup(functions: usize) -> Arc<ConcurrentGateway> {
     let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let shared = Arc::new(ShardedGateway::with_defaults(engine));
+    let shared = Arc::new(ConcurrentGateway::with_defaults(engine));
     specs(functions).for_each(|spec| shared.register(spec));
     // Prime one runtime per function so the benchmark measures reuse.
     let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
@@ -121,17 +122,17 @@ fn bench_contention(h: &mut Harness) {
             });
         });
     }
-    // Same traffic shapes through the sharded frontend: lock-free bitmap
+    // Same traffic shapes through the concurrent frontend: lock-free bitmap
     // claims on the warm path instead of one gateway-wide mutex. Driven
     // further up the curve (16, 32) than the global lock, because this is
     // the side whose scaling the CI gate pins. Handles are pre-resolved so
     // the steady-state request skips even the function-table read lock.
     for &threads in CONTENTION_THREADS {
-        let gw = sharded_gateway_setup(threads.max(2));
+        let gw = concurrent_gateway_setup(threads.max(2));
         let handles: Vec<FunctionHandle> = (0..threads)
             .map(|t| gw.function_handle(&format!("fn-{t}")).expect("registered"))
             .collect();
-        h.bench(&format!("sharded_gateway/{threads}_threads"), || {
+        h.bench(&format!("concurrent_gateway/{threads}_threads"), || {
             std::thread::scope(|s| {
                 for handle in &handles {
                     let gw = Arc::clone(&gw);
@@ -148,11 +149,11 @@ fn bench_contention(h: &mut Harness) {
     }
     // Scaling efficiency: work per iteration grows with the thread count,
     // so efficiency reduces to mean(1)/mean(n). 1.0 is perfect scaling.
-    if let Some(base) = h.mean_of("sharded_gateway/1_threads") {
+    if let Some(base) = h.mean_of("concurrent_gateway/1_threads") {
         for &threads in CONTENTION_THREADS {
-            if let Some(mean) = h.mean_of(&format!("sharded_gateway/{threads}_threads")) {
+            if let Some(mean) = h.mean_of(&format!("concurrent_gateway/{threads}_threads")) {
                 h.record_derived(
-                    &format!("sharded_gateway/scaling_efficiency_{threads}"),
+                    &format!("concurrent_gateway/scaling_efficiency_{threads}"),
                     base / mean,
                 );
             }

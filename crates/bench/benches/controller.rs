@@ -11,7 +11,7 @@
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-use hotc::{AdaptiveController, ControllerConfig, EngineRef, KeyPolicy, ShardedPool};
+use hotc::{AdaptiveController, ControllerConfig, EngineRef, KeyPolicy, RuntimePool};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
 use std::hint::black_box;
@@ -38,12 +38,12 @@ fn configs(n: usize) -> Vec<ContainerConfig> {
 
 /// A pool tracking `types` slots of which the first [`HOT`] hold a warm
 /// container; the rest are empty, cold, and far from their GC deadline.
-fn fleet(types: usize) -> (Mutex<ContainerEngine>, ShardedPool, Vec<ContainerConfig>) {
+fn fleet(types: usize) -> (Mutex<ContainerEngine>, RuntimePool, Vec<ContainerConfig>) {
     let engine = Mutex::labeled(
         ContainerEngine::with_local_images(HardwareProfile::server()),
         "core/engine",
     );
-    let mut pool = ShardedPool::new(KeyPolicy::Exact);
+    let mut pool = RuntimePool::new(KeyPolicy::Exact);
     // Keep the idle fleet tracked for the whole run: the bench measures
     // steady-state tick cost, not the GC burst.
     pool.set_gc_intervals(1_000_000);
@@ -57,7 +57,7 @@ fn fleet(types: usize) -> (Mutex<ContainerEngine>, ShardedPool, Vec<ContainerCon
     }
     // One marking sweep moves the drained slots onto the cold queue and off
     // the active list, so the timed loop starts from steady state.
-    pool.take_shard_snapshot();
+    pool.take_demand_snapshot();
     let hot = all.into_iter().take(HOT).collect();
     (engine, pool, hot)
 }

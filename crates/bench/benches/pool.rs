@@ -4,7 +4,7 @@
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-use hotc::{ExclusiveEngine, KeyPolicy, RuntimeKey, ShardedPool};
+use hotc::{ExclusiveEngine, KeyPolicy, RuntimeKey, RuntimePool};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
 use std::hint::black_box;
@@ -36,7 +36,7 @@ fn bench_key_canonicalization(h: &mut Harness) {
     // The steady-state replacement for the formatting above: a re-intern of
     // a known configuration hashes the key-relevant fields and returns the
     // u32 id — no string is built, nothing is allocated.
-    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let pool = RuntimePool::new(KeyPolicy::Exact);
     let id = pool.intern_config(config);
     h.bench("key/intern_hit", || {
         assert_eq!(id, pool.intern_config(black_box(config)));
@@ -49,7 +49,7 @@ fn bench_acquire_release_reuse(h: &mut Harness, name: &str, held: usize) {
     // containers of the key stay in use throughout, so past 128 the one free
     // runtime sits in a grown chunk of the key's slot array.
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let pool = RuntimePool::new(KeyPolicy::Exact);
     let config = &configs(1)[0];
     for _ in 0..held {
         let acq = pool.acquire(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO);
@@ -76,7 +76,7 @@ fn bench_acquire_release_reuse(h: &mut Harness, name: &str, held: usize) {
 fn bench_acquire_many_types(h: &mut Harness) {
     // 100 distinct runtime types warm in the pool: lookup cost at scale.
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let pool = RuntimePool::new(KeyPolicy::Exact);
     let configs = configs(100);
     for config in &configs {
         pool.prewarm(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO)
@@ -105,7 +105,7 @@ fn bench_cold_create_and_remove(h: &mut Harness) {
         "cold_create_then_evict",
         || {
             let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-            (engine, ShardedPool::new(KeyPolicy::Exact))
+            (engine, RuntimePool::new(KeyPolicy::Exact))
         },
         |(mut engine, pool)| {
             for i in 0..8u64 {
@@ -128,11 +128,11 @@ fn bench_cold_create_and_remove(h: &mut Harness) {
 
 fn bench_evict_at_cap(h: &mut Harness) {
     // The paper's guardrail at its own size: 500 live containers over 500
-    // runtime types on the default shards, every one available. Each
-    // iteration admits one container and evicts the oldest, so the pool
-    // stays at the cap — the per-cold-start cost of limit enforcement.
+    // runtime types, every one available. Each iteration admits one
+    // container and evicts the oldest, so the pool stays at the cap — the
+    // per-cold-start cost of limit enforcement.
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let pool = RuntimePool::new(KeyPolicy::Exact);
     let configs = configs(500);
     let mut now = SimTime::ZERO;
     for config in &configs {

@@ -340,12 +340,12 @@ mod tests {
                 ("pool".into(), "acquire".into(), 240.0),
                 (
                     "contention".into(),
-                    "sharded_gateway/8_threads".into(),
+                    "concurrent_gateway/8_threads".into(),
                     400_000.0,
                 ),
                 (
                     "contention".into(),
-                    "sharded_gateway/16_threads".into(),
+                    "concurrent_gateway/16_threads".into(),
                     480_000.0,
                 ),
             ],
@@ -396,14 +396,14 @@ mod tests {
         let records = sample_records();
         // 480000 / 400000 = 1.2 <= 1.25
         let ok = gate_json(
-            r#"{"kind":"ratio","suite":"contention","name":"sharded_gateway/16_threads","denom":"sharded_gateway/8_threads","max_ratio":1.25}"#,
+            r#"{"kind":"ratio","suite":"contention","name":"concurrent_gateway/16_threads","denom":"concurrent_gateway/8_threads","max_ratio":1.25}"#,
         );
         assert!(matches!(
             eval_gate(&ok, &records, "t").unwrap().outcome,
             Outcome::Pass
         ));
         let tight = gate_json(
-            r#"{"kind":"ratio","suite":"contention","name":"sharded_gateway/16_threads","denom":"sharded_gateway/8_threads","max_ratio":1.1}"#,
+            r#"{"kind":"ratio","suite":"contention","name":"concurrent_gateway/16_threads","denom":"concurrent_gateway/8_threads","max_ratio":1.1}"#,
         );
         assert!(matches!(
             eval_gate(&tight, &records, "t").unwrap().outcome,
@@ -415,7 +415,7 @@ mod tests {
     fn scaling_gate_skips_below_min_parallelism_and_enforces_at_it() {
         let mut records = sample_records();
         let gate = gate_json(
-            r#"{"kind":"ratio","suite":"contention","name":"sharded_gateway/16_threads","denom":"sharded_gateway/8_threads","max_ratio":1.25,"min_parallelism":16}"#,
+            r#"{"kind":"ratio","suite":"contention","name":"concurrent_gateway/16_threads","denom":"concurrent_gateway/8_threads","max_ratio":1.25,"min_parallelism":16}"#,
         );
         assert!(matches!(
             eval_gate(&gate, &records, "t").unwrap().outcome,

@@ -23,9 +23,9 @@ pub use driver::{
 };
 pub use harness::Harness;
 
-/// Thread counts the contention bench drives through the sharded gateway.
+/// Thread counts the contention bench drives through the concurrent gateway.
 ///
 /// The CI perf gate (`src/bin/gate.rs` via `ci/gates.json`) checks records
-/// named `sharded_gateway/{n}_threads` for these counts, so the bench and
+/// named `concurrent_gateway/{n}_threads` for these counts, so the bench and
 /// the gate must agree on the curve — this const is the single source.
 pub const CONTENTION_THREADS: &[usize] = &[1, 2, 4, 8, 16, 32];

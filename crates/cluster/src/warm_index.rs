@@ -33,7 +33,7 @@
 //!   pool's live available count for that key (the oracle invariant).
 
 use containersim::ContainerConfig;
-use hotc::{KeyId, KeyInterner, ShardedPool};
+use hotc::{KeyId, KeyInterner, RuntimePool};
 use stdshim::{FastMap, FastSet};
 
 use crate::load::LoadIndex;
@@ -88,7 +88,7 @@ impl WarmIndex {
         &mut self,
         k: KeyId,
         node: usize,
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         config: &ContainerConfig,
     ) {
         let view = &mut self.nodes[node];
@@ -129,7 +129,7 @@ impl WarmIndex {
 
     /// Replaces the believed count for (`k`, `node`) with the node pool's
     /// live count — a point touch. Requires the mapping to exist.
-    pub(crate) fn touch_true(&mut self, k: KeyId, node: usize, pool: &ShardedPool) {
+    pub(crate) fn touch_true(&mut self, k: KeyId, node: usize, pool: &RuntimePool) {
         let ck = k.index() as u32;
         let count = match self.nodes[node].c2l.get(&ck) {
             Some(&local) => pool.num_avail_id(local) as u32,
@@ -159,7 +159,7 @@ impl WarmIndex {
     /// never registered stay invisible, since it could not route to them
     /// anyway. Assumes node pools share the cluster interner's
     /// [`hotc::KeyPolicy`].
-    pub(crate) fn resync_node(&mut self, node: usize, pool: &ShardedPool, interner: &KeyInterner) {
+    pub(crate) fn resync_node(&mut self, node: usize, pool: &RuntimePool, interner: &KeyInterner) {
         let WarmIndex { rows, nodes } = self;
         let view = &mut nodes[node];
         // Read the epoch before scanning: a mutation racing the scan then
@@ -225,8 +225,8 @@ mod tests {
         ContainerConfig::bridge(ImageId::parse(image))
     }
 
-    fn pool_with_warm(cfg: &ContainerConfig, count: usize) -> ShardedPool {
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+    fn pool_with_warm(cfg: &ContainerConfig, count: usize) -> RuntimePool {
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
         for _ in 0..count {
             pool.prewarm(&engine, cfg, SimTime::ZERO).unwrap();
@@ -317,7 +317,7 @@ mod tests {
         let cfg = config("python:3.8-alpine");
         let interner = KeyInterner::new(KeyPolicy::Exact);
         let k = interner.intern(&cfg);
-        let pools: Vec<ShardedPool> = (0..3).map(|_| pool_with_warm(&cfg, 1)).collect();
+        let pools: Vec<RuntimePool> = (0..3).map(|_| pool_with_warm(&cfg, 1)).collect();
 
         let mut idx = WarmIndex::new();
         idx.ensure_rows(1);

@@ -3,7 +3,7 @@
 //! Fig. 12(b) drives the backend from ten client threads at once; the
 //! contention benchmarks push further. The workspace has exactly two
 //! gateways: the single-threaded [`faas::Gateway`] (every experiment, the
-//! CLI, the cluster nodes and the replay driver) and [`ShardedGateway`]
+//! CLI, the cluster nodes and the replay driver) and [`ConcurrentGateway`]
 //! here. Runtime management is the same [`HotC`] the single-threaded gateway
 //! drives — this frontend owns no pool, controller or limits of its own and
 //! spells no part of the Fig. 6 sequence; it hands `HotC`'s `&self` entry
@@ -25,7 +25,7 @@
 //! semantics).
 
 use crate::middleware::{HotC, HotCConfig};
-use crate::shard::{EngineRef, ShardedPool};
+use crate::pool::{EngineRef, RuntimePool};
 use containersim::ContainerEngine;
 use faas::gateway::{GatewayError, InFlight};
 use faas::pipeline::{GATEWAY_HOP, WATCHDOG_HOP};
@@ -70,7 +70,7 @@ pub struct FunctionHandle {
 /// {function table, pool state, engine} at a time on the request path;
 /// `HotC`'s controller mutex (tick only) may span pool/engine acquisitions
 /// but is never taken while holding any other lock.
-pub struct ShardedGateway {
+pub struct ConcurrentGateway {
     engine: Mutex<ContainerEngine>,
     hotc: HotC,
     functions: RwLock<HashMap<String, Arc<FunctionEntry>>>,
@@ -83,7 +83,7 @@ pub struct ShardedGateway {
     cold_counter: Arc<Counter>,
 }
 
-impl ShardedGateway {
+impl ConcurrentGateway {
     /// Builds the gateway over an engine from a HotC configuration, with its
     /// own fresh metrics registry.
     pub fn new(engine: ContainerEngine, config: HotCConfig) -> Self {
@@ -103,7 +103,7 @@ impl ShardedGateway {
         metrics.histogram_union("gateway/e2e", "fn/");
         let requests_counter = metrics.counter("gateway/requests");
         let cold_counter = metrics.counter("gateway/cold_starts");
-        ShardedGateway {
+        ConcurrentGateway {
             engine: Mutex::labeled(engine, "core/engine"),
             hotc: HotC::new(config),
             functions: RwLock::labeled(HashMap::new(), "gateway/functions"),
@@ -184,7 +184,7 @@ impl ShardedGateway {
     }
 
     /// The runtime pool.
-    pub fn pool(&self) -> &ShardedPool {
+    pub fn pool(&self) -> &RuntimePool {
         self.hotc.pool()
     }
 
@@ -393,7 +393,7 @@ impl ShardedGateway {
 mod tests {
     use super::*;
     use crate::limits::PoolLimits;
-    use crate::shard::ExclusiveEngine;
+    use crate::pool::ExclusiveEngine;
     use containersim::engine::ExecWork;
     use containersim::{ContainerEngine, HardwareProfile, ImageId, LanguageRuntime};
     use faas::gateway::Gateway;
@@ -418,7 +418,7 @@ mod tests {
     }
 
     /// The single-threaded gateway over the same engine, functions and
-    /// configuration — the semantic reference for the sharded frontend.
+    /// configuration — the semantic reference for the concurrent frontend.
     fn exclusive_gateway(config: HotCConfig) -> Gateway<HotC> {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
         let mut gw = Gateway::new(engine, HotC::new(config));
@@ -428,23 +428,23 @@ mod tests {
         gw
     }
 
-    fn sharded_gateway_with(config: HotCConfig) -> Arc<ShardedGateway> {
+    fn concurrent_gateway_with(config: HotCConfig) -> Arc<ConcurrentGateway> {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let gw = ShardedGateway::new(engine, config);
+        let gw = ConcurrentGateway::new(engine, config);
         for spec in qr_specs() {
             gw.register(spec);
         }
         Arc::new(gw)
     }
 
-    fn sharded_gateway() -> Arc<ShardedGateway> {
-        sharded_gateway_with(HotCConfig::default())
+    fn concurrent_gateway() -> Arc<ConcurrentGateway> {
+        concurrent_gateway_with(HotCConfig::default())
     }
 
     /// `threads` workers, each serving `per_thread` requests a second apart
     /// from its own function `qr-{t}`; returns each worker's latencies.
     fn each_thread_own_function(
-        gw: &Arc<ShardedGateway>,
+        gw: &Arc<ConcurrentGateway>,
         threads: usize,
         per_thread: usize,
     ) -> Vec<LatencyRecorder> {
@@ -469,8 +469,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_threads_each_own_runtime() {
-        let gw = sharded_gateway();
+    fn concurrent_threads_each_own_runtime() {
+        let gw = concurrent_gateway();
         let threads = 4usize;
         let per_thread = 25usize;
         let recorders = each_thread_own_function(&gw, threads, per_thread);
@@ -490,9 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_shared_config_reuse() {
+    fn concurrent_shared_config_reuse() {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let gw = ShardedGateway::with_defaults(engine);
+        let gw = ConcurrentGateway::with_defaults(engine);
         gw.register_app(AppProfile::random_number());
         let gw = Arc::new(gw);
 
@@ -518,11 +518,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_global_lock_single_threaded() {
+    fn concurrent_matches_global_lock_single_threaded() {
         // Same traffic through both gateways yields identical traces: the
-        // sharding changes synchronization, not semantics.
-        let sharded = {
-            let gw = sharded_gateway();
+        // concurrent frontend changes synchronization, not semantics.
+        let concurrent = {
+            let gw = concurrent_gateway();
             let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
             (0..10)
                 .map(|_| gw.handle("qr-0", &mut timeline).unwrap().total())
@@ -539,7 +539,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(sharded, exclusive);
+        assert_eq!(concurrent, exclusive);
     }
 
     /// Regression: cold-path limit enforcement went uncounted, so
@@ -552,18 +552,18 @@ mod tests {
             limits: PoolLimits::new(2, 0.99),
             ..Default::default()
         };
-        let sharded = sharded_gateway_with(config());
+        let concurrent = concurrent_gateway_with(config());
         let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
         let mut exclusive = exclusive_gateway(config());
         let mut now = SimTime::ZERO;
         for i in 0..12 {
             let function = format!("qr-{}", i % 4);
-            let a = sharded.handle(&function, &mut timeline).unwrap();
+            let a = concurrent.handle(&function, &mut timeline).unwrap();
             let b = exclusive.handle(&function, now).unwrap();
             now = b.t6_gateway_out;
             assert_eq!(a, b, "request {i} diverged");
         }
-        let counted = sharded.metrics().snapshot().counter("pool/evictions");
+        let counted = concurrent.metrics().snapshot().counter("pool/evictions");
         assert_eq!(counted, Some(exclusive.provider().forced_evictions()));
         assert_eq!(counted, Some(10));
     }
@@ -574,8 +574,8 @@ mod tests {
     /// with the sum of e2e trace totals, and a tick samples the pool gauges
     /// and controller series.
     #[test]
-    fn sharded_telemetry_reconciles_across_threads() {
-        let gw = sharded_gateway();
+    fn concurrent_telemetry_reconciles_across_threads() {
+        let gw = concurrent_gateway();
         let threads = 4usize;
         let per_thread = 25usize;
         let recorders = each_thread_own_function(&gw, threads, per_thread);
@@ -640,18 +640,18 @@ mod tests {
             .prewarm(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO)
             .unwrap();
         let mut exclusive = Gateway::new(engine, hotc);
-        let sharded = ShardedGateway::with_defaults(ContainerEngine::with_local_images(
+        let concurrent = ConcurrentGateway::with_defaults(ContainerEngine::with_local_images(
             HardwareProfile::server(),
         ));
-        sharded
+        concurrent
             .with_engine(|e| {
-                let pool = sharded.pool();
+                let pool = concurrent.pool();
                 pool.prewarm(&ExclusiveEngine::new(e), config, SimTime::ZERO)
             })
             .unwrap();
         for spec in &specs {
             exclusive.register(spec.clone());
-            sharded.register(spec.clone());
+            concurrent.register(spec.clone());
         }
 
         let mut timeline = ThreadTimeline::starting_at(SimTime::from_secs(1));
@@ -665,7 +665,7 @@ mod tests {
             ("beta", true),
         ];
         for (i, (function, init_due)) in script.into_iter().enumerate() {
-            let a = sharded.handle(function, &mut timeline).unwrap();
+            let a = concurrent.handle(function, &mut timeline).unwrap();
             let b = exclusive.handle(function, now).unwrap();
             now = b.t6_gateway_out;
             assert_eq!(a, b, "request {i} diverged");
@@ -679,13 +679,13 @@ mod tests {
             );
         }
         assert_eq!(exclusive.engine().live_count(), 1);
-        assert_eq!(sharded.with_engine(|e| e.live_count()), 1);
+        assert_eq!(concurrent.with_engine(|e| e.live_count()), 1);
     }
 
     /// After a request of `qr-0` (Python) finished while the frontend believed
     /// its key to be Go's: the runtime is back in the pool of the key it was
     /// acquired under, ready for reuse, and nothing else is pooled or in use.
-    fn assert_returned_to_the_python_pool(pool: &ShardedPool, live: usize) {
+    fn assert_returned_to_the_python_pool(pool: &RuntimePool, live: usize) {
         let specs = qr_specs();
         let (python, go) = (pool.key_of(&specs[0].config), pool.key_of(&specs[1].config));
         assert_eq!((pool.total_live(), live), (1, 1), "(pool, engine) live");
@@ -696,7 +696,7 @@ mod tests {
 
     /// The function is re-registered with another configuration mid-flight
     /// (both gateways), or the request is finished through a handle pinning
-    /// another function and key (sharded): the pool, not the frontend, knows
+    /// another function and key (concurrent): the pool, not the frontend, knows
     /// which key a container belongs to. The old configuration's next request
     /// reuses the runtime warm; the new configuration cold-starts.
     #[test]
@@ -705,7 +705,7 @@ mod tests {
         let python_again = || qr_specs()[0].clone().named("qr-old");
 
         for stale_handle in [false, true] {
-            let gw = sharded_gateway();
+            let gw = concurrent_gateway();
             let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
             let inflight = gw.begin("qr-0", timeline.now()).unwrap();
             let container = inflight.container;
@@ -740,9 +740,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tick_controls_pool() {
+    fn concurrent_tick_controls_pool() {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let gw = ShardedGateway::with_defaults(engine);
+        let gw = ConcurrentGateway::with_defaults(engine);
         gw.register_app(AppProfile::random_number());
         let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
         gw.handle("random-number", &mut timeline).unwrap();

@@ -29,7 +29,7 @@
 //! distinct configurations.
 
 use crate::key::KeyId;
-use crate::shard::{EngineRef, ShardSnapshot, ShardedPool};
+use crate::pool::{DemandSnapshot, EngineRef, RuntimePool};
 use containersim::EngineError;
 use predictor::{EsMarkov, InitialValue, Predictor};
 use simclock::{SimDuration, SimTime};
@@ -151,7 +151,7 @@ impl AdaptiveController {
     /// returning the step's report when one ran.
     pub(crate) fn maybe_step(
         &mut self,
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<Option<StepReport>, EngineError> {
@@ -172,11 +172,11 @@ impl AdaptiveController {
     /// together with the engine lock.
     pub fn step(
         &mut self,
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.apply(pool, engine, now, pool.take_shard_snapshot_dirty())
+        self.apply(pool, engine, now, pool.take_demand_snapshot_dirty())
     }
 
     /// The O(all types) reference step: a full-sweep snapshot that visits
@@ -186,21 +186,21 @@ impl AdaptiveController {
     /// `controller_tick` benches' baseline (`full_sweep_1000types` gate).
     pub fn step_full(
         &mut self,
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.apply(pool, engine, now, pool.take_shard_snapshot())
+        self.apply(pool, engine, now, pool.take_demand_snapshot())
     }
 
     /// Feeds one snapshot to the predictors and resizes its keys, in the
     /// snapshot's order (ascending `KeyId`).
     fn apply(
         &mut self,
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
-        snapshot: ShardSnapshot,
+        snapshot: DemandSnapshot,
     ) -> Result<StepReport, EngineError> {
         self.last_step = Some(now);
         self.ticks += 1;
@@ -297,24 +297,24 @@ impl AdaptiveController {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
-    use crate::shard::ExclusiveEngine;
+    use crate::pool::ExclusiveEngine;
     use containersim::engine::ExecWork;
     use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 
     /// One dirty-set step over an exclusive engine borrow, as `HotC::tick` runs it.
     fn step(
         ctl: &mut AdaptiveController,
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         engine: &mut ContainerEngine,
         now: SimTime,
     ) -> StepReport {
         ctl.step(pool, &ExclusiveEngine::new(engine), now).unwrap()
     }
 
-    fn setup() -> (ContainerEngine, ShardedPool, AdaptiveController) {
+    fn setup() -> (ContainerEngine, RuntimePool, AdaptiveController) {
         (
             ContainerEngine::with_local_images(HardwareProfile::server()),
-            ShardedPool::new(KeyPolicy::Exact),
+            RuntimePool::new(KeyPolicy::Exact),
             AdaptiveController::paper_default(),
         )
     }
@@ -325,7 +325,7 @@ mod tests {
 
     /// Simulates `n` concurrent requests for `config` in one interval.
     fn drive_config_demand(
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         engine: &mut ContainerEngine,
         config: &ContainerConfig,
         n: usize,
@@ -356,7 +356,7 @@ mod tests {
     }
 
     /// Simulates `n` concurrent requests in one interval.
-    fn drive_demand(pool: &ShardedPool, engine: &mut ContainerEngine, n: usize, now: SimTime) {
+    fn drive_demand(pool: &RuntimePool, engine: &mut ContainerEngine, n: usize, now: SimTime) {
         drive_config_demand(pool, engine, &cfg(), n, now);
     }
 

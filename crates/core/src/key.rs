@@ -159,7 +159,7 @@ impl std::fmt::Display for KeyId {
 /// handled by chaining ids per fingerprint.
 ///
 /// Lock class `pool/interner`: acquired read-mostly, strictly *before* (and
-/// released before) any `pool/shard` lock, so the request path still holds
+/// released before) any `pool/state` lock, so the request path still holds
 /// at most one lock at a time (DESIGN §5).
 #[derive(Debug)]
 pub struct KeyInterner {

@@ -14,8 +14,8 @@
 //!   with identical parameter configurations are the same type of runtime".
 //!   The future-work fuzzy matching (reuse on a parameter subset, applying
 //!   the differences at acquire time) ships as [`key::KeyPolicy::Fuzzy`].
-//! * [`shard`] — **Container runtime pool** (Fig. 7 + Algorithms 1–2),
-//!   [`shard::ShardedPool`]: a key-value store from runtime key to
+//! * [`pool`] — **Container runtime pool** (Fig. 7 + Algorithms 1–2),
+//!   [`pool::RuntimePool`]: a key-value store from runtime key to
 //!   available/in-use containers, with the `num_avail` bookkeeping,
 //!   used-container cleanup (wipe + fresh volume), and oldest-first forced
 //!   termination. It is the one pool type: warm acquires and releases are
@@ -35,7 +35,7 @@
 //!   entry points take `&self` and an [`EngineRef`]; behind the
 //!   [`faas::RuntimeProvider`] trait the unmodified gateway runs with HotC
 //!   ("does not involve disruptive changes to the existing architecture").
-//! * [`concurrent`] — [`concurrent::ShardedGateway`], the thread-safe
+//! * [`concurrent`] — [`concurrent::ConcurrentGateway`], the thread-safe
 //!   frontend for the parallel-request experiments and contention
 //!   benchmarks. Together with the single-threaded [`faas::Gateway`] it is
 //!   one of the workspace's two gateways, and it drives the same [`HotC`];
@@ -57,7 +57,7 @@
 //! container of the requested type or cold-starts one; Algorithm 2
 //! (`release`) cleans the used container (wipe volume + remount) and returns
 //! it to the pool, incrementing `num_avail[key]`. The example on
-//! [`ShardedPool`] walks one container through cold start, clean-up and
+//! [`RuntimePool`] walks one container through cold start, clean-up and
 //! reuse.
 //!
 //! ## Quickstart
@@ -83,11 +83,11 @@ pub mod controller;
 pub mod key;
 pub mod limits;
 mod middleware;
-pub mod shard;
+pub mod pool;
 
-pub use concurrent::{FunctionHandle, ShardedGateway};
+pub use concurrent::{ConcurrentGateway, FunctionHandle};
 pub use controller::{AdaptiveController, ControllerConfig};
 pub use key::{KeyId, KeyInterner, KeyPolicy, RuntimeKey};
 pub use limits::PoolLimits;
 pub use middleware::{HotC, HotCConfig};
-pub use shard::{EngineRef, ExclusiveEngine, ShardSnapshot, ShardedPool};
+pub use pool::{DemandSnapshot, EngineRef, ExclusiveEngine, RuntimePool};

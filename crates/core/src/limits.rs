@@ -6,7 +6,7 @@
 //! used_mem and used_swap in the kernel. If there exist too many containers
 //! or fewer resources, the oldest live container is forcibly terminated."
 
-use crate::shard::{EngineRef, ShardedPool};
+use crate::pool::{EngineRef, RuntimePool};
 use containersim::EngineError;
 use simclock::{SimDuration, SimTime};
 
@@ -46,21 +46,21 @@ impl PoolLimits {
     /// Whether the pool/host currently violates a limit. Reads the pool's
     /// live count (pool lock) and the host memory pressure (engine lock)
     /// sequentially — the two locks are never nested.
-    pub(crate) fn violated(&self, pool: &ShardedPool, engine: &impl EngineRef) -> bool {
+    pub(crate) fn violated(&self, pool: &RuntimePool, engine: &impl EngineRef) -> bool {
         pool.total_live() > self.max_live
             || engine.with_engine(|e| e.host().memory_pressure()) > self.mem_threshold
     }
 
     /// Oldest-first eviction until limits hold (or no available container
     /// remains to evict — in-flight containers are never killed). Each round
-    /// walks the pool's age index ([`ShardedPool::evict_oldest`]), so a cold
+    /// walks the pool's age index ([`RuntimePool::evict_oldest`]), so a cold
     /// start under the cap pays O(in-flight) for its eviction, not a scan of
     /// the pool.
     /// Returns the accumulated teardown cost and the number evicted, which
     /// telemetry counts separately from controller-driven retires.
     pub fn enforce(
         &self,
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<(SimDuration, usize), EngineError> {
@@ -95,13 +95,13 @@ impl stdshim::ToJson for PoolLimits {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
-    use crate::shard::ExclusiveEngine;
+    use crate::pool::ExclusiveEngine;
     use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 
-    fn setup() -> (ContainerEngine, ShardedPool) {
+    fn setup() -> (ContainerEngine, RuntimePool) {
         (
             ContainerEngine::with_local_images(HardwareProfile::server()),
-            ShardedPool::new(KeyPolicy::Exact),
+            RuntimePool::new(KeyPolicy::Exact),
         )
     }
 
@@ -109,11 +109,11 @@ mod tests {
         ContainerConfig::bridge(ImageId::parse("alpine:3.12"))
     }
 
-    fn violated(limits: &PoolLimits, pool: &ShardedPool, e: &mut ContainerEngine) -> bool {
+    fn violated(limits: &PoolLimits, pool: &RuntimePool, e: &mut ContainerEngine) -> bool {
         limits.violated(pool, &ExclusiveEngine::new(e))
     }
 
-    fn enforce(limits: &PoolLimits, pool: &ShardedPool, e: &mut ContainerEngine, secs: u64) {
+    fn enforce(limits: &PoolLimits, pool: &RuntimePool, e: &mut ContainerEngine, secs: u64) {
         let engine = ExclusiveEngine::new(e);
         let (cost, evicted) = limits
             .enforce(pool, &engine, SimTime::from_secs(secs))
@@ -165,7 +165,7 @@ mod tests {
     fn memory_pressure_triggers_eviction() {
         // A tiny edge host: Pi with 1 GB. JVM containers at ~49 MB idle each.
         let mut e = ContainerEngine::with_local_images(HardwareProfile::raspberry_pi3());
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let jvm = ContainerConfig::bridge(ImageId::parse("openjdk:8-jre"));
         let limits = PoolLimits::new(500, 0.5);
         for i in 0..12 {

@@ -11,7 +11,7 @@
 //! step then enforce — is written here only. Its entry points take `&self`
 //! and an [`EngineRef`], exactly as the pool's do: the single-threaded
 //! [`faas::Gateway`] reaches them through [`faas::RuntimeProvider`] and an
-//! [`ExclusiveEngine`] borrow, [`crate::ShardedGateway`] through its engine
+//! [`ExclusiveEngine`] borrow, [`crate::ConcurrentGateway`] through its engine
 //! mutex. The warm request path takes no lock here: the controller sits
 //! behind a mutex that only `tick_on` (and the background-cost read) takes,
 //! and the tallies are relaxed atomics.
@@ -19,7 +19,7 @@
 use crate::controller::{AdaptiveController, ControllerConfig, StepReport};
 use crate::key::{KeyId, KeyPolicy};
 use crate::limits::PoolLimits;
-use crate::shard::{EngineRef, ExclusiveEngine, PoolAcquisition, ShardedPool};
+use crate::pool::{EngineRef, ExclusiveEngine, PoolAcquisition, RuntimePool};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use faas::{Acquisition, RuntimeProvider};
 use simclock::{SimDuration, SimTime};
@@ -42,7 +42,7 @@ pub struct HotCConfig {
 
 /// The HotC runtime manager.
 pub struct HotC {
-    pool: ShardedPool,
+    pool: RuntimePool,
     /// Taken by `tick_on` and the background-cost read only: a control step
     /// may span pool and engine acquisitions, but this lock is never taken
     /// while holding any other (DESIGN.md §5).
@@ -60,7 +60,7 @@ impl HotC {
     /// Builds HotC from a configuration.
     pub fn new(config: HotCConfig) -> Self {
         HotC {
-            pool: ShardedPool::new(config.key_policy),
+            pool: RuntimePool::new(config.key_policy),
             controller: Mutex::labeled(
                 AdaptiveController::new(config.controller),
                 "hotc/controller",
@@ -79,7 +79,7 @@ impl HotC {
     }
 
     /// Pool inspection.
-    pub fn pool(&self) -> &ShardedPool {
+    pub fn pool(&self) -> &RuntimePool {
         &self.pool
     }
 

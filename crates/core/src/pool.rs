@@ -1,7 +1,7 @@
 //! The concurrent runtime pool (§IV-B, Fig. 7).
 //!
 //! The paper's pool is one key-value store in front of one container daemon.
-//! [`ShardedPool`] interns each configuration into a dense [`KeyId`] and
+//! [`RuntimePool`] interns each configuration into a dense [`KeyId`] and
 //! keeps every key's containers in that key's slot array — a chain of fixed
 //! [`SLOTS_PER_KEY`]-slot chunks that grows by one chunk whenever every slot
 //! is occupied — indexed by two [`stdshim::sync::SlotBitmap`] free-lists per
@@ -52,7 +52,7 @@
 //!   held — the controller's GC decisions can never race a half-finished
 //!   warm operation into stranding a container;
 //! * a slot exists only while a container of its type exists or existed
-//!   within the last [`ShardedPool::set_gc_intervals`] demand snapshots — failed
+//!   within the last [`RuntimePool::set_gc_intervals`] demand snapshots — failed
 //!   creates never materialize slots, and long-dead slots are garbage
 //!   collected together with their controller state.
 
@@ -130,7 +130,7 @@ fn entry_container(entry: u64) -> Option<ContainerId> {
 /// One fixed run of [`SLOTS_PER_KEY`] slots of a key's slot array, and the
 /// link to the run after it.
 ///
-/// Index lifecycle: `free` (unoccupied, mutated **only** under the shard
+/// Index lifecycle: `free` (unoccupied, mutated **only** under the pool
 /// lock) → publish stores the packed entry + reverse-index mapping, then
 /// sets exactly one of `avail`/`in_use` — the release-store that makes the
 /// slot claimable. While a slot index is occupied its entry names the same
@@ -174,7 +174,7 @@ impl SlotChunk {
         chunk
     }
 
-    /// Empties a slot whose bits are already claimed by the caller. Shard
+    /// Empties a slot whose bits are already claimed by the caller. Pool
     /// lock required: this mutates `free` (occupancy).
     fn dispose_idle(&self, bit: usize) {
         // lint:allow(atomic-ordering, caller owns every bit of this slot; unreachable until free.release)
@@ -222,7 +222,7 @@ impl KeySlots {
     /// Slot index `i`'s chunk and its bit there; indices below
     /// [`SLOTS_PER_KEY`] load nothing. An index exists only after its chunk
     /// was appended, and whoever holds one learned it through a
-    /// release-store made after the append (reverse index, bitmap bit, shard
+    /// release-store made after the append (reverse index, bitmap bit, pool
     /// lock), so the walk cannot fall off the chain.
     fn at(&self, i: usize) -> (&SlotChunk, usize) {
         let mut chunk = &self.head;
@@ -439,7 +439,7 @@ struct PoolState {
     seq: u64,
     /// Containers currently tracked by the pool (available + in use),
     /// maintained under the lock at every occupancy change so
-    /// [`ShardedPool::total_live`] is O(1). Warm hits and warm
+    /// [`RuntimePool::total_live`] is O(1). Warm hits and warm
     /// releases do not change occupancy, so they never touch it. The
     /// full-sweep snapshot cross-checks it in debug builds.
     live: usize,
@@ -508,7 +508,7 @@ impl PoolState {
     }
 }
 
-/// One key's demand sample within a [`ShardSnapshot`]. Carries the slot's
+/// One key's demand sample within a [`DemandSnapshot`]. Carries the slot's
 /// live population as seen while the pool lock was already held, so the
 /// controller can size the key without re-locking the pool per key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -534,7 +534,7 @@ impl KeyDemand {
 /// controller, plus the keys whose empty slots were garbage collected in
 /// this snapshot (the controller drops their predictors).
 #[derive(Debug, Clone)]
-pub struct ShardSnapshot {
+pub struct DemandSnapshot {
     /// `history[k][t]` entries for the interval, sorted by key id.
     pub demands: Vec<KeyDemand>,
     /// Keys GC'd by this snapshot, sorted.
@@ -595,11 +595,11 @@ struct ClaimedSlot<'a> {
 ///
 /// ```
 /// use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-/// use hotc::{ExclusiveEngine, KeyPolicy, ShardedPool};
+/// use hotc::{ExclusiveEngine, KeyPolicy, RuntimePool};
 /// use simclock::SimTime;
 ///
 /// let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-/// let pool = ShardedPool::new(KeyPolicy::Exact);
+/// let pool = RuntimePool::new(KeyPolicy::Exact);
 /// let config = ContainerConfig::bridge(ImageId::parse("python:3.8-alpine"));
 ///
 /// // Algorithm 1: first acquire cold-starts, …
@@ -621,7 +621,7 @@ struct ClaimedSlot<'a> {
 /// assert_eq!(second.container, first.container);
 /// ```
 #[derive(Debug)]
-pub struct ShardedPool {
+pub struct RuntimePool {
     policy: KeyPolicy,
     state: Mutex<PoolState>,
     /// Interns configurations into dense [`KeyId`]s; the slot map, the
@@ -655,12 +655,12 @@ fn pack_rindex(id: KeyId, slot: usize) -> u64 {
     ((id.index() as u64 + 1) << 32) | (slot as u64 + 1)
 }
 
-impl ShardedPool {
+impl RuntimePool {
     /// Creates an empty pool.
     pub fn new(policy: KeyPolicy) -> Self {
-        ShardedPool {
+        RuntimePool {
             policy,
-            state: Mutex::labeled(PoolState::default(), "pool/shard"),
+            state: Mutex::labeled(PoolState::default(), "pool/state"),
             interner: KeyInterner::new(policy),
             key_slots: LazySlotTable::default(),
             rindex: LazySlotTable::default(),
@@ -1217,10 +1217,10 @@ impl ShardedPool {
     /// container stranded by a GC.
     ///
     /// This is the O(tracked keys) reference path; the controller's default
-    /// is [`Self::take_shard_snapshot_dirty`], which visits only the active
+    /// is [`Self::take_demand_snapshot_dirty`], which visits only the active
     /// list and produces the same GC timing (asserted by a property test in
     /// `controller.rs`).
-    pub fn take_shard_snapshot(&self) -> ShardSnapshot {
+    pub fn take_demand_snapshot(&self) -> DemandSnapshot {
         let mut demands = Vec::new();
         let mut retired = Vec::new();
         let gc_after = u64::from(self.gc_intervals);
@@ -1295,7 +1295,7 @@ impl ShardedPool {
         }
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
-        ShardSnapshot { demands, retired }
+        DemandSnapshot { demands, retired }
     }
 
     /// Takes the **dirty-set** demand snapshot: visits only the keys
@@ -1312,7 +1312,7 @@ impl ShardedPool {
     /// warm hits keep the dirty set honest for free: a key serving warm
     /// traffic holds containers, and any key holding containers is already
     /// on the active list.
-    pub fn take_shard_snapshot_dirty(&self) -> ShardSnapshot {
+    pub fn take_demand_snapshot_dirty(&self) -> DemandSnapshot {
         let mut retired = Vec::new();
         let gc_after = u64::from(self.gc_intervals);
         let mut guard = self.state.lock();
@@ -1369,7 +1369,7 @@ impl ShardedPool {
         drop(guard);
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
-        ShardSnapshot { demands, retired }
+        DemandSnapshot { demands, retired }
     }
 
     /// The keys the pool currently tracks, sorted.
@@ -1425,7 +1425,7 @@ fn drain_due_cold(
 /// (`retire_avail`, `evict_at`, `grow`) call the real `KeySlots` methods
 /// unmodified. The publishing operations (`publish_avail`,
 /// `publish_in_use`) replay the exact load/store sequences of
-/// [`ShardedPool::publish_avail`] and [`ShardedPool::publish_in_use`] — the
+/// [`RuntimePool::publish_avail`] and [`RuntimePool::publish_in_use`] — the
 /// latter with one reverse-index cell standing in for the pool's table —
 /// minus the pool lock: in the model the lock's happens-before hand-off is
 /// reproduced by running every lock-holding op either before spawning the
@@ -1473,7 +1473,7 @@ pub mod model_api {
             self.ks.try_claim_release(i, container)
         }
 
-        /// The store sequence of [`super::ShardedPool::publish_avail`]:
+        /// The store sequence of [`super::RuntimePool::publish_avail`]:
         /// free-claim, entry store, then the `avail` release bit-set
         /// (publish-before-bit-set). `None` when no slot is free: the model
         /// grows explicitly ([`Self::grow`]), not inside the free-claim.
@@ -1508,7 +1508,7 @@ pub mod model_api {
             self.ks.append(SlotChunk::new(prefree));
         }
 
-        /// The store sequence of [`super::ShardedPool::publish_in_use`]
+        /// The store sequence of [`super::RuntimePool::publish_in_use`]
         /// (cold start): free-claim, entry store, the reverse-index
         /// release-store, then the `in_use` release bit-set. `weak` relaxes
         /// the reverse-index store — the mutation of the publication a
@@ -1530,7 +1530,7 @@ pub mod model_api {
             Some(i)
         }
 
-        /// The lock-free half of [`super::ShardedPool::release`]: resolve
+        /// The lock-free half of [`super::RuntimePool::release`]: resolve
         /// the container through the reverse-index cell (`None` = not
         /// pooled yet), then the real release claim on the slot it names.
         pub fn release_via_rindex(&self, container: ContainerId) -> Option<(usize, bool)> {
@@ -1544,10 +1544,10 @@ pub mod model_api {
             self.ks.retire_avail()
         }
 
-        /// Phase one of [`super::ShardedPool::evict_oldest`] for one age-index
-        /// entry: the candidate test reads the slot's `avail` bit (the
-        /// container's identity comes from the index, i.e. from the caller).
-        /// Advisory against lock-free claimers — phase two decides.
+        /// The candidate test of [`super::RuntimePool::evict_oldest`] for one
+        /// age-index entry: it reads the slot's `avail` bit (the container's
+        /// identity comes from the index, i.e. from the caller). Advisory
+        /// against lock-free claimers — the claim ([`Self::evict_at`]) decides.
         pub fn evict_candidate(&self, i: usize) -> bool {
             self.ks.is_avail(i)
         }
@@ -1624,9 +1624,9 @@ mod tests {
 
     /// The full-sweep snapshot (GC included) as `(key, demand)`, sorted —
     /// what the controller sees over one interval.
-    fn demand_snapshot(pool: &ShardedPool) -> Vec<(RuntimeKey, usize)> {
+    fn demand_snapshot(pool: &RuntimePool) -> Vec<(RuntimeKey, usize)> {
         let mut out: Vec<_> = pool
-            .take_shard_snapshot()
+            .take_demand_snapshot()
             .demands
             .into_iter()
             .filter_map(|d| Some((pool.resolve_key(d.id)?, d.demand)))
@@ -1636,7 +1636,7 @@ mod tests {
     }
 
     /// Algorithm 1 then 2 then 1: cold start, clean + re-pool, reuse.
-    fn round_trip(pool: &ShardedPool, e: &impl EngineRef) {
+    fn round_trip(pool: &RuntimePool, e: &impl EngineRef) {
         let c = cfg("alpine:3.12");
         let a = pool.acquire(e, &c, SimTime::ZERO).unwrap();
         assert!(a.cold, "first request cold-starts");
@@ -1651,9 +1651,9 @@ mod tests {
 
     #[test]
     fn acquire_release_round_trip_through_either_engine_ref() {
-        round_trip(&ShardedPool::new(KeyPolicy::Exact), &engine());
+        round_trip(&RuntimePool::new(KeyPolicy::Exact), &engine());
         round_trip(
-            &ShardedPool::new(KeyPolicy::Exact),
+            &RuntimePool::new(KeyPolicy::Exact),
             &ex(&mut plain_engine()),
         );
     }
@@ -1661,7 +1661,7 @@ mod tests {
     #[test]
     fn warm_hit_reuses_the_container_lock_free() {
         let e = engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         let id = pool.intern_config(&c);
         let a = pool.acquire_id(&e, id, &c, SimTime::ZERO).unwrap();
@@ -1692,7 +1692,7 @@ mod tests {
     #[test]
     fn a_key_past_its_first_chunk_stays_on_the_lock_free_path() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         let id = pool.intern_config(&c);
         let release = |e: &mut ContainerEngine, container| {
@@ -1739,7 +1739,7 @@ mod tests {
 
     /// Regression (double release): the second release of the same
     /// container must fail instead of double-pooling the id.
-    fn double_release(pool: &ShardedPool, e: &impl EngineRef) {
+    fn double_release(pool: &RuntimePool, e: &impl EngineRef) {
         let c = cfg("alpine:3.12");
         let a = pool.acquire(e, &c, SimTime::ZERO).unwrap();
         exec(e, a.container, SimTime::ZERO);
@@ -1758,9 +1758,9 @@ mod tests {
 
     #[test]
     fn double_release_is_rejected_not_double_pooled() {
-        double_release(&ShardedPool::new(KeyPolicy::Exact), &engine());
+        double_release(&RuntimePool::new(KeyPolicy::Exact), &engine());
         double_release(
-            &ShardedPool::new(KeyPolicy::Exact),
+            &RuntimePool::new(KeyPolicy::Exact),
             &ex(&mut plain_engine()),
         );
     }
@@ -1768,7 +1768,7 @@ mod tests {
     #[test]
     fn dirty_snapshot_skips_cold_keys_but_gcs_them_on_schedule() {
         let e = engine();
-        let mut pool = ShardedPool::new(KeyPolicy::Exact);
+        let mut pool = RuntimePool::new(KeyPolicy::Exact);
         pool.set_gc_intervals(2);
         let a = cfg("alpine:3.12");
         let b = cfg("python:3.8-alpine");
@@ -1777,10 +1777,10 @@ mod tests {
         let ida = pool.intern_config(&a);
         let idb = pool.intern_config(&b);
         // Both warm: both visited every interval even without touches.
-        let visited = |s: &ShardSnapshot| -> Vec<(KeyId, usize)> {
+        let visited = |s: &DemandSnapshot| -> Vec<(KeyId, usize)> {
             s.demands.iter().map(|d| (d.id, d.demand)).collect()
         };
-        let s1 = pool.take_shard_snapshot_dirty();
+        let s1 = pool.take_demand_snapshot_dirty();
         assert_eq!(visited(&s1), vec![(ida, 0), (idb, 0)]);
         // The snapshot carries each slot's live population (one prewarmed
         // container apiece), so the controller needs no second lookup.
@@ -1788,12 +1788,12 @@ mod tests {
         // Drain A to empty; the retire is a touch, so the next snapshot
         // reports its final zero-demand interval and starts the countdown.
         pool.retire_one_id(&e, ida, SimTime::from_secs(1)).unwrap();
-        let s2 = pool.take_shard_snapshot_dirty();
+        let s2 = pool.take_demand_snapshot_dirty();
         assert_eq!(visited(&s2), vec![(ida, 0), (idb, 0)]);
         assert!(s2.retired.is_empty());
         // Cold now: skipped from the demand scan, GC'd by the idle sweep
         // exactly gc_intervals snapshots after going cold.
-        let s3 = pool.take_shard_snapshot_dirty();
+        let s3 = pool.take_demand_snapshot_dirty();
         assert_eq!(visited(&s3), vec![(idb, 0)]);
         assert_eq!(s3.retired, vec![ida]);
         assert_eq!(pool.keys(), vec![pool.key_of(&b)]);
@@ -1801,9 +1801,9 @@ mod tests {
         pool.prewarm(&e, &a, SimTime::from_secs(2)).unwrap();
         pool.retire_one_id(&e, pool.intern_config(&a), SimTime::from_secs(3))
             .unwrap();
-        let _ = pool.take_shard_snapshot_dirty(); // goes cold again
+        let _ = pool.take_demand_snapshot_dirty(); // goes cold again
         pool.prewarm(&e, &a, SimTime::from_secs(4)).unwrap(); // re-touched
-        let s5 = pool.take_shard_snapshot_dirty();
+        let s5 = pool.take_demand_snapshot_dirty();
         assert!(s5.retired.is_empty(), "re-touched key must not be GC'd");
         assert!(s5.demands.iter().any(|d| d.id == pool.intern_config(&a)));
     }
@@ -1812,8 +1812,8 @@ mod tests {
     fn full_and_dirty_snapshots_agree_on_gc_timing() {
         for gc in [1u32, 2, 3] {
             let (ef, ed) = (engine(), engine());
-            let mut full = ShardedPool::new(KeyPolicy::Exact);
-            let mut dirty = ShardedPool::new(KeyPolicy::Exact);
+            let mut full = RuntimePool::new(KeyPolicy::Exact);
+            let mut dirty = RuntimePool::new(KeyPolicy::Exact);
             full.set_gc_intervals(gc);
             dirty.set_gc_intervals(gc);
             let c = cfg("alpine:3.12");
@@ -1826,8 +1826,8 @@ mod tests {
                 .unwrap();
             // The slot is empty; both modes must GC it at the same snapshot.
             for step in 1..=gc + 1 {
-                let f = full.take_shard_snapshot();
-                let d = dirty.take_shard_snapshot_dirty();
+                let f = full.take_demand_snapshot();
+                let d = dirty.take_demand_snapshot_dirty();
                 assert_eq!(
                     f.retired, d.retired,
                     "gc={gc} step={step}: retire timing diverged"
@@ -1848,7 +1848,7 @@ mod tests {
     #[test]
     fn evict_oldest_breaks_created_at_ties_by_lowest_key_first() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let configs: Vec<ContainerConfig> = (0..10)
             .map(|k| {
                 cfg("alpine:3.12").with_exec(ExecOptions::default().with_env("K", k.to_string()))
@@ -1880,7 +1880,7 @@ mod tests {
     // `HotC` drives the pool (exclusive engine).
 
     fn run_request(
-        pool: &ShardedPool,
+        pool: &RuntimePool,
         engine: &mut ContainerEngine,
         config: &ContainerConfig,
         now: SimTime,
@@ -1902,7 +1902,7 @@ mod tests {
     #[test]
     fn num_avail_bookkeeping_matches_algorithms() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         let key = pool.key_of(&c);
 
@@ -1928,7 +1928,7 @@ mod tests {
     #[test]
     fn occupied_containers_trigger_new_start() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         // Acquire twice without releasing: both cold, two containers.
         let a1 = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
@@ -1941,7 +1941,7 @@ mod tests {
     #[test]
     fn different_types_never_share() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         run_request(&pool, &mut e, &cfg("python:3.8-alpine"), SimTime::ZERO);
         let b = run_request(&pool, &mut e, &cfg("golang:1.13"), SimTime::from_secs(1));
         assert!(b.cold, "different image must not reuse python runtime");
@@ -1956,14 +1956,14 @@ mod tests {
 
         // Exact: env difference ⇒ cold.
         let mut e = plain_engine();
-        let exact = ShardedPool::new(KeyPolicy::Exact);
+        let exact = RuntimePool::new(KeyPolicy::Exact);
         run_request(&exact, &mut e, &base, SimTime::ZERO);
         let a = run_request(&exact, &mut e, &with_env, SimTime::from_secs(1));
         assert!(a.cold);
 
         // Fuzzy: same image+network ⇒ reuse with a reconfig cost.
         let mut e2 = plain_engine();
-        let fuzzy = ShardedPool::new(KeyPolicy::Fuzzy);
+        let fuzzy = RuntimePool::new(KeyPolicy::Fuzzy);
         run_request(&fuzzy, &mut e2, &base, SimTime::ZERO);
         let b = fuzzy
             .acquire(&ex(&mut e2), &with_env, SimTime::from_secs(1))
@@ -1975,7 +1975,7 @@ mod tests {
     #[test]
     fn prewarm_makes_next_request_warm() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("openjdk:8-jre");
         let cost = pool.prewarm(&ex(&mut e), &c, SimTime::ZERO).unwrap();
         assert!(!cost.is_zero());
@@ -1988,7 +1988,7 @@ mod tests {
     #[test]
     fn retire_and_evict() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         let key = pool.key_of(&c);
         for i in 0..3 {
@@ -2016,7 +2016,7 @@ mod tests {
     #[test]
     fn evict_on_empty_pool_is_none() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         assert!(pool
             .evict_oldest(&ex(&mut e), SimTime::ZERO)
             .unwrap()
@@ -2026,7 +2026,7 @@ mod tests {
     #[test]
     fn pool_codes_match_fig7() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
 
         let acq = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
@@ -2056,7 +2056,7 @@ mod tests {
     #[test]
     fn demand_snapshot_reports_watermark_and_resets() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         // Three concurrent acquisitions.
         let acqs: Vec<_> = (0..3)
@@ -2090,7 +2090,7 @@ mod tests {
     #[test]
     fn failed_cold_start_leaves_no_phantom_slot() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let err = pool
             .acquire(&ex(&mut e), &cfg("no-such-image:1.0"), SimTime::ZERO)
             .unwrap_err();
@@ -2108,7 +2108,7 @@ mod tests {
     fn failed_cold_start_never_pollutes_existing_slot_set() {
         let registry = ImageRegistry::with_default_catalogue();
         let mut e = ContainerEngine::new(registry, HardwareProfile::server());
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         run_request(&pool, &mut e, &cfg("alpine:3.12"), SimTime::ZERO);
         let before = pool.keys();
         let _ = pool
@@ -2124,7 +2124,7 @@ mod tests {
     #[test]
     fn release_of_unacquired_container_is_rejected() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         // A container created behind the pool's back.
         let (stray, _) = e
             .create_container(cfg("alpine:3.12"), SimTime::ZERO)
@@ -2144,7 +2144,7 @@ mod tests {
     #[test]
     fn failed_cleanup_keeps_container_in_use() {
         let mut e = plain_engine();
-        let pool = ShardedPool::new(KeyPolicy::Exact);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         let acq = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
         e.begin_exec(
@@ -2174,7 +2174,7 @@ mod tests {
     #[test]
     fn empty_slots_are_garbage_collected() {
         let mut e = plain_engine();
-        let mut pool = ShardedPool::new(KeyPolicy::Exact);
+        let mut pool = RuntimePool::new(KeyPolicy::Exact);
         pool.set_gc_intervals(2);
         let c = cfg("alpine:3.12");
         run_request(&pool, &mut e, &c, SimTime::ZERO);
@@ -2204,7 +2204,7 @@ mod tests {
     #[test]
     fn gc_then_reacquire_recreates_slot() {
         let mut e = plain_engine();
-        let mut pool = ShardedPool::new(KeyPolicy::Exact);
+        let mut pool = RuntimePool::new(KeyPolicy::Exact);
         pool.set_gc_intervals(1);
         let c = cfg("golang:1.13");
         run_request(&pool, &mut e, &c, SimTime::ZERO);
@@ -2229,7 +2229,7 @@ mod tests {
         testkit::check(64, |g| {
             let ops = g.vec(1..60, |g| g.u8_in(0..5));
             let mut e = plain_engine();
-            let pool = ShardedPool::new(KeyPolicy::Exact);
+            let pool = RuntimePool::new(KeyPolicy::Exact);
             let configs = [cfg("alpine:3.12"), cfg("python:3.8-alpine")];
             let mut busy: Vec<ContainerId> = Vec::new();
             for (i, &op) in ops.iter().enumerate() {
@@ -2278,16 +2278,16 @@ mod tests {
     /// grown chunk are candidates; creation times are drawn from four
     /// instants, so `created_at` ties are common (the id breaks them) and
     /// `now` is not monotone across creations (age order ≠ id order, as
-    /// `ShardedGateway` threads produce). Every full-sweep snapshot re-runs
+    /// `ConcurrentGateway` threads produce). Every full-sweep snapshot re-runs
     /// the age-index cross-check.
     #[test]
     fn prop_evict_oldest_matches_the_engine_oracle() {
-        fn oracle(pool: &ShardedPool, e: &ContainerEngine) -> Option<ContainerId> {
+        fn oracle(pool: &RuntimePool, e: &ContainerEngine) -> Option<ContainerId> {
             e.live_ids_oldest_first()
                 .into_iter()
                 .find(|&c| pool.pool_code(e, c) == 1)
         }
-        fn evict_in_lockstep(pool: &ShardedPool, e: &mut ContainerEngine, now: SimTime) -> bool {
+        fn evict_in_lockstep(pool: &RuntimePool, e: &mut ContainerEngine, now: SimTime) -> bool {
             let expected = oracle(pool, e);
             let live = e.live_count();
             let evicted = pool.evict_oldest(&ex(e), now).unwrap().is_some();
@@ -2296,12 +2296,12 @@ mod tests {
                 assert_eq!(e.state(victim), ContainerState::Removed, "evicted another");
                 assert_eq!(e.live_count(), live - 1, "evicted more than one");
             }
-            pool.take_shard_snapshot();
+            pool.take_demand_snapshot();
             evicted
         }
         testkit::check(48, |g| {
             let mut e = plain_engine();
-            let pool = ShardedPool::new(KeyPolicy::Exact);
+            let pool = RuntimePool::new(KeyPolicy::Exact);
             let configs: Vec<ContainerConfig> = (0..5)
                 .map(|k| {
                     let mut c = cfg("alpine:3.12");

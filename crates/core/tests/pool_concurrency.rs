@@ -12,7 +12,7 @@
 //!    left marked in-use.
 
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, HardwareProfile, ImageId};
-use hotc::{KeyPolicy, ShardedPool};
+use hotc::{KeyPolicy, RuntimePool};
 use simclock::SimTime;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ fn config_for_key(k: usize) -> ContainerConfig {
 /// One worker's slice of the interleaving: random operations against the
 /// shared pool, tracking which containers this thread currently owns.
 fn worker(
-    pool: &ShardedPool,
+    pool: &RuntimePool,
     engine: &Mutex<ContainerEngine>,
     owned: &Mutex<HashSet<ContainerId>>,
     seed: u64,
@@ -89,7 +89,7 @@ fn random_interleavings_preserve_ownership_and_bookkeeping() {
         let policy = *g.pick(&[KeyPolicy::Exact, KeyPolicy::Fuzzy]);
         let seeds: Vec<u64> = (0..threads).map(|_| g.next_u64()).collect();
 
-        let pool = ShardedPool::new(policy);
+        let pool = RuntimePool::new(policy);
         let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
         let owned = Arc::new(Mutex::new(HashSet::new()));
 
@@ -128,7 +128,7 @@ fn one_key_hammered_from_32_threads_survives_controller_ticks() {
 
     let threads = 32usize;
     let ops = 200usize;
-    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let pool = RuntimePool::new(KeyPolicy::Exact);
     let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
     let owned = Mutex::new(HashSet::new());
     let stop = AtomicBool::new(false);
@@ -139,7 +139,7 @@ fn one_key_hammered_from_32_threads_survives_controller_ticks() {
             s.spawn(move || {
                 let mut tick = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    pool.take_shard_snapshot_dirty();
+                    pool.take_demand_snapshot_dirty();
                     pool.evict_oldest(engine, SimTime::from_millis(tick))
                         .expect("evict");
                     tick += 1;
@@ -224,7 +224,7 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
     let threads = 32usize;
     let ops = 200usize;
     let keys = 16usize;
-    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let pool = RuntimePool::new(KeyPolicy::Exact);
     let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
     let owned = Mutex::new(HashSet::new());
     let stop = AtomicBool::new(false);
@@ -304,7 +304,7 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
     assert!(live <= cap, "the last enforcement pass left {live} live");
     assert_eq!(pool.total_live(), live, "pool live diverged from engine");
     assert_eq!(pool.total_available(), live, "in-use containers leaked");
-    pool.take_shard_snapshot();
+    pool.take_demand_snapshot();
     // Draining removes what is left in exactly the oracle's order: oldest
     // `(created_at, id)` first, across keys.
     let order = engine.lock().live_ids_oldest_first();
@@ -346,7 +346,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
     use std::sync::Barrier;
 
     let (threads, ops, hold) = (32usize, 200usize, 5usize);
-    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let pool = RuntimePool::new(KeyPolicy::Exact);
     let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
     let owned = Mutex::new(HashSet::new());
     let stop = AtomicBool::new(false);
@@ -361,7 +361,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
         let controller = s.spawn(move || {
             let mut tick = 0u64;
             while !stop.load(Ordering::Acquire) {
-                pool.take_shard_snapshot_dirty();
+                pool.take_demand_snapshot_dirty();
                 pool.evict_oldest(engine, SimTime::from_millis(tick))
                     .expect("evict");
                 tick += 1;
@@ -430,7 +430,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
     assert_eq!(pool.total_live(), live, "pool live diverged from engine");
     assert_eq!(pool.total_available(), live, "in-use containers leaked");
     assert_eq!(pool.num_in_use(&pool.key_of(&cfg)), 0);
-    pool.take_shard_snapshot();
+    pool.take_demand_snapshot();
 }
 
 #[test]
@@ -443,7 +443,7 @@ fn interning_is_stable_under_concurrency() {
     // one key, or two slots would track the same runtime type.
     for policy in [KeyPolicy::Exact, KeyPolicy::Fuzzy] {
         let keys = 6usize;
-        let pool = ShardedPool::new(policy);
+        let pool = RuntimePool::new(policy);
         let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
         let maps: Mutex<Vec<Vec<hotc::KeyId>>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
@@ -494,7 +494,7 @@ fn cold_starts_on_distinct_keys_make_distinct_containers() {
     // 8 threads, 8 disjoint keys, no warm pool: every acquire is a cold
     // start publishing under the one pool lock, and all 8 ids must be
     // distinct.
-    let pool = ShardedPool::new(KeyPolicy::Exact);
+    let pool = RuntimePool::new(KeyPolicy::Exact);
     let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
     let ids = Mutex::new(Vec::new());
     std::thread::scope(|s| {

@@ -288,13 +288,13 @@ mod tests {
 
     #[test]
     fn package_and_target_classification() {
-        assert_eq!(package("crates/core/src/shard.rs"), "crates/core");
+        assert_eq!(package("crates/core/src/pool.rs"), "crates/core");
         assert_eq!(package("benchmark/src/driver.rs"), "benchmark");
         assert_eq!(package("tests/end_to_end.rs"), "");
-        assert!(is_lib_source("crates/core/src/shard.rs"));
+        assert!(is_lib_source("crates/core/src/pool.rs"));
         assert!(is_lib_source("src/lib.rs"));
         assert!(!is_lib_source("crates/bench/src/bin/repro.rs"));
         assert!(!is_lib_source("crates/cli/src/main.rs"));
-        assert!(!is_lib_source("crates/core/tests/shard_concurrency.rs"));
+        assert!(!is_lib_source("crates/core/tests/pool_concurrency.rs"));
     }
 }

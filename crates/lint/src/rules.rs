@@ -195,7 +195,7 @@ const REQUEST_PATH_CRATES: [&str; 4] = [
 /// `std::sync::atomic` access is an interleaving the checker never explores.
 const FACADE_MODULES: [&str; 2] = [
     "crates/stdshim/src/sync_slots.rs",
-    "crates/core/src/shard.rs",
+    "crates/core/src/pool.rs",
 ];
 
 /// Atomic ops that *publish* state other threads read: a `Relaxed` success
@@ -801,7 +801,7 @@ mod tests {
         assert!(check_rust_file("crates/core/src/concurrent.rs", src).is_empty());
         // Test scaffolding inside a protocol module is exempt.
         let gated = "#[cfg(test)]\nmod tests {\n    use std::sync::atomic::AtomicU64;\n}\n";
-        assert!(check_rust_file("crates/core/src/shard.rs", gated).is_empty());
+        assert!(check_rust_file("crates/core/src/pool.rs", gated).is_empty());
     }
 
     #[test]

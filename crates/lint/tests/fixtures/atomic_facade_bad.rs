@@ -1,2 +1,2 @@
-//! lint-fixture-path: crates/core/src/shard.rs
+//! lint-fixture-path: crates/core/src/pool.rs
 use std::sync::atomic::AtomicU64;

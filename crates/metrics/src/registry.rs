@@ -2,7 +2,7 @@
 //!
 //! The registry is the process-wide (or gateway-wide) home for named
 //! [`Counter`]s, [`Gauge`]s, per-scope [`StageSet`]s, and sampled
-//! [`TimeSeries`]. Recording is designed for the `ShardedGateway` worker
+//! [`TimeSeries`]. Recording is designed for the `ConcurrentGateway` worker
 //! threads: counters and gauges are single relaxed atomics; stage sets are
 //! striped by thread so concurrent recorders land on different locks. Named
 //! latency histograms are not recorded into: they are declared as unions

@@ -10,7 +10,7 @@
 #![cfg(hotc_model)]
 
 use containersim::ContainerId;
-use hotc::shard::model_api::ModelSlots;
+use hotc::pool::model_api::ModelSlots;
 use hotc_model::{spawn, Checker};
 use std::sync::Arc;
 

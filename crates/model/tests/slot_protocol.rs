@@ -3,16 +3,16 @@
 //! Compiled only in the instrumented build
 //! (`RUSTFLAGS='--cfg hotc_model' cargo test -p hotc-model`): the stdshim
 //! facade then routes every `SlotBitmap`/`KeySlots` atomic through the
-//! scheduler, and `hotc_core::shard::model_api` exposes the protocol ops.
+//! scheduler, and `hotc_core::pool::model_api` exposes the protocol ops.
 //!
 //! Setup convention: state created and seeded on the root virtual thread
 //! *before* spawning racers is visible to all of them (spawn copies the
-//! parent's vector clock) — exactly the happens-before the shard lock gives
+//! parent's vector clock) — exactly the happens-before the pool lock gives
 //! the real publish/retire/evict paths.
 #![cfg(hotc_model)]
 
 use containersim::ContainerId;
-use hotc::shard::model_api::ModelSlots;
+use hotc::pool::model_api::ModelSlots;
 use hotc_model::{spawn, Checker};
 use std::sync::Arc;
 use stdshim::SlotBitmap;
@@ -77,7 +77,7 @@ fn double_release_is_rejected_in_all_interleavings() {
 #[test]
 fn warm_acquire_release_vs_retire() {
     // A lock-free acquire/hand-back races the controller's retire (which
-    // holds the shard lock in production — here the only lock-holder in
+    // holds the pool lock in production — here the only lock-holder in
     // flight). Conservation: the container is either retired or warm at
     // the end, never both, never lost, never double-owned.
     checker().check(|| {

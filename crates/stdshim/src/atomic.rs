@@ -1,5 +1,5 @@
 //! The protocol-atomic facade: one import path for every atomic word of the
-//! lock-free slot protocol (`sync_slots.rs`, `core/shard.rs`).
+//! lock-free slot protocol (`sync_slots.rs`, `core/pool.rs`).
 //!
 //! * **Normal builds** — zero-cost re-exports of `std::sync::atomic` types:
 //!   `ShimAtomicU64` *is* `AtomicU64`, `ShimOnceLock` *is* `OnceLock`. No

@@ -15,7 +15,7 @@
 //!
 //! * **Class labels.** [`Mutex::labeled`]/[`RwLock::labeled`] tag a lock
 //!   with a `&'static str` class (convention: `"subsystem/role"`, e.g.
-//!   `"pool/shard"`). All locks of a class share one node in the global
+//!   `"pool/state"`). All locks of a class share one node in the global
 //!   lock-order graph. Unlabeled locks ([`Mutex::new`]) are tracked on the
 //!   held stack (re-entry and scope checks) but record no ordering edges.
 //! * **Order graph.** Each thread keeps a stack of currently held locks.
@@ -122,7 +122,7 @@ impl<T> Mutex<T> {
         }
     }
 
-    /// Creates a lock with a lock-order class label (e.g. `"pool/shard"`).
+    /// Creates a lock with a lock-order class label (e.g. `"pool/state"`).
     /// All locks sharing a class are one node in the debug-build lock-order
     /// graph; in release builds the label is discarded.
     pub fn labeled(value: T, class: &'static str) -> Self {

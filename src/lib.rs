@@ -18,7 +18,7 @@ pub mod prelude {
         ContainerConfig, ContainerEngine, HardwareProfile, ImageId, LanguageRuntime, NetworkMode,
     };
     pub use faas::{AppProfile, FixedKeepAlive, Gateway, PeriodicWarmup, RuntimeProvider};
-    pub use hotc::{HotC, HotCConfig, KeyPolicy, PoolLimits, ShardedGateway, ShardedPool};
+    pub use hotc::{ConcurrentGateway, HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimePool};
     pub use metrics_lite::{LatencyRecorder, Table};
     pub use simclock::{SimDuration, SimTime};
 }

@@ -1,18 +1,18 @@
 //! Concurrency stress: many OS threads hammering the lock-free
-//! [`ShardedGateway`] (std scoped threads), checking pool consistency
+//! [`ConcurrentGateway`] (std scoped threads), checking pool consistency
 //! afterwards.
 
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::AppProfile;
-use hotc::{HotCConfig, PoolLimits, ShardedGateway};
+use hotc::{ConcurrentGateway, HotCConfig, PoolLimits};
 use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn shared_gateway(functions: usize, limits: Option<PoolLimits>) -> Arc<ShardedGateway> {
+fn shared_gateway(functions: usize, limits: Option<PoolLimits>) -> Arc<ConcurrentGateway> {
     let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let gw = ShardedGateway::new(
+    let gw = ConcurrentGateway::new(
         engine,
         HotCConfig {
             limits: limits.unwrap_or_default(),
@@ -40,7 +40,7 @@ fn shared_gateway(functions: usize, limits: Option<PoolLimits>) -> Arc<ShardedGa
 }
 
 /// Live containers according to the engine.
-fn engine_live(gw: &ShardedGateway) -> usize {
+fn engine_live(gw: &ConcurrentGateway) -> usize {
     gw.with_engine(|e| e.live_count())
 }
 
