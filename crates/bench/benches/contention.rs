@@ -1,9 +1,9 @@
 //! Lock-contention benchmark: real OS threads sharing one HotC gateway,
 //! measuring control-plane throughput as parallelism grows. The global-lock
 //! baseline — a fixture local to this bench, one mutex around the
-//! single-threaded gateway — is driven at 1–8 threads; the concurrent
-//! gateway is driven across [`hotc_bench::CONTENTION_THREADS`] (1–32), the
-//! curve the CI perf gate checks. The virtual execution happens outside any
+//! single-threaded gateway — and the concurrent gateway are both driven
+//! across [`hotc_bench::CONTENTION_THREADS`] (1–8), the curve the CI perf
+//! gate checks. The virtual execution happens outside any
 //! lock, so this isolates the pool bookkeeping — the scalability question
 //! for the paper's middleware design.
 //!
@@ -104,7 +104,7 @@ fn concurrent_gateway_setup(functions: usize) -> Arc<ConcurrentGateway> {
 fn bench_contention(h: &mut Harness) {
     // Fewer requests per iteration in smoke mode keeps CI under a second.
     let requests_per_thread = if h.is_smoke() { 50usize } else { 500 };
-    for &threads in &[1usize, 2, 4, 8] {
+    for &threads in CONTENTION_THREADS {
         let gw = shared_gateway(threads.max(2));
         h.bench(&format!("shared_gateway/{threads}_threads"), || {
             std::thread::scope(|s| {
@@ -123,10 +123,9 @@ fn bench_contention(h: &mut Harness) {
         });
     }
     // Same traffic shapes through the concurrent frontend: lock-free bitmap
-    // claims on the warm path instead of one gateway-wide mutex. Driven
-    // further up the curve (16, 32) than the global lock, because this is
-    // the side whose scaling the CI gate pins. Handles are pre-resolved so
-    // the steady-state request skips even the function-table read lock.
+    // claims on the warm path instead of one gateway-wide mutex. Handles are
+    // pre-resolved so the steady-state request skips even the function-table
+    // read lock.
     for &threads in CONTENTION_THREADS {
         let gw = concurrent_gateway_setup(threads.max(2));
         let handles: Vec<FunctionHandle> = (0..threads)

@@ -1,6 +1,6 @@
 //! One module per paper figure. Each `run()` returns a structured result
 //! with a `render()` text form; the shape assertions live in the workspace
-//! integration tests (`tests/experiments.rs`).
+//! integration tests (`tests/experiments_shape.rs`).
 
 pub mod ablations;
 pub mod cloudlet;

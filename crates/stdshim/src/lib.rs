@@ -23,9 +23,9 @@
 //!   weak-memory store model, DFS over interleavings) that the `hotc-model`
 //!   crate runs against the lock-free slot protocol.
 //!
-//! Everything here is std-only and auditable in one sitting; the hermeticity
-//! guard test (`tests/hermetic.rs` at the workspace root) enforces that it
-//! stays that way.
+//! Everything here is std-only and auditable in one sitting; `hotc-lint`'s
+//! `hermetic-deps` rule, run by `tests/lint_clean.rs` at the workspace root,
+//! enforces that it stays that way.
 
 pub mod atomic;
 pub mod hash;
