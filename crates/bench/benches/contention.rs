@@ -101,6 +101,22 @@ fn concurrent_gateway_setup(functions: usize) -> Arc<ConcurrentGateway> {
     shared
 }
 
+/// One thread per handle, each serving `requests_per_thread` warm requests
+/// through its handle on its own timeline.
+fn drive(gw: &ConcurrentGateway, handles: &[FunctionHandle], requests_per_thread: usize) {
+    std::thread::scope(|s| {
+        for handle in handles {
+            s.spawn(move || {
+                let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+                for _ in 0..requests_per_thread {
+                    gw.handle_with(handle, &mut timeline).expect("request");
+                    timeline.advance(SimDuration::from_millis(200));
+                }
+            });
+        }
+    });
+}
+
 fn bench_contention(h: &mut Harness) {
     // Fewer requests per iteration in smoke mode keeps CI under a second.
     let requests_per_thread = if h.is_smoke() { 50usize } else { 500 };
@@ -132,19 +148,27 @@ fn bench_contention(h: &mut Harness) {
             .map(|t| gw.function_handle(&format!("fn-{t}")).expect("registered"))
             .collect();
         h.bench(&format!("concurrent_gateway/{threads}_threads"), || {
-            std::thread::scope(|s| {
-                for handle in &handles {
-                    let gw = Arc::clone(&gw);
-                    s.spawn(move || {
-                        let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-                        for _ in 0..requests_per_thread {
-                            gw.handle_with(handle, &mut timeline).expect("request");
-                            timeline.advance(SimDuration::from_millis(200));
-                        }
-                    });
-                }
-            });
+            drive(&gw, &handles, requests_per_thread)
         });
+    }
+    // Every thread on the *same* function, primed with one warm runtime per
+    // thread: the one shape where a stage set's lock, the key's bitmap word
+    // and the engine mutex are all shared. Recorded, not gated — the standing
+    // measurement behind one lock per stage set (EXPERIMENTS.md "Stage-set
+    // stripes: 32 or one").
+    for &threads in CONTENTION_THREADS {
+        let gw = concurrent_gateway_setup(1);
+        let primed: Vec<_> = (0..threads)
+            .map(|_| gw.begin("fn-0", SimTime::ZERO).expect("prime"))
+            .collect();
+        for inflight in primed {
+            gw.finish(inflight).expect("prime");
+        }
+        let handles: Vec<FunctionHandle> = (0..threads)
+            .map(|_| gw.function_handle("fn-0").expect("registered"))
+            .collect();
+        let name = format!("concurrent_gateway/one_function/{threads}_threads");
+        h.bench(&name, || drive(&gw, &handles, requests_per_thread));
     }
     // Scaling efficiency: work per iteration grows with the thread count,
     // so efficiency reduces to mean(1)/mean(n). 1.0 is perfect scaling.

@@ -1,38 +1,11 @@
-//! Simulation-kernel micro-benchmarks: the event queue and driver overhead
-//! that every experiment pays per scheduled request.
+//! Simulation-kernel micro-benchmarks: the random draws every workload
+//! generator pays per arrival. The replay loop's event queue is the
+//! `BinaryHeap` inside `hotc_bench::driver` and is timed end to end by the
+//! `replay` suite; `simclock::Simulation` schedules only the `reference`
+//! oracle.
 
 use hotc_bench::Harness;
-use simclock::{EventQueue, SimDuration, SimTime, Simulation};
 use std::hint::black_box;
-
-fn bench_event_queue(h: &mut Harness) {
-    h.bench_with_setup("queue_push_pop_1k", EventQueue::<u64>::new, |mut q| {
-        for i in 0..1000u64 {
-            // Scatter timestamps to exercise heap reordering.
-            q.push(SimTime::from_nanos((i * 7919) % 4096), i);
-        }
-        let mut acc = 0u64;
-        while let Some((_, v)) = q.pop() {
-            acc = acc.wrapping_add(v);
-        }
-        black_box(acc)
-    });
-}
-
-fn bench_simulation_steps(h: &mut Harness) {
-    h.bench("simulation_10k_chained_events", || {
-        let mut sim = Simulation::new(0u64);
-        fn tick(s: &mut simclock::Scheduler<u64>, n: &mut u64) {
-            *n += 1;
-            if *n < 10_000 {
-                s.schedule_in(SimDuration::from_micros(10), tick);
-            }
-        }
-        sim.schedule_at(SimTime::ZERO, tick);
-        sim.run();
-        black_box(*sim.state())
-    });
-}
 
 fn bench_rng_distributions(h: &mut Harness) {
     let mut rng = simclock::SimRng::seeded(1);
@@ -45,8 +18,6 @@ fn bench_rng_distributions(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::new("simkernel");
-    bench_event_queue(&mut h);
-    bench_simulation_steps(&mut h);
     bench_rng_distributions(&mut h);
     h.finish();
 }

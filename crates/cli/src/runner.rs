@@ -1,4 +1,11 @@
 //! Builds and runs a parsed [`Scenario`], producing a [`ScenarioReport`].
+//!
+//! A run is one gateway per replay worker, each with its own metrics
+//! registry; worker registries are absorbed into worker 0's and the merged
+//! registry is snapshotted once. The report's summary line (requests, mean,
+//! p50, p99, cold fraction) is read from that snapshot — histogram
+//! `gateway/e2e` and the `gateway/*` counters — so it cannot disagree with
+//! what `--metrics-out` writes.
 
 use crate::scenario::{FunctionDecl, ProviderSpec, Scenario, WorkloadSpec};
 use containersim::ContainerEngine;
@@ -9,7 +16,7 @@ use faas::{
 };
 use hotc::{HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimeKey};
 use hotc_bench::{run_partitioned, run_trace_partition};
-use metrics_lite::{LatencyHistogram, MetricsSnapshot, Table};
+use metrics_lite::{MetricsSnapshot, Table};
 use simclock::SimDuration;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,10 +29,9 @@ use workloads::youtube::{youtube_trace, YoutubeTraceParams};
 pub mod reference;
 pub use reference::run_scenario_materialized;
 
-/// Per-request latency detail is kept exactly (for the verbose series and
-/// exact percentiles) up to this many requests; past it the aggregator
-/// switches to a constant-footprint histogram so a 1e8-request replay does
-/// not hold 1e8 samples.
+/// Per-request latency detail is kept exactly (for the verbose series) up to
+/// this many requests; past it the aggregator drops the series so a
+/// 1e8-request replay does not hold 1e8 samples.
 pub(crate) const LATENCY_DETAIL_CAP: usize = 1 << 20;
 
 /// The outcome of a scenario run.
@@ -314,66 +320,48 @@ pub fn build_trace(spec: &WorkloadSpec, slots: usize, seed: u64) -> Result<Box<d
 
 /// Streaming report builder: O(1) per request, bounded memory.
 ///
-/// Up to [`LATENCY_DETAIL_CAP`] requests it also keeps exact per-request
-/// samples for the verbose series; past the cap it drops the series and
-/// keeps only the constant-footprint histogram. Quantiles always come from
-/// the histogram, below and above the cap alike, so the reported p50/p99 are
-/// continuous across the switchover (one estimator, no discontinuity at
-/// request `LATENCY_DETAIL_CAP`).
+/// The gateway's telemetry already holds every request's end-to-end latency
+/// (`gateway/e2e`) and the request and cold-start tallies, and
+/// [`Self::finish`] is handed their snapshot, so the report's count, mean,
+/// quantiles and cold fraction are read from there. Kept here is only what
+/// telemetry does not have: the failed count and, up to
+/// [`LATENCY_DETAIL_CAP`] requests, the exact per-request samples for the
+/// verbose series.
 struct ReportAggregator {
-    hist: LatencyHistogram,
     detail: Vec<(u64, f64)>,
     detailed: bool,
-    total_ns: u128,
-    count: u64,
     failed: u64,
-    cold: u64,
 }
 
 impl ReportAggregator {
     fn new() -> ReportAggregator {
         ReportAggregator {
-            hist: LatencyHistogram::new(),
             detail: Vec::new(),
             detailed: true,
-            total_ns: 0,
-            count: 0,
             failed: 0,
-            cold: 0,
         }
     }
 
     fn observe(&mut self, seq: u64, t: &RequestTrace) {
-        let total = t.total();
-        self.count += 1;
-        self.total_ns += total.as_nanos() as u128;
-        self.hist.record(total);
         if t.failed {
             self.failed += 1;
-        }
-        if t.cold {
-            self.cold += 1;
         }
         if self.detailed {
             if self.detail.len() == LATENCY_DETAIL_CAP {
                 self.detailed = false;
                 self.detail = Vec::new();
             } else {
-                self.detail.push((seq, total.as_millis_f64()));
+                self.detail.push((seq, t.total().as_millis_f64()));
             }
         }
     }
 
-    /// Folds another worker's aggregate into this one. Tallies and histogram
-    /// buckets add; the exact detail survives only if every input kept it
-    /// AND the merged total is still within the cap — the same rule a single
-    /// sequential aggregator applies to the combined stream.
+    /// Folds another worker's aggregate into this one. The exact detail
+    /// survives only if every input kept it AND the merged total is still
+    /// within the cap — the same rule a single sequential aggregator applies
+    /// to the combined stream.
     fn merge(&mut self, other: ReportAggregator) {
-        self.count += other.count;
-        self.total_ns += other.total_ns;
         self.failed += other.failed;
-        self.cold += other.cold;
-        self.hist.merge(&other.hist);
         if self.detailed
             && other.detailed
             && self.detail.len() + other.detail.len() <= LATENCY_DETAIL_CAP
@@ -391,23 +379,23 @@ impl ReportAggregator {
         background: SimDuration,
         metrics: MetricsSnapshot,
     ) -> ScenarioReport {
-        let count = self.count.max(1) as f64;
-        let mean_ns = (self.total_ns / self.count.max(1) as u128) as u64;
-        let (p50, p99) = if self.count == 0 {
-            (SimDuration::ZERO, SimDuration::ZERO)
-        } else {
-            (self.hist.quantile(0.5), self.hist.quantile(0.99))
-        };
+        let e2e = metrics.histograms.iter().find(|(n, _)| n == "gateway/e2e");
+        let (mean_ns, p50_ns, p99_ns) =
+            e2e.map_or((0, 0, 0), |(_, h)| (h.mean_ns, h.p50_ns, h.p99_ns));
+        let ms = |ns| SimDuration::from_nanos(ns).as_millis_f64();
+        let requests = metrics.counter("gateway/requests").unwrap_or(0);
+        let cold = metrics.counter("gateway/cold_starts").unwrap_or(0);
+        let count = requests.max(1) as f64;
         // Finishes arrive in completion order; the report series is in
         // arrival order (global sequence numbers, so a merged parallel run
         // sorts into the same order as the sequential one).
         self.detail.sort_by_key(|(seq, _)| *seq);
         ScenarioReport {
-            requests: self.count as usize,
-            mean_ms: SimDuration::from_nanos(mean_ns).as_millis_f64(),
-            p50_ms: p50.as_millis_f64(),
-            p99_ms: p99.as_millis_f64(),
-            cold_fraction: self.cold as f64 / count,
+            requests: requests as usize,
+            mean_ms: ms(mean_ns),
+            p50_ms: ms(p50_ns),
+            p99_ms: ms(p99_ns),
+            cold_fraction: cold as f64 / count,
             failed_fraction: self.failed as f64 / count,
             live_at_end,
             background_s: background.as_secs_f64(),
@@ -628,10 +616,6 @@ impl ProviderOp for ReplayOp<'_> {
         // aggregator and registry — so a one-worker run copies nothing.
         let mut workers = results.into_iter();
         let (base, mut agg) = workers.next().ok_or("replay ran no workers")??;
-        // `metrics()` mirrors a gateway's internal tallies into its
-        // registry: call it once per worker, and for worker 0 before
-        // anything is absorbed into its registry — a second call would
-        // overwrite the merged counters with worker 0's own tally.
         let metrics = base.gateway.metrics();
         let mut live_at_end = base.gateway.engine().live_count();
         let mut background = base.gateway.provider().background_cost();
@@ -642,9 +626,9 @@ impl ProviderOp for ReplayOp<'_> {
             live_at_end += out.gateway.engine().live_count();
             background += out.gateway.provider().background_cost();
             evicted |= out.gateway.provider().forced_evictions() > 0;
-            // Telemetry merges at the registry level (raw counters,
-            // histogram stripes, series); unions and summaries are
-            // synthesized from the merged raw state at snapshot time.
+            // Telemetry merges at the registry level (raw counters, stage
+            // histograms, series); unions and summaries are synthesized
+            // from the merged raw state at snapshot time.
             metrics.absorb(out.gateway.metrics());
         }
         let mut report = agg.finish(live_at_end, background, metrics.snapshot());
@@ -765,31 +749,44 @@ interval = 30s
         assert_eq!(two.requests, one.requests);
     }
 
+    /// The summary line is read from the snapshot it ships with — exactly,
+    /// at one replay worker and at two — and the snapshot's stage
+    /// decomposition reconciles with the per-request series.
     #[test]
     fn report_metrics_reconcile_with_summary() {
-        let scenario = Scenario::parse(DEMO_SCENARIO).unwrap();
-        let report = run_scenario(&scenario).unwrap();
-        let snap = &report.metrics;
-        assert_eq!(
-            snap.counter("gateway/requests"),
-            Some(report.requests as u64)
-        );
-        let cold = snap.counter("gateway/cold_starts").unwrap() as f64;
-        assert!((cold / report.requests as f64 - report.cold_fraction).abs() < 1e-9);
-        // The stage decomposition covers every request and sums to the
-        // recorded e2e totals.
-        let total_ns: u64 = report
-            .latencies_ms
-            .iter()
-            .map(|ms| (ms * 1_000_000.0).round() as u64)
-            .sum();
-        assert_eq!(
-            snap.stage_count("all", metrics_lite::Stage::Exec),
-            report.requests as u64
-        );
-        assert_eq!(snap.scope_total_ns("all"), total_ns);
-        // Cold starts ran the runtime-init stage at least once.
-        assert!(snap.stage_count("all", metrics_lite::Stage::RuntimeInit) > 0);
+        let mut scenario = Scenario::parse(DEMO_SCENARIO).unwrap();
+        for replay_threads in [1, 2] {
+            scenario.replay_threads = Some(replay_threads);
+            let report = run_scenario(&scenario).unwrap();
+            let snap = &report.metrics;
+            let requests = snap.counter("gateway/requests").unwrap();
+            assert_eq!(requests, report.requests as u64);
+            let cold = snap.counter("gateway/cold_starts").unwrap() as f64;
+            assert_eq!(cold / requests as f64, report.cold_fraction);
+            let (_, e2e) = snap
+                .histograms
+                .iter()
+                .find(|(n, _)| n == "gateway/e2e")
+                .unwrap();
+            assert_eq!(e2e.count, requests);
+            let ms = |ns: u64| ns as f64 / 1e6;
+            assert_eq!(
+                (ms(e2e.mean_ns), ms(e2e.p50_ns), ms(e2e.p99_ns)),
+                (report.mean_ms, report.p50_ms, report.p99_ms)
+            );
+            // The stage decomposition covers every request and sums to the
+            // recorded e2e totals.
+            let total_ns: u64 = report
+                .latencies_ms
+                .iter()
+                .map(|ms| (ms * 1_000_000.0).round() as u64)
+                .sum();
+            assert_eq!(snap.stage_count("all", metrics_lite::Stage::Exec), requests);
+            assert_eq!(snap.scope_total_ns("all"), total_ns);
+            assert_eq!(e2e.sum_ns, total_ns);
+            // Cold starts ran the runtime-init stage at least once.
+            assert!(snap.stage_count("all", metrics_lite::Stage::RuntimeInit) > 0);
+        }
     }
 
     fn synthetic_trace(total: SimDuration) -> RequestTrace {
@@ -807,41 +804,29 @@ interval = 30s
         }
     }
 
+    /// `n` two-millisecond requests numbered from `base`.
+    fn fill(n: usize, base: u64) -> ReportAggregator {
+        let tr = synthetic_trace(SimDuration::from_millis(2));
+        let mut agg = ReportAggregator::new();
+        for i in 0..n {
+            agg.observe(base + i as u64, &tr);
+        }
+        agg
+    }
+
+    fn series_len(agg: ReportAggregator) -> usize {
+        let report = agg.finish(0, SimDuration::ZERO, MetricsRegistry::new().snapshot());
+        report.latencies_ms.len()
+    }
+
     #[test]
-    fn quantiles_are_continuous_across_the_detail_cap() {
-        let short = synthetic_trace(SimDuration::from_millis(1));
-        let long = synthetic_trace(SimDuration::from_millis(100));
-        let fill = |n: usize| {
-            let mut agg = ReportAggregator::new();
-            for i in 0..n {
-                // 10% of requests are slow, spread evenly through the stream.
-                let t = if i % 10 == 0 { &long } else { &short };
-                agg.observe(i as u64, t);
-            }
-            agg.finish(0, SimDuration::ZERO, MetricsRegistry::new().snapshot())
-        };
-        let at_cap = fill(LATENCY_DETAIL_CAP);
-        let past_cap = fill(LATENCY_DETAIL_CAP + 1);
-        // The exact series is kept up to the cap and dropped past it...
-        assert_eq!(at_cap.latencies_ms.len(), LATENCY_DETAIL_CAP);
-        assert!(past_cap.latencies_ms.is_empty());
-        // ...but the quantile estimator is the same histogram on both sides,
-        // so one extra request cannot step the reported percentiles (the old
-        // exact-to-histogram switch jumped by the bucket rounding error).
-        assert_eq!(at_cap.p50_ms, past_cap.p50_ms);
-        assert_eq!(at_cap.p99_ms, past_cap.p99_ms);
+    fn series_is_exact_up_to_the_detail_cap_and_dropped_past_it() {
+        assert_eq!(series_len(fill(LATENCY_DETAIL_CAP, 0)), LATENCY_DETAIL_CAP);
+        assert_eq!(series_len(fill(LATENCY_DETAIL_CAP + 1, 0)), 0);
     }
 
     #[test]
     fn merged_detail_obeys_the_sequential_cap_rule() {
-        let tr = synthetic_trace(SimDuration::from_millis(2));
-        let fill = |n: usize, base: u64| {
-            let mut agg = ReportAggregator::new();
-            for i in 0..n {
-                agg.observe(base + i as u64, &tr);
-            }
-            agg
-        };
         // Two workers each under the cap, but whose union exceeds it: the
         // merge drops the exact series exactly as one sequential aggregator
         // fed the combined stream would.
@@ -850,16 +835,12 @@ interval = 30s
             LATENCY_DETAIL_CAP / 2 + 1,
             (LATENCY_DETAIL_CAP / 2) as u64,
         ));
-        let merged = a.finish(0, SimDuration::ZERO, MetricsRegistry::new().snapshot());
-        assert_eq!(merged.requests, LATENCY_DETAIL_CAP + 1);
-        assert!(merged.latencies_ms.is_empty());
+        assert_eq!(series_len(a), 0);
         // Under the cap the merged series is the full union, sorted back into
         // global arrival order even when a later worker held earlier seqs.
         let mut c = fill(10, 10);
         c.merge(fill(10, 0));
-        let small = c.finish(0, SimDuration::ZERO, MetricsRegistry::new().snapshot());
-        assert_eq!(small.requests, 20);
-        assert_eq!(small.latencies_ms.len(), 20);
+        assert_eq!(series_len(c), 20);
     }
 
     #[test]

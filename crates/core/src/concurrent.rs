@@ -16,6 +16,13 @@
 //! a cold start adds the pool lock, taken after its container was created
 //! and never together with the engine's.
 //!
+//! Telemetry: `finish` takes the function's stage-set lock once, after the
+//! engine's was released, to record into `fn/<function>` (`all` and
+//! `gateway/e2e` are snapshot-time unions over `fn/`). [`ConcurrentGateway::tick`]
+//! is the only emitter of `controller/*`, `pool/available`, `pool/in_use`,
+//! `pool/evictions` and, on this frontend, `pool/live`, all mirrored from
+//! [`HotC`]; reading [`ConcurrentGateway::metrics`] refreshes the counters.
+//!
 //! The global-lock baseline it is measured against is a fixture local to
 //! `benches/contention.rs`, not a type of this crate.
 //!
@@ -43,9 +50,7 @@ use stdshim::sync::{Mutex, RwLock};
 /// resolved here, so steady-state requests never even fingerprint the
 /// configuration: the pool is addressed by a copyable `u32`. The
 /// per-function stage-set handle is resolved here too, so the request path
-/// records telemetry without any registry name lookup (the `key/` scope is a
-/// snapshot-time union of the key's member functions — no second lock per
-/// request).
+/// records telemetry without any registry name lookup.
 struct FunctionEntry {
     spec: FunctionSpec,
     key_id: crate::key::KeyId,
@@ -77,8 +82,8 @@ pub struct ConcurrentGateway {
     stats: SharedStats,
     metrics: Arc<MetricsRegistry>,
     /// Read-time telemetry handles (the request path records only into the
-    /// per-function/per-key stage sets; counters, `all`, and the e2e
-    /// histogram are derived at snapshot time).
+    /// per-function stage sets; counters, `all`, and the e2e histogram are
+    /// derived at snapshot time).
     requests_counter: Arc<Counter>,
     cold_counter: Arc<Counter>,
 }
@@ -96,9 +101,8 @@ impl ConcurrentGateway {
         config: HotCConfig,
         metrics: Arc<MetricsRegistry>,
     ) -> Self {
-        // Requests land once in their `fn/` scope (and once in `key/`); the
-        // `all` scope and e2e histogram merge the `fn/` scopes at snapshot
-        // time, keeping the multi-threaded record path to two stripe locks.
+        // Requests land once in their `fn/` scope; the `all` scope and e2e
+        // histogram merge the `fn/` scopes at snapshot time.
         metrics.stage_union("all", "fn/");
         metrics.histogram_union("gateway/e2e", "fn/");
         let requests_counter = metrics.counter("gateway/requests");
@@ -142,15 +146,11 @@ impl ConcurrentGateway {
     }
 
     /// Registers (or replaces) a function. The runtime key is interned and
-    /// the per-function/per-key stage-set handles are derived here, once, so
-    /// the per-request path never formats, hashes, or looks up a key string.
+    /// the per-function stage-set handle is resolved here, once, so the
+    /// per-request path never formats, hashes, or looks up a key string.
     pub fn register(&self, spec: FunctionSpec) {
         let key_id = self.pool().intern_config(&spec.config);
-        let key = self.pool().key_of(&spec.config);
-        let fn_scope = format!("fn/{}", spec.name);
-        let stage_fn = self.metrics.stage_set(&fn_scope);
-        self.metrics
-            .stage_union_member(&format!("key/{key}"), &fn_scope);
+        let stage_fn = self.metrics.stage_set(&format!("fn/{}", spec.name));
         self.functions.write().insert(
             spec.name.clone(),
             Arc::new(FunctionEntry {
@@ -315,10 +315,9 @@ impl ConcurrentGateway {
         )?;
         self.stats.record(inflight.cold);
         let trace = inflight.complete();
-        // Always-on stage telemetry: ONE cache-padded stripe lock per
-        // request, through the registration-time handle (no name lookup).
-        // Counters, the `all` scope, the `key/` scopes, and the e2e
-        // histogram are all derived at read time.
+        // Always-on stage telemetry: one stage-set lock per request,
+        // through the registration-time handle (no name lookup). Counters,
+        // the `all` scope and the e2e histogram are derived at read time.
         if let Some(entry) = entry {
             entry.stage_fn.record(&inflight.stage_sample());
         }
@@ -569,8 +568,8 @@ mod tests {
     }
 
     /// The always-on registry sees every request from every worker thread:
-    /// counters match the atomic stats, per-function and per-key stage
-    /// histograms are populated, the aggregate stage sums reconcile exactly
+    /// counters match the atomic stats, per-function stage histograms are
+    /// populated, the aggregate stage sums reconcile exactly
     /// with the sum of e2e trace totals, and a tick samples the pool gauges
     /// and controller series.
     #[test]
@@ -601,13 +600,6 @@ mod tests {
             .map(|t| snap.scope_total_ns(&format!("fn/qr-{t}")))
             .sum();
         assert_eq!(per_scope, expected);
-        // Every function got its per-key scope too (distinct configs here).
-        let key_scopes = snap
-            .stages
-            .iter()
-            .filter(|(s, _)| s.starts_with("key/"))
-            .count();
-        assert_eq!(key_scopes, threads);
         // The tick sampled pool gauges and the live series.
         assert!(snap.gauge("pool/available").is_some());
         assert!(snap

@@ -14,6 +14,13 @@
 //! ([`ContainerEngine::load_app`]), so it is dropped with the container and
 //! nothing here needs pruning.
 //!
+//! Telemetry: `finish` records the request's [`StageSample`] once, into the
+//! `fn/<function>` stage set of the gateway's [`MetricsRegistry`]; scope
+//! `all` and histogram `gateway/e2e` are declared as snapshot-time unions
+//! over `fn/`, and [`Gateway::metrics`] adds what the request tally gained
+//! to `gateway/requests` / `gateway/cold_starts`. This gateway emits no
+//! other name (`pool/live` is sampled by the replay driver).
+//!
 //! Two driving styles:
 //! * [`Gateway::handle`] — begin+finish in one call, for workloads whose
 //!   requests do not overlap in virtual time;
@@ -25,8 +32,9 @@ use crate::apps::AppProfile;
 use crate::pipeline::{RequestTrace, GATEWAY_HOP, WATCHDOG_HOP};
 use crate::RuntimeProvider;
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
-use metrics_lite::{MetricsRegistry, Stage, StageSample, StageSet};
+use metrics_lite::{Counter, MetricsRegistry, Stage, StageSample, StageSet};
 use simclock::{SimDuration, SimTime};
+use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -241,6 +249,12 @@ pub struct Gateway<P: RuntimeProvider> {
     functions: BTreeMap<String, FunctionSpec>,
     stats: SharedStats,
     metrics: Arc<MetricsRegistry>,
+    /// The `gateway/requests` and `gateway/cold_starts` handles, resolved by
+    /// the first [`Self::metrics`] call (the counters are absent from a
+    /// registry until some gateway was read through it).
+    mirror: OnceCell<(Arc<Counter>, Arc<Counter>)>,
+    /// How much of `stats` has been added through `mirror` so far.
+    mirrored: Cell<GatewayStats>,
     /// `fn/<name>` stage-set handles by function name, filled on a
     /// function's first `finish` (not at registration: a function that is
     /// never invoked must not appear in the snapshot, and `begin_with`
@@ -272,20 +286,25 @@ impl<P: RuntimeProvider> Gateway<P> {
             functions: BTreeMap::new(),
             stats: SharedStats::new(),
             metrics,
+            mirror: OnceCell::new(),
+            mirrored: Cell::new(GatewayStats::default()),
             fn_stages: HashMap::new(),
         }
     }
 
-    /// The gateway's metrics registry. Mirrors the request/cold-start tally
-    /// into the registry's counters so a subsequent snapshot is current.
+    /// The gateway's metrics registry. Adds what the request/cold-start
+    /// tally gained since the last call to the registry's counters, so a
+    /// subsequent snapshot is current and gateways sharing a registry (or
+    /// registries absorbed into one another) sum.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        let (requests, cold_starts) = self.mirror.get_or_init(|| {
+            let counter = |name| self.metrics.counter(name);
+            (counter("gateway/requests"), counter("gateway/cold_starts"))
+        });
         let stats = self.stats.snapshot();
-        self.metrics
-            .counter("gateway/requests")
-            .store(stats.requests);
-        self.metrics
-            .counter("gateway/cold_starts")
-            .store(stats.cold_starts);
+        let mirrored = self.mirrored.replace(stats);
+        requests.add(stats.requests - mirrored.requests);
+        cold_starts.add(stats.cold_starts - mirrored.cold_starts);
         &self.metrics
     }
 
@@ -549,6 +568,44 @@ mod tests {
             snap.scope_total_ns("all"),
             (cold_trace.total() + warm_trace.total()).as_nanos()
         );
+    }
+
+    /// `metrics()` adds what the tally gained since its last call, so the
+    /// counters hold the sum however often and in whatever order they are
+    /// mirrored: two gateways on one registry, and a registry that absorbed
+    /// another gateway's and is then read through its own gateway again.
+    #[test]
+    fn mirrored_counters_sum_across_gateways_and_absorbs() {
+        let shared = Arc::new(MetricsRegistry::new());
+        let mut nodes: Vec<_> = (0..2)
+            .map(|_| {
+                let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+                let provider = FixedKeepAlive::aws_default();
+                let mut gw = Gateway::with_metrics(engine, provider, Arc::clone(&shared));
+                gw.register_app(AppProfile::random_number());
+                gw
+            })
+            .collect();
+        for (node, at) in [(0, 0), (0, 10), (1, 0)] {
+            let now = SimTime::from_secs(at);
+            nodes[node].handle("random-number", now).unwrap();
+        }
+        for gw in nodes.iter().chain(&nodes) {
+            gw.metrics();
+        }
+        let snap = shared.snapshot();
+        assert_eq!(snap.counter("gateway/requests"), Some(3));
+        assert_eq!(snap.counter("gateway/cold_starts"), Some(2));
+
+        let mut worker = gateway(FixedKeepAlive::aws_default());
+        worker.handle("random-number", SimTime::ZERO).unwrap();
+        nodes[0].metrics().absorb(worker.metrics());
+        nodes[0]
+            .handle("random-number", SimTime::from_secs(20))
+            .unwrap();
+        let snap = nodes[0].metrics().snapshot();
+        assert_eq!(snap.counter("gateway/requests"), Some(5));
+        assert_eq!(snap.counter("gateway/cold_starts"), Some(3));
     }
 
     /// The per-function stage-set handle is created by a function's first

@@ -2,71 +2,35 @@
 //!
 //! The registry is the process-wide (or gateway-wide) home for named
 //! [`Counter`]s, [`Gauge`]s, per-scope [`StageSet`]s, and sampled
-//! [`TimeSeries`]. Recording is designed for the `ConcurrentGateway` worker
-//! threads: counters and gauges are single relaxed atomics; stage sets are
-//! striped by thread so concurrent recorders land on different locks. Named
-//! latency histograms are not recorded into: they are declared as unions
+//! [`TimeSeries`]. Counters and gauges are single relaxed atomics; a stage
+//! set is one mutex around its scope's histograms. Named latency histograms
+//! are not recorded into: they are declared as unions
 //! ([`MetricsRegistry::histogram_union`]) and synthesized from the stage
 //! sets' totals at snapshot time. Hot-path callers obtain their `Arc`
 //! handles once (get-or-create by name) and record through the handle —
 //! no per-request name lookup or allocation.
 //!
-//! Stripes materialize lazily: a [`StageSet`] is an array of
-//! `OnceLock<Box<_>>` slots (two words each, 512 B for all 32), and a scope
-//! touched by one thread allocates exactly one stripe — a cache-line-aligned
-//! box holding the lock and the scope's histogram headers (≈1 KB), whose
-//! counts in turn cost what was recorded into them (see
-//! [`crate::histogram`]). A function's first request therefore allocates
-//! ≈2 KB of telemetry, so a registry with 100 000 per-function scopes is a
-//! few hundred MB rather than 15 GB.
+//! Two lock classes, nested one way only: the registry's name tables
+//! (`metrics/registry`, one lock for all of them) and a stage set's
+//! histograms (`metrics/stage-set`). `absorb` holds its own registry lock
+//! while it takes stage-set locks one after another; nothing takes the
+//! registry lock while holding a stage set's, and no two stage sets are
+//! locked together.
+//!
+//! A stage set holds its histogram headers inline (≈0.9 KB with the lock),
+//! and their counts cost what was recorded into them (see
+//! [`crate::histogram`]), so a function's first request allocates ≈1.3 KB of
+//! telemetry. One lock per scope is a measured choice, not a default: see
+//! EXPERIMENTS.md "Stage-set stripes: 32 or one".
 
 use crate::histogram::LatencyHistogram;
-use crate::stage::{Stage, StageSample, N_STAGES};
+use crate::stage::{StageSample, N_STAGES};
 use crate::timeseries::TimeSeries;
 use simclock::{SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use stdshim::{Mutex, RwLock};
-
-/// Lock stripes per stage set. Worker threads hash onto stripes,
-/// so up to this many threads record without contending. Sized to the
-/// widest contention point the bench suite drives (32 gateway threads);
-/// stripes are lazily allocated, so idle width costs one `OnceLock<Box<_>>`
-/// (two words) each.
-const N_STRIPES: usize = 32;
-
-/// Monotone per-thread stripe assignment: the first time a thread records,
-/// it claims the next stripe index round-robin and keeps it for life.
-fn thread_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    STRIPE.with(|s| *s) % N_STRIPES
-}
-
-/// One stripe: the lock and the per-stage histograms (plus the totals slot)
-/// it guards, boxed on first use and aligned to its own cache-line pair.
-/// Without the alignment, two stripes' lock words (and the histogram headers
-/// mutated on every record) can share a cache line, and concurrent recorders
-/// on *distinct* stripes still ping-pong that line between cores (false
-/// sharing). The alignment sits on the boxed payload, not on the slot that
-/// points to it: slots are written once and then only read, so packing them
-/// costs nothing, while aligning them would make every stage set 4 KB wide
-/// no matter how many threads ever record into it.
-#[repr(align(128))]
-#[derive(Debug)]
-struct Stripe(Mutex<[LatencyHistogram; N_STAGES + 1]>);
-
-impl Stripe {
-    fn boxed() -> Box<Stripe> {
-        Box::new(Stripe(Mutex::labeled(
-            std::array::from_fn(|_| LatencyHistogram::new()),
-            "metrics/stripe",
-        )))
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use stdshim::Mutex;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -110,14 +74,21 @@ impl Gauge {
     }
 }
 
-/// Per-scope stage histograms: one [`LatencyHistogram`] per [`Stage`] plus
-/// one for the sample totals (the e2e distribution), in [`N_STRIPES`] lazily
-/// allocated stripes merged on read. Recording a [`StageSample`] takes one stripe lock
-/// for all stages of the request — including its total, so a gateway gets
-/// the e2e histogram for free instead of locking a second structure.
-#[derive(Debug, Default)]
-pub struct StageSet {
-    stripes: [OnceLock<Box<Stripe>>; N_STRIPES],
+/// A scope's histograms: one per [`crate::Stage`], in [`crate::Stage::ALL`]
+/// order, then one for the sample totals (the e2e distribution).
+pub(crate) type StageHistograms = [LatencyHistogram; N_STAGES + 1];
+
+/// Per-scope stage histograms behind one lock. Recording a [`StageSample`]
+/// takes that lock once for all stages of the request — including its total,
+/// so a gateway gets the e2e histogram for free instead of locking a second
+/// structure.
+#[derive(Debug)]
+pub struct StageSet(Mutex<StageHistograms>);
+
+impl Default for StageSet {
+    fn default() -> Self {
+        StageSet(Mutex::labeled(Default::default(), "metrics/stage-set"))
+    }
 }
 
 impl StageSet {
@@ -126,13 +97,11 @@ impl StageSet {
         Self::default()
     }
 
-    /// Records every nonzero stage of `sample` into the calling thread's
-    /// stripe (zero stages did not occur and are not counted), plus the
-    /// sample total into the totals slot.
+    /// Records every nonzero stage of `sample` (zero stages did not occur
+    /// and are not counted), plus the sample total into the totals slot.
     pub fn record(&self, sample: &StageSample) {
         let _scope = stdshim::request_path_scope();
-        let stripe = self.stripes[thread_stripe()].get_or_init(Stripe::boxed);
-        let mut hists = stripe.0.lock();
+        let mut hists = self.0.lock();
         let mut total = 0u64;
         for (i, &ns) in sample.nanos().iter().enumerate() {
             if ns > 0 {
@@ -143,42 +112,49 @@ impl StageSet {
         hists[N_STAGES].record(SimDuration::from_nanos(total));
     }
 
-    /// Merged histogram for one stage.
-    pub fn merged(&self, stage: Stage) -> LatencyHistogram {
-        self.merged_index(stage.index())
+    /// A copy of everything recorded so far.
+    pub(crate) fn read(&self) -> StageHistograms {
+        self.0.lock().clone()
     }
 
-    /// Merged histogram of the recorded sample totals (one per sample).
-    pub(crate) fn merged_total(&self) -> LatencyHistogram {
-        self.merged_index(N_STAGES)
-    }
-
-    fn merged_index(&self, index: usize) -> LatencyHistogram {
-        let mut out = LatencyHistogram::new();
-        for stripe in &self.stripes {
-            if let Some(stripe) = stripe.get() {
-                out.merge(&stripe.0.lock()[index]);
-            }
-        }
-        out
-    }
-
-    /// Merged histograms for all stages, in [`Stage::ALL`] order.
-    pub(crate) fn merged_all(&self) -> Vec<(Stage, LatencyHistogram)> {
-        Stage::ALL.iter().map(|&s| (s, self.merged(s))).collect()
-    }
-
-    /// Folds every sample recorded in `other` into this stage set (into
-    /// stripe 0), including the totals slot. Reduction-time only; `other`
-    /// is read out fully before this set's stripe lock is taken.
-    pub fn absorb(&self, other: &StageSet) {
-        let merged: Vec<LatencyHistogram> = (0..=N_STAGES).map(|i| other.merged_index(i)).collect();
-        let stripe = self.stripes[0].get_or_init(Stripe::boxed);
-        let mut hists = stripe.0.lock();
-        for (slot, m) in hists.iter_mut().zip(merged.iter()) {
-            slot.merge(m);
+    /// Folds histograms read out of another stage set into this one,
+    /// including the totals slot. Reduction-time only.
+    fn absorb(&self, recorded: &StageHistograms) {
+        for (slot, r) in self.0.lock().iter_mut().zip(recorded) {
+            slot.merge(r);
         }
     }
+}
+
+/// The registry's name tables, all behind the registry's one lock.
+#[derive(Debug, Default)]
+struct Tables {
+    counters: HashMap<String, Arc<Counter>>,
+    gauges: HashMap<String, Arc<Gauge>>,
+    stages: HashMap<String, Arc<StageSet>>,
+    series: HashMap<String, TimeSeries>,
+    /// `(union scope, member prefix)`: at snapshot time the union scope's
+    /// stage histograms are synthesized by merging every stage set whose
+    /// scope starts with the prefix, so the hot path records each sample
+    /// once instead of once per enclosing scope.
+    stage_unions: Vec<(String, String)>,
+    /// `(histogram name, member prefix)`: the named histogram is synthesized
+    /// at snapshot time from the member stage sets' total distributions.
+    histogram_unions: Vec<(String, String)>,
+}
+
+/// Everything a registry holds, copied out under one hold of its lock with
+/// every table sorted by name: what [`MetricsRegistry::absorb`] folds in and
+/// what a snapshot summarizes. Stage sets come out as handles, so a reader
+/// copies one scope's histograms at a time ([`StageSet::read`], once each)
+/// instead of all of them at once.
+pub(crate) struct ReadOut {
+    pub(crate) counters: Vec<(String, u64)>,
+    pub(crate) gauges: Vec<(String, f64)>,
+    pub(crate) stages: Vec<(String, Arc<StageSet>)>,
+    pub(crate) series: Vec<(String, TimeSeries)>,
+    pub(crate) stage_unions: Vec<(String, String)>,
+    pub(crate) histogram_unions: Vec<(String, String)>,
 }
 
 /// The named-metric registry.
@@ -202,38 +178,13 @@ impl StageSet {
 /// ```
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: RwLock<HashMap<String, Arc<Counter>>>,
-    gauges: RwLock<HashMap<String, Arc<Gauge>>>,
-    stages: RwLock<HashMap<String, Arc<StageSet>>>,
-    series: Mutex<HashMap<String, TimeSeries>>,
-    /// `(union scope, member prefix)`: at snapshot time the union scope's
-    /// stage histograms are synthesized by merging every stage set whose
-    /// scope starts with the prefix, so the hot path records each sample
-    /// once instead of once per enclosing scope.
-    stage_unions: Mutex<Vec<(String, String)>>,
-    /// `(histogram name, member prefix)`: the named histogram is synthesized
-    /// at snapshot time from the member stage sets' total distributions.
-    histogram_unions: Mutex<Vec<(String, String)>>,
-    /// `member scope → union scope`: each member stage set feeds exactly one
-    /// named union scope, synthesized at snapshot time (e.g. every
-    /// `fn/<name>` feeding its function's `key/<runtime-key>`). Reassigning
-    /// a member moves its whole history to the new union.
-    member_unions: Mutex<HashMap<String, String>>,
+    tables: Mutex<Tables>,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
-        // Snapshot paths hold the name-table locks across union and stripe
-        // locks (always in that order); each field gets its own lock class
-        // so the sanitizer sees those edges as distinct, acyclic orderings.
         MetricsRegistry {
-            counters: RwLock::labeled(HashMap::new(), "metrics/counters"),
-            gauges: RwLock::labeled(HashMap::new(), "metrics/gauges"),
-            stages: RwLock::labeled(HashMap::new(), "metrics/stages"),
-            series: Mutex::labeled(HashMap::new(), "metrics/series"),
-            stage_unions: Mutex::labeled(Vec::new(), "metrics/stage-unions"),
-            histogram_unions: Mutex::labeled(Vec::new(), "metrics/histogram-unions"),
-            member_unions: Mutex::labeled(HashMap::new(), "metrics/member-unions"),
+            tables: Mutex::labeled(Tables::default(), "metrics/registry"),
         }
     }
 }
@@ -268,15 +219,24 @@ fn merge_series(a: &TimeSeries, b: &TimeSeries) -> TimeSeries {
     out
 }
 
-fn get_or_create<T: Default>(map: &RwLock<HashMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    if let Some(v) = map.read().get(name) {
+fn get_or_create<T: Default>(map: &mut HashMap<String, Arc<T>>, name: &str) -> Arc<T> {
+    if let Some(v) = map.get(name) {
         return Arc::clone(v);
     }
-    Arc::clone(
-        map.write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(T::default())),
-    )
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
+/// A table's entries through `read`, sorted by name.
+fn sorted<V, R>(map: &HashMap<String, V>, read: impl Fn(&V) -> R) -> Vec<(String, R)> {
+    let mut out: Vec<_> = map.iter().map(|(k, v)| (k.clone(), read(v))).collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+fn declare(unions: &mut Vec<(String, String)>, name: &str, member_prefix: &str) {
+    if !unions.iter().any(|(n, p)| n == name && p == member_prefix) {
+        unions.push((name.to_string(), member_prefix.to_string()));
+    }
 }
 
 impl MetricsRegistry {
@@ -287,18 +247,18 @@ impl MetricsRegistry {
 
     /// Get-or-create a counter. Cache the handle; don't look up per event.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_create(&self.counters, name)
+        get_or_create(&mut self.tables.lock().counters, name)
     }
 
     /// Get-or-create a gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_create(&self.gauges, name)
+        get_or_create(&mut self.tables.lock().gauges, name)
     }
 
     /// Get-or-create a per-scope stage set (scopes are conventionally
-    /// `"all"`, `"fn/<function>"`, or `"key/<runtime-key>"`).
+    /// `"all"` or `"fn/<function>"`).
     pub fn stage_set(&self, scope: &str) -> Arc<StageSet> {
-        get_or_create(&self.stages, scope)
+        get_or_create(&mut self.tables.lock().stages, scope)
     }
 
     /// Declares `scope` as the snapshot-time merge of every stage set whose
@@ -306,20 +266,8 @@ impl MetricsRegistry {
     /// Recording into the member scopes then feeds the union for free;
     /// samples recorded directly into `scope` are merged in as well.
     pub fn stage_union(&self, scope: &str, member_prefix: &str) {
-        let mut unions = self.stage_unions.lock();
-        if !unions.iter().any(|(s, p)| s == scope && p == member_prefix) {
-            unions.push((scope.to_string(), member_prefix.to_string()));
-        }
-    }
-
-    /// Assigns `member_scope`'s stage set to feed the synthesized
-    /// `union_scope` at snapshot time. A member feeds at most one union;
-    /// assigning it again (e.g. a function re-registered under a different
-    /// runtime key) moves its entire recorded history to the new union.
-    pub fn stage_union_member(&self, union_scope: &str, member_scope: &str) {
-        self.member_unions
-            .lock()
-            .insert(member_scope.to_string(), union_scope.to_string());
+        let mut tables = self.tables.lock();
+        declare(&mut tables.stage_unions, scope, member_prefix);
     }
 
     /// Declares the named histogram as the snapshot-time merge of the
@@ -327,10 +275,8 @@ impl MetricsRegistry {
     /// `member_prefix` (e.g. `"gateway/e2e"` over `"fn/"` — each request's
     /// stage sum is its e2e latency).
     pub fn histogram_union(&self, name: &str, member_prefix: &str) {
-        let mut unions = self.histogram_unions.lock();
-        if !unions.iter().any(|(n, p)| n == name && p == member_prefix) {
-            unions.push((name.to_string(), member_prefix.to_string()));
-        }
+        let mut tables = self.tables.lock();
+        declare(&mut tables.histogram_unions, name, member_prefix);
     }
 
     /// Folds every metric recorded in `other` into this registry: counters
@@ -343,56 +289,32 @@ impl MetricsRegistry {
     /// are synthesized from the merged raw scopes at snapshot time (never
     /// absorbed pre-synthesized, which would double-count), and snapshots
     /// sort by name — so absorbing worker registries in any order yields
-    /// the same snapshot. `other` is read out completely before any of this
-    /// registry's locks are taken, so absorb never holds same-class locks
-    /// from two registries at once.
+    /// the same snapshot. `other`'s lock is released before this registry's
+    /// is taken and each of its stage sets is copied out before the matching
+    /// one here is locked, so absorb never holds same-class locks from two
+    /// registries at once.
     pub fn absorb(&self, other: &MetricsRegistry) {
-        let counters = other.counters_snapshot();
-        let gauges = other.gauges_snapshot();
-        let stages: Vec<(String, Arc<StageSet>)> = {
-            let map = other.stages.read();
-            let mut v: Vec<_> = map
-                .iter()
-                .map(|(k, s)| (k.clone(), Arc::clone(s)))
-                .collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        let series_list = other.series_snapshot();
-        let stage_unions = other.stage_unions.lock().clone();
-        let histogram_unions = other.histogram_unions.lock().clone();
-        let member_unions: Vec<(String, String)> = {
-            let map = other.member_unions.lock();
-            let mut v: Vec<_> = map.iter().map(|(m, s)| (m.clone(), s.clone())).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-
-        for (name, v) in counters {
-            self.counter(&name).add(v);
+        let other = other.read_out();
+        let mut tables = self.tables.lock();
+        for (name, v) in other.counters {
+            get_or_create(&mut tables.counters, &name).add(v);
         }
-        for (name, v) in gauges {
-            let g = self.gauge(&name);
+        for (name, v) in other.gauges {
+            let g = get_or_create(&mut tables.gauges, &name);
             g.set(g.get() + v);
         }
-        for (scope, set) in stages {
-            self.stage_set(&scope).absorb(&set);
+        for (scope, set) in other.stages {
+            get_or_create(&mut tables.stages, &scope).absorb(&set.read());
         }
-        {
-            let mut series = self.series.lock();
-            for (name, other_ts) in series_list {
-                let entry = series.entry(name).or_default();
-                *entry = merge_series(entry, &other_ts);
-            }
+        for (name, other_ts) in other.series {
+            let entry = tables.series.entry(name).or_default();
+            *entry = merge_series(entry, &other_ts);
         }
-        for (scope, prefix) in stage_unions {
-            self.stage_union(&scope, &prefix);
+        for (scope, prefix) in other.stage_unions {
+            declare(&mut tables.stage_unions, &scope, &prefix);
         }
-        for (name, prefix) in histogram_unions {
-            self.histogram_union(&name, &prefix);
-        }
-        for (member, scope) in member_unions {
-            self.stage_union_member(&scope, &member);
+        for (name, prefix) in other.histogram_unions {
+            declare(&mut tables.histogram_unions, &name, &prefix);
         }
     }
 
@@ -400,10 +322,10 @@ impl MetricsRegistry {
     /// possible when unrelated threads race on the same series) are dropped
     /// rather than panicking the series' ordering invariant.
     pub fn sample_series(&self, name: &str, at: SimTime, value: f64) {
-        let mut series = self.series.lock();
+        let mut tables = self.tables.lock();
         // Look up by `&str` first: `entry` needs an owned key, which would
         // be one `String` per tick per series for a key that already exists.
-        if let Some(ts) = series.get_mut(name) {
+        if let Some(ts) = tables.series.get_mut(name) {
             match ts.points().last() {
                 Some(&(last, _)) if at < last => {}
                 _ => ts.push(at, value),
@@ -412,108 +334,31 @@ impl MetricsRegistry {
         }
         let mut ts = TimeSeries::new();
         ts.push(at, value);
-        series.insert(name.to_string(), ts);
+        tables.series.insert(name.to_string(), ts);
     }
 
-    /// Snapshot of every named time series.
-    pub(crate) fn series_snapshot(&self) -> Vec<(String, TimeSeries)> {
-        let mut out: Vec<_> = self
-            .series
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    pub(crate) fn counters_snapshot(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<_> = self
-            .counters
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    pub(crate) fn gauges_snapshot(&self) -> Vec<(String, f64)> {
-        let mut out: Vec<_> = self
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    pub(crate) fn histograms_snapshot(&self) -> Vec<(String, LatencyHistogram)> {
-        let stages = self.stages.read();
-        let mut out: HashMap<String, LatencyHistogram> = HashMap::new();
-        for (name, prefix) in self.histogram_unions.lock().iter() {
-            let merged = out.entry(name.clone()).or_default();
-            for (scope, set) in stages.iter() {
-                if scope.starts_with(prefix.as_str()) {
-                    merged.merge(&set.merged_total());
-                }
-            }
+    pub(crate) fn read_out(&self) -> ReadOut {
+        let tables = self.tables.lock();
+        ReadOut {
+            counters: sorted(&tables.counters, |c| c.get()),
+            gauges: sorted(&tables.gauges, |g| g.get()),
+            stages: sorted(&tables.stages, Arc::clone),
+            series: sorted(&tables.series, TimeSeries::clone),
+            stage_unions: tables.stage_unions.clone(),
+            histogram_unions: tables.histogram_unions.clone(),
         }
-        let mut out: Vec<_> = out.into_iter().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    pub(crate) fn stages_snapshot(&self) -> Vec<(String, Vec<(Stage, LatencyHistogram)>)> {
-        let stages = self.stages.read();
-        let mut out: HashMap<String, Vec<(Stage, LatencyHistogram)>> = stages
-            .iter()
-            .map(|(k, v)| (k.clone(), v.merged_all()))
-            .collect();
-        for (scope, prefix) in self.stage_unions.lock().iter() {
-            let mut merged: Vec<(Stage, LatencyHistogram)> = Stage::ALL
-                .iter()
-                .map(|&s| (s, LatencyHistogram::new()))
-                .collect();
-            for (member, set) in stages.iter() {
-                if member.starts_with(prefix.as_str()) {
-                    for (slot, (_, hist)) in merged.iter_mut().zip(set.merged_all()) {
-                        slot.1.merge(&hist);
-                    }
-                }
-            }
-            if let Some(existing) = out.get(scope) {
-                for (slot, (_, hist)) in merged.iter_mut().zip(existing.iter()) {
-                    slot.1.merge(hist);
-                }
-            }
-            out.insert(scope.clone(), merged);
-        }
-        for (member, scope) in self.member_unions.lock().iter() {
-            let Some(set) = stages.get(member) else {
-                continue; // assigned but never recorded into
-            };
-            let entry = out.entry(scope.clone()).or_insert_with(|| {
-                Stage::ALL
-                    .iter()
-                    .map(|&s| (s, LatencyHistogram::new()))
-                    .collect()
-            });
-            for (slot, (_, hist)) in entry.iter_mut().zip(set.merged_all()) {
-                slot.1.merge(&hist);
-            }
-        }
-        let mut out: Vec<_> = out.into_iter().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::Stage;
     use stdshim::ToJson;
+
+    fn recorded(set: &StageSet, stage: Stage) -> LatencyHistogram {
+        set.read()[stage.index()].clone()
+    }
 
     #[test]
     fn counters_and_gauges_are_named_and_shared() {
@@ -535,16 +380,15 @@ mod tests {
         let mut sample = StageSample::new();
         sample.set(Stage::Exec, SimDuration::from_millis(2));
         set.record(&sample);
-        assert_eq!(set.merged(Stage::Exec).count(), 1);
-        assert_eq!(set.merged(Stage::ImagePull).count(), 0);
+        assert_eq!(recorded(&set, Stage::Exec).count(), 1);
+        assert_eq!(recorded(&set, Stage::ImagePull).count(), 0);
     }
 
-    /// Property: recording samples concurrently through the striped stage
-    /// set yields per-stage merged histograms equal to single-threaded
-    /// recording of the same samples — striping must not lose, double, or
-    /// distort samples.
+    /// Property: recording samples concurrently through the stage set's one
+    /// lock yields per-stage histograms equal to single-threaded recording
+    /// of the same samples — no sample lost, doubled, or distorted.
     #[test]
-    fn prop_stage_set_striping_preserves_samples() {
+    fn prop_concurrent_recorders_lose_no_sample() {
         testkit::check(16, |g| {
             let samples: Vec<StageSample> = g.vec(1..100, |g| {
                 let mut s = StageSample::new();
@@ -576,10 +420,13 @@ mod tests {
                     init_ref.record(s.get(Stage::RuntimeInit));
                 }
             }
-            assert_eq!(set.merged(Stage::Exec).count(), exec_ref.count());
-            assert_eq!(set.merged(Stage::Exec).sum_ns(), exec_ref.sum_ns());
-            assert_eq!(set.merged(Stage::RuntimeInit).count(), init_ref.count());
-            assert_eq!(set.merged(Stage::RuntimeInit).sum_ns(), init_ref.sum_ns());
+            assert_eq!(recorded(&set, Stage::Exec).count(), exec_ref.count());
+            assert_eq!(recorded(&set, Stage::Exec).sum_ns(), exec_ref.sum_ns());
+            assert_eq!(recorded(&set, Stage::RuntimeInit).count(), init_ref.count());
+            assert_eq!(
+                recorded(&set, Stage::RuntimeInit).sum_ns(),
+                init_ref.sum_ns()
+            );
         });
     }
 
@@ -588,8 +435,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.stage_union("all", "fn/");
         reg.histogram_union("gateway/e2e", "fn/");
-        reg.stage_union_member("key/go", "fn/a");
-        reg.stage_union_member("key/go", "fn/b");
 
         let mut a = StageSample::new();
         a.set(Stage::Exec, SimDuration::from_millis(2));
@@ -607,12 +452,6 @@ mod tests {
             snap.scope_total_ns("all"),
             SimDuration::from_millis(6).as_nanos()
         );
-        // Member union: both functions share the `key/go` runtime key.
-        assert_eq!(snap.stage_count("key/go", Stage::Exec), 2);
-        assert_eq!(
-            snap.stage_sum_ns("key/go", Stage::Exec),
-            SimDuration::from_millis(5).as_nanos()
-        );
         // Histogram union: e2e is the per-sample total distribution.
         let e2e = snap
             .histograms
@@ -623,12 +462,6 @@ mod tests {
         assert_eq!(e2e.count, 2);
         assert_eq!(e2e.sum_ns, SimDuration::from_millis(6).as_nanos());
         assert_eq!(e2e.max_ns, SimDuration::from_millis(3).as_nanos());
-
-        // Reassigning a member moves its history to the new union scope.
-        reg.stage_union_member("key/py", "fn/b");
-        let snap = reg.snapshot();
-        assert_eq!(snap.stage_count("key/go", Stage::Exec), 1);
-        assert_eq!(snap.stage_count("key/py", Stage::Exec), 1);
     }
 
     /// Absorbing per-worker registries reproduces the snapshot of one
@@ -651,7 +484,6 @@ mod tests {
             s.set(Stage::Exec, SimDuration::from_millis(1 + w as u64));
             let scope = format!("fn/{w}");
             reg.stage_set(&scope).record(&s);
-            reg.stage_union_member("key/k", &scope);
             reg.sample_series("pool/live", SimTime::from_secs(30), w as f64);
             reg.sample_series("pool/live", SimTime::from_secs(60), 1.0);
 
@@ -659,7 +491,6 @@ mod tests {
             let g = combined.gauge("load");
             g.set(g.get() + 0.5);
             combined.stage_set(&scope).record(&s);
-            combined.stage_union_member("key/k", &scope);
         }
         combined.sample_series("pool/live", SimTime::from_secs(30), 0.0 + 1.0 + 2.0);
         combined.sample_series("pool/live", SimTime::from_secs(60), 3.0);
@@ -709,15 +540,12 @@ mod tests {
                     reg.stage_set("fn/f").record(s);
                     combined.stage_set("fn/f").record(s);
                 }
-                let promoted = reg.stage_set("fn/f").merged(Stage::Exec).is_dense();
+                let promoted = recorded(&reg.stage_set("fn/f"), Stage::Exec).is_dense();
                 assert_eq!(promoted, samples.len() == wide.len());
             }
             target.absorb(&worker);
-            assert!(target.stage_set("fn/f").merged(Stage::Exec).is_dense());
-            assert!(!target
-                .stage_set("fn/f")
-                .merged(Stage::GatewayHop)
-                .is_dense());
+            assert!(recorded(&target.stage_set("fn/f"), Stage::Exec).is_dense());
+            assert!(!recorded(&target.stage_set("fn/f"), Stage::GatewayHop).is_dense());
             assert_eq!(
                 target.snapshot().to_json().to_pretty_string(),
                 combined.snapshot().to_json().to_pretty_string()
@@ -734,7 +562,7 @@ mod tests {
         b.sample_series("s", SimTime::from_secs(20), 5.0);
         b.sample_series("s", SimTime::from_secs(30), 7.0);
         a.absorb(&b);
-        let series = a.series_snapshot();
+        let series = a.read_out().series;
         assert_eq!(
             series[0].1.points(),
             &[
@@ -751,7 +579,7 @@ mod tests {
         reg.sample_series("s", SimTime::from_secs(10), 1.0);
         reg.sample_series("s", SimTime::from_secs(5), 2.0); // dropped
         reg.sample_series("s", SimTime::from_secs(20), 3.0);
-        let series = reg.series_snapshot();
+        let series = reg.read_out().series;
         assert_eq!(series.len(), 1);
         assert_eq!(series[0].1.len(), 2);
     }

@@ -7,9 +7,10 @@
 //! (`*_ns` fields); serialization goes through [`stdshim::ToJson`].
 
 use crate::histogram::LatencyHistogram;
-use crate::registry::MetricsRegistry;
-use crate::stage::Stage;
+use crate::registry::{MetricsRegistry, StageHistograms};
+use crate::stage::{Stage, N_STAGES};
 use crate::timeseries::TimeSeries;
+use std::collections::BTreeMap;
 use stdshim::{JsonValue, ToJson};
 
 /// Summary of one histogram: exact count/sum/min/max/mean plus approximate
@@ -202,30 +203,64 @@ impl ToJson for MetricsSnapshot {
 }
 
 impl MetricsRegistry {
-    /// Freezes every metric into a [`MetricsSnapshot`].
+    /// Freezes every metric into a [`MetricsSnapshot`]. The registry is read
+    /// out once and each stage set copied once: the same copy is summarized
+    /// under its own scope and merged into every declared union it is a
+    /// member of, so `all` and `gateway/e2e` agree with the `fn/` scopes even
+    /// while recorders run.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let raw = self.read_out();
+        let mut histograms: BTreeMap<&str, LatencyHistogram> = BTreeMap::new();
+        for (name, _) in &raw.histogram_unions {
+            histograms.entry(name).or_default();
+        }
+        let mut unions: BTreeMap<&str, StageHistograms> = BTreeMap::new();
+        for (scope, _) in &raw.stage_unions {
+            unions.entry(scope).or_default();
+        }
+        let summarize = |scope: &str, hists: &StageHistograms| {
+            let stages = Stage::ALL.iter().zip(hists);
+            (
+                scope.to_string(),
+                stages.map(|(&s, h)| (s, HistogramSummary::of(h))).collect(),
+            )
+        };
+        let merge_stages = |into: &mut StageHistograms, hists: &StageHistograms| {
+            for (slot, hist) in into.iter_mut().zip(&hists[..N_STAGES]) {
+                slot.merge(hist);
+            }
+        };
+        let mut stages = Vec::with_capacity(raw.stages.len() + unions.len());
+        for (scope, set) in &raw.stages {
+            let hists = set.read();
+            for (name, prefix) in &raw.histogram_unions {
+                if scope.starts_with(prefix.as_str()) {
+                    let merged = histograms.entry(name).or_default();
+                    merged.merge(&hists[N_STAGES]);
+                }
+            }
+            for (union, prefix) in &raw.stage_unions {
+                if scope.starts_with(prefix.as_str()) {
+                    merge_stages(unions.entry(union).or_default(), &hists);
+                }
+            }
+            // Samples recorded directly into a union scope are merged into it.
+            match unions.get_mut(scope.as_str()) {
+                Some(union) => merge_stages(union, &hists),
+                None => stages.push(summarize(scope, &hists)),
+            }
+        }
+        stages.extend(unions.iter().map(|(scope, hists)| summarize(scope, hists)));
+        stages.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
-            counters: self.counters_snapshot(),
-            gauges: self.gauges_snapshot(),
-            histograms: self
-                .histograms_snapshot()
-                .into_iter()
-                .map(|(k, h)| (k, HistogramSummary::of(&h)))
+            histograms: histograms
+                .iter()
+                .map(|(name, h)| (name.to_string(), HistogramSummary::of(h)))
                 .collect(),
-            stages: self
-                .stages_snapshot()
-                .into_iter()
-                .map(|(scope, stages)| {
-                    (
-                        scope,
-                        stages
-                            .into_iter()
-                            .map(|(s, h)| (s, HistogramSummary::of(&h)))
-                            .collect(),
-                    )
-                })
-                .collect(),
-            series: self.series_snapshot(),
+            stages,
+            counters: raw.counters,
+            gauges: raw.gauges,
+            series: raw.series,
         }
     }
 }

@@ -9,8 +9,8 @@
 //! host. The kernel provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a stable priority queue of timestamped events,
-//! * [`Simulation`] — a single-threaded event-driven simulation driver,
+//! * [`Simulation`] — a single-threaded event-driven simulation driver over
+//!   a stable (FIFO within an instant) queue of timestamped events,
 //! * [`SimRng`] — a seeded random source with the distributions the
 //!   workload generators need (uniform, exponential, Poisson, Zipf, normal),
 //! * [`shared::ThreadTimeline`] — a per-thread virtual timeline for the
@@ -32,13 +32,12 @@
 //! assert_eq!(sim.now().as_millis(), 15);
 //! ```
 
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod shared;
 pub mod sim;
 pub mod time;
 
-pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sim::{Scheduler, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -40,59 +40,30 @@ impl<E> Ord for Entry<E> {
 
 /// A priority queue of events ordered by virtual timestamp with FIFO
 /// tie-breaking.
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-        }
-    }
-
     /// Schedules `event` at virtual instant `at`.
-    pub fn push(&mut self, at: SimTime, event: E) {
+    pub(crate) fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
     }
 
     /// Removes and returns the earliest event together with its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.at, e.event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -120,17 +91,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.push(SimTime::from_secs(i), i);
-        }
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 
     /// Popping always yields non-decreasing timestamps, and every pushed
