@@ -8,6 +8,20 @@
 //! keys plus the due cold-GC deadlines, so its cost is independent of
 //! `types`. Each timed iteration drives one warm request round per hot key
 //! (identical in both modes) and then takes one controller step.
+//!
+//! The `holding_*` pair is the opposite fleet, the one a long-running node
+//! has: every one of `types` runtime types *keeps one warm container*, so all
+//! of them are in every dirty snapshot, and `HOT` of them — a window that
+//! rotates through the fleet — see a request each interval. The full sweep
+//! feeds and sizes every type every interval; the dirty step sizes the `HOT`
+//! touched now, the `HOT` touched last interval (taking their holds), and
+//! passes over the rest with a look at each hold. 300 untimed intervals come
+//! first, so every demand window is past seeding and saturated and the holds
+//! are in their steady state, and one timed iteration is 50 intervals: ten
+//! samples of it are tens of milliseconds even in `--smoke`, where a 10 ms
+//! window of single intervals let one scheduler hiccup double a mean. The
+//! pool-side snapshot visits all `types` keys in both modes, which bounds
+//! the ratio from below (gated at 0.7).
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
@@ -62,11 +76,39 @@ fn fleet(types: usize) -> (Mutex<ContainerEngine>, RuntimePool, Vec<ContainerCon
     (engine, pool, hot)
 }
 
+/// One control interval: a round trip on each of `hot`, then one step.
+fn interval<'a>(
+    ctl: &mut AdaptiveController,
+    pool: &RuntimePool,
+    engine: &Mutex<ContainerEngine>,
+    hot: impl Iterator<Item = &'a ContainerConfig>,
+    tick: u64,
+    full: bool,
+) -> usize {
+    let work = ExecWork::light(SimDuration::from_millis(1));
+    let now = SimTime::from_secs(30 * tick);
+    for c in hot {
+        let acq = pool.acquire(engine, c, now).unwrap();
+        let end = engine.with_engine(|e| {
+            let out = e.begin_exec(acq.container, work, now).unwrap();
+            let end = now + out.latency;
+            e.end_exec(acq.container, end).unwrap();
+            end
+        });
+        pool.release(engine, acq.container, end).unwrap();
+    }
+    let report = if full {
+        ctl.step_full(pool, engine, now).unwrap()
+    } else {
+        ctl.step(pool, engine, now).unwrap()
+    };
+    report.demand.len()
+}
+
 fn bench_tick(h: &mut Harness, types: usize) {
     for full in [true, false] {
         let (engine, pool, hot) = fleet(types);
         let mut ctl = AdaptiveController::new(ControllerConfig::default());
-        let work = ExecWork::light(SimDuration::from_millis(1));
         let mut tick = 0u64;
         let name = format!(
             "{}_{}types",
@@ -75,25 +117,45 @@ fn bench_tick(h: &mut Harness, types: usize) {
         );
         h.bench(&name, || {
             tick += 1;
-            let now = SimTime::from_secs(30 * tick);
             // Steady traffic on the hot keys: one warm round trip each.
-            for c in &hot {
-                let acq = pool.acquire(&engine, c, now).unwrap();
-                let end = engine.with_engine(|e| {
-                    let out = e.begin_exec(acq.container, work, now).unwrap();
-                    let end = now + out.latency;
-                    e.end_exec(acq.container, end).unwrap();
-                    end
-                });
-                pool.release(&engine, acq.container, end).unwrap();
-            }
-            let report = if full {
-                ctl.step_full(&pool, &engine, now).unwrap()
-            } else {
-                ctl.step(&pool, &engine, now).unwrap()
-            };
-            black_box(report.demand.len())
+            black_box(interval(&mut ctl, &pool, &engine, hot.iter(), tick, full))
         });
+    }
+}
+
+/// Intervals run before the `holding_*` timing starts.
+const HOLDING_WARMUP: u64 = 300;
+/// Intervals per timed `holding_*` iteration.
+const HOLDING_BATCH: usize = 50;
+
+fn bench_holding(h: &mut Harness, types: usize) {
+    for full in [true, false] {
+        let engine = Mutex::labeled(
+            ContainerEngine::with_local_images(HardwareProfile::server()),
+            "core/engine",
+        );
+        let pool = RuntimePool::new(KeyPolicy::Exact);
+        let all = configs(types);
+        let mut ctl = AdaptiveController::new(ControllerConfig::default());
+        // Interval 0: every type serves its first (cold) request, and keeps
+        // the container; from then on `HOT` of them are touched per interval.
+        interval(&mut ctl, &pool, &engine, all.iter(), 0, full);
+        let mut tick = 0u64;
+        let mut next = || {
+            tick += 1;
+            let hot = (0..HOT).map(|j| &all[(tick as usize * HOT + j) % types]);
+            interval(&mut ctl, &pool, &engine, hot, tick, full)
+        };
+        for _ in 0..HOLDING_WARMUP {
+            next();
+        }
+        assert_eq!(pool.sizes(), (types, 0), "every type keeps its runtime");
+        let name = format!(
+            "holding_{}_{}types",
+            if full { "full_sweep" } else { "dirty" },
+            types
+        );
+        h.bench(&name, || (0..HOLDING_BATCH).map(|_| next()).sum::<usize>());
     }
 }
 
@@ -101,5 +163,6 @@ fn main() {
     let mut h = Harness::new("controller_tick");
     bench_tick(&mut h, 100);
     bench_tick(&mut h, 1000);
+    bench_holding(&mut h, 1000);
     h.finish();
 }

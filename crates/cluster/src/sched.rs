@@ -13,7 +13,7 @@ use faas::gateway::{Gateway, GatewayError, InFlight};
 use faas::{FunctionSpec, RequestTrace};
 use hotc::{HotC, KeyId, KeyInterner};
 use simclock::{SimDuration, SimRng, SimTime};
-use stdshim::{FastMap, FastSet};
+use stdshim::FastMap;
 
 use crate::load::LoadIndex;
 use crate::warm_index::WarmIndex;
@@ -176,7 +176,8 @@ pub struct Cluster {
     staleness: SimDuration,
     last_sync: Option<SimTime>,
     next_token: u64,
-    outstanding: FastSet<u64>,
+    /// Outstanding tickets, each with the key its request was placed under.
+    outstanding: FastMap<u64, KeyId>,
 }
 
 impl Cluster {
@@ -214,7 +215,7 @@ impl Cluster {
             staleness: SimDuration::ZERO,
             last_sync: None,
             next_token: 0,
-            outstanding: FastSet::default(),
+            outstanding: FastMap::default(),
         }
     }
 
@@ -380,6 +381,7 @@ impl Cluster {
     /// with [`Self::finish`] once the clock reaches `inner.t4_func_end`.
     pub fn begin(&mut self, function: &str, now: SimTime) -> Result<ClusterInFlight, ClusterError> {
         let (f, node) = self.place(function, now)?;
+        let seen = self.nodes[node].gateway.provider().pool().mutation_epoch();
         let inner = self.nodes[node]
             .gateway
             .begin_with(&self.specs[f as usize].spec, now)?;
@@ -393,7 +395,9 @@ impl Cluster {
                 // (capacity limits); refresh its whole warm set.
                 self.warm.resync_node(node, pool, &self.interner);
             } else {
+                // A warm start took one runtime of this key and nothing else.
                 self.warm.touch_true(entry.key, node, pool);
+                self.warm.carry_epoch(node, seen, pool);
             }
         } else {
             // The stale-view placement debit: consume the believed slot now
@@ -404,7 +408,7 @@ impl Cluster {
         self.load.inc(node);
         let token = self.next_token;
         self.next_token += 1;
-        self.outstanding.insert(token);
+        self.outstanding.insert(token, entry.key);
         Ok(ClusterInFlight { node, inner, token })
     }
 
@@ -413,10 +417,11 @@ impl Cluster {
     /// touching any node.
     pub fn finish(&mut self, ticket: ClusterInFlight) -> Result<RequestTrace, ClusterError> {
         let ClusterInFlight { node, inner, token } = ticket;
-        if !self.outstanding.remove(&token) {
+        let Some(placed) = self.outstanding.remove(&token) else {
             return Err(ClusterError::StaleTicket);
-        }
+        };
         let f = self.functions.get(inner.function.as_str()).copied();
+        let seen = self.nodes[node].gateway.provider().pool().mutation_epoch();
         let trace = self.nodes[node].gateway.finish(inner)?;
         self.load.dec(node);
         if self.staleness.is_zero() {
@@ -424,6 +429,13 @@ impl Cluster {
                 let key = self.specs[f as usize].key;
                 let pool = self.nodes[node].gateway.provider().pool();
                 self.warm.touch_true(key, node, pool);
+                // The runtime went back to the key it was placed under. If
+                // the function has been re-registered under another since,
+                // that key's count is the one that moved: leave the drift
+                // for the next tick's resync.
+                if key == placed {
+                    self.warm.carry_epoch(node, seen, pool);
+                }
             }
         }
         Ok(trace)
@@ -441,10 +453,13 @@ impl Cluster {
     }
 
     /// Runs provider maintenance on every node. In oracle mode, nodes whose
-    /// pool `mutation_epoch` drifted since their last resync (the tick's
-    /// controller may have prewarmed or retired runtimes) are resynced —
-    /// idle nodes cost one atomic load, keeping the warm-index part of the
-    /// tick O(changed nodes).
+    /// pool `mutation_epoch` is ahead of the view's are resynced. Warm
+    /// requests carry the view's epoch forward with their point touches
+    /// (`WarmIndex::carry_epoch`), so what is left to drift is this tick's
+    /// own controller step or limit enforcement prewarming, retiring or
+    /// evicting something, and a pool changed behind the scheduler's back:
+    /// every other node costs one atomic load, keeping the warm-index part
+    /// of the tick O(nodes the tick moved).
     pub fn tick(&mut self, now: SimTime) -> Result<(), ClusterError> {
         for node in &mut self.nodes {
             node.gateway.tick(now)?;
@@ -667,6 +682,88 @@ mod tests {
         assert!(matches!(c.finish(forged), Err(ClusterError::StaleTicket)));
         assert!(c.snapshots().iter().all(|s| s.inflight == 0));
         assert_eq!(c.stats().requests, 1);
+    }
+
+    /// The nodes `tick` resynced, in order.
+    fn resynced_by(c: &mut Cluster, now: SimTime) -> Vec<usize> {
+        crate::warm_index::RESYNCED.with_borrow_mut(Vec::clear);
+        c.tick(now).unwrap();
+        crate::warm_index::RESYNCED.take()
+    }
+
+    fn in_sync(c: &Cluster, node: usize) -> bool {
+        c.warm.node_epoch(node) == c.nodes[node].gateway.provider().pool().mutation_epoch()
+    }
+
+    #[test]
+    fn warm_requests_carry_the_epoch_only_from_a_view_in_sync() {
+        let mut c = cluster(SchedulePolicy::RoundRobin, 3);
+        let mut now = SimTime::ZERO;
+        // One cold and one warm request per node, all through the cluster.
+        for _ in 0..6 {
+            let (node, trace) = c.handle("qr-code", now).unwrap();
+            assert!(in_sync(&c, node), "after a request on node {node}");
+            now = trace.t6_gateway_out + SimDuration::from_secs(1);
+        }
+        assert_eq!(c.stats().cold_starts, 3);
+        // A second runtime appears on node 0 behind the scheduler's back.
+        // The next warm request there (round robin is back at node 0)
+        // refreshes its own key's count and must not vouch for the rest.
+        let spec = FunctionSpec::from_app(AppProfile::qr_code(LanguageRuntime::Go)).named("go");
+        let inner = c.nodes[0].gateway.begin_with(&spec, now).unwrap();
+        c.nodes[0].gateway.finish(inner).unwrap();
+        assert!(!in_sync(&c, 0));
+        let (node, _) = c.handle("qr-code", now).unwrap();
+        assert_eq!(node, 0);
+        assert!(
+            !in_sync(&c, 0),
+            "the drift is still the next tick's to find"
+        );
+        assert_eq!(resynced_by(&mut c, now), [0]);
+        assert!(in_sync(&c, 0));
+    }
+
+    /// A function re-registered under another configuration while one of
+    /// its requests is in flight: the runtime returns to the old key, which
+    /// `finish` no longer knows to touch — so it must not vouch for the node.
+    #[test]
+    fn a_finish_under_a_changed_registration_leaves_the_drift() {
+        let mut c = cluster(SchedulePolicy::RoundRobin, 3);
+        let ticket = c.begin("qr-code", SimTime::ZERO).unwrap();
+        let (node, end) = (ticket.node, ticket.inner.t4_func_end);
+        c.register_everywhere(
+            FunctionSpec::from_app(AppProfile::qr_code(LanguageRuntime::Go)).named("qr-code"),
+        );
+        c.finish(ticket).unwrap();
+        assert!(!in_sync(&c, node));
+        assert_eq!(resynced_by(&mut c, end), [node]);
+    }
+
+    #[test]
+    fn a_tick_resyncs_exactly_the_nodes_its_controllers_moved() {
+        let mut c = cluster(SchedulePolicy::RoundRobin, 3);
+        // Round robin over three nodes; the fourth request overlaps the
+        // first, so node 0 ends up with two runtimes and the others one.
+        let tickets: Vec<_> = (0..4)
+            .map(|i| {
+                c.begin("qr-code", SimTime::ZERO + SimDuration::from_millis(i))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(tickets[3].node, 0);
+        let mut end = SimTime::ZERO;
+        for t in tickets {
+            end = end.max(t.inner.t4_func_end);
+            c.finish(t).unwrap();
+        }
+        // First control step everywhere: each node needed what it holds.
+        assert_eq!(resynced_by(&mut c, end), [] as [usize; 0], "nothing moved");
+        // One idle interval on, node 0's controller sheds its second
+        // runtime; the nodes holding one keep it.
+        assert_eq!(resynced_by(&mut c, end + SimDuration::from_secs(30)), [0]);
+        assert_eq!(c.stats().live_containers, 3);
+        assert_eq!(c.believed_warm("qr-code", 0), 1);
+        assert!((0..3).all(|n| in_sync(&c, n)));
     }
 }
 

@@ -13,11 +13,16 @@
 //!   stale-view stampede fix;
 //! - **point touches** (`touch_true`): one (key, host) count refreshed from
 //!   the host's pool, used by the zero-staleness oracle after every begin
-//!   and finish;
+//!   and finish. A warm begin or finish moves that one count and nothing
+//!   else, so when the host's view was in sync before the request the oracle
+//!   also records the pool's `mutation_epoch` as it stands after the touch
+//!   (`carry_epoch`): the view is still in sync, and says so;
 //! - **node resyncs** (`resync_node`): one host's full warm set replaced
 //!   from its pool, used by staleness-window syncs and by the oracle after
-//!   cold starts and epoch-drift ticks (the pool's `mutation_epoch` tells
-//!   us when a resync would be a no-op).
+//!   cold starts and on ticks that find the host's `mutation_epoch` ahead
+//!   of the one recorded — which, with the touches carrying the epoch
+//!   forward, means the tick's controller or limit enforcement moved
+//!   something, or the pool was changed behind the scheduler's back.
 //!
 //! Cluster-wide keys are interned once (`hotc::KeyId` from the cluster's
 //! own [`hotc::KeyInterner`]); each node's pool interns the same
@@ -48,7 +53,8 @@ struct NodeView {
     l2c: FastMap<u32, u32>,
     /// Cluster key indices with a (count > 0) entry for this node in `rows`.
     keys: FastSet<u32>,
-    /// The node pool's `mutation_epoch` as of the last resync.
+    /// The node pool's `mutation_epoch` as of the last resync or carried
+    /// touch: equal to the live epoch iff this view is known to be in sync.
     epoch: u64,
 }
 
@@ -59,6 +65,12 @@ pub(crate) struct WarmIndex {
     /// `(node, believed available count)` with count > 0.
     rows: Vec<Vec<(u32, u32)>>,
     nodes: Vec<NodeView>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Every node [`WarmIndex::resync_node`] ran for on this (test) thread.
+    pub(crate) static RESYNCED: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl WarmIndex {
@@ -160,6 +172,8 @@ impl WarmIndex {
     /// anyway. Assumes node pools share the cluster interner's
     /// [`hotc::KeyPolicy`].
     pub(crate) fn resync_node(&mut self, node: usize, pool: &RuntimePool, interner: &KeyInterner) {
+        #[cfg(test)]
+        RESYNCED.with_borrow_mut(|log| log.push(node));
         let WarmIndex { rows, nodes } = self;
         let view = &mut nodes[node];
         // Read the epoch before scanning: a mutation racing the scan then
@@ -193,10 +207,23 @@ impl WarmIndex {
         });
     }
 
-    /// The node pool's `mutation_epoch` as of the last [`Self::resync_node`].
-    /// An equal live epoch means a resync would find nothing new.
+    /// The node pool's `mutation_epoch` as of the last [`Self::resync_node`]
+    /// or [`Self::carry_epoch`]. An equal live epoch means a resync would
+    /// find nothing new.
     pub(crate) fn node_epoch(&self, node: usize) -> u64 {
         self.nodes[node].epoch
+    }
+
+    /// Carries `node`'s sync point across one request: `seen` is its pool's
+    /// epoch read before the gateway call, and the caller has since
+    /// [`touch_true`](Self::touch_true)d the one key the call could move. If
+    /// the view was in sync at `seen` it is in sync now, at the pool's
+    /// current epoch; if it was not, the drift stays visible to the next tick.
+    pub(crate) fn carry_epoch(&mut self, node: usize, seen: u64, pool: &RuntimePool) {
+        let view = &mut self.nodes[node];
+        if view.epoch == seen {
+            view.epoch = pool.mutation_epoch();
+        }
     }
 
     /// The best believed-warm host for `k`: minimum (in-flight load, node

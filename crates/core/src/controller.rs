@@ -23,6 +23,20 @@
 //! reference path; a property test asserts the two produce identical
 //! prewarm/retire/GC actions on the same trace.
 //!
+//! A key holding containers stays in every dirty snapshot, and almost all of
+//! them are *idle*: no demand, nothing in use, already at their target, and
+//! fed `observe(0.0)` + `predict()` only to arrive at `target == current`
+//! again. The dirty step **holds** such a key: when it finds one idle and at
+//! its target it asks the predictor for how many further zero observations
+//! the target provably stays where it is ([`EsMarkov::zero_run_holding`]) and
+//! records `(hold_until, level)` beside the predictor pointer. Later dirty
+//! steps skip the key — without touching its predictor — while it is still
+//! idle, still holds exactly `level` containers and the hold has not run
+//! out; the first step that does visit it again (touched, evicted behind
+//! the hold, or hold expired) backfills the skipped intervals like a cold
+//! key's. A hold is only taken where the skipped steps were no-ops, so
+//! `step_full`, which never holds, stays the oracle for the dirty step.
+//!
 //! Keys whose slots the pool garbage-collects (empty for several
 //! consecutive zero-demand intervals) have their predictors dropped in the
 //! same step, so the predictor map cannot grow without bound across
@@ -40,7 +54,8 @@ const INTERVAL: SimDuration = SimDuration::from_secs(30);
 const INIT: InitialValue = InitialValue::MeanOfFirst5;
 /// Number of Markov demand regions.
 const REGIONS: usize = 6;
-/// Demand history window per key.
+/// Demand history window per key — and, because a predictor never vouches
+/// for more zero observations than its window holds, the longest hold.
 const WINDOW: usize = 256;
 
 /// Controller tuning: the two knobs the ablations sweep.
@@ -76,8 +91,9 @@ pub struct StepReport {
     /// Keys whose empty slots (and predictors) were garbage collected.
     pub gc_keys: usize,
     /// Per-key `(predicted, actual)` demand for the interval, for the keys
-    /// the step visited (a dirty step omits cold keys, which contribute
-    /// zero to both totals).
+    /// the step *sized*: a dirty step omits cold keys, which contribute
+    /// zero to both totals, and held keys, whose actual demand is zero and
+    /// whose prediction it did not compute.
     pub demand: Vec<(KeyId, f64, usize)>,
 }
 
@@ -100,14 +116,24 @@ struct KeyedPredictor {
     last_tick: u64,
 }
 
+/// What the controller keeps per key: the boxed predictor and, inline, the
+/// hold a dirty step checks before it would touch the predictor's memory.
+#[derive(Default)]
+struct KeySlot {
+    /// Last control tick the hold covers; 0 (ticks start at 1) for none.
+    hold_until: u64,
+    /// The idle pool size the hold was taken at.
+    hold_level: usize,
+    predictor: Option<Box<KeyedPredictor>>,
+}
+
 /// The per-key adaptive controller.
 pub struct AdaptiveController {
     config: ControllerConfig,
-    /// Predictor slots indexed by [`KeyId::index`] — interned ids are dense
+    /// Per-key slots indexed by [`KeyId::index`] — interned ids are dense
     /// per pool, so a direct-indexed table beats hashing on the per-key tick
-    /// path. GC'd keys leave a boxed-pointer-sized `None` hole (ids are
-    /// never reused).
-    predictors: Vec<Option<Box<KeyedPredictor>>>,
+    /// path. GC'd keys leave an empty slot (ids are never reused).
+    keys: Vec<KeySlot>,
     /// Number of live (`Some`) predictor slots.
     live_predictors: usize,
     /// Monotone control-step counter; predictors record the tick they last
@@ -123,7 +149,7 @@ impl AdaptiveController {
     pub fn new(config: ControllerConfig) -> Self {
         AdaptiveController {
             config,
-            predictors: Vec::new(),
+            keys: Vec::new(),
             live_predictors: 0,
             ticks: 0,
             last_step: None,
@@ -176,31 +202,35 @@ impl AdaptiveController {
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.apply(pool, engine, now, pool.take_demand_snapshot_dirty())
+        self.apply(pool, engine, now, pool.take_demand_snapshot_dirty(), true)
     }
 
     /// The O(all types) reference step: a full-sweep snapshot that visits
-    /// every tracked slot. Produces the same pool-resize actions as
+    /// every tracked slot, each of which is fed and sized — no key is held.
+    /// Produces the same pool-resize actions as
     /// [`Self::step`] on the same trace (property-tested below). No
     /// production path calls it: it is the oracle for that property and the
-    /// `controller_tick` benches' baseline (`full_sweep_1000types` gate).
+    /// `controller_tick` benches' baseline (the two `full_sweep` gates).
     pub fn step_full(
         &mut self,
         pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.apply(pool, engine, now, pool.take_demand_snapshot())
+        self.apply(pool, engine, now, pool.take_demand_snapshot(), false)
     }
 
     /// Feeds one snapshot to the predictors and resizes its keys, in the
-    /// snapshot's order (ascending `KeyId`).
+    /// snapshot's order (ascending `KeyId`). With `may_hold` (the dirty
+    /// step) idle keys under a hold are passed over and idle keys at their
+    /// target are given one.
     fn apply(
         &mut self,
         pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
         snapshot: DemandSnapshot,
+        may_hold: bool,
     ) -> Result<StepReport, EngineError> {
         self.last_step = Some(now);
         self.ticks += 1;
@@ -211,36 +241,47 @@ impl AdaptiveController {
             ..StepReport::default()
         };
         for id in &snapshot.retired {
-            // The pool dropped the slot: drop its predictor with it.
-            if let Some(slot) = self.predictors.get_mut(id.index()) {
-                if slot.take().is_some() {
+            // The pool dropped the slot: drop its predictor, and any hold,
+            // with it.
+            if let Some(slot) = self.keys.get_mut(id.index()) {
+                if std::mem::take(slot).predictor.is_some() {
                     self.live_predictors -= 1;
                 }
             }
         }
         for sample in snapshot.demands {
             let (id, demand) = (sample.id, sample.demand);
-            if self.predictors.len() <= id.index() {
-                self.predictors.resize_with(id.index() + 1, || None);
+            if self.keys.len() <= id.index() {
+                self.keys.resize_with(id.index() + 1, KeySlot::default);
             }
-            let slot = &mut self.predictors[id.index()];
-            let entry = match slot {
+            let slot = &mut self.keys[id.index()];
+            let idle = may_hold && demand == 0 && sample.in_use == 0;
+            // Every interval up to `hold_until` is one more zero for a
+            // predictor that provably keeps sizing this key at `hold_level`:
+            // with that many containers idle in the pool, feeding and
+            // sizing it now would change nothing.
+            if idle && tick <= slot.hold_until && sample.avail == slot.hold_level {
+                continue;
+            }
+            slot.hold_until = 0;
+            let entry = match &mut slot.predictor {
                 Some(entry) => entry,
                 None => {
                     self.live_predictors += 1;
-                    slot.insert(Box::new(KeyedPredictor {
+                    slot.predictor.insert(Box::new(KeyedPredictor {
                         model: EsMarkov::with_params(self.config.alpha, INIT, REGIONS, WINDOW),
                         last_tick: tick - 1,
                     }))
                 }
             };
             // A key absent from a dirty snapshot saw zero demand by
-            // construction (any touch keeps it on the active list):
-            // feed the skipped intervals now so the predictor's series
-            // is identical to what a full sweep would have produced.
-            for _ in entry.last_tick + 1..tick {
-                entry.model.observe(0.0);
-            }
+            // construction (any touch keeps it on the active list), and so
+            // did a key passed over under a hold: feed the skipped
+            // intervals now so the predictor's series is identical to what
+            // a full sweep would have produced.
+            entry
+                .model
+                .observe_zeros((tick - 1 - entry.last_tick) as usize);
             entry.last_tick = tick;
             entry.model.observe(demand as f64);
             let predicted = entry.model.predict();
@@ -276,6 +317,10 @@ impl AdaptiveController {
                 // Shed idle runtimes beyond predicted demand — gradually,
                 // so recurring bursts find warm capacity left over.
                 let excess = current - target;
+                if idle && excess == 0 {
+                    slot.hold_until = tick + entry.model.zero_run_holding(current) as u64;
+                    slot.hold_level = current;
+                }
                 let retire =
                     ((excess as f64 * self.config.max_retire_fraction).ceil() as usize).min(excess);
                 for _ in 0..retire {
@@ -321,6 +366,13 @@ mod tests {
 
     fn cfg() -> ContainerConfig {
         ContainerConfig::bridge(ImageId::parse("python:3.8-alpine"))
+    }
+
+    /// The `k`-th of a family of runtime types that differ in one env value.
+    fn keyed(k: usize) -> ContainerConfig {
+        let mut c = cfg();
+        c.exec.env.insert("K".into(), k.to_string());
+        c
     }
 
     /// Simulates `n` concurrent requests for `config` in one interval.
@@ -497,13 +549,7 @@ mod tests {
     #[test]
     fn same_step_prewarms_receive_ids_in_key_order() {
         let (mut e, pool, mut ctl) = setup();
-        let configs: Vec<ContainerConfig> = (0..10)
-            .map(|k| {
-                let mut c = cfg();
-                c.exec.env.insert("K".into(), k.to_string());
-                c
-            })
-            .collect();
+        let configs: Vec<ContainerConfig> = (0..10).map(keyed).collect();
         // Every key needed two runtimes this interval and has one left.
         for c in &configs {
             drive_config_demand(&pool, &mut e, c, 2, SimTime::ZERO);
@@ -589,5 +635,211 @@ mod tests {
             }
             assert_eq!(cf.predictor_count(), cd.predictor_count());
         });
+    }
+
+    /// Serves one request on `config`, then steps until the key is held at
+    /// one idle container (the smoother seeds on its fifth observation).
+    /// Returns the interval index of the first step that has not run yet.
+    fn settle_into_hold(
+        ctl: &mut AdaptiveController,
+        pool: &RuntimePool,
+        engine: &mut ContainerEngine,
+        configs: &[ContainerConfig],
+    ) -> u64 {
+        for c in configs {
+            drive_config_demand(pool, engine, c, 1, SimTime::ZERO);
+        }
+        for t in 0..6 {
+            step(ctl, pool, engine, SimTime::from_secs(t * 30));
+        }
+        for c in configs {
+            let slot = &ctl.keys[pool.intern_config(c).index()];
+            assert!(
+                slot.hold_until > 6 + 64,
+                "held well ahead: {}",
+                slot.hold_until
+            );
+            assert_eq!(slot.hold_level, 1);
+        }
+        assert!(step(ctl, pool, engine, SimTime::from_secs(180))
+            .demand
+            .is_empty());
+        7
+    }
+
+    /// A hold covers one pool size. When limit enforcement evicts a held
+    /// key's container, the very next step visits the key again — and only
+    /// that key: its neighbour's hold still stands.
+    #[test]
+    fn held_key_evicted_by_limits_is_visited_on_the_next_step() {
+        let (mut e, pool, mut ctl) = setup();
+        let configs = [keyed(0), keyed(1)];
+        let t = settle_into_hold(&mut ctl, &pool, &mut e, &configs);
+        let now = SimTime::from_secs(t * 30);
+        let (_, evicted) = crate::PoolLimits::new(1, 0.8)
+            .enforce(&pool, &ExclusiveEngine::new(&mut e), now)
+            .unwrap();
+        assert_eq!(evicted, 1);
+        let oldest = pool.intern_config(&configs[0]);
+        assert_eq!(
+            pool.num_avail_id(oldest),
+            0,
+            "the older key lost its runtime"
+        );
+        let report = step(&mut ctl, &pool, &mut e, now);
+        let visited: Vec<KeyId> = report.demand.iter().map(|&(id, _, _)| id).collect();
+        assert_eq!(visited, [oldest]);
+        assert_eq!(
+            (report.prewarmed, report.retired),
+            (0, 0),
+            "no resurrection"
+        );
+    }
+
+    /// A request inside a hold ends it: the step after reports the key's
+    /// demand, and the predictor has every skipped zero before it.
+    #[test]
+    fn key_touched_mid_hold_reports_its_demand() {
+        let (mut e, pool, mut ctl) = setup();
+        let t = settle_into_hold(&mut ctl, &pool, &mut e, &[cfg()]);
+        let id = pool.intern_config(&cfg());
+        for t in t..t + 20 {
+            assert!(step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30))
+                .demand
+                .is_empty());
+        }
+        let now = SimTime::from_secs((t + 20) * 30);
+        drive_demand(&pool, &mut e, 1, now);
+        let report = step(&mut ctl, &pool, &mut e, now);
+        assert_eq!(report.actual_total(), 1);
+        assert_eq!(report.demand[0].0, id);
+        let entry = ctl.keys[id.index()].predictor.as_ref().unwrap();
+        assert_eq!(
+            entry.model.observations() as u64,
+            t + 21,
+            "one per interval"
+        );
+    }
+
+    /// The pool GCs a held key whose container was evicted; the hold goes
+    /// with the predictor, so a revived key (same `KeyId`) starts clean.
+    #[test]
+    fn gc_clears_the_hold_with_the_predictor() {
+        let (mut e, mut pool, mut ctl) = setup();
+        pool.set_gc_intervals(2);
+        let t = settle_into_hold(&mut ctl, &pool, &mut e, &[cfg()]);
+        let id = pool.intern_config(&cfg());
+        pool.evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::from_secs(t * 30))
+            .unwrap();
+        let gc: usize = (t..t + 3)
+            .map(|t| step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30)).gc_keys)
+            .sum();
+        assert_eq!(gc, 1);
+        let slot = &ctl.keys[id.index()];
+        assert_eq!((slot.hold_until, slot.predictor.is_none()), (0, true));
+        assert_eq!(ctl.predictor_count(), 0);
+    }
+
+    /// An idle fleet is what a hold is for: 400 keys that each served one
+    /// request and then sit on one warm container are passed over on at
+    /// least nine in ten of the dirty step's idle visits.
+    #[test]
+    fn idle_fleet_is_mostly_skipped() {
+        let (mut e, pool, mut ctl) = setup();
+        let configs: Vec<ContainerConfig> = (0..400).map(keyed).collect();
+        for c in &configs {
+            drive_config_demand(&pool, &mut e, c, 1, SimTime::ZERO);
+        }
+        step(&mut ctl, &pool, &mut e, SimTime::ZERO);
+        // Every key a step meets here is idle, and every key holding its
+        // runtime is in the step's snapshot: the ones the report leaves out
+        // were passed over.
+        let (mut met, mut skipped) = (0, 0);
+        for t in 1..500 {
+            let pooled = pool.total_available();
+            let sized = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30)).demand;
+            met += pooled;
+            skipped += pooled.saturating_sub(sized.len());
+        }
+        assert!(met >= 400 * 400, "the fleet stayed pooled: {met}");
+        assert!(
+            skipped * 10 >= met * 9,
+            "{skipped} of {met} idle visits skipped"
+        );
+    }
+
+    /// Holds are decision-neutral over long idle runs: with sparse traffic
+    /// over 50–600 intervals (so that holds are taken, run out, and are cut
+    /// short by requests, prewarms and retires behind the controller's
+    /// back), the holding dirty step and the every-key full sweep take the
+    /// same actions at every interval, leave the same pool, and — once one
+    /// common full sweep has made both visit every key — the same predictor
+    /// state, bit for bit.
+    #[test]
+    fn prop_held_step_matches_full_sweep_over_long_idle_runs() {
+        let mut held = 0;
+        testkit::check(32, |g| {
+            let gc = g.u32_in(1..4);
+            let intervals = g.usize_in(50..601);
+            let configs: Vec<ContainerConfig> = (0..4).map(keyed).collect();
+            let (mut ef, mut pf, mut cf) = setup();
+            let (mut ed, mut pd, mut cd) = setup();
+            pf.set_gc_intervals(gc);
+            pd.set_gc_intervals(gc);
+            for t in 0..=intervals {
+                let now = SimTime::from_secs(t as u64 * 30);
+                let ops = if t == 0 || g.u8_in(0..12) == 0 {
+                    g.vec(1..4, |g| {
+                        (g.usize_in(0..4), g.u8_in(0..4), g.usize_in(1..4))
+                    })
+                } else {
+                    Vec::new()
+                };
+                for (ci, op, n) in ops {
+                    let c = &configs[ci];
+                    for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
+                        match op {
+                            0 | 1 => drive_config_demand(p, e, c, n, now),
+                            2 => {
+                                p.prewarm(&ExclusiveEngine::new(e), c, now).unwrap();
+                            }
+                            _ => {
+                                if let Some(id) = p.id_of(&p.key_of(c)) {
+                                    p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
+                                }
+                            }
+                        }
+                    }
+                }
+                let rf = cf
+                    .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
+                    .unwrap();
+                let pooled = pd.keys().iter().filter(|k| pd.num_avail(k) > 0).count();
+                // The last interval is the common full sweep.
+                let rd = if t == intervals {
+                    cd.step_full(&pd, &ExclusiveEngine::new(&mut ed), now)
+                        .unwrap()
+                } else {
+                    step(&mut cd, &pd, &mut ed, now)
+                };
+                assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
+                assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
+                assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
+                // A key holding a runtime is in every snapshot: the ones a
+                // dirty report leaves out were passed over under a hold.
+                held += pooled.saturating_sub(rd.demand.len());
+            }
+            assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
+            for key in pf.keys() {
+                assert_eq!(pf.num_avail(&key), pd.num_avail(&key), "sizing of {key}");
+            }
+            assert!(cf.keys.iter().all(|s| s.hold_until == 0), "a sweep held");
+            assert_eq!(cf.keys.len(), cd.keys.len());
+            for (f, d) in cf.keys.iter().zip(&cd.keys) {
+                let model = |s: &KeySlot| s.predictor.as_ref().map(|p| format!("{:?}", p.model));
+                assert_eq!(model(f), model(d));
+            }
+        });
+        assert!(held > 1000, "holds were taken: {held} skips");
     }
 }

@@ -147,6 +147,120 @@ impl EsMarkov {
         let (&hi, _) = self.values.last_key_value()?;
         Some((from_total_order_bits(lo), from_total_order_bits(hi)))
     }
+
+    /// The window's largest sample, if its smallest is `+0.0` and none is
+    /// NaN: then no sample is negative, region 0 starts at `+0.0` and
+    /// contains it, and a further `+0.0` moves neither end of the span while
+    /// the window still holds that maximum.
+    fn max_over_zero_low_end(&self) -> Option<f64> {
+        let (lo, hi) = self.span?;
+        (lo.to_bits() == 0 && !hi.is_nan()).then_some(hi)
+    }
+
+    /// Feeds `k` zero-demand observations: the state [`Predictor::observe`]`(0.0)`
+    /// called `k` times leaves, bit for bit. A controller that skipped a key
+    /// for `k` idle intervals replays them through here when the key
+    /// resurfaces.
+    ///
+    /// Once the window is saturated, its low end is `+0.0`, the chain sits in
+    /// region 0 and the two oldest samples are `+0.0` too, a zero evicts a
+    /// `0 → 0` transition and appends one: the multiset, the span and every
+    /// count stand, so the replay is the smoother's step and a rotation of
+    /// the window. Anything else goes through `observe`.
+    pub fn observe_zeros(&mut self, mut k: usize) {
+        while k > 0 {
+            if self.window.len() == self.window_cap
+                && self.max_over_zero_low_end().is_some()
+                && self.chain.current_state() == Some(0)
+            {
+                // None of the three premises above is undone by a replayed
+                // zero; only the window's front moves.
+                while k > 0 && self.window[0].to_bits() == 0 && self.window[1].to_bits() == 0 {
+                    self.observations += 1;
+                    self.es.observe(0.0);
+                    self.window.rotate_left(1);
+                    self.chain.slide_self_loop();
+                    k -= 1;
+                }
+                if k == 0 {
+                    break;
+                }
+            }
+            self.observe(0.0);
+            k -= 1;
+        }
+    }
+
+    /// A conservative `n` such that after each of the next `n` zero-demand
+    /// observations `predict().ceil().max(0.0) as usize == level` — so a
+    /// controller holding `level` idle containers of this type can skip `n`
+    /// intervals without changing a decision. Never more than the window
+    /// capacity; 0 when the bound's premises do not hold:
+    ///
+    /// 1. the window's low end is `+0.0`, so a zero lands in region 0 and
+    ///    cannot move the span while the window maximum stays;
+    /// 2. the chain sits in region 0 and that row's arg-max is region 0 (a
+    ///    row never left counts: its first zero makes it so).
+    ///    Further zeros only reinforce it: each adds `0 → 0`, and the
+    ///    transition a saturated window forgets is either that same cell
+    ///    (which the new zero restores), another cell of row 0 (lowering a
+    ///    rival; ties already break to the lowest index) or another row —
+    ///    so the prediction stays `trend.clamp(bounds(0))`;
+    /// 3. the span, and with it the partition, stands until the last
+    ///    occurrence of the window maximum is evicted: `cap − len` zeros
+    ///    fill the window and `index` more push the front up to it (for
+    ///    ever when the maximum is itself `+0.0`);
+    /// 4. the smoother is seeded and non-negative, so each zero multiplies
+    ///    the trend by `1 − α`: the clamped trend is non-increasing, at or
+    ///    below `level` from the first zero on, and above `level − 1` for
+    ///    as long as [`decay_run`] proves.
+    pub fn zero_run_holding(&self, level: usize) -> usize {
+        let Some(max) = self.max_over_zero_low_end() else {
+            return 0;
+        };
+        if self.chain.current_state() != Some(0) || self.chain.predict_state() != Some(0) {
+            return 0;
+        }
+        let Some((trend, decay)) = self.es.zero_decay().filter(|&(e, _)| e >= 0.0) else {
+            return 0;
+        };
+        let (_, top) = self.chain.partition().bounds(0);
+        if (decay * trend).min(top) > level as f64 {
+            return 0;
+        }
+        let above_floor = match level.checked_sub(1) {
+            None => usize::MAX,
+            Some(floor) if top > floor as f64 => decay_run(trend, decay, floor as f64),
+            Some(_) => return 0,
+        };
+        let span_stands = if max == 0.0 {
+            usize::MAX
+        } else {
+            let last_max = self.window.iter().rposition(|&x| x == max);
+            (self.window_cap - self.window.len()) + last_max.unwrap_or(0)
+        };
+        above_floor.min(span_stands).min(self.window_cap)
+    }
+}
+
+/// The trend is treated as spent once it is within 2²² of the smallest
+/// normal float: down to here every product `(1 − α)·e` is a normal number
+/// and carries a relative rounding error of at most 2⁻⁵³.
+const TREND_FLOOR: f64 = f64::MIN_POSITIVE * 4_194_304.0;
+
+/// How many zero observations a seeded, non-negative trend `e` provably
+/// stays above `floor` for: the smoother computes `e ← fl(decay · e)`, so
+/// after `k` of them `e_k ≥ e · decay^k · (1 − 2⁻⁵³)^k`, and the count is the
+/// largest `k` keeping that above `max(floor, TREND_FLOOR)` in log₂ terms.
+/// The hundredth of a binade held back is orders of magnitude more than the
+/// two logarithms' rounding plus `k · 2⁻⁵³` can add up to at any window size.
+fn decay_run(e: f64, decay: f64, floor: f64) -> usize {
+    let floor = floor.max(TREND_FLOOR);
+    if e <= floor {
+        return 0;
+    }
+    // `decay == 1.0` (α below 2⁻⁵³) divides by zero: +∞ saturates, rightly.
+    ((e.log2() - floor.log2() - 0.01) / -decay.log2()).floor() as usize
 }
 
 impl Predictor for EsMarkov {
@@ -159,7 +273,11 @@ impl Predictor for EsMarkov {
             None
         };
         self.window.push_back(value);
-        let span = if let Some(old) = evicted {
+        let span = if evicted.is_some_and(|old| old.to_bits() == value.to_bits()) {
+            // The multiset would lose and regain the very element that left
+            // the window: its ends, and so the span, are what they were.
+            self.span
+        } else if let Some(old) = evicted {
             let bits = total_order_bits(old);
             if let Some(count) = self.values.get_mut(&bits) {
                 *count -= 1;
@@ -414,6 +532,165 @@ mod tests {
                 assert_eq!(p.chain().transition_counts(), batch.transition_counts());
                 assert_eq!(p.chain().observations(), batch.observations());
             }
+        });
+    }
+
+    /// The same-bits lane of `observe` (the evicted sample and the new one
+    /// are one value, so the multiset is left alone): a constant series and
+    /// a series whose period is the window length take it on every
+    /// observation past saturation, and must still equal the batch fit —
+    /// with the multiset still a count of the window.
+    #[test]
+    fn same_bits_eviction_matches_batch_fit() {
+        let cap = 6;
+        for series in [
+            vec![5.0; 30],
+            (0..30)
+                .map(|i| [0.0, 0.0, 3.0, 9.0, 0.0, 1.0][i % cap])
+                .collect(),
+        ] {
+            let mut p = EsMarkov::with_params(0.8, InitialValue::FirstObservation, 4, cap);
+            for (i, &value) in series.iter().enumerate() {
+                p.observe(value);
+                let window = &series[(i + 1).saturating_sub(cap)..=i];
+                let batch = MarkovChain::fit(window, 4);
+                assert_eq!(p.chain().partition(), batch.partition());
+                assert_eq!(p.chain().current_state(), batch.current_state());
+                assert_eq!(p.chain().transition_counts(), batch.transition_counts());
+                if window.len() == cap {
+                    let mut recount = BTreeMap::new();
+                    for &x in window {
+                        *recount.entry(total_order_bits(x)).or_insert(0) += 1;
+                    }
+                    assert_eq!(p.values, recount, "multiset after observation {i}");
+                }
+            }
+        }
+    }
+
+    /// A non-negative integer demand series with the shapes an idle key's
+    /// history has: bursts, long silences (some longer than the window, some
+    /// ending just before the window's maximum leaves it) and a chain that
+    /// has learnt that silence is followed by a burst.
+    fn idle_heavy_series(g: &mut testkit::Gen) -> Vec<f64> {
+        let mut s = Vec::new();
+        let len = g.usize_in(1..701);
+        while s.len() < len {
+            match g.u8_in(0..4) {
+                0 => s.extend(g.vec(1..12, |g| g.usize_in(0..13) as f64)),
+                1 => {
+                    let burst = g.usize_in(1..13) as f64;
+                    for _ in 0..g.usize_in(1..12) {
+                        s.extend([0.0, burst]);
+                    }
+                }
+                _ => {
+                    let silence = *g.pick(&[3, 40, 250, 254, 255, 256, 300]);
+                    s.extend(std::iter::repeat_n(0.0, g.usize_in(1..silence + 1)));
+                }
+            }
+        }
+        s.truncate(len);
+        s
+    }
+
+    fn target(p: &EsMarkov) -> usize {
+        p.predict().ceil().max(0.0) as usize
+    }
+
+    /// `zero_run_holding(level)` is a promise about the next `n` zero
+    /// observations; a clone fed them must size to `level` after each one.
+    /// Checked at the end of every series and at a few interior points, for
+    /// the controller's window and a short one, for a slow smoother whose
+    /// trend takes many intervals to cross an integer, and for partitions
+    /// coarse enough that region 0 reaches past `level`.
+    ///
+    /// Fails when the arg-max premise is dropped from `zero_run_holding`
+    /// (checked once on a scratch copy): after `0, 8, 0, 8, …, 0` the chain
+    /// predicts the burst region from silence, and the clamped trend is
+    /// nowhere near the decaying smoother the bound follows.
+    #[test]
+    fn prop_zero_run_holding_is_sound() {
+        let check = |p: &EsMarkov| {
+            for level in 0..4 {
+                let n = p.zero_run_holding(level);
+                let mut q = p.clone();
+                for i in 0..n {
+                    q.observe(0.0);
+                    assert_eq!(target(&q), level, "zero {i} of {n} held at {level}");
+                }
+            }
+        };
+        let mut learnt_burst = EsMarkov::with_params(0.8, InitialValue::MeanOfFirst5, 6, 256);
+        for i in 0..41 {
+            learnt_burst.observe(if i % 2 == 0 { 0.0 } else { 8.0 });
+        }
+        check(&learnt_burst);
+        // The window maximum is about to leave: 12 keeps 3 in region 0 of
+        // two, and once it is evicted — by the second zero from here — the
+        // re-cut partition turns `0, 3, 0, 3, …` into a learnt burst. The
+        // span stands for exactly one more observation, and it matters.
+        let mut max_leaving = EsMarkov::with_params(0.8, InitialValue::MeanOfFirst5, 2, 16);
+        for x in [
+            12.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.0, 0.0, 0.0,
+        ] {
+            max_leaving.observe(x);
+        }
+        check(&max_leaving);
+        assert_eq!(max_leaving.zero_run_holding(1), 1);
+        max_leaving.observe_zeros(2);
+        assert_eq!(target(&max_leaving), 2);
+        testkit::check(96, |g| {
+            let alpha = *g.pick(&[0.8, 0.3, 0.05]);
+            let cap = *g.pick(&[256, 256, 16]);
+            // Region 0 of six tops out at 12 / 6; fewer regions let the
+            // higher levels hold too.
+            let regions = *g.pick(&[6, 6, 2, 1]);
+            let mut p = EsMarkov::with_params(alpha, InitialValue::MeanOfFirst5, regions, cap);
+            let series = idle_heavy_series(g);
+            let interior = g.vec(0..12, |g| g.usize_in(0..series.len()));
+            for (i, &x) in series.iter().enumerate() {
+                p.observe(x);
+                if i + 1 == series.len() || interior.contains(&i) {
+                    check(&p);
+                }
+            }
+        });
+        // Not vacuous: one request, then silence — the shape of an idle key.
+        let mut idle = EsMarkov::with_params(0.8, InitialValue::MeanOfFirst5, 6, 256);
+        idle.observe(1.0);
+        idle.observe_zeros(9);
+        assert_eq!(target(&idle), 1);
+        assert!(
+            idle.zero_run_holding(1) >= 64,
+            "{}",
+            idle.zero_run_holding(1)
+        );
+    }
+
+    /// `observe_zeros(k)` is `k × observe(0.0)` down to the last bit of
+    /// state: the `Debug` rendering covers the smoother, the window, the
+    /// multiset, the span and the chain with its counts and `version`. The
+    /// replay starts inside a growing window or a saturated one and runs
+    /// across saturation and across the window maximum's eviction.
+    ///
+    /// Fails when the fast lane skips the smoother step, and when it skips
+    /// the `version` bump (each checked once on a scratch copy).
+    #[test]
+    fn prop_observe_zeros_is_repeated_observe() {
+        testkit::check(96, |g| {
+            let cap = *g.pick(&[256, 256, 16]);
+            let mut fast = EsMarkov::with_params(0.8, InitialValue::MeanOfFirst5, 6, cap);
+            for x in idle_heavy_series(g) {
+                fast.observe(x);
+            }
+            let mut slow = fast.clone();
+            let k = g.usize_in(0..601);
+            fast.observe_zeros(k);
+            for _ in 0..k {
+                slow.observe(0.0);
+            }
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "k = {k}");
         });
     }
 

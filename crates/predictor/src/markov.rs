@@ -171,6 +171,15 @@ impl MarkovChain {
         self.version = self.version.wrapping_add(1);
     }
 
+    /// What [`Self::forget_oldest`]`(s, s)` followed by observing one more
+    /// value of region `s` leaves behind when the chain sits in `s` and the
+    /// window's two oldest samples do too: the `s → s` cell loses one and
+    /// gains one, the observation total likewise, and only `version` moves —
+    /// twice, as the two calls would have moved it.
+    pub(crate) fn slide_self_loop(&mut self) {
+        self.version = self.version.wrapping_add(2);
+    }
+
     /// The raw 1-step transition counts `T_ij`, row-major (`n×n` flat).
     #[cfg(test)]
     pub(crate) fn transition_counts(&self) -> &[u64] {

@@ -70,6 +70,14 @@ impl ExponentialSmoothing {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
+
+    /// The seeded smoothed value `e_t` and the factor one zero observation
+    /// multiplies a non-negative `e_t` by: Eq. 1 with `history[t] = 0` is
+    /// `α·0 + (1−α)·e = +0.0 + (1−α)·e`, and adding `+0.0` to a non-negative
+    /// float is exact. `None` while the seed is still being collected.
+    pub(crate) fn zero_decay(&self) -> Option<(f64, f64)> {
+        self.smoothed.map(|e| (e, 1.0 - self.alpha))
+    }
 }
 
 impl Predictor for ExponentialSmoothing {
