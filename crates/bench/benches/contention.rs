@@ -17,7 +17,6 @@ use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::{AppProfile, Gateway};
 use hotc::{ConcurrentGateway, FunctionHandle, HotC};
 use hotc_bench::{Harness, CONTENTION_THREADS};
-use simclock::shared::ThreadTimeline;
 use simclock::{SimDuration, SimTime};
 use std::sync::Arc;
 use stdshim::sync::Mutex;
@@ -28,13 +27,16 @@ use stdshim::sync::Mutex;
 /// engine, stats and tracker bookkeeping serializes on that one lock.
 type GlobalLockGateway = Mutex<Gateway<HotC>>;
 
-fn handle_locked(gw: &GlobalLockGateway, function: &str, timeline: &mut ThreadTimeline) {
-    let inflight = gw.lock().begin(function, timeline.now()).expect("request");
+/// Serves one request that arrived at `now`; returns when its response left.
+fn handle_locked(gw: &GlobalLockGateway, function: &str, now: SimTime) -> SimTime {
+    let inflight = gw.lock().begin(function, now).expect("request");
     // Execution happens outside the lock: other threads' requests overlap.
-    timeline.wait_until(inflight.t4_func_end);
     let trace = gw.lock().finish(inflight).expect("request");
-    timeline.wait_until(trace.t6_gateway_out);
+    trace.t6_gateway_out
 }
+
+/// Think time between one worker's requests.
+const GAP: SimDuration = SimDuration::from_millis(200);
 
 /// A deployment-shaped configuration: serverless functions routinely carry a
 /// dozen environment variables (endpoints, credentials, tuning), and every
@@ -80,37 +82,35 @@ fn shared_gateway(functions: usize) -> Arc<GlobalLockGateway> {
     specs(functions).for_each(|spec| gw.register(spec));
     let shared = Arc::new(Mutex::labeled(gw, "gateway/global"));
     // Prime one runtime per function so the benchmark measures reuse.
-    let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+    let mut now = SimTime::ZERO;
     for i in 0..functions {
-        handle_locked(&shared, &format!("fn-{i}"), &mut timeline);
+        now = handle_locked(&shared, &format!("fn-{i}"), now);
     }
     shared
 }
 
-fn concurrent_gateway_setup(functions: usize) -> Arc<ConcurrentGateway> {
+/// The concurrent gateway with `functions` registered, and their handles.
+fn concurrent_gateway_setup(functions: usize) -> (ConcurrentGateway, Vec<FunctionHandle>) {
     let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let shared = Arc::new(ConcurrentGateway::with_defaults(engine));
-    specs(functions).for_each(|spec| shared.register(spec));
+    let gw = ConcurrentGateway::with_defaults(engine);
+    let handles: Vec<_> = specs(functions).map(|spec| gw.register(spec)).collect();
     // Prime one runtime per function so the benchmark measures reuse.
-    let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-    for i in 0..functions {
-        shared
-            .handle(&format!("fn-{i}"), &mut timeline)
-            .expect("prime");
+    let mut now = SimTime::ZERO;
+    for handle in &handles {
+        now = gw.handle(handle, now).expect("prime").t6_gateway_out;
     }
-    shared
+    (gw, handles)
 }
 
 /// One thread per handle, each serving `requests_per_thread` warm requests
-/// through its handle on its own timeline.
-fn drive(gw: &ConcurrentGateway, handles: &[FunctionHandle], requests_per_thread: usize) {
+/// through its handle at its own virtual time.
+fn drive(gw: &ConcurrentGateway, handles: &[&FunctionHandle], requests_per_thread: usize) {
     std::thread::scope(|s| {
         for handle in handles {
             s.spawn(move || {
-                let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+                let mut now = SimTime::ZERO;
                 for _ in 0..requests_per_thread {
-                    gw.handle_with(handle, &mut timeline).expect("request");
-                    timeline.advance(SimDuration::from_millis(200));
+                    now = gw.handle(handle, now).expect("request").t6_gateway_out + GAP;
                 }
             });
         }
@@ -127,11 +127,10 @@ fn bench_contention(h: &mut Harness) {
                 for t in 0..threads {
                     let gw = Arc::clone(&gw);
                     s.spawn(move || {
-                        let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+                        let mut now = SimTime::ZERO;
                         let function = format!("fn-{t}");
                         for _ in 0..requests_per_thread {
-                            handle_locked(&gw, &function, &mut timeline);
-                            timeline.advance(SimDuration::from_millis(200));
+                            now = handle_locked(&gw, &function, now) + GAP;
                         }
                     });
                 }
@@ -139,14 +138,10 @@ fn bench_contention(h: &mut Harness) {
         });
     }
     // Same traffic shapes through the concurrent frontend: lock-free bitmap
-    // claims on the warm path instead of one gateway-wide mutex. Handles are
-    // pre-resolved so the steady-state request skips even the function-table
-    // read lock.
+    // claims on the warm path instead of one gateway-wide mutex.
     for &threads in CONTENTION_THREADS {
-        let gw = concurrent_gateway_setup(threads.max(2));
-        let handles: Vec<FunctionHandle> = (0..threads)
-            .map(|t| gw.function_handle(&format!("fn-{t}")).expect("registered"))
-            .collect();
+        let (gw, handles) = concurrent_gateway_setup(threads.max(2));
+        let handles: Vec<&FunctionHandle> = handles.iter().take(threads).collect();
         h.bench(&format!("concurrent_gateway/{threads}_threads"), || {
             drive(&gw, &handles, requests_per_thread)
         });
@@ -157,16 +152,14 @@ fn bench_contention(h: &mut Harness) {
     // measurement behind one lock per stage set (EXPERIMENTS.md "Stage-set
     // stripes: 32 or one").
     for &threads in CONTENTION_THREADS {
-        let gw = concurrent_gateway_setup(1);
+        let (gw, handles) = concurrent_gateway_setup(1);
         let primed: Vec<_> = (0..threads)
-            .map(|_| gw.begin("fn-0", SimTime::ZERO).expect("prime"))
+            .map(|_| gw.begin(&handles[0], SimTime::ZERO).expect("prime"))
             .collect();
         for inflight in primed {
-            gw.finish(inflight).expect("prime");
+            gw.finish(&handles[0], inflight).expect("prime");
         }
-        let handles: Vec<FunctionHandle> = (0..threads)
-            .map(|_| gw.function_handle("fn-0").expect("registered"))
-            .collect();
+        let handles = vec![&handles[0]; threads];
         let name = format!("concurrent_gateway/one_function/{threads}_threads");
         h.bench(&name, || drive(&gw, &handles, requests_per_thread));
     }

@@ -389,6 +389,16 @@ mod tests {
             eval_gate(&absent, &records, "t").unwrap().outcome,
             Outcome::Fail
         ));
+        // A ratio names two records; losing either one fails it — which is
+        // why ci/gates.json keeps no `present` gate beside a numeric one.
+        for (name, denom) in [("nope", "acquire"), ("acquire", "nope")] {
+            let ratio = gate_json(&format!(
+                r#"{{"kind":"ratio","suite":"pool","name":"{name}","denom":"{denom}","max_ratio":2.0}}"#
+            ));
+            let row = eval_gate(&ratio, &records, "t").unwrap();
+            assert!(matches!(row.outcome, Outcome::Fail), "{name}/{denom}");
+            assert!(row.detail.contains("MISSING"));
+        }
     }
 
     #[test]

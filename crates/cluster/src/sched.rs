@@ -187,14 +187,24 @@ impl Cluster {
     pub(crate) const OVERLOAD_FACTOR: f64 = 2.0;
 
     /// Builds a cluster from named per-node gateways.
+    ///
+    /// # Panics
+    ///
+    /// If the node pools do not all key under one [`hotc::KeyPolicy`]: the
+    /// cluster interner must agree with every pool on which configurations
+    /// collapse to one key, or the warm view indexes a mixed node's
+    /// containers under rows no placement reads.
     pub fn new(policy: SchedulePolicy, gateways: Vec<(String, Gateway<HotC>)>) -> Self {
-        // The cluster interner must agree with the node pools on which
-        // configurations collapse to one key; heterogeneous key policies
-        // across nodes are not supported.
-        let key_policy = gateways
-            .first()
-            .map(|(_, g)| g.provider().pool().policy())
-            .unwrap_or_default();
+        let mut policies = gateways
+            .iter()
+            .map(|(name, g)| (name, g.provider().pool().policy()));
+        let key_policy = policies.next().map(|(_, p)| p).unwrap_or_default();
+        if let Some((name, other)) = policies.find(|&(_, p)| p != key_policy) {
+            panic!(
+                "Cluster::new: node '{name}' pools under {other:?} keys, the nodes before \
+                 it under {key_policy:?}; a cluster has one key policy"
+            );
+        }
         let nodes: Vec<Node> = gateways
             .into_iter()
             .map(|(name, gateway)| Node { name, gateway })
@@ -522,6 +532,7 @@ mod tests {
     use super::*;
     use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
     use faas::AppProfile;
+    use hotc::{HotCConfig, KeyPolicy};
     use simclock::SimDuration;
 
     fn cluster(policy: SchedulePolicy, nodes: usize) -> Cluster {
@@ -539,6 +550,27 @@ mod tests {
             LanguageRuntime::Python,
         )));
         cluster
+    }
+
+    /// A node whose pool keys fuzzily among exact-keyed ones would have its
+    /// warm containers indexed under rows no placement reads: construction
+    /// refuses the list and names the node.
+    #[test]
+    #[should_panic(expected = "node 'node-2' pools under Fuzzy keys")]
+    fn mixed_key_policies_are_rejected_naming_the_node() {
+        let gateways = [KeyPolicy::Exact, KeyPolicy::Exact, KeyPolicy::Fuzzy]
+            .into_iter()
+            .enumerate()
+            .map(|(i, key_policy)| {
+                let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+                let hotc = HotC::new(HotCConfig {
+                    key_policy,
+                    ..Default::default()
+                });
+                (format!("node-{i}"), Gateway::new(engine, hotc))
+            })
+            .collect();
+        Cluster::new(SchedulePolicy::ReuseAffinity, gateways);
     }
 
     #[test]

@@ -169,8 +169,8 @@ impl WarmIndex {
     /// acquired them outside this cluster's placements, e.g. by a local
     /// prewarm) are resolved once through `interner` — keys the cluster has
     /// never registered stay invisible, since it could not route to them
-    /// anyway. Assumes node pools share the cluster interner's
-    /// [`hotc::KeyPolicy`].
+    /// anyway. Node pools share the cluster interner's [`hotc::KeyPolicy`]
+    /// (`Cluster::new` rejects a mixed node list).
     pub(crate) fn resync_node(&mut self, node: usize, pool: &RuntimePool, interner: &KeyInterner) {
         #[cfg(test)]
         RESYNCED.with_borrow_mut(|log| log.push(node));

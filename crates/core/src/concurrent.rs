@@ -1,20 +1,21 @@
-//! The thread-safe gateway frontend for the parallel-request experiments.
+//! The thread-safe gateway frontend for the thread-contention benchmarks.
 //!
-//! Fig. 12(b) drives the backend from ten client threads at once; the
-//! contention benchmarks push further. The workspace has exactly two
-//! gateways: the single-threaded [`faas::Gateway`] (every experiment, the
-//! CLI, the cluster nodes and the replay driver) and [`ConcurrentGateway`]
-//! here. Runtime management is the same [`HotC`] the single-threaded gateway
-//! drives — this frontend owns no pool, controller or limits of its own and
-//! spells no part of the Fig. 6 sequence; it hands `HotC`'s `&self` entry
-//! points its engine mutex where `faas::Gateway` hands them an exclusive
-//! borrow. What is its own: request counters on atomics
-//! ([`faas::SharedStats`]), the function table behind a read-mostly
-//! [`stdshim::sync::RwLock`], and the single mutex that stands in for the
-//! container daemon. Warm requests share **no** lock except the engine's
-//! short critical sections (load-app + `begin_exec`, `end_exec` + cleanup);
-//! a cold start adds the pool lock, taken after its container was created
-//! and never together with the engine's.
+//! The workspace has exactly two gateways: the single-threaded
+//! [`faas::Gateway`] (every experiment, the CLI, the cluster nodes and the
+//! replay driver) and [`ConcurrentGateway`] here, which `benches/contention.rs`
+//! and the thread stress tests drive from many OS threads at once. Runtime
+//! management is the same [`HotC`] the single-threaded gateway drives — this
+//! frontend owns no pool, controller or limits of its own and spells no part
+//! of the Fig. 6 sequence; it hands `HotC`'s `&self` entry points its engine
+//! mutex where `faas::Gateway` hands them an exclusive borrow. What is its
+//! own: request counters on atomics ([`faas::SharedStats`]) and the single
+//! mutex that stands in for the container daemon. There is no function
+//! table: [`ConcurrentGateway::register`] returns the [`FunctionHandle`] every
+//! request method takes, so the request path holds the engine lock or no
+//! lock — the engine's short critical sections (load-app + `begin_exec`,
+//! `end_exec` + cleanup) are all that warm requests share; a cold start adds
+//! the pool lock, taken after its container was created and never together
+//! with the engine's.
 //!
 //! Telemetry: `finish` takes the function's stage-set lock once, after the
 //! engine's was released, to record into `fn/<function>` (`all` and
@@ -26,61 +27,46 @@
 //! The global-lock baseline it is measured against is a fixture local to
 //! `benches/contention.rs`, not a type of this crate.
 //!
-//! Virtual time is per-thread ([`simclock::shared::ThreadTimeline`]): each
-//! worker advances its own timeline by its requests' latencies, and an
-//! experiment's elapsed time is the max across timelines (parallel-work
-//! semantics).
+//! Virtual time is the caller's: each worker thread keeps its own `now`,
+//! passes it to `begin`/`handle` and advances it from the trace's
+//! `t6_gateway_out`, exactly as a `faas::Gateway` driver does.
 
 use crate::middleware::{HotC, HotCConfig};
 use crate::pool::{EngineRef, RuntimePool};
 use containersim::ContainerEngine;
 use faas::gateway::{GatewayError, InFlight};
-use faas::pipeline::{GATEWAY_HOP, WATCHDOG_HOP};
-use faas::{AppProfile, FunctionSpec, GatewayStats, RequestTrace, RuntimeProvider, SharedStats};
+use faas::{FunctionSpec, GatewayStats, RequestTrace, RuntimeProvider, SharedStats};
 use metrics_lite::{Counter, MetricsRegistry, StageSet};
-use simclock::shared::ThreadTimeline;
-use simclock::{SimDuration, SimTime};
-use std::collections::HashMap;
+use simclock::SimTime;
 use std::sync::Arc;
-use stdshim::sync::{Mutex, RwLock};
+use stdshim::sync::Mutex;
 
-/// A registered function with its runtime key interned once, at registration
-/// time — request paths hand out `Arc`s instead of deep-cloning the spec and
-/// re-deriving the key on every call. The pool's [`crate::key::KeyId`] is
-/// resolved here, so steady-state requests never even fingerprint the
-/// configuration: the pool is addressed by a copyable `u32`. The
-/// per-function stage-set handle is resolved here too, so the request path
-/// records telemetry without any registry name lookup.
-struct FunctionEntry {
+/// A registered function, resolved once: the pool's [`crate::key::KeyId`]
+/// is interned and the `fn/<name>` stage set looked up at registration, so a
+/// request neither fingerprints the configuration nor names anything in a
+/// table — the pool is addressed by a copyable `u32` and telemetry through
+/// the handle. Registering the same name again yields a second, independent
+/// handle (recording into the same `fn/` scope).
+pub struct FunctionHandle {
     spec: FunctionSpec,
     key_id: crate::key::KeyId,
     stage_fn: Arc<StageSet>,
 }
 
-/// A pre-resolved function handle: pins the registration-time
-/// [`FunctionEntry`] so steady-state callers (benchmark drivers, dedicated
-/// per-function workers) skip even the function-table read lock — a warm
-/// request then reaches `begin_exec` without a single lock acquisition.
-/// The handle is a snapshot: re-registering the function does not update it.
-pub struct FunctionHandle {
-    entry: Arc<FunctionEntry>,
-}
-
 /// The concurrent HotC gateway: [`HotC`] (one pool lock, tick-only
 /// controller mutex) driven through a single engine mutex standing in for
-/// the container daemon, with atomic stats and a read-mostly function table
-/// carrying registration-time runtime keys.
+/// the container daemon, with atomic stats; functions are addressed by the
+/// [`FunctionHandle`]s [`Self::register`] returns.
 ///
 /// Lock order (see DESIGN.md): a thread holds at most one of
-/// {function table, pool state, engine} at a time on the request path;
-/// `HotC`'s controller mutex (tick only) may span pool/engine acquisitions
-/// but is never taken while holding any other lock.
+/// {pool state, engine} at a time on the request path; `HotC`'s controller
+/// mutex (tick only) may span pool/engine acquisitions but is never taken
+/// while holding any other lock.
 pub struct ConcurrentGateway {
     engine: Mutex<ContainerEngine>,
     hotc: HotC,
-    functions: RwLock<HashMap<String, Arc<FunctionEntry>>>,
     stats: SharedStats,
-    metrics: Arc<MetricsRegistry>,
+    metrics: MetricsRegistry,
     /// Read-time telemetry handles (the request path records only into the
     /// per-function stage sets; counters, `all`, and the e2e histogram are
     /// derived at snapshot time).
@@ -92,15 +78,7 @@ impl ConcurrentGateway {
     /// Builds the gateway over an engine from a HotC configuration, with its
     /// own fresh metrics registry.
     pub fn new(engine: ContainerEngine, config: HotCConfig) -> Self {
-        Self::with_metrics(engine, config, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// Builds the gateway recording into a shared metrics registry.
-    pub fn with_metrics(
-        engine: ContainerEngine,
-        config: HotCConfig,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Self {
+        let metrics = MetricsRegistry::new();
         // Requests land once in their `fn/` scope; the `all` scope and e2e
         // histogram merge the `fn/` scopes at snapshot time.
         metrics.stage_union("all", "fn/");
@@ -110,7 +88,6 @@ impl ConcurrentGateway {
         ConcurrentGateway {
             engine: Mutex::labeled(engine, "core/engine"),
             hotc: HotC::new(config),
-            functions: RwLock::labeled(HashMap::new(), "gateway/functions"),
             stats: SharedStats::new(),
             metrics,
             requests_counter,
@@ -126,14 +103,15 @@ impl ConcurrentGateway {
     /// The gateway's metrics registry. Mirrors the request/cold-start tally
     /// and `HotC`'s forced-eviction count into the registry's counters so a
     /// subsequent snapshot is current (`tick` refreshes them too).
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+    pub fn metrics(&self) -> &MetricsRegistry {
         self.sync_counters();
         &self.metrics
     }
 
     /// Copies the hot-path atomic tallies into the registry counters: one
     /// store per counter here instead of a second contended increment per
-    /// request in `finish`.
+    /// request in `finish`. A store is right because the registry is this
+    /// gateway's own (no constructor shares one).
     fn sync_counters(&self) {
         let stats = self.stats.snapshot();
         self.requests_counter.store(stats.requests);
@@ -145,37 +123,16 @@ impl ConcurrentGateway {
         }
     }
 
-    /// Registers (or replaces) a function. The runtime key is interned and
-    /// the per-function stage-set handle is resolved here, once, so the
-    /// per-request path never formats, hashes, or looks up a key string.
-    pub fn register(&self, spec: FunctionSpec) {
-        let key_id = self.pool().intern_config(&spec.config);
-        let stage_fn = self.metrics.stage_set(&format!("fn/{}", spec.name));
-        self.functions.write().insert(
-            spec.name.clone(),
-            Arc::new(FunctionEntry {
-                spec,
-                key_id,
-                stage_fn,
-            }),
-        );
-    }
-
-    /// Resolves a function to a reusable [`FunctionHandle`], or `None` if it
-    /// is not registered. One function-table read here replaces one per
-    /// request in [`Self::begin`]/[`Self::finish`].
-    pub fn function_handle(&self, function: &str) -> Option<FunctionHandle> {
-        self.functions
-            .read()
-            .get(function)
-            .cloned()
-            .map(|entry| FunctionHandle { entry })
-    }
-
-    /// Convenience: registers an app under its own name with its default
-    /// configuration.
-    pub fn register_app(&self, app: AppProfile) {
-        self.register(FunctionSpec::from_app(app));
+    /// Registers a function and returns the handle its requests are served
+    /// through. The runtime key is interned and the per-function stage set
+    /// resolved here, once, so the per-request path never formats, hashes,
+    /// or looks up a key string.
+    pub fn register(&self, spec: FunctionSpec) -> FunctionHandle {
+        FunctionHandle {
+            key_id: self.pool().intern_config(&spec.config),
+            stage_fn: self.metrics.stage_set(&format!("fn/{}", spec.name)),
+            spec,
+        }
     }
 
     /// Aggregate counters.
@@ -188,115 +145,60 @@ impl ConcurrentGateway {
         self.hotc.pool()
     }
 
-    /// Cumulative background (off-request-path) cost: cleanup, pre-warm,
-    /// retire, eviction.
-    pub fn background_cost(&self) -> SimDuration {
-        self.hotc.background_cost()
-    }
-
     /// Runs a closure with the locked engine (setup, inspection).
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut ContainerEngine) -> R) -> R {
         f(&mut self.engine.lock())
     }
 
-    /// Starts serving a request that arrived at `now`. Each piece of shared
-    /// state is locked by itself, in a fixed order, and never across a
-    /// container creation.
-    pub fn begin(&self, function: &str, now: SimTime) -> Result<InFlight, GatewayError> {
-        let entry = self
-            .functions
-            .read()
-            .get(function)
-            .cloned()
-            .ok_or_else(|| GatewayError::UnknownFunction(function.to_string()))?;
-        self.begin_entry(&entry, now)
-    }
-
-    /// [`Self::begin`] through a pre-resolved [`FunctionHandle`]: no
-    /// function-table lock, so a warm hit performs **zero** lock
-    /// acquisitions before the engine's `begin_exec` critical section.
-    pub(crate) fn begin_handle(
-        &self,
-        handle: &FunctionHandle,
-        now: SimTime,
-    ) -> Result<InFlight, GatewayError> {
-        self.begin_entry(&handle.entry, now)
-    }
-
-    fn begin_entry(
-        &self,
-        entry: &Arc<FunctionEntry>,
-        now: SimTime,
-    ) -> Result<InFlight, GatewayError> {
-        // DESIGN.md §5: the request path holds at most one of {function
-        // table, pool state, engine} at a time — and the warm acquire below
-        // holds none at all.
-        let _scope = stdshim::request_path_scope();
-        let t1 = now;
-        let t2 = t1 + GATEWAY_HOP;
-        // The acquire reuses the registration-time interned id, so a warm
-        // hit is a bitmap CAS — no pool lock, no engine lock, no key
-        // hashing.
-        let warm_scope = stdshim::request_path_scope();
-        let acq = self
-            .hotc
-            .acquire_on(&self.engine, entry.key_id, &entry.spec.config, t2)?;
-        debug_assert!(
-            !acq.lock_free || warm_scope.locks_taken() == 0,
-            "warm gateway hit took a lock before begin_exec"
-        );
-        drop(warm_scope);
-        // Function initiation: watchdog shim + obtaining the runtime.
-        let t3 = t2 + WATCHDOG_HOP + acq.cost;
-        // One engine critical section loads the app and starts it. App init
-        // is due on a fresh runtime AND when the pooled runtime last ran a
-        // different app (fuzzy keys / shared runtime types); the container's
-        // own record knows which.
-        let app = &entry.spec.app;
-        let outcome = self.engine.with_engine(|e| {
-            let needs_app_init = e.load_app(acq.container, app.name)?;
-            e.begin_exec(acq.container, app.work_for(needs_app_init), t3)
-        })?;
-        let t4 = t3 + outcome.latency;
-        Ok(InFlight {
-            function: entry.spec.name.clone(),
-            container: acq.container,
-            t4_func_end: t4,
-            t1,
-            t2,
-            t3,
-            cold: acq.cold,
-            first_exec: outcome.first_exec,
-            crashed: outcome.crashed,
-            breakdown: acq.breakdown,
-            reconfig: acq.reconfig,
-            init_latency: outcome.init_latency,
-            exec_latency: outcome.latency,
-        })
+    /// Starts serving a request of `function` that arrived at `now`. Each
+    /// piece of shared state is locked by itself, in a fixed order, and never
+    /// across a container creation.
+    pub fn begin(&self, function: &FunctionHandle, now: SimTime) -> Result<InFlight, GatewayError> {
+        // DESIGN.md §5: the request path holds at most one of {pool state,
+        // engine} at a time — and a warm acquire holds none at all: nothing
+        // precedes it in this scope, so a lock-free hit must leave the
+        // scope's lock count at zero.
+        let scope = stdshim::request_path_scope();
+        let FunctionHandle { spec, key_id, .. } = function;
+        InFlight::begin(
+            &mut (),
+            spec,
+            now,
+            |(), t2| {
+                // The acquire reuses the registration-time interned id, so a
+                // warm hit is a bitmap CAS — no pool lock, no engine lock,
+                // no key hashing.
+                let acq = self
+                    .hotc
+                    .acquire_on(&self.engine, *key_id, &spec.config, t2)?;
+                debug_assert!(
+                    !acq.lock_free || scope.locks_taken() == 0,
+                    "warm gateway hit took a lock before begin_exec"
+                );
+                Ok(acq.into())
+            },
+            |(), container, t3| {
+                // One engine critical section loads the app and starts it.
+                // App init is due on a fresh runtime AND when the pooled
+                // runtime last ran a different app (fuzzy keys / shared
+                // runtime types); the container's own record knows which.
+                self.engine.with_engine(|e| {
+                    let needs_app_init = e.load_app(container, spec.app.name)?;
+                    e.begin_exec(container, spec.app.work_for(needs_app_init), t3)
+                })
+            },
+        )
     }
 
     /// Completes an in-flight request at its `t4`: end the execution, return
-    /// the container to the pool (a crashed one is disposed of), and bump the
-    /// atomic counters.
-    pub fn finish(&self, inflight: InFlight) -> Result<RequestTrace, GatewayError> {
-        let entry = self.functions.read().get(&inflight.function).cloned();
-        self.finish_entry(entry.as_ref(), inflight)
-    }
-
-    /// [`Self::finish`] through a pre-resolved [`FunctionHandle`]: no
-    /// function-table lock. The handle must be the one the request began
-    /// with.
-    pub(crate) fn finish_handle(
+    /// the container to the pool (a crashed one is disposed of), bump the
+    /// atomic counters and record the stages into `function`'s scope.
+    /// `function` should be the handle the request began with: the pool
+    /// finds the container's key by itself, but the telemetry lands in the
+    /// scope of whichever handle is given.
+    pub fn finish(
         &self,
-        handle: &FunctionHandle,
-        inflight: InFlight,
-    ) -> Result<RequestTrace, GatewayError> {
-        self.finish_entry(Some(&handle.entry), inflight)
-    }
-
-    fn finish_entry(
-        &self,
-        entry: Option<&Arc<FunctionEntry>>,
+        function: &FunctionHandle,
         inflight: InFlight,
     ) -> Result<RequestTrace, GatewayError> {
         // DESIGN.md §5: at most one lock at a time on the finish path too —
@@ -318,39 +220,19 @@ impl ConcurrentGateway {
         // Always-on stage telemetry: one stage-set lock per request,
         // through the registration-time handle (no name lookup). Counters,
         // the `all` scope and the e2e histogram are derived at read time.
-        if let Some(entry) = entry {
-            entry.stage_fn.record(&inflight.stage_sample());
-        }
+        function.stage_fn.record(&inflight.stage_sample());
         Ok(trace)
     }
 
-    /// Serves one request on the calling thread's timeline (begin, advance
-    /// past the virtual execution, finish).
+    /// Serves one request start-to-finish; the caller's next `now` is the
+    /// trace's `t6_gateway_out`.
     pub fn handle(
         &self,
-        function: &str,
-        timeline: &mut ThreadTimeline,
+        function: &FunctionHandle,
+        now: SimTime,
     ) -> Result<RequestTrace, GatewayError> {
-        let inflight = self.begin(function, timeline.now())?;
-        timeline.wait_until(inflight.t4_func_end);
-        let trace = self.finish(inflight)?;
-        timeline.wait_until(trace.t6_gateway_out);
-        Ok(trace)
-    }
-
-    /// [`Self::handle`] through a pre-resolved [`FunctionHandle`] — the
-    /// steady-state warm request performs zero lock acquisitions outside the
-    /// engine's `begin_exec`/`end_exec` critical sections.
-    pub fn handle_with(
-        &self,
-        handle: &FunctionHandle,
-        timeline: &mut ThreadTimeline,
-    ) -> Result<RequestTrace, GatewayError> {
-        let inflight = self.begin_handle(handle, timeline.now())?;
-        timeline.wait_until(inflight.t4_func_end);
-        let trace = self.finish_handle(handle, inflight)?;
-        timeline.wait_until(trace.t6_gateway_out);
-        Ok(trace)
+        let inflight = self.begin(function, now)?;
+        self.finish(function, inflight)
     }
 
     /// Periodic maintenance: `HotC`'s tick (controller step, limit
@@ -396,9 +278,9 @@ mod tests {
     use containersim::engine::ExecWork;
     use containersim::{ContainerEngine, HardwareProfile, ImageId, LanguageRuntime};
     use faas::gateway::Gateway;
+    use faas::AppProfile;
     use metrics_lite::LatencyRecorder;
     use simclock::SimDuration;
-    use std::sync::Arc;
 
     /// The four qr-code functions both frontends register.
     fn qr_specs() -> Vec<FunctionSpec> {
@@ -427,57 +309,70 @@ mod tests {
         gw
     }
 
-    fn concurrent_gateway_with(config: HotCConfig) -> Arc<ConcurrentGateway> {
+    /// The concurrent gateway and the handles of `qr-0`…`qr-3`.
+    fn concurrent_gateway_with(config: HotCConfig) -> (ConcurrentGateway, Vec<FunctionHandle>) {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
         let gw = ConcurrentGateway::new(engine, config);
-        for spec in qr_specs() {
-            gw.register(spec);
-        }
-        Arc::new(gw)
+        let handles = qr_specs().into_iter().map(|s| gw.register(s)).collect();
+        (gw, handles)
     }
 
-    fn concurrent_gateway() -> Arc<ConcurrentGateway> {
+    fn concurrent_gateway() -> (ConcurrentGateway, Vec<FunctionHandle>) {
         concurrent_gateway_with(HotCConfig::default())
     }
 
-    /// `threads` workers, each serving `per_thread` requests a second apart
-    /// from its own function `qr-{t}`; returns each worker's latencies.
+    /// Serves `n` back-to-back requests of `function` from `now` on,
+    /// `gap` apart; returns the traces.
+    fn serve(
+        gw: &ConcurrentGateway,
+        function: &FunctionHandle,
+        n: usize,
+        gap: SimDuration,
+    ) -> Vec<RequestTrace> {
+        let mut now = SimTime::ZERO;
+        (0..n)
+            .map(|_| {
+                let trace = gw.handle(function, now).unwrap();
+                now = trace.t6_gateway_out + gap;
+                trace
+            })
+            .collect()
+    }
+
+    /// One worker per handle, each serving `per_thread` requests a second
+    /// apart from its own function; returns each worker's latencies.
     fn each_thread_own_function(
-        gw: &Arc<ConcurrentGateway>,
-        threads: usize,
+        gw: &ConcurrentGateway,
+        handles: &[FunctionHandle],
         per_thread: usize,
     ) -> Vec<LatencyRecorder> {
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
+            let workers: Vec<_> = handles
+                .iter()
+                .map(|function| {
                     s.spawn(move || {
-                        let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
                         let mut rec = LatencyRecorder::new();
-                        let function = format!("qr-{t}");
-                        for _ in 0..per_thread {
-                            let trace = gw.handle(&function, &mut timeline).unwrap();
+                        for trace in serve(gw, function, per_thread, SimDuration::from_secs(1)) {
                             rec.record(trace.total());
-                            timeline.advance(SimDuration::from_secs(1));
                         }
                         rec
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            workers.into_iter().map(|h| h.join().unwrap()).collect()
         })
     }
 
     #[test]
     fn concurrent_threads_each_own_runtime() {
-        let gw = concurrent_gateway();
-        let threads = 4usize;
+        let (gw, handles) = concurrent_gateway();
         let per_thread = 25usize;
-        let recorders = each_thread_own_function(&gw, threads, per_thread);
+        let recorders = each_thread_own_function(&gw, &handles, per_thread);
 
         let stats = gw.stats();
-        assert_eq!(stats.requests as usize, threads * per_thread);
+        assert_eq!(stats.requests as usize, handles.len() * per_thread);
         assert!(
-            stats.cold_starts as usize <= threads * 3,
+            stats.cold_starts as usize <= handles.len() * 3,
             "cold starts: {}",
             stats.cold_starts
         );
@@ -492,19 +387,11 @@ mod tests {
     fn concurrent_shared_config_reuse() {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
         let gw = ConcurrentGateway::with_defaults(engine);
-        gw.register_app(AppProfile::random_number());
-        let gw = Arc::new(gw);
+        let function = gw.register(FunctionSpec::from_app(AppProfile::random_number()));
 
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let gw = Arc::clone(&gw);
-                s.spawn(move || {
-                    let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-                    for _ in 0..20 {
-                        gw.handle("random-number", &mut timeline).unwrap();
-                        timeline.advance(SimDuration::from_millis(200));
-                    }
-                });
+                s.spawn(|| serve(&gw, &function, 20, SimDuration::from_millis(200)));
             }
         });
 
@@ -516,29 +403,58 @@ mod tests {
         assert_eq!(gw.pool().total_live(), live);
     }
 
+    /// The same serial traffic — every function, cold then warm — through
+    /// both gateways: the concurrent frontend changes synchronization, not
+    /// semantics, so the traces agree request for request and so does what
+    /// the snapshot says about them (`fn/*` and `all` stages, `gateway/e2e`,
+    /// the request and cold-start counters).
     #[test]
-    fn concurrent_matches_global_lock_single_threaded() {
-        // Same traffic through both gateways yields identical traces: the
-        // concurrent frontend changes synchronization, not semantics.
-        let concurrent = {
-            let gw = concurrent_gateway();
-            let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-            (0..10)
-                .map(|_| gw.handle("qr-0", &mut timeline).unwrap().total())
-                .collect::<Vec<_>>()
-        };
-        let exclusive = {
-            let mut gw = exclusive_gateway(HotCConfig::default());
-            let mut now = SimTime::ZERO;
-            (0..10)
-                .map(|_| {
-                    let trace = gw.handle("qr-0", now).unwrap();
-                    now = trace.t6_gateway_out;
-                    trace.total()
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(concurrent, exclusive);
+    fn serial_traffic_yields_the_exclusive_gateways_traces_and_snapshot() {
+        let (concurrent, handles) = concurrent_gateway();
+        let mut exclusive = exclusive_gateway(HotCConfig::default());
+        let mut now = SimTime::ZERO;
+        for i in 0..12 {
+            let function = &handles[i % 4];
+            let a = concurrent.handle(function, now).unwrap();
+            let b = exclusive.handle(&function.spec.name, now).unwrap();
+            assert_eq!(a, b, "request {i} diverged");
+            now = a.t6_gateway_out;
+        }
+        let (a, b) = (
+            concurrent.metrics().snapshot(),
+            exclusive.metrics().snapshot(),
+        );
+        let scopes: Vec<&str> = a.stages.iter().map(|(scope, _)| scope.as_str()).collect();
+        assert_eq!(scopes, ["all", "fn/qr-0", "fn/qr-1", "fn/qr-2", "fn/qr-3"]);
+        assert_eq!(a.stages, b.stages);
+        assert_eq!(a.histograms, b.histograms);
+        assert_eq!(a.histograms[0].0, "gateway/e2e");
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.counter("gateway/requests"), Some(12));
+        assert_eq!(a.counter("gateway/cold_starts"), Some(4));
+    }
+
+    /// Under exact keys a warm request takes the engine lock for
+    /// `begin_exec` and nothing else: no table read precedes the acquire,
+    /// and the acquire itself is a bitmap claim. (`begin`'s own
+    /// `debug_assert` checks the zero before `begin_exec`; this pins the
+    /// total.) The finish adds the function's stage-set lock after the
+    /// engine's.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_warm_request_takes_the_engine_lock_and_no_other_before_it_executes() {
+        let (gw, handles) = concurrent_gateway();
+        let cold = gw.handle(&handles[0], SimTime::ZERO).unwrap();
+        let scope = stdshim::request_path_scope();
+        let inflight = gw.begin(&handles[0], cold.t6_gateway_out).unwrap();
+        assert!(!inflight.cold);
+        assert_eq!(scope.locks_taken(), 1, "begin: core/engine only");
+        gw.finish(&handles[0], inflight).unwrap();
+        assert_eq!(
+            scope.locks_taken(),
+            3,
+            "finish: core/engine, then stage set"
+        );
     }
 
     /// Regression: cold-path limit enforcement went uncounted, so
@@ -551,14 +467,13 @@ mod tests {
             limits: PoolLimits::new(2, 0.99),
             ..Default::default()
         };
-        let concurrent = concurrent_gateway_with(config());
-        let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+        let (concurrent, handles) = concurrent_gateway_with(config());
         let mut exclusive = exclusive_gateway(config());
         let mut now = SimTime::ZERO;
         for i in 0..12 {
-            let function = format!("qr-{}", i % 4);
-            let a = concurrent.handle(&function, &mut timeline).unwrap();
-            let b = exclusive.handle(&function, now).unwrap();
+            let function = &handles[i % 4];
+            let a = concurrent.handle(function, now).unwrap();
+            let b = exclusive.handle(&function.spec.name, now).unwrap();
             now = b.t6_gateway_out;
             assert_eq!(a, b, "request {i} diverged");
         }
@@ -574,10 +489,10 @@ mod tests {
     /// and controller series.
     #[test]
     fn concurrent_telemetry_reconciles_across_threads() {
-        let gw = concurrent_gateway();
-        let threads = 4usize;
+        let (gw, handles) = concurrent_gateway();
+        let threads = handles.len();
         let per_thread = 25usize;
-        let recorders = each_thread_own_function(&gw, threads, per_thread);
+        let recorders = each_thread_own_function(&gw, &handles, per_thread);
         gw.tick(SimTime::from_secs(60)).unwrap();
 
         let snap = gw.metrics().snapshot();
@@ -641,24 +556,23 @@ mod tests {
                 pool.prewarm(&ExclusiveEngine::new(e), config, SimTime::ZERO)
             })
             .unwrap();
-        for spec in &specs {
+        let [alpha, beta] = specs.map(|spec| {
             exclusive.register(spec.clone());
-            concurrent.register(spec.clone());
-        }
+            concurrent.register(spec)
+        });
 
-        let mut timeline = ThreadTimeline::starting_at(SimTime::from_secs(1));
-        let mut now = timeline.now();
+        let mut now = SimTime::from_secs(1);
         let script = [
-            ("alpha", true), // prewarmed: never executed, nothing loaded
-            ("alpha", false),
-            ("beta", true),
-            ("beta", false),
-            ("alpha", true),
-            ("beta", true),
+            (&alpha, true), // prewarmed: never executed, nothing loaded
+            (&alpha, false),
+            (&beta, true),
+            (&beta, false),
+            (&alpha, true),
+            (&beta, true),
         ];
         for (i, (function, init_due)) in script.into_iter().enumerate() {
-            let a = concurrent.handle(function, &mut timeline).unwrap();
-            let b = exclusive.handle(function, now).unwrap();
+            let a = concurrent.handle(function, now).unwrap();
+            let b = exclusive.handle(&function.spec.name, now).unwrap();
             now = b.t6_gateway_out;
             assert_eq!(a, b, "request {i} diverged");
             assert!(!a.cold, "request {i}: the prewarmed runtime serves it");
@@ -666,7 +580,8 @@ mod tests {
             assert_eq!(
                 a.execution() > SimDuration::from_millis(500),
                 init_due,
-                "request {i} ({function}): {:?}",
+                "request {i} ({}): {:?}",
+                function.spec.name,
                 a.execution()
             );
         }
@@ -686,46 +601,34 @@ mod tests {
         assert_eq!(pool.keys(), vec![python], "pooled under another key");
     }
 
-    /// The function is re-registered with another configuration mid-flight
-    /// (both gateways), or the request is finished through a handle pinning
-    /// another function and key (concurrent): the pool, not the frontend, knows
+    /// The request is finished through a handle pinning another function and
+    /// key (concurrent), or the function is re-registered with another
+    /// configuration mid-flight (exclusive): the pool, not the frontend, knows
     /// which key a container belongs to. The old configuration's next request
     /// reuses the runtime warm; the new configuration cold-starts.
     #[test]
     fn a_finished_container_returns_to_the_key_it_was_acquired_under() {
-        let go_as_qr0 = || qr_specs()[1].clone().named("qr-0");
-        let python_again = || qr_specs()[0].clone().named("qr-old");
+        let (gw, handles) = concurrent_gateway();
+        let (python, go) = (&handles[0], &handles[1]);
+        let inflight = gw.begin(python, SimTime::ZERO).unwrap();
+        let (container, t4) = (inflight.container, inflight.t4_func_end);
+        gw.finish(go, inflight).unwrap();
+        let live = gw.with_engine(|e| e.live_count());
+        assert_returned_to_the_python_pool(gw.pool(), live);
+        assert!(gw.handle(go, t4).unwrap().cold);
+        let warm = gw.begin(python, t4 + SimDuration::from_secs(1)).unwrap();
+        assert!(!warm.cold && warm.container == container);
 
-        for stale_handle in [false, true] {
-            let gw = concurrent_gateway();
-            let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-            let inflight = gw.begin("qr-0", timeline.now()).unwrap();
-            let container = inflight.container;
-            timeline.wait_until(inflight.t4_func_end);
-            if stale_handle {
-                let go = gw.function_handle("qr-1").unwrap();
-                gw.finish_handle(&go, inflight).unwrap();
-            } else {
-                gw.register(go_as_qr0());
-                gw.finish(inflight).unwrap();
-            }
-            let live = gw.with_engine(|e| e.live_count());
-            assert_returned_to_the_python_pool(gw.pool(), live);
-            gw.register(go_as_qr0());
-            gw.register(python_again());
-            assert!(gw.handle("qr-0", &mut timeline).unwrap().cold);
-            let warm = gw.begin("qr-old", timeline.now()).unwrap();
-            assert!(!warm.cold && warm.container == container);
-        }
-
+        let go_as_qr0 = qr_specs()[1].clone().named("qr-0");
+        let python_again = qr_specs()[0].clone().named("qr-old");
         let mut gw = exclusive_gateway(HotCConfig::default());
         let inflight = gw.begin("qr-0", SimTime::ZERO).unwrap();
         let (container, t4) = (inflight.container, inflight.t4_func_end);
-        gw.register(go_as_qr0());
+        gw.register(go_as_qr0);
         gw.finish(inflight).unwrap();
         let live = gw.engine().live_count();
         assert_returned_to_the_python_pool(gw.provider().pool(), live);
-        gw.register(python_again());
+        gw.register(python_again);
         assert!(gw.handle("qr-0", t4).unwrap().cold);
         let warm = gw.begin("qr-old", t4 + SimDuration::from_secs(1)).unwrap();
         assert!(!warm.cold && warm.container == container);
@@ -735,14 +638,11 @@ mod tests {
     fn concurrent_tick_controls_pool() {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
         let gw = ConcurrentGateway::with_defaults(engine);
-        gw.register_app(AppProfile::random_number());
-        let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
-        gw.handle("random-number", &mut timeline).unwrap();
+        let function = gw.register(FunctionSpec::from_app(AppProfile::random_number()));
+        gw.handle(&function, SimTime::ZERO).unwrap();
         gw.tick(SimTime::from_secs(30)).unwrap();
-        assert!(gw.background_cost() > SimDuration::ZERO);
         // The idle runtime stays warm for the next request.
-        timeline.wait_until(SimTime::from_secs(31));
-        let warm = gw.handle("random-number", &mut timeline).unwrap();
+        let warm = gw.handle(&function, SimTime::from_secs(31)).unwrap();
         assert!(!warm.cold);
     }
 }

@@ -24,8 +24,7 @@ use simclock::SimDuration;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use stdshim::RwLock;
-use stdshim::{FastHasher, FastMap};
+use stdshim::{FastHasher, FastMap, Mutex};
 
 /// Which configuration fields participate in the runtime key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -158,13 +157,15 @@ impl std::fmt::Display for KeyId {
 /// configuration that has been seen before. Fingerprint collisions are
 /// handled by chaining ids per fingerprint.
 ///
-/// Lock class `pool/interner`: acquired read-mostly, strictly *before* (and
-/// released before) any `pool/state` lock, so the request path still holds
-/// at most one lock at a time (DESIGN §5).
+/// Lock class `pool/interner`: one short critical section per intern (a
+/// fingerprint probe), strictly *before* (and released before) any
+/// `pool/state` lock, so the request path still holds at most one lock at a
+/// time (DESIGN §5). Only the single-threaded gateway interns per request;
+/// the concurrent one interns at registration.
 #[derive(Debug)]
 pub struct KeyInterner {
     policy: KeyPolicy,
-    state: RwLock<InternerState>,
+    state: Mutex<InternerState>,
 }
 
 #[derive(Debug, Default)]
@@ -190,7 +191,7 @@ impl KeyInterner {
     pub fn new(policy: KeyPolicy) -> Self {
         KeyInterner {
             policy,
-            state: RwLock::labeled(InternerState::default(), "pool/interner"),
+            state: Mutex::labeled(InternerState::default(), "pool/interner"),
         }
     }
 
@@ -243,19 +244,11 @@ impl KeyInterner {
     /// [`RuntimeKey`] only on first sight of a configuration.
     pub fn intern(&self, config: &ContainerConfig) -> KeyId {
         let fingerprint = self.fingerprint(config);
-        {
-            let state = self.state.read();
-            if let Some(id) = self.find(&state, fingerprint, config) {
-                return id;
-            }
-        }
-        // First sight (or a racing thread got here first): build the
-        // canonical key outside the write lock, then double-check.
-        let key = RuntimeKey::from_config(config, self.policy);
-        let mut state = self.state.write();
+        let mut state = self.state.lock();
         if let Some(id) = self.find(&state, fingerprint, config) {
             return id;
         }
+        let key = RuntimeKey::from_config(config, self.policy);
         let id = KeyId(state.entries.len() as u32);
         state.entries.push(InternedKey {
             key: key.clone(),
@@ -272,13 +265,13 @@ impl KeyInterner {
 
     /// Looks up the id of an already-interned canonical key.
     pub fn lookup(&self, key: &RuntimeKey) -> Option<KeyId> {
-        self.state.read().by_key.get(key).copied()
+        self.state.lock().by_key.get(key).copied()
     }
 
     /// The canonical key string for an id issued by this interner.
     pub(crate) fn resolve(&self, id: KeyId) -> Option<RuntimeKey> {
         self.state
-            .read()
+            .lock()
             .entries
             .get(id.index())
             .map(|e| e.key.clone())
@@ -286,7 +279,7 @@ impl KeyInterner {
 
     /// Number of distinct keys interned so far.
     pub fn len(&self) -> usize {
-        self.state.read().entries.len()
+        self.state.lock().entries.len()
     }
 
     /// Whether nothing has been interned yet.

@@ -36,11 +36,11 @@
 //!   [`faas::RuntimeProvider`] trait the unmodified gateway runs with HotC
 //!   ("does not involve disruptive changes to the existing architecture").
 //! * [`concurrent`] — [`concurrent::ConcurrentGateway`], the thread-safe
-//!   frontend for the parallel-request experiments and contention
-//!   benchmarks. Together with the single-threaded [`faas::Gateway`] it is
-//!   one of the workspace's two gateways, and it drives the same [`HotC`];
-//!   the global-lock baseline it is measured against is a fixture local to
-//!   `benches/contention.rs`.
+//!   frontend of the contention benchmarks and thread stress tests: requests
+//!   go through the [`FunctionHandle`] its `register` returns. Together with
+//!   the single-threaded [`faas::Gateway`] it is one of the workspace's two
+//!   gateways, and it drives the same [`HotC`]; the global-lock baseline it
+//!   is measured against is a fixture local to `benches/contention.rs`.
 //!
 //! One spelling per pool-control operation: [`PoolLimits`],
 //! [`AdaptiveController`] and [`HotC`] entry points all take an `&impl

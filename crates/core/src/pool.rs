@@ -184,6 +184,45 @@ impl SlotChunk {
     }
 }
 
+/// Which of a publish's two ordered stores are release stores. Production
+/// has the one value; the instrumented build adds the two weakenings the
+/// mutation harness (`hotc-model/tests/mutation.rs`) must catch, so the
+/// checker runs the very sequence the pool runs.
+#[derive(Debug, Clone, Copy)]
+pub enum PublishOrder {
+    /// The reverse-index store and the bit-set are both `Release`.
+    Release,
+    /// Mutation: the final bit-set is `Relaxed`.
+    #[cfg(hotc_model)]
+    RelaxedBit,
+    /// Mutation: the reverse-index store is `Relaxed`.
+    #[cfg(hotc_model)]
+    RelaxedRindex,
+}
+
+impl PublishOrder {
+    fn store_rindex(self, cell: &AtomicU64, packed: u64) {
+        match self {
+            #[cfg(hotc_model)]
+            // lint:allow(atomic-ordering, deliberately weak reverse-index publish; the mutation harness must catch it)
+            PublishOrder::RelaxedRindex => cell.store(packed, Ordering::Relaxed),
+            _ => cell.store(packed, Ordering::Release),
+        }
+    }
+
+    fn set_bit(self, bitmap: &SlotBitmap, bit: usize) -> bool {
+        match self {
+            #[cfg(hotc_model)]
+            PublishOrder::RelaxedBit => bitmap.release_relaxed(bit),
+            _ => bitmap.release(bit),
+        }
+    }
+}
+
+/// An unoccupied slot claimed off a key's `free` bitmaps: its index, its
+/// chunk and its bit there.
+type FreeSlot<'a> = (usize, &'a SlotChunk, usize);
+
 /// One key's lock-free slot array: the warm-path state ([Fig. 7]'s value
 /// list, flattened into atomics). Slot index `i` is bit `i % SLOTS_PER_KEY`
 /// of chunk `i / SLOTS_PER_KEY`; every walk goes lowest index first, so a
@@ -293,13 +332,55 @@ impl KeySlots {
 
     /// Claims the lowest unoccupied slot, appending a chunk when every slot
     /// is occupied. Pool lock required: this mutates `free`.
-    fn claim_free(&self) -> (usize, &SlotChunk, usize) {
+    fn claim_free(&self) -> FreeSlot<'_> {
         loop {
             if let Some(claimed) = self.claim_lowest(|chunk| &chunk.free) {
                 return claimed;
             }
             self.append(SlotChunk::new(SLOTS_PER_KEY));
         }
+    }
+
+    /// Publishes a just-created container straight into the in-use state
+    /// (cold-start acquire) at `free`. Pool lock held. The entry and the
+    /// container's reverse-index cell `rindex` are stored *before* the
+    /// `in_use` bit is set, and the bit-set is a release store
+    /// (publish-before-bit-set). Returns the slot index.
+    fn publish_in_use(
+        &self,
+        (i, chunk, bit): FreeSlot<'_>,
+        rindex: &AtomicU64,
+        id: KeyId,
+        container: ContainerId,
+        order: PublishOrder,
+    ) -> usize {
+        // lint:allow(atomic-ordering, entry store is ordered by the in_use bit-set below)
+        chunk.entries[bit].store(pack_entry(container, false), Ordering::Relaxed);
+        order.store_rindex(rindex, pack_rindex(id, i));
+        let fresh = order.set_bit(&chunk.in_use, bit);
+        debug_assert!(fresh, "published slot's in_use bit was already set");
+        self.note_acquire();
+        i
+    }
+
+    /// Publishes a just-created container into the available state
+    /// (prewarm) at `free`. Pool lock held; publish-before-bit-set as above.
+    /// Returns the slot index.
+    fn publish_avail(
+        &self,
+        (i, chunk, bit): FreeSlot<'_>,
+        rindex: &AtomicU64,
+        id: KeyId,
+        container: ContainerId,
+        execed: bool,
+        order: PublishOrder,
+    ) -> usize {
+        // lint:allow(atomic-ordering, entry store is ordered by the avail bit-set below)
+        chunk.entries[bit].store(pack_entry(container, execed), Ordering::Relaxed);
+        order.store_rindex(rindex, pack_rindex(id, i));
+        let fresh = order.set_bit(&chunk.avail, bit);
+        debug_assert!(fresh, "published slot's avail bit was already set");
+        i
     }
 
     /// Lock-free warm claim: CAS an `avail` bit, load the published entry,
@@ -760,11 +841,10 @@ impl RuntimePool {
         })
     }
 
-    /// Publishes a container's reverse-index mapping (pool lock held).
-    fn rindex_set(&self, container: ContainerId, id: KeyId, slot: usize) {
-        self.rindex
-            .get_or_init(container.0 as usize)
-            .store(pack_rindex(id, slot), Ordering::Release);
+    /// The reverse-index cell a publish of `container` stores its mapping
+    /// into (pool lock held).
+    fn rindex_cell(&self, container: ContainerId) -> &AtomicU64 {
+        self.rindex.get_or_init(container.0 as usize)
     }
 
     /// Clears a container's reverse-index mapping (pool lock held).
@@ -815,7 +895,7 @@ impl RuntimePool {
         let lock_free_hit = self.key_slots(id.index()).and_then(KeySlots::claim_warm);
         let warm = lock_free_hit.or_else(|| {
             // The id↔config contract is verified off the lock-free path only:
-            // the check interns, and the interner's read lock would break the
+            // the check interns, and the interner's lock would break the
             // warm hit's zero-lock guarantee in debug builds.
             debug_assert_eq!(id, self.intern_config(config));
             // Retry under the lock: a racing release may have refilled the
@@ -853,7 +933,13 @@ impl RuntimePool {
                 .slots
                 .entry(id)
                 .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
-            let slot_idx = self.publish_in_use(&slot.ks, id, container);
+            let slot_idx = slot.ks.publish_in_use(
+                slot.ks.claim_free(),
+                self.rindex_cell(container),
+                id,
+                container,
+                PublishOrder::Release,
+            );
             guard.admit(container, now, id, slot_idx);
             guard.mark_active(id);
         }
@@ -884,39 +970,6 @@ impl RuntimePool {
             Some(existing) if needs_reconfig(existing, config) => FUZZY_RECONFIG_COST,
             _ => SimDuration::ZERO,
         })
-    }
-
-    /// Publishes a just-created container straight into the in-use state
-    /// (cold-start acquire). Pool lock held; the entry and reverse-index
-    /// stores precede the `in_use` bit-set.
-    fn publish_in_use(&self, ks: &KeySlots, id: KeyId, container: ContainerId) -> usize {
-        let (i, chunk, bit) = ks.claim_free();
-        // lint:allow(atomic-ordering, entry store is ordered by the in_use.release bit-set below)
-        chunk.entries[bit].store(pack_entry(container, false), Ordering::Relaxed);
-        self.rindex_set(container, id, i);
-        let fresh = chunk.in_use.release(bit);
-        debug_assert!(fresh, "published slot's in_use bit was already set");
-        ks.note_acquire();
-        i
-    }
-
-    /// Publishes a just-created container into the available state
-    /// (prewarm). Pool lock held; publish-before-bit-set as above. Returns
-    /// the slot index.
-    fn publish_avail(
-        &self,
-        ks: &KeySlots,
-        id: KeyId,
-        container: ContainerId,
-        execed: bool,
-    ) -> usize {
-        let (i, chunk, bit) = ks.claim_free();
-        // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
-        chunk.entries[bit].store(pack_entry(container, execed), Ordering::Relaxed);
-        self.rindex_set(container, id, i);
-        let fresh = chunk.avail.release(bit);
-        debug_assert!(fresh, "published slot's avail bit was already set");
-        i
     }
 
     /// Algorithm 2: clean the used container and add it back to the pool.
@@ -1054,7 +1107,14 @@ impl RuntimePool {
             .slots
             .entry(id)
             .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
-        let slot_idx = self.publish_avail(&slot.ks, id, container, false);
+        let slot_idx = slot.ks.publish_avail(
+            slot.ks.claim_free(),
+            self.rindex_cell(container),
+            id,
+            container,
+            false,
+            PublishOrder::Release,
+        );
         guard.admit(container, now, id, slot_idx);
         guard.mark_active(id);
         Ok(breakdown.total())
@@ -1420,30 +1480,27 @@ fn drain_due_cold(
 /// only under `--cfg hotc_model` (the instrumented build `hotc-model`'s
 /// protocol suite runs against; see DESIGN.md §7.3).
 ///
-/// The lock-free operations (`claim_warm`, `hand_back`,
-/// `try_claim_release`) and the `KeySlots` halves of the lock-holding ones
-/// (`retire_avail`, `evict_at`, `grow`) call the real `KeySlots` methods
-/// unmodified. The publishing operations (`publish_avail`,
-/// `publish_in_use`) replay the exact load/store sequences of
-/// [`RuntimePool::publish_avail`] and [`RuntimePool::publish_in_use`] — the
-/// latter with one reverse-index cell standing in for the pool's table —
-/// minus the pool lock: in the model the lock's happens-before hand-off is
-/// reproduced by running every lock-holding op either before spawning the
-/// racers (spawn copies the parent's vector clock) or as the only
-/// lock-holder in the schedule, which is precisely the mutual exclusion the
-/// real lock provides.
+/// Every operation calls the real `KeySlots` method — the lock-free ones
+/// (`claim_warm`, `hand_back`, `try_claim_release`), the `KeySlots` halves of
+/// the lock-holding ones (`retire_avail`, `evict_at`, `grow`) and the two
+/// publishes [`RuntimePool`] itself calls, with a few reverse-index cells
+/// standing in for the pool's table — minus the pool lock: in the model the
+/// lock's happens-before hand-off is reproduced by running every
+/// lock-holding op either before spawning the racers (spawn copies the
+/// parent's vector clock) or as the only lock-holder in the schedule, which
+/// is precisely the mutual exclusion the real lock provides.
 #[cfg(hotc_model)]
 pub mod model_api {
-    use super::{entry_container, pack_entry, AtomicU64, KeyId, KeySlots, Ordering, SlotChunk};
+    use super::{entry_container, AtomicU64, KeyId, KeySlots, Ordering, PublishOrder, SlotChunk};
     use containersim::ContainerId;
 
     /// One key's slot-array protocol surface for model tests.
     #[derive(Debug)]
     pub struct ModelSlots {
         ks: KeySlots,
-        /// The reverse-index cell of the one container the growth tests
-        /// publish and release (`pack_rindex` of key 0, or 0 = not pooled).
-        rindex: AtomicU64,
+        /// The reverse-index cells of the model's containers, by container
+        /// id (`pack_rindex` of key 0, or 0 = not pooled).
+        rindex: [AtomicU64; 8],
     }
 
     impl ModelSlots {
@@ -1454,8 +1511,12 @@ pub mod model_api {
         pub fn new(prefree: usize) -> ModelSlots {
             ModelSlots {
                 ks: KeySlots::new(prefree),
-                rindex: AtomicU64::new(0),
+                rindex: std::array::from_fn(|_| AtomicU64::new(0)),
             }
+        }
+
+        fn cell(&self, container: ContainerId) -> &AtomicU64 {
+            &self.rindex[container.0 as usize]
         }
 
         /// Real lock-free warm claim ([`KeySlots::claim_warm`]).
@@ -1473,32 +1534,21 @@ pub mod model_api {
             self.ks.try_claim_release(i, container)
         }
 
-        /// The store sequence of [`super::RuntimePool::publish_avail`]:
-        /// free-claim, entry store, then the `avail` release bit-set
-        /// (publish-before-bit-set). `None` when no slot is free: the model
-        /// grows explicitly ([`Self::grow`]), not inside the free-claim.
-        pub fn publish_avail(&self, container: ContainerId, execed: bool) -> Option<usize> {
-            self.publish(container, execed, false)
-        }
-
-        /// [`Self::publish_avail`] with the final bit-set deliberately
-        /// weakened to `Relaxed` — the mutation the harness must catch
-        /// (`hotc-model/tests/mutation.rs`). Never a production sequence.
-        pub fn publish_avail_weak(&self, container: ContainerId, execed: bool) -> Option<usize> {
-            self.publish(container, execed, true)
-        }
-
-        fn publish(&self, container: ContainerId, execed: bool, weak: bool) -> Option<usize> {
-            let (i, chunk, bit) = self.ks.claim_lowest(|chunk| &chunk.free)?;
-            // lint:allow(atomic-ordering, entry store is ordered by the avail bit-set below)
-            chunk.entries[bit].store(pack_entry(container, execed), Ordering::Relaxed);
-            let fresh = if weak {
-                chunk.avail.release_relaxed(bit)
-            } else {
-                chunk.avail.release(bit)
-            };
-            debug_assert!(fresh, "published slot's avail bit was already set");
-            Some(i)
+        /// Real prewarm publish ([`KeySlots::publish_avail`]) into the
+        /// lowest free slot. `None` when no slot is free: the model grows
+        /// explicitly ([`Self::grow`]), not inside the free-claim.
+        pub fn publish_avail(
+            &self,
+            container: ContainerId,
+            execed: bool,
+            order: PublishOrder,
+        ) -> Option<usize> {
+            let free = self.ks.claim_lowest(|chunk| &chunk.free)?;
+            let (cell, key) = (self.cell(container), KeyId::from_index(0));
+            Some(
+                self.ks
+                    .publish_avail(free, cell, key, container, execed, order),
+            )
         }
 
         /// The growth step of [`KeySlots::claim_free`] (the real
@@ -1508,33 +1558,19 @@ pub mod model_api {
             self.ks.append(SlotChunk::new(prefree));
         }
 
-        /// The store sequence of [`super::RuntimePool::publish_in_use`]
-        /// (cold start): free-claim, entry store, the reverse-index
-        /// release-store, then the `in_use` release bit-set. `weak` relaxes
-        /// the reverse-index store — the mutation of the publication a
-        /// releaser's walk to a grown chunk relies on.
-        pub fn publish_in_use(&self, container: ContainerId, weak: bool) -> Option<usize> {
-            let (i, chunk, bit) = self.ks.claim_lowest(|chunk| &chunk.free)?;
-            // lint:allow(atomic-ordering, entry store is ordered by the in_use.release bit-set below)
-            chunk.entries[bit].store(pack_entry(container, false), Ordering::Relaxed);
-            let packed = super::pack_rindex(KeyId::from_index(0), i);
-            if weak {
-                // lint:allow(atomic-ordering, deliberately weak reverse-index publish; the mutation harness must catch it)
-                self.rindex.store(packed, Ordering::Relaxed);
-            } else {
-                self.rindex.store(packed, Ordering::Release);
-            }
-            let fresh = chunk.in_use.release(bit);
-            debug_assert!(fresh, "published slot's in_use bit was already set");
-            self.ks.note_acquire();
-            Some(i)
+        /// Real cold-start publish ([`KeySlots::publish_in_use`]) into the
+        /// lowest free slot (`None` when there is none).
+        pub fn publish_in_use(&self, container: ContainerId, order: PublishOrder) -> Option<usize> {
+            let free = self.ks.claim_lowest(|chunk| &chunk.free)?;
+            let (cell, key) = (self.cell(container), KeyId::from_index(0));
+            Some(self.ks.publish_in_use(free, cell, key, container, order))
         }
 
         /// The lock-free half of [`super::RuntimePool::release`]: resolve
-        /// the container through the reverse-index cell (`None` = not
+        /// the container through its reverse-index cell (`None` = not
         /// pooled yet), then the real release claim on the slot it names.
         pub fn release_via_rindex(&self, container: ContainerId) -> Option<(usize, bool)> {
-            let packed = self.rindex.load(Ordering::Acquire);
+            let packed = self.cell(container).load(Ordering::Acquire);
             let slot = (packed & u64::from(u32::MAX)).checked_sub(1)? as usize;
             Some((slot, self.ks.try_claim_release(slot, container)))
         }

@@ -30,8 +30,10 @@
 
 use crate::apps::AppProfile;
 use crate::pipeline::{RequestTrace, GATEWAY_HOP, WATCHDOG_HOP};
-use crate::RuntimeProvider;
-use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
+use crate::{Acquisition, RuntimeProvider};
+use containersim::{
+    ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError, ExecOutcome,
+};
 use metrics_lite::{Counter, MetricsRegistry, Stage, StageSample, StageSet};
 use simclock::{SimDuration, SimTime};
 use std::cell::{Cell, OnceCell};
@@ -179,6 +181,44 @@ pub struct InFlight {
 }
 
 impl InFlight {
+    /// Stamps the request-path timestamps (1)–(4) around the two things a
+    /// gateway does between them — `acquire` a runtime at (2), then `start`
+    /// the function process in it at (3) — and builds the in-flight record.
+    /// Shared by every gateway frontend, like [`Self::complete`]. The
+    /// closures run one after the other, so what both must borrow mutably
+    /// (an exclusive engine) travels in `ctx` instead of being captured
+    /// twice; a frontend whose entry points take `&self` passes `&mut ()`.
+    pub fn begin<C>(
+        ctx: &mut C,
+        spec: &FunctionSpec,
+        now: SimTime,
+        acquire: impl FnOnce(&mut C, SimTime) -> Result<Acquisition, EngineError>,
+        start: impl FnOnce(&mut C, ContainerId, SimTime) -> Result<ExecOutcome, EngineError>,
+    ) -> Result<InFlight, GatewayError> {
+        let t1 = now;
+        let t2 = t1 + GATEWAY_HOP;
+        let acq = acquire(ctx, t2)?;
+        // Function initiation: watchdog shim + obtaining the runtime.
+        let t3 = t2 + WATCHDOG_HOP + acq.cost;
+        let outcome = start(ctx, acq.container, t3)?;
+        let t4 = t3 + outcome.latency;
+        Ok(InFlight {
+            function: spec.name.clone(),
+            container: acq.container,
+            t4_func_end: t4,
+            t1,
+            t2,
+            t3,
+            cold: acq.cold,
+            first_exec: outcome.first_exec,
+            crashed: outcome.crashed,
+            breakdown: acq.breakdown,
+            reconfig: acq.reconfig,
+            init_latency: outcome.init_latency,
+            exec_latency: outcome.latency,
+        })
+    }
+
     /// Decomposes this request into per-stage durations. The stages always
     /// sum exactly to the trace's end-to-end `total()`: the four fixed hops,
     /// the acquisition cost (cold breakdown or reconfig), and the
@@ -387,32 +427,19 @@ impl<P: RuntimeProvider> Gateway<P> {
         spec: &FunctionSpec,
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
-        let t1 = now;
-        let t2 = t1 + GATEWAY_HOP;
-        let acq = provider.acquire(engine, &spec.config, t2)?;
-        // App init is due on a fresh runtime AND when the pooled runtime
-        // last ran a different app (fuzzy keys / shared runtime types).
-        let needs_app_init = engine.load_app(acq.container, spec.app.name)?;
-        let work = spec.app.work_for(needs_app_init);
-        // Function initiation: watchdog shim + obtaining the runtime.
-        let t3 = t2 + WATCHDOG_HOP + acq.cost;
-        let outcome = engine.begin_exec(acq.container, work, t3)?;
-        let t4 = t3 + outcome.latency;
-        Ok(InFlight {
-            function: spec.name.clone(),
-            container: acq.container,
-            t4_func_end: t4,
-            t1,
-            t2,
-            t3,
-            cold: acq.cold,
-            first_exec: outcome.first_exec,
-            crashed: outcome.crashed,
-            breakdown: acq.breakdown,
-            reconfig: acq.reconfig,
-            init_latency: outcome.init_latency,
-            exec_latency: outcome.latency,
-        })
+        InFlight::begin(
+            &mut (engine, provider),
+            spec,
+            now,
+            |(engine, provider), t2| provider.acquire(engine, &spec.config, t2),
+            |(engine, _), container, t3| {
+                // App init is due on a fresh runtime AND when the pooled
+                // runtime last ran a different app (fuzzy keys / shared
+                // runtime types).
+                let needs_app_init = engine.load_app(container, spec.app.name)?;
+                engine.begin_exec(container, spec.app.work_for(needs_app_init), t3)
+            },
+        )
     }
 
     /// Completes an in-flight request: the function process has stopped at

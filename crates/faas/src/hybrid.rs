@@ -19,35 +19,18 @@ use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use simclock::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
-/// Tuning for [`HybridKeepAlive`].
-#[derive(Debug, Clone, Copy)]
-pub struct HybridConfig {
-    /// Percentile of the idle-gap distribution to provision for.
-    pub percentile: f64,
-    /// Safety margin multiplied onto the percentile gap.
-    pub margin: f64,
-    /// TTL used until a type has enough gap samples.
-    pub default_ttl: SimDuration,
-    /// Samples needed before trusting the learned distribution.
-    pub min_samples: usize,
-    /// Lower clamp on learned TTLs.
-    pub min_ttl: SimDuration,
-    /// Upper clamp on learned TTLs.
-    pub max_ttl: SimDuration,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            percentile: 0.99,
-            margin: 1.1,
-            default_ttl: SimDuration::from_mins(10),
-            min_samples: 3,
-            min_ttl: SimDuration::from_secs(15),
-            max_ttl: SimDuration::from_mins(120),
-        }
-    }
-}
+/// Percentile of a type's idle-gap distribution to provision for.
+const PERCENTILE: f64 = 0.99;
+/// Safety margin multiplied onto the percentile gap.
+const MARGIN: f64 = 1.1;
+/// TTL used until a type has enough gap samples.
+const DEFAULT_TTL: SimDuration = SimDuration::from_mins(10);
+/// Samples needed before trusting the learned distribution.
+const MIN_SAMPLES: usize = 3;
+/// Lower clamp on learned TTLs.
+const MIN_TTL: SimDuration = SimDuration::from_secs(15);
+/// Upper clamp on learned TTLs.
+const MAX_TTL: SimDuration = SimDuration::from_mins(120);
 
 #[derive(Debug, Default)]
 struct TypeHistory {
@@ -80,16 +63,16 @@ impl TypeHistory {
         self.sorted.insert(at, gap);
     }
 
-    fn learned_ttl(&self, cfg: &HybridConfig) -> SimDuration {
-        if self.sorted.len() < cfg.min_samples {
-            return cfg.default_ttl;
+    fn learned_ttl(&self) -> SimDuration {
+        if self.sorted.len() < MIN_SAMPLES {
+            return DEFAULT_TTL;
         }
-        let rank = ((cfg.percentile * self.sorted.len() as f64).ceil() as usize)
-            .clamp(1, self.sorted.len());
+        let rank =
+            ((PERCENTILE * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
         self.sorted[rank - 1]
-            .mul_f64(cfg.margin)
-            .max(cfg.min_ttl)
-            .min(cfg.max_ttl)
+            .mul_f64(MARGIN)
+            .max(MIN_TTL)
+            .min(MAX_TTL)
     }
 }
 
@@ -115,28 +98,18 @@ impl TypeHistory {
 /// gateway.tick(now + SimDuration::from_mins(2)).unwrap();
 /// assert_eq!(gateway.provider().warm_count(), 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HybridKeepAlive {
-    config: HybridConfig,
     shelf: WarmShelf,
     history: HashMap<ContainerConfig, TypeHistory>,
     background: SimDuration,
 }
 
 impl HybridKeepAlive {
-    /// Creates the provider with default tuning.
+    /// Creates the provider (99th-percentile gap × 1.1, clamped to
+    /// 15 s – 120 min; 10 min until a type has three gaps).
     pub fn new() -> Self {
-        Self::with_config(HybridConfig::default())
-    }
-
-    /// Creates the provider with explicit tuning.
-    pub fn with_config(config: HybridConfig) -> Self {
-        HybridKeepAlive {
-            config,
-            shelf: WarmShelf::default(),
-            history: HashMap::new(),
-            background: SimDuration::ZERO,
-        }
+        Self::default()
     }
 
     /// The TTL currently in force for a configuration (learned or default).
@@ -144,19 +117,12 @@ impl HybridKeepAlive {
     fn ttl_for(&self, config: &ContainerConfig) -> SimDuration {
         self.history
             .get(config)
-            .map(|h| h.learned_ttl(&self.config))
-            .unwrap_or(self.config.default_ttl)
+            .map_or(DEFAULT_TTL, TypeHistory::learned_ttl)
     }
 
     /// Number of currently warm containers.
     pub fn warm_count(&self) -> usize {
         self.shelf.len()
-    }
-}
-
-impl Default for HybridKeepAlive {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -196,11 +162,11 @@ impl RuntimeProvider for HybridKeepAlive {
     }
 
     fn tick(&mut self, engine: &mut ContainerEngine, now: SimTime) -> Result<(), EngineError> {
-        let (cfg, history) = (self.config, &self.history);
+        let history = &self.history;
         self.background += self.shelf.expire(engine, now, |config| {
             history
                 .get(config)
-                .map_or(cfg.default_ttl, |h| h.learned_ttl(&cfg))
+                .map_or(DEFAULT_TTL, TypeHistory::learned_ttl)
         })?;
         Ok(())
     }
@@ -267,10 +233,7 @@ mod tests {
     fn default_ttl_until_enough_samples() {
         let gw = gateway();
         let config = gw.function("random-number").unwrap().config.clone();
-        assert_eq!(
-            gw.provider().ttl_for(&config),
-            HybridConfig::default().default_ttl
-        );
+        assert_eq!(gw.provider().ttl_for(&config), DEFAULT_TTL);
     }
 
     #[test]
@@ -288,7 +251,6 @@ mod tests {
     /// equals a from-scratch sort of the surviving window.
     #[test]
     fn gap_window_matches_naive_resort_across_wraparound() {
-        let cfg = HybridConfig::default();
         let mut history = TypeHistory::default();
         let mut naive: Vec<SimDuration> = Vec::new();
         // Deterministic pseudo-random gaps with plenty of duplicates.
@@ -317,7 +279,7 @@ mod tests {
                 sorted: resorted,
                 idle_since: None,
             };
-            assert_eq!(history.learned_ttl(&cfg), naive_hist.learned_ttl(&cfg));
+            assert_eq!(history.learned_ttl(), naive_hist.learned_ttl());
         }
         assert_eq!(history.gaps.len(), GAP_WINDOW);
         assert_eq!(history.sorted.len(), GAP_WINDOW);
@@ -325,19 +287,10 @@ mod tests {
 
     #[test]
     fn ttl_clamped_to_max() {
-        let cfg = HybridConfig {
-            max_ttl: SimDuration::from_mins(30),
-            ..Default::default()
-        };
-        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut gw = crate::Gateway::new(engine, HybridKeepAlive::with_config(cfg));
-        gw.register_app(AppProfile::random_number());
-        let mut now = SimTime::ZERO;
-        for _ in 0..8 {
-            let trace = gw.handle("random-number", now).expect("request");
-            now = trace.t4_func_end + SimDuration::from_mins(120);
-        }
+        let mut gw = gateway();
+        // Invoked every three hours: p99 × 1.1 is past the two-hour clamp.
+        drive_gaps(&mut gw, &[180 * 60; 8]);
         let config = gw.function("random-number").unwrap().config.clone();
-        assert_eq!(gw.provider().ttl_for(&config), SimDuration::from_mins(30));
+        assert_eq!(gw.provider().ttl_for(&config), MAX_TTL);
     }
 }

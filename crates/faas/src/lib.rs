@@ -36,7 +36,7 @@ pub mod policy;
 
 pub use apps::AppProfile;
 pub use gateway::{FunctionSpec, Gateway, GatewayStats, InFlight, SharedStats};
-pub use hybrid::{HybridConfig, HybridKeepAlive};
+pub use hybrid::HybridKeepAlive;
 pub use pipeline::RequestTrace;
 pub use policy::{ColdStartAlways, FixedKeepAlive, PeriodicWarmup};
 

@@ -4,11 +4,11 @@ use simclock::{SimDuration, SimTime};
 
 /// Virtual cost of the gateway proxying a request or response one hop
 /// (client↔gateway↔backend forwarding, queueing, header parsing).
-pub const GATEWAY_HOP: SimDuration = SimDuration::from_micros(1500);
+pub(crate) const GATEWAY_HOP: SimDuration = SimDuration::from_micros(1500);
 
 /// Virtual cost of the watchdog shim on each direction (HTTP parse, pipe to
 /// the function process stdin / read from stdout).
-pub const WATCHDOG_HOP: SimDuration = SimDuration::from_micros(800);
+pub(crate) const WATCHDOG_HOP: SimDuration = SimDuration::from_micros(800);
 
 /// The six moments the paper records along a request's path, plus outcome
 /// metadata. All instants are on the virtual clock.

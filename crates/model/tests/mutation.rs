@@ -1,7 +1,7 @@
 //! Mutation harness: prove the checker has teeth.
 //!
-//! `ModelSlots::publish_avail_weak` is the real publish sequence with the
-//! final `avail` bit-set deliberately weakened from `Release` to `Relaxed`.
+//! `PublishOrder::RelaxedBit` runs the real publish sequence with the final
+//! `avail` bit-set deliberately weakened from `Release` to `Relaxed`.
 //! Without the release edge a racing `claim_warm` may win the bit yet read
 //! the entry word stale (zero) — tripping `claim_warm`'s own
 //! `debug_assert_ne!(entry, 0, "claimed an avail bit over an empty slot")`.
@@ -11,6 +11,7 @@
 
 use containersim::ContainerId;
 use hotc::pool::model_api::ModelSlots;
+use hotc::pool::PublishOrder;
 use hotc_model::{spawn, Checker};
 use std::sync::Arc;
 
@@ -18,16 +19,12 @@ const C1: ContainerId = ContainerId(7);
 
 /// The racing shape: one publisher, one claimer, both spawned so the claim
 /// carries no spawn-edge visibility of the publish.
-fn race(weak: bool) -> impl Fn() + Send + Sync + 'static {
+fn race(order: PublishOrder) -> impl Fn() + Send + Sync + 'static {
     move || {
         let s = Arc::new(ModelSlots::new(1));
         let s2 = Arc::clone(&s);
         let publisher = spawn(move || {
-            let published = if weak {
-                s2.publish_avail_weak(C1, true)
-            } else {
-                s2.publish_avail(C1, true)
-            };
+            let published = s2.publish_avail(C1, true, order);
             assert!(published.is_some(), "the one slot was free");
         });
         let s3 = Arc::clone(&s);
@@ -43,7 +40,9 @@ fn race(weak: bool) -> impl Fn() + Send + Sync + 'static {
 
 #[test]
 fn relaxed_publish_mutation_is_caught() {
-    let report = Checker::new().preemption_bound(2).try_check(race(true));
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(race(PublishOrder::RelaxedBit));
     let v = report
         .violation
         .expect("weakened publish must leak a torn entry to some schedule");
@@ -62,7 +61,9 @@ fn relaxed_publish_mutation_is_caught() {
 fn release_publish_survives_the_same_race() {
     // Control arm: identical shape, real ordering — the checker must
     // exhaust the tree clean, or the mutation test above proves nothing.
-    let report = Checker::new().preemption_bound(2).try_check(race(false));
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(race(PublishOrder::Release));
     assert!(
         report.violation.is_none(),
         "real publish ordering is correct: {:?}",
@@ -74,13 +75,13 @@ fn release_publish_survives_the_same_race() {
 /// The growth shape: a publisher appends a chunk and cold-publishes into it
 /// while a releaser resolves the container through the reverse index. The
 /// releaser's only edge to the chunk append is the reverse-index cell.
-fn growth_race(weak: bool) -> impl Fn() + Send + Sync + 'static {
+fn growth_race(order: PublishOrder) -> impl Fn() + Send + Sync + 'static {
     move || {
         let s = Arc::new(ModelSlots::new(0));
         let s2 = Arc::clone(&s);
         let publisher = spawn(move || {
             s2.grow(1);
-            assert_eq!(s2.publish_in_use(C1, weak), Some(128));
+            assert_eq!(s2.publish_in_use(C1, order), Some(128));
         });
         let s3 = Arc::clone(&s);
         let releaser = spawn(move || {
@@ -98,7 +99,7 @@ fn relaxed_reverse_index_publish_into_a_grown_chunk_is_caught() {
     // the chain walk falls off the end.
     let report = Checker::new()
         .preemption_bound(2)
-        .try_check(growth_race(true));
+        .try_check(growth_race(PublishOrder::RelaxedRindex));
     let v = report
         .violation
         .expect("weakened reverse-index publish must strand some releaser");
@@ -111,7 +112,7 @@ fn relaxed_reverse_index_publish_into_a_grown_chunk_is_caught() {
     // Control arm: identical shape, real ordering — exhausted clean.
     let report = Checker::new()
         .preemption_bound(2)
-        .try_check(growth_race(false));
+        .try_check(growth_race(PublishOrder::Release));
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(report.complete, "tree exhausted within budget");
 }

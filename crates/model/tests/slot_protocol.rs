@@ -13,6 +13,7 @@
 
 use containersim::ContainerId;
 use hotc::pool::model_api::ModelSlots;
+use hotc::pool::PublishOrder::Release;
 use hotc_model::{spawn, Checker};
 use std::sync::Arc;
 use stdshim::SlotBitmap;
@@ -55,7 +56,7 @@ fn double_release_is_rejected_in_all_interleavings() {
     // try_claim_release may win in every schedule.
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(2));
-        s.publish_avail(C1, false).expect("free slot");
+        s.publish_avail(C1, false, Release).expect("free slot");
         let (i, c, _) = s.claim_warm().expect("setup claim");
         assert_eq!(c, C1);
         let s2 = Arc::clone(&s);
@@ -82,7 +83,7 @@ fn warm_acquire_release_vs_retire() {
     // the end, never both, never lost, never double-owned.
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(1));
-        s.publish_avail(C1, true).expect("free slot");
+        s.publish_avail(C1, true, Release).expect("free slot");
         let s2 = Arc::clone(&s);
         let t = spawn(move || {
             if let Some((i, c, execed)) = s2.claim_warm() {
@@ -131,7 +132,7 @@ fn warm_acquire_vs_evict_is_exclusive() {
     // bit can be taken at most once, so never neither.
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(1));
-        let i = s.publish_avail(C1, false).expect("free slot");
+        let i = s.publish_avail(C1, false, Release).expect("free slot");
         let s2 = Arc::clone(&s);
         let t = spawn(move || s2.claim_warm().is_some());
         let evicted = s.evict_at(i, C1);
@@ -163,7 +164,7 @@ fn evict_candidate_test_vs_warm_acquire_and_hand_back() {
     // absence of a violation within the budget.
     let report = checker().try_check(|| {
         let s = Arc::new(ModelSlots::new(1));
-        let i = s.publish_avail(C1, false).expect("free slot");
+        let i = s.publish_avail(C1, false, Release).expect("free slot");
         let s2 = Arc::clone(&s);
         let t = spawn(move || {
             let Some((j, c, _)) = s2.claim_warm() else {
@@ -217,9 +218,9 @@ fn cold_publish_vs_racing_claims_upholds_publish_before_bit_set() {
     // schedule even before our asserts run.
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(2));
-        s.publish_avail(C1, true).expect("free slot");
+        s.publish_avail(C1, true, Release).expect("free slot");
         let s2 = Arc::clone(&s);
-        let publisher = spawn(move || s2.publish_avail(C2, false));
+        let publisher = spawn(move || s2.publish_avail(C2, false, Release));
         let s3 = Arc::clone(&s);
         let claimer = spawn(move || s3.claim_warm());
         let mine = s.claim_warm();
@@ -250,13 +251,39 @@ fn cold_publish_vs_racing_claims_upholds_publish_before_bit_set() {
 }
 
 #[test]
+fn prewarm_publish_vs_claim_then_reverse_index_release() {
+    // A prewarm publish races a full warm round trip. Whoever wins the
+    // `avail` bit releases through the reverse index, as `RuntimePool::release`
+    // does — so the container's mapping must have been stored before the bit
+    // was set (the other half of publish-before-bit-set): a publish that set
+    // the bit first would leave some claimer holding a container the pool
+    // says it never handed out.
+    checker().check(|| {
+        let s = Arc::new(ModelSlots::new(1));
+        let s2 = Arc::clone(&s);
+        let publisher = spawn(move || s2.publish_avail(C1, false, Release));
+        if let Some((i, c, _)) = s.claim_warm() {
+            assert_eq!(
+                s.release_via_rindex(c),
+                Some((i, true)),
+                "claimed container has no reverse-index mapping"
+            );
+            s.hand_back(i, c);
+        }
+        assert_eq!(publisher.join(), Some(0));
+        assert!(s.avail_contains(C1), "published container not warm");
+        assert_eq!(s.in_use_count(), 0);
+    });
+}
+
+#[test]
 fn protocol_suite_exhausts_within_bound() {
     // The acceptance-criteria form: the acquire/release-vs-retire race is
     // not just violation-free but *exhausted* within the preemption bound
     // (complete=true means the DFS tree ended, not the budget).
     let report = checker().try_check(|| {
         let s = Arc::new(ModelSlots::new(1));
-        s.publish_avail(C1, true).expect("free slot");
+        s.publish_avail(C1, true, Release).expect("free slot");
         let s2 = Arc::clone(&s);
         let t = spawn(move || {
             if let Some((i, c, _)) = s2.claim_warm() {
@@ -295,10 +322,10 @@ fn chunk_growth_vs_warm_claim_and_reverse_index_release() {
         let claimer = spawn(move || s2.claim_warm());
         let s3 = Arc::clone(&s);
         let releaser = spawn(move || s3.release_via_rindex(C1));
-        assert_eq!(s.publish_in_use(C1, false), None, "head chunk is full");
+        assert_eq!(s.publish_in_use(C1, Release), None, "head chunk is full");
         s.grow(2);
-        assert_eq!(s.publish_in_use(C1, false), Some(128), "first grown slot");
-        assert_eq!(s.publish_avail(C2, false), Some(129));
+        assert_eq!(s.publish_in_use(C1, Release), Some(128), "first grown slot");
+        assert_eq!(s.publish_avail(C2, false, Release), Some(129));
         let claimed = claimer.join();
         // Unmapped yet, or mapped to slot 128 — where the claim may still
         // lose to the not-yet-set `in_use` bit.

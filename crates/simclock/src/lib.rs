@@ -12,9 +12,11 @@
 //! * [`Simulation`] — a single-threaded event-driven simulation driver over
 //!   a stable (FIFO within an instant) queue of timestamped events,
 //! * [`SimRng`] — a seeded random source with the distributions the
-//!   workload generators need (uniform, exponential, Poisson, Zipf, normal),
-//! * [`shared::ThreadTimeline`] — a per-thread virtual timeline for the
-//!   concurrent (scoped-thread) experiment drivers.
+//!   workload generators need (uniform, exponential, Poisson, Zipf, normal).
+//!
+//! Drivers that serve requests from several OS threads keep one plain
+//! [`SimTime`] per thread and advance it from each trace's last timestamp;
+//! there is no shared or per-thread clock type.
 //!
 //! # Example
 //!
@@ -34,7 +36,6 @@
 
 mod queue;
 pub mod rng;
-pub mod shared;
 pub mod sim;
 pub mod time;
 

@@ -5,7 +5,8 @@
 //! The workspace builds offline with no registry crates; this crate hosts
 //! the small pieces that third-party crates used to provide:
 //!
-//! * [`sync`] — non-poisoning `Mutex`/`RwLock` wrappers over `std::sync`
+//! * [`sync`] — a non-poisoning `Mutex` wrapper over `std::sync` (the
+//!   workspace's one lock kind)
 //!   with parking_lot-style ergonomics (`.lock()` returns the guard), a
 //!   debug-build lock-order sanitizer (class labels, ABBA cycle detection,
 //!   re-entry detection, [`sync::request_path_scope`]), and the lock-free
@@ -36,4 +37,4 @@ mod sync_slots;
 
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use json::{JsonValue, ToJson};
-pub use sync::{request_path_scope, LazySlotTable, Mutex, RwLock, SlotBitmap};
+pub use sync::{request_path_scope, LazySlotTable, Mutex, SlotBitmap};

@@ -1,19 +1,22 @@
-//! Non-poisoning synchronization primitives over `std::sync`, with a
-//! debug-build lock-order sanitizer.
+//! The workspace's one lock kind — a non-poisoning [`Mutex`] over
+//! `std::sync` — with a debug-build lock-order sanitizer.
 //!
 //! The concurrent experiment drivers want parking_lot-style ergonomics:
-//! `.lock()` / `.read()` / `.write()` return guards directly instead of a
-//! `Result` wrapping poison state. In this workspace a panic while holding a
+//! `.lock()` returns the guard directly instead of a `Result` wrapping
+//! poison state. In this workspace a panic while holding a
 //! lock only ever happens when a test assertion already failed, so poison
-//! recovery adds nothing but call-site noise — these wrappers simply clear
-//! the poison flag and hand out the guard.
+//! recovery adds nothing but call-site noise — the wrapper simply clears
+//! the poison flag and hands out the guard. There is no reader-writer lock:
+//! every lock in the workspace is this one kind, so the sanitizer has one
+//! acquire shape (EXPERIMENTS.md "Thread-contention curve" has the
+//! measurement behind the interner's move off its read lock).
 //!
 //! # Lock-order sanitizer (debug builds only)
 //!
-//! Under `debug_assertions` every [`Mutex`]/[`RwLock`] participates in a
+//! Under `debug_assertions` every [`Mutex`] participates in a
 //! process-wide lock-order sanitizer (see [`self::sanitizer`]):
 //!
-//! * **Class labels.** [`Mutex::labeled`]/[`RwLock::labeled`] tag a lock
+//! * **Class labels.** [`Mutex::labeled`] tags a lock
 //!   with a `&'static str` class (convention: `"subsystem/role"`, e.g.
 //!   `"pool/state"`). All locks of a class share one node in the global
 //!   lock-order graph. Unlabeled locks ([`Mutex::new`]) are tracked on the
@@ -26,8 +29,7 @@
 //!   both conflicting edges. Edges are recorded before the blocking wait, so
 //!   an interleaving that would deadlock panics instead of hanging.
 //! * **Re-entry.** Blocking-acquiring a lock this thread already holds (a
-//!   guaranteed self-deadlock for `Mutex`, and a writer-starvation deadlock
-//!   risk for `RwLock` read re-entry) panics immediately.
+//!   guaranteed self-deadlock) panics immediately.
 //! * **Request-path scope.** [`request_path_scope`] asserts the DESIGN.md §5
 //!   invariant — a request-path thread holds at most one lock at a time —
 //!   for the dynamic extent of the returned guard: acquiring a second lock
@@ -192,132 +194,6 @@ impl<T: ?Sized> Mutex<T> {
 impl<T> From<T> for Mutex<T> {
     fn from(value: T) -> Self {
         Mutex::new(value)
-    }
-}
-
-/// A reader-writer lock whose `read()`/`write()` never return poison errors.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    #[cfg(debug_assertions)]
-    class: Option<&'static str>,
-    inner: std::sync::RwLock<T>,
-}
-
-/// RAII guard for [`RwLock::read`].
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    #[cfg(debug_assertions)]
-    _tracked: Tracked,
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// RAII guard for [`RwLock::write`].
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    #[cfg(debug_assertions)]
-    _tracked: Tracked,
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> RwLock<T> {
-    /// Creates an unlabeled lock holding `value` (see [`Mutex::new`] for
-    /// what "unlabeled" means to the sanitizer).
-    pub fn new(value: T) -> Self {
-        RwLock {
-            #[cfg(debug_assertions)]
-            class: None,
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Creates a lock with a lock-order class label (see [`Mutex::labeled`]).
-    pub fn labeled(value: T, class: &'static str) -> Self {
-        #[cfg(not(debug_assertions))]
-        let _ = class;
-        RwLock {
-            #[cfg(debug_assertions)]
-            class: Some(class),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    #[cfg(debug_assertions)]
-    fn addr(&self) -> usize {
-        std::ptr::addr_of!(self.inner) as *const () as usize
-    }
-
-    /// Acquires shared read access, blocking until no writer holds the lock.
-    #[track_caller]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        sanitizer::before_blocking_acquire(self.addr(), self.class);
-        let inner = self
-            .inner
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        RwLockReadGuard {
-            #[cfg(debug_assertions)]
-            _tracked: sanitizer::track(self.addr(), self.class),
-            inner,
-        }
-    }
-
-    /// Acquires exclusive write access.
-    #[track_caller]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        sanitizer::before_blocking_acquire(self.addr(), self.class);
-        let inner = self
-            .inner
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        RwLockWriteGuard {
-            #[cfg(debug_assertions)]
-            _tracked: sanitizer::track(self.addr(), self.class),
-            inner,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T> From<T> for RwLock<T> {
-    fn from(value: T) -> Self {
-        RwLock::new(value)
     }
 }
 
@@ -641,34 +517,10 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            // Two simultaneous readers must come from *different* threads:
-            // same-thread read re-entry is a sanitizer violation (a queued
-            // writer between the two reads deadlocks both).
-            let a = l.read();
-            assert_eq!(a.len(), 2);
-        }
-        std::thread::scope(|s| {
-            let l = &l;
-            let handles: Vec<_> = (0..2).map(|_| s.spawn(move || l.read().len())).collect();
-            let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-            assert_eq!(total, 4);
-        });
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
-        assert_eq!(l.into_inner(), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn get_mut_bypasses_locking() {
         let mut m = Mutex::new(5);
         *m.get_mut() = 6;
         assert_eq!(*m.lock(), 6);
-        let mut l = RwLock::new(5);
-        *l.get_mut() = 6;
-        assert_eq!(*l.read(), 6);
     }
 
     #[test]
@@ -692,9 +544,6 @@ mod tests {
         let m = Mutex::labeled(1, "test/labeled-mutex");
         *m.lock() += 1;
         assert_eq!(m.into_inner(), 2);
-        let l = RwLock::labeled(1, "test/labeled-rwlock");
-        *l.write() += 1;
-        assert_eq!(*l.read(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 #![cfg(debug_assertions)]
 
 use std::sync::{Arc, OnceLock};
-use stdshim::sync::{request_path_scope, Mutex, RwLock};
+use stdshim::sync::{request_path_scope, Mutex};
 
 /// Runs `f` on a fresh thread, expecting it to panic, and returns the panic
 /// message. Installs a quiet panic hook once so expected panics don't spray
@@ -104,19 +104,6 @@ fn mutex_reentry_is_detected() {
     });
     assert!(msg.contains("re-entrant"), "unexpected message: {msg}");
     assert!(msg.contains("reentry/mutex"), "missing class in: {msg}");
-}
-
-#[test]
-fn rwlock_read_reentry_is_detected() {
-    // Same-thread read re-entry deadlocks if a writer queues between the
-    // two reads, so the sanitizer rejects it outright.
-    let l = Arc::new(RwLock::labeled(0u32, "reentry/rwlock"));
-    let msg = panic_message(move || {
-        let _first = l.read();
-        let _second = l.read();
-    });
-    assert!(msg.contains("re-entrant"), "unexpected message: {msg}");
-    assert!(msg.contains("reentry/rwlock"), "missing class in: {msg}");
 }
 
 #[test]
@@ -219,17 +206,17 @@ fn scope_expires_when_guard_drops() {
 #[test]
 fn consistent_global_order_never_panics_under_contention() {
     let a = Arc::new(Mutex::labeled(0u64, "order/outer"));
-    let b = Arc::new(RwLock::labeled(0u64, "order/inner"));
+    let b = Arc::new(Mutex::labeled(0u64, "order/inner"));
     std::thread::scope(|s| {
         for _ in 0..4 {
             let (a, b) = (Arc::clone(&a), Arc::clone(&b));
             s.spawn(move || {
                 for _ in 0..200 {
                     let ga = a.lock();
-                    *b.write() += *ga;
+                    *b.lock() += *ga;
                 }
             });
         }
     });
-    assert_eq!(*b.read(), 0);
+    assert_eq!(*b.lock(), 0);
 }

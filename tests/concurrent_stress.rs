@@ -4,13 +4,15 @@
 
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::AppProfile;
-use hotc::{ConcurrentGateway, HotCConfig, PoolLimits};
-use simclock::shared::ThreadTimeline;
+use hotc::{ConcurrentGateway, FunctionHandle, HotCConfig, PoolLimits};
 use simclock::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-fn shared_gateway(functions: usize, limits: Option<PoolLimits>) -> Arc<ConcurrentGateway> {
+/// The gateway with `fn-0`…`fn-{functions-1}` registered, and their handles.
+fn shared_gateway(
+    functions: usize,
+    limits: Option<PoolLimits>,
+) -> (ConcurrentGateway, Vec<FunctionHandle>) {
     let engine = ContainerEngine::with_local_images(HardwareProfile::server());
     let gw = ConcurrentGateway::new(
         engine,
@@ -26,17 +28,19 @@ fn shared_gateway(functions: usize, limits: Option<PoolLimits>) -> Arc<Concurren
         LanguageRuntime::Java,
         LanguageRuntime::Ruby,
     ];
-    for i in 0..functions {
-        let app = AppProfile::qr_code(langs[i % langs.len()]);
-        let mut config = app.default_config();
-        config.exec.env.insert("SHARD".into(), i.to_string());
-        gw.register(
-            faas::FunctionSpec::from_app(app)
-                .named(format!("fn-{i}"))
-                .with_config(config),
-        );
-    }
-    Arc::new(gw)
+    let handles = (0..functions)
+        .map(|i| {
+            let app = AppProfile::qr_code(langs[i % langs.len()]);
+            let mut config = app.default_config();
+            config.exec.env.insert("SHARD".into(), i.to_string());
+            gw.register(
+                faas::FunctionSpec::from_app(app)
+                    .named(format!("fn-{i}"))
+                    .with_config(config),
+            )
+        })
+        .collect();
+    (gw, handles)
 }
 
 /// Live containers according to the engine.
@@ -49,24 +53,25 @@ fn stress_many_threads_many_functions() {
     let functions = 6;
     let threads = 8;
     let per_thread = 50;
-    let gw = shared_gateway(functions, None);
-    let errors = Arc::new(AtomicU64::new(0));
+    let (gw, handles) = shared_gateway(functions, None);
+    let errors = AtomicU64::new(0);
 
     std::thread::scope(|s| {
         for t in 0..threads {
-            let gw = Arc::clone(&gw);
-            let errors = Arc::clone(&errors);
+            let (gw, handles, errors) = (&gw, &handles, &errors);
             s.spawn(move || {
-                let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+                let mut now = SimTime::ZERO;
                 for i in 0..per_thread {
-                    let function = format!("fn-{}", (t + i) % functions);
-                    match gw.handle(&function, &mut timeline) {
-                        Ok(trace) => assert!(trace.is_well_formed()),
+                    match gw.handle(&handles[(t + i) % functions], now) {
+                        Ok(trace) => {
+                            assert!(trace.is_well_formed());
+                            now = trace.t6_gateway_out;
+                        }
                         Err(_) => {
                             errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    timeline.advance(SimDuration::from_millis(500));
+                    now += SimDuration::from_millis(500);
                 }
             });
         }
@@ -90,25 +95,23 @@ fn stress_many_threads_many_functions() {
 
 #[test]
 fn stress_with_concurrent_ticks_and_limits() {
-    let gw = shared_gateway(4, Some(PoolLimits::new(6, 0.99)));
+    let (gw, handles) = shared_gateway(4, Some(PoolLimits::new(6, 0.99)));
     std::thread::scope(|s| {
         // Worker threads.
         for t in 0..6 {
-            let gw = Arc::clone(&gw);
+            let (gw, handles) = (&gw, &handles);
             s.spawn(move || {
-                let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+                let mut now = SimTime::ZERO;
                 for i in 0..40 {
-                    let function = format!("fn-{}", (t * 7 + i) % 4);
-                    gw.handle(&function, &mut timeline).expect("request");
-                    timeline.advance(SimDuration::from_millis(750));
+                    let trace = gw.handle(&handles[(t * 7 + i) % 4], now).expect("request");
+                    now = trace.t6_gateway_out + SimDuration::from_millis(750);
                 }
             });
         }
         // A maintenance thread racing ticks against the workers.
-        let gw_tick = Arc::clone(&gw);
-        s.spawn(move || {
+        s.spawn(|| {
             for k in 0..50u64 {
-                gw_tick.tick(SimTime::from_secs(k * 30)).expect("tick");
+                gw.tick(SimTime::from_secs(k * 30)).expect("tick");
                 std::thread::yield_now();
             }
         });
@@ -123,15 +126,14 @@ fn stress_with_concurrent_ticks_and_limits() {
 
 #[test]
 fn contended_single_function_converges_to_small_pool() {
-    let gw = shared_gateway(1, None);
+    let (gw, handles) = shared_gateway(1, None);
     std::thread::scope(|s| {
         for _ in 0..8 {
-            let gw = Arc::clone(&gw);
-            s.spawn(move || {
-                let mut timeline = ThreadTimeline::starting_at(SimTime::ZERO);
+            s.spawn(|| {
+                let mut now = SimTime::ZERO;
                 for _ in 0..30 {
-                    gw.handle("fn-0", &mut timeline).expect("request");
-                    timeline.advance(SimDuration::from_secs(1));
+                    let trace = gw.handle(&handles[0], now).expect("request");
+                    now = trace.t6_gateway_out + SimDuration::from_secs(1);
                 }
             });
         }
