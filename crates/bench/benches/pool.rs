@@ -4,7 +4,7 @@
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-use hotc::{ExclusiveEngine, KeyPolicy, RuntimeKey, RuntimePool};
+use hotc::{ExclusiveEngine, KeyPolicy, RuntimePool};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
 use std::hint::black_box;
@@ -25,17 +25,10 @@ fn configs(n: usize) -> Vec<ContainerConfig> {
         .collect()
 }
 
-fn bench_key_canonicalization(h: &mut Harness) {
+fn bench_key_intern(h: &mut Harness) {
+    // A re-intern of a known configuration hashes the key-relevant fields
+    // and returns the u32 id — nothing is allocated.
     let config = &configs(1)[0];
-    h.bench("key/exact_from_config", || {
-        RuntimeKey::from_config(black_box(config), KeyPolicy::Exact)
-    });
-    h.bench("key/fuzzy_from_config", || {
-        RuntimeKey::from_config(black_box(config), KeyPolicy::Fuzzy)
-    });
-    // The steady-state replacement for the formatting above: a re-intern of
-    // a known configuration hashes the key-relevant fields and returns the
-    // u32 id — no string is built, nothing is allocated.
     let pool = RuntimePool::new(KeyPolicy::Exact);
     let id = pool.intern_config(config);
     h.bench("key/intern_hit", || {
@@ -156,7 +149,7 @@ fn bench_evict_at_cap(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::new("pool");
-    bench_key_canonicalization(&mut h);
+    bench_key_intern(&mut h);
     bench_acquire_release_reuse(&mut h, "acquire_exec_release_reuse", 0);
     bench_acquire_release_reuse(&mut h, "reuse_with_200_held", 200);
     bench_acquire_many_types(&mut h);

@@ -8,9 +8,10 @@
 //! runs at a fixed interval, *before* arrivals that share the same instant
 //! (the controller acts at round boundaries).
 //!
-//! [`run_trace`], [`run_trace_partition`], [`run_trace_on`] and the
-//! collecting [`run_workload`] are thin adapters over one private event loop;
-//! the closure-scheduled driver it was derived from survives only as the
+//! [`run_trace`], [`run_trace_partition`] and the collecting
+//! [`run_workload`] are thin adapters over one crate-private event loop,
+//! [`run_trace_core`], which the cluster experiments call directly; the
+//! closure-scheduled driver it was derived from survives only as the
 //! independent oracle in [`crate::reference`] (DESIGN.md §2, §10.2).
 
 use faas::gateway::{Gateway, GatewayError};
@@ -256,7 +257,7 @@ impl<K> Ord for FinishAt<K> {
 /// What the event loop needs from an arrival source beyond [`Trace`]. A
 /// plain trace reports what the loop itself counted; a parallel worker's
 /// [`PartitionTrace`] overrides both with facts about the underlying stream.
-trait ReplaySource: Trace {
+pub(crate) trait ReplaySource: Trace {
     /// Pulls the next arrival with its *reported* sequence number: the
     /// loop's own pull count, or the arrival's global index in the underlying
     /// stream (finish tie-breaks and callbacks then match the sequential run).
@@ -272,6 +273,7 @@ trait ReplaySource: Trace {
 }
 
 impl ReplaySource for dyn Trace + '_ {}
+impl ReplaySource for VecTrace {}
 
 impl<T: Trace> ReplaySource for PartitionTrace<T> {
     fn next_seq(&mut self, _pulled: u64) -> Option<(Arrival, u64)> {
@@ -303,20 +305,8 @@ pub fn run_trace<P>(
 where
     P: RuntimeProvider + 'static,
 {
-    let summary = run_trace_on(&mut gateway, trace, route, tick_interval, on_finish);
+    let summary = run_trace_core(&mut gateway, trace, route, tick_interval, on_finish);
     TraceOutcome::new(gateway, summary)
-}
-
-/// [`run_trace`] over any borrowed [`ReplayTarget`] — how the cluster
-/// experiments drive a [`Cluster`] through the same loop.
-pub(crate) fn run_trace_on<T: ReplayTarget>(
-    target: &mut T,
-    trace: &mut dyn Trace,
-    route: impl Fn(usize) -> String,
-    tick_interval: SimDuration,
-    on_finish: impl FnMut(u64, &T::Finished),
-) -> ReplaySummary {
-    run_trace_core(target, trace, route, tick_interval, on_finish)
 }
 
 /// Streams one worker's partition of a trace through that worker's own
@@ -376,7 +366,10 @@ where
     })
 }
 
-fn run_trace_core<T, S>(
+/// The event loop: replays `source` through any borrowed [`ReplayTarget`]
+/// with [`run_trace`]'s semantics. The cluster experiments call it directly
+/// on a [`Cluster`].
+pub(crate) fn run_trace_core<T, S>(
     target: &mut T,
     source: &mut S,
     route: impl Fn(usize) -> String,

@@ -7,7 +7,7 @@
 //! policy estimates completion (cold-start cost + node execution speed) and
 //! pays a server cold start instead when that is cheaper.
 
-use crate::driver::run_trace_on;
+use crate::driver::run_trace_core;
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::gateway::Gateway;
 use faas::{AppProfile, FunctionSpec};
@@ -93,7 +93,7 @@ fn eval(policy: SchedulePolicy, arrivals: &[Arrival]) -> CloudletEval {
     let mut light = LatencyRecorder::new();
     let mut heavy = LatencyRecorder::new();
     let mut heavy_on_server = 0usize;
-    run_trace_on(
+    run_trace_core(
         &mut cluster,
         &mut VecTrace::new(arrivals.to_vec()),
         |config_id| if config_id == 1 { "v3-app" } else { "qr-code" }.to_string(),

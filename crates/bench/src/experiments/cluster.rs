@@ -6,7 +6,7 @@
 //! under each scheduling policy and compare cold starts, latency, resource
 //! footprint, and load balance.
 
-use crate::driver::run_trace_on;
+use crate::driver::run_trace_core;
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::gateway::Gateway;
 use faas::{AppProfile, FunctionSpec};
@@ -79,7 +79,7 @@ fn build_cluster(policy: SchedulePolicy, nodes: usize, functions: usize) -> Clus
 fn replay(cluster: &mut Cluster, workload: &[workloads::Arrival]) -> (LatencyRecorder, usize) {
     let mut recorder = LatencyRecorder::new();
     let mut cold = 0;
-    run_trace_on(
+    run_trace_core(
         cluster,
         &mut VecTrace::new(workload.to_vec()),
         |config_id| format!("fn-{config_id}"),

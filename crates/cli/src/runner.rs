@@ -14,11 +14,10 @@ use faas::{
     AppProfile, ColdStartAlways, FixedKeepAlive, FunctionSpec, HybridKeepAlive, PeriodicWarmup,
     RequestTrace, RuntimeProvider,
 };
-use hotc::{HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimeKey};
+use hotc::{HotC, HotCConfig, KeyInterner, KeyPolicy, PoolLimits};
 use hotc_bench::{run_partitioned, run_trace_partition};
 use metrics_lite::{MetricsSnapshot, Table};
 use simclock::SimDuration;
-use std::collections::HashMap;
 use std::sync::Arc;
 use workloads::patterns::Direction;
 use workloads::trace::{
@@ -526,28 +525,21 @@ fn dispatch_provider<O: ProviderOp>(spec: &ProviderSpec, threads: usize, op: O) 
 }
 
 /// Assigns each slot to a worker such that slots whose runtimes can be
-/// reused for one another (same [`RuntimeKey`] under the provider's matching
+/// reused for one another (one runtime key under the provider's matching
 /// policy) always land on the same worker — the partition unit is the
 /// reuse-closure, so no warm container is ever visible from two workers.
-/// Key groups are dealt round-robin in first-appearance order.
+/// Key groups are dealt round-robin in first-appearance order, which is
+/// interning order.
 fn partition_slots(slots: &[FunctionSpec], policy: KeyPolicy, threads: usize) -> Vec<usize> {
-    // One worker owns every slot; formatting each slot's runtime key to
-    // learn that is a dozen allocations per function for nothing.
+    // One worker owns every slot; interning each slot's configuration to
+    // learn that is a clone per function for nothing.
     if threads <= 1 {
         return vec![0; slots.len()];
     }
-    let mut group_of: HashMap<RuntimeKey, usize> = HashMap::new();
-    let mut next = 0usize;
+    let interner = KeyInterner::new(policy);
     slots
         .iter()
-        .map(|slot| {
-            let key = RuntimeKey::from_config(&slot.config, policy);
-            *group_of.entry(key).or_insert_with(|| {
-                let w = next % threads;
-                next += 1;
-                w
-            })
-        })
+        .map(|slot| interner.intern(&slot.config).index() % threads)
         .collect()
 }
 

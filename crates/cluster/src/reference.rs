@@ -3,9 +3,10 @@
 //!
 //! Same policies, same staleness-as-events protocol, same RNG discipline —
 //! but every data structure is the obvious scan: believed warm counts live
-//! in per-node `HashMap<RuntimeKey, usize>` snapshots rebuilt by walking
-//! the pools, loads are summed on demand, and the best warm host is found
-//! by scanning all nodes. The property test in
+//! in per-node `HashMap<KeyId, usize>` snapshots (ids from the reference's
+//! own interner) rebuilt by walking the registered functions against the
+//! pools, loads are summed on demand, and the best warm host is found by
+//! scanning all nodes. The property test in
 //! `tests/indexed_matches_reference.rs` drives this and the indexed
 //! implementation in lockstep from one seed and asserts they agree
 //! decision-for-decision; keep any semantic change to one of them mirrored
@@ -19,9 +20,10 @@
 
 use std::collections::HashMap;
 
+use containersim::ContainerConfig;
 use faas::gateway::{Gateway, GatewayError, InFlight};
 use faas::{FunctionSpec, RequestTrace};
-use hotc::{HotC, RuntimeKey};
+use hotc::{HotC, KeyId, KeyInterner};
 use simclock::{SimDuration, SimRng, SimTime};
 
 use crate::sched::{Cluster, ClusterError, ClusterStats, SchedulePolicy};
@@ -48,16 +50,22 @@ pub struct ReferenceCluster {
     rng: SimRng,
     staleness: SimDuration,
     last_sync: Option<SimTime>,
+    /// Interns registered configurations under the nodes' key policy.
+    interner: KeyInterner,
     /// `snapshot[node]` = believed warm-available count per runtime key.
-    snapshot: Vec<HashMap<RuntimeKey, usize>>,
+    snapshot: Vec<HashMap<KeyId, usize>>,
     /// Registered functions, in registration order (no map iteration).
-    functions: Vec<(FunctionSpec, RuntimeKey)>,
+    functions: Vec<(FunctionSpec, KeyId)>,
 }
 
 impl ReferenceCluster {
     /// Builds a reference cluster from named per-node gateways (names are
     /// accepted for signature parity with [`Cluster::new`] and dropped).
     pub fn new(policy: SchedulePolicy, gateways: Vec<(String, Gateway<HotC>)>, seed: u64) -> Self {
+        let key_policy = gateways
+            .first()
+            .map(|(_, g)| g.provider().pool().policy())
+            .unwrap_or_default();
         let nodes: Vec<RefNode> = gateways
             .into_iter()
             .map(|(_, gateway)| RefNode {
@@ -73,6 +81,7 @@ impl ReferenceCluster {
             rng: SimRng::seeded(seed),
             staleness: SimDuration::ZERO,
             last_sync: None,
+            interner: KeyInterner::new(key_policy),
             snapshot,
             functions: Vec::new(),
         }
@@ -96,10 +105,7 @@ impl ReferenceCluster {
 
     /// Mirrors [`Cluster::register_everywhere`].
     pub fn register_everywhere(&mut self, spec: FunctionSpec) {
-        let key = match self.nodes.first() {
-            Some(n) => n.gateway.provider().pool().key_of(&spec.config),
-            None => return,
-        };
+        let key = self.interner.intern(&spec.config);
         if let Some(entry) = self.functions.iter_mut().find(|(s, _)| s.name == spec.name) {
             *entry = (spec, key);
         } else {
@@ -111,27 +117,34 @@ impl ReferenceCluster {
         self.functions.iter().position(|(s, _)| s.name == function)
     }
 
-    fn live_count(&self, node: usize, key: &RuntimeKey) -> usize {
-        self.nodes[node].gateway.provider().pool().num_avail(key)
+    /// The node pool's live warm count for `config`'s key. Looks the key
+    /// up, never interns it: a new id would shift the node pool's `KeyId`
+    /// order, which its controller's visit order and eviction tie-breaks
+    /// follow.
+    fn live_count(&self, node: usize, config: &ContainerConfig) -> usize {
+        let pool = self.nodes[node].gateway.provider().pool();
+        pool.id_for(config).map_or(0, |id| pool.num_avail_id(id))
     }
 
     /// Rebuilds one node's believed map by scanning every registered
     /// function against the node's pool.
     fn resync_node(&mut self, node: usize) {
         let mut map = HashMap::new();
-        for (_, key) in &self.functions {
-            map.insert(key.clone(), self.live_count(node, key));
+        for (spec, key) in &self.functions {
+            map.insert(*key, self.live_count(node, &spec.config));
         }
         self.snapshot[node] = map;
     }
 
-    fn touch_true(&mut self, node: usize, key: &RuntimeKey) {
-        let count = self.live_count(node, key);
-        self.snapshot[node].insert(key.clone(), count);
+    /// Refreshes the believed count of function `f`'s key on `node`.
+    fn touch_true(&mut self, node: usize, f: usize) {
+        let (spec, key) = &self.functions[f];
+        let count = self.live_count(node, &spec.config);
+        self.snapshot[node].insert(*key, count);
     }
 
-    fn believed(&self, node: usize, key: &RuntimeKey) -> usize {
-        self.snapshot[node].get(key).copied().unwrap_or(0)
+    fn believed(&self, node: usize, key: KeyId) -> usize {
+        self.snapshot[node].get(&key).copied().unwrap_or(0)
     }
 
     fn sync_if_due(&mut self, now: SimTime) {
@@ -167,7 +180,7 @@ impl ReferenceCluster {
         }
     }
 
-    fn best_warm(&self, key: &RuntimeKey) -> Option<usize> {
+    fn best_warm(&self, key: KeyId) -> Option<usize> {
         (0..self.nodes.len())
             .filter(|&i| self.believed(i, key) > 0)
             .min_by_key(|&i| (self.nodes[i].inflight, i))
@@ -176,7 +189,7 @@ impl ReferenceCluster {
     fn completion_estimate(&self, i: usize, f: usize) -> Option<SimDuration> {
         let (spec, key) = &self.functions[f];
         let engine = self.nodes[i].gateway.engine();
-        let cold = if self.believed(i, key) > 0 {
+        let cold = if self.believed(i, *key) > 0 {
             SimDuration::ZERO
         } else {
             engine.estimate_cold_start(&spec.config).ok()?
@@ -205,8 +218,7 @@ impl ReferenceCluster {
             SchedulePolicy::LeastLoaded => self.pick_p2c(),
             SchedulePolicy::ReuseAffinity => {
                 self.sync_if_due(now);
-                let key = self.functions[f].1.clone();
-                match self.best_warm(&key) {
+                match self.best_warm(self.functions[f].1) {
                     Some(candidate) => {
                         let limit = self.mean_load() * Cluster::OVERLOAD_FACTOR + 1.0;
                         if (self.nodes[candidate].inflight as f64) > limit {
@@ -238,15 +250,15 @@ impl ReferenceCluster {
         let (f, node) = self.place(function, now)?;
         let spec = self.functions[f].0.clone();
         let inner = self.nodes[node].gateway.begin_with(&spec, now)?;
-        let key = self.functions[f].1.clone();
+        let key = self.functions[f].1;
         if self.staleness.is_zero() {
             if inner.cold {
                 self.resync_node(node);
             } else {
-                self.touch_true(node, &key);
+                self.touch_true(node, f);
             }
         } else {
-            let believed = self.believed(node, &key);
+            let believed = self.believed(node, key);
             if believed > 0 {
                 self.snapshot[node].insert(key, believed - 1);
             }
@@ -258,14 +270,12 @@ impl ReferenceCluster {
     /// Mirrors [`Cluster::finish`].
     pub fn finish(&mut self, ticket: RefInFlight) -> Result<RequestTrace, ClusterError> {
         let RefInFlight { node, inner } = ticket;
-        let key = self
-            .fn_index(&inner.function)
-            .map(|f| self.functions[f].1.clone());
+        let f = self.fn_index(&inner.function);
         let trace = self.nodes[node].gateway.finish(inner)?;
         self.nodes[node].inflight -= 1;
         if self.staleness.is_zero() {
-            if let Some(key) = key {
-                self.touch_true(node, &key);
+            if let Some(f) = f {
+                self.touch_true(node, f);
             }
         }
         Ok(trace)

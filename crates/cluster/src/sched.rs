@@ -797,6 +797,36 @@ mod tests {
         assert_eq!(c.believed_warm("qr-code", 0), 1);
         assert!((0..3).all(|n| in_sync(&c, n)));
     }
+
+    /// Regression: a resync finds a node key the cluster never placed by
+    /// the key's configuration. Looked up by formatted key string, `X=1,Y=2`
+    /// in one env value and `X=1` + `Y=2` were one key, and the runtime
+    /// that served A was credited to B, registered after it.
+    #[test]
+    fn a_resync_credits_a_warm_runtime_to_its_own_configuration() {
+        let spec = |name: &str, env: &[(&str, &str)]| {
+            let app = AppProfile::qr_code(LanguageRuntime::Python);
+            let mut config = app.default_config();
+            for &(k, v) in env {
+                config.exec.env.insert(k.into(), v.into());
+            }
+            FunctionSpec::from_app(app).named(name).with_config(config)
+        };
+        let (a, b) = (
+            spec("a", &[("X", "1,Y=2")]),
+            spec("b", &[("X", "1"), ("Y", "2")]),
+        );
+        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let mut node = Gateway::new(engine, HotC::with_defaults());
+        node.register(a.clone());
+        let served = node.handle("a", SimTime::ZERO).unwrap();
+        let mut c = Cluster::new(SchedulePolicy::ReuseAffinity, vec![("node-0".into(), node)]);
+        c.register_everywhere(a);
+        c.register_everywhere(b);
+        c.tick(served.t6_gateway_out).unwrap();
+        assert_eq!(c.believed_warm("a", 0), 1);
+        assert_eq!(c.believed_warm("b", 0), 0);
+    }
 }
 
 #[cfg(test)]
@@ -956,7 +986,8 @@ mod staleness_tests {
         // Node 0 now holds a live warm qr-code runtime…
         let live = {
             let pool = c.nodes[0].gateway.provider().pool();
-            pool.num_avail(&pool.key_of(&qr.config))
+            pool.id_for(&qr.config)
+                .map_or(0, |id| pool.num_avail_id(id))
         };
         assert_eq!(live, 1);
         // …that the stale view cannot see — for *any* policy.

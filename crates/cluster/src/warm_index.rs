@@ -167,9 +167,9 @@ impl WarmIndex {
     /// state — a sync event. O(keys currently/previously warm on the node),
     /// never O(cluster). Warm keys without a cached translation (the node
     /// acquired them outside this cluster's placements, e.g. by a local
-    /// prewarm) are resolved once through `interner` — keys the cluster has
-    /// never registered stay invisible, since it could not route to them
-    /// anyway. Node pools share the cluster interner's [`hotc::KeyPolicy`]
+    /// prewarm) are resolved once: the node key's configuration is looked
+    /// up in `interner` — keys the cluster has never registered stay
+    /// invisible, since it could not route to them anyway. Node pools share the cluster interner's [`hotc::KeyPolicy`]
     /// (`Cluster::new` rejects a mixed node list).
     pub(crate) fn resync_node(&mut self, node: usize, pool: &RuntimePool, interner: &KeyInterner) {
         #[cfg(test)]
@@ -190,9 +190,11 @@ impl WarmIndex {
             let ck = match view.l2c.get(&li) {
                 Some(&ck) => ck,
                 None => {
+                    // Clone the configuration out before the cluster lookup:
+                    // the two interners share a lock class.
                     let Some(ck) = pool
-                        .resolve_key(local)
-                        .and_then(|key| interner.lookup(&key))
+                        .key_config(local)
+                        .and_then(|config| interner.get(&config))
                         .map(|k| k.index() as u32)
                     else {
                         return;

@@ -125,8 +125,9 @@ impl ConcurrentGateway {
 
     /// Registers a function and returns the handle its requests are served
     /// through. The runtime key is interned and the per-function stage set
-    /// resolved here, once, so the per-request path never formats, hashes,
-    /// or looks up a key string.
+    /// resolved here, once, so the per-request path never hashes a
+    /// configuration or looks up a scope name. The scope stays out of
+    /// snapshots until its first request is recorded.
     pub fn register(&self, spec: FunctionSpec) -> FunctionHandle {
         FunctionHandle {
             key_id: self.pool().intern_config(&spec.config),
@@ -407,11 +408,15 @@ mod tests {
     /// both gateways: the concurrent frontend changes synchronization, not
     /// semantics, so the traces agree request for request and so does what
     /// the snapshot says about them (`fn/*` and `all` stages, `gateway/e2e`,
-    /// the request and cold-start counters).
+    /// the request and cold-start counters). A function registered on both
+    /// and never invoked shows up in neither snapshot.
     #[test]
     fn serial_traffic_yields_the_exclusive_gateways_traces_and_snapshot() {
         let (concurrent, handles) = concurrent_gateway();
         let mut exclusive = exclusive_gateway(HotCConfig::default());
+        let idle = FunctionSpec::from_app(AppProfile::random_number()).named("never-invoked");
+        exclusive.register(idle.clone());
+        concurrent.register(idle);
         let mut now = SimTime::ZERO;
         for i in 0..12 {
             let function = &handles[i % 4];
@@ -594,10 +599,14 @@ mod tests {
     /// acquired under, ready for reuse, and nothing else is pooled or in use.
     fn assert_returned_to_the_python_pool(pool: &RuntimePool, live: usize) {
         let specs = qr_specs();
-        let (python, go) = (pool.key_of(&specs[0].config), pool.key_of(&specs[1].config));
+        let counts = |spec: &FunctionSpec| {
+            pool.id_for(&spec.config)
+                .map_or((0, 0), |id| (pool.num_avail_id(id), pool.num_in_use_id(id)))
+        };
         assert_eq!((pool.total_live(), live), (1, 1), "(pool, engine) live");
-        assert_eq!((pool.num_avail(&python), pool.num_in_use(&python)), (1, 0));
-        assert_eq!((pool.num_avail(&go), pool.num_in_use(&go)), (0, 0));
+        assert_eq!(counts(&specs[0]), (1, 0));
+        assert_eq!(counts(&specs[1]), (0, 0));
+        let python = pool.id_for(&specs[0].config).unwrap();
         assert_eq!(pool.keys(), vec![python], "pooled under another key");
     }
 

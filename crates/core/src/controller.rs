@@ -420,8 +420,8 @@ mod tests {
             drive_demand(&pool, &mut e, 5, now);
             step(&mut ctl, &pool, &mut e, now);
         }
-        let key = pool.key_of(&cfg());
-        let live = pool.num_avail(&key) + pool.num_in_use(&key);
+        let key = pool.intern_config(&cfg());
+        let live = pool.num_avail_id(key) + pool.num_in_use_id(key);
         assert!(
             (4..=7).contains(&live),
             "pool should track demand of 5, got {live}"
@@ -437,15 +437,15 @@ mod tests {
             drive_demand(&pool, &mut e, 10, now);
             step(&mut ctl, &pool, &mut e, now);
         }
-        let key = pool.key_of(&cfg());
-        let high = pool.num_avail(&key);
+        let key = pool.intern_config(&cfg());
+        let high = pool.num_avail_id(key);
         assert!(high >= 8, "pool grew to demand, got {high}");
         // …then it vanishes.
         for t in 8..20 {
             let now = SimTime::from_secs(t * 30);
             step(&mut ctl, &pool, &mut e, now);
         }
-        let low = pool.num_avail(&key);
+        let low = pool.num_avail_id(key);
         assert!(low <= 2, "pool should shrink after demand drop, got {low}");
     }
 
@@ -460,8 +460,8 @@ mod tests {
             drive_demand(&pool, &mut e, n, now);
             step(&mut ctl, &pool, &mut e, now);
         }
-        let key = pool.key_of(&cfg());
-        assert_eq!(pool.num_avail(&key), 12, "full last wave stays warm");
+        let key = pool.intern_config(&cfg());
+        assert_eq!(pool.num_avail_id(key), 12, "full last wave stays warm");
     }
 
     #[test]
@@ -613,7 +613,7 @@ mod tests {
                         }
                         _ => {
                             for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
-                                if let Some(id) = p.id_of(&p.key_of(c)) {
+                                if let Some(id) = p.id_for(c) {
                                     p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
                                 }
                             }
@@ -630,8 +630,12 @@ mod tests {
             }
             assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
             for key in pf.keys() {
-                assert_eq!(pf.num_avail(&key), pd.num_avail(&key), "sizing of {key}");
-                assert_eq!(pf.num_in_use(&key), pd.num_in_use(&key));
+                assert_eq!(
+                    pf.num_avail_id(key),
+                    pd.num_avail_id(key),
+                    "sizing of {key}"
+                );
+                assert_eq!(pf.num_in_use_id(key), pd.num_in_use_id(key));
             }
             assert_eq!(cf.predictor_count(), cd.predictor_count());
         });
@@ -804,7 +808,7 @@ mod tests {
                                 p.prewarm(&ExclusiveEngine::new(e), c, now).unwrap();
                             }
                             _ => {
-                                if let Some(id) = p.id_of(&p.key_of(c)) {
+                                if let Some(id) = p.id_for(c) {
                                     p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
                                 }
                             }
@@ -814,7 +818,11 @@ mod tests {
                 let rf = cf
                     .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
                     .unwrap();
-                let pooled = pd.keys().iter().filter(|k| pd.num_avail(k) > 0).count();
+                let pooled = pd
+                    .keys()
+                    .into_iter()
+                    .filter(|&k| pd.num_avail_id(k) > 0)
+                    .count();
                 // The last interval is the common full sweep.
                 let rd = if t == intervals {
                     cd.step_full(&pd, &ExclusiveEngine::new(&mut ed), now)
@@ -831,7 +839,11 @@ mod tests {
             }
             assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
             for key in pf.keys() {
-                assert_eq!(pf.num_avail(&key), pd.num_avail(&key), "sizing of {key}");
+                assert_eq!(
+                    pf.num_avail_id(key),
+                    pd.num_avail_id(key),
+                    "sizing of {key}"
+                );
             }
             assert!(cf.keys.iter().all(|s| s.hold_until == 0), "a sweep held");
             assert_eq!(cf.keys.len(), cd.keys.len());

@@ -9,13 +9,15 @@
 //!
 //! Components, mapped to the paper:
 //!
-//! * [`key`] — **Parameter analysis**: the user command/configuration is
-//!   resolved into a canonical, formatted [`key::RuntimeKey`]; "containers
-//!   with identical parameter configurations are the same type of runtime".
-//!   The future-work fuzzy matching (reuse on a parameter subset, applying
-//!   the differences at acquire time) ships as [`key::KeyPolicy::Fuzzy`].
+//! * [`key`] — **Parameter analysis**: the paper's key is "the formatted
+//!   parameter configurations"; here it is the field set a
+//!   [`key::KeyPolicy`] selects from the configuration, interned into a
+//!   dense [`key::KeyId`] — "containers with identical parameter
+//!   configurations are the same type of runtime". The future-work fuzzy
+//!   matching (reuse on a parameter subset, applying the differences at
+//!   acquire time) ships as [`key::KeyPolicy::Fuzzy`].
 //! * [`pool`] — **Container runtime pool** (Fig. 7 + Algorithms 1–2),
-//!   [`pool::RuntimePool`]: a key-value store from runtime key to
+//!   [`pool::RuntimePool`]: a key-value store from [`KeyId`] to
 //!   available/in-use containers, with the `num_avail` bookkeeping,
 //!   used-container cleanup (wipe + fresh volume), and oldest-first forced
 //!   termination. It is the one pool type: warm acquires and releases are
@@ -87,7 +89,7 @@ pub mod pool;
 
 pub use concurrent::{ConcurrentGateway, FunctionHandle};
 pub use controller::{AdaptiveController, ControllerConfig};
-pub use key::{KeyId, KeyInterner, KeyPolicy, RuntimeKey};
+pub use key::{KeyId, KeyInterner, KeyPolicy};
 pub use limits::PoolLimits;
 pub use middleware::{HotC, HotCConfig};
 pub use pool::{DemandSnapshot, EngineRef, ExclusiveEngine, RuntimePool};

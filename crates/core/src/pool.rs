@@ -56,7 +56,7 @@
 //!   creates never materialize slots, and long-dead slots are garbage
 //!   collected together with their controller state.
 
-use crate::key::{needs_reconfig, KeyId, KeyInterner, KeyPolicy, RuntimeKey, FUZZY_RECONFIG_COST};
+use crate::key::{needs_reconfig, KeyId, KeyInterner, KeyPolicy, FUZZY_RECONFIG_COST};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
 use faas::Acquisition;
 use simclock::{SimDuration, SimTime};
@@ -706,8 +706,7 @@ pub struct RuntimePool {
     policy: KeyPolicy,
     state: Mutex<PoolState>,
     /// Interns configurations into dense [`KeyId`]s; the slot map, the
-    /// controller, and the gateway all key on the id, so the canonical key
-    /// string is formatted once per distinct configuration.
+    /// controller, and the gateway all key on the id.
     interner: KeyInterner,
     /// Lock-free key table: dense key id → that key's slot array. Entries
     /// are created once (first cold start / prewarm of the key) and persist
@@ -787,27 +786,22 @@ impl RuntimePool {
         self.gc_intervals = intervals.max(1);
     }
 
-    /// The runtime key for a configuration under this pool's policy.
-    pub fn key_of(&self, config: &ContainerConfig) -> RuntimeKey {
-        RuntimeKey::from_config(config, self.policy)
-    }
-
     /// Interns a configuration, returning its stable [`KeyId`] under this
     /// pool's policy. Steady-state calls hash only the key-relevant config
-    /// fields — no string is formatted, nothing is allocated.
+    /// fields — nothing is allocated.
     pub fn intern_config(&self, config: &ContainerConfig) -> KeyId {
         self.interner.intern(config)
     }
 
-    /// The id of an already-interned canonical key, if the pool has seen a
-    /// configuration with that key.
-    pub fn id_of(&self, key: &RuntimeKey) -> Option<KeyId> {
-        self.interner.lookup(key)
+    /// The id of `config`'s key if the pool has seen a configuration with
+    /// that key. Interns nothing, so the pool's id order is left alone.
+    pub fn id_for(&self, config: &ContainerConfig) -> Option<KeyId> {
+        self.interner.get(config)
     }
 
-    /// The canonical key string behind an id issued by this pool.
-    pub fn resolve_key(&self, id: KeyId) -> Option<RuntimeKey> {
-        self.interner.resolve(id)
+    /// The configuration first interned under an id this pool issued.
+    pub fn key_config(&self, id: KeyId) -> Option<ContainerConfig> {
+        self.interner.config(id)
     }
 
     /// The key's slot array, creating the key-table entry on first use.
@@ -1208,15 +1202,9 @@ impl RuntimePool {
         state.slots.get(&id).map_or(0, |s| s.ks.avail_count())
     }
 
-    /// [`Self::num_avail_id`] by canonical key (compatibility path).
-    pub fn num_avail(&self, key: &RuntimeKey) -> usize {
-        self.id_of(key).map_or(0, |id| self.num_avail_id(id))
-    }
-
     /// In-use containers of the given type (including releases in transit
     /// through their engine critical section).
-    pub fn num_in_use(&self, key: &RuntimeKey) -> usize {
-        let Some(id) = self.id_of(key) else { return 0 };
+    pub fn num_in_use_id(&self, id: KeyId) -> usize {
         let state = self.state.lock();
         state
             .slots
@@ -1433,13 +1421,9 @@ impl RuntimePool {
     }
 
     /// The keys the pool currently tracks, sorted.
-    pub fn keys(&self) -> Vec<RuntimeKey> {
-        let ids: Vec<KeyId> = self.state.lock().slots.keys().copied().collect();
-        let mut keys: Vec<RuntimeKey> = ids
-            .into_iter()
-            .filter_map(|id| self.resolve_key(id))
-            .collect();
-        keys.sort();
+    pub fn keys(&self) -> Vec<KeyId> {
+        let mut keys: Vec<KeyId> = self.state.lock().slots.keys().copied().collect();
+        keys.sort_unstable();
         keys
     }
 }
@@ -1660,15 +1644,9 @@ mod tests {
 
     /// The full-sweep snapshot (GC included) as `(key, demand)`, sorted —
     /// what the controller sees over one interval.
-    fn demand_snapshot(pool: &RuntimePool) -> Vec<(RuntimeKey, usize)> {
-        let mut out: Vec<_> = pool
-            .take_demand_snapshot()
-            .demands
-            .into_iter()
-            .filter_map(|d| Some((pool.resolve_key(d.id)?, d.demand)))
-            .collect();
-        out.sort();
-        out
+    fn demand_snapshot(pool: &RuntimePool) -> Vec<(KeyId, usize)> {
+        let snapshot = pool.take_demand_snapshot();
+        snapshot.demands.iter().map(|d| (d.id, d.demand)).collect()
     }
 
     /// Algorithm 1 then 2 then 1: cold start, clean + re-pool, reuse.
@@ -1678,7 +1656,7 @@ mod tests {
         assert!(a.cold, "first request cold-starts");
         exec(e, a.container, SimTime::ZERO);
         pool.release(e, a.container, SimTime::from_secs(1)).unwrap();
-        assert_eq!(pool.num_avail(&pool.key_of(&c)), 1);
+        assert_eq!(pool.num_avail_id(pool.intern_config(&c)), 1);
         let b = pool.acquire(e, &c, SimTime::from_secs(2)).unwrap();
         assert!(!b.cold, "second request reuses");
         assert_eq!(b.container, a.container);
@@ -1768,7 +1746,7 @@ mod tests {
         for container in held {
             release(&mut e, container);
         }
-        assert_eq!(pool.num_in_use(&pool.key_of(&c)), 0);
+        assert_eq!(pool.num_in_use_id(id), 0);
         assert_eq!((pool.num_avail_id(id), pool.total_live()), (300, 300));
         assert_eq!(e.live_count(), 300);
     }
@@ -1832,7 +1810,7 @@ mod tests {
         let s3 = pool.take_demand_snapshot_dirty();
         assert_eq!(visited(&s3), vec![(idb, 0)]);
         assert_eq!(s3.retired, vec![ida]);
-        assert_eq!(pool.keys(), vec![pool.key_of(&b)]);
+        assert_eq!(pool.keys(), vec![idb]);
         // A re-touch after going cold cancels the countdown.
         pool.prewarm(&e, &a, SimTime::from_secs(2)).unwrap();
         pool.retire_one_id(&e, pool.intern_config(&a), SimTime::from_secs(3))
@@ -1936,11 +1914,11 @@ mod tests {
         let mut e = plain_engine();
         let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
-        let key = pool.key_of(&c);
 
         let acq = pool.acquire(&ex(&mut e), &c, SimTime::ZERO).unwrap();
-        assert_eq!(pool.num_avail(&key), 0);
-        assert_eq!(pool.num_in_use(&key), 1);
+        let key = pool.intern_config(&c);
+        assert_eq!(pool.num_avail_id(key), 0);
+        assert_eq!(pool.num_in_use_id(key), 1);
 
         let out = e
             .begin_exec(
@@ -1953,8 +1931,8 @@ mod tests {
             .unwrap();
         pool.release(&ex(&mut e), acq.container, SimTime::from_secs(1))
             .unwrap();
-        assert_eq!(pool.num_avail(&key), 1);
-        assert_eq!(pool.num_in_use(&key), 0);
+        assert_eq!(pool.num_avail_id(key), 1);
+        assert_eq!(pool.num_in_use_id(key), 0);
     }
 
     #[test]
@@ -2022,18 +2000,18 @@ mod tests {
         let mut e = plain_engine();
         let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
-        let key = pool.key_of(&c);
+        let key = pool.intern_config(&c);
         for i in 0..3 {
             pool.prewarm(&ex(&mut e), &c, SimTime::from_secs(i))
                 .unwrap();
         }
-        assert_eq!(pool.num_avail(&key), 3);
+        assert_eq!(pool.num_avail_id(key), 3);
 
         let retired = pool
-            .retire_one_id(&ex(&mut e), pool.intern_config(&c), SimTime::from_secs(10))
+            .retire_one_id(&ex(&mut e), key, SimTime::from_secs(10))
             .unwrap();
         assert!(retired.is_some());
-        assert_eq!(pool.num_avail(&key), 2);
+        assert_eq!(pool.num_avail_id(key), 2);
         assert_eq!(e.live_count(), 2);
 
         // Eviction removes the *oldest* (created at t=1 after the retire
@@ -2042,7 +2020,7 @@ mod tests {
         pool.evict_oldest(&ex(&mut e), SimTime::from_secs(11))
             .unwrap();
         assert_eq!(e.state(ids[0]), ContainerState::Removed);
-        assert_eq!(pool.num_avail(&key), 1);
+        assert_eq!(pool.num_avail_id(key), 1);
     }
 
     #[test]
@@ -2165,9 +2143,11 @@ mod tests {
             .release(&ex(&mut e), stray, SimTime::from_secs(1))
             .unwrap_err();
         assert!(matches!(err, EngineError::InvalidState { id, .. } if id == stray));
-        let key = pool.key_of(&cfg("alpine:3.12"));
-        assert_eq!(pool.num_avail(&key), 0, "stray id must not be pooled");
-        assert_eq!(pool.num_in_use(&key), 0);
+        assert_eq!(
+            pool.id_for(&cfg("alpine:3.12")),
+            None,
+            "stray id must not be pooled"
+        );
         assert_eq!(e.state(stray), ContainerState::Idle, "engine untouched");
     }
 
@@ -2190,13 +2170,13 @@ mod tests {
             .release(&ex(&mut e), acq.container, SimTime::from_secs(1))
             .unwrap_err();
         assert!(matches!(err, EngineError::InvalidState { .. }));
-        let key = pool.key_of(&c);
-        assert_eq!(pool.num_in_use(&key), 1, "claim handed back on failure");
+        let key = pool.intern_config(&c);
+        assert_eq!(pool.num_in_use_id(key), 1, "claim handed back on failure");
         // Finish properly and the release succeeds.
         e.end_exec(acq.container, SimTime::from_secs(2)).unwrap();
         pool.release(&ex(&mut e), acq.container, SimTime::from_secs(3))
             .unwrap();
-        assert_eq!(pool.num_avail(&key), 1);
+        assert_eq!(pool.num_avail_id(key), 1);
     }
 
     /// Regression (unbounded slot maps): a slot whose containers have all
@@ -2240,8 +2220,8 @@ mod tests {
         pool.set_gc_intervals(1);
         let c = cfg("golang:1.13");
         run_request(&pool, &mut e, &c, SimTime::ZERO);
-        let key = pool.key_of(&c);
-        pool.retire_one_id(&ex(&mut e), pool.intern_config(&c), SimTime::from_secs(1))
+        let key = pool.intern_config(&c);
+        pool.retire_one_id(&ex(&mut e), key, SimTime::from_secs(1))
             .unwrap();
         demand_snapshot(&pool); // served-traffic interval
         demand_snapshot(&pool); // zero interval ⇒ GC
@@ -2289,7 +2269,7 @@ mod tests {
                         pool.prewarm(&ex(&mut e), c, now).unwrap();
                     }
                     3 => {
-                        if let Some(id) = pool.id_of(&pool.key_of(c)) {
+                        if let Some(id) = pool.id_for(c) {
                             pool.retire_one_id(&ex(&mut e), id, now).unwrap();
                         }
                     }
@@ -2376,7 +2356,7 @@ mod tests {
                         pool.prewarm(&ex(&mut e), c, now).unwrap();
                     }
                     6 => {
-                        if let Some(id) = pool.id_of(&pool.key_of(c)) {
+                        if let Some(id) = pool.id_for(c) {
                             pool.retire_one_id(&ex(&mut e), id, now).unwrap();
                         }
                     }

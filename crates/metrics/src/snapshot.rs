@@ -207,7 +207,9 @@ impl MetricsRegistry {
     /// out once and each stage set copied once: the same copy is summarized
     /// under its own scope and merged into every declared union it is a
     /// member of, so `all` and `gateway/e2e` agree with the `fn/` scopes even
-    /// while recorders run.
+    /// while recorders run. A stage set that has recorded nothing yet is
+    /// left out, however early its scope was created; declared unions are
+    /// always present.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let raw = self.read_out();
         let mut histograms: BTreeMap<&str, LatencyHistogram> = BTreeMap::new();
@@ -233,6 +235,11 @@ impl MetricsRegistry {
         let mut stages = Vec::with_capacity(raw.stages.len() + unions.len());
         for (scope, set) in &raw.stages {
             let hists = set.read();
+            // Every sample lands in the totals slot, so an empty one means
+            // an empty set.
+            if hists[N_STAGES].is_empty() {
+                continue;
+            }
             for (name, prefix) in &raw.histogram_unions {
                 if scope.starts_with(prefix.as_str()) {
                     let merged = histograms.entry(name).or_default();
@@ -309,6 +316,24 @@ mod tests {
         assert!(text.contains("\"sum_ns\""));
         // Zero-count stages are omitted from the scope object.
         assert!(!text.contains("\"image_pull\""));
+    }
+
+    #[test]
+    fn stage_sets_that_recorded_nothing_are_left_out() {
+        let reg = MetricsRegistry::new();
+        reg.stage_union("all", "fn/");
+        let _created_early = reg.stage_set("fn/idle");
+        let mut s = StageSample::new();
+        s.set(Stage::Exec, SimDuration::from_millis(1));
+        reg.stage_set("fn/busy").record(&s);
+        let snap = reg.snapshot();
+        let scopes: Vec<&str> = snap.stages.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(scopes, ["all", "fn/busy"]);
+        // A declared union stays, empty or not.
+        let empty = MetricsRegistry::new();
+        empty.stage_union("all", "fn/");
+        empty.stage_set("fn/idle");
+        assert_eq!(empty.snapshot().stages.len(), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use containersim::{
     ContainerConfig, ContainerEngine, HardwareProfile, ImageId, NetworkConfig, NetworkMode,
 };
 use faas::{AppProfile, FixedKeepAlive, Gateway};
-use hotc::{HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimeKey};
+use hotc::{HotC, HotCConfig, KeyInterner, KeyPolicy, PoolLimits};
 use simclock::{SimDuration, SimTime};
 use testkit::Gen;
 
@@ -46,6 +46,12 @@ fn gen_config(g: &mut Gen) -> ContainerConfig {
         .with_exec(exec)
 }
 
+/// Whether `a` and `b` intern to one runtime key under `policy`.
+fn same_key(a: &ContainerConfig, b: &ContainerConfig, policy: KeyPolicy) -> bool {
+    let interner = KeyInterner::new(policy);
+    interner.intern(a) == interner.intern(b)
+}
+
 /// Exact runtime keys are injective: distinct configurations never
 /// collide (otherwise HotC would hand a request the wrong runtime).
 #[test]
@@ -53,26 +59,24 @@ fn exact_keys_injective() {
     testkit::check(64, |g| {
         let a = gen_config(g);
         let b = gen_config(g);
-        let ka = RuntimeKey::from_config(&a, KeyPolicy::Exact);
-        let kb = RuntimeKey::from_config(&b, KeyPolicy::Exact);
-        assert_eq!(a == b, ka == kb);
+        assert_eq!(a == b, same_key(&a, &b, KeyPolicy::Exact));
     });
 }
 
 /// Fuzzy keys are a coarsening of exact keys: exact-equal configs are
-/// always fuzzy-equal.
+/// always fuzzy-equal, and fuzzy-equal means equal image and network
+/// attachment.
 #[test]
 fn fuzzy_coarsens_exact() {
     testkit::check(64, |g| {
         let a = gen_config(g);
         let b = gen_config(g);
-        let exact_eq = RuntimeKey::from_config(&a, KeyPolicy::Exact)
-            == RuntimeKey::from_config(&b, KeyPolicy::Exact);
-        let fuzzy_eq = RuntimeKey::from_config(&a, KeyPolicy::Fuzzy)
-            == RuntimeKey::from_config(&b, KeyPolicy::Fuzzy);
-        if exact_eq {
+        let fuzzy_eq = same_key(&a, &b, KeyPolicy::Fuzzy);
+        if same_key(&a, &b, KeyPolicy::Exact) {
             assert!(fuzzy_eq);
         }
+        let attachment = |c: &ContainerConfig| (c.image.clone(), c.network.mode, c.network.scope);
+        assert_eq!(fuzzy_eq, attachment(&a) == attachment(&b));
     });
 }
 
