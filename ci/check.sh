@@ -60,7 +60,9 @@ cargo run --offline -q -p hotc-lint -- --json > lint-report.json
 #     retired twins (pool façade, parallel runner entry, free-standing
 #     histogram, gateway-side last-app trackers, the shared clock, the retry
 #     driver, the pool's second storage past the slot array and its fixed
-#     table shapes) stay retired — a list that stops growing here: what
+#     table shapes, the keep-alive baselines' second pool and providers and
+#     HotC's prediction switch, all now scaling policies of the one pool)
+#     stay retired — a list that stops growing here: what
 #     PR 20 deleted has no entry, because step 3's `dead-pub` rule plus
 #     rustc's `dead_code` under step 2's `-D warnings` fail on any `pub` item
 #     nothing outside its crate names and any crate-private one nothing
@@ -86,7 +88,7 @@ for module in patterns azure youtube; do
         exit 1
     fi
 done
-if grep -rnE 'ContainerPool|run_scenario_parallel|SharedHistogram|AppTracker|ShardedTracker|note_app|SharedClock|handle_with_retries|overflow_avail|overflow_in_use|overflow_transit|settle_overflow|SlowClaim|claim_slow|claim_in_use_scan|release_slow|KEY_TABLE_CHUNKS|RINDEX_CHUNKS' crates src tests examples; then
+if grep -rnE 'ContainerPool|run_scenario_parallel|SharedHistogram|AppTracker|ShardedTracker|note_app|SharedClock|handle_with_retries|overflow_avail|overflow_in_use|overflow_transit|settle_overflow|SlowClaim|claim_slow|claim_in_use_scan|release_slow|KEY_TABLE_CHUNKS|RINDEX_CHUNKS|WarmShelf|FixedKeepAlive|PeriodicWarmup|HybridKeepAlive|disable_prediction' crates src tests examples; then
     echo "a retired duplicate is back (see above)" >&2
     exit 1
 fi

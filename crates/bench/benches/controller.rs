@@ -25,7 +25,7 @@
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-use hotc::{AdaptiveController, ControllerConfig, EngineRef, KeyPolicy, RuntimePool};
+use hotc::{AdaptiveController, EngineRef, KeyPolicy, RuntimePool, ScalingPolicy};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
 use std::hint::black_box;
@@ -108,7 +108,7 @@ fn interval<'a>(
 fn bench_tick(h: &mut Harness, types: usize) {
     for full in [true, false] {
         let (engine, pool, hot) = fleet(types);
-        let mut ctl = AdaptiveController::new(ControllerConfig::default());
+        let mut ctl = AdaptiveController::new(ScalingPolicy::default());
         let mut tick = 0u64;
         let name = format!(
             "{}_{}types",
@@ -136,7 +136,7 @@ fn bench_holding(h: &mut Harness, types: usize) {
         );
         let pool = RuntimePool::new(KeyPolicy::Exact);
         let all = configs(types);
-        let mut ctl = AdaptiveController::new(ControllerConfig::default());
+        let mut ctl = AdaptiveController::new(ScalingPolicy::default());
         // Interval 0: every type serves its first (cold) request, and keeps
         // the container; from then on `HOT` of them are touched per interval.
         interval(&mut ctl, &pool, &engine, all.iter(), 0, full);

@@ -2,8 +2,7 @@
 //! request through gateway + watchdog + engine, warm vs cold, per provider.
 
 use containersim::{ContainerEngine, HardwareProfile};
-use faas::policy::{ColdStartAlways, FixedKeepAlive};
-use faas::{AppProfile, Gateway};
+use faas::{AppProfile, ColdStartAlways, Gateway};
 use hotc::HotC;
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
@@ -28,7 +27,7 @@ fn bench_warm_request(h: &mut Harness) {
     }
     {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
+        let mut gw = Gateway::new(engine, HotC::fixed_keepalive(SimDuration::from_mins(15)));
         gw.register_app(AppProfile::random_number());
         gw.handle("random-number", SimTime::ZERO).unwrap();
         let mut now = SimTime::from_secs(1);

@@ -467,8 +467,7 @@ where
 pub(crate) mod tests {
     use super::*;
     use containersim::{ContainerEngine, HardwareProfile};
-    use faas::policy::{ColdStartAlways, FixedKeepAlive};
-    use faas::AppProfile;
+    use faas::{AppProfile, ColdStartAlways};
     use hotc::HotC;
     use workloads::patterns;
 
@@ -490,7 +489,7 @@ pub(crate) mod tests {
     #[test]
     fn serial_workload_all_traced() {
         let w = patterns::serial(SimDuration::from_secs(30), 10, 0);
-        let out = collect(FixedKeepAlive::aws_default(), &w);
+        let out = collect(HotC::fixed_keepalive(SimDuration::from_mins(15)), &w);
         assert_eq!(out.traces.len(), 10);
         assert!(out.traces[0].cold);
         assert!(out.traces[1..].iter().all(|t| !t.cold));
@@ -522,7 +521,7 @@ pub(crate) mod tests {
     #[test]
     fn driver_populates_metrics_snapshot() {
         let w = patterns::serial(SimDuration::from_secs(30), 10, 0);
-        let out = collect(FixedKeepAlive::aws_default(), &w);
+        let out = collect(HotC::fixed_keepalive(SimDuration::from_mins(15)), &w);
         let snap = out.gateway.metrics().snapshot();
         assert_eq!(snap.counter("gateway/requests"), Some(10));
         assert_eq!(snap.counter("gateway/cold_starts"), Some(1));

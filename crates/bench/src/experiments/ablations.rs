@@ -6,7 +6,7 @@
 //! 1. **Key policy** — exact keys vs the §VII fuzzy subset-matching, on a
 //!    workload of same-image functions that differ only in environment.
 //! 2. **Prediction** — the full adaptive controller vs reactive pooling
-//!    only (`disable_prediction`), on the Fig. 14(b) burst workload.
+//!    only (`ScalingPolicy::KeepAll`), on the Fig. 14(b) burst workload.
 //! 3. **Scale-down rate** — the `max_retire_fraction` sweep: aggressive
 //!    shedding saves memory but forfeits the later-burst wins.
 //! 4. **Smoothing coefficient** — α's end-to-end effect on an alternating
@@ -23,7 +23,7 @@ use containersim::{
 };
 use faas::gateway::Gateway;
 use faas::{AppProfile, FunctionSpec};
-use hotc::{ControllerConfig, HotC, HotCConfig, KeyPolicy, PoolLimits};
+use hotc::{ControllerConfig, HotC, HotCConfig, KeyPolicy, PoolLimits, ScalingPolicy};
 use metrics_lite::Table;
 use simclock::{SimDuration, SimTime};
 use workloads::patterns;
@@ -115,9 +115,12 @@ pub fn prediction() -> PredictionAblation {
 
     let mut results = Vec::new();
     let mut live_counts = Vec::new();
-    for disable in [false, true] {
+    for policy in [
+        ScalingPolicy::default(),
+        ScalingPolicy::KeepAll { ping: None },
+    ] {
         let provider = HotC::new(HotCConfig {
-            disable_prediction: disable,
+            policy,
             ..Default::default()
         });
         let out = run_workload(server_gateway(provider, &apps), &workload, route, round);
@@ -170,10 +173,10 @@ pub fn retire_fraction(fractions: &[f64]) -> Vec<RetireRow> {
         .iter()
         .map(|&fraction| {
             let provider = HotC::new(HotCConfig {
-                controller: ControllerConfig {
+                policy: ScalingPolicy::EsMarkov(ControllerConfig {
                     max_retire_fraction: fraction,
                     ..Default::default()
-                },
+                }),
                 ..Default::default()
             });
             let out = run_workload(
@@ -229,10 +232,10 @@ pub(crate) fn alpha_sweep(alphas: &[f64]) -> Vec<AlphaRow> {
         .iter()
         .map(|&alpha| {
             let provider = HotC::new(HotCConfig {
-                controller: ControllerConfig {
+                policy: ScalingPolicy::EsMarkov(ControllerConfig {
                     alpha,
                     ..Default::default()
-                },
+                }),
                 ..Default::default()
             });
             let out = run_workload(
@@ -508,7 +511,7 @@ pub fn contention() -> ContentionAblation {
         // Reactive pool (no adaptive resizing) so the burst is 100 % warm
         // and the only variable is CPU contention.
         let provider = HotC::new(HotCConfig {
-            disable_prediction: true,
+            policy: ScalingPolicy::KeepAll { ping: None },
             ..Default::default()
         });
         let mut gw = Gateway::new(engine, provider);

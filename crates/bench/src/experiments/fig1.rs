@@ -14,8 +14,8 @@
 
 use crate::driver::run_workload;
 use crate::experiments::server_gateway;
-use faas::policy::FixedKeepAlive;
 use faas::AppProfile;
+use hotc::HotC;
 use metrics_lite::{Cdf, LatencyRecorder};
 use simclock::{SimDuration, SimTime};
 use workloads::Arrival;
@@ -59,7 +59,7 @@ pub fn run(batches: usize, per_batch: usize) -> Fig1Result {
     }
 
     let gw = server_gateway(
-        FixedKeepAlive::aws_default(),
+        HotC::fixed_keepalive(SimDuration::from_mins(15)),
         &[AppProfile::random_number()],
     );
     let out = run_workload(

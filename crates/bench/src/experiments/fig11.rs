@@ -9,8 +9,7 @@
 
 use crate::driver::run_workload;
 use crate::experiments::server_gateway;
-use faas::policy::{ColdStartAlways, FixedKeepAlive};
-use faas::AppProfile;
+use faas::{AppProfile, ColdStartAlways};
 use hotc::HotC;
 use metrics_lite::{render_series, Table};
 use simclock::SimDuration;
@@ -72,7 +71,7 @@ pub fn run(seed: u64, scale_down: f64) -> Fig11Result {
     });
 
     let ka = run_workload(
-        server_gateway(FixedKeepAlive::aws_default(), &apps),
+        server_gateway(HotC::fixed_keepalive(SimDuration::from_mins(15)), &apps),
         &workload,
         route,
         tick,

@@ -10,10 +10,10 @@
 
 use crate::experiments::gateway_on;
 use containersim::HardwareProfile;
-use faas::policy::{ColdStartAlways, FixedKeepAlive};
-use faas::{AppProfile, RequestTrace};
+use faas::{AppProfile, ColdStartAlways, RequestTrace};
+use hotc::HotC;
 use metrics_lite::Table;
-use simclock::SimTime;
+use simclock::{SimDuration, SimTime};
 
 /// Cold/warm trace pair for one platform.
 pub struct PlatformTraces {
@@ -55,7 +55,7 @@ fn measure(hw: HardwareProfile) -> PlatformTraces {
 
     let mut warm_gw = gateway_on(
         hw,
-        FixedKeepAlive::aws_default(),
+        HotC::fixed_keepalive(SimDuration::from_mins(15)),
         &[AppProfile::random_number()],
     );
     warm_gw

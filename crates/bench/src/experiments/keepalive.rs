@@ -11,9 +11,7 @@
 use crate::driver::run_workload;
 use crate::experiments::server_gateway;
 use faas::gateway::FunctionSpec;
-use faas::{
-    AppProfile, ColdStartAlways, FixedKeepAlive, HybridKeepAlive, PeriodicWarmup, RuntimeProvider,
-};
+use faas::{AppProfile, ColdStartAlways, RuntimeProvider};
 use hotc::HotC;
 use metrics_lite::Table;
 use simclock::SimDuration;
@@ -113,28 +111,28 @@ pub fn run(seed: u64) -> KeepAliveResult {
         ),
         eval(
             "fixed-keepalive(10m)",
-            FixedKeepAlive::new(SimDuration::from_mins(10)),
+            HotC::fixed_keepalive(SimDuration::from_mins(10)),
             &workload,
             &rare_ids,
             functions,
         ),
         eval(
             "fixed-keepalive(60m)",
-            FixedKeepAlive::new(SimDuration::from_mins(60)),
+            HotC::fixed_keepalive(SimDuration::from_mins(60)),
             &workload,
             &rare_ids,
             functions,
         ),
         eval(
             "periodic-warmup(5m)",
-            PeriodicWarmup::new(SimDuration::from_mins(5)),
+            HotC::periodic_warmup(SimDuration::from_mins(5)),
             &workload,
             &rare_ids,
             functions,
         ),
         eval(
             "hybrid-keepalive",
-            HybridKeepAlive::new(),
+            HotC::hybrid_keepalive(),
             &workload,
             &rare_ids,
             functions,

@@ -94,7 +94,7 @@ where
 mod tests {
     use super::*;
     use crate::driver::tests::{gateway, sequential, TICK};
-    use faas::policy::{ColdStartAlways, FixedKeepAlive};
+    use faas::ColdStartAlways;
     use hotc::HotC;
     use workloads::patterns;
 
@@ -146,7 +146,7 @@ mod tests {
             HotC::with_defaults,
             patterns::serial(SimDuration::from_secs(30), 20, 0),
         );
-        assert_run_equivalent(FixedKeepAlive::aws_default, Vec::new());
+        assert_run_equivalent(HotC::hybrid_keepalive, Vec::new());
         assert_run_equivalent(
             ColdStartAlways::new,
             patterns::burst(8, 1, &[], 1, SimDuration::from_secs(30), 0),

@@ -10,10 +10,7 @@
 use crate::scenario::{FunctionDecl, ProviderSpec, Scenario, WorkloadSpec};
 use containersim::ContainerEngine;
 use faas::gateway::Gateway;
-use faas::{
-    AppProfile, ColdStartAlways, FixedKeepAlive, FunctionSpec, HybridKeepAlive, PeriodicWarmup,
-    RequestTrace, RuntimeProvider,
-};
+use faas::{AppProfile, ColdStartAlways, FunctionSpec, RequestTrace, RuntimeProvider};
 use hotc::{HotC, HotCConfig, KeyInterner, KeyPolicy, PoolLimits};
 use hotc_bench::{run_partitioned, run_trace_partition};
 use metrics_lite::{MetricsSnapshot, Table};
@@ -495,7 +492,8 @@ fn split_limits(threads: usize) -> PoolLimits {
 }
 
 /// The single provider dispatch shared by both drivers: matches the scenario's
-/// provider spec once and hands `op` a constructor for it.
+/// provider spec once and hands `op` a constructor for it. The keep-alive
+/// baselines are `HotC` under another scaling policy, without limits.
 fn dispatch_provider<O: ProviderOp>(spec: &ProviderSpec, threads: usize, op: O) -> O::Out {
     match spec {
         ProviderSpec::HotC => op.run(&move || {
@@ -512,15 +510,9 @@ fn dispatch_provider<O: ProviderOp>(spec: &ProviderSpec, threads: usize, op: O) 
             })
         }),
         ProviderSpec::ColdStart => op.run(&ColdStartAlways::new),
-        ProviderSpec::FixedKeepAlive(ttl) => {
-            let ttl = *ttl;
-            op.run(&move || FixedKeepAlive::new(ttl))
-        }
-        ProviderSpec::PeriodicWarmup(period) => {
-            let period = *period;
-            op.run(&move || PeriodicWarmup::new(period))
-        }
-        ProviderSpec::HybridKeepAlive => op.run(&HybridKeepAlive::new),
+        ProviderSpec::KeepAlive(ttl) => op.run(&|| HotC::fixed_keepalive(*ttl)),
+        ProviderSpec::Warmup(period) => op.run(&|| HotC::periodic_warmup(*period)),
+        ProviderSpec::Hybrid => op.run(&HotC::hybrid_keepalive),
     }
 }
 

@@ -8,7 +8,8 @@
 //! # global
 //! hardware = server               # server | raspberry-pi3 | jetson-tx2
 //! provider = hotc                 # hotc | hotc:fuzzy | cold-start |
-//!                                 # fixed-keepalive:15m | periodic-warmup:5m
+//!                                 # fixed-keepalive:15m | periodic-warmup:5m |
+//!                                 # hybrid-keepalive
 //! seed     = 42
 //! tick     = 30s
 //! crash_rate = 0.0                # optional fault injection
@@ -71,12 +72,12 @@ pub enum ProviderSpec {
     HotCFuzzy,
     /// Fresh container per request.
     ColdStart,
-    /// AWS-style keep-alive with the given TTL.
-    FixedKeepAlive(SimDuration),
-    /// Azure-Logic-style periodic warm-up with the given period.
-    PeriodicWarmup(SimDuration),
-    /// Azure-style per-type learned keep-alive windows.
-    HybridKeepAlive,
+    /// `fixed-keepalive:<ttl>`: AWS-style keep-alive with the given TTL.
+    KeepAlive(SimDuration),
+    /// `periodic-warmup:<period>`: Azure-Logic-style periodic warm-up.
+    Warmup(SimDuration),
+    /// `hybrid-keepalive`: Azure-style per-type learned keep-alive windows.
+    Hybrid,
 }
 
 /// One declared function.
@@ -303,7 +304,8 @@ pub struct Scenario {
     pub workload: WorkloadSpec,
 }
 
-/// Parses a duration literal like `30s`, `15m`, `250ms`, `10us`, `5ns`.
+/// Parses a duration literal like `30s`, `15m`, `250ms`, `10us`, `5ns`,
+/// rejecting one past `u64` nanoseconds (about 584 years).
 pub(crate) fn parse_duration(s: &str, line: usize) -> Result<SimDuration, ParseError> {
     let s = s.trim();
     let split = s
@@ -322,6 +324,10 @@ pub(crate) fn parse_duration(s: &str, line: usize) -> Result<SimDuration, ParseE
         "m" => value * 60e9,
         other => return err(line, format!("unknown duration unit '{other}'")),
     };
+    // `u64::MAX as f64` rounds up to 2^64, the first value `as u64` clamps.
+    if nanos >= u64::MAX as f64 {
+        return err(line, format!("duration '{s}' exceeds u64 nanoseconds"));
+    }
     Ok(SimDuration::from_nanos(nanos as u64))
 }
 
@@ -439,17 +445,21 @@ impl Scenario {
                             None => match value {
                                 "hotc" => ProviderSpec::HotC,
                                 "cold-start" => ProviderSpec::ColdStart,
-                                "hybrid-keepalive" => ProviderSpec::HybridKeepAlive,
+                                "hybrid-keepalive" => ProviderSpec::Hybrid,
                                 other => {
                                     return err(line_no, format!("unknown provider '{other}'"))
                                 }
                             },
                             Some(("hotc", "fuzzy")) => ProviderSpec::HotCFuzzy,
                             Some(("fixed-keepalive", ttl)) => {
-                                ProviderSpec::FixedKeepAlive(parse_duration(ttl, line_no)?)
+                                ProviderSpec::KeepAlive(parse_duration(ttl, line_no)?)
                             }
                             Some(("periodic-warmup", period)) => {
-                                ProviderSpec::PeriodicWarmup(parse_duration(period, line_no)?)
+                                let period = parse_duration(period, line_no)?;
+                                if period.is_zero() {
+                                    return err(line_no, "periodic-warmup period must be positive");
+                                }
+                                ProviderSpec::Warmup(period)
                             }
                             Some((other, _)) => {
                                 return err(line_no, format!("unknown provider '{other}'"))
@@ -821,6 +831,26 @@ mod tests {
         assert!(parse_duration("abc", 1).is_err());
     }
 
+    /// `as u64` saturates, so `999999999999m` must not silently become
+    /// about 584 years.
+    #[test]
+    fn durations_past_u64_nanoseconds_rejected() {
+        assert!(parse_duration("18446744073s", 1).is_ok());
+        assert!(parse_duration("18446744074s", 1).is_err());
+        let e =
+            Scenario::parse("seed = 1\nprovider = fixed-keepalive:999999999999m\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("exceeds"), "{e}");
+    }
+
+    /// A zero period divides to zero periods: the policy would never ping.
+    #[test]
+    fn zero_warmup_period_rejected() {
+        let e = Scenario::parse("seed = 1\nprovider = periodic-warmup:0s\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("periodic-warmup"), "{e}");
+    }
+
     #[test]
     fn provider_variants_parse() {
         let base = "\n[function f]\napp = random-number\n\n[workload]\npattern = serial\n";
@@ -830,11 +860,11 @@ mod tests {
             ("provider = cold-start", ProviderSpec::ColdStart),
             (
                 "provider = fixed-keepalive:15m",
-                ProviderSpec::FixedKeepAlive(SimDuration::from_mins(15)),
+                ProviderSpec::KeepAlive(SimDuration::from_mins(15)),
             ),
             (
                 "provider = periodic-warmup:5m",
-                ProviderSpec::PeriodicWarmup(SimDuration::from_mins(5)),
+                ProviderSpec::Warmup(SimDuration::from_mins(5)),
             ),
         ] {
             let s = Scenario::parse(&format!("{text}{base}")).unwrap();

@@ -195,9 +195,9 @@ fn every_provider_replays_identically_in_parallel() {
         ProviderSpec::HotC,
         ProviderSpec::HotCFuzzy,
         ProviderSpec::ColdStart,
-        ProviderSpec::FixedKeepAlive(SimDuration::from_mins(10)),
-        ProviderSpec::PeriodicWarmup(SimDuration::from_mins(5)),
-        ProviderSpec::HybridKeepAlive,
+        ProviderSpec::KeepAlive(SimDuration::from_mins(10)),
+        ProviderSpec::Warmup(SimDuration::from_mins(5)),
+        ProviderSpec::Hybrid,
     ];
     for provider in providers {
         let label = format!("{provider:?}");

@@ -181,9 +181,9 @@ fn random_scenarios_stream_identically() {
         ProviderSpec::HotC,
         ProviderSpec::HotCFuzzy,
         ProviderSpec::ColdStart,
-        ProviderSpec::FixedKeepAlive(SimDuration::from_mins(10)),
-        ProviderSpec::PeriodicWarmup(SimDuration::from_mins(5)),
-        ProviderSpec::HybridKeepAlive,
+        ProviderSpec::KeepAlive(SimDuration::from_mins(10)),
+        ProviderSpec::Warmup(SimDuration::from_mins(5)),
+        ProviderSpec::Hybrid,
     ];
     testkit::check(18, |g: &mut Gen| {
         let workload = g.pick(&variants).clone();

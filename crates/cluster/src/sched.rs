@@ -536,13 +536,15 @@ mod tests {
     use simclock::SimDuration;
 
     fn cluster(policy: SchedulePolicy, nodes: usize) -> Cluster {
+        cluster_of(policy, nodes, HotC::with_defaults)
+    }
+
+    /// `nodes` gateways over `make()`, serving `qr-code`.
+    fn cluster_of(policy: SchedulePolicy, nodes: usize, make: fn() -> HotC) -> Cluster {
         let gateways = (0..nodes)
             .map(|i| {
                 let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-                (
-                    format!("node-{i}"),
-                    Gateway::new(engine, HotC::with_defaults()),
-                )
+                (format!("node-{i}"), Gateway::new(engine, make()))
             })
             .collect();
         let mut cluster = Cluster::new(policy, gateways);
@@ -571,6 +573,54 @@ mod tests {
             })
             .collect();
         Cluster::new(SchedulePolicy::ReuseAffinity, gateways);
+    }
+
+    /// Serial `qr-code` requests at `minutes` on a reuse-affinity cluster of
+    /// three `make()` nodes ticked every 30 s: which requests were cold.
+    fn baseline_colds(make: fn() -> HotC, minutes: &[u64]) -> Vec<bool> {
+        let mut c = cluster_of(SchedulePolicy::ReuseAffinity, 3, make);
+        let mut next_tick = SimTime::ZERO;
+        let colds = minutes
+            .iter()
+            .map(|&m| {
+                let now = SimTime::from_secs(m * 60);
+                while next_tick <= now {
+                    c.tick(next_tick).unwrap();
+                    next_tick += SimDuration::from_secs(30);
+                }
+                c.handle("qr-code", now).unwrap().1.cold
+            })
+            .collect();
+        assert!(c.stats().live_containers <= 1, "one runtime at a time");
+        colds
+    }
+
+    /// The 15-minute window keeps the runtime across 10-minute gaps and
+    /// retires it inside a 30-minute one.
+    #[test]
+    fn fixed_keepalive_runs_on_the_cluster() {
+        let colds = baseline_colds(
+            || HotC::fixed_keepalive(SimDuration::from_mins(15)),
+            &[0, 10, 20, 50],
+        );
+        assert_eq!(colds, [true, false, false, true]);
+    }
+
+    #[test]
+    fn periodic_warmup_runs_on_the_cluster() {
+        let colds = baseline_colds(
+            || HotC::periodic_warmup(SimDuration::from_mins(5)),
+            &[0, 10, 50, 200],
+        );
+        assert_eq!(colds, [true, false, false, false]);
+    }
+
+    /// Three 5-minute gaps teach a 5.5-minute window: a 7-minute gap the
+    /// 10-minute default would have bridged is cold.
+    #[test]
+    fn hybrid_keepalive_runs_on_the_cluster() {
+        let colds = baseline_colds(HotC::hybrid_keepalive, &[0, 5, 10, 15, 22]);
+        assert_eq!(colds, [true, false, false, false, true]);
     }
 
     #[test]

@@ -274,6 +274,7 @@ impl ConcurrentGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ScalingPolicy;
     use crate::limits::PoolLimits;
     use crate::pool::ExclusiveEngine;
     use containersim::engine::ExecWork;
@@ -641,6 +642,58 @@ mod tests {
         assert!(gw.handle("qr-0", t4).unwrap().cold);
         let warm = gw.begin("qr-old", t4 + SimDuration::from_secs(1)).unwrap();
         assert!(!warm.cold && warm.container == container);
+    }
+
+    /// Serial `qr-0` requests at `minutes` under a §III-B baseline, ticked
+    /// every 30 s, through both frontends: they agree request for request.
+    /// Returns which requests were cold.
+    fn baseline_colds(policy: ScalingPolicy, minutes: &[u64]) -> Vec<bool> {
+        let config = HotCConfig::baseline(policy);
+        let (concurrent, handles) = concurrent_gateway_with(config.clone());
+        let mut exclusive = exclusive_gateway(config);
+        let mut next_tick = SimTime::ZERO;
+        minutes
+            .iter()
+            .map(|&m| {
+                let now = SimTime::from_secs(m * 60);
+                while next_tick <= now {
+                    concurrent.tick(next_tick).unwrap();
+                    exclusive.tick(next_tick).unwrap();
+                    next_tick += SimDuration::from_secs(30);
+                }
+                let a = concurrent.handle(&handles[0], now).unwrap();
+                assert_eq!(a, exclusive.handle("qr-0", now).unwrap(), "minute {m}");
+                a.cold
+            })
+            .collect()
+    }
+
+    /// The 15-minute window keeps the runtime across 10-minute gaps and
+    /// retires it inside a 30-minute one.
+    #[test]
+    fn fixed_keepalive_runs_on_the_concurrent_gateway() {
+        let policy = ScalingPolicy::KeepAlive(SimDuration::from_mins(15));
+        let colds = baseline_colds(policy, &[0, 10, 20, 50]);
+        assert_eq!(colds, [true, false, false, true]);
+    }
+
+    #[test]
+    fn periodic_warmup_runs_on_the_concurrent_gateway() {
+        let policy = ScalingPolicy::KeepAll {
+            ping: Some(SimDuration::from_mins(5)),
+        };
+        assert_eq!(
+            baseline_colds(policy, &[0, 10, 50, 200]),
+            [true, false, false, false]
+        );
+    }
+
+    /// Three 5-minute gaps teach a 5.5-minute window: a 7-minute gap the
+    /// 10-minute default would have bridged is cold.
+    #[test]
+    fn hybrid_keepalive_runs_on_the_concurrent_gateway() {
+        let colds = baseline_colds(ScalingPolicy::Hybrid, &[0, 5, 10, 15, 22]);
+        assert_eq!(colds, [true, false, false, false, true]);
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! Adaptive live container management (§IV-C, Algorithm 3).
+//! Adaptive live container management (§IV-C, Algorithm 3) — and the
+//! §III-B industry practices it is measured against.
 //!
 //! At a fixed control interval the controller snapshots, per runtime type,
 //! the peak number of containers the interval actually needed
-//! (`history[k][t]`), feeds it to that type's combined exponential-smoothing
-//! plus Markov predictor, and resizes the pool toward the predicted
-//! next-interval demand — pre-warming containers ahead of predicted growth
-//! ("prepare the runtime in advance") and retiring idle ones ahead of
-//! predicted decline ("avoid … unnecessary resource consumption").
+//! (`history[k][t]`) and sizes each key's pool by its [`ScalingPolicy`].
+//! The paper's policy ([`ScalingPolicy::EsMarkov`]) feeds that demand to the
+//! type's combined exponential-smoothing plus Markov predictor and resizes
+//! toward the predicted next-interval demand — pre-warming containers ahead
+//! of predicted growth ("prepare the runtime in advance") and retiring idle
+//! ones ahead of predicted decline ("avoid … unnecessary resource
+//! consumption"). The keep-alive baselines (periodic warm-up, a fixed TTL, a
+//! per-type learned TTL) decide only how many idle runtimes a key keeps and
+//! for how long: they never pre-warm, and they run on the same pool, limits
+//! and step machinery.
 //!
 //! A control step ([`AdaptiveController::step`]) takes one demand snapshot
 //! under the pool lock, releases it, and then sizes the snapshot's keys in
@@ -21,12 +27,12 @@
 //! predictor sees exactly the demand series a full sweep would have fed it.
 //! [`AdaptiveController::step_full`] keeps the O(all types)
 //! reference path; a property test asserts the two produce identical
-//! prewarm/retire/GC actions on the same trace.
+//! prewarm/retire/GC actions on the same trace, under every policy.
 //!
 //! A key holding containers stays in every dirty snapshot, and almost all of
 //! them are *idle*: no demand, nothing in use, already at their target, and
 //! fed `observe(0.0)` + `predict()` only to arrive at `target == current`
-//! again. The dirty step **holds** such a key: when it finds one idle and at
+//! again. Under `EsMarkov` the dirty step **holds** such a key: when it finds one idle and at
 //! its target it asks the predictor for how many further zero observations
 //! the target provably stays where it is ([`EsMarkov::zero_run_holding`]) and
 //! records `(hold_until, level)` beside the predictor pointer. Later dirty
@@ -35,18 +41,21 @@
 //! out; the first step that does visit it again (touched, evicted behind
 //! the hold, or hold expired) backfills the skipped intervals like a cold
 //! key's. A hold is only taken where the skipped steps were no-ops, so
-//! `step_full`, which never holds, stays the oracle for the dirty step.
+//! `step_full`, which never holds, stays the oracle for the dirty step. The
+//! baselines never hold: their windows are measured in simulated time.
 //!
 //! Keys whose slots the pool garbage-collects (empty for several
-//! consecutive zero-demand intervals) have their predictors dropped in the
-//! same step, so the predictor map cannot grow without bound across
-//! distinct configurations.
+//! consecutive zero-demand intervals) have their per-key state dropped in
+//! the same step, so the state table cannot grow without bound across
+//! distinct configurations — except a hybrid key's gap history, which is
+//! what it learns from across exactly those idle gaps.
 
 use crate::key::KeyId;
-use crate::pool::{DemandSnapshot, EngineRef, RuntimePool};
+use crate::pool::{DemandSnapshot, EngineRef, KeyDemand, RuntimePool};
 use containersim::EngineError;
 use predictor::{EsMarkov, InitialValue, Predictor};
 use simclock::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Control interval: how often demand is sampled and the pool resized.
 const INTERVAL: SimDuration = SimDuration::from_secs(30);
@@ -57,8 +66,10 @@ const REGIONS: usize = 6;
 /// Demand history window per key — and, because a predictor never vouches
 /// for more zero observations than its window holds, the longest hold.
 const WINDOW: usize = 256;
+/// Background cost of one periodic warm-up ping.
+const PING_COST: SimDuration = SimDuration::from_millis(5);
 
-/// Controller tuning: the two knobs the ablations sweep.
+/// `EsMarkov` tuning: the two knobs the ablations sweep.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Exponential smoothing coefficient (paper: 0.8).
@@ -80,6 +91,47 @@ impl Default for ControllerConfig {
     }
 }
 
+/// How a control step sizes each key: Algorithm 3, or one of the §III-B
+/// industry practices HotC is measured against. Only `EsMarkov` pre-warms
+/// or holds; the others keep at most what a key already has.
+#[derive(Debug, Clone)]
+pub enum ScalingPolicy {
+    /// Algorithm 3: the ES + Markov forecast, floored at the interval's
+    /// demand, retiring `max_retire_fraction` of any excess per step.
+    EsMarkov(ControllerConfig),
+    /// Keep every runtime. `None` is reactive pooling only (the prediction
+    /// ablation); `Some(period)` is Azure-Logic-style periodic warm-up,
+    /// which pays one ping per available runtime per elapsed period.
+    KeepAll {
+        /// Warm-up ping interval, if pings are paid.
+        ping: Option<SimDuration>,
+    },
+    /// AWS-style fixed keep-alive: keep the peak per-interval demand of the
+    /// last `ttl` of simulated time.
+    KeepAlive(SimDuration),
+    /// Azure-style hybrid keep-alive: `KeepAlive` with the window learned
+    /// per key from the gaps between the steps that see it in demand.
+    Hybrid,
+}
+
+impl Default for ScalingPolicy {
+    fn default() -> Self {
+        ScalingPolicy::EsMarkov(ControllerConfig::default())
+    }
+}
+
+impl ScalingPolicy {
+    /// The provider name report tables use.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            ScalingPolicy::EsMarkov(_) | ScalingPolicy::KeepAll { ping: None } => "hotc",
+            ScalingPolicy::KeepAll { ping: Some(_) } => "periodic-warmup",
+            ScalingPolicy::KeepAlive(_) => "fixed-keepalive",
+            ScalingPolicy::Hybrid => "hybrid-keepalive",
+        }
+    }
+}
+
 /// What one control step did — the counters and predicted-vs-actual demand
 /// the telemetry layer samples into the metrics registry.
 #[derive(Debug, Clone, Default)]
@@ -93,7 +145,8 @@ pub struct StepReport {
     /// Per-key `(predicted, actual)` demand for the interval, for the keys
     /// the step *sized*: a dirty step omits cold keys, which contribute
     /// zero to both totals, and held keys, whose actual demand is zero and
-    /// whose prediction it did not compute.
+    /// whose prediction it did not compute. A keep-alive policy's
+    /// prediction is its window's peak.
     pub demand: Vec<(KeyId, f64, usize)>,
 }
 
@@ -109,15 +162,147 @@ impl StepReport {
     }
 }
 
-/// One key's predictor plus the last tick it was fed, so dirty steps can
-/// backfill the zero-demand intervals the key was skipped for.
+/// Percentile of a key's gap distribution the hybrid window provisions for.
+const PERCENTILE: f64 = 0.99;
+/// Safety margin multiplied onto the percentile gap.
+const MARGIN: f64 = 1.1;
+/// Window used until a key has enough gap samples.
+const DEFAULT_TTL: SimDuration = SimDuration::from_mins(10);
+/// Samples needed before trusting the learned distribution.
+const MIN_SAMPLES: usize = 3;
+/// Lower clamp on learned windows.
+const MIN_TTL: SimDuration = SimDuration::from_secs(15);
+/// Upper clamp on learned windows.
+const MAX_TTL: SimDuration = SimDuration::from_mins(120);
+/// Gap samples kept per key.
+const GAP_WINDOW: usize = 256;
+
+/// A hybrid key's gap history: the time between consecutive control steps
+/// that saw it in demand (a zero-demand run plus one interval). The window
+/// is a high percentile of it (Azure's per-type keep-alive).
+#[derive(Debug, Default)]
+struct TypeHistory {
+    /// Observed gaps, oldest first (bounded ring: push at the back, evict at
+    /// the front in O(1)).
+    gaps: VecDeque<SimDuration>,
+    /// The same gaps kept sorted, adjusted incrementally on each insert so
+    /// `learned_ttl` never clones and re-sorts the window.
+    sorted: Vec<SimDuration>,
+    /// The last step that saw demand.
+    last_seen: Option<SimTime>,
+}
+
+impl TypeHistory {
+    /// Notes the interval ending `now`: one more gap when it saw demand.
+    fn observe(&mut self, now: SimTime, demand: usize) {
+        if demand > 0 {
+            if let Some(last) = self.last_seen.replace(now) {
+                self.record_gap(now.duration_since(last));
+            }
+        }
+    }
+
+    fn record_gap(&mut self, gap: SimDuration) {
+        if self.gaps.len() == GAP_WINDOW {
+            if let Some(out) = self.gaps.pop_front() {
+                // Every gap pushed into the window was also inserted into
+                // the sorted view, so the evicted one is present.
+                if let Ok(at) = self.sorted.binary_search(&out) {
+                    self.sorted.remove(at);
+                }
+            }
+        }
+        self.gaps.push_back(gap);
+        let at = self.sorted.binary_search(&gap).unwrap_or_else(|i| i);
+        self.sorted.insert(at, gap);
+    }
+
+    /// The window in force: the 99th-percentile gap × 1.1, clamped to
+    /// 15 s – 120 min; 10 min until three gaps are known.
+    fn learned_ttl(&self) -> SimDuration {
+        if self.sorted.len() < MIN_SAMPLES {
+            return DEFAULT_TTL;
+        }
+        let rank =
+            ((PERCENTILE * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
+        self.sorted[rank - 1]
+            .mul_f64(MARGIN)
+            .max(MIN_TTL)
+            .min(MAX_TTL)
+    }
+}
+
+/// How long a keep-alive window is: fixed, or learned from the key's gaps.
+#[derive(Debug)]
+enum Ttl {
+    Fixed(SimDuration),
+    Learned(TypeHistory),
+}
+
+impl Ttl {
+    /// Notes the interval ending `now` and returns the window in force.
+    fn observe(&mut self, now: SimTime, demand: usize) -> SimDuration {
+        match self {
+            Ttl::Fixed(ttl) => *ttl,
+            Ttl::Learned(history) => {
+                history.observe(now, demand);
+                history.learned_ttl()
+            }
+        }
+    }
+}
+
+/// A keep-alive key's window: the per-interval demand peaks of the last TTL
+/// that no later peak dominates, oldest (and largest) first — so the front
+/// is the window's peak — and the TTL.
+#[derive(Debug)]
+struct Window {
+    peaks: VecDeque<(SimTime, usize)>,
+    ttl: Ttl,
+}
+
+impl Window {
+    fn new(policy: &ScalingPolicy) -> Self {
+        let ttl = match policy {
+            ScalingPolicy::KeepAlive(ttl) => Ttl::Fixed(*ttl),
+            _ => Ttl::Learned(TypeHistory::default()),
+        };
+        Window {
+            peaks: VecDeque::new(),
+            ttl,
+        }
+    }
+
+    /// Records the interval ending `now` and returns the peak demand of the
+    /// intervals that ended within the TTL.
+    fn observe(&mut self, now: SimTime, demand: usize) -> usize {
+        let ttl = self.ttl.observe(now, demand);
+        while self
+            .peaks
+            .front()
+            .is_some_and(|&(at, _)| now.duration_since(at) > ttl)
+        {
+            self.peaks.pop_front();
+        }
+        if demand > 0 {
+            while self.peaks.back().is_some_and(|&(_, d)| d <= demand) {
+                self.peaks.pop_back();
+            }
+            self.peaks.push_back((now, demand));
+        }
+        self.peaks.front().map_or(0, |&(_, d)| d)
+    }
+}
+
+/// One key's `EsMarkov` predictor plus the last tick it was fed, so dirty
+/// steps can backfill the zero-demand intervals the key was skipped for.
 struct KeyedPredictor {
     model: EsMarkov,
     last_tick: u64,
 }
 
-/// What the controller keeps per key: the boxed predictor and, inline, the
-/// hold a dirty step checks before it would touch the predictor's memory.
+/// What `EsMarkov` keeps per key: the boxed predictor and, inline, the hold
+/// a dirty step checks before it would touch the predictor's memory.
 #[derive(Default)]
 struct KeySlot {
     /// Last control tick the hold covers; 0 (ticks start at 1) for none.
@@ -129,43 +314,49 @@ struct KeySlot {
 
 /// The per-key adaptive controller.
 pub struct AdaptiveController {
-    config: ControllerConfig,
-    /// Per-key slots indexed by [`KeyId::index`] — interned ids are dense
-    /// per pool, so a direct-indexed table beats hashing on the per-key tick
-    /// path. GC'd keys leave an empty slot (ids are never reused).
+    policy: ScalingPolicy,
+    /// `EsMarkov`'s per-key slots indexed by [`KeyId::index`] — interned
+    /// ids are dense per pool, so a direct-indexed table beats hashing on
+    /// the per-key tick path. GC'd keys leave an empty slot (ids are never
+    /// reused).
     keys: Vec<KeySlot>,
-    /// Number of live (`Some`) predictor slots.
-    live_predictors: usize,
+    /// The keep-alive policies' per-key windows, indexed the same way.
+    windows: Vec<Option<Box<Window>>>,
     /// Monotone control-step counter; predictors record the tick they last
     /// observed so skipped (zero-demand) intervals can be backfilled.
     ticks: u64,
     last_step: Option<SimTime>,
-    /// Cumulative background cost of pre-warm/retire actions.
+    /// Where the last charged warm-up ping period ended.
+    last_ping: SimTime,
+    /// Cumulative background cost of pre-warm/retire actions and pings.
     background: SimDuration,
 }
 
 impl AdaptiveController {
     /// Creates a controller.
-    pub fn new(config: ControllerConfig) -> Self {
+    pub fn new(policy: ScalingPolicy) -> Self {
         AdaptiveController {
-            config,
+            policy,
             keys: Vec::new(),
-            live_predictors: 0,
+            windows: Vec::new(),
             ticks: 0,
             last_step: None,
+            last_ping: SimTime::ZERO,
             background: SimDuration::ZERO,
         }
     }
 
     /// The paper's configuration (α = 0.8, 30 s interval).
     pub fn paper_default() -> Self {
-        Self::new(ControllerConfig::default())
+        Self::new(ScalingPolicy::default())
     }
 
-    /// Number of keys with a live predictor (bounded by the pool's slot GC).
+    /// Number of keys with a live predictor or window (bounded by the
+    /// pool's slot GC, hybrid gap histories aside).
     #[cfg(test)]
-    fn predictor_count(&self) -> usize {
-        self.live_predictors
+    fn state_count(&self) -> usize {
+        let predictors = self.keys.iter().filter(|s| s.predictor.is_some());
+        predictors.count() + self.windows.iter().flatten().count()
     }
 
     /// Cumulative cost of controller actions.
@@ -220,10 +411,22 @@ impl AdaptiveController {
         self.apply(pool, engine, now, pool.take_demand_snapshot(), false)
     }
 
-    /// Feeds one snapshot to the predictors and resizes its keys, in the
+    /// Charges one warm-up ping per available runtime per `period` elapsed
+    /// since the last charged one. Every key holding a runtime is in the
+    /// snapshot.
+    fn charge_pings(&mut self, demands: &[KeyDemand], period: SimDuration, now: SimTime) {
+        let periods = now.duration_since(self.last_ping).div_duration(period);
+        if periods > 0 {
+            let avail: usize = demands.iter().map(|d| d.avail).sum();
+            self.background += PING_COST * (periods * avail as u64);
+            self.last_ping += period * periods;
+        }
+    }
+
+    /// Feeds one snapshot to the policy and resizes its keys, in the
     /// snapshot's order (ascending `KeyId`). With `may_hold` (the dirty
-    /// step) idle keys under a hold are passed over and idle keys at their
-    /// target are given one.
+    /// step) idle `EsMarkov` keys under a hold are passed over and idle keys
+    /// at their target are given one.
     fn apply(
         &mut self,
         pool: &RuntimePool,
@@ -240,61 +443,84 @@ impl AdaptiveController {
             demand: Vec::with_capacity(snapshot.demands.len()),
             ..StepReport::default()
         };
+        let keeps_history = matches!(self.policy, ScalingPolicy::Hybrid);
         for id in &snapshot.retired {
             // The pool dropped the slot: drop its predictor, and any hold,
-            // with it.
+            // with it — and its window, unless that is a gap history, which
+            // is learned across exactly such idle gaps.
             if let Some(slot) = self.keys.get_mut(id.index()) {
-                if std::mem::take(slot).predictor.is_some() {
-                    self.live_predictors -= 1;
-                }
+                *slot = KeySlot::default();
             }
+            if let (Some(window), false) = (self.windows.get_mut(id.index()), keeps_history) {
+                *window = None;
+            }
+        }
+        if let ScalingPolicy::KeepAll { ping: Some(period) } = self.policy {
+            self.charge_pings(&snapshot.demands, period, now);
         }
         for sample in snapshot.demands {
             let (id, demand) = (sample.id, sample.demand);
-            if self.keys.len() <= id.index() {
-                self.keys.resize_with(id.index() + 1, KeySlot::default);
-            }
-            let slot = &mut self.keys[id.index()];
-            let idle = may_hold && demand == 0 && sample.in_use == 0;
-            // Every interval up to `hold_until` is one more zero for a
-            // predictor that provably keeps sizing this key at `hold_level`:
-            // with that many containers idle in the pool, feeding and
-            // sizing it now would change nothing.
-            if idle && tick <= slot.hold_until && sample.avail == slot.hold_level {
-                continue;
-            }
-            slot.hold_until = 0;
-            let entry = match &mut slot.predictor {
-                Some(entry) => entry,
-                None => {
-                    self.live_predictors += 1;
-                    slot.predictor.insert(Box::new(KeyedPredictor {
-                        model: EsMarkov::with_params(self.config.alpha, INIT, REGIONS, WINDOW),
-                        last_tick: tick - 1,
-                    }))
-                }
-            };
-            // A key absent from a dirty snapshot saw zero demand by
-            // construction (any touch keeps it on the active list), and so
-            // did a key passed over under a hold: feed the skipped
-            // intervals now so the predictor's series is identical to what
-            // a full sweep would have produced.
-            entry
-                .model
-                .observe_zeros((tick - 1 - entry.last_tick) as usize);
-            entry.last_tick = tick;
-            entry.model.observe(demand as f64);
-            let predicted = entry.model.predict();
-            report.demand.push((id, predicted, demand));
-
-            // Scale-down floor: never size below what the *last* interval
-            // actually needed — on a growing workload the smoother lags
-            // and would otherwise retire runtimes the next wave is about
-            // to use (the Fig. 14(a) "at least half reuse" property).
-            let target = (predicted.ceil().max(0.0) as usize).max(demand);
             // The snapshot read the live population under the pool lock
             // it already held — no per-key re-lock.
             let current = sample.live();
+            // Per policy: the prediction to report, the target size, the
+            // share of any excess to retire now, and — for an idle key at
+            // its target — how many further intervals it may be held.
+            let (predicted, target, retire_fraction, hold) = match &self.policy {
+                ScalingPolicy::EsMarkov(config) => {
+                    if self.keys.len() <= id.index() {
+                        self.keys.resize_with(id.index() + 1, KeySlot::default);
+                    }
+                    let slot = &mut self.keys[id.index()];
+                    let idle = may_hold && demand == 0 && sample.in_use == 0;
+                    // Every interval up to `hold_until` is one more zero for
+                    // a predictor that provably keeps sizing this key at
+                    // `hold_level`: with that many containers idle in the
+                    // pool, feeding and sizing it now would change nothing.
+                    if idle && tick <= slot.hold_until && sample.avail == slot.hold_level {
+                        continue;
+                    }
+                    slot.hold_until = 0;
+                    let entry = slot.predictor.get_or_insert_with(|| {
+                        Box::new(KeyedPredictor {
+                            model: EsMarkov::with_params(config.alpha, INIT, REGIONS, WINDOW),
+                            last_tick: tick - 1,
+                        })
+                    });
+                    // A key absent from a dirty snapshot saw zero demand by
+                    // construction (any touch keeps it on the active list),
+                    // and so did a key passed over under a hold: feed the
+                    // skipped intervals now so the predictor's series is
+                    // identical to what a full sweep would have produced.
+                    entry
+                        .model
+                        .observe_zeros((tick - 1 - entry.last_tick) as usize);
+                    entry.last_tick = tick;
+                    entry.model.observe(demand as f64);
+                    let predicted = entry.model.predict();
+                    // Scale-down floor: never size below what the *last*
+                    // interval actually needed — on a growing workload the
+                    // smoother lags and would otherwise retire runtimes the
+                    // next wave is about to use (the Fig. 14(a) "at least
+                    // half reuse" property).
+                    let target = (predicted.ceil().max(0.0) as usize).max(demand);
+                    let hold = (idle && target == current)
+                        .then(|| entry.model.zero_run_holding(current) as u64);
+                    (predicted, target, config.max_retire_fraction, hold)
+                }
+                ScalingPolicy::KeepAll { .. } => (current as f64, current, 0.0, None),
+                policy @ (ScalingPolicy::KeepAlive(_) | ScalingPolicy::Hybrid) => {
+                    if self.windows.len() <= id.index() {
+                        self.windows.resize_with(id.index() + 1, || None);
+                    }
+                    let window = self.windows[id.index()]
+                        .get_or_insert_with(|| Box::new(Window::new(policy)));
+                    let peak = window.observe(now, demand);
+                    (peak as f64, peak.min(current), 1.0, None)
+                }
+            };
+            report.demand.push((id, predicted, demand));
+
             // No-resurrect rule: a key with no demand and no containers
             // is on its way to being GC'd — pre-warming it would keep a
             // dead key alive forever on the ceil()-ed tail of a decaying
@@ -314,15 +540,16 @@ impl AdaptiveController {
                     }
                 }
             } else {
-                // Shed idle runtimes beyond predicted demand — gradually,
-                // so recurring bursts find warm capacity left over.
+                // Shed idle runtimes beyond the target — gradually under
+                // `EsMarkov`, so recurring bursts find warm capacity left
+                // over.
                 let excess = current - target;
-                if idle && excess == 0 {
-                    slot.hold_until = tick + entry.model.zero_run_holding(current) as u64;
+                if let (0, Some(hold)) = (excess, hold) {
+                    let slot = &mut self.keys[id.index()];
+                    slot.hold_until = tick + hold;
                     slot.hold_level = current;
                 }
-                let retire =
-                    ((excess as f64 * self.config.max_retire_fraction).ceil() as usize).min(excess);
+                let retire = ((excess as f64 * retire_fraction).ceil() as usize).min(excess);
                 for _ in 0..retire {
                     match pool.retire_one_id(engine, id, now)? {
                         Some(c) => {
@@ -357,11 +584,33 @@ mod tests {
     }
 
     fn setup() -> (ContainerEngine, RuntimePool, AdaptiveController) {
+        setup_with(ScalingPolicy::default())
+    }
+
+    fn setup_with(policy: ScalingPolicy) -> (ContainerEngine, RuntimePool, AdaptiveController) {
         (
             ContainerEngine::with_local_images(HardwareProfile::server()),
             RuntimePool::new(KeyPolicy::Exact),
-            AdaptiveController::paper_default(),
+            AdaptiveController::new(policy),
         )
+    }
+
+    /// Every policy, with windows short enough to run out inside a test.
+    fn policies() -> [ScalingPolicy; 5] {
+        [
+            ScalingPolicy::default(),
+            ScalingPolicy::KeepAll { ping: None },
+            ScalingPolicy::KeepAll {
+                ping: Some(SimDuration::from_mins(5)),
+            },
+            ScalingPolicy::KeepAlive(SimDuration::from_mins(2)),
+            ScalingPolicy::Hybrid,
+        ]
+    }
+
+    /// A key's `EsMarkov` predictor, if it has one.
+    fn model(slot: &KeySlot) -> Option<&EsMarkov> {
+        slot.predictor.as_ref().map(|p| &p.model)
     }
 
     fn cfg() -> ContainerConfig {
@@ -523,7 +772,7 @@ mod tests {
         pool.set_gc_intervals(2);
         drive_demand(&pool, &mut e, 2, SimTime::ZERO);
         step(&mut ctl, &pool, &mut e, SimTime::ZERO);
-        assert_eq!(ctl.predictor_count(), 1);
+        assert_eq!(ctl.state_count(), 1);
         // Empty the slot behind the controller's back, as eviction under
         // memory pressure does.
         while pool
@@ -539,7 +788,7 @@ mod tests {
         }
         assert_eq!(pool.total_live(), 0, "dead key must not be resurrected");
         assert!(pool.keys().is_empty());
-        assert_eq!(ctl.predictor_count(), 0, "predictor GC'd with the slot");
+        assert_eq!(ctl.state_count(), 0, "predictor GC'd with the slot");
     }
 
     /// Keys that all need a pre-warm in one control step get their new
@@ -572,73 +821,79 @@ mod tests {
         assert_eq!(prewarmed_keys, in_key_order);
     }
 
-    /// The tentpole equivalence: on any shared trace, the dirty-set step
-    /// and the full-sweep step take the same prewarm/retire/GC actions at
-    /// every interval and leave the pool and predictor map in the same
-    /// final state — the dirty path only skips work, never decisions.
+    /// The tentpole equivalence: on any shared trace and under every
+    /// policy, the dirty-set step and the full-sweep step take the same
+    /// prewarm/retire/GC actions at every interval, pay the same background
+    /// cost and leave the pool and state table in the same final state —
+    /// the dirty path only skips work, never decisions.
     #[test]
     fn prop_dirty_step_matches_full_sweep() {
-        testkit::check(48, |g| {
-            let gc = g.u32_in(1..4);
-            let intervals = g.usize_in(3..10);
-            let configs = [
-                ContainerConfig::bridge(ImageId::parse("python:3.8-alpine")),
-                ContainerConfig::bridge(ImageId::parse("alpine:3.12")),
-                ContainerConfig::bridge(ImageId::parse("golang:1.13")),
-            ];
-            // One op trace, applied identically to both stacks.
-            let plan: Vec<Vec<(usize, u8, usize)>> = (0..intervals)
-                .map(|_| {
-                    g.vec(0..6, |g| {
-                        (g.usize_in(0..3), g.u8_in(0..3), g.usize_in(1..4))
-                    })
+        for policy in policies() {
+            testkit::check(48, |g| dirty_step_matches_full_sweep(g, &policy));
+        }
+    }
+
+    fn dirty_step_matches_full_sweep(g: &mut testkit::Gen, policy: &ScalingPolicy) {
+        let gc = g.u32_in(1..4);
+        let intervals = g.usize_in(3..10);
+        let configs = [
+            ContainerConfig::bridge(ImageId::parse("python:3.8-alpine")),
+            ContainerConfig::bridge(ImageId::parse("alpine:3.12")),
+            ContainerConfig::bridge(ImageId::parse("golang:1.13")),
+        ];
+        // One op trace, applied identically to both stacks.
+        let plan: Vec<Vec<(usize, u8, usize)>> = (0..intervals)
+            .map(|_| {
+                g.vec(0..6, |g| {
+                    (g.usize_in(0..3), g.u8_in(0..3), g.usize_in(1..4))
                 })
-                .collect();
-            let (mut ef, mut pf, mut cf) = setup();
-            let (mut ed, mut pd, mut cd) = setup();
-            pf.set_gc_intervals(gc);
-            pd.set_gc_intervals(gc);
-            for (t, ops) in plan.iter().enumerate() {
-                let now = SimTime::from_secs(t as u64 * 30);
-                for &(ci, op, n) in ops {
-                    let c = &configs[ci];
-                    match op {
-                        0 => {
-                            drive_config_demand(&pf, &mut ef, c, n, now);
-                            drive_config_demand(&pd, &mut ed, c, n, now);
-                        }
-                        1 => {
-                            pf.prewarm(&ExclusiveEngine::new(&mut ef), c, now).unwrap();
-                            pd.prewarm(&ExclusiveEngine::new(&mut ed), c, now).unwrap();
-                        }
-                        _ => {
-                            for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
-                                if let Some(id) = p.id_for(c) {
-                                    p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
-                                }
+            })
+            .collect();
+        let (mut ef, mut pf, mut cf) = setup_with(policy.clone());
+        let (mut ed, mut pd, mut cd) = setup_with(policy.clone());
+        pf.set_gc_intervals(gc);
+        pd.set_gc_intervals(gc);
+        for (t, ops) in plan.iter().enumerate() {
+            let now = SimTime::from_secs(t as u64 * 30);
+            for &(ci, op, n) in ops {
+                let c = &configs[ci];
+                match op {
+                    0 => {
+                        drive_config_demand(&pf, &mut ef, c, n, now);
+                        drive_config_demand(&pd, &mut ed, c, n, now);
+                    }
+                    1 => {
+                        pf.prewarm(&ExclusiveEngine::new(&mut ef), c, now).unwrap();
+                        pd.prewarm(&ExclusiveEngine::new(&mut ed), c, now).unwrap();
+                    }
+                    _ => {
+                        for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
+                            if let Some(id) = p.id_for(c) {
+                                p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
                             }
                         }
                     }
                 }
-                let rf = cf
-                    .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
-                    .unwrap();
-                let rd = step(&mut cd, &pd, &mut ed, now);
-                assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
-                assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
-                assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
             }
-            assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
-            for key in pf.keys() {
-                assert_eq!(
-                    pf.num_avail_id(key),
-                    pd.num_avail_id(key),
-                    "sizing of {key}"
-                );
-                assert_eq!(pf.num_in_use_id(key), pd.num_in_use_id(key));
-            }
-            assert_eq!(cf.predictor_count(), cd.predictor_count());
-        });
+            let rf = cf
+                .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
+                .unwrap();
+            let rd = step(&mut cd, &pd, &mut ed, now);
+            assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
+            assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
+            assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
+        }
+        assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
+        for key in pf.keys() {
+            assert_eq!(
+                pf.num_avail_id(key),
+                pd.num_avail_id(key),
+                "sizing of {key}"
+            );
+            assert_eq!(pf.num_in_use_id(key), pd.num_in_use_id(key));
+        }
+        assert_eq!(cf.state_count(), cd.state_count());
+        assert_eq!(cf.background_cost(), cd.background_cost());
     }
 
     /// Serves one request on `config`, then steps until the key is held at
@@ -717,9 +972,8 @@ mod tests {
         let report = step(&mut ctl, &pool, &mut e, now);
         assert_eq!(report.actual_total(), 1);
         assert_eq!(report.demand[0].0, id);
-        let entry = ctl.keys[id.index()].predictor.as_ref().unwrap();
         assert_eq!(
-            entry.model.observations() as u64,
+            model(&ctl.keys[id.index()]).unwrap().observations() as u64,
             t + 21,
             "one per interval"
         );
@@ -741,7 +995,7 @@ mod tests {
         assert_eq!(gc, 1);
         let slot = &ctl.keys[id.index()];
         assert_eq!((slot.hold_until, slot.predictor.is_none()), (0, true));
-        assert_eq!(ctl.predictor_count(), 0);
+        assert_eq!(ctl.state_count(), 0);
     }
 
     /// An idle fleet is what a hold is for: 400 keys that each served one
@@ -778,80 +1032,231 @@ mod tests {
     /// back), the holding dirty step and the every-key full sweep take the
     /// same actions at every interval, leave the same pool, and — once one
     /// common full sweep has made both visit every key — the same predictor
-    /// state, bit for bit.
+    /// state, bit for bit. Only `EsMarkov` holds; the baselines never do.
     #[test]
     fn prop_held_step_matches_full_sweep_over_long_idle_runs() {
+        for policy in policies() {
+            let mut held = 0;
+            testkit::check(32, |g| held += held_step_matches_full_sweep(g, &policy));
+            if let ScalingPolicy::EsMarkov(_) = policy {
+                assert!(held > 1000, "holds were taken: {held} skips");
+            } else {
+                assert_eq!(held, 0, "{policy:?} held a key");
+            }
+        }
+    }
+
+    /// One case of the property above; returns the dirty step's skips.
+    fn held_step_matches_full_sweep(g: &mut testkit::Gen, policy: &ScalingPolicy) -> usize {
         let mut held = 0;
-        testkit::check(32, |g| {
-            let gc = g.u32_in(1..4);
-            let intervals = g.usize_in(50..601);
-            let configs: Vec<ContainerConfig> = (0..4).map(keyed).collect();
-            let (mut ef, mut pf, mut cf) = setup();
-            let (mut ed, mut pd, mut cd) = setup();
-            pf.set_gc_intervals(gc);
-            pd.set_gc_intervals(gc);
-            for t in 0..=intervals {
-                let now = SimTime::from_secs(t as u64 * 30);
-                let ops = if t == 0 || g.u8_in(0..12) == 0 {
-                    g.vec(1..4, |g| {
-                        (g.usize_in(0..4), g.u8_in(0..4), g.usize_in(1..4))
-                    })
-                } else {
-                    Vec::new()
-                };
-                for (ci, op, n) in ops {
-                    let c = &configs[ci];
-                    for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
-                        match op {
-                            0 | 1 => drive_config_demand(p, e, c, n, now),
-                            2 => {
-                                p.prewarm(&ExclusiveEngine::new(e), c, now).unwrap();
-                            }
-                            _ => {
-                                if let Some(id) = p.id_for(c) {
-                                    p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
-                                }
+        let gc = g.u32_in(1..4);
+        let intervals = g.usize_in(50..601);
+        let configs: Vec<ContainerConfig> = (0..4).map(keyed).collect();
+        let (mut ef, mut pf, mut cf) = setup_with(policy.clone());
+        let (mut ed, mut pd, mut cd) = setup_with(policy.clone());
+        pf.set_gc_intervals(gc);
+        pd.set_gc_intervals(gc);
+        for t in 0..=intervals {
+            let now = SimTime::from_secs(t as u64 * 30);
+            let ops = if t == 0 || g.u8_in(0..12) == 0 {
+                g.vec(1..4, |g| {
+                    (g.usize_in(0..4), g.u8_in(0..4), g.usize_in(1..4))
+                })
+            } else {
+                Vec::new()
+            };
+            for (ci, op, n) in ops {
+                let c = &configs[ci];
+                for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
+                    match op {
+                        0 | 1 => drive_config_demand(p, e, c, n, now),
+                        2 => {
+                            p.prewarm(&ExclusiveEngine::new(e), c, now).unwrap();
+                        }
+                        _ => {
+                            if let Some(id) = p.id_for(c) {
+                                p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
                             }
                         }
                     }
                 }
-                let rf = cf
-                    .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
-                    .unwrap();
-                let pooled = pd
-                    .keys()
-                    .into_iter()
-                    .filter(|&k| pd.num_avail_id(k) > 0)
-                    .count();
-                // The last interval is the common full sweep.
-                let rd = if t == intervals {
-                    cd.step_full(&pd, &ExclusiveEngine::new(&mut ed), now)
-                        .unwrap()
-                } else {
-                    step(&mut cd, &pd, &mut ed, now)
-                };
-                assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
-                assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
-                assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
-                // A key holding a runtime is in every snapshot: the ones a
-                // dirty report leaves out were passed over under a hold.
-                held += pooled.saturating_sub(rd.demand.len());
             }
-            assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
-            for key in pf.keys() {
+            let rf = cf
+                .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
+                .unwrap();
+            let pooled = pd
+                .keys()
+                .into_iter()
+                .filter(|&k| pd.num_avail_id(k) > 0)
+                .count();
+            // The last interval is the common full sweep.
+            let rd = if t == intervals {
+                cd.step_full(&pd, &ExclusiveEngine::new(&mut ed), now)
+                    .unwrap()
+            } else {
+                step(&mut cd, &pd, &mut ed, now)
+            };
+            assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
+            assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
+            assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
+            // A key holding a runtime is in every snapshot: the ones a
+            // dirty report leaves out were passed over under a hold.
+            held += pooled.saturating_sub(rd.demand.len());
+        }
+        assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
+        for key in pf.keys() {
+            assert_eq!(
+                pf.num_avail_id(key),
+                pd.num_avail_id(key),
+                "sizing of {key}"
+            );
+        }
+        assert!(cf.keys.iter().all(|s| s.hold_until == 0), "a sweep held");
+        assert_eq!(cf.keys.len(), cd.keys.len());
+        for (f, d) in cf.keys.iter().zip(&cd.keys) {
+            let debug = |s| model(s).map(|m| format!("{m:?}"));
+            assert_eq!(debug(f), debug(d));
+        }
+        held
+    }
+
+    /// Fig. 1's cadence: a batch every 30 minutes, steps every 60 s. A
+    /// 15-minute window is 15 minutes of simulated time, not 30 steps'
+    /// worth of the 30 s control interval — so the runtime is retired inside
+    /// the gap and the next batch's first request is cold again.
+    #[test]
+    fn keep_alive_window_is_simulated_time_not_steps() {
+        let policy = ScalingPolicy::KeepAlive(SimDuration::from_mins(15));
+        let (mut e, pool, mut ctl) = setup_with(policy);
+        let id = pool.intern_config(&cfg());
+        for minute in 0..120u64 {
+            let now = SimTime::from_secs(minute * 60);
+            if minute % 30 == 0 {
                 assert_eq!(
-                    pf.num_avail_id(key),
-                    pd.num_avail_id(key),
-                    "sizing of {key}"
+                    pool.num_avail_id(id),
+                    0,
+                    "minute {minute}: batch starts cold"
                 );
+                drive_demand(&pool, &mut e, 1, now);
             }
-            assert!(cf.keys.iter().all(|s| s.hold_until == 0), "a sweep held");
-            assert_eq!(cf.keys.len(), cd.keys.len());
-            for (f, d) in cf.keys.iter().zip(&cd.keys) {
-                let model = |s: &KeySlot| s.predictor.as_ref().map(|p| format!("{:?}", p.model));
-                assert_eq!(model(f), model(d));
+            let report = step(&mut ctl, &pool, &mut e, now);
+            assert_eq!(report.prewarmed, 0);
+            let kept = usize::from(minute % 30 <= 15);
+            assert_eq!(pool.num_avail_id(id), kept, "minute {minute}");
+        }
+    }
+
+    /// The port of the hybrid policy's rare-type test: a key invoked every
+    /// 30 minutes is retired after the default 10-minute window and its slot
+    /// garbage-collected — three times, while its gap history survives each
+    /// GC — until three gaps teach it a 33-minute window; from then on it is
+    /// warm at its cadence.
+    #[test]
+    fn hybrid_gap_history_survives_slot_gc() {
+        let (mut e, pool, mut ctl) = setup_with(ScalingPolicy::Hybrid);
+        let id = pool.intern_config(&cfg());
+        let (mut warm, mut gc) = (Vec::new(), 0);
+        for t in 0..8 * 60u64 {
+            let now = SimTime::from_secs(t * 30);
+            if t % 60 == 0 {
+                warm.push(pool.num_avail_id(id) == 1);
+                drive_demand(&pool, &mut e, 1, now);
             }
-        });
-        assert!(held > 1000, "holds were taken: {held} skips");
+            gc += step(&mut ctl, &pool, &mut e, now).gc_keys;
+        }
+        assert_eq!(warm, [false, false, false, false, true, true, true, true]);
+        assert_eq!(gc, 3);
+    }
+
+    /// The learned window needs three gaps and stays inside its clamps.
+    #[test]
+    fn learned_ttl_defaults_then_clamps() {
+        let mut history = TypeHistory::default();
+        for _ in 0..2 {
+            history.record_gap(SimDuration::from_mins(180));
+        }
+        assert_eq!(history.learned_ttl(), DEFAULT_TTL, "two gaps");
+        history.record_gap(SimDuration::from_mins(180));
+        assert_eq!(history.learned_ttl(), MAX_TTL);
+        for _ in 0..GAP_WINDOW {
+            history.record_gap(SimDuration::from_secs(1));
+        }
+        assert_eq!(history.learned_ttl(), MIN_TTL);
+    }
+
+    /// The ring buffer and its incrementally sorted twin keep the exact
+    /// sliding-window semantics of a `Vec::remove(0)` + clone-and-sort
+    /// window: once it wraps, the oldest gap leaves both views and
+    /// `learned_ttl` equals a from-scratch sort of the surviving window.
+    #[test]
+    fn gap_window_matches_naive_resort_across_wraparound() {
+        let mut history = TypeHistory::default();
+        let mut naive: Vec<SimDuration> = Vec::new();
+        // Deterministic pseudo-random gaps with plenty of duplicates.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..(GAP_WINDOW * 2 + 17) {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let gap = SimDuration::from_millis(1 + state % 50);
+            history.record_gap(gap);
+            if naive.len() == GAP_WINDOW {
+                naive.remove(0);
+            }
+            naive.push(gap);
+
+            let mut resorted = naive.clone();
+            resorted.sort_unstable();
+            assert_eq!(history.sorted, resorted, "diverged at insert {i}");
+            assert!(history.gaps.iter().eq(&naive), "ring diverged at {i}");
+            let naive_history = TypeHistory {
+                gaps: naive.iter().copied().collect(),
+                sorted: resorted,
+                last_seen: None,
+            };
+            assert_eq!(history.learned_ttl(), naive_history.learned_ttl());
+        }
+        assert_eq!(history.gaps.len(), GAP_WINDOW);
+    }
+
+    /// Periodic warm-up pays one ping per available runtime per elapsed
+    /// period, carrying a partial period over, and retires nothing.
+    #[test]
+    fn keep_all_pays_one_ping_per_available_runtime_per_period() {
+        let policy = ScalingPolicy::KeepAll {
+            ping: Some(SimDuration::from_mins(5)),
+        };
+        let (mut e, pool, mut ctl) = setup_with(policy);
+        drive_demand(&pool, &mut e, 3, SimTime::ZERO);
+        let mut pings_at = |minute: u64| {
+            step(&mut ctl, &pool, &mut e, SimTime::from_secs(minute * 60));
+            ctl.background_cost().div_duration(PING_COST)
+        };
+        assert_eq!(pings_at(1), 0, "inside the first period");
+        assert_eq!(pings_at(21), 4 * 3, "four periods, three runtimes");
+        assert_eq!(pings_at(24), 4 * 3, "the fifth period has not ended");
+        assert_eq!(pings_at(25), 5 * 3);
+        assert_eq!(pool.total_available(), 3);
+    }
+
+    /// Crash disposal is not refilled: under fault injection, over random
+    /// traffic on three keys, no baseline step ever pre-warms.
+    #[test]
+    fn prop_baselines_never_prewarm_under_crashes() {
+        for policy in &policies()[1..] {
+            testkit::check(16, |g| {
+                let (mut e, pool, mut ctl) = setup_with(policy.clone());
+                e.set_fault_injection(0.3, g.u64_in(0..1000));
+                for t in 0..g.u64_in(10..80) {
+                    let now = SimTime::from_secs(t * 30);
+                    for _ in 0..g.usize_in(0..3) {
+                        let c = keyed(g.usize_in(0..3));
+                        drive_config_demand(&pool, &mut e, &c, g.usize_in(1..5), now);
+                    }
+                    let report = step(&mut ctl, &pool, &mut e, now);
+                    assert_eq!(report.prewarmed, 0, "{policy:?} at step {t}");
+                }
+            });
+        }
     }
 }

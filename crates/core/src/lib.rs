@@ -26,7 +26,8 @@
 //! * [`controller`] — **Adaptive live container management** (Algorithm 3):
 //!   per-key demand history at a fixed control interval, predicted with the
 //!   combined exponential-smoothing + Markov model, pre-warming and retiring
-//!   pool containers to match.
+//!   pool containers to match. The §III-B keep-alive practices HotC is
+//!   measured against are other [`ScalingPolicy`]s of the same controller.
 //! * [`limits`] — the resource guardrails of §IV-B: at most 500 live
 //!   containers and a host memory-pressure threshold of 80 %
 //!   (`used_mem + used_swap`), enforced by evicting the oldest live
@@ -88,7 +89,7 @@ mod middleware;
 pub mod pool;
 
 pub use concurrent::{ConcurrentGateway, FunctionHandle};
-pub use controller::{AdaptiveController, ControllerConfig};
+pub use controller::{AdaptiveController, ControllerConfig, ScalingPolicy};
 pub use key::{KeyId, KeyInterner, KeyPolicy};
 pub use limits::PoolLimits;
 pub use middleware::{HotC, HotCConfig};

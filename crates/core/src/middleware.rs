@@ -15,8 +15,13 @@
 //! mutex. The warm request path takes no lock here: the controller sits
 //! behind a mutex that only `tick_on` (and the background-cost read) takes,
 //! and the tallies are relaxed atomics.
+//!
+//! The §III-B keep-alive baselines are `HotC` too, with another
+//! [`ScalingPolicy`] and no limits ([`HotC::fixed_keepalive`],
+//! [`HotC::periodic_warmup`], [`HotC::hybrid_keepalive`]), so every frontend
+//! and the cluster run them unchanged.
 
-use crate::controller::{AdaptiveController, ControllerConfig, StepReport};
+use crate::controller::{AdaptiveController, ScalingPolicy, StepReport};
 use crate::key::{KeyId, KeyPolicy};
 use crate::limits::PoolLimits;
 use crate::pool::{EngineRef, ExclusiveEngine, PoolAcquisition, RuntimePool};
@@ -33,11 +38,21 @@ pub struct HotCConfig {
     pub key_policy: KeyPolicy,
     /// Pool resource limits.
     pub limits: PoolLimits,
-    /// Adaptive controller tuning.
-    pub controller: ControllerConfig,
-    /// Disable the predictor entirely (pure reactive reuse) — the ablation
-    /// comparing "pool only" against "pool + adaptive control".
-    pub disable_prediction: bool,
+    /// How the controller sizes each key: Algorithm 3 by default;
+    /// `KeepAll { ping: None }` is the "pool only" ablation.
+    pub policy: ScalingPolicy,
+}
+
+impl HotCConfig {
+    /// A §III-B baseline: exact keys, `policy`, and no limits — the
+    /// industry practices HotC is compared with cap nothing.
+    pub(crate) fn baseline(policy: ScalingPolicy) -> Self {
+        HotCConfig {
+            key_policy: KeyPolicy::Exact,
+            limits: PoolLimits::new(usize::MAX, 1.5),
+            policy,
+        }
+    }
 }
 
 /// The HotC runtime manager.
@@ -48,7 +63,7 @@ pub struct HotC {
     /// while holding any other (DESIGN.md §5).
     controller: Mutex<AdaptiveController>,
     limits: PoolLimits,
-    disable_prediction: bool,
+    name: &'static str,
     /// Cumulative cleanup/eviction cost in virtual nanoseconds. Bumped on
     /// every release, so it is a statistic on a relaxed atomic rather than
     /// state behind a lock that would reserialize the warm path.
@@ -61,12 +76,9 @@ impl HotC {
     pub fn new(config: HotCConfig) -> Self {
         HotC {
             pool: RuntimePool::new(config.key_policy),
-            controller: Mutex::labeled(
-                AdaptiveController::new(config.controller),
-                "hotc/controller",
-            ),
+            name: config.policy.name(),
+            controller: Mutex::labeled(AdaptiveController::new(config.policy), "hotc/controller"),
             limits: config.limits,
-            disable_prediction: config.disable_prediction,
             background_nanos: AtomicU64::new(0),
             forced_evictions: AtomicU64::new(0),
         }
@@ -76,6 +88,26 @@ impl HotC {
     /// 80 %-memory limits, α = 0.8 adaptive control at 30 s.
     pub fn with_defaults() -> Self {
         Self::new(HotCConfig::default())
+    }
+
+    /// AWS-style fixed keep-alive: each key keeps the peak demand of the
+    /// last `ttl` (AWS Lambda: about 15 minutes).
+    pub fn fixed_keepalive(ttl: SimDuration) -> Self {
+        Self::new(HotCConfig::baseline(ScalingPolicy::KeepAlive(ttl)))
+    }
+
+    /// Azure-Logic-style periodic warm-up: every runtime is kept and pays a
+    /// ping per `period`.
+    pub fn periodic_warmup(period: SimDuration) -> Self {
+        Self::new(HotCConfig::baseline(ScalingPolicy::KeepAll {
+            ping: Some(period),
+        }))
+    }
+
+    /// Azure-style hybrid keep-alive: each key's window is learned from its
+    /// own gaps.
+    pub fn hybrid_keepalive() -> Self {
+        Self::new(HotCConfig::baseline(ScalingPolicy::Hybrid))
     }
 
     /// Pool inspection.
@@ -152,11 +184,7 @@ impl HotC {
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<Option<StepReport>, EngineError> {
-        let report = if self.disable_prediction {
-            None
-        } else {
-            self.controller.lock().maybe_step(&self.pool, engine, now)?
-        };
+        let report = self.controller.lock().maybe_step(&self.pool, engine, now)?;
         self.enforce_limits(engine, now)?;
         Ok(report)
     }
@@ -188,7 +216,7 @@ impl RuntimeProvider for HotC {
     }
 
     fn name(&self) -> &'static str {
-        "hotc"
+        self.name
     }
 
     fn background_cost(&self) -> SimDuration {
@@ -299,7 +327,7 @@ mod tests {
     fn disabled_prediction_still_reuses() {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
         let config = HotCConfig {
-            disable_prediction: true,
+            policy: ScalingPolicy::KeepAll { ping: None },
             ..Default::default()
         };
         let mut gw = Gateway::new(engine, HotC::new(config));

@@ -270,11 +270,11 @@ impl InFlight {
 ///
 /// ```
 /// use containersim::{ContainerEngine, HardwareProfile};
-/// use faas::{AppProfile, FixedKeepAlive, Gateway};
+/// use faas::{AppProfile, ColdStartAlways, Gateway};
 /// use simclock::SimTime;
 ///
 /// let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-/// let mut gateway = Gateway::new(engine, FixedKeepAlive::aws_default());
+/// let mut gateway = Gateway::new(engine, ColdStartAlways::new());
 /// gateway.register_app(AppProfile::random_number());
 ///
 /// let trace = gateway.handle("random-number", SimTime::ZERO).unwrap();
@@ -389,7 +389,7 @@ impl<P: RuntimeProvider> Gateway<P> {
         self.stats.snapshot()
     }
 
-    /// Runs provider maintenance (keep-alive expiry, HotC pool control).
+    /// Runs provider maintenance (HotC's control step and limits).
     pub fn tick(&mut self, now: SimTime) -> Result<(), GatewayError> {
         self.provider.tick(&mut self.engine, now)?;
         Ok(())
@@ -479,9 +479,8 @@ impl<P: RuntimeProvider> Gateway<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ColdStartAlways, FixedKeepAlive};
+    use crate::policy::ColdStartAlways;
     use containersim::HardwareProfile;
-    use simclock::SimDuration;
 
     fn gateway<P: RuntimeProvider>(provider: P) -> Gateway<P> {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
@@ -509,139 +508,13 @@ mod tests {
         assert!(trace.initiation() > trace.forwarding() * 50);
     }
 
-    #[test]
-    fn warm_request_is_much_faster() {
-        let mut gw = gateway(FixedKeepAlive::aws_default());
-        let cold = gw.handle("random-number", SimTime::ZERO).unwrap();
-        let warm = gw.handle("random-number", SimTime::from_secs(10)).unwrap();
-        assert!(cold.cold && !warm.cold);
-        assert!(!warm.first_exec);
-        assert!(cold.total() > warm.total() * 10);
-        assert_eq!(gw.stats().requests, 2);
-        assert_eq!(gw.stats().cold_starts, 1);
-    }
-
-    #[test]
-    fn split_phase_supports_overlap() {
-        let mut gw = gateway(FixedKeepAlive::aws_default());
-        // Two requests arriving together must occupy two containers.
-        let a = gw.begin("random-number", SimTime::ZERO).unwrap();
-        let b = gw.begin("random-number", SimTime::ZERO).unwrap();
-        assert_ne!(a.container, b.container);
-        assert_eq!(gw.engine().live_count(), 2);
-        let ta = gw.finish(a).unwrap();
-        let tb = gw.finish(b).unwrap();
-        assert!(ta.is_well_formed() && tb.is_well_formed());
-        // After release both are warm; the next two reuse them.
-        let c = gw.begin("random-number", SimTime::from_secs(5)).unwrap();
-        let d = gw.begin("random-number", SimTime::from_secs(5)).unwrap();
-        assert!(!c.cold && !d.cold);
-        gw.finish(c).unwrap();
-        gw.finish(d).unwrap();
-    }
-
-    #[test]
-    fn first_exec_charges_app_init() {
-        let mut gw = gateway(FixedKeepAlive::aws_default());
-        let first = gw.handle("random-number", SimTime::ZERO).unwrap();
-        let second = gw.handle("random-number", SimTime::from_secs(1)).unwrap();
-        assert!(first.first_exec && !second.first_exec);
-        // First execution includes the app init (20 ms vs 5 ms base).
-        assert!(first.execution() > second.execution() * 2);
-    }
-
-    #[test]
-    fn multiple_functions_coexist() {
-        let mut gw = gateway(FixedKeepAlive::aws_default());
-        gw.register_app(AppProfile::qr_code(containersim::LanguageRuntime::Go));
-        let a = gw.handle("random-number", SimTime::ZERO).unwrap();
-        let b = gw.handle("qr-code", SimTime::from_secs(1)).unwrap();
-        assert!(a.cold && b.cold, "different configs don't share runtimes");
-        let b2 = gw.handle("qr-code", SimTime::from_secs(2)).unwrap();
-        assert!(!b2.cold);
-    }
-
-    /// The tentpole invariant: a request's per-stage decomposition sums to
-    /// its e2e latency exactly, cold and warm alike, and the always-on
-    /// registry sees every request.
-    #[test]
-    fn stage_sample_reconciles_with_trace_total() {
-        let mut gw = gateway(FixedKeepAlive::aws_default());
-        let cold = gw.begin("random-number", SimTime::ZERO).unwrap();
-        let cold_sample = cold.stage_sample();
-        let cold_trace = gw.finish(cold).unwrap();
-        assert_eq!(cold_sample.total(), cold_trace.total());
-        assert!(!cold_sample.get(Stage::ImagePull).is_zero() || cold_trace.cold);
-        assert!(!cold_sample.get(Stage::RuntimeInit).is_zero());
-        assert!(!cold_sample.get(Stage::AppInit).is_zero(), "first exec");
-
-        let warm = gw.begin("random-number", SimTime::from_secs(10)).unwrap();
-        let warm_sample = warm.stage_sample();
-        let warm_trace = gw.finish(warm).unwrap();
-        assert_eq!(warm_sample.total(), warm_trace.total());
-        assert!(
-            warm_sample.get(Stage::RuntimeInit).is_zero(),
-            "no cold stages"
-        );
-        assert!(warm_sample.get(Stage::AppInit).is_zero(), "no re-init");
-
-        let snap = gw.metrics().snapshot();
-        assert_eq!(snap.counter("gateway/requests"), Some(2));
-        assert_eq!(snap.counter("gateway/cold_starts"), Some(1));
-        assert_eq!(snap.stage_count("all", Stage::Exec), 2);
-        assert_eq!(snap.stage_count("fn/random-number", Stage::Exec), 2);
-        assert_eq!(snap.stage_count("all", Stage::RuntimeInit), 1);
-        assert_eq!(
-            snap.scope_total_ns("all"),
-            (cold_trace.total() + warm_trace.total()).as_nanos()
-        );
-    }
-
-    /// `metrics()` adds what the tally gained since its last call, so the
-    /// counters hold the sum however often and in whatever order they are
-    /// mirrored: two gateways on one registry, and a registry that absorbed
-    /// another gateway's and is then read through its own gateway again.
-    #[test]
-    fn mirrored_counters_sum_across_gateways_and_absorbs() {
-        let shared = Arc::new(MetricsRegistry::new());
-        let mut nodes: Vec<_> = (0..2)
-            .map(|_| {
-                let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-                let provider = FixedKeepAlive::aws_default();
-                let mut gw = Gateway::with_metrics(engine, provider, Arc::clone(&shared));
-                gw.register_app(AppProfile::random_number());
-                gw
-            })
-            .collect();
-        for (node, at) in [(0, 0), (0, 10), (1, 0)] {
-            let now = SimTime::from_secs(at);
-            nodes[node].handle("random-number", now).unwrap();
-        }
-        for gw in nodes.iter().chain(&nodes) {
-            gw.metrics();
-        }
-        let snap = shared.snapshot();
-        assert_eq!(snap.counter("gateway/requests"), Some(3));
-        assert_eq!(snap.counter("gateway/cold_starts"), Some(2));
-
-        let mut worker = gateway(FixedKeepAlive::aws_default());
-        worker.handle("random-number", SimTime::ZERO).unwrap();
-        nodes[0].metrics().absorb(worker.metrics());
-        nodes[0]
-            .handle("random-number", SimTime::from_secs(20))
-            .unwrap();
-        let snap = nodes[0].metrics().snapshot();
-        assert_eq!(snap.counter("gateway/requests"), Some(5));
-        assert_eq!(snap.counter("gateway/cold_starts"), Some(3));
-    }
-
     /// The per-function stage-set handle is created by a function's first
     /// `finish`: a registered function that is never invoked stays out of
     /// the snapshot, and a `begin_with` caller's function (held by a cluster
     /// scheduler, never registered on this node) gets its scope all the same.
     #[test]
     fn stage_scopes_appear_on_first_finish_only() {
-        let mut gw = gateway(FixedKeepAlive::aws_default());
+        let mut gw = gateway(ColdStartAlways::new());
         gw.register(FunctionSpec::from_app(AppProfile::random_number()).named("idle"));
         let placed = FunctionSpec::from_app(AppProfile::random_number()).named("placed");
         assert!(gw
@@ -664,39 +537,6 @@ mod tests {
         assert_eq!(snap.stage_count("all", Stage::Exec), 4);
     }
 
-    /// Property: over random traffic (mixed apps, random gaps — cold, warm,
-    /// and app-switch reuse all occur), every request's stage decomposition
-    /// sums to its trace total, and the registry's aggregate stage sums
-    /// reconcile exactly with the sum of e2e totals.
-    #[test]
-    fn prop_stage_sums_reconcile_with_trace_totals() {
-        testkit::check(16, |g| {
-            let mut gw = gateway(FixedKeepAlive::aws_default());
-            gw.register_app(AppProfile::qr_code(containersim::LanguageRuntime::Go));
-            let names = ["random-number", "qr-code"];
-            let mut now = SimTime::ZERO;
-            let mut expected_total = 0u64;
-            let n = 3 + g.u64_in(0..20);
-            for _ in 0..n {
-                let function = names[g.u64_in(0..names.len() as u64) as usize];
-                let inflight = gw.begin(function, now).unwrap();
-                let sample = inflight.stage_sample();
-                let trace = gw.finish(inflight).unwrap();
-                assert_eq!(sample.total(), trace.total(), "per-request split");
-                expected_total += trace.total().as_nanos();
-                now = trace.t6_gateway_out + SimDuration::from_millis(g.u64_in(0..120_000));
-            }
-            let snap = gw.metrics().snapshot();
-            assert_eq!(snap.counter("gateway/requests"), Some(n));
-            assert_eq!(snap.scope_total_ns("all"), expected_total);
-            let per_fn: u64 = names
-                .iter()
-                .map(|f| snap.scope_total_ns(&format!("fn/{f}")))
-                .sum();
-            assert_eq!(per_fn, expected_total);
-        });
-    }
-
     #[test]
     fn handle_equals_begin_finish() {
         let mut gw1 = gateway(ColdStartAlways::new());
@@ -705,43 +545,6 @@ mod tests {
         let inflight = gw2.begin("random-number", SimTime::from_secs(3)).unwrap();
         let t2 = gw2.finish(inflight).unwrap();
         assert_eq!(t1, t2);
-    }
-
-    /// A registered spec and the same spec handed in on a twin gateway take
-    /// one path: identical traces cold and warm, identical `fn/` scopes.
-    #[test]
-    fn begin_and_begin_with_agree() {
-        let mut registered = gateway(FixedKeepAlive::aws_default());
-        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut handed = Gateway::new(engine, FixedKeepAlive::aws_default());
-        let spec = FunctionSpec::from_app(AppProfile::random_number());
-        for at in [0, 10] {
-            let now = SimTime::from_secs(at);
-            let a = registered.begin("random-number", now).unwrap();
-            let b = handed.begin_with(&spec, now).unwrap();
-            let (a, b) = (registered.finish(a).unwrap(), handed.finish(b).unwrap());
-            assert_eq!(a, b);
-            assert_eq!(a.cold, at == 0);
-        }
-        let (a, b) = (registered.metrics().snapshot(), handed.metrics().snapshot());
-        let scopes = |s: &metrics_lite::MetricsSnapshot| -> Vec<String> {
-            s.stages.iter().map(|(scope, _)| scope.clone()).collect()
-        };
-        assert_eq!(scopes(&a), ["all", "fn/random-number"]);
-        assert_eq!(scopes(&a), scopes(&b));
-        for (stage, count) in [(Stage::RuntimeInit, 1), (Stage::Exec, 2)] {
-            assert_eq!(a.stage_count("fn/random-number", stage), count);
-            assert_eq!(b.stage_count("fn/random-number", stage), count);
-        }
-    }
-
-    #[test]
-    fn tick_delegates_to_provider() {
-        let mut gw = gateway(FixedKeepAlive::new(SimDuration::from_secs(60)));
-        gw.handle("random-number", SimTime::ZERO).unwrap();
-        assert_eq!(gw.engine().live_count(), 1);
-        gw.tick(SimTime::from_secs(300)).unwrap();
-        assert_eq!(gw.engine().live_count(), 0, "expired container reclaimed");
     }
 }
 
@@ -827,62 +630,5 @@ mod component_tests {
         assert_eq!(gw.functions().count(), 1);
         assert_eq!(gw.function("random-number"), Some(&replacement));
         assert!(gw.function("nope").is_none());
-    }
-}
-
-#[cfg(test)]
-mod shared_runtime_tests {
-    use super::*;
-    use crate::policy::FixedKeepAlive;
-    use containersim::engine::ExecWork;
-    use containersim::HardwareProfile;
-    use simclock::SimDuration;
-
-    /// Two apps with identical runtime configurations (same image, network,
-    /// env) — the pool treats them as one runtime type.
-    fn two_apps_one_runtime() -> Gateway<FixedKeepAlive> {
-        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
-        let base = AppProfile {
-            name: "alpha",
-            image: containersim::ImageId::parse("python:3.8-alpine"),
-            app_init: SimDuration::from_millis(500),
-            work: ExecWork::light(SimDuration::from_millis(50)),
-        };
-        let mut beta = base.clone();
-        beta.name = "beta";
-        gw.register_app(base);
-        gw.register_app(beta);
-        gw
-    }
-
-    #[test]
-    fn switching_apps_repays_app_init() {
-        let mut gw = two_apps_one_runtime();
-        let a1 = gw.handle("alpha", SimTime::ZERO).unwrap();
-        assert!(a1.cold);
-        // Beta reuses alpha's runtime (same type) but must load its own code
-        // and state: app init is charged even though the container is warm.
-        let b1 = gw.handle("beta", SimTime::from_secs(10)).unwrap();
-        assert!(!b1.cold, "same runtime type is reused");
-        assert!(
-            b1.execution() > SimDuration::from_millis(500),
-            "beta's init must be paid: {:?}",
-            b1.execution()
-        );
-        // Running beta again in the same runtime is now warm all the way.
-        let b2 = gw.handle("beta", SimTime::from_secs(20)).unwrap();
-        assert!(b2.execution() < SimDuration::from_millis(100));
-        // And switching back to alpha re-pays alpha's init.
-        let a2 = gw.handle("alpha", SimTime::from_secs(30)).unwrap();
-        assert!(a2.execution() > SimDuration::from_millis(500));
-    }
-
-    #[test]
-    fn same_app_repeat_does_not_repay_init() {
-        let mut gw = two_apps_one_runtime();
-        gw.handle("alpha", SimTime::ZERO).unwrap();
-        let second = gw.handle("alpha", SimTime::from_secs(5)).unwrap();
-        assert!(second.execution() < SimDuration::from_millis(100));
     }
 }

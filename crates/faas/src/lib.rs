@@ -21,24 +21,23 @@
 //! * [`pipeline`] — the six-timestamp [`pipeline::RequestTrace`] and the
 //!   fixed network/proxy hop costs,
 //! * [`gateway`] — the request driver; generic over a [`RuntimeProvider`]
-//!   so the same gateway runs with cold-start-always, fixed keep-alive
-//!   (AWS-style), periodic warm-up (Azure-Logic-style), or HotC,
-//! * [`policy`] — the non-HotC baseline providers,
+//!   so the same gateway runs with cold-start-always or HotC (whose scaling
+//!   policies include the §III-B keep-alive baselines: fixed keep-alive,
+//!   periodic warm-up, hybrid windows),
+//! * [`policy`] — [`ColdStartAlways`], the one provider that pools nothing,
 //! * [`apps`] — the paper's application catalogue (random-number, QR code,
 //!   S3-download per language, inception-v3, TensorFlow-API, Cassandra-like)
 //!   as synthetic profiles.
 
 pub mod apps;
 pub mod gateway;
-pub mod hybrid;
 pub mod pipeline;
 pub mod policy;
 
 pub use apps::AppProfile;
 pub use gateway::{FunctionSpec, Gateway, GatewayStats, InFlight, SharedStats};
-pub use hybrid::HybridKeepAlive;
 pub use pipeline::RequestTrace;
-pub use policy::{ColdStartAlways, FixedKeepAlive, PeriodicWarmup};
+pub use policy::ColdStartAlways;
 
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
 use simclock::{SimDuration, SimTime};
@@ -86,9 +85,9 @@ impl Acquisition {
 
 /// A strategy for providing container runtimes to the gateway.
 ///
-/// Implemented by the baseline policies in [`policy`] and by HotC itself (in
-/// the `hotc` crate), so every experiment runs the *same* gateway code and
-/// differs only in runtime management.
+/// Implemented by [`ColdStartAlways`] and by HotC itself (in the `hotc`
+/// crate, under every scaling policy), so every experiment runs the *same*
+/// gateway code and differs only in runtime management.
 pub trait RuntimeProvider {
     /// Obtains a ready (idle, clean) container for `config`.
     fn acquire(

@@ -47,7 +47,7 @@ fn main() {
                 rates.clone(),
             ),
             "fixed-keepalive" => replay(
-                Gateway::new(engine, FixedKeepAlive::aws_default()),
+                Gateway::new(engine, HotC::fixed_keepalive(SimDuration::from_mins(15))),
                 rates.clone(),
             ),
             _ => replay(Gateway::new(engine, HotC::with_defaults()), rates.clone()),

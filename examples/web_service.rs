@@ -49,38 +49,24 @@ fn main() {
     );
 
     let engine = || ContainerEngine::with_local_images(HardwareProfile::server());
-    let rows: Vec<(&str, LatencyRecorder, u64)> = vec![
-        {
-            let (r, c) = drive(
-                Gateway::new(engine(), faas::ColdStartAlways::new()),
-                n,
-                seed,
-            );
-            ("cold-start", r, c)
-        },
-        {
-            let (r, c) = drive(
-                Gateway::new(engine(), FixedKeepAlive::aws_default()),
-                n,
-                seed,
-            );
-            ("fixed-keepalive", r, c)
-        },
-        {
-            let (r, c) = drive(
-                Gateway::new(engine(), PeriodicWarmup::new(SimDuration::from_mins(5))),
-                n,
-                seed,
-            );
-            ("periodic-warmup", r, c)
-        },
-        {
-            let (r, c) = drive(Gateway::new(engine(), HotC::with_defaults()), n, seed);
-            ("hotc", r, c)
-        },
+    let (recorder, cold) = drive(
+        Gateway::new(engine(), faas::ColdStartAlways::new()),
+        n,
+        seed,
+    );
+    // The keep-alive baselines are HotC's pool under another scaling policy.
+    let pooled = [
+        HotC::fixed_keepalive(SimDuration::from_mins(15)),
+        HotC::periodic_warmup(SimDuration::from_mins(5)),
+        HotC::with_defaults(),
     ];
+    let rows = std::iter::once(("cold-start", recorder, cold)).chain(pooled.map(|hotc| {
+        let name = hotc.name();
+        let (recorder, cold) = drive(Gateway::new(engine(), hotc), n, seed);
+        (name, recorder, cold)
+    }));
 
-    for (name, recorder, cold) in &rows {
+    for (name, recorder, cold) in rows {
         table.row(&[
             name.to_string(),
             format!("{:.1}", recorder.mean().as_millis_f64()),

@@ -17,8 +17,10 @@ pub mod prelude {
     pub use containersim::{
         ContainerConfig, ContainerEngine, HardwareProfile, ImageId, LanguageRuntime, NetworkMode,
     };
-    pub use faas::{AppProfile, FixedKeepAlive, Gateway, PeriodicWarmup, RuntimeProvider};
-    pub use hotc::{ConcurrentGateway, HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimePool};
+    pub use faas::{AppProfile, Gateway, RuntimeProvider};
+    pub use hotc::{
+        ConcurrentGateway, HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimePool, ScalingPolicy,
+    };
     pub use metrics_lite::{LatencyRecorder, Table};
     pub use simclock::{SimDuration, SimTime};
 }

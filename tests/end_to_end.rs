@@ -2,7 +2,7 @@
 //! with resource-accounting invariants checked after the dust settles.
 
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
-use faas::{AppProfile, FixedKeepAlive, Gateway, PeriodicWarmup, RuntimeProvider};
+use faas::{AppProfile, Gateway, RuntimeProvider};
 use hotc::{HotC, HotCConfig, KeyPolicy, PoolLimits};
 use hotc_bench::run_workload;
 use simclock::{SimDuration, SimTime};
@@ -43,13 +43,13 @@ fn all_providers_serve_the_same_workload() {
         tick,
     );
     let keepalive = run_workload(
-        mixed_gateway(FixedKeepAlive::aws_default()),
+        mixed_gateway(HotC::fixed_keepalive(SimDuration::from_mins(15))),
         &workload,
         route,
         tick,
     );
     let warmup = run_workload(
-        mixed_gateway(PeriodicWarmup::new(SimDuration::from_mins(5))),
+        mixed_gateway(HotC::periodic_warmup(SimDuration::from_mins(5))),
         &workload,
         route,
         tick,
@@ -180,7 +180,7 @@ fn keepalive_expiry_vs_hotc_retention() {
     }
     let route = |_| "fn-0".to_string();
     let ka = run_workload(
-        mixed_gateway(FixedKeepAlive::aws_default()),
+        mixed_gateway(HotC::fixed_keepalive(SimDuration::from_mins(15))),
         &workload,
         route,
         SimDuration::from_secs(60),

@@ -157,6 +157,28 @@ fn fig11_trace_features_and_replay_ordering() {
     assert!((cold.cold_fraction - 1.0).abs() < 1e-9);
 }
 
+/// The four §III-B readings the `keepalive` table's footer states, on the
+/// committed run (seed 33).
+#[test]
+fn keepalive_footer_claims_hold() {
+    let r = exp::keepalive::run(33);
+    let short = r.eval("fixed-keepalive(10m)");
+    let long = r.eval("fixed-keepalive(60m)");
+    let hybrid = r.eval("hybrid-keepalive");
+    let hotc = r.eval("hotc");
+    // A short global TTL cold-starts the rare class …
+    assert!(short.rare_cold_fraction > 2.0 * long.rare_cold_fraction);
+    // … a long one inflates the pool.
+    assert!(long.mean_live > 1.3 * short.mean_live);
+    // The per-type hybrid window beats the short TTL on rare colds, at
+    // nearly (within 20 % of) its footprint.
+    assert!(hybrid.rare_cold_fraction < short.rare_cold_fraction);
+    assert!(hybrid.mean_live < 1.2 * short.mean_live);
+    // HotC's demand-floored pool matches the long TTL's hit rate.
+    assert!(hotc.cold_fraction <= long.cold_fraction);
+    assert!(hotc.rare_cold_fraction <= long.rare_cold_fraction);
+}
+
 #[test]
 fn fig12_serial_and_parallel() {
     let r = exp::fig12::run(20, 10, 30);

@@ -4,7 +4,7 @@
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, ContainerState, HardwareProfile, ImageId};
-use faas::{AppProfile, FixedKeepAlive, Gateway};
+use faas::{AppProfile, Gateway};
 use hotc::HotC;
 use simclock::{SimDuration, SimTime};
 
@@ -87,13 +87,13 @@ fn hotc_survives_crashes_and_stays_consistent() {
 #[test]
 fn keepalive_disposes_crashed_containers_too() {
     let engine = crashy_engine(1.0, 7);
-    let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
+    let mut gw = Gateway::new(engine, HotC::fixed_keepalive(SimDuration::from_mins(15)));
     gw.register_app(AppProfile::random_number());
 
     let t1 = gw.handle("random-number", SimTime::ZERO).unwrap();
     assert!(t1.failed);
-    // Nothing was shelved: the crashed container is gone.
-    assert_eq!(gw.provider().warm_count(), 0);
+    // Nothing was pooled: the crashed container is gone.
+    assert_eq!(gw.provider().pool().total_live(), 0);
     assert_eq!(gw.engine().live_count(), 0);
 
     // The next request cold-starts a fresh container.

@@ -7,7 +7,7 @@ use containersim::container::ExecOptions;
 use containersim::{
     ContainerConfig, ContainerEngine, HardwareProfile, ImageId, NetworkConfig, NetworkMode,
 };
-use faas::{AppProfile, FixedKeepAlive, Gateway};
+use faas::{AppProfile, Gateway};
 use hotc::{HotC, HotCConfig, KeyInterner, KeyPolicy, PoolLimits};
 use simclock::{SimDuration, SimTime};
 use testkit::Gen;
@@ -89,7 +89,7 @@ fn trace_segments_partition_total() {
         let init_ms = g.u64_in(0..1000);
         let reuse = g.bool();
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut gw = Gateway::new(engine, FixedKeepAlive::aws_default());
+        let mut gw = Gateway::new(engine, HotC::fixed_keepalive(SimDuration::from_mins(15)));
         let mut app = AppProfile::random_number();
         app.app_init = SimDuration::from_millis(init_ms);
         app.work.compute = SimDuration::from_millis(compute_ms);
@@ -139,27 +139,37 @@ fn hotc_invariants_under_random_serial_traffic() {
     });
 }
 
-/// Keep-alive semantics: a request after a gap longer than the TTL is
-/// always cold; within the TTL it is always warm (single client).
+/// Keep-alive semantics: within the TTL a request is always warm; after a
+/// gap longer than the TTL plus two control intervals it is always cold
+/// (single client, ticked every 30 s like the replay driver). Expiry is a
+/// control step's decision, so the window opens at the first step that saw
+/// the request (up to one interval after it) and closes at the first step
+/// past the TTL (up to one more).
 #[test]
 fn keepalive_ttl_is_exact() {
+    let interval = SimDuration::from_secs(30);
     testkit::check(64, |g| {
         let ttl_s = g.u64_in(10..1000);
         let gaps = g.vec(1..30, |g| g.u64_in(1..2000));
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let mut gw = Gateway::new(engine, FixedKeepAlive::new(SimDuration::from_secs(ttl_s)));
+        let mut gw = Gateway::new(engine, HotC::fixed_keepalive(SimDuration::from_secs(ttl_s)));
         gw.register_app(AppProfile::random_number());
+        let mut next_tick = SimTime::ZERO;
+        let mut serve = |gw: &mut Gateway<HotC>, at: SimTime| {
+            while next_tick <= at {
+                gw.tick(next_tick).unwrap();
+                next_tick += interval;
+            }
+            gw.handle("random-number", at).unwrap()
+        };
 
-        let first = gw.handle("random-number", SimTime::ZERO).unwrap();
+        let first = serve(&mut gw, SimTime::ZERO);
         assert!(first.cold);
         let mut last_done = first.t4_func_end;
         for gap in gaps {
             let at = last_done + SimDuration::from_secs(gap);
-            let trace = gw.handle("random-number", at).unwrap();
-            // The pool held the container since `last_done` (its release).
-            // Skip the exact boundary: the gateway hop (1.5 ms) lands the
-            // idle time just past the TTL there.
-            if gap > ttl_s {
+            let trace = serve(&mut gw, at);
+            if gap > ttl_s + 2 * interval.as_secs() {
                 assert!(trace.cold, "gap {gap}s > ttl {ttl_s}s must be cold");
             } else if gap < ttl_s {
                 assert!(!trace.cold, "gap {gap}s < ttl {ttl_s}s must be warm");
