@@ -526,13 +526,19 @@ pub(crate) mod tests {
         assert_eq!(snap.counter("gateway/requests"), Some(10));
         assert_eq!(snap.counter("gateway/cold_starts"), Some(1));
         assert_eq!(snap.stage_count("all", metrics_lite::Stage::Exec), 10);
-        // One pool/live point per tick, mirroring `live_samples`.
+        // pool/live is `live_samples` as change points: it reproduces every
+        // tick's sample and stores no repeated value.
         let (_, series) = snap
             .series
             .iter()
             .find(|(n, _)| n == "pool/live")
             .expect("pool/live series present");
-        assert_eq!(series.points().len(), out.live_samples.len());
+        for &(at, live) in &out.live_samples {
+            assert_eq!(series.value_at(at), Some(live as f64), "at {at:?}");
+        }
+        assert_eq!(series.end(), out.live_samples.last().map(|&(at, _)| at));
+        assert!(series.points().windows(2).all(|w| w[0].1 != w[1].1));
+        assert!(series.len() < out.live_samples.len());
         let trace_total: u64 = out.traces.iter().map(|t| t.total().as_nanos()).sum();
         assert_eq!(snap.scope_total_ns("all"), trace_total);
     }

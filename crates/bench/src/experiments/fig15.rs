@@ -11,7 +11,7 @@
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 use faas::AppProfile;
-use metrics_lite::{Table, TimeSeries};
+use metrics_lite::Table;
 use simclock::{SimDuration, SimTime};
 
 /// One row of the Fig. 15(a) sweep.
@@ -32,10 +32,9 @@ pub struct Fig15Result {
     pub mem_per_container_mb: f64,
     /// CPU added by ten live containers (paper: <1 %).
     pub cpu_for_ten: f64,
-    /// Fig. 15(b): (time, cpu, mem_mb) samples over the app lifecycle.
-    pub timeline_cpu: TimeSeries,
-    /// Memory timeline in MB.
-    pub timeline_mem: TimeSeries,
+    /// Fig. 15(b): one `(second, cpu, used_mem_mb)` row per second of the
+    /// app lifecycle.
+    pub timeline: Vec<(u64, f64, f64)>,
     /// When the app started / stopped (seconds).
     pub app_start_s: u64,
     /// App stop time (seconds).
@@ -78,8 +77,7 @@ pub fn run() -> Fig15Result {
     let (id, _) = engine
         .create_container(app.default_config(), SimTime::ZERO)
         .expect("cassandra container");
-    let mut timeline_cpu = TimeSeries::new();
-    let mut timeline_mem = TimeSeries::new();
+    let mut timeline = Vec::new();
     let (start, stop) = (6u64, 13u64);
     for sec in 0..=20u64 {
         let now = SimTime::from_secs(sec);
@@ -95,16 +93,14 @@ pub fn run() -> Fig15Result {
             engine.end_exec(id, now).expect("app stop");
         }
         let s = engine.host().sample();
-        timeline_cpu.push(now, s.cpu);
-        timeline_mem.push(now, s.used_mem as f64 / (1024.0 * 1024.0));
+        timeline.push((sec, s.cpu, s.used_mem as f64 / (1024.0 * 1024.0)));
     }
 
     Fig15Result {
         sweep,
         mem_per_container_mb,
         cpu_for_ten,
-        timeline_cpu,
-        timeline_mem,
+        timeline,
         app_start_s: start,
         app_stop_s: stop,
     }
@@ -136,9 +132,7 @@ impl Fig15Result {
             "Fig 15(b): Cassandra-like app lifecycle on a live container",
             &["t_s", "cpu_%", "used_mem_MB", "phase"],
         );
-        for (i, &(at, cpu)) in self.timeline_cpu.points().iter().enumerate() {
-            let sec = at.as_secs();
-            let mem = self.timeline_mem.points()[i].1;
+        for &(sec, cpu, mem) in &self.timeline {
             let phase = if sec < self.app_start_s {
                 "idle container"
             } else if sec < self.app_stop_s {

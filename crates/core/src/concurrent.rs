@@ -521,12 +521,15 @@ mod tests {
             .map(|t| snap.scope_total_ns(&format!("fn/qr-{t}")))
             .sum();
         assert_eq!(per_scope, expected);
-        // The tick sampled pool gauges and the live series.
-        assert!(snap.gauge("pool/available").is_some());
-        assert!(snap
+        // The tick sampled pool gauges and the live series, which reads the
+        // gauges' sum at the tick.
+        let (avail, in_use) = (snap.gauge("pool/available"), snap.gauge("pool/in_use"));
+        let live = snap
             .series
             .iter()
-            .any(|(name, ts)| name == "pool/live" && ts.len() == 1));
+            .find(|(name, _)| name == "pool/live")
+            .map(|(_, ts)| ts.value_at(SimTime::from_secs(60)));
+        assert_eq!(live, Some(avail.zip(in_use).map(|(a, u)| a + u)));
     }
 
     /// Two apps on one runtime key, served serially from one prewarmed

@@ -2,13 +2,13 @@
 //!
 //! The registry is the process-wide (or gateway-wide) home for named
 //! [`Counter`]s, [`Gauge`]s, per-scope [`StageSet`]s, and sampled
-//! [`TimeSeries`]. Counters and gauges are single relaxed atomics; a stage
-//! set is one mutex around its scope's histograms. Named latency histograms
-//! are not recorded into: they are declared as unions
-//! ([`MetricsRegistry::histogram_union`]) and synthesized from the stage
-//! sets' totals at snapshot time. Hot-path callers obtain their `Arc`
-//! handles once (get-or-create by name) and record through the handle —
-//! no per-request name lookup or allocation.
+//! [`TimeSeries`] (step functions kept as change points). Counters and
+//! gauges are single relaxed atomics; a stage set is one mutex around its
+//! scope's histograms. Named latency histograms are not recorded into: they
+//! are declared as unions ([`MetricsRegistry::histogram_union`]) and
+//! synthesized from the stage sets' totals at snapshot time. Hot-path
+//! callers obtain their `Arc` handles once (get-or-create by name) and
+//! record through the handle — no per-request name lookup or allocation.
 //!
 //! Two lock classes, nested one way only: the registry's name tables
 //! (`metrics/registry`, one lock for all of them) and a stage set's
@@ -189,32 +189,32 @@ impl Default for MetricsRegistry {
     }
 }
 
-/// Two-pointer merge of time series: points at equal instants sum (two
-/// workers sampling the same quantity at the same tick), distinct instants
-/// interleave in time order.
+/// The step-function sum of two series (two workers sampling the same
+/// quantity on one tick schedule): evaluated at every change instant of
+/// either, a series counting as 0 before its first point, and ending at the
+/// later end. `push` drops a sum equal to the one in force, so the result is
+/// canonical and absorb order does not matter.
 fn merge_series(a: &TimeSeries, b: &TimeSeries) -> TimeSeries {
     let (pa, pb) = (a.points(), b.points());
     let mut out = TimeSeries::new();
     let (mut i, mut j) = (0, 0);
-    while i < pa.len() && j < pb.len() {
-        let ((ta, va), (tb, vb)) = (pa[i], pb[j]);
-        if ta == tb {
-            out.push(ta, va + vb);
-            i += 1;
-            j += 1;
-        } else if ta < tb {
-            out.push(ta, va);
-            i += 1;
-        } else {
-            out.push(tb, vb);
-            j += 1;
+    let (mut va, mut vb) = (0.0, 0.0);
+    loop {
+        let at = match (pa.get(i), pb.get(j)) {
+            (Some(&(ta, _)), Some(&(tb, _))) => ta.min(tb),
+            (Some(&(t, _)), None) | (None, Some(&(t, _))) => t,
+            (None, None) => break,
+        };
+        if let Some(&(_, v)) = pa.get(i).filter(|p| p.0 == at) {
+            (va, i) = (v, i + 1);
         }
+        if let Some(&(_, v)) = pb.get(j).filter(|p| p.0 == at) {
+            (vb, j) = (v, j + 1);
+        }
+        out.push(at, va + vb);
     }
-    for &(t, v) in &pa[i..] {
-        out.push(t, v);
-    }
-    for &(t, v) in &pb[j..] {
-        out.push(t, v);
+    if let Some(end) = a.end().max(b.end()) {
+        out.push(end, va + vb);
     }
     out
 }
@@ -281,7 +281,7 @@ impl MetricsRegistry {
 
     /// Folds every metric recorded in `other` into this registry: counters
     /// add, gauges sum, stage sets merge sample-for-sample,
-    /// time series merge by timestamp (values at equal instants sum), and
+    /// time series sum as step functions (see `merge_series`), and
     /// union declarations carry over (deduplicated, like re-declaring them).
     ///
     /// This is the deterministic reduction step for per-worker replay
@@ -318,17 +318,17 @@ impl MetricsRegistry {
         }
     }
 
-    /// Appends one sample to a named time series. Out-of-order samples (only
-    /// possible when unrelated threads race on the same series) are dropped
+    /// Samples a named time series (it stores the sample only if the value
+    /// changed). A sample before the series' last sampled instant (only
+    /// possible when unrelated threads race on the same series) is dropped
     /// rather than panicking the series' ordering invariant.
     pub fn sample_series(&self, name: &str, at: SimTime, value: f64) {
         let mut tables = self.tables.lock();
         // Look up by `&str` first: `entry` needs an owned key, which would
         // be one `String` per tick per series for a key that already exists.
         if let Some(ts) = tables.series.get_mut(name) {
-            match ts.points().last() {
-                Some(&(last, _)) if at < last => {}
-                _ => ts.push(at, value),
+            if ts.end().is_none_or(|end| at >= end) {
+                ts.push(at, value);
             }
             return;
         }
@@ -553,6 +553,8 @@ mod tests {
         }
     }
 
+    /// Series at distinct instants sum as step functions: `b` counts as 0
+    /// before its first point, and `a`'s 1 still holds when `b` changes.
     #[test]
     fn absorb_merges_series_at_distinct_instants() {
         let a = MetricsRegistry::new();
@@ -561,16 +563,93 @@ mod tests {
         a.sample_series("s", SimTime::from_secs(30), 2.0);
         b.sample_series("s", SimTime::from_secs(20), 5.0);
         b.sample_series("s", SimTime::from_secs(30), 7.0);
+        b.sample_series("s", SimTime::from_secs(40), 7.0);
         a.absorb(&b);
-        let series = a.read_out().series;
+        let series = &a.read_out().series[0].1;
         assert_eq!(
-            series[0].1.points(),
+            series.points(),
             &[
                 (SimTime::from_secs(10), 1.0),
-                (SimTime::from_secs(20), 5.0),
+                (SimTime::from_secs(20), 6.0),
                 (SimTime::from_secs(30), 9.0),
             ]
         );
+        assert_eq!(series.end(), Some(SimTime::from_secs(40)));
+    }
+
+    /// Property: workers sampling one series on a shared tick schedule,
+    /// absorbed in any order or grouping, give exactly the series of one
+    /// registry that sampled the per-tick sums — including ticks where one
+    /// worker's +1 cancels another's −1 and the sum stores no point.
+    #[test]
+    fn prop_absorbed_series_is_the_series_of_per_tick_sums() {
+        let debug = |reg: &MetricsRegistry| format!("{:?}", reg.snapshot());
+        testkit::check(128, |g| {
+            let workers = g.usize_in(1..5);
+            let mut at = SimTime::from_secs(g.u64_in(0..100));
+            let ticks: Vec<SimTime> = g.vec(1..40, |g| {
+                at += SimDuration::from_secs(g.u64_in(1..4));
+                at
+            });
+            // Few distinct values, so runs, repeats and cancellations occur.
+            let mut samples: Vec<Vec<f64>> = (0..workers)
+                .map(|_| ticks.iter().map(|_| g.u64_in(0..3) as f64).collect())
+                .collect();
+            if workers >= 2 && ticks.len() >= 2 {
+                // A same-instant cancellation: worker 0 +1, worker 1 −1.
+                let k = g.usize_in(1..ticks.len());
+                samples[0][k] = samples[0][k - 1] + 1.0;
+                samples[1][k - 1] = samples[1][k - 1].max(1.0);
+                samples[1][k] = samples[1][k - 1] - 1.0;
+            }
+
+            let regs: Vec<MetricsRegistry> = samples
+                .iter()
+                .map(|values| {
+                    let reg = MetricsRegistry::new();
+                    for (&t, &v) in ticks.iter().zip(values) {
+                        reg.sample_series("pool/live", t, v);
+                    }
+                    reg
+                })
+                .collect();
+            let combined = MetricsRegistry::new();
+            for (i, &t) in ticks.iter().enumerate() {
+                let sum = samples.iter().fold(0.0, |acc, s| acc + s[i]);
+                combined.sample_series("pool/live", t, sum);
+            }
+            let expected = debug(&combined);
+
+            let forward = MetricsRegistry::new();
+            regs.iter().for_each(|r| forward.absorb(r));
+            assert_eq!(debug(&forward), expected);
+            let backward = MetricsRegistry::new();
+            regs.iter().rev().for_each(|r| backward.absorb(r));
+            assert_eq!(debug(&backward), expected);
+            // Pairs first, then the pairs' sums.
+            let tree = MetricsRegistry::new();
+            for pair in regs.chunks(2) {
+                let partial = MetricsRegistry::new();
+                pair.iter().for_each(|r| partial.absorb(r));
+                tree.absorb(&partial);
+            }
+            assert_eq!(debug(&tree), expected);
+        });
+    }
+
+    /// A constant run and a same-instant cancellation store nothing after
+    /// the first point; the end is still the last tick.
+    #[test]
+    fn absorb_of_unchanged_sums_keeps_one_point() {
+        let (a, b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        for (s, va, vb) in [(0, 2.0, 1.0), (30, 3.0, 0.0), (60, 3.0, 0.0)] {
+            a.sample_series("pool/live", SimTime::from_secs(s), va);
+            b.sample_series("pool/live", SimTime::from_secs(s), vb);
+        }
+        a.absorb(&b);
+        let series = &a.read_out().series[0].1;
+        assert_eq!(series.points(), &[(SimTime::ZERO, 3.0)]);
+        assert_eq!(series.end(), Some(SimTime::from_secs(60)));
     }
 
     #[test]

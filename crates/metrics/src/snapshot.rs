@@ -10,6 +10,7 @@ use crate::histogram::LatencyHistogram;
 use crate::registry::{MetricsRegistry, StageHistograms};
 use crate::stage::{Stage, N_STAGES};
 use crate::timeseries::TimeSeries;
+use simclock::SimTime;
 use std::collections::BTreeMap;
 use stdshim::{JsonValue, ToJson};
 
@@ -134,6 +135,25 @@ impl MetricsSnapshot {
     }
 }
 
+/// `[[t_s, value], …]`: the change points, then the last sample if it is not
+/// itself one, so the run's end survives.
+fn series_json(ts: &TimeSeries) -> JsonValue {
+    let row = |at: SimTime, v: f64| {
+        JsonValue::Array(vec![
+            JsonValue::Float(at.as_secs_f64()),
+            JsonValue::Float(v),
+        ])
+    };
+    let mut rows = Vec::with_capacity(ts.len() + 1);
+    rows.extend(ts.points().iter().map(|&(at, v)| row(at, v)));
+    if let (Some(end), Some(&(last, v))) = (ts.end(), ts.points().last()) {
+        if end > last {
+            rows.push(row(end, v));
+        }
+    }
+    JsonValue::Array(rows)
+}
+
 impl ToJson for MetricsSnapshot {
     fn to_json(&self) -> JsonValue {
         let counters = JsonValue::Object(
@@ -174,22 +194,7 @@ impl ToJson for MetricsSnapshot {
         let series = JsonValue::Object(
             self.series
                 .iter()
-                .map(|(k, ts)| {
-                    (
-                        k.clone(),
-                        JsonValue::Array(
-                            ts.points()
-                                .iter()
-                                .map(|&(at, v)| {
-                                    JsonValue::Array(vec![
-                                        JsonValue::Float(at.as_secs_f64()),
-                                        JsonValue::Float(v),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    )
-                })
+                .map(|(k, ts)| (k.clone(), series_json(ts)))
                 .collect(),
         );
         JsonValue::object([

@@ -255,14 +255,12 @@ fn fig15_overhead_is_negligible() {
     );
     // (b) the running app dwarfs the idle container, and resources return to
     // the idle level after the app stops.
-    let cpu = r.timeline_cpu.values();
-    let mem = r.timeline_mem.values();
-    let idle_mem = mem[2];
-    let busy_mem = mem[(r.app_start_s + 2) as usize];
-    let after_mem = mem[(r.app_stop_s + 2) as usize];
+    assert_eq!(r.timeline.len(), 21, "one row per second, 0..=20 s");
+    let at = |sec: u64| r.timeline[sec as usize];
+    let (_, idle_cpu, idle_mem) = at(2);
+    let (_, busy_cpu, busy_mem) = at(r.app_start_s + 2);
+    let (_, _, after_mem) = at(r.app_stop_s + 2);
     assert!(busy_mem > idle_mem + 1000.0, "app adds GBs");
     assert!((after_mem - idle_mem).abs() < 1.0, "OS reclaims app memory");
-    let busy_cpu = cpu[(r.app_start_s + 2) as usize];
-    let idle_cpu = cpu[2];
     assert!(busy_cpu > idle_cpu + 0.2);
 }
