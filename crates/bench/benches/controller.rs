@@ -1,37 +1,28 @@
-//! Control-plane tick benchmarks: full-sweep vs dirty-set controller steps.
+//! Control-plane tick benchmark: the controller step with holds against the
+//! never-holding `step_full`.
 //!
-//! The scenario is the one that motivates the dirty set — a registered
-//! fleet much larger than the active fleet: `types` runtime types are
-//! tracked by the pool (their slots exist, pending a far-off GC deadline),
-//! but only `HOT` of them see traffic each interval. A full-sweep step
-//! visits every tracked slot; a dirty-set step visits only the touched
-//! keys plus the due cold-GC deadlines, so its cost is independent of
-//! `types`. Each timed iteration drives one warm request round per hot key
-//! (identical in both modes) and then takes one controller step.
-//!
-//! The `holding_*` pair is the opposite fleet, the one a long-running node
-//! has: every one of `types` runtime types *keeps one warm container*, so all
-//! of them are in every dirty snapshot, and `HOT` of them — a window that
-//! rotates through the fleet — see a request each interval. The full sweep
-//! feeds and sizes every type every interval; the dirty step sizes the `HOT`
-//! touched now, the `HOT` touched last interval (taking their holds), and
-//! passes over the rest with a look at each hold. 300 untimed intervals come
-//! first, so every demand window is past seeding and saturated and the holds
-//! are in their steady state, and one timed iteration is 50 intervals: ten
-//! samples of it are tens of milliseconds even in `--smoke`, where a 10 ms
-//! window of single intervals let one scheduler hiccup double a mean. The
-//! pool-side snapshot visits all `types` keys in both modes, which bounds
-//! the ratio from below (gated at 0.7).
+//! The fleet is the one a long-running node has: every one of `types`
+//! runtime types *keeps one warm container*, so all of them are in every
+//! demand snapshot, and `HOT` of them — a window that rotates through the
+//! fleet — see a request each interval. `step_full` feeds and sizes every
+//! type every interval; `step` sizes the `HOT` touched now, the `HOT`
+//! touched last interval (taking their holds), and passes over the rest
+//! with a look at each hold. 300 untimed intervals come first, so every
+//! demand window is past seeding and saturated and the holds are in their
+//! steady state, and one timed iteration is 50 intervals: ten samples of it
+//! are tens of milliseconds even in `--smoke`, where a 10 ms window of
+//! single intervals let one scheduler hiccup double a mean. The pool-side
+//! snapshot visits all `types` keys in both, which bounds the ratio from
+//! below (gated at 0.7).
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 use hotc::{AdaptiveController, EngineRef, KeyPolicy, RuntimePool, ScalingPolicy};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
-use std::hint::black_box;
 use stdshim::sync::Mutex;
 
-/// Hot keys per interval — the "active types" a dirty step is linear in.
+/// Keys touched per interval.
 const HOT: usize = 10;
 
 fn configs(n: usize) -> Vec<ContainerConfig> {
@@ -48,32 +39,6 @@ fn configs(n: usize) -> Vec<ContainerConfig> {
             c
         })
         .collect()
-}
-
-/// A pool tracking `types` slots of which the first [`HOT`] hold a warm
-/// container; the rest are empty, cold, and far from their GC deadline.
-fn fleet(types: usize) -> (Mutex<ContainerEngine>, RuntimePool, Vec<ContainerConfig>) {
-    let engine = Mutex::labeled(
-        ContainerEngine::with_local_images(HardwareProfile::server()),
-        "core/engine",
-    );
-    let mut pool = RuntimePool::new(KeyPolicy::Exact);
-    // Keep the idle fleet tracked for the whole run: the bench measures
-    // steady-state tick cost, not the GC burst.
-    pool.set_gc_intervals(1_000_000);
-    let all = configs(types);
-    for (i, c) in all.iter().enumerate() {
-        pool.prewarm(&engine, c, SimTime::ZERO).unwrap();
-        if i >= HOT {
-            let id = pool.intern_config(c);
-            pool.retire_one_id(&engine, id, SimTime::ZERO).unwrap();
-        }
-    }
-    // One marking sweep moves the drained slots onto the cold queue and off
-    // the active list, so the timed loop starts from steady state.
-    pool.take_demand_snapshot();
-    let hot = all.into_iter().take(HOT).collect();
-    (engine, pool, hot)
 }
 
 /// One control interval: a round trip on each of `hot`, then one step.
@@ -105,24 +70,6 @@ fn interval<'a>(
     report.demand.len()
 }
 
-fn bench_tick(h: &mut Harness, types: usize) {
-    for full in [true, false] {
-        let (engine, pool, hot) = fleet(types);
-        let mut ctl = AdaptiveController::new(ScalingPolicy::default());
-        let mut tick = 0u64;
-        let name = format!(
-            "{}_{}types",
-            if full { "full_sweep" } else { "dirty" },
-            types
-        );
-        h.bench(&name, || {
-            tick += 1;
-            // Steady traffic on the hot keys: one warm round trip each.
-            black_box(interval(&mut ctl, &pool, &engine, hot.iter(), tick, full))
-        });
-    }
-}
-
 /// Intervals run before the `holding_*` timing starts.
 const HOLDING_WARMUP: u64 = 300;
 /// Intervals per timed `holding_*` iteration.
@@ -152,7 +99,7 @@ fn bench_holding(h: &mut Harness, types: usize) {
         assert_eq!(pool.sizes(), (types, 0), "every type keeps its runtime");
         let name = format!(
             "holding_{}_{}types",
-            if full { "full_sweep" } else { "dirty" },
+            if full { "step_full" } else { "step" },
             types
         );
         h.bench(&name, || (0..HOLDING_BATCH).map(|_| next()).sum::<usize>());
@@ -161,8 +108,6 @@ fn bench_holding(h: &mut Harness, types: usize) {
 
 fn main() {
     let mut h = Harness::new("controller_tick");
-    bench_tick(&mut h, 100);
-    bench_tick(&mut h, 1000);
     bench_holding(&mut h, 1000);
     h.finish();
 }

@@ -14,35 +14,31 @@
 //! for how long: they never pre-warm, and they run on the same pool, limits
 //! and step machinery.
 //!
-//! A control step ([`AdaptiveController::step`]) takes one demand snapshot
-//! under the pool lock, releases it, and then sizes the snapshot's keys in
-//! `KeyId` order — so the container ids of same-step pre-warms, and with
-//! them eviction's tie-breaks, are a function of the model alone. Warm
-//! requests proceed lock-free throughout. By default the step takes the
-//! pool's **dirty-set** snapshot — only keys touched since the last interval
-//! (or still holding containers) are visited, so a step costs O(active
-//! types) rather than O(registered types). Keys the dirty snapshot skipped saw zero demand by
-//! construction; when such a key resurfaces, the controller backfills the
-//! missed intervals as zero observations (one per skipped tick), so every
-//! predictor sees exactly the demand series a full sweep would have fed it.
-//! [`AdaptiveController::step_full`] keeps the O(all types)
-//! reference path; a property test asserts the two produce identical
-//! prewarm/retire/GC actions on the same trace, under every policy.
+//! A control step ([`AdaptiveController::step`]) takes the pool's one demand
+//! snapshot under the pool lock, releases it, and then sizes the snapshot's
+//! keys in `KeyId` order — so the container ids of same-step pre-warms, and
+//! with them eviction's tie-breaks, are a function of the model alone. Warm
+//! requests proceed lock-free throughout. The snapshot visits every key the
+//! pool tracks, and the pool tracks a key only while it holds a container or
+//! went cold fewer than three snapshots ago, so a step costs O(pooled
+//! types), not O(registered types).
 //!
-//! A key holding containers stays in every dirty snapshot, and almost all of
-//! them are *idle*: no demand, nothing in use, already at their target, and
-//! fed `observe(0.0)` + `predict()` only to arrive at `target == current`
-//! again. Under `EsMarkov` the dirty step **holds** such a key: when it finds one idle and at
-//! its target it asks the predictor for how many further zero observations
-//! the target provably stays where it is ([`EsMarkov::zero_run_holding`]) and
-//! records `(hold_until, level)` beside the predictor pointer. Later dirty
-//! steps skip the key — without touching its predictor — while it is still
-//! idle, still holds exactly `level` containers and the hold has not run
-//! out; the first step that does visit it again (touched, evicted behind
-//! the hold, or hold expired) backfills the skipped intervals like a cold
-//! key's. A hold is only taken where the skipped steps were no-ops, so
-//! `step_full`, which never holds, stays the oracle for the dirty step. The
-//! baselines never hold: their windows are measured in simulated time.
+//! Almost all pooled keys are *idle*: no demand, nothing in use, already at
+//! their target, and fed `observe(0.0)` + `predict()` only to arrive at
+//! `target == current` again. Under `EsMarkov` the step **holds** such a key:
+//! when it finds one idle and at its target it asks the predictor for how
+//! many further zero observations the target provably stays where it is
+//! ([`EsMarkov::zero_run_holding`]) and records `(hold_until, level)` beside
+//! the predictor pointer. Later steps skip the key — without touching its
+//! predictor — while it is still idle, still holds exactly `level`
+//! containers and the hold has not run out; the first step that does visit
+//! it again (touched, evicted behind the hold, or hold expired) backfills
+//! the skipped intervals as zero observations. A hold is only taken where
+//! the skipped steps were no-ops, so [`AdaptiveController::step_full`],
+//! which never holds, is the oracle for `step`: property tests assert the
+//! two take the same prewarm/retire/GC actions on the same trace, under
+//! every policy, and end with bit-equal predictors. The baselines never
+//! hold: their windows are measured in simulated time.
 //!
 //! Keys whose slots the pool garbage-collects (empty for several
 //! consecutive zero-demand intervals) have their per-key state dropped in
@@ -143,10 +139,10 @@ pub struct StepReport {
     /// Keys whose empty slots (and predictors) were garbage collected.
     pub gc_keys: usize,
     /// Per-key `(predicted, actual)` demand for the interval, for the keys
-    /// the step *sized*: a dirty step omits cold keys, which contribute
-    /// zero to both totals, and held keys, whose actual demand is zero and
-    /// whose prediction it did not compute. A keep-alive policy's
-    /// prediction is its window's peak.
+    /// the step *sized*: every key the pool tracks, cold keys included until
+    /// their slot GC (with their forecast), except held keys, whose actual
+    /// demand is zero and whose prediction `step` did not compute. A
+    /// keep-alive policy's prediction is its window's peak.
     pub demand: Vec<(KeyId, f64, usize)>,
 }
 
@@ -294,15 +290,15 @@ impl Window {
     }
 }
 
-/// One key's `EsMarkov` predictor plus the last tick it was fed, so dirty
-/// steps can backfill the zero-demand intervals the key was skipped for.
+/// One key's `EsMarkov` predictor plus the last tick it was fed, so a step
+/// can backfill the zero-demand intervals a hold skipped.
 struct KeyedPredictor {
     model: EsMarkov,
     last_tick: u64,
 }
 
 /// What `EsMarkov` keeps per key: the boxed predictor and, inline, the hold
-/// a dirty step checks before it would touch the predictor's memory.
+/// a step checks before it would touch the predictor's memory.
 #[derive(Default)]
 struct KeySlot {
     /// Last control tick the hold covers; 0 (ticks start at 1) for none.
@@ -346,11 +342,6 @@ impl AdaptiveController {
         }
     }
 
-    /// The paper's configuration (α = 0.8, 30 s interval).
-    pub fn paper_default() -> Self {
-        Self::new(ScalingPolicy::default())
-    }
-
     /// Number of keys with a live predictor or window (bounded by the
     /// pool's slot GC, hybrid gap histories aside).
     #[cfg(test)]
@@ -382,26 +373,25 @@ impl AdaptiveController {
         self.step(pool, engine, now).map(Some)
     }
 
-    /// One O(active types) control step, unconditionally: take the pool's
-    /// dirty-set demand snapshot (which also garbage-collects long-empty
-    /// slots via the idle sweep), update predictors, and resize toward the
-    /// predictions. The pool lock is held for the snapshot only, and never
-    /// together with the engine lock.
+    /// One control step, unconditionally: take the pool's demand snapshot
+    /// (which also garbage-collects long-empty slots), update predictors,
+    /// and resize toward the predictions, passing over held keys. The pool
+    /// lock is held for the snapshot only, and never together with the
+    /// engine lock.
     pub fn step(
         &mut self,
         pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.apply(pool, engine, now, pool.take_demand_snapshot_dirty(), true)
+        self.apply(pool, engine, now, pool.take_demand_snapshot(), true)
     }
 
-    /// The O(all types) reference step: a full-sweep snapshot that visits
-    /// every tracked slot, each of which is fed and sized — no key is held.
-    /// Produces the same pool-resize actions as
+    /// The reference step: the same snapshot, every key of which is fed and
+    /// sized — no key is held. Produces the same pool-resize actions as
     /// [`Self::step`] on the same trace (property-tested below). No
     /// production path calls it: it is the oracle for that property and the
-    /// `controller_tick` benches' baseline (the two `full_sweep` gates).
+    /// denominator of the `controller_tick` holding gate.
     pub fn step_full(
         &mut self,
         pool: &RuntimePool,
@@ -424,9 +414,9 @@ impl AdaptiveController {
     }
 
     /// Feeds one snapshot to the policy and resizes its keys, in the
-    /// snapshot's order (ascending `KeyId`). With `may_hold` (the dirty
-    /// step) idle `EsMarkov` keys under a hold are passed over and idle keys
-    /// at their target are given one.
+    /// snapshot's order (ascending `KeyId`). With `may_hold` (`step`) idle
+    /// `EsMarkov` keys under a hold are passed over and idle keys at their
+    /// target are given one.
     fn apply(
         &mut self,
         pool: &RuntimePool,
@@ -487,11 +477,10 @@ impl AdaptiveController {
                             last_tick: tick - 1,
                         })
                     });
-                    // A key absent from a dirty snapshot saw zero demand by
-                    // construction (any touch keeps it on the active list),
-                    // and so did a key passed over under a hold: feed the
-                    // skipped intervals now so the predictor's series is
-                    // identical to what a full sweep would have produced.
+                    // A key passed over under a hold saw zero demand in
+                    // every skipped interval: feed them now so the
+                    // predictor's series is identical to what `step_full`
+                    // would have produced.
                     entry
                         .model
                         .observe_zeros((tick - 1 - entry.last_tick) as usize);
@@ -569,11 +558,11 @@ impl AdaptiveController {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
-    use crate::pool::ExclusiveEngine;
+    use crate::pool::{ExclusiveEngine, GC_INTERVALS};
     use containersim::engine::ExecWork;
     use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 
-    /// One dirty-set step over an exclusive engine borrow, as `HotC::tick` runs it.
+    /// One step over an exclusive engine borrow, as `HotC::tick` runs it.
     fn step(
         ctl: &mut AdaptiveController,
         pool: &RuntimePool,
@@ -736,8 +725,7 @@ mod tests {
     /// predicted-vs-actual demand without re-deriving them.
     #[test]
     fn step_report_tallies_actions() {
-        let (mut e, mut pool, mut ctl) = setup();
-        pool.set_gc_intervals(1);
+        let (mut e, pool, mut ctl) = setup();
         drive_demand(&pool, &mut e, 4, SimTime::ZERO);
         // Demand grew to four, but limit eviction took two of them back
         // before the step: the scale-down floor (what the interval needed)
@@ -758,7 +746,16 @@ mod tests {
             .unwrap()
             .is_some()
         {}
-        let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(30));
+        for t in 1..GC_INTERVALS {
+            let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            assert_eq!(report.gc_keys, 0, "report: {report:?}");
+        }
+        let report = step(
+            &mut ctl,
+            &pool,
+            &mut e,
+            SimTime::from_secs(GC_INTERVALS * 30),
+        );
         assert_eq!(report.gc_keys, 1, "report: {report:?}");
     }
 
@@ -768,8 +765,7 @@ mod tests {
     /// forever.
     #[test]
     fn gc_drops_predictors_for_dead_keys() {
-        let (mut e, mut pool, mut ctl) = setup();
-        pool.set_gc_intervals(2);
+        let (mut e, pool, mut ctl) = setup();
         drive_demand(&pool, &mut e, 2, SimTime::ZERO);
         step(&mut ctl, &pool, &mut e, SimTime::ZERO);
         assert_eq!(ctl.state_count(), 1);
@@ -781,9 +777,10 @@ mod tests {
             .is_some()
         {}
         assert_eq!(pool.total_live(), 0);
-        // Two zero-demand steps on the empty slot reach the GC threshold;
-        // the no-resurrect rule keeps the controller from pre-warming it.
-        for t in 1..=3u64 {
+        // GC_INTERVALS zero-demand steps on the empty slot reach the GC
+        // threshold; the no-resurrect rule keeps the controller from
+        // pre-warming it.
+        for t in 1..=GC_INTERVALS {
             step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
         }
         assert_eq!(pool.total_live(), 0, "dead key must not be resurrected");
@@ -819,81 +816,6 @@ mod tests {
             .collect();
         let in_key_order: Vec<KeyId> = configs.iter().map(|c| pool.intern_config(c)).collect();
         assert_eq!(prewarmed_keys, in_key_order);
-    }
-
-    /// The tentpole equivalence: on any shared trace and under every
-    /// policy, the dirty-set step and the full-sweep step take the same
-    /// prewarm/retire/GC actions at every interval, pay the same background
-    /// cost and leave the pool and state table in the same final state —
-    /// the dirty path only skips work, never decisions.
-    #[test]
-    fn prop_dirty_step_matches_full_sweep() {
-        for policy in policies() {
-            testkit::check(48, |g| dirty_step_matches_full_sweep(g, &policy));
-        }
-    }
-
-    fn dirty_step_matches_full_sweep(g: &mut testkit::Gen, policy: &ScalingPolicy) {
-        let gc = g.u32_in(1..4);
-        let intervals = g.usize_in(3..10);
-        let configs = [
-            ContainerConfig::bridge(ImageId::parse("python:3.8-alpine")),
-            ContainerConfig::bridge(ImageId::parse("alpine:3.12")),
-            ContainerConfig::bridge(ImageId::parse("golang:1.13")),
-        ];
-        // One op trace, applied identically to both stacks.
-        let plan: Vec<Vec<(usize, u8, usize)>> = (0..intervals)
-            .map(|_| {
-                g.vec(0..6, |g| {
-                    (g.usize_in(0..3), g.u8_in(0..3), g.usize_in(1..4))
-                })
-            })
-            .collect();
-        let (mut ef, mut pf, mut cf) = setup_with(policy.clone());
-        let (mut ed, mut pd, mut cd) = setup_with(policy.clone());
-        pf.set_gc_intervals(gc);
-        pd.set_gc_intervals(gc);
-        for (t, ops) in plan.iter().enumerate() {
-            let now = SimTime::from_secs(t as u64 * 30);
-            for &(ci, op, n) in ops {
-                let c = &configs[ci];
-                match op {
-                    0 => {
-                        drive_config_demand(&pf, &mut ef, c, n, now);
-                        drive_config_demand(&pd, &mut ed, c, n, now);
-                    }
-                    1 => {
-                        pf.prewarm(&ExclusiveEngine::new(&mut ef), c, now).unwrap();
-                        pd.prewarm(&ExclusiveEngine::new(&mut ed), c, now).unwrap();
-                    }
-                    _ => {
-                        for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
-                            if let Some(id) = p.id_for(c) {
-                                p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
-                            }
-                        }
-                    }
-                }
-            }
-            let rf = cf
-                .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
-                .unwrap();
-            let rd = step(&mut cd, &pd, &mut ed, now);
-            assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
-            assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
-            assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
-        }
-        assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
-        for key in pf.keys() {
-            assert_eq!(
-                pf.num_avail_id(key),
-                pd.num_avail_id(key),
-                "sizing of {key}"
-            );
-            assert_eq!(pf.num_in_use_id(key), pd.num_in_use_id(key));
-        }
-        assert_eq!(cf.state_count(), cd.state_count());
-        assert_eq!(cf.background_cost(), cd.background_cost());
     }
 
     /// Serves one request on `config`, then steps until the key is held at
@@ -983,13 +905,12 @@ mod tests {
     /// with the predictor, so a revived key (same `KeyId`) starts clean.
     #[test]
     fn gc_clears_the_hold_with_the_predictor() {
-        let (mut e, mut pool, mut ctl) = setup();
-        pool.set_gc_intervals(2);
+        let (mut e, pool, mut ctl) = setup();
         let t = settle_into_hold(&mut ctl, &pool, &mut e, &[cfg()]);
         let id = pool.intern_config(&cfg());
         pool.evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::from_secs(t * 30))
             .unwrap();
-        let gc: usize = (t..t + 3)
+        let gc: usize = (t..t + GC_INTERVALS)
             .map(|t| step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30)).gc_keys)
             .sum();
         assert_eq!(gc, 1);
@@ -1000,7 +921,7 @@ mod tests {
 
     /// An idle fleet is what a hold is for: 400 keys that each served one
     /// request and then sit on one warm container are passed over on at
-    /// least nine in ten of the dirty step's idle visits.
+    /// least nine in ten of the step's idle visits.
     #[test]
     fn idle_fleet_is_mostly_skipped() {
         let (mut e, pool, mut ctl) = setup();
@@ -1026,18 +947,25 @@ mod tests {
         );
     }
 
-    /// Holds are decision-neutral over long idle runs: with sparse traffic
-    /// over 50–600 intervals (so that holds are taken, run out, and are cut
-    /// short by requests, prewarms and retires behind the controller's
-    /// back), the holding dirty step and the every-key full sweep take the
-    /// same actions at every interval, leave the same pool, and — once one
-    /// common full sweep has made both visit every key — the same predictor
-    /// state, bit for bit. Only `EsMarkov` holds; the baselines never do.
+    /// Holds are decision-neutral: on any shared trace and under every
+    /// policy, `step` and the never-holding `step_full` take the same
+    /// prewarm/retire/GC actions at every interval, pay the same background
+    /// cost, leave the same pool and — once one common `step_full` has made
+    /// both visit every key — the same predictor state, bit for bit. Short
+    /// traces with traffic every interval, and sparse traffic over 50–600
+    /// intervals (so that holds are taken, run out, and are cut short by
+    /// requests, prewarms and retires behind the controller's back). Only
+    /// `EsMarkov` holds; the baselines never do.
     #[test]
-    fn prop_held_step_matches_full_sweep_over_long_idle_runs() {
+    fn prop_step_matches_full_sweep() {
         for policy in policies() {
+            testkit::check(48, |g| {
+                step_matches_full_sweep(g, &policy, 3..10, 1);
+            });
             let mut held = 0;
-            testkit::check(32, |g| held += held_step_matches_full_sweep(g, &policy));
+            testkit::check(32, |g| {
+                held += step_matches_full_sweep(g, &policy, 50..601, 12);
+            });
             if let ScalingPolicy::EsMarkov(_) = policy {
                 assert!(held > 1000, "holds were taken: {held} skips");
             } else {
@@ -1046,19 +974,22 @@ mod tests {
         }
     }
 
-    /// One case of the property above; returns the dirty step's skips.
-    fn held_step_matches_full_sweep(g: &mut testkit::Gen, policy: &ScalingPolicy) -> usize {
+    /// One case of the property above, over `intervals` intervals with
+    /// traffic in one in `quiet` of them; returns `step`'s skips.
+    fn step_matches_full_sweep(
+        g: &mut testkit::Gen,
+        policy: &ScalingPolicy,
+        intervals: std::ops::Range<usize>,
+        quiet: u8,
+    ) -> usize {
         let mut held = 0;
-        let gc = g.u32_in(1..4);
-        let intervals = g.usize_in(50..601);
+        let intervals = g.usize_in(intervals);
         let configs: Vec<ContainerConfig> = (0..4).map(keyed).collect();
-        let (mut ef, mut pf, mut cf) = setup_with(policy.clone());
-        let (mut ed, mut pd, mut cd) = setup_with(policy.clone());
-        pf.set_gc_intervals(gc);
-        pd.set_gc_intervals(gc);
+        let (mut ef, pf, mut cf) = setup_with(policy.clone());
+        let (mut ed, pd, mut cd) = setup_with(policy.clone());
         for t in 0..=intervals {
             let now = SimTime::from_secs(t as u64 * 30);
-            let ops = if t == 0 || g.u8_in(0..12) == 0 {
+            let ops = if t == 0 || g.u8_in(0..quiet) == 0 {
                 g.vec(1..4, |g| {
                     (g.usize_in(0..4), g.u8_in(0..4), g.usize_in(1..4))
                 })
@@ -1084,11 +1015,7 @@ mod tests {
             let rf = cf
                 .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
                 .unwrap();
-            let pooled = pd
-                .keys()
-                .into_iter()
-                .filter(|&k| pd.num_avail_id(k) > 0)
-                .count();
+            let tracked = pd.keys().len();
             // The last interval is the common full sweep.
             let rd = if t == intervals {
                 cd.step_full(&pd, &ExclusiveEngine::new(&mut ed), now)
@@ -1099,9 +1026,9 @@ mod tests {
             assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
             assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
             assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
-            // A key holding a runtime is in every snapshot: the ones a
-            // dirty report leaves out were passed over under a hold.
-            held += pooled.saturating_sub(rd.demand.len());
+            // Every tracked key is in the snapshot: the ones neither GC'd
+            // nor reported were passed over under a hold.
+            held += tracked - rd.gc_keys - rd.demand.len();
         }
         assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
         for key in pf.keys() {
@@ -1110,7 +1037,10 @@ mod tests {
                 pd.num_avail_id(key),
                 "sizing of {key}"
             );
+            assert_eq!(pf.num_in_use_id(key), pd.num_in_use_id(key));
         }
+        assert_eq!(cf.state_count(), cd.state_count());
+        assert_eq!(cf.background_cost(), cd.background_cost());
         assert!(cf.keys.iter().all(|s| s.hold_until == 0), "a sweep held");
         assert_eq!(cf.keys.len(), cd.keys.len());
         for (f, d) in cf.keys.iter().zip(&cd.keys) {

@@ -51,16 +51,18 @@
 //!   pool lock, so a key's live population is exact whenever the lock is
 //!   held — the controller's GC decisions can never race a half-finished
 //!   warm operation into stranding a container;
-//! * a slot exists only while a container of its type exists or existed
-//!   within the last [`RuntimePool::set_gc_intervals`] demand snapshots — failed
-//!   creates never materialize slots, and long-dead slots are garbage
-//!   collected together with their controller state.
+//! * a slot exists only while its key holds a container, saw demand in the
+//!   current control interval, or went cold fewer than `GC_INTERVALS` (3)
+//!   demand snapshots ago — failed creates never materialize slots, and
+//!   long-dead slots are garbage collected together with their controller
+//!   state. That bound is what keeps the one demand snapshot, which visits
+//!   every tracked key, from paying for keys long gone.
 
 use crate::key::{needs_reconfig, KeyId, KeyInterner, KeyPolicy, FUZZY_RECONFIG_COST};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
 use faas::Acquisition;
 use simclock::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use stdshim::atomic::{
     Ordering, ShimAtomicU64 as AtomicU64, ShimAtomicUsize as AtomicUsize, ShimOnceLock as OnceLock,
@@ -68,9 +70,9 @@ use stdshim::atomic::{
 use stdshim::sync::{LazySlotTable, Mutex, SlotBitmap};
 use stdshim::FastMap;
 
-/// Default number of consecutive zero-demand snapshots after which an empty
-/// slot is garbage collected.
-pub(crate) const DEFAULT_GC_INTERVALS: u32 = 3;
+/// Consecutive zero-demand snapshots after which an empty slot is garbage
+/// collected.
+pub(crate) const GC_INTERVALS: u64 = 3;
 
 /// Slots per chunk of a key's slot array. A key starts with one chunk and
 /// appends another whenever all its slots are occupied.
@@ -112,19 +114,10 @@ impl EngineRef for ExclusiveEngine<'_> {
     }
 }
 
-/// Packs a container handle and its has-executed flag into one atomic word:
-/// `(id << 1) | execed`, with 0 meaning "slot empty" (engine ids start at 1).
-fn pack_entry(container: ContainerId, execed: bool) -> u64 {
-    (container.0 << 1) | u64::from(execed)
-}
-
-/// The container packed into a slot entry, or `None` for an empty slot.
+/// The container a slot entry names, or `None` for an empty slot (engine ids
+/// start at 1, so 0 is free to mean "empty").
 fn entry_container(entry: u64) -> Option<ContainerId> {
-    if entry == 0 {
-        None
-    } else {
-        Some(ContainerId(entry >> 1))
-    }
+    (entry != 0).then_some(ContainerId(entry))
 }
 
 /// One fixed run of [`SLOTS_PER_KEY`] slots of a key's slot array, and the
@@ -138,7 +131,7 @@ fn entry_container(entry: u64) -> Option<ContainerId> {
 /// lock-free claimers can re-verify entries without ABA hazards.
 #[derive(Debug)]
 struct SlotChunk {
-    /// Packed `(container, execed)` per slot; 0 = empty.
+    /// The container id per slot; 0 = empty.
     entries: Box<[AtomicU64]>,
     /// Set = slot unoccupied. Claimed at publish, released at dispose, both
     /// under the pool lock — `SLOTS_PER_KEY - free.count()` is the chunk's
@@ -355,7 +348,7 @@ impl KeySlots {
         order: PublishOrder,
     ) -> usize {
         // lint:allow(atomic-ordering, entry store is ordered by the in_use bit-set below)
-        chunk.entries[bit].store(pack_entry(container, false), Ordering::Relaxed);
+        chunk.entries[bit].store(container.0, Ordering::Relaxed);
         order.store_rindex(rindex, pack_rindex(id, i));
         let fresh = order.set_bit(&chunk.in_use, bit);
         debug_assert!(fresh, "published slot's in_use bit was already set");
@@ -372,11 +365,10 @@ impl KeySlots {
         rindex: &AtomicU64,
         id: KeyId,
         container: ContainerId,
-        execed: bool,
         order: PublishOrder,
     ) -> usize {
         // lint:allow(atomic-ordering, entry store is ordered by the avail bit-set below)
-        chunk.entries[bit].store(pack_entry(container, execed), Ordering::Relaxed);
+        chunk.entries[bit].store(container.0, Ordering::Relaxed);
         order.store_rindex(rindex, pack_rindex(id, i));
         let fresh = order.set_bit(&chunk.avail, bit);
         debug_assert!(fresh, "published slot's avail bit was already set");
@@ -384,9 +376,9 @@ impl KeySlots {
     }
 
     /// Lock-free warm claim: CAS an `avail` bit, load the published entry,
-    /// take the `in_use` ownership token. Returns the slot index, container,
-    /// and whether it has executed before.
-    fn claim_warm(&self) -> Option<(usize, ContainerId, bool)> {
+    /// take the `in_use` ownership token. Returns the slot index and its
+    /// container.
+    fn claim_warm(&self) -> Option<(usize, ContainerId)> {
         let (i, chunk, bit) = self.claim_lowest(|chunk| &chunk.avail)?;
         // The claim's acquire CAS synchronizes with the publisher's release
         // bit-set, so the entry (stored before the bit) is fully visible.
@@ -395,7 +387,7 @@ impl KeySlots {
         let fresh = chunk.in_use.release(bit);
         debug_assert!(fresh, "slot was avail and in_use at once");
         self.note_acquire();
-        Some((i, ContainerId(entry >> 1), entry & 1 == 1))
+        Some((i, ContainerId(entry)))
     }
 
     /// Lock-free release claim: verify the entry names `container`, take the
@@ -426,13 +418,11 @@ impl KeySlots {
         debug_assert!(fresh, "restored claim found the in_use bit set");
     }
 
-    /// Returns a claimed slot's container to the warm pool. Lock-free: the
-    /// entry store (now flagged as executed) happens before the `avail`
-    /// release-store, upholding publish-before-bit-set.
-    fn hand_back(&self, i: usize, container: ContainerId) {
+    /// Returns a claimed slot's container to the warm pool. Lock-free, and
+    /// no entry store: the entry still names the container it was published
+    /// with, so the `avail` release-store alone makes the slot claimable.
+    fn hand_back(&self, i: usize) {
         let (chunk, bit) = self.at(i);
-        // lint:allow(atomic-ordering, entry store is ordered by the avail.release bit-set below)
-        chunk.entries[bit].store(pack_entry(container, true), Ordering::Relaxed);
         let fresh = chunk.avail.release(bit);
         debug_assert!(fresh, "hand-back found the avail bit already set");
         self.in_use_total.fetch_sub(1, Ordering::Relaxed);
@@ -473,13 +463,10 @@ struct Slot {
     /// The key's lock-free slot array, shared with the pool-level key table
     /// so warm paths reach it without this `Slot` (or its lock).
     ks: Arc<KeySlots>,
-    /// Whether this key is on the pool's active list (touched since the
-    /// last snapshot, or still holding containers). The flag keeps the list
-    /// duplicate-free without a per-touch hash probe.
-    active: bool,
     /// The snapshot sequence number at which this slot went empty with zero
     /// demand, if it is currently cold; the slot is GC'd once it stays cold
-    /// for the pool's GC threshold. Any touch clears it.
+    /// for [`GC_INTERVALS`] snapshots. A snapshot that finds demand or a
+    /// container clears it.
     cold_since: Option<u64>,
     /// A representative configuration for this key, kept so the controller
     /// can pre-warm by key alone.
@@ -490,39 +477,27 @@ impl Slot {
     fn new(config: ContainerConfig, ks: Arc<KeySlots>) -> Self {
         Slot {
             ks,
-            active: false,
             cold_since: None,
             config,
         }
     }
 }
 
-/// Everything the pool keeps behind its one lock: which keys are tracked,
-/// which of them the next control snapshot must visit, and the age order of
-/// the containers they hold.
+/// Everything the pool keeps behind its one lock: which keys are tracked
+/// and the age order of the containers they hold.
 #[derive(Debug, Default)]
 struct PoolState {
     /// Keyed by interned id with [`FastMap`] — the id is an internal dense
     /// integer, so the default hasher's DoS resistance buys nothing on this
     /// per-request lookup.
     slots: FastMap<KeyId, Slot>,
-    /// Keys the next control snapshot must visit: touched since the last
-    /// snapshot or holding containers. Duplicate-free (see [`Slot::active`]).
-    /// Lock-free warm hits never need to push here — any key with live
-    /// containers is already on the list and stays on it until it drains.
-    active: Vec<KeyId>,
-    /// Cold slots awaiting GC, queued as `(key, went_cold_at_seq)` in
-    /// nondecreasing sequence order — the dirty snapshot's "idle sweep" pops
-    /// exactly the entries whose deadline arrived. Entries are lazily
-    /// invalidated by re-touches (the slot's `cold_since` moves on).
-    cold: VecDeque<(KeyId, u64)>,
     /// Snapshot sequence number (one per demand snapshot).
     seq: u64,
     /// Containers currently tracked by the pool (available + in use),
     /// maintained under the lock at every occupancy change so
     /// [`RuntimePool::total_live`] is O(1). Warm hits and warm
-    /// releases do not change occupancy, so they never touch it. The
-    /// full-sweep snapshot cross-checks it in debug builds.
+    /// releases do not change occupancy, so they never touch it. Every
+    /// demand snapshot cross-checks it in debug builds.
     live: usize,
     /// The pooled containers (available *and* in use) ordered by
     /// `(created_at, id)` — the eviction order. Inserted and removed at the
@@ -558,10 +533,16 @@ impl PoolState {
         }
     }
 
-    /// Debug cross-check of the age index against the slot bookkeeping it
-    /// shadows: exactly `live` entries, each one resolving to the container
-    /// its key's slot array names at that index.
+    /// Debug cross-check of `live` and the age index against the slot
+    /// bookkeeping they shadow: `live` is the slots' total occupancy, and
+    /// the index has exactly `live` entries, each one resolving to the
+    /// container its key's slot array names at that index.
     fn assert_ages_consistent(&self) {
+        assert_eq!(
+            self.live,
+            self.slots.values().map(|s| s.ks.occupied()).sum::<usize>(),
+            "pool live counter diverged from slot contents"
+        );
         assert_eq!(self.ages.len(), self.live, "age index size != live");
         assert_eq!(self.born.len(), self.live, "age side map size != live");
         for (&(created_at, container), &(key, at)) in &self.ages {
@@ -573,18 +554,6 @@ impl PoolState {
                 Some(container),
                 "indexed slot names another container"
             );
-        }
-    }
-
-    /// Flags `id` as touched this control interval (O(1) when already
-    /// active) and cancels any pending cold-GC countdown.
-    fn mark_active(&mut self, id: KeyId) {
-        if let Some(slot) = self.slots.get_mut(&id) {
-            slot.cold_since = None;
-            if !slot.active {
-                slot.active = true;
-                self.active.push(id);
-            }
         }
     }
 }
@@ -622,9 +591,8 @@ pub struct DemandSnapshot {
     pub retired: Vec<KeyId>,
 }
 
-/// An acquisition with the pool-side detail behind it: whether the runtime
-/// has executed before (the payload of the slot's packed entry) and whether
-/// any lock was taken on the way.
+/// An acquisition with the pool-side detail behind it: whether any lock was
+/// taken on the way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PoolAcquisition {
     /// The container to run in.
@@ -633,10 +601,6 @@ pub(crate) struct PoolAcquisition {
     pub cost: SimDuration,
     /// Whether a new container had to be created.
     pub cold: bool,
-    /// Whether this container has never executed before (fresh or
-    /// pre-warmed) — exactly `engine.exec_count(container) == Some(0)`, but
-    /// known from pool bookkeeping alone.
-    pub first_exec: bool,
     /// Per-stage decomposition of a cold start (`None` on reuse).
     pub breakdown: Option<CostBreakdown>,
     /// Reconfiguration cost of a fuzzy-matched reuse (zero otherwise).
@@ -719,7 +683,6 @@ pub struct RuntimePool {
     /// `release`, which gets the container's true key and slot without
     /// touching the engine or the interner. It names every pooled container.
     rindex: LazySlotTable<AtomicU64>,
-    gc_intervals: u32,
     /// Bumped by every operation that may change warm availability
     /// (acquire, release, prewarm, retire, evict). External indexes over
     /// this pool's warm state — the cluster placement index — compare it to
@@ -744,7 +707,6 @@ impl RuntimePool {
             interner: KeyInterner::new(policy),
             key_slots: LazySlotTable::default(),
             rindex: LazySlotTable::default(),
-            gc_intervals: DEFAULT_GC_INTERVALS,
             mutation_epoch: AtomicU64::new(0),
         }
     }
@@ -779,11 +741,6 @@ impl RuntimePool {
     /// The key policy in force.
     pub fn policy(&self) -> KeyPolicy {
         self.policy
-    }
-
-    /// Overrides the empty-slot GC threshold (setup only).
-    pub fn set_gc_intervals(&mut self, intervals: u32) {
-        self.gc_intervals = intervals.max(1);
     }
 
     /// Interns a configuration, returning its stable [`KeyId`] under this
@@ -897,7 +854,7 @@ impl RuntimePool {
             let guard = self.state.lock();
             guard.slots.get(&id).and_then(|slot| slot.ks.claim_warm())
         });
-        if let Some((_, container, execed)) = warm {
+        if let Some((_, container)) = warm {
             // Exact keys never consult the engine on reuse, so a hit on the
             // first attempt must have run without a single lock.
             let lock_free = lock_free_hit.is_some() && self.policy != KeyPolicy::Fuzzy;
@@ -910,7 +867,6 @@ impl RuntimePool {
                 container,
                 cost,
                 cold: false,
-                first_exec: !execed,
                 breakdown: None,
                 reconfig: cost,
                 lock_free,
@@ -935,13 +891,11 @@ impl RuntimePool {
                 PublishOrder::Release,
             );
             guard.admit(container, now, id, slot_idx);
-            guard.mark_active(id);
         }
         Ok(PoolAcquisition {
             container,
             cost: breakdown.total(),
             cold: true,
-            first_exec: true,
             breakdown: Some(breakdown),
             reconfig: SimDuration::ZERO,
             lock_free: false,
@@ -976,9 +930,9 @@ impl RuntimePool {
     ///
     /// The warm path takes **zero pool locks**: the reverse index resolves
     /// the container to its key and slot, the `in_use` bit-claim proves
-    /// ownership, and the hand-back is an entry store plus an `avail`
-    /// release-store. Only the disposal of a crashed container takes the
-    /// pool lock.
+    /// ownership, and the hand-back is an `avail` release-store plus the
+    /// demand-counter update. Only the disposal of a crashed container takes
+    /// the pool lock.
     pub fn release(
         &self,
         engine: &impl EngineRef,
@@ -1049,15 +1003,14 @@ impl RuntimePool {
                 if crashed {
                     self.dispose_claimed(claim, container);
                 } else {
-                    claim.ks.hand_back(claim.slot, container);
+                    claim.ks.hand_back(claim.slot);
                 }
                 Ok(cost)
             }
             Err(err) => {
                 // The engine rejected the hand-back (e.g. released while
                 // still Running): return the ownership token so bookkeeping
-                // stays honest. The key still holds the container, so it is
-                // necessarily on the active list already.
+                // stays honest.
                 claim.ks.restore_claim(claim.slot);
                 Err(err)
             }
@@ -1079,8 +1032,6 @@ impl RuntimePool {
             self.rindex_clear(container);
             guard.forget(container);
         }
-        // A disposal is a touch: the controller must re-examine this key.
-        guard.mark_active(claim.id);
     }
 
     /// Pre-warms one container of the given configuration (adaptive
@@ -1106,11 +1057,9 @@ impl RuntimePool {
             self.rindex_cell(container),
             id,
             container,
-            false,
             PublishOrder::Release,
         );
         guard.admit(container, now, id, slot_idx);
-        guard.mark_active(id);
         Ok(breakdown.total())
     }
 
@@ -1133,7 +1082,7 @@ impl RuntimePool {
     /// Retires one available container of the given type (adaptive
     /// controller's scale-down action). Returns the teardown cost, or `None`
     /// if none was available.
-    pub fn retire_one_id(
+    pub(crate) fn retire_one_id(
         &self,
         engine: &impl EngineRef,
         id: KeyId,
@@ -1146,7 +1095,6 @@ impl RuntimePool {
             if let Some(container) = popped {
                 self.rindex_clear(container);
                 guard.forget(container);
-                guard.mark_active(id);
             }
             popped
         };
@@ -1177,16 +1125,13 @@ impl RuntimePool {
             let mut guard = self.state.lock();
             let claimed = guard.ages.iter().find_map(|(&(_, container), &(key, at))| {
                 let ks = &guard.slots.get(&key)?.ks;
-                (ks.is_avail(at) && ks.evict_at(at, container)).then_some((container, key))
+                (ks.is_avail(at) && ks.evict_at(at, container)).then_some(container)
             });
-            claimed.map(|(container, key)| {
+            if let Some(container) = claimed {
                 self.rindex_clear(container);
                 guard.forget(container);
-                // An eviction is a touch: the controller must re-examine
-                // this key at the next interval.
-                guard.mark_active(key);
-                container
-            })
+            }
+            claimed
         };
         match evicted {
             Some(container) => engine
@@ -1253,132 +1198,26 @@ impl RuntimePool {
         }
     }
 
-    /// Takes the **full-sweep** demand snapshot (`history[k][t]`):
-    /// visits every slot, resets watermarks for the next control interval,
-    /// and garbage-collects slots that have been empty for
-    /// [`Self::set_gc_intervals`] consecutive zero-demand snapshots. Keys with
-    /// live containers are always reported, including zero-demand intervals.
+    /// Takes the demand snapshot (`history[k][t]`): visits every tracked
+    /// key, resets watermarks for the next control interval, and
+    /// garbage-collects a key at its [`GC_INTERVALS`]-th consecutive
+    /// snapshot with zero demand and no container. Every key it keeps is
+    /// reported, zero-demand intervals included.
     ///
     /// GC fires only when the key's live population — its slot array's
     /// occupancy, exact under the pool lock — is zero, so a warm operation
     /// caught between its CAS and its bookkeeping can never have its
-    /// container stranded by a GC.
-    ///
-    /// This is the O(tracked keys) reference path; the controller's default
-    /// is [`Self::take_demand_snapshot_dirty`], which visits only the active
-    /// list and produces the same GC timing (asserted by a property test in
-    /// `controller.rs`).
+    /// container stranded by a GC. The same rule bounds the sweep: a key
+    /// that went cold is visited at most `GC_INTERVALS` more times.
     pub fn take_demand_snapshot(&self) -> DemandSnapshot {
-        let mut demands = Vec::new();
         let mut retired = Vec::new();
-        let gc_after = u64::from(self.gc_intervals);
-        {
-            let mut guard = self.state.lock();
-            guard.seq += 1;
-            let seq = guard.seq;
-            let PoolState {
-                slots,
-                active,
-                cold,
-                live,
-                ..
-            } = &mut *guard;
-            slots.retain(|&id, slot| {
-                let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
-                let avail = slot.ks.avail_count();
-                let demand = slot
-                    .ks
-                    .watermark
-                    // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the pool lock)
-                    .swap(in_use, Ordering::Relaxed)
-                    .max(in_use);
-                if demand == 0 && slot.ks.occupied() == 0 {
-                    let since = match slot.cold_since {
-                        Some(since) => since,
-                        None => {
-                            // First zero-demand interval: leave the active
-                            // list and start the GC countdown.
-                            slot.cold_since = Some(seq);
-                            slot.active = false;
-                            queue_cold(cold, id, seq, gc_after);
-                            seq
-                        }
-                    };
-                    if seq - since + 1 >= gc_after {
-                        retired.push(id);
-                        return false;
-                    }
-                } else {
-                    slot.cold_since = None;
-                    if !slot.active {
-                        slot.active = true;
-                        active.push(id);
-                    }
-                }
-                demands.push(KeyDemand {
-                    id,
-                    demand,
-                    avail,
-                    in_use,
-                });
-                true
-            });
-            // The full sweep visits every slot anyway: cross-check the
-            // live counter against the ground truth it summarises.
-            debug_assert_eq!(
-                *live,
-                slots.values().map(|s| s.ks.occupied()).sum::<usize>(),
-                "pool live counter diverged from slot contents"
-            );
-            // Heal the active list: GC'd and newly-cold keys drop out.
-            active.retain(|id| slots.get(id).is_some_and(|s| s.active));
-            // The retain above already GC'd everything due, so this only
-            // discards stale queue entries; it keeps the queue bounded when
-            // full sweeps and dirty snapshots interleave.
-            drain_due_cold(slots, cold, &mut retired, seq, gc_after);
-            // … and, the same way, the age index against the slots it shadows.
-            if cfg!(debug_assertions) {
-                guard.assert_ages_consistent();
-            }
-        }
-        demands.sort_unstable_by_key(|d| d.id);
-        retired.sort_unstable();
-        DemandSnapshot { demands, retired }
-    }
-
-    /// Takes the **dirty-set** demand snapshot: visits only the keys
-    /// touched since the last snapshot or still holding containers, plus the
-    /// cold queue's due GC deadlines (the "idle sweep" that guarantees
-    /// zero-demand GC fires within [`Self::set_gc_intervals`] snapshots of a key
-    /// going cold — identical timing to the full sweep).
-    ///
-    /// Work is O(active keys + due GCs), independent of how many keys the
-    /// pool tracks. Cold keys are reported once (their final zero-demand
-    /// interval) and then skipped until GC'd or re-touched; the controller
-    /// backfills the skipped zero observations from the snapshot sequence
-    /// gap, so predictor state matches the full sweep exactly. Lock-free
-    /// warm hits keep the dirty set honest for free: a key serving warm
-    /// traffic holds containers, and any key holding containers is already
-    /// on the active list.
-    pub fn take_demand_snapshot_dirty(&self) -> DemandSnapshot {
-        let mut retired = Vec::new();
-        let gc_after = u64::from(self.gc_intervals);
         let mut guard = self.state.lock();
         guard.seq += 1;
         let seq = guard.seq;
-        let PoolState {
-            slots,
-            active,
-            cold,
-            ..
-        } = &mut *guard;
-        // One report per active key, and the list is compacted in place:
-        // neither vector is grown by doubling once per tick.
-        let mut demands = Vec::with_capacity(active.len());
-        active.retain(|&id| {
-            let Some(slot) = slots.get_mut(&id) else {
-                return false;
-            };
+        // At most one report per tracked key: the vector is not grown by
+        // doubling once per tick.
+        let mut demands = Vec::with_capacity(guard.slots.len());
+        guard.slots.retain(|&id, slot| {
             let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
             let avail = slot.ks.avail_count();
             let demand = slot
@@ -1387,23 +1226,14 @@ impl RuntimePool {
                 // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the pool lock)
                 .swap(in_use, Ordering::Relaxed)
                 .max(in_use);
-            // Keys holding containers stay on the active list: the
-            // controller sizes them every interval, exactly like the full
-            // sweep.
-            let stays = demand != 0 || slot.ks.occupied() != 0;
-            slot.active = stays;
-            if !stays {
-                // Final zero-demand report; the slot then waits on the cold
-                // queue for GC (or a re-touch).
-                slot.cold_since = Some(seq);
-                if gc_after <= 1 {
-                    // The full sweep GCs a just-cold slot in this same
-                    // snapshot without reporting it; match that.
-                    slots.remove(&id);
+            if demand == 0 && slot.ks.occupied() == 0 {
+                let since = *slot.cold_since.get_or_insert(seq);
+                if seq - since + 1 >= GC_INTERVALS {
                     retired.push(id);
                     return false;
                 }
-                cold.push_back((id, seq));
+            } else {
+                slot.cold_since = None;
             }
             demands.push(KeyDemand {
                 id,
@@ -1411,9 +1241,11 @@ impl RuntimePool {
                 avail,
                 in_use,
             });
-            stays
+            true
         });
-        drain_due_cold(slots, cold, &mut retired, seq, gc_after);
+        if cfg!(debug_assertions) {
+            guard.assert_ages_consistent();
+        }
         drop(guard);
         demands.sort_unstable_by_key(|d| d.id);
         retired.sort_unstable();
@@ -1425,38 +1257,6 @@ impl RuntimePool {
         let mut keys: Vec<KeyId> = self.state.lock().slots.keys().copied().collect();
         keys.sort_unstable();
         keys
-    }
-}
-
-/// Queues a newly-cold key for the idle sweep, unless it is due immediately
-/// (the caller GCs it in the same snapshot).
-fn queue_cold(cold: &mut VecDeque<(KeyId, u64)>, id: KeyId, seq: u64, gc_after: u64) {
-    if gc_after > 1 {
-        cold.push_back((id, seq));
-    }
-}
-
-/// Pops every cold-queue entry whose GC deadline arrived at `seq` and
-/// retires the slots that are still cold since then. Entries invalidated by
-/// a re-touch (the slot's `cold_since` moved or cleared) or by an earlier GC
-/// are discarded. The queue is in nondecreasing `since` order, so this stops
-/// at the first not-yet-due entry.
-fn drain_due_cold(
-    slots: &mut FastMap<KeyId, Slot>,
-    cold: &mut VecDeque<(KeyId, u64)>,
-    retired: &mut Vec<KeyId>,
-    seq: u64,
-    gc_after: u64,
-) {
-    while let Some(&(id, since)) = cold.front() {
-        if seq.saturating_sub(since) + 1 < gc_after {
-            break;
-        }
-        cold.pop_front();
-        if slots.get(&id).is_some_and(|s| s.cold_since == Some(since)) {
-            slots.remove(&id);
-            retired.push(id);
-        }
     }
 }
 
@@ -1504,13 +1304,13 @@ pub mod model_api {
         }
 
         /// Real lock-free warm claim ([`KeySlots::claim_warm`]).
-        pub fn claim_warm(&self) -> Option<(usize, ContainerId, bool)> {
+        pub fn claim_warm(&self) -> Option<(usize, ContainerId)> {
             self.ks.claim_warm()
         }
 
         /// Real lock-free hand-back ([`KeySlots::hand_back`]).
-        pub fn hand_back(&self, i: usize, container: ContainerId) {
-            self.ks.hand_back(i, container);
+        pub fn hand_back(&self, i: usize) {
+            self.ks.hand_back(i);
         }
 
         /// Real lock-free release claim ([`KeySlots::try_claim_release`]).
@@ -1521,18 +1321,10 @@ pub mod model_api {
         /// Real prewarm publish ([`KeySlots::publish_avail`]) into the
         /// lowest free slot. `None` when no slot is free: the model grows
         /// explicitly ([`Self::grow`]), not inside the free-claim.
-        pub fn publish_avail(
-            &self,
-            container: ContainerId,
-            execed: bool,
-            order: PublishOrder,
-        ) -> Option<usize> {
+        pub fn publish_avail(&self, container: ContainerId, order: PublishOrder) -> Option<usize> {
             let free = self.ks.claim_lowest(|chunk| &chunk.free)?;
             let (cell, key) = (self.cell(container), KeyId::from_index(0));
-            Some(
-                self.ks
-                    .publish_avail(free, cell, key, container, execed, order),
-            )
+            Some(self.ks.publish_avail(free, cell, key, container, order))
         }
 
         /// The growth step of [`KeySlots::claim_free`] (the real
@@ -1642,7 +1434,7 @@ mod tests {
         ContainerConfig::bridge(ImageId::parse(image))
     }
 
-    /// The full-sweep snapshot (GC included) as `(key, demand)`, sorted —
+    /// The demand snapshot (GC included) as `(key, demand)`, sorted —
     /// what the controller sees over one interval.
     fn demand_snapshot(pool: &RuntimePool) -> Vec<(KeyId, usize)> {
         let snapshot = pool.take_demand_snapshot();
@@ -1679,7 +1471,7 @@ mod tests {
         let c = cfg("alpine:3.12");
         let id = pool.intern_config(&c);
         let a = pool.acquire_id(&e, id, &c, SimTime::ZERO).unwrap();
-        assert!(a.cold && a.first_exec && !a.lock_free);
+        assert!(a.cold && !a.lock_free);
         e.with_engine(|e| {
             let out = e
                 .begin_exec(
@@ -1695,7 +1487,6 @@ mod tests {
             .unwrap();
         let b = pool.acquire_id(&e, id, &c, SimTime::from_secs(2)).unwrap();
         assert!(!b.cold);
-        assert!(!b.first_exec, "reused container has executed before");
         assert_eq!(b.container, a.container);
         assert!(b.lock_free, "an exact-key bitmap hit takes no lock");
     }
@@ -1779,80 +1570,94 @@ mod tests {
         );
     }
 
+    /// The bound the one sweep relies on, over random acquire / release /
+    /// crashed release / prewarm / retire / evict traces on three keys: after
+    /// every snapshot each tracked key holds a container, saw demand in the
+    /// interval, or went cold fewer than [`GC_INTERVALS`] snapshots ago; a
+    /// key left cold is retired at exactly its `GC_INTERVALS`-th zero-demand
+    /// snapshot; and every key still tracked is reported, with the
+    /// interval's peak in-use count as its demand.
     #[test]
-    fn dirty_snapshot_skips_cold_keys_but_gcs_them_on_schedule() {
-        let e = engine();
-        let mut pool = RuntimePool::new(KeyPolicy::Exact);
-        pool.set_gc_intervals(2);
-        let a = cfg("alpine:3.12");
-        let b = cfg("python:3.8-alpine");
-        pool.prewarm(&e, &a, SimTime::ZERO).unwrap();
-        pool.prewarm(&e, &b, SimTime::ZERO).unwrap();
-        let ida = pool.intern_config(&a);
-        let idb = pool.intern_config(&b);
-        // Both warm: both visited every interval even without touches.
-        let visited = |s: &DemandSnapshot| -> Vec<(KeyId, usize)> {
-            s.demands.iter().map(|d| (d.id, d.demand)).collect()
-        };
-        let s1 = pool.take_demand_snapshot_dirty();
-        assert_eq!(visited(&s1), vec![(ida, 0), (idb, 0)]);
-        // The snapshot carries each slot's live population (one prewarmed
-        // container apiece), so the controller needs no second lookup.
-        assert!(s1.demands.iter().all(|d| d.avail == 1 && d.in_use == 0));
-        // Drain A to empty; the retire is a touch, so the next snapshot
-        // reports its final zero-demand interval and starts the countdown.
-        pool.retire_one_id(&e, ida, SimTime::from_secs(1)).unwrap();
-        let s2 = pool.take_demand_snapshot_dirty();
-        assert_eq!(visited(&s2), vec![(ida, 0), (idb, 0)]);
-        assert!(s2.retired.is_empty());
-        // Cold now: skipped from the demand scan, GC'd by the idle sweep
-        // exactly gc_intervals snapshots after going cold.
-        let s3 = pool.take_demand_snapshot_dirty();
-        assert_eq!(visited(&s3), vec![(idb, 0)]);
-        assert_eq!(s3.retired, vec![ida]);
-        assert_eq!(pool.keys(), vec![idb]);
-        // A re-touch after going cold cancels the countdown.
-        pool.prewarm(&e, &a, SimTime::from_secs(2)).unwrap();
-        pool.retire_one_id(&e, pool.intern_config(&a), SimTime::from_secs(3))
-            .unwrap();
-        let _ = pool.take_demand_snapshot_dirty(); // goes cold again
-        pool.prewarm(&e, &a, SimTime::from_secs(4)).unwrap(); // re-touched
-        let s5 = pool.take_demand_snapshot_dirty();
-        assert!(s5.retired.is_empty(), "re-touched key must not be GC'd");
-        assert!(s5.demands.iter().any(|d| d.id == pool.intern_config(&a)));
-    }
-
-    #[test]
-    fn full_and_dirty_snapshots_agree_on_gc_timing() {
-        for gc in [1u32, 2, 3] {
-            let (ef, ed) = (engine(), engine());
-            let mut full = RuntimePool::new(KeyPolicy::Exact);
-            let mut dirty = RuntimePool::new(KeyPolicy::Exact);
-            full.set_gc_intervals(gc);
-            dirty.set_gc_intervals(gc);
-            let c = cfg("alpine:3.12");
-            full.prewarm(&ef, &c, SimTime::ZERO).unwrap();
-            dirty.prewarm(&ed, &c, SimTime::ZERO).unwrap();
-            full.retire_one_id(&ef, full.intern_config(&c), SimTime::ZERO)
-                .unwrap();
-            dirty
-                .retire_one_id(&ed, dirty.intern_config(&c), SimTime::ZERO)
-                .unwrap();
-            // The slot is empty; both modes must GC it at the same snapshot.
-            for step in 1..=gc + 1 {
-                let f = full.take_demand_snapshot();
-                let d = dirty.take_demand_snapshot_dirty();
-                assert_eq!(
-                    f.retired, d.retired,
-                    "gc={gc} step={step}: retire timing diverged"
-                );
-                assert_eq!(
-                    full.keys().is_empty(),
-                    dirty.keys().is_empty(),
-                    "gc={gc} step={step}"
-                );
+    fn prop_snapshot_keeps_a_key_until_its_gc_interval() {
+        testkit::check(64, |g| {
+            let mut e = plain_engine();
+            let pool = RuntimePool::new(KeyPolicy::Exact);
+            let configs: Vec<ContainerConfig> = (0..3)
+                .map(|k| {
+                    let mut c = cfg("alpine:3.12");
+                    c.exec.env.insert("K".into(), k.to_string());
+                    c
+                })
+                .collect();
+            let ids: Vec<KeyId> = configs.iter().map(|c| pool.intern_config(c)).collect();
+            // The model, per key: containers in use now, the interval's peak
+            // of that, and the run of cold snapshots (`None`: untracked).
+            let (mut in_use, mut peak) = ([0usize; 3], [0usize; 3]);
+            let mut cold_run: [Option<u64>; 3] = [None; 3];
+            let mut busy: Vec<(usize, ContainerId)> = Vec::new();
+            for t in 0..g.u64_in(1..40) {
+                let now = SimTime::from_secs(t);
+                for _ in 0..g.usize_in(0..4) {
+                    let k = g.usize_in(0..3);
+                    match g.u8_in(0..8) {
+                        0 | 1 => {
+                            let acq = pool.acquire(&ex(&mut e), &configs[k], now).unwrap();
+                            busy.push((k, acq.container));
+                            in_use[k] += 1;
+                            peak[k] = peak[k].max(in_use[k]);
+                            cold_run[k].get_or_insert(0);
+                        }
+                        2 | 3 if !busy.is_empty() => {
+                            let (k, id) = busy.swap_remove(g.usize_in(0..busy.len()));
+                            // One release in three is of a crashed container.
+                            let crash = g.u8_in(0..3) == 0;
+                            e.set_fault_injection(if crash { 1.0 } else { 0.0 }, 7);
+                            exec(&ex(&mut e), id, now);
+                            pool.release(&ex(&mut e), id, now).unwrap();
+                            in_use[k] -= 1;
+                        }
+                        4 => {
+                            pool.prewarm(&ex(&mut e), &configs[k], now).unwrap();
+                            cold_run[k].get_or_insert(0);
+                        }
+                        5 => {
+                            pool.retire_one_id(&ex(&mut e), ids[k], now).unwrap();
+                        }
+                        _ => {
+                            pool.evict_oldest(&ex(&mut e), now).unwrap();
+                        }
+                    }
+                }
+                let snapshot = pool.take_demand_snapshot();
+                let mut live = [0usize; 3];
+                for c in e.live_ids_oldest_first() {
+                    let id = pool.id_for(e.config(c).unwrap());
+                    live[ids.iter().position(|&k| Some(k) == id).unwrap()] += 1;
+                }
+                let tracked = pool.keys();
+                let (mut reported, mut due) = (Vec::new(), Vec::new());
+                for k in 0..3 {
+                    let Some(run) = cold_run[k].as_mut() else {
+                        continue;
+                    };
+                    let cold = peak[k] == 0 && live[k] == 0;
+                    *run = if cold { *run + 1 } else { 0 };
+                    if tracked.contains(&ids[k]) {
+                        assert!(!cold || *run < GC_INTERVALS, "interval {t}: key {k} kept");
+                        reported.push((ids[k], peak[k]));
+                    } else {
+                        assert_eq!(*run, GC_INTERVALS, "interval {t}: key {k} retired");
+                        due.push(ids[k]);
+                        cold_run[k] = None;
+                    }
+                    peak[k] = in_use[k];
+                }
+                let seen: Vec<(KeyId, usize)> =
+                    snapshot.demands.iter().map(|d| (d.id, d.demand)).collect();
+                assert_eq!(seen, reported, "interval {t}: every tracked key reported");
+                assert_eq!(snapshot.retired, due, "interval {t}");
             }
-        }
+        });
     }
 
     /// Among containers created at the same instant the lower id is the
@@ -2180,26 +1985,25 @@ mod tests {
     }
 
     /// Regression (unbounded slot maps): a slot whose containers have all
-    /// been retired is garbage-collected after the configured number of
-    /// consecutive zero-demand snapshots, so `keys()` and the controller's
-    /// predictor maps stop growing across distinct configs.
+    /// been retired is garbage-collected after [`GC_INTERVALS`] consecutive
+    /// zero-demand snapshots, so `keys()` and the controller's predictor
+    /// maps stop growing across distinct configs.
     #[test]
     fn empty_slots_are_garbage_collected() {
         let mut e = plain_engine();
-        let mut pool = RuntimePool::new(KeyPolicy::Exact);
-        pool.set_gc_intervals(2);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("alpine:3.12");
         run_request(&pool, &mut e, &c, SimTime::ZERO);
         pool.retire_one_id(&ex(&mut e), pool.intern_config(&c), SimTime::from_secs(1))
             .unwrap();
         assert_eq!(pool.total_live(), 0);
 
-        // First zero-demand snapshot still reports the key (it served
-        // traffic this interval)…
-        let snap = demand_snapshot(&pool);
-        assert_eq!(snap.len(), 1);
-        // …the next two empty intervals reach the threshold and GC it.
-        assert_eq!(demand_snapshot(&pool).len(), 1);
+        // The first snapshot still reports the key (it served traffic this
+        // interval), and so do the empty intervals before the threshold…
+        for _ in 0..GC_INTERVALS {
+            assert_eq!(demand_snapshot(&pool).len(), 1);
+        }
+        // …which the next one reaches, and GCs it.
         assert!(demand_snapshot(&pool).is_empty());
         assert!(pool.keys().is_empty());
 
@@ -2216,15 +2020,16 @@ mod tests {
     #[test]
     fn gc_then_reacquire_recreates_slot() {
         let mut e = plain_engine();
-        let mut pool = RuntimePool::new(KeyPolicy::Exact);
-        pool.set_gc_intervals(1);
+        let pool = RuntimePool::new(KeyPolicy::Exact);
         let c = cfg("golang:1.13");
         run_request(&pool, &mut e, &c, SimTime::ZERO);
         let key = pool.intern_config(&c);
         pool.retire_one_id(&ex(&mut e), key, SimTime::from_secs(1))
             .unwrap();
-        demand_snapshot(&pool); // served-traffic interval
-        demand_snapshot(&pool); // zero interval ⇒ GC
+        // The served-traffic interval, then GC_INTERVALS zero intervals.
+        for _ in 0..=GC_INTERVALS {
+            demand_snapshot(&pool);
+        }
         assert!(pool.keys().is_empty());
         let acq = pool
             .acquire(&ex(&mut e), &c, SimTime::from_secs(2))
@@ -2290,8 +2095,8 @@ mod tests {
     /// grown chunk are candidates; creation times are drawn from four
     /// instants, so `created_at` ties are common (the id breaks them) and
     /// `now` is not monotone across creations (age order ≠ id order, as
-    /// `ConcurrentGateway` threads produce). Every full-sweep snapshot re-runs
-    /// the age-index cross-check.
+    /// `ConcurrentGateway` threads produce). Every snapshot re-runs the
+    /// age-index cross-check.
     #[test]
     fn prop_evict_oldest_matches_the_engine_oracle() {
         fn oracle(pool: &RuntimePool, e: &ContainerEngine) -> Option<ContainerId> {

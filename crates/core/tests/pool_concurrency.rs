@@ -119,7 +119,7 @@ fn random_interleavings_preserve_ownership_and_bookkeeping() {
 fn one_key_hammered_from_32_threads_survives_controller_ticks() {
     // The lock-free warm path's worst case: every thread wants the SAME
     // key, so every warm acquire and release races on one `SlotBitmap`
-    // while a controller thread concurrently takes dirty snapshots (which
+    // while a controller thread concurrently takes demand snapshots (which
     // swap the demand watermark and can GC the key) and evicts idle
     // containers (which claims available bits out from under the warm
     // path). Exclusive ownership must hold bit-for-bit, and at quiescence
@@ -139,7 +139,7 @@ fn one_key_hammered_from_32_threads_survives_controller_ticks() {
             s.spawn(move || {
                 let mut tick = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    pool.take_demand_snapshot_dirty();
+                    pool.take_demand_snapshot();
                     pool.evict_oldest(engine, SimTime::from_millis(tick))
                         .expect("evict");
                     tick += 1;
@@ -296,9 +296,9 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
         assert!(evicted >= threads * 3 - cap, "the cap never bit");
     });
 
-    // Quiescence: the pool's counters agree with the engine, and the full
-    // sweep's debug cross-check finds the age index holding exactly the live
-    // containers, each where the slot bookkeeping says it is.
+    // Quiescence: the pool's counters agree with the engine, and the
+    // snapshot's debug cross-check finds the age index holding exactly the
+    // live containers, each where the slot bookkeeping says it is.
     assert!(owned.lock().is_empty());
     let live = engine.lock().live_count();
     assert!(live <= cap, "the last enforcement pass left {live} live");
@@ -337,7 +337,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
     // each (160 in use behind the barrier — the slot array must have grown),
     // then acquire and release at random, holding about four apiece, so the
     // second chunk's slots keep changing hands; the ticking controller of
-    // the 32-thread test (dirty snapshots, evict) and the cap-enforcing
+    // the 32-thread test (demand snapshots, evict) and the cap-enforcing
     // evictor of the age-index test both run throughout. A container of the
     // grown chunk goes through the same claim, hand-back, retire and evict
     // sequences as one of the first.
@@ -361,7 +361,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
         let controller = s.spawn(move || {
             let mut tick = 0u64;
             while !stop.load(Ordering::Acquire) {
-                pool.take_demand_snapshot_dirty();
+                pool.take_demand_snapshot();
                 pool.evict_oldest(engine, SimTime::from_millis(tick))
                     .expect("evict");
                 tick += 1;
@@ -423,7 +423,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
     });
 
     // Quiescence: nothing owned, nothing in use, pool and engine agree, and
-    // the full sweep's debug cross-check finds the age index naming every
+    // the snapshot's debug cross-check finds the age index naming every
     // live container at the slot — of whichever chunk — that holds it.
     assert!(owned.lock().is_empty());
     let live = engine.lock().live_count();

@@ -24,13 +24,13 @@ fn race(order: PublishOrder) -> impl Fn() + Send + Sync + 'static {
         let s = Arc::new(ModelSlots::new(1));
         let s2 = Arc::clone(&s);
         let publisher = spawn(move || {
-            let published = s2.publish_avail(C1, true, order);
+            let published = s2.publish_avail(C1, order);
             assert!(published.is_some(), "the one slot was free");
         });
         let s3 = Arc::clone(&s);
         let claimer = spawn(move || {
-            if let Some((_, c, execed)) = s3.claim_warm() {
-                assert_eq!((c, execed), (C1, true), "torn publish observed");
+            if let Some((_, c)) = s3.claim_warm() {
+                assert_eq!(c, C1, "torn publish observed");
             }
         });
         publisher.join();

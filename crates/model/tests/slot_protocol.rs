@@ -56,8 +56,8 @@ fn double_release_is_rejected_in_all_interleavings() {
     // try_claim_release may win in every schedule.
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(2));
-        s.publish_avail(C1, false, Release).expect("free slot");
-        let (i, c, _) = s.claim_warm().expect("setup claim");
+        s.publish_avail(C1, Release).expect("free slot");
+        let (i, c) = s.claim_warm().expect("setup claim");
         assert_eq!(c, C1);
         let s2 = Arc::clone(&s);
         let t = spawn(move || s2.try_claim_release(i, C1));
@@ -69,7 +69,7 @@ fn double_release_is_rejected_in_all_interleavings() {
         );
         assert!(mine || theirs, "owned slot refused both releases");
         // The winner completes the hand-back; the slot must come back warm.
-        s.hand_back(i, C1);
+        s.hand_back(i);
         assert!(s.avail_contains(C1));
         assert_eq!(s.in_use_count(), 0);
     });
@@ -83,14 +83,13 @@ fn warm_acquire_release_vs_retire() {
     // the end, never both, never lost, never double-owned.
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(1));
-        s.publish_avail(C1, true, Release).expect("free slot");
+        s.publish_avail(C1, Release).expect("free slot");
         let s2 = Arc::clone(&s);
         let t = spawn(move || {
-            if let Some((i, c, execed)) = s2.claim_warm() {
+            if let Some((i, c)) = s2.claim_warm() {
                 assert_eq!(c, C1, "claimed entry must be fully published");
-                assert!(execed, "published execed flag lost");
                 assert!(s2.try_claim_release(i, c), "sole owner releases its slot");
-                s2.hand_back(i, c);
+                s2.hand_back(i);
                 true
             } else {
                 false
@@ -132,7 +131,7 @@ fn warm_acquire_vs_evict_is_exclusive() {
     // bit can be taken at most once, so never neither.
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(1));
-        let i = s.publish_avail(C1, false, Release).expect("free slot");
+        let i = s.publish_avail(C1, Release).expect("free slot");
         let s2 = Arc::clone(&s);
         let t = spawn(move || s2.claim_warm().is_some());
         let evicted = s.evict_at(i, C1);
@@ -164,10 +163,10 @@ fn evict_candidate_test_vs_warm_acquire_and_hand_back() {
     // absence of a violation within the budget.
     let report = checker().try_check(|| {
         let s = Arc::new(ModelSlots::new(1));
-        let i = s.publish_avail(C1, false, Release).expect("free slot");
+        let i = s.publish_avail(C1, Release).expect("free slot");
         let s2 = Arc::clone(&s);
         let t = spawn(move || {
-            let Some((j, c, _)) = s2.claim_warm() else {
+            let Some((j, c)) = s2.claim_warm() else {
                 return false;
             };
             assert_eq!((j, c), (i, C1), "claimed entry must be fully published");
@@ -177,7 +176,7 @@ fn evict_candidate_test_vs_warm_acquire_and_hand_back() {
                 s2.try_claim_release(j, c),
                 "container disposed under its owner"
             );
-            s2.hand_back(j, c);
+            s2.hand_back(j);
             true
         });
         let evicted = s.evict_candidate(i) && s.evict_at(i, C1);
@@ -211,16 +210,15 @@ fn evict_candidate_test_vs_warm_acquire_and_hand_back() {
 #[test]
 fn cold_publish_vs_racing_claims_upholds_publish_before_bit_set() {
     // The tentpole invariant: a claimer that wins an avail bit must see the
-    // complete entry (container id and execed flag) that was stored before
-    // the release bit-set — across every interleaving of a cold publish
+    // container id that was stored before the release bit-set — across every interleaving of a cold publish
     // with two racing claimers. claim_warm's internal
     // debug_assert_ne!(entry, 0) is armed too: a torn publish panics the
     // schedule even before our asserts run.
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(2));
-        s.publish_avail(C1, true, Release).expect("free slot");
+        s.publish_avail(C1, Release).expect("free slot");
         let s2 = Arc::clone(&s);
-        let publisher = spawn(move || s2.publish_avail(C2, false, Release));
+        let publisher = spawn(move || s2.publish_avail(C2, Release));
         let s3 = Arc::clone(&s);
         let claimer = spawn(move || s3.claim_warm());
         let mine = s.claim_warm();
@@ -228,12 +226,8 @@ fn cold_publish_vs_racing_claims_upholds_publish_before_bit_set() {
         let theirs = claimer.join();
         assert!(published.is_some(), "second slot was free");
         let mut seen = Vec::new();
-        for got in [mine, theirs].into_iter().flatten() {
-            let (_, c, execed) = got;
-            assert!(
-                (c, execed) == (C1, true) || (c, execed) == (C2, false),
-                "claimed a torn entry: {c:?}/{execed}"
-            );
+        for (_, c) in [mine, theirs].into_iter().flatten() {
+            assert!(c == C1 || c == C2, "claimed a torn entry: {c:?}");
             seen.push(c);
         }
         seen.sort_unstable_by_key(|c| c.0);
@@ -261,14 +255,14 @@ fn prewarm_publish_vs_claim_then_reverse_index_release() {
     checker().check(|| {
         let s = Arc::new(ModelSlots::new(1));
         let s2 = Arc::clone(&s);
-        let publisher = spawn(move || s2.publish_avail(C1, false, Release));
-        if let Some((i, c, _)) = s.claim_warm() {
+        let publisher = spawn(move || s2.publish_avail(C1, Release));
+        if let Some((i, c)) = s.claim_warm() {
             assert_eq!(
                 s.release_via_rindex(c),
                 Some((i, true)),
                 "claimed container has no reverse-index mapping"
             );
-            s.hand_back(i, c);
+            s.hand_back(i);
         }
         assert_eq!(publisher.join(), Some(0));
         assert!(s.avail_contains(C1), "published container not warm");
@@ -283,12 +277,12 @@ fn protocol_suite_exhausts_within_bound() {
     // (complete=true means the DFS tree ended, not the budget).
     let report = checker().try_check(|| {
         let s = Arc::new(ModelSlots::new(1));
-        s.publish_avail(C1, true, Release).expect("free slot");
+        s.publish_avail(C1, Release).expect("free slot");
         let s2 = Arc::clone(&s);
         let t = spawn(move || {
-            if let Some((i, c, _)) = s2.claim_warm() {
+            if let Some((i, c)) = s2.claim_warm() {
                 assert!(s2.try_claim_release(i, c));
-                s2.hand_back(i, c);
+                s2.hand_back(i);
             }
         });
         let _ = s.retire_avail();
@@ -325,7 +319,7 @@ fn chunk_growth_vs_warm_claim_and_reverse_index_release() {
         assert_eq!(s.publish_in_use(C1, Release), None, "head chunk is full");
         s.grow(2);
         assert_eq!(s.publish_in_use(C1, Release), Some(128), "first grown slot");
-        assert_eq!(s.publish_avail(C2, false, Release), Some(129));
+        assert_eq!(s.publish_avail(C2, Release), Some(129));
         let claimed = claimer.join();
         // Unmapped yet, or mapped to slot 128 — where the claim may still
         // lose to the not-yet-set `in_use` bit.
@@ -334,10 +328,10 @@ fn chunk_growth_vs_warm_claim_and_reverse_index_release() {
             won
         });
         if released {
-            s.hand_back(128, C1);
+            s.hand_back(128);
         }
         if let Some(got) = claimed {
-            assert_eq!(got, (129, C2, false), "claimed a torn entry");
+            assert_eq!(got, (129, C2), "claimed a torn entry");
         }
         assert_eq!(s.avail_contains(C1), released, "C1 lost or doubly owned");
         assert_eq!(s.avail_contains(C2), claimed.is_none(), "C2 lost");
