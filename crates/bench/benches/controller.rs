@@ -2,18 +2,18 @@
 //! never-holding `step_full`.
 //!
 //! The fleet is the one a long-running node has: every one of `types`
-//! runtime types *keeps one warm container*, so all of them are in every
-//! demand snapshot, and `HOT` of them — a window that rotates through the
-//! fleet — see a request each interval. `step_full` feeds and sizes every
-//! type every interval; `step` sizes the `HOT` touched now, the `HOT`
-//! touched last interval (taking their holds), and passes over the rest
-//! with a look at each hold. 300 untimed intervals come first, so every
-//! demand window is past seeding and saturated and the holds are in their
-//! steady state, and one timed iteration is 50 intervals: ten samples of it
-//! are tens of milliseconds even in `--smoke`, where a 10 ms window of
-//! single intervals let one scheduler hiccup double a mean. The pool-side
-//! snapshot visits all `types` keys in both, which bounds the ratio from
-//! below (gated at 0.7).
+//! runtime types *keeps one warm container*, and `HOT` of them — a window
+//! that rotates through the fleet — see a request each interval.
+//! `step_full` snapshots, feeds and sizes every type every interval; `step`
+//! visits only the `HOT` touched now (their first acquire woke them), the
+//! `HOT` touched last interval (taking their holds and parking them) and
+//! the few whose hold ends, and never sees the rest. 300 untimed intervals
+//! come first, so every demand window is past seeding and saturated and the
+//! holds are in their steady state, and one timed iteration is 50
+//! intervals: ten samples of it are tens of milliseconds even in `--smoke`,
+//! where a 10 ms window of single intervals let one scheduler hiccup double
+//! a mean. What `step` still pays per interval is the requests themselves
+//! and a pass over the pool's wake and unparked bitmap words.
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};

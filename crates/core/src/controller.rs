@@ -14,14 +14,14 @@
 //! for how long: they never pre-warm, and they run on the same pool, limits
 //! and step machinery.
 //!
-//! A control step ([`AdaptiveController::step`]) takes the pool's one demand
+//! A control step ([`AdaptiveController::step`]) takes the pool's demand
 //! snapshot under the pool lock, releases it, and then sizes the snapshot's
 //! keys in `KeyId` order — so the container ids of same-step pre-warms, and
 //! with them eviction's tie-breaks, are a function of the model alone. Warm
-//! requests proceed lock-free throughout. The snapshot visits every key the
-//! pool tracks, and the pool tracks a key only while it holds a container or
-//! went cold fewer than three snapshots ago, so a step costs O(pooled
-//! types), not O(registered types).
+//! requests proceed lock-free throughout. The snapshot visits only the keys
+//! that may have changed — unparked ones, woken ones and those whose hold
+//! ends now (below) — so a step costs O(keys that changed + holds that
+//! end), not O(pooled types).
 //!
 //! Almost all pooled keys are *idle*: no demand, nothing in use, already at
 //! their target, and fed `observe(0.0)` + `predict()` only to arrive at
@@ -29,13 +29,17 @@
 //! when it finds one idle and at its target it asks the predictor for how
 //! many further zero observations the target provably stays where it is
 //! ([`EsMarkov::zero_run_holding`]) and records `(hold_until, level)` beside
-//! the predictor pointer. Later steps skip the key — without touching its
-//! predictor — while it is still idle, still holds exactly `level`
-//! containers and the hold has not run out; the first step that does visit
-//! it again (touched, evicted behind the hold, or hold expired) backfills
-//! the skipped intervals as zero observations. A hold is only taken where
-//! the skipped steps were no-ops, so [`AdaptiveController::step_full`],
-//! which never holds, is the oracle for `step`: property tests assert the
+//! the predictor pointer, and *parks* the key: the pool's next snapshot
+//! stops visiting it. Later steps never see the key — not its predictor,
+//! not its slot — until a change wakes it (a request, an eviction behind the
+//! hold, any other change to its pool) or the hold runs out, which the
+//! controller files by tick and hands to the snapshot as due. The step
+//! that visits it again backfills the skipped intervals as zero
+//! observations, and one that finds it still idle at `level` inside its
+//! hold (a change that undid itself) parks it again. A hold is only taken
+//! where the skipped steps were no-ops, so
+//! [`AdaptiveController::step_full`], which never holds and visits every
+//! tracked key, is the oracle for `step`: property tests assert the
 //! two take the same prewarm/retire/GC actions on the same trace, under
 //! every policy, and end with bit-equal predictors. The baselines never
 //! hold: their windows are measured in simulated time.
@@ -51,7 +55,8 @@ use crate::pool::{DemandSnapshot, EngineRef, KeyDemand, RuntimePool};
 use containersim::EngineError;
 use predictor::{EsMarkov, InitialValue, Predictor};
 use simclock::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Control interval: how often demand is sampled and the pool resized.
 const INTERVAL: SimDuration = SimDuration::from_secs(30);
@@ -305,6 +310,10 @@ struct KeySlot {
     hold_until: u64,
     /// The idle pool size the hold was taken at.
     hold_level: usize,
+    /// The tick of the key's live entry in `expiries`; 0 for none. An
+    /// entry at any other tick is stale, so a key re-held every few steps
+    /// keeps one entry, not one per hold.
+    queued: u64,
     predictor: Option<Box<KeyedPredictor>>,
 }
 
@@ -318,6 +327,15 @@ pub struct AdaptiveController {
     keys: Vec<KeySlot>,
     /// The keep-alive policies' per-key windows, indexed the same way.
     windows: Vec<Option<Box<Window>>>,
+    /// Keys the last `step` left held: its pool's next snapshot parks them.
+    park: Vec<KeyId>,
+    /// Hold ends as `(first tick past the hold, key)`, earliest first: at
+    /// most one live entry per key (`KeySlot::queued`).
+    expiries: BinaryHeap<Reverse<(u64, KeyId)>>,
+    /// The keys whose hold ends at this step, and `step`'s snapshot
+    /// (scratch, kept for their capacity).
+    due: Vec<KeyId>,
+    snapshot: DemandSnapshot,
     /// Monotone control-step counter; predictors record the tick they last
     /// observed so skipped (zero-demand) intervals can be backfilled.
     ticks: u64,
@@ -335,6 +353,10 @@ impl AdaptiveController {
             policy,
             keys: Vec::new(),
             windows: Vec::new(),
+            park: Vec::new(),
+            expiries: BinaryHeap::new(),
+            due: Vec::new(),
+            snapshot: DemandSnapshot::default(),
             ticks: 0,
             last_step: None,
             last_ping: SimTime::ZERO,
@@ -374,36 +396,65 @@ impl AdaptiveController {
     }
 
     /// One control step, unconditionally: take the pool's demand snapshot
-    /// (which also garbage-collects long-empty slots), update predictors,
-    /// and resize toward the predictions, passing over held keys. The pool
-    /// lock is held for the snapshot only, and never together with the
-    /// engine lock.
+    /// (which also garbage-collects long-empty slots) of the keys not
+    /// parked, woken or due, update their predictors, and resize toward the
+    /// predictions, parking the keys it holds. The pool lock is held for
+    /// the snapshot only, and never together with the engine lock.
     pub fn step(
         &mut self,
         pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.apply(pool, engine, now, pool.take_demand_snapshot(), true)
+        let tick = self.ticks + 1;
+        self.due.clear();
+        while let Some(&Reverse((end, id))) = self.expiries.peek() {
+            if end > tick {
+                break;
+            }
+            self.expiries.pop();
+            let slot = &mut self.keys[id.index()];
+            if slot.queued != end {
+                continue;
+            }
+            // The hold in force may have been renewed to end later: the
+            // live entry moves there.
+            slot.queued = 0;
+            let hold_end = slot.hold_until + 1;
+            if hold_end == tick {
+                self.due.push(id);
+            } else if hold_end > tick {
+                slot.queued = hold_end;
+                self.expiries.push(Reverse((hold_end, id)));
+            }
+        }
+        let mut snapshot = std::mem::take(&mut self.snapshot);
+        pool.take_demand_snapshot(&self.park, &self.due, &mut snapshot);
+        self.park.clear();
+        let report = self.apply(pool, engine, now, &snapshot, true);
+        self.snapshot = snapshot;
+        report
     }
 
-    /// The reference step: the same snapshot, every key of which is fed and
-    /// sized — no key is held. Produces the same pool-resize actions as
-    /// [`Self::step`] on the same trace (property-tested below). No
-    /// production path calls it: it is the oracle for that property and the
-    /// denominator of the `controller_tick` holding gate.
+    /// The reference step: a snapshot of every tracked key, parked or not,
+    /// every key of which is fed and sized — no key is held. Produces the
+    /// same pool-resize actions as [`Self::step`] on the same trace
+    /// (property-tested below). No production path calls it: it is the
+    /// oracle for that property and the denominator of the
+    /// `controller_tick` holding gate.
     pub fn step_full(
         &mut self,
         pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
-        self.apply(pool, engine, now, pool.take_demand_snapshot(), false)
+        self.park.clear();
+        self.apply(pool, engine, now, &pool.take_full_snapshot(), false)
     }
 
     /// Charges one warm-up ping per available runtime per `period` elapsed
     /// since the last charged one. Every key holding a runtime is in the
-    /// snapshot.
+    /// snapshot: `KeepAll` never holds, so it never parks a key.
     fn charge_pings(&mut self, demands: &[KeyDemand], period: SimDuration, now: SimTime) {
         let periods = now.duration_since(self.last_ping).div_duration(period);
         if periods > 0 {
@@ -416,13 +467,13 @@ impl AdaptiveController {
     /// Feeds one snapshot to the policy and resizes its keys, in the
     /// snapshot's order (ascending `KeyId`). With `may_hold` (`step`) idle
     /// `EsMarkov` keys under a hold are passed over and idle keys at their
-    /// target are given one.
+    /// target are given one; both are parked.
     fn apply(
         &mut self,
         pool: &RuntimePool,
         engine: &impl EngineRef,
         now: SimTime,
-        snapshot: DemandSnapshot,
+        snapshot: &DemandSnapshot,
         may_hold: bool,
     ) -> Result<StepReport, EngineError> {
         self.last_step = Some(now);
@@ -448,7 +499,7 @@ impl AdaptiveController {
         if let ScalingPolicy::KeepAll { ping: Some(period) } = self.policy {
             self.charge_pings(&snapshot.demands, period, now);
         }
-        for sample in snapshot.demands {
+        for &sample in &snapshot.demands {
             let (id, demand) = (sample.id, sample.demand);
             // The snapshot read the live population under the pool lock
             // it already held — no per-key re-lock.
@@ -467,7 +518,9 @@ impl AdaptiveController {
                     // a predictor that provably keeps sizing this key at
                     // `hold_level`: with that many containers idle in the
                     // pool, feeding and sizing it now would change nothing.
+                    // Whatever woke it undid itself: park it again.
                     if idle && tick <= slot.hold_until && sample.avail == slot.hold_level {
+                        self.park.push(id);
                         continue;
                     }
                     slot.hold_until = 0;
@@ -537,6 +590,16 @@ impl AdaptiveController {
                     let slot = &mut self.keys[id.index()];
                     slot.hold_until = tick + hold;
                     slot.hold_level = current;
+                    if hold > 0 {
+                        self.park.push(id);
+                        // A live entry at or before the new end gets there
+                        // (see `step`); only an earlier end needs its own.
+                        let end = slot.hold_until + 1;
+                        if slot.queued == 0 || end < slot.queued {
+                            slot.queued = end;
+                            self.expiries.push(Reverse((end, id)));
+                        }
+                    }
                 }
                 let retire = ((excess as f64 * retire_fraction).ceil() as usize).min(excess);
                 for _ in 0..retire {
@@ -642,6 +705,30 @@ mod tests {
                 now + out.latency,
             )
             .unwrap();
+        }
+    }
+
+    /// Simulates `n` concurrent requests for `config` in one interval whose
+    /// containers all crash: each release disposes of its container.
+    fn crash_config_demand(
+        pool: &RuntimePool,
+        engine: &mut ContainerEngine,
+        config: &ContainerConfig,
+        n: usize,
+        now: SimTime,
+    ) {
+        let acqs: Vec<_> = (0..n)
+            .map(|_| {
+                pool.acquire(&ExclusiveEngine::new(engine), config, now)
+                    .unwrap()
+            })
+            .collect();
+        for a in acqs {
+            let work = ExecWork::light(SimDuration::from_millis(5));
+            let end = now + engine.begin_exec(a.container, work, now).unwrap().latency;
+            let ex = ExclusiveEngine::new(engine);
+            pool.try_finish_release(&ex, a.container, end, true)
+                .unwrap();
         }
     }
 
@@ -845,36 +932,157 @@ mod tests {
         assert!(step(ctl, pool, engine, SimTime::from_secs(180))
             .demand
             .is_empty());
+        for c in configs {
+            assert!(pool.is_parked(pool.intern_config(c)), "parked once held");
+        }
         7
     }
 
-    /// A hold covers one pool size. When limit enforcement evicts a held
-    /// key's container, the very next step visits the key again — and only
-    /// that key: its neighbour's hold still stands.
-    #[test]
-    fn held_key_evicted_by_limits_is_visited_on_the_next_step() {
+    /// The keys a step sized, in order.
+    fn visited(report: &StepReport) -> Vec<KeyId> {
+        report.demand.iter().map(|&(id, _, _)| id).collect()
+    }
+
+    /// One wake source against two parked keys: `wake` changes the first
+    /// key's pool at interval `t`, and the step at `t` visits that key and
+    /// only it — its quiet neighbour stays parked, unvisited, through that
+    /// step and the next. Returns the woken step's report.
+    fn woken_key_is_visited_in_the_next_step(
+        wake: impl FnOnce(&RuntimePool, &mut ContainerEngine, &ContainerConfig, SimTime),
+    ) -> StepReport {
         let (mut e, pool, mut ctl) = setup();
         let configs = [keyed(0), keyed(1)];
         let t = settle_into_hold(&mut ctl, &pool, &mut e, &configs);
+        let [woken, quiet] = configs.each_ref().map(|c| pool.intern_config(c));
         let now = SimTime::from_secs(t * 30);
-        let (_, evicted) = crate::PoolLimits::new(1, 0.8)
-            .enforce(&pool, &ExclusiveEngine::new(&mut e), now)
-            .unwrap();
-        assert_eq!(evicted, 1);
-        let oldest = pool.intern_config(&configs[0]);
-        assert_eq!(
-            pool.num_avail_id(oldest),
-            0,
-            "the older key lost its runtime"
-        );
+        wake(&pool, &mut e, &configs[0], now);
+        assert!(!pool.is_parked(woken), "the change woke the key");
         let report = step(&mut ctl, &pool, &mut e, now);
-        let visited: Vec<KeyId> = report.demand.iter().map(|&(id, _, _)| id).collect();
-        assert_eq!(visited, [oldest]);
+        assert_eq!(visited(&report), [woken]);
+        assert!(pool.is_parked(quiet), "the quiet key was visited");
+        for t in t + 1..t + 3 {
+            step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            assert!(
+                pool.is_parked(quiet),
+                "interval {t}: the quiet key was visited"
+            );
+        }
+        report
+    }
+
+    /// A request on a parked key wakes it: the first warm acquire of the
+    /// interval sets its wake bit, and the step reports its demand.
+    #[test]
+    fn warm_request_wakes_a_parked_key() {
+        let report = woken_key_is_visited_in_the_next_step(|pool, e, c, now| {
+            drive_config_demand(pool, e, c, 1, now);
+        });
+        assert_eq!(report.actual_total(), 1);
+    }
+
+    /// A hold covers one pool size. When limit enforcement evicts a held
+    /// key's container, the very next step visits the key again — without
+    /// resurrecting it.
+    #[test]
+    fn eviction_behind_a_hold_wakes_the_key() {
+        let report = woken_key_is_visited_in_the_next_step(|pool, e, _, now| {
+            let (_, evicted) = crate::PoolLimits::new(1, 0.8)
+                .enforce(pool, &ExclusiveEngine::new(e), now)
+                .unwrap();
+            assert_eq!(evicted, 1, "the older key lost its runtime");
+        });
         assert_eq!(
             (report.prewarmed, report.retired),
             (0, 0),
             "no resurrection"
         );
+    }
+
+    /// A request whose container crashes leaves the key one runtime short:
+    /// the step visits it and pre-warms the runtime back.
+    #[test]
+    fn crashed_release_wakes_the_key() {
+        let report = woken_key_is_visited_in_the_next_step(|pool, e, c, now| {
+            crash_config_demand(pool, e, c, 1, now);
+            assert_eq!(pool.num_avail_id(pool.intern_config(c)), 0);
+        });
+        assert_eq!((report.actual_total(), report.prewarmed), (1, 1));
+    }
+
+    /// Steps from interval `t` on while `ids` are held: no step visits
+    /// them and they stay parked until the first tick past their (common)
+    /// hold, whose step visits exactly them.
+    fn parked_until_hold_ends(
+        ctl: &mut AdaptiveController,
+        pool: &RuntimePool,
+        engine: &mut ContainerEngine,
+        t: u64,
+        ids: &[KeyId],
+    ) {
+        let end = ctl.keys[ids[0].index()].hold_until + 1;
+        for id in ids {
+            let slot = &ctl.keys[id.index()];
+            assert_eq!(slot.hold_until + 1, end, "twin histories, twin holds");
+        }
+        // Interval `t` runs tick `first`.
+        let first = ctl.ticks + 1;
+        let at = |tick: u64| SimTime::from_secs((t + tick - first) * 30);
+        for tick in first..end {
+            assert!(step(ctl, pool, engine, at(tick)).demand.is_empty());
+            assert!(ids.iter().all(|&id| pool.is_parked(id)), "tick {tick}");
+        }
+        assert_eq!(visited(&step(ctl, pool, engine, at(end))), ids);
+    }
+
+    /// A hold that runs out is due: the step at the first tick past it
+    /// visits the key, and no step before it does.
+    #[test]
+    fn hold_expiry_visits_the_key_at_its_due_tick() {
+        let (mut e, pool, mut ctl) = setup();
+        let configs = [keyed(0), keyed(1)];
+        let t = settle_into_hold(&mut ctl, &pool, &mut e, &configs);
+        let ids = configs.each_ref().map(|c| pool.intern_config(c));
+        parked_until_hold_ends(&mut ctl, &pool, &mut e, t, &ids);
+    }
+
+    /// A request ends a key's hold and the step after holds it anew: the
+    /// key is visited at the new hold's end, whichever side of the key's
+    /// live expiry entry that end falls on. Later (what renewals do): the
+    /// entry moves there when it pops. Earlier: the renewal files an entry
+    /// of its own — real renewals rarely end earlier, so with `late` the
+    /// test plants a live entry past any hold first.
+    fn renewed_hold_is_due_at_its_new_end(late: bool) {
+        let (mut e, pool, mut ctl) = setup();
+        let t = settle_into_hold(&mut ctl, &pool, &mut e, &[cfg()]);
+        let id = pool.intern_config(&cfg());
+        let mut live_end = ctl.keys[id.index()].hold_until + 1;
+        if late {
+            live_end = ctl.ticks + 10 * WINDOW as u64;
+            ctl.keys[id.index()].queued = live_end;
+            ctl.expiries.push(Reverse((live_end, id)));
+        }
+        drive_demand(&pool, &mut e, 1, SimTime::from_secs(t * 30));
+        for t in t..t + 2 {
+            let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            assert_eq!(visited(&report), [id]);
+        }
+        let new_end = ctl.keys[id.index()].hold_until + 1;
+        assert_eq!(
+            new_end < live_end,
+            late,
+            "renewed to {new_end}, entry at {live_end}"
+        );
+        parked_until_hold_ends(&mut ctl, &pool, &mut e, t + 2, &[id]);
+    }
+
+    #[test]
+    fn renewed_hold_ending_later_is_due_at_its_new_end() {
+        renewed_hold_is_due_at_its_new_end(false);
+    }
+
+    #[test]
+    fn renewed_hold_ending_earlier_is_due_at_its_new_end() {
+        renewed_hold_is_due_at_its_new_end(true);
     }
 
     /// A request inside a hold ends it: the step after reports the key's
@@ -930,9 +1138,8 @@ mod tests {
             drive_config_demand(&pool, &mut e, c, 1, SimTime::ZERO);
         }
         step(&mut ctl, &pool, &mut e, SimTime::ZERO);
-        // Every key a step meets here is idle, and every key holding its
-        // runtime is in the step's snapshot: the ones the report leaves out
-        // were passed over.
+        // Every key here is idle: the ones the report leaves out were
+        // parked or passed over.
         let (mut met, mut skipped) = (0, 0);
         for t in 1..500 {
             let pooled = pool.total_available();
@@ -954,8 +1161,9 @@ mod tests {
     /// both visit every key — the same predictor state, bit for bit. Short
     /// traces with traffic every interval, and sparse traffic over 50–600
     /// intervals (so that holds are taken, run out, and are cut short by
-    /// requests, prewarms and retires behind the controller's back). Only
-    /// `EsMarkov` holds; the baselines never do.
+    /// every wake source behind the controller's back: requests, crashed
+    /// releases, prewarms, retires and limit evictions). Only `EsMarkov`
+    /// holds; the baselines never do.
     #[test]
     fn prop_step_matches_full_sweep() {
         for policy in policies() {
@@ -991,7 +1199,7 @@ mod tests {
             let now = SimTime::from_secs(t as u64 * 30);
             let ops = if t == 0 || g.u8_in(0..quiet) == 0 {
                 g.vec(1..4, |g| {
-                    (g.usize_in(0..4), g.u8_in(0..4), g.usize_in(1..4))
+                    (g.usize_in(0..4), g.u8_in(0..6), g.usize_in(1..4))
                 })
             } else {
                 Vec::new()
@@ -1004,11 +1212,18 @@ mod tests {
                         2 => {
                             p.prewarm(&ExclusiveEngine::new(e), c, now).unwrap();
                         }
-                        _ => {
+                        3 => {
                             if let Some(id) = p.id_for(c) {
                                 p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
                             }
                         }
+                        // Limit enforcement, whichever key holds the oldest.
+                        4 => {
+                            for _ in 0..n {
+                                p.evict_oldest(&ExclusiveEngine::new(e), now).unwrap();
+                            }
+                        }
+                        _ => crash_config_demand(p, e, c, n, now),
                     }
                 }
             }
@@ -1026,8 +1241,8 @@ mod tests {
             assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
             assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
             assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
-            // Every tracked key is in the snapshot: the ones neither GC'd
-            // nor reported were passed over under a hold.
+            // The tracked keys neither GC'd nor reported were parked or
+            // passed over under a hold.
             held += tracked - rd.gc_keys - rd.demand.len();
         }
         assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");

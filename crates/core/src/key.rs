@@ -84,9 +84,9 @@ impl KeyId {
 
     /// Rebuilds an id from a dense index previously obtained via
     /// [`KeyId::index`]. Crate-private: only the pool's container reverse
-    /// index round-trips ids this way, and it only stores indices of ids
-    /// the interner already issued.
-    pub(crate) fn from_index(index: u32) -> KeyId {
+    /// index and its per-key bitmaps round-trip ids this way, and they only
+    /// store indices of ids the interner already issued.
+    pub(crate) const fn from_index(index: u32) -> KeyId {
         KeyId(index)
     }
 }

@@ -17,8 +17,10 @@
 //! * **warm hit: zero locks.** `acquire_id` claims an `avail` bit with a
 //!   CAS and loads the packed container entry; `release` resolves the
 //!   container through a lock-free reverse index and claims its `in_use`
-//!   bit. Under `KeyPolicy::Exact` the request-path sanitizer scope asserts
-//!   a lock depth of zero on this path in debug builds.
+//!   bit. The interval's first acquire of a key also sets the key's bit in
+//!   the pool's wake bitmap (one `fetch_or`, see below). Under
+//!   `KeyPolicy::Exact` the request-path sanitizer scope asserts a lock
+//!   depth of zero on this path in debug builds.
 //! * **miss / cold start / evict / controller / GC: the pool lock.** The
 //!   state `Mutex` serializes slot-array *occupancy* changes (which slot
 //!   index holds which container, and the appending of a chunk); engine
@@ -55,8 +57,14 @@
 //!   current control interval, or went cold fewer than `GC_INTERVALS` (3)
 //!   demand snapshots ago — failed creates never materialize slots, and
 //!   long-dead slots are garbage collected together with their controller
-//!   state. That bound is what keeps the one demand snapshot, which visits
-//!   every tracked key, from paying for keys long gone.
+//!   state;
+//! * a demand snapshot visits a key only if it is *unparked*, its hold
+//!   ends at this step, or it was *woken* since the last snapshot. A control
+//!   step parks the keys it holds (idle, at their target); every change to
+//!   a parked key's sample wakes it — lock-free, the first warm acquire of
+//!   an interval (the one that finds the watermark at 0); under the lock,
+//!   every occupancy change. So a step costs O(keys that changed + holds
+//!   that end), and a parked key nothing.
 
 use crate::key::{needs_reconfig, KeyId, KeyInterner, KeyPolicy, FUZZY_RECONFIG_COST};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError};
@@ -212,6 +220,52 @@ impl PublishOrder {
     }
 }
 
+/// The pool's wake bitmap, one bit per [`KeyId`]: set = the key may have
+/// changed since the last demand snapshot, which drains the bits and visits
+/// every woken key, parked or not. Set lock-free by a key's first warm
+/// acquire of an interval ([`KeySlots::note_acquire`]) and under the pool
+/// lock by every occupancy change. A key's word exists from the moment its
+/// slot array does.
+#[derive(Debug, Default)]
+struct WakeBits {
+    words: LazySlotTable<AtomicU64>,
+}
+
+impl WakeBits {
+    /// Allocates the word holding `id`'s bit (with the key's slot array).
+    fn reserve(&self, id: KeyId) {
+        self.words.get_or_init(id.index() / 64);
+    }
+
+    /// Wakes `id`. `Release`, paired with the drain's `Acquire`: a snapshot
+    /// that drains the bit also sees the watermark raised before it was set.
+    fn set(&self, id: KeyId) {
+        let word = self.words.get(id.index() / 64);
+        debug_assert!(word.is_some(), "woke a key with no slot array");
+        if let Some(word) = word {
+            word.fetch_or(1 << (id.index() % 64), Ordering::Release);
+        }
+    }
+
+    /// Takes and clears word `w`. A bit set after the first load stays set
+    /// for the next snapshot; an all-clear word costs one load.
+    fn drain(&self, w: usize) -> u64 {
+        match self.words.get(w) {
+            Some(word) if word.load(Ordering::Relaxed) != 0 => word.swap(0, Ordering::Acquire),
+            _ => 0,
+        }
+    }
+}
+
+/// Sets `id`'s bit in a plain per-key bitmap, growing it as needed.
+fn set_key_bit(bits: &mut Vec<u64>, id: KeyId) {
+    let w = id.index() / 64;
+    if bits.len() <= w {
+        bits.resize(w + 1, 0);
+    }
+    bits[w] |= 1 << (id.index() % 64);
+}
+
 /// An unoccupied slot claimed off a key's `free` bitmaps: its index, its
 /// chunk and its bit there.
 type FreeSlot<'a> = (usize, &'a SlotChunk, usize);
@@ -290,10 +344,29 @@ impl KeySlots {
         entry_container(chunk.entries[bit].load(Ordering::Relaxed))
     }
 
-    /// Counts an acquisition into the demand bookkeeping.
-    fn note_acquire(&self) {
+    /// Counts an acquisition of key `id` into the demand bookkeeping. The
+    /// interval's first — the one that finds the watermark at 0, where a
+    /// snapshot that found the key idle left it — also wakes the key, so a
+    /// snapshot either swaps this acquire out of the watermark or leaves the
+    /// key woken for the next one.
+    fn note_acquire(&self, wake: &WakeBits, id: KeyId) {
         let now = self.in_use_total.fetch_add(1, Ordering::Relaxed) + 1;
-        self.watermark.fetch_max(now, Ordering::Relaxed);
+        if self.watermark.fetch_max(now, Ordering::Relaxed) == 0 {
+            wake.set(id);
+        }
+    }
+
+    /// The key's `(demand, avail, in_use)` for the interval ending now,
+    /// resetting the watermark to what is still in use. Pool lock held.
+    fn sample(&self) -> (usize, usize, usize) {
+        let in_use = self.in_use_total.load(Ordering::Relaxed);
+        let avail = self.avail_count();
+        let demand = self
+            .watermark
+            // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the pool lock)
+            .swap(in_use, Ordering::Relaxed)
+            .max(in_use);
+        (demand, avail, in_use)
     }
 
     /// CAS-claims the lowest set bit of one of the per-chunk bitmaps,
@@ -346,13 +419,14 @@ impl KeySlots {
         id: KeyId,
         container: ContainerId,
         order: PublishOrder,
+        wake: &WakeBits,
     ) -> usize {
         // lint:allow(atomic-ordering, entry store is ordered by the in_use bit-set below)
         chunk.entries[bit].store(container.0, Ordering::Relaxed);
         order.store_rindex(rindex, pack_rindex(id, i));
         let fresh = order.set_bit(&chunk.in_use, bit);
         debug_assert!(fresh, "published slot's in_use bit was already set");
-        self.note_acquire();
+        self.note_acquire(wake, id);
         i
     }
 
@@ -376,9 +450,9 @@ impl KeySlots {
     }
 
     /// Lock-free warm claim: CAS an `avail` bit, load the published entry,
-    /// take the `in_use` ownership token. Returns the slot index and its
-    /// container.
-    fn claim_warm(&self) -> Option<(usize, ContainerId)> {
+    /// take the `in_use` ownership token, count the acquire into key `id`'s
+    /// demand. Returns the slot index and its container.
+    fn claim_warm(&self, wake: &WakeBits, id: KeyId) -> Option<(usize, ContainerId)> {
         let (i, chunk, bit) = self.claim_lowest(|chunk| &chunk.avail)?;
         // The claim's acquire CAS synchronizes with the publisher's release
         // bit-set, so the entry (stored before the bit) is fully visible.
@@ -386,7 +460,7 @@ impl KeySlots {
         debug_assert_ne!(entry, 0, "claimed an avail bit over an empty slot");
         let fresh = chunk.in_use.release(bit);
         debug_assert!(fresh, "slot was avail and in_use at once");
-        self.note_acquire();
+        self.note_acquire(wake, id);
         Some((i, ContainerId(entry)))
     }
 
@@ -491,6 +565,11 @@ struct PoolState {
     /// integer, so the default hasher's DoS resistance buys nothing on this
     /// per-request lookup.
     slots: FastMap<KeyId, Slot>,
+    /// One bit per [`KeyId`]: set = the next demand snapshot visits the key
+    /// whether or not it is woken. Set when a key becomes tracked and by
+    /// every snapshot that visits it; cleared when a control step parks the
+    /// key or GC drops it.
+    unparked: Vec<u64>,
     /// Snapshot sequence number (one per demand snapshot).
     seq: u64,
     /// Containers currently tracked by the pool (available + in use),
@@ -513,6 +592,72 @@ struct PoolState {
 }
 
 impl PoolState {
+    /// `id`'s slot, tracking the key — unparked, so the next snapshot
+    /// visits it — if it is not tracked yet.
+    fn track(&mut self, id: KeyId, slot: impl FnOnce() -> Slot) -> &Slot {
+        let PoolState {
+            slots, unparked, ..
+        } = self;
+        slots.entry(id).or_insert_with(|| {
+            set_key_bit(unparked, id);
+            slot()
+        })
+    }
+
+    /// Visits every key whose `unparked` bit is set, in `KeyId` order: swaps
+    /// its watermark, reports `(demand, avail, in_use)` and keeps the bit,
+    /// or — at the key's [`GC_INTERVALS`]-th consecutive snapshot with zero
+    /// demand and no container — drops the slot and reports the key retired.
+    /// A set bit naming an untracked key is cleared. Fills `into`, whose
+    /// vectors keep their capacity.
+    fn sweep(&mut self, into: &mut DemandSnapshot) {
+        self.seq += 1;
+        let PoolState {
+            slots,
+            unparked,
+            seq,
+            ..
+        } = self;
+        let DemandSnapshot { demands, retired } = into;
+        demands.clear();
+        retired.clear();
+        demands.reserve(unparked.iter().map(|w| w.count_ones() as usize).sum());
+        for (w, word) in unparked.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let id = KeyId::from_index((w * 64 + bit) as u32);
+                let Some(slot) = slots.get_mut(&id) else {
+                    *word &= !(1 << bit);
+                    continue;
+                };
+                let (demand, avail, in_use) = slot.ks.sample();
+                // GC fires only when the key's live population — its slot
+                // array's occupancy, exact under the pool lock — is zero, so
+                // a warm operation caught between its CAS and its
+                // bookkeeping can never have its container stranded.
+                if demand == 0 && slot.ks.occupied() == 0 {
+                    let since = *slot.cold_since.get_or_insert(*seq);
+                    if *seq - since + 1 >= GC_INTERVALS {
+                        slots.remove(&id);
+                        *word &= !(1 << bit);
+                        retired.push(id);
+                        continue;
+                    }
+                } else {
+                    slot.cold_since = None;
+                }
+                demands.push(KeyDemand {
+                    id,
+                    demand,
+                    avail,
+                    in_use,
+                });
+            }
+        }
+    }
+
     /// Counts a just-published container into the pool (`live` and the
     /// age index move together). `created_at` is the `now` its
     /// `create_container` call was given.
@@ -583,7 +728,7 @@ impl KeyDemand {
 /// One control interval's demand snapshot: per-key demand for the
 /// controller, plus the keys whose empty slots were garbage collected in
 /// this snapshot (the controller drops their predictors).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DemandSnapshot {
     /// `history[k][t]` entries for the interval, sorted by key id.
     pub demands: Vec<KeyDemand>,
@@ -677,6 +822,8 @@ pub struct RuntimePool {
     /// across slot GC — their counters are provably zero while the key is
     /// untracked, and a revived key reuses the same array.
     key_slots: LazySlotTable<OnceLock<Arc<KeySlots>>>,
+    /// Keys that may have changed since the last demand snapshot.
+    wake: WakeBits,
     /// Lock-free reverse index: container id → packed `(key, slot)` (see
     /// [`pack_rindex`]), 0 = not pooled. Written at publish and cleared at
     /// dispose, both under the pool lock; read lock-free by
@@ -706,6 +853,7 @@ impl RuntimePool {
             state: Mutex::labeled(PoolState::default(), "pool/state"),
             interner: KeyInterner::new(policy),
             key_slots: LazySlotTable::default(),
+            wake: WakeBits::default(),
             rindex: LazySlotTable::default(),
             mutation_epoch: AtomicU64::new(0),
         }
@@ -761,9 +909,11 @@ impl RuntimePool {
         self.interner.config(id)
     }
 
-    /// The key's slot array, creating the key-table entry on first use.
+    /// The key's slot array, creating the key-table entry (and the key's
+    /// wake word) on first use.
     fn slots_for(&self, id: KeyId) -> Arc<KeySlots> {
         let cell = self.key_slots.get_or_init(id.index());
+        self.wake.reserve(id);
         Arc::clone(cell.get_or_init(|| Arc::new(KeySlots::new(SLOTS_PER_KEY))))
     }
 
@@ -843,7 +993,9 @@ impl RuntimePool {
         // sanitizer enforces both in debug builds.
         let _scope = stdshim::request_path_scope();
         self.bump_epoch();
-        let lock_free_hit = self.key_slots(id.index()).and_then(KeySlots::claim_warm);
+        let lock_free_hit = self
+            .key_slots(id.index())
+            .and_then(|ks| ks.claim_warm(&self.wake, id));
         let warm = lock_free_hit.or_else(|| {
             // The id↔config contract is verified off the lock-free path only:
             // the check interns, and the interner's lock would break the
@@ -852,7 +1004,8 @@ impl RuntimePool {
             // Retry under the lock: a racing release may have refilled the
             // array after the lock-free claim missed.
             let guard = self.state.lock();
-            guard.slots.get(&id).and_then(|slot| slot.ks.claim_warm())
+            let slot = guard.slots.get(&id)?;
+            slot.ks.claim_warm(&self.wake, id)
         });
         if let Some((_, container)) = warm {
             // Exact keys never consult the engine on reuse, so a hit on the
@@ -879,17 +1032,16 @@ impl RuntimePool {
             engine.with_engine(|e| e.create_container(config.clone(), now))?;
         {
             let mut guard = self.state.lock();
-            let slot = guard
-                .slots
-                .entry(id)
-                .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
+            let slot = guard.track(id, || Slot::new(config.clone(), self.slots_for(id)));
             let slot_idx = slot.ks.publish_in_use(
                 slot.ks.claim_free(),
                 self.rindex_cell(container),
                 id,
                 container,
                 PublishOrder::Release,
+                &self.wake,
             );
+            self.wake.set(id);
             guard.admit(container, now, id, slot_idx);
         }
         Ok(PoolAcquisition {
@@ -1030,6 +1182,7 @@ impl RuntimePool {
             chunk.dispose_idle(bit);
             claim.ks.in_use_total.fetch_sub(1, Ordering::Relaxed);
             self.rindex_clear(container);
+            self.wake.set(claim.id);
             guard.forget(container);
         }
     }
@@ -1048,10 +1201,7 @@ impl RuntimePool {
         let (container, breakdown) =
             engine.with_engine(|e| e.create_container(config.clone(), now))?;
         let mut guard = self.state.lock();
-        let slot = guard
-            .slots
-            .entry(id)
-            .or_insert_with(|| Slot::new(config.clone(), self.slots_for(id)));
+        let slot = guard.track(id, || Slot::new(config.clone(), self.slots_for(id)));
         let slot_idx = slot.ks.publish_avail(
             slot.ks.claim_free(),
             self.rindex_cell(container),
@@ -1059,6 +1209,7 @@ impl RuntimePool {
             container,
             PublishOrder::Release,
         );
+        self.wake.set(id);
         guard.admit(container, now, id, slot_idx);
         Ok(breakdown.total())
     }
@@ -1094,6 +1245,7 @@ impl RuntimePool {
             let popped = guard.slots.get(&id).and_then(|slot| slot.ks.retire_avail());
             if let Some(container) = popped {
                 self.rindex_clear(container);
+                self.wake.set(id);
                 guard.forget(container);
             }
             popped
@@ -1125,13 +1277,14 @@ impl RuntimePool {
             let mut guard = self.state.lock();
             let claimed = guard.ages.iter().find_map(|(&(_, container), &(key, at))| {
                 let ks = &guard.slots.get(&key)?.ks;
-                (ks.is_avail(at) && ks.evict_at(at, container)).then_some(container)
+                (ks.is_avail(at) && ks.evict_at(at, container)).then_some((key, container))
             });
-            if let Some(container) = claimed {
+            if let Some((key, container)) = claimed {
                 self.rindex_clear(container);
+                self.wake.set(key);
                 guard.forget(container);
             }
-            claimed
+            claimed.map(|(_, container)| container)
         };
         match evicted {
             Some(container) => engine
@@ -1198,58 +1351,77 @@ impl RuntimePool {
         }
     }
 
-    /// Takes the demand snapshot (`history[k][t]`): visits every tracked
-    /// key, resets watermarks for the next control interval, and
-    /// garbage-collects a key at its [`GC_INTERVALS`]-th consecutive
-    /// snapshot with zero demand and no container. Every key it keeps is
-    /// reported, zero-demand intervals included.
+    /// Takes a control step's demand snapshot (`history[k][t]`). Under the
+    /// pool lock it parks `park` (the keys the previous step left held),
+    /// then visits, in `KeyId` order, every tracked key that is unparked,
+    /// in `due` (its hold ends at this step) or woken since the last
+    /// snapshot: swaps its watermark for the next interval, reports it into
+    /// `into` — zero-demand intervals included — and leaves it unparked, or
+    /// garbage-collects it at its [`GC_INTERVALS`]-th consecutive snapshot
+    /// with zero demand and no container.
     ///
-    /// GC fires only when the key's live population — its slot array's
-    /// occupancy, exact under the pool lock — is zero, so a warm operation
-    /// caught between its CAS and its bookkeeping can never have its
-    /// container stranded by a GC. The same rule bounds the sweep: a key
-    /// that went cold is visited at most `GC_INTERVALS` more times.
-    pub fn take_demand_snapshot(&self) -> DemandSnapshot {
-        let mut retired = Vec::new();
+    /// A parked key is skipped outright: nothing about it changed since
+    /// the step that parked it (any change would have woken it), so its
+    /// watermark is still 0 and its GC countdown still unset. A step costs
+    /// O(keys visited), and `into`'s vectors are reused: once they have
+    /// grown to the most keys a step visits, a step allocates nothing.
+    pub(crate) fn take_demand_snapshot(
+        &self,
+        park: &[KeyId],
+        due: &[KeyId],
+        into: &mut DemandSnapshot,
+    ) {
         let mut guard = self.state.lock();
-        guard.seq += 1;
-        let seq = guard.seq;
-        // At most one report per tracked key: the vector is not grown by
-        // doubling once per tick.
-        let mut demands = Vec::with_capacity(guard.slots.len());
-        guard.slots.retain(|&id, slot| {
-            let in_use = slot.ks.in_use_total.load(Ordering::Relaxed);
-            let avail = slot.ks.avail_count();
-            let demand = slot
-                .ks
-                .watermark
-                // lint:allow(atomic-ordering, watermark is an advisory peak counter reset under the pool lock)
-                .swap(in_use, Ordering::Relaxed)
-                .max(in_use);
-            if demand == 0 && slot.ks.occupied() == 0 {
-                let since = *slot.cold_since.get_or_insert(seq);
-                if seq - since + 1 >= GC_INTERVALS {
-                    retired.push(id);
-                    return false;
-                }
-            } else {
-                slot.cold_since = None;
+        for &id in park {
+            if let Some(word) = guard.unparked.get_mut(id.index() / 64) {
+                *word &= !(1 << (id.index() % 64));
             }
-            demands.push(KeyDemand {
-                id,
-                demand,
-                avail,
-                in_use,
-            });
-            true
-        });
-        if cfg!(debug_assertions) {
-            guard.assert_ages_consistent();
         }
-        drop(guard);
-        demands.sort_unstable_by_key(|d| d.id);
-        retired.sort_unstable();
-        DemandSnapshot { demands, retired }
+        for &id in due {
+            set_key_bit(&mut guard.unparked, id);
+        }
+        self.drain_and_sweep(&mut guard, into);
+    }
+
+    /// [`Self::take_demand_snapshot`] over every tracked key, parked or
+    /// not, unparking them all — the never-holding reference step's
+    /// snapshot.
+    pub fn take_full_snapshot(&self) -> DemandSnapshot {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        for &id in state.slots.keys() {
+            set_key_bit(&mut state.unparked, id);
+        }
+        let mut snapshot = DemandSnapshot::default();
+        self.drain_and_sweep(state, &mut snapshot);
+        snapshot
+    }
+
+    /// Adds the woken keys to the unparked ones — wake bits first, so a
+    /// drained wake's watermark bump is seen by the sweep — and sweeps.
+    fn drain_and_sweep(&self, state: &mut PoolState, into: &mut DemandSnapshot) {
+        for (w, word) in state.unparked.iter_mut().enumerate() {
+            *word |= self.wake.drain(w);
+        }
+        state.sweep(into);
+        if cfg!(debug_assertions) {
+            state.assert_ages_consistent();
+        }
+    }
+
+    /// Whether the next [`Self::take_demand_snapshot`] skips `id` unless
+    /// it is due or woken: tracked, parked and not woken since.
+    #[cfg(test)]
+    pub(crate) fn is_parked(&self, id: KeyId) -> bool {
+        let state = self.state.lock();
+        let (w, mask) = (id.index() / 64, 1u64 << (id.index() % 64));
+        let listed = state.unparked.get(w).is_some_and(|bits| bits & mask != 0);
+        let woken = self
+            .wake
+            .words
+            .get(w)
+            .is_some_and(|bits| bits.load(Ordering::Relaxed) & mask != 0);
+        state.slots.contains_key(&id) && !listed && !woken
     }
 
     /// The keys the pool currently tracks, sorted.
@@ -1266,17 +1438,23 @@ impl RuntimePool {
 ///
 /// Every operation calls the real `KeySlots` method — the lock-free ones
 /// (`claim_warm`, `hand_back`, `try_claim_release`), the `KeySlots` halves of
-/// the lock-holding ones (`retire_avail`, `evict_at`, `grow`) and the two
-/// publishes [`RuntimePool`] itself calls, with a few reverse-index cells
-/// standing in for the pool's table — minus the pool lock: in the model the
+/// the lock-holding ones (`retire_avail`, `evict_at`, `grow`, a snapshot's
+/// wake drain and sample) and the two publishes [`RuntimePool`] itself
+/// calls, with a few reverse-index cells and the key's wake word standing
+/// in for the pool's tables — minus the pool lock: in the model the
 /// lock's happens-before hand-off is reproduced by running every
 /// lock-holding op either before spawning the racers (spawn copies the
 /// parent's vector clock) or as the only lock-holder in the schedule, which
 /// is precisely the mutual exclusion the real lock provides.
 #[cfg(hotc_model)]
 pub mod model_api {
-    use super::{entry_container, AtomicU64, KeyId, KeySlots, Ordering, PublishOrder, SlotChunk};
+    use super::{
+        entry_container, AtomicU64, KeyId, KeySlots, Ordering, PublishOrder, SlotChunk, WakeBits,
+    };
     use containersim::ContainerId;
+
+    /// The model's one key.
+    const KEY: KeyId = KeyId::from_index(0);
 
     /// One key's slot-array protocol surface for model tests.
     #[derive(Debug)]
@@ -1285,6 +1463,13 @@ pub mod model_api {
         /// The reverse-index cells of the model's containers, by container
         /// id (`pack_rindex` of key 0, or 0 = not pooled).
         rindex: [AtomicU64; 8],
+        /// The wake bitmap [`Self::snapshot`] drains. Boxed: the checker
+        /// knows an atomic by its address, and the word is reserved before
+        /// the `ModelSlots` moves.
+        wake: Box<WakeBits>,
+        /// The mutation [`Self::dropping_wakes`]: a wake bitmap acquires
+        /// set and no snapshot drains.
+        lost_wakes: Option<Box<WakeBits>>,
     }
 
     impl ModelSlots {
@@ -1293,9 +1478,25 @@ pub mod model_api {
         /// tests keep `prefree` small so each re-executed schedule pays a
         /// handful of setup ops instead of 128.
         pub fn new(prefree: usize) -> ModelSlots {
+            let wake = Box::<WakeBits>::default();
+            wake.reserve(KEY);
             ModelSlots {
                 ks: KeySlots::new(prefree),
                 rindex: std::array::from_fn(|_| AtomicU64::new(0)),
+                wake,
+                lost_wakes: None,
+            }
+        }
+
+        /// Mutation: [`Self::new`] with every acquire's wake dropped — the
+        /// store goes to a bitmap no snapshot reads, so a parked key never
+        /// learns of its first acquire.
+        pub fn dropping_wakes(prefree: usize) -> ModelSlots {
+            let lost = Box::<WakeBits>::default();
+            lost.reserve(KEY);
+            ModelSlots {
+                lost_wakes: Some(lost),
+                ..ModelSlots::new(prefree)
             }
         }
 
@@ -1303,9 +1504,27 @@ pub mod model_api {
             &self.rindex[container.0 as usize]
         }
 
+        /// The bitmap an acquire wakes the key in.
+        fn acquire_wakes(&self) -> &WakeBits {
+            self.lost_wakes.as_deref().unwrap_or(&self.wake)
+        }
+
         /// Real lock-free warm claim ([`KeySlots::claim_warm`]).
         pub fn claim_warm(&self) -> Option<(usize, ContainerId)> {
-            self.ks.claim_warm()
+            self.ks.claim_warm(self.acquire_wakes(), KEY)
+        }
+
+        /// The key's share of [`super::RuntimePool::take_demand_snapshot`],
+        /// run by the one lock-holder: the real wake drain, then — if the
+        /// key is unparked or was woken — the real sample
+        /// ([`KeySlots::sample`]). The visit's `(demand, in_use)`, or `None`
+        /// when the key stayed parked.
+        pub fn snapshot(&self, parked: bool) -> Option<(usize, usize)> {
+            let woken = self.wake.drain(0) != 0;
+            (!parked || woken).then(|| {
+                let (demand, _, in_use) = self.ks.sample();
+                (demand, in_use)
+            })
         }
 
         /// Real lock-free hand-back ([`KeySlots::hand_back`]).
@@ -1323,8 +1542,10 @@ pub mod model_api {
         /// explicitly ([`Self::grow`]), not inside the free-claim.
         pub fn publish_avail(&self, container: ContainerId, order: PublishOrder) -> Option<usize> {
             let free = self.ks.claim_lowest(|chunk| &chunk.free)?;
-            let (cell, key) = (self.cell(container), KeyId::from_index(0));
-            Some(self.ks.publish_avail(free, cell, key, container, order))
+            Some(
+                self.ks
+                    .publish_avail(free, self.cell(container), KEY, container, order),
+            )
         }
 
         /// The growth step of [`KeySlots::claim_free`] (the real
@@ -1338,8 +1559,11 @@ pub mod model_api {
         /// lowest free slot (`None` when there is none).
         pub fn publish_in_use(&self, container: ContainerId, order: PublishOrder) -> Option<usize> {
             let free = self.ks.claim_lowest(|chunk| &chunk.free)?;
-            let (cell, key) = (self.cell(container), KeyId::from_index(0));
-            Some(self.ks.publish_in_use(free, cell, key, container, order))
+            let (cell, wake) = (self.cell(container), self.acquire_wakes());
+            Some(
+                self.ks
+                    .publish_in_use(free, cell, KEY, container, order, wake),
+            )
         }
 
         /// The lock-free half of [`super::RuntimePool::release`]: resolve
@@ -1437,7 +1661,7 @@ mod tests {
     /// The demand snapshot (GC included) as `(key, demand)`, sorted —
     /// what the controller sees over one interval.
     fn demand_snapshot(pool: &RuntimePool) -> Vec<(KeyId, usize)> {
-        let snapshot = pool.take_demand_snapshot();
+        let snapshot = pool.take_full_snapshot();
         snapshot.demands.iter().map(|d| (d.id, d.demand)).collect()
     }
 
@@ -1628,7 +1852,7 @@ mod tests {
                         }
                     }
                 }
-                let snapshot = pool.take_demand_snapshot();
+                let snapshot = pool.take_full_snapshot();
                 let mut live = [0usize; 3];
                 for c in e.live_ids_oldest_first() {
                     let id = pool.id_for(e.config(c).unwrap());
@@ -2113,7 +2337,7 @@ mod tests {
                 assert_eq!(e.state(victim), ContainerState::Removed, "evicted another");
                 assert_eq!(e.live_count(), live - 1, "evicted more than one");
             }
-            pool.take_demand_snapshot();
+            pool.take_full_snapshot();
             evicted
         }
         testkit::check(48, |g| {

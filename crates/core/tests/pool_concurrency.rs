@@ -139,7 +139,7 @@ fn one_key_hammered_from_32_threads_survives_controller_ticks() {
             s.spawn(move || {
                 let mut tick = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    pool.take_demand_snapshot();
+                    pool.take_full_snapshot();
                     pool.evict_oldest(engine, SimTime::from_millis(tick))
                         .expect("evict");
                     tick += 1;
@@ -304,7 +304,7 @@ fn evictor_racing_32_acquirers_keeps_the_age_index_exact() {
     assert!(live <= cap, "the last enforcement pass left {live} live");
     assert_eq!(pool.total_live(), live, "pool live diverged from engine");
     assert_eq!(pool.total_available(), live, "in-use containers leaked");
-    pool.take_demand_snapshot();
+    pool.take_full_snapshot();
     // Draining removes what is left in exactly the oracle's order: oldest
     // `(created_at, id)` first, across keys.
     let order = engine.lock().live_ids_oldest_first();
@@ -361,7 +361,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
         let controller = s.spawn(move || {
             let mut tick = 0u64;
             while !stop.load(Ordering::Acquire) {
-                pool.take_demand_snapshot();
+                pool.take_full_snapshot();
                 pool.evict_oldest(engine, SimTime::from_millis(tick))
                     .expect("evict");
                 tick += 1;
@@ -430,7 +430,7 @@ fn one_key_driven_past_its_first_chunk_under_controller_and_evictor() {
     assert_eq!(pool.total_live(), live, "pool live diverged from engine");
     assert_eq!(pool.total_available(), live, "in-use containers leaked");
     assert_eq!(pool.num_in_use_id(pool.intern_config(&cfg)), 0);
-    pool.take_demand_snapshot();
+    pool.take_full_snapshot();
 }
 
 #[test]

@@ -116,3 +116,54 @@ fn relaxed_reverse_index_publish_into_a_grown_chunk_is_caught() {
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(report.complete, "tree exhausted within budget");
 }
+
+/// The wake shape: a step's snapshot finds the key idle and the controller
+/// parks it, while a first warm acquire races it; a snapshot after the join
+/// must still count the acquire. `slots` decides where acquires wake.
+fn wake_race(slots: fn(usize) -> ModelSlots) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let s = Arc::new(slots(1));
+        s.publish_avail(C1, PublishOrder::Release)
+            .expect("free slot");
+        let s2 = Arc::clone(&s);
+        let acquirer = spawn(move || {
+            s2.claim_warm().expect("the key's runtime is available");
+        });
+        let first = s.snapshot(false);
+        let parked = first == Some((0, 0));
+        let second = s.snapshot(parked);
+        acquirer.join();
+        let parked = second.map_or(parked, |v| v == (0, 0));
+        let third = s.snapshot(parked);
+        assert!(
+            [first, second, third]
+                .into_iter()
+                .flatten()
+                .any(|(d, _)| d >= 1),
+            "acquire lost behind a parked key"
+        );
+    }
+}
+
+#[test]
+fn dropped_wake_mutation_is_caught() {
+    // With the acquire's wake dropped, the schedule that parks the key
+    // before the acquire leaves it parked for good: no snapshot counts it.
+    // The checker models an RMW as reading the newest store, so a wake
+    // weakened to `Relaxed` would be invisible to it; dropping the store is
+    // the mutation it can and must see.
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(wake_race(ModelSlots::dropping_wakes));
+    let v = report
+        .violation
+        .expect("a dropped wake must lose some acquire");
+    assert!(v.message.contains("acquire lost"), "{}", v.message);
+    assert!(!v.schedule.is_empty(), "schedule is replayable");
+    // Control arm: identical shape, real wake — exhausted clean.
+    let report = Checker::new()
+        .preemption_bound(2)
+        .try_check(wake_race(ModelSlots::new));
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert!(report.complete, "tree exhausted within budget");
+}

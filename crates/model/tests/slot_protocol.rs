@@ -341,3 +341,72 @@ fn chunk_growth_vs_warm_claim_and_reverse_index_release() {
         assert_eq!(s.free_count(), 0, "both grown slots stay occupied");
     });
 }
+
+/// A warm request on the model key: claim, release claim, hand-back.
+fn warm_request(s: &ModelSlots) {
+    let (i, c) = s.claim_warm().expect("the key's runtime is available");
+    assert!(s.try_claim_release(i, c), "sole owner releases its slot");
+    s.hand_back(i);
+}
+
+/// Whether the controller parks the key a snapshot visited: idle (no
+/// demand, nothing in use) — its one runtime is its target. A key the
+/// snapshot skipped stays as it was.
+fn parks(visit: Option<(usize, usize)>, was_parked: bool) -> bool {
+    visit.map_or(was_parked, |v| v == (0, 0))
+}
+
+#[test]
+fn first_warm_acquire_vs_snapshot_drain_and_swap() {
+    // A parked key's first request of an interval races the snapshot's
+    // wake drain and watermark swap. Either the snapshot counts the request
+    // in this interval's demand, or the key is left woken and the next
+    // snapshot (after the join) counts it — a parked key never loses one.
+    checker().check(|| {
+        let s = Arc::new(ModelSlots::new(1));
+        s.publish_avail(C1, Release).expect("free slot");
+        let idle = s.snapshot(false);
+        assert_eq!(idle, Some((0, 0)), "the interval that parks the key");
+        let s2 = Arc::clone(&s);
+        let request = spawn(move || warm_request(&s2));
+        let racing = s.snapshot(true);
+        if let Some((demand, _)) = racing {
+            assert!(demand >= 1, "a woken key's snapshot missed its acquire");
+        }
+        request.join();
+        let next = s.snapshot(parks(racing, true));
+        assert!(
+            [racing, next]
+                .into_iter()
+                .flatten()
+                .any(|(demand, _)| demand >= 1),
+            "the acquire counted in no interval and woke nothing"
+        );
+    });
+}
+
+#[test]
+fn first_warm_acquire_vs_parking() {
+    // The request races the whole step that parks the key: the step's
+    // snapshot finds it idle, the controller parks it, and the next
+    // snapshot skips it unless it was woken. An acquire after the first
+    // swap finds the watermark at 0 and wakes the key, so some snapshot —
+    // at the latest the one after the join — counts it.
+    checker().check(|| {
+        let s = Arc::new(ModelSlots::new(1));
+        s.publish_avail(C1, Release).expect("free slot");
+        let s2 = Arc::clone(&s);
+        let request = spawn(move || warm_request(&s2));
+        let first = s.snapshot(false);
+        let second = s.snapshot(parks(first, false));
+        request.join();
+        let third = s.snapshot(parks(second, parks(first, false)));
+        assert!(
+            [first, second, third]
+                .into_iter()
+                .flatten()
+                .any(|(demand, _)| demand >= 1),
+            "the acquire counted in no interval and woke nothing"
+        );
+    });
+}
