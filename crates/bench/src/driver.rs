@@ -584,6 +584,117 @@ pub(crate) mod tests {
         (out, finishes)
     }
 
+    /// `HotC` through `RuntimeProvider`'s required methods only, the way a
+    /// provider wrapper that keeps `acquire_keyed`'s default sees it (the
+    /// layer benchmark's timing wrapper does): the gateway's cached key
+    /// never reaches the pool, and every request interns its configuration.
+    struct Unkeyed(HotC);
+
+    impl RuntimeProvider for Unkeyed {
+        fn acquire(
+            &mut self,
+            engine: &mut ContainerEngine,
+            config: &containersim::ContainerConfig,
+            now: SimTime,
+        ) -> Result<faas::Acquisition, containersim::EngineError> {
+            self.0.acquire(engine, config, now)
+        }
+        fn release(
+            &mut self,
+            engine: &mut ContainerEngine,
+            container: containersim::ContainerId,
+            now: SimTime,
+        ) -> Result<(), containersim::EngineError> {
+            self.0.release(engine, container, now)
+        }
+        fn tick(
+            &mut self,
+            engine: &mut ContainerEngine,
+            now: SimTime,
+        ) -> Result<(), containersim::EngineError> {
+            self.0.tick(engine, now)
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn background_cost(&self) -> SimDuration {
+            self.0.background_cost()
+        }
+    }
+
+    /// The key `Gateway` caches per function changes no output: `HotC`
+    /// served through `acquire_keyed` and through `acquire` alone give
+    /// byte-identical traces, live samples and metrics JSON over 40
+    /// replicated functions (the `replicas = N` shape: a distinct env each,
+    /// here over four runtimes so fuzzy keys stay apart) under limits that
+    /// keep evicting, for both key policies.
+    #[test]
+    fn keyed_acquire_is_observationally_unkeyed() {
+        use containersim::LanguageRuntime::{Go, Java, NodeJs, Python};
+        const FUNCTIONS: usize = 40;
+        fn replicated<P: RuntimeProvider>(provider: P) -> Gateway<P> {
+            let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+            let mut gw = Gateway::new(engine, provider);
+            for i in 0..FUNCTIONS {
+                let app = AppProfile::qr_code([Python, Go, Java, NodeJs][i % 4]);
+                let mut config = app.default_config();
+                config.exec.env.insert("HOTC_REPLICA".into(), i.to_string());
+                gw.register(
+                    faas::FunctionSpec::from_app(app)
+                        .named(format!("f#{i}"))
+                        .with_config(config),
+                );
+            }
+            gw
+        }
+        fn replay<P: RuntimeProvider + 'static>(provider: P) -> (TraceOutcome<P>, Finishes) {
+            let spec = workloads::trace::SynthSpec {
+                requests: 3_000,
+                keys: FUNCTIONS,
+                duration: SimDuration::from_mins(20),
+                seed: 11,
+                ..Default::default()
+            };
+            let mut finishes = Finishes::new();
+            let out = run_trace(
+                replicated(provider),
+                &mut workloads::trace::synth_trace(&spec),
+                |id| format!("f#{}", id % FUNCTIONS),
+                TICK,
+                |s, t| finishes.push((s, *t)),
+            );
+            (out, finishes)
+        }
+        for key_policy in [hotc::KeyPolicy::Exact, hotc::KeyPolicy::Fuzzy] {
+            let make = || {
+                HotC::new(hotc::HotCConfig {
+                    key_policy,
+                    limits: hotc::PoolLimits::new(3, 0.99),
+                    ..Default::default()
+                })
+            };
+            let (keyed, keyed_finishes) = replay(make());
+            let (unkeyed, unkeyed_finishes) = replay(Unkeyed(make()));
+            assert!(
+                keyed.gateway.provider().forced_evictions() > 0,
+                "{key_policy:?}"
+            );
+            assert_eq!(
+                keyed.gateway.provider().forced_evictions(),
+                unkeyed.gateway.provider().0.forced_evictions()
+            );
+            assert_eq!(keyed_finishes, unkeyed_finishes, "{key_policy:?}");
+            assert_eq!(keyed.live_samples, unkeyed.live_samples, "{key_policy:?}");
+            let json = |registry: &metrics_lite::MetricsRegistry| {
+                stdshim::ToJson::to_json(&registry.snapshot()).to_pretty_string()
+            };
+            assert!(
+                json(keyed.gateway.metrics()) == json(unkeyed.gateway.metrics()),
+                "{key_policy:?}: metrics JSON differs"
+            );
+        }
+    }
+
     /// `w` replayed by one worker per distinct entry of `assign`.
     fn partitioned<P>(
         make: fn() -> P,

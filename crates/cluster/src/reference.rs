@@ -245,11 +245,12 @@ impl ReferenceCluster {
         Ok((f, node))
     }
 
-    /// Mirrors [`Cluster::begin`].
+    /// Mirrors [`Cluster::begin`], except that the node resolves the
+    /// function's key itself (the oracle keeps no key translations).
     pub fn begin(&mut self, function: &str, now: SimTime) -> Result<RefInFlight, ClusterError> {
         let (f, node) = self.place(function, now)?;
         let spec = self.functions[f].0.clone();
-        let inner = self.nodes[node].gateway.begin_with(&spec, now)?;
+        let inner = self.nodes[node].gateway.begin_with(&spec, None, now)?;
         let key = self.functions[f].1;
         if self.staleness.is_zero() {
             if inner.cold {

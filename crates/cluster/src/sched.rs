@@ -391,14 +391,20 @@ impl Cluster {
     /// with [`Self::finish`] once the clock reaches `inner.t4_func_end`.
     pub fn begin(&mut self, function: &str, now: SimTime) -> Result<ClusterInFlight, ClusterError> {
         let (f, node) = self.place(function, now)?;
-        let seen = self.nodes[node].gateway.provider().pool().mutation_epoch();
-        let inner = self.nodes[node]
-            .gateway
-            .begin_with(&self.specs[f as usize].spec, now)?;
         let entry = &self.specs[f as usize];
-        let pool = self.nodes[node].gateway.provider().pool();
-        self.warm
-            .ensure_mapping(entry.key, node, pool, &entry.spec.config);
+        let gateway = &mut self.nodes[node].gateway;
+        // The node-local key the warm index keeps is the one the node's
+        // acquire would intern, and interning it first hands out the same id
+        // at the same moment: the node never re-fingerprints the config.
+        let local = self.warm.ensure_mapping(
+            entry.key,
+            node,
+            gateway.provider().pool(),
+            &entry.spec.config,
+        );
+        let seen = gateway.provider().pool().mutation_epoch();
+        let inner = gateway.begin_with(&entry.spec, Some(local.into()), now)?;
+        let pool = gateway.provider().pool();
         if self.staleness.is_zero() {
             if inner.cold {
                 // A cold start may have evicted other keys on the node
@@ -792,7 +798,7 @@ mod tests {
         // The next warm request there (round robin is back at node 0)
         // refreshes its own key's count and must not vouch for the rest.
         let spec = FunctionSpec::from_app(AppProfile::qr_code(LanguageRuntime::Go)).named("go");
-        let inner = c.nodes[0].gateway.begin_with(&spec, now).unwrap();
+        let inner = c.nodes[0].gateway.begin_with(&spec, None, now).unwrap();
         c.nodes[0].gateway.finish(inner).unwrap();
         assert!(!in_sync(&c, 0));
         let (node, _) = c.handle("qr-code", now).unwrap();
@@ -981,7 +987,7 @@ mod staleness_tests {
         let spec = FunctionSpec::from_app(AppProfile::qr_code(LanguageRuntime::Python));
         let mut now = SimTime::ZERO;
         for i in 0..3 {
-            let inner = c.nodes[i].gateway.begin_with(&spec, now).unwrap();
+            let inner = c.nodes[i].gateway.begin_with(&spec, None, now).unwrap();
             now = inner.t4_func_end + SimDuration::from_millis(1);
             c.nodes[i].gateway.finish(inner).unwrap();
         }
@@ -1129,7 +1135,10 @@ mod cloudlet_tests {
         let mut c = heterogeneous(SchedulePolicy::ReuseAffinity);
         // Warm the v3 runtime on pi-0 (node 1) behind the scheduler's back…
         let spec = FunctionSpec::from_app(AppProfile::v3_app());
-        let inner = c.nodes[1].gateway.begin_with(&spec, SimTime::ZERO).unwrap();
+        let inner = c.nodes[1]
+            .gateway
+            .begin_with(&spec, None, SimTime::ZERO)
+            .unwrap();
         let end = inner.t4_func_end;
         c.nodes[1].gateway.finish(inner).unwrap();
         // …and let the next maintenance tick resync the oracle view (the

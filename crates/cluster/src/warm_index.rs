@@ -93,24 +93,26 @@ impl WarmIndex {
         }
     }
 
-    /// Records the translation between cluster key `k` and `node`'s
-    /// pool-local id for the same configuration. Interns into the node's
-    /// pool only on first sight of (k, node); repeats are one map probe.
+    /// `node`'s pool-local id for cluster key `k` (whose configuration is
+    /// `config`), recording the translation both ways. Interns into the
+    /// node's pool only on first sight of (k, node); repeats are one map
+    /// probe.
     pub(crate) fn ensure_mapping(
         &mut self,
         k: KeyId,
         node: usize,
         pool: &RuntimePool,
         config: &ContainerConfig,
-    ) {
+    ) -> KeyId {
         let view = &mut self.nodes[node];
         let ck = k.index() as u32;
-        if view.c2l.contains_key(&ck) {
-            return;
+        if let Some(&local) = view.c2l.get(&ck) {
+            return local;
         }
         let local = pool.intern_config(config);
         view.c2l.insert(ck, local);
         view.l2c.insert(local.index() as u32, ck);
+        local
     }
 
     /// Believed warm-available count for (`k`, `node`). O(warm hosts of k).

@@ -14,6 +14,7 @@ use crate::runtime::LanguageRuntime;
 use crate::volume::{VolumeId, VolumeStore};
 use simclock::{SimDuration, SimTime};
 use std::collections::HashMap;
+use stdshim::FastMap;
 
 /// Where the time of a container cold start goes. §III-A instruments exactly
 /// this decomposition (the 2→3 "function initiation" segment dominates).
@@ -232,7 +233,9 @@ pub struct ContainerEngine {
     store: LocalImageStore,
     volumes: VolumeStore,
     host: HostResources,
-    containers: HashMap<ContainerId, ContainerRecord>,
+    /// Live container records. Engine-issued ids, so a [`FastMap`]: every
+    /// request finds its container here several times.
+    containers: FastMap<ContainerId, ContainerRecord>,
     next_id: u64,
     faults: Option<FaultInjector>,
     cpu_contention: bool,
@@ -250,7 +253,7 @@ impl ContainerEngine {
             store: LocalImageStore::new(),
             volumes: VolumeStore::new(),
             host: HostResources::new(hw),
-            containers: HashMap::new(),
+            containers: FastMap::default(),
             next_id: 1,
             faults: None,
             cpu_contention: false,
@@ -468,9 +471,7 @@ impl ContainerEngine {
             }
         }
         init_latency = init_latency.min(latency);
-        if let Some(rec) = self.containers.get_mut(&id) {
-            rec.crashing = crashed;
-        }
+        rec.crashing = crashed;
 
         self.host.app_started(work.mem_bytes, work.cpu_cores);
         Ok(ExecOutcome {

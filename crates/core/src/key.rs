@@ -22,6 +22,7 @@
 //! at acquire time for a small reconfiguration cost.
 
 use containersim::{ContainerConfig, ImageId, NetworkMode, NetworkScope};
+use faas::ProviderKey;
 use simclock::SimDuration;
 use std::hash::{Hash, Hasher};
 use stdshim::{FastHasher, FastMap, Mutex};
@@ -84,10 +85,20 @@ impl KeyId {
 
     /// Rebuilds an id from a dense index previously obtained via
     /// [`KeyId::index`]. Crate-private: only the pool's container reverse
-    /// index and its per-key bitmaps round-trip ids this way, and they only
-    /// store indices of ids the interner already issued.
+    /// index and its per-key bitmaps, and `HotC` for a gateway's cached
+    /// [`ProviderKey`], round-trip ids this way, and they only hold indices
+    /// of ids the interner already issued.
     pub(crate) const fn from_index(index: u32) -> KeyId {
         KeyId(index)
+    }
+}
+
+/// The form a gateway caches a function's key in (`faas::Gateway`'s function
+/// table, the cluster's per-node translations). Only `HotC` turns one back
+/// into an id, for the pool that issued it.
+impl From<KeyId> for ProviderKey {
+    fn from(id: KeyId) -> ProviderKey {
+        ProviderKey(id.0)
     }
 }
 
@@ -109,8 +120,10 @@ impl std::fmt::Display for KeyId {
 /// Lock class `pool/interner`: one short critical section per lookup (a
 /// fingerprint probe), on the request path strictly *before* (and released
 /// before) any `pool/state` lock, so the request path still holds at most
-/// one lock at a time (DESIGN §5). Only the single-threaded gateway interns
-/// per request; the concurrent one interns at registration.
+/// one lock at a time (DESIGN §5). Every frontend resolves a function's key
+/// once, not per request: the concurrent gateway at registration, the
+/// single-threaded one on the function's first request (it then caches the
+/// key), the cluster once per (key, node).
 #[derive(Debug)]
 pub struct KeyInterner {
     policy: KeyPolicy,

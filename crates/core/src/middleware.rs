@@ -26,7 +26,7 @@ use crate::key::{KeyId, KeyPolicy};
 use crate::limits::PoolLimits;
 use crate::pool::{EngineRef, ExclusiveEngine, PoolAcquisition, RuntimePool};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
-use faas::{Acquisition, RuntimeProvider};
+use faas::{Acquisition, ProviderKey, RuntimeProvider};
 use simclock::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use stdshim::sync::Mutex;
@@ -197,7 +197,37 @@ impl RuntimeProvider for HotC {
         config: &ContainerConfig,
         now: SimTime,
     ) -> Result<Acquisition, EngineError> {
-        let key_id = self.pool.intern_config(config);
+        self.acquire_keyed(engine, config, &mut None, now)
+    }
+
+    /// Interns `config` only when `key` is empty, then fills it: a gateway
+    /// that keeps the slot per function fingerprints each configuration once.
+    fn acquire_keyed(
+        &mut self,
+        engine: &mut ContainerEngine,
+        config: &ContainerConfig,
+        key: &mut Option<ProviderKey>,
+        now: SimTime,
+    ) -> Result<Acquisition, EngineError> {
+        let key_id = match *key {
+            Some(cached) => {
+                let id = KeyId::from_index(cached.0);
+                // Checked here, before `acquire_id` opens its request-path
+                // scope: the lookup takes the interner lock, which a warm
+                // hit inside that scope must not.
+                debug_assert_eq!(
+                    self.pool.id_for(config),
+                    Some(id),
+                    "cached key is not the configuration's"
+                );
+                id
+            }
+            None => {
+                let id = self.pool.intern_config(config);
+                *key = Some(id.into());
+                id
+            }
+        };
         self.acquire_on(&ExclusiveEngine::new(engine), key_id, config, now)
             .map(Into::into)
     }
@@ -254,18 +284,41 @@ mod tests {
         assert!(cold.total().as_millis() > 500);
     }
 
+    /// A redeployed function serves under its new configuration's key, not
+    /// the one the gateway cached for it under the old configuration.
     #[test]
     fn no_reuse_across_configs() {
         let mut gw = gateway();
         let py = gw.handle("qr-code", SimTime::ZERO).unwrap();
         assert!(py.cold);
+        // The second request runs on the key the first one cached.
+        assert!(!gw.handle("qr-code", SimTime::from_secs(1)).unwrap().cold);
+        let py_config = gw.function("qr-code").unwrap().config.clone();
         // Redeploy the same function in Go: different image ⇒ different
         // runtime type ⇒ the idle python container must not be reused.
         gw.register_app(AppProfile::qr_code(LanguageRuntime::Go));
-        let go = gw.handle("qr-code", SimTime::from_secs(1)).unwrap();
+        let go = gw.handle("qr-code", SimTime::from_secs(2)).unwrap();
         assert!(go.cold);
-        // And the python runtime is still pooled, unused.
+        let pool = gw.provider().pool();
+        let py_key = pool.id_for(&py_config).unwrap();
+        let go_key = pool
+            .id_for(&gw.function("qr-code").unwrap().config)
+            .unwrap();
+        assert_ne!(py_key, go_key);
+        // The go runtime was created under go's key and returned there; the
+        // python runtime is still pooled, unused.
+        assert_eq!(
+            (pool.num_avail_id(go_key), pool.num_in_use_id(go_key)),
+            (1, 0)
+        );
+        assert_eq!(
+            (pool.num_avail_id(py_key), pool.num_in_use_id(py_key)),
+            (1, 0)
+        );
         assert_eq!(gw.engine().live_count(), 2);
+        // And the function's next request is warm under go's key.
+        assert!(!gw.handle("qr-code", SimTime::from_secs(3)).unwrap().cold);
+        assert_eq!(gw.provider().pool().num_avail_id(py_key), 1);
     }
 
     #[test]

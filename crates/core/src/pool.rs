@@ -972,9 +972,10 @@ impl RuntimePool {
     }
 
     /// [`Self::acquire`] with a pre-interned key id, returning the pool-side
-    /// detail ([`PoolAcquisition`]) with it: callers that serve the same
-    /// function repeatedly (the concurrent gateway, through `HotC`) intern the
-    /// key once at registration instead of even fingerprinting the
+    /// detail ([`PoolAcquisition`]) with it: every frontend serves a function
+    /// through `HotC` with a key it resolved once — the concurrent gateway's
+    /// at registration, `faas::Gateway`'s on the function's first request,
+    /// the cluster's per (key, node) — instead of fingerprinting the
     /// configuration per request. `id` must be `self.intern_config(config)`.
     ///
     /// A warm hit takes **zero locks**: an `avail`-bit CAS claims the slot,

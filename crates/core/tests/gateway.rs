@@ -163,7 +163,7 @@ fn begin_and_begin_with_agree() {
     for at in [0, 10] {
         let now = SimTime::from_secs(at);
         let a = registered.begin("random-number", now).unwrap();
-        let b = handed.begin_with(&spec, now).unwrap();
+        let b = handed.begin_with(&spec, None, now).unwrap();
         let (a, b) = (registered.finish(a).unwrap(), handed.finish(b).unwrap());
         assert_eq!(a, b);
         assert_eq!(a.cold, at == 0);

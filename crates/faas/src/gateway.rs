@@ -30,7 +30,7 @@
 
 use crate::apps::AppProfile;
 use crate::pipeline::{RequestTrace, GATEWAY_HOP, WATCHDOG_HOP};
-use crate::{Acquisition, RuntimeProvider};
+use crate::{Acquisition, ProviderKey, RuntimeProvider};
 use containersim::{
     ContainerConfig, ContainerEngine, ContainerId, CostBreakdown, EngineError, ExecOutcome,
 };
@@ -266,6 +266,16 @@ impl InFlight {
     }
 }
 
+/// A function-table entry: the spec and the provider's key for its
+/// configuration. The key is filled by the function's first request — not at
+/// registration, so a provider hands out keys in first-request order — and
+/// a re-registration starts a fresh entry, so the key never outlives the
+/// configuration it was resolved from.
+struct Deployed {
+    spec: FunctionSpec,
+    key: Option<ProviderKey>,
+}
+
 /// The serverless gateway.
 ///
 /// ```
@@ -285,8 +295,8 @@ impl InFlight {
 pub struct Gateway<P: RuntimeProvider> {
     engine: ContainerEngine,
     provider: P,
-    /// The function table: name → deployed spec.
-    functions: BTreeMap<String, FunctionSpec>,
+    /// The function table: name → deployed spec and its cached key.
+    functions: BTreeMap<String, Deployed>,
     stats: SharedStats,
     metrics: Arc<MetricsRegistry>,
     /// The `gateway/requests` and `gateway/cold_starts` handles, resolved by
@@ -348,9 +358,11 @@ impl<P: RuntimeProvider> Gateway<P> {
         &self.metrics
     }
 
-    /// Registers (or replaces) a function.
+    /// Registers (or replaces) a function. A replaced function's cached key
+    /// goes with its old entry.
     pub fn register(&mut self, spec: FunctionSpec) {
-        self.functions.insert(spec.name.clone(), spec);
+        self.functions
+            .insert(spec.name.clone(), Deployed { spec, key: None });
     }
 
     /// Convenience: registers an app under its own name with its default
@@ -361,12 +373,12 @@ impl<P: RuntimeProvider> Gateway<P> {
 
     /// All deployed functions, name-ordered.
     pub fn functions(&self) -> impl Iterator<Item = &FunctionSpec> {
-        self.functions.values()
+        self.functions.values().map(|d| &d.spec)
     }
 
     /// Looks up one function's spec.
     pub fn function(&self, name: &str) -> Option<&FunctionSpec> {
-        self.functions.get(name)
+        self.functions.get(name).map(|d| &d.spec)
     }
 
     /// The underlying engine (resource inspection).
@@ -399,23 +411,26 @@ impl<P: RuntimeProvider> Gateway<P> {
     /// Timestamps (1)–(4) are computed; the caller must invoke
     /// [`Self::finish`] once the virtual clock reaches `t4_func_end`.
     pub fn begin(&mut self, function: &str, now: SimTime) -> Result<InFlight, GatewayError> {
-        let spec = self
+        let Deployed { spec, key } = self
             .functions
-            .get(function)
+            .get_mut(function)
             .ok_or_else(|| GatewayError::UnknownFunction(function.to_string()))?;
-        Self::begin_on(&mut self.engine, &mut self.provider, spec, now)
+        Self::begin_on(&mut self.engine, &mut self.provider, spec, key, now)
     }
 
     /// [`Self::begin`] with a caller-held spec, bypassing this gateway's
     /// registry. A cluster scheduler keeps **one** function table for all
     /// nodes and hands each node the spec at placement time — registering
-    /// 10k functions on each of 1k hosts would hold 10M spec clones.
+    /// 10k functions on each of 1k hosts would hold 10M spec clones. `key`
+    /// is this node's provider key for `spec.config` if the caller keeps
+    /// one (`None` lets the provider resolve it).
     pub fn begin_with(
         &mut self,
         spec: &FunctionSpec,
+        mut key: Option<ProviderKey>,
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
-        Self::begin_on(&mut self.engine, &mut self.provider, spec, now)
+        Self::begin_on(&mut self.engine, &mut self.provider, spec, &mut key, now)
     }
 
     /// The one body of [`Self::begin`] and [`Self::begin_with`], over the
@@ -425,13 +440,14 @@ impl<P: RuntimeProvider> Gateway<P> {
         engine: &mut ContainerEngine,
         provider: &mut P,
         spec: &FunctionSpec,
+        key: &mut Option<ProviderKey>,
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
         InFlight::begin(
             &mut (engine, provider),
             spec,
             now,
-            |(engine, provider), t2| provider.acquire(engine, &spec.config, t2),
+            |(engine, provider), t2| provider.acquire_keyed(engine, &spec.config, key, t2),
             |(engine, _), container, t3| {
                 // App init is due on a fresh runtime AND when the pooled
                 // runtime last ran a different app (fuzzy keys / shared
@@ -526,7 +542,9 @@ mod tests {
 
         for at in [0, 10] {
             gw.handle("random-number", SimTime::from_secs(at)).unwrap();
-            let inflight = gw.begin_with(&placed, SimTime::from_secs(at + 1)).unwrap();
+            let inflight = gw
+                .begin_with(&placed, None, SimTime::from_secs(at + 1))
+                .unwrap();
             gw.finish(inflight).unwrap();
         }
         let snap = gw.metrics().snapshot();

@@ -83,6 +83,12 @@ impl Acquisition {
     }
 }
 
+/// A provider's own handle for a configuration's runtime key (HotC: its
+/// pool's interned `KeyId`). [`Gateway`] caches one per registered function,
+/// so the provider resolves a function's configuration once, not per request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProviderKey(pub u32);
+
 /// A strategy for providing container runtimes to the gateway.
 ///
 /// Implemented by [`ColdStartAlways`] and by HotC itself (in the `hotc`
@@ -96,6 +102,21 @@ pub trait RuntimeProvider {
         config: &ContainerConfig,
         now: SimTime,
     ) -> Result<Acquisition, EngineError>;
+
+    /// [`Self::acquire`] for a caller that keeps `config`'s key in a slot
+    /// from one request to the next. A provider that resolves keys fills an
+    /// empty slot and trusts a filled one, so the caller must empty the slot
+    /// whenever the configuration behind it changes. The default ignores the
+    /// slot.
+    fn acquire_keyed(
+        &mut self,
+        engine: &mut ContainerEngine,
+        config: &ContainerConfig,
+        _key: &mut Option<ProviderKey>,
+        now: SimTime,
+    ) -> Result<Acquisition, EngineError> {
+        self.acquire(engine, config, now)
+    }
 
     /// Returns a container after its execution finished. Any cleanup or
     /// teardown happens off the request path (the paper's HotC cleans used
