@@ -168,10 +168,27 @@ if ! run sh -c "benchmark/run.sh --smoke --seconds 0 > '$BENCHMARK_OUT'" \
 fi
 echo "benchmark smoke OK"
 
+# 7c. Traced-allocation budget, print-only: the traced pass fails any
+#     workload whose mirrored loop allocates > 1 % off `run_scenario`'s
+#     count, a ratio over all allocations, so a change that only trims
+#     allocations can cross it without touching the loop. Show the slack
+#     per workload at --smoke size before it runs out.
+echo
+echo "==> traced-allocation drift |traced - allocs| / allocs (--smoke; the traced pass fails at 1 %)"
+TRACE_REF="$(mktemp)"
+trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$TRACE_REF"' EXIT
+for workload in warm_steady evict_churn always_cold tick_sweep cluster_affinity; do
+    benchmark/target/release/hotc-benchmark-counted --pass counted --workload "$workload" \
+        --seed 1 --trace 1 --smoke --reference "$TRACE_REF" | tail -n 1 \
+        | sed -E 's/.*"allocs":([0-9]+).*"traced_allocs":([0-9]+).*/\1 \2/' \
+        | awk -v w="$workload" '{ d = $2 - $1; if (d < 0) d = -d;
+            printf "    %-17s allocs %9d  traced %9d  drift %.2f %%\n", w, $1, $2, 100 * d / $1 }'
+done
+
 # 8. Telemetry smoke: run the demo scenario with --metrics-out and assert the
 #    snapshot is well-formed with nonzero cold-start stage counts.
 METRICS_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$METRICS_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT"' EXIT
 run sh -c "./target/release/hotc-sim --demo | ./target/release/hotc-sim - --metrics-out '$METRICS_OUT' >/dev/null"
 echo
 echo "==> metrics snapshot smoke ($METRICS_OUT):"
@@ -198,7 +215,7 @@ echo "metrics snapshot OK"
 #    day through the CLI's pull-based trace path (never materialized) and
 #    assert every request was served. Takes about a minute in release.
 REPLAY_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$METRICS_OUT" "$REPLAY_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT" "$REPLAY_OUT"' EXIT
 run sh -c "./target/release/hotc-sim scenarios/synth_1m.hotc > '$REPLAY_OUT'"
 # The summary table's first column is the request count.
 grep -Eq '(^|[^0-9])1000000([^0-9]|$)' "$REPLAY_OUT" \
@@ -211,7 +228,7 @@ echo "streaming replay smoke OK"
 #     parallel_equivalence test suite; this asserts the shipped binary's
 #     flag path end to end at scale.)
 PAR_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$METRICS_OUT" "$REPLAY_OUT" "$PAR_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT" "$REPLAY_OUT" "$PAR_OUT"' EXIT
 run sh -c "./target/release/hotc-sim scenarios/synth_1m.hotc --replay-threads 4 > '$PAR_OUT'"
 grep -Eq '(^|[^0-9])1000000([^0-9]|$)' "$PAR_OUT" \
     || { echo "parallel synth_1m replay did not serve 1000000 requests" >&2; exit 1; }

@@ -9,11 +9,12 @@ use crate::container::{ContainerConfig, ContainerId, ContainerState};
 use crate::costmodel;
 use crate::hardware::HardwareProfile;
 use crate::host::HostResources;
-use crate::image::{ImageId, ImageRegistry, LocalImageStore};
+use crate::image::{ImageId, ImageRegistry, ImageSpec, LocalImageStore, PullCost};
 use crate::runtime::LanguageRuntime;
 use crate::volume::{VolumeId, VolumeStore};
 use simclock::{SimDuration, SimTime};
 use std::collections::HashMap;
+use std::sync::Arc;
 use stdshim::FastMap;
 
 /// Where the time of a container cold start goes. §III-A instruments exactly
@@ -50,6 +51,28 @@ impl CostBreakdown {
             + self.volume_mount
             + self.runtime_init
             + self.code_load
+    }
+
+    /// The cold start of `spec` under `config` on `hw`, given the pull it
+    /// needs, before any daemon queueing. [`ContainerEngine::create_container`]
+    /// charges it and [`ContainerEngine::estimate_cold_start`] sums it, so
+    /// the estimate is the breakdown a create would report.
+    fn cold(
+        spec: &ImageSpec,
+        hw: &HardwareProfile,
+        config: &ContainerConfig,
+        pull: PullCost,
+    ) -> Self {
+        CostBreakdown {
+            daemon_queue: SimDuration::ZERO,
+            image_pull: pull.download,
+            image_unpack: pull.unpack,
+            resource_alloc: hw.control(costmodel::RESOURCE_ALLOC),
+            network_setup: config.network.setup_cost(hw),
+            volume_mount: hw.control(costmodel::VOLUME_MOUNT),
+            runtime_init: hw.compute(spec.runtime.cold_init()),
+            code_load: hw.control(costmodel::CODE_LOAD),
+        }
     }
 }
 
@@ -147,7 +170,10 @@ impl std::error::Error for EngineError {}
 
 #[derive(Debug, Clone)]
 struct ContainerRecord {
-    config: ContainerConfig,
+    /// Shared with whoever handed it to `create_container` (a pool slot,
+    /// the cold-start provider): one copy per configuration, not per
+    /// container.
+    config: Arc<ContainerConfig>,
     state: ContainerState,
     volume: VolumeId,
     runtime: LanguageRuntime,
@@ -160,9 +186,10 @@ struct ContainerRecord {
     running_work: Option<ExecWork>,
     // Whether the in-flight execution will crash (fault injection).
     crashing: bool,
-    // Fingerprint of `config`, cached at creation: keys this container's
-    // fault-injection stream without rehashing on every exec.
-    fault_key: u64,
+    // Fingerprint of `config`, computed at the first exec under fault
+    // injection: keys this container's fault stream without rehashing on
+    // every exec, and costs nothing when no faults are injected.
+    fault_key: Option<u64>,
 }
 
 /// Fault injection: container processes crash mid-execution with a given
@@ -299,8 +326,9 @@ impl ContainerEngine {
     pub fn with_local_images(hw: HardwareProfile) -> Self {
         let registry = ImageRegistry::with_default_catalogue();
         let mut engine = ContainerEngine::new(registry, hw);
-        let reg = engine.registry.clone();
-        engine.store.prefetch_all(&reg, engine.host.hardware());
+        engine
+            .store
+            .prefetch_all(&engine.registry, engine.host.hardware());
         engine
     }
 
@@ -329,55 +357,48 @@ impl ContainerEngine {
     /// mount a fresh volume, cold-start the language runtime, and load the
     /// function code. On success the container is `Idle` (live, ready to
     /// execute) and the full cold-start [`CostBreakdown`] is returned.
+    ///
+    /// The engine keeps `config` for the container's lifetime. Pass an
+    /// [`Arc`] to share one configuration among many containers; a plain
+    /// [`ContainerConfig`] is wrapped in one of its own.
     pub fn create_container(
         &mut self,
-        config: ContainerConfig,
+        config: impl Into<Arc<ContainerConfig>>,
         now: SimTime,
     ) -> Result<(ContainerId, CostBreakdown), EngineError> {
+        let config = config.into();
         config.validate().map_err(EngineError::InvalidConfig)?;
+        // The spec and the profile are borrowed from the registry and the
+        // host, fields apart from the store and volume table changed below.
         let spec = self
             .registry
             .get(&config.image)
-            .ok_or_else(|| EngineError::UnknownImage(config.image.clone()))?
-            .clone();
-        let hw = self.host.hardware().clone();
-
-        let pull = self.store.pull_split(&spec, &hw);
-        let (volume, volume_mount) = self.volumes.create_mounted(&hw);
-        let resource_alloc = hw.control(costmodel::RESOURCE_ALLOC);
+            .ok_or_else(|| EngineError::UnknownImage(config.image.clone()))?;
+        let hw = self.host.hardware();
+        let pull = self.store.pull_split(spec, hw);
+        let mut breakdown = CostBreakdown::cold(spec, hw, &config, pull);
+        let runtime = spec.runtime;
+        let volume = self.volumes.create_mounted();
         // Daemon serialization: the allocation section runs under the
         // daemon's global lock; concurrent creates queue behind it.
-        let daemon_queue = match &mut self.daemon_free_at {
-            Some(free_at) => {
-                let start = (*free_at).max(now);
-                *free_at = start + resource_alloc;
-                start - now
-            }
-            None => SimDuration::ZERO,
-        };
-        let breakdown = CostBreakdown {
-            daemon_queue,
-            image_pull: pull.download,
-            image_unpack: pull.unpack,
-            resource_alloc,
-            network_setup: config.network.setup_cost(&hw),
-            volume_mount,
-            runtime_init: hw.compute(spec.runtime.cold_init()),
-            code_load: hw.control(costmodel::CODE_LOAD),
-        };
+        if let Some(free_at) = &mut self.daemon_free_at {
+            let start = (*free_at).max(now);
+            *free_at = start + breakdown.resource_alloc;
+            breakdown.daemon_queue = start - now;
+        }
 
         let id = ContainerId(self.next_id);
         self.next_id += 1;
-        let idle_mem = spec.runtime.idle_mem_bytes();
+        let idle_mem = runtime.idle_mem_bytes();
         self.host.add_live_container(idle_mem);
         self.containers.insert(
             id,
             ContainerRecord {
-                fault_key: config_fingerprint(&config),
+                fault_key: None,
                 config,
                 state: ContainerState::Idle,
                 volume,
-                runtime: spec.runtime,
+                runtime,
                 idle_mem,
                 created_at: now,
                 exec_count: 0,
@@ -465,7 +486,10 @@ impl ContainerEngine {
         // own deterministic stream.
         let mut crashed = false;
         if let Some(faults) = &mut self.faults {
-            if let Some(fraction) = faults.roll(rec.fault_key) {
+            let key = *rec
+                .fault_key
+                .get_or_insert_with(|| config_fingerprint(&rec.config));
+            if let Some(fraction) = faults.roll(key) {
                 crashed = true;
                 latency = latency.mul_f64(fraction);
             }
@@ -567,7 +591,6 @@ impl ContainerEngine {
         id: ContainerId,
         _now: SimTime,
     ) -> Result<SimDuration, EngineError> {
-        let hw = self.host.hardware().clone();
         let rec = self
             .containers
             .get(&id)
@@ -596,12 +619,17 @@ impl ContainerEngine {
             .delete(rec.volume)
             .map_err(|_| EngineError::Internal("unmounted volume failed to delete"))?;
         self.host.remove_live_container(rec.idle_mem);
-        Ok(hw.control(costmodel::CONTAINER_STOP + costmodel::CONTAINER_REMOVE))
+        Ok(self
+            .host
+            .hardware()
+            .control(costmodel::CONTAINER_STOP + costmodel::CONTAINER_REMOVE))
     }
 
     /// Estimates the cold-start cost of a configuration *without* creating
     /// anything — what a cost-aware scheduler consults before placing a
-    /// request (pull cost reflects the current local image cache).
+    /// request. It is the total of the breakdown `create_container` would
+    /// report, pull strategy and local image cache included, less any
+    /// daemon queueing.
     pub fn estimate_cold_start(
         &self,
         config: &ContainerConfig,
@@ -612,23 +640,8 @@ impl ContainerEngine {
             .get(&config.image)
             .ok_or_else(|| EngineError::UnknownImage(config.image.clone()))?;
         let hw = self.host.hardware();
-        let missing = self.store.missing_bytes(spec);
-        let pull = if self.store.has_image(&spec.id) {
-            SimDuration::ZERO
-        } else {
-            // Mirrors the download + unpack split charged by an actual pull.
-            hw.io(SimDuration::from_secs_f64(
-                missing as f64 / costmodel::PULL_BYTES_PER_SEC as f64,
-            )) + hw.io(SimDuration::from_secs_f64(
-                missing as f64 / costmodel::UNPACK_BYTES_PER_SEC as f64,
-            ))
-        };
-        Ok(pull
-            + hw.control(costmodel::RESOURCE_ALLOC)
-            + config.network.setup_cost(hw)
-            + hw.control(costmodel::VOLUME_MOUNT)
-            + hw.compute(spec.runtime.cold_init())
-            + hw.control(costmodel::CODE_LOAD))
+        let pull = self.store.pull_cost(spec, hw);
+        Ok(CostBreakdown::cold(spec, hw, config, pull).total())
     }
 
     /// Current state of a container (`Removed` if unknown/gone).
@@ -641,7 +654,7 @@ impl ContainerEngine {
 
     /// The configuration of a live container.
     pub fn config(&self, id: ContainerId) -> Option<&ContainerConfig> {
-        self.containers.get(&id).map(|r| &r.config)
+        self.containers.get(&id).map(|r| &*r.config)
     }
 
     /// Creation timestamp of a live container.
@@ -956,6 +969,52 @@ mod tests {
         assert_eq!(e.load_app(next, "beta"), Ok(true));
     }
 
+    /// Serves `n` executions of `config`, round-robin over `live`, replacing
+    /// each crashed container with a fresh one; returns which crashed.
+    fn crash_sequence(
+        e: &mut ContainerEngine,
+        live: &mut [ContainerId],
+        config: &ContainerConfig,
+        n: usize,
+    ) -> Vec<bool> {
+        let work = ExecWork::light(SimDuration::from_millis(10));
+        (0..n)
+            .map(|i| {
+                let slot = &mut live[i % live.len()];
+                let out = e.exec(*slot, work, SimTime::ZERO).unwrap();
+                if out.crashed {
+                    e.stop_and_remove(*slot, SimTime::ZERO).unwrap();
+                    *slot = e.create_container(config.clone(), SimTime::ZERO).unwrap().0;
+                }
+                out.crashed
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fault_stream_follows_the_config_whenever_injection_starts() {
+        let x = cfg("python:3.8-alpine");
+        // Injection from the start; one container serves every execution.
+        let mut before = engine();
+        before.set_fault_injection(0.3, 7);
+        let mut live = [before.create_container(x.clone(), SimTime::ZERO).unwrap().0];
+        let expected = crash_sequence(&mut before, &mut live, &x, 200);
+        assert!(expected.contains(&true) && expected.contains(&false));
+
+        // Injection switched on after the containers exist, with other ids
+        // and other volumes, three of them taking turns: the config's
+        // stream is the same.
+        let mut after = engine();
+        after
+            .create_container(cfg("alpine:3.12"), SimTime::ZERO)
+            .unwrap();
+        let mut live: Vec<_> = (0..3)
+            .map(|_| after.create_container(x.clone(), SimTime::ZERO).unwrap().0)
+            .collect();
+        after.set_fault_injection(0.3, 7);
+        assert_eq!(crash_sequence(&mut after, &mut live, &x, 200), expected);
+    }
+
     #[test]
     fn unknown_container_errors_everywhere() {
         let mut e = engine();
@@ -1141,6 +1200,25 @@ mod estimate_tests {
         let warm_est = warm.estimate_cold_start(&cfg).unwrap();
         assert!(cold_cache > warm_est + SimDuration::from_secs(1));
         let _ = &mut warm;
+    }
+
+    #[test]
+    fn estimate_prices_the_pull_strategy() {
+        use crate::image::PullStrategy;
+        for strategy in [
+            PullStrategy::Registry,
+            PullStrategy::P2p { peers: 4 },
+            PullStrategy::Lazy { eager_pct: 15 },
+        ] {
+            let registry = ImageRegistry::with_default_catalogue();
+            let mut e = ContainerEngine::new(registry, HardwareProfile::raspberry_pi3());
+            e.set_pull_strategy(strategy);
+            let cfg = ContainerConfig::bridge(ImageId::parse("tensorflow:1.13-py3"));
+            let estimate = e.estimate_cold_start(&cfg).unwrap();
+            let (_, actual) = e.create_container(cfg, SimTime::ZERO).unwrap();
+            assert!(!actual.image_pull.is_zero(), "{strategy:?}: uncached");
+            assert_eq!(estimate, actual.total(), "{strategy:?}");
+        }
     }
 
     #[test]

@@ -361,10 +361,10 @@ impl LocalImageStore {
         cost.download + cost.unpack
     }
 
-    /// Like [`Self::pull`], but reports the download (bandwidth-bound) and
-    /// unpack (decompression-bound) phases separately, for per-stage
-    /// telemetry.
-    pub(crate) fn pull_split(&mut self, spec: &ImageSpec, hw: &HardwareProfile) -> PullCost {
+    /// What pulling `spec` would cost right now, without pulling it: the
+    /// download (bandwidth-bound) and unpack (decompression-bound) phases of
+    /// the strategy's critical path. Free for a cached image.
+    pub(crate) fn pull_cost(&self, spec: &ImageSpec, hw: &HardwareProfile) -> PullCost {
         if self.has_image(&spec.id) {
             return PullCost::default();
         }
@@ -376,14 +376,24 @@ impl LocalImageStore {
         let unpack = SimDuration::from_secs_f64(
             critical_bytes as f64 / costmodel::UNPACK_BYTES_PER_SEC as f64,
         );
-        for layer in &spec.layers {
-            self.cached_layers.insert(layer.digest.clone());
-        }
-        self.cached_images.insert(spec.id.clone());
         PullCost {
             download: hw.io(download),
             unpack: hw.io(unpack),
         }
+    }
+
+    /// Like [`Self::pull`], but reports the two phases of
+    /// [`Self::pull_cost`] separately, for per-stage telemetry.
+    pub(crate) fn pull_split(&mut self, spec: &ImageSpec, hw: &HardwareProfile) -> PullCost {
+        if self.has_image(&spec.id) {
+            return PullCost::default();
+        }
+        let cost = self.pull_cost(spec, hw);
+        for layer in &spec.layers {
+            self.cached_layers.insert(layer.digest.clone());
+        }
+        self.cached_images.insert(spec.id.clone());
+        cost
     }
 
     /// Pre-pulls every image in a registry (the paper's "images were stored

@@ -13,7 +13,7 @@
 use crate::costmodel;
 use crate::hardware::HardwareProfile;
 use simclock::SimDuration;
-use std::collections::BTreeMap;
+use stdshim::FastMap;
 
 /// Identifier of a volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,7 +39,9 @@ pub struct Volume {
 /// The host's volume manager.
 #[derive(Debug, Default, Clone)]
 pub struct VolumeStore {
-    volumes: BTreeMap<VolumeId, Volume>,
+    /// Live volumes, keyed by store-issued ids, so a [`FastMap`]: one
+    /// insert per cold start and one removal per teardown, never iterated.
+    volumes: FastMap<VolumeId, Volume>,
     next_id: u64,
 }
 
@@ -69,8 +71,9 @@ impl VolumeStore {
         Self::default()
     }
 
-    /// Creates and mounts a fresh volume; returns its id and the mount cost.
-    pub(crate) fn create_mounted(&mut self, hw: &HardwareProfile) -> (VolumeId, SimDuration) {
+    /// Creates and mounts a fresh volume; returns its id. The engine charges
+    /// the mount as part of the cold start (`costmodel::VOLUME_MOUNT`).
+    pub(crate) fn create_mounted(&mut self) -> VolumeId {
         let id = VolumeId(self.next_id);
         self.next_id += 1;
         self.volumes.insert(
@@ -81,7 +84,7 @@ impl VolumeStore {
                 mounted: true,
             },
         );
-        (id, hw.control(costmodel::VOLUME_MOUNT))
+        id
     }
 
     /// Records application writes into a mounted volume.
@@ -161,8 +164,7 @@ mod tests {
     #[test]
     fn create_write_wipe_cycle() {
         let mut store = VolumeStore::new();
-        let (id, mount_cost) = store.create_mounted(&hw());
-        assert!(!mount_cost.is_zero());
+        let id = store.create_mounted();
         store.write(id, 100, 1 << 20).unwrap();
         assert_eq!(store.get(id).unwrap().files, 100);
 
@@ -176,8 +178,8 @@ mod tests {
     #[test]
     fn wipe_cost_grows_with_files() {
         let mut store = VolumeStore::new();
-        let (a, _) = store.create_mounted(&hw());
-        let (b, _) = store.create_mounted(&hw());
+        let a = store.create_mounted();
+        let b = store.create_mounted();
         store.write(a, 10, 1024).unwrap();
         store.write(b, 10_000, 1024).unwrap();
         let ca = store.wipe_and_remount(a, &hw()).unwrap();
@@ -188,7 +190,7 @@ mod tests {
     #[test]
     fn delete_requires_unmount() {
         let mut store = VolumeStore::new();
-        let (id, _) = store.create_mounted(&hw());
+        let id = store.create_mounted();
         assert_eq!(store.delete(id), Err(VolumeError::StillMounted(id)));
         store.unmount(id).unwrap();
         assert_eq!(store.delete(id), Ok(()));
@@ -208,8 +210,8 @@ mod tests {
     #[test]
     fn ids_are_unique() {
         let mut store = VolumeStore::new();
-        let (a, _) = store.create_mounted(&hw());
-        let (b, _) = store.create_mounted(&hw());
+        let a = store.create_mounted();
+        let b = store.create_mounted();
         assert_ne!(a, b);
         assert_eq!(store.len(), 2);
     }
@@ -228,7 +230,7 @@ mod tests {
             for (i, op) in ops.iter().enumerate() {
                 match op {
                     0 => {
-                        let (id, _) = store.create_mounted(&hw());
+                        let id = store.create_mounted();
                         live.push(id);
                         created += 1;
                     }

@@ -543,17 +543,32 @@ struct Slot {
     /// container clears it.
     cold_since: Option<u64>,
     /// A representative configuration for this key, kept so the controller
-    /// can pre-warm by key alone.
-    config: ContainerConfig,
+    /// can pre-warm by key alone. Every container the pool boots with this
+    /// exact configuration hands the engine this `Arc`, so the key's
+    /// containers share one copy.
+    config: Arc<ContainerConfig>,
 }
 
 impl Slot {
-    fn new(config: ContainerConfig, ks: Arc<KeySlots>) -> Self {
+    fn new(config: Arc<ContainerConfig>, ks: Arc<KeySlots>) -> Self {
         Slot {
             ks,
             cold_since: None,
             config,
         }
+    }
+
+    /// The slot's configuration, shared, if it is exactly `config`. Under
+    /// exact keys it is by construction; a fuzzy key's requests may differ
+    /// in the fields the key ignores, and such a request gets a copy of its
+    /// own.
+    fn shared_config(
+        &self,
+        policy: KeyPolicy,
+        config: &ContainerConfig,
+    ) -> Option<Arc<ContainerConfig>> {
+        debug_assert!(policy == KeyPolicy::Fuzzy || *self.config == *config);
+        (policy != KeyPolicy::Fuzzy || *self.config == *config).then(|| Arc::clone(&self.config))
     }
 }
 
@@ -997,6 +1012,8 @@ impl RuntimePool {
         let lock_free_hit = self
             .key_slots(id.index())
             .and_then(|ks| ks.claim_warm(&self.wake, id));
+        // What a cold start hands the engine, if the key's slot has it.
+        let mut shared = None;
         let warm = lock_free_hit.or_else(|| {
             // The id↔config contract is verified off the lock-free path only:
             // the check interns, and the interner's lock would break the
@@ -1006,7 +1023,11 @@ impl RuntimePool {
             // array after the lock-free claim missed.
             let guard = self.state.lock();
             let slot = guard.slots.get(&id)?;
-            slot.ks.claim_warm(&self.wake, id)
+            let hit = slot.ks.claim_warm(&self.wake, id);
+            if hit.is_none() {
+                shared = slot.shared_config(self.policy, config);
+            }
+            hit
         });
         if let Some((_, container)) = warm {
             // Exact keys never consult the engine on reuse, so a hit on the
@@ -1029,11 +1050,12 @@ impl RuntimePool {
         // Not existing, or existing but not available: start a new one. The
         // slot is recorded only once the container exists, so a failed
         // create leaves no phantom slot behind for the controller to track.
+        let config = shared.unwrap_or_else(|| Arc::new(config.clone()));
         let (container, breakdown) =
-            engine.with_engine(|e| e.create_container(config.clone(), now))?;
+            engine.with_engine(|e| e.create_container(Arc::clone(&config), now))?;
         {
             let mut guard = self.state.lock();
-            let slot = guard.track(id, || Slot::new(config.clone(), self.slots_for(id)));
+            let slot = guard.track(id, || Slot::new(config, self.slots_for(id)));
             let slot_idx = slot.ks.publish_in_use(
                 slot.ks.claim_free(),
                 self.rindex_cell(container),
@@ -1198,11 +1220,30 @@ impl RuntimePool {
         now: SimTime,
     ) -> Result<SimDuration, EngineError> {
         let id = self.interner.intern(config);
+        let shared = self
+            .state
+            .lock()
+            .slots
+            .get(&id)
+            .and_then(|slot| slot.shared_config(self.policy, config));
+        let config = shared.unwrap_or_else(|| Arc::new(config.clone()));
+        self.prewarm_shared(engine, id, config, now)
+    }
+
+    /// [`Self::prewarm`] of `id`'s key with the configuration the new
+    /// container's engine record shares.
+    fn prewarm_shared(
+        &self,
+        engine: &impl EngineRef,
+        id: KeyId,
+        config: Arc<ContainerConfig>,
+        now: SimTime,
+    ) -> Result<SimDuration, EngineError> {
         self.bump_epoch();
         let (container, breakdown) =
-            engine.with_engine(|e| e.create_container(config.clone(), now))?;
+            engine.with_engine(|e| e.create_container(Arc::clone(&config), now))?;
         let mut guard = self.state.lock();
-        let slot = guard.track(id, || Slot::new(config.clone(), self.slots_for(id)));
+        let slot = guard.track(id, || Slot::new(config, self.slots_for(id)));
         let slot_idx = slot.ks.publish_avail(
             slot.ks.claim_free(),
             self.rindex_cell(container),
@@ -1224,9 +1265,14 @@ impl RuntimePool {
         id: KeyId,
         now: SimTime,
     ) -> Result<Option<SimDuration>, EngineError> {
-        let config = self.state.lock().slots.get(&id).map(|s| s.config.clone());
+        let config = self
+            .state
+            .lock()
+            .slots
+            .get(&id)
+            .map(|s| Arc::clone(&s.config));
         match config {
-            Some(config) => self.prewarm(engine, &config, now).map(Some),
+            Some(config) => self.prewarm_shared(engine, id, config, now).map(Some),
             None => Ok(None),
         }
     }
@@ -2010,6 +2056,56 @@ mod tests {
             .unwrap();
         assert!(!b.cold);
         assert_eq!(b.cost, FUZZY_RECONFIG_COST);
+    }
+
+    #[test]
+    fn cold_starts_share_the_slot_config_only_when_it_is_theirs() {
+        let base = cfg("python:3.8-alpine");
+        let with_env = base
+            .clone()
+            .with_exec(ExecOptions::default().with_env("MODE", "fast"));
+        // Each acquire below finds the key's only containers in use, so
+        // each one is a cold start.
+        let cold = |pool: &RuntimePool, e: &mut ContainerEngine, c: &ContainerConfig| {
+            let acq = pool.acquire(&ex(e), c, SimTime::ZERO).unwrap();
+            assert!(acq.cold);
+            acq.container
+        };
+
+        // Exact: every cold start and prewarm of the key shares one copy.
+        let mut e = plain_engine();
+        let exact = RuntimePool::new(KeyPolicy::Exact);
+        let a = cold(&exact, &mut e, &base);
+        let b = cold(&exact, &mut e, &base);
+        exact.prewarm(&ex(&mut e), &base, SimTime::ZERO).unwrap();
+        let key = exact.intern_config(&base);
+        exact
+            .prewarm_key_id(&ex(&mut e), key, SimTime::ZERO)
+            .unwrap()
+            .unwrap();
+        for c in e.live_ids_oldest_first() {
+            assert!(std::ptr::eq(e.config(a).unwrap(), e.config(c).unwrap()));
+        }
+        assert_ne!(a, b);
+
+        // Fuzzy: a same-key request with another env keeps its own config,
+        // and an equal one shares the slot's.
+        let mut e = plain_engine();
+        let fuzzy = RuntimePool::new(KeyPolicy::Fuzzy);
+        let first = cold(&fuzzy, &mut e, &base);
+        let other = cold(&fuzzy, &mut e, &with_env);
+        assert_eq!(e.config(other), Some(&with_env));
+        assert_eq!(e.config(first), Some(&base));
+        let again = cold(&fuzzy, &mut e, &base);
+        assert!(std::ptr::eq(
+            e.config(first).unwrap(),
+            e.config(again).unwrap()
+        ));
+        fuzzy
+            .prewarm(&ex(&mut e), &with_env, SimTime::ZERO)
+            .unwrap();
+        let newest = *e.live_ids_oldest_first().last().unwrap();
+        assert_eq!(e.config(newest), Some(&with_env));
     }
 
     #[test]

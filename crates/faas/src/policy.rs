@@ -11,11 +11,16 @@
 use crate::{Acquisition, RuntimeProvider};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use simclock::{SimDuration, SimTime};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Boot a fresh container per request; remove it afterwards.
 #[derive(Debug, Default)]
 pub struct ColdStartAlways {
     background: SimDuration,
+    /// Every configuration served so far, handed to the engine shared, so
+    /// a cold start copies no configuration. One entry per function.
+    configs: HashSet<Arc<ContainerConfig>>,
 }
 
 impl ColdStartAlways {
@@ -32,7 +37,15 @@ impl RuntimeProvider for ColdStartAlways {
         config: &ContainerConfig,
         now: SimTime,
     ) -> Result<Acquisition, EngineError> {
-        let (container, cost) = engine.create_container(config.clone(), now)?;
+        let shared = match self.configs.get(config) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared = Arc::new(config.clone());
+                self.configs.insert(Arc::clone(&shared));
+                shared
+            }
+        };
+        let (container, cost) = engine.create_container(shared, now)?;
         Ok(Acquisition::cold(container, cost))
     }
 
