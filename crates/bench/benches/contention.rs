@@ -157,7 +157,7 @@ fn bench_contention(h: &mut Harness) {
             .map(|_| gw.begin(&handles[0], SimTime::ZERO).expect("prime"))
             .collect();
         for inflight in primed {
-            gw.finish(&handles[0], inflight).expect("prime");
+            gw.finish(inflight).expect("prime");
         }
         let handles = vec![&handles[0]; threads];
         let name = format!("concurrent_gateway/one_function/{threads}_threads");

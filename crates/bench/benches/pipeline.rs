@@ -2,7 +2,7 @@
 //! request through gateway + watchdog + engine, warm vs cold, per provider.
 
 use containersim::{ContainerEngine, HardwareProfile};
-use faas::{AppProfile, ColdStartAlways, Gateway};
+use faas::{AppProfile, ColdStartAlways, FunctionSpec, Gateway};
 use hotc::HotC;
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
@@ -21,6 +21,24 @@ fn bench_warm_request(h: &mut Harness) {
         gw.handle("random-number", SimTime::ZERO).unwrap(); // prime
         let mut now = SimTime::from_secs(1);
         h.bench("warm_request/hotc", || {
+            now += SimDuration::from_millis(100);
+            black_box(gw.handle("random-number", now).unwrap())
+        });
+    }
+    {
+        // The same request with 2 000 functions registered, named the way a
+        // scenario names replicas: a table lookup by name must not grow
+        // with the table (gated as a ratio to `warm_request/hotc`).
+        let mut gw = hotc_gateway();
+        for i in 1..2000 {
+            gw.register(
+                FunctionSpec::from_app(AppProfile::random_number())
+                    .named(format!("random-number#{i}")),
+            );
+        }
+        gw.handle("random-number", SimTime::ZERO).unwrap(); // prime
+        let mut now = SimTime::from_secs(1);
+        h.bench("warm_request/hotc_2000_fns", || {
             now += SimDuration::from_millis(100);
             black_box(gw.handle("random-number", now).unwrap())
         });
@@ -62,7 +80,7 @@ fn bench_tick_with_large_pool(h: &mut Harness) {
                 let mut config = app.default_config();
                 config.exec.env.insert("T".into(), i.to_string());
                 gw.register(
-                    faas::FunctionSpec::from_app(app)
+                    FunctionSpec::from_app(app)
                         .named(format!("fn-{i}"))
                         .with_config(config),
                 );

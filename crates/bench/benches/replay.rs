@@ -132,7 +132,7 @@ fn replay_parallel(requests: u64, keys: usize, workers: usize) -> u64 {
         limits.max_live.div_ceil(workers).max(1),
         limits.mem_threshold,
     );
-    run_partitioned(workers, |w| {
+    run_partitioned(vec![(); workers], |w, ()| {
         let provider = HotC::new(HotCConfig {
             limits: per_worker,
             ..Default::default()

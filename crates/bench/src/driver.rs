@@ -337,24 +337,28 @@ where
     TraceOutcome::new(gateway, summary)
 }
 
-/// Runs `worker(w)` for `w in 0..threads` on scoped OS threads and returns
-/// the results in worker-index order — the deterministic reduction order the
-/// parallel replay merge depends on. With one thread the worker runs inline
+/// Runs `worker(w, inputs[w])` for every worker `w` on scoped OS threads —
+/// one thread per input, each moved into its worker — and returns the
+/// results in worker-index order: the deterministic reduction order the
+/// parallel replay merge depends on. With one input the worker runs inline
 /// (the degenerate case exercises the same worker body with no spawn cost).
 /// A worker panic propagates to the caller.
-pub fn run_partitioned<W, F>(threads: usize, worker: F) -> Vec<W>
+pub fn run_partitioned<I, W, F>(inputs: Vec<I>, worker: F) -> Vec<W>
 where
+    I: Send,
     W: Send,
-    F: Fn(usize) -> W + Sync,
+    F: Fn(usize, I) -> W + Sync,
 {
-    assert!(threads >= 1, "need at least one replay worker");
-    if threads == 1 {
-        return vec![worker(0)];
+    assert!(!inputs.is_empty(), "need at least one replay worker");
+    if inputs.len() == 1 {
+        return inputs.into_iter().map(|input| worker(0, input)).collect();
     }
     std::thread::scope(|scope| {
         let worker = &worker;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| scope.spawn(move || worker(w)))
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(w, input)| scope.spawn(move || worker(w, input)))
             .collect();
         handles
             .into_iter()
@@ -706,7 +710,7 @@ pub(crate) mod tests {
     {
         let workers = assign.iter().max().map_or(1, |m| m + 1);
         let assign = std::sync::Arc::new(assign.to_vec());
-        run_partitioned(workers, |worker| {
+        run_partitioned(vec![(); workers], |worker, ()| {
             let source = VecTrace::new(w.to_vec());
             let mut part = PartitionTrace::new(source, std::sync::Arc::clone(&assign), worker);
             let mut finishes = Finishes::new();

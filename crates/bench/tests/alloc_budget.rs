@@ -1,0 +1,172 @@
+//! The request path's allocation budget, counted without the benchmark: a
+//! warm `Gateway<HotC>` request allocates nothing, and a cold-start request
+//! or a warm clustered one allocates only what amortised table growth costs.
+//!
+//! This target installs its own counting global allocator — the same scoped
+//! `unsafe` as the benchmark's counted pass, for the same reason. It counts
+//! per thread, so the test harness's other threads never show up in a
+//! measurement.
+#![allow(unsafe_code)]
+
+use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
+use faas::{AppProfile, ColdStartAlways, FunctionSpec, Gateway, RuntimeProvider};
+use hotc::HotC;
+use hotc_cluster::{Cluster, SchedulePolicy};
+use simclock::{SimDuration, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Forwards to [`System`], counting the calling thread's allocations.
+/// `realloc` counts as one (it may move).
+struct CountingAlloc;
+
+fn count() {
+    // A thread being torn down may allocate after its locals are gone;
+    // nothing is measuring it then.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only added work is a thread-local
+// counter increment that neither allocates nor touches allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, for
+        // this same `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr`/`layout` came from `System` through this allocator
+        // and the caller guarantees `new_size` is valid for the alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns how many allocations this thread made inside it.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const REQUESTS: u64 = 1_000;
+const GAP: SimDuration = SimDuration::from_millis(100);
+
+/// Four functions under four runtime keys.
+fn specs() -> Vec<FunctionSpec> {
+    [
+        LanguageRuntime::Python,
+        LanguageRuntime::Go,
+        LanguageRuntime::NodeJs,
+        LanguageRuntime::Java,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, lang)| FunctionSpec::from_app(AppProfile::qr_code(lang)).named(format!("fn-{i}")))
+    .collect()
+}
+
+const NAMES: [&str; 4] = ["fn-0", "fn-1", "fn-2", "fn-3"];
+
+fn gateway<P: RuntimeProvider>(provider: P) -> Gateway<P> {
+    let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+    let mut gw = Gateway::new(engine, provider);
+    for spec in specs() {
+        gw.register(spec);
+    }
+    gw
+}
+
+/// Serves one request of each function in turn, `rounds` times, each
+/// through `begin` + `finish`; returns the next free instant.
+fn serve<P: RuntimeProvider>(gw: &mut Gateway<P>, rounds: u64, mut now: SimTime) -> SimTime {
+    for _ in 0..rounds {
+        for name in NAMES {
+            let inflight = gw.begin(name, now).expect("begin");
+            let trace = gw.finish(inflight).expect("finish");
+            now = trace.t6_gateway_out + GAP;
+        }
+    }
+    now
+}
+
+#[test]
+fn a_warm_gateway_request_allocates_nothing() {
+    let mut gw = gateway(HotC::with_defaults());
+    let now = serve(&mut gw, 1, SimTime::ZERO);
+    let (_, allocs) = allocations(|| serve(&mut gw, REQUESTS / 4, now));
+    assert_eq!(gw.stats().cold_starts, 4, "only the warm-up was cold");
+    assert_eq!(
+        allocs, 0,
+        "{REQUESTS} warm requests allocated {allocs} times"
+    );
+}
+
+#[test]
+fn a_cold_start_request_allocates_only_amortised_growth() {
+    let mut gw = gateway(ColdStartAlways::new());
+    let now = serve(&mut gw, 1, SimTime::ZERO);
+    let (_, allocs) = allocations(|| serve(&mut gw, REQUESTS / 4, now));
+    assert_eq!(gw.stats().cold_starts, 4 + REQUESTS);
+    let per_request = allocs as f64 / REQUESTS as f64;
+    assert!(
+        per_request <= 0.01,
+        "{per_request} allocations per cold request"
+    );
+}
+
+#[test]
+fn a_warm_cluster_request_allocates_only_amortised_growth() {
+    let gateways = (0..4)
+        .map(|i| {
+            let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+            (
+                format!("node-{i}"),
+                Gateway::new(engine, HotC::with_defaults()),
+            )
+        })
+        .collect();
+    let mut cluster = Cluster::new(SchedulePolicy::ReuseAffinity, gateways);
+    for spec in specs() {
+        cluster.register_everywhere(spec);
+    }
+    let serve = |cluster: &mut Cluster, rounds: u64, mut now: SimTime| {
+        for _ in 0..rounds {
+            for name in NAMES {
+                let ticket = cluster.begin(name, now).expect("begin");
+                let trace = cluster.finish(ticket).expect("finish");
+                now = trace.t6_gateway_out + GAP;
+            }
+        }
+        now
+    };
+    let now = serve(&mut cluster, 1, SimTime::ZERO);
+    let (_, allocs) = allocations(|| serve(&mut cluster, REQUESTS / 4, now));
+    assert_eq!(cluster.stats().cold_starts, 4, "only the warm-up was cold");
+    let per_request = allocs as f64 / REQUESTS as f64;
+    assert!(
+        per_request <= 0.01,
+        "{per_request} allocations per warm clustered request"
+    );
+}

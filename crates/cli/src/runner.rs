@@ -405,7 +405,10 @@ impl ReportAggregator {
 /// Expands the scenario's function declarations (× replicas) into the flat
 /// slot list all gateways are registered from: route name, app profile and
 /// fully resolved container configuration. Slot index == the
-/// `config_id % slots` routing index used by every driver.
+/// `config_id % slots` routing index used by every driver. Each spec is
+/// built the way a library user deploys one (`from_app`, `named`,
+/// `with_config`), so a replay's set-up allocates what a hand-built
+/// deployment of the same slots does.
 fn slot_specs(scenario: &Scenario) -> Result<Vec<FunctionSpec>, String> {
     let mut slots = Vec::new();
     for decl in &scenario.functions {
@@ -428,41 +431,51 @@ fn slot_specs(scenario: &Scenario) -> Result<Vec<FunctionSpec>, String> {
                     .env
                     .insert("HOTC_REPLICA".to_string(), i.to_string());
             }
-            slots.push(FunctionSpec {
-                name,
-                app: app.clone(),
-                config,
-            });
+            slots.push(
+                FunctionSpec::from_app(app.clone())
+                    .named(name)
+                    .with_config(config),
+            );
         }
     }
     Ok(slots)
 }
 
-/// Builds a gateway registering `slots` — all of them, or (for a replay
-/// worker) only the subset `assign` maps to worker `w`. Fault injection is
-/// seeded identically either way; crash draws decompose per-config, so a
-/// worker owning a subset of slots sees exactly the draws a one-worker run
-/// dealt those configs.
+/// Builds a gateway and moves `slots` into it — all of them, or (for a
+/// replay worker) the ones [`deal_slots`] gave it. Fault injection is seeded
+/// identically either way; crash draws decompose per-config, so a worker
+/// owning a subset of slots sees exactly the draws a one-worker run dealt
+/// those configs.
 fn build_gateway_slots<P: RuntimeProvider>(
     provider: P,
     scenario: &Scenario,
-    slots: &[FunctionSpec],
-    only_worker: Option<(&[usize], usize)>,
+    slots: Vec<FunctionSpec>,
 ) -> Gateway<P> {
     let mut engine = ContainerEngine::with_local_images(scenario.hardware.clone());
     if scenario.crash_rate > 0.0 {
         engine.set_fault_injection(scenario.crash_rate, scenario.seed);
     }
     let mut gateway = Gateway::new(engine, provider);
-    for (i, slot) in slots.iter().enumerate() {
-        if let Some((assign, w)) = only_worker {
-            if assign[i] != w {
-                continue;
-            }
-        }
-        gateway.register(slot.clone());
+    for slot in slots {
+        gateway.register(slot);
     }
     gateway
+}
+
+/// Deals each slot to the worker `assign` names, in slot order, so every
+/// worker's gateway can own its specs instead of cloning them.
+fn deal_slots(
+    slots: Vec<FunctionSpec>,
+    assign: &[usize],
+    threads: usize,
+) -> Vec<Vec<FunctionSpec>> {
+    let mut dealt: Vec<Vec<FunctionSpec>> = (0..threads)
+        .map(|w| Vec::with_capacity(assign.iter().filter(|&&a| a == w).count()))
+        .collect();
+    for (slot, &w) in slots.into_iter().zip(assign) {
+        dealt[w].push(slot);
+    }
+    dealt
 }
 
 /// A driver body, generic over the provider the scenario selected.
@@ -558,19 +571,20 @@ impl ProviderOp for ReplayOp<'_> {
         let scenario = self.scenario;
         let threads = self.threads;
         let slots = slot_specs(scenario)?;
+        let n_slots = slots.len();
         let names: Arc<Vec<String>> = Arc::new(slots.iter().map(|s| s.name.clone()).collect());
         let assign: Arc<Vec<usize>> = Arc::new(partition_slots(
             &slots,
             provider_policy(&scenario.provider),
             threads,
         ));
-        let slots = &slots;
+        let dealt = deal_slots(slots, &assign, threads);
 
-        let results = run_partitioned(threads, |w| -> Result<_, String> {
+        let results = run_partitioned(dealt, |w, slots| -> Result<_, String> {
             // Workload generation is deterministic: every worker rebuilds
             // the full stream and filters it down to its own slots, keeping
             // the global arrival indices for tie-breaking and the series.
-            let mut trace = build_trace(&scenario.workload, slots.len(), scenario.seed)?;
+            let mut trace = build_trace(&scenario.workload, n_slots, scenario.seed)?;
             // An empty *stream* is an error (every worker sees the same one,
             // before it builds a gateway); an empty partition is not.
             if trace.peek().is_none() {
@@ -580,7 +594,7 @@ impl ProviderOp for ReplayOp<'_> {
                 });
             }
             let mut part = PartitionTrace::new(trace, Arc::clone(&assign), w);
-            let gateway = build_gateway_slots(make(), scenario, slots, Some((&assign, w)));
+            let gateway = build_gateway_slots(make(), scenario, slots);
             let names = Arc::clone(&names);
             let mut agg = ReportAggregator::new();
             let out = run_trace_partition(

@@ -25,7 +25,7 @@ impl ProviderOp for MaterializedOp<'_> {
     {
         let slots = slot_specs(self.scenario)?;
         let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
-        let gateway = build_gateway_slots(make(), self.scenario, &slots, None);
+        let gateway = build_gateway_slots(make(), self.scenario, slots);
         let out = run_workload(
             gateway,
             self.workload,

@@ -33,13 +33,15 @@ struct RefNode {
     inflight: usize,
 }
 
-/// A ticket for an in-flight request on the reference cluster.
+/// A ticket for an in-flight request on the reference cluster. It carries
+/// the function's index in the cluster's table, as [`Cluster`]'s does.
 #[derive(Debug)]
 pub struct RefInFlight {
     /// Index of the node serving the request.
     pub node: usize,
     /// The node-local in-flight handle.
     pub inner: InFlight,
+    function: usize,
 }
 
 /// The scan-everything twin of [`Cluster`]. See the module docs.
@@ -249,9 +251,9 @@ impl ReferenceCluster {
     /// function's key itself (the oracle keeps no key translations).
     pub fn begin(&mut self, function: &str, now: SimTime) -> Result<RefInFlight, ClusterError> {
         let (f, node) = self.place(function, now)?;
-        let spec = self.functions[f].0.clone();
-        let inner = self.nodes[node].gateway.begin_with(&spec, None, now)?;
-        let key = self.functions[f].1;
+        let (spec, key) = &self.functions[f];
+        let key = *key;
+        let inner = self.nodes[node].gateway.begin_with(spec, None, now)?;
         if self.staleness.is_zero() {
             if inner.cold {
                 self.resync_node(node);
@@ -265,19 +267,24 @@ impl ReferenceCluster {
             }
         }
         self.nodes[node].inflight += 1;
-        Ok(RefInFlight { node, inner })
+        Ok(RefInFlight {
+            node,
+            inner,
+            function: f,
+        })
     }
 
     /// Mirrors [`Cluster::finish`].
     pub fn finish(&mut self, ticket: RefInFlight) -> Result<RequestTrace, ClusterError> {
-        let RefInFlight { node, inner } = ticket;
-        let f = self.fn_index(&inner.function);
+        let RefInFlight {
+            node,
+            inner,
+            function,
+        } = ticket;
         let trace = self.nodes[node].gateway.finish(inner)?;
         self.nodes[node].inflight -= 1;
         if self.staleness.is_zero() {
-            if let Some(f) = f {
-                self.touch_true(node, f);
-            }
+            self.touch_true(node, function);
         }
         Ok(trace)
     }

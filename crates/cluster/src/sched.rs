@@ -95,13 +95,15 @@ struct FnEntry {
 /// [`Cluster::begin`] and only redeemed once by [`Cluster::finish`] —
 /// duplicating one (the node and [`InFlight`] are readable and `InFlight`
 /// is `Clone`) yields [`ClusterError::StaleTicket`] instead of silently
-/// skewing the load index.
+/// skewing the load index. The ticket also carries the function's index in
+/// the cluster's table, so `finish` looks nothing up by name.
 #[derive(Debug)]
 pub struct ClusterInFlight {
     /// Index of the node serving the request.
     pub node: usize,
     /// The node-local in-flight handle.
     pub inner: InFlight,
+    function: u32,
     token: u64,
 }
 
@@ -164,7 +166,8 @@ pub struct Cluster {
     nodes: Vec<Node>,
     policy: SchedulePolicy,
     next_rr: usize,
-    /// Function name → index into `specs`. The single cluster-wide registry.
+    /// Function name → index into `specs`. The single cluster-wide registry;
+    /// a re-registration keeps its function's index.
     functions: FastMap<String, u32>,
     specs: Vec<FnEntry>,
     /// Cluster-wide key interner; rows of `warm` are indexed by its ids.
@@ -425,33 +428,42 @@ impl Cluster {
         let token = self.next_token;
         self.next_token += 1;
         self.outstanding.insert(token, entry.key);
-        Ok(ClusterInFlight { node, inner, token })
+        Ok(ClusterInFlight {
+            node,
+            inner,
+            function: f,
+            token,
+        })
     }
 
     /// Completes a clustered request. Tickets are single-use: a duplicate
     /// (or foreign) ticket returns [`ClusterError::StaleTicket`] without
     /// touching any node.
     pub fn finish(&mut self, ticket: ClusterInFlight) -> Result<RequestTrace, ClusterError> {
-        let ClusterInFlight { node, inner, token } = ticket;
+        let ClusterInFlight {
+            node,
+            inner,
+            function,
+            token,
+        } = ticket;
         let Some(placed) = self.outstanding.remove(&token) else {
             return Err(ClusterError::StaleTicket);
         };
-        let f = self.functions.get(inner.function.as_str()).copied();
         let seen = self.nodes[node].gateway.provider().pool().mutation_epoch();
         let trace = self.nodes[node].gateway.finish(inner)?;
         self.load.dec(node);
         if self.staleness.is_zero() {
-            if let Some(f) = f {
-                let key = self.specs[f as usize].key;
-                let pool = self.nodes[node].gateway.provider().pool();
-                self.warm.touch_true(key, node, pool);
-                // The runtime went back to the key it was placed under. If
-                // the function has been re-registered under another since,
-                // that key's count is the one that moved: leave the drift
-                // for the next tick's resync.
-                if key == placed {
-                    self.warm.carry_epoch(node, seen, pool);
-                }
+            // The function's current key: a re-registration since `begin`
+            // kept the index and replaced the entry.
+            let key = self.specs[function as usize].key;
+            let pool = self.nodes[node].gateway.provider().pool();
+            self.warm.touch_true(key, node, pool);
+            // The runtime went back to the key it was placed under. If
+            // the function has been re-registered under another since,
+            // that key's count is the one that moved: leave the drift
+            // for the next tick's resync.
+            if key == placed {
+                self.warm.carry_epoch(node, seen, pool);
             }
         }
         Ok(trace)
@@ -764,6 +776,7 @@ mod tests {
         let forged = ClusterInFlight {
             node: t.node,
             inner: t.inner.clone(),
+            function: t.function,
             token: t.token,
         };
         c.finish(t).unwrap();

@@ -437,7 +437,7 @@ impl ContainerEngine {
         work: ExecWork,
         _now: SimTime,
     ) -> Result<ExecOutcome, EngineError> {
-        let hw = self.host.hardware().clone();
+        let hw = self.host.hardware();
         let rec = self
             .containers
             .get_mut(&id)
@@ -563,7 +563,7 @@ impl ContainerEngine {
     /// Algorithm 2's container cleanup: wipe the used volume and remount a
     /// fresh one so the runtime can be reused. Returns the cleanup cost.
     pub fn cleanup(&mut self, id: ContainerId, _now: SimTime) -> Result<SimDuration, EngineError> {
-        let hw = self.host.hardware().clone();
+        let hw = self.host.hardware();
         let rec = self
             .containers
             .get_mut(&id)
@@ -578,7 +578,7 @@ impl ContainerEngine {
         let volume = rec.volume;
         let cost = self
             .volumes
-            .wipe_and_remount(volume, &hw)
+            .wipe_and_remount(volume, hw)
             .map_err(|_| EngineError::Internal("live container volume missing on cleanup"))?;
         Ok(cost)
     }

@@ -18,11 +18,13 @@
 //! with the engine's.
 //!
 //! Telemetry: `finish` takes the function's stage-set lock once, after the
-//! engine's was released, to record into `fn/<function>` (`all` and
-//! `gateway/e2e` are snapshot-time unions over `fn/`). [`ConcurrentGateway::tick`]
-//! is the only emitter of `controller/*`, `pool/available`, `pool/in_use`,
-//! `pool/evictions` and, on this frontend, `pool/live`, all mirrored from
-//! [`HotC`]; reading [`ConcurrentGateway::metrics`] refreshes the counters.
+//! engine's was released, to record into `fn/<function>` of the handle the
+//! request began with — the [`InFlight`] carries a borrow of that stage set
+//! (`all` and `gateway/e2e` are snapshot-time unions over `fn/`).
+//! [`ConcurrentGateway::tick`] is the only emitter of `controller/*`,
+//! `pool/available`, `pool/in_use`, `pool/evictions` and, on this frontend,
+//! `pool/live`, all mirrored from [`HotC`]; reading
+//! [`ConcurrentGateway::metrics`] refreshes the counters.
 //!
 //! The global-lock baseline it is measured against is a fixture local to
 //! `benches/contention.rs`, not a type of this crate.
@@ -153,17 +155,26 @@ impl ConcurrentGateway {
 
     /// Starts serving a request of `function` that arrived at `now`. Each
     /// piece of shared state is locked by itself, in a fixed order, and never
-    /// across a container creation.
-    pub fn begin(&self, function: &FunctionHandle, now: SimTime) -> Result<InFlight, GatewayError> {
+    /// across a container creation. The in-flight request borrows the
+    /// handle's stage set, which `finish` records into.
+    pub fn begin<'h>(
+        &self,
+        function: &'h FunctionHandle,
+        now: SimTime,
+    ) -> Result<InFlight<&'h StageSet>, GatewayError> {
         // DESIGN.md §5: the request path holds at most one of {pool state,
         // engine} at a time — and a warm acquire holds none at all: nothing
         // precedes it in this scope, so a lock-free hit must leave the
         // scope's lock count at zero.
         let scope = stdshim::request_path_scope();
-        let FunctionHandle { spec, key_id, .. } = function;
+        let FunctionHandle {
+            spec,
+            key_id,
+            stage_fn,
+        } = function;
         InFlight::begin(
             &mut (),
-            spec,
+            &**stage_fn,
             now,
             |(), t2| {
                 // The acquire reuses the registration-time interned id, so a
@@ -193,15 +204,9 @@ impl ConcurrentGateway {
 
     /// Completes an in-flight request at its `t4`: end the execution, return
     /// the container to the pool (a crashed one is disposed of), bump the
-    /// atomic counters and record the stages into `function`'s scope.
-    /// `function` should be the handle the request began with: the pool
-    /// finds the container's key by itself, but the telemetry lands in the
-    /// scope of whichever handle is given.
-    pub fn finish(
-        &self,
-        function: &FunctionHandle,
-        inflight: InFlight,
-    ) -> Result<RequestTrace, GatewayError> {
+    /// atomic counters and record the stages into the scope of the handle
+    /// the request began with. The pool finds the container's key by itself.
+    pub fn finish(&self, inflight: InFlight<&StageSet>) -> Result<RequestTrace, GatewayError> {
         // DESIGN.md §5: at most one lock at a time on the finish path too —
         // and a warm release takes none outside the single engine critical
         // section (the container resolves through the pool's lock-free
@@ -219,9 +224,10 @@ impl ConcurrentGateway {
         self.stats.record(inflight.cold);
         let trace = inflight.complete();
         // Always-on stage telemetry: one stage-set lock per request,
-        // through the registration-time handle (no name lookup). Counters,
-        // the `all` scope and the e2e histogram are derived at read time.
-        function.stage_fn.record(&inflight.stage_sample());
+        // through the registration-time handle the request carries (no name
+        // lookup). Counters, the `all` scope and the e2e histogram are
+        // derived at read time.
+        inflight.scope.record(&inflight.stage_sample());
         Ok(trace)
     }
 
@@ -233,7 +239,7 @@ impl ConcurrentGateway {
         now: SimTime,
     ) -> Result<RequestTrace, GatewayError> {
         let inflight = self.begin(function, now)?;
-        self.finish(function, inflight)
+        self.finish(inflight)
     }
 
     /// Periodic maintenance: `HotC`'s tick (controller step, limit
@@ -455,7 +461,7 @@ mod tests {
         let inflight = gw.begin(&handles[0], cold.t6_gateway_out).unwrap();
         assert!(!inflight.cold);
         assert_eq!(scope.locks_taken(), 1, "begin: core/engine only");
-        gw.finish(&handles[0], inflight).unwrap();
+        gw.finish(inflight).unwrap();
         assert_eq!(
             scope.locks_taken(),
             3,
@@ -614,18 +620,23 @@ mod tests {
         assert_eq!(pool.keys(), vec![python], "pooled under another key");
     }
 
-    /// The request is finished through a handle pinning another function and
-    /// key (concurrent), or the function is re-registered with another
-    /// configuration mid-flight (exclusive): the pool, not the frontend, knows
-    /// which key a container belongs to. The old configuration's next request
-    /// reuses the runtime warm; the new configuration cold-starts.
+    /// A request finishes while another function holds the key it was
+    /// acquired under (concurrent), or its function is re-registered with
+    /// another configuration mid-flight (exclusive): the pool, not the
+    /// frontend, knows which key a container belongs to, and the in-flight
+    /// request, not the caller, which `fn/` scope its stages land in. The
+    /// old configuration's next request reuses the runtime warm; the new
+    /// configuration cold-starts.
     #[test]
     fn a_finished_container_returns_to_the_key_it_was_acquired_under() {
         let (gw, handles) = concurrent_gateway();
         let (python, go) = (&handles[0], &handles[1]);
         let inflight = gw.begin(python, SimTime::ZERO).unwrap();
         let (container, t4) = (inflight.container, inflight.t4_func_end);
-        gw.finish(go, inflight).unwrap();
+        gw.finish(inflight).unwrap();
+        let snap = gw.metrics().snapshot();
+        assert_eq!(snap.stage_count("fn/qr-0", metrics_lite::Stage::Exec), 1);
+        assert_eq!(snap.stage_count("fn/qr-1", metrics_lite::Stage::Exec), 0);
         let live = gw.with_engine(|e| e.live_count());
         assert_returned_to_the_python_pool(gw.pool(), live);
         assert!(gw.handle(go, t4).unwrap().cold);

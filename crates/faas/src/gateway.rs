@@ -19,7 +19,12 @@
 //! `all` and histogram `gateway/e2e` are declared as snapshot-time unions
 //! over `fn/`, and [`Gateway::metrics`] adds what the request tally gained
 //! to `gateway/requests` / `gateway/cold_starts`. This gateway emits no
-//! other name (`pool/live` is sampled by the replay driver).
+//! other name (`pool/live` is sampled by the replay driver). The `fn/` set
+//! travels with the request: `begin` resolves it from the function's table
+//! entry (or, for [`Gateway::begin_with`], one lookup by name) and the
+//! [`InFlight`] carries its [`FnScope`] index, so `finish` names nothing and
+//! a request lands in the scope it began in even if its function is
+//! re-registered meanwhile.
 //!
 //! Two driving styles:
 //! * [`Gateway::handle`] — begin+finish in one call, for workloads whose
@@ -37,7 +42,7 @@ use containersim::{
 use metrics_lite::{Counter, MetricsRegistry, Stage, StageSample, StageSet};
 use simclock::{SimDuration, SimTime};
 use std::cell::{Cell, OnceCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -149,11 +154,22 @@ impl From<EngineError> for GatewayError {
     }
 }
 
+/// A [`Gateway`]'s handle to one function's `fn/` stage set: an index into
+/// the gateway's scope table. Resolved when a request begins, so `finish`
+/// records without naming the function; meaningful only to the gateway
+/// that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FnScope(u32);
+
 /// A request that has started executing; `finish` completes it at its `t4`.
+///
+/// `S` is the handle to the `fn/` stage set the request is recorded into,
+/// resolved when it began: a [`Gateway`]'s [`FnScope`], or the stage set
+/// itself for a frontend that keeps no table.
 #[derive(Debug, Clone)]
-pub struct InFlight {
-    /// The function being served.
-    pub function: String,
+pub struct InFlight<S = FnScope> {
+    /// Where the request's stages are recorded.
+    pub scope: S,
     /// The container executing it.
     pub container: ContainerId,
     /// When the function process will stop (schedule `finish` here).
@@ -180,21 +196,22 @@ pub struct InFlight {
     pub exec_latency: SimDuration,
 }
 
-impl InFlight {
+impl<S> InFlight<S> {
     /// Stamps the request-path timestamps (1)–(4) around the two things a
     /// gateway does between them — `acquire` a runtime at (2), then `start`
-    /// the function process in it at (3) — and builds the in-flight record.
-    /// Shared by every gateway frontend, like [`Self::complete`]. The
-    /// closures run one after the other, so what both must borrow mutably
-    /// (an exclusive engine) travels in `ctx` instead of being captured
-    /// twice; a frontend whose entry points take `&self` passes `&mut ()`.
+    /// the function process in it at (3) — and builds the in-flight record,
+    /// which carries `scope` to `finish`. Shared by every gateway frontend,
+    /// like [`Self::complete`]. The closures run one after the other, so
+    /// what both must borrow mutably (an exclusive engine) travels in `ctx`
+    /// instead of being captured twice; a frontend whose entry points take
+    /// `&self` passes `&mut ()`.
     pub fn begin<C>(
         ctx: &mut C,
-        spec: &FunctionSpec,
+        scope: S,
         now: SimTime,
         acquire: impl FnOnce(&mut C, SimTime) -> Result<Acquisition, EngineError>,
         start: impl FnOnce(&mut C, ContainerId, SimTime) -> Result<ExecOutcome, EngineError>,
-    ) -> Result<InFlight, GatewayError> {
+    ) -> Result<InFlight<S>, GatewayError> {
         let t1 = now;
         let t2 = t1 + GATEWAY_HOP;
         let acq = acquire(ctx, t2)?;
@@ -203,7 +220,7 @@ impl InFlight {
         let outcome = start(ctx, acq.container, t3)?;
         let t4 = t3 + outcome.latency;
         Ok(InFlight {
-            function: spec.name.clone(),
+            scope,
             container: acq.container,
             t4_func_end: t4,
             t1,
@@ -266,14 +283,16 @@ impl InFlight {
     }
 }
 
-/// A function-table entry: the spec and the provider's key for its
-/// configuration. The key is filled by the function's first request — not at
-/// registration, so a provider hands out keys in first-request order — and
-/// a re-registration starts a fresh entry, so the key never outlives the
-/// configuration it was resolved from.
+/// A function-table entry: the spec, the provider's key for its
+/// configuration and the function's `fn/` scope. Key and scope are filled by
+/// the function's first request — not at registration, so a provider hands
+/// out keys in first-request order. A re-registration empties the key, so it
+/// never outlives the configuration it was resolved from, and keeps the
+/// scope, whose name has not changed.
 struct Deployed {
     spec: FunctionSpec,
     key: Option<ProviderKey>,
+    scope: Option<FnScope>,
 }
 
 /// The serverless gateway.
@@ -295,8 +314,14 @@ struct Deployed {
 pub struct Gateway<P: RuntimeProvider> {
     engine: ContainerEngine,
     provider: P,
-    /// The function table: name → deployed spec and its cached key.
-    functions: BTreeMap<String, Deployed>,
+    /// The function table: name → deployed spec, its cached key and scope.
+    /// Entries are boxed so a resize moves pointers: inline, the ~340-byte
+    /// entries would sit in the old and the new table at once, a peak the
+    /// ordered map this replaced never had.
+    functions: HashMap<String, Box<Deployed>>,
+    /// The scopes of functions served through [`Self::begin_with`], which
+    /// are not in `functions`.
+    placed: HashMap<String, FnScope>,
     stats: SharedStats,
     metrics: Arc<MetricsRegistry>,
     /// The `gateway/requests` and `gateway/cold_starts` handles, resolved by
@@ -305,11 +330,13 @@ pub struct Gateway<P: RuntimeProvider> {
     mirror: OnceCell<(Arc<Counter>, Arc<Counter>)>,
     /// How much of `stats` has been added through `mirror` so far.
     mirrored: Cell<GatewayStats>,
-    /// `fn/<name>` stage-set handles by function name, filled on a
-    /// function's first `finish` (not at registration: a function that is
-    /// never invoked must not appear in the snapshot, and `begin_with`
-    /// callers' functions are not in `functions` at all).
-    fn_stages: HashMap<String, Arc<StageSet>>,
+    /// `fn/<name>` stage-set handles, indexed by [`FnScope`]. A function's
+    /// is resolved by its first `begin`, not at registration: the scope name
+    /// is formatted and looked up in the registry once per function, and a
+    /// function never invoked costs no stage set (the registry leaves a set
+    /// out of snapshots until it has recorded, so creating it at `begin`
+    /// rather than at `finish` shows nowhere).
+    scopes: Vec<Arc<StageSet>>,
 }
 
 impl<P: RuntimeProvider> Gateway<P> {
@@ -333,12 +360,13 @@ impl<P: RuntimeProvider> Gateway<P> {
         Gateway {
             engine,
             provider,
-            functions: BTreeMap::new(),
+            functions: HashMap::new(),
+            placed: HashMap::new(),
             stats: SharedStats::new(),
             metrics,
             mirror: OnceCell::new(),
             mirrored: Cell::new(GatewayStats::default()),
-            fn_stages: HashMap::new(),
+            scopes: Vec::new(),
         }
     }
 
@@ -359,21 +387,30 @@ impl<P: RuntimeProvider> Gateway<P> {
     }
 
     /// Registers (or replaces) a function. A replaced function's cached key
-    /// goes with its old entry.
+    /// goes with its old entry; its scope stays, so a request begun before
+    /// the replacement and one begun after record into the same `fn/` set.
     pub fn register(&mut self, spec: FunctionSpec) {
-        self.functions
-            .insert(spec.name.clone(), Deployed { spec, key: None });
+        match self.functions.get_mut(spec.name.as_str()) {
+            Some(deployed) => {
+                deployed.spec = spec;
+                deployed.key = None;
+            }
+            None => {
+                let deployed = Deployed {
+                    spec,
+                    key: None,
+                    scope: None,
+                };
+                self.functions
+                    .insert(deployed.spec.name.clone(), Box::new(deployed));
+            }
+        }
     }
 
     /// Convenience: registers an app under its own name with its default
     /// configuration.
     pub fn register_app(&mut self, app: AppProfile) {
         self.register(FunctionSpec::from_app(app));
-    }
-
-    /// All deployed functions, name-ordered.
-    pub fn functions(&self) -> impl Iterator<Item = &FunctionSpec> {
-        self.functions.values().map(|d| &d.spec)
     }
 
     /// Looks up one function's spec.
@@ -411,11 +448,13 @@ impl<P: RuntimeProvider> Gateway<P> {
     /// Timestamps (1)–(4) are computed; the caller must invoke
     /// [`Self::finish`] once the virtual clock reaches `t4_func_end`.
     pub fn begin(&mut self, function: &str, now: SimTime) -> Result<InFlight, GatewayError> {
-        let Deployed { spec, key } = self
+        let Deployed { spec, key, scope } = &mut **self
             .functions
             .get_mut(function)
             .ok_or_else(|| GatewayError::UnknownFunction(function.to_string()))?;
-        Self::begin_on(&mut self.engine, &mut self.provider, spec, key, now)
+        let scope = *scope
+            .get_or_insert_with(|| Self::new_scope(&mut self.scopes, &self.metrics, &spec.name));
+        Self::begin_on(&mut self.engine, &mut self.provider, spec, key, scope, now)
     }
 
     /// [`Self::begin`] with a caller-held spec, bypassing this gateway's
@@ -423,14 +462,43 @@ impl<P: RuntimeProvider> Gateway<P> {
     /// nodes and hands each node the spec at placement time — registering
     /// 10k functions on each of 1k hosts would hold 10M spec clones. `key`
     /// is this node's provider key for `spec.config` if the caller keeps
-    /// one (`None` lets the provider resolve it).
+    /// one (`None` lets the provider resolve it). The function's scope is
+    /// found by one lookup of its name.
     pub fn begin_with(
         &mut self,
         spec: &FunctionSpec,
         mut key: Option<ProviderKey>,
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
-        Self::begin_on(&mut self.engine, &mut self.provider, spec, &mut key, now)
+        let scope = match self.placed.get(spec.name.as_str()) {
+            Some(&scope) => scope,
+            None => {
+                let scope = Self::new_scope(&mut self.scopes, &self.metrics, &spec.name);
+                self.placed.insert(spec.name.clone(), scope);
+                scope
+            }
+        };
+        Self::begin_on(
+            &mut self.engine,
+            &mut self.provider,
+            spec,
+            &mut key,
+            scope,
+            now,
+        )
+    }
+
+    /// Resolves `fn/<name>` in the registry and appends it to the scope
+    /// table; over the two fields only, so a caller may hold a borrow of
+    /// the function table meanwhile.
+    fn new_scope(
+        scopes: &mut Vec<Arc<StageSet>>,
+        metrics: &MetricsRegistry,
+        name: &str,
+    ) -> FnScope {
+        let scope = FnScope(scopes.len() as u32);
+        scopes.push(metrics.stage_set(&format!("fn/{name}")));
+        scope
     }
 
     /// The one body of [`Self::begin`] and [`Self::begin_with`], over the
@@ -441,11 +509,12 @@ impl<P: RuntimeProvider> Gateway<P> {
         provider: &mut P,
         spec: &FunctionSpec,
         key: &mut Option<ProviderKey>,
+        scope: FnScope,
         now: SimTime,
     ) -> Result<InFlight, GatewayError> {
         InFlight::begin(
             &mut (engine, provider),
-            spec,
+            scope,
             now,
             |(engine, provider), t2| provider.acquire_keyed(engine, &spec.config, key, t2),
             |(engine, _), container, t3| {
@@ -460,7 +529,8 @@ impl<P: RuntimeProvider> Gateway<P> {
 
     /// Completes an in-flight request: the function process has stopped at
     /// `t4`, the response flows back, and the container is returned to the
-    /// provider (cleanup happens off the request path).
+    /// provider (cleanup happens off the request path). `inflight` must have
+    /// begun on this gateway.
     pub fn finish(&mut self, inflight: InFlight) -> Result<RequestTrace, GatewayError> {
         let t4 = inflight.t4_func_end;
         self.engine.end_exec(inflight.container, t4)?;
@@ -468,20 +538,10 @@ impl<P: RuntimeProvider> Gateway<P> {
             .release(&mut self.engine, inflight.container, t4)?;
         self.stats.record(inflight.cold);
         let trace = inflight.complete();
-        // One stage-set record per request: `all`, `gateway/e2e`, and the
-        // counters are derived from the `fn/` scopes at snapshot time. The
-        // scope name is formatted and looked up in the registry once per
-        // function, not once per request.
-        let stages = match self.fn_stages.get(&inflight.function) {
-            Some(stages) => stages,
-            None => {
-                let stages = self.metrics.stage_set(&format!("fn/{}", inflight.function));
-                self.fn_stages
-                    .entry(inflight.function.clone())
-                    .or_insert(stages)
-            }
-        };
-        stages.record(&inflight.stage_sample());
+        // One stage-set record per request, into the scope resolved at
+        // `begin`: `all`, `gateway/e2e`, and the counters are derived from
+        // the `fn/` scopes at snapshot time.
+        self.scopes[inflight.scope.0 as usize].record(&inflight.stage_sample());
         Ok(trace)
     }
 
@@ -524,10 +584,11 @@ mod tests {
         assert!(trace.initiation() > trace.forwarding() * 50);
     }
 
-    /// The per-function stage-set handle is created by a function's first
-    /// `finish`: a registered function that is never invoked stays out of
-    /// the snapshot, and a `begin_with` caller's function (held by a cluster
-    /// scheduler, never registered on this node) gets its scope all the same.
+    /// A function's scope shows in the snapshot from its first `finish`: a
+    /// registered function that is never invoked stays out, one that has
+    /// only begun does too, and a `begin_with` caller's function (held by a
+    /// cluster scheduler, never registered on this node) gets its scope all
+    /// the same.
     #[test]
     fn stage_scopes_appear_on_first_finish_only() {
         let mut gw = gateway(ColdStartAlways::new());
@@ -539,8 +600,12 @@ mod tests {
             .stages
             .iter()
             .all(|(s, _)| s == "all"));
+        let begun = gw.begin("random-number", SimTime::ZERO).unwrap();
+        let snap = gw.metrics().snapshot();
+        assert!(snap.stages.iter().all(|(s, _)| s == "all"));
+        gw.finish(begun).unwrap();
 
-        for at in [0, 10] {
+        for at in [10, 20] {
             gw.handle("random-number", SimTime::from_secs(at)).unwrap();
             let inflight = gw
                 .begin_with(&placed, None, SimTime::from_secs(at + 1))
@@ -551,8 +616,8 @@ mod tests {
         let scopes: Vec<&str> = snap.stages.iter().map(|(s, _)| s.as_str()).collect();
         assert_eq!(scopes, ["all", "fn/placed", "fn/random-number"]);
         assert_eq!(snap.stage_count("fn/placed", Stage::Exec), 2);
-        assert_eq!(snap.stage_count("fn/random-number", Stage::Exec), 2);
-        assert_eq!(snap.stage_count("all", Stage::Exec), 4);
+        assert_eq!(snap.stage_count("fn/random-number", Stage::Exec), 3);
+        assert_eq!(snap.stage_count("all", Stage::Exec), 5);
     }
 
     #[test]
@@ -640,12 +705,12 @@ mod component_tests {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
         let mut gw = Gateway::new(engine, crate::policy::ColdStartAlways::new());
         gw.register(FunctionSpec::from_app(AppProfile::random_number()));
-        assert_eq!(gw.functions().count(), 1);
+        assert_eq!(gw.functions.len(), 1);
         let replacement = FunctionSpec::from_app(AppProfile::random_number()).with_config(
             ContainerConfig::bridge(containersim::ImageId::parse("alpine:3.12")),
         );
         gw.register(replacement.clone());
-        assert_eq!(gw.functions().count(), 1);
+        assert_eq!(gw.functions.len(), 1);
         assert_eq!(gw.function("random-number"), Some(&replacement));
         assert!(gw.function("nope").is_none());
     }
