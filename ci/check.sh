@@ -198,6 +198,12 @@ grep -q '"gateway/requests": [1-9]' "$METRICS_OUT" \
     || { echo "metrics snapshot missing nonzero gateway/requests" >&2; exit 1; }
 grep -q '"gateway/cold_starts": [1-9]' "$METRICS_OUT" \
     || { echo "metrics snapshot missing nonzero gateway/cold_starts" >&2; exit 1; }
+# Scope `all` and histogram `gateway/e2e` exist by the snapshot's rule (derived
+# from the fn/ scopes), not because some gateway declared them.
+grep -q '^    "all": {' "$METRICS_OUT" \
+    || { echo "metrics snapshot missing stage scope 'all'" >&2; exit 1; }
+grep -q '^    "gateway/e2e": {' "$METRICS_OUT" \
+    || { echo "metrics snapshot missing histogram 'gateway/e2e'" >&2; exit 1; }
 # Cold-start stages recorded (zero-count stages are omitted from the JSON,
 # so presence implies a nonzero count). image_pull is rightly absent: the
 # demo engine stores images locally, so pull cost is zero.

@@ -13,6 +13,7 @@ use faas::gateway::{Gateway, GatewayError, InFlight};
 use faas::{FunctionSpec, RequestTrace};
 use hotc::{HotC, KeyId, KeyInterner};
 use simclock::{SimDuration, SimRng, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
 use stdshim::FastMap;
 
 use crate::load::LoadIndex;
@@ -89,14 +90,21 @@ struct FnEntry {
     key: KeyId,
 }
 
+/// Where every cluster's ticket tokens come from: one process-wide counter,
+/// so no two clusters ever issue the same token and a ticket is redeemable
+/// only at the cluster that issued it.
+static NEXT_TOKEN: AtomicU64 = AtomicU64::new(0);
+
 /// A single-use ticket for an in-flight clustered request.
 ///
 /// The `token` is private: a ticket can only be obtained from
-/// [`Cluster::begin`] and only redeemed once by [`Cluster::finish`] —
-/// duplicating one (the node and [`InFlight`] are readable and `InFlight`
-/// is `Clone`) yields [`ClusterError::StaleTicket`] instead of silently
-/// skewing the load index. The ticket also carries the function's index in
-/// the cluster's table, so `finish` looks nothing up by name.
+/// [`Cluster::begin`] and only redeemed once, by the [`Cluster::finish`] of
+/// the cluster that issued it — duplicating one (the node and [`InFlight`]
+/// are readable and `InFlight` is `Clone`) or handing it to another cluster
+/// yields [`ClusterError::StaleTicket`] instead of silently skewing the load
+/// index or ending a request on the wrong node. The ticket also carries the
+/// function's index in the cluster's table, so `finish` looks nothing up by
+/// name.
 #[derive(Debug)]
 pub struct ClusterInFlight {
     /// Index of the node serving the request.
@@ -178,7 +186,6 @@ pub struct Cluster {
     /// Warm-view sync interval; zero means the event-maintained oracle.
     staleness: SimDuration,
     last_sync: Option<SimTime>,
-    next_token: u64,
     /// Outstanding tickets, each with the key its request was placed under.
     outstanding: FastMap<u64, KeyId>,
 }
@@ -227,7 +234,6 @@ impl Cluster {
             rng: SimRng::seeded(PLACEMENT_SEED),
             staleness: SimDuration::ZERO,
             last_sync: None,
-            next_token: 0,
             outstanding: FastMap::default(),
         }
     }
@@ -425,8 +431,7 @@ impl Cluster {
             self.warm.debit(entry.key, node);
         }
         self.load.inc(node);
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
         self.outstanding.insert(token, entry.key);
         Ok(ClusterInFlight {
             node,
@@ -437,8 +442,8 @@ impl Cluster {
     }
 
     /// Completes a clustered request. Tickets are single-use: a duplicate
-    /// (or foreign) ticket returns [`ClusterError::StaleTicket`] without
-    /// touching any node.
+    /// ticket, or one another cluster issued, returns
+    /// [`ClusterError::StaleTicket`] without touching any node.
     pub fn finish(&mut self, ticket: ClusterInFlight) -> Result<RequestTrace, ClusterError> {
         let ClusterInFlight {
             node,
@@ -783,6 +788,40 @@ mod tests {
         assert!(matches!(c.finish(forged), Err(ClusterError::StaleTicket)));
         assert!(c.snapshots().iter().all(|s| s.inflight == 0));
         assert_eq!(c.stats().requests, 1);
+    }
+
+    /// A ticket is redeemable only at the cluster that issued it. Another
+    /// cluster refuses it before touching a node — whether it has the
+    /// ticket's node (two 2-node clusters) or not (a 3-node cluster's ticket
+    /// for its last node, at a 1-node cluster) — and its own tickets stay
+    /// good.
+    #[test]
+    fn a_ticket_from_another_cluster_is_stale() {
+        for (a_nodes, b_nodes) in [(2, 2), (3, 1)] {
+            let mut a = cluster(SchedulePolicy::RoundRobin, a_nodes);
+            let mut b = cluster(SchedulePolicy::RoundRobin, b_nodes);
+            let begin = |c: &mut Cluster, n: usize| -> Vec<ClusterInFlight> {
+                (0..n)
+                    .map(|_| c.begin("qr-code", SimTime::ZERO).unwrap())
+                    .collect()
+            };
+            let foreign = begin(&mut a, a_nodes).pop().unwrap();
+            assert_eq!(foreign.node, a_nodes - 1);
+            // As many as `a` began: with a per-cluster token count, `b` would
+            // now hold the foreign ticket's token itself.
+            let own = begin(&mut b, a_nodes);
+            let before = b.snapshots();
+            let refused = b.finish(foreign);
+            assert!(
+                matches!(refused, Err(ClusterError::StaleTicket)),
+                "{refused:?}"
+            );
+            assert_eq!(b.snapshots(), before, "{a_nodes} / {b_nodes} nodes");
+            for ticket in own {
+                b.finish(ticket).unwrap();
+            }
+            assert_eq!(b.stats().requests, a_nodes as u64);
+        }
     }
 
     /// The nodes `tick` resynced, in order.

@@ -8,23 +8,25 @@
 //! frontend owns no pool, controller or limits of its own and spells no part
 //! of the Fig. 6 sequence; it hands `HotC`'s `&self` entry points its engine
 //! mutex where `faas::Gateway` hands them an exclusive borrow. What is its
-//! own: request counters on atomics ([`faas::SharedStats`]) and the single
-//! mutex that stands in for the container daemon. There is no function
-//! table: [`ConcurrentGateway::register`] returns the [`FunctionHandle`] every
-//! request method takes, so the request path holds the engine lock or no
-//! lock — the engine's short critical sections (load-app + `begin_exec`,
-//! `end_exec` + cleanup) are all that warm requests share; a cold start adds
-//! the pool lock, taken after its container was created and never together
-//! with the engine's.
+//! own: the single mutex that stands in for the container daemon. The rest
+//! of the request path is `faas`'s, shared with `faas::Gateway`:
+//! [`InFlight::begin`], [`FunctionSpec::start`] inside the engine lock, and
+//! the finish tail and tally mirror of [`faas::SharedStats`]. There is no
+//! function table: [`ConcurrentGateway::register`] returns the
+//! [`FunctionHandle`] every request method takes, so the request path holds
+//! the engine lock or no lock — the engine's short critical sections
+//! (load-app + `begin_exec`, `end_exec` + cleanup) are all that warm
+//! requests share; a cold start adds the pool lock, taken after its
+//! container was created and never together with the engine's.
 //!
 //! Telemetry: `finish` takes the function's stage-set lock once, after the
 //! engine's was released, to record into `fn/<function>` of the handle the
 //! request began with — the [`InFlight`] carries a borrow of that stage set
-//! (`all` and `gateway/e2e` are snapshot-time unions over `fn/`).
+//! (every snapshot derives `all` and `gateway/e2e` from the `fn/` sets).
 //! [`ConcurrentGateway::tick`] is the only emitter of `controller/*`,
 //! `pool/available`, `pool/in_use`, `pool/evictions` and, on this frontend,
 //! `pool/live`, all mirrored from [`HotC`]; reading
-//! [`ConcurrentGateway::metrics`] refreshes the counters.
+//! [`ConcurrentGateway::metrics`] refreshes the counters, from any thread.
 //!
 //! The global-lock baseline it is measured against is a fixture local to
 //! `benches/contention.rs`, not a type of this crate.
@@ -38,7 +40,7 @@ use crate::pool::{EngineRef, RuntimePool};
 use containersim::ContainerEngine;
 use faas::gateway::{GatewayError, InFlight};
 use faas::{FunctionSpec, GatewayStats, RequestTrace, RuntimeProvider, SharedStats};
-use metrics_lite::{Counter, MetricsRegistry, StageSet};
+use metrics_lite::{MetricsRegistry, StageSet};
 use simclock::SimTime;
 use std::sync::Arc;
 use stdshim::sync::Mutex;
@@ -69,31 +71,17 @@ pub struct ConcurrentGateway {
     hotc: HotC,
     stats: SharedStats,
     metrics: MetricsRegistry,
-    /// Read-time telemetry handles (the request path records only into the
-    /// per-function stage sets; counters, `all`, and the e2e histogram are
-    /// derived at snapshot time).
-    requests_counter: Arc<Counter>,
-    cold_counter: Arc<Counter>,
 }
 
 impl ConcurrentGateway {
     /// Builds the gateway over an engine from a HotC configuration, with its
     /// own fresh metrics registry.
     pub fn new(engine: ContainerEngine, config: HotCConfig) -> Self {
-        let metrics = MetricsRegistry::new();
-        // Requests land once in their `fn/` scope; the `all` scope and e2e
-        // histogram merge the `fn/` scopes at snapshot time.
-        metrics.stage_union("all", "fn/");
-        metrics.histogram_union("gateway/e2e", "fn/");
-        let requests_counter = metrics.counter("gateway/requests");
-        let cold_counter = metrics.counter("gateway/cold_starts");
         ConcurrentGateway {
             engine: Mutex::labeled(engine, "core/engine"),
             hotc: HotC::new(config),
             stats: SharedStats::new(),
-            metrics,
-            requests_counter,
-            cold_counter,
+            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -110,14 +98,10 @@ impl ConcurrentGateway {
         &self.metrics
     }
 
-    /// Copies the hot-path atomic tallies into the registry counters: one
-    /// store per counter here instead of a second contended increment per
-    /// request in `finish`. A store is right because the registry is this
-    /// gateway's own (no constructor shares one).
+    /// Mirrors the request tally ([`SharedStats::mirror`]) and copies
+    /// `HotC`'s forced-eviction count into the registry's counters.
     fn sync_counters(&self) {
-        let stats = self.stats.snapshot();
-        self.requests_counter.store(stats.requests);
-        self.cold_counter.store(stats.cold_starts);
+        self.stats.mirror(&self.metrics);
         // Present in the snapshot only once the limits have evicted.
         let evicted = self.hotc.forced_evictions();
         if evicted > 0 {
@@ -133,7 +117,7 @@ impl ConcurrentGateway {
     pub fn register(&self, spec: FunctionSpec) -> FunctionHandle {
         FunctionHandle {
             key_id: self.pool().intern_config(&spec.config),
-            stage_fn: self.metrics.stage_set(&format!("fn/{}", spec.name)),
+            stage_fn: self.metrics.fn_stage_set(&spec.name),
             spec,
         }
     }
@@ -189,23 +173,16 @@ impl ConcurrentGateway {
                 );
                 Ok(acq.into())
             },
-            |(), container, t3| {
-                // One engine critical section loads the app and starts it.
-                // App init is due on a fresh runtime AND when the pooled
-                // runtime last ran a different app (fuzzy keys / shared
-                // runtime types); the container's own record knows which.
-                self.engine.with_engine(|e| {
-                    let needs_app_init = e.load_app(container, spec.app.name)?;
-                    e.begin_exec(container, spec.app.work_for(needs_app_init), t3)
-                })
-            },
+            // One engine critical section loads the app and starts it.
+            |(), container, t3| self.engine.with_engine(|e| spec.start(e, container, t3)),
         )
     }
 
     /// Completes an in-flight request at its `t4`: end the execution, return
-    /// the container to the pool (a crashed one is disposed of), bump the
-    /// atomic counters and record the stages into the scope of the handle
-    /// the request began with. The pool finds the container's key by itself.
+    /// the container to the pool (a crashed one is disposed of), then the
+    /// shared finish tail ([`SharedStats::finish`]) into the stage set of the
+    /// handle the request began with — one stage-set lock, no name lookup.
+    /// The pool finds the container's key by itself.
     pub fn finish(&self, inflight: InFlight<&StageSet>) -> Result<RequestTrace, GatewayError> {
         // DESIGN.md §5: at most one lock at a time on the finish path too —
         // and a warm release takes none outside the single engine critical
@@ -221,14 +198,7 @@ impl ConcurrentGateway {
             inflight.t4_func_end,
             inflight.crashed,
         )?;
-        self.stats.record(inflight.cold);
-        let trace = inflight.complete();
-        // Always-on stage telemetry: one stage-set lock per request,
-        // through the registration-time handle the request carries (no name
-        // lookup). Counters, the `all` scope and the e2e histogram are
-        // derived at read time.
-        inflight.scope.record(&inflight.stage_sample());
-        Ok(trace)
+        Ok(self.stats.finish(&inflight, inflight.scope))
     }
 
     /// Serves one request start-to-finish; the caller's next `now` is the
@@ -536,6 +506,80 @@ mod tests {
             .find(|(name, _)| name == "pool/live")
             .map(|(_, ts)| ts.value_at(SimTime::from_secs(60)));
         assert_eq!(live, Some(avail.zip(in_use).map(|(a, u)| a + u)));
+    }
+
+    /// The tally mirror under concurrent readers: threads serving requests
+    /// (each of a function of its own configuration, so every one is cold
+    /// and the cold-start count runs level with the request count) while
+    /// other threads read the metrics. No read shows more cold starts than
+    /// requests or more requests than the tally, and once the servers are
+    /// done both counters equal the tally — a mirror that read what was
+    /// mirrored and then added would count some gains twice.
+    #[test]
+    fn the_tally_mirror_is_exact_under_concurrent_reads() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let gw = ConcurrentGateway::with_defaults(engine);
+        let (servers, per_server) = (2, 150);
+        let handles: Vec<Vec<FunctionHandle>> = (0..servers)
+            .map(|t| {
+                (0..per_server)
+                    .map(|i| {
+                        let name = format!("f-{t}-{i}");
+                        let mut spec = FunctionSpec::from_app(AppProfile::random_number());
+                        spec.config.exec.env.insert("FN".into(), name.clone());
+                        gw.register(spec.named(name))
+                    })
+                    .collect()
+            })
+            .collect();
+        let served = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut reads = 0;
+                    while reads == 0 || !served.load(Ordering::Acquire) {
+                        // Mostly bare mirrors, which race each other; every
+                        // 16th read also checks a snapshot.
+                        reads += 1;
+                        if reads % 16 != 1 {
+                            gw.metrics();
+                            continue;
+                        }
+                        let snap = gw.metrics().snapshot();
+                        let requests = snap.counter("gateway/requests").unwrap_or(0);
+                        let cold = snap.counter("gateway/cold_starts").unwrap_or(0);
+                        assert!(cold <= requests, "read {reads}: {cold} cold > {requests}");
+                        let tally = gw.stats().requests;
+                        assert!(requests <= tally, "read {reads}: {requests} > {tally}");
+                    }
+                });
+            }
+            // Joined by hand, so a failing server cannot leave the readers
+            // spinning: they stop once every server has returned.
+            let all_cold: Vec<_> = std::thread::scope(|s| {
+                let servers: Vec<_> = handles
+                    .iter()
+                    .map(|functions| {
+                        let gw = &gw;
+                        s.spawn(move || {
+                            functions
+                                .iter()
+                                .all(|f| gw.handle(f, SimTime::ZERO).is_ok_and(|t| t.cold))
+                        })
+                    })
+                    .collect();
+                servers.into_iter().map(|h| h.join()).collect()
+            });
+            served.store(true, Ordering::Release);
+            assert!(all_cold.into_iter().all(|r| r.is_ok_and(|cold| cold)));
+        });
+        let stats = gw.stats();
+        assert_eq!(stats.requests, (servers * per_server) as u64);
+        assert_eq!(stats.cold_starts, stats.requests);
+        let snap = gw.metrics().snapshot();
+        assert_eq!(snap.counter("gateway/requests"), Some(stats.requests));
+        assert_eq!(snap.counter("gateway/cold_starts"), Some(stats.cold_starts));
     }
 
     /// Two apps on one runtime key, served serially from one prewarmed

@@ -8,23 +8,26 @@
 //!
 //! [`Gateway`] owns its engine, provider and function table outright
 //! (single-threaded drivers); the pieces a concurrent frontend shares with it
-//! are [`SharedStats`] (request counters on atomics) and [`InFlight`] (the
-//! pipeline arithmetic). Which app last ran in a container is not gateway
-//! state at all: the container's own engine record remembers it
+//! are the request path, written once: [`InFlight::begin`] stamps (1)–(4)
+//! around an acquire and [`FunctionSpec::start`], and [`SharedStats`] holds
+//! the request tally, its mirror into the registry and the finish tail. A
+//! gateway adds only its synchronization and its handle to the request's
+//! stage set. Which app last ran in a container is not gateway state at all:
+//! the container's own engine record remembers it
 //! ([`ContainerEngine::load_app`]), so it is dropped with the container and
 //! nothing here needs pruning.
 //!
 //! Telemetry: `finish` records the request's [`StageSample`] once, into the
-//! `fn/<function>` stage set of the gateway's [`MetricsRegistry`]; scope
-//! `all` and histogram `gateway/e2e` are declared as snapshot-time unions
-//! over `fn/`, and [`Gateway::metrics`] adds what the request tally gained
-//! to `gateway/requests` / `gateway/cold_starts`. This gateway emits no
-//! other name (`pool/live` is sampled by the replay driver). The `fn/` set
-//! travels with the request: `begin` resolves it from the function's table
-//! entry (or, for [`Gateway::begin_with`], one lookup by name) and the
-//! [`InFlight`] carries its [`FnScope`] index, so `finish` names nothing and
-//! a request lands in the scope it began in even if its function is
-//! re-registered meanwhile.
+//! `fn/<function>` stage set of the gateway's [`MetricsRegistry`]; every
+//! snapshot derives scope `all` and histogram `gateway/e2e` from the `fn/`
+//! sets, and [`Gateway::metrics`] mirrors the request tally into
+//! `gateway/requests` / `gateway/cold_starts` ([`SharedStats::mirror`]).
+//! This gateway emits no other name (`pool/live` is sampled by the replay
+//! driver). The `fn/` set travels with the request: `begin` resolves it from
+//! the function's table entry (or, for [`Gateway::begin_with`], one lookup
+//! by name) and the [`InFlight`] carries its [`FnScope`] index, so `finish`
+//! names nothing and a request lands in the scope it began in even if its
+//! function is re-registered meanwhile.
 //!
 //! Two driving styles:
 //! * [`Gateway::handle`] — begin+finish in one call, for workloads whose
@@ -41,10 +44,9 @@ use containersim::{
 };
 use metrics_lite::{Counter, MetricsRegistry, Stage, StageSample, StageSet};
 use simclock::{SimDuration, SimTime};
-use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A deployed function: its application profile and runtime configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +83,19 @@ impl FunctionSpec {
         self.config = config;
         self
     }
+
+    /// The start step every gateway shares, at (3): loads the app into
+    /// `container` — app init is due on a fresh runtime and after another
+    /// app (fuzzy keys, shared runtime types) — and begins its execution.
+    pub fn start(
+        &self,
+        engine: &mut ContainerEngine,
+        container: ContainerId,
+        t3: SimTime,
+    ) -> Result<ExecOutcome, EngineError> {
+        let needs_app_init = engine.load_app(container, self.app.name)?;
+        engine.begin_exec(container, self.app.work_for(needs_app_init), t3)
+    }
 }
 
 /// Aggregate request counters.
@@ -99,10 +114,24 @@ pub struct GatewayStats {
 /// cold starts in the high 32), so a snapshot is a single load and the
 /// invariant `cold_starts <= requests` holds in every observation. With two
 /// separate atomics a reader racing concurrent `record(true)` calls could
-/// observe more cold starts than requests.
+/// observe more cold starts than requests. The registry's counters get the
+/// tally at read time ([`Self::mirror`]), not a second add per request.
 #[derive(Debug, Default)]
 pub struct SharedStats {
     packed: AtomicU64,
+    /// The part of `packed` already added to the registry's counters.
+    mirrored: AtomicU64,
+    /// `gateway/requests` and `gateway/cold_starts`, resolved by the first
+    /// [`Self::mirror`], so a registry no gateway was read through lacks them.
+    counters: OnceLock<[Arc<Counter>; 2]>,
+}
+
+/// The two halves of a packed tally word.
+fn unpack(v: u64) -> GatewayStats {
+    GatewayStats {
+        requests: v & 0xFFFF_FFFF,
+        cold_starts: v >> 32,
+    }
 }
 
 impl SharedStats {
@@ -112,7 +141,7 @@ impl SharedStats {
     }
 
     /// Records one completed request.
-    pub fn record(&self, cold: bool) {
+    fn record(&self, cold: bool) {
         self.packed
             .fetch_add(1 | ((cold as u64) << 32), Ordering::Relaxed);
     }
@@ -120,11 +149,54 @@ impl SharedStats {
     /// A point-in-time copy of the counters (a single atomic load, so the
     /// pair is internally consistent).
     pub fn snapshot(&self) -> GatewayStats {
-        let v = self.packed.load(Ordering::Relaxed);
-        GatewayStats {
-            requests: v & 0xFFFF_FFFF,
-            cold_starts: v >> 32,
+        unpack(self.packed.load(Ordering::Relaxed))
+    }
+
+    /// Adds what the tally gained since the last mirror to `metrics`'
+    /// `gateway/requests` and `gateway/cold_starts` (resolved from the first
+    /// registry passed; a gateway always passes its own), so gateways
+    /// sharing a registry, or registries absorbed into one another, sum.
+    ///
+    /// Safe from any number of threads: the tally only grows, in both halves
+    /// together, so the larger of two reads is the later one, and
+    /// `fetch_max` hands each gain to exactly one caller. Requests are added
+    /// before cold starts, which a snapshot reads first, so no snapshot
+    /// shows more cold starts than requests.
+    pub fn mirror(&self, metrics: &MetricsRegistry) {
+        let [requests, cold_starts] = self.counters.get_or_init(|| {
+            ["gateway/requests", "gateway/cold_starts"].map(|n| metrics.counter(n))
+        });
+        let now = self.packed.load(Ordering::Relaxed);
+        let before = self.mirrored.fetch_max(now, Ordering::Relaxed);
+        if now > before {
+            let gained = unpack(now - before);
+            requests.add(gained.requests);
+            cold_starts.add(gained.cold_starts);
         }
+    }
+
+    /// The finish tail every gateway shares, once the container is back
+    /// with the provider: tallies the request, records its stages once into
+    /// `stages` (its `fn/` set) and stamps (5)–(6) into its trace.
+    pub fn finish<S>(&self, inflight: &InFlight<S>, stages: &StageSet) -> RequestTrace {
+        self.record(inflight.cold);
+        stages.record(&inflight.stage_sample());
+        let t4 = inflight.t4_func_end;
+        let t5 = t4 + WATCHDOG_HOP;
+        let t6 = t5 + GATEWAY_HOP;
+        let trace = RequestTrace {
+            t1_gateway_in: inflight.t1,
+            t2_watchdog_in: inflight.t2,
+            t3_func_start: inflight.t3,
+            t4_func_end: t4,
+            t5_watchdog_out: t5,
+            t6_gateway_out: t6,
+            cold: inflight.cold,
+            first_exec: inflight.first_exec,
+            failed: inflight.crashed,
+        };
+        debug_assert!(trace.is_well_formed());
+        trace
     }
 }
 
@@ -200,11 +272,10 @@ impl<S> InFlight<S> {
     /// Stamps the request-path timestamps (1)–(4) around the two things a
     /// gateway does between them — `acquire` a runtime at (2), then `start`
     /// the function process in it at (3) — and builds the in-flight record,
-    /// which carries `scope` to `finish`. Shared by every gateway frontend,
-    /// like [`Self::complete`]. The closures run one after the other, so
-    /// what both must borrow mutably (an exclusive engine) travels in `ctx`
-    /// instead of being captured twice; a frontend whose entry points take
-    /// `&self` passes `&mut ()`.
+    /// which carries `scope` to `finish`. The closures run one after the
+    /// other, so what both must borrow mutably (an exclusive engine) travels
+    /// in `ctx` instead of being captured twice; a frontend whose entry
+    /// points take `&self` passes `&mut ()`.
     pub fn begin<C>(
         ctx: &mut C,
         scope: S,
@@ -259,28 +330,6 @@ impl<S> InFlight<S> {
         s.set(Stage::Exec, self.exec_latency - self.init_latency);
         s
     }
-
-    /// Stamps the response-path timestamps (5)–(6) and produces the
-    /// request's trace. Shared by every gateway frontend so the pipeline
-    /// arithmetic lives in one place.
-    pub fn complete(&self) -> RequestTrace {
-        let t4 = self.t4_func_end;
-        let t5 = t4 + WATCHDOG_HOP;
-        let t6 = t5 + GATEWAY_HOP;
-        let trace = RequestTrace {
-            t1_gateway_in: self.t1,
-            t2_watchdog_in: self.t2,
-            t3_func_start: self.t3,
-            t4_func_end: t4,
-            t5_watchdog_out: t5,
-            t6_gateway_out: t6,
-            cold: self.cold,
-            first_exec: self.first_exec,
-            failed: self.crashed,
-        };
-        debug_assert!(trace.is_well_formed());
-        trace
-    }
 }
 
 /// A function-table entry: the spec, the provider's key for its
@@ -324,12 +373,6 @@ pub struct Gateway<P: RuntimeProvider> {
     placed: HashMap<String, FnScope>,
     stats: SharedStats,
     metrics: Arc<MetricsRegistry>,
-    /// The `gateway/requests` and `gateway/cold_starts` handles, resolved by
-    /// the first [`Self::metrics`] call (the counters are absent from a
-    /// registry until some gateway was read through it).
-    mirror: OnceCell<(Arc<Counter>, Arc<Counter>)>,
-    /// How much of `stats` has been added through `mirror` so far.
-    mirrored: Cell<GatewayStats>,
     /// `fn/<name>` stage-set handles, indexed by [`FnScope`]. A function's
     /// is resolved by its first `begin`, not at registration: the scope name
     /// is formatted and looked up in the registry once per function, and a
@@ -353,10 +396,6 @@ impl<P: RuntimeProvider> Gateway<P> {
         provider: P,
         metrics: Arc<MetricsRegistry>,
     ) -> Self {
-        // Requests land once in their `fn/` scope; the `all` scope and the
-        // e2e histogram are synthesized from those at snapshot time.
-        metrics.stage_union("all", "fn/");
-        metrics.histogram_union("gateway/e2e", "fn/");
         Gateway {
             engine,
             provider,
@@ -364,25 +403,14 @@ impl<P: RuntimeProvider> Gateway<P> {
             placed: HashMap::new(),
             stats: SharedStats::new(),
             metrics,
-            mirror: OnceCell::new(),
-            mirrored: Cell::new(GatewayStats::default()),
             scopes: Vec::new(),
         }
     }
 
-    /// The gateway's metrics registry. Adds what the request/cold-start
-    /// tally gained since the last call to the registry's counters, so a
-    /// subsequent snapshot is current and gateways sharing a registry (or
-    /// registries absorbed into one another) sum.
+    /// The gateway's metrics registry, with the request tally mirrored
+    /// into it ([`SharedStats::mirror`]).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        let (requests, cold_starts) = self.mirror.get_or_init(|| {
-            let counter = |name| self.metrics.counter(name);
-            (counter("gateway/requests"), counter("gateway/cold_starts"))
-        });
-        let stats = self.stats.snapshot();
-        let mirrored = self.mirrored.replace(stats);
-        requests.add(stats.requests - mirrored.requests);
-        cold_starts.add(stats.cold_starts - mirrored.cold_starts);
+        self.stats.mirror(&self.metrics);
         &self.metrics
     }
 
@@ -488,8 +516,8 @@ impl<P: RuntimeProvider> Gateway<P> {
         )
     }
 
-    /// Resolves `fn/<name>` in the registry and appends it to the scope
-    /// table; over the two fields only, so a caller may hold a borrow of
+    /// Resolves function `name`'s stage set in the registry and appends it
+    /// to the scope table; over the two fields only, so a caller may hold a borrow of
     /// the function table meanwhile.
     fn new_scope(
         scopes: &mut Vec<Arc<StageSet>>,
@@ -497,7 +525,7 @@ impl<P: RuntimeProvider> Gateway<P> {
         name: &str,
     ) -> FnScope {
         let scope = FnScope(scopes.len() as u32);
-        scopes.push(metrics.stage_set(&format!("fn/{name}")));
+        scopes.push(metrics.fn_stage_set(name));
         scope
     }
 
@@ -517,13 +545,7 @@ impl<P: RuntimeProvider> Gateway<P> {
             scope,
             now,
             |(engine, provider), t2| provider.acquire_keyed(engine, &spec.config, key, t2),
-            |(engine, _), container, t3| {
-                // App init is due on a fresh runtime AND when the pooled
-                // runtime last ran a different app (fuzzy keys / shared
-                // runtime types).
-                let needs_app_init = engine.load_app(container, spec.app.name)?;
-                engine.begin_exec(container, spec.app.work_for(needs_app_init), t3)
-            },
+            |(engine, _), container, t3| spec.start(engine, container, t3),
         )
     }
 
@@ -536,13 +558,8 @@ impl<P: RuntimeProvider> Gateway<P> {
         self.engine.end_exec(inflight.container, t4)?;
         self.provider
             .release(&mut self.engine, inflight.container, t4)?;
-        self.stats.record(inflight.cold);
-        let trace = inflight.complete();
-        // One stage-set record per request, into the scope resolved at
-        // `begin`: `all`, `gateway/e2e`, and the counters are derived from
-        // the `fn/` scopes at snapshot time.
-        self.scopes[inflight.scope.0 as usize].record(&inflight.stage_sample());
-        Ok(trace)
+        let stages = &self.scopes[inflight.scope.0 as usize];
+        Ok(self.stats.finish(&inflight, stages))
     }
 
     /// Serves one request start-to-finish (no overlap with other requests).

@@ -16,8 +16,9 @@
 //! each). The first sample that would make the list longer than
 //! `SPARSE_MAX` distinct buckets **promotes** the histogram, once and for
 //! good, to the dense array of all 1312 `u64` counts (10.5 KB); a wide
-//! distribution such as an `all` union therefore gets full resolution like
-//! any other histogram, by the same rule and without being told to.
+//! distribution such as the derived `all` scope therefore gets full
+//! resolution like any other histogram, by the same rule and without being
+//! told to.
 //! `record`, `merge` and `quantile` all go through one add/iterate pair on
 //! that representation, and iteration is in bucket order in both states, so
 //! every statistic — quantiles included — is independent of whether, or

@@ -3,12 +3,14 @@
 //! The registry is the process-wide (or gateway-wide) home for named
 //! [`Counter`]s, [`Gauge`]s, per-scope [`StageSet`]s, and sampled
 //! [`TimeSeries`] (step functions kept as change points). Counters and
-//! gauges are single relaxed atomics; a stage set is one mutex around its
-//! scope's histograms. Named latency histograms are not recorded into: they
-//! are declared as unions ([`MetricsRegistry::histogram_union`]) and
-//! synthesized from the stage sets' totals at snapshot time. Hot-path
-//! callers obtain their `Arc` handles once (get-or-create by name) and
-//! record through the handle — no per-request name lookup or allocation.
+//! gauges are single atomics; a stage set is one mutex around its
+//! scope's histograms. Requests are recorded once, into the stage set of
+//! their function's scope ([`MetricsRegistry::fn_stage_set`], the one place
+//! that names `fn/<function>`); scope `all` and histogram `gateway/e2e` are
+//! not recorded into but derived from the `fn/` sets by every snapshot (see
+//! [`crate::snapshot`]). Hot-path callers obtain their `Arc` handles once
+//! (get-or-create by name) and record through the handle — no per-request
+//! name lookup or allocation.
 //!
 //! Two lock classes, nested one way only: the registry's name tables
 //! (`metrics/registry`, one lock for all of them) and a stage set's
@@ -24,6 +26,7 @@
 //! EXPERIMENTS.md "Stage-set stripes: 32 or one".
 
 use crate::histogram::LatencyHistogram;
+use crate::snapshot::FN_PREFIX;
 use crate::stage::{StageSample, N_STAGES};
 use crate::timeseries::TimeSeries;
 use simclock::{SimDuration, SimTime};
@@ -37,23 +40,22 @@ use stdshim::Mutex;
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Adds `n`.
+    /// Adds `n`. Release, so a reader that sees this add also sees every
+    /// add the same thread made to another counter before it.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Release);
     }
 
-    /// Overwrites the counter. For gateways that already tally requests in
-    /// an existing atomic: mirroring that tally into the registry at read
-    /// time costs one store here instead of a second contended
-    /// read-modify-write per request on the hot path.
+    /// Overwrites the counter, for a caller that owns the only tally behind
+    /// it and copies that tally in at read time.
     pub fn store(&self, v: u64) {
-        // lint:allow(atomic-ordering, monotonic tally mirror; the counter word is the whole payload)
+        // lint:allow(atomic-ordering, monotonic tally copy; the counter word is the whole payload)
         self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -133,14 +135,6 @@ struct Tables {
     gauges: HashMap<String, Arc<Gauge>>,
     stages: HashMap<String, Arc<StageSet>>,
     series: HashMap<String, TimeSeries>,
-    /// `(union scope, member prefix)`: at snapshot time the union scope's
-    /// stage histograms are synthesized by merging every stage set whose
-    /// scope starts with the prefix, so the hot path records each sample
-    /// once instead of once per enclosing scope.
-    stage_unions: Vec<(String, String)>,
-    /// `(histogram name, member prefix)`: the named histogram is synthesized
-    /// at snapshot time from the member stage sets' total distributions.
-    histogram_unions: Vec<(String, String)>,
 }
 
 /// Everything a registry holds, copied out under one hold of its lock with
@@ -153,8 +147,6 @@ pub(crate) struct ReadOut {
     pub(crate) gauges: Vec<(String, f64)>,
     pub(crate) stages: Vec<(String, Arc<StageSet>)>,
     pub(crate) series: Vec<(String, TimeSeries)>,
-    pub(crate) stage_unions: Vec<(String, String)>,
-    pub(crate) histogram_unions: Vec<(String, String)>,
 }
 
 /// The named-metric registry.
@@ -169,12 +161,14 @@ pub(crate) struct ReadOut {
 ///
 /// let mut sample = StageSample::new();
 /// sample.set(Stage::Exec, SimDuration::from_millis(5));
-/// reg.stage_set("fn/demo").record(&sample);
+/// reg.fn_stage_set("demo").record(&sample);
 /// reg.sample_series("pool/size", SimTime::from_secs(30), 3.0);
 ///
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.counter("gateway/requests"), Some(1));
 /// assert_eq!(snap.stage_count("fn/demo", Stage::Exec), 1);
+/// // Derived by the snapshot from every `fn/` scope.
+/// assert_eq!(snap.stage_count("all", Stage::Exec), 1);
 /// ```
 #[derive(Debug)]
 pub struct MetricsRegistry {
@@ -226,17 +220,25 @@ fn get_or_create<T: Default>(map: &mut HashMap<String, Arc<T>>, name: &str) -> A
     Arc::clone(map.entry(name.to_string()).or_default())
 }
 
+/// The counters, sorted by name and read in that order: of two counters a
+/// snapshot reads the one that sorts first no later than the other. Adding
+/// to `gateway/requests` before `gateway/cold_starts` (as
+/// `faas::SharedStats` does) therefore never shows more cold starts than
+/// requests, while the adds race the read.
+fn counters_in_order(map: &HashMap<String, Arc<Counter>>) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = map.keys().map(|k| (k.clone(), 0)).collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    for (name, v) in &mut out {
+        *v = map[name.as_str()].get();
+    }
+    out
+}
+
 /// A table's entries through `read`, sorted by name.
 fn sorted<V, R>(map: &HashMap<String, V>, read: impl Fn(&V) -> R) -> Vec<(String, R)> {
     let mut out: Vec<_> = map.iter().map(|(k, v)| (k.clone(), read(v))).collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
-}
-
-fn declare(unions: &mut Vec<(String, String)>, name: &str, member_prefix: &str) {
-    if !unions.iter().any(|(n, p)| n == name && p == member_prefix) {
-        unions.push((name.to_string(), member_prefix.to_string()));
-    }
 }
 
 impl MetricsRegistry {
@@ -255,39 +257,26 @@ impl MetricsRegistry {
         get_or_create(&mut self.tables.lock().gauges, name)
     }
 
-    /// Get-or-create a per-scope stage set (scopes are conventionally
-    /// `"all"` or `"fn/<function>"`).
+    /// Get-or-create a per-scope stage set. Samples recorded into `"all"`
+    /// directly are merged into the derived `all` scope.
     pub fn stage_set(&self, scope: &str) -> Arc<StageSet> {
         get_or_create(&mut self.tables.lock().stages, scope)
     }
 
-    /// Declares `scope` as the snapshot-time merge of every stage set whose
-    /// scope starts with `member_prefix` (e.g. `"all"` over `"fn/"`).
-    /// Recording into the member scopes then feeds the union for free;
-    /// samples recorded directly into `scope` are merged in as well.
-    pub fn stage_union(&self, scope: &str, member_prefix: &str) {
-        let mut tables = self.tables.lock();
-        declare(&mut tables.stage_unions, scope, member_prefix);
-    }
-
-    /// Declares the named histogram as the snapshot-time merge of the
-    /// *total* distributions of every stage set whose scope starts with
-    /// `member_prefix` (e.g. `"gateway/e2e"` over `"fn/"` — each request's
-    /// stage sum is its e2e latency).
-    pub fn histogram_union(&self, name: &str, member_prefix: &str) {
-        let mut tables = self.tables.lock();
-        declare(&mut tables.histogram_unions, name, member_prefix);
+    /// Get-or-create function `name`'s stage set, scope `fn/<name>`: what
+    /// every snapshot derives `all` and `gateway/e2e` from.
+    pub fn fn_stage_set(&self, name: &str) -> Arc<StageSet> {
+        self.stage_set(&format!("{FN_PREFIX}{name}"))
     }
 
     /// Folds every metric recorded in `other` into this registry: counters
-    /// add, gauges sum, stage sets merge sample-for-sample,
-    /// time series sum as step functions (see `merge_series`), and
-    /// union declarations carry over (deduplicated, like re-declaring them).
+    /// add, gauges sum, stage sets merge sample-for-sample, and
+    /// time series sum as step functions (see `merge_series`).
     ///
     /// This is the deterministic reduction step for per-worker replay
-    /// registries. Every fold is commutative and associative, union scopes
-    /// are synthesized from the merged raw scopes at snapshot time (never
-    /// absorbed pre-synthesized, which would double-count), and snapshots
+    /// registries. Every fold is commutative and associative, `all` and
+    /// `gateway/e2e` are derived from the merged raw scopes at snapshot time
+    /// (never absorbed pre-derived, which would double-count), and snapshots
     /// sort by name — so absorbing worker registries in any order yields
     /// the same snapshot. `other`'s lock is released before this registry's
     /// is taken and each of its stage sets is copied out before the matching
@@ -309,12 +298,6 @@ impl MetricsRegistry {
         for (name, other_ts) in other.series {
             let entry = tables.series.entry(name).or_default();
             *entry = merge_series(entry, &other_ts);
-        }
-        for (scope, prefix) in other.stage_unions {
-            declare(&mut tables.stage_unions, &scope, &prefix);
-        }
-        for (name, prefix) in other.histogram_unions {
-            declare(&mut tables.histogram_unions, &name, &prefix);
         }
     }
 
@@ -340,12 +323,10 @@ impl MetricsRegistry {
     pub(crate) fn read_out(&self) -> ReadOut {
         let tables = self.tables.lock();
         ReadOut {
-            counters: sorted(&tables.counters, |c| c.get()),
+            counters: counters_in_order(&tables.counters),
             gauges: sorted(&tables.gauges, |g| g.get()),
             stages: sorted(&tables.stages, Arc::clone),
             series: sorted(&tables.series, TimeSeries::clone),
-            stage_unions: tables.stage_unions.clone(),
-            histogram_unions: tables.histogram_unions.clone(),
         }
     }
 }
@@ -430,38 +411,57 @@ mod tests {
         });
     }
 
+    /// The fixed rule: `all` is the merge of every `fn/` scope plus what was
+    /// recorded into `all` directly, and `gateway/e2e` the distribution of
+    /// the `fn/` samples' totals — the direct `all` sample is not in it.
     #[test]
-    fn unions_synthesize_scopes_at_snapshot_time() {
+    fn fn_scopes_derive_all_and_e2e_at_snapshot_time() {
         let reg = MetricsRegistry::new();
-        reg.stage_union("all", "fn/");
-        reg.histogram_union("gateway/e2e", "fn/");
-
         let mut a = StageSample::new();
         a.set(Stage::Exec, SimDuration::from_millis(2));
         a.set(Stage::RuntimeInit, SimDuration::from_millis(1));
-        reg.stage_set("fn/a").record(&a);
+        reg.fn_stage_set("a").record(&a);
         let mut b = StageSample::new();
         b.set(Stage::Exec, SimDuration::from_millis(3));
-        reg.stage_set("fn/b").record(&b);
+        reg.fn_stage_set("b").record(&b);
+        let mut direct = StageSample::new();
+        direct.set(Stage::Exec, SimDuration::from_millis(4));
+        reg.stage_set("all").record(&direct);
 
         let snap = reg.snapshot();
-        // Prefix union: `all` is the merge of both fn scopes.
-        assert_eq!(snap.stage_count("all", Stage::Exec), 2);
+        let scopes: Vec<&str> = snap.stages.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(scopes, ["all", "fn/a", "fn/b"]);
+        assert_eq!(snap.stage_count("all", Stage::Exec), 3);
         assert_eq!(snap.stage_count("all", Stage::RuntimeInit), 1);
         assert_eq!(
             snap.scope_total_ns("all"),
-            SimDuration::from_millis(6).as_nanos()
+            SimDuration::from_millis(10).as_nanos()
         );
-        // Histogram union: e2e is the per-sample total distribution.
-        let e2e = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "gateway/e2e")
-            .map(|(_, h)| h)
-            .expect("synthesized e2e histogram");
+        assert_eq!(snap.histograms.len(), 1);
+        let (name, e2e) = &snap.histograms[0];
+        assert_eq!(name, "gateway/e2e");
         assert_eq!(e2e.count, 2);
         assert_eq!(e2e.sum_ns, SimDuration::from_millis(6).as_nanos());
         assert_eq!(e2e.max_ns, SimDuration::from_millis(3).as_nanos());
+    }
+
+    /// A registry nothing was recorded into still carries the derived scope
+    /// and histogram, both empty.
+    #[test]
+    fn a_bare_snapshot_carries_all_and_an_empty_e2e() {
+        let snap = MetricsRegistry::new().snapshot();
+        let scopes: Vec<&str> = snap.stages.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(scopes, ["all"]);
+        assert_eq!(snap.scope_total_ns("all"), 0);
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms[0].0, "gateway/e2e");
+        assert_eq!(snap.histograms[0].1.count, 0);
+    }
+
+    #[test]
+    fn fn_stage_set_is_the_fn_scope() {
+        let reg = MetricsRegistry::new();
+        assert!(Arc::ptr_eq(&reg.fn_stage_set("x"), &reg.stage_set("fn/x")));
     }
 
     /// Absorbing per-worker registries reproduces the snapshot of one
@@ -471,10 +471,6 @@ mod tests {
     fn absorb_equals_single_registry_recording() {
         let combined = MetricsRegistry::new();
         let workers: Vec<MetricsRegistry> = (0..3).map(|_| MetricsRegistry::new()).collect();
-        for reg in workers.iter().chain([&combined]) {
-            reg.stage_union("all", "fn/");
-            reg.histogram_union("gateway/e2e", "fn/");
-        }
 
         // Worker w records fn/w-scoped samples plus shared counters/series.
         for (w, reg) in workers.iter().enumerate() {
@@ -482,15 +478,15 @@ mod tests {
             reg.gauge("load").set(0.5);
             let mut s = StageSample::new();
             s.set(Stage::Exec, SimDuration::from_millis(1 + w as u64));
-            let scope = format!("fn/{w}");
-            reg.stage_set(&scope).record(&s);
+            let function = w.to_string();
+            reg.fn_stage_set(&function).record(&s);
             reg.sample_series("pool/live", SimTime::from_secs(30), w as f64);
             reg.sample_series("pool/live", SimTime::from_secs(60), 1.0);
 
             combined.counter("gateway/requests").add(10 + w as u64);
             let g = combined.gauge("load");
             g.set(g.get() + 0.5);
-            combined.stage_set(&scope).record(&s);
+            combined.fn_stage_set(&function).record(&s);
         }
         combined.sample_series("pool/live", SimTime::from_secs(30), 0.0 + 1.0 + 2.0);
         combined.sample_series("pool/live", SimTime::from_secs(60), 3.0);
@@ -531,10 +527,6 @@ mod tests {
                 MetricsRegistry::new(),
                 MetricsRegistry::new(),
             );
-            for reg in [&combined, &target, &worker] {
-                reg.stage_union("all", "fn/");
-                reg.histogram_union("gateway/e2e", "fn/");
-            }
             for (reg, samples) in [(&target, in_target), (&worker, in_worker)] {
                 for s in samples {
                     reg.stage_set("fn/f").record(s);

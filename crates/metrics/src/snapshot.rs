@@ -5,14 +5,26 @@
 //! to the approximate quantiles, so a snapshot can be reconciled against
 //! e2e request totals exactly. All durations are reported in nanoseconds
 //! (`*_ns` fields); serialization goes through [`stdshim::ToJson`].
+//!
+//! One rule derives the request-wide view: scope `all` is the merge of every
+//! `fn/` scope (plus anything recorded into `all` directly), and histogram
+//! `gateway/e2e` the merge of those scopes' sample totals — each request's
+//! stage sum is its e2e latency. Both are present in every snapshot, empty
+//! or not, and nothing records into `gateway/e2e`.
 
 use crate::histogram::LatencyHistogram;
 use crate::registry::{MetricsRegistry, StageHistograms};
 use crate::stage::{Stage, N_STAGES};
 use crate::timeseries::TimeSeries;
 use simclock::SimTime;
-use std::collections::BTreeMap;
 use stdshim::{JsonValue, ToJson};
+
+/// The prefix of per-function scopes, `fn/<function>`.
+pub(crate) const FN_PREFIX: &str = "fn/";
+/// The scope derived from every `fn/` scope.
+const ALL_SCOPE: &str = "all";
+/// The histogram derived from the `fn/` scopes' sample totals.
+const E2E_HISTOGRAM: &str = "gateway/e2e";
 
 /// Summary of one histogram: exact count/sum/min/max/mean plus approximate
 /// quantiles (all nanoseconds).
@@ -210,21 +222,15 @@ impl ToJson for MetricsSnapshot {
 impl MetricsRegistry {
     /// Freezes every metric into a [`MetricsSnapshot`]. The registry is read
     /// out once and each stage set copied once: the same copy is summarized
-    /// under its own scope and merged into every declared union it is a
-    /// member of, so `all` and `gateway/e2e` agree with the `fn/` scopes even
-    /// while recorders run. A stage set that has recorded nothing yet is
-    /// left out, however early its scope was created; declared unions are
+    /// under its own scope and, for a `fn/` scope, merged into `all` and
+    /// `gateway/e2e`, so those agree with the `fn/` scopes even while
+    /// recorders run. A stage set that has recorded nothing yet is left out,
+    /// however early its scope was created; `all` and `gateway/e2e` are
     /// always present.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let raw = self.read_out();
-        let mut histograms: BTreeMap<&str, LatencyHistogram> = BTreeMap::new();
-        for (name, _) in &raw.histogram_unions {
-            histograms.entry(name).or_default();
-        }
-        let mut unions: BTreeMap<&str, StageHistograms> = BTreeMap::new();
-        for (scope, _) in &raw.stage_unions {
-            unions.entry(scope).or_default();
-        }
+        let mut all = StageHistograms::default();
+        let mut e2e = LatencyHistogram::new();
         let summarize = |scope: &str, hists: &StageHistograms| {
             let stages = Stage::ALL.iter().zip(hists);
             (
@@ -232,12 +238,7 @@ impl MetricsRegistry {
                 stages.map(|(&s, h)| (s, HistogramSummary::of(h))).collect(),
             )
         };
-        let merge_stages = |into: &mut StageHistograms, hists: &StageHistograms| {
-            for (slot, hist) in into.iter_mut().zip(&hists[..N_STAGES]) {
-                slot.merge(hist);
-            }
-        };
-        let mut stages = Vec::with_capacity(raw.stages.len() + unions.len());
+        let mut stages = Vec::with_capacity(raw.stages.len() + 1);
         for (scope, set) in &raw.stages {
             let hists = set.read();
             // Every sample lands in the totals slot, so an empty one means
@@ -245,30 +246,23 @@ impl MetricsRegistry {
             if hists[N_STAGES].is_empty() {
                 continue;
             }
-            for (name, prefix) in &raw.histogram_unions {
-                if scope.starts_with(prefix.as_str()) {
-                    let merged = histograms.entry(name).or_default();
-                    merged.merge(&hists[N_STAGES]);
+            let is_fn = scope.starts_with(FN_PREFIX);
+            if is_fn || scope == ALL_SCOPE {
+                for (slot, hist) in all.iter_mut().zip(&hists[..N_STAGES]) {
+                    slot.merge(hist);
                 }
             }
-            for (union, prefix) in &raw.stage_unions {
-                if scope.starts_with(prefix.as_str()) {
-                    merge_stages(unions.entry(union).or_default(), &hists);
-                }
+            if is_fn {
+                e2e.merge(&hists[N_STAGES]);
             }
-            // Samples recorded directly into a union scope are merged into it.
-            match unions.get_mut(scope.as_str()) {
-                Some(union) => merge_stages(union, &hists),
-                None => stages.push(summarize(scope, &hists)),
+            if scope != ALL_SCOPE {
+                stages.push(summarize(scope, &hists));
             }
         }
-        stages.extend(unions.iter().map(|(scope, hists)| summarize(scope, hists)));
+        stages.push(summarize(ALL_SCOPE, &all));
         stages.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
-            histograms: histograms
-                .iter()
-                .map(|(name, h)| (name.to_string(), HistogramSummary::of(h)))
-                .collect(),
+            histograms: vec![(E2E_HISTOGRAM.to_string(), HistogramSummary::of(&e2e))],
             stages,
             counters: raw.counters,
             gauges: raw.gauges,
@@ -288,16 +282,16 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("a/requests").add(7);
         reg.gauge("pool/size").set(3.0);
-        reg.histogram_union("e2e", "fn/");
         let mut s = StageSample::new();
         s.set(Stage::Exec, SimDuration::from_millis(4));
         s.set(Stage::RuntimeInit, SimDuration::from_millis(6));
-        reg.stage_set("fn/x").record(&s);
+        reg.fn_stage_set("x").record(&s);
         reg.sample_series("demand", SimTime::from_secs(30), 2.0);
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter("a/requests"), Some(7));
         assert_eq!(snap.gauge("pool/size"), Some(3.0));
+        assert_eq!(snap.histograms[0].0, "gateway/e2e");
         assert_eq!(snap.histograms[0].1.count, 1);
         assert_eq!(snap.stage_count("fn/x", Stage::Exec), 1);
         assert_eq!(
@@ -326,18 +320,16 @@ mod tests {
     #[test]
     fn stage_sets_that_recorded_nothing_are_left_out() {
         let reg = MetricsRegistry::new();
-        reg.stage_union("all", "fn/");
-        let _created_early = reg.stage_set("fn/idle");
+        let _created_early = reg.fn_stage_set("idle");
         let mut s = StageSample::new();
         s.set(Stage::Exec, SimDuration::from_millis(1));
-        reg.stage_set("fn/busy").record(&s);
+        reg.fn_stage_set("busy").record(&s);
         let snap = reg.snapshot();
         let scopes: Vec<&str> = snap.stages.iter().map(|(s, _)| s.as_str()).collect();
         assert_eq!(scopes, ["all", "fn/busy"]);
-        // A declared union stays, empty or not.
+        // The derived `all` stays, empty or not.
         let empty = MetricsRegistry::new();
-        empty.stage_union("all", "fn/");
-        empty.stage_set("fn/idle");
+        empty.fn_stage_set("idle");
         assert_eq!(empty.snapshot().stages.len(), 1);
     }
 
