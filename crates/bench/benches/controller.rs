@@ -14,16 +14,26 @@
 //! where a 10 ms window of single intervals let one scheduler hiccup double
 //! a mean. What `step` still pays per interval is the requests themselves
 //! and a pass over the pool's wake and unparked bitmap words.
+//!
+//! `churn_step_1000types` is the fleet a pool far over its cap has: each
+//! interval `CHURN` of the types — a window rotating through the fleet —
+//! serve one cold request, limit enforcement evicts their runtimes, and the
+//! step collects the slots that have been empty for the GC threshold, so
+//! every step re-admits and garbage-collects `CHURN` keys. What it pays per
+//! re-admission beyond the cold start is whatever the key had before its
+//! collection and is given again: its configuration and its predictor.
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-use hotc::{AdaptiveController, EngineRef, KeyPolicy, RuntimePool, ScalingPolicy};
+use hotc::{AdaptiveController, EngineRef, KeyPolicy, PoolLimits, RuntimePool, ScalingPolicy};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
 use stdshim::sync::Mutex;
 
 /// Keys touched per interval.
 const HOT: usize = 10;
+/// Keys re-admitted, and keys collected, per churn interval.
+const CHURN: usize = 100;
 
 fn configs(n: usize) -> Vec<ContainerConfig> {
     let images = [
@@ -67,7 +77,7 @@ fn interval<'a>(
     } else {
         ctl.step(pool, engine, now).unwrap()
     };
-    report.demand.len()
+    report.sized
 }
 
 /// Intervals run before the `holding_*` timing starts.
@@ -106,8 +116,44 @@ fn bench_holding(h: &mut Harness, types: usize) {
     }
 }
 
+fn bench_churn(h: &mut Harness, types: usize) {
+    let engine = Mutex::labeled(
+        ContainerEngine::with_local_images(HardwareProfile::server()),
+        "core/engine",
+    );
+    let pool = RuntimePool::new(KeyPolicy::Exact);
+    let all = configs(types);
+    let mut ctl = AdaptiveController::new(ScalingPolicy::default());
+    // A cap of one: every runtime but the newest is evicted right after its
+    // interval, so each type's slot is empty from its next step on.
+    let limits = PoolLimits::new(1, 1.5);
+    let mut tick = 0u64;
+    let mut next = || {
+        tick += 1;
+        let readmitted = (0..CHURN).map(|j| &all[(tick as usize * CHURN + j) % types]);
+        let sized = interval(&mut ctl, &pool, &engine, readmitted, tick, false);
+        limits
+            .enforce(&pool, &engine, SimTime::from_secs(30 * tick))
+            .unwrap();
+        sized
+    };
+    // Every type is admitted, collected and re-admitted before timing.
+    for _ in 0..3 * types / CHURN {
+        next();
+    }
+    let tracked = pool.keys().len();
+    assert!(
+        tracked < 5 * CHURN,
+        "slots are collected: {tracked} tracked"
+    );
+    h.bench(&format!("churn_step_{types}types"), || {
+        (0..HOLDING_BATCH).map(|_| next()).sum::<usize>()
+    });
+}
+
 fn main() {
     let mut h = Harness::new("controller_tick");
     bench_holding(&mut h, 1000);
+    bench_churn(&mut h, 1000);
     h.finish();
 }

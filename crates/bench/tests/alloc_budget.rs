@@ -1,6 +1,8 @@
 //! The request path's allocation budget, counted without the benchmark: a
-//! warm `Gateway<HotC>` request allocates nothing, and a cold-start request
-//! or a warm clustered one allocates only what amortised table growth costs.
+//! warm `Gateway<HotC>` request allocates nothing, a cold-start request or a
+//! warm clustered one allocates only what amortised table growth costs, and
+//! a key that churns out of the pool and back in pays nothing it paid
+//! before.
 //!
 //! This target installs its own counting global allocator — the same scoped
 //! `unsafe` as the benchmark's counted pass, for the same reason. It counts
@@ -10,7 +12,7 @@
 
 use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::{AppProfile, ColdStartAlways, FunctionSpec, Gateway, RuntimeProvider};
-use hotc::HotC;
+use hotc::{HotC, HotCConfig, PoolLimits};
 use hotc_cluster::{Cluster, SchedulePolicy};
 use simclock::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -169,4 +171,76 @@ fn a_warm_cluster_request_allocates_only_amortised_growth() {
         per_request <= 0.01,
         "{per_request} allocations per warm clustered request"
     );
+}
+
+/// The churn test's key groups, and the keys per group — also the pool
+/// cap, so each group's cold starts evict the group before it.
+const CHURN_GROUPS: usize = 6;
+const CHURN_GROUP: usize = 8;
+/// The control interval.
+const INTERVAL: SimDuration = SimDuration::from_secs(30);
+
+/// A key that churns pays nothing twice. `CHURN_GROUPS` groups of
+/// functions, one runtime key each, take turns: each control interval one
+/// group serves a request per function on a pool capped at one group, so
+/// limit enforcement evicts the group before it, whose empty slots the
+/// control step collects three intervals later — the step in which another
+/// group comes back. From the second round on every request re-admits a
+/// collected key, and a re-admission (its cold start and its share of the
+/// control steps) allocates less than once on average: it shares the key's
+/// interned configuration and gets a collected key's predictor, reset.
+#[test]
+fn a_churning_key_is_readmitted_without_allocating() {
+    let mut gw = Gateway::new(
+        ContainerEngine::with_local_images(HardwareProfile::server()),
+        HotC::new(HotCConfig {
+            limits: PoolLimits::new(CHURN_GROUP, 0.8),
+            ..HotCConfig::default()
+        }),
+    );
+    let base = AppProfile::qr_code(LanguageRuntime::Python);
+    let functions: Vec<FunctionSpec> = (0..CHURN_GROUPS * CHURN_GROUP)
+        .map(|i| {
+            let mut config = base.default_config();
+            config.exec.env.insert("KEY".into(), i.to_string());
+            FunctionSpec::from_app(base.clone())
+                .named(format!("churn-{i}"))
+                .with_config(config)
+        })
+        .collect();
+    for spec in &functions {
+        gw.register(spec.clone());
+    }
+    let groups: Vec<&[FunctionSpec]> = functions.chunks(CHURN_GROUP).collect();
+    for round in 0..5 {
+        let (mut allocs, mut readmitted) = (0, 0);
+        for (g, group) in groups.iter().enumerate() {
+            let pool = gw.provider().pool();
+            readmitted += group
+                .iter()
+                .filter(|spec| {
+                    pool.id_for(&spec.config)
+                        .is_none_or(|id| !pool.keys().contains(&id))
+                })
+                .count();
+            let start = SimTime::ZERO + INTERVAL * (round * CHURN_GROUPS + g) as u64;
+            let (_, n) = allocations(|| {
+                let mut now = start;
+                for spec in group.iter() {
+                    let inflight = gw.begin(&spec.name, now).expect("begin");
+                    now = gw.finish(inflight).expect("finish").t6_gateway_out + GAP;
+                }
+                // Steps run exactly one interval apart.
+                gw.tick(start + INTERVAL / 2).expect("tick");
+            });
+            allocs += n;
+        }
+        if round > 0 {
+            assert_eq!(readmitted, functions.len(), "round {round}");
+            assert!(
+                (allocs as usize) < readmitted,
+                "round {round}: {allocs} allocations for {readmitted} re-admissions"
+            );
+        }
+    }
 }

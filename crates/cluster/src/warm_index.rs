@@ -192,8 +192,8 @@ impl WarmIndex {
             let ck = match view.l2c.get(&li) {
                 Some(&ck) => ck,
                 None => {
-                    // Clone the configuration out before the cluster lookup:
-                    // the two interners share a lock class.
+                    // Take the (shared) configuration out before the
+                    // cluster lookup: the two interners share a lock class.
                     let Some(ck) = pool
                         .key_config(local)
                         .and_then(|config| interner.get(&config))

@@ -226,16 +226,10 @@ impl ConcurrentGateway {
             self.metrics
                 .counter("controller/gc_keys")
                 .add(report.gc_keys as u64);
-            self.metrics.sample_series(
-                "controller/predicted_demand",
-                now,
-                report.predicted_total(),
-            );
-            self.metrics.sample_series(
-                "controller/actual_demand",
-                now,
-                report.actual_total() as f64,
-            );
+            self.metrics
+                .sample_series("controller/predicted_demand", now, report.predicted_total);
+            self.metrics
+                .sample_series("controller/actual_demand", now, report.actual_total as f64);
         }
         let (avail, in_use) = self.pool().sizes();
         self.metrics.gauge("pool/available").set(avail as f64);

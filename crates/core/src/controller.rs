@@ -48,7 +48,14 @@
 //! consecutive zero-demand intervals) have their per-key state dropped in
 //! the same step, so the state table cannot grow without bound across
 //! distinct configurations — except a hybrid key's gap history, which is
-//! what it learns from across exactly those idle gaps.
+//! what it learns from across exactly those idle gaps. A collected key's
+//! `EsMarkov` predictor is kept as a spare for the rest of the step, and a
+//! key the same step sizes for the first time gets it [`EsMarkov::reset`]:
+//! under steady churn, where every step collects some keys and admits
+//! others, a re-admitted key costs no allocation for its predictor. Spares
+//! left at the end of the step are dropped. Kept longer, they would hand
+//! their grown windows to short-lived keys, and the live predictors' memory
+//! would ratchet up to the largest window each has ever held.
 
 use crate::key::KeyId;
 use crate::pool::{DemandSnapshot, EngineRef, KeyDemand, RuntimePool};
@@ -135,7 +142,12 @@ impl ScalingPolicy {
 
 /// What one control step did — the counters and predicted-vs-actual demand
 /// the telemetry layer samples into the metrics registry.
-#[derive(Debug, Clone, Default)]
+///
+/// The keys a step *sizes* are every key the pool tracks, cold keys included
+/// until their slot GC (with their forecast), except held keys, whose
+/// actual demand is zero and whose prediction `step` did not compute. A
+/// keep-alive policy's prediction is its window's peak.
+#[derive(Debug, Clone)]
 pub struct StepReport {
     /// Containers pre-warmed ahead of predicted demand.
     pub prewarmed: usize,
@@ -143,24 +155,14 @@ pub struct StepReport {
     pub retired: usize,
     /// Keys whose empty slots (and predictors) were garbage collected.
     pub gc_keys: usize,
-    /// Per-key `(predicted, actual)` demand for the interval, for the keys
-    /// the step *sized*: every key the pool tracks, cold keys included until
-    /// their slot GC (with their forecast), except held keys, whose actual
-    /// demand is zero and whose prediction `step` did not compute. A
-    /// keep-alive policy's prediction is its window's peak.
-    pub demand: Vec<(KeyId, f64, usize)>,
-}
-
-impl StepReport {
-    /// Total predicted demand across keys.
-    pub(crate) fn predicted_total(&self) -> f64 {
-        self.demand.iter().map(|&(_, p, _)| p).sum()
-    }
-
-    /// Total actual demand across keys.
-    pub(crate) fn actual_total(&self) -> usize {
-        self.demand.iter().map(|&(_, _, d)| d).sum()
-    }
+    /// Keys the step sized.
+    pub sized: usize,
+    /// Predicted demand summed over the sized keys in snapshot order,
+    /// starting from `-0.0` as `f64`'s `Sum` does: an empty step's total is
+    /// `-0.0`, and the series it is sampled into keeps those bits.
+    pub(crate) predicted_total: f64,
+    /// Actual demand summed over the sized keys.
+    pub(crate) actual_total: usize,
 }
 
 /// Percentile of a key's gap distribution the hybrid window provisions for.
@@ -327,15 +329,24 @@ pub struct AdaptiveController {
     keys: Vec<KeySlot>,
     /// The keep-alive policies' per-key windows, indexed the same way.
     windows: Vec<Option<Box<Window>>>,
+    /// Predictors of the keys this step garbage-collected, handed out
+    /// [`EsMarkov::reset`] before a new one is built; empty between steps.
+    #[allow(
+        clippy::vec_box,
+        reason = "a spare moves into a key's slot as the box it already is"
+    )]
+    spares: Vec<Box<KeyedPredictor>>,
     /// Keys the last `step` left held: its pool's next snapshot parks them.
     park: Vec<KeyId>,
     /// Hold ends as `(first tick past the hold, key)`, earliest first: at
     /// most one live entry per key (`KeySlot::queued`).
     expiries: BinaryHeap<Reverse<(u64, KeyId)>>,
-    /// The keys whose hold ends at this step, and `step`'s snapshot
-    /// (scratch, kept for their capacity).
+    /// The keys whose hold ends at this step, `step`'s snapshot and the
+    /// last step's sized keys as `(key, predicted, actual)`, in snapshot
+    /// order (scratch, kept for their capacity).
     due: Vec<KeyId>,
     snapshot: DemandSnapshot,
+    demand: Vec<(KeyId, f64, usize)>,
     /// Monotone control-step counter; predictors record the tick they last
     /// observed so skipped (zero-demand) intervals can be backfilled.
     ticks: u64,
@@ -353,10 +364,12 @@ impl AdaptiveController {
             policy,
             keys: Vec::new(),
             windows: Vec::new(),
+            spares: Vec::new(),
             park: Vec::new(),
             expiries: BinaryHeap::new(),
             due: Vec::new(),
             snapshot: DemandSnapshot::default(),
+            demand: Vec::new(),
             ticks: 0,
             last_step: None,
             last_ping: SimTime::ZERO,
@@ -480,17 +493,22 @@ impl AdaptiveController {
         self.ticks += 1;
         let tick = self.ticks;
         let mut report = StepReport {
+            prewarmed: 0,
+            retired: 0,
             gc_keys: snapshot.retired.len(),
-            demand: Vec::with_capacity(snapshot.demands.len()),
-            ..StepReport::default()
+            sized: 0,
+            predicted_total: -0.0,
+            actual_total: 0,
         };
+        self.demand.clear();
         let keeps_history = matches!(self.policy, ScalingPolicy::Hybrid);
         for id in &snapshot.retired {
-            // The pool dropped the slot: drop its predictor, and any hold,
-            // with it — and its window, unless that is a gap history, which
-            // is learned across exactly such idle gaps.
+            // The pool dropped the slot: drop any hold with it and keep its
+            // predictor as a spare for this step — and drop its window,
+            // unless that is a gap history, which is learned across exactly
+            // such idle gaps.
             if let Some(slot) = self.keys.get_mut(id.index()) {
-                *slot = KeySlot::default();
+                self.spares.extend(std::mem::take(slot).predictor);
             }
             if let (Some(window), false) = (self.windows.get_mut(id.index()), keeps_history) {
                 *window = None;
@@ -524,12 +542,19 @@ impl AdaptiveController {
                         continue;
                     }
                     slot.hold_until = 0;
-                    let entry = slot.predictor.get_or_insert_with(|| {
-                        Box::new(KeyedPredictor {
-                            model: EsMarkov::with_params(config.alpha, INIT, REGIONS, WINDOW),
-                            last_tick: tick - 1,
-                        })
-                    });
+                    let entry = slot
+                        .predictor
+                        .get_or_insert_with(|| match self.spares.pop() {
+                            Some(mut spare) => {
+                                spare.model.reset();
+                                spare.last_tick = tick - 1;
+                                spare
+                            }
+                            None => Box::new(KeyedPredictor {
+                                model: EsMarkov::with_params(config.alpha, INIT, REGIONS, WINDOW),
+                                last_tick: tick - 1,
+                            }),
+                        });
                     // A key passed over under a hold saw zero demand in
                     // every skipped interval: feed them now so the
                     // predictor's series is identical to what `step_full`
@@ -561,7 +586,10 @@ impl AdaptiveController {
                     (peak as f64, peak.min(current), 1.0, None)
                 }
             };
-            report.demand.push((id, predicted, demand));
+            report.sized += 1;
+            report.predicted_total += predicted;
+            report.actual_total += demand;
+            self.demand.push((id, predicted, demand));
 
             // No-resurrect rule: a key with no demand and no containers
             // is on its way to being GC'd — pre-warming it would keep a
@@ -613,6 +641,7 @@ impl AdaptiveController {
                 }
             }
         }
+        self.spares.clear();
         Ok(report)
     }
 }
@@ -822,9 +851,9 @@ mod tests {
                 .unwrap();
         }
         let report = step(&mut ctl, &pool, &mut e, SimTime::ZERO);
-        assert_eq!(report.demand.len(), 1);
-        assert_eq!(report.actual_total(), 4);
-        assert!(report.predicted_total() > 0.0);
+        assert_eq!(report.sized, 1);
+        assert_eq!(report.actual_total, 4);
+        assert!(report.predicted_total > 0.0);
         assert_eq!(report.prewarmed, 2, "report: {report:?}");
         assert_eq!(report.gc_keys, 0);
         // Drain the pool, then let the empty slot hit the GC threshold.
@@ -849,7 +878,7 @@ mod tests {
     /// Regression (unbounded predictor maps): when the pool GCs a dead
     /// slot, the controller drops its predictor in the same step — before
     /// the fix, every config ever seen kept a predictor (and a config clone)
-    /// forever.
+    /// forever. No key needed it in that step, so it is not kept either.
     #[test]
     fn gc_drops_predictors_for_dead_keys() {
         let (mut e, pool, mut ctl) = setup();
@@ -873,6 +902,67 @@ mod tests {
         assert_eq!(pool.total_live(), 0, "dead key must not be resurrected");
         assert!(pool.keys().is_empty());
         assert_eq!(ctl.state_count(), 0, "predictor GC'd with the slot");
+        assert!(ctl.spares.is_empty(), "a spare outlived its step");
+    }
+
+    /// A key the step sizes for the first time gets the predictor of a key
+    /// the same step collected, reset: it is the predictor a fresh one fed
+    /// the new key's demand would be. (That no predictor is built then is
+    /// `alloc_budget`'s churn test: the allocator may hand a freed box's
+    /// address straight back, so identity cannot show it here.)
+    #[test]
+    fn a_key_admitted_as_another_is_collected_gets_a_reset_predictor() {
+        let (mut e, pool, mut ctl) = setup();
+        for t in 0..8 {
+            let now = SimTime::from_secs(t * 30);
+            drive_demand(&pool, &mut e, 1 + t as usize % 3, now);
+            step(&mut ctl, &pool, &mut e, now);
+        }
+        while pool
+            .evict_oldest(
+                &ExclusiveEngine::new(&mut e),
+                SimTime::from_secs(7 * 30 + 1),
+            )
+            .unwrap()
+            .is_some()
+        {}
+        for t in 8..7 + GC_INTERVALS {
+            step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+        }
+        // The step that collects the first key is the new key's first.
+        let now = SimTime::from_secs((7 + GC_INTERVALS) * 30);
+        drive_config_demand(&pool, &mut e, &keyed(1), 1, now);
+        assert_eq!(step(&mut ctl, &pool, &mut e, now).gc_keys, 1);
+        let id = pool.intern_config(&keyed(1));
+        let recycled = &ctl.keys[id.index()].predictor.as_ref().unwrap().model;
+        assert_eq!((ctl.state_count(), ctl.spares.len()), (1, 0));
+        let mut fresh = EsMarkov::with_params(0.8, INIT, REGIONS, WINDOW);
+        fresh.observe(1.0);
+        assert_eq!(format!("{recycled:?}"), format!("{fresh:?}"));
+    }
+
+    /// The step totals the telemetry samples are the sums over the step's
+    /// sized keys, bit for bit as `Iterator::sum` gives them — so an empty
+    /// step's predicted total is `-0.0`, not `+0.0`.
+    #[test]
+    fn step_totals_are_the_sums_over_the_sized_keys() {
+        let (mut e, pool, mut ctl) = setup();
+        let empty = step(&mut ctl, &pool, &mut e, SimTime::ZERO);
+        assert_eq!(empty.predicted_total.to_bits(), (-0.0f64).to_bits());
+        assert_eq!((empty.sized, empty.actual_total), (0, 0));
+        for (t, n) in [3usize, 1, 0, 4, 2, 2, 0, 5].into_iter().enumerate() {
+            let now = SimTime::from_secs(30 * (t as u64 + 1));
+            for k in 0..n {
+                drive_config_demand(&pool, &mut e, &keyed(k), n - k, now);
+            }
+            let report = step(&mut ctl, &pool, &mut e, now);
+            assert_eq!(report.sized, ctl.demand.len());
+            let predicted: f64 = ctl.demand.iter().map(|&(_, p, _)| p).sum();
+            assert_eq!(report.predicted_total.to_bits(), predicted.to_bits());
+            let actual: usize = ctl.demand.iter().map(|&(_, _, d)| d).sum();
+            assert_eq!(report.actual_total, actual);
+        }
+        assert!(ctl.demand.len() > 1, "the last step sized several keys");
     }
 
     /// Keys that all need a pre-warm in one control step get their new
@@ -929,18 +1019,16 @@ mod tests {
             );
             assert_eq!(slot.hold_level, 1);
         }
-        assert!(step(ctl, pool, engine, SimTime::from_secs(180))
-            .demand
-            .is_empty());
+        assert_eq!(step(ctl, pool, engine, SimTime::from_secs(180)).sized, 0);
         for c in configs {
             assert!(pool.is_parked(pool.intern_config(c)), "parked once held");
         }
         7
     }
 
-    /// The keys a step sized, in order.
-    fn visited(report: &StepReport) -> Vec<KeyId> {
-        report.demand.iter().map(|&(id, _, _)| id).collect()
+    /// The keys the last step sized, in order.
+    fn visited(ctl: &AdaptiveController) -> Vec<KeyId> {
+        ctl.demand.iter().map(|&(id, _, _)| id).collect()
     }
 
     /// One wake source against two parked keys: `wake` changes the first
@@ -958,7 +1046,7 @@ mod tests {
         wake(&pool, &mut e, &configs[0], now);
         assert!(!pool.is_parked(woken), "the change woke the key");
         let report = step(&mut ctl, &pool, &mut e, now);
-        assert_eq!(visited(&report), [woken]);
+        assert_eq!(visited(&ctl), [woken]);
         assert!(pool.is_parked(quiet), "the quiet key was visited");
         for t in t + 1..t + 3 {
             step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
@@ -977,7 +1065,7 @@ mod tests {
         let report = woken_key_is_visited_in_the_next_step(|pool, e, c, now| {
             drive_config_demand(pool, e, c, 1, now);
         });
-        assert_eq!(report.actual_total(), 1);
+        assert_eq!(report.actual_total, 1);
     }
 
     /// A hold covers one pool size. When limit enforcement evicts a held
@@ -1006,7 +1094,7 @@ mod tests {
             crash_config_demand(pool, e, c, 1, now);
             assert_eq!(pool.num_avail_id(pool.intern_config(c)), 0);
         });
-        assert_eq!((report.actual_total(), report.prewarmed), (1, 1));
+        assert_eq!((report.actual_total, report.prewarmed), (1, 1));
     }
 
     /// Steps from interval `t` on while `ids` are held: no step visits
@@ -1028,10 +1116,11 @@ mod tests {
         let first = ctl.ticks + 1;
         let at = |tick: u64| SimTime::from_secs((t + tick - first) * 30);
         for tick in first..end {
-            assert!(step(ctl, pool, engine, at(tick)).demand.is_empty());
+            assert_eq!(step(ctl, pool, engine, at(tick)).sized, 0);
             assert!(ids.iter().all(|&id| pool.is_parked(id)), "tick {tick}");
         }
-        assert_eq!(visited(&step(ctl, pool, engine, at(end))), ids);
+        step(ctl, pool, engine, at(end));
+        assert_eq!(visited(ctl), ids);
     }
 
     /// A hold that runs out is due: the step at the first tick past it
@@ -1063,8 +1152,8 @@ mod tests {
         }
         drive_demand(&pool, &mut e, 1, SimTime::from_secs(t * 30));
         for t in t..t + 2 {
-            let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
-            assert_eq!(visited(&report), [id]);
+            step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            assert_eq!(visited(&ctl), [id]);
         }
         let new_end = ctl.keys[id.index()].hold_until + 1;
         assert_eq!(
@@ -1093,15 +1182,14 @@ mod tests {
         let t = settle_into_hold(&mut ctl, &pool, &mut e, &[cfg()]);
         let id = pool.intern_config(&cfg());
         for t in t..t + 20 {
-            assert!(step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30))
-                .demand
-                .is_empty());
+            let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            assert_eq!(report.sized, 0);
         }
         let now = SimTime::from_secs((t + 20) * 30);
         drive_demand(&pool, &mut e, 1, now);
         let report = step(&mut ctl, &pool, &mut e, now);
-        assert_eq!(report.actual_total(), 1);
-        assert_eq!(report.demand[0].0, id);
+        assert_eq!(report.actual_total, 1);
+        assert_eq!(visited(&ctl), [id]);
         assert_eq!(
             model(&ctl.keys[id.index()]).unwrap().observations() as u64,
             t + 21,
@@ -1143,9 +1231,9 @@ mod tests {
         let (mut met, mut skipped) = (0, 0);
         for t in 1..500 {
             let pooled = pool.total_available();
-            let sized = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30)).demand;
+            let sized = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30)).sized;
             met += pooled;
-            skipped += pooled.saturating_sub(sized.len());
+            skipped += pooled.saturating_sub(sized);
         }
         assert!(met >= 400 * 400, "the fleet stayed pooled: {met}");
         assert!(
@@ -1243,7 +1331,7 @@ mod tests {
             assert_eq!(rf.gc_keys, rd.gc_keys, "interval {t}: GC diverged");
             // The tracked keys neither GC'd nor reported were parked or
             // passed over under a hold.
-            held += tracked - rd.gc_keys - rd.demand.len();
+            held += tracked - rd.gc_keys - rd.sized;
         }
         assert_eq!(pf.keys(), pd.keys(), "tracked key sets diverged");
         for key in pf.keys() {

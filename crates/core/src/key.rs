@@ -25,6 +25,7 @@ use containersim::{ContainerConfig, ImageId, NetworkMode, NetworkScope};
 use faas::ProviderKey;
 use simclock::SimDuration;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use stdshim::{FastHasher, FastMap, Mutex};
 
 /// Which configuration fields participate in the runtime key.
@@ -48,6 +49,19 @@ impl KeyPolicy {
                 KeyFields::Fuzzy(&config.image, config.network.mode, config.network.scope)
             }
         }
+    }
+
+    /// `key_config`, shared, if a container booted for `config` under the
+    /// same key may use it: always under exact keys, where the two are
+    /// equal by construction; under fuzzy keys only if they are equal, since
+    /// requests may differ in the fields the key ignores.
+    pub(crate) fn share(
+        self,
+        key_config: &Arc<ContainerConfig>,
+        config: &ContainerConfig,
+    ) -> Option<Arc<ContainerConfig>> {
+        debug_assert!(self == KeyPolicy::Fuzzy || **key_config == *config);
+        (self != KeyPolicy::Fuzzy || **key_config == *config).then(|| Arc::clone(key_config))
     }
 }
 
@@ -114,8 +128,10 @@ impl std::fmt::Display for KeyId {
 /// [`KeyPolicy`] (the *fingerprint*) and verifies candidates by comparing
 /// those same fields — nothing is allocated for a configuration that has
 /// been seen before. Fingerprint collisions are handled by chaining ids per
-/// fingerprint. The interner stores each key's first configuration and
-/// nothing else.
+/// fingerprint. The interner stores each key's first configuration, once,
+/// behind the `Arc` the pool hands to every slot and engine record of that
+/// configuration — across slot GC, so a key that churns in and out of the
+/// pool is never copied again.
 ///
 /// Lock class `pool/interner`: one short critical section per lookup (a
 /// fingerprint probe), on the request path strictly *before* (and released
@@ -133,7 +149,7 @@ pub struct KeyInterner {
 #[derive(Debug, Default)]
 struct InternerState {
     /// `KeyId::index()` → the configuration first interned under that id.
-    configs: Vec<ContainerConfig>,
+    configs: Vec<Arc<ContainerConfig>>,
     /// Fingerprint → candidate ids (chained on collision). A [`FastMap`]:
     /// the key is already a hash, so re-SipHashing it on every lookup is
     /// pure overhead.
@@ -175,7 +191,7 @@ impl KeyInterner {
             return id;
         }
         let id = KeyId(state.configs.len() as u32);
-        state.configs.push(config.clone());
+        state.configs.push(Arc::new(config.clone()));
         state
             .by_fingerprint
             .entry(fingerprint)
@@ -191,8 +207,21 @@ impl KeyInterner {
     }
 
     /// The configuration first interned under `id`.
-    pub(crate) fn config(&self, id: KeyId) -> Option<ContainerConfig> {
+    pub(crate) fn config(&self, id: KeyId) -> Option<Arc<ContainerConfig>> {
         self.state.lock().configs.get(id.index()).cloned()
+    }
+
+    /// What a container booted for `config` under `id` shares: `id`'s
+    /// interned configuration where [`KeyPolicy::share`] allows it, else a
+    /// copy of `config` of its own.
+    pub(crate) fn share(&self, id: KeyId, config: &ContainerConfig) -> Arc<ContainerConfig> {
+        let shared = self
+            .state
+            .lock()
+            .configs
+            .get(id.index())
+            .and_then(|interned| self.policy.share(interned, config));
+        shared.unwrap_or_else(|| Arc::new(config.clone()))
     }
 
     /// Number of distinct keys interned so far.
@@ -307,7 +336,7 @@ mod tests {
         assert_eq!(ia.index(), 0);
         assert_eq!(ib.index(), 1);
         assert_eq!(interner.intern(&a), ia);
-        assert_eq!(interner.config(ia), Some(a));
+        assert_eq!(interner.config(ia).as_deref(), Some(&a));
         assert_eq!(interner.get(&b), Some(ib));
         assert_eq!(interner.len(), 2);
     }
@@ -324,8 +353,17 @@ mod tests {
         assert_eq!(interner.intern(&a), interner.intern(&ports));
         let other = ContainerConfig::bridge(ImageId::parse("golang:1.13"));
         assert_ne!(interner.intern(&a), interner.intern(&other));
-        // The id's configuration is the first one interned under it.
-        assert_eq!(interner.config(interner.intern(&b)), Some(a));
+        // The id's configuration is the first one interned under it, and
+        // only a request equal to it shares it.
+        let id = interner.intern(&b);
+        assert_eq!(interner.config(id).as_deref(), Some(&a));
+        assert!(Arc::ptr_eq(
+            &interner.share(id, &a),
+            &interner.share(id, &a)
+        ));
+        let own = interner.share(id, &b);
+        assert_eq!(*own, b);
+        assert!(!Arc::ptr_eq(&own, &interner.share(id, &b)));
     }
 
     #[test]

@@ -545,7 +545,9 @@ struct Slot {
     /// A representative configuration for this key, kept so the controller
     /// can pre-warm by key alone. Every container the pool boots with this
     /// exact configuration hands the engine this `Arc`, so the key's
-    /// containers share one copy.
+    /// containers share one copy — the interner's, whenever the request
+    /// that made the slot had the key's first configuration (always under
+    /// exact keys), so it outlives the slot's GC.
     config: Arc<ContainerConfig>,
 }
 
@@ -556,19 +558,6 @@ impl Slot {
             cold_since: None,
             config,
         }
-    }
-
-    /// The slot's configuration, shared, if it is exactly `config`. Under
-    /// exact keys it is by construction; a fuzzy key's requests may differ
-    /// in the fields the key ignores, and such a request gets a copy of its
-    /// own.
-    fn shared_config(
-        &self,
-        policy: KeyPolicy,
-        config: &ContainerConfig,
-    ) -> Option<Arc<ContainerConfig>> {
-        debug_assert!(policy == KeyPolicy::Fuzzy || *self.config == *config);
-        (policy != KeyPolicy::Fuzzy || *self.config == *config).then(|| Arc::clone(&self.config))
     }
 }
 
@@ -919,8 +908,9 @@ impl RuntimePool {
         self.interner.get(config)
     }
 
-    /// The configuration first interned under an id this pool issued.
-    pub fn key_config(&self, id: KeyId) -> Option<ContainerConfig> {
+    /// The configuration first interned under an id this pool issued —
+    /// the interner's own copy, shared.
+    pub fn key_config(&self, id: KeyId) -> Option<Arc<ContainerConfig>> {
         self.interner.config(id)
     }
 
@@ -1025,7 +1015,7 @@ impl RuntimePool {
             let slot = guard.slots.get(&id)?;
             let hit = slot.ks.claim_warm(&self.wake, id);
             if hit.is_none() {
-                shared = slot.shared_config(self.policy, config);
+                shared = self.policy.share(&slot.config, config);
             }
             hit
         });
@@ -1050,7 +1040,10 @@ impl RuntimePool {
         // Not existing, or existing but not available: start a new one. The
         // slot is recorded only once the container exists, so a failed
         // create leaves no phantom slot behind for the controller to track.
-        let config = shared.unwrap_or_else(|| Arc::new(config.clone()));
+        // With no slot configuration to share (an untracked key, or a fuzzy
+        // request unlike its slot's), share the interner's where allowed:
+        // its lock is taken here, between the pool-lock holds, not in one.
+        let config = shared.unwrap_or_else(|| self.interner.share(id, config));
         let (container, breakdown) =
             engine.with_engine(|e| e.create_container(Arc::clone(&config), now))?;
         {
@@ -1225,8 +1218,8 @@ impl RuntimePool {
             .lock()
             .slots
             .get(&id)
-            .and_then(|slot| slot.shared_config(self.policy, config));
-        let config = shared.unwrap_or_else(|| Arc::new(config.clone()));
+            .and_then(|slot| self.policy.share(&slot.config, config));
+        let config = shared.unwrap_or_else(|| self.interner.share(id, config));
         self.prewarm_shared(engine, id, config, now)
     }
 

@@ -119,6 +119,12 @@ impl StageSet {
         self.0.lock().clone()
     }
 
+    /// Runs `f` on everything recorded so far, under this set's lock and
+    /// without copying it.
+    pub(crate) fn visit(&self, f: impl FnOnce(&StageHistograms)) {
+        f(&self.0.lock());
+    }
+
     /// Folds histograms read out of another stage set into this one,
     /// including the totals slot. Reduction-time only.
     fn absorb(&self, recorded: &StageHistograms) {
@@ -140,8 +146,9 @@ struct Tables {
 /// Everything a registry holds, copied out under one hold of its lock with
 /// every table sorted by name: what [`MetricsRegistry::absorb`] folds in and
 /// what a snapshot summarizes. Stage sets come out as handles, so a reader
-/// copies one scope's histograms at a time ([`StageSet::read`], once each)
-/// instead of all of them at once.
+/// locks one scope's histograms at a time — `absorb` copies each out
+/// ([`StageSet::read`]), a snapshot summarizes each in place
+/// ([`StageSet::visit`]) — instead of all of them at once.
 pub(crate) struct ReadOut {
     pub(crate) counters: Vec<(String, u64)>,
     pub(crate) gauges: Vec<(String, f64)>,

@@ -221,12 +221,12 @@ impl ToJson for MetricsSnapshot {
 
 impl MetricsRegistry {
     /// Freezes every metric into a [`MetricsSnapshot`]. The registry is read
-    /// out once and each stage set copied once: the same copy is summarized
-    /// under its own scope and, for a `fn/` scope, merged into `all` and
-    /// `gateway/e2e`, so those agree with the `fn/` scopes even while
-    /// recorders run. A stage set that has recorded nothing yet is left out,
-    /// however early its scope was created; `all` and `gateway/e2e` are
-    /// always present.
+    /// out once and each stage set visited once, under its own lock: what it
+    /// holds then is summarized under its own scope and, for a `fn/` scope,
+    /// merged into `all` and `gateway/e2e`, so those agree with the `fn/`
+    /// scopes even while recorders run. A stage set that has recorded
+    /// nothing yet is left out, however early its scope was created; `all`
+    /// and `gateway/e2e` are always present.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let raw = self.read_out();
         let mut all = StageHistograms::default();
@@ -240,24 +240,25 @@ impl MetricsRegistry {
         };
         let mut stages = Vec::with_capacity(raw.stages.len() + 1);
         for (scope, set) in &raw.stages {
-            let hists = set.read();
-            // Every sample lands in the totals slot, so an empty one means
-            // an empty set.
-            if hists[N_STAGES].is_empty() {
-                continue;
-            }
-            let is_fn = scope.starts_with(FN_PREFIX);
-            if is_fn || scope == ALL_SCOPE {
-                for (slot, hist) in all.iter_mut().zip(&hists[..N_STAGES]) {
-                    slot.merge(hist);
+            set.visit(|hists| {
+                // Every sample lands in the totals slot, so an empty one
+                // means an empty set.
+                if hists[N_STAGES].is_empty() {
+                    return;
                 }
-            }
-            if is_fn {
-                e2e.merge(&hists[N_STAGES]);
-            }
-            if scope != ALL_SCOPE {
-                stages.push(summarize(scope, &hists));
-            }
+                let is_fn = scope.starts_with(FN_PREFIX);
+                if is_fn || scope == ALL_SCOPE {
+                    for (slot, hist) in all.iter_mut().zip(&hists[..N_STAGES]) {
+                        slot.merge(hist);
+                    }
+                }
+                if is_fn {
+                    e2e.merge(&hists[N_STAGES]);
+                }
+                if scope != ALL_SCOPE {
+                    stages.push(summarize(scope, hists));
+                }
+            });
         }
         stages.push(summarize(ALL_SCOPE, &all));
         stages.sort_by(|a, b| a.0.cmp(&b.0));

@@ -116,6 +116,21 @@ impl EsMarkov {
         }
     }
 
+    /// Forgets every observation: the state [`Self::with_params`] builds
+    /// with this predictor's parameters, bit for bit, but keeping the
+    /// window's and the chain's allocations. A controller recycles the
+    /// predictor of a key it garbage-collected this way instead of building
+    /// one for the next key.
+    pub fn reset(&mut self) {
+        self.es.reset();
+        self.window.clear();
+        self.chain
+            .reset(RegionPartition::new(0.0, 1.0, self.regions));
+        self.values.clear();
+        self.span = None;
+        self.observations = 0;
+    }
+
     /// Creates the combined predictor with an explicit seeding strategy.
     pub fn with_init(alpha: f64, init: InitialValue) -> Self {
         Self::with_params(alpha, init, 6, 256)
@@ -691,6 +706,73 @@ mod tests {
                 slow.observe(0.0);
             }
             assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "k = {k}");
+        });
+    }
+
+    /// One step of a demand history: a sample or a run of zeros.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Observe(f64),
+        Zeros(usize),
+    }
+
+    /// A history that reaches every part of the state: bursts and silences
+    /// past the window, negatives, `-0.0`, NaN and arbitrary floats.
+    fn mixed_history(g: &mut testkit::Gen, cap: usize) -> Vec<Step> {
+        g.vec(0..60, |g| match g.u8_in(0..10) {
+            0 => Step::Zeros(g.usize_in(0..2 * cap + 3)),
+            1 => Step::Observe(f64::NAN),
+            2 => Step::Observe(-g.f64_in(0.0..20.0)),
+            3 => Step::Observe(-0.0),
+            4 => Step::Observe(g.f64_in(0.0..1e6)),
+            _ => Step::Observe(g.usize_in(0..13) as f64),
+        })
+    }
+
+    fn feed(p: &mut EsMarkov, step: Step) {
+        match step {
+            Step::Observe(x) => p.observe(x),
+            Step::Zeros(k) => p.observe_zeros(k),
+        }
+    }
+
+    /// A reset predictor is a fresh one: fed any second history after any
+    /// first, it renders (`Debug`: smoother, window, multiset, span, chain
+    /// with its counts and `version`), predicts and vouches for zero runs
+    /// exactly as a `with_params` predictor fed only the second history,
+    /// after every step.
+    #[test]
+    fn prop_reset_predictor_is_fresh() {
+        testkit::check(128, |g| {
+            let alpha = *g.pick(&[0.8, 0.3, 0.05]);
+            let init = *g.pick(&[InitialValue::MeanOfFirst5, InitialValue::FirstObservation]);
+            let regions = g.usize_in(1..8);
+            let cap = *g.pick(&[256, 16, 5, 2]);
+            let build = || EsMarkov::with_params(alpha, init, regions, cap);
+            let mut recycled = build();
+            for step in mixed_history(g, cap) {
+                feed(&mut recycled, step);
+            }
+            recycled.reset();
+            let mut fresh = build();
+            let second = mixed_history(g, cap);
+            let state = |recycled: &EsMarkov, fresh: &EsMarkov, at: &str| {
+                assert_eq!(format!("{recycled:?}"), format!("{fresh:?}"), "{at}");
+                assert_eq!(recycled.predict().to_bits(), fresh.predict().to_bits());
+                for level in 0..4 {
+                    assert_eq!(
+                        recycled.zero_run_holding(level),
+                        fresh.zero_run_holding(level),
+                        "{at}, level {level}"
+                    );
+                }
+            };
+            state(&recycled, &fresh, "after reset");
+            for (i, &step) in second.iter().enumerate() {
+                feed(&mut recycled, step);
+                feed(&mut fresh, step);
+                state(&recycled, &fresh, &format!("step {i}: {step:?}"));
+            }
         });
     }
 

@@ -111,6 +111,19 @@ impl MarkovChain {
         }
     }
 
+    /// Forgets every observation and takes `partition`: the state
+    /// [`Self::new`] builds, keeping the counts allocation.
+    pub(crate) fn reset(&mut self, partition: RegionPartition) {
+        let n = partition.len();
+        self.partition = partition;
+        self.counts.clear();
+        self.counts.resize(n * n, 0);
+        self.last_state = None;
+        self.observations = 0;
+        self.version = 0;
+        *self.kstep_cache.get_mut() = None;
+    }
+
     /// Creates a chain whose partition spans a training history, then
     /// observes that history.
     pub fn fit(history: &[f64], regions: usize) -> Self {

@@ -66,6 +66,11 @@ impl ExponentialSmoothing {
         Self::new(0.8)
     }
 
+    /// Forgets every observation: the state [`Self::with_init`] builds.
+    pub(crate) fn reset(&mut self) {
+        *self = Self::with_init(self.alpha, self.init);
+    }
+
     /// The smoothing coefficient.
     pub fn alpha(&self) -> f64 {
         self.alpha
