@@ -66,9 +66,7 @@ cargo run --offline -q -p hotc-lint -- --json > lint-report.json
 #     PR 20 deleted has no entry, because step 3's `dead-pub` rule plus
 #     rustc's `dead_code` under step 2's `-D warnings` fail on any `pub` item
 #     nothing outside its crate names and any crate-private one nothing
-#     uses, whatever it is called; (e) the Fig. 6 sequence — acquire→enforce,
-#     release→book, tick→step+enforce — is written in middleware.rs only:
-#     the concurrent gateway drives `HotC` and names none of its parts.
+#     uses, whatever it is called.
 echo
 echo "==> one-replay-loop guard"
 if grep -rnE 'Simulation|schedule_(at|in)\b' crates/*/src src examples --include='*.rs' \
@@ -92,32 +90,11 @@ if grep -rnE 'ContainerPool|run_scenario_parallel|SharedHistogram|AppTracker|Sha
     echo "a retired duplicate is back (see above)" >&2
     exit 1
 fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/concurrent.rs \
-    | grep -nE '\.enforce\(|maybe_step|acquire_id|try_finish_release'; then
-    echo "crates/core/src/concurrent.rs spells part of the Fig. 6 sequence itself (see above)" >&2
-    exit 1
-fi
 
-# 4. Workspace test suite. Debug profile arms the lock-order sanitizer and
-#    the zero-lock warm-path assertions (request_path_scope). In --fast
-#    mode this is the last step.
+# 4. Workspace test suite. Debug profile arms the lock-order sanitizer
+#    (the metrics registry's request-path scope). In --fast mode this is
+#    the last step.
 run cargo test -q --workspace --offline
-
-# 5. Bounded model checking of the lock-free slot protocol. The dedicated
-#    --cfg build routes every protocol atomic through the instrumented
-#    stdshim facade (separate target dir so fingerprints don't thrash);
-#    the suite exhausts the named races and the mutation harness proves a
-#    Relaxed publish is still caught. HOTC_MODEL_BUDGET caps schedules per
-#    test so a state-space regression fails fast instead of hanging CI.
-run env RUSTFLAGS='--cfg hotc_model' CARGO_TARGET_DIR=target/model \
-    HOTC_MODEL_BUDGET="${HOTC_MODEL_BUDGET:-20000}" \
-    cargo test -q -p hotc-model --offline
-# The parallel replay driver also runs under the instrumented build (its
-# atomics fall back to real ones outside a checker run, and the debug
-# lock-order sanitizer stays armed), proving the parallel ≡ sequential
-# equivalence holds with instrumentation compiled in.
-run env RUSTFLAGS='--cfg hotc_model' CARGO_TARGET_DIR=target/model \
-    cargo test -q -p hotc-cli --offline --test parallel_equivalence
 
 if [ "$FAST" = 1 ]; then
     echo

@@ -25,10 +25,9 @@
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-use hotc::{AdaptiveController, EngineRef, KeyPolicy, PoolLimits, RuntimePool, ScalingPolicy};
+use hotc::{AdaptiveController, KeyPolicy, PoolLimits, RuntimePool, ScalingPolicy};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
-use stdshim::sync::Mutex;
 
 /// Keys touched per interval.
 const HOT: usize = 10;
@@ -54,8 +53,8 @@ fn configs(n: usize) -> Vec<ContainerConfig> {
 /// One control interval: a round trip on each of `hot`, then one step.
 fn interval<'a>(
     ctl: &mut AdaptiveController,
-    pool: &RuntimePool,
-    engine: &Mutex<ContainerEngine>,
+    pool: &mut RuntimePool,
+    engine: &mut ContainerEngine,
     hot: impl Iterator<Item = &'a ContainerConfig>,
     tick: u64,
     full: bool,
@@ -64,12 +63,8 @@ fn interval<'a>(
     let now = SimTime::from_secs(30 * tick);
     for c in hot {
         let acq = pool.acquire(engine, c, now).unwrap();
-        let end = engine.with_engine(|e| {
-            let out = e.begin_exec(acq.container, work, now).unwrap();
-            let end = now + out.latency;
-            e.end_exec(acq.container, end).unwrap();
-            end
-        });
+        let end = now + engine.begin_exec(acq.container, work, now).unwrap().latency;
+        engine.end_exec(acq.container, end).unwrap();
         pool.release(engine, acq.container, end).unwrap();
     }
     let report = if full {
@@ -87,24 +82,21 @@ const HOLDING_BATCH: usize = 50;
 
 fn bench_holding(h: &mut Harness, types: usize) {
     for full in [true, false] {
-        let engine = Mutex::labeled(
-            ContainerEngine::with_local_images(HardwareProfile::server()),
-            "core/engine",
-        );
-        let pool = RuntimePool::new(KeyPolicy::Exact);
+        let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let mut pool = RuntimePool::new(KeyPolicy::Exact);
         let all = configs(types);
         let mut ctl = AdaptiveController::new(ScalingPolicy::default());
         // Interval 0: every type serves its first (cold) request, and keeps
         // the container; from then on `HOT` of them are touched per interval.
-        interval(&mut ctl, &pool, &engine, all.iter(), 0, full);
+        interval(&mut ctl, &mut pool, &mut engine, all.iter(), 0, full);
         let mut tick = 0u64;
-        let mut next = || {
+        let mut next = |pool: &mut RuntimePool| {
             tick += 1;
             let hot = (0..HOT).map(|j| &all[(tick as usize * HOT + j) % types]);
-            interval(&mut ctl, &pool, &engine, hot, tick, full)
+            interval(&mut ctl, pool, &mut engine, hot, tick, full)
         };
         for _ in 0..HOLDING_WARMUP {
-            next();
+            next(&mut pool);
         }
         assert_eq!(pool.sizes(), (types, 0), "every type keeps its runtime");
         let name = format!(
@@ -112,34 +104,33 @@ fn bench_holding(h: &mut Harness, types: usize) {
             if full { "step_full" } else { "step" },
             types
         );
-        h.bench(&name, || (0..HOLDING_BATCH).map(|_| next()).sum::<usize>());
+        h.bench(&name, || {
+            (0..HOLDING_BATCH).map(|_| next(&mut pool)).sum::<usize>()
+        });
     }
 }
 
 fn bench_churn(h: &mut Harness, types: usize) {
-    let engine = Mutex::labeled(
-        ContainerEngine::with_local_images(HardwareProfile::server()),
-        "core/engine",
-    );
-    let pool = RuntimePool::new(KeyPolicy::Exact);
+    let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+    let mut pool = RuntimePool::new(KeyPolicy::Exact);
     let all = configs(types);
     let mut ctl = AdaptiveController::new(ScalingPolicy::default());
     // A cap of one: every runtime but the newest is evicted right after its
     // interval, so each type's slot is empty from its next step on.
     let limits = PoolLimits::new(1, 1.5);
     let mut tick = 0u64;
-    let mut next = || {
+    let mut next = |pool: &mut RuntimePool| {
         tick += 1;
         let readmitted = (0..CHURN).map(|j| &all[(tick as usize * CHURN + j) % types]);
-        let sized = interval(&mut ctl, &pool, &engine, readmitted, tick, false);
+        let sized = interval(&mut ctl, pool, &mut engine, readmitted, tick, false);
         limits
-            .enforce(&pool, &engine, SimTime::from_secs(30 * tick))
+            .enforce(pool, &mut engine, SimTime::from_secs(30 * tick))
             .unwrap();
         sized
     };
     // Every type is admitted, collected and re-admitted before timing.
     for _ in 0..3 * types / CHURN {
-        next();
+        next(&mut pool);
     }
     let tracked = pool.keys().len();
     assert!(
@@ -147,7 +138,7 @@ fn bench_churn(h: &mut Harness, types: usize) {
         "slots are collected: {tracked} tracked"
     );
     h.bench(&format!("churn_step_{types}types"), || {
-        (0..HOLDING_BATCH).map(|_| next()).sum::<usize>()
+        (0..HOLDING_BATCH).map(|_| next(&mut pool)).sum::<usize>()
     });
 }
 

@@ -4,7 +4,7 @@
 
 use containersim::engine::ExecWork;
 use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
-use hotc::{ExclusiveEngine, KeyPolicy, RuntimePool};
+use hotc::{KeyPolicy, RuntimePool};
 use hotc_bench::Harness;
 use simclock::{SimDuration, SimTime};
 use std::hint::black_box;
@@ -29,7 +29,7 @@ fn bench_key_intern(h: &mut Harness) {
     // A re-intern of a known configuration hashes the key-relevant fields
     // and returns the u32 id — nothing is allocated.
     let config = &configs(1)[0];
-    let pool = RuntimePool::new(KeyPolicy::Exact);
+    let mut pool = RuntimePool::new(KeyPolicy::Exact);
     let id = pool.intern_config(config);
     h.bench("key/intern_hit", || {
         assert_eq!(id, pool.intern_config(black_box(config)));
@@ -42,38 +42,33 @@ fn bench_acquire_release_reuse(h: &mut Harness, name: &str, held: usize) {
     // containers of the key stay in use throughout, so past 128 the one free
     // runtime sits in a grown chunk of the key's slot array.
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let pool = RuntimePool::new(KeyPolicy::Exact);
+    let mut pool = RuntimePool::new(KeyPolicy::Exact);
     let config = &configs(1)[0];
     for _ in 0..held {
-        let acq = pool.acquire(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO);
+        let acq = pool.acquire(&mut engine, config, SimTime::ZERO);
         assert!(acq.unwrap().cold);
     }
-    pool.prewarm(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO)
-        .unwrap();
+    pool.prewarm(&mut engine, config, SimTime::ZERO).unwrap();
     let work = ExecWork::light(SimDuration::from_millis(1));
 
     let mut now = SimTime::ZERO;
     h.bench(name, || {
         now += SimDuration::from_millis(10);
-        let acq = pool
-            .acquire(&ExclusiveEngine::new(&mut engine), config, now)
-            .unwrap();
+        let acq = pool.acquire(&mut engine, config, now).unwrap();
         assert!(!acq.cold);
         let out = engine.begin_exec(acq.container, work, now).unwrap();
         engine.end_exec(acq.container, now + out.latency).unwrap();
-        pool.release(&ExclusiveEngine::new(&mut engine), acq.container, now)
-            .unwrap();
+        pool.release(&mut engine, acq.container, now).unwrap();
     });
 }
 
 fn bench_acquire_many_types(h: &mut Harness) {
     // 100 distinct runtime types warm in the pool: lookup cost at scale.
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let pool = RuntimePool::new(KeyPolicy::Exact);
+    let mut pool = RuntimePool::new(KeyPolicy::Exact);
     let configs = configs(100);
     for config in &configs {
-        pool.prewarm(&ExclusiveEngine::new(&mut engine), config, SimTime::ZERO)
-            .unwrap();
+        pool.prewarm(&mut engine, config, SimTime::ZERO).unwrap();
     }
     let work = ExecWork::light(SimDuration::from_millis(1));
     let mut i = 0usize;
@@ -81,13 +76,10 @@ fn bench_acquire_many_types(h: &mut Harness) {
     h.bench("reuse_among_100_types", || {
         i = (i + 7) % configs.len();
         now += SimDuration::from_millis(10);
-        let acq = pool
-            .acquire(&ExclusiveEngine::new(&mut engine), &configs[i], now)
-            .unwrap();
+        let acq = pool.acquire(&mut engine, &configs[i], now).unwrap();
         let out = engine.begin_exec(acq.container, work, now).unwrap();
         engine.end_exec(acq.container, now + out.latency).unwrap();
-        pool.release(&ExclusiveEngine::new(&mut engine), acq.container, now)
-            .unwrap();
+        pool.release(&mut engine, acq.container, now).unwrap();
     });
 }
 
@@ -100,17 +92,13 @@ fn bench_cold_create_and_remove(h: &mut Harness) {
             let engine = ContainerEngine::with_local_images(HardwareProfile::server());
             (engine, RuntimePool::new(KeyPolicy::Exact))
         },
-        |(mut engine, pool)| {
+        |(mut engine, mut pool)| {
             for i in 0..8u64 {
-                pool.prewarm(
-                    &ExclusiveEngine::new(&mut engine),
-                    &config,
-                    SimTime::from_secs(i),
-                )
-                .unwrap();
+                pool.prewarm(&mut engine, &config, SimTime::from_secs(i))
+                    .unwrap();
             }
             while pool
-                .evict_oldest(&ExclusiveEngine::new(&mut engine), SimTime::from_secs(100))
+                .evict_oldest(&mut engine, SimTime::from_secs(100))
                 .unwrap()
                 .is_some()
             {}
@@ -125,23 +113,19 @@ fn bench_evict_at_cap(h: &mut Harness) {
     // container and evicts the oldest, so the pool stays at the cap — the
     // per-cold-start cost of limit enforcement.
     let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let pool = RuntimePool::new(KeyPolicy::Exact);
+    let mut pool = RuntimePool::new(KeyPolicy::Exact);
     let configs = configs(500);
     let mut now = SimTime::ZERO;
     for config in &configs {
         now += SimDuration::from_millis(10);
-        pool.prewarm(&ExclusiveEngine::new(&mut engine), config, now)
-            .unwrap();
+        pool.prewarm(&mut engine, config, now).unwrap();
     }
     let mut i = 0usize;
     h.bench("evict_at_cap_500", || {
         i = (i + 7) % configs.len();
         now += SimDuration::from_millis(10);
-        pool.prewarm(&ExclusiveEngine::new(&mut engine), &configs[i], now)
-            .unwrap();
-        let evicted = pool
-            .evict_oldest(&ExclusiveEngine::new(&mut engine), now)
-            .unwrap();
+        pool.prewarm(&mut engine, &configs[i], now).unwrap();
+        let evicted = pool.evict_oldest(&mut engine, now).unwrap();
         assert!(evicted.is_some());
     });
     assert_eq!(pool.total_live(), 500);

@@ -96,11 +96,6 @@ impl Harness {
         }
     }
 
-    /// Whether the harness runs in shortened CI-smoke mode.
-    pub fn is_smoke(&self) -> bool {
-        self.smoke
-    }
-
     /// Mean of an already-recorded routine, for computing derived metrics
     /// from sibling results (e.g. a scaling-efficiency curve).
     pub fn mean_of(&self, name: &str) -> Option<f64> {

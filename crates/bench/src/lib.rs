@@ -22,12 +22,3 @@ pub use driver::{
     run_partitioned, run_trace, run_trace_partition, run_workload, RunOutcome, TraceOutcome,
 };
 pub use harness::Harness;
-
-/// Thread counts the contention bench drives through both of its gateways.
-///
-/// The CI perf gate (`src/bin/gate.rs` via `ci/gates.json`) checks records
-/// named `concurrent_gateway/{n}_threads` and `shared_gateway/{n}_threads`
-/// for these counts, so the bench and the gate must agree on the curve —
-/// this const is the single source. It stops at 8: every gate on the curve
-/// can be evaluated on any supported runner.
-pub const CONTENTION_THREADS: &[usize] = &[1, 2, 4, 8];

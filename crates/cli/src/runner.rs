@@ -541,7 +541,7 @@ fn partition_slots(slots: &[FunctionSpec], policy: KeyPolicy, threads: usize) ->
     if threads <= 1 {
         return vec![0; slots.len()];
     }
-    let interner = KeyInterner::new(policy);
+    let mut interner = KeyInterner::new(policy);
     slots
         .iter()
         .map(|slot| interner.intern(&slot.config).index() % threads)

@@ -408,7 +408,7 @@ impl Cluster {
         let local = self.warm.ensure_mapping(
             entry.key,
             node,
-            gateway.provider().pool(),
+            gateway.provider_mut().pool_mut(),
             &entry.spec.config,
         );
         let seen = gateway.provider().pool().mutation_epoch();

@@ -101,7 +101,7 @@ impl WarmIndex {
         &mut self,
         k: KeyId,
         node: usize,
-        pool: &RuntimePool,
+        pool: &mut RuntimePool,
         config: &ContainerConfig,
     ) -> KeyId {
         let view = &mut self.nodes[node];
@@ -250,17 +250,20 @@ mod tests {
     use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
     use hotc::{KeyInterner, KeyPolicy};
     use simclock::SimTime;
-    use stdshim::Mutex;
 
     fn config(image: &str) -> ContainerConfig {
         ContainerConfig::bridge(ImageId::parse(image))
     }
 
+    fn engine() -> ContainerEngine {
+        ContainerEngine::with_local_images(HardwareProfile::server())
+    }
+
     fn pool_with_warm(cfg: &ContainerConfig, count: usize) -> RuntimePool {
-        let pool = RuntimePool::new(KeyPolicy::Exact);
-        let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
+        let mut pool = RuntimePool::new(KeyPolicy::Exact);
+        let mut engine = engine();
         for _ in 0..count {
-            pool.prewarm(&engine, cfg, SimTime::ZERO).unwrap();
+            pool.prewarm(&mut engine, cfg, SimTime::ZERO).unwrap();
         }
         pool
     }
@@ -268,14 +271,14 @@ mod tests {
     #[test]
     fn resync_picks_up_prewarmed_counts_and_debit_consumes_them() {
         let cfg = config("python:3.8-alpine");
-        let interner = KeyInterner::new(KeyPolicy::Exact);
+        let mut interner = KeyInterner::new(KeyPolicy::Exact);
         let k = interner.intern(&cfg);
-        let pool = pool_with_warm(&cfg, 2);
+        let mut pool = pool_with_warm(&cfg, 2);
 
         let mut idx = WarmIndex::new();
         idx.ensure_rows(1);
         idx.ensure_nodes(1);
-        idx.ensure_mapping(k, 0, &pool, &cfg);
+        idx.ensure_mapping(k, 0, &mut pool, &cfg);
         assert_eq!(idx.believed(k, 0), 0, "nothing believed before a sync");
 
         idx.resync_node(0, &pool, &interner);
@@ -295,14 +298,14 @@ mod tests {
     #[test]
     fn touch_true_tracks_the_pool_both_ways() {
         let cfg = config("python:3.8-alpine");
-        let interner = KeyInterner::new(KeyPolicy::Exact);
+        let mut interner = KeyInterner::new(KeyPolicy::Exact);
         let k = interner.intern(&cfg);
-        let pool = pool_with_warm(&cfg, 1);
+        let mut pool = pool_with_warm(&cfg, 1);
 
         let mut idx = WarmIndex::new();
         idx.ensure_rows(1);
         idx.ensure_nodes(1);
-        idx.ensure_mapping(k, 0, &pool, &cfg);
+        idx.ensure_mapping(k, 0, &mut pool, &cfg);
 
         idx.touch_true(k, 0, &pool);
         assert_eq!(idx.believed(k, 0), 1);
@@ -317,15 +320,15 @@ mod tests {
     #[test]
     fn epoch_gates_resyncs() {
         let cfg = config("python:3.8-alpine");
-        let interner = KeyInterner::new(KeyPolicy::Exact);
+        let mut interner = KeyInterner::new(KeyPolicy::Exact);
         let k = interner.intern(&cfg);
-        let pool = pool_with_warm(&cfg, 1);
-        let engine = Mutex::new(ContainerEngine::with_local_images(HardwareProfile::server()));
+        let mut pool = pool_with_warm(&cfg, 1);
+        let mut engine = engine();
 
         let mut idx = WarmIndex::new();
         idx.ensure_rows(1);
         idx.ensure_nodes(1);
-        idx.ensure_mapping(k, 0, &pool, &cfg);
+        idx.ensure_mapping(k, 0, &mut pool, &cfg);
         idx.resync_node(0, &pool, &interner);
         assert_eq!(
             idx.node_epoch(0),
@@ -333,7 +336,7 @@ mod tests {
             "idle pool: a resync would be a no-op"
         );
 
-        pool.prewarm(&engine, &cfg, SimTime::ZERO).unwrap();
+        pool.prewarm(&mut engine, &cfg, SimTime::ZERO).unwrap();
         assert_ne!(
             idx.node_epoch(0),
             pool.mutation_epoch(),
@@ -346,14 +349,14 @@ mod tests {
     #[test]
     fn best_warm_prefers_least_loaded_then_lowest_index() {
         let cfg = config("python:3.8-alpine");
-        let interner = KeyInterner::new(KeyPolicy::Exact);
+        let mut interner = KeyInterner::new(KeyPolicy::Exact);
         let k = interner.intern(&cfg);
-        let pools: Vec<RuntimePool> = (0..3).map(|_| pool_with_warm(&cfg, 1)).collect();
+        let mut pools: Vec<RuntimePool> = (0..3).map(|_| pool_with_warm(&cfg, 1)).collect();
 
         let mut idx = WarmIndex::new();
         idx.ensure_rows(1);
         idx.ensure_nodes(3);
-        for (n, pool) in pools.iter().enumerate() {
+        for (n, pool) in pools.iter_mut().enumerate() {
             idx.ensure_mapping(k, n, pool, &cfg);
             idx.resync_node(n, pool, &interner);
         }
@@ -372,16 +375,16 @@ mod tests {
     fn distinct_keys_keep_distinct_rows() {
         let a = config("python:3.8-alpine");
         let b = config("golang:1.13");
-        let interner = KeyInterner::new(KeyPolicy::Exact);
+        let mut interner = KeyInterner::new(KeyPolicy::Exact);
         let ka = interner.intern(&a);
         let kb = interner.intern(&b);
-        let pool = pool_with_warm(&a, 1);
+        let mut pool = pool_with_warm(&a, 1);
 
         let mut idx = WarmIndex::new();
         idx.ensure_rows(2);
         idx.ensure_nodes(1);
-        idx.ensure_mapping(ka, 0, &pool, &a);
-        idx.ensure_mapping(kb, 0, &pool, &b);
+        idx.ensure_mapping(ka, 0, &mut pool, &a);
+        idx.ensure_mapping(kb, 0, &mut pool, &b);
         idx.resync_node(0, &pool, &interner);
         assert_eq!(idx.believed(ka, 0), 1);
         assert_eq!(idx.believed(kb, 0), 0);

@@ -15,10 +15,9 @@
 //! and step machinery.
 //!
 //! A control step ([`AdaptiveController::step`]) takes the pool's demand
-//! snapshot under the pool lock, releases it, and then sizes the snapshot's
-//! keys in `KeyId` order — so the container ids of same-step pre-warms, and
-//! with them eviction's tie-breaks, are a function of the model alone. Warm
-//! requests proceed lock-free throughout. The snapshot visits only the keys
+//! snapshot and then sizes the snapshot's keys in `KeyId` order — so the
+//! container ids of same-step pre-warms, and with them eviction's
+//! tie-breaks, are a function of the model alone. The snapshot visits only the keys
 //! that may have changed — unparked ones, woken ones and those whose hold
 //! ends now (below) — so a step costs O(keys that changed + holds that
 //! end), not O(pooled types).
@@ -58,8 +57,8 @@
 //! would ratchet up to the largest window each has ever held.
 
 use crate::key::KeyId;
-use crate::pool::{DemandSnapshot, EngineRef, KeyDemand, RuntimePool};
-use containersim::EngineError;
+use crate::pool::{DemandSnapshot, KeyDemand, RuntimePool};
+use containersim::{ContainerEngine, EngineError};
 use predictor::{EsMarkov, InitialValue, Predictor};
 use simclock::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -140,8 +139,7 @@ impl ScalingPolicy {
     }
 }
 
-/// What one control step did — the counters and predicted-vs-actual demand
-/// the telemetry layer samples into the metrics registry.
+/// What one control step did: its actions and predicted-vs-actual demand.
 ///
 /// The keys a step *sizes* are every key the pool tracks, cold keys included
 /// until their slot GC (with their forecast), except held keys, whose
@@ -159,7 +157,7 @@ pub struct StepReport {
     pub sized: usize,
     /// Predicted demand summed over the sized keys in snapshot order,
     /// starting from `-0.0` as `f64`'s `Sum` does: an empty step's total is
-    /// `-0.0`, and the series it is sampled into keeps those bits.
+    /// `-0.0`.
     pub(crate) predicted_total: f64,
     /// Actual demand summed over the sized keys.
     pub(crate) actual_total: usize,
@@ -394,8 +392,8 @@ impl AdaptiveController {
     /// returning the step's report when one ran.
     pub(crate) fn maybe_step(
         &mut self,
-        pool: &RuntimePool,
-        engine: &impl EngineRef,
+        pool: &mut RuntimePool,
+        engine: &mut ContainerEngine,
         now: SimTime,
     ) -> Result<Option<StepReport>, EngineError> {
         let due = match self.last_step {
@@ -411,12 +409,11 @@ impl AdaptiveController {
     /// One control step, unconditionally: take the pool's demand snapshot
     /// (which also garbage-collects long-empty slots) of the keys not
     /// parked, woken or due, update their predictors, and resize toward the
-    /// predictions, parking the keys it holds. The pool lock is held for
-    /// the snapshot only, and never together with the engine lock.
+    /// predictions, parking the keys it holds.
     pub fn step(
         &mut self,
-        pool: &RuntimePool,
-        engine: &impl EngineRef,
+        pool: &mut RuntimePool,
+        engine: &mut ContainerEngine,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
         let tick = self.ticks + 1;
@@ -457,12 +454,13 @@ impl AdaptiveController {
     /// `controller_tick` holding gate.
     pub fn step_full(
         &mut self,
-        pool: &RuntimePool,
-        engine: &impl EngineRef,
+        pool: &mut RuntimePool,
+        engine: &mut ContainerEngine,
         now: SimTime,
     ) -> Result<StepReport, EngineError> {
         self.park.clear();
-        self.apply(pool, engine, now, &pool.take_full_snapshot(), false)
+        let snapshot = pool.take_full_snapshot();
+        self.apply(pool, engine, now, &snapshot, false)
     }
 
     /// Charges one warm-up ping per available runtime per `period` elapsed
@@ -483,8 +481,8 @@ impl AdaptiveController {
     /// target are given one; both are parked.
     fn apply(
         &mut self,
-        pool: &RuntimePool,
-        engine: &impl EngineRef,
+        pool: &mut RuntimePool,
+        engine: &mut ContainerEngine,
         now: SimTime,
         snapshot: &DemandSnapshot,
         may_hold: bool,
@@ -519,8 +517,7 @@ impl AdaptiveController {
         }
         for &sample in &snapshot.demands {
             let (id, demand) = (sample.id, sample.demand);
-            // The snapshot read the live population under the pool lock
-            // it already held — no per-key re-lock.
+            // The snapshot carries the live population.
             let current = sample.live();
             // Per policy: the prediction to report, the target size, the
             // share of any excess to retire now, and — for an idle key at
@@ -650,18 +647,17 @@ impl AdaptiveController {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
-    use crate::pool::{ExclusiveEngine, GC_INTERVALS};
+    use crate::pool::GC_INTERVALS;
     use containersim::engine::ExecWork;
     use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
 
-    /// One step over an exclusive engine borrow, as `HotC::tick` runs it.
     fn step(
         ctl: &mut AdaptiveController,
-        pool: &RuntimePool,
+        pool: &mut RuntimePool,
         engine: &mut ContainerEngine,
         now: SimTime,
     ) -> StepReport {
-        ctl.step(pool, &ExclusiveEngine::new(engine), now).unwrap()
+        ctl.step(pool, engine, now).unwrap()
     }
 
     fn setup() -> (ContainerEngine, RuntimePool, AdaptiveController) {
@@ -707,17 +703,14 @@ mod tests {
 
     /// Simulates `n` concurrent requests for `config` in one interval.
     fn drive_config_demand(
-        pool: &RuntimePool,
+        pool: &mut RuntimePool,
         engine: &mut ContainerEngine,
         config: &ContainerConfig,
         n: usize,
         now: SimTime,
     ) {
         let acqs: Vec<_> = (0..n)
-            .map(|_| {
-                pool.acquire(&ExclusiveEngine::new(engine), config, now)
-                    .unwrap()
-            })
+            .map(|_| pool.acquire(engine, config, now).unwrap())
             .collect();
         for a in acqs {
             let out = engine
@@ -728,51 +721,37 @@ mod tests {
                 )
                 .unwrap();
             engine.end_exec(a.container, now + out.latency).unwrap();
-            pool.release(
-                &ExclusiveEngine::new(engine),
-                a.container,
-                now + out.latency,
-            )
-            .unwrap();
+            pool.release(engine, a.container, now + out.latency)
+                .unwrap();
         }
     }
 
     /// Simulates `n` concurrent requests for `config` in one interval whose
     /// containers all crash: each release disposes of its container.
     fn crash_config_demand(
-        pool: &RuntimePool,
+        pool: &mut RuntimePool,
         engine: &mut ContainerEngine,
         config: &ContainerConfig,
         n: usize,
         now: SimTime,
     ) {
-        let acqs: Vec<_> = (0..n)
-            .map(|_| {
-                pool.acquire(&ExclusiveEngine::new(engine), config, now)
-                    .unwrap()
-            })
-            .collect();
-        for a in acqs {
-            let work = ExecWork::light(SimDuration::from_millis(5));
-            let end = now + engine.begin_exec(a.container, work, now).unwrap().latency;
-            let ex = ExclusiveEngine::new(engine);
-            pool.try_finish_release(&ex, a.container, end, true)
-                .unwrap();
-        }
+        engine.set_fault_injection(1.0, 7);
+        drive_config_demand(pool, engine, config, n, now);
+        engine.set_fault_injection(0.0, 7);
     }
 
     /// Simulates `n` concurrent requests in one interval.
-    fn drive_demand(pool: &RuntimePool, engine: &mut ContainerEngine, n: usize, now: SimTime) {
+    fn drive_demand(pool: &mut RuntimePool, engine: &mut ContainerEngine, n: usize, now: SimTime) {
         drive_config_demand(pool, engine, &cfg(), n, now);
     }
 
     #[test]
     fn steady_demand_sizes_pool_to_match() {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         for t in 0..12 {
             let now = SimTime::from_secs(t * 30);
-            drive_demand(&pool, &mut e, 5, now);
-            step(&mut ctl, &pool, &mut e, now);
+            drive_demand(&mut pool, &mut e, 5, now);
+            step(&mut ctl, &mut pool, &mut e, now);
         }
         let key = pool.intern_config(&cfg());
         let live = pool.num_avail_id(key) + pool.num_in_use_id(key);
@@ -784,12 +763,12 @@ mod tests {
 
     #[test]
     fn demand_drop_retires_containers() {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         // High demand for a while…
         for t in 0..8 {
             let now = SimTime::from_secs(t * 30);
-            drive_demand(&pool, &mut e, 10, now);
-            step(&mut ctl, &pool, &mut e, now);
+            drive_demand(&mut pool, &mut e, 10, now);
+            step(&mut ctl, &mut pool, &mut e, now);
         }
         let key = pool.intern_config(&cfg());
         let high = pool.num_avail_id(key);
@@ -797,7 +776,7 @@ mod tests {
         // …then it vanishes.
         for t in 8..20 {
             let now = SimTime::from_secs(t * 30);
-            step(&mut ctl, &pool, &mut e, now);
+            step(&mut ctl, &mut pool, &mut e, now);
         }
         let low = pool.num_avail_id(key);
         assert!(low <= 2, "pool should shrink after demand drop, got {low}");
@@ -805,14 +784,14 @@ mod tests {
 
     #[test]
     fn growth_retains_full_capacity() {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         // Ramp 2, 4, 6, … — the scale-down floor (last observed demand)
         // keeps every container from the latest wave warm even while the
         // lagging smoother under-predicts.
         for (r, n) in [2usize, 4, 6, 8, 10, 12].into_iter().enumerate() {
             let now = SimTime::from_secs(r as u64 * 30);
-            drive_demand(&pool, &mut e, n, now);
-            step(&mut ctl, &pool, &mut e, now);
+            drive_demand(&mut pool, &mut e, n, now);
+            step(&mut ctl, &mut pool, &mut e, now);
         }
         let key = pool.intern_config(&cfg());
         assert_eq!(pool.num_avail_id(key), 12, "full last wave stays warm");
@@ -820,15 +799,11 @@ mod tests {
 
     #[test]
     fn maybe_step_respects_interval() {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         let mut due = |secs| {
-            ctl.maybe_step(
-                &pool,
-                &ExclusiveEngine::new(&mut e),
-                SimTime::from_secs(secs),
-            )
-            .unwrap()
-            .is_some()
+            ctl.maybe_step(&mut pool, &mut e, SimTime::from_secs(secs))
+                .unwrap()
+                .is_some()
         };
         assert!(due(0));
         // 10 s later: not due (interval 30 s).
@@ -841,16 +816,15 @@ mod tests {
     /// predicted-vs-actual demand without re-deriving them.
     #[test]
     fn step_report_tallies_actions() {
-        let (mut e, pool, mut ctl) = setup();
-        drive_demand(&pool, &mut e, 4, SimTime::ZERO);
+        let (mut e, mut pool, mut ctl) = setup();
+        drive_demand(&mut pool, &mut e, 4, SimTime::ZERO);
         // Demand grew to four, but limit eviction took two of them back
         // before the step: the scale-down floor (what the interval needed)
         // is above what is left, so the step pre-warms the difference.
         for _ in 0..2 {
-            pool.evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::ZERO)
-                .unwrap();
+            pool.evict_oldest(&mut e, SimTime::ZERO).unwrap();
         }
-        let report = step(&mut ctl, &pool, &mut e, SimTime::ZERO);
+        let report = step(&mut ctl, &mut pool, &mut e, SimTime::ZERO);
         assert_eq!(report.sized, 1);
         assert_eq!(report.actual_total, 4);
         assert!(report.predicted_total > 0.0);
@@ -858,17 +832,17 @@ mod tests {
         assert_eq!(report.gc_keys, 0);
         // Drain the pool, then let the empty slot hit the GC threshold.
         while pool
-            .evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::from_secs(1))
+            .evict_oldest(&mut e, SimTime::from_secs(1))
             .unwrap()
             .is_some()
         {}
         for t in 1..GC_INTERVALS {
-            let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            let report = step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(t * 30));
             assert_eq!(report.gc_keys, 0, "report: {report:?}");
         }
         let report = step(
             &mut ctl,
-            &pool,
+            &mut pool,
             &mut e,
             SimTime::from_secs(GC_INTERVALS * 30),
         );
@@ -881,14 +855,14 @@ mod tests {
     /// forever. No key needed it in that step, so it is not kept either.
     #[test]
     fn gc_drops_predictors_for_dead_keys() {
-        let (mut e, pool, mut ctl) = setup();
-        drive_demand(&pool, &mut e, 2, SimTime::ZERO);
-        step(&mut ctl, &pool, &mut e, SimTime::ZERO);
+        let (mut e, mut pool, mut ctl) = setup();
+        drive_demand(&mut pool, &mut e, 2, SimTime::ZERO);
+        step(&mut ctl, &mut pool, &mut e, SimTime::ZERO);
         assert_eq!(ctl.state_count(), 1);
         // Empty the slot behind the controller's back, as eviction under
         // memory pressure does.
         while pool
-            .evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::from_secs(1))
+            .evict_oldest(&mut e, SimTime::from_secs(1))
             .unwrap()
             .is_some()
         {}
@@ -897,7 +871,7 @@ mod tests {
         // threshold; the no-resurrect rule keeps the controller from
         // pre-warming it.
         for t in 1..=GC_INTERVALS {
-            step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(t * 30));
         }
         assert_eq!(pool.total_live(), 0, "dead key must not be resurrected");
         assert!(pool.keys().is_empty());
@@ -912,27 +886,24 @@ mod tests {
     /// address straight back, so identity cannot show it here.)
     #[test]
     fn a_key_admitted_as_another_is_collected_gets_a_reset_predictor() {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         for t in 0..8 {
             let now = SimTime::from_secs(t * 30);
-            drive_demand(&pool, &mut e, 1 + t as usize % 3, now);
-            step(&mut ctl, &pool, &mut e, now);
+            drive_demand(&mut pool, &mut e, 1 + t as usize % 3, now);
+            step(&mut ctl, &mut pool, &mut e, now);
         }
         while pool
-            .evict_oldest(
-                &ExclusiveEngine::new(&mut e),
-                SimTime::from_secs(7 * 30 + 1),
-            )
+            .evict_oldest(&mut e, SimTime::from_secs(7 * 30 + 1))
             .unwrap()
             .is_some()
         {}
         for t in 8..7 + GC_INTERVALS {
-            step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(t * 30));
         }
         // The step that collects the first key is the new key's first.
         let now = SimTime::from_secs((7 + GC_INTERVALS) * 30);
-        drive_config_demand(&pool, &mut e, &keyed(1), 1, now);
-        assert_eq!(step(&mut ctl, &pool, &mut e, now).gc_keys, 1);
+        drive_config_demand(&mut pool, &mut e, &keyed(1), 1, now);
+        assert_eq!(step(&mut ctl, &mut pool, &mut e, now).gc_keys, 1);
         let id = pool.intern_config(&keyed(1));
         let recycled = &ctl.keys[id.index()].predictor.as_ref().unwrap().model;
         assert_eq!((ctl.state_count(), ctl.spares.len()), (1, 0));
@@ -946,16 +917,16 @@ mod tests {
     /// step's predicted total is `-0.0`, not `+0.0`.
     #[test]
     fn step_totals_are_the_sums_over_the_sized_keys() {
-        let (mut e, pool, mut ctl) = setup();
-        let empty = step(&mut ctl, &pool, &mut e, SimTime::ZERO);
+        let (mut e, mut pool, mut ctl) = setup();
+        let empty = step(&mut ctl, &mut pool, &mut e, SimTime::ZERO);
         assert_eq!(empty.predicted_total.to_bits(), (-0.0f64).to_bits());
         assert_eq!((empty.sized, empty.actual_total), (0, 0));
         for (t, n) in [3usize, 1, 0, 4, 2, 2, 0, 5].into_iter().enumerate() {
             let now = SimTime::from_secs(30 * (t as u64 + 1));
             for k in 0..n {
-                drive_config_demand(&pool, &mut e, &keyed(k), n - k, now);
+                drive_config_demand(&mut pool, &mut e, &keyed(k), n - k, now);
             }
-            let report = step(&mut ctl, &pool, &mut e, now);
+            let report = step(&mut ctl, &mut pool, &mut e, now);
             assert_eq!(report.sized, ctl.demand.len());
             let predicted: f64 = ctl.demand.iter().map(|&(_, p, _)| p).sum();
             assert_eq!(report.predicted_total.to_bits(), predicted.to_bits());
@@ -971,20 +942,19 @@ mod tests {
     /// model, not of how the pool stores its keys.
     #[test]
     fn same_step_prewarms_receive_ids_in_key_order() {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         let configs: Vec<ContainerConfig> = (0..10).map(keyed).collect();
         // Every key needed two runtimes this interval and has one left.
         for c in &configs {
-            drive_config_demand(&pool, &mut e, c, 2, SimTime::ZERO);
-            pool.retire_one_id(
-                &ExclusiveEngine::new(&mut e),
-                pool.intern_config(c),
-                SimTime::ZERO,
-            )
-            .unwrap();
+            drive_config_demand(&mut pool, &mut e, c, 2, SimTime::ZERO);
+            let id = pool.intern_config(c);
+            pool.retire_one_id(&mut e, id, SimTime::ZERO).unwrap();
         }
         let at = SimTime::from_secs(30);
-        assert_eq!(step(&mut ctl, &pool, &mut e, at).prewarmed, configs.len());
+        assert_eq!(
+            step(&mut ctl, &mut pool, &mut e, at).prewarmed,
+            configs.len()
+        );
         let prewarmed_keys: Vec<KeyId> = e
             .live_ids_oldest_first()
             .into_iter()
@@ -1000,7 +970,7 @@ mod tests {
     /// Returns the interval index of the first step that has not run yet.
     fn settle_into_hold(
         ctl: &mut AdaptiveController,
-        pool: &RuntimePool,
+        pool: &mut RuntimePool,
         engine: &mut ContainerEngine,
         configs: &[ContainerConfig],
     ) -> u64 {
@@ -1021,7 +991,7 @@ mod tests {
         }
         assert_eq!(step(ctl, pool, engine, SimTime::from_secs(180)).sized, 0);
         for c in configs {
-            assert!(pool.is_parked(pool.intern_config(c)), "parked once held");
+            assert!(pool.is_parked(pool.id_for(c).unwrap()), "parked once held");
         }
         7
     }
@@ -1036,20 +1006,20 @@ mod tests {
     /// only it — its quiet neighbour stays parked, unvisited, through that
     /// step and the next. Returns the woken step's report.
     fn woken_key_is_visited_in_the_next_step(
-        wake: impl FnOnce(&RuntimePool, &mut ContainerEngine, &ContainerConfig, SimTime),
+        wake: impl FnOnce(&mut RuntimePool, &mut ContainerEngine, &ContainerConfig, SimTime),
     ) -> StepReport {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         let configs = [keyed(0), keyed(1)];
-        let t = settle_into_hold(&mut ctl, &pool, &mut e, &configs);
+        let t = settle_into_hold(&mut ctl, &mut pool, &mut e, &configs);
         let [woken, quiet] = configs.each_ref().map(|c| pool.intern_config(c));
         let now = SimTime::from_secs(t * 30);
-        wake(&pool, &mut e, &configs[0], now);
+        wake(&mut pool, &mut e, &configs[0], now);
         assert!(!pool.is_parked(woken), "the change woke the key");
-        let report = step(&mut ctl, &pool, &mut e, now);
+        let report = step(&mut ctl, &mut pool, &mut e, now);
         assert_eq!(visited(&ctl), [woken]);
         assert!(pool.is_parked(quiet), "the quiet key was visited");
         for t in t + 1..t + 3 {
-            step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(t * 30));
             assert!(
                 pool.is_parked(quiet),
                 "interval {t}: the quiet key was visited"
@@ -1075,7 +1045,7 @@ mod tests {
     fn eviction_behind_a_hold_wakes_the_key() {
         let report = woken_key_is_visited_in_the_next_step(|pool, e, _, now| {
             let (_, evicted) = crate::PoolLimits::new(1, 0.8)
-                .enforce(pool, &ExclusiveEngine::new(e), now)
+                .enforce(pool, e, now)
                 .unwrap();
             assert_eq!(evicted, 1, "the older key lost its runtime");
         });
@@ -1092,7 +1062,7 @@ mod tests {
     fn crashed_release_wakes_the_key() {
         let report = woken_key_is_visited_in_the_next_step(|pool, e, c, now| {
             crash_config_demand(pool, e, c, 1, now);
-            assert_eq!(pool.num_avail_id(pool.intern_config(c)), 0);
+            assert_eq!(pool.num_avail_id(pool.id_for(c).unwrap()), 0);
         });
         assert_eq!((report.actual_total, report.prewarmed), (1, 1));
     }
@@ -1102,7 +1072,7 @@ mod tests {
     /// hold, whose step visits exactly them.
     fn parked_until_hold_ends(
         ctl: &mut AdaptiveController,
-        pool: &RuntimePool,
+        pool: &mut RuntimePool,
         engine: &mut ContainerEngine,
         t: u64,
         ids: &[KeyId],
@@ -1127,11 +1097,11 @@ mod tests {
     /// visits the key, and no step before it does.
     #[test]
     fn hold_expiry_visits_the_key_at_its_due_tick() {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         let configs = [keyed(0), keyed(1)];
-        let t = settle_into_hold(&mut ctl, &pool, &mut e, &configs);
+        let t = settle_into_hold(&mut ctl, &mut pool, &mut e, &configs);
         let ids = configs.each_ref().map(|c| pool.intern_config(c));
-        parked_until_hold_ends(&mut ctl, &pool, &mut e, t, &ids);
+        parked_until_hold_ends(&mut ctl, &mut pool, &mut e, t, &ids);
     }
 
     /// A request ends a key's hold and the step after holds it anew: the
@@ -1141,8 +1111,8 @@ mod tests {
     /// of its own — real renewals rarely end earlier, so with `late` the
     /// test plants a live entry past any hold first.
     fn renewed_hold_is_due_at_its_new_end(late: bool) {
-        let (mut e, pool, mut ctl) = setup();
-        let t = settle_into_hold(&mut ctl, &pool, &mut e, &[cfg()]);
+        let (mut e, mut pool, mut ctl) = setup();
+        let t = settle_into_hold(&mut ctl, &mut pool, &mut e, &[cfg()]);
         let id = pool.intern_config(&cfg());
         let mut live_end = ctl.keys[id.index()].hold_until + 1;
         if late {
@@ -1150,9 +1120,9 @@ mod tests {
             ctl.keys[id.index()].queued = live_end;
             ctl.expiries.push(Reverse((live_end, id)));
         }
-        drive_demand(&pool, &mut e, 1, SimTime::from_secs(t * 30));
+        drive_demand(&mut pool, &mut e, 1, SimTime::from_secs(t * 30));
         for t in t..t + 2 {
-            step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(t * 30));
             assert_eq!(visited(&ctl), [id]);
         }
         let new_end = ctl.keys[id.index()].hold_until + 1;
@@ -1161,7 +1131,7 @@ mod tests {
             late,
             "renewed to {new_end}, entry at {live_end}"
         );
-        parked_until_hold_ends(&mut ctl, &pool, &mut e, t + 2, &[id]);
+        parked_until_hold_ends(&mut ctl, &mut pool, &mut e, t + 2, &[id]);
     }
 
     #[test]
@@ -1178,16 +1148,16 @@ mod tests {
     /// demand, and the predictor has every skipped zero before it.
     #[test]
     fn key_touched_mid_hold_reports_its_demand() {
-        let (mut e, pool, mut ctl) = setup();
-        let t = settle_into_hold(&mut ctl, &pool, &mut e, &[cfg()]);
+        let (mut e, mut pool, mut ctl) = setup();
+        let t = settle_into_hold(&mut ctl, &mut pool, &mut e, &[cfg()]);
         let id = pool.intern_config(&cfg());
         for t in t..t + 20 {
-            let report = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30));
+            let report = step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(t * 30));
             assert_eq!(report.sized, 0);
         }
         let now = SimTime::from_secs((t + 20) * 30);
-        drive_demand(&pool, &mut e, 1, now);
-        let report = step(&mut ctl, &pool, &mut e, now);
+        drive_demand(&mut pool, &mut e, 1, now);
+        let report = step(&mut ctl, &mut pool, &mut e, now);
         assert_eq!(report.actual_total, 1);
         assert_eq!(visited(&ctl), [id]);
         assert_eq!(
@@ -1201,13 +1171,13 @@ mod tests {
     /// with the predictor, so a revived key (same `KeyId`) starts clean.
     #[test]
     fn gc_clears_the_hold_with_the_predictor() {
-        let (mut e, pool, mut ctl) = setup();
-        let t = settle_into_hold(&mut ctl, &pool, &mut e, &[cfg()]);
+        let (mut e, mut pool, mut ctl) = setup();
+        let t = settle_into_hold(&mut ctl, &mut pool, &mut e, &[cfg()]);
         let id = pool.intern_config(&cfg());
-        pool.evict_oldest(&ExclusiveEngine::new(&mut e), SimTime::from_secs(t * 30))
+        pool.evict_oldest(&mut e, SimTime::from_secs(t * 30))
             .unwrap();
         let gc: usize = (t..t + GC_INTERVALS)
-            .map(|t| step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30)).gc_keys)
+            .map(|t| step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(t * 30)).gc_keys)
             .sum();
         assert_eq!(gc, 1);
         let slot = &ctl.keys[id.index()];
@@ -1220,18 +1190,18 @@ mod tests {
     /// least nine in ten of the step's idle visits.
     #[test]
     fn idle_fleet_is_mostly_skipped() {
-        let (mut e, pool, mut ctl) = setup();
+        let (mut e, mut pool, mut ctl) = setup();
         let configs: Vec<ContainerConfig> = (0..400).map(keyed).collect();
         for c in &configs {
-            drive_config_demand(&pool, &mut e, c, 1, SimTime::ZERO);
+            drive_config_demand(&mut pool, &mut e, c, 1, SimTime::ZERO);
         }
-        step(&mut ctl, &pool, &mut e, SimTime::ZERO);
+        step(&mut ctl, &mut pool, &mut e, SimTime::ZERO);
         // Every key here is idle: the ones the report leaves out were
         // parked or passed over.
         let (mut met, mut skipped) = (0, 0);
         for t in 1..500 {
             let pooled = pool.total_available();
-            let sized = step(&mut ctl, &pool, &mut e, SimTime::from_secs(t * 30)).sized;
+            let sized = step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(t * 30)).sized;
             met += pooled;
             skipped += pooled.saturating_sub(sized);
         }
@@ -1281,8 +1251,8 @@ mod tests {
         let mut held = 0;
         let intervals = g.usize_in(intervals);
         let configs: Vec<ContainerConfig> = (0..4).map(keyed).collect();
-        let (mut ef, pf, mut cf) = setup_with(policy.clone());
-        let (mut ed, pd, mut cd) = setup_with(policy.clone());
+        let (mut ef, mut pf, mut cf) = setup_with(policy.clone());
+        let (mut ed, mut pd, mut cd) = setup_with(policy.clone());
         for t in 0..=intervals {
             let now = SimTime::from_secs(t as u64 * 30);
             let ops = if t == 0 || g.u8_in(0..quiet) == 0 {
@@ -1294,37 +1264,34 @@ mod tests {
             };
             for (ci, op, n) in ops {
                 let c = &configs[ci];
-                for (p, e) in [(&pf, &mut ef), (&pd, &mut ed)] {
+                for (p, e) in [(&mut pf, &mut ef), (&mut pd, &mut ed)] {
                     match op {
                         0 | 1 => drive_config_demand(p, e, c, n, now),
                         2 => {
-                            p.prewarm(&ExclusiveEngine::new(e), c, now).unwrap();
+                            p.prewarm(e, c, now).unwrap();
                         }
                         3 => {
                             if let Some(id) = p.id_for(c) {
-                                p.retire_one_id(&ExclusiveEngine::new(e), id, now).unwrap();
+                                p.retire_one_id(e, id, now).unwrap();
                             }
                         }
                         // Limit enforcement, whichever key holds the oldest.
                         4 => {
                             for _ in 0..n {
-                                p.evict_oldest(&ExclusiveEngine::new(e), now).unwrap();
+                                p.evict_oldest(e, now).unwrap();
                             }
                         }
                         _ => crash_config_demand(p, e, c, n, now),
                     }
                 }
             }
-            let rf = cf
-                .step_full(&pf, &ExclusiveEngine::new(&mut ef), now)
-                .unwrap();
+            let rf = cf.step_full(&mut pf, &mut ef, now).unwrap();
             let tracked = pd.keys().len();
             // The last interval is the common full sweep.
             let rd = if t == intervals {
-                cd.step_full(&pd, &ExclusiveEngine::new(&mut ed), now)
-                    .unwrap()
+                cd.step_full(&mut pd, &mut ed, now).unwrap()
             } else {
-                step(&mut cd, &pd, &mut ed, now)
+                step(&mut cd, &mut pd, &mut ed, now)
             };
             assert_eq!(rf.prewarmed, rd.prewarmed, "interval {t}: prewarm diverged");
             assert_eq!(rf.retired, rd.retired, "interval {t}: retire diverged");
@@ -1360,7 +1327,7 @@ mod tests {
     #[test]
     fn keep_alive_window_is_simulated_time_not_steps() {
         let policy = ScalingPolicy::KeepAlive(SimDuration::from_mins(15));
-        let (mut e, pool, mut ctl) = setup_with(policy);
+        let (mut e, mut pool, mut ctl) = setup_with(policy);
         let id = pool.intern_config(&cfg());
         for minute in 0..120u64 {
             let now = SimTime::from_secs(minute * 60);
@@ -1370,9 +1337,9 @@ mod tests {
                     0,
                     "minute {minute}: batch starts cold"
                 );
-                drive_demand(&pool, &mut e, 1, now);
+                drive_demand(&mut pool, &mut e, 1, now);
             }
-            let report = step(&mut ctl, &pool, &mut e, now);
+            let report = step(&mut ctl, &mut pool, &mut e, now);
             assert_eq!(report.prewarmed, 0);
             let kept = usize::from(minute % 30 <= 15);
             assert_eq!(pool.num_avail_id(id), kept, "minute {minute}");
@@ -1386,16 +1353,16 @@ mod tests {
     /// warm at its cadence.
     #[test]
     fn hybrid_gap_history_survives_slot_gc() {
-        let (mut e, pool, mut ctl) = setup_with(ScalingPolicy::Hybrid);
+        let (mut e, mut pool, mut ctl) = setup_with(ScalingPolicy::Hybrid);
         let id = pool.intern_config(&cfg());
         let (mut warm, mut gc) = (Vec::new(), 0);
         for t in 0..8 * 60u64 {
             let now = SimTime::from_secs(t * 30);
             if t % 60 == 0 {
                 warm.push(pool.num_avail_id(id) == 1);
-                drive_demand(&pool, &mut e, 1, now);
+                drive_demand(&mut pool, &mut e, 1, now);
             }
-            gc += step(&mut ctl, &pool, &mut e, now).gc_keys;
+            gc += step(&mut ctl, &mut pool, &mut e, now).gc_keys;
         }
         assert_eq!(warm, [false, false, false, false, true, true, true, true]);
         assert_eq!(gc, 3);
@@ -1459,10 +1426,10 @@ mod tests {
         let policy = ScalingPolicy::KeepAll {
             ping: Some(SimDuration::from_mins(5)),
         };
-        let (mut e, pool, mut ctl) = setup_with(policy);
-        drive_demand(&pool, &mut e, 3, SimTime::ZERO);
+        let (mut e, mut pool, mut ctl) = setup_with(policy);
+        drive_demand(&mut pool, &mut e, 3, SimTime::ZERO);
         let mut pings_at = |minute: u64| {
-            step(&mut ctl, &pool, &mut e, SimTime::from_secs(minute * 60));
+            step(&mut ctl, &mut pool, &mut e, SimTime::from_secs(minute * 60));
             ctl.background_cost().div_duration(PING_COST)
         };
         assert_eq!(pings_at(1), 0, "inside the first period");
@@ -1478,15 +1445,15 @@ mod tests {
     fn prop_baselines_never_prewarm_under_crashes() {
         for policy in &policies()[1..] {
             testkit::check(16, |g| {
-                let (mut e, pool, mut ctl) = setup_with(policy.clone());
+                let (mut e, mut pool, mut ctl) = setup_with(policy.clone());
                 e.set_fault_injection(0.3, g.u64_in(0..1000));
                 for t in 0..g.u64_in(10..80) {
                     let now = SimTime::from_secs(t * 30);
                     for _ in 0..g.usize_in(0..3) {
                         let c = keyed(g.usize_in(0..3));
-                        drive_config_demand(&pool, &mut e, &c, g.usize_in(1..5), now);
+                        drive_config_demand(&mut pool, &mut e, &c, g.usize_in(1..5), now);
                     }
-                    let report = step(&mut ctl, &pool, &mut e, now);
+                    let report = step(&mut ctl, &mut pool, &mut e, now);
                     assert_eq!(report.prewarmed, 0, "{policy:?} at step {t}");
                 }
             });

@@ -26,7 +26,7 @@ use faas::ProviderKey;
 use simclock::SimDuration;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use stdshim::{FastHasher, FastMap, Mutex};
+use stdshim::{FastHasher, FastMap};
 
 /// Which configuration fields participate in the runtime key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -98,8 +98,8 @@ impl KeyId {
     }
 
     /// Rebuilds an id from a dense index previously obtained via
-    /// [`KeyId::index`]. Crate-private: only the pool's container reverse
-    /// index and its per-key bitmaps, and `HotC` for a gateway's cached
+    /// [`KeyId::index`]. Crate-private: only the pool's per-key tables and
+    /// bitmaps, and `HotC` for a gateway's cached
     /// [`ProviderKey`], round-trip ids this way, and they only hold indices
     /// of ids the interner already issued.
     pub(crate) const fn from_index(index: u32) -> KeyId {
@@ -133,21 +133,12 @@ impl std::fmt::Display for KeyId {
 /// configuration — across slot GC, so a key that churns in and out of the
 /// pool is never copied again.
 ///
-/// Lock class `pool/interner`: one short critical section per lookup (a
-/// fingerprint probe), on the request path strictly *before* (and released
-/// before) any `pool/state` lock, so the request path still holds at most
-/// one lock at a time (DESIGN §5). Every frontend resolves a function's key
-/// once, not per request: the concurrent gateway at registration, the
-/// single-threaded one on the function's first request (it then caches the
-/// key), the cluster once per (key, node).
+/// Every caller resolves a function's key once, not per request: the
+/// gateway on the function's first request (it then caches the key), the
+/// cluster once per (key, node).
 #[derive(Debug)]
 pub struct KeyInterner {
     policy: KeyPolicy,
-    state: Mutex<InternerState>,
-}
-
-#[derive(Debug, Default)]
-struct InternerState {
     /// `KeyId::index()` → the configuration first interned under that id.
     configs: Vec<Arc<ContainerConfig>>,
     /// Fingerprint → candidate ids (chained on collision). A [`FastMap`]:
@@ -161,7 +152,8 @@ impl KeyInterner {
     pub fn new(policy: KeyPolicy) -> Self {
         KeyInterner {
             policy,
-            state: Mutex::labeled(InternerState::default(), "pool/interner"),
+            configs: Vec::new(),
+            by_fingerprint: FastMap::default(),
         }
     }
 
@@ -175,40 +167,35 @@ impl KeyInterner {
         (fields, h.finish())
     }
 
-    fn find(&self, state: &InternerState, key: &KeyFields<'_>, fingerprint: u64) -> Option<KeyId> {
-        let candidates = state.by_fingerprint.get(&fingerprint)?;
+    fn find(&self, key: &KeyFields<'_>, fingerprint: u64) -> Option<KeyId> {
+        let candidates = self.by_fingerprint.get(&fingerprint)?;
         candidates
             .iter()
             .copied()
-            .find(|id| self.policy.fields(&state.configs[id.index()]) == *key)
+            .find(|id| self.policy.fields(&self.configs[id.index()]) == *key)
     }
 
     /// Interns `config`, returning its stable id.
-    pub fn intern(&self, config: &ContainerConfig) -> KeyId {
+    pub fn intern(&mut self, config: &ContainerConfig) -> KeyId {
         let (key, fingerprint) = self.key(config);
-        let mut state = self.state.lock();
-        if let Some(id) = self.find(&state, &key, fingerprint) {
+        if let Some(id) = self.find(&key, fingerprint) {
             return id;
         }
-        let id = KeyId(state.configs.len() as u32);
-        state.configs.push(Arc::new(config.clone()));
-        state
-            .by_fingerprint
-            .entry(fingerprint)
-            .or_default()
-            .push(id);
+        let id = KeyId(self.configs.len() as u32);
+        self.configs.push(Arc::new(config.clone()));
+        self.by_fingerprint.entry(fingerprint).or_default().push(id);
         id
     }
 
     /// The id of `config`'s key if it has been interned; interns nothing.
     pub fn get(&self, config: &ContainerConfig) -> Option<KeyId> {
         let (key, fingerprint) = self.key(config);
-        self.find(&self.state.lock(), &key, fingerprint)
+        self.find(&key, fingerprint)
     }
 
     /// The configuration first interned under `id`.
     pub(crate) fn config(&self, id: KeyId) -> Option<Arc<ContainerConfig>> {
-        self.state.lock().configs.get(id.index()).cloned()
+        self.configs.get(id.index()).cloned()
     }
 
     /// What a container booted for `config` under `id` shares: `id`'s
@@ -216,8 +203,6 @@ impl KeyInterner {
     /// copy of `config` of its own.
     pub(crate) fn share(&self, id: KeyId, config: &ContainerConfig) -> Arc<ContainerConfig> {
         let shared = self
-            .state
-            .lock()
             .configs
             .get(id.index())
             .and_then(|interned| self.policy.share(interned, config));
@@ -226,7 +211,7 @@ impl KeyInterner {
 
     /// Number of distinct keys interned so far.
     pub fn len(&self) -> usize {
-        self.state.lock().configs.len()
+        self.configs.len()
     }
 
     /// Whether nothing has been interned yet.
@@ -262,7 +247,7 @@ mod tests {
 
     /// Whether `a` and `b` intern to one id under `policy`.
     fn same_key(a: &ContainerConfig, b: &ContainerConfig, policy: KeyPolicy) -> bool {
-        let interner = KeyInterner::new(policy);
+        let mut interner = KeyInterner::new(policy);
         interner.intern(a) == interner.intern(b)
     }
 
@@ -292,7 +277,7 @@ mod tests {
     fn env_values_with_separators_are_distinct_keys() {
         let a = with_env(&[("X", "1,Y=2")]);
         let b = with_env(&[("X", "1"), ("Y", "2")]);
-        let interner = KeyInterner::new(KeyPolicy::Exact);
+        let mut interner = KeyInterner::new(KeyPolicy::Exact);
         let (ia, ib) = (interner.intern(&a), interner.intern(&b));
         assert_ne!(ia, ib);
         assert_eq!((interner.get(&a), interner.get(&b)), (Some(ia), Some(ib)));
@@ -325,7 +310,7 @@ mod tests {
 
     #[test]
     fn interner_ids_are_stable_and_dense() {
-        let interner = KeyInterner::new(KeyPolicy::Exact);
+        let mut interner = KeyInterner::new(KeyPolicy::Exact);
         let a = base();
         let b = with_env(&[("A", "1")]);
         assert_eq!(interner.get(&a), None, "get interns nothing");
@@ -343,7 +328,7 @@ mod tests {
 
     #[test]
     fn fuzzy_interner_collapses_exec_options() {
-        let interner = KeyInterner::new(KeyPolicy::Fuzzy);
+        let mut interner = KeyInterner::new(KeyPolicy::Fuzzy);
         let a = with_env(&[("A", "1")]);
         let b = with_env(&[("A", "2")]);
         assert_eq!(interner.intern(&a), interner.intern(&b));

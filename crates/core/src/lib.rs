@@ -20,13 +20,13 @@
 //!   [`pool::RuntimePool`]: a key-value store from [`KeyId`] to
 //!   available/in-use containers, with the `num_avail` bookkeeping,
 //!   used-container cleanup (wipe + fresh volume), and oldest-first forced
-//!   termination. It is the one pool type: warm acquires and releases are
-//!   lock-free per runtime key, one mutex serializes every occupancy change,
-//!   and container creation happens outside it.
-//! * [`controller`] — **Adaptive live container management** (Algorithm 3):
-//!   per-key demand history at a fixed control interval, predicted with the
-//!   combined exponential-smoothing + Markov model, pre-warming and retiring
-//!   pool containers to match. The §III-B keep-alive practices HotC is
+//!   termination. It is the one pool type, single-owner state driven
+//!   through `&mut`: the paper's one key-value store in front of one
+//!   container daemon.
+//! * [`AdaptiveController`] — **Adaptive live container management**
+//!   (Algorithm 3): per-key demand history at a fixed control interval,
+//!   predicted with the combined exponential-smoothing + Markov model,
+//!   pre-warming and retiring pool containers to match. The §III-B keep-alive practices HotC is
 //!   measured against are other [`ScalingPolicy`]s of the same controller.
 //! * [`limits`] — the resource guardrails of §IV-B: at most 500 live
 //!   containers and a host memory-pressure threshold of 80 %
@@ -34,23 +34,17 @@
 //!   container.
 //! * [`middleware`] — [`middleware::HotC`], the Fig. 6 middleware: the one
 //!   place that ties the above together (acquire → enforce on a cold start,
-//!   release → book the cleanup, tick → controller step + enforce). Its
-//!   entry points take `&self` and an [`EngineRef`]; behind the
-//!   [`faas::RuntimeProvider`] trait the unmodified gateway runs with HotC
-//!   ("does not involve disruptive changes to the existing architecture").
-//! * [`concurrent`] — [`concurrent::ConcurrentGateway`], the thread-safe
-//!   frontend of the contention benchmarks and thread stress tests: requests
-//!   go through the [`FunctionHandle`] its `register` returns. Together with
-//!   the single-threaded [`faas::Gateway`] it is one of the workspace's two
-//!   gateways, and it drives the same [`HotC`]; the global-lock baseline it
-//!   is measured against is a fixture local to `benches/contention.rs`.
+//!   release → book the cleanup, tick → controller step + enforce). Behind
+//!   the [`faas::RuntimeProvider`] trait the unmodified gateway runs with
+//!   HotC ("does not involve disruptive changes to the existing
+//!   architecture").
 //!
-//! One spelling per pool-control operation: [`PoolLimits`],
-//! [`AdaptiveController`] and [`HotC`] entry points all take an `&impl
-//! EngineRef` — an [`ExclusiveEngine`] borrow from the single-threaded
-//! gateway, the engine mutex from the concurrent one. Which app last ran in a
-//! pooled runtime is not pool or gateway state: the container's engine
-//! record remembers it ([`containersim::ContainerEngine::load_app`]).
+//! One owner per pool: a [`faas::Gateway`] owns its engine and its `HotC`,
+//! and hands both to every call as `&mut`, so the pool, the interner and
+//! the controller hold plain fields — no atomics, no locks. A replay that
+//! runs on several threads gives each worker its own gateway. Which app last
+//! ran in a pooled runtime is not pool or gateway state: the container's
+//! engine record remembers it ([`containersim::ContainerEngine::load_app`]).
 //!
 //! ## Algorithms 1 and 2 on the pool
 //!
@@ -81,16 +75,14 @@
 //! assert!(warm.total() < cold.total() / 5);
 //! ```
 
-mod concurrent;
-pub mod controller;
+mod controller;
 pub mod key;
 pub mod limits;
 mod middleware;
 pub mod pool;
 
-pub use concurrent::{ConcurrentGateway, FunctionHandle};
 pub use controller::{AdaptiveController, ControllerConfig, ScalingPolicy};
 pub use key::{KeyId, KeyInterner, KeyPolicy};
 pub use limits::PoolLimits;
 pub use middleware::{HotC, HotCConfig};
-pub use pool::{DemandSnapshot, EngineRef, ExclusiveEngine, RuntimePool};
+pub use pool::RuntimePool;

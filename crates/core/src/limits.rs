@@ -6,8 +6,8 @@
 //! used_mem and used_swap in the kernel. If there exist too many containers
 //! or fewer resources, the oldest live container is forcibly terminated."
 
-use crate::pool::{EngineRef, RuntimePool};
-use containersim::EngineError;
+use crate::pool::RuntimePool;
+use containersim::{ContainerEngine, EngineError};
 use simclock::{SimDuration, SimTime};
 
 /// Pool resource limits.
@@ -43,12 +43,9 @@ impl PoolLimits {
         }
     }
 
-    /// Whether the pool/host currently violates a limit. Reads the pool's
-    /// live count (pool lock) and the host memory pressure (engine lock)
-    /// sequentially — the two locks are never nested.
-    pub(crate) fn violated(&self, pool: &RuntimePool, engine: &impl EngineRef) -> bool {
-        pool.total_live() > self.max_live
-            || engine.with_engine(|e| e.host().memory_pressure()) > self.mem_threshold
+    /// Whether the pool/host currently violates a limit.
+    pub(crate) fn violated(&self, pool: &RuntimePool, engine: &ContainerEngine) -> bool {
+        pool.total_live() > self.max_live || engine.host().memory_pressure() > self.mem_threshold
     }
 
     /// Oldest-first eviction until limits hold (or no available container
@@ -60,8 +57,8 @@ impl PoolLimits {
     /// telemetry counts separately from controller-driven retires.
     pub fn enforce(
         &self,
-        pool: &RuntimePool,
-        engine: &impl EngineRef,
+        pool: &mut RuntimePool,
+        engine: &mut ContainerEngine,
         now: SimTime,
     ) -> Result<(SimDuration, usize), EngineError> {
         let mut cost = SimDuration::ZERO;
@@ -95,8 +92,7 @@ impl stdshim::ToJson for PoolLimits {
 mod tests {
     use super::*;
     use crate::key::KeyPolicy;
-    use crate::pool::ExclusiveEngine;
-    use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, ImageId};
+    use containersim::{ContainerConfig, HardwareProfile, ImageId};
 
     fn setup() -> (ContainerEngine, RuntimePool) {
         (
@@ -109,15 +105,8 @@ mod tests {
         ContainerConfig::bridge(ImageId::parse("alpine:3.12"))
     }
 
-    fn violated(limits: &PoolLimits, pool: &RuntimePool, e: &mut ContainerEngine) -> bool {
-        limits.violated(pool, &ExclusiveEngine::new(e))
-    }
-
-    fn enforce(limits: &PoolLimits, pool: &RuntimePool, e: &mut ContainerEngine, secs: u64) {
-        let engine = ExclusiveEngine::new(e);
-        let (cost, evicted) = limits
-            .enforce(pool, &engine, SimTime::from_secs(secs))
-            .unwrap();
+    fn enforce(limits: &PoolLimits, pool: &mut RuntimePool, e: &mut ContainerEngine, secs: u64) {
+        let (cost, evicted) = limits.enforce(pool, e, SimTime::from_secs(secs)).unwrap();
         assert_eq!(cost.is_zero(), evicted == 0);
     }
 
@@ -130,16 +119,15 @@ mod tests {
 
     #[test]
     fn enforce_trims_to_max_live() {
-        let (mut e, pool) = setup();
+        let (mut e, mut pool) = setup();
         let limits = PoolLimits::new(3, 0.99);
         for i in 0..6 {
-            pool.prewarm(&ExclusiveEngine::new(&mut e), &cfg(), SimTime::from_secs(i))
-                .unwrap();
+            pool.prewarm(&mut e, &cfg(), SimTime::from_secs(i)).unwrap();
         }
-        assert!(violated(&limits, &pool, &mut e));
-        enforce(&limits, &pool, &mut e, 10);
+        assert!(limits.violated(&pool, &e));
+        enforce(&limits, &mut pool, &mut e, 10);
         assert_eq!(pool.total_live(), 3);
-        assert!(!violated(&limits, &pool, &mut e));
+        assert!(!limits.violated(&pool, &e));
         // The newest three survive (oldest evicted first).
         let survivors = e.live_ids_oldest_first();
         assert_eq!(survivors.len(), 3,);
@@ -148,15 +136,13 @@ mod tests {
 
     #[test]
     fn enforce_stops_when_only_busy_remain() {
-        let (mut e, pool) = setup();
+        let (mut e, mut pool) = setup();
         let limits = PoolLimits::new(1, 0.99);
         // Two busy containers (never released): cannot be evicted.
-        pool.acquire(&ExclusiveEngine::new(&mut e), &cfg(), SimTime::ZERO)
-            .unwrap();
-        pool.acquire(&ExclusiveEngine::new(&mut e), &cfg(), SimTime::ZERO)
-            .unwrap();
-        assert!(violated(&limits, &pool, &mut e));
-        enforce(&limits, &pool, &mut e, 1);
+        pool.acquire(&mut e, &cfg(), SimTime::ZERO).unwrap();
+        pool.acquire(&mut e, &cfg(), SimTime::ZERO).unwrap();
+        assert!(limits.violated(&pool, &e));
+        enforce(&limits, &mut pool, &mut e, 1);
         // Still violated, but enforce terminated rather than spinning.
         assert_eq!(pool.total_live(), 2);
     }
@@ -165,15 +151,14 @@ mod tests {
     fn memory_pressure_triggers_eviction() {
         // A tiny edge host: Pi with 1 GB. JVM containers at ~49 MB idle each.
         let mut e = ContainerEngine::with_local_images(HardwareProfile::raspberry_pi3());
-        let pool = RuntimePool::new(KeyPolicy::Exact);
+        let mut pool = RuntimePool::new(KeyPolicy::Exact);
         let jvm = ContainerConfig::bridge(ImageId::parse("openjdk:8-jre"));
         let limits = PoolLimits::new(500, 0.5);
         for i in 0..12 {
-            pool.prewarm(&ExclusiveEngine::new(&mut e), &jvm, SimTime::from_secs(i))
-                .unwrap();
+            pool.prewarm(&mut e, &jvm, SimTime::from_secs(i)).unwrap();
         }
         assert!(e.host().memory_pressure() > 0.5);
-        enforce(&limits, &pool, &mut e, 20);
+        enforce(&limits, &mut pool, &mut e, 20);
         assert!(e.host().memory_pressure() <= 0.5);
         assert!(pool.total_live() < 12);
     }

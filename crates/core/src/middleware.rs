@@ -8,28 +8,23 @@
 //!
 //! There is one [`HotC`], and the Fig. 6 sequence — acquire then enforce the
 //! limits on a cold start, release then book the cleanup, tick = controller
-//! step then enforce — is written here only. Its entry points take `&self`
-//! and an [`EngineRef`], exactly as the pool's do: the single-threaded
-//! [`faas::Gateway`] reaches them through [`faas::RuntimeProvider`] and an
-//! [`ExclusiveEngine`] borrow, [`crate::ConcurrentGateway`] through its engine
-//! mutex. The warm request path takes no lock here: the controller sits
-//! behind a mutex that only `tick_on` (and the background-cost read) takes,
-//! and the tallies are relaxed atomics.
+//! step then enforce — is written here only, as its
+//! [`faas::RuntimeProvider`] implementation: the gateway owns the engine
+//! and the provider and hands both to each call as `&mut`, so the pool, the
+//! controller and the tallies are plain fields.
 //!
 //! The §III-B keep-alive baselines are `HotC` too, with another
 //! [`ScalingPolicy`] and no limits ([`HotC::fixed_keepalive`],
-//! [`HotC::periodic_warmup`], [`HotC::hybrid_keepalive`]), so every frontend
+//! [`HotC::periodic_warmup`], [`HotC::hybrid_keepalive`]), so the gateway
 //! and the cluster run them unchanged.
 
-use crate::controller::{AdaptiveController, ScalingPolicy, StepReport};
+use crate::controller::{AdaptiveController, ScalingPolicy};
 use crate::key::{KeyId, KeyPolicy};
 use crate::limits::PoolLimits;
-use crate::pool::{EngineRef, ExclusiveEngine, PoolAcquisition, RuntimePool};
+use crate::pool::RuntimePool;
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use faas::{Acquisition, ProviderKey, RuntimeProvider};
 use simclock::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-use stdshim::sync::Mutex;
 
 /// Top-level HotC configuration.
 #[derive(Debug, Clone, Default)]
@@ -58,17 +53,12 @@ impl HotCConfig {
 /// The HotC runtime manager.
 pub struct HotC {
     pool: RuntimePool,
-    /// Taken by `tick_on` and the background-cost read only: a control step
-    /// may span pool and engine acquisitions, but this lock is never taken
-    /// while holding any other (DESIGN.md §5).
-    controller: Mutex<AdaptiveController>,
+    controller: AdaptiveController,
     limits: PoolLimits,
     name: &'static str,
-    /// Cumulative cleanup/eviction cost in virtual nanoseconds. Bumped on
-    /// every release, so it is a statistic on a relaxed atomic rather than
-    /// state behind a lock that would reserialize the warm path.
-    background_nanos: AtomicU64,
-    forced_evictions: AtomicU64,
+    /// Cumulative cleanup and eviction cost.
+    background: SimDuration,
+    forced_evictions: u64,
 }
 
 impl HotC {
@@ -77,10 +67,10 @@ impl HotC {
         HotC {
             pool: RuntimePool::new(config.key_policy),
             name: config.policy.name(),
-            controller: Mutex::labeled(AdaptiveController::new(config.policy), "hotc/controller"),
+            controller: AdaptiveController::new(config.policy),
             limits: config.limits,
-            background_nanos: AtomicU64::new(0),
-            forced_evictions: AtomicU64::new(0),
+            background: SimDuration::ZERO,
+            forced_evictions: 0,
         }
     }
 
@@ -115,78 +105,22 @@ impl HotC {
         &self.pool
     }
 
-    fn add_background(&self, cost: SimDuration) {
-        self.background_nanos
-            .fetch_add(cost.as_nanos(), Ordering::Relaxed);
+    /// The pool, for a caller that interns into it (the cluster's
+    /// per-node key translations).
+    pub fn pool_mut(&mut self) -> &mut RuntimePool {
+        &mut self.pool
     }
 
     /// Evicts down to the limits, booking the teardown cost and the count.
-    fn enforce_limits(&self, engine: &impl EngineRef, now: SimTime) -> Result<(), EngineError> {
-        let (cost, evicted) = self.limits.enforce(&self.pool, engine, now)?;
-        self.add_background(cost);
-        self.forced_evictions
-            .fetch_add(evicted as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Algorithm 1 under the limits: obtains a runtime for `config` (whose
-    /// interned key is `key_id`), evicting down to the limits when that took
-    /// a cold start. A warm hit takes no lock.
-    pub(crate) fn acquire_on(
-        &self,
-        engine: &impl EngineRef,
-        key_id: KeyId,
-        config: &ContainerConfig,
-        now: SimTime,
-    ) -> Result<PoolAcquisition, EngineError> {
-        let acq = self.pool.acquire_id(engine, key_id, config, now)?;
-        if acq.cold {
-            // A cold start may have pushed the pool over its limits.
-            self.enforce_limits(engine, now)?;
-        }
-        Ok(acq)
-    }
-
-    /// Algorithm 2 for a container that is still executing: ends the
-    /// execution and cleans (or, if `crashed`, disposes of) the container in
-    /// one engine critical section, returning it to the pool of the key it
-    /// was acquired under — whatever the function is registered as by now.
-    pub(crate) fn finish_release_on(
-        &self,
-        engine: &impl EngineRef,
-        container: ContainerId,
-        now: SimTime,
-        crashed: bool,
-    ) -> Result<(), EngineError> {
-        let cost = self
-            .pool
-            .try_finish_release(engine, container, now, crashed);
-        self.add_background(cost?);
-        Ok(())
-    }
-
-    /// Algorithm 2: cleans a container whose execution has ended and returns
-    /// it to the pool (a crashed one is disposed of), booking the cost.
-    pub(crate) fn release_on(
-        &self,
-        engine: &impl EngineRef,
-        container: ContainerId,
+    fn enforce_limits(
+        &mut self,
+        engine: &mut ContainerEngine,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        self.add_background(self.pool.release(engine, container, now)?);
+        let (cost, evicted) = self.limits.enforce(&mut self.pool, engine, now)?;
+        self.background += cost;
+        self.forced_evictions += evicted as u64;
         Ok(())
-    }
-
-    /// Periodic maintenance: one adaptive-controller step if its interval
-    /// has elapsed (returning that step's report), then limit enforcement.
-    pub(crate) fn tick_on(
-        &self,
-        engine: &impl EngineRef,
-        now: SimTime,
-    ) -> Result<Option<StepReport>, EngineError> {
-        let report = self.controller.lock().maybe_step(&self.pool, engine, now)?;
-        self.enforce_limits(engine, now)?;
-        Ok(report)
     }
 }
 
@@ -200,8 +134,10 @@ impl RuntimeProvider for HotC {
         self.acquire_keyed(engine, config, &mut None, now)
     }
 
-    /// Interns `config` only when `key` is empty, then fills it: a gateway
-    /// that keeps the slot per function fingerprints each configuration once.
+    /// Algorithm 1 under the limits: interns `config` only when `key` is
+    /// empty, then fills it — a gateway that keeps the slot per function
+    /// fingerprints each configuration once — and evicts down to the limits
+    /// when the acquire took a cold start.
     fn acquire_keyed(
         &mut self,
         engine: &mut ContainerEngine,
@@ -210,39 +146,39 @@ impl RuntimeProvider for HotC {
         now: SimTime,
     ) -> Result<Acquisition, EngineError> {
         let key_id = match *key {
-            Some(cached) => {
-                let id = KeyId::from_index(cached.0);
-                // Checked here, before `acquire_id` opens its request-path
-                // scope: the lookup takes the interner lock, which a warm
-                // hit inside that scope must not.
-                debug_assert_eq!(
-                    self.pool.id_for(config),
-                    Some(id),
-                    "cached key is not the configuration's"
-                );
-                id
-            }
+            Some(cached) => KeyId::from_index(cached.0),
             None => {
                 let id = self.pool.intern_config(config);
                 *key = Some(id.into());
                 id
             }
         };
-        self.acquire_on(&ExclusiveEngine::new(engine), key_id, config, now)
-            .map(Into::into)
+        let acq = self.pool.acquire_id(engine, key_id, config, now)?;
+        if acq.cold {
+            // A cold start may have pushed the pool over its limits.
+            self.enforce_limits(engine, now)?;
+        }
+        Ok(acq)
     }
 
+    /// Algorithm 2: cleans a container whose execution has ended and returns
+    /// it to the pool of the key it was acquired under (a crashed one is
+    /// disposed of), booking the cost.
     fn release(
         &mut self,
         engine: &mut ContainerEngine,
         container: ContainerId,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        self.release_on(&ExclusiveEngine::new(engine), container, now)
+        self.background += self.pool.release(engine, container, now)?;
+        Ok(())
     }
 
+    /// Periodic maintenance: one adaptive-controller step if its interval
+    /// has elapsed, then limit enforcement.
     fn tick(&mut self, engine: &mut ContainerEngine, now: SimTime) -> Result<(), EngineError> {
-        self.tick_on(&ExclusiveEngine::new(engine), now).map(drop)
+        self.controller.maybe_step(&mut self.pool, engine, now)?;
+        self.enforce_limits(engine, now)
     }
 
     fn name(&self) -> &'static str {
@@ -250,12 +186,11 @@ impl RuntimeProvider for HotC {
     }
 
     fn background_cost(&self) -> SimDuration {
-        SimDuration::from_nanos(self.background_nanos.load(Ordering::Relaxed))
-            + self.controller.lock().background_cost()
+        self.background + self.controller.background_cost()
     }
 
     fn forced_evictions(&self) -> u64 {
-        self.forced_evictions.load(Ordering::Relaxed)
+        self.forced_evictions
     }
 }
 
@@ -263,7 +198,7 @@ impl RuntimeProvider for HotC {
 mod tests {
     use super::*;
     use containersim::{HardwareProfile, LanguageRuntime};
-    use faas::{AppProfile, Gateway};
+    use faas::{AppProfile, FunctionSpec, Gateway};
 
     fn gateway() -> Gateway<HotC> {
         let engine = ContainerEngine::with_local_images(HardwareProfile::server());
@@ -342,6 +277,39 @@ mod tests {
         assert!(gw.engine().live_count() <= 5);
     }
 
+    /// Regression: limit enforcement on the cold path went uncounted, so
+    /// only tick-time evictions were tallied. Serial traffic over four
+    /// runtime types under a two-container cap evicts on every cold start
+    /// past the second, and each is counted.
+    #[test]
+    fn cold_path_evictions_are_counted() {
+        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let config = HotCConfig {
+            limits: PoolLimits::new(2, 0.99),
+            ..Default::default()
+        };
+        let mut gw = Gateway::new(engine, HotC::new(config));
+        let langs = [
+            LanguageRuntime::Python,
+            LanguageRuntime::Go,
+            LanguageRuntime::NodeJs,
+            LanguageRuntime::Java,
+        ];
+        let names = langs.map(|lang| {
+            let spec = FunctionSpec::from_app(AppProfile::qr_code(lang));
+            let spec = spec.named(format!("qr-{lang:?}"));
+            let name = spec.name.clone();
+            gw.register(spec);
+            name
+        });
+        let mut now = SimTime::ZERO;
+        for i in 0..12 {
+            let trace = gw.handle(&names[i % 4], now).unwrap();
+            now = trace.t6_gateway_out;
+        }
+        assert_eq!(gw.provider().forced_evictions(), 10);
+    }
+
     #[test]
     fn adaptive_prewarm_avoids_cold_on_growth() {
         let mut gw = gateway();
@@ -394,13 +362,13 @@ mod tests {
     }
 
     /// A container the pool never handed out — here one created behind its
-    /// back and still executing — is rejected by both release entry points
-    /// before the engine is touched: the execution is not ended, nothing is
-    /// cleaned, nothing is pooled or booked.
+    /// back and still executing — is rejected before the engine is touched:
+    /// the execution is not ended, nothing is cleaned, nothing is pooled or
+    /// booked.
     #[test]
     fn releasing_a_container_the_pool_never_handed_out_leaves_the_engine_untouched() {
         let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
-        let hotc = HotC::with_defaults();
+        let mut hotc = HotC::with_defaults();
         let app = AppProfile::random_number();
         let (stray, _) = engine
             .create_container(app.default_config(), SimTime::ZERO)
@@ -408,14 +376,8 @@ mod tests {
         engine
             .begin_exec(stray, app.work_for(true), SimTime::ZERO)
             .unwrap();
-        let now = SimTime::from_secs(1);
-        let e = ExclusiveEngine::new(&mut engine);
-        for result in [
-            hotc.finish_release_on(&e, stray, now, false),
-            hotc.release_on(&e, stray, now),
-        ] {
-            assert!(matches!(result, Err(EngineError::InvalidState { id, .. }) if id == stray));
-        }
+        let result = hotc.release(&mut engine, stray, SimTime::from_secs(1));
+        assert!(matches!(result, Err(EngineError::InvalidState { id, .. }) if id == stray));
         assert_eq!(engine.state(stray), containersim::ContainerState::Running);
         assert_eq!(hotc.pool().total_live(), 0);
         assert_eq!(hotc.background_cost(), SimDuration::ZERO);

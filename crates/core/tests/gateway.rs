@@ -3,7 +3,8 @@
 //! cold and warm. `faas` itself only has the cold-start provider, so these
 //! run on `HotC` under AWS's 15-minute keep-alive.
 
-use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
+use containersim::engine::ExecWork;
+use containersim::{ContainerEngine, HardwareProfile, ImageId, LanguageRuntime};
 use faas::{AppProfile, FunctionSpec, Gateway};
 use hotc::HotC;
 use metrics_lite::{MetricsRegistry, MetricsSnapshot, Stage};
@@ -89,9 +90,9 @@ fn stage_sample_reconciles_with_trace_total() {
     );
 }
 
-/// `metrics()` adds what the tally gained since its last call, so the
-/// counters hold the sum however often and in whatever order they are
-/// mirrored: two gateways on one registry, and a registry that absorbed
+/// Every finish adds to the registry's tally counters and `metrics()` lists
+/// them, so the counters hold the sum however often and in whatever order
+/// they are read: two gateways on one registry, and a registry that absorbed
 /// another gateway's and is then read through its own gateway again.
 #[test]
 fn mirrored_counters_sum_across_gateways_and_absorbs() {
@@ -178,4 +179,55 @@ fn begin_and_begin_with_agree() {
         assert_eq!(a.stage_count("fn/random-number", stage), count);
         assert_eq!(b.stage_count("fn/random-number", stage), count);
     }
+}
+
+/// Two apps on one runtime key, served serially from one prewarmed
+/// runtime: app init is paid on the runtime's first use although it was
+/// never cold for a request, re-paid on every app switch and not on a
+/// repeat.
+#[test]
+fn app_switches_repay_init_on_a_prewarmed_runtime() {
+    let alpha = AppProfile {
+        name: "alpha",
+        image: ImageId::parse("python:3.8-alpine"),
+        app_init: SimDuration::from_millis(500),
+        work: ExecWork::light(SimDuration::from_millis(50)),
+    };
+    let mut beta = alpha.clone();
+    beta.name = "beta";
+    let specs = [FunctionSpec::from_app(alpha), FunctionSpec::from_app(beta)];
+    assert_eq!(specs[0].config, specs[1].config, "one runtime type");
+
+    let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+    let mut hotc = HotC::with_defaults();
+    hotc.pool_mut()
+        .prewarm(&mut engine, &specs[0].config, SimTime::ZERO)
+        .unwrap();
+    let mut gw = Gateway::new(engine, hotc);
+    for spec in specs {
+        gw.register(spec);
+    }
+
+    let mut now = SimTime::from_secs(1);
+    let script = [
+        ("alpha", true), // prewarmed: never executed, nothing loaded
+        ("alpha", false),
+        ("beta", true),
+        ("beta", false),
+        ("alpha", true),
+        ("beta", true),
+    ];
+    for (i, (name, init_due)) in script.into_iter().enumerate() {
+        let trace = gw.handle(name, now).unwrap();
+        now = trace.t6_gateway_out;
+        assert!(!trace.cold, "request {i}: the prewarmed runtime serves it");
+        assert_eq!(trace.first_exec, i == 0, "request {i}");
+        assert_eq!(
+            trace.execution() > SimDuration::from_millis(500),
+            init_due,
+            "request {i} ({name}): {:?}",
+            trace.execution()
+        );
+    }
+    assert_eq!(gw.engine().live_count(), 1);
 }

@@ -35,7 +35,7 @@ pub mod pipeline;
 pub mod policy;
 
 pub use apps::AppProfile;
-pub use gateway::{FunctionSpec, Gateway, GatewayStats, InFlight, SharedStats};
+pub use gateway::{FunctionSpec, Gateway, GatewayStats, InFlight};
 pub use pipeline::RequestTrace;
 pub use policy::ColdStartAlways;
 

@@ -20,9 +20,6 @@
 //! |                   | (publication ops; pure counters stay Relaxed)        |
 //! | `atomic-seqcst`   | `Ordering::SeqCst` in the request-path crates (a     |
 //! |                   | per-request full fence; acq/rel suffices everywhere) |
-//! | `atomic-facade`   | raw `std::sync::atomic` in the slot-protocol modules |
-//! |                   | (must route through `stdshim::atomic` so the model   |
-//! |                   | checker sees every access)                           |
 //! | `unchecked-cas`   | discarding a `compare_exchange[_weak]` /             |
 //! |                   | `fetch_update` result (bare statement or `let _ =`)  |
 //! | `hermetic-deps`   | non-path dependencies in any `Cargo.toml`            |
@@ -187,15 +184,6 @@ const REQUEST_PATH_CRATES: [&str; 4] = [
     "crates/core/",
     "crates/metrics/",
     "crates/faas/",
-];
-
-/// Modules carrying the lock-free slot protocol. Every atomic here must
-/// route through the `stdshim::atomic` facade (`ShimAtomicU64` & co.) so the
-/// `--cfg hotc_model` build puts it under the model checker — one raw
-/// `std::sync::atomic` access is an interleaving the checker never explores.
-const FACADE_MODULES: [&str; 2] = [
-    "crates/stdshim/src/sync_slots.rs",
-    "crates/core/src/pool.rs",
 ];
 
 /// Atomic ops that *publish* state other threads read: a `Relaxed` success
@@ -438,8 +426,8 @@ pub(crate) fn check_scanned(rel: &str, scanned: &Scanned) -> Vec<Violation> {
             }
         }
 
-        // atomic-seqcst: the protocol is acquire/release end to end; SeqCst
-        // on the request path is a silent per-request full fence.
+        // atomic-seqcst: the workspace's atomics are acquire/release end to
+        // end; SeqCst on the request path is a silent per-request full fence.
         if !scaffolding
             && !in_test
             && code.contains("Ordering::SeqCst")
@@ -447,20 +435,8 @@ pub(crate) fn check_scanned(rel: &str, scanned: &Scanned) -> Vec<Violation> {
         {
             candidates.push((
                 "atomic-seqcst",
-                "`Ordering::SeqCst` in a request-path crate; the slot protocol is \
+                "`Ordering::SeqCst` in a request-path crate; the workspace's atomics are \
                  acquire/release — justify the full fence with lint:allow or weaken it"
-                    .to_string(),
-            ));
-        }
-
-        // atomic-facade: protocol modules must use the stdshim::atomic
-        // facade so the model-checker build instruments every access.
-        if !in_test && FACADE_MODULES.contains(&rel) && code.contains("std::sync::atomic") {
-            candidates.push((
-                "atomic-facade",
-                "raw `std::sync::atomic` in a slot-protocol module; use the \
-                 `stdshim::atomic` facade (ShimAtomicU64/ShimAtomicUsize/ShimOnceLock) \
-                 so `--cfg hotc_model` builds put this access under the model checker"
                     .to_string(),
             ));
         }
@@ -784,24 +760,6 @@ mod tests {
         }
         assert!(check_rust_file("crates/bench/src/x.rs", src).is_empty());
         assert!(check_rust_file("crates/core/tests/t.rs", src).is_empty());
-    }
-
-    #[test]
-    fn atomic_facade_guards_protocol_modules() {
-        let src = "use std::sync::atomic::AtomicU64;\n";
-        for rel in FACADE_MODULES {
-            assert_eq!(
-                rules_of(&check_rust_file(rel, src)),
-                ["atomic-facade"],
-                "{rel}"
-            );
-        }
-        // Other modules (including the facade itself) may name std atomics.
-        assert!(check_rust_file("crates/stdshim/src/atomic.rs", src).is_empty());
-        assert!(check_rust_file("crates/core/src/concurrent.rs", src).is_empty());
-        // Test scaffolding inside a protocol module is exempt.
-        let gated = "#[cfg(test)]\nmod tests {\n    use std::sync::atomic::AtomicU64;\n}\n";
-        assert!(check_rust_file("crates/core/src/pool.rs", gated).is_empty());
     }
 
     #[test]

@@ -14,14 +14,13 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Every rule in the set; the corpus must exercise each at least once.
-const ALL_RULES: [&str; 11] = [
+const ALL_RULES: [&str; 10] = [
     "wall-clock",
     "raw-lock",
     "map-iteration",
     "unwrap",
     "atomic-ordering",
     "atomic-seqcst",
-    "atomic-facade",
     "unchecked-cas",
     "allow-syntax",
     "hermetic-deps",

@@ -1,8 +1,8 @@
 //! Log-bucketed latency histogram whose memory follows what was recorded.
 //!
 //! [`LatencyRecorder`](crate::latency::LatencyRecorder) keeps raw samples —
-//! exact but O(n) memory. For long-running concurrent drivers (the
-//! contention benches, day-long trace replays) this HDR-style histogram
+//! exact but O(n) memory. For long-running drivers (day-long trace
+//! replays) this HDR-style histogram
 //! records into fixed log-spaced buckets: ~2.4 % relative error, bounded
 //! memory, O(1) record.
 //!

@@ -4,8 +4,8 @@
 //! streaming statistics, empirical CDFs, resource time series, and the text
 //! tables/plots the figure harness prints.
 //!
-//! Everything here is deterministic and allocation-conscious: recorders are
-//! used on the hot path of the contention benchmarks.
+//! Everything here is deterministic and allocation-conscious: recorders sit
+//! on every request's path.
 
 mod cdf;
 mod histogram;
@@ -20,7 +20,7 @@ mod timeseries;
 pub use cdf::Cdf;
 pub use histogram::LatencyHistogram;
 pub use latency::LatencyRecorder;
-pub use registry::{Counter, Gauge, MetricsRegistry, StageSet};
+pub use registry::{Counter, MetricsRegistry, StageSet};
 pub use snapshot::{HistogramSummary, MetricsSnapshot};
 pub use stage::{Stage, StageSample, N_STAGES};
 pub use stats::StreamingStats;

@@ -1,13 +1,13 @@
 //! Always-on metrics registry with a cheap concurrent recording path.
 //!
 //! The registry is the process-wide (or gateway-wide) home for named
-//! [`Counter`]s, [`Gauge`]s, per-scope [`StageSet`]s, and sampled
-//! [`TimeSeries`] (step functions kept as change points). Counters and
-//! gauges are single atomics; a stage set is one mutex around its
-//! scope's histograms. Requests are recorded once, into the stage set of
-//! their function's scope ([`MetricsRegistry::fn_stage_set`], the one place
-//! that names `fn/<function>`); scope `all` and histogram `gateway/e2e` are
-//! not recorded into but derived from the `fn/` sets by every snapshot (see
+//! [`Counter`]s, per-scope [`StageSet`]s, and sampled [`TimeSeries`] (step
+//! functions kept as change points). A counter is a single atomic; a stage
+//! set is one mutex around its scope's histograms. Requests are recorded
+//! once, into the stage set of their function's scope
+//! ([`MetricsRegistry::fn_stage_set`], the one place that names
+//! `fn/<function>`); scope `all` and histogram `gateway/e2e` are not
+//! recorded into but derived from the `fn/` sets by every snapshot (see
 //! [`crate::snapshot`]). Hot-path callers obtain their `Arc` handles once
 //! (get-or-create by name) and record through the handle — no per-request
 //! name lookup or allocation.
@@ -56,23 +56,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Acquire)
-    }
-}
-
-/// A last-value-wins gauge (stored as `f64` bits in one atomic).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        // lint:allow(atomic-ordering, last-value-wins gauge; the f64 bits are the whole payload)
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -138,7 +121,9 @@ impl StageSet {
 #[derive(Debug, Default)]
 struct Tables {
     counters: HashMap<String, Arc<Counter>>,
-    gauges: HashMap<String, Arc<Gauge>>,
+    /// Counters made by [`MetricsRegistry::unlisted_counter`] that nothing
+    /// has listed yet: recorded into, left out of snapshots and `absorb`.
+    unlisted: HashMap<String, Arc<Counter>>,
     stages: HashMap<String, Arc<StageSet>>,
     series: HashMap<String, TimeSeries>,
 }
@@ -151,7 +136,6 @@ struct Tables {
 /// ([`StageSet::visit`]) — instead of all of them at once.
 pub(crate) struct ReadOut {
     pub(crate) counters: Vec<(String, u64)>,
-    pub(crate) gauges: Vec<(String, f64)>,
     pub(crate) stages: Vec<(String, Arc<StageSet>)>,
     pub(crate) series: Vec<(String, TimeSeries)>,
 }
@@ -220,6 +204,18 @@ fn merge_series(a: &TimeSeries, b: &TimeSeries) -> TimeSeries {
     out
 }
 
+impl Tables {
+    /// Moves counter `name` from `unlisted` to `counters`, if it is there.
+    fn list(&mut self, name: &str) {
+        if self.unlisted.is_empty() {
+            return;
+        }
+        if let Some((name, counter)) = self.unlisted.remove_entry(name) {
+            self.counters.insert(name, counter);
+        }
+    }
+}
+
 fn get_or_create<T: Default>(map: &mut HashMap<String, Arc<T>>, name: &str) -> Arc<T> {
     if let Some(v) = map.get(name) {
         return Arc::clone(v);
@@ -230,7 +226,7 @@ fn get_or_create<T: Default>(map: &mut HashMap<String, Arc<T>>, name: &str) -> A
 /// The counters, sorted by name and read in that order: of two counters a
 /// snapshot reads the one that sorts first no later than the other. Adding
 /// to `gateway/requests` before `gateway/cold_starts` (as
-/// `faas::SharedStats` does) therefore never shows more cold starts than
+/// `faas::Gateway::finish` does) therefore never shows more cold starts than
 /// requests, while the adds race the read.
 fn counters_in_order(map: &HashMap<String, Arc<Counter>>) -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> = map.keys().map(|k| (k.clone(), 0)).collect();
@@ -254,14 +250,38 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Get-or-create a counter. Cache the handle; don't look up per event.
+    /// Get-or-create a counter, listing it if it was unlisted. Cache the
+    /// handle; don't look up per event.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_create(&mut self.tables.lock().counters, name)
+        let mut tables = self.tables.lock();
+        tables.list(name);
+        get_or_create(&mut tables.counters, name)
     }
 
-    /// Get-or-create a gauge.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_create(&mut self.tables.lock().gauges, name)
+    /// Get-or-create a counter that snapshots and [`Self::absorb`] leave out
+    /// until [`Self::counter`], [`Self::list_counters`] or an absorbed
+    /// counter of the same name lists it: a tally its recorder keeps current
+    /// from the first event on, but that the registry shows only once it is
+    /// read (a gateway's request tally, listed by `Gateway::metrics`).
+    pub fn unlisted_counter(&self, name: &str) -> Arc<Counter> {
+        let mut tables = self.tables.lock();
+        match tables.counters.get(name) {
+            Some(listed) => Arc::clone(listed),
+            None => get_or_create(&mut tables.unlisted, name),
+        }
+    }
+
+    /// Lists the named counters (see [`Self::unlisted_counter`]), creating
+    /// any that do not exist yet: [`Self::counter`] for several names under
+    /// one lock, without handing out handles.
+    pub fn list_counters(&self, names: &[&str]) {
+        let mut tables = self.tables.lock();
+        for name in names {
+            tables.list(name);
+            if !tables.counters.contains_key(*name) {
+                tables.counters.insert(name.to_string(), Arc::default());
+            }
+        }
     }
 
     /// Get-or-create a per-scope stage set. Samples recorded into `"all"`
@@ -277,7 +297,7 @@ impl MetricsRegistry {
     }
 
     /// Folds every metric recorded in `other` into this registry: counters
-    /// add, gauges sum, stage sets merge sample-for-sample, and
+    /// add, stage sets merge sample-for-sample, and
     /// time series sum as step functions (see `merge_series`).
     ///
     /// This is the deterministic reduction step for per-worker replay
@@ -293,11 +313,8 @@ impl MetricsRegistry {
         let other = other.read_out();
         let mut tables = self.tables.lock();
         for (name, v) in other.counters {
+            tables.list(&name);
             get_or_create(&mut tables.counters, &name).add(v);
-        }
-        for (name, v) in other.gauges {
-            let g = get_or_create(&mut tables.gauges, &name);
-            g.set(g.get() + v);
         }
         for (scope, set) in other.stages {
             get_or_create(&mut tables.stages, &scope).absorb(&set.read());
@@ -331,7 +348,6 @@ impl MetricsRegistry {
         let tables = self.tables.lock();
         ReadOut {
             counters: counters_in_order(&tables.counters),
-            gauges: sorted(&tables.gauges, |g| g.get()),
             stages: sorted(&tables.stages, Arc::clone),
             series: sorted(&tables.series, TimeSeries::clone),
         }
@@ -349,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_are_named_and_shared() {
+    fn counters_are_named_and_shared() {
         let reg = MetricsRegistry::new();
         let a = reg.counter("x");
         let b = reg.counter("x");
@@ -357,9 +373,42 @@ mod tests {
         b.add(2);
         assert_eq!(reg.counter("x").get(), 3);
         assert_eq!(reg.counter("y").get(), 0);
+    }
 
-        reg.gauge("g").set(2.5);
-        assert_eq!(reg.gauge("g").get(), 2.5);
+    /// An unlisted counter counts from the start but shows in neither a
+    /// snapshot nor an absorb until it is listed; a listed name hands out
+    /// the listed counter.
+    #[test]
+    fn unlisted_counters_show_once_listed() {
+        let reg = MetricsRegistry::new();
+        let hidden = reg.unlisted_counter("u");
+        hidden.add(2);
+        reg.unlisted_counter("u").add(1);
+        let target = MetricsRegistry::new();
+        target.absorb(&reg);
+        assert_eq!(reg.snapshot().counter("u"), None);
+        assert_eq!(target.snapshot().counter("u"), None);
+        reg.list_counters(&["u", "new"]);
+        assert_eq!(reg.snapshot().counter("u"), Some(3));
+        assert_eq!(reg.snapshot().counter("new"), Some(0));
+        reg.unlisted_counter("u").add(1);
+        assert_eq!(reg.counter("u").get(), 4);
+    }
+
+    /// Absorbing a listed counter into a registry that holds the same name
+    /// unlisted lists it and adds into it: the recorder's handle and the
+    /// absorbed count end up in one counter.
+    #[test]
+    fn absorb_into_an_unlisted_counter_keeps_both_counts() {
+        let reg = MetricsRegistry::new();
+        let hidden = reg.unlisted_counter("u");
+        hidden.add(2);
+        let worker = MetricsRegistry::new();
+        worker.counter("u").add(3);
+        reg.absorb(&worker);
+        hidden.add(1);
+        reg.list_counters(&["u"]);
+        assert_eq!(reg.snapshot().counter("u"), Some(6));
     }
 
     #[test]
@@ -482,7 +531,6 @@ mod tests {
         // Worker w records fn/w-scoped samples plus shared counters/series.
         for (w, reg) in workers.iter().enumerate() {
             reg.counter("gateway/requests").add(10 + w as u64);
-            reg.gauge("load").set(0.5);
             let mut s = StageSample::new();
             s.set(Stage::Exec, SimDuration::from_millis(1 + w as u64));
             let function = w.to_string();
@@ -491,8 +539,6 @@ mod tests {
             reg.sample_series("pool/live", SimTime::from_secs(60), 1.0);
 
             combined.counter("gateway/requests").add(10 + w as u64);
-            let g = combined.gauge("load");
-            g.set(g.get() + 0.5);
             combined.fn_stage_set(&function).record(&s);
         }
         combined.sample_series("pool/live", SimTime::from_secs(30), 0.0 + 1.0 + 2.0);

@@ -96,8 +96,6 @@ impl ToJson for HistogramSummary {
 pub struct MetricsSnapshot {
     /// Named counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Named gauges, sorted by name.
-    pub gauges: Vec<(String, f64)>,
     /// Named histograms, sorted by name.
     pub histograms: Vec<(String, HistogramSummary)>,
     /// Per-scope stage summaries (`Stage::ALL` order within a scope),
@@ -114,11 +112,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
-    }
-
-    /// A gauge's value, if recorded.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// One stage's summary within a scope, if the scope exists.
@@ -174,12 +167,6 @@ impl ToJson for MetricsSnapshot {
                 .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect(),
         );
-        let gauges = JsonValue::Object(
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        );
         let histograms = JsonValue::Object(
             self.histograms
                 .iter()
@@ -211,7 +198,9 @@ impl ToJson for MetricsSnapshot {
         );
         JsonValue::object([
             ("counters", counters),
-            ("gauges", gauges),
+            // The registry keeps no gauges; the empty object keeps the
+            // `--metrics-out` format unchanged.
+            ("gauges", JsonValue::Object(Vec::new())),
             ("histograms", histograms),
             ("stages", stages),
             ("series", series),
@@ -266,7 +255,6 @@ impl MetricsRegistry {
             histograms: vec![(E2E_HISTOGRAM.to_string(), HistogramSummary::of(&e2e))],
             stages,
             counters: raw.counters,
-            gauges: raw.gauges,
             series: raw.series,
         }
     }
@@ -282,7 +270,6 @@ mod tests {
     fn snapshot_round_trips_values() {
         let reg = MetricsRegistry::new();
         reg.counter("a/requests").add(7);
-        reg.gauge("pool/size").set(3.0);
         let mut s = StageSample::new();
         s.set(Stage::Exec, SimDuration::from_millis(4));
         s.set(Stage::RuntimeInit, SimDuration::from_millis(6));
@@ -291,7 +278,6 @@ mod tests {
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter("a/requests"), Some(7));
-        assert_eq!(snap.gauge("pool/size"), Some(3.0));
         assert_eq!(snap.histograms[0].0, "gateway/e2e");
         assert_eq!(snap.histograms[0].1.count, 1);
         assert_eq!(snap.stage_count("fn/x", Stage::Exec), 1);

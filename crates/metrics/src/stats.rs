@@ -4,8 +4,8 @@ use stdshim::{JsonValue, ToJson};
 
 /// Single-pass mean/variance/min/max accumulator.
 ///
-/// Numerically stable (Welford) and mergeable, so per-thread accumulators
-/// from the contention benches can be combined without keeping samples.
+/// Numerically stable (Welford) and mergeable, so per-worker accumulators
+/// can be combined without keeping samples.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingStats {
     count: u64,

@@ -158,11 +158,6 @@ impl SimRng {
         let spread = spread.clamp(0.0, 1.0);
         1.0 + (self.unit() * 2.0 - 1.0) * spread
     }
-
-    /// Picks a reference to a uniformly random element.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
 }
 
 #[cfg(test)]

@@ -1,15 +1,14 @@
 //! The workspace's one lock kind — a non-poisoning [`Mutex`] over
 //! `std::sync` — with a debug-build lock-order sanitizer.
 //!
-//! The concurrent experiment drivers want parking_lot-style ergonomics:
-//! `.lock()` returns the guard directly instead of a `Result` wrapping
-//! poison state. In this workspace a panic while holding a
+//! Its users (the metrics registry and its stage sets) want parking_lot-style
+//! ergonomics: `.lock()` returns the guard directly instead of a `Result`
+//! wrapping poison state. In this workspace a panic while holding a
 //! lock only ever happens when a test assertion already failed, so poison
 //! recovery adds nothing but call-site noise — the wrapper simply clears
 //! the poison flag and hands out the guard. There is no reader-writer lock:
 //! every lock in the workspace is this one kind, so the sanitizer has one
-//! acquire shape (EXPERIMENTS.md "Thread-contention curve" has the
-//! measurement behind the interner's move off its read lock).
+//! acquire shape.
 //!
 //! # Lock-order sanitizer (debug builds only)
 //!
@@ -18,7 +17,7 @@
 //!
 //! * **Class labels.** [`Mutex::labeled`] tags a lock
 //!   with a `&'static str` class (convention: `"subsystem/role"`, e.g.
-//!   `"pool/state"`). All locks of a class share one node in the global
+//!   `"metrics/registry"`). All locks of a class share one node in the global
 //!   lock-order graph. Unlabeled locks ([`Mutex::new`]) are tracked on the
 //!   held stack (re-entry and scope checks) but record no ordering edges.
 //! * **Order graph.** Each thread keeps a stack of currently held locks.
@@ -30,7 +29,7 @@
 //!   an interleaving that would deadlock panics instead of hanging.
 //! * **Re-entry.** Blocking-acquiring a lock this thread already holds (a
 //!   guaranteed self-deadlock) panics immediately.
-//! * **Request-path scope.** [`request_path_scope`] asserts the DESIGN.md §5
+//! * **Request-path scope.** [`request_path_scope`] asserts the DESIGN.md §7.2
 //!   invariant — a request-path thread holds at most one lock at a time —
 //!   for the dynamic extent of the returned guard: acquiring a second lock
 //!   on top of one taken after scope entry panics with both sites.
@@ -43,12 +42,10 @@
 //!
 //! In release builds (`debug_assertions` off) every check compiles away:
 //! the lock types store no extra state and the guards are newtypes over the
-//! `std::sync` guards — the CI contention benches run on exactly the same
-//! code as before the sanitizer existed.
+//! `std::sync` guards — the CI benches run on exactly the same code as
+//! before the sanitizer existed.
 
 use std::ops::{Deref, DerefMut};
-
-pub use crate::sync_slots::{LazySlotTable, SlotBitmap};
 
 #[cfg(debug_assertions)]
 use sanitizer::Tracked;
@@ -70,15 +67,6 @@ pub struct RequestPathScope {
     // The scope is a per-thread assertion; keep the type `!Send` in both
     // build profiles so code cannot compile in release and fail in debug.
     _not_send: std::marker::PhantomData<*const ()>,
-}
-
-#[cfg(not(debug_assertions))]
-impl RequestPathScope {
-    /// Release-build twin of the debug lock counter: always `0`. Callers
-    /// assert on it via `debug_assert!`, which also compiles away.
-    pub fn locks_taken(&self) -> usize {
-        0
-    }
 }
 
 /// A mutual-exclusion lock whose `lock()` never returns a poison error.
@@ -124,7 +112,7 @@ impl<T> Mutex<T> {
         }
     }
 
-    /// Creates a lock with a lock-order class label (e.g. `"pool/state"`).
+    /// Creates a lock with a lock-order class label (e.g. `"metrics/registry"`).
     /// All locks sharing a class are one node in the debug-build lock-order
     /// graph; in release builds the label is discarded.
     pub fn labeled(value: T, class: &'static str) -> Self {
@@ -135,13 +123,6 @@ impl<T> Mutex<T> {
             class: Some(class),
             inner: std::sync::Mutex::new(value),
         }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
@@ -215,24 +196,12 @@ pub(crate) mod sanitizer {
         site: &'static Location<'static>,
     }
 
-    /// State of one active `request_path_scope` on this thread.
-    #[derive(Clone, Copy)]
-    struct Scope {
-        /// Held-stack depth at scope entry; the at-most-one-lock assertion
-        /// is relative to this baseline.
-        baseline: usize,
-        /// Lock acquisitions (blocking or `try_*`) since scope entry —
-        /// readable via [`RequestPathScope::locks_taken`] so warm paths can
-        /// assert they took *zero* locks, not merely at most one.
-        locks_taken: usize,
-    }
-
     thread_local! {
         /// Stack of locks this thread currently holds (acquisition order).
         static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
-        /// Active `request_path_scope`s. Innermost scope governs the
-        /// at-most-one-lock assertion; all active scopes count acquisitions.
-        static SCOPES: RefCell<Vec<Scope>> = const { RefCell::new(Vec::new()) };
+        /// Held-stack depth at the entry of each active `request_path_scope`;
+        /// the innermost governs the at-most-one-lock assertion.
+        static SCOPES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     }
 
     /// A recorded `from-class → to-class` acquisition, with the sites of the
@@ -327,13 +296,13 @@ pub(crate) mod sanitizer {
     /// lock may be held beyond the scope's entry baseline.
     fn check_scope(held: &[Held], class: Option<&'static str>, site: &'static Location<'static>) {
         SCOPES.with(|s| {
-            if let Some(&Scope { baseline, .. }) = s.borrow().last() {
+            if let Some(&baseline) = s.borrow().last() {
                 if held.len() > baseline {
                     // held.len() > baseline >= 0, so last() exists.
                     let top = held[held.len() - 1];
                     panic!(
                         "lock sanitizer: request-path scope violated (at most one lock \
-                         on the request path, DESIGN.md §5): acquiring '{}' at {} while \
+                         on the request path, DESIGN.md §7.2): acquiring '{}' at {} while \
                          already holding '{}' acquired at {}",
                         class_name(class),
                         site,
@@ -399,11 +368,6 @@ pub(crate) mod sanitizer {
         let held: Vec<Held> = HELD.with(|h| h.borrow().clone());
         check_scope(&held, class, site);
         HELD.with(|h| h.borrow_mut().push(Held { addr, class, site }));
-        SCOPES.with(|s| {
-            for scope in s.borrow_mut().iter_mut() {
-                scope.locks_taken += 1;
-            }
-        });
         Tracked { addr }
     }
 
@@ -428,7 +392,7 @@ pub(crate) mod sanitizer {
         }
     }
 
-    /// Asserts the DESIGN.md §5 request-path invariant — *a request-path
+    /// Asserts the DESIGN.md §7.2 request-path invariant — *a request-path
     /// thread holds at most one lock at a time* — for the guard's lifetime.
     ///
     /// The assertion is relative to scope entry: locks already held when the
@@ -439,37 +403,16 @@ pub(crate) mod sanitizer {
     #[must_use = "the scope assertion only covers the guard's lifetime"]
     pub fn request_path_scope() -> RequestPathScope {
         let baseline = HELD.with(|h| h.borrow().len());
-        let index = SCOPES.with(|s| {
-            let mut scopes = s.borrow_mut();
-            scopes.push(Scope {
-                baseline,
-                locks_taken: 0,
-            });
-            scopes.len() - 1
-        });
+        SCOPES.with(|s| s.borrow_mut().push(baseline));
         RequestPathScope {
-            index,
             _not_send: std::marker::PhantomData,
         }
     }
 
     /// Active [`request_path_scope`] assertion (debug builds).
     pub struct RequestPathScope {
-        /// Position of this scope's entry in the thread-local scope stack.
-        index: usize,
         // Scope state is thread-local: forbid sending the guard elsewhere.
         _not_send: std::marker::PhantomData<*const ()>,
-    }
-
-    impl RequestPathScope {
-        /// Lock acquisitions (blocking or `try_*` successes) on this thread
-        /// since the scope opened. The lock-free warm path asserts this is
-        /// `0` — the DESIGN.md §5 "at most one lock" invariant tightened to
-        /// "no locks at all" for warm hits. Debug builds only; the release
-        /// twin always returns `0`.
-        pub fn locks_taken(&self) -> usize {
-            SCOPES.with(|s| s.borrow().get(self.index).map_or(0, |sc| sc.locks_taken))
-        }
     }
 
     impl Drop for RequestPathScope {
@@ -491,7 +434,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
     }
 
     #[test]
@@ -543,7 +485,7 @@ mod tests {
     fn labeled_locks_round_trip() {
         let m = Mutex::labeled(1, "test/labeled-mutex");
         *m.lock() += 1;
-        assert_eq!(m.into_inner(), 2);
+        assert_eq!(*m.lock(), 2);
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn request_path_scope_trips_on_nested_acquisition() {
     let msg = panic_message(move || {
         let _scope = request_path_scope();
         let _ga = a.lock();
-        let _gb = b.lock(); // second lock inside the scope: §5 violation
+        let _gb = b.lock(); // second lock inside the scope: §7.2 violation
     });
     assert!(
         msg.contains("request-path scope violated"),

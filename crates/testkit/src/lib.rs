@@ -93,7 +93,7 @@ pub struct Gen {
 
 impl Gen {
     /// Creates a generator for one case.
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         let mut sm = seed;
         Gen {
             s: [

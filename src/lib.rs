@@ -18,9 +18,7 @@ pub mod prelude {
         ContainerConfig, ContainerEngine, HardwareProfile, ImageId, LanguageRuntime, NetworkMode,
     };
     pub use faas::{AppProfile, Gateway, RuntimeProvider};
-    pub use hotc::{
-        ConcurrentGateway, HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimePool, ScalingPolicy,
-    };
+    pub use hotc::{HotC, HotCConfig, KeyPolicy, PoolLimits, RuntimePool, ScalingPolicy};
     pub use metrics_lite::{LatencyRecorder, Table};
     pub use simclock::{SimDuration, SimTime};
 }

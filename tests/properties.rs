@@ -48,7 +48,7 @@ fn gen_config(g: &mut Gen) -> ContainerConfig {
 
 /// Whether `a` and `b` intern to one runtime key under `policy`.
 fn same_key(a: &ContainerConfig, b: &ContainerConfig, policy: KeyPolicy) -> bool {
-    let interner = KeyInterner::new(policy);
+    let mut interner = KeyInterner::new(policy);
     interner.intern(a) == interner.intern(b)
 }
 
