@@ -1,10 +1,12 @@
 //! End-to-end request-path benchmarks: the real CPU cost of serving one
-//! request through gateway + watchdog + engine, warm vs cold, per provider.
+//! request through gateway + watchdog + engine, warm vs cold, per provider,
+//! and of the report a replay ends with.
 
 use containersim::{ContainerEngine, HardwareProfile};
 use faas::{AppProfile, ColdStartAlways, FunctionSpec, Gateway};
 use hotc::HotC;
 use hotc_bench::Harness;
+use metrics_lite::{MetricsRegistry, Stage, StageSample};
 use simclock::{SimDuration, SimTime};
 use std::hint::black_box;
 
@@ -103,10 +105,49 @@ fn bench_tick_with_large_pool(h: &mut Harness) {
     );
 }
 
+/// The report phase of `evict_churn`: snapshot and serialise a registry of
+/// its shape — 2 000 `fn/` scopes of 100 requests each, a sixth of them
+/// cold, so nine stages per scope; two counters; a 50-point `pool/live`.
+fn bench_report(h: &mut Harness) {
+    const COLD: [Stage; 6] = [
+        Stage::ResourceAlloc,
+        Stage::NetworkSetup,
+        Stage::VolumeMount,
+        Stage::RuntimeInit,
+        Stage::CodeLoad,
+        Stage::AppInit,
+    ];
+    let reg = MetricsRegistry::new();
+    reg.counter("gateway/requests").add(200_000);
+    reg.counter("gateway/cold_starts").add(32_000);
+    for i in 0..2_000u64 {
+        let set = reg.fn_stage_set(&format!("tier-a#{i}"));
+        for r in 0..100 {
+            let mut sample = StageSample::new();
+            sample.set(Stage::GatewayHop, SimDuration::from_micros(200 + r % 7));
+            sample.set(Stage::WatchdogHop, SimDuration::from_micros(150 + r % 5));
+            sample.set(Stage::Exec, SimDuration::from_millis(5 + (i + r) % 40));
+            if r % 6 == 0 {
+                for (k, &stage) in COLD.iter().enumerate() {
+                    sample.set(stage, SimDuration::from_millis(20 * k as u64 + r % 11));
+                }
+            }
+            set.record(&sample);
+        }
+    }
+    for t in 0..50 {
+        reg.sample_series("pool/live", SimTime::from_secs(60 * t), (t % 9 * 50) as f64);
+    }
+    h.bench("report/snapshot_json_2000_fns", || {
+        black_box(reg.snapshot().to_json().to_pretty_string())
+    });
+}
+
 fn main() {
     let mut h = Harness::new("pipeline");
     bench_warm_request(&mut h);
     bench_cold_request(&mut h);
     bench_tick_with_large_pool(&mut h);
+    bench_report(&mut h);
     h.finish();
 }

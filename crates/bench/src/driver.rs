@@ -690,7 +690,7 @@ pub(crate) mod tests {
             assert_eq!(keyed_finishes, unkeyed_finishes, "{key_policy:?}");
             assert_eq!(keyed.live_samples, unkeyed.live_samples, "{key_policy:?}");
             let json = |registry: &metrics_lite::MetricsRegistry| {
-                stdshim::ToJson::to_json(&registry.snapshot()).to_pretty_string()
+                registry.snapshot().to_json().to_pretty_string()
             };
             assert!(
                 json(keyed.gateway.metrics()) == json(unkeyed.gateway.metrics()),

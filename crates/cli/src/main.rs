@@ -1,7 +1,9 @@
 //! `hotc-sim` — run HotC serverless scenarios from plain-text files.
 
 use hotc_cli::scenario::{Scenario, DEMO_SCENARIO};
-use std::io::Read as _;
+use std::fmt::Display;
+use std::fs::File;
+use std::io::{BufWriter, Read as _, Write as _};
 
 fn usage() -> ! {
     eprintln!(
@@ -10,72 +12,91 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+/// Reports a failed run and exits 1.
+fn fail(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
 
-    // `--metrics-out <path>`: write the run's MetricsSnapshot as JSON.
-    let metrics_out = match args.iter().position(|a| a == "--metrics-out") {
-        Some(i) if i + 1 < args.len() => {
-            args.remove(i);
-            Some(args.remove(i))
-        }
-        Some(_) => usage(),
-        None => None,
-    };
+/// The command line: a scenario source (a path, `-` for stdin, or
+/// `--demo`) and the flags. Anything else is a usage error.
+struct Args {
+    source: String,
+    verbose: bool,
+    /// `--metrics-out <path>`: write the run's MetricsSnapshot as JSON.
+    metrics_out: Option<String>,
+    /// `--replay-threads <n>`: parallel replay, overriding the scenario's
+    /// `replay_threads` key if both are given.
+    replay_threads: Option<usize>,
+}
 
-    // `--replay-threads <n>`: parallel replay, overriding the scenario's
-    // `replay_threads` key if both are given.
-    let replay_threads = match args.iter().position(|a| a == "--replay-threads") {
-        Some(i) if i + 1 < args.len() => {
-            args.remove(i);
-            let v = args.remove(i);
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Some(n),
-                _ => {
-                    eprintln!("bad --replay-threads '{v}': need an integer >= 1");
-                    std::process::exit(2);
+fn parse_args(mut args: impl Iterator<Item = String>) -> Args {
+    let mut source = None;
+    let mut verbose = false;
+    let mut metrics_out = None;
+    let mut replay_threads = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "-v" | "--verbose" => verbose = true,
+            "--metrics-out" => metrics_out = Some(args.next().unwrap_or_else(|| usage())),
+            "--replay-threads" => {
+                let v = args.next().unwrap_or_else(|| usage());
+                match v.parse::<usize>() {
+                    Ok(n) if n >= 1 => replay_threads = Some(n),
+                    _ => {
+                        eprintln!("bad --replay-threads '{v}': need an integer >= 1");
+                        std::process::exit(2);
+                    }
                 }
             }
+            "-" | "--demo" if source.is_none() => source = Some(arg),
+            _ if source.is_none() && !arg.starts_with('-') => source = Some(arg),
+            _ => usage(),
         }
-        Some(_) => usage(),
-        None => None,
-    };
-
-    if args.is_empty() {
-        usage();
     }
-    if args[0] == "--demo" {
+    Args {
+        source: source.unwrap_or_else(|| usage()),
+        verbose,
+        metrics_out,
+        replay_threads,
+    }
+}
+
+fn main() {
+    let args = parse_args(std::env::args().skip(1));
+    if args.source == "--demo" {
         print!("{DEMO_SCENARIO}");
         return;
     }
-    let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
 
-    let text = if args[0] == "-" {
+    let text = if args.source == "-" {
         let mut buf = String::new();
         std::io::stdin()
             .read_to_string(&mut buf)
-            .unwrap_or_else(|e| {
-                eprintln!("error reading stdin: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| fail(format_args!("error reading stdin: {e}")));
         buf
     } else {
-        std::fs::read_to_string(&args[0]).unwrap_or_else(|e| {
-            eprintln!("error reading '{}': {e}", args[0]);
-            std::process::exit(1);
-        })
+        std::fs::read_to_string(&args.source)
+            .unwrap_or_else(|e| fail(format_args!("error reading '{}': {e}", args.source)))
     };
 
-    let mut scenario = Scenario::parse(&text).unwrap_or_else(|e| {
-        eprintln!("scenario parse error: {e}");
-        std::process::exit(1);
-    });
-    if replay_threads.is_some() {
-        scenario.replay_threads = replay_threads;
+    let mut scenario =
+        Scenario::parse(&text).unwrap_or_else(|e| fail(format_args!("scenario parse error: {e}")));
+    if args.replay_threads.is_some() {
+        scenario.replay_threads = args.replay_threads;
     }
+    // Opened before the replay, so an unwritable path fails in seconds.
+    let mut metrics_out = args.metrics_out.map(|path| {
+        let file = File::create(&path)
+            .unwrap_or_else(|e| fail(format_args!("error creating metrics file '{path}': {e}")));
+        (path, BufWriter::new(file))
+    });
     let report = hotc_cli::run_scenario(&scenario).unwrap_or_else(|e| {
-        eprintln!("scenario error: {e}");
-        std::process::exit(1);
+        if let Some((path, out)) = metrics_out.take() {
+            drop(out);
+            let _ = std::fs::remove_file(path);
+        }
+        fail(format_args!("scenario error: {e}"))
     });
     if report.limits_coupled {
         eprintln!(
@@ -83,14 +104,18 @@ fn main() {
              results may differ slightly from a sequential run"
         );
     }
-    if let Some(path) = metrics_out {
-        use stdshim::ToJson as _;
-        let json = report.metrics.to_json().to_pretty_string();
-        std::fs::write(&path, json + "\n").unwrap_or_else(|e| {
-            eprintln!("error writing metrics to '{path}': {e}");
-            std::process::exit(1);
-        });
+    if let Some((path, mut out)) = metrics_out {
+        // The document ends in a newline; the file adds a blank line.
+        let written = report
+            .metrics
+            .to_json()
+            .write_pretty(&mut out)
+            .and_then(|()| out.write_all(b"\n"))
+            .and_then(|()| out.flush());
+        if let Err(e) = written {
+            fail(format_args!("error writing metrics to '{path}': {e}"));
+        }
         eprintln!("wrote metrics snapshot to {path}");
     }
-    print!("{}", report.render(verbose));
+    print!("{}", report.render(args.verbose));
 }

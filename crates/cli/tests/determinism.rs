@@ -9,7 +9,7 @@
 
 use hotc_cli::scenario::DEMO_SCENARIO;
 use hotc_cli::{build_trace, run_scenario, Scenario, ScenarioReport};
-use stdshim::{JsonValue, ToJson};
+use stdshim::JsonValue;
 
 fn run_once() -> ScenarioReport {
     let scenario = Scenario::parse(DEMO_SCENARIO).expect("demo scenario parses");

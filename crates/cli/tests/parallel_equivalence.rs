@@ -16,7 +16,6 @@ use hotc_cli::{run_scenario, Scenario};
 use simclock::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use stdshim::ToJson;
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 8];
 

@@ -12,7 +12,6 @@ use hotc_cli::{run_scenario, run_scenario_materialized, Scenario};
 use simclock::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use stdshim::ToJson;
 use testkit::Gen;
 
 fn decl(name: &str, app: &str, replicas: usize) -> FunctionDecl {

@@ -358,7 +358,6 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use crate::stage::Stage;
-    use stdshim::ToJson;
 
     fn recorded(set: &StageSet, stage: Stage) -> LatencyHistogram {
         set.read()[stage.index()].clone()

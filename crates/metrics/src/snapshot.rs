@@ -4,7 +4,8 @@
 //! histogram summaries keep the exact sample count and nanosecond sum next
 //! to the approximate quantiles, so a snapshot can be reconciled against
 //! e2e request totals exactly. All durations are reported in nanoseconds
-//! (`*_ns` fields); serialization goes through [`stdshim::ToJson`].
+//! (`*_ns` fields). [`MetricsSnapshot::to_json`] writes the snapshot through
+//! [`stdshim::JsonWriter`] as it is read, so no JSON tree is ever built.
 //!
 //! One rule derives the request-wide view: scope `all` is the merge of every
 //! `fn/` scope (plus anything recorded into `all` directly), and histogram
@@ -16,8 +17,7 @@ use crate::histogram::LatencyHistogram;
 use crate::registry::{MetricsRegistry, StageHistograms};
 use crate::stage::{Stage, N_STAGES};
 use crate::timeseries::TimeSeries;
-use simclock::SimTime;
-use stdshim::{JsonValue, ToJson};
+use stdshim::{Json, JsonSink, JsonWriter, WriteJson};
 
 /// The prefix of per-function scopes, `fn/<function>`.
 pub(crate) const FN_PREFIX: &str = "fn/";
@@ -76,18 +76,23 @@ impl HistogramSummary {
     }
 }
 
-impl ToJson for HistogramSummary {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("count", self.count.to_json()),
-            ("sum_ns", self.sum_ns.to_json()),
-            ("min_ns", self.min_ns.to_json()),
-            ("max_ns", self.max_ns.to_json()),
-            ("mean_ns", self.mean_ns.to_json()),
-            ("p50_ns", self.p50_ns.to_json()),
-            ("p90_ns", self.p90_ns.to_json()),
-            ("p99_ns", self.p99_ns.to_json()),
-        ])
+impl WriteJson for HistogramSummary {
+    fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
+        w.begin_object()?;
+        for (name, v) in [
+            ("count", self.count),
+            ("sum_ns", self.sum_ns),
+            ("min_ns", self.min_ns),
+            ("max_ns", self.max_ns),
+            ("mean_ns", self.mean_ns),
+            ("p50_ns", self.p50_ns),
+            ("p90_ns", self.p90_ns),
+            ("p99_ns", self.p99_ns),
+        ] {
+            w.key(name)?;
+            w.uint(v)?;
+        }
+        w.end_object()
     }
 }
 
@@ -138,73 +143,75 @@ impl MetricsSnapshot {
             .map(|&s| self.stage_sum_ns(scope, s))
             .sum()
     }
+
+    /// The snapshot as a JSON document, serialized on demand:
+    /// `to_json().to_pretty_string()` streams the `--metrics-out` text into
+    /// one `String`, `write_pretty` into any [`JsonSink`], and `Display` is
+    /// the compact form.
+    pub fn to_json(&self) -> Json<'_, Self> {
+        Json(self)
+    }
 }
 
 /// `[[t_s, value], …]`: the change points, then the last sample if it is not
 /// itself one, so the run's end survives.
-fn series_json(ts: &TimeSeries) -> JsonValue {
-    let row = |at: SimTime, v: f64| {
-        JsonValue::Array(vec![
-            JsonValue::Float(at.as_secs_f64()),
-            JsonValue::Float(v),
-        ])
+fn write_series<S: JsonSink>(w: &mut JsonWriter<S>, ts: &TimeSeries) -> Result<(), S::Error> {
+    let end = match (ts.end(), ts.points().last()) {
+        (Some(end), Some(&(last, v))) if end > last => Some((end, v)),
+        _ => None,
     };
-    let mut rows = Vec::with_capacity(ts.len() + 1);
-    rows.extend(ts.points().iter().map(|&(at, v)| row(at, v)));
-    if let (Some(end), Some(&(last, v))) = (ts.end(), ts.points().last()) {
-        if end > last {
-            rows.push(row(end, v));
-        }
+    w.begin_array()?;
+    for (at, v) in ts.points().iter().copied().chain(end) {
+        w.begin_array()?;
+        w.float(at.as_secs_f64())?;
+        w.float(v)?;
+        w.end_array()?;
     }
-    JsonValue::Array(rows)
+    w.end_array()
 }
 
-impl ToJson for MetricsSnapshot {
-    fn to_json(&self) -> JsonValue {
-        let counters = JsonValue::Object(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        );
-        let histograms = JsonValue::Object(
-            self.histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        );
-        let stages = JsonValue::Object(
-            self.stages
-                .iter()
-                .map(|(scope, stages)| {
-                    (
-                        scope.clone(),
-                        JsonValue::Object(
-                            stages
-                                .iter()
-                                .filter(|(_, h)| h.count > 0)
-                                .map(|(s, h)| (s.name().to_string(), h.to_json()))
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        );
-        let series = JsonValue::Object(
-            self.series
-                .iter()
-                .map(|(k, ts)| (k.clone(), series_json(ts)))
-                .collect(),
-        );
-        JsonValue::object([
-            ("counters", counters),
-            // The registry keeps no gauges; the empty object keeps the
-            // `--metrics-out` format unchanged.
-            ("gauges", JsonValue::Object(Vec::new())),
-            ("histograms", histograms),
-            ("stages", stages),
-            ("series", series),
-        ])
+impl WriteJson for MetricsSnapshot {
+    fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
+        w.begin_object()?;
+        w.key("counters")?;
+        w.begin_object()?;
+        for (name, v) in &self.counters {
+            w.key(name)?;
+            w.uint(*v)?;
+        }
+        w.end_object()?;
+        // The registry keeps no gauges; the empty object keeps the
+        // `--metrics-out` format unchanged.
+        w.key("gauges")?;
+        w.begin_object()?;
+        w.end_object()?;
+        w.key("histograms")?;
+        w.begin_object()?;
+        for (name, h) in &self.histograms {
+            w.key(name)?;
+            h.write_json(w)?;
+        }
+        w.end_object()?;
+        w.key("stages")?;
+        w.begin_object()?;
+        for (scope, stages) in &self.stages {
+            w.key(scope)?;
+            w.begin_object()?;
+            for (stage, h) in stages.iter().filter(|(_, h)| h.count > 0) {
+                w.key(stage.name())?;
+                h.write_json(w)?;
+            }
+            w.end_object()?;
+        }
+        w.end_object()?;
+        w.key("series")?;
+        w.begin_object()?;
+        for (name, ts) in &self.series {
+            w.key(name)?;
+            write_series(w, ts)?;
+        }
+        w.end_object()?;
+        w.end_object()
     }
 }
 

@@ -88,7 +88,7 @@ impl TimeSeries {
 mod tests {
     use super::*;
     use crate::MetricsRegistry;
-    use stdshim::{JsonValue, ToJson};
+    use stdshim::JsonValue;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

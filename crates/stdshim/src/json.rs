@@ -1,10 +1,13 @@
 //! Minimal JSON reader/writer for experiment and benchmark artifacts.
 //!
 //! The workspace's primary JSON direction is results out to disk
-//! (`BENCH_*.json`, figure artifacts): a [`JsonValue`] tree, a [`ToJson`]
-//! trait, and a serializer. Result structs implement [`ToJson`] by hand,
-//! which keeps the output schema explicit and reviewable — there is no
-//! derive machinery.
+//! (`BENCH_*.json`, figure artifacts, `--metrics-out`). One serializer,
+//! [`JsonWriter`], writes every byte: objects, arrays, field names and
+//! scalars straight into a [`JsonSink`] (a `String`, a `Formatter` or a
+//! `BufWriter`). Large reports implement [`WriteJson`] and stream through
+//! it with no tree in between; small result structs implement [`ToJson`]
+//! by hand, building a [`JsonValue`] tree that prints through the same
+//! writer. There is no derive machinery, so every schema stays explicit.
 //!
 //! The CI perf-gate binary also needs to read those artifacts back, so
 //! [`JsonValue::parse`] provides the matching recursive-descent parser
@@ -16,7 +19,8 @@
 //! diffable across runs.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::io::{self, Write as _};
 
 /// A JSON document fragment.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,78 +55,7 @@ impl JsonValue {
 
     /// Serializes with two-space indentation, for human-inspected artifacts.
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        // Line break + indentation for `depth`, written straight into `out`:
-        // scalars (most nodes of a metrics snapshot) never pay for padding.
-        let newline = |out: &mut String, depth: usize| {
-            const SPACES: &str = "                                ";
-            if let Some(w) = indent {
-                out.push('\n');
-                let mut left = w * depth;
-                while left > 0 {
-                    let n = left.min(SPACES.len());
-                    out.push_str(&SPACES[..n]);
-                    left -= n;
-                }
-            }
-        };
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            JsonValue::Float(f) => {
-                if f.is_finite() {
-                    // `{f:?}` keeps a decimal point or exponent, so the value
-                    // round-trips as a float (`1.0`, not `1`).
-                    let _ = write!(out, "{f:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Str(s) => write_escaped(out, s),
-            JsonValue::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                newline(out, depth);
-                out.push(']');
-            }
-            JsonValue::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, depth + 1);
-                    write_escaped(out, key);
-                    out.push_str(if indent.is_some() { ": " } else { ":" });
-                    value.write(out, indent, depth + 1);
-                }
-                newline(out, depth);
-                out.push('}');
-            }
-        }
+        Json(self).to_pretty_string()
     }
 }
 
@@ -441,24 +374,6 @@ impl Parser<'_> {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Conversion into a [`JsonValue`]; the workspace's replacement for
 /// `#[derive(Serialize)]`.
 pub trait ToJson {
@@ -466,12 +381,313 @@ pub trait ToJson {
     fn to_json(&self) -> JsonValue;
 }
 
-/// Compact serialization (no whitespace); `to_string()` comes for free.
-impl std::fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// Where a [`JsonWriter`] puts its text: a `String`, a `Formatter`, or a
+/// `BufWriter` over a file or pipe. Errors pass through unchanged, so an io
+/// error reaches the caller as itself.
+pub trait JsonSink {
+    /// What a failed write reports.
+    type Error;
+    /// Appends `s`.
+    fn put(&mut self, s: &str) -> Result<(), Self::Error>;
+    /// Appends formatted text (the numbers).
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), Self::Error>;
+}
+
+impl JsonSink for String {
+    type Error = fmt::Error;
+    fn put(&mut self, s: &str) -> fmt::Result {
+        self.push_str(s);
+        Ok(())
+    }
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) -> fmt::Result {
+        self.write_fmt(args)
+    }
+}
+
+impl JsonSink for fmt::Formatter<'_> {
+    type Error = fmt::Error;
+    fn put(&mut self, s: &str) -> fmt::Result {
+        self.write_str(s)
+    }
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) -> fmt::Result {
+        self.write_fmt(args)
+    }
+}
+
+impl<W: io::Write> JsonSink for io::BufWriter<W> {
+    type Error = io::Error;
+    fn put(&mut self, s: &str) -> io::Result<()> {
+        self.write_all(s.as_bytes())
+    }
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) -> io::Result<()> {
+        io::Write::write_fmt(self, args)
+    }
+}
+
+impl<S: JsonSink + ?Sized> JsonSink for &mut S {
+    type Error = S::Error;
+    fn put(&mut self, s: &str) -> Result<(), S::Error> {
+        (**self).put(s)
+    }
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), S::Error> {
+        (**self).put_fmt(args)
+    }
+}
+
+/// The workspace's one JSON serializer: a caller opens objects and arrays,
+/// names fields and writes scalars, and the writer adds the separators and,
+/// in pretty form, the line breaks and two-space indentation. Nothing is
+/// buffered, so a document of any size costs only what its sink grows by.
+///
+/// Float formatting, escaping and indentation live here and nowhere else;
+/// [`JsonValue`] prints by walking its tree through this writer.
+pub struct JsonWriter<S> {
+    out: S,
+    pretty: bool,
+    /// Open containers.
+    depth: usize,
+    /// The innermost open container has no item yet.
+    empty: bool,
+    /// A field name was just written; its value follows it directly.
+    after_key: bool,
+}
+
+impl<S: JsonSink> JsonWriter<S> {
+    /// A writer in pretty form (two-space indentation, one item per line)
+    /// or compact form (no whitespace at all). [`Json`] starts every
+    /// document.
+    fn new(out: S, pretty: bool) -> Self {
+        JsonWriter {
+            out,
+            pretty,
+            depth: 0,
+            empty: true,
+            after_key: false,
+        }
+    }
+
+    /// A comma if `comma`, then, in pretty form, a line break and the
+    /// indentation for `depth`: one write at any depth up to 16.
+    fn separator(&mut self, comma: bool, depth: usize) -> Result<(), S::Error> {
+        const BREAK: &str = ",\n                                ";
+        const WIDTH: usize = BREAK.len() - 2;
+        if !self.pretty {
+            return if comma { self.out.put(",") } else { Ok(()) };
+        }
+        let mut left = 2 * depth;
+        let n = left.min(WIDTH);
+        self.out.put(&BREAK[usize::from(!comma)..2 + n])?;
+        left -= n;
+        while left > 0 {
+            let n = left.min(WIDTH);
+            self.out.put(&BREAK[2..2 + n])?;
+            left -= n;
+        }
+        Ok(())
+    }
+
+    /// The separator before an item: nothing after a field name, else a
+    /// comma unless it is the container's first item, then the line break.
+    fn item(&mut self) -> Result<(), S::Error> {
+        if std::mem::take(&mut self.after_key) {
+            return Ok(());
+        }
+        let comma = !std::mem::replace(&mut self.empty, false);
+        if self.depth > 0 {
+            self.separator(comma, self.depth)?;
+        }
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: &str) -> Result<(), S::Error> {
+        self.item()?;
+        self.out.put(bracket)?;
+        self.depth += 1;
+        self.empty = true;
+        Ok(())
+    }
+
+    /// A non-empty container closes on a line of its own; an empty one
+    /// right after its opening bracket: `{}`, `[]`.
+    fn close(&mut self, bracket: &str) -> Result<(), S::Error> {
+        self.depth -= 1;
+        if !self.empty {
+            self.separator(false, self.depth)?;
+        }
+        self.empty = false;
+        self.out.put(bracket)
+    }
+
+    /// Opens an object; name each field with [`JsonWriter::key`].
+    pub fn begin_object(&mut self) -> Result<(), S::Error> {
+        self.open("{")
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> Result<(), S::Error> {
+        self.close("}")
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> Result<(), S::Error> {
+        self.open("[")
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> Result<(), S::Error> {
+        self.close("]")
+    }
+
+    /// Names the next field of the open object; its value comes next.
+    pub fn key(&mut self, name: &str) -> Result<(), S::Error> {
+        self.item()?;
+        self.escaped(name, if self.pretty { "\": " } else { "\":" })?;
+        self.after_key = true;
+        Ok(())
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> Result<(), S::Error> {
+        self.item()?;
+        self.out.put("null")
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) -> Result<(), S::Error> {
+        self.item()?;
+        self.out.put(if b { "true" } else { "false" })
+    }
+
+    /// An integer, without a decimal point.
+    pub(crate) fn int(&mut self, i: i64) -> Result<(), S::Error> {
+        self.item()?;
+        self.out.put_fmt(format_args!("{i}"))
+    }
+
+    /// An unsigned integer as `u64::to_json` renders it: an integer up to
+    /// `i64::MAX`, a float past it.
+    pub fn uint(&mut self, u: u64) -> Result<(), S::Error> {
+        match i64::try_from(u) {
+            Ok(i) => self.int(i),
+            Err(_) => self.float(u as f64),
+        }
+    }
+
+    /// A float that keeps its decimal point or exponent (`1.0`, not `1`),
+    /// so it reads back as a float; NaN and ±inf, which JSON lacks, are
+    /// `null`.
+    pub fn float(&mut self, f: f64) -> Result<(), S::Error> {
+        self.item()?;
+        if f.is_finite() {
+            self.out.put_fmt(format_args!("{f:?}"))
+        } else {
+            self.out.put("null")
+        }
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) -> Result<(), S::Error> {
+        self.item()?;
+        self.escaped(s, "\"")
+    }
+
+    /// `s` quoted, with `"`, `\` and control characters escaped, then
+    /// `close`: the closing quote and whatever follows it. Every byte
+    /// escaped is ASCII, so the runs between them are whole characters.
+    fn escaped(&mut self, s: &str, close: &str) -> Result<(), S::Error> {
+        self.out.put("\"")?;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.out.put(&s[run..i])?;
+            if escape.is_empty() {
+                self.out.put_fmt(format_args!("\\u{b:04x}"))?;
+            } else {
+                self.out.put(escape)?;
+            }
+            run = i + 1;
+        }
+        self.out.put(&s[run..])?;
+        self.out.put(close)
+    }
+}
+
+/// A value that writes itself through a [`JsonWriter`], building nothing.
+pub trait WriteJson {
+    /// Writes `self` as one JSON value.
+    fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error>;
+}
+
+/// A borrowed JSON document: `Json(&value)` serializes `value` on demand,
+/// pretty through [`Json::to_pretty_string`] or [`Json::write_pretty`],
+/// compact through `Display`.
+pub struct Json<'a, T: ?Sized>(pub &'a T);
+
+impl<T: WriteJson + ?Sized> Json<'_, T> {
+    /// The pretty text plus a trailing newline, streamed into one `String`.
+    pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
+        self.write_pretty(&mut out)
+            // lint:allow(unwrap, a String sink fails only if a number's Display does, and std's never do)
+            .expect("a String accepts every write");
+        out
+    }
+
+    /// Streams the pretty text plus a trailing newline into `out`.
+    pub fn write_pretty<S: JsonSink>(&self, out: S) -> Result<(), S::Error> {
+        let mut w = JsonWriter::new(out, true);
+        self.0.write_json(&mut w)?;
+        w.out.put("\n")
+    }
+}
+
+impl<T: WriteJson + ?Sized> fmt::Display for Json<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.write_json(&mut JsonWriter::new(f, false))
+    }
+}
+
+/// Compact serialization (no whitespace), written straight into the
+/// formatter; `to_string()` comes for free.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&Json(self), f)
+    }
+}
+
+/// Walks the tree through the one serializer.
+impl WriteJson for JsonValue {
+    fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
+        match self {
+            JsonValue::Null => w.null(),
+            JsonValue::Bool(b) => w.bool(*b),
+            JsonValue::Int(i) => w.int(*i),
+            JsonValue::Float(f) => w.float(*f),
+            JsonValue::Str(s) => w.str(s),
+            JsonValue::Array(items) => {
+                w.begin_array()?;
+                for item in items {
+                    item.write_json(w)?;
+                }
+                w.end_array()
+            }
+            JsonValue::Object(fields) => {
+                w.begin_object()?;
+                for (key, value) in fields {
+                    w.key(key)?;
+                    value.write_json(w)?;
+                }
+                w.end_object()
+            }
+        }
     }
 }
 

@@ -10,9 +10,10 @@
 //!   with parking_lot-style ergonomics (`.lock()` returns the guard), a
 //!   debug-build lock-order sanitizer (class labels, ABBA cycle detection,
 //!   re-entry detection, [`sync::request_path_scope`]),
-//! * [`json`] — a JSON tree ([`json::JsonValue`]) with a hand-written
-//!   serializer and parser, plus the [`json::ToJson`] trait that result
-//!   structs implement instead of deriving `serde::Serialize`, and
+//! * [`json`] — a streaming JSON writer ([`json::JsonWriter`]) and a JSON
+//!   tree ([`json::JsonValue`]) with a hand-written parser, plus the
+//!   [`json::WriteJson`] and [`json::ToJson`] traits that result structs
+//!   implement instead of deriving `serde::Serialize`, and
 //! * [`hash`] — an FxHash-style fast hasher ([`hash::FastMap`]) for maps
 //!   keyed by internal integers on the request path.
 //!
@@ -25,5 +26,5 @@ pub mod json;
 pub mod sync;
 
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
-pub use json::{JsonValue, ToJson};
+pub use json::{Json, JsonSink, JsonValue, JsonWriter, ToJson, WriteJson};
 pub use sync::{request_path_scope, Mutex};

@@ -6,7 +6,6 @@
 
 use hotc_cli::scenario::DEMO_SCENARIO;
 use hotc_cli::{run_scenario, Scenario};
-use stdshim::ToJson;
 
 /// FNV-1a over the bytes `hotc-sim --metrics-out` writes for `scenario`: a
 /// digest whose algorithm is fixed here, not by the toolchain.

@@ -14,7 +14,6 @@ use hotc_cluster::{Cluster, SchedulePolicy};
 use metrics_lite::{MetricsRegistry, MetricsSnapshot, Stage};
 use simclock::{SimDuration, SimTime};
 use std::sync::Arc;
-use stdshim::ToJson;
 
 const GAP: SimDuration = SimDuration::from_secs(1);
 
