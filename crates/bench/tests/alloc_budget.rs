@@ -2,17 +2,18 @@
 //! warm `Gateway<HotC>` request allocates nothing, a cold-start request or a
 //! warm clustered one allocates only what amortised table growth costs, and
 //! a key that churns out of the pool and back in pays nothing it paid
-//! before; serialising the metrics snapshot allocates only its output.
+//! before; serialising the metrics snapshot allocates only its output. An
+//! interned key and a key's first slot chunk hold only what they need.
 //!
 //! This target installs its own counting global allocator — the same scoped
 //! `unsafe` as the benchmark's counted pass, for the same reason. It counts
-//! per thread, so the test harness's other threads never show up in a
-//! measurement.
+//! allocations and held bytes per thread, so the test harness's other
+//! threads never show up in a measurement.
 #![allow(unsafe_code)]
 
-use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
+use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, LanguageRuntime};
 use faas::{AppProfile, ColdStartAlways, FunctionSpec, Gateway, RuntimeProvider};
-use hotc::{HotC, HotCConfig, PoolLimits};
+use hotc::{HotC, HotCConfig, KeyInterner, KeyPolicy, PoolLimits, RuntimePool};
 use hotc_cluster::{Cluster, SchedulePolicy};
 use metrics_lite::{MetricsRegistry, Stage, StageSample};
 use simclock::{SimDuration, SimTime};
@@ -21,10 +22,12 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus the bytes it freed.
+    static HELD: Cell<isize> = const { Cell::new(0) };
 }
 
-/// Forwards to [`System`], counting the calling thread's allocations.
-/// `realloc` counts as one (it may move).
+/// Forwards to [`System`], counting the calling thread's allocations and
+/// the bytes it holds. `realloc` counts as one allocation (it may move).
 struct CountingAlloc;
 
 fn count() {
@@ -33,18 +36,24 @@ fn count() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn hold(bytes: isize) {
+    let _ = HELD.try_with(|n| n.set(n.get() + bytes));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the only added work is a thread-local
 // counter increment that neither allocates nor touches allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        hold(layout.size() as isize);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        hold(layout.size() as isize);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -52,11 +61,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from `System` through this allocator, for
         // this same `layout`.
+        hold(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        hold(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr`/`layout` came from `System` through this allocator
         // and the caller guarantees `new_size` is valid for the alignment.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -71,6 +82,14 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns how many more heap bytes this thread holds after
+/// it than before (what `f` returns included).
+fn held<R>(f: impl FnOnce() -> R) -> (R, isize) {
+    let before = HELD.with(Cell::get);
+    let out = f();
+    (out, HELD.with(Cell::get) - before)
 }
 
 const REQUESTS: u64 = 1_000;
@@ -277,5 +296,71 @@ fn serialising_a_snapshot_allocates_no_tree() {
         allocs <= 64,
         "{allocs} allocations for {} bytes",
         json.len()
+    );
+}
+
+/// A key costs what it holds: 10 000 one-env-var `random-number`
+/// configurations interned hold ≤ 400 B of heap each, the interner's copy
+/// of the configuration and its share of the two tables. An env as a
+/// `BTreeMap` held a ≈520 B tree node per key (851 B per key).
+#[test]
+fn an_interned_key_holds_no_more_than_its_configuration() {
+    const KEYS: usize = 10_000;
+    let app = AppProfile::random_number();
+    let configs: Vec<ContainerConfig> = (0..KEYS)
+        .map(|i| {
+            let mut config = app.default_config();
+            config.exec.env.insert("HOTC_REPLICA".into(), i.to_string());
+            config
+        })
+        .collect();
+    let (interner, bytes) = held(|| {
+        let mut interner = KeyInterner::new(KeyPolicy::Exact);
+        for config in &configs {
+            interner.intern(config);
+        }
+        interner
+    });
+    assert_eq!(interner.len(), KEYS);
+    let per_key = bytes as usize / KEYS;
+    assert!(per_key <= 400, "{per_key} B of heap per interned key");
+}
+
+/// A key's first container costs it one 16-slot chunk (136 B), not a
+/// 128-slot one (1 072 B) nor a `Vec`'s first four (544 B). Measured as what a
+/// key's first cold start (then release and eviction) holds beyond the
+/// same cycle run again, which finds the chunk in place; a cycle of
+/// another key first grows the pool's shared tables.
+#[test]
+fn a_first_cold_start_holds_one_small_chunk() {
+    let mut engine = ContainerEngine::with_local_images(HardwareProfile::server());
+    let mut pool = RuntimePool::new(KeyPolicy::Exact);
+    let app = AppProfile::random_number();
+    let [warmup, key] = ["0", "1"].map(|k| {
+        let mut config = app.default_config();
+        config.exec.env.insert("K".into(), k.into());
+        config
+    });
+    for config in [&warmup, &key] {
+        pool.intern_config(config);
+    }
+    let mut now = SimTime::ZERO;
+    let mut cycle = |config: &ContainerConfig| {
+        let acq = pool.acquire(&mut engine, config, now).expect("acquire");
+        assert!(acq.cold);
+        pool.release(&mut engine, acq.container, now)
+            .expect("release");
+        pool.evict_oldest(&mut engine, now)
+            .expect("evict")
+            .expect("a container");
+        now += GAP;
+    };
+    cycle(&warmup);
+    let ((), first) = held(|| cycle(&key));
+    let ((), again) = held(|| cycle(&key));
+    let chunk = first - again;
+    assert!(
+        chunk <= 160,
+        "a key's first cold start held {chunk} B of slot chunks"
     );
 }

@@ -38,8 +38,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Args {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-v" | "--verbose" => verbose = true,
-            "--metrics-out" => metrics_out = Some(args.next().unwrap_or_else(|| usage())),
-            "--replay-threads" => {
+            // A repeated option is a usage error, not a silent override.
+            "--metrics-out" if metrics_out.is_none() => {
+                metrics_out = Some(args.next().unwrap_or_else(|| usage()))
+            }
+            "--replay-threads" if replay_threads.is_none() => {
                 let v = args.next().unwrap_or_else(|| usage());
                 match v.parse::<usize>() {
                     Ok(n) if n >= 1 => replay_threads = Some(n),

@@ -1,7 +1,7 @@
 //! `hotc-sim`'s command line end to end: `--metrics-out` streams exactly the
-//! in-process snapshot text, an argument it does not know is a usage error,
-//! and a metrics path it cannot write fails before the replay and leaves no
-//! file behind.
+//! in-process snapshot text, an argument it does not know or an option given
+//! twice is a usage error, and a metrics path it cannot write fails before
+//! the replay and leaves no file behind.
 
 use hotc_cli::scenario::DEMO_SCENARIO;
 use hotc_cli::{run_scenario, Scenario};
@@ -46,6 +46,20 @@ fn a_mistyped_argument_is_a_usage_error() {
         &["demo.hotc", "--replay-thread", "4"],
         &["demo.hotc", "other.hotc"],
         &["demo.hotc", "--metrics-out"],
+        &[
+            "demo.hotc",
+            "--metrics-out",
+            "a.json",
+            "--metrics-out",
+            "b.json",
+        ],
+        &[
+            "demo.hotc",
+            "--replay-threads",
+            "2",
+            "--replay-threads",
+            "4",
+        ],
         &[],
     ] {
         let out = hotc_sim(&dir, args);
@@ -53,7 +67,9 @@ fn a_mistyped_argument_is_a_usage_error() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage: hotc-sim"));
         assert!(out.stdout.is_empty(), "{args:?} ran the scenario");
     }
-    assert!(!dir.join("x.json").exists());
+    for unwritten in ["x.json", "a.json", "b.json"] {
+        assert!(!dir.join(unwritten).exists(), "{unwritten} was created");
+    }
 }
 
 /// The demo with an app no engine knows: it parses, and its replay fails.

@@ -410,6 +410,7 @@ impl Cluster {
             node,
             gateway.provider_mut().pool_mut(),
             &entry.spec.config,
+            &self.interner,
         );
         let seen = gateway.provider().pool().mutation_epoch();
         let inner = gateway.begin_with(&entry.spec, Some(local.into()), now)?;
@@ -553,10 +554,11 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use containersim::{ContainerEngine, HardwareProfile, LanguageRuntime};
+    use containersim::{ContainerConfig, ContainerEngine, HardwareProfile, LanguageRuntime};
     use faas::AppProfile;
     use hotc::{HotCConfig, KeyPolicy};
     use simclock::SimDuration;
+    use std::sync::Arc;
 
     fn cluster(policy: SchedulePolicy, nodes: usize) -> Cluster {
         cluster_of(policy, nodes, HotC::with_defaults)
@@ -676,6 +678,55 @@ mod tests {
         assert!(nodes[1..].iter().all(|&n| n == nodes[0]));
         assert_eq!(c.stats().cold_starts, 1);
         assert_eq!(c.stats().live_containers, 1);
+    }
+
+    /// `node`'s pool-local configuration for cluster function `f`.
+    fn node_key_config(c: &Cluster, node: usize, f: usize) -> Arc<ContainerConfig> {
+        let pool = c.nodes[node].gateway.provider().pool();
+        let local = pool.id_for(&c.specs[f].spec.config).unwrap();
+        pool.key_config(local).unwrap()
+    }
+
+    /// Under exact keys a serving node keeps the cluster interner's copy of
+    /// the key's configuration instead of one of its own.
+    #[test]
+    fn a_node_shares_the_cluster_configuration_under_exact_keys() {
+        let mut c = cluster(SchedulePolicy::ReuseAffinity, 2);
+        let (node, _) = c.handle("qr-code", SimTime::ZERO).unwrap();
+        let entry = &c.specs[0];
+        let cluster_config = c.interner.shared(entry.key, &entry.spec.config).unwrap();
+        assert!(Arc::ptr_eq(&node_key_config(&c, node, 0), &cluster_config));
+    }
+
+    /// Under fuzzy keys two functions that differ only in env are one key:
+    /// the second reuses the first's warm runtime, and the node keeps the
+    /// configuration of the function placed there first — here not the
+    /// cluster's, which is that of the function registered first.
+    #[test]
+    fn fuzzy_keys_reuse_across_env_and_keep_the_first_placed_configuration() {
+        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let hotc = HotC::new(HotCConfig {
+            key_policy: KeyPolicy::Fuzzy,
+            ..Default::default()
+        });
+        let mut c = Cluster::new(
+            SchedulePolicy::ReuseAffinity,
+            vec![("node-0".into(), Gateway::new(engine, hotc))],
+        );
+        for (name, tenant) in [("a", "1"), ("b", "2")] {
+            let app = AppProfile::qr_code(LanguageRuntime::Python);
+            let mut config = app.default_config();
+            config.exec.env.insert("TENANT".into(), tenant.into());
+            c.register_everywhere(FunctionSpec::from_app(app).named(name).with_config(config));
+        }
+        let (node, first) = c.handle("b", SimTime::ZERO).unwrap();
+        let (_, second) = c.handle("a", first.t6_gateway_out).unwrap();
+        assert!(first.cold && !second.cold, "a reuses b's runtime");
+        assert_eq!(c.stats().cold_starts, 1);
+        let kept = node_key_config(&c, node, 0);
+        assert_eq!(*kept, c.specs[1].spec.config);
+        let cluster_config = c.interner.shared(c.specs[0].key, &c.specs[0].spec.config);
+        assert!(!Arc::ptr_eq(&kept, &cluster_config.unwrap()));
     }
 
     #[test]

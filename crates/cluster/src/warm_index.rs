@@ -96,20 +96,26 @@ impl WarmIndex {
     /// `node`'s pool-local id for cluster key `k` (whose configuration is
     /// `config`), recording the translation both ways. Interns into the
     /// node's pool only on first sight of (k, node); repeats are one map
-    /// probe.
+    /// probe. The node pool keeps `interner`'s own copy of `k`'s
+    /// configuration where that is `config`'s (always under exact keys), so
+    /// a key's nodes add no copy of it.
     pub(crate) fn ensure_mapping(
         &mut self,
         k: KeyId,
         node: usize,
         pool: &mut RuntimePool,
         config: &ContainerConfig,
+        interner: &KeyInterner,
     ) -> KeyId {
         let view = &mut self.nodes[node];
         let ck = k.index() as u32;
         if let Some(&local) = view.c2l.get(&ck) {
             return local;
         }
-        let local = pool.intern_config(config);
+        let local = match interner.shared(k, config) {
+            Some(shared) => pool.intern_shared(&shared),
+            None => pool.intern_config(config),
+        };
         view.c2l.insert(ck, local);
         view.l2c.insert(local.index() as u32, ck);
         local
@@ -278,7 +284,7 @@ mod tests {
         let mut idx = WarmIndex::new();
         idx.ensure_rows(1);
         idx.ensure_nodes(1);
-        idx.ensure_mapping(k, 0, &mut pool, &cfg);
+        idx.ensure_mapping(k, 0, &mut pool, &cfg, &interner);
         assert_eq!(idx.believed(k, 0), 0, "nothing believed before a sync");
 
         idx.resync_node(0, &pool, &interner);
@@ -305,7 +311,7 @@ mod tests {
         let mut idx = WarmIndex::new();
         idx.ensure_rows(1);
         idx.ensure_nodes(1);
-        idx.ensure_mapping(k, 0, &mut pool, &cfg);
+        idx.ensure_mapping(k, 0, &mut pool, &cfg, &interner);
 
         idx.touch_true(k, 0, &pool);
         assert_eq!(idx.believed(k, 0), 1);
@@ -328,7 +334,7 @@ mod tests {
         let mut idx = WarmIndex::new();
         idx.ensure_rows(1);
         idx.ensure_nodes(1);
-        idx.ensure_mapping(k, 0, &mut pool, &cfg);
+        idx.ensure_mapping(k, 0, &mut pool, &cfg, &interner);
         idx.resync_node(0, &pool, &interner);
         assert_eq!(
             idx.node_epoch(0),
@@ -357,7 +363,7 @@ mod tests {
         idx.ensure_rows(1);
         idx.ensure_nodes(3);
         for (n, pool) in pools.iter_mut().enumerate() {
-            idx.ensure_mapping(k, n, pool, &cfg);
+            idx.ensure_mapping(k, n, pool, &cfg, &interner);
             idx.resync_node(n, pool, &interner);
         }
 
@@ -383,8 +389,8 @@ mod tests {
         let mut idx = WarmIndex::new();
         idx.ensure_rows(2);
         idx.ensure_nodes(1);
-        idx.ensure_mapping(ka, 0, &mut pool, &a);
-        idx.ensure_mapping(kb, 0, &mut pool, &b);
+        idx.ensure_mapping(ka, 0, &mut pool, &a, &interner);
+        idx.ensure_mapping(kb, 0, &mut pool, &b, &interner);
         idx.resync_node(0, &pool, &interner);
         assert_eq!(idx.believed(ka, 0), 1);
         assert_eq!(idx.believed(kb, 0), 0);

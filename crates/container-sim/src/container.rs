@@ -9,7 +9,6 @@
 
 use crate::image::ImageId;
 use crate::network::NetworkConfig;
-use std::collections::BTreeMap;
 
 /// Identifier of a container instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,12 +51,39 @@ pub struct ExecOptions {
     pub cpu_millis: u32,
     /// Memory limit in bytes (0 = unlimited).
     pub mem_limit_bytes: u64,
-    /// Environment variables (sorted map ⇒ canonical).
-    pub env: BTreeMap<String, String>,
+    /// Environment variables (sorted by name ⇒ canonical).
+    pub env: EnvVars,
     /// Whether the container runs privileged.
     pub privileged: bool,
     /// Entry command override, if any.
     pub command: Option<String>,
+}
+
+/// Environment variables as `(name, value)` pairs kept sorted by name, one
+/// pair per name: configurations that set the same pairs in any order are
+/// equal and hash alike, exactly as a `BTreeMap` would. A vector sized to
+/// what it holds, not a ≈520 B tree node, because every function spec and
+/// every interned configuration owns one.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct EnvVars(Vec<(String, String)>);
+
+impl EnvVars {
+    /// Sets `name` to `value`, returning the value it replaces, if any.
+    pub fn insert(&mut self, name: String, value: String) -> Option<String> {
+        match self.0.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                self.0.reserve_exact(1);
+                self.0.insert(i, (name, value));
+                None
+            }
+        }
+    }
+
+    /// The pairs, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.0.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+    }
 }
 
 impl ExecOptions {
@@ -252,7 +278,9 @@ mod tests {
 
     #[test]
     fn exec_builder_sets_fields() {
-        let e = ExecOptions::default().with_env("K", "V");
-        assert_eq!(e.env.get("K").map(String::as_str), Some("V"));
+        let mut e = ExecOptions::default().with_env("K", "V").with_env("A", "1");
+        assert_eq!(e.env.iter().collect::<Vec<_>>(), [("A", "1"), ("K", "V")]);
+        assert_eq!(e.env.insert("K".into(), "W".into()).as_deref(), Some("V"));
+        assert_eq!(e.env.iter().collect::<Vec<_>>(), [("A", "1"), ("K", "W")]);
     }
 }

@@ -10,7 +10,7 @@
 //! configuration, and [`KeyInterner`] gives each distinct field set a dense
 //! [`KeyId`] — the only way the pool, the controller, the gateways and the
 //! cluster address a key. Two configurations are the same runtime type iff
-//! their field sets are equal; environment maps are sorted and port lists
+//! their field sets are equal; environment variables and port lists are
 //! kept sorted by construction, so configurations that mean the same runtime
 //! have equal fields. No key string is formatted.
 //!
@@ -175,14 +175,31 @@ impl KeyInterner {
             .find(|id| self.policy.fields(&self.configs[id.index()]) == *key)
     }
 
-    /// Interns `config`, returning its stable id.
+    /// Interns `config`, returning its stable id. Copies `config` only if
+    /// its key is new.
     pub fn intern(&mut self, config: &ContainerConfig) -> KeyId {
+        self.intern_with(config, || Arc::new(config.clone()))
+    }
+
+    /// [`Self::intern`] for a configuration already behind an `Arc`: a new
+    /// key keeps that `Arc`, so its holder and this interner share one copy.
+    pub(crate) fn intern_shared(&mut self, config: &Arc<ContainerConfig>) -> KeyId {
+        self.intern_with(config, || Arc::clone(config))
+    }
+
+    /// The one interning body: `config`'s id, or a new id that stores
+    /// `stored()` (which equals `config`) if its key is new.
+    fn intern_with(
+        &mut self,
+        config: &ContainerConfig,
+        stored: impl FnOnce() -> Arc<ContainerConfig>,
+    ) -> KeyId {
         let (key, fingerprint) = self.key(config);
         if let Some(id) = self.find(&key, fingerprint) {
             return id;
         }
         let id = KeyId(self.configs.len() as u32);
-        self.configs.push(Arc::new(config.clone()));
+        self.configs.push(stored());
         self.by_fingerprint.entry(fingerprint).or_default().push(id);
         id
     }
@@ -198,15 +215,19 @@ impl KeyInterner {
         self.configs.get(id.index()).cloned()
     }
 
-    /// What a container booted for `config` under `id` shares: `id`'s
-    /// interned configuration where [`KeyPolicy::share`] allows it, else a
-    /// copy of `config` of its own.
+    /// `id`'s interned configuration, shared, where something made for
+    /// `config` under `id` may use it ([`KeyPolicy::share`]): always under
+    /// exact keys, under fuzzy keys only if the two are equal.
+    pub fn shared(&self, id: KeyId, config: &ContainerConfig) -> Option<Arc<ContainerConfig>> {
+        let interned = self.configs.get(id.index())?;
+        self.policy.share(interned, config)
+    }
+
+    /// What a container booted for `config` under `id` shares:
+    /// [`Self::shared`], else a copy of `config` of its own.
     pub(crate) fn share(&self, id: KeyId, config: &ContainerConfig) -> Arc<ContainerConfig> {
-        let shared = self
-            .configs
-            .get(id.index())
-            .and_then(|interned| self.policy.share(interned, config));
-        shared.unwrap_or_else(|| Arc::new(config.clone()))
+        self.shared(id, config)
+            .unwrap_or_else(|| Arc::new(config.clone()))
     }
 
     /// Number of distinct keys interned so far.

@@ -51,11 +51,12 @@ use stdshim::FastMap;
 pub(crate) const GC_INTERVALS: u64 = 3;
 
 /// Slots per chunk of a key's slot array. A key starts with one chunk and
-/// appends another whenever all its slots are occupied.
-const SLOTS_PER_KEY: usize = 128;
+/// appends another whenever all its slots are occupied. Most keys hold one
+/// to three containers, so a chunk is sized to them (136 B), not to a burst.
+const SLOTS_PER_KEY: usize = 16;
 
 /// One chunk's slots as bits: bit `b` is the chunk's slot `b`.
-type SlotBits = u128;
+type SlotBits = u16;
 
 /// The container a slot entry names, or `None` for an empty slot (engine ids
 /// start at 1, so 0 is free to mean "empty").
@@ -206,6 +207,8 @@ impl KeySlots {
     /// or available (prewarm). Returns the slot index.
     fn publish(&mut self, container: ContainerId, in_use: bool) -> usize {
         let i = self.lowest(|c| c.free).unwrap_or_else(|| {
+            // Exactly: `Vec`'s first growth would hold four chunks.
+            self.chunks.reserve_exact(1);
             self.chunks.push(SlotChunk::new());
             (self.chunks.len() - 1) * SLOTS_PER_KEY
         });
@@ -404,6 +407,13 @@ impl RuntimePool {
     /// fields — nothing is allocated.
     pub fn intern_config(&mut self, config: &ContainerConfig) -> KeyId {
         self.interner.intern(config)
+    }
+
+    /// [`Self::intern_config`] for a configuration behind an `Arc`: a new
+    /// key keeps that `Arc` as its configuration, so the caller and the
+    /// pool share one copy.
+    pub fn intern_shared(&mut self, config: &Arc<ContainerConfig>) -> KeyId {
+        self.interner.intern_shared(config)
     }
 
     /// The id of `config`'s key if the pool has seen a configuration with
@@ -950,7 +960,7 @@ mod tests {
         assert!(b.cost.is_zero());
     }
 
-    /// One storage at any population: 300 containers of one key fill three
+    /// One storage at any population: 300 containers of one key fill 19
     /// chunks, and with some held and some available in every chunk a warm
     /// acquire takes the lowest available slot, whichever chunk it is in.
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use containersim::container::ExecOptions;
+use containersim::container::{EnvVars, ExecOptions};
 use containersim::{
     ContainerConfig, ContainerEngine, HardwareProfile, ImageId, NetworkConfig, NetworkMode,
 };
@@ -28,7 +28,7 @@ fn gen_config(g: &mut Gen) -> ContainerConfig {
         NetworkMode::Host,
         NetworkMode::Container,
     ]);
-    let mut env = BTreeMap::new();
+    let mut env = EnvVars::default();
     for _ in 0..g.usize_in(0..4) {
         env.insert(
             g.string(testkit::UPPER, 1..5),
@@ -60,6 +60,59 @@ fn exact_keys_injective() {
         let a = gen_config(g);
         let b = gen_config(g);
         assert_eq!(a == b, same_key(&a, &b, KeyPolicy::Exact));
+    });
+}
+
+/// Env vars are canonical: the same pairs, names repeated, inserted in two
+/// random orders give equal `EnvVars` and one runtime key, iterate as a
+/// `BTreeMap` of the pairs does, and keep each name's last value.
+#[test]
+fn env_vars_are_canonical() {
+    testkit::check(64, |g| {
+        let pairs = g.vec(0..8, |g| {
+            (g.string("ABC", 1..3), g.string(testkit::LOWER_DIGITS, 0..3))
+        });
+        // A random order that keeps each name's pairs in their drawn order,
+        // so every order agrees on which value comes last.
+        let shuffled_env = |g: &mut Gen| {
+            let mut order: Vec<usize> = (0..pairs.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, g.usize_in(0..i + 1));
+            }
+            for (name, _) in &pairs {
+                let at: Vec<usize> = (0..order.len())
+                    .filter(|&p| pairs[order[p]].0 == *name)
+                    .collect();
+                let mut same: Vec<usize> = at.iter().map(|&p| order[p]).collect();
+                same.sort_unstable();
+                for (p, i) in at.into_iter().zip(same) {
+                    order[p] = i;
+                }
+            }
+            let mut env = EnvVars::default();
+            for i in order {
+                let (name, value) = pairs[i].clone();
+                env.insert(name, value);
+            }
+            env
+        };
+        let (a, b) = (shuffled_env(g), shuffled_env(g));
+        assert_eq!(a, b);
+        let config = |env: EnvVars| {
+            let exec = ExecOptions {
+                env,
+                ..Default::default()
+            };
+            ContainerConfig::bridge(ImageId::parse("alpine:3.12")).with_exec(exec)
+        };
+        assert!(same_key(&config(a.clone()), &config(b), KeyPolicy::Exact));
+        let map: BTreeMap<String, String> = pairs.iter().cloned().collect();
+        let expected: Vec<(&str, &str)> = map.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        assert_eq!(a.iter().collect::<Vec<_>>(), expected);
+        for (name, value) in a.iter() {
+            let last = pairs.iter().rev().find(|(n, _)| n == name).unwrap();
+            assert_eq!(value, last.1, "{name}: the last value wins");
+        }
     });
 }
 
