@@ -133,10 +133,15 @@ run cargo run --offline -q -p hotc-bench --bin gate -- "$BENCH_OUT_DIR/BENCH_ci.
 #     `run_scenario`'s snapshot: its own tests, then all five workloads in
 #     all three passes at 1/10 size. API drift in crates/ otherwise shows
 #     up only when the merge pipeline runs BENCHMARK.json. Reads benchmark/,
-#     writes only the ignored benchmark/target and benchmark/out.
+#     writes only the ignored benchmark/target and benchmark/out. Neither
+#     build passes --locked, so cargo would rewrite benchmark/Cargo.lock
+#     silently when a crates-side manifest changes; compare it afterwards.
+LOCK_COPY="$(mktemp)"
+trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY"' EXIT
+cp benchmark/Cargo.lock "$LOCK_COPY"
 run sh -c '(cd benchmark && cargo test --release --offline)'
 BENCHMARK_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY" "$BENCHMARK_OUT"' EXIT
 if ! run sh -c "benchmark/run.sh --smoke --seconds 0 > '$BENCHMARK_OUT'" \
     || grep -q '"correct":false' "$BENCHMARK_OUT"; then
     echo "benchmark smoke: non-zero exit or a workload failed its correctness checks:" >&2
@@ -144,6 +149,11 @@ if ! run sh -c "benchmark/run.sh --smoke --seconds 0 > '$BENCHMARK_OUT'" \
     exit 1
 fi
 echo "benchmark smoke OK"
+if ! cmp -s "$LOCK_COPY" benchmark/Cargo.lock; then
+    echo "the benchmark build rewrote benchmark/Cargo.lock: a crates-side change may" >&2
+    echo "not touch it (ROADMAP house rule 1 - queue it for the benchmark PR)" >&2
+    exit 1
+fi
 
 # 7c. Traced-allocation budget, print-only: the traced pass fails any
 #     workload whose mirrored loop allocates > 1 % off `run_scenario`'s
@@ -153,7 +163,7 @@ echo "benchmark smoke OK"
 echo
 echo "==> traced-allocation drift |traced - allocs| / allocs (--smoke; the traced pass fails at 1 %)"
 TRACE_REF="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$TRACE_REF"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY" "$BENCHMARK_OUT" "$TRACE_REF"' EXIT
 for workload in warm_steady evict_churn always_cold tick_sweep cluster_affinity; do
     benchmark/target/release/hotc-benchmark-counted --pass counted --workload "$workload" \
         --seed 1 --trace 1 --smoke --reference "$TRACE_REF" | tail -n 1 \
@@ -165,7 +175,7 @@ done
 # 8. Telemetry smoke: run the demo scenario with --metrics-out and assert the
 #    snapshot is well-formed with nonzero cold-start stage counts.
 METRICS_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT"' EXIT
 run sh -c "./target/release/hotc-sim --demo | ./target/release/hotc-sim - --metrics-out '$METRICS_OUT' >/dev/null"
 echo
 echo "==> metrics snapshot smoke ($METRICS_OUT):"
@@ -198,7 +208,7 @@ echo "metrics snapshot OK"
 #    day through the CLI's pull-based trace path (never materialized) and
 #    assert every request was served. Takes about a minute in release.
 REPLAY_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT" "$REPLAY_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT" "$REPLAY_OUT"' EXIT
 run sh -c "./target/release/hotc-sim scenarios/synth_1m.hotc > '$REPLAY_OUT'"
 # The summary table's first column is the request count.
 grep -Eq '(^|[^0-9])1000000([^0-9]|$)' "$REPLAY_OUT" \
@@ -211,7 +221,7 @@ echo "streaming replay smoke OK"
 #     parallel_equivalence test suite; this asserts the shipped binary's
 #     flag path end to end at scale.)
 PAR_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT" "$REPLAY_OUT" "$PAR_OUT"' EXIT
+trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT" "$REPLAY_OUT" "$PAR_OUT"' EXIT
 run sh -c "./target/release/hotc-sim scenarios/synth_1m.hotc --replay-threads 4 > '$PAR_OUT'"
 grep -Eq '(^|[^0-9])1000000([^0-9]|$)' "$PAR_OUT" \
     || { echo "parallel synth_1m replay did not serve 1000000 requests" >&2; exit 1; }

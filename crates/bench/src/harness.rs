@@ -25,7 +25,7 @@
 
 use std::time::{Duration, Instant};
 
-use stdshim::{JsonValue, ToJson};
+use stdshim::{Json, JsonSink, JsonWriter, ToJson};
 
 /// Target wall-clock span of a single timing sample.
 const SAMPLE_SPAN: Duration = Duration::from_micros(50);
@@ -52,15 +52,23 @@ pub(crate) struct BenchResult {
 }
 
 impl ToJson for BenchResult {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("name", self.name.to_json()),
-            ("mean_ns", self.mean_ns.to_json()),
-            ("min_ns", self.min_ns.to_json()),
-            ("median_ns", self.median_ns.to_json()),
-            ("samples", self.samples.to_json()),
-            ("iters_per_sample", self.iters_per_sample.to_json()),
-        ])
+    fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
+        w.begin_object()?;
+        w.key("name")?;
+        w.str(&self.name)?;
+        for (key, ns) in [
+            ("mean_ns", self.mean_ns),
+            ("min_ns", self.min_ns),
+            ("median_ns", self.median_ns),
+        ] {
+            w.key(key)?;
+            w.float(ns)?;
+        }
+        w.key("samples")?;
+        w.uint(self.samples as u64)?;
+        w.key("iters_per_sample")?;
+        w.uint(self.iters_per_sample)?;
+        w.end_object()
     }
 }
 
@@ -224,28 +232,11 @@ impl Harness {
         self.results.push(result);
     }
 
-    fn to_json(&self) -> JsonValue {
-        let derived = JsonValue::array(self.derived.iter().map(|(name, value)| {
-            JsonValue::object([("name", name.to_json()), ("value", value.to_json())])
-        }));
-        // Host parallelism rides along so gates on multi-thread scaling can
-        // tell "regression" apart from "the runner has fewer cores than the
-        // curve needs" (the perf-gate binary skips such gates, visibly).
-        let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-        JsonValue::object([
-            ("suite", self.suite.to_json()),
-            ("mode", if self.smoke { "smoke" } else { "full" }.to_json()),
-            ("parallelism", parallelism.to_json()),
-            ("results", self.results.to_json()),
-            ("derived", derived),
-        ])
-    }
-
     /// Writes the suite's JSON artifact(s). Panics on I/O failure so a CI
     /// run cannot silently drop its perf numbers.
     pub fn finish(self) {
         let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-        let json = self.to_json();
+        let json = Json(&self);
         if self.smoke {
             // One line per suite: BENCH_ci.json accumulates a JSON-Lines
             // record across every `cargo bench -- --smoke` target.
@@ -264,6 +255,42 @@ impl Harness {
                 .unwrap_or_else(|e| panic!("write {path}: {e}"));
             println!("[{}] wrote {path}", self.suite);
         }
+    }
+}
+
+/// One suite record: `BENCH_<suite>.json` pretty, a `BENCH_ci.json` line
+/// compact.
+impl ToJson for Harness {
+    fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
+        // Host parallelism rides along so gates on multi-thread scaling can
+        // tell "regression" apart from "the runner has fewer cores than the
+        // curve needs" (the perf-gate binary skips such gates, visibly).
+        let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+        w.begin_object()?;
+        w.key("suite")?;
+        w.str(&self.suite)?;
+        w.key("mode")?;
+        w.str(if self.smoke { "smoke" } else { "full" })?;
+        w.key("parallelism")?;
+        w.uint(parallelism as u64)?;
+        w.key("results")?;
+        w.begin_array()?;
+        for r in &self.results {
+            r.write_json(w)?;
+        }
+        w.end_array()?;
+        w.key("derived")?;
+        w.begin_array()?;
+        for (name, value) in &self.derived {
+            w.begin_object()?;
+            w.key("name")?;
+            w.str(name)?;
+            w.key("value")?;
+            w.float(*value)?;
+            w.end_object()?;
+        }
+        w.end_array()?;
+        w.end_object()
     }
 }
 
@@ -337,6 +364,27 @@ mod tests {
         });
         let r = &h.results[0];
         assert!(r.samples >= 10, "got only {} samples", r.samples);
+    }
+
+    /// A `BENCH_ci.json` record's exact bytes: counts stay integers, `*_ns`
+    /// and derived values stay floats even when whole, keys keep their order.
+    #[test]
+    fn suite_record_golden_text() {
+        let mut h = smoke_harness("golden");
+        h.results.push(BenchResult {
+            name: "pool/noop".to_string(),
+            mean_ns: 2.0,
+            min_ns: 1.5,
+            median_ns: 2.25,
+            samples: 12,
+            iters_per_sample: 4096,
+        });
+        h.derived.push(("speedup".to_string(), 3.0));
+        let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+        let expected = format!(
+            r#"{{"suite":"golden","mode":"smoke","parallelism":{parallelism},"results":[{{"name":"pool/noop","mean_ns":2.0,"min_ns":1.5,"median_ns":2.25,"samples":12,"iters_per_sample":4096}}],"derived":[{{"name":"speedup","value":3.0}}]}}"#
+        );
+        assert_eq!(Json(&h).to_string(), expected);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!                                 # fixed-keepalive:15m | periodic-warmup:5m |
 //!                                 # hybrid-keepalive
 //! seed     = 42
-//! tick     = 30s
+//! tick     = 30s                  # positive
 //! crash_rate = 0.0                # optional fault injection
 //! replay_threads = 4              # optional parallel replay workers
 //!
@@ -291,7 +291,7 @@ pub struct Scenario {
     pub provider: ProviderSpec,
     /// RNG seed.
     pub seed: u64,
-    /// Provider maintenance interval.
+    /// Provider maintenance interval, never zero.
     pub tick: SimDuration,
     /// Execution crash probability (fault injection), 0.0 = off.
     pub crash_rate: f64,
@@ -472,7 +472,12 @@ impl Scenario {
                             message: format!("bad seed '{value}'"),
                         })?
                     }
-                    "tick" => tick = parse_duration(value, line_no)?,
+                    "tick" => {
+                        tick = parse_duration(value, line_no)?;
+                        if tick.is_zero() {
+                            return err(line_no, "tick must be positive");
+                        }
+                    }
                     "crash_rate" => {
                         crash_rate = value.parse().map_err(|_| ParseError {
                             line: line_no,
@@ -849,6 +854,17 @@ mod tests {
         let e = Scenario::parse("seed = 1\nprovider = periodic-warmup:0s\n").unwrap_err();
         assert_eq!(e.line, 2, "{e}");
         assert!(e.message.contains("periodic-warmup"), "{e}");
+    }
+
+    /// A zero tick would never advance the maintenance clock; a sub-nanosecond
+    /// one truncates to zero.
+    #[test]
+    fn zero_tick_rejected() {
+        for tick in ["0s", "0.5ns"] {
+            let e = Scenario::parse(&format!("seed = 1\ntick = {tick}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{tick}: {e}");
+            assert!(e.message.contains("tick must be positive"), "{tick}: {e}");
+        }
     }
 
     #[test]

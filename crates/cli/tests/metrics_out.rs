@@ -1,7 +1,7 @@
 //! `hotc-sim`'s command line end to end: `--metrics-out` streams exactly the
 //! in-process snapshot text, an argument it does not know or an option given
-//! twice is a usage error, and a metrics path it cannot write fails before
-//! the replay and leaves no file behind.
+//! twice is a usage error, and a metrics path it cannot write or a scenario
+//! it cannot parse fails before the replay and leaves no file behind.
 
 use hotc_cli::scenario::DEMO_SCENARIO;
 use hotc_cli::{run_scenario, Scenario};
@@ -101,5 +101,18 @@ fn a_scenario_error_leaves_no_metrics_file() {
     let out = hotc_sim(&dir, &[broken_demo(&dir), "--metrics-out", "m.json"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown app"));
+    assert!(!dir.join("m.json").exists());
+}
+
+#[test]
+fn a_zero_tick_is_a_parse_error_and_leaves_no_metrics_file() {
+    let dir = workdir("zero_tick");
+    let text = DEMO_SCENARIO.replace("tick     = 30s", "tick     = 0s");
+    std::fs::write(dir.join("zero_tick.hotc"), text).unwrap();
+    let out = hotc_sim(&dir, &["zero_tick.hotc", "--metrics-out", "m.json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("scenario parse error"), "{stderr}");
+    assert!(stderr.contains("tick must be positive"), "{stderr}");
     assert!(!dir.join("m.json").exists());
 }

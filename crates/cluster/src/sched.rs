@@ -492,7 +492,7 @@ impl Cluster {
     /// (`WarmIndex::carry_epoch`), so what is left to drift is this tick's
     /// own controller step or limit enforcement prewarming, retiring or
     /// evicting something, and a pool changed behind the scheduler's back:
-    /// every other node costs one atomic load, keeping the warm-index part
+    /// every other node costs one `u64` compare, keeping the warm-index part
     /// of the tick O(nodes the tick moved).
     pub fn tick(&mut self, now: SimTime) -> Result<(), ClusterError> {
         for node in &mut self.nodes {

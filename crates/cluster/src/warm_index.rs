@@ -184,8 +184,8 @@ impl WarmIndex {
         RESYNCED.with_borrow_mut(|log| log.push(node));
         let WarmIndex { rows, nodes } = self;
         let view = &mut nodes[node];
-        // Read the epoch before scanning: a mutation racing the scan then
-        // re-dirties the node instead of being lost.
+        // The scan below reads the pool as of this epoch; nothing can
+        // mutate it while it is borrowed here.
         view.epoch = pool.mutation_epoch();
         for ck in view.keys.drain() {
             let row = &mut rows[ck as usize];
@@ -198,8 +198,8 @@ impl WarmIndex {
             let ck = match view.l2c.get(&li) {
                 Some(&ck) => ck,
                 None => {
-                    // Take the (shared) configuration out before the
-                    // cluster lookup: the two interners share a lock class.
+                    // Untranslated: look the node key's configuration up
+                    // in the cluster interner, once.
                     let Some(ck) = pool
                         .key_config(local)
                         .and_then(|config| interner.get(&config))

@@ -190,27 +190,6 @@ impl ContainerState {
     }
 }
 
-impl stdshim::ToJson for ContainerId {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::ToJson::to_json(&self.0)
-    }
-}
-
-impl stdshim::ToJson for ContainerState {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::JsonValue::Str(
-            match self {
-                ContainerState::Created => "created",
-                ContainerState::Running => "running",
-                ContainerState::Idle => "idle",
-                ContainerState::Stopped => "stopped",
-                ContainerState::Removed => "removed",
-            }
-            .to_string(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -107,21 +107,6 @@ impl Default for HardwareProfile {
     }
 }
 
-impl stdshim::ToJson for HardwareProfile {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::JsonValue::object([
-            ("name", self.name.to_json()),
-            ("cpu_factor", self.cpu_factor.to_json()),
-            ("control_factor", self.control_factor.to_json()),
-            ("net_factor", self.net_factor.to_json()),
-            ("io_factor", self.io_factor.to_json()),
-            ("mem_bytes", self.mem_bytes.to_json()),
-            ("swap_bytes", self.swap_bytes.to_json()),
-            ("cores", self.cores.to_json()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

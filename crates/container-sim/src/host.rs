@@ -145,16 +145,6 @@ impl HostResources {
     }
 }
 
-impl stdshim::ToJson for ResourceSample {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::JsonValue::object([
-            ("used_mem", stdshim::ToJson::to_json(&self.used_mem)),
-            ("used_swap", stdshim::ToJson::to_json(&self.used_swap)),
-            ("cpu", stdshim::ToJson::to_json(&self.cpu)),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -407,12 +407,6 @@ impl LocalImageStore {
     }
 }
 
-impl stdshim::ToJson for ImageId {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::JsonValue::Str(self.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

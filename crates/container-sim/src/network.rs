@@ -163,12 +163,6 @@ impl NetworkConfig {
     }
 }
 
-impl stdshim::ToJson for NetworkMode {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::JsonValue::Str(self.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

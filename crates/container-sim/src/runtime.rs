@@ -96,12 +96,6 @@ impl std::fmt::Display for LanguageRuntime {
     }
 }
 
-impl stdshim::ToJson for LanguageRuntime {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::JsonValue::Str(self.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

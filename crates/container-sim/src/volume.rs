@@ -147,12 +147,6 @@ impl VolumeStore {
     }
 }
 
-impl stdshim::ToJson for VolumeId {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::ToJson::to_json(&self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

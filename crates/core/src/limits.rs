@@ -76,18 +76,6 @@ impl PoolLimits {
     }
 }
 
-impl stdshim::ToJson for PoolLimits {
-    fn to_json(&self) -> stdshim::JsonValue {
-        stdshim::JsonValue::object([
-            ("max_live", stdshim::ToJson::to_json(&self.max_live)),
-            (
-                "mem_threshold",
-                stdshim::ToJson::to_json(&self.mem_threshold),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,7 +16,7 @@ mod scan;
 
 use rules::Violation;
 use std::path::{Path, PathBuf};
-use stdshim::{JsonValue, ToJson};
+use stdshim::{JsonSink, JsonWriter, ToJson};
 
 /// The result of linting a workspace tree.
 #[derive(Debug)]
@@ -35,23 +35,34 @@ impl Outcome {
 }
 
 impl ToJson for Violation {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("file", self.file.to_json()),
-            ("line", self.line.to_json()),
-            ("rule", self.rule.to_json()),
-            ("message", self.msg.to_json()),
-        ])
+    fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
+        w.begin_object()?;
+        w.key("file")?;
+        w.str(&self.file)?;
+        w.key("line")?;
+        w.uint(self.line as u64)?;
+        w.key("rule")?;
+        w.str(self.rule)?;
+        w.key("message")?;
+        w.str(&self.msg)?;
+        w.end_object()
     }
 }
 
 impl ToJson for Outcome {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("clean", self.is_clean().to_json()),
-            ("files_scanned", self.scanned.to_json()),
-            ("violations", self.violations.to_json()),
-        ])
+    fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
+        w.begin_object()?;
+        w.key("clean")?;
+        w.bool(self.is_clean())?;
+        w.key("files_scanned")?;
+        w.uint(self.scanned as u64)?;
+        w.key("violations")?;
+        w.begin_array()?;
+        for v in &self.violations {
+            v.write_json(w)?;
+        }
+        w.end_array()?;
+        w.end_object()
     }
 }
 
@@ -122,4 +133,58 @@ pub fn lint_workspace(root: &Path) -> Result<Outcome, String> {
         violations,
         scanned: files.len(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--json` report's exact bytes: key order, number forms and
+    /// string escaping are what CI archives, so they are pinned here.
+    #[test]
+    fn json_report_golden_text() {
+        let violation = |file: &str, line, rule, msg: &str| Violation {
+            file: file.to_string(),
+            line,
+            rule,
+            msg: msg.to_string(),
+        };
+        let outcome = Outcome {
+            violations: vec![
+                violation(
+                    "crates/a/src/lib.rs",
+                    7,
+                    "unwrap",
+                    "`x.unwrap()` on the request path",
+                ),
+                violation(
+                    "crates/b/Cargo.toml",
+                    12,
+                    "hermetic-deps",
+                    "say \"path\" in C:\\deps",
+                ),
+            ],
+            scanned: 3,
+        };
+        let expected = r#"{
+  "clean": false,
+  "files_scanned": 3,
+  "violations": [
+    {
+      "file": "crates/a/src/lib.rs",
+      "line": 7,
+      "rule": "unwrap",
+      "message": "`x.unwrap()` on the request path"
+    },
+    {
+      "file": "crates/b/Cargo.toml",
+      "line": 12,
+      "rule": "hermetic-deps",
+      "message": "say \"path\" in C:\\deps"
+    }
+  ]
+}
+"#;
+        assert_eq!(stdshim::Json(&outcome).to_pretty_string(), expected);
+    }
 }

@@ -14,7 +14,7 @@
 
 use hotc_lint::{lint_workspace, workspace_root};
 use std::path::PathBuf;
-use stdshim::ToJson;
+use stdshim::Json;
 
 fn run() -> i32 {
     let mut json = false;
@@ -36,7 +36,7 @@ fn run() -> i32 {
     };
 
     if json {
-        println!("{}", outcome.to_json().to_pretty_string());
+        println!("{}", Json(&outcome).to_pretty_string());
     }
     if outcome.is_clean() {
         if !json {

@@ -17,7 +17,7 @@ use crate::histogram::LatencyHistogram;
 use crate::registry::{MetricsRegistry, StageHistograms};
 use crate::stage::{Stage, N_STAGES};
 use crate::timeseries::TimeSeries;
-use stdshim::{Json, JsonSink, JsonWriter, WriteJson};
+use stdshim::{Json, JsonSink, JsonWriter, ToJson};
 
 /// The prefix of per-function scopes, `fn/<function>`.
 pub(crate) const FN_PREFIX: &str = "fn/";
@@ -76,7 +76,7 @@ impl HistogramSummary {
     }
 }
 
-impl WriteJson for HistogramSummary {
+impl ToJson for HistogramSummary {
     fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
         w.begin_object()?;
         for (name, v) in [
@@ -170,7 +170,7 @@ fn write_series<S: JsonSink>(w: &mut JsonWriter<S>, ts: &TimeSeries) -> Result<(
     w.end_array()
 }
 
-impl WriteJson for MetricsSnapshot {
+impl ToJson for MetricsSnapshot {
     fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
         w.begin_object()?;
         w.key("counters")?;

@@ -1,7 +1,5 @@
 //! Streaming statistics via Welford's online algorithm.
 
-use stdshim::{JsonValue, ToJson};
-
 /// Single-pass mean/variance/min/max accumulator.
 ///
 /// Numerically stable (Welford) and mergeable, so per-worker accumulators
@@ -101,18 +99,6 @@ impl StreamingStats {
         self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-impl ToJson for StreamingStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("count", self.count().to_json()),
-            ("mean", self.mean().to_json()),
-            ("variance", self.variance().to_json()),
-            ("min", self.min().to_json()),
-            ("max", self.max().to_json()),
-        ])
     }
 }
 

@@ -4,7 +4,6 @@
 use crate::Predictor;
 
 use std::collections::VecDeque;
-use stdshim::{JsonValue, ToJson};
 
 /// Predicts the last observed value (naive persistence).
 #[derive(Debug, Clone, Default)]
@@ -144,38 +143,6 @@ impl Predictor for HistogramPredictor {
     }
     fn observations(&self) -> usize {
         self.observations
-    }
-}
-
-impl ToJson for LastValue {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("model", self.name().to_json()),
-            ("observations", self.observations().to_json()),
-            ("prediction", self.predict().to_json()),
-        ])
-    }
-}
-
-impl ToJson for MovingAverage {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("model", self.name().to_json()),
-            ("window", self.window.to_json()),
-            ("observations", self.observations().to_json()),
-            ("prediction", self.predict().to_json()),
-        ])
-    }
-}
-
-impl ToJson for HistogramPredictor {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("model", self.name().to_json()),
-            ("percentile", self.percentile.to_json()),
-            ("observations", self.observations().to_json()),
-            ("prediction", self.predict().to_json()),
-        ])
     }
 }
 

@@ -33,7 +33,6 @@ use crate::smoothing::{ExponentialSmoothing, InitialValue};
 use crate::Predictor;
 
 use std::collections::{BTreeMap, VecDeque};
-use stdshim::{JsonValue, ToJson};
 
 /// Maps an `f64` to a `u64` whose unsigned order matches IEEE-754 total
 /// order, so a `BTreeMap` keyed on it acts as an ordered multiset of raw
@@ -377,19 +376,6 @@ impl Predictor for EsMarkov {
 
     fn observations(&self) -> usize {
         self.observations
-    }
-}
-
-impl ToJson for EsMarkov {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("model", self.name().to_json()),
-            ("alpha", self.es.alpha().to_json()),
-            ("regions", self.regions.to_json()),
-            ("window", self.window_cap.to_json()),
-            ("observations", self.observations().to_json()),
-            ("prediction", self.predict().to_json()),
-        ])
     }
 }
 

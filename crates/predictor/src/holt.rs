@@ -18,7 +18,6 @@
 
 use crate::Predictor;
 
-use stdshim::{JsonValue, ToJson};
 /// Holt's linear (double) exponential smoothing.
 #[derive(Debug, Clone)]
 pub struct Holt {
@@ -50,11 +49,6 @@ impl Holt {
             trend: 0.0,
             observations: 0,
         }
-    }
-
-    /// The current trend estimate (change per step).
-    pub(crate) fn trend(&self) -> f64 {
-        self.trend
     }
 }
 
@@ -90,19 +84,6 @@ impl Predictor for Holt {
     }
 }
 
-impl ToJson for Holt {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("model", self.name().to_json()),
-            ("alpha", self.alpha.to_json()),
-            ("beta", self.beta.to_json()),
-            ("trend", self.trend().to_json()),
-            ("observations", self.observations().to_json()),
-            ("prediction", self.predict().to_json()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +98,7 @@ mod tests {
             h.observe(5.0);
         }
         assert!((h.predict() - 5.0).abs() < 1e-9);
-        assert!(h.trend().abs() < 1e-9);
+        assert!(h.trend.abs() < 1e-9);
     }
 
     #[test]
@@ -129,7 +110,7 @@ mod tests {
         // On a clean line the one-step forecast converges onto the line.
         let expected = 3.0 * 40.0 + 2.0;
         assert!((h.predict() - expected).abs() < 0.5, "{}", h.predict());
-        assert!((h.trend() - 3.0).abs() < 0.2, "trend {}", h.trend());
+        assert!((h.trend - 3.0).abs() < 0.2, "trend {}", h.trend);
     }
 
     #[test]

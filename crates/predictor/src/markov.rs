@@ -9,7 +9,6 @@
 
 use crate::Predictor;
 
-use stdshim::{JsonValue, ToJson};
 /// An equal-width partition of `[lo, hi]` into `n` regions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionPartition {
@@ -327,29 +326,6 @@ fn mat_mul(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
         }
     }
     out
-}
-
-impl ToJson for RegionPartition {
-    fn to_json(&self) -> JsonValue {
-        let (lo, _) = self.bounds(0);
-        let (_, hi) = self.bounds(self.len() - 1);
-        JsonValue::object([
-            ("lo", lo.to_json()),
-            ("hi", hi.to_json()),
-            ("regions", self.len().to_json()),
-        ])
-    }
-}
-
-impl ToJson for MarkovChain {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("model", self.name().to_json()),
-            ("partition", self.partition().to_json()),
-            ("observations", self.observations().to_json()),
-            ("prediction", self.predict().to_json()),
-        ])
-    }
 }
 
 #[cfg(test)]

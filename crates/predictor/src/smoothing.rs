@@ -9,7 +9,6 @@
 
 use crate::Predictor;
 
-use stdshim::{JsonValue, ToJson};
 /// Strategy for seeding `e_0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitialValue {
@@ -71,11 +70,6 @@ impl ExponentialSmoothing {
         *self = Self::with_init(self.alpha, self.init);
     }
 
-    /// The smoothing coefficient.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// The seeded smoothed value `e_t` and the factor one zero observation
     /// multiplies a non-negative `e_t` by: Eq. 1 with `history[t] = 0` is
     /// `α·0 + (1−α)·e = +0.0 + (1−α)·e`, and adding `+0.0` to a non-negative
@@ -125,30 +119,6 @@ impl Predictor for ExponentialSmoothing {
 
     fn observations(&self) -> usize {
         self.observations
-    }
-}
-
-impl ToJson for InitialValue {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                InitialValue::FirstObservation => "first-observation",
-                InitialValue::MeanOfFirst5 => "mean-of-first-5",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl ToJson for ExponentialSmoothing {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("model", self.name().to_json()),
-            ("alpha", self.alpha().to_json()),
-            ("init", self.init.to_json()),
-            ("observations", self.observations().to_json()),
-            ("prediction", self.predict().to_json()),
-        ])
     }
 }
 

@@ -4,21 +4,20 @@
 //! (`BENCH_*.json`, figure artifacts, `--metrics-out`). One serializer,
 //! [`JsonWriter`], writes every byte: objects, arrays, field names and
 //! scalars straight into a [`JsonSink`] (a `String`, a `Formatter` or a
-//! `BufWriter`). Large reports implement [`WriteJson`] and stream through
-//! it with no tree in between; small result structs implement [`ToJson`]
-//! by hand, building a [`JsonValue`] tree that prints through the same
-//! writer. There is no derive machinery, so every schema stays explicit.
+//! `BufWriter`). A type that has a JSON form implements the one trait,
+//! [`ToJson`], by hand and streams itself through that writer with no tree
+//! in between; there is no derive machinery, so every schema stays explicit.
 //!
 //! The CI perf-gate binary also needs to read those artifacts back, so
 //! [`JsonValue::parse`] provides the matching recursive-descent parser
 //! (strict JSON, byte-offset errors, bounded nesting depth) together with
 //! the typed accessors ([`JsonValue::get`], [`JsonValue::as_f64`], …) gate
-//! checks are written against.
+//! checks are written against. A [`JsonValue`] built by hand prints through
+//! the same writer.
 //!
 //! Object fields keep insertion order so emitted files are stable and
 //! diffable across runs.
 
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
 
@@ -49,13 +48,25 @@ impl JsonValue {
     }
 
     /// Builds an array by converting each item.
-    pub fn array<T: ToJson>(items: impl IntoIterator<Item = T>) -> JsonValue {
-        JsonValue::Array(items.into_iter().map(|x| x.to_json()).collect())
+    pub fn array<T: Into<JsonValue>>(items: impl IntoIterator<Item = T>) -> JsonValue {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
     }
 
     /// Serializes with two-space indentation, for human-inspected artifacts.
     pub fn to_pretty_string(&self) -> String {
         Json(self).to_pretty_string()
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::Str(s)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(f: f64) -> Self {
+        JsonValue::Float(f)
     }
 }
 
@@ -374,13 +385,6 @@ impl Parser<'_> {
     }
 }
 
-/// Conversion into a [`JsonValue`]; the workspace's replacement for
-/// `#[derive(Serialize)]`.
-pub trait ToJson {
-    /// Renders `self` as a JSON tree.
-    fn to_json(&self) -> JsonValue;
-}
-
 /// Where a [`JsonWriter`] puts its text: a `String`, a `Formatter`, or a
 /// `BufWriter` over a file or pipe. Errors pass through unchanged, so an io
 /// error reaches the caller as itself.
@@ -564,8 +568,8 @@ impl<S: JsonSink> JsonWriter<S> {
         self.out.put_fmt(format_args!("{i}"))
     }
 
-    /// An unsigned integer as `u64::to_json` renders it: an integer up to
-    /// `i64::MAX`, a float past it.
+    /// An unsigned integer: an integer up to `i64::MAX`, a float past it
+    /// (only plausible for raw nanosecond counters).
     pub fn uint(&mut self, u: u64) -> Result<(), S::Error> {
         match i64::try_from(u) {
             Ok(i) => self.int(i),
@@ -620,8 +624,9 @@ impl<S: JsonSink> JsonWriter<S> {
     }
 }
 
-/// A value that writes itself through a [`JsonWriter`], building nothing.
-pub trait WriteJson {
+/// A value with a JSON form, which it writes through a [`JsonWriter`],
+/// building nothing; the workspace's replacement for `#[derive(Serialize)]`.
+pub trait ToJson {
     /// Writes `self` as one JSON value.
     fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error>;
 }
@@ -631,7 +636,7 @@ pub trait WriteJson {
 /// compact through `Display`.
 pub struct Json<'a, T: ?Sized>(pub &'a T);
 
-impl<T: WriteJson + ?Sized> Json<'_, T> {
+impl<T: ToJson + ?Sized> Json<'_, T> {
     /// The pretty text plus a trailing newline, streamed into one `String`.
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
@@ -649,7 +654,7 @@ impl<T: WriteJson + ?Sized> Json<'_, T> {
     }
 }
 
-impl<T: WriteJson + ?Sized> fmt::Display for Json<'_, T> {
+impl<T: ToJson + ?Sized> fmt::Display for Json<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.0.write_json(&mut JsonWriter::new(f, false))
     }
@@ -664,7 +669,7 @@ impl fmt::Display for JsonValue {
 }
 
 /// Walks the tree through the one serializer.
-impl WriteJson for JsonValue {
+impl ToJson for JsonValue {
     fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
         match self {
             JsonValue::Null => w.null(),
@@ -691,107 +696,6 @@ impl WriteJson for JsonValue {
     }
 }
 
-impl ToJson for JsonValue {
-    fn to_json(&self) -> JsonValue {
-        self.clone()
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Bool(*self)
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Float(*self)
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Float(*self as f64)
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.clone())
-    }
-}
-
-macro_rules! impl_tojson_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> JsonValue {
-                JsonValue::Int(*self as i64)
-            }
-        }
-    )*};
-}
-impl_tojson_int!(i8, i16, i32, i64, isize, u8, u16, u32, usize);
-
-impl ToJson for u64 {
-    fn to_json(&self) -> JsonValue {
-        // u64 can exceed i64; fall back to float for the astronomically
-        // large values (only plausible for raw nanosecond counters).
-        match i64::try_from(*self) {
-            Ok(i) => JsonValue::Int(i),
-            Err(_) => JsonValue::Float(*self as f64),
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            Some(v) => v.to_json(),
-            None => JsonValue::Null,
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> JsonValue {
-        (**self).to_json()
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<K: std::fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -799,33 +703,39 @@ mod tests {
     #[test]
     fn scalars_render() {
         assert_eq!(JsonValue::Null.to_string(), "null");
-        assert_eq!(true.to_json().to_string(), "true");
-        assert_eq!(42u32.to_json().to_string(), "42");
-        assert_eq!((-7i64).to_json().to_string(), "-7");
-        assert_eq!(1.5f64.to_json().to_string(), "1.5");
-        assert_eq!("hi".to_json().to_string(), "\"hi\"");
+        assert_eq!(JsonValue::Bool(true).to_string(), "true");
+        assert_eq!(JsonValue::Int(42).to_string(), "42");
+        assert_eq!(JsonValue::Int(-7).to_string(), "-7");
+        assert_eq!(JsonValue::Float(1.5).to_string(), "1.5");
+        assert_eq!(JsonValue::from("hi".to_string()).to_string(), "\"hi\"");
     }
 
     #[test]
     fn floats_stay_floats() {
         // A whole-number float must keep its decimal point.
-        assert_eq!(1.0f64.to_json().to_string(), "1.0");
-        assert_eq!(f64::NAN.to_json().to_string(), "null");
-        assert_eq!(f64::INFINITY.to_json().to_string(), "null");
+        assert_eq!(JsonValue::from(1.0).to_string(), "1.0");
+        assert_eq!(JsonValue::from(f64::NAN).to_string(), "null");
+        assert_eq!(JsonValue::from(f64::INFINITY).to_string(), "null");
     }
 
     #[test]
     fn strings_escape() {
         let s = "a\"b\\c\nd\te\u{1}";
-        assert_eq!(s.to_json().to_string(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+        assert_eq!(
+            JsonValue::Str(s.to_string()).to_string(),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001\""
+        );
     }
 
     #[test]
     fn collections_nest() {
         let v = JsonValue::object([
-            ("name", "pool".to_json()),
-            ("samples", vec![1u64, 2, 3].to_json()),
-            ("p99", 1.25f64.to_json()),
+            ("name", JsonValue::Str("pool".to_string())),
+            (
+                "samples",
+                JsonValue::Array((1..=3).map(JsonValue::Int).collect()),
+            ),
+            ("p99", JsonValue::Float(1.25)),
             ("skipped", JsonValue::Null),
         ]);
         assert_eq!(
@@ -836,13 +746,13 @@ mod tests {
 
     #[test]
     fn field_order_preserved() {
-        let v = JsonValue::object([("z", 1u8.to_json()), ("a", 2u8.to_json())]);
+        let v = JsonValue::object([("z", JsonValue::Int(1)), ("a", JsonValue::Int(2))]);
         assert_eq!(v.to_string(), r#"{"z":1,"a":2}"#);
     }
 
     #[test]
     fn pretty_print_indents() {
-        let v = JsonValue::object([("xs", vec![1u8].to_json())]);
+        let v = JsonValue::object([("xs", JsonValue::Array(vec![JsonValue::Int(1)]))]);
         assert_eq!(v.to_pretty_string(), "{\n  \"xs\": [\n    1\n  ]\n}\n");
     }
 
@@ -854,7 +764,7 @@ mod tests {
     #[test]
     fn golden_pretty_and_compact_text() {
         let v = JsonValue::object([
-            ("counters", JsonValue::object([("a/b", 7u64.to_json())])),
+            ("counters", JsonValue::object([("a/b", JsonValue::Int(7))])),
             ("empty_obj", JsonValue::Object(vec![])),
             ("empty_arr", JsonValue::Array(vec![])),
             (
@@ -868,7 +778,7 @@ mod tests {
                     ]),
                 )]),
             ),
-            ("flag", true.to_json()),
+            ("flag", JsonValue::Bool(true)),
         ]);
         let pretty = r#"{
   "counters": {
@@ -917,30 +827,31 @@ mod tests {
 
     #[test]
     fn huge_u64_degrades_to_float() {
-        let v = u64::MAX.to_json().to_string();
+        let uint = |u| {
+            let mut out = String::new();
+            JsonWriter::new(&mut out, false).uint(u).unwrap();
+            out
+        };
+        assert_eq!(uint(i64::MAX as u64), i64::MAX.to_string());
+        let v = uint(u64::MAX);
         assert!(v.contains('e') || v.contains('.'), "got {v}");
-    }
-
-    #[test]
-    fn options_and_maps() {
-        let mut m = BTreeMap::new();
-        m.insert("k", Some(3u8));
-        m.insert("gone", None);
-        assert_eq!(m.to_json().to_string(), r#"{"gone":null,"k":3}"#);
     }
 
     #[test]
     fn parse_round_trips_serializer_output() {
         let v = JsonValue::object([
-            ("name", "pool\n\"x\"".to_json()),
-            ("samples", vec![1u64, 2, 3].to_json()),
-            ("p99", 1.25f64.to_json()),
-            ("neg", (-7i64).to_json()),
-            ("flag", true.to_json()),
+            ("name", JsonValue::Str("pool\n\"x\"".to_string())),
+            (
+                "samples",
+                JsonValue::Array((1..=3).map(JsonValue::Int).collect()),
+            ),
+            ("p99", JsonValue::Float(1.25)),
+            ("neg", JsonValue::Int(-7)),
+            ("flag", JsonValue::Bool(true)),
             ("skipped", JsonValue::Null),
             (
                 "nested",
-                JsonValue::object([("deep", vec![0.5f64].to_json())]),
+                JsonValue::object([("deep", JsonValue::array([0.5]))]),
             ),
         ]);
         assert_eq!(JsonValue::parse(&v.to_string()).expect("compact"), v);
