@@ -51,6 +51,22 @@ fn bench_combined_step(h: &mut Harness) {
     });
 }
 
+fn bench_idle_key(h: &mut Harness) {
+    // A controller key's step as it really runs: a full window of sparse
+    // integer demand; each interval replays an idle stretch, takes one
+    // request, predicts and asks how long the key's level holds.
+    let mut p = EsMarkov::paper_default();
+    for i in 0..256 {
+        p.observe(if i % 13 == 0 { (1 + i % 3) as f64 } else { 0.0 });
+    }
+    h.bench("es_markov_idle_key", || {
+        p.observe_zeros(12);
+        p.observe(1.0);
+        black_box(p.predict());
+        black_box(p.zero_run_holding(1))
+    });
+}
+
 fn bench_partition_lookup(h: &mut Harness) {
     let partition = RegionPartition::new(0.0, 100.0, 8);
     let mut x = 0.0f64;
@@ -66,6 +82,7 @@ fn main() {
     bench_markov_fit(&mut h);
     bench_markov_kstep(&mut h);
     bench_combined_step(&mut h);
+    bench_idle_key(&mut h);
     bench_partition_lookup(&mut h);
     h.finish();
 }

@@ -3,7 +3,8 @@
 //! warm clustered one allocates only what amortised table growth costs, and
 //! a key that churns out of the pool and back in pays nothing it paid
 //! before; serialising the metrics snapshot allocates only its output. An
-//! interned key and a key's first slot chunk hold only what they need.
+//! interned key, a key's first slot chunk and a key's predictor hold only
+//! what they need.
 //!
 //! This target installs its own counting global allocator — the same scoped
 //! `unsafe` as the benchmark's counted pass, for the same reason. It counts
@@ -16,6 +17,7 @@ use faas::{AppProfile, ColdStartAlways, FunctionSpec, Gateway, RuntimeProvider};
 use hotc::{HotC, HotCConfig, KeyInterner, KeyPolicy, PoolLimits, RuntimePool};
 use hotc_cluster::{Cluster, SchedulePolicy};
 use metrics_lite::{MetricsRegistry, Stage, StageSample};
+use predictor::{EsMarkov, Predictor};
 use simclock::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -363,4 +365,22 @@ fn a_first_cold_start_holds_one_small_chunk() {
         chunk <= 160,
         "a key's first cold start held {chunk} B of slot chunks"
     );
+}
+
+/// A predictor holds its window's runs, not its samples: the paper's
+/// predictor fed 1 000 intervals of sparse demand (one request every 25)
+/// holds ≤ 1 024 B of heap — its 6×6 count matrix and a deque of ≈21 runs.
+/// One `f64` per sample and a `BTreeMap` of the window's values held
+/// 2 480 B.
+#[test]
+fn a_saturated_idle_predictor_holds_its_runs() {
+    let (p, bytes) = held(|| {
+        let mut p = EsMarkov::paper_default();
+        for i in 0..1_000 {
+            p.observe(if i % 25 == 0 { 1.0 } else { 0.0 });
+        }
+        p
+    });
+    assert_eq!(p.observations(), 1_000);
+    assert!(bytes <= 1_024, "a saturated idle predictor held {bytes} B");
 }

@@ -628,12 +628,25 @@ impl Scenario {
             }
         }
 
+        // A value the trace generator asserts against is a parse error, not
+        // a panic mid-run. Defaults all pass, so a failure has a line.
+        let require = |key: &str, ok: bool, what: &str| -> Result<(), ParseError> {
+            match get(key) {
+                Some((_, l)) if !ok => err(l, format!("{key} must be {what}")),
+                _ => Ok(()),
+            }
+        };
         let synth_defaults =
             |kv_peak: f64| -> Result<(u64, usize, SimDuration, f64, f64), ParseError> {
+                let requests = get_u64("requests", 100_000)?;
+                let keys = get_usize("keys", 100)?;
+                require("keys", keys > 0, "positive")?;
+                let duration = get_duration("duration", SimDuration::from_mins(1440))?;
+                require("duration", !duration.is_zero(), "positive")?;
                 Ok((
-                    get_u64("requests", 100_000)?,
-                    get_usize("keys", 100)?,
-                    get_duration("duration", SimDuration::from_mins(1440))?,
+                    requests,
+                    keys,
+                    duration,
                     get_f64("zipf", 1.1)?,
                     get_f64("peak", kv_peak)?,
                 ))
@@ -683,20 +696,33 @@ impl Scenario {
                     round: get_duration("round", round_default)?,
                 }
             }
-            "poisson" => WorkloadSpec::Poisson {
-                rate: get_f64("rate", 2.0)?,
-                duration: get_duration("duration", SimDuration::from_secs(600))?,
-                zipf: get_f64("zipf", 1.1)?,
-            },
-            "youtube" => WorkloadSpec::Youtube {
-                scale: get_f64("scale", 10.0)?,
-                index: get_duration("index", SimDuration::from_secs(300))?,
-                length: get_usize("length", 288)?,
-            },
-            "azure" => WorkloadSpec::Azure {
-                functions: get_usize("functions", 20)?,
-                duration: get_duration("duration", SimDuration::from_mins(120))?,
-            },
+            "poisson" => {
+                let rate = get_f64("rate", 2.0)?;
+                require("rate", rate > 0.0, "positive")?;
+                require("rate", rate.is_finite(), "finite")?;
+                WorkloadSpec::Poisson {
+                    rate,
+                    duration: get_duration("duration", SimDuration::from_secs(600))?,
+                    zipf: get_f64("zipf", 1.1)?,
+                }
+            }
+            "youtube" => {
+                let length = get_usize("length", 288)?;
+                require("length", length > 0, "positive")?;
+                WorkloadSpec::Youtube {
+                    scale: get_f64("scale", 10.0)?,
+                    index: get_duration("index", SimDuration::from_secs(300))?,
+                    length,
+                }
+            }
+            "azure" => {
+                let functions = get_usize("functions", 20)?;
+                require("functions", functions > 0, "positive")?;
+                WorkloadSpec::Azure {
+                    functions,
+                    duration: get_duration("duration", SimDuration::from_mins(120))?,
+                }
+            }
             "synth" => {
                 let flat = match get("shape") {
                     None | Some(("diurnal", _)) => false,
@@ -740,8 +766,10 @@ impl Scenario {
             }
             "multi-tenant" => {
                 let (requests, keys, duration, zipf, _) = synth_defaults(1.0)?;
+                let tenants = get_usize("tenants", 4)?;
+                require("tenants", tenants > 0, "positive")?;
                 WorkloadSpec::MultiTenant {
-                    tenants: get_usize("tenants", 4)?,
+                    tenants,
                     requests,
                     keys,
                     duration,
@@ -752,9 +780,11 @@ impl Scenario {
                 let Some((path, _)) = get("path") else {
                     return err(pattern_line, "pattern 'azure-csv' needs a 'path' key");
                 };
+                let interval = get_duration("interval", SimDuration::from_mins(1))?;
+                require("interval", !interval.is_zero(), "positive")?;
                 WorkloadSpec::AzureCsv {
                     path: path.to_string(),
-                    interval: get_duration("interval", SimDuration::from_mins(1))?,
+                    interval,
                 }
             }
             "opendc" => {
@@ -864,6 +894,39 @@ mod tests {
             let e = Scenario::parse(&format!("seed = 1\ntick = {tick}\n")).unwrap_err();
             assert_eq!(e.line, 2, "{tick}: {e}");
             assert!(e.message.contains("tick must be positive"), "{tick}: {e}");
+        }
+    }
+
+    /// Values the trace generators assert against: each is rejected with
+    /// its line, never handed to a generator that panics mid-run.
+    #[test]
+    fn non_positive_workload_values_rejected() {
+        for (pattern, line, message) in [
+            ("synth", "keys = 0", "keys must be positive"),
+            ("flash-crowd", "keys = 0", "keys must be positive"),
+            ("deploy-waves", "keys = 0", "keys must be positive"),
+            ("synth", "duration = 0m", "duration must be positive"),
+            ("flash-crowd", "duration = 0m", "duration must be positive"),
+            ("multi-tenant", "duration = 0s", "duration must be positive"),
+            ("multi-tenant", "tenants = 0", "tenants must be positive"),
+            ("poisson", "rate = 0", "rate must be positive"),
+            ("poisson", "rate = -2.5", "rate must be positive"),
+            ("poisson", "rate = NaN", "rate must be positive"),
+            ("poisson", "rate = inf", "rate must be finite"),
+            ("azure", "functions = 0", "functions must be positive"),
+            ("youtube", "length = 0", "length must be positive"),
+            (
+                "azure-csv",
+                "interval = 0s\npath = t.csv",
+                "interval must be positive",
+            ),
+        ] {
+            let text = format!(
+                "seed = 1\n\n[function f]\napp = random-number\n\n[workload]\npattern = {pattern}\n{line}\n"
+            );
+            let e = Scenario::parse(&text).unwrap_err();
+            assert_eq!(e.line, 8, "{pattern} {line}: {e}");
+            assert!(e.message.contains(message), "{pattern} {line}: {e}");
         }
     }
 

@@ -116,3 +116,27 @@ fn a_zero_tick_is_a_parse_error_and_leaves_no_metrics_file() {
     assert!(stderr.contains("tick must be positive"), "{stderr}");
     assert!(!dir.join("m.json").exists());
 }
+
+/// A workload value its trace generator would assert against — no keys, a
+/// zero span, a rate that is not positive — fails the parse: exit 1 and no
+/// metrics file, not a panic (exit 101) after the file was created.
+#[test]
+fn a_non_positive_workload_value_is_a_parse_error_and_leaves_no_metrics_file() {
+    let dir = workdir("non_positive");
+    for (pattern, line, message) in [
+        ("synth", "keys = 0", "keys must be positive"),
+        ("flash-crowd", "duration = 0m", "duration must be positive"),
+        ("poisson", "rate = 0", "rate must be positive"),
+    ] {
+        let text = format!(
+            "seed = 1\n\n[function f]\napp = random-number\n\n[workload]\npattern = {pattern}\n{line}\n"
+        );
+        std::fs::write(dir.join("bad.hotc"), text).unwrap();
+        let out = hotc_sim(&dir, &["bad.hotc", "--metrics-out", "m.json"]);
+        assert_eq!(out.status.code(), Some(1), "{pattern} {line}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("scenario parse error"), "{stderr}");
+        assert!(stderr.contains(message), "{stderr}");
+        assert!(!dir.join("m.json").exists(), "{pattern} {line}");
+    }
+}

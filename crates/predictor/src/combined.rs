@@ -32,23 +32,74 @@ use crate::markov::{MarkovChain, RegionPartition};
 use crate::smoothing::{ExponentialSmoothing, InitialValue};
 use crate::Predictor;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 
-/// Maps an `f64` to a `u64` whose unsigned order matches IEEE-754 total
-/// order, so a `BTreeMap` keyed on it acts as an ordered multiset of raw
-/// samples (min/max in O(log n), exact under duplicate values).
-fn total_order_bits(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
+/// The `(min, max)` of `span` and `x` in IEEE-754 total order.
+fn extend(span: Option<(f64, f64)>, x: f64) -> (f64, f64) {
+    match span {
+        None => (x, x),
+        Some((lo, hi)) => (
+            if x.total_cmp(&lo).is_lt() { x } else { lo },
+            if x.total_cmp(&hi).is_gt() { x } else { hi },
+        ),
     }
 }
 
-/// Inverse of [`total_order_bits`].
-fn from_total_order_bits(k: u64) -> f64 {
-    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+/// A window's exact `(min, max)` in IEEE-754 total order, each with the
+/// number of samples holding its bits: an eviction moves an end only when
+/// it takes the last of them.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    lo: (f64, usize),
+    hi: (f64, usize),
+}
+
+impl Ends {
+    /// The ends of a window given as runs; `None` when it is empty.
+    fn of(runs: &VecDeque<(f64, usize)>) -> Option<Ends> {
+        let mut runs = runs.iter();
+        let &(x, n) = runs.next()?;
+        let mut ends = Ends {
+            lo: (x, n),
+            hi: (x, n),
+        };
+        for &(x, n) in runs {
+            ends.add(x, n);
+        }
+        Some(ends)
+    }
+
+    /// Takes in `n` samples of `x`.
+    fn add(&mut self, x: f64, n: usize) {
+        match x.total_cmp(&self.lo.0) {
+            Ordering::Less => self.lo = (x, n),
+            Ordering::Equal => self.lo.1 += n,
+            Ordering::Greater => {}
+        }
+        match x.total_cmp(&self.hi.0) {
+            Ordering::Greater => self.hi = (x, n),
+            Ordering::Equal => self.hi.1 += n,
+            Ordering::Less => {}
+        }
+    }
+
+    /// Lets one sample of `x` go; `false` when it was the last of an end,
+    /// which only a rescan of the window can replace.
+    fn remove(&mut self, x: f64) -> bool {
+        let mut kept = true;
+        for (end, n) in [&mut self.lo, &mut self.hi] {
+            if end.to_bits() == x.to_bits() {
+                *n -= 1;
+                kept &= *n > 0;
+            }
+        }
+        kept
+    }
+
+    fn span(self) -> (f64, f64) {
+        (self.lo.0, self.hi.0)
+    }
 }
 
 /// Exponential smoothing with a Markov-chain region correction.
@@ -66,8 +117,12 @@ fn from_total_order_bits(k: u64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct EsMarkov {
     es: ExponentialSmoothing,
-    /// Sliding window of raw observations used to (re)build the partition.
-    window: VecDeque<f64>,
+    /// Sliding window of raw observations used to (re)build the partition,
+    /// as runs `(value, count)` of bit-identical samples, oldest first;
+    /// adjacent runs differ, so the encoding is unique.
+    runs: VecDeque<(f64, usize)>,
+    /// Samples in `runs`.
+    len: usize,
     /// Window capacity.
     window_cap: usize,
     /// Number of demand regions.
@@ -75,12 +130,9 @@ pub struct EsMarkov {
     /// Chain over the windowed demand regions, maintained incrementally and
     /// rebuilt only when the window's value range drifts.
     chain: MarkovChain,
-    /// Ordered multiset of the windowed values; its ends are the exact
-    /// min/max, which decide whether the partition (and thus every region
-    /// assignment) is still valid after an eviction. Built lazily when the
-    /// window first saturates: while it is still growing nothing is ever
-    /// evicted, so a running min/max tracks the span without tree upkeep.
-    values: BTreeMap<u64, u32>,
+    /// The window's exact ends, which decide whether the partition (and
+    /// thus every region assignment) is still valid after an eviction.
+    ends: Option<Ends>,
     /// The `(min, max)` the current partition was built from.
     span: Option<(f64, f64)>,
     observations: usize,
@@ -99,17 +151,15 @@ impl EsMarkov {
         assert!(window_cap >= 2, "window must hold at least two samples");
         EsMarkov {
             es: ExponentialSmoothing::with_init(alpha, init),
-            // The window grows on demand past a small initial capacity: a
-            // controller builds one predictor per runtime key, and most keys
-            // never fill a 256-sample window, so preallocating `window_cap`
-            // would waste ~2 KB per key. Starting at 16 keeps the first
-            // doublings (the common lifetime of a short-lived key) out of
-            // the controller's steady-state ticks.
-            window: VecDeque::with_capacity(window_cap.min(16)),
+            // A controller builds one predictor per runtime key, and a full
+            // window of sparse demand is a few dozen runs, not `window_cap`
+            // samples: the deque grows on demand from 8 runs.
+            runs: VecDeque::with_capacity(8),
+            len: 0,
             window_cap,
             regions,
             chain: MarkovChain::new(RegionPartition::new(0.0, 1.0, regions)),
-            values: BTreeMap::new(),
+            ends: None,
             span: None,
             observations: 0,
         }
@@ -122,10 +172,11 @@ impl EsMarkov {
     /// one for the next key.
     pub fn reset(&mut self) {
         self.es.reset();
-        self.window.clear();
+        self.runs.clear();
+        self.len = 0;
         self.chain
             .reset(RegionPartition::new(0.0, 1.0, self.regions));
-        self.values.clear();
+        self.ends = None;
         self.span = None;
         self.observations = 0;
     }
@@ -145,21 +196,26 @@ impl EsMarkov {
         &self.chain
     }
 
-    /// Rebuilds the chain from the current window. Only reached when the
-    /// window's min/max actually moved — a partition shift reassigns regions
-    /// wholesale, so there is nothing to update incrementally. Steady demand
-    /// series revisit the same range, making this the rare path;
-    /// [`Predictor::observe`] handles the common case in O(log window).
-    fn rebuild_chain(&mut self) {
-        let (head, tail) = self.window.as_slices();
-        self.chain.refit(head, tail, self.regions);
+    /// Appends `n` samples of `value`, extending the newest run when it
+    /// holds the same bits.
+    fn push_back(&mut self, value: f64, n: usize) {
+        match self.runs.back_mut() {
+            Some((x, count)) if x.to_bits() == value.to_bits() => *count += n,
+            _ => self.runs.push_back((value, n)),
+        }
+        self.len += n;
     }
 
-    /// Exact `(min, max)` of the windowed values via the ordered multiset.
-    fn window_span(&self) -> Option<(f64, f64)> {
-        let (&lo, _) = self.values.first_key_value()?;
-        let (&hi, _) = self.values.last_key_value()?;
-        Some((from_total_order_bits(lo), from_total_order_bits(hi)))
+    /// Evicts the oldest sample and returns it.
+    fn pop_front(&mut self) -> Option<f64> {
+        let (value, count) = self.runs.front_mut()?;
+        let value = *value;
+        *count -= 1;
+        if *count == 0 {
+            self.runs.pop_front();
+        }
+        self.len -= 1;
+        Some(value)
     }
 
     /// The window's largest sample, if its smallest is `+0.0` and none is
@@ -178,24 +234,34 @@ impl EsMarkov {
     ///
     /// Once the window is saturated, its low end is `+0.0`, the chain sits in
     /// region 0 and the two oldest samples are `+0.0` too, a zero evicts a
-    /// `0 → 0` transition and appends one: the multiset, the span and every
-    /// count stand, so the replay is the smoother's step and a rotation of
-    /// the window. Anything else goes through `observe`.
+    /// `0 → 0` transition and appends one: the span and every count stand,
+    /// so the replay is the smoother's step and a zero moved from the front
+    /// run to the back one — `front run − 1` of them at once, or all `k`
+    /// when the window is one `+0.0` run. Anything else goes through
+    /// `observe`.
     pub fn observe_zeros(&mut self, mut k: usize) {
         while k > 0 {
-            if self.window.len() == self.window_cap
+            if self.len == self.window_cap
                 && self.max_over_zero_low_end().is_some()
                 && self.chain.current_state() == Some(0)
             {
                 // None of the three premises above is undone by a replayed
                 // zero; only the window's front moves.
-                while k > 0 && self.window[0].to_bits() == 0 && self.window[1].to_bits() == 0 {
-                    self.observations += 1;
+                let m = match self.runs.front() {
+                    Some(&(x, n)) if x.to_bits() == 0 && self.runs.len() > 1 => k.min(n - 1),
+                    Some(&(x, _)) if x.to_bits() == 0 => k,
+                    _ => 0,
+                };
+                for _ in 0..m {
                     self.es.observe(0.0);
-                    self.window.rotate_left(1);
-                    self.chain.slide_self_loop();
-                    k -= 1;
                 }
+                self.observations += m;
+                if self.runs.len() > 1 && m > 0 {
+                    self.runs[0].1 -= m;
+                    self.len -= m;
+                    self.push_back(0.0, m);
+                }
+                k -= m;
                 if k == 0 {
                     break;
                 }
@@ -250,8 +316,15 @@ impl EsMarkov {
         let span_stands = if max == 0.0 {
             usize::MAX
         } else {
-            let last_max = self.window.iter().rposition(|&x| x == max);
-            (self.window_cap - self.window.len()) + last_max.unwrap_or(0)
+            let mut end = self.len;
+            let last_max = self.runs.iter().rev().find_map(|&(x, n)| {
+                if x == max {
+                    return Some(end - 1);
+                }
+                end -= n;
+                None
+            });
+            (self.window_cap - self.len) + last_max.unwrap_or(0)
         };
         above_floor.min(span_stands).min(self.window_cap)
     }
@@ -281,59 +354,45 @@ impl Predictor for EsMarkov {
     fn observe(&mut self, value: f64) {
         self.observations += 1;
         self.es.observe(value);
-        let evicted = if self.window.len() == self.window_cap {
-            self.window.pop_front()
+        let evicted = if self.len == self.window_cap {
+            self.pop_front()
         } else {
             None
         };
-        self.window.push_back(value);
-        let span = if evicted.is_some_and(|old| old.to_bits() == value.to_bits()) {
-            // The multiset would lose and regain the very element that left
-            // the window: its ends, and so the span, are what they were.
-            self.span
-        } else if let Some(old) = evicted {
-            let bits = total_order_bits(old);
-            if let Some(count) = self.values.get_mut(&bits) {
-                *count -= 1;
-                if *count == 0 {
-                    self.values.remove(&bits);
+        self.push_back(value, 1);
+        let span = match (evicted, self.ends.as_mut()) {
+            // The window loses and regains the very value that left it: its
+            // ends, and so the span, are what they were.
+            (Some(old), _) if old.to_bits() == value.to_bits() => self.span,
+            (Some(old), Some(ends)) => {
+                if ends.remove(old) {
+                    ends.add(value, 1);
+                } else {
+                    self.ends = Ends::of(&self.runs);
+                }
+                self.ends.map(Ends::span)
+            }
+            (_, ends) => {
+                match ends {
+                    Some(ends) => ends.add(value, 1),
+                    None => self.ends = Ends::of(&self.runs),
+                }
+                if self.len == self.window_cap {
+                    // The window just saturated: evictions start with the
+                    // next observation, and the exact ends take over.
+                    self.ends.map(Ends::span)
+                } else {
+                    // Growing window: nothing is ever evicted, so the span
+                    // only extends.
+                    Some(extend(self.span, value))
                 }
             }
-            *self.values.entry(total_order_bits(value)).or_insert(0) += 1;
-            self.window_span()
-        } else if self.window.len() == self.window_cap {
-            // The window just saturated: evictions start with the next
-            // observation, so materialise the multiset once here.
-            for &x in &self.window {
-                *self.values.entry(total_order_bits(x)).or_insert(0) += 1;
-            }
-            self.window_span()
-        } else {
-            // Growing window: nothing is ever evicted, so the span only
-            // extends. Running min/max in IEEE total order matches the
-            // multiset's ends exactly, without any tree upkeep.
-            let bits = total_order_bits(value);
-            Some(match self.span {
-                None => (value, value),
-                Some((lo, hi)) => (
-                    if bits < total_order_bits(lo) {
-                        value
-                    } else {
-                        lo
-                    },
-                    if bits > total_order_bits(hi) {
-                        value
-                    } else {
-                        hi
-                    },
-                ),
-            })
         };
         // NaN spans compare unequal to themselves, which safely forces the
         // rebuild path until the offending sample leaves the window.
         if span != self.span {
             self.span = span;
-            self.rebuild_chain();
+            self.chain.refit(&self.runs, self.regions);
             return;
         }
         // Range unchanged ⇒ the partition is byte-identical to what a batch
@@ -342,12 +401,10 @@ impl Predictor for EsMarkov {
         // append the new observation — counts now equal a full refit. The
         // evicted sample's region (and the new head's) is recomputed from
         // the unchanged partition in O(1) rather than stored alongside it.
-        if let Some(old) = evicted {
+        if let (Some(old), Some(&(head, _))) = (evicted, self.runs.front()) {
             let partition = self.chain.partition();
             let from = partition.state_of(old);
-            if let Some(&head) = self.window.front() {
-                self.chain.forget_oldest(from, partition.state_of(head));
-            }
+            self.chain.forget_oldest(from, partition.state_of(head));
         }
         self.chain.observe(value);
     }
@@ -536,11 +593,32 @@ mod tests {
         });
     }
 
+    /// Asserts that `p`'s runs expand, bit for bit, to the last ≤ `cap`
+    /// samples of `history`, with no empty run and no two adjacent runs of
+    /// the same bits, and that its ends are that window's, with their counts.
+    fn assert_window_is_tail(p: &EsMarkov, history: &[f64]) {
+        let tail = &history[history.len().saturating_sub(p.window_cap)..];
+        let samples: Vec<u64> = tail.iter().map(|x| x.to_bits()).collect();
+        let expanded: Vec<u64> = (p.runs.iter())
+            .flat_map(|&(x, n)| std::iter::repeat_n(x.to_bits(), n))
+            .collect();
+        assert_eq!(expanded, samples, "{:?}", p.runs);
+        assert_eq!(p.len, tail.len());
+        let canonical = (p.runs.iter().enumerate())
+            .all(|(i, &(x, n))| n > 0 && (i == 0 || p.runs[i - 1].0.to_bits() != x.to_bits()));
+        assert!(canonical, "{:?}", p.runs);
+        let count = |end: f64| samples.iter().filter(|&&x| x == end.to_bits()).count();
+        let exact = tail.iter().fold(None, |span, &x| Some(extend(span, x)));
+        let expected = exact.map(|(lo, hi)| ((lo.to_bits(), count(lo)), (hi.to_bits(), count(hi))));
+        let ends = (p.ends).map(|Ends { lo, hi }| ((lo.0.to_bits(), lo.1), (hi.0.to_bits(), hi.1)));
+        assert_eq!(ends, expected);
+    }
+
     /// The same-bits lane of `observe` (the evicted sample and the new one
-    /// are one value, so the multiset is left alone): a constant series and
+    /// are one value, so the ends are left alone): a constant series and
     /// a series whose period is the window length take it on every
     /// observation past saturation, and must still equal the batch fit —
-    /// with the multiset still a count of the window.
+    /// with the runs still an encoding of the window.
     #[test]
     fn same_bits_eviction_matches_batch_fit() {
         let cap = 6;
@@ -558,13 +636,7 @@ mod tests {
                 assert_eq!(p.chain().partition(), batch.partition());
                 assert_eq!(p.chain().current_state(), batch.current_state());
                 assert_eq!(p.chain().transition_counts(), batch.transition_counts());
-                if window.len() == cap {
-                    let mut recount = BTreeMap::new();
-                    for &x in window {
-                        *recount.entry(total_order_bits(x)).or_insert(0) += 1;
-                    }
-                    assert_eq!(p.values, recount, "multiset after observation {i}");
-                }
+                assert_window_is_tail(&p, &series[..=i]);
             }
         }
     }
@@ -670,19 +742,20 @@ mod tests {
     }
 
     /// `observe_zeros(k)` is `k × observe(0.0)` down to the last bit of
-    /// state: the `Debug` rendering covers the smoother, the window, the
-    /// multiset, the span and the chain with its counts and `version`. The
-    /// replay starts inside a growing window or a saturated one and runs
-    /// across saturation and across the window maximum's eviction.
+    /// state: the `Debug` rendering covers the smoother, the runs, the
+    /// ends, the span and the chain with its counts. The replay starts
+    /// inside a growing window or a saturated one and runs across
+    /// saturation and across the window maximum's eviction.
     ///
-    /// Fails when the fast lane skips the smoother step, and when it skips
-    /// the `version` bump (each checked once on a scratch copy).
+    /// Fails when the fast lane skips the smoother step (checked once on a
+    /// scratch copy).
     #[test]
     fn prop_observe_zeros_is_repeated_observe() {
         testkit::check(96, |g| {
             let cap = *g.pick(&[256, 256, 16]);
             let mut fast = EsMarkov::with_params(0.8, InitialValue::MeanOfFirst5, 6, cap);
-            for x in idle_heavy_series(g) {
+            let mut history = idle_heavy_series(g);
+            for &x in &history {
                 fast.observe(x);
             }
             let mut slow = fast.clone();
@@ -692,6 +765,8 @@ mod tests {
                 slow.observe(0.0);
             }
             assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "k = {k}");
+            history.resize(history.len() + k, 0.0);
+            assert_window_is_tail(&fast, &history);
         });
     }
 
@@ -723,10 +798,10 @@ mod tests {
     }
 
     /// A reset predictor is a fresh one: fed any second history after any
-    /// first, it renders (`Debug`: smoother, window, multiset, span, chain
-    /// with its counts and `version`), predicts and vouches for zero runs
-    /// exactly as a `with_params` predictor fed only the second history,
-    /// after every step.
+    /// first, it renders (`Debug`: smoother, runs, ends, span, chain
+    /// with its counts), predicts and vouches for zero runs exactly as a
+    /// `with_params` predictor fed only the second history, after every
+    /// step — and its runs encode that history's tail.
     #[test]
     fn prop_reset_predictor_is_fresh() {
         testkit::check(128, |g| {
@@ -754,10 +829,16 @@ mod tests {
                 }
             };
             state(&recycled, &fresh, "after reset");
+            let mut samples = Vec::new();
             for (i, &step) in second.iter().enumerate() {
                 feed(&mut recycled, step);
                 feed(&mut fresh, step);
                 state(&recycled, &fresh, &format!("step {i}: {step:?}"));
+                match step {
+                    Step::Observe(x) => samples.push(x),
+                    Step::Zeros(k) => samples.resize(samples.len() + k, 0.0),
+                }
+                assert_window_is_tail(&recycled, &samples);
             }
         });
     }

@@ -9,6 +9,8 @@
 
 use crate::Predictor;
 
+use std::collections::VecDeque;
+
 /// An equal-width partition of `[lo, hi]` into `n` regions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionPartition {
@@ -42,7 +44,8 @@ impl RegionPartition {
         self.n
     }
 
-    /// Whether this is a single-region (trivial) partition.
+    /// Always `false`: a partition has at least one region. It pairs with
+    /// [`Self::len`], as clippy's `len_without_is_empty` asks.
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -82,18 +85,6 @@ pub struct MarkovChain {
     counts: Vec<u64>,
     last_state: Option<usize>,
     observations: usize,
-    /// Bumped on every count mutation; the k-step cache keys off it.
-    version: u64,
-    /// Memoized `(k, version) → P^k`: a tick can ask for the same power
-    /// repeatedly while the counts are unchanged.
-    kstep_cache: std::cell::RefCell<Option<KStepCache>>,
-}
-
-#[derive(Debug, Clone)]
-struct KStepCache {
-    k: u32,
-    version: u64,
-    matrix: Vec<Vec<f64>>,
 }
 
 impl MarkovChain {
@@ -105,8 +96,6 @@ impl MarkovChain {
             counts: vec![0; n * n],
             last_state: None,
             observations: 0,
-            version: 0,
-            kstep_cache: std::cell::RefCell::new(None),
         }
     }
 
@@ -119,8 +108,6 @@ impl MarkovChain {
         self.counts.resize(n * n, 0);
         self.last_state = None;
         self.observations = 0;
-        self.version = 0;
-        *self.kstep_cache.get_mut() = None;
     }
 
     /// Creates a chain whose partition spans a training history, then
@@ -133,15 +120,18 @@ impl MarkovChain {
         chain
     }
 
-    /// Re-fits this chain in place over a history given as two slices (a
-    /// ring buffer's halves), reusing the counts allocation. Equivalent to
-    /// replacing the chain with `MarkovChain::fit` over the concatenation,
-    /// minus the allocations — the sliding-window predictor re-partitions
-    /// this way every time its value range drifts.
-    pub(crate) fn refit(&mut self, head: &[f64], tail: &[f64], regions: usize) {
-        let values = || head.iter().chain(tail).copied();
-        let lo = values().fold(f64::INFINITY, f64::min);
-        let hi = values().fold(f64::NEG_INFINITY, f64::max);
+    /// Re-fits this chain in place over a history given as runs of
+    /// bit-identical samples `(value, count)`, oldest first, reusing the
+    /// counts allocation. Equivalent to replacing the chain with
+    /// `MarkovChain::fit` over the expanded samples: one value per run folds
+    /// to the same ends (up to the sign of a zero end, which `f64::min` and
+    /// `f64::max` leave open), and a run of `n` samples in region `s` adds
+    /// the one transition into `s` and `n − 1` of `s → s`.
+    /// The sliding-window predictor re-partitions this way every time its
+    /// value range drifts.
+    pub(crate) fn refit(&mut self, runs: &VecDeque<(f64, usize)>, regions: usize) {
+        let lo = runs.iter().fold(f64::INFINITY, |lo, &(x, _)| lo.min(x));
+        let hi = runs.iter().fold(f64::NEG_INFINITY, |hi, &(x, _)| hi.max(x));
         self.partition = if !lo.is_finite() || !hi.is_finite() {
             RegionPartition::new(0.0, 1.0, regions)
         } else {
@@ -151,9 +141,14 @@ impl MarkovChain {
         self.counts.resize(regions * regions, 0);
         self.last_state = None;
         self.observations = 0;
-        self.version = self.version.wrapping_add(1);
-        for x in values() {
-            self.observe_value(x);
+        for &(x, n) in runs {
+            let s = self.partition.state_of(x);
+            if let Some(prev) = self.last_state {
+                self.counts[prev * regions + s] += 1;
+            }
+            self.counts[s * regions + s] += n as u64 - 1;
+            self.last_state = Some(s);
+            self.observations += n;
         }
     }
 
@@ -164,7 +159,6 @@ impl MarkovChain {
         }
         self.last_state = Some(state);
         self.observations += 1;
-        self.version = self.version.wrapping_add(1);
     }
 
     /// Retracts the oldest windowed observation: its outgoing transition
@@ -180,16 +174,6 @@ impl MarkovChain {
         );
         *cell = cell.saturating_sub(1);
         self.observations = self.observations.saturating_sub(1);
-        self.version = self.version.wrapping_add(1);
-    }
-
-    /// What [`Self::forget_oldest`]`(s, s)` followed by observing one more
-    /// value of region `s` leaves behind when the chain sits in `s` and the
-    /// window's two oldest samples do too: the `s → s` cell loses one and
-    /// gains one, the observation total likewise, and only `version` moves —
-    /// twice, as the two calls would have moved it.
-    pub(crate) fn slide_self_loop(&mut self) {
-        self.version = self.version.wrapping_add(2);
     }
 
     /// The raw 1-step transition counts `T_ij`, row-major (`n×n` flat).
@@ -236,16 +220,7 @@ impl MarkovChain {
     }
 
     /// The k-step transition matrix `P(k) = P^k` (Eq. 2's matrix power).
-    ///
-    /// The result is memoized per `(k, counts-version)`: repeated calls
-    /// between count mutations return a clone of the cached power instead of
-    /// redoing the matrix multiplications.
     pub fn k_step_matrix(&self, k: u32) -> Vec<Vec<f64>> {
-        if let Some(cache) = self.kstep_cache.borrow().as_ref() {
-            if cache.k == k && cache.version == self.version {
-                return cache.matrix.clone();
-            }
-        }
         let n = self.partition.len();
         let mut result: Vec<Vec<f64>> = (0..n)
             .map(|i| {
@@ -258,11 +233,6 @@ impl MarkovChain {
         for _ in 0..k {
             result = mat_mul(&result, &p);
         }
-        *self.kstep_cache.borrow_mut() = Some(KStepCache {
-            k,
-            version: self.version,
-            matrix: result.clone(),
-        });
         result
     }
 
@@ -395,25 +365,6 @@ mod tests {
         // P⁰ = identity by definition.
         let p0 = chain.k_step_matrix(0);
         assert!((p0[0][0] - 1.0).abs() < 1e-12 && p0[0][1].abs() < 1e-12);
-    }
-
-    #[test]
-    fn k_step_cache_invalidates_on_count_changes() {
-        let series: Vec<f64> = (0..40)
-            .map(|i| if i % 2 == 0 { 1.0 } else { 9.0 })
-            .collect();
-        let mut chain = MarkovChain::fit(&series, 2);
-        let before = chain.k_step_matrix(3);
-        assert_eq!(before, chain.k_step_matrix(3)); // cache hit
-                                                    // Break the perfect alternation (9 → 9); the cached power must not
-                                                    // survive the count change. The range is unchanged, so a fresh fit
-                                                    // over the extended series is the ground truth.
-        chain.observe(9.0);
-        let mut extended = series.clone();
-        extended.push(9.0);
-        let reference = MarkovChain::fit(&extended, 2);
-        assert_eq!(chain.k_step_matrix(3), reference.k_step_matrix(3));
-        assert_ne!(chain.k_step_matrix(3), before);
     }
 
     #[test]
