@@ -159,7 +159,8 @@ fi
 #     workload whose mirrored loop allocates > 1 % off `run_scenario`'s
 #     count, a ratio over all allocations, so a change that only trims
 #     allocations can cross it without touching the loop. Show the slack
-#     per workload at --smoke size before it runs out.
+#     per workload at --smoke size before it runs out, and the counted
+#     pass's allocated bytes per request beside it.
 echo
 echo "==> traced-allocation drift |traced - allocs| / allocs (--smoke; the traced pass fails at 1 %)"
 TRACE_REF="$(mktemp)"
@@ -167,9 +168,9 @@ trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY" "$BENCHMARK_OUT" "$TRACE_REF"' EXIT
 for workload in warm_steady evict_churn always_cold tick_sweep cluster_affinity; do
     benchmark/target/release/hotc-benchmark-counted --pass counted --workload "$workload" \
         --seed 1 --trace 1 --smoke --reference "$TRACE_REF" | tail -n 1 \
-        | sed -E 's/.*"allocs":([0-9]+).*"traced_allocs":([0-9]+).*/\1 \2/' \
+        | sed -E 's/.*"allocs":([0-9]+).*"bytes":([0-9]+).*"requests":([0-9]+).*"traced_allocs":([0-9]+).*/\1 \4 \2 \3/' \
         | awk -v w="$workload" '{ d = $2 - $1; if (d < 0) d = -d;
-            printf "    %-17s allocs %9d  traced %9d  drift %.2f %%\n", w, $1, $2, 100 * d / $1 }'
+            printf "    %-17s allocs %9d  traced %9d  drift %.2f %%  %7.2f B/req\n", w, $1, $2, 100 * d / $1, $3 / $4 }'
 done
 
 # 8. Telemetry smoke: run the demo scenario with --metrics-out and assert the

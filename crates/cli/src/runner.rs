@@ -210,7 +210,7 @@ pub fn build_trace(spec: &WorkloadSpec, slots: usize, seed: u64) -> Result<Box<d
             };
             let rates: Vec<f64> = youtube_trace(&params)
                 .into_iter()
-                .map(|r| r / scale.max(1e-9))
+                .map(|r| r / scale)
                 .collect();
             Box::new(wtrace::youtube_arrivals_trace(rates, *index, 0, seed))
         }

@@ -3,8 +3,10 @@
 //! A [`MetricsSnapshot`] freezes every named metric into plain data —
 //! histogram summaries keep the exact sample count and nanosecond sum next
 //! to the approximate quantiles, so a snapshot can be reconciled against
-//! e2e request totals exactly. All durations are reported in nanoseconds
-//! (`*_ns` fields). [`MetricsSnapshot::to_json`] writes the snapshot through
+//! e2e request totals exactly. A scope keeps the stages that recorded a
+//! sample, in `Stage::ALL` order; an absent stage has count 0. All
+//! durations are reported in nanoseconds (`*_ns` fields).
+//! [`MetricsSnapshot::to_json`] writes the snapshot through
 //! [`stdshim::JsonWriter`] as it is read, so no JSON tree is ever built.
 //!
 //! One rule derives the request-wide view: scope `all` is the merge of every
@@ -103,8 +105,8 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Named histograms, sorted by name.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// Per-scope stage summaries (`Stage::ALL` order within a scope),
-    /// sorted by scope.
+    /// Per-scope stage summaries, sorted by scope: the stages that recorded
+    /// a sample, in `Stage::ALL` order; an absent stage has count 0.
     pub stages: Vec<(String, Vec<(Stage, HistogramSummary)>)>,
     /// Named time series, sorted by name.
     pub series: Vec<(String, TimeSeries)>,
@@ -227,15 +229,16 @@ impl MetricsRegistry {
         let raw = self.read_out();
         let mut all = StageHistograms::default();
         let mut e2e = LatencyHistogram::new();
-        let summarize = |scope: &str, hists: &StageHistograms| {
-            let stages = Stage::ALL.iter().zip(hists);
-            (
-                scope.to_string(),
-                stages.map(|(&s, h)| (s, HistogramSummary::of(h))).collect(),
-            )
+        // Only the stages that recorded a sample, in a `Vec` sized to them:
+        // a filtered `collect` would start at 4 and regrow.
+        let summarize = |scope: String, hists: &StageHistograms| {
+            let recorded = Stage::ALL.iter().zip(hists).filter(|(_, h)| !h.is_empty());
+            let mut summaries = Vec::with_capacity(recorded.clone().count());
+            summaries.extend(recorded.map(|(&s, h)| (s, HistogramSummary::of(h))));
+            (scope, summaries)
         };
         let mut stages = Vec::with_capacity(raw.stages.len() + 1);
-        for (scope, set) in &raw.stages {
+        for (scope, set) in raw.stages {
             set.visit(|hists| {
                 // Every sample lands in the totals slot, so an empty one
                 // means an empty set.
@@ -256,7 +259,7 @@ impl MetricsRegistry {
                 }
             });
         }
-        stages.push(summarize(ALL_SCOPE, &all));
+        stages.push(summarize(ALL_SCOPE.to_string(), &all));
         stages.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
             histograms: vec![(E2E_HISTOGRAM.to_string(), HistogramSummary::of(&e2e))],
@@ -325,6 +328,31 @@ mod tests {
         let empty = MetricsRegistry::new();
         empty.fn_stage_set("idle");
         assert_eq!(empty.snapshot().stages.len(), 1);
+    }
+
+    /// A scope lists only the stages that recorded a sample, and the
+    /// absent ones still read as zero.
+    #[test]
+    fn snapshot_keeps_only_recorded_stages() {
+        let reg = MetricsRegistry::new();
+        let mut s = StageSample::new();
+        s.set(Stage::Exec, SimDuration::from_millis(2));
+        s.set(Stage::RuntimeInit, SimDuration::from_millis(3));
+        reg.fn_stage_set("x").record(&s);
+        let snap = reg.snapshot();
+        for (scope, stages) in &snap.stages {
+            let kept: Vec<Stage> = stages.iter().map(|&(stage, _)| stage).collect();
+            assert_eq!(kept, [Stage::RuntimeInit, Stage::Exec], "{scope}");
+            assert!(stages.iter().all(|(_, h)| h.count > 0), "{scope}");
+            assert_eq!(stages.capacity(), stages.len(), "{scope}");
+        }
+        assert_eq!(snap.stage_count("fn/x", Stage::ImagePull), 0);
+        assert_eq!(
+            snap.scope_total_ns("all"),
+            SimDuration::from_millis(5).as_nanos()
+        );
+        let empty = MetricsRegistry::new().snapshot();
+        assert_eq!(empty.stages, [("all".to_string(), Vec::new())]);
     }
 
     #[test]

@@ -28,10 +28,11 @@ impl RegionPartition {
         RegionPartition { lo, hi, n }
     }
 
-    /// Builds a partition spanning the min/max of a history slice.
+    /// Builds a partition spanning the min/max of a history slice. A zero
+    /// end is `+0.0` whichever zero `f64::min` or `f64::max` picked.
     pub fn from_history(history: &[f64], n: usize) -> Self {
-        let lo = history.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = history.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let lo = history.iter().cloned().fold(f64::INFINITY, f64::min) + 0.0;
+        let hi = history.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + 0.0;
         if history.is_empty() || !lo.is_finite() || !hi.is_finite() {
             RegionPartition::new(0.0, 1.0, n)
         } else {
@@ -124,14 +125,13 @@ impl MarkovChain {
     /// bit-identical samples `(value, count)`, oldest first, reusing the
     /// counts allocation. Equivalent to replacing the chain with
     /// `MarkovChain::fit` over the expanded samples: one value per run folds
-    /// to the same ends (up to the sign of a zero end, which `f64::min` and
-    /// `f64::max` leave open), and a run of `n` samples in region `s` adds
-    /// the one transition into `s` and `n − 1` of `s → s`.
+    /// to the same ends, and a run of `n` samples in region `s` adds the one
+    /// transition into `s` and `n − 1` of `s → s`.
     /// The sliding-window predictor re-partitions this way every time its
     /// value range drifts.
     pub(crate) fn refit(&mut self, runs: &VecDeque<(f64, usize)>, regions: usize) {
-        let lo = runs.iter().fold(f64::INFINITY, |lo, &(x, _)| lo.min(x));
-        let hi = runs.iter().fold(f64::NEG_INFINITY, |hi, &(x, _)| hi.max(x));
+        let lo = runs.iter().fold(f64::INFINITY, |lo, &(x, _)| lo.min(x)) + 0.0;
+        let hi = runs.iter().fold(f64::NEG_INFINITY, |hi, &(x, _)| hi.max(x)) + 0.0;
         self.partition = if !lo.is_finite() || !hi.is_finite() {
             RegionPartition::new(0.0, 1.0, regions)
         } else {
@@ -312,6 +312,27 @@ mod tests {
         assert_eq!(p.state_of(42.0), 4); // clamped
         assert_eq!(p.midpoint(0), 1.0);
         assert_eq!(p.midpoint(4), 9.0);
+    }
+
+    /// Which zero `f64::min` and `f64::max` pick between `-0.0` and `+0.0`
+    /// is left open; a partition's ends are `+0.0` either way, through both
+    /// `fit` and `refit`.
+    #[test]
+    fn zero_ends_have_one_sign() {
+        let runs = |w: &[f64]| w.iter().map(|&x| (x, 1)).collect::<VecDeque<_>>();
+        let fitted = |w: &[f64]| format!("{:?}", MarkovChain::fit(w, 3));
+        let refitted = |w: &[f64]| {
+            let mut chain = MarkovChain::fit(&[5.0], 3);
+            chain.refit(&runs(w), 3);
+            format!("{chain:?}")
+        };
+        let (a, b) = ([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]);
+        assert_eq!(fitted(&a), fitted(&b));
+        assert_eq!(refitted(&a), refitted(&b));
+        assert_eq!(fitted(&a), refitted(&a));
+        assert!(!fitted(&a).contains("-0.0"), "{}", fitted(&a));
+        let only_zeros = format!("{:?}", RegionPartition::from_history(&[-0.0, -0.0], 2));
+        assert!(!only_zeros.contains("-0"), "{only_zeros}");
     }
 
     #[test]

@@ -393,8 +393,44 @@ pub trait JsonSink {
     type Error;
     /// Appends `s`.
     fn put(&mut self, s: &str) -> Result<(), Self::Error>;
-    /// Appends formatted text (the numbers).
+    /// Appends formatted text (floats and `\u00XX` escapes).
     fn put_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), Self::Error>;
+    /// Appends an integer's decimal text, formatted without `core::fmt`. A
+    /// sink that only measures counts the digits and converts nothing.
+    fn put_int(&mut self, i: i64) -> Result<(), Self::Error> {
+        let mut buf = [0; 20];
+        let text = decimal(i, &mut buf);
+        // lint:allow(unwrap, `decimal` writes only ASCII digits and a sign)
+        self.put(std::str::from_utf8(text).expect("ASCII digits are UTF-8"))
+    }
+}
+
+/// `i` in decimal, written into the end of `buf` (20 bytes hold `i64::MIN`),
+/// two digits per division.
+#[inline]
+fn decimal(i: i64, buf: &mut [u8; 20]) -> &[u8] {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let mut at = buf.len();
+    let mut n = i.unsigned_abs();
+    while n >= 10 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n > 0 || at == buf.len() {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
 }
 
 impl JsonSink for String {
@@ -428,6 +464,31 @@ impl<W: io::Write> JsonSink for io::BufWriter<W> {
     }
 }
 
+/// A sink that keeps only the length of what it is given: the measuring
+/// pass of [`Json::to_pretty_string`].
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+impl JsonSink for ByteCount {
+    type Error = fmt::Error;
+    fn put(&mut self, s: &str) -> fmt::Result {
+        self.write_str(s)
+    }
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) -> fmt::Result {
+        self.write_fmt(args)
+    }
+    fn put_int(&mut self, i: i64) -> fmt::Result {
+        self.0 += decimal(i, &mut [0; 20]).len();
+        Ok(())
+    }
+}
+
 impl<S: JsonSink + ?Sized> JsonSink for &mut S {
     type Error = S::Error;
     fn put(&mut self, s: &str) -> Result<(), S::Error> {
@@ -435,6 +496,9 @@ impl<S: JsonSink + ?Sized> JsonSink for &mut S {
     }
     fn put_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), S::Error> {
         (**self).put_fmt(args)
+    }
+    fn put_int(&mut self, i: i64) -> Result<(), S::Error> {
+        (**self).put_int(i)
     }
 }
 
@@ -565,7 +629,7 @@ impl<S: JsonSink> JsonWriter<S> {
     /// An integer, without a decimal point.
     pub(crate) fn int(&mut self, i: i64) -> Result<(), S::Error> {
         self.item()?;
-        self.out.put_fmt(format_args!("{i}"))
+        self.out.put_int(i)
     }
 
     /// An unsigned integer: an integer up to `i64::MAX`, a float past it
@@ -600,6 +664,23 @@ impl<S: JsonSink> JsonWriter<S> {
     /// escaped is ASCII, so the runs between them are whole characters.
     fn escaped(&mut self, s: &str, close: &str) -> Result<(), S::Error> {
         self.out.put("\"")?;
+        // One pass with no early exit finds the common string with nothing
+        // to escape; only the others go through `escape_each`.
+        let plain = s.bytes().fold(true, |plain, b| {
+            plain & (b >= 0x20) & (b != b'"') & (b != b'\\')
+        });
+        if plain {
+            self.out.put(s)?;
+            return self.out.put(close);
+        }
+        self.escape_each(s, close)
+    }
+
+    /// The rest of [`JsonWriter::escaped`] for a string with something to
+    /// escape: runs of plain bytes, each escape between them.
+    #[cold]
+    #[inline(never)]
+    fn escape_each(&mut self, s: &str, close: &str) -> Result<(), S::Error> {
         let mut run = 0;
         for (i, b) in s.bytes().enumerate() {
             let escape = match b {
@@ -637,12 +718,20 @@ pub trait ToJson {
 pub struct Json<'a, T: ?Sized>(pub &'a T);
 
 impl<T: ToJson + ?Sized> Json<'_, T> {
-    /// The pretty text plus a trailing newline, streamed into one `String`.
+    /// The pretty text plus a trailing newline. The document is measured
+    /// first, then written once into a `String` of exactly that capacity:
+    /// one allocation, not one per doubling as the text grows.
     pub fn to_pretty_string(&self) -> String {
+        let mut len = ByteCount(0);
         let mut out = String::new();
-        self.write_pretty(&mut out)
+        self.write_pretty(&mut len)
+            .and_then(|()| {
+                out.reserve_exact(len.0);
+                self.write_pretty(&mut out)
+            })
             // lint:allow(unwrap, a String sink fails only if a number's Display does, and std's never do)
             .expect("a String accepts every write");
+        debug_assert_eq!(out.len(), len.0, "both passes run the same writer");
         out
     }
 
@@ -823,6 +912,66 @@ mod tests {
     fn empty_containers_compact() {
         assert_eq!(JsonValue::Array(vec![]).to_pretty_string(), "[]\n");
         assert_eq!(JsonValue::Object(vec![]).to_string(), "{}");
+    }
+
+    /// `to_pretty_string` measures, then writes into a `String` of exactly
+    /// the measured length, whatever the document holds.
+    #[test]
+    fn pretty_string_is_allocated_to_its_length() {
+        struct Wide;
+        impl ToJson for Wide {
+            fn write_json<S: JsonSink>(&self, w: &mut JsonWriter<S>) -> Result<(), S::Error> {
+                w.begin_array()?;
+                w.uint(u64::MAX)?;
+                w.uint(i64::MAX as u64 + 1)?;
+                w.int(i64::MIN)?;
+                w.end_array()
+            }
+        }
+        let text = Json(&Wide).to_pretty_string();
+        assert_eq!(text.capacity(), text.len(), "{text}");
+        assert!(text.contains("-9223372036854775808"), "{text}");
+        let docs = [
+            JsonValue::Str("q\"b\\n\nt\tc\u{1}\u{1f}é".to_string()),
+            JsonValue::array([f64::NAN, f64::INFINITY, -0.0, 1e300, 0.1]),
+            JsonValue::Int(i64::MIN),
+            JsonValue::object([
+                ("max", JsonValue::Int(i64::MAX)),
+                ("zero", JsonValue::Int(0)),
+            ]),
+            JsonValue::object([
+                ("empty", JsonValue::Array(vec![JsonValue::Object(vec![])])),
+                ("nested", JsonValue::Array(vec![JsonValue::Array(vec![])])),
+            ]),
+        ];
+        for doc in docs {
+            let text = doc.to_pretty_string();
+            assert_eq!(text.capacity(), text.len(), "{text}");
+            assert_eq!(JsonValue::parse(&text).unwrap().to_pretty_string(), text);
+        }
+        assert_eq!(JsonValue::Int(i64::MIN).to_string(), i64::MIN.to_string());
+    }
+
+    /// `decimal` writes what `Display` does, at every digit count and sign.
+    #[test]
+    fn decimal_matches_display() {
+        let mut values = vec![0, i64::MAX, i64::MIN, i64::MIN + 1];
+        let mut power = 1i64;
+        while let Some(next) = power.checked_mul(10) {
+            values.extend([power - 1, power, power + 1, -power, next / 3]);
+            power = next;
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.push(x as i64 >> (x % 64));
+        }
+        for i in values {
+            let mut buf = [0; 20];
+            assert_eq!(decimal(i, &mut buf), i.to_string().as_bytes(), "{i}");
+        }
     }
 
     #[test]
