@@ -174,10 +174,26 @@ for workload in warm_steady evict_churn always_cold tick_sweep cluster_affinity;
 done
 
 # 8. Telemetry smoke: run the demo scenario with --metrics-out and assert the
-#    snapshot is well-formed with nonzero cold-start stage counts.
+#    snapshot is well-formed with nonzero cold-start stage counts; then with
+#    --verbose, and assert it prints one per-request line per request served
+#    and, after them, exactly the plain run's summary table.
 METRICS_OUT="$(mktemp)"
-trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT"' EXIT
-run sh -c "./target/release/hotc-sim --demo | ./target/release/hotc-sim - --metrics-out '$METRICS_OUT' >/dev/null"
+DEMO_OUT="$(mktemp)"
+VERBOSE_OUT="$(mktemp)"
+trap 'rm -rf "$FIGS_OUT" "$LOCK_COPY" "$BENCHMARK_OUT" "$TRACE_REF" "$METRICS_OUT" "$DEMO_OUT" "$VERBOSE_OUT"' EXIT
+run sh -c "./target/release/hotc-sim --demo | ./target/release/hotc-sim - --metrics-out '$METRICS_OUT' > '$DEMO_OUT'"
+run sh -c "./target/release/hotc-sim --demo | ./target/release/hotc-sim - --verbose > '$VERBOSE_OUT'"
+# The summary row follows the table's dashed rule; its first column is the
+# request count (432 for the demo).
+DEMO_REQUESTS="$(awk '/^-+$/ { getline; print $1; exit }' "$DEMO_OUT")"
+VERBOSE_LINES="$(grep -cE '^r[0-9]+ \|' "$VERBOSE_OUT" || true)"
+if [ "$VERBOSE_LINES" != "$DEMO_REQUESTS" ]; then
+    echo "--verbose printed $VERBOSE_LINES per-request lines for $DEMO_REQUESTS requests" >&2
+    exit 1
+fi
+sed -n '/^== scenario summary ==$/,$p' "$VERBOSE_OUT" | cmp -s - "$DEMO_OUT" \
+    || { echo "--verbose summary table differs from the plain run's" >&2; exit 1; }
+echo "verbose demo OK ($VERBOSE_LINES per-request lines)"
 echo
 echo "==> metrics snapshot smoke ($METRICS_OUT):"
 test -s "$METRICS_OUT"

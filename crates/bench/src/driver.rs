@@ -186,8 +186,6 @@ pub(crate) struct ReplaySummary {
     pub requests: u64,
     /// Virtual time at which the last event completed.
     pub finished_at: SimTime,
-    /// Live-container count sampled at every tick.
-    pub live_samples: Vec<(SimTime, usize)>,
     /// High-water mark of concurrently in-flight requests.
     pub max_inflight: usize,
     /// Error the trace source surfaced; `None` for a clean end-of-stream.
@@ -205,7 +203,9 @@ pub struct TraceOutcome<P: RuntimeProvider> {
     pub requests: u64,
     /// Virtual time at which the last event completed.
     pub finished_at: SimTime,
-    /// Live-container count sampled at every tick.
+    /// Live-container count sampled at every tick by [`run_trace`];
+    /// [`run_trace_partition`] hands each sample to its `on_tick` instead
+    /// and leaves this empty.
     pub live_samples: Vec<(SimTime, usize)>,
     /// High-water mark of concurrently in-flight requests — the replay
     /// engine's own memory ceiling is O(this), not O(requests).
@@ -216,12 +216,16 @@ pub struct TraceOutcome<P: RuntimeProvider> {
 }
 
 impl<P: RuntimeProvider> TraceOutcome<P> {
-    fn new(gateway: Gateway<P>, summary: ReplaySummary) -> Self {
+    fn new(
+        gateway: Gateway<P>,
+        summary: ReplaySummary,
+        live_samples: Vec<(SimTime, usize)>,
+    ) -> Self {
         TraceOutcome {
             gateway,
             requests: summary.requests,
             finished_at: summary.finished_at,
-            live_samples: summary.live_samples,
+            live_samples,
             max_inflight: summary.max_inflight,
             trace_error: summary.trace_error,
         }
@@ -305,8 +309,16 @@ pub fn run_trace<P>(
 where
     P: RuntimeProvider + 'static,
 {
-    let summary = run_trace_core(&mut gateway, trace, route, tick_interval, on_finish);
-    TraceOutcome::new(gateway, summary)
+    let mut live_samples = Vec::new();
+    let summary = run_trace_core(
+        &mut gateway,
+        trace,
+        route,
+        tick_interval,
+        on_finish,
+        |at, n| live_samples.push((at, n)),
+    );
+    TraceOutcome::new(gateway, summary, live_samples)
 }
 
 /// Streams one worker's partition of a trace through that worker's own
@@ -322,19 +334,25 @@ where
 /// arrival), so every worker samples `pool/live` at the identical instants
 /// and the merged series lines up point-for-point with the sequential one.
 /// `TraceOutcome::requests` counts only this worker's arrivals.
+///
+/// Each tick's `(now, live)` goes to `on_tick` rather than into
+/// `TraceOutcome::live_samples`, which stays empty: a caller that only
+/// needs the `pool/live` series the registry already keeps stores nothing
+/// per tick.
 pub fn run_trace_partition<P, T>(
     mut gateway: Gateway<P>,
     part: &mut PartitionTrace<T>,
     route: impl Fn(usize) -> String,
     tick_interval: SimDuration,
     on_finish: impl FnMut(u64, &RequestTrace),
+    on_tick: impl FnMut(SimTime, usize),
 ) -> TraceOutcome<P>
 where
     P: RuntimeProvider + 'static,
     T: Trace,
 {
-    let summary = run_trace_core(&mut gateway, part, route, tick_interval, on_finish);
-    TraceOutcome::new(gateway, summary)
+    let summary = run_trace_core(&mut gateway, part, route, tick_interval, on_finish, on_tick);
+    TraceOutcome::new(gateway, summary, Vec::new())
 }
 
 /// Runs `worker(w, inputs[w])` for every worker `w` on scoped OS threads —
@@ -372,13 +390,16 @@ where
 
 /// The event loop: replays `source` through any borrowed [`ReplayTarget`]
 /// with [`run_trace`]'s semantics. The cluster experiments call it directly
-/// on a [`Cluster`].
+/// on a [`Cluster`]. Like finishes to `on_finish`, each tick's instant and
+/// the live-container count after it go to `on_tick`; the loop keeps
+/// nothing per tick or per request itself.
 pub(crate) fn run_trace_core<T, S>(
     target: &mut T,
     source: &mut S,
     route: impl Fn(usize) -> String,
     tick_interval: SimDuration,
     mut on_finish: impl FnMut(u64, &T::Finished),
+    mut on_tick: impl FnMut(SimTime, usize),
 ) -> ReplaySummary
 where
     T: ReplayTarget,
@@ -386,7 +407,6 @@ where
 {
     assert!(!tick_interval.is_zero(), "tick interval must be positive");
 
-    let mut live_samples = Vec::new();
     let mut pending: BinaryHeap<Reverse<FinishAt<T::Ticket>>> = BinaryHeap::new();
     let mut next_tick = SimTime::ZERO;
     let mut ticks_done = false;
@@ -415,7 +435,7 @@ where
         match class {
             0 => {
                 let live = target.tick(now).expect("tick must not fail");
-                live_samples.push((now, live));
+                on_tick(now, live);
                 next_tick += tick_interval;
                 if arrival_at.is_none() {
                     // Stream exhausted: the horizon is now known, exactly as
@@ -461,7 +481,6 @@ where
     ReplaySummary {
         requests: count,
         finished_at,
-        live_samples,
         max_inflight,
         trace_error: source.take_error(),
     }
@@ -476,6 +495,7 @@ pub(crate) mod tests {
     use workloads::patterns;
 
     type Finishes = Vec<(u64, RequestTrace)>;
+    type Ticks = Vec<(SimTime, usize)>;
     pub(crate) const TICK: SimDuration = SimDuration::from_secs(30);
 
     pub(crate) fn gateway<P: RuntimeProvider>(provider: P) -> Gateway<P> {
@@ -699,12 +719,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// `w` replayed by one worker per distinct entry of `assign`.
+    /// `w` replayed by one worker per distinct entry of `assign`, with each
+    /// worker's finishes and the tick samples its `on_tick` collected.
     fn partitioned<P>(
         make: fn() -> P,
         w: &[Arrival],
         assign: &[usize],
-    ) -> Vec<(TraceOutcome<P>, Finishes)>
+    ) -> Vec<(TraceOutcome<P>, Finishes, Ticks)>
     where
         P: RuntimeProvider + Send + 'static,
     {
@@ -714,11 +735,17 @@ pub(crate) mod tests {
             let source = VecTrace::new(w.to_vec());
             let mut part = PartitionTrace::new(source, std::sync::Arc::clone(&assign), worker);
             let mut finishes = Finishes::new();
-            let route = |_| "random-number".to_string();
-            let out = run_trace_partition(gateway(make()), &mut part, route, TICK, |s, t| {
-                finishes.push((s, *t))
-            });
-            (out, finishes)
+            let mut ticks = Ticks::new();
+            let out = run_trace_partition(
+                gateway(make()),
+                &mut part,
+                |_| "random-number".to_string(),
+                TICK,
+                |s, t| finishes.push((s, *t)),
+                |at, live| ticks.push((at, live)),
+            );
+            assert!(out.live_samples.is_empty(), "samples go to on_tick");
+            (out, finishes, ticks)
         })
     }
 
@@ -729,11 +756,11 @@ pub(crate) mod tests {
     fn single_worker_partition_equals_sequential() {
         let w = patterns::burst(8, 10, &[1, 3], 6, TICK, 0);
         let (sequential, seq_finishes) = sequential(HotC::with_defaults(), &w);
-        let (out, finishes) = partitioned(HotC::with_defaults, &w, &[0]).remove(0);
+        let (out, finishes, ticks) = partitioned(HotC::with_defaults, &w, &[0]).remove(0);
 
         assert_eq!(out.requests, sequential.requests);
         assert_eq!(out.finished_at, sequential.finished_at);
-        assert_eq!(out.live_samples, sequential.live_samples);
+        assert_eq!(ticks, sequential.live_samples);
         assert_eq!(out.max_inflight, sequential.max_inflight);
         assert_eq!(finishes, seq_finishes);
         assert_eq!(
@@ -758,25 +785,25 @@ pub(crate) mod tests {
         let (sequential, mut seq_finishes) = sequential(ColdStartAlways::new(), &w);
         let results = partitioned(ColdStartAlways::new, &w, &[0, 1]);
 
-        assert_eq!(results.iter().map(|(o, _)| o.requests).sum::<u64>(), 20);
+        assert_eq!(results.iter().map(|(o, ..)| o.requests).sum::<u64>(), 20);
         let mut merged: Vec<(u64, RequestTrace)> = results
             .iter()
-            .flat_map(|(_, f)| f.iter().copied())
+            .flat_map(|(_, f, _)| f.iter().copied())
             .collect();
         merged.sort_by_key(|&(s, _)| s);
         seq_finishes.sort_by_key(|&(s, _)| s);
         assert_eq!(merged, seq_finishes);
 
-        let max_finished = results.iter().map(|(o, _)| o.finished_at).max();
+        let max_finished = results.iter().map(|(o, ..)| o.finished_at).max();
         assert_eq!(max_finished, Some(sequential.finished_at));
-        for (out, _) in &results {
-            let instants: Vec<SimTime> = out.live_samples.iter().map(|&(t, _)| t).collect();
+        for (_, _, ticks) in &results {
+            let instants: Vec<SimTime> = ticks.iter().map(|&(t, _)| t).collect();
             let seq_instants: Vec<SimTime> =
                 sequential.live_samples.iter().map(|&(t, _)| t).collect();
             assert_eq!(instants, seq_instants, "tick schedules must be global");
         }
         for (i, &(at, live)) in sequential.live_samples.iter().enumerate() {
-            let summed: usize = results.iter().map(|(o, _)| o.live_samples[i].1).sum();
+            let summed: usize = results.iter().map(|(.., ticks)| ticks[i].1).sum();
             assert_eq!(summed, live, "live count diverged at {at:?}");
         }
     }

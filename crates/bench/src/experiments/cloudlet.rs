@@ -106,6 +106,7 @@ fn eval(policy: SchedulePolicy, arrivals: &[Arrival]) -> CloudletEval {
                 light.record(trace.total());
             }
         },
+        |_, _| {},
     );
     CloudletEval {
         policy: policy.name(),

@@ -88,6 +88,7 @@ fn replay(cluster: &mut Cluster, workload: &[workloads::Arrival]) -> (LatencyRec
             recorder.record(trace.total());
             cold += usize::from(trace.cold);
         },
+        |_, _| {},
     );
     (recorder, cold)
 }

@@ -18,5 +18,7 @@
 mod runner;
 pub mod scenario;
 
-pub use runner::{build_trace, run_scenario, run_scenario_materialized, ScenarioReport};
+pub use runner::{
+    build_trace, run_scenario, run_scenario_materialized, run_scenario_with_series, ScenarioReport,
+};
 pub use scenario::{ParseError, Scenario};

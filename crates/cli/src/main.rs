@@ -94,7 +94,12 @@ fn main() {
             .unwrap_or_else(|e| fail(format_args!("error creating metrics file '{path}': {e}")));
         (path, BufWriter::new(file))
     });
-    let report = hotc_cli::run_scenario(&scenario).unwrap_or_else(|e| {
+    let run = if args.verbose {
+        hotc_cli::run_scenario_with_series
+    } else {
+        hotc_cli::run_scenario
+    };
+    let report = run(&scenario).unwrap_or_else(|e| {
         if let Some((path, out)) = metrics_out.take() {
             drop(out);
             let _ = std::fs::remove_file(path);
@@ -119,6 +124,9 @@ fn main() {
             fail(format_args!("error writing metrics to '{path}': {e}"));
         }
         eprintln!("wrote metrics snapshot to {path}");
+    }
+    if let Some(note) = report.series_note() {
+        eprintln!("{note}");
     }
     print!("{}", report.render(args.verbose));
 }

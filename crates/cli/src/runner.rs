@@ -25,9 +25,9 @@ use workloads::youtube::{youtube_trace, YoutubeTraceParams};
 pub mod reference;
 pub use reference::run_scenario_materialized;
 
-/// Per-request latency detail is kept exactly (for the verbose series) up to
-/// this many requests; past it the aggregator drops the series so a
-/// 1e8-request replay does not hold 1e8 samples.
+/// A run that asks for the per-request series ([`run_scenario_with_series`])
+/// keeps it exactly up to this many requests; past it the aggregator drops
+/// the series so a 1e8-request replay does not hold 1e8 samples.
 pub(crate) const LATENCY_DETAIL_CAP: usize = 1 << 20;
 
 /// The outcome of a scenario run.
@@ -49,8 +49,13 @@ pub struct ScenarioReport {
     pub live_at_end: usize,
     /// Provider background work (virtual seconds).
     pub background_s: f64,
-    /// Per-request latencies (ms), arrival order.
+    /// Per-request latencies (ms), arrival order. Empty unless the run
+    /// asked for the series and served at most [`LATENCY_DETAIL_CAP`]
+    /// requests.
     pub latencies_ms: Vec<f64>,
+    /// Set when the run asked for the series and served more requests than
+    /// the cap, so the series was dropped; read by [`Self::series_note`].
+    series_dropped: bool,
     /// Full telemetry snapshot taken at the end of the run (counters,
     /// stage histograms, pool series) — exported by `--metrics-out`.
     pub metrics: metrics_lite::MetricsSnapshot,
@@ -103,6 +108,18 @@ impl ScenarioReport {
         ]);
         out.push_str(&table.render());
         out
+    }
+
+    /// Why the per-request series is missing, when the run asked for it but
+    /// served more requests than [`LATENCY_DETAIL_CAP`] — so a verbose
+    /// render that prints only the summary does not do so silently.
+    pub fn series_note(&self) -> Option<String> {
+        self.series_dropped.then(|| {
+            format!(
+                "note: per-request series not printed: {} requests exceed its cap of {}",
+                self.requests, LATENCY_DETAIL_CAP
+            )
+        })
     }
 }
 
@@ -314,26 +331,39 @@ pub fn build_trace(spec: &WorkloadSpec, slots: usize, seed: u64) -> Result<Box<d
     })
 }
 
+/// The exact per-request series a [`ReportAggregator`] keeps, if asked.
+enum Series {
+    /// Not asked for: nothing is kept per request.
+    Off,
+    /// `(arrival seq, ms)` of every request so far, at most
+    /// [`LATENCY_DETAIL_CAP`] of them.
+    Kept(Vec<(u64, f64)>),
+    /// Asked for, but dropped once the run passed the cap.
+    Dropped,
+}
+
 /// Streaming report builder: O(1) per request, bounded memory.
 ///
 /// The gateway's telemetry already holds every request's end-to-end latency
 /// (`gateway/e2e`) and the request and cold-start tallies, and
 /// [`Self::finish`] is handed their snapshot, so the report's count, mean,
 /// quantiles and cold fraction are read from there. Kept here is only what
-/// telemetry does not have: the failed count and, up to
-/// [`LATENCY_DETAIL_CAP`] requests, the exact per-request samples for the
+/// telemetry does not have: the failed count and, when the caller asks for
+/// it, up to [`LATENCY_DETAIL_CAP`] exact per-request samples for the
 /// verbose series.
 struct ReportAggregator {
-    detail: Vec<(u64, f64)>,
-    detailed: bool,
+    series: Series,
     failed: u64,
 }
 
 impl ReportAggregator {
-    fn new() -> ReportAggregator {
+    fn new(series: bool) -> ReportAggregator {
         ReportAggregator {
-            detail: Vec::new(),
-            detailed: true,
+            series: if series {
+                Series::Kept(Vec::new())
+            } else {
+                Series::Off
+            },
             failed: 0,
         }
     }
@@ -342,35 +372,34 @@ impl ReportAggregator {
         if t.failed {
             self.failed += 1;
         }
-        if self.detailed {
-            if self.detail.len() == LATENCY_DETAIL_CAP {
-                self.detailed = false;
-                self.detail = Vec::new();
+        if let Series::Kept(detail) = &mut self.series {
+            if detail.len() == LATENCY_DETAIL_CAP {
+                self.series = Series::Dropped;
             } else {
-                self.detail.push((seq, t.total().as_millis_f64()));
+                detail.push((seq, t.total().as_millis_f64()));
             }
         }
     }
 
-    /// Folds another worker's aggregate into this one. The exact detail
+    /// Folds another worker's aggregate into this one. The exact series
     /// survives only if every input kept it AND the merged total is still
     /// within the cap — the same rule a single sequential aggregator applies
     /// to the combined stream.
     fn merge(&mut self, other: ReportAggregator) {
         self.failed += other.failed;
-        if self.detailed
-            && other.detailed
-            && self.detail.len() + other.detail.len() <= LATENCY_DETAIL_CAP
-        {
-            self.detail.extend(other.detail);
-        } else {
-            self.detailed = false;
-            self.detail = Vec::new();
+        match (&mut self.series, other.series) {
+            (Series::Off, _) => {}
+            (Series::Kept(mine), Series::Kept(theirs))
+                if mine.len() + theirs.len() <= LATENCY_DETAIL_CAP =>
+            {
+                mine.extend(theirs)
+            }
+            (series, _) => *series = Series::Dropped,
         }
     }
 
     fn finish(
-        mut self,
+        self,
         live_at_end: usize,
         background: SimDuration,
         metrics: MetricsSnapshot,
@@ -382,10 +411,17 @@ impl ReportAggregator {
         let requests = metrics.counter("gateway/requests").unwrap_or(0);
         let cold = metrics.counter("gateway/cold_starts").unwrap_or(0);
         let count = requests.max(1) as f64;
-        // Finishes arrive in completion order; the report series is in
-        // arrival order (global sequence numbers, so a merged parallel run
-        // sorts into the same order as the sequential one).
-        self.detail.sort_by_key(|(seq, _)| *seq);
+        let (latencies_ms, series_dropped) = match self.series {
+            // Finishes arrive in completion order; the report series is in
+            // arrival order (global sequence numbers, so a merged parallel
+            // run sorts into the same order as the sequential one).
+            Series::Kept(mut detail) => {
+                detail.sort_by_key(|(seq, _)| *seq);
+                (detail.into_iter().map(|(_, ms)| ms).collect(), false)
+            }
+            Series::Off => (Vec::new(), false),
+            Series::Dropped => (Vec::new(), true),
+        };
         ScenarioReport {
             requests: requests as usize,
             mean_ms: ms(mean_ns),
@@ -395,7 +431,8 @@ impl ReportAggregator {
             failed_fraction: self.failed as f64 / count,
             live_at_end,
             background_s: background.as_secs_f64(),
-            latencies_ms: self.detail.into_iter().map(|(_, ms)| ms).collect(),
+            latencies_ms,
+            series_dropped,
             metrics,
             limits_coupled: false,
         }
@@ -560,6 +597,8 @@ fn provider_policy(spec: &ProviderSpec) -> KeyPolicy {
 struct ReplayOp<'a> {
     scenario: &'a Scenario,
     threads: usize,
+    /// Keep the per-request series (`hotc-sim --verbose`).
+    series: bool,
 }
 
 impl ProviderOp for ReplayOp<'_> {
@@ -569,7 +608,7 @@ impl ProviderOp for ReplayOp<'_> {
         P: RuntimeProvider + Send + 'static,
     {
         let scenario = self.scenario;
-        let threads = self.threads;
+        let (threads, series) = (self.threads, self.series);
         let slots = slot_specs(scenario)?;
         let n_slots = slots.len();
         let names: Arc<Vec<String>> = Arc::new(slots.iter().map(|s| s.name.clone()).collect());
@@ -596,13 +635,16 @@ impl ProviderOp for ReplayOp<'_> {
             let mut part = PartitionTrace::new(trace, Arc::clone(&assign), w);
             let gateway = build_gateway_slots(make(), scenario, slots);
             let names = Arc::clone(&names);
-            let mut agg = ReportAggregator::new();
+            let mut agg = ReportAggregator::new(series);
+            // Tick samples are not kept: the registry's `pool/live` series
+            // already records them.
             let out = run_trace_partition(
                 gateway,
                 &mut part,
                 move |config_id| names[config_id % names.len()].clone(),
                 scenario.tick,
                 |seq, t| agg.observe(seq, t),
+                |_, _| {},
             );
             if let Some(e) = out.trace_error {
                 return Err(format!("trace source error: {e}"));
@@ -636,7 +678,9 @@ impl ProviderOp for ReplayOp<'_> {
 }
 
 /// Runs a scenario end to end, streaming arrivals from the workload source —
-/// the replay path never materializes the full arrival vector.
+/// the replay path never materializes the full arrival vector, and keeps
+/// nothing per request or per tick beyond what the report prints, so
+/// `latencies_ms` stays empty ([`run_scenario_with_series`] fills it).
 ///
 /// The replay is key-partitioned across `scenario.replay_threads` workers
 /// (default one, which runs inline and owns every slot); the merged report is
@@ -644,8 +688,23 @@ impl ProviderOp for ReplayOp<'_> {
 /// `DESIGN.md` §12 for the protocol and the one approximation (global pool
 /// limits, surfaced via [`ScenarioReport::limits_coupled`]).
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
+    replay(scenario, false)
+}
+
+/// [`run_scenario`], also keeping the per-request latency series that
+/// `render(true)` prints, up to [`LATENCY_DETAIL_CAP`] requests.
+pub fn run_scenario_with_series(scenario: &Scenario) -> Result<ScenarioReport, String> {
+    replay(scenario, true)
+}
+
+fn replay(scenario: &Scenario, series: bool) -> Result<ScenarioReport, String> {
     let threads = scenario.replay_threads.unwrap_or(1).max(1);
-    dispatch_provider(&scenario.provider, threads, ReplayOp { scenario, threads })
+    let op = ReplayOp {
+        scenario,
+        threads,
+        series,
+    };
+    dispatch_provider(&scenario.provider, threads, op)
 }
 
 #[cfg(test)]
@@ -755,7 +814,7 @@ interval = 30s
         let mut scenario = Scenario::parse(DEMO_SCENARIO).unwrap();
         for replay_threads in [1, 2] {
             scenario.replay_threads = Some(replay_threads);
-            let report = run_scenario(&scenario).unwrap();
+            let report = run_scenario_with_series(&scenario).unwrap();
             let snap = &report.metrics;
             let requests = snap.counter("gateway/requests").unwrap();
             assert_eq!(requests, report.requests as u64);
@@ -802,10 +861,10 @@ interval = 30s
         }
     }
 
-    /// `n` two-millisecond requests numbered from `base`.
+    /// `n` two-millisecond requests numbered from `base`, series kept.
     fn fill(n: usize, base: u64) -> ReportAggregator {
         let tr = synthetic_trace(SimDuration::from_millis(2));
-        let mut agg = ReportAggregator::new();
+        let mut agg = ReportAggregator::new(true);
         for i in 0..n {
             agg.observe(base + i as u64, &tr);
         }
@@ -841,12 +900,52 @@ interval = 30s
         assert_eq!(series_len(c), 20);
     }
 
+    /// Past the cap the series is gone, so a verbose render prints only the
+    /// summary — the same bytes as a plain one — and the report says why,
+    /// naming the request count and the cap.
+    #[test]
+    fn a_dropped_series_is_noted() {
+        let registry = MetricsRegistry::new();
+        let requests = LATENCY_DETAIL_CAP + 1;
+        registry.counter("gateway/requests").add(requests as u64);
+        let report = fill(requests, 0).finish(0, SimDuration::ZERO, registry.snapshot());
+        assert!(report.latencies_ms.is_empty());
+        assert_eq!(report.render(true), report.render(false));
+        let note = report.series_note().expect("dropped series is noted");
+        assert!(note.contains(&requests.to_string()), "{note}");
+        assert!(note.contains(&LATENCY_DETAIL_CAP.to_string()), "{note}");
+        // At the cap the series is whole, and nothing is noted.
+        assert_eq!(
+            fill(LATENCY_DETAIL_CAP, 0)
+                .finish(0, SimDuration::ZERO, registry.snapshot())
+                .series_note(),
+            None
+        );
+    }
+
+    #[test]
+    fn an_unasked_series_is_neither_kept_nor_noted() {
+        let mut agg = ReportAggregator::new(false);
+        let tr = synthetic_trace(SimDuration::from_millis(2));
+        for i in 0..10 {
+            agg.observe(i, &tr);
+        }
+        agg.merge(fill(10, 10));
+        let report = agg.finish(0, SimDuration::ZERO, MetricsRegistry::new().snapshot());
+        assert!(report.latencies_ms.is_empty());
+        assert_eq!(report.series_note(), None);
+    }
+
     #[test]
     fn report_renders() {
         let scenario = Scenario::parse(DEMO_SCENARIO).unwrap();
-        let report = run_scenario(&scenario).unwrap();
+        let plain = run_scenario(&scenario).unwrap();
+        assert!(plain.latencies_ms.is_empty());
+        let report = run_scenario_with_series(&scenario).unwrap();
+        assert_eq!(report.latencies_ms.len(), report.requests);
         let text = report.render(false);
         assert!(text.contains("scenario summary"));
+        assert_eq!(plain.render(false), text);
         let verbose = report.render(true);
         assert!(verbose.contains("per-request latency"));
     }

@@ -32,7 +32,7 @@ impl ProviderOp for MaterializedOp<'_> {
             move |config_id| names[config_id % names.len()].clone(),
             self.scenario.tick,
         );
-        let mut agg = ReportAggregator::new();
+        let mut agg = ReportAggregator::new(true);
         for (i, t) in out.traces.iter().enumerate() {
             agg.observe(i as u64, t);
         }
@@ -44,7 +44,8 @@ impl ProviderOp for MaterializedOp<'_> {
     }
 }
 
-/// Reference implementation of [`run_scenario`](super::run_scenario) that
+/// Reference implementation of
+/// [`run_scenario_with_series`](super::run_scenario_with_series) that
 /// materializes the whole arrival vector and replays it through the
 /// closure-scheduled reference driver.
 pub fn run_scenario_materialized(scenario: &Scenario) -> Result<ScenarioReport, String> {

@@ -8,7 +8,7 @@
 //! into the snapshot (or the report tables) shows up as a diff here.
 
 use hotc_cli::scenario::DEMO_SCENARIO;
-use hotc_cli::{build_trace, run_scenario, Scenario, ScenarioReport};
+use hotc_cli::{build_trace, run_scenario, run_scenario_with_series, Scenario, ScenarioReport};
 use stdshim::JsonValue;
 
 fn run_once() -> ScenarioReport {
@@ -73,5 +73,8 @@ fn demo_scenario_report_is_byte_identical_across_runs() {
     let a = run_once();
     let b = run_once();
     assert_eq!(a.render(false), b.render(false));
+    let scenario = Scenario::parse(DEMO_SCENARIO).expect("demo scenario parses");
+    let a = run_scenario_with_series(&scenario).expect("demo scenario runs");
+    let b = run_scenario_with_series(&scenario).expect("demo scenario runs");
     assert_eq!(a.render(true), b.render(true));
 }

@@ -2,17 +2,18 @@
 //! identical to the sequential one (tentpole acceptance of the parallel
 //! driver).
 //!
-//! For every `WorkloadSpec` variant and every provider, `run_scenario` with
-//! no `replay_threads` (one worker) and with `replay_threads` 1, 2, and 8
-//! must produce byte-identical rendered reports and byte-identical metrics
-//! JSON. One worker runs the same partitioned code path inline (spawn-free
-//! degenerate case); eight workers exceed the key-group count of the small
-//! fixtures, so some workers own zero slots and still tick to the global
-//! horizon.
+//! For every `WorkloadSpec` variant and every provider,
+//! `run_scenario_with_series` with no `replay_threads` (one worker) and with
+//! `replay_threads` 1, 2, and 8 must produce byte-identical verbose reports
+//! (the per-request series merged across workers included) and
+//! byte-identical metrics JSON. One worker runs the same partitioned code
+//! path inline (spawn-free degenerate case); eight workers exceed the
+//! key-group count of the small fixtures, so some workers own zero slots and
+//! still tick to the global horizon.
 
 use containersim::{HardwareProfile, LanguageRuntime, NetworkMode};
 use hotc_cli::scenario::{FunctionDecl, ProviderSpec, WorkloadSpec};
-use hotc_cli::{run_scenario, Scenario};
+use hotc_cli::{run_scenario_with_series, Scenario};
 use simclock::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -150,8 +151,8 @@ fn all_variants() -> Vec<WorkloadSpec> {
 }
 
 fn assert_parallel_equivalent(sc: &Scenario, label: &str) {
-    let sequential =
-        run_scenario(sc).unwrap_or_else(|e| panic!("{label}: sequential run failed: {e}"));
+    let sequential = run_scenario_with_series(sc)
+        .unwrap_or_else(|e| panic!("{label}: sequential run failed: {e}"));
     let seq_render = sequential.render(true);
     let seq_json = sequential.metrics.to_json().to_pretty_string();
     for &threads in THREAD_COUNTS {
@@ -159,7 +160,7 @@ fn assert_parallel_equivalent(sc: &Scenario, label: &str) {
             replay_threads: Some(threads),
             ..sc.clone()
         };
-        let parallel = run_scenario(&threaded)
+        let parallel = run_scenario_with_series(&threaded)
             .unwrap_or_else(|e| panic!("{label} x{threads}: parallel run failed: {e}"));
         assert!(
             !parallel.limits_coupled,

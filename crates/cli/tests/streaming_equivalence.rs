@@ -2,13 +2,15 @@
 //! the materialized one (tentpole acceptance of the trace frontend).
 //!
 //! For every `WorkloadSpec` variant — generator-backed, synthesized, and
-//! file-backed — `run_scenario` (pull-based, no full arrival vector) and
-//! `run_scenario_materialized` (drain-then-replay reference) must produce
-//! byte-identical rendered reports and byte-identical metrics JSON.
+//! file-backed — `run_scenario_with_series` (pull-based, no full arrival
+//! vector) and `run_scenario_materialized` (drain-then-replay reference)
+//! must produce byte-identical verbose reports and byte-identical metrics
+//! JSON, and `run_scenario`, which keeps no series, the same summary and
+//! JSON.
 
 use containersim::{HardwareProfile, LanguageRuntime, NetworkMode};
 use hotc_cli::scenario::{FunctionDecl, ProviderSpec, WorkloadSpec};
-use hotc_cli::{run_scenario, run_scenario_materialized, Scenario};
+use hotc_cli::{run_scenario, run_scenario_materialized, run_scenario_with_series, Scenario};
 use simclock::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -145,10 +147,11 @@ fn all_variants() -> Vec<WorkloadSpec> {
 }
 
 fn assert_equivalent(sc: &Scenario, label: &str) {
-    let streamed =
-        run_scenario(sc).unwrap_or_else(|e| panic!("{label}: streaming run failed: {e}"));
+    let streamed = run_scenario_with_series(sc)
+        .unwrap_or_else(|e| panic!("{label}: streaming run failed: {e}"));
     let materialized = run_scenario_materialized(sc)
         .unwrap_or_else(|e| panic!("{label}: materialized run failed: {e}"));
+    assert_eq!(streamed.latencies_ms.len(), streamed.requests, "{label}");
     assert!(
         streamed.render(true) == materialized.render(true),
         "{label}: rendered reports differ\nstreaming:\n{}\nmaterialized:\n{}",
@@ -162,6 +165,19 @@ fn assert_equivalent(sc: &Scenario, label: &str) {
         "{label}: metrics JSON differs ({} vs {} bytes)",
         sj.len(),
         mj.len()
+    );
+    let plain = run_scenario(sc).unwrap_or_else(|e| panic!("{label}: plain run failed: {e}"));
+    assert!(
+        plain.latencies_ms.is_empty(),
+        "{label}: series kept unasked"
+    );
+    assert!(
+        plain.render(false) == streamed.render(false),
+        "{label}: summary differs without the series"
+    );
+    assert!(
+        plain.metrics.to_json().to_pretty_string() == sj,
+        "{label}: metrics JSON differs without the series"
     );
 }
 
@@ -217,8 +233,8 @@ fn colliding_merge_sources_replay_deterministically() {
             zipf: 1.1,
         },
     );
-    let a = run_scenario(&sc).expect("first run");
-    let b = run_scenario(&sc).expect("second run");
+    let a = run_scenario_with_series(&sc).expect("first run");
+    let b = run_scenario_with_series(&sc).expect("second run");
     assert_eq!(a.render(true), b.render(true));
     assert_eq!(
         a.metrics.to_json().to_pretty_string(),

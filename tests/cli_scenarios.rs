@@ -1,6 +1,6 @@
 //! Every shipped scenario file must parse and run, producing sane reports.
 
-use hotc_cli::{run_scenario, Scenario};
+use hotc_cli::{run_scenario, run_scenario_with_series, Scenario};
 
 fn load(name: &str) -> Scenario {
     let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -58,9 +58,11 @@ fn flaky_scenario_reports_failures() {
 
 #[test]
 fn scenarios_are_deterministic() {
-    let a = run_scenario(&load("burst.hotc")).unwrap();
-    let b = run_scenario(&load("burst.hotc")).unwrap();
+    let a = run_scenario_with_series(&load("burst.hotc")).unwrap();
+    let b = run_scenario_with_series(&load("burst.hotc")).unwrap();
+    assert_eq!(a.latencies_ms.len(), a.requests);
     assert_eq!(a.latencies_ms, b.latencies_ms);
+    assert_eq!(a.render(true), b.render(true));
 }
 
 #[test]
