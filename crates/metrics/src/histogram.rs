@@ -530,7 +530,11 @@ mod tests {
             qs.sort_by(f64::total_cmp);
             for (q, ns) in qs.into_iter().zip(p.hist.quantiles_ns(qs)) {
                 assert_eq!(ns, p.dense.quantile(q), "q={q} total={total}");
+                assert_eq!(ns, p.hist.quantile(q).as_nanos(), "q={q} total={total}");
             }
+            let s = crate::HistogramSummary::of(&p.hist);
+            let separate = [0.5, 0.9, 0.99].map(|q| p.dense.quantile(q));
+            assert_eq!([s.p50_ns, s.p90_ns, s.p99_ns], separate);
         });
     }
 
