@@ -146,7 +146,6 @@ fn replay_parallel(requests: u64, keys: usize, workers: usize) -> u64 {
             move |cid| names[cid % names.len()].clone(),
             TICK,
             |_, _| {},
-            |_, _| {},
         );
         assert!(out.trace_error.is_none(), "synth trace cannot error");
         out.requests

@@ -204,8 +204,7 @@ pub struct TraceOutcome<P: RuntimeProvider> {
     /// Virtual time at which the last event completed.
     pub finished_at: SimTime,
     /// Live-container count sampled at every tick by [`run_trace`];
-    /// [`run_trace_partition`] hands each sample to its `on_tick` instead
-    /// and leaves this empty.
+    /// empty from [`run_trace_partition`], which keeps no tick samples.
     pub live_samples: Vec<(SimTime, usize)>,
     /// High-water mark of concurrently in-flight requests — the replay
     /// engine's own memory ceiling is O(this), not O(requests).
@@ -335,23 +334,27 @@ where
 /// and the merged series lines up point-for-point with the sequential one.
 /// `TraceOutcome::requests` counts only this worker's arrivals.
 ///
-/// Each tick's `(now, live)` goes to `on_tick` rather than into
-/// `TraceOutcome::live_samples`, which stays empty: a caller that only
-/// needs the `pool/live` series the registry already keeps stores nothing
-/// per tick.
+/// Tick samples are not kept and `TraceOutcome::live_samples` stays empty:
+/// the registry's `pool/live` series already records every one.
 pub fn run_trace_partition<P, T>(
     mut gateway: Gateway<P>,
     part: &mut PartitionTrace<T>,
     route: impl Fn(usize) -> String,
     tick_interval: SimDuration,
     on_finish: impl FnMut(u64, &RequestTrace),
-    on_tick: impl FnMut(SimTime, usize),
 ) -> TraceOutcome<P>
 where
     P: RuntimeProvider + 'static,
     T: Trace,
 {
-    let summary = run_trace_core(&mut gateway, part, route, tick_interval, on_finish, on_tick);
+    let summary = run_trace_core(
+        &mut gateway,
+        part,
+        route,
+        tick_interval,
+        on_finish,
+        |_, _| {},
+    );
     TraceOutcome::new(gateway, summary, Vec::new())
 }
 
@@ -719,8 +722,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// `w` replayed by one worker per distinct entry of `assign`, with each
-    /// worker's finishes and the tick samples its `on_tick` collected.
+    /// `w` replayed by one worker per distinct entry of `assign`, as
+    /// [`run_trace_partition`] does, with each worker's finishes and ticks.
     fn partitioned<P>(
         make: fn() -> P,
         w: &[Arrival],
@@ -736,21 +739,21 @@ pub(crate) mod tests {
             let mut part = PartitionTrace::new(source, std::sync::Arc::clone(&assign), worker);
             let mut finishes = Finishes::new();
             let mut ticks = Ticks::new();
-            let out = run_trace_partition(
-                gateway(make()),
+            let mut gw = gateway(make());
+            let summary = run_trace_core(
+                &mut gw,
                 &mut part,
                 |_| "random-number".to_string(),
                 TICK,
                 |s, t| finishes.push((s, *t)),
                 |at, live| ticks.push((at, live)),
             );
-            assert!(out.live_samples.is_empty(), "samples go to on_tick");
-            (out, finishes, ticks)
+            (TraceOutcome::new(gw, summary, Vec::new()), finishes, ticks)
         })
     }
 
     /// The 1-thread degenerate parallel run goes through `PartitionTrace` +
-    /// `run_trace_partition` + `run_partitioned` and must be
+    /// the event loop + `run_partitioned` and must be
     /// indistinguishable from the sequential streaming driver.
     #[test]
     fn single_worker_partition_equals_sequential() {

@@ -636,15 +636,12 @@ impl ProviderOp for ReplayOp<'_> {
             let gateway = build_gateway_slots(make(), scenario, slots);
             let names = Arc::clone(&names);
             let mut agg = ReportAggregator::new(series);
-            // Tick samples are not kept: the registry's `pool/live` series
-            // already records them.
             let out = run_trace_partition(
                 gateway,
                 &mut part,
                 move |config_id| names[config_id % names.len()].clone(),
                 scenario.tick,
                 |seq, t| agg.observe(seq, t),
-                |_, _| {},
             );
             if let Some(e) = out.trace_error {
                 return Err(format!("trace source error: {e}"));

@@ -247,38 +247,18 @@ impl LatencyHistogram {
     /// # Panics
     /// Panics when empty or `q` is out of `[0, 1]`.
     pub fn quantile(&self, q: f64) -> SimDuration {
-        let [ns] = self.quantiles_ns([q]);
-        SimDuration::from_nanos(ns)
-    }
-
-    /// [`Self::quantile`] at each of `qs`, in nanoseconds, from one
-    /// ascending walk of the buckets.
-    ///
-    /// # Panics
-    /// Panics when empty, or when `qs` is out of `[0, 1]` or not ascending.
-    pub(crate) fn quantiles_ns<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
         assert!(self.total > 0, "quantile of empty histogram");
-        assert!(
-            qs.iter().all(|q| (0.0..=1.0).contains(q)),
-            "quantile out of range: {qs:?}"
-        );
-        assert!(qs.is_sorted(), "quantiles not ascending: {qs:?}");
-        // Nearest rank of each quantile, ascending with `qs`.
-        let targets = qs.map(|q| ((q * self.total as f64).ceil() as u64).clamp(1, self.total));
-        let mut out = [self.max_ns; N];
-        let mut next = 0;
+        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+        let target = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut cum = 0u64;
         for (bucket, c) in self.counts.iter() {
             cum += c;
-            while next < N && cum >= targets[next] {
-                out[next] = Self::bucket_value(bucket).clamp(self.min_ns, self.max_ns);
-                next += 1;
-            }
-            if next == N {
-                break;
+            if cum >= target {
+                let v = Self::bucket_value(bucket).clamp(self.min_ns, self.max_ns);
+                return SimDuration::from_nanos(v);
             }
         }
-        out
+        SimDuration::from_nanos(self.max_ns)
     }
 
     /// Whether the counts have been promoted to the dense array.
@@ -480,70 +460,6 @@ mod tests {
                 slots[i].assert_in_step();
             }
         });
-    }
-
-    /// One walk answers several quantiles as the oracle's separate calls do:
-    /// a single sample, sparse and dense histograms, and quantiles on,
-    /// just below and just above a `q·total` rank boundary.
-    #[test]
-    fn prop_one_walk_quantiles_match_single_calls() {
-        testkit::check(64, |g| {
-            let shape = g.u8_in(0..3);
-            let values = match shape {
-                0 => palette(g, 1..2),
-                1 => palette(g, 1..SPARSE_MAX + 1),
-                _ => palette(g, SPARSE_MAX + 1..3 * SPARSE_MAX),
-            };
-            let mut p = Pair::new();
-            for &ns in &values {
-                p.record(ns);
-            }
-            if shape > 0 {
-                for _ in 0..g.usize_in(0..300) {
-                    p.record(*g.pick(&values));
-                }
-            }
-            assert_eq!(p.hist.is_dense(), shape == 2);
-            let total = p.dense.total;
-            let on = g.u64_in(0..total + 1) as f64 / total as f64;
-            let below = if on > 0.0 {
-                f64::from_bits(on.to_bits() - 1)
-            } else {
-                0.0
-            };
-            let above = if on < 1.0 {
-                f64::from_bits(on.to_bits() + 1)
-            } else {
-                1.0
-            };
-            let mut qs = [
-                0.0,
-                below,
-                on,
-                above,
-                g.f64_in(0.0..1.0),
-                0.5,
-                0.9,
-                0.99,
-                1.0,
-            ];
-            qs.sort_by(f64::total_cmp);
-            for (q, ns) in qs.into_iter().zip(p.hist.quantiles_ns(qs)) {
-                assert_eq!(ns, p.dense.quantile(q), "q={q} total={total}");
-                assert_eq!(ns, p.hist.quantile(q).as_nanos(), "q={q} total={total}");
-            }
-            let s = crate::HistogramSummary::of(&p.hist);
-            let separate = [0.5, 0.9, 0.99].map(|q| p.dense.quantile(q));
-            assert_eq!([s.p50_ns, s.p90_ns, s.p99_ns], separate);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "not ascending")]
-    fn quantiles_must_ascend() {
-        let mut h = LatencyHistogram::new();
-        h.record(ms(1));
-        h.quantiles_ns([0.9, 0.5]);
     }
 
     /// `n` values in `n` distinct buckets, a different set per `salt`.

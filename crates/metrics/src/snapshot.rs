@@ -65,16 +65,15 @@ impl HistogramSummary {
                 p99_ns: 0,
             };
         }
-        let [p50_ns, p90_ns, p99_ns] = h.quantiles_ns([0.5, 0.9, 0.99]);
         HistogramSummary {
             count: h.count(),
             sum_ns: u64::try_from(h.sum_ns()).unwrap_or(u64::MAX),
             min_ns: h.min().as_nanos(),
             max_ns: h.max().as_nanos(),
             mean_ns: h.mean().as_nanos(),
-            p50_ns,
-            p90_ns,
-            p99_ns,
+            p50_ns: h.quantile(0.5).as_nanos(),
+            p90_ns: h.quantile(0.9).as_nanos(),
+            p99_ns: h.quantile(0.99).as_nanos(),
         }
     }
 }
