@@ -16,6 +16,10 @@
 //!    population-scale point: what a function costs the simulator when
 //!    there are as many of them as in the Azure-style traces.
 //!
+//! 3. An idle tick — maintenance with nothing to do plus the `pool/live`
+//!    sample — costs the replay loop a gated number of nanoseconds
+//!    (`idle_tick_ns`): one function, two arrivals 10⁵ s apart, a 1 s tick.
+//!
 //! Each `*_peak_rss_kb` record is `VmHWM` read right after its point, with
 //! the kernel's high-water mark reset right before it, so it is that point's
 //! own peak (plus whatever freed memory the allocator still holds from the
@@ -30,10 +34,10 @@ use faas::{AppProfile, FunctionSpec};
 use hotc::{HotC, HotCConfig, PoolLimits};
 use hotc_bench::reference::run_workload;
 use hotc_bench::{run_partitioned, run_trace, run_trace_partition, Harness};
-use simclock::SimDuration;
+use simclock::{SimDuration, SimTime};
 use std::sync::Arc;
-use workloads::trace::{PartitionTrace, Trace};
-use workloads::{drain, synth_trace, SynthShape, SynthSpec};
+use workloads::trace::{PartitionTrace, Trace, VecTrace};
+use workloads::{drain, synth_trace, Arrival, SynthShape, SynthSpec};
 
 const TICK: SimDuration = SimDuration::from_secs(60);
 
@@ -154,6 +158,34 @@ fn replay_parallel(requests: u64, keys: usize, workers: usize) -> u64 {
     .sum()
 }
 
+/// Ticks in the idle run: a 1 s tick from t = 0 through the last arrival
+/// (at 10⁵ s) plus two intervals.
+const IDLE_TICKS: u64 = 100_003;
+
+/// The idle-tick run's inputs: a one-function HotC gateway and two arrivals
+/// 10⁵ s apart.
+fn idle_setup() -> (Gateway<HotC>, VecTrace) {
+    let (gw, _) = gateway(1);
+    let arrivals = [0, 100_000].map(|s| Arrival {
+        at: SimTime::from_secs(s),
+        config_id: 0,
+    });
+    (gw, VecTrace::new(arrivals.to_vec()))
+}
+
+/// Replays the idle run on a 1 s tick; returns the ticks it ran.
+fn idle_ticks((gw, mut trace): (Gateway<HotC>, VecTrace)) -> u64 {
+    let out = run_trace(
+        gw,
+        &mut trace,
+        |_| "f#0".to_string(),
+        SimDuration::from_secs(1),
+        |_, _| {},
+    );
+    assert_eq!(out.requests, 2);
+    out.live_samples.len() as u64
+}
+
 /// Frontend-only drain: pulls every arrival out of the synthesizer with no
 /// gateway attached — the raw emission rate of the trace source, and the
 /// 1e7/1e8 scale points that are impractical to serve end to end in CI.
@@ -199,6 +231,13 @@ fn main() {
         replay_materialized(20_000, 1_000)
     });
     assert_eq!(n, 20_000);
+
+    // Idle ticks: the per-tick cost of the replay loop itself.
+    assert_eq!(idle_ticks(idle_setup()), IDLE_TICKS);
+    h.bench_with_setup("idle_ticks_100k", idle_setup, idle_ticks);
+    if let Some(mean_ns) = h.mean_of("idle_ticks_100k") {
+        h.record_derived("idle_tick_ns", mean_ns / IDLE_TICKS as f64);
+    }
 
     // Scale point: a synthesized day of 1e6 requests over 10k runtime keys,
     // streamed — never materialized.

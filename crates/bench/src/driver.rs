@@ -17,9 +17,11 @@
 use faas::gateway::{Gateway, GatewayError};
 use faas::{InFlight, RequestTrace, RuntimeProvider};
 use hotc_cluster::{Cluster, ClusterError, ClusterInFlight};
+use metrics_lite::Series;
 use simclock::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 use workloads::trace::{PartitionTrace, Trace, VecTrace};
 use workloads::Arrival;
 
@@ -133,6 +135,9 @@ pub(crate) trait ReplayTarget {
     fn finish(&mut self, ticket: Self::Ticket) -> Result<Self::Finished, Self::Error>;
     /// Runs maintenance and returns the live-container count after it.
     fn tick(&mut self, now: SimTime) -> Result<usize, Self::Error>;
+    /// The series the loop samples each tick's live count into, got once
+    /// before the first event; `None` if the target keeps none.
+    fn live_series(&self) -> Option<Arc<Series>>;
 }
 
 impl<P: RuntimeProvider> ReplayTarget for Gateway<P> {
@@ -151,14 +156,17 @@ impl<P: RuntimeProvider> ReplayTarget for Gateway<P> {
     }
     fn tick(&mut self, now: SimTime) -> Result<usize, GatewayError> {
         Gateway::tick(self, now)?;
-        let live = self.engine().live_count();
-        self.metrics().sample_series("pool/live", now, live as f64);
-        Ok(live)
+        Ok(self.engine().live_count())
+    }
+    /// `pool/live`, got through `metrics()`: that lists the request tally,
+    /// so a registry the caller shares with the gateway shows it.
+    fn live_series(&self) -> Option<Arc<Series>> {
+        Some(self.metrics().series("pool/live"))
     }
 }
 
 /// Reports the serving node with each trace, like [`Cluster::handle`]; the
-/// nodes keep registries of their own, so `tick` samples no `pool/live`.
+/// nodes keep registries of their own, so the loop samples no `pool/live`.
 impl ReplayTarget for Cluster {
     type Ticket = ClusterInFlight;
     type Finished = (usize, RequestTrace);
@@ -177,6 +185,9 @@ impl ReplayTarget for Cluster {
     fn tick(&mut self, now: SimTime) -> Result<usize, ClusterError> {
         Cluster::tick(self, now)?;
         Ok(self.stats().live_containers)
+    }
+    fn live_series(&self) -> Option<Arc<Series>> {
+        None
     }
 }
 
@@ -394,8 +405,9 @@ where
 /// The event loop: replays `source` through any borrowed [`ReplayTarget`]
 /// with [`run_trace`]'s semantics. The cluster experiments call it directly
 /// on a [`Cluster`]. Like finishes to `on_finish`, each tick's instant and
-/// the live-container count after it go to `on_tick`; the loop keeps
-/// nothing per tick or per request itself.
+/// the live-container count after it go to `on_tick`, and into the
+/// target's live series through a handle got once; the loop keeps nothing
+/// per tick or per request itself.
 pub(crate) fn run_trace_core<T, S>(
     target: &mut T,
     source: &mut S,
@@ -417,6 +429,7 @@ where
     let mut count: u64 = 0;
     let mut max_inflight = 0usize;
     let mut finished_at = SimTime::ZERO;
+    let live_series = target.live_series();
 
     // Event classes at equal instants: tick (0) < arrival (1) < finish (2),
     // mirroring the reference driver's schedule order (ticks first, then
@@ -438,6 +451,9 @@ where
         match class {
             0 => {
                 let live = target.tick(now).expect("tick must not fail");
+                if let Some(series) = &live_series {
+                    series.sample(now, live as f64);
+                }
                 on_tick(now, live);
                 next_tick += tick_interval;
                 if arrival_at.is_none() {

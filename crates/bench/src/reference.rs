@@ -94,7 +94,8 @@ where
 mod tests {
     use super::*;
     use crate::driver::tests::{gateway, sequential, TICK};
-    use faas::ColdStartAlways;
+    use containersim::{ContainerEngine, HardwareProfile};
+    use faas::{AppProfile, ColdStartAlways};
     use hotc::HotC;
     use workloads::patterns;
 
@@ -151,5 +152,33 @@ mod tests {
             ColdStartAlways::new,
             patterns::burst(8, 1, &[], 1, SimDuration::from_secs(30), 0),
         );
+    }
+
+    /// A registry its caller shares with the gateway (`with_metrics`) and
+    /// never reads through the gateway after `run_trace` still lists the
+    /// request tally — the replay read it through `Gateway::metrics` once —
+    /// and holds the reference driver's `pool/live`, byte for byte.
+    #[test]
+    fn a_shared_registry_read_only_by_its_owner_lists_the_tally() {
+        let w = patterns::burst(8, 10, &[1, 3], 6, SimDuration::from_secs(30), 0);
+        let route = |_| "random-number".to_string();
+        let registry = std::sync::Arc::new(metrics_lite::MetricsRegistry::new());
+        let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+        let mut gw = Gateway::with_metrics(
+            engine,
+            HotC::with_defaults(),
+            std::sync::Arc::clone(&registry),
+        );
+        gw.register_app(AppProfile::random_number());
+        let mut source = workloads::trace::VecTrace::new(w.clone());
+        drop(crate::run_trace(gw, &mut source, route, TICK, |_, _| {}));
+
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("gateway/requests"), Some(w.len() as u64));
+        assert!(snap.counter("gateway/cold_starts").is_some_and(|n| n > 0));
+        let materialized = run_workload(gateway(HotC::with_defaults()), &w, route, TICK);
+        let reference = materialized.gateway.metrics().snapshot();
+        assert!(snap.series.iter().any(|(name, _)| name == "pool/live"));
+        assert_eq!(format!("{snap:?}"), format!("{reference:?}"));
     }
 }

@@ -128,5 +128,11 @@ fn main() {
     if let Some(note) = report.series_note() {
         eprintln!("{note}");
     }
-    print!("{}", report.render(args.verbose));
+    let mut stdout = BufWriter::new(std::io::stdout().lock());
+    let written = report
+        .write_to(&mut stdout, args.verbose)
+        .and_then(|()| stdout.flush());
+    if let Err(e) = written {
+        fail(format_args!("error writing the report: {e}"));
+    }
 }

@@ -67,21 +67,38 @@ pub struct ScenarioReport {
     pub limits_coupled: bool,
 }
 
+/// A per-request row label: the arrival's index, `r000` on.
+struct RequestLabel(usize);
+
+impl std::fmt::Display for RequestLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "r{:03}", self.0)
+    }
+}
+
 impl ScenarioReport {
-    /// Renders the report as text tables.
+    /// Renders the report as text tables: [`Self::write_to`] into a string.
     pub fn render(&self, verbose: bool) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
+        let written = self.write_to(&mut out, verbose);
+        let text = written.ok().and_then(|()| String::from_utf8(out).ok());
+        // lint:allow(unwrap, a Vec sink cannot fail and the report is UTF-8 text)
+        text.expect("report renders")
+    }
+
+    /// Writes the report as text tables — with `verbose`, the per-request
+    /// series first, one row at a time, so a million-request chart is never
+    /// held whole.
+    pub fn write_to(&self, out: &mut impl std::io::Write, verbose: bool) -> std::io::Result<()> {
         if verbose && !self.latencies_ms.is_empty() {
-            let labels: Vec<String> = (0..self.latencies_ms.len())
-                .map(|i| format!("r{i:03}"))
-                .collect();
-            out.push_str(&metrics_lite::render_series(
+            metrics_lite::write_series(
+                out,
                 "per-request latency (ms)",
-                &labels,
+                (0..self.latencies_ms.len()).map(RequestLabel),
                 &self.latencies_ms,
                 48,
-            ));
-            out.push('\n');
+            )?;
+            writeln!(out)?;
         }
         let mut table = Table::new(
             "scenario summary",
@@ -106,8 +123,7 @@ impl ScenarioReport {
             self.live_at_end.to_string(),
             format!("{:.2}", self.background_s),
         ]);
-        out.push_str(&table.render());
-        out
+        out.write_all(table.render().as_bytes())
     }
 
     /// Why the per-request series is missing, when the run asked for it but

@@ -140,3 +140,26 @@ fn a_non_positive_workload_value_is_a_parse_error_and_leaves_no_metrics_file() {
         assert!(!dir.join("m.json").exists(), "{pattern} {line}");
     }
 }
+
+/// An OpenDC row whose millisecond timestamp is past the simulator's clock
+/// fails the run on that row, naming it — whether it is the first row or a
+/// later one — instead of wrapping to an instant near t = 0.
+#[test]
+fn an_out_of_range_opendc_timestamp_fails_the_run() {
+    let dir = workdir("opendc_range");
+    let scenario = "seed = 1\n\n[function f]\napp = random-number\n\n[workload]\npattern = opendc\npath = rows.trace\n";
+    std::fs::write(dir.join("opendc.hotc"), scenario).unwrap();
+    for (rows, line) in [
+        ("18446744073710,f\n18446744073710,f\n", 1),
+        ("1000,f\n18446744073710,f\n", 2),
+    ] {
+        std::fs::write(dir.join("rows.trace"), rows).unwrap();
+        let out = hotc_sim(&dir, &["opendc.hotc", "--metrics-out", "m.json"]);
+        assert_eq!(out.status.code(), Some(1), "{rows}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let expected = format!("line {line}: timestamp '18446744073710' ms is out of range");
+        assert!(stderr.contains(&expected), "{stderr}");
+        assert!(out.stdout.is_empty(), "{rows}: a report was printed");
+        assert!(!dir.join("m.json").exists());
+    }
+}

@@ -20,9 +20,9 @@ mod timeseries;
 pub use cdf::Cdf;
 pub use histogram::LatencyHistogram;
 pub use latency::LatencyRecorder;
-pub use registry::{Counter, MetricsRegistry, StageSet};
+pub use registry::{Counter, MetricsRegistry, Series, StageSet};
 pub use snapshot::{HistogramSummary, MetricsSnapshot};
 pub use stage::{Stage, StageSample, N_STAGES};
 pub use stats::StreamingStats;
-pub use table::{render_series, Table};
+pub use table::{render_series, write_series, Table};
 pub use timeseries::TimeSeries;

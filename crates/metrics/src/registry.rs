@@ -1,22 +1,22 @@
 //! Always-on metrics registry with a cheap concurrent recording path.
 //!
 //! The registry is the process-wide (or gateway-wide) home for named
-//! [`Counter`]s, per-scope [`StageSet`]s, and sampled [`TimeSeries`] (step
+//! [`Counter`]s, per-scope [`StageSet`]s, and sampled [`Series`] (step
 //! functions kept as change points). A counter is a single atomic; a stage
-//! set is one mutex around its scope's histograms. Requests are recorded
+//! set or a series is one mutex around its data. Requests are recorded
 //! once, into the stage set of their function's scope
 //! ([`MetricsRegistry::fn_stage_set`], the one place that names
 //! `fn/<function>`); scope `all` and histogram `gateway/e2e` are not
 //! recorded into but derived from the `fn/` sets by every snapshot (see
 //! [`crate::snapshot`]). Hot-path callers obtain their `Arc` handles once
 //! (get-or-create by name) and record through the handle — no per-request
-//! name lookup or allocation.
+//! or per-tick name lookup or allocation.
 //!
-//! Two lock classes, nested one way only: the registry's name tables
-//! (`metrics/registry`, one lock for all of them) and a stage set's
-//! histograms (`metrics/stage-set`). `absorb` holds its own registry lock
-//! while it takes stage-set locks one after another; nothing takes the
-//! registry lock while holding a stage set's, and no two stage sets are
+//! Three lock classes, nested one way only: the registry's name tables
+//! (`metrics/registry`, one lock for all of them) over a stage set's
+//! histograms (`metrics/stage-set`) or a series (`metrics/series`), which
+//! `read_out` and `absorb` take one after another under it; nothing takes
+//! the registry lock while holding another, and no two of the rest are
 //! locked together.
 //!
 //! A stage set holds its histogram headers inline (≈0.9 KB with the lock),
@@ -117,6 +117,43 @@ impl StageSet {
     }
 }
 
+/// A sampled [`TimeSeries`] behind its own lock: the handle a tick loop
+/// gets once ([`MetricsRegistry::series`]) and samples through, so a tick
+/// takes no registry lock and hashes no name.
+#[derive(Debug)]
+pub struct Series(Mutex<TimeSeries>);
+
+impl Default for Series {
+    fn default() -> Self {
+        Series(Mutex::labeled(TimeSeries::new(), "metrics/series"))
+    }
+}
+
+impl Series {
+    /// Samples the series (it stores the sample only if the value
+    /// changed). A sample before the series' last sampled instant (only
+    /// possible when unrelated threads race on the same series) is dropped
+    /// rather than panicking the series' ordering invariant.
+    pub fn sample(&self, at: SimTime, value: f64) {
+        let mut ts = self.0.lock();
+        if ts.end().is_none_or(|end| at >= end) {
+            ts.push(at, value);
+        }
+    }
+
+    /// A copy of everything sampled so far.
+    fn read(&self) -> TimeSeries {
+        self.0.lock().clone()
+    }
+
+    /// Sums another series into this one as step functions (see
+    /// `merge_series`). Reduction-time only.
+    fn absorb(&self, other: &TimeSeries) {
+        let mut ts = self.0.lock();
+        *ts = merge_series(&ts, other);
+    }
+}
+
 /// The registry's name tables, all behind the registry's one lock.
 #[derive(Debug, Default)]
 struct Tables {
@@ -125,7 +162,7 @@ struct Tables {
     /// has listed yet: recorded into, left out of snapshots and `absorb`.
     unlisted: HashMap<String, Arc<Counter>>,
     stages: HashMap<String, Arc<StageSet>>,
-    series: HashMap<String, TimeSeries>,
+    series: HashMap<String, Arc<Series>>,
 }
 
 /// Everything a registry holds, copied out under one hold of its lock with
@@ -133,7 +170,9 @@ struct Tables {
 /// what a snapshot summarizes. Stage sets come out as handles, so a reader
 /// locks one scope's histograms at a time — `absorb` copies each out
 /// ([`StageSet::read`]), a snapshot summarizes each in place
-/// ([`StageSet::visit`]) — instead of all of them at once.
+/// ([`StageSet::visit`]) — instead of all of them at once. Series come out
+/// as copies, and only those sampled at least once: a handle nothing
+/// sampled through leaves no trace.
 pub(crate) struct ReadOut {
     pub(crate) counters: Vec<(String, u64)>,
     pub(crate) stages: Vec<(String, Arc<StageSet>)>,
@@ -319,37 +358,32 @@ impl MetricsRegistry {
         for (scope, set) in other.stages {
             get_or_create(&mut tables.stages, &scope).absorb(&set.read());
         }
-        for (name, other_ts) in other.series {
-            let entry = tables.series.entry(name).or_default();
-            *entry = merge_series(entry, &other_ts);
+        for (name, ts) in other.series {
+            get_or_create(&mut tables.series, &name).absorb(&ts);
         }
     }
 
-    /// Samples a named time series (it stores the sample only if the value
-    /// changed). A sample before the series' last sampled instant (only
-    /// possible when unrelated threads race on the same series) is dropped
-    /// rather than panicking the series' ordering invariant.
+    /// Get-or-create a time series. Cache the handle and sample through
+    /// [`Series::sample`]; don't look up per tick.
+    pub fn series(&self, name: &str) -> Arc<Series> {
+        get_or_create(&mut self.tables.lock().series, name)
+    }
+
+    /// Samples a named time series: [`Self::series`] then
+    /// [`Series::sample`], with the registry lock released before the
+    /// series' is taken.
     pub fn sample_series(&self, name: &str, at: SimTime, value: f64) {
-        let mut tables = self.tables.lock();
-        // Look up by `&str` first: `entry` needs an owned key, which would
-        // be one `String` per tick per series for a key that already exists.
-        if let Some(ts) = tables.series.get_mut(name) {
-            if ts.end().is_none_or(|end| at >= end) {
-                ts.push(at, value);
-            }
-            return;
-        }
-        let mut ts = TimeSeries::new();
-        ts.push(at, value);
-        tables.series.insert(name.to_string(), ts);
+        self.series(name).sample(at, value);
     }
 
     pub(crate) fn read_out(&self) -> ReadOut {
         let tables = self.tables.lock();
+        let mut series = sorted(&tables.series, |s| s.read());
+        series.retain(|(_, ts)| !ts.is_empty());
         ReadOut {
             counters: counters_in_order(&tables.counters),
             stages: sorted(&tables.stages, Arc::clone),
-            series: sorted(&tables.series, TimeSeries::clone),
+            series,
         }
     }
 }
@@ -647,12 +681,15 @@ mod tests {
                 samples[1][k] = samples[1][k - 1] - 1.0;
             }
 
+            // Workers sample through a handle, as the replay loop does; the
+            // combined registry samples by name.
             let regs: Vec<MetricsRegistry> = samples
                 .iter()
                 .map(|values| {
                     let reg = MetricsRegistry::new();
+                    let live = reg.series("pool/live");
                     for (&t, &v) in ticks.iter().zip(values) {
-                        reg.sample_series("pool/live", t, v);
+                        live.sample(t, v);
                     }
                     reg
                 })
@@ -694,6 +731,37 @@ mod tests {
         let series = &a.read_out().series[0].1;
         assert_eq!(series.points(), &[(SimTime::ZERO, 3.0)]);
         assert_eq!(series.end(), Some(SimTime::from_secs(60)));
+    }
+
+    /// Property: sampling through a [`Series`] handle and sampling by name
+    /// store the same series, samples at an earlier instant (dropped) and
+    /// repeats included; a handle nothing sampled through shows nowhere.
+    #[test]
+    fn prop_handle_samples_equal_by_name_samples() {
+        let debug = |reg: &MetricsRegistry| format!("{:?}", reg.snapshot());
+        testkit::check(128, |g| {
+            let mut at = g.u64_in(0..100);
+            let samples: Vec<(SimTime, f64)> = g.vec(1..60, |g| {
+                // One step in five goes back in time.
+                if g.u64_in(0..5) == 0 {
+                    at = at.saturating_sub(g.u64_in(1..4));
+                } else {
+                    at += g.u64_in(0..3);
+                }
+                (SimTime::from_secs(at), g.u64_in(0..3) as f64)
+            });
+            let (by_name, by_handle) = (MetricsRegistry::new(), MetricsRegistry::new());
+            let live = by_handle.series("pool/live");
+            let unused = by_handle.series("never/sampled");
+            for &(t, v) in &samples {
+                by_name.sample_series("pool/live", t, v);
+                live.sample(t, v);
+            }
+            assert_eq!(debug(&by_handle), debug(&by_name));
+            assert!(Arc::ptr_eq(&live, &by_handle.series("pool/live")));
+            drop(unused);
+            assert_eq!(by_handle.read_out().series.len(), 1);
+        });
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! plots, so `repro figN` output is readable in a terminal and diffable in
 //! EXPERIMENTS.md.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::io;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
@@ -76,32 +77,61 @@ impl Table {
 }
 
 /// Renders a numeric series as a labelled ASCII bar chart (one row per
-/// point), scaled to `max_width` characters.
+/// point), scaled to `max_width` characters: [`write_series`] into a string.
 pub fn render_series(title: &str, labels: &[String], values: &[f64], max_width: usize) -> String {
+    let mut out = Vec::new();
+    let written = write_series(&mut out, title, labels.iter(), values, max_width);
+    let text = written.ok().and_then(|()| String::from_utf8(out).ok());
+    // lint:allow(unwrap, a Vec sink cannot fail and the chart is UTF-8 text)
+    text.expect("chart renders")
+}
+
+/// Writes a numeric series as a labelled ASCII bar chart, one row per
+/// point as it goes, scaled to `max_width` characters. `labels` yields one
+/// label per value and is walked twice (once for the label column's width),
+/// so a caller can chart a million points without a label or row held.
+pub fn write_series<L: Display>(
+    out: &mut impl io::Write,
+    title: &str,
+    labels: impl ExactSizeIterator<Item = L> + Clone,
+    values: &[f64],
+    max_width: usize,
+) -> io::Result<()> {
     assert_eq!(labels.len(), values.len(), "label/value length mismatch");
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
+    writeln!(out, "== {title} ==")?;
     if values.is_empty() {
-        let _ = writeln!(out, "(empty series)");
-        return out;
+        return writeln!(out, "(empty series)");
     }
     let peak = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let label_w = labels.iter().map(|l| l.len()).max().unwrap_or(0);
-    for (label, &v) in labels.iter().zip(values) {
+    // Each label is formatted into one reused buffer: no String per row.
+    fn set(label: &mut String, l: impl Display) -> usize {
+        label.clear();
+        let _ = write!(label, "{l}");
+        label.len()
+    }
+    let mut label = String::new();
+    let label_w = labels
+        .clone()
+        .map(|l| set(&mut label, l))
+        .max()
+        .unwrap_or(0);
+    let bars = "#".repeat(max_width);
+    for (l, &v) in labels.zip(values) {
+        set(&mut label, l);
         let bar_len = if peak > 0.0 {
             ((v / peak) * max_width as f64).round().max(0.0) as usize
         } else {
             0
         };
-        let _ = writeln!(
+        writeln!(
             out,
             "{:<label_w$} |{} {:.3}",
             label,
-            "#".repeat(bar_len.min(max_width)),
+            &bars[..bar_len.min(max_width)],
             v,
-        );
+        )?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -142,6 +172,19 @@ mod tests {
         assert!(s.contains("t0"));
         assert!(s.contains("##########")); // peak gets full width
         assert!(s.contains("#####")); // half value gets half width
+    }
+
+    /// Labels of any `Display` type, padded to the widest, chart the same
+    /// bytes as the same labels given as strings.
+    #[test]
+    fn write_series_streams_what_render_series_renders() {
+        let values: Vec<f64> = (0..120).map(|i| f64::from(i % 7) * 1.5).collect();
+        let labels: Vec<String> = (0..values.len()).map(|i| i.to_string()).collect();
+        let mut out = Vec::new();
+        write_series(&mut out, "t", 0..values.len(), &values, 20).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text, render_series("t", &labels, &values, 20));
+        assert!(text.contains("\n7   |"), "{text}");
     }
 
     #[test]

@@ -1027,12 +1027,19 @@ impl<R: BufRead> OpenDcTrace<R> {
                     return self.fail(format!("line {line_no}: invalid timestamp '{ts}'"));
                 }
             };
+            // `SimTime::from_millis` would wrap past u64 nanoseconds.
+            let Some(at) = ms.checked_mul(1_000_000).map(SimTime::from_nanos) else {
+                let line_no = self.line_no;
+                let ts = ts.trim();
+                return self.fail(format!(
+                    "line {line_no}: timestamp '{ts}' ms is out of range"
+                ));
+            };
             let name = name.trim();
             if name.is_empty() {
                 let line_no = self.line_no;
                 return self.fail(format!("line {line_no}: missing function name"));
             }
-            let at = SimTime::from_millis(ms);
             if at < self.last_at {
                 let line_no = self.line_no;
                 return self.fail(format!(
@@ -1545,6 +1552,32 @@ mod tests {
                 .is_some_and(|e| e.contains("line 2") && e.contains("non-decreasing")),
             "{err:?}"
         );
+    }
+
+    /// A millisecond timestamp past `SimTime`'s range is an error on its
+    /// own line, first row or not — not a wrapped instant that replays near
+    /// t = 0 or reads as a time regression.
+    #[test]
+    fn opendc_reader_rejects_out_of_range_timestamps() {
+        let max_ms = u64::MAX / 1_000_000;
+        let first = format!("{},alpha\n2,beta\n", max_ms + 1);
+        let later = format!("1000,alpha\n{},beta\n", max_ms + 1);
+        for (csv, line, served) in [(first, 1, 0), (later, 2, 1)] {
+            let mut t = OpenDcTrace::new(csv.as_bytes());
+            assert_eq!(drain(&mut t).len(), served, "{csv}");
+            let err = t.take_error();
+            let prefix = format!("line {line}: timestamp '{}' ms", max_ms + 1);
+            assert!(
+                err.as_deref()
+                    .is_some_and(|e| e.starts_with(&prefix) && e.ends_with("is out of range")),
+                "{err:?}"
+            );
+        }
+        let csv = format!("timestamp,function\n{max_ms},alpha\n");
+        let mut t = OpenDcTrace::new(csv.as_bytes());
+        let at = SimTime::from_nanos(max_ms * 1_000_000);
+        assert_eq!(drain(&mut t), [Arrival { at, config_id: 0 }]);
+        assert_eq!(t.take_error(), None);
     }
 
     #[test]
