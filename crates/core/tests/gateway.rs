@@ -1,11 +1,14 @@
 //! The faas gateway over a provider that reuses runtimes: split-phase
 //! overlap, first-execution init, and per-stage telemetry that reconciles
 //! cold and warm. `faas` itself only has the cold-start provider, so these
-//! run on `HotC` under AWS's 15-minute keep-alive.
+//! run on `HotC` under AWS's 15-minute keep-alive; the gateway's key slot is
+//! also checked on `ColdStartAlways`.
 
 use containersim::engine::ExecWork;
-use containersim::{ContainerEngine, HardwareProfile, ImageId, LanguageRuntime};
-use faas::{AppProfile, FunctionSpec, Gateway};
+use containersim::{
+    ContainerConfig, ContainerEngine, ContainerId, HardwareProfile, ImageId, LanguageRuntime,
+};
+use faas::{AppProfile, ColdStartAlways, FunctionSpec, Gateway, RuntimeProvider};
 use hotc::HotC;
 use metrics_lite::{MetricsRegistry, MetricsSnapshot, Stage};
 use simclock::{SimDuration, SimTime};
@@ -154,12 +157,20 @@ fn prop_stage_sums_reconcile_with_trace_totals() {
 }
 
 /// A registered spec and the same spec handed in on a twin gateway take
-/// one path: identical traces cold and warm, identical `fn/` scopes.
+/// one path: identical traces cold and warm, identical `fn/` scopes. On
+/// `ColdStartAlways` the registered function's key slot is filled and the
+/// handed-in one's never is; both requests are cold.
 #[test]
 fn begin_and_begin_with_agree() {
-    let mut registered = gateway();
-    let engine = ContainerEngine::with_local_images(HardwareProfile::server());
-    let mut handed = Gateway::new(engine, keepalive());
+    begin_and_begin_with_agree_on(keepalive, false);
+    begin_and_begin_with_agree_on(ColdStartAlways::new, true);
+}
+
+fn begin_and_begin_with_agree_on<P: RuntimeProvider>(provider: impl Fn() -> P, always_cold: bool) {
+    let on_engine = || ContainerEngine::with_local_images(HardwareProfile::server());
+    let mut registered = Gateway::new(on_engine(), provider());
+    registered.register_app(AppProfile::random_number());
+    let mut handed = Gateway::new(on_engine(), provider());
     let spec = FunctionSpec::from_app(AppProfile::random_number());
     for at in [0, 10] {
         let now = SimTime::from_secs(at);
@@ -167,7 +178,7 @@ fn begin_and_begin_with_agree() {
         let b = handed.begin_with(&spec, None, now).unwrap();
         let (a, b) = (registered.finish(a).unwrap(), handed.finish(b).unwrap());
         assert_eq!(a, b);
-        assert_eq!(a.cold, at == 0);
+        assert_eq!(a.cold, always_cold || at == 0);
     }
     let (a, b) = (registered.metrics().snapshot(), handed.metrics().snapshot());
     let scopes = |s: &MetricsSnapshot| -> Vec<String> {
@@ -175,10 +186,71 @@ fn begin_and_begin_with_agree() {
     };
     assert_eq!(scopes(&a), ["all", "fn/random-number"]);
     assert_eq!(scopes(&a), scopes(&b));
-    for (stage, count) in [(Stage::RuntimeInit, 1), (Stage::Exec, 2)] {
+    let cold_starts = if always_cold { 2 } else { 1 };
+    for (stage, count) in [(Stage::RuntimeInit, cold_starts), (Stage::Exec, 2)] {
         assert_eq!(a.stage_count("fn/random-number", stage), count);
         assert_eq!(b.stage_count("fn/random-number", stage), count);
     }
+}
+
+fn cold_start_gateway() -> Gateway<ColdStartAlways> {
+    let engine = ContainerEngine::with_local_images(HardwareProfile::server());
+    Gateway::new(engine, ColdStartAlways::new())
+}
+
+/// The configuration a live container was booted with.
+fn booted(gw: &Gateway<ColdStartAlways>, container: ContainerId) -> &ContainerConfig {
+    gw.engine().config(container).expect("live container")
+}
+
+/// Whether two live containers were booted with one shared configuration.
+fn share_config(gw: &Gateway<ColdStartAlways>, a: ContainerId, b: ContainerId) -> bool {
+    std::ptr::eq(booted(gw, a), booted(gw, b))
+}
+
+/// A cold start copies no configuration: every container of a function
+/// shares one, and so do two functions whose configurations are equal.
+#[test]
+fn cold_starts_share_one_configuration_per_distinct_config() {
+    let mut gw = cold_start_gateway();
+    let app = AppProfile::random_number();
+    let mut other = app.default_config();
+    other.exec.env.insert("V".into(), "2".into());
+    gw.register(FunctionSpec::from_app(app.clone()));
+    gw.register(FunctionSpec::from_app(app.clone()).named("twin"));
+    gw.register(
+        FunctionSpec::from_app(app)
+            .named("other")
+            .with_config(other),
+    );
+    let [a, b, twin, other] = ["random-number", "random-number", "twin", "other"]
+        .map(|f| gw.begin(f, SimTime::ZERO).unwrap());
+    assert!(share_config(&gw, a.container, b.container));
+    assert!(share_config(&gw, a.container, twin.container));
+    assert!(!share_config(&gw, a.container, other.container));
+    assert_ne!(booted(&gw, a.container), booted(&gw, other.container));
+}
+
+/// A function re-registered with a new configuration boots the new one
+/// from its next request on, though the function's key slot was filled by
+/// the old; registered back, it shares the old configuration's copy again.
+#[test]
+fn a_re_registered_cold_start_function_boots_its_new_configuration() {
+    let mut gw = cold_start_gateway();
+    let app = AppProfile::random_number();
+    let mut changed = app.default_config();
+    changed.exec.env.insert("V".into(), "2".into());
+    gw.register(FunctionSpec::from_app(app.clone()));
+    let old = gw.begin("random-number", SimTime::ZERO).unwrap();
+    gw.register(FunctionSpec::from_app(app.clone()).with_config(changed.clone()));
+    let new = gw.begin("random-number", SimTime::from_secs(1)).unwrap();
+    let again = gw.begin("random-number", SimTime::from_secs(2)).unwrap();
+    assert_eq!(booted(&gw, new.container), &changed);
+    assert!(share_config(&gw, new.container, again.container));
+    gw.register(FunctionSpec::from_app(app));
+    let back = gw.begin("random-number", SimTime::from_secs(3)).unwrap();
+    assert_ne!(booted(&gw, back.container), &changed);
+    assert!(share_config(&gw, old.container, back.container));
 }
 
 /// Two apps on one runtime key, served serially from one prewarmed

@@ -84,8 +84,9 @@ impl Acquisition {
 }
 
 /// A provider's own handle for a configuration's runtime key (HotC: its
-/// pool's interned `KeyId`). [`Gateway`] caches one per registered function,
-/// so the provider resolves a function's configuration once, not per request.
+/// pool's interned `KeyId`; [`ColdStartAlways`]: the index of its shared
+/// copy). [`Gateway`] caches one per registered function, so the provider
+/// resolves a function's configuration once, not per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProviderKey(pub u32);
 

@@ -8,25 +8,41 @@
 //! `fixed_keepalive`, `periodic_warmup` and `hybrid_keepalive` — not
 //! providers of their own.
 
-use crate::{Acquisition, RuntimeProvider};
+use crate::{Acquisition, ProviderKey, RuntimeProvider};
 use containersim::{ContainerConfig, ContainerEngine, ContainerId, EngineError};
 use simclock::{SimDuration, SimTime};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Boot a fresh container per request; remove it afterwards.
 #[derive(Debug, Default)]
 pub struct ColdStartAlways {
     background: SimDuration,
-    /// Every configuration served so far, handed to the engine shared, so
-    /// a cold start copies no configuration. One entry per function.
-    configs: HashSet<Arc<ContainerConfig>>,
+    /// Every distinct configuration served so far, indexed by
+    /// [`ProviderKey`] and handed to the engine shared, so a cold start
+    /// copies no configuration.
+    configs: Vec<Arc<ContainerConfig>>,
+    /// Each configuration's index in `configs`, read only to fill an empty
+    /// key slot.
+    keys: HashMap<Arc<ContainerConfig>, u32>,
 }
 
 impl ColdStartAlways {
     /// Creates the policy.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The index of `config`'s shared copy, added on first sight.
+    fn intern(&mut self, config: &ContainerConfig) -> u32 {
+        if let Some(&index) = self.keys.get(config) {
+            return index;
+        }
+        let shared = Arc::new(config.clone());
+        let index = self.configs.len() as u32;
+        self.configs.push(Arc::clone(&shared));
+        self.keys.insert(shared, index);
+        index
     }
 }
 
@@ -37,14 +53,21 @@ impl RuntimeProvider for ColdStartAlways {
         config: &ContainerConfig,
         now: SimTime,
     ) -> Result<Acquisition, EngineError> {
-        let shared = match self.configs.get(config) {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let shared = Arc::new(config.clone());
-                self.configs.insert(Arc::clone(&shared));
-                shared
-            }
-        };
+        self.acquire_keyed(engine, config, &mut None, now)
+    }
+
+    /// Hashes `config` only when `key` is empty, then fills it with the
+    /// index of its shared copy: a gateway that keeps the slot per function
+    /// resolves each configuration once.
+    fn acquire_keyed(
+        &mut self,
+        engine: &mut ContainerEngine,
+        config: &ContainerConfig,
+        key: &mut Option<ProviderKey>,
+        now: SimTime,
+    ) -> Result<Acquisition, EngineError> {
+        let ProviderKey(index) = *key.get_or_insert_with(|| ProviderKey(self.intern(config)));
+        let shared = Arc::clone(&self.configs[index as usize]);
         let (container, cost) = engine.create_container(shared, now)?;
         Ok(Acquisition::cold(container, cost))
     }

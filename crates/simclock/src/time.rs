@@ -110,17 +110,22 @@ impl SimDuration {
         SimDuration(m * 60 * 1_000_000_000)
     }
 
-    /// Creates a span from a float number of seconds, clamped to `[0, MAX]`.
+    /// Creates a span from a float number of seconds, rounded to the
+    /// nearest nanosecond (halves away from zero) and clamped to `[0, MAX]`;
+    /// NaN gives zero.
     pub fn from_secs_f64(s: f64) -> Self {
         if s <= 0.0 {
             return SimDuration::ZERO;
         }
-        let ns = (s * 1e9).round();
+        let ns = s * 1e9;
         if ns >= u64::MAX as f64 {
-            SimDuration::MAX
-        } else {
-            SimDuration(ns as u64)
+            return SimDuration::MAX;
         }
+        // `f64::round` without the libm call. Below 2^53 the fraction
+        // `ns - t` is exact (Sterbenz: t <= ns < 2t, or t = 0); from 2^53
+        // up `ns` is integral and the fraction is 0. NaN truncates to 0.
+        let t = ns as u64;
+        SimDuration(t + u64::from(ns - t as f64 >= 0.5))
     }
 
     /// Raw nanoseconds.
@@ -344,6 +349,68 @@ mod tests {
         let d = SimDuration::from_secs_f64(0.25);
         assert_eq!(d.as_millis(), 250);
         assert!((d.as_secs_f64() - 0.25).abs() < 1e-12);
+    }
+
+    /// The libm reference, `(s * 1e9).round()` under the same clamps:
+    /// `from_secs_f64` must match it on every input.
+    fn rounded_by_libm(s: f64) -> SimDuration {
+        if s <= 0.0 {
+            return SimDuration::ZERO;
+        }
+        let ns = (s * 1e9).round();
+        if ns >= u64::MAX as f64 {
+            SimDuration::MAX
+        } else {
+            SimDuration(ns as u64)
+        }
+    }
+
+    /// `s` and the two bit patterns on each side of it.
+    fn around(s: f64) -> [f64; 5] {
+        let b = s.to_bits();
+        [-2i64, -1, 0, 1, 2].map(|d| f64::from_bits(b.wrapping_add_signed(d)))
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_as_libm_at_fixed_points() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+        ];
+        for ns in [0.5, 1.5, 2.5, 2f64.powi(52), 2f64.powi(53), 2f64.powi(64)] {
+            cases.extend(around(ns / 1e9));
+            cases.extend(around((ns - 0.5) / 1e9));
+        }
+        for s in cases {
+            assert_eq!(SimDuration::from_secs_f64(s), rounded_by_libm(s), "{s:e} s");
+        }
+        assert_eq!(SimDuration::from_secs_f64(1.5e-9).as_nanos(), 2);
+        assert_eq!(SimDuration::from_secs_f64(2.5e-9).as_nanos(), 3);
+    }
+
+    #[test]
+    fn prop_from_secs_f64_rounds_as_libm() {
+        testkit::check(256, |g| {
+            for _ in 0..256 {
+                // Any bit pattern: negatives, subnormals, infinities, NaNs.
+                let s = f64::from_bits(g.next_u64());
+                assert_eq!(SimDuration::from_secs_f64(s), rounded_by_libm(s), "{s:e} s");
+                // Near a half nanosecond, where the two roundings could part.
+                let n = g.next_u64() >> g.u32_in(0..64);
+                for s in around((n as f64 + 0.5) / 1e9) {
+                    assert_eq!(SimDuration::from_secs_f64(s), rounded_by_libm(s), "{s:e} s");
+                }
+            }
+        });
     }
 
     #[test]

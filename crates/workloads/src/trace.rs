@@ -759,21 +759,33 @@ fn apportion(requests: u64, weights: &[f64]) -> Vec<u64> {
 }
 
 struct SynthGen {
-    bins: Vec<u64>,
+    bins: Box<[u64]>,
     duration_ns: u64,
-    keys: usize,
     key_offset: usize,
     sampler: ZipfSampler,
     rng: SimRng,
-    waves: Option<(usize, usize)>, // (waves, window) for DeployWaves
+    waves: Option<(usize, usize)>, // (waves, keys) for DeployWaves
     bin: usize,
     j: u64,
+    /// The current bin's start and span, set on entering it.
+    start: u64,
+    span: f64,
 }
 
 impl SynthGen {
     fn bin_bound(&self, b: usize) -> u64 {
         // Exact integer bin edges: no f64 drift across a 1e8-request day.
         ((self.duration_ns as u128 * b as u128) / self.bins.len() as u128) as u64
+    }
+
+    /// Moves to bin `b`, computing its edges once for all its arrivals.
+    fn enter_bin(&mut self, b: usize) {
+        self.bin = b;
+        self.j = 0;
+        if b < self.bins.len() {
+            self.start = self.bin_bound(b);
+            self.span = (self.bin_bound(b + 1) - self.start) as f64;
+        }
     }
 }
 
@@ -783,29 +795,26 @@ impl Iterator for SynthGen {
         while self.bin < self.bins.len() {
             let n = self.bins[self.bin];
             if self.j < n {
-                let start = self.bin_bound(self.bin);
-                let span = (self.bin_bound(self.bin + 1) - start) as f64;
                 // Jittered but monotone within the bin: the j-th of n
                 // arrivals lands in [j/n, (j+1)/n) of the bin span.
                 let u = self.rng.unit();
-                let off = (span * (self.j as f64 + u) / n as f64) as u64;
+                let off = (self.span * (self.j as f64 + u) / n as f64) as u64;
                 let key = match self.waves {
-                    Some((waves, _window)) => {
+                    Some((waves, keys)) => {
                         let wave = self.bin * waves / self.bins.len();
-                        let stride = (self.keys / waves.max(1)).max(1);
+                        let stride = (keys / waves).max(1);
                         let rank = self.sampler.sample(&mut self.rng);
-                        (wave * stride + rank) % self.keys
+                        (wave * stride + rank) % keys
                     }
                     None => self.sampler.sample(&mut self.rng),
                 };
                 self.j += 1;
                 return Some(Arrival {
-                    at: SimTime::from_nanos(start + off),
+                    at: SimTime::from_nanos(self.start + off),
                     config_id: self.key_offset + key,
                 });
             }
-            self.bin += 1;
-            self.j = 0;
+            self.enter_bin(self.bin + 1);
         }
         None
     }
@@ -827,21 +836,24 @@ pub fn synth_trace(spec: &SynthSpec) -> impl Trace {
     let (waves, sampler_n) = match spec.shape {
         SynthShape::DeployWaves { waves, window } => {
             let window = window.clamp(1, spec.keys);
-            (Some((waves.max(1), window)), window)
+            (Some((waves.max(1), spec.keys)), window)
         }
         _ => (None, spec.keys),
     };
-    GenTrace::new(SynthGen {
-        bins,
+    let mut gen = SynthGen {
+        bins: bins.into_boxed_slice(),
         duration_ns: spec.duration.as_nanos(),
-        keys: spec.keys,
         key_offset: spec.key_offset,
         sampler: ZipfSampler::new(sampler_n, spec.zipf_exponent),
         rng: SimRng::seeded(spec.seed),
         waves,
         bin: 0,
         j: 0,
-    })
+        start: 0,
+        span: 0.0,
+    };
+    gen.enter_bin(0);
+    GenTrace::new(gen)
 }
 
 /// Multi-tenant interference: `tenants` synthesized tenants, each with a
