@@ -242,32 +242,6 @@ impl<P: RuntimeProvider> TraceOutcome<P> {
     }
 }
 
-/// A pending finish event, ordered by `(t4, arrival seq)` — the same order
-/// the reference driver's FIFO event queue produces, since each finish is
-/// scheduled the moment its arrival begins.
-struct FinishAt<K> {
-    at: SimTime,
-    seq: u64,
-    ticket: K,
-}
-
-impl<K> PartialEq for FinishAt<K> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl<K> Eq for FinishAt<K> {}
-impl<K> PartialOrd for FinishAt<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K> Ord for FinishAt<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// What the event loop needs from an arrival source beyond [`Trace`]. A
 /// plain trace reports what the loop itself counted; a parallel worker's
 /// [`PartitionTrace`] overrides both with facts about the underlying stream.
@@ -422,7 +396,14 @@ where
 {
     assert!(!tick_interval.is_zero(), "tick interval must be positive");
 
-    let mut pending: BinaryHeap<Reverse<FinishAt<T::Ticket>>> = BinaryHeap::new();
+    // Pending finishes as `(t4, arrival seq, slot)` keys, ordered by
+    // `(t4, seq)` — the reference driver's FIFO event queue order, since
+    // each finish is scheduled the moment its arrival begins; `seq` is
+    // unique, so `slot` never breaks a tie. The tickets wait in `slots`
+    // (vacant ones listed in `free`), so the heap moves 24-byte keys.
+    let mut pending: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
+    let mut slots: Vec<Option<T::Ticket>> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
     let mut next_tick = SimTime::ZERO;
     let mut ticks_done = false;
     let mut last_arrival_at: Option<SimTime> = None;
@@ -437,7 +418,7 @@ where
     loop {
         let tick_at = if ticks_done { None } else { Some(next_tick) };
         let arrival_at = source.peek().map(|a| a.at);
-        let finish_at = pending.peek().map(|Reverse(f)| f.at);
+        let finish_at = pending.peek().map(|&Reverse((at, ..))| at);
 
         let candidates = [
             tick_at.map(|t| (t, 0u8)),
@@ -480,18 +461,24 @@ where
                 last_arrival_at = Some(arrival.at);
                 let function = route(arrival.config_id);
                 let ticket = target.begin(&function, now).expect("request must begin");
-                pending.push(Reverse(FinishAt {
-                    at: T::finish_at(&ticket),
-                    seq,
-                    ticket,
-                }));
+                let at = T::finish_at(&ticket);
+                let slot = free.pop().unwrap_or_else(|| {
+                    slots.push(None);
+                    u32::try_from(slots.len() - 1).expect("in-flight requests fit in u32")
+                });
+                slots[slot as usize] = Some(ticket);
+                pending.push(Reverse((at, seq, slot)));
                 max_inflight = max_inflight.max(pending.len());
                 count += 1;
             }
             _ => {
-                let Reverse(f) = pending.pop().expect("peeked finish must exist");
-                let finished = target.finish(f.ticket).expect("request must finish");
-                on_finish(f.seq, &finished);
+                let Reverse((_, seq, slot)) = pending.pop().expect("peeked finish must exist");
+                let ticket = slots[slot as usize]
+                    .take()
+                    .expect("a pending slot holds its ticket");
+                free.push(slot);
+                let finished = target.finish(ticket).expect("request must finish");
+                on_finish(seq, &finished);
             }
         }
         finished_at = now;
@@ -825,6 +812,91 @@ pub(crate) mod tests {
             let summed: usize = results.iter().map(|(.., ticks)| ticks[i].1).sum();
             assert_eq!(summed, live, "live count diverged at {at:?}");
         }
+    }
+
+    /// A target whose request `i` (in begin order) finishes `config_id`
+    /// seconds after it begins and reports `i` back, so a finish that got
+    /// another request's ticket shows.
+    struct Echo {
+        begun: u64,
+    }
+
+    impl ReplayTarget for Echo {
+        type Ticket = (u64, SimTime);
+        type Finished = (u64, SimTime);
+        type Error = std::convert::Infallible;
+
+        fn begin(&mut self, function: &str, now: SimTime) -> Result<(u64, SimTime), Self::Error> {
+            let secs: u64 = function.parse().expect("route is the finish offset");
+            self.begun += 1;
+            Ok((self.begun - 1, now + SimDuration::from_secs(secs)))
+        }
+        fn finish_at(ticket: &(u64, SimTime)) -> SimTime {
+            ticket.1
+        }
+        fn finish(&mut self, ticket: (u64, SimTime)) -> Result<(u64, SimTime), Self::Error> {
+            Ok(ticket)
+        }
+        fn tick(&mut self, _now: SimTime) -> Result<usize, Self::Error> {
+            Ok(0)
+        }
+        fn live_series(&self) -> Option<Arc<Series>> {
+            None
+        }
+    }
+
+    /// Bursts of same-instant arrivals whose finishes tie on `t4`, in waves
+    /// that overlap the previous one's tail so finished slots are reused
+    /// while others are still pending: every request finishes once, with its
+    /// own ticket, in `(t4, seq)` order.
+    #[test]
+    fn slab_keeps_finish_order_and_tickets() {
+        const WAVES: u64 = 40;
+        const BURST: u64 = 12;
+        let w: Vec<Arrival> = (0..WAVES)
+            .flat_map(|wave| {
+                (0..BURST).map(move |i| Arrival {
+                    at: SimTime::from_secs(wave * 3),
+                    // Offsets 0..=4 s: ties on t4 within a burst, and with
+                    // the next wave's early finishes.
+                    config_id: ((i * 7 + wave) % 5) as usize,
+                })
+            })
+            .collect();
+        let mut finished: Vec<(u64, u64, SimTime)> = Vec::new();
+        let summary = run_trace_core(
+            &mut Echo { begun: 0 },
+            &mut VecTrace::new(w.clone()),
+            |offset| offset.to_string(),
+            TICK,
+            |seq, &(id, t4)| finished.push((seq, id, t4)),
+            |_, _| {},
+        );
+        let n = WAVES * BURST;
+        assert_eq!(summary.requests, n);
+        assert!(summary.max_inflight < n as usize / 4, "slots were reused");
+        assert!(
+            finished
+                .windows(2)
+                .all(|p| (p[0].2, p[0].0) < (p[1].2, p[1].0)),
+            "finishes leave in (t4, seq) order"
+        );
+        let mut seen = vec![false; n as usize];
+        for &(seq, id, t4) in &finished {
+            assert_eq!(id, seq, "seq {seq} finished with another ticket");
+            let arrival = w[seq as usize];
+            assert_eq!(
+                t4,
+                arrival.at + SimDuration::from_secs(arrival.config_id as u64)
+            );
+            assert!(
+                !std::mem::replace(&mut seen[seq as usize], true),
+                "seq {seq} twice"
+            );
+        }
+        assert!(seen.iter().all(|&s| s), "every request finishes");
+        let ties = finished.windows(2).filter(|p| p[0].2 == p[1].2).count();
+        assert!(ties > n as usize / 2, "finishes tie on t4 ({ties})");
     }
 
     #[test]

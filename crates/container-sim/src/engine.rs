@@ -9,9 +9,10 @@ use crate::container::{ContainerConfig, ContainerId, ContainerState};
 use crate::costmodel;
 use crate::hardware::HardwareProfile;
 use crate::host::HostResources;
-use crate::image::{ImageId, ImageRegistry, ImageSpec, LocalImageStore, PullCost};
+use crate::image::{ImageId, ImageRegistry, LocalImageStore, PullCost};
+use crate::network::{NetworkConfig, NetworkMode};
 use crate::runtime::LanguageRuntime;
-use crate::volume::{VolumeId, VolumeStore};
+use crate::volume::Volume;
 use simclock::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -53,27 +54,71 @@ impl CostBreakdown {
             + self.code_load
     }
 
-    /// The cold start of `spec` under `config` on `hw`, given the pull it
-    /// needs, before any daemon queueing. [`ContainerEngine::create_container`]
-    /// charges it and [`ContainerEngine::estimate_cold_start`] sums it, so
-    /// the estimate is the breakdown a create would report.
+    /// The cold start of a `runtime` image attached to `network` on `hw`,
+    /// whose constants `costs` holds scaled, given the pull it needs, before
+    /// any daemon queueing. [`ContainerEngine::create_container`] charges it
+    /// and [`ContainerEngine::estimate_cold_start`] sums it, so the estimate
+    /// is the breakdown a create would report.
     fn cold(
-        spec: &ImageSpec,
+        costs: &ScaledCosts,
         hw: &HardwareProfile,
-        config: &ContainerConfig,
+        runtime: LanguageRuntime,
+        network: &NetworkConfig,
         pull: PullCost,
     ) -> Self {
         CostBreakdown {
             daemon_queue: SimDuration::ZERO,
             image_pull: pull.download,
             image_unpack: pull.unpack,
-            resource_alloc: hw.control(costmodel::RESOURCE_ALLOC),
-            network_setup: config.network.setup_cost(hw),
-            volume_mount: hw.control(costmodel::VOLUME_MOUNT),
-            runtime_init: hw.compute(spec.runtime.cold_init()),
-            code_load: hw.control(costmodel::CODE_LOAD),
+            resource_alloc: costs.resource_alloc,
+            network_setup: costs.network_setup[network.mode as usize]
+                + network.ports_setup_cost(hw),
+            volume_mount: costs.volume_mount,
+            runtime_init: costs.runtime_init[runtime as usize],
+            code_load: costs.code_load,
         }
     }
+}
+
+/// The cost-model constants that every cold start and teardown charges,
+/// scaled to one engine's hardware once. The profile is fixed for the
+/// engine's life and `mul_f64` is a pure function, so each entry equals the
+/// scaling it saves. The arrays are indexed by the enum's discriminant,
+/// which is its position in `ALL`.
+#[derive(Debug, Clone)]
+struct ScaledCosts {
+    resource_alloc: SimDuration,
+    volume_mount: SimDuration,
+    code_load: SimDuration,
+    /// Stop plus remove.
+    teardown: SimDuration,
+    runtime_init: [SimDuration; LanguageRuntime::ALL.len()],
+    /// Mode setup alone; published ports are scaled per create.
+    network_setup: [SimDuration; NetworkMode::ALL.len()],
+}
+
+impl ScaledCosts {
+    fn new(hw: &HardwareProfile) -> Self {
+        ScaledCosts {
+            resource_alloc: hw.control(costmodel::RESOURCE_ALLOC),
+            volume_mount: hw.control(costmodel::VOLUME_MOUNT),
+            code_load: hw.control(costmodel::CODE_LOAD),
+            teardown: hw.control(costmodel::CONTAINER_STOP + costmodel::CONTAINER_REMOVE),
+            runtime_init: LanguageRuntime::ALL.map(|r| hw.compute(r.cold_init())),
+            network_setup: NetworkMode::ALL.map(|m| m.setup_cost(hw)),
+        }
+    }
+}
+
+/// The last compute chain [`ContainerEngine::begin_exec`] scaled for one
+/// `(runtime, first_exec)`: the `(work.compute, work.init)` that went in and
+/// the `(compute, init_latency)` that came out, before crash truncation.
+/// All-zero is a true entry: zero work scales to zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct ExecScale {
+    work: (SimDuration, SimDuration),
+    compute: SimDuration,
+    init_latency: SimDuration,
 }
 
 /// Description of one execution inside a container: what the app does.
@@ -146,9 +191,10 @@ pub enum EngineError {
     },
     /// The configuration failed validation.
     InvalidConfig(String),
-    /// An engine bookkeeping invariant was violated (container/volume tables
-    /// out of sync). Always a bug in the engine itself — surfaced as a typed
-    /// error so a gateway degrades to a failed request instead of a panic.
+    /// An engine bookkeeping invariant was violated (a record's state and
+    /// its in-flight work out of sync). Always a bug in the engine itself —
+    /// surfaced as a typed error so a gateway degrades to a failed request
+    /// instead of a panic.
     Internal(&'static str),
 }
 
@@ -175,7 +221,8 @@ struct ContainerRecord {
     /// container.
     config: Arc<ContainerConfig>,
     state: ContainerState,
-    volume: VolumeId,
+    /// Mounted at create, wiped by cleanup, dropped with the record.
+    volume: Volume,
     runtime: LanguageRuntime,
     idle_mem: u64,
     created_at: SimTime,
@@ -258,8 +305,12 @@ fn config_fingerprint(config: &ContainerConfig) -> u64 {
 pub struct ContainerEngine {
     registry: ImageRegistry,
     store: LocalImageStore,
-    volumes: VolumeStore,
     host: HostResources,
+    /// The host's hardware constants, scaled once.
+    costs: ScaledCosts,
+    /// Indexed by `[runtime as usize][first_exec as usize]`; unused while
+    /// CPU contention is modelled, since that factor follows host load.
+    exec_memo: [[ExecScale; 2]; LanguageRuntime::ALL.len()],
     /// Live container records. Engine-issued ids, so a [`FastMap`]: every
     /// request finds its container here several times.
     containers: FastMap<ContainerId, ContainerRecord>,
@@ -278,7 +329,8 @@ impl ContainerEngine {
         ContainerEngine {
             registry,
             store: LocalImageStore::new(),
-            volumes: VolumeStore::new(),
+            costs: ScaledCosts::new(&hw),
+            exec_memo: Default::default(),
             host: HostResources::new(hw),
             containers: FastMap::default(),
             next_id: 1,
@@ -342,11 +394,6 @@ impl ContainerEngine {
         &self.registry
     }
 
-    /// The volume store (for invariant checks in tests).
-    pub fn volumes(&self) -> &VolumeStore {
-        &self.volumes
-    }
-
     /// Sets the image distribution strategy for future pulls (§III-B's
     /// Alibaba practices: P2P distribution, lazy image format).
     pub fn set_pull_strategy(&mut self, strategy: crate::image::PullStrategy) {
@@ -369,16 +416,15 @@ impl ContainerEngine {
         let config = config.into();
         config.validate().map_err(EngineError::InvalidConfig)?;
         // The spec and the profile are borrowed from the registry and the
-        // host, fields apart from the store and volume table changed below.
+        // host, fields apart from the store changed below.
         let spec = self
             .registry
             .get(&config.image)
             .ok_or_else(|| EngineError::UnknownImage(config.image.clone()))?;
         let hw = self.host.hardware();
         let pull = self.store.pull_split(spec, hw);
-        let mut breakdown = CostBreakdown::cold(spec, hw, &config, pull);
         let runtime = spec.runtime;
-        let volume = self.volumes.create_mounted();
+        let mut breakdown = CostBreakdown::cold(&self.costs, hw, runtime, &config.network, pull);
         // Daemon serialization: the allocation section runs under the
         // daemon's global lock; concurrent creates queue behind it.
         if let Some(free_at) = &mut self.daemon_free_at {
@@ -397,7 +443,7 @@ impl ContainerEngine {
                 fault_key: None,
                 config,
                 state: ContainerState::Idle,
-                volume,
+                volume: Volume::default(),
                 runtime,
                 idle_mem,
                 created_at: now,
@@ -455,29 +501,45 @@ impl ContainerEngine {
 
         let first_exec = rec.exec_count == 0;
         rec.exec_count += 1;
-        let raw = work.compute + work.init;
-        let mut compute = hw.compute(raw);
-        if first_exec {
-            // JIT warm-up (language dependent) plus cold caches/TLB.
-            compute = compute
-                .mul_f64(rec.runtime.first_exec_penalty())
-                .mul_f64(costmodel::COLD_CACHE_PENALTY);
-        }
-        // CPU oversubscription: if the running apps plus this one exceed the
-        // host's cores, this execution runs proportionally slower.
-        if self.cpu_contention {
-            let demand = self.host.app_cores_in_use() + work.cpu_cores;
-            let capacity = self.host.hardware().cores as f64;
-            if demand > capacity {
-                compute = compute.mul_f64(demand / capacity);
-            }
-        }
-        // The penalty chain scales init and handler compute by the same
-        // factor, so init's share of the scaled compute is its raw share.
-        let mut init_latency = if work.init.is_zero() {
-            SimDuration::ZERO
+        // The chain below is a pure function of the work, the runtime and
+        // `first_exec` — unless contention makes it follow host load.
+        let memoize = !self.cpu_contention;
+        let memo = &mut self.exec_memo[rec.runtime as usize][usize::from(first_exec)];
+        let (compute, mut init_latency) = if memoize && memo.work == (work.compute, work.init) {
+            (memo.compute, memo.init_latency)
         } else {
-            compute.mul_f64(work.init.as_secs_f64() / raw.as_secs_f64())
+            let raw = work.compute + work.init;
+            let mut compute = hw.compute(raw);
+            if first_exec {
+                // JIT warm-up (language dependent) plus cold caches/TLB.
+                compute = compute
+                    .mul_f64(rec.runtime.first_exec_penalty())
+                    .mul_f64(costmodel::COLD_CACHE_PENALTY);
+            }
+            // CPU oversubscription: if the running apps plus this one exceed
+            // the host's cores, this execution runs proportionally slower.
+            if self.cpu_contention {
+                let demand = self.host.app_cores_in_use() + work.cpu_cores;
+                let capacity = hw.cores as f64;
+                if demand > capacity {
+                    compute = compute.mul_f64(demand / capacity);
+                }
+            }
+            // The penalty chain scales init and handler compute by the same
+            // factor, so init's share of the scaled compute is its raw share.
+            let init_latency = if work.init.is_zero() {
+                SimDuration::ZERO
+            } else {
+                compute.mul_f64(work.init.as_secs_f64() / raw.as_secs_f64())
+            };
+            if memoize {
+                *memo = ExecScale {
+                    work: (work.compute, work.init),
+                    compute,
+                    init_latency,
+                };
+            }
+            (compute, init_latency)
         };
         let mut latency = compute + rec.config.network.mode.per_request_overhead();
 
@@ -526,24 +588,15 @@ impl ContainerEngine {
             "Running container has no in-flight work",
         ))?;
         let crashed = std::mem::take(&mut rec.crashing);
-        rec.state = if crashed {
-            ContainerState::Stopped
-        } else {
-            ContainerState::Idle
-        };
-        let volume = rec.volume;
-        self.host.app_finished(work.mem_bytes, work.cpu_cores);
         if crashed {
             // The runtime died mid-write; whatever landed stays until the
-            // container is disposed of. The mount is released by the crash.
-            self.volumes
-                .unmount(volume)
-                .map_err(|_| EngineError::Internal("live container volume missing on crash"))?;
+            // container is disposed of.
+            rec.state = ContainerState::Stopped;
         } else {
-            self.volumes
-                .write(volume, work.files_written, work.bytes_written)
-                .map_err(|_| EngineError::Internal("live container volume missing on write"))?;
+            rec.state = ContainerState::Idle;
+            rec.volume.write(work.files_written, work.bytes_written);
         }
+        self.host.app_finished(work.mem_bytes, work.cpu_cores);
         Ok(())
     }
 
@@ -575,16 +628,11 @@ impl ContainerEngine {
                 needed: "Idle",
             });
         }
-        let volume = rec.volume;
-        let cost = self
-            .volumes
-            .wipe_and_remount(volume, hw)
-            .map_err(|_| EngineError::Internal("live container volume missing on cleanup"))?;
-        Ok(cost)
+        Ok(rec.volume.wipe_and_remount(hw))
     }
 
-    /// Stops and removes a container: terminate the runtime, unmount and
-    /// delete its volume (no zombie files), release its live footprint.
+    /// Stops and removes a container: terminate the runtime, delete its
+    /// volume with its record (no zombie files), release its live footprint.
     /// Returns the teardown cost.
     pub fn stop_and_remove(
         &mut self,
@@ -609,20 +657,8 @@ impl ContainerEngine {
         let rec = self.containers.remove(&id).ok_or(EngineError::Internal(
             "container vanished between check and removal",
         ))?;
-        if rec.state != ContainerState::Stopped {
-            // Stopped (crashed) containers already released their mount.
-            self.volumes
-                .unmount(rec.volume)
-                .map_err(|_| EngineError::Internal("live container volume missing on removal"))?;
-        }
-        self.volumes
-            .delete(rec.volume)
-            .map_err(|_| EngineError::Internal("unmounted volume failed to delete"))?;
         self.host.remove_live_container(rec.idle_mem);
-        Ok(self
-            .host
-            .hardware()
-            .control(costmodel::CONTAINER_STOP + costmodel::CONTAINER_REMOVE))
+        Ok(self.costs.teardown)
     }
 
     /// Estimates the cold-start cost of a configuration *without* creating
@@ -641,7 +677,7 @@ impl ContainerEngine {
             .ok_or_else(|| EngineError::UnknownImage(config.image.clone()))?;
         let hw = self.host.hardware();
         let pull = self.store.pull_cost(spec, hw);
-        Ok(CostBreakdown::cold(spec, hw, config, pull).total())
+        Ok(CostBreakdown::cold(&self.costs, hw, spec.runtime, &config.network, pull).total())
     }
 
     /// Current state of a container (`Removed` if unknown/gone).
@@ -840,11 +876,13 @@ mod tests {
             files_written: 500,
             bytes_written: 1 << 20,
         };
+        let volume = |e: &ContainerEngine| e.containers[&id].volume;
         e.exec(id, work, SimTime::ZERO).unwrap();
-        assert_eq!(e.volumes().get(VolumeId(0)).map(|v| v.bytes), Some(1 << 20));
+        assert_eq!(volume(&e).files, 500);
+        assert_eq!(volume(&e).bytes, 1 << 20);
         let cost = e.cleanup(id, SimTime::from_secs(1)).unwrap();
         assert!(!cost.is_zero());
-        assert_eq!(e.volumes().get(VolumeId(0)).map(|v| v.bytes), Some(0));
+        assert_eq!(volume(&e), Volume::default());
     }
 
     #[test]
@@ -855,11 +893,17 @@ mod tests {
             .create_container(cfg("openjdk:8-jre"), SimTime::ZERO)
             .unwrap();
         assert!(e.host().sample().used_mem > mem0);
-        assert_eq!(e.volumes().len(), 1);
+        e.exec(
+            id,
+            ExecWork::light(SimDuration::from_millis(5)),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        assert_eq!(e.containers[&id].volume.files, 2);
 
         e.stop_and_remove(id, SimTime::from_secs(1)).unwrap();
         assert_eq!(e.state(id), ContainerState::Removed);
-        assert_eq!(e.volumes().len(), 0, "no zombie volumes");
+        assert!(!e.containers.contains_key(&id), "the volume went with it");
         assert_eq!(e.host().sample().used_mem, mem0);
         assert_eq!(e.live_count(), 0);
     }
@@ -1228,6 +1272,154 @@ mod estimate_tests {
         let before = e.live_count();
         e.estimate_cold_start(&cfg).unwrap();
         assert_eq!(e.live_count(), before);
-        assert_eq!(e.volumes().len(), 0);
+    }
+}
+
+#[cfg(test)]
+mod scaling_tests {
+    use super::*;
+    use crate::ImageId;
+
+    fn profiles() -> [HardwareProfile; 3] {
+        [
+            HardwareProfile::server(),
+            HardwareProfile::raspberry_pi3(),
+            HardwareProfile::jetson_tx2(),
+        ]
+    }
+
+    #[test]
+    fn discriminants_are_positions_in_all() {
+        for (i, r) in LanguageRuntime::ALL.into_iter().enumerate() {
+            assert_eq!(r as usize, i, "{r}");
+        }
+        for (i, m) in NetworkMode::ALL.into_iter().enumerate() {
+            assert_eq!(m as usize, i, "{m}");
+        }
+    }
+
+    /// The once-scaled table prices every cold start and teardown exactly
+    /// as scaling each constant on demand would.
+    #[test]
+    fn scaled_table_equals_on_demand_scaling() {
+        let pull = PullCost {
+            download: SimDuration::from_millis(7),
+            unpack: SimDuration::from_millis(3),
+        };
+        for hw in profiles() {
+            let costs = ScaledCosts::new(&hw);
+            assert_eq!(
+                costs.teardown,
+                hw.control(costmodel::CONTAINER_STOP + costmodel::CONTAINER_REMOVE)
+            );
+            for runtime in LanguageRuntime::ALL {
+                for mode in NetworkMode::ALL {
+                    for ports in [&[][..], &[(80, 8080)], &[(80, 8080), (443, 8443)]] {
+                        let network = ports
+                            .iter()
+                            .fold(NetworkConfig::multi(mode), |n, &(c, h)| n.publish(c, h));
+                        let expected = CostBreakdown {
+                            daemon_queue: SimDuration::ZERO,
+                            image_pull: pull.download,
+                            image_unpack: pull.unpack,
+                            resource_alloc: hw.control(costmodel::RESOURCE_ALLOC),
+                            network_setup: network.setup_cost(&hw),
+                            volume_mount: hw.control(costmodel::VOLUME_MOUNT),
+                            runtime_init: hw.compute(runtime.cold_init()),
+                            code_load: hw.control(costmodel::CODE_LOAD),
+                        };
+                        assert_eq!(
+                            CostBreakdown::cold(&costs, &hw, runtime, &network, pull),
+                            expected,
+                            "{} {runtime} {mode} {} ports",
+                            hw.name,
+                            ports.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `begin_exec` with a memo warmed by earlier executions returns what
+    /// an engine with no memo returns: the same operations run on two
+    /// engines, the second forgetting its memo before every execution, over
+    /// random work drawn from a small pool (so keys repeat), first and
+    /// repeat executions, fault injection on, and CPU contention on or off
+    /// with up to 16 executions holding cores at once.
+    #[test]
+    fn prop_exec_memo_is_exact() {
+        let images: Vec<ImageId> = {
+            let registry = ImageRegistry::with_default_catalogue();
+            let mut by_runtime: Vec<(LanguageRuntime, ImageId)> = Vec::new();
+            for spec in registry.iter() {
+                if by_runtime.iter().all(|&(r, _)| r != spec.runtime) {
+                    by_runtime.push((spec.runtime, spec.id.clone()));
+                }
+            }
+            by_runtime.into_iter().map(|(_, id)| id).collect()
+        };
+        assert!(images.len() >= 4);
+        let ms = SimDuration::from_millis;
+        let computes = [ms(10), ms(37), SimDuration::from_nanos(1_234_567)];
+        let inits = [SimDuration::ZERO, ms(40), SimDuration::from_nanos(3)];
+        testkit::check(48, |g| {
+            let contention = g.bool();
+            let seed = g.u64_in(0..1 << 20);
+            let [mut warm, mut fresh] = [(), ()].map(|()| {
+                let mut e = ContainerEngine::with_local_images(HardwareProfile::server());
+                e.set_fault_injection(0.15, seed);
+                if contention {
+                    e.enable_cpu_contention();
+                }
+                e
+            });
+            let mut idle: Vec<ContainerId> = Vec::new();
+            let mut running: Vec<ContainerId> = Vec::new();
+            for step in 0..g.usize_in(20..120) {
+                let op = g.u8_in(0..3);
+                if op == 2 && !running.is_empty() {
+                    let id = running.swap_remove(g.usize_in(0..running.len()));
+                    for e in [&mut warm, &mut fresh] {
+                        e.end_exec(id, SimTime::ZERO).unwrap();
+                    }
+                    if warm.state(id) == ContainerState::Stopped {
+                        for e in [&mut warm, &mut fresh] {
+                            e.stop_and_remove(id, SimTime::ZERO).unwrap();
+                        }
+                    } else {
+                        idle.push(id);
+                    }
+                    continue;
+                }
+                if running.len() >= 16 {
+                    continue;
+                }
+                let id = if op == 1 && !idle.is_empty() {
+                    idle.swap_remove(g.usize_in(0..idle.len()))
+                } else {
+                    let config = ContainerConfig::bridge(g.pick(&images).clone());
+                    let (w, _) = warm
+                        .create_container(config.clone(), SimTime::ZERO)
+                        .unwrap();
+                    let (f, _) = fresh.create_container(config, SimTime::ZERO).unwrap();
+                    assert_eq!(w, f);
+                    w
+                };
+                let work = ExecWork {
+                    compute: *g.pick(&computes),
+                    init: *g.pick(&inits),
+                    mem_bytes: 1 << 20,
+                    cpu_cores: *g.pick(&[0.5, 2.0, 3.5]),
+                    files_written: 1,
+                    bytes_written: 10,
+                };
+                fresh.exec_memo = Default::default();
+                let got = warm.begin_exec(id, work, SimTime::ZERO).unwrap();
+                let want = fresh.begin_exec(id, work, SimTime::ZERO).unwrap();
+                assert_eq!(got, want, "step {step}, contention {contention}");
+                running.push(id);
+            }
+        });
     }
 }

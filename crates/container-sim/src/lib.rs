@@ -50,4 +50,3 @@ pub use host::HostResources;
 pub use image::{ImageId, ImageRegistry, ImageSpec, PullStrategy};
 pub use network::{NetworkConfig, NetworkMode, NetworkScope};
 pub use runtime::LanguageRuntime;
-pub use volume::{VolumeId, VolumeStore};

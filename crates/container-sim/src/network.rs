@@ -158,8 +158,16 @@ impl NetworkConfig {
 
     /// Total setup cost: mode setup plus a small per-port programming cost.
     pub fn setup_cost(&self, hw: &HardwareProfile) -> SimDuration {
-        let ports = SimDuration::from_millis(2) * self.published_ports.len() as u64;
-        self.mode.setup_cost(hw) + hw.network(ports)
+        self.mode.setup_cost(hw) + self.ports_setup_cost(hw)
+    }
+
+    /// The per-port part of [`Self::setup_cost`]. No ports cost exactly
+    /// zero, which is what scaling zero gives, without the float chain.
+    pub(crate) fn ports_setup_cost(&self, hw: &HardwareProfile) -> SimDuration {
+        if self.published_ports.is_empty() {
+            return SimDuration::ZERO;
+        }
+        hw.network(SimDuration::from_millis(2) * self.published_ports.len() as u64)
     }
 }
 

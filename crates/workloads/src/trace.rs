@@ -596,13 +596,18 @@ pub fn azure_trace(params: &AzureWorkloadParams) -> (MergeTrace, Vec<FunctionMix
 // keys, in O(bins) memory.
 // ---------------------------------------------------------------------------
 
-/// Zipf sampler with precomputed cumulative weights and binary-search draws.
+/// Zipf sampler with precomputed cumulative weights and guided-search draws.
 /// `SimRng::zipf` recomputes the harmonic normalizer and scans linearly on
 /// *every* draw — O(keys) per arrival, hopeless at 1e8 draws over 10k keys.
-/// This one is O(keys) once, O(log keys) per draw.
+/// This one is O(keys) once and, through a guide table, O(1) expected per
+/// draw.
 pub struct ZipfSampler {
     cum: Vec<f64>,
     total: f64,
+    /// `guide[b]` is the first rank whose cumulative weight reaches
+    /// `(b / m) · total`, for `b` in `0..=m` with `m` a power of two ≥ the
+    /// rank count; a draw in bucket `b` lies in `guide[b]..=guide[b + 1]`.
+    guide: Vec<usize>,
 }
 
 impl ZipfSampler {
@@ -615,15 +620,41 @@ impl ZipfSampler {
             acc += 1.0 / (k as f64).powf(s);
             cum.push(acc);
         }
-        ZipfSampler { cum, total: acc }
+        // Edges rise with `b`, so one sweep finds each bucket's first rank.
+        let m = n.next_power_of_two();
+        let mut rank = 0;
+        let guide = (0..=m)
+            .map(|b| {
+                let edge = (b as f64 / m as f64) * acc;
+                while rank < n && cum[rank] < edge {
+                    rank += 1;
+                }
+                rank
+            })
+            .collect();
+        ZipfSampler {
+            cum,
+            total: acc,
+            guide,
+        }
     }
 
     /// Draws a rank in `0..n` (rank 0 most popular). One `rng.unit()` call.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let target = rng.unit() * self.total;
-        self.cum
-            .partition_point(|&c| c < target)
-            .min(self.cum.len() - 1)
+        self.rank_at(rng.unit())
+    }
+
+    /// The rank a uniform `u` in `[0, 1)` maps to: the first whose
+    /// cumulative weight reaches `u · total`. The bucket `b = ⌊u · m⌋` is
+    /// exact for a power-of-two `m`, and `b / m ≤ u < (b + 1) / m` survives
+    /// the (monotone) rounding of `· total`, so the first such rank lies in
+    /// `guide[b]..=guide[b + 1]` and searching there equals searching all.
+    fn rank_at(&self, u: f64) -> usize {
+        let target = u * self.total;
+        let b = (u * (self.guide.len() - 1) as f64) as usize;
+        let (lo, hi) = (self.guide[b], self.guide[b + 1]);
+        let rank = lo + self.cum[lo..hi].partition_point(|&c| c < target);
+        rank.min(self.cum.len() - 1)
     }
 }
 
@@ -1295,6 +1326,42 @@ mod tests {
         let out = drain(&mut t);
         assert!(out.iter().all(|a| a.config_id < 2));
         assert_eq!(out.len(), 10);
+    }
+
+    /// The guided search equals a search of the whole CDF for every `u`,
+    /// bucket edges and their neighbours included, so draws are unchanged.
+    #[test]
+    fn prop_zipf_guide_equals_full_search() {
+        fn full(z: &ZipfSampler, u: f64) -> usize {
+            let target = u * z.total;
+            z.cum.partition_point(|&c| c < target).min(z.cum.len() - 1)
+        }
+        for n in [1, 2, 200, 2000, 10_000] {
+            for s in [0.5, 1.1, 2.0] {
+                let z = ZipfSampler::new(n, s);
+                let m = z.guide.len() - 1;
+                assert!(m.is_power_of_two() && m >= n);
+                let check = |u: f64| {
+                    if (0.0..1.0).contains(&u) {
+                        assert_eq!(z.rank_at(u), full(&z, u), "n={n} s={s} u={u:e}");
+                    }
+                };
+                testkit::check(64, |g| {
+                    // A bucket edge, the floats either side of it, and an
+                    // interior point.
+                    let edge = g.usize_in(0..m) as f64 / m as f64;
+                    check(edge);
+                    check(f64::from_bits(edge.to_bits() + 1));
+                    check(f64::from_bits(edge.to_bits().saturating_sub(1)));
+                    check(g.f64_in(0.0..1.0));
+                });
+                // The last float below 1 and the rank edges themselves.
+                check(1.0 - f64::EPSILON / 2.0);
+                for &c in z.cum.iter().step_by((n / 50).max(1)) {
+                    check(c / z.total);
+                }
+            }
+        }
     }
 
     #[test]

@@ -94,8 +94,6 @@ fn hotc_pool_view_is_consistent_after_traffic() {
         gw.engine().live_count(),
         "all containers idle (no in-flight request remains)"
     );
-    // No zombie volumes: exactly one per live container.
-    assert_eq!(gw.engine().volumes().len(), gw.engine().live_count());
 }
 
 #[test]
